@@ -3,7 +3,7 @@
 GO ?= go
 
 # The serving-path benchmarks whose trajectory BENCH_serving.json tracks.
-SERVING_BENCH = BenchmarkStoreAdd|BenchmarkStoreParallelAdd|BenchmarkStoreCount|BenchmarkServerPFAdd|BenchmarkServerParallelPFAdd|BenchmarkPipelinedPFAdd|BenchmarkDispatchPFAdd|BenchmarkDispatchPFAddInstrumented|BenchmarkDispatchPFCount|BenchmarkDispatchWAdd|BenchmarkClusterRoutedPFAdd|BenchmarkClusterBatchedPFAdd|BenchmarkClusterFanoutPFCount|BenchmarkClusterRoutedWAdd|BenchmarkClusterWindowCount|BenchmarkWindowInsert|BenchmarkWindowEstimate|BenchmarkCodecEncode|BenchmarkCodecDecode
+SERVING_BENCH = BenchmarkStoreAdd|BenchmarkStoreAddSparse|BenchmarkStoreParallelAdd|BenchmarkStoreCount|BenchmarkStoreCountSparse|BenchmarkServerPFAdd|BenchmarkServerParallelPFAdd|BenchmarkPipelinedPFAdd|BenchmarkDispatchPFAdd|BenchmarkDispatchPFAddInstrumented|BenchmarkDispatchPFCount|BenchmarkDispatchWAdd|BenchmarkClusterRoutedPFAdd|BenchmarkClusterBatchedPFAdd|BenchmarkClusterFanoutPFCount|BenchmarkClusterRoutedWAdd|BenchmarkClusterWindowCount|BenchmarkWindowInsert|BenchmarkWindowEstimate|BenchmarkCodecEncode|BenchmarkCodecDecode
 
 .PHONY: build vet test race bench bench-smoke loadtest fuzz
 
@@ -52,6 +52,7 @@ loadtest:
 	@echo folded coordinator and single-hop cluster load rows into BENCH_serving.json
 
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzHybridUnmarshal -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzMapDecode -fuzztime 30s ./cluster/
 	$(GO) test -run '^$$' -fuzz FuzzGossipDecode -fuzztime 30s ./cluster/
 	$(GO) test -run '^$$' -fuzz FuzzTransferDecode -fuzztime 30s ./cluster/

@@ -396,6 +396,33 @@ func BenchmarkHybridInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkHybridEstimate measures Estimate in both modes: sparse, where
+// only the registers the tokens touch are visited, and dense.
+func BenchmarkHybridEstimate(b *testing.B) {
+	for _, n := range []int{16, 1000, 10000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			h, err := exaloglog.NewHybrid(exaloglog.Config{T: 2, D: 20, P: 12})
+			if err != nil {
+				b.Fatal(err)
+			}
+			state := uint64(19)
+			for i := 0; i < n; i++ {
+				h.AddHash(hashing.SplitMix64(&state))
+			}
+			if h.IsSparse() != (n < 3584) {
+				b.Fatalf("n=%d: sparse=%v", n, h.IsSparse())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			sink := 0.0
+			for i := 0; i < b.N; i++ {
+				sink += h.Estimate()
+			}
+			_ = sink
+		})
+	}
+}
+
 // BenchmarkAtomicInsertParallel measures the CAS-based concurrent insert
 // under contention from all available cores.
 func BenchmarkAtomicInsertParallel(b *testing.B) {

@@ -792,7 +792,7 @@ func (n *Node) Count(keys ...string) (float64, error) {
 	if err := validKeys(keys); err != nil {
 		return 0, err
 	}
-	var acc *core.Sketch
+	var acc *core.Hybrid
 	err := n.withStaleMapRetry(func(m *Map) error {
 		var err error
 		acc, err = n.gather(m, keys)
@@ -932,19 +932,22 @@ func (n *Node) gatherOwnerBlobs(m *Map, keys []string) ([]ownerBlob, error) {
 
 // gather fetches every owner's sketch for every key (one pipelined
 // batch per owner, see gatherOwnerBlobs) and merges them into one
-// sketch (nil if no key exists anywhere). A windowed key surfaces the
-// store's WRONGTYPE error rather than merging garbage.
-func (n *Node) gather(m *Map, keys []string) (*core.Sketch, error) {
+// sketch (nil if no key exists anywhere). Blobs merge as the owners
+// hold them: token sets unite and stay sparse below break-even, a token
+// blob is replayed into dense registers, never expanded first. A
+// windowed key surfaces the store's WRONGTYPE error rather than merging
+// garbage.
+func (n *Node) gather(m *Map, keys []string) (*core.Hybrid, error) {
 	blobs, err := n.gatherOwnerBlobs(m, keys)
 	if err != nil {
 		return nil, err
 	}
-	var acc *core.Sketch
+	var acc *core.Hybrid
 	for _, b := range blobs {
 		if window.IsSerialized(b.blob) {
 			return nil, fmt.Errorf("cluster: sketch %q from %s: %w", b.key, b.ownerID, server.ErrWrongType)
 		}
-		sk, err := core.FromBinary(b.blob)
+		sk, err := core.HybridFromBinary(b.blob)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: sketch %q from %s: %w", b.key, b.ownerID, err)
 		}
@@ -952,17 +955,9 @@ func (n *Node) gather(m *Map, keys []string) (*core.Sketch, error) {
 			acc = sk
 			continue
 		}
-		if acc.Config() == sk.Config() {
-			if err := acc.Merge(sk); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		merged, err := core.MergeCompatible(acc, sk)
-		if err != nil {
+		if err := acc.Merge(sk); err != nil {
 			return nil, err
 		}
-		acc = merged
 	}
 	return acc, nil
 }
@@ -1129,7 +1124,9 @@ func (n *Node) MergeKeys(dest string, sources ...string) error {
 		return err
 	}
 	if acc == nil {
-		acc = core.MustNew(n.store.Config())
+		if acc, err = core.NewHybrid(n.store.Config()); err != nil {
+			return err
+		}
 	}
 	blob, err := acc.MarshalBinary()
 	if err != nil {

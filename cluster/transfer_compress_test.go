@@ -15,11 +15,29 @@ import (
 	"sync"
 	"testing"
 
+	"exaloglog/internal/core"
 	"exaloglog/server"
 )
 
-// TestTransferCompressionReducesWireBytes: rebalancing 2000 sparse
-// sketches onto a joining node must put at least 2× fewer payload
+// denseBlob is a dense serialized sketch holding the elements — what a
+// key past break-even, or one restored from a plain sketch, holds. (A
+// PFADD-built key this small is a token blob of a few bytes, which the
+// codec leaves alone.)
+func denseBlob(t testing.TB, elements ...string) []byte {
+	t.Helper()
+	sk := core.MustNew(testConfig())
+	for _, el := range elements {
+		sk.AddString(el)
+	}
+	blob, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestTransferCompressionReducesWireBytes: rebalancing 2000 near-empty
+// dense sketches onto a joining node must put at least 2× fewer payload
 // bytes on the wire than the uncompressed framing would — the PR's
 // acceptance fixture. (In practice near-empty sketches compress ~100×;
 // 2× is the floor the counters must prove.)
@@ -30,8 +48,9 @@ func TestTransferCompressionReducesWireBytes(t *testing.T) {
 	const total = 2000
 	h := newHarnessCfg(t, 1, 2, &TransferConfig{MinStreamKeys: 1})
 	keyName := func(k int) string { return fmt.Sprintf("zc-%d", k) }
+	blob := denseBlob(t, "x")
 	for k := 0; k < total; k++ {
-		if _, err := h.node("n1").Add(keyName(k), "x"); err != nil {
+		if err := h.node("n1").Store().Restore(keyName(k), blob); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,19 +201,27 @@ func TestEncodeFrameCompressedSkipsIncompressible(t *testing.T) {
 	if !bytes.HasPrefix(buf, []byte(frameMagic)) {
 		t.Errorf("incompressible frame carries magic %q, want %q", buf[:4], frameMagic)
 	}
-	// Sparse sketches DO flip the frame to ELX3, and it round-trips.
-	sparse := make([]server.KeyBlob, 8)
+	// Token blobs are hash bits: a frame of them stays ELX2 as well.
+	tokens := make([]server.KeyBlob, 8)
 	st, err := server.NewStore(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sparse {
-		key := fmt.Sprintf("sp-%d", i)
+	for i := range tokens {
+		key := fmt.Sprintf("tk-%d", i)
 		if _, err := st.Add(key, fmt.Sprintf("el-%d", i)); err != nil {
 			t.Fatal(err)
 		}
 		blob, _ := st.Dump(key)
-		sparse[i] = server.KeyBlob{Key: key, Blob: blob, Deadline: int64(i) * 1000}
+		tokens[i] = server.KeyBlob{Key: key, Blob: blob}
+	}
+	if tbuf, _ := encodeFrameCompressed(tokens); !bytes.HasPrefix(tbuf, []byte(frameMagic)) {
+		t.Errorf("token-blob frame carries magic %q, want %q", tbuf[:4], frameMagic)
+	}
+	// Near-empty dense sketches DO flip the frame to ELX3, and it round-trips.
+	sparse := make([]server.KeyBlob, 8)
+	for i := range sparse {
+		sparse[i] = server.KeyBlob{Key: fmt.Sprintf("sp-%d", i), Blob: denseBlob(t, fmt.Sprintf("el-%d", i)), Deadline: int64(i) * 1000}
 	}
 	zbuf, zpre := encodeFrameCompressed(sparse)
 	if !bytes.HasPrefix(zbuf, []byte(frameMagicZ)) {

@@ -48,9 +48,12 @@
 //
 // # Sparse mode
 //
-// For sketches that usually stay almost empty, collect compact hash tokens
-// first ([NewTokenSet]) and convert to a dense sketch at the break-even
-// point ([TokenSet.ToSketch]), or estimate straight from the tokens.
+// For sketches that usually stay almost empty, use [NewHybrid]: it keeps
+// sorted 32-bit hash tokens, converts itself to a dense sketch at the
+// break-even point, and estimates, merges and serializes the same in both
+// modes. [NewTokenSet] and [Token32List] are the paper's building blocks
+// for collecting tokens by hand ([TokenSet.ToSketch] converts, or estimate
+// straight from the tokens).
 package exaloglog
 
 import (
@@ -160,11 +163,13 @@ func TokenSetFromBinary(data []byte) (*TokenSet, error) {
 
 // Hybrid is a sketch that starts in sparse (hash-token) mode and converts
 // itself to a dense sketch at the break-even point — ideal when many
-// sketches are kept and most stay small.
+// sketches are kept and most stay small. Its estimate is the dense ML
+// estimate in both modes, and its serialization is canonical.
 type Hybrid = core.Hybrid
 
 // NewHybrid returns a hybrid sparse→dense sketch that densifies into the
-// given configuration (which must satisfy P+T <= 26).
+// given configuration. A configuration with P+T > 26, which 32-bit tokens
+// cannot feed, starts dense.
 func NewHybrid(cfg Config) (*Hybrid, error) {
 	return core.NewHybrid(cfg)
 }

@@ -75,8 +75,9 @@ func main() {
 	week, _ := c.PFCount("visitors:week")
 	fmt.Printf("PFMERGE week day0 day1; PFCOUNT  → %d\n\n", week)
 
-	// Ship the sketch to another process: DUMP is just the 8-byte header
-	// plus the dense register array (fast, Section 5.3).
+	// Ship the sketch to another process: for a key this size DUMP is just
+	// the 8-byte header plus the dense register array (fast, Section 5.3);
+	// a key below break-even ships its hash tokens instead.
 	blob, err := c.Dump("visitors:week")
 	if err != nil {
 		panic(err)

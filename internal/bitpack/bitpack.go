@@ -6,7 +6,10 @@
 // exactly ceil(n*w/8) bytes, matching the paper's space accounting. Widths
 // of 8, 16, 24 and 32 bits use dedicated fast paths; every width from 1 to
 // 57 bits is supported through a generic path that never reads past the
-// underlying slice.
+// underlying slice. The slice carries no padding: a power-of-two count of
+// 28-bit registers is a round number of bytes (14 336 at p = 12) that sits
+// exactly in an allocator size class, and even a few bytes more would push
+// it into the next one (16 384).
 package bitpack
 
 import (
@@ -38,15 +41,8 @@ func New(n int, width uint) *Array {
 		panic(fmt.Sprintf("bitpack: unsupported width %d", width))
 	}
 	nbits := uint64(n) * uint64(width)
-	nbytes := (nbits + 7) / 8
-	// The generic accessors load 8 bytes starting at the field's first
-	// byte; pad the backing slice so such loads are always in bounds.
-	pad := uint64(0)
-	if width%8 != 0 || width > 32 {
-		pad = 7
-	}
 	return &Array{
-		bits:  make([]byte, nbytes+pad),
+		bits:  make([]byte, (nbits+7)/8),
 		n:     n,
 		width: width,
 	}
@@ -71,14 +67,12 @@ func (a *Array) Len() int { return a.n }
 func (a *Array) Width() uint { return a.width }
 
 // SizeBytes returns the exact serialized size in bytes: ceil(n*w/8).
-func (a *Array) SizeBytes() int {
-	return int((uint64(a.n)*uint64(a.width) + 7) / 8)
-}
+func (a *Array) SizeBytes() int { return len(a.bits) }
 
 // Bytes returns the packed representation, exactly SizeBytes() long. The
 // returned slice aliases the array's storage; callers must copy it before
 // mutating the array if they need a stable snapshot.
-func (a *Array) Bytes() []byte { return a.bits[:a.SizeBytes()] }
+func (a *Array) Bytes() []byte { return a.bits }
 
 // Clone returns a deep copy of the array.
 func (a *Array) Clone() *Array {
@@ -117,7 +111,12 @@ func (a *Array) Get(i int) uint64 {
 	bitOff := uint64(i) * uint64(a.width)
 	byteOff := bitOff >> 3
 	shift := uint(bitOff & 7)
-	word := binary.LittleEndian.Uint64(a.bits[byteOff:])
+	var word uint64
+	if tail := a.bits[byteOff:]; len(tail) >= 8 {
+		word = binary.LittleEndian.Uint64(tail)
+	} else {
+		word = loadTail(tail)
+	}
 	return (word >> shift) & a.mask()
 }
 
@@ -150,10 +149,30 @@ func (a *Array) Set(i int, v uint64) {
 	bitOff := uint64(i) * uint64(a.width)
 	byteOff := bitOff >> 3
 	shift := uint(bitOff & 7)
-	word := binary.LittleEndian.Uint64(a.bits[byteOff:])
+	tail := a.bits[byteOff:]
+	if len(tail) >= 8 {
+		word := binary.LittleEndian.Uint64(tail)
+		word &^= a.mask() << shift
+		word |= v << shift
+		binary.LittleEndian.PutUint64(tail, word)
+		return
+	}
+	word := loadTail(tail)
 	word &^= a.mask() << shift
 	word |= v << shift
-	binary.LittleEndian.PutUint64(a.bits[byteOff:], word)
+	for j := range tail {
+		tail[j] = byte(word >> (8 * uint(j)))
+	}
+}
+
+// loadTail is the little-endian load for the last fields of the array,
+// where fewer than eight bytes remain; the missing high bytes read as zero.
+func loadTail(tail []byte) uint64 {
+	var word uint64
+	for j, b := range tail {
+		word |= uint64(b) << (8 * uint(j))
+	}
+	return word
 }
 
 func (a *Array) mask() uint64 {

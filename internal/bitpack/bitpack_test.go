@@ -165,3 +165,26 @@ func TestQuickSetGet(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDefaultBackingHasNoPadding pins the allocation of the store's default
+// register array, 4096 × 28 bits: exactly 14 336 bytes, which is an
+// allocator size class. Seven bytes of load padding used to push it into the
+// 16 384-byte class — 2 KB wasted per dense key and per window slice.
+func TestDefaultBackingHasNoPadding(t *testing.T) {
+	a := New(4096, 28)
+	if got := cap(a.bits); got != 14336 {
+		t.Fatalf("backing capacity %d bytes, want 14336", got)
+	}
+	// The last fields are read and written through the tail path.
+	for _, i := range []int{4093, 4094, 4095} {
+		a.Set(i, uint64(1)<<28-1-uint64(i))
+	}
+	for _, i := range []int{4093, 4094, 4095} {
+		if got, want := a.Get(i), uint64(1)<<28-1-uint64(i); got != want {
+			t.Fatalf("field %d = %#x, want %#x", i, got, want)
+		}
+	}
+	if a.Get(4092) != 0 {
+		t.Fatalf("tail writes clobbered field 4092: %#x", a.Get(4092))
+	}
+}

@@ -37,6 +37,10 @@ import (
 const (
 	codecMagic = "ELC1"
 
+	// tokenMagic opens a sparse-mode hash-token blob (see
+	// internal/core/hybrid.go).
+	tokenMagic = "ELT1"
+
 	methodStored        = 'r'
 	methodSparse        = 's'
 	methodEntropy       = 'e'
@@ -72,7 +76,12 @@ var entropyModels = sync.Pool{
 // EncodeBlob compresses a serialized sketch/window blob. The result is
 // either a codec container strictly smaller than raw, or raw itself
 // (unchanged, zero-copy) when no method wins. The input is never modified.
+// A token blob is returned as it is: hash bits do not entropy-code, and it
+// is small already.
 func EncodeBlob(raw []byte) []byte {
+	if len(raw) >= len(tokenMagic) && string(raw[:len(tokenMagic)]) == tokenMagic {
+		return raw
+	}
 	best := raw
 	sparse, sparseOK := sparseEncode(raw)
 	if sparseOK {

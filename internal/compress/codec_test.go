@@ -107,6 +107,32 @@ func TestCodecRoundTripArbitrary(t *testing.T) {
 	}
 }
 
+// TestEncodeBlobLeavesTokenBlobsAlone: a sparse-mode token blob is hash
+// bits — nothing to gain — so the encoder must hand back the very same
+// slice without running a coder over it, and the decoder pass it through.
+func TestEncodeBlobLeavesTokenBlobsAlone(t *testing.T) {
+	h, err := core.NewHybrid(core.RecommendedML(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 1000; i++ {
+		h.AddHash(rng.Uint64())
+	}
+	blob, _ := h.MarshalBinary()
+	if !core.IsTokenBlob(blob) {
+		t.Fatal("1000-element p=12 hybrid did not serialize as a token blob")
+	}
+	enc := compress.EncodeBlob(blob)
+	if &enc[0] != &blob[0] || len(enc) != len(blob) {
+		t.Fatalf("token blob was re-coded: %d → %d bytes", len(blob), len(enc))
+	}
+	dec, err := compress.DecodeBlob(enc, len(blob))
+	if err != nil || !bytes.Equal(dec, blob) {
+		t.Fatalf("token blob did not pass through the decoder: %v", err)
+	}
+}
+
 func TestDecodeBlobPassThrough(t *testing.T) {
 	raw := []byte("EL not actually compressed")
 	dec, err := compress.DecodeBlob(raw, len(raw))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -50,28 +51,57 @@ func FuzzUnmarshalCompressed(f *testing.F) {
 	})
 }
 
+// FuzzHybridUnmarshal covers both value blobs the store decodes: the sparse
+// "ELT1" token blob (truncated, unsorted, duplicate, impossible tokens, at
+// or past break-even) and the dense sketch format. Whatever is accepted
+// must be canonical — re-marshal to itself after one round — and estimate
+// like the dense sketch it converts to.
 func FuzzHybridUnmarshal(f *testing.F) {
-	h, _ := NewHybrid(Config{T: 2, D: 20, P: 8})
+	cfg := Config{T: 2, D: 20, P: 8}
+	h, _ := NewHybrid(cfg)
 	r := rng(3)
 	for i := 0; i < 50; i++ {
 		h.AddHash(r.Uint64())
 	}
 	sparse, _ := h.MarshalBinary()
 	f.Add(sparse)
+	f.Add(sparse[:len(sparse)-3])
 	for i := 0; i < 5000; i++ {
 		h.AddHash(r.Uint64())
 	}
 	dense, _ := h.MarshalBinary()
 	f.Add(dense)
-	f.Add([]byte{'H', 0, 2, 20, 8, 26, 0, 0, 0, 0})
+	f.Add(tokenBlob(cfg))
+	f.Add(tokenBlob(cfg, 2<<6, 1<<6))
+	f.Add(tokenBlob(cfg, 1<<6, 1<<6))
+	f.Add(tokenBlob(cfg, 1<<6|63))
+	f.Add(tokenBlob(Config{T: 2, D: 20, P: 2}, 1<<6, 2<<6, 3<<6, 4<<6, 5<<6)) // past break-even (4)
+	f.Add(tokenBlob(Config{T: 2, D: 20, P: 26}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var hy Hybrid
 		if err := hy.UnmarshalBinary(data); err != nil {
 			return
 		}
+		if hy.IsSparse() && hy.Tokens() >= hy.Config().breakEven() {
+			t.Fatalf("accepted %d tokens sparse at break-even %d", hy.Tokens(), hy.Config().breakEven())
+		}
 		est := hy.Estimate()
 		if math.IsNaN(est) || est < 0 {
 			t.Fatalf("estimate %v from accepted hybrid payload", est)
+		}
+		if want := hy.ToSketch().Estimate(); est != want {
+			t.Fatalf("estimate %v, dense conversion %v", est, want)
+		}
+		once, _ := hy.MarshalBinary()
+		var again Hybrid
+		if err := again.UnmarshalBinary(once); err != nil {
+			t.Fatalf("re-decoding own bytes: %v", err)
+		}
+		if twice, _ := again.MarshalBinary(); !bytes.Equal(once, twice) {
+			t.Fatal("marshal is not a fixed point")
+		}
+		if hy.IsSparse() && !bytes.Equal(once, data) {
+			t.Fatal("accepted a non-canonical token blob")
 		}
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"exaloglog/internal/zeta"
 )
@@ -25,46 +26,85 @@ type Coefficients struct {
 	Lo int
 }
 
-// mlCoefficients computes the coefficients of the log-likelihood function
-// (15) from the register states, following Algorithm 3. The α' accumulator
-// is α·2^(64-p) held as a 128-bit integer (hi, lo); individual
-// contributions are bounded by 2^(64-p), so the total is at most 2^64·…
-// and never overflows the pair.
-func (s *Sketch) mlCoefficients() Coefficients {
-	cfg := s.cfg
-	lo := cfg.T + 1
-	hi := 64 - cfg.P
-	beta := make([]int32, hi-lo+1)
-	var aHi, aLo uint64
+// mlAccum accumulates the coefficients of the log-likelihood function
+// (15) one register at a time, following Algorithm 3. α' = α·2^(64-p) is
+// held as a 128-bit integer (aHi, aLo): a register contributes at most
+// 2^(64-p), so m of them never overflow the pair, and because every
+// contribution is an exact integer the result does not depend on the order
+// the registers arrive in — a dense scan and a walk over only the touched
+// registers (sparse mode) yield bit-identical coefficients. The β counters
+// live in the struct so that estimating allocates nothing.
+type mlAccum struct {
+	cfg      Config
+	aHi, aLo uint64
+	beta     [64]int32 // beta[j] counts terms with exponent u = t+1+j
+}
 
-	m := cfg.NumRegisters()
-	for i := 0; i < m; i++ {
-		r := s.regs.Get(i)
-		u := int64(r >> uint(cfg.D))
-		var carry uint64
-		aLo, carry = bits.Add64(aLo, uint64(cfg.omegaNumerator(u))<<uint(64-cfg.P-cfg.phi(u)), 0)
-		aHi += carry
-		if u >= 1 {
-			beta[cfg.phi(u)-lo]++
-			if u >= 2 {
-				k := u - int64(cfg.D)
-				if k < 1 {
-					k = 1
-				}
-				for ; k < u; k++ {
-					j := cfg.phi(k)
-					if r&(uint64(1)<<uint(int64(cfg.D)-u+k)) == 0 {
-						aLo, carry = bits.Add64(aLo, uint64(1)<<uint(64-cfg.P-j), 0)
-						aHi += carry
-					} else {
-						beta[j-lo]++
-					}
-				}
-			}
+func (a *mlAccum) addAlpha(x uint64) {
+	var carry uint64
+	a.aLo, carry = bits.Add64(a.aLo, x, 0)
+	a.aHi += carry
+}
+
+// addRegister adds the contribution of one register with value r.
+func (a *mlAccum) addRegister(r uint64) {
+	cfg := a.cfg
+	lo := cfg.T + 1
+	u := int64(r >> uint(cfg.D))
+	a.addAlpha(uint64(cfg.omegaNumerator(u)) << uint(64-cfg.P-cfg.phi(u)))
+	if u < 1 {
+		return
+	}
+	a.beta[cfg.phi(u)-lo]++
+	k := u - int64(cfg.D)
+	if k < 1 {
+		k = 1
+	}
+	for ; k < u; k++ {
+		j := cfg.phi(k)
+		if r&(uint64(1)<<uint(int64(cfg.D)-u+k)) == 0 {
+			a.addAlpha(uint64(1) << uint(64-cfg.P-j))
+		} else {
+			a.beta[j-lo]++
 		}
 	}
-	alpha := math.Ldexp(float64(aHi), cfg.P) + math.Ldexp(float64(aLo), cfg.P-64)
-	return Coefficients{Alpha: alpha, Beta: beta, Lo: lo}
+}
+
+// addEmpty adds the contribution of n registers that were never written:
+// each adds ω(0)·2^(64-p) = 2^(64-p) to α' and nothing to β.
+func (a *mlAccum) addEmpty(n int) {
+	hi, lo := bits.Mul64(uint64(n), uint64(1)<<uint(64-a.cfg.P))
+	a.addAlpha(lo)
+	a.aHi += hi
+}
+
+// coefficients returns (α, β) as accumulated so far. Beta aliases the
+// accumulator.
+func (a *mlAccum) coefficients() Coefficients {
+	p := a.cfg.P
+	alpha := math.Ldexp(float64(a.aHi), p) + math.Ldexp(float64(a.aLo), p-64)
+	return Coefficients{Alpha: alpha, Beta: a.beta[:64-p-a.cfg.T], Lo: a.cfg.T + 1}
+}
+
+// solve returns the raw ML estimate for the accumulated coefficients.
+func (a *mlAccum) solve() float64 {
+	return SolveML(a.coefficients(), float64(a.cfg.NumRegisters()))
+}
+
+// estimate returns the ML estimate with the first-order bias correction of
+// equation (4) applied.
+func (a *mlAccum) estimate() float64 {
+	m := float64(a.cfg.NumRegisters())
+	return a.solve() / (1 + biasConstant(a.cfg.T, a.cfg.D)/m)
+}
+
+// accumulate feeds every register of s to a.
+func (s *Sketch) accumulate(a *mlAccum) {
+	a.cfg = s.cfg
+	m := s.cfg.NumRegisters()
+	for i := 0; i < m; i++ {
+		a.addRegister(s.regs.Get(i))
+	}
 }
 
 // SolveML finds the maximum-likelihood distinct-count estimate for a
@@ -150,19 +190,17 @@ func SolveMLCounted(c Coefficients, m float64) (float64, int) {
 // EstimateML returns the maximum-likelihood distinct-count estimate with
 // the first-order bias correction of equation (4) applied.
 func (s *Sketch) EstimateML() float64 {
-	raw := SolveML(s.mlCoefficients(), float64(s.cfg.NumRegisters()))
-	if s.biasC == 0 {
-		// Cached lazily: Hurwitz zeta evaluation is ~100x the cost of
-		// the remaining estimation work.
-		s.biasC = s.biasCorrectionConstant()
-	}
-	return raw / (1 + s.biasC/float64(s.cfg.NumRegisters()))
+	var acc mlAccum
+	s.accumulate(&acc)
+	return acc.estimate()
 }
 
 // EstimateMLUncorrected returns the raw ML estimate without bias
 // correction (used by tests and the ablation benchmarks).
 func (s *Sketch) EstimateMLUncorrected() float64 {
-	return SolveML(s.mlCoefficients(), float64(s.cfg.NumRegisters()))
+	var acc mlAccum
+	s.accumulate(&acc)
+	return acc.solve()
 }
 
 // Estimate returns the sketch's best distinct-count estimate: the
@@ -175,9 +213,20 @@ func (s *Sketch) Estimate() float64 {
 	return s.EstimateML()
 }
 
-// biasCorrectionConstant computes c of equation (4) with b = 2^(2^-t).
-func (s *Sketch) biasCorrectionConstant() float64 {
-	return BiasCorrectionConstant(s.cfg.T, s.cfg.D)
+// biasMemo caches BiasCorrectionConstant per (t, d) as float64 bits, 0
+// meaning not computed yet (the constant is strictly positive). Evaluating
+// the Hurwitz zeta function costs ~100x the rest of an estimate, and a
+// store holds many sketches of one configuration.
+var biasMemo [MaxT + 1][MaxD + 1]atomic.Uint64
+
+func biasConstant(t, d int) float64 {
+	slot := &biasMemo[t][d]
+	if b := slot.Load(); b != 0 {
+		return math.Float64frombits(b)
+	}
+	c := BiasCorrectionConstant(t, d)
+	slot.Store(math.Float64bits(c))
+	return c
 }
 
 // BiasCorrectionConstant returns the constant c of the first-order ML bias

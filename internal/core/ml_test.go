@@ -18,6 +18,13 @@ func logLikelihood(c Coefficients, m, n float64) float64 {
 	return ll
 }
 
+// mlCoefficients returns the sketch's Algorithm 3 coefficients.
+func (s *Sketch) mlCoefficients() Coefficients {
+	acc := new(mlAccum)
+	s.accumulate(acc)
+	return acc.coefficients()
+}
+
 func fillRandom(s *Sketch, n int, seed int64) {
 	r := rng(seed)
 	for i := 0; i < n; i++ {

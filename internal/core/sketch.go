@@ -31,10 +31,6 @@ type Sketch struct {
 	martingaleN  float64
 	muHi, muLo   uint64
 	changedCount uint64 // number of state-changing insertions (diagnostics)
-
-	// biasC caches the ML bias-correction constant of equation (4)
-	// (lazily computed; it depends only on t and d).
-	biasC float64
 }
 
 // New creates an empty ExaLogLog sketch with the given configuration.

@@ -53,6 +53,29 @@ func BenchmarkStoreAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreAddSparse is BenchmarkStoreAdd on keys that stay below
+// break-even: every key is built up to n elements and left, so an
+// iteration is the average insert of such a key's life — token search,
+// array shift and growth, the resident-bytes update, and 1/n of creating
+// the key.
+func BenchmarkStoreAddSparse(b *testing.B) {
+	for _, n := range []int{16, 1000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			store := newBenchStore(b)
+			els := benchElements(4096)
+			keys := make([]string, b.N/n+1)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("key-%d", i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				store.Add(keys[i/n], els[i%len(els)])
+			}
+		})
+	}
+}
+
 // BenchmarkStoreParallelAdd hammers Store.Add from parallel goroutines,
 // each with its own working set of keys. Under the global-mutex store
 // every add serializes; the sharded store lets disjoint keys proceed
@@ -95,6 +118,31 @@ func BenchmarkStoreCount(b *testing.B) {
 		if _, err := store.Count(keys...); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStoreCountSparse is BenchmarkStoreCount over 8 keys of n
+// elements each, all sparse: the tokens are replayed into the pooled
+// accumulator instead of merging register arrays.
+func BenchmarkStoreCountSparse(b *testing.B) {
+	for _, n := range []int{16, 1000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			store := newBenchStore(b)
+			keys := make([]string, 8)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("key-%d", i)
+				for j := 0; j < n; j++ {
+					store.Add(keys[i], fmt.Sprintf("el-%d-%d", i, j))
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := store.Count(keys...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

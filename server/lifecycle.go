@@ -81,10 +81,20 @@ func (s *Store) newEntry(tag byte) *entry {
 	if s.defaultTTL > 0 {
 		e.deadline.Store(s.NowMillis() + s.defaultTTL.Milliseconds())
 	}
-	e.size = e.val.SizeBytes()
+	e.size = residentSize(e.val)
 	s.residentBytes.Add(int64(e.size))
 	return e
 }
+
+// entryOverhead is what a key holds on the heap beside its value: the
+// entry struct (112 bytes) and its share of the shard map — a bucket slot
+// and a short key string, measured at about 32 bytes. With sparse values
+// of a few dozen bytes this is most of a small key, so the gauge counts it.
+const entryOverhead = 144
+
+// residentSize is the heap footprint the resident-bytes gauge charges for
+// a key holding v.
+func residentSize(v SketchValue) int { return v.SizeBytes() + entryOverhead }
 
 // killLocked marks e dead and releases its resident-bytes accounting;
 // the caller holds e.mu. Idempotent: a second kill is a no-op, so the
@@ -104,7 +114,7 @@ func (s *Store) resizeLocked(e *entry) {
 	if e.dead {
 		return
 	}
-	if n := e.val.SizeBytes(); n != e.size {
+	if n := residentSize(e.val); n != e.size {
 		s.residentBytes.Add(int64(n - e.size))
 		e.size = n
 	}

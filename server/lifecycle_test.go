@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -570,4 +572,73 @@ func FuzzLifecycleVerbFraming(f *testing.F) {
 			t.Fatalf("store unusable after fuzzed lifecycle verbs: %v", err)
 		}
 	})
+}
+
+// TestResidentBytesTracksLiveHeap: the resident_bytes gauge is what the
+// -mem-high/-mem-low watermarks act on, so it has to be the heap the keys
+// really hold — within 15 % of the measured live-heap delta on a skewed
+// keyspace (of every 20 keys 14 hold 1–32 elements, 5 hold 33–1000 and 1
+// holds 1001–10000: mostly sparse values that grow token by token, a few
+// dense ones), and back at zero when the keys are gone.
+func TestResidentBytesTracksLiveHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const keys = 2000
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = fmt.Sprintf("key-%05d", i)
+	}
+	element := make([]byte, 0, 32)
+	store := newTestStore(t)
+	before := liveHeap()
+	for i, name := range names {
+		lo, hi := 1, 32
+		switch m := i % 20; {
+		case m == 0:
+			lo, hi = 1001, 10000
+		case m <= 5:
+			lo, hi = 33, 1000
+		}
+		n := lo + i*7919%(hi-lo+1)
+		// Half of the keys arrive element by element, half in one call:
+		// growth is accounted on both paths.
+		if i%2 == 0 {
+			for j := 0; j < n; j++ {
+				element = strconv.AppendInt(append(element[:0], name...), int64(j), 10)
+				if _, err := store.AddBytes([]byte(name), [][]byte{element}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
+		}
+		els := make([]string, n)
+		for j := range els {
+			els[j] = name + strconv.Itoa(j)
+		}
+		if _, err := store.Add(name, els...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := float64(liveHeap() - before)
+	_, _, resident := store.LifecycleStats()
+	if ratio := float64(resident) / heap; ratio < 0.85 || ratio > 1.15 {
+		t.Errorf("resident_bytes %d vs %.0f live heap bytes (%.0f vs %.0f per key): ratio %.3f outside 0.85–1.15",
+			resident, heap, float64(resident)/keys, heap/keys, ratio)
+	}
+	t.Logf("resident_bytes %.0f B/key, live heap %.0f B/key", float64(resident)/keys, heap/keys)
+	for _, name := range names {
+		store.Delete(name)
+	}
+	if _, _, left := store.LifecycleStats(); left != 0 {
+		t.Errorf("resident_bytes %d after deleting every key", left)
+	}
+	runtime.KeepAlive(store)
 }

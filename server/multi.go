@@ -99,7 +99,7 @@ func (mc *MultiClient) PFCount(keys ...string) (float64, error) {
 		}(i, c)
 	}
 	wg.Wait()
-	var acc *core.Sketch
+	var acc *core.Hybrid
 	for i, results := range batches {
 		if errs[i] != nil {
 			return 0, fmt.Errorf("server: shard %d: %w", i, errs[i])
@@ -115,7 +115,7 @@ func (mc *MultiClient) PFCount(keys ...string) (float64, error) {
 			if err != nil {
 				return 0, err
 			}
-			sk, err := core.FromBinary(blob)
+			sk, err := core.HybridFromBinary(blob)
 			if err != nil {
 				return 0, err
 			}
@@ -123,17 +123,9 @@ func (mc *MultiClient) PFCount(keys ...string) (float64, error) {
 				acc = sk
 				continue
 			}
-			if acc.Config() == sk.Config() {
-				if err := acc.Merge(sk); err != nil {
-					return 0, err
-				}
-				continue
-			}
-			merged, err := core.MergeCompatible(acc, sk)
-			if err != nil {
+			if err := acc.Merge(sk); err != nil {
 				return 0, err
 			}
-			acc = merged
 		}
 	}
 	if acc == nil {

@@ -13,10 +13,11 @@ import (
 
 // Snapshot persistence: the whole store serializes to a compact binary
 // stream — a magic header followed by (key, value-blob) records — so a
-// sketch service can restart without losing its counters. Plain sketch
-// blobs are the core MarshalBinary form (Section 5.3: serialization is
-// a header plus the dense register array, so snapshots are cheap);
-// windowed keys serialize slot-wise (see the window package).
+// sketch service can restart without losing its counters. A plain
+// sketch's blob is its hash tokens while sparse and the core
+// MarshalBinary form once dense (Section 5.3: serialization is a header
+// plus the register array, so snapshots are cheap); windowed keys
+// serialize slot-wise (see the window package).
 //
 // Format (version 5; versions 1–4 are still readable):
 //
@@ -210,7 +211,7 @@ func (s *Store) replaceAll(loaded map[string]snapRecord, meta []byte) {
 		fresh[i] = make(map[string]*entry)
 	}
 	for k, rec := range loaded {
-		e := &entry{val: rec.val, size: rec.val.SizeBytes()}
+		e := &entry{val: rec.val, size: residentSize(rec.val)}
 		e.deadline.Store(rec.deadline)
 		s.residentBytes.Add(int64(e.size))
 		fresh[shardIndex(k)][k] = e

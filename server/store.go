@@ -64,8 +64,8 @@ type entry struct {
 
 	// est caches val.Estimate() as of version estVer, so a hot-key
 	// PFCOUNT on an unchanged sketch is O(1) instead of a scan of the
-	// dense register array. estValid distinguishes "no cache yet" from
-	// a (legitimate) cached value at ver 0.
+	// registers. estValid distinguishes "no cache yet" from a
+	// (legitimate) cached value at ver 0.
 	est      float64
 	estVer   uint64
 	estValid bool
@@ -90,7 +90,7 @@ func (s *Store) estimateEll(e *entry) (v float64, ok bool, err error) {
 	if e.dead {
 		return 0, false, nil
 	}
-	if _, isEll := e.val.(*ellValue); !isEll {
+	if _, isEll := e.val.(ellValue); !isEll {
 		return 0, false, ErrWrongType
 	}
 	if !e.estValid || e.estVer != e.ver {
@@ -264,7 +264,16 @@ func (s *Store) newValue(tag byte) SketchValue {
 		}
 		return &windowValue{c: c}
 	}
-	return &ellValue{sk: core.MustNew(s.cfg)}
+	return ellValue{s.newEll()}
+}
+
+// newEll constructs an empty plain sketch with the store's configuration.
+func (s *Store) newEll() *core.Hybrid {
+	h, err := core.NewHybrid(s.cfg)
+	if err != nil {
+		panic(err) // unreachable: cfg validated up front
+	}
+	return h
 }
 
 // getOrCreate returns the live entry for key, creating it with an
@@ -327,9 +336,15 @@ func (s *Store) getAcc() *core.Sketch {
 	return acc
 }
 
+// addBatch is how many element hashes Add and AddBytes keep on the stack
+// before handing them to the sketch in one call: every realistic PFADD.
+const addBatch = 16
+
 // Add inserts elements into the sketch at key, creating it if needed.
 // It returns true if any insertion changed the sketch state (the Redis
-// PFADD convention). A key holding another value type is ErrWrongType.
+// PFADD convention): while the key is sparse that a new hash token was
+// recorded, once dense that a register changed. A key holding another
+// value type is ErrWrongType.
 func (s *Store) Add(key string, elements ...string) (bool, error) {
 	for {
 		e := s.getOrCreate(key, valueTagEll)
@@ -343,13 +358,15 @@ func (s *Store) Add(key string, elements ...string) (bool, error) {
 			e.mu.Unlock()
 			return false, fmt.Errorf("server: add %q: %w", key, err)
 		}
-		before := sk.StateChanges()
+		var buf [addBatch]uint64 // a larger batch spills to the heap
+		hashes := buf[:0]
 		for _, el := range elements {
-			sk.AddString(el)
+			hashes = append(hashes, hashing.WyString(el, 0))
 		}
-		changed := sk.StateChanges() != before
+		changed := sk.AddHashes(hashes)
 		if changed {
 			e.ver++
+			s.resizeLocked(e) // a sparse value grows with every new token
 		}
 		e.mu.Unlock()
 		return changed, nil
@@ -372,13 +389,15 @@ func (s *Store) AddBytes(key []byte, elements [][]byte) (bool, error) {
 			e.mu.Unlock()
 			return false, fmt.Errorf("server: add %q: %w", key, err)
 		}
-		before := sk.StateChanges()
+		var buf [addBatch]uint64
+		hashes := buf[:0]
 		for _, el := range elements {
-			sk.Add(el)
+			hashes = append(hashes, hashing.Wy64(el, 0))
 		}
-		changed := sk.StateChanges() != before
+		changed := sk.AddHashes(hashes)
 		if changed {
 			e.ver++
+			s.resizeLocked(e)
 		}
 		e.mu.Unlock()
 		return changed, nil
@@ -495,7 +514,8 @@ func (s *Store) WindowInfo(key string) (info string, ok bool, err error) {
 
 // mergeInto folds e's plain sketch into *acc under e's lock. When the
 // configs match — the overwhelmingly common case — the merge happens in
-// place with no allocation. Otherwise the sketch is cloned out and
+// place with no allocation (a sparse value replays its tokens into the
+// accumulator). Otherwise the sketch is cloned out and
 // aligned via MergeCompatible: if *acc is still the untouched pooled
 // accumulator (*found false) the clone simply becomes the accumulator
 // (preserving, e.g., counting a lone foreign-t key); else both are
@@ -513,7 +533,7 @@ func (s *Store) mergeInto(acc **core.Sketch, pooled, found *bool, e *entry) erro
 		return err
 	}
 	if sk.Config() == (*acc).Config() {
-		err := (*acc).Merge(sk)
+		err := sk.MergeInto(*acc)
 		e.mu.Unlock()
 		if err != nil {
 			return err // unreachable: identical configs
@@ -521,7 +541,7 @@ func (s *Store) mergeInto(acc **core.Sketch, pooled, found *bool, e *entry) erro
 		*found = true
 		return nil
 	}
-	clone := sk.Clone()
+	clone := sk.ToSketch()
 	e.mu.Unlock()
 	if !*found {
 		if *pooled {
@@ -625,31 +645,43 @@ func (s *Store) CountBytes(keys [][]byte) (float64, error) {
 // Merge stores the union of the source keys' sketches at dest (which may
 // itself be one of the sources, and is created if absent). The union is
 // accumulated without holding dest's lock and then folded into dest in
-// place, so a write racing the merge is never lost. Windowed keys —
-// sources or dest — are ErrWrongType.
+// place, so a write racing the merge is never lost. It is accumulated as
+// the values are held — token sets unite — so a union below break-even
+// leaves dest sparse. Windowed keys — sources or dest — are ErrWrongType.
 func (s *Store) Merge(dest string, sources ...string) error {
-	acc, pooled, found := s.getAcc(), true, false
-	defer func() {
-		if pooled {
-			s.accs.Put(acc)
-		}
-	}()
+	var acc *core.Hybrid
 	for _, k := range sources {
 		e := s.lookup(k)
 		if e == nil {
 			continue
 		}
-		if err := s.mergeInto(&acc, &pooled, &found, e); err != nil {
+		e.mu.Lock()
+		if e.dead {
+			e.mu.Unlock()
+			continue // concurrently deleted: contributes nothing
+		}
+		sk, err := e.ellLocked()
+		if err == nil {
+			if acc == nil {
+				acc = sk.Clone()
+			} else {
+				err = acc.Merge(sk)
+			}
+		}
+		e.mu.Unlock()
+		if err != nil {
 			return fmt.Errorf("server: merge %q: %w", k, err)
 		}
+	}
+	if acc == nil {
+		acc = s.newEll()
 	}
 	for {
 		// When dest would be created, fail an incompatible merge BEFORE
 		// getOrCreate so the error cannot leave an empty dest key behind
-		// as a side effect. MergeCompatible errors only on t mismatch.
+		// as a side effect. Merging errors only on t mismatch.
 		if s.lookup(dest) == nil && acc.Config().T != s.cfg.T {
-			_, err := core.MergeCompatible(core.MustNew(s.cfg), acc)
-			return fmt.Errorf("server: merge %q: %w", dest, err)
+			return fmt.Errorf("server: merge %q: t=%d sketches cannot merge into the store's t=%d", dest, acc.Config().T, s.cfg.T)
 		}
 		e := s.getOrCreate(dest, valueTagEll)
 		e.mu.Lock()
@@ -658,17 +690,8 @@ func (s *Store) Merge(dest string, sources ...string) error {
 			continue
 		}
 		sk, err := e.ellLocked()
-		if err != nil {
-			e.mu.Unlock()
-			return fmt.Errorf("server: merge %q: %w", dest, err)
-		}
-		if sk.Config() == acc.Config() {
+		if err == nil {
 			err = sk.Merge(acc)
-		} else {
-			var merged *core.Sketch
-			if merged, err = core.MergeCompatible(sk, acc); err == nil {
-				e.val = &ellValue{sk: merged}
-			}
 		}
 		if err != nil {
 			e.mu.Unlock()
@@ -722,9 +745,10 @@ func (s *Store) Keys() []string {
 }
 
 // Dump serializes the value at key; ok is false if the key is missing.
-// Plain sketches keep the raw core format; windowed keys serialize
-// slot-wise (see the window package), so a scatter-gather reader can
-// merge rings instead of collapsed sketches.
+// A plain sketch is the raw core format once dense and an "ELT1" token
+// blob while sparse (core.HybridFromBinary reads both); windowed keys
+// serialize slot-wise (see the window package), so a scatter-gather
+// reader can merge rings instead of collapsed sketches.
 func (s *Store) Dump(key string) (data []byte, ok bool) {
 	e := s.lookup(key)
 	if e == nil {
@@ -860,20 +884,12 @@ func (s *Store) mergeValueLocked(e *entry, in SketchValue) error {
 		return nil
 	}
 	switch inv := in.(type) {
-	case *ellValue:
+	case ellValue:
 		cur, err := e.ellLocked()
 		if err != nil {
 			return err
 		}
-		if cur.Config() == inv.sk.Config() {
-			return cur.Merge(inv.sk)
-		}
-		merged, err := core.MergeCompatible(cur, inv.sk)
-		if err != nil {
-			return err
-		}
-		e.val = &ellValue{sk: merged}
-		return nil
+		return cur.Merge(inv.Hybrid)
 	case *windowValue:
 		cur, err := e.windowLocked()
 		if err != nil {

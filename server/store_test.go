@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -426,5 +428,104 @@ func TestSingleKeyCountMatchesUnionPath(t *testing.T) {
 	}
 	if want := foreign.Estimate(); got != want {
 		t.Fatalf("foreign-config single-key count %v, want %v", got, want)
+	}
+}
+
+// TestSparseKeysThroughTheStore walks one key's life through every door
+// of the store: it starts as hash tokens, answers every count with the
+// float a dense reference sketch gives, travels as a token blob through
+// DUMP, RESTORE, MergeBlob and PFMERGE without turning dense, and turns
+// dense — for good, and with the raw core bytes — at break-even.
+func TestSparseKeysThroughTheStore(t *testing.T) {
+	store := newTestStore(t)
+	ref := core.MustNew(store.Config())
+	info := func(key string) string {
+		s, ok := store.Info(key)
+		if !ok {
+			t.Fatalf("no INFO for %s", key)
+		}
+		return s
+	}
+	check := func(key string, where string) {
+		t.Helper()
+		single, err := store.Count(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		union, err := store.Count(key, "missing")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ref.Estimate(); single != want || union != want {
+			t.Fatalf("%s: count %v, via the union path %v, reference sketch %v", where, single, union, want)
+		}
+	}
+
+	// The changed bit while sparse: a new token was recorded.
+	if changed, _ := store.Add("k", "a"); !changed {
+		t.Error("first element reported no change")
+	}
+	if changed, _ := store.Add("k", "a"); changed {
+		t.Error("a repeated element reported a change")
+	}
+	ref.AddString("a")
+	for i := 0; i < 999; i++ {
+		el := fmt.Sprintf("el-%d", i)
+		store.Add("k", el)
+		ref.AddString(el)
+	}
+	check("k", "1000 elements")
+	if got := info("k"); !strings.Contains(got, "mode=sparse tokens=1000 bytes=4000 ") {
+		t.Errorf("INFO %q, want mode=sparse tokens=1000 bytes=4000", got)
+	}
+
+	blob, _ := store.Dump("k")
+	if !core.IsTokenBlob(blob) || len(blob) != 7+4*1000 {
+		t.Fatalf("DUMP of a sparse key: %d bytes, token blob %v", len(blob), core.IsTokenBlob(blob))
+	}
+	if err := store.Restore("copy", blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.MergeBlob("merged", blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.MergeBlob("merged", blob); err != nil { // idempotent
+		t.Fatal(err)
+	}
+	if err := store.Merge("union", "k", "copy", "missing"); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"copy", "merged", "union"} {
+		check(key, key)
+		if again, _ := store.Dump(key); !bytes.Equal(again, blob) {
+			t.Errorf("%s: blob differs from the source key's (%s)", key, info(key))
+		}
+	}
+
+	// Crossing break-even (3584 tokens at p=12): dense, the raw core format.
+	for i := 0; i < 3000; i++ {
+		el := fmt.Sprintf("more-%d", i)
+		store.Add("k", el)
+		ref.AddString(el)
+	}
+	check("k", "4000 elements")
+	if got := info("k"); !strings.Contains(got, "mode=dense bytes=14336 ") {
+		t.Errorf("INFO %q, want mode=dense bytes=14336", got)
+	}
+	dense, _ := store.Dump("k")
+	if want, _ := ref.MarshalBinary(); !bytes.Equal(dense, want) {
+		t.Error("DUMP of a dense key is not the reference sketch's MarshalBinary")
+	}
+	// Sparse into dense and dense into sparse both end dense and equal.
+	if err := store.MergeBlob("copy", dense); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.MergeBlob("k", blob); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"k", "copy"} {
+		if got, _ := store.Dump(key); !bytes.Equal(got, dense) {
+			t.Errorf("%s after a mixed-mode merge differs from the dense key", key)
+		}
 	}
 }

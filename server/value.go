@@ -14,7 +14,8 @@ import (
 // across implementations; only the value semantics differ:
 //
 //   - ellValue: a plain ExaLogLog sketch, the value PFADD / PFCOUNT /
-//     PFMERGE operate on.
+//     PFMERGE operate on — sparse hash tokens that densify at the
+//     paper's break-even (core.Hybrid).
 //   - windowValue: a sliding-window slice-ring of sketches
 //     (window.Counter), the value WADD / WCOUNT / WINFO operate on —
 //     the paper's port-scan/DDoS motivation served as a data-store
@@ -32,15 +33,15 @@ type SketchValue interface {
 	// the sketch estimate; windowed: the full-span estimate at the
 	// newest observed timestamp).
 	Estimate() float64
-	// MarshalBinary serializes the value. Plain sketches keep the raw
-	// core format, so pre-existing DUMP consumers are unaffected;
-	// window rings use the self-describing "ELW1" slot-wise format.
+	// MarshalBinary serializes the value; every format is
+	// self-describing. A plain sketch is the raw core format once dense
+	// and an "ELT1" token blob while sparse; window rings use the
+	// "ELW1" slot-wise format.
 	MarshalBinary() ([]byte, error)
 	// Info renders the INFO reply body.
 	Info() string
-	// SizeBytes approximates the value's resident heap footprint — the
-	// store's resident_bytes gauge and the eviction watermarks sum it
-	// per key. It only needs to be proportional, not exact.
+	// SizeBytes is the value's resident heap footprint — the store's
+	// resident_bytes gauge and the eviction watermarks sum it per key.
 	SizeBytes() int
 	// empty reports whether the value carries no observed state yet (a
 	// just-created value a replication blob of any type may overwrite).
@@ -53,21 +54,23 @@ const (
 	valueTagWindow = byte('W')
 )
 
-// ellValue adapts *core.Sketch to SketchValue.
-type ellValue struct {
-	sk *core.Sketch
-}
+// ellValue adapts *core.Hybrid to SketchValue; Estimate and MarshalBinary
+// are the hybrid's own. A struct of one pointer, it sits in the interface
+// without an allocation of its own.
+type ellValue struct{ *core.Hybrid }
 
-func (v *ellValue) Tag() byte                      { return valueTagEll }
-func (v *ellValue) Estimate() float64              { return v.sk.Estimate() }
-func (v *ellValue) MarshalBinary() ([]byte, error) { return v.sk.MarshalBinary() }
-func (v *ellValue) SizeBytes() int                 { return v.sk.MemoryFootprint() }
-func (v *ellValue) empty() bool                    { return v.sk.IsEmpty() }
+func (v ellValue) Tag() byte      { return valueTagEll }
+func (v ellValue) SizeBytes() int { return v.MemoryFootprint() }
+func (v ellValue) empty() bool    { return v.IsEmpty() }
 
-func (v *ellValue) Info() string {
-	cfg := v.sk.Config()
-	return fmt.Sprintf("t=%d d=%d p=%d bytes=%d estimate=%.1f",
-		cfg.T, cfg.D, cfg.P, v.sk.SizeBytes(), v.sk.Estimate())
+func (v ellValue) Info() string {
+	cfg := v.Config()
+	mode := "dense"
+	if v.IsSparse() {
+		mode = fmt.Sprintf("sparse tokens=%d", v.Tokens())
+	}
+	return fmt.Sprintf("t=%d d=%d p=%d mode=%s bytes=%d estimate=%.1f",
+		cfg.T, cfg.D, cfg.P, mode, v.Hybrid.SizeBytes(), v.Estimate())
 }
 
 // windowValue adapts *window.Counter to SketchValue.
@@ -86,23 +89,16 @@ func (v *windowValue) Info() string {
 }
 
 // decodeValue reconstructs a SketchValue from a serialized blob,
-// dispatching on the blob's own magic: "ELW1" is a window ring,
-// anything else is handed to the core sketch decoder. This is what
-// keeps RESTORE, ABSORB and snapshot blobs polymorphic without a wire
-// change — every value format is self-describing.
+// dispatching on the blob's own magic: "ELW1" is a window ring, anything
+// else is handed to the core decoder (an "ELT1" token blob or a dense
+// sketch). This is what keeps RESTORE, ABSORB and snapshot blobs
+// polymorphic without a wire change — every value format is
+// self-describing.
 func decodeValue(data []byte) (SketchValue, error) {
 	if window.IsSerialized(data) {
-		c, err := window.FromBinary(data)
-		if err != nil {
-			return nil, err
-		}
-		return &windowValue{c: c}, nil
+		return decodeValueTagged(valueTagWindow, data)
 	}
-	sk, err := core.FromBinary(data)
-	if err != nil {
-		return nil, err
-	}
-	return &ellValue{sk: sk}, nil
+	return decodeValueTagged(valueTagEll, data)
 }
 
 // decodeValueTagged is decodeValue for snapshot v3 records, where the
@@ -111,11 +107,11 @@ func decodeValue(data []byte) (SketchValue, error) {
 func decodeValueTagged(tag byte, data []byte) (SketchValue, error) {
 	switch tag {
 	case valueTagEll:
-		sk, err := core.FromBinary(data)
+		h, err := core.HybridFromBinary(data)
 		if err != nil {
 			return nil, err
 		}
-		return &ellValue{sk: sk}, nil
+		return ellValue{h}, nil
 	case valueTagWindow:
 		c, err := window.FromBinary(data)
 		if err != nil {
@@ -128,12 +124,12 @@ func decodeValueTagged(tag byte, data []byte) (SketchValue, error) {
 }
 
 // ellLocked returns the entry's plain sketch; the caller holds e.mu.
-func (e *entry) ellLocked() (*core.Sketch, error) {
-	v, ok := e.val.(*ellValue)
+func (e *entry) ellLocked() (*core.Hybrid, error) {
+	v, ok := e.val.(ellValue)
 	if !ok {
 		return nil, ErrWrongType
 	}
-	return v.sk, nil
+	return v.Hybrid, nil
 }
 
 // windowLocked returns the entry's window counter; the caller holds e.mu.
