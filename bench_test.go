@@ -382,17 +382,65 @@ func BenchmarkAblationCompressedSerialize(b *testing.B) {
 	})
 }
 
-// BenchmarkHybridInsert measures sparse-mode vs dense-mode insert cost of
-// the hybrid sketch.
+// BenchmarkHybridInsert measures the hybrid sketch's insert cost: "grow" on
+// a sketch that starts empty and soon runs dense, "first1000" on the first
+// 1000 elements of a key, and single inserts into a sparse sketch kept at n
+// resident tokens, where each insert searches the packed array and moves
+// half of it.
 func BenchmarkHybridInsert(b *testing.B) {
-	h, err := exaloglog.NewHybrid(exaloglog.Config{T: 2, D: 20, P: 12})
-	if err != nil {
-		b.Fatal(err)
-	}
-	state := uint64(18)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.AddHash(hashing.SplitMix64(&state))
+	cfg := exaloglog.Config{T: 2, D: 20, P: 12}
+	b.Run("grow", func(b *testing.B) {
+		h, err := exaloglog.NewHybrid(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		state := uint64(18)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.AddHash(hashing.SplitMix64(&state))
+		}
+	})
+	b.Run("first1000", func(b *testing.B) {
+		state := uint64(18)
+		hashes := make([]uint64, 1000)
+		for i := range hashes {
+			hashes[i] = hashing.SplitMix64(&state)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += len(hashes) {
+			h, _ := exaloglog.NewHybrid(cfg)
+			for _, x := range hashes {
+				h.AddHash(x)
+			}
+		}
+	})
+	for _, n := range []int{100, 1000, 5000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			base, err := exaloglog.NewHybrid(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			state := uint64(18)
+			for base.Tokens() < n {
+				base.AddHash(hashing.SplitMix64(&state))
+			}
+			// 64 inserts on a fresh copy of the n tokens, so the array stays
+			// near n whatever b.N is; the copy adds 1/64 of one memcpy and
+			// allocation to each insert.
+			h := base.Clone()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%64 == 0 {
+					h = base.Clone()
+				}
+				h.AddHash(hashing.SplitMix64(&state))
+			}
+			if !h.IsSparse() {
+				b.Fatalf("n=%d: ran dense", n)
+			}
+		})
 	}
 }
 
@@ -409,7 +457,7 @@ func BenchmarkHybridEstimate(b *testing.B) {
 			for i := 0; i < n; i++ {
 				h.AddHash(hashing.SplitMix64(&state))
 			}
-			if h.IsSparse() != (n < 3584) {
+			if h.IsSparse() != (n < 5735) {
 				b.Fatalf("n=%d: sparse=%v", n, h.IsSparse())
 			}
 			b.ReportAllocs()
@@ -421,6 +469,94 @@ func BenchmarkHybridEstimate(b *testing.B) {
 			_ = sink
 		})
 	}
+}
+
+// BenchmarkHybridBulk measures the paths a replica and a bulk load take
+// through a sparse sketch of 1000 elements: AddHashes of all of them into an
+// empty sketch, decoding the blob, and merging a sketch that adds nothing.
+func BenchmarkHybridBulk(b *testing.B) {
+	cfg := exaloglog.Config{T: 2, D: 20, P: 12}
+	state := uint64(21)
+	hashes := make([]uint64, 1000)
+	for i := range hashes {
+		hashes[i] = hashing.SplitMix64(&state)
+	}
+	full, err := exaloglog.NewHybrid(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	full.AddHashes(hashes)
+	blob, err := full.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("addhashes", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h, _ := exaloglog.NewHybrid(cfg)
+			h.AddHashes(hashes)
+		}
+	})
+	b.Run("unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		var h exaloglog.Hybrid
+		for i := 0; i < b.N; i++ {
+			if err := h.UnmarshalBinary(blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("merge-known", func(b *testing.B) {
+		b.ReportAllocs()
+		dst := full.Clone()
+		for i := 0; i < b.N; i++ {
+			if err := dst.Merge(full); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkHybridUnion is what a coordinator does for a PFCOUNT over 8 keys
+// of 1000 elements: decode the 8 blobs, merge them one after the other — the
+// accumulator crosses break-even on the way — and estimate the union.
+func BenchmarkHybridUnion(b *testing.B) {
+	cfg := exaloglog.Config{T: 2, D: 20, P: 12}
+	state := uint64(22)
+	var blobs [][]byte
+	for key := 0; key < 8; key++ {
+		h, err := exaloglog.NewHybrid(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 1000; i++ {
+			h.AddHash(hashing.SplitMix64(&state))
+		}
+		blob, err := h.MarshalBinary()
+		if err != nil {
+			b.Fatal(err)
+		}
+		blobs = append(blobs, blob)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	sink := 0.0
+	for i := 0; i < b.N; i++ {
+		var acc *exaloglog.Hybrid
+		for _, blob := range blobs {
+			var h exaloglog.Hybrid
+			if err := h.UnmarshalBinary(blob); err != nil {
+				b.Fatal(err)
+			}
+			if acc == nil {
+				acc = &h
+			} else if err := acc.Merge(&h); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sink += acc.Estimate()
+	}
+	_ = sink
 }
 
 // BenchmarkAtomicInsertParallel measures the CAS-based concurrent insert

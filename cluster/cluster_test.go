@@ -445,3 +445,36 @@ func TestAbsorbIsIdempotent(t *testing.T) {
 		t.Errorf("estimate drifted after redundant absorbs: %v → %v", want, got)
 	}
 }
+
+// TestCountUnitesDivergentReplicas: a count skips a replica's copy only when
+// it is byte for byte a copy already merged; replicas that each hold an
+// element the other missed both contribute.
+func TestCountUnitesDivergentReplicas(t *testing.T) {
+	h := newHarness(t, 2, 2)
+	for _, key := range []string{"same", "split"} {
+		if _, err := h.node("n1").Add(key, "shared-a", "shared-b"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Local-only writes, bypassing replication: the copies of "split" diverge.
+	if _, err := h.node("n1").Store().Add("split", "only-on-n1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.node("n2").Store().Add("split", "only-on-n2"); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]int64{"same": 2, "split": 4} {
+		for _, id := range []string{"n1", "n2"} {
+			got, err := h.node(id).Count(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(got+0.5) != want {
+				t.Errorf("count of %q via %s = %v, want %d", key, id, got, want)
+			}
+		}
+	}
+	if got, err := h.node("n2").Count("same", "split"); err != nil || int64(got+0.5) != 4 {
+		t.Errorf("union count = %v, %v; want 4", got, err)
+	}
+}

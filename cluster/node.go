@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -943,7 +944,17 @@ func (n *Node) gather(m *Map, keys []string) (*core.Hybrid, error) {
 		return nil, err
 	}
 	var acc *core.Hybrid
+	merged := make(map[string][]byte, len(keys)) // key -> the first copy merged
 	for _, b := range blobs {
+		// Blobs are canonical: a replica in step with a copy already
+		// merged sends the very same bytes and has nothing to add.
+		first, seen := merged[b.key]
+		if seen && bytes.Equal(first, b.blob) {
+			continue
+		}
+		if !seen {
+			merged[b.key] = b.blob
+		}
 		if window.IsSerialized(b.blob) {
 			return nil, fmt.Errorf("cluster: sketch %q from %s: %w", b.key, b.ownerID, server.ErrWrongType)
 		}

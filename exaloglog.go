@@ -49,9 +49,9 @@
 // # Sparse mode
 //
 // For sketches that usually stay almost empty, use [NewHybrid]: it keeps
-// sorted 32-bit hash tokens, converts itself to a dense sketch at the
-// break-even point, and estimates, merges and serializes the same in both
-// modes. [NewTokenSet] and [Token32List] are the paper's building blocks
+// sorted hash tokens of P+T+6 bits each, converts itself to a dense sketch
+// at the break-even point, and estimates, merges and serializes the same in
+// both modes. [NewTokenSet] and [Token32List] are the paper's building blocks
 // for collecting tokens by hand ([TokenSet.ToSketch] converts, or estimate
 // straight from the tokens).
 package exaloglog
@@ -168,8 +168,7 @@ func TokenSetFromBinary(data []byte) (*TokenSet, error) {
 type Hybrid = core.Hybrid
 
 // NewHybrid returns a hybrid sparse→dense sketch that densifies into the
-// given configuration. A configuration with P+T > 26, which 32-bit tokens
-// cannot feed, starts dense.
+// given configuration.
 func NewHybrid(cfg Config) (*Hybrid, error) {
 	return core.NewHybrid(cfg)
 }

@@ -39,7 +39,7 @@ const (
 
 	// tokenMagic opens a sparse-mode hash-token blob (see
 	// internal/core/hybrid.go).
-	tokenMagic = "ELT1"
+	tokenMagic = "ELT2"
 
 	methodStored        = 'r'
 	methodSparse        = 's'

@@ -52,10 +52,11 @@ func FuzzUnmarshalCompressed(f *testing.F) {
 }
 
 // FuzzHybridUnmarshal covers both value blobs the store decodes: the sparse
-// "ELT1" token blob (truncated, unsorted, duplicate, impossible tokens, at
-// or past break-even) and the dense sketch format. Whatever is accepted
-// must be canonical — re-marshal to itself after one round — and estimate
-// like the dense sketch it converts to.
+// "ELT2" token blob (truncated, ragged, padding bits set, unsorted,
+// duplicate, impossible tokens, at or past break-even, the retired "ELT1"
+// layout) and the dense sketch format. Whatever is accepted must be
+// canonical — re-marshal to itself after one round — and estimate like the
+// dense sketch it converts to.
 func FuzzHybridUnmarshal(f *testing.F) {
 	cfg := Config{T: 2, D: 20, P: 8}
 	h, _ := NewHybrid(cfg)
@@ -66,6 +67,15 @@ func FuzzHybridUnmarshal(f *testing.F) {
 	sparse, _ := h.MarshalBinary()
 	f.Add(sparse)
 	f.Add(sparse[:len(sparse)-3])
+	odd, _ := NewHybrid(Config{T: 2, D: 20, P: 12}) // 20-bit tokens: 4 spare bits after 51 of them
+	for i := 0; i < 51; i++ {
+		odd.AddHash(r.Uint64())
+	}
+	padded, _ := odd.MarshalBinary()
+	f.Add(padded)
+	padded = append([]byte(nil), padded...)
+	padded[len(padded)-1] |= 0x80
+	f.Add(padded)
 	for i := 0; i < 5000; i++ {
 		h.AddHash(r.Uint64())
 	}
@@ -75,8 +85,10 @@ func FuzzHybridUnmarshal(f *testing.F) {
 	f.Add(tokenBlob(cfg, 2<<6, 1<<6))
 	f.Add(tokenBlob(cfg, 1<<6, 1<<6))
 	f.Add(tokenBlob(cfg, 1<<6|63))
-	f.Add(tokenBlob(Config{T: 2, D: 20, P: 2}, 1<<6, 2<<6, 3<<6, 4<<6, 5<<6)) // past break-even (4)
-	f.Add(tokenBlob(Config{T: 2, D: 20, P: 26}))
+	f.Add(append(tokenBlob(cfg, 1<<6), 0))
+	f.Add(tokenBlob(Config{T: 2, D: 20, P: 2}, 1<<6, 2<<6, 3<<6, 4<<6, 5<<6, 6<<6, 7<<6, 8<<6, 9<<6, 10<<6, 11<<6, 12<<6, 13<<6)) // past break-even (12)
+	f.Add(tokenBlob(Config{T: 2, D: 20, P: 26}, 1<<6, 1<<33))
+	f.Add(append([]byte("ELT1\x02\x14\x08"), 0x43, 0, 0, 0, 0x81, 0, 0, 0)) // v = 26 tokens, 4 bytes each
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var hy Hybrid
 		if err := hy.UnmarshalBinary(data); err != nil {

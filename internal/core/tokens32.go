@@ -12,6 +12,11 @@ import (
 // any practical ELL configuration" while tokens fit exactly into 32 bits.
 const Token32V = 26
 
+// DefaultTokenV is the token parameter for a token set that is not tied to
+// one sketch configuration: 32-bit tokens, compatible with every
+// configuration up to p+t = 26.
+const DefaultTokenV = Token32V
+
 // Token32List collects (26+6)-bit hash tokens in a plain []uint32 — the
 // storage layout Section 4.3 recommends: "as the tokens can be stored in a
 // plain 32-bit integer array, off-the-shelf sorting algorithms can be used

@@ -119,7 +119,7 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := bufio.NewReaderSize(conn, 64*1024)
+	r := bufio.NewReaderSize(conn, connBufSize)
 	return &Client{conn: conn, r: r}, nil
 }
 
@@ -230,7 +230,11 @@ func (c *Client) Do(parts ...string) (string, error) {
 	c.armDeadline()
 	defer c.clearDeadline()
 	c.wbuf = appendLine(c.wbuf[:0], parts)
-	if _, err := c.conn.Write(c.wbuf); err != nil {
+	_, err := c.conn.Write(c.wbuf)
+	if cap(c.wbuf) > connBufSize {
+		c.wbuf = nil // one oversized request must not size a long-lived connection's buffer for good
+	}
+	if err != nil {
 		return "", err
 	}
 	line, err := c.r.ReadString('\n')

@@ -87,10 +87,10 @@ func (s *Store) newEntry(tag byte) *entry {
 }
 
 // entryOverhead is what a key holds on the heap beside its value: the
-// entry struct (112 bytes) and its share of the shard map — a bucket slot
+// entry struct (96 bytes) and its share of the shard map — a bucket slot
 // and a short key string, measured at about 32 bytes. With sparse values
 // of a few dozen bytes this is most of a small key, so the gauge counts it.
-const entryOverhead = 144
+const entryOverhead = 128
 
 // residentSize is the heap footprint the resident-bytes gauge charges for
 // a key holding v.

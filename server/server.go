@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"exaloglog/internal/compress"
 )
@@ -452,6 +453,10 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // ones); a connection sending a longer line is dropped.
 const maxLineBytes = 16 * 1024 * 1024
 
+// connBufSize is the size of a connection's read and write buffers, and
+// the most line or argument scratch it keeps from one command to the next.
+const connBufSize = 64 * 1024
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -461,32 +466,43 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		s.stats.connsCur.Add(-1)
 	}()
-	r := bufio.NewReaderSize(conn, 64*1024)
-	cc := &connCtx{s: s, w: bufio.NewWriterSize(conn, 64*1024)}
-	var long []byte // spillover for lines longer than the reader buffer
+	cc := &connCtx{s: s, w: bufio.NewWriterSize(conn, connBufSize)}
+	cc.serve(bufio.NewReaderSize(conn, connBufSize))
+}
+
+// serve reads command lines from r and executes them until the peer
+// quits, hangs up or sends a line that is too long.
+func (c *connCtx) serve(r *bufio.Reader) {
 	for {
 		line, err := r.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
-			long = append(long[:0], line...)
+			c.long = append(c.long[:0], line...)
 			for err == bufio.ErrBufferFull {
 				line, err = r.ReadSlice('\n')
-				if len(long)+len(line) > maxLineBytes {
+				if len(c.long)+len(line) > maxLineBytes {
 					return // oversized line: drop the connection
 				}
-				long = append(long, line...)
+				c.long = append(c.long, line...)
 			}
-			line = long
+			line = c.long
 		}
 		if err != nil && err != io.EOF {
 			return
 		}
 		atEOF := err == io.EOF
-		quit := cc.exec(line)
+		quit := c.exec(line)
+		// Scratch that one oversized command grew goes back to the
+		// allocator: kept, every connection would hold its high-water mark
+		// for as long as it lives. The arguments alias the line and would
+		// pin it, so the two go together.
+		if cap(c.long) > connBufSize || cap(c.args) > connBufSize/argHeaderBytes {
+			c.long, c.args = nil, nil
+		}
 		// Coalesced flush: only flush when no further request is
 		// already buffered, so a pipelining client pays one write
 		// syscall per burst instead of one per command.
 		if quit || atEOF || r.Buffered() == 0 {
-			if cc.w.Flush() != nil || quit || atEOF {
+			if c.w.Flush() != nil || quit || atEOF {
 				return
 			}
 		}
@@ -499,6 +515,7 @@ func (s *Server) serveConn(conn net.Conn) {
 type connCtx struct {
 	s    *Server
 	w    *bufio.Writer
+	long []byte // spillover for lines longer than the reader buffer
 	args [][]byte
 	num  []byte
 
@@ -508,6 +525,9 @@ type connCtx struct {
 	outBytes int
 	wroteErr bool
 }
+
+// argHeaderBytes is what one element of connCtx.args occupies.
+const argHeaderBytes = int(unsafe.Sizeof([]byte(nil)))
 
 func isLineSpace(b byte) bool {
 	return b == ' ' || b == '\t' || b == '\r' || b == '\n'

@@ -47,10 +47,9 @@ const shardSeed = 0x5bd1e995a967bd1e
 // an entry that has been unlinked from its shard map: a mutator that
 // raced a Delete re-fetches instead of writing into an orphan.
 type entry struct {
-	mu   sync.Mutex
-	val  SketchValue
-	ver  uint64
-	dead bool
+	mu  sync.Mutex
+	val SketchValue
+	ver uint64
 
 	// size is the value's approximate resident footprint as last
 	// accounted against the store's resident-bytes gauge (e.mu held).
@@ -66,16 +65,21 @@ type entry struct {
 	// PFCOUNT on an unchanged sketch is O(1) instead of a scan of the
 	// registers. estValid distinguishes "no cache yet" from a
 	// (legitimate) cached value at ver 0.
-	est      float64
-	estVer   uint64
-	estValid bool
+	est    float64
+	estVer uint64
 
 	// dig caches the anti-entropy content digest of (key, serialized
 	// value) as of version digVer — see digest.go. Like the estimate
 	// cache it needs no invalidation hook: a ver mismatch is staleness.
 	dig    uint64
 	digVer uint64
-	digOK  bool
+
+	// The three flags sit together: apart, each is padded to a word and
+	// the struct leaves the allocator's 96-byte size class for the 112-byte
+	// one.
+	dead     bool
+	estValid bool
+	digOK    bool
 }
 
 // estimateEll returns the entry's current plain-sketch estimate under
