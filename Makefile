@@ -51,14 +51,16 @@ loadtest:
 	rm -f load.json
 	@echo folded coordinator and single-hop cluster load rows into BENCH_serving.json
 
+# fuzz runs every fuzz target there is, FUZZTIME each: the list is what
+# `go test -list` finds per package (-fuzz takes one target of one package
+# at a time), so a new target cannot be forgotten here. CI runs the seed
+# corpora of the same targets as a blocking step (go test -run '^Fuzz' ./...).
+FUZZTIME ?= 30s
+
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzHybridUnmarshal -fuzztime 30s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzMapDecode -fuzztime 30s ./cluster/
-	$(GO) test -run '^$$' -fuzz FuzzGossipDecode -fuzztime 30s ./cluster/
-	$(GO) test -run '^$$' -fuzz FuzzTransferDecode -fuzztime 30s ./cluster/
-	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 30s ./internal/compress/
-	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 30s ./internal/compress/
-	$(GO) test -run '^$$' -fuzz FuzzWindowDecode -fuzztime 30s ./window/
-	$(GO) test -run '^$$' -fuzz FuzzWindowVerbFraming -fuzztime 30s ./server/
-	$(GO) test -run '^$$' -fuzz FuzzSnapshotV4Decode -fuzztime 30s ./server/
-	$(GO) test -run '^$$' -fuzz FuzzLifecycleVerbFraming -fuzztime 30s ./server/
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "== $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done

@@ -385,8 +385,13 @@ func BenchmarkAblationCompressedSerialize(b *testing.B) {
 // BenchmarkHybridInsert measures the hybrid sketch's insert cost: "grow" on
 // a sketch that starts empty and soon runs dense, "first1000" on the first
 // 1000 elements of a key, and single inserts into a sparse sketch kept at n
-// resident tokens, where each insert searches the packed array and moves
-// half of it.
+// resident tokens, where each insert finds its bucket by popcount over the
+// two bit vectors and moves what lies above it in the three regions. The 64
+// inserts of n=100 and n=1000 cross a power of two (128, 1024), where the
+// set is encoded anew with a narrower remainder — once per 64 inserts here,
+// once per doubling in a key's life, which "first1000" has at its true
+// rate; n=5000 and n=15000 (sparse only since the succinct encoding) cross
+// none.
 func BenchmarkHybridInsert(b *testing.B) {
 	cfg := exaloglog.Config{T: 2, D: 20, P: 12}
 	b.Run("grow", func(b *testing.B) {
@@ -415,7 +420,7 @@ func BenchmarkHybridInsert(b *testing.B) {
 			}
 		}
 	})
-	for _, n := range []int{100, 1000, 5000} {
+	for _, n := range []int{100, 1000, 5000, 15000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			base, err := exaloglog.NewHybrid(cfg)
 			if err != nil {
@@ -447,7 +452,7 @@ func BenchmarkHybridInsert(b *testing.B) {
 // BenchmarkHybridEstimate measures Estimate in both modes: sparse, where
 // only the registers the tokens touch are visited, and dense.
 func BenchmarkHybridEstimate(b *testing.B) {
-	for _, n := range []int{16, 1000, 10000} {
+	for _, n := range []int{16, 1000, 10000, 60000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			h, err := exaloglog.NewHybrid(exaloglog.Config{T: 2, D: 20, P: 12})
 			if err != nil {
@@ -457,7 +462,7 @@ func BenchmarkHybridEstimate(b *testing.B) {
 			for i := 0; i < n; i++ {
 				h.AddHash(hashing.SplitMix64(&state))
 			}
-			if h.IsSparse() != (n < 5735) {
+			if h.IsSparse() != (n < 40000) { // break-even is near 44 000 elements
 				b.Fatalf("n=%d: sparse=%v", n, h.IsSparse())
 			}
 			b.ReportAllocs()
@@ -473,7 +478,8 @@ func BenchmarkHybridEstimate(b *testing.B) {
 
 // BenchmarkHybridBulk measures the paths a replica and a bulk load take
 // through a sparse sketch of 1000 elements: AddHashes of all of them into an
-// empty sketch, decoding the blob, and merging a sketch that adds nothing.
+// empty sketch, encoding and decoding the blob, and merging a sketch that
+// adds nothing.
 func BenchmarkHybridBulk(b *testing.B) {
 	cfg := exaloglog.Config{T: 2, D: 20, P: 12}
 	state := uint64(21)
@@ -495,6 +501,14 @@ func BenchmarkHybridBulk(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			h, _ := exaloglog.NewHybrid(cfg)
 			h.AddHashes(hashes)
+		}
+	})
+	b.Run("marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := full.MarshalBinary(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("unmarshal", func(b *testing.B) {

@@ -407,6 +407,21 @@ func TestAddRejectsProtocolUnsafeTokens(t *testing.T) {
 	if n.Store().Len() != 0 {
 		t.Errorf("rejected adds created %d keys", n.Store().Len())
 	}
+	// The rule and its wording, for the empty token and each of the four
+	// bytes at the start, in the middle and at the end.
+	bad := []string{""}
+	for _, c := range []string{" ", "\t", "\r", "\n"} {
+		bad = append(bad, c+"ab", "a"+c+"b", "ab"+c)
+	}
+	for _, s := range bad {
+		want := fmt.Sprintf("cluster: element %q must be non-empty and free of whitespace", s)
+		if err := validToken("element", s); err == nil || err.Error() != want {
+			t.Errorf("validToken(%q): %v, want %q", s, err, want)
+		}
+	}
+	if err := validToken("key", "visits:é\u00a0"); err != nil {
+		t.Errorf("a key without the four bytes: %v", err)
+	}
 }
 
 // TestAbsorbIsIdempotent: re-sending the same blob never changes the

@@ -478,7 +478,7 @@ func (b *ClientBatch) add(key string, parts []string) {
 		return
 	}
 	for _, p := range parts {
-		if p == "" || strings.ContainsAny(p, " \t\r\n") {
+		if !server.ValidToken(p) {
 			b.err = fmt.Errorf("cluster: token %q must be non-empty and free of whitespace", p)
 			return
 		}

@@ -685,7 +685,7 @@ func (n *Node) broadcast(m *Map, extraAddrs []string) error {
 // split into several elements (or injected as a command) on remote
 // owners, silently breaking the replicas-are-identical invariant.
 func validToken(kind, s string) error {
-	if s == "" || strings.ContainsAny(s, " \t\r\n") {
+	if !server.ValidToken(s) {
 		return fmt.Errorf("cluster: %s %q must be non-empty and free of whitespace", kind, s)
 	}
 	return nil

@@ -16,8 +16,9 @@ import (
 )
 
 // TestMixedSparseDenseKeyspaceConverges replicates a keyspace that straddles
-// break-even (4 bytes per token against the register array: 896 tokens at
-// the test precision), moves it through a join,
+// break-even (the encoded tokens against the 3584-byte register array of the
+// test precision: about 7500 tokens, which some 11 000 elements make, a
+// hundred more or fewer from key to key), moves it through a join,
 // a leave and a crash-restart from a snapshot with writes in between, and
 // then holds the cluster to its oracle: every owner's blob is byte-identical
 // and is the canonical blob of a reference hybrid fed the same elements,
@@ -28,8 +29,8 @@ func TestMixedSparseDenseKeyspaceConverges(t *testing.T) {
 		t.Skip("join + leave + restart fixture skipped in -short")
 	}
 	h := newHarnessCfg(t, 2, 2, &TransferConfig{MinStreamKeys: 1})
-	be := testConfig().SizeBytes() / 4
-	cards := []int{1, 2, 16, 33, be / 3, be - 30, be - 1, be, be + 1, be + 30, 2 * be, 5 * be}
+	const be = 11000
+	cards := []int{1, 2, 16, 33, be / 30, be / 3, be - 600, be - 100, be, be + 100, be + 600, 2 * be}
 	type key struct {
 		name string
 		els  []string
@@ -42,9 +43,10 @@ func TestMixedSparseDenseKeyspaceConverges(t *testing.T) {
 		}
 		keys = append(keys, k)
 	}
-	// write sends els to key through node id: one call for even keys,
-	// calls of one and of seven elements for odd ones, so that replicas
-	// see bulk merges and single inserts alike.
+	// write sends els to key through node id: one call for even keys; for
+	// odd ones calls of one or of seven elements — after one call for all
+	// but the last 60 — so that replicas see bulk merges and single inserts
+	// alike, on either side of break-even.
 	write := func(id string, i int, els []string) {
 		t.Helper()
 		step := len(els)
@@ -53,6 +55,9 @@ func TestMixedSparseDenseKeyspaceConverges(t *testing.T) {
 		}
 		for len(els) > 0 {
 			n := min(step, len(els))
+			if i%2 == 1 && len(els) > 60 {
+				n = len(els) - 60
+			}
 			if _, err := h.node(id).Add(keys[i].name, els[:n]...); err != nil {
 				t.Fatal(err)
 			}

@@ -39,7 +39,7 @@ const (
 
 	// tokenMagic opens a sparse-mode hash-token blob (see
 	// internal/core/hybrid.go).
-	tokenMagic = "ELT2"
+	tokenMagic = "ELT3"
 
 	methodStored        = 'r'
 	methodSparse        = 's'
@@ -76,8 +76,10 @@ var entropyModels = sync.Pool{
 // EncodeBlob compresses a serialized sketch/window blob. The result is
 // either a codec container strictly smaller than raw, or raw itself
 // (unchanged, zero-copy) when no method wins. The input is never modified.
-// A token blob is returned as it is: hash bits do not entropy-code, and it
-// is small already.
+// A token blob is returned as it is: it is entropy-coded already — prefixes
+// as quotient and remainder, zero counts in unary — and the order-1 coder,
+// run over it once to see, gave 1.000× up to 1000 tokens and 1.008× at
+// 20 000, for 0.1 to 1 ms a blob.
 func EncodeBlob(raw []byte) []byte {
 	if len(raw) >= len(tokenMagic) && string(raw[:len(tokenMagic)]) == tokenMagic {
 		return raw

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -52,11 +54,15 @@ func FuzzUnmarshalCompressed(f *testing.F) {
 }
 
 // FuzzHybridUnmarshal covers both value blobs the store decodes: the sparse
-// "ELT2" token blob (truncated, ragged, padding bits set, unsorted,
-// duplicate, impossible tokens, at or past break-even, the retired "ELT1"
-// layout) and the dense sketch format. Whatever is accepted must be
-// canonical — re-marshal to itself after one round — and estimate like the
-// dense sketch it converts to.
+// "ELT3" token blob (every reject case of rejectedTokenBlobs — a wrong
+// number of ones in either bit vector, a quotient out of range, an
+// impossible NLZ, pairs not ascending, padding bits, trailing bytes, a
+// count in a longer form or larger than the body, the retired "ELT2" and
+// "ELT1" layouts — and blobs at or past break-even) and the dense sketch
+// format. Whatever is accepted must be canonical — a sparse blob re-marshals
+// to the very bytes it came from — estimate like the dense sketch it
+// converts to, and hold no more heap than the blob is long: nothing is sized
+// by the count a blob claims.
 func FuzzHybridUnmarshal(f *testing.F) {
 	cfg := Config{T: 2, D: 20, P: 8}
 	h, _ := NewHybrid(cfg)
@@ -67,35 +73,32 @@ func FuzzHybridUnmarshal(f *testing.F) {
 	sparse, _ := h.MarshalBinary()
 	f.Add(sparse)
 	f.Add(sparse[:len(sparse)-3])
-	odd, _ := NewHybrid(Config{T: 2, D: 20, P: 12}) // 20-bit tokens: 4 spare bits after 51 of them
-	for i := 0; i < 51; i++ {
-		odd.AddHash(r.Uint64())
-	}
-	padded, _ := odd.MarshalBinary()
-	f.Add(padded)
-	padded = append([]byte(nil), padded...)
-	padded[len(padded)-1] |= 0x80
-	f.Add(padded)
 	for i := 0; i < 5000; i++ {
 		h.AddHash(r.Uint64())
 	}
 	dense, _ := h.MarshalBinary()
 	f.Add(dense)
 	f.Add(tokenBlob(cfg))
-	f.Add(tokenBlob(cfg, 2<<6, 1<<6))
-	f.Add(tokenBlob(cfg, 1<<6, 1<<6))
-	f.Add(tokenBlob(cfg, 1<<6|63))
-	f.Add(append(tokenBlob(cfg, 1<<6), 0))
-	f.Add(tokenBlob(Config{T: 2, D: 20, P: 2}, 1<<6, 2<<6, 3<<6, 4<<6, 5<<6, 6<<6, 7<<6, 8<<6, 9<<6, 10<<6, 11<<6, 12<<6, 13<<6)) // past break-even (12)
+	for _, bad := range rejectedTokenBlobs() {
+		f.Add(bad)
+	}
+	var many []uint64
+	for i := uint64(1); i <= 24; i++ {
+		many = append(many, i%16<<6|i/16, i%16<<6|(i/16+30))
+	}
+	slices.Sort(many)
+	f.Add(tokenBlob(Config{T: 2, D: 20, P: 2}, many...)) // past break-even (14 bytes)
 	f.Add(tokenBlob(Config{T: 2, D: 20, P: 26}, 1<<6, 1<<33))
-	f.Add(append([]byte("ELT1\x02\x14\x08"), 0x43, 0, 0, 0, 0x81, 0, 0, 0)) // v = 26 tokens, 4 bytes each
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var hy Hybrid
 		if err := hy.UnmarshalBinary(data); err != nil {
 			return
 		}
-		if hy.IsSparse() && hy.Tokens() >= hy.Config().breakEven() {
-			t.Fatalf("accepted %d tokens sparse at break-even %d", hy.Tokens(), hy.Config().breakEven())
+		if hy.IsSparse() && hy.SizeBytes() >= hy.Config().SizeBytes() {
+			t.Fatalf("accepted %d tokens sparse in %d bytes, the dense array is %d", hy.Tokens(), hy.SizeBytes(), hy.Config().SizeBytes())
+		}
+		if hy.IsSparse() && hy.MemoryFootprint() > len(data)+len(data)/4+hybridOverhead+16 {
+			t.Fatalf("a blob of %d bytes decoded into %d bytes of heap", len(data), hy.MemoryFootprint())
 		}
 		est := hy.Estimate()
 		if math.IsNaN(est) || est < 0 {
@@ -114,6 +117,57 @@ func FuzzHybridUnmarshal(f *testing.F) {
 		}
 		if hy.IsSparse() && !bytes.Equal(once, data) {
 			t.Fatal("accepted a non-canonical token blob")
+		}
+	})
+}
+
+// FuzzHybridRoundTrip builds a sparse sketch from arbitrary hashes — the
+// fuzzer's bytes taken eight at a time, at a p+t it also picks — and checks
+// the whole cycle: the bytes are the reference encoding of the token set,
+// they decode, the decoded sketch marshals to the same bytes and estimates
+// the same, and one more element leaves both copies equal again.
+func FuzzHybridRoundTrip(f *testing.F) {
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(3), []byte("one token, eight bytes and a tail"))
+	seed := make([]byte, 8*700)
+	r := rng(4)
+	r.Read(seed)
+	f.Add(uint8(0), seed) // crosses l = 10 … 1 and break-even at p = 8
+	f.Add(uint8(4), seed)
+	f.Add(uint8(24), seed)
+	f.Fuzz(func(t *testing.T, pick uint8, data []byte) {
+		cfg := Config{T: 2, D: 20, P: 8 + int(pick)%19}
+		var hashes []uint64
+		for ; len(data) >= 8; data = data[8:] {
+			hashes = append(hashes, binary.LittleEndian.Uint64(data))
+		}
+		h, _ := NewHybrid(cfg)
+		for _, x := range hashes[:len(hashes)/2] {
+			h.AddHash(x)
+		}
+		h.AddHashes(hashes[len(hashes)/2:])
+		blob, _ := h.MarshalBinary()
+		if want := cfg.wantBytes(hashes); !bytes.Equal(blob, want) {
+			t.Fatalf("%d hashes at p=%d: not the reference encoding", len(hashes), cfg.P)
+		}
+		back, err := HybridFromBinary(blob)
+		if err != nil {
+			t.Fatalf("own bytes rejected: %v", err)
+		}
+		if again, _ := back.MarshalBinary(); !bytes.Equal(again, blob) {
+			t.Fatal("bytes -> Hybrid -> bytes is not the identity")
+		}
+		if back.Estimate() != h.Estimate() || back.IsSparse() != h.IsSparse() || back.Tokens() != h.Tokens() {
+			t.Fatal("the decoded sketch differs from the one that was encoded")
+		}
+		extra := uint64(len(hashes))*0x9e3779b97f4a7c15 + uint64(pick)
+		if h.AddHash(extra) != back.AddHash(extra) {
+			t.Fatal("the copies disagree on whether an element is new")
+		}
+		a, _ := h.MarshalBinary()
+		b, _ := back.MarshalBinary()
+		if !bytes.Equal(a, b) {
+			t.Fatal("the copies differ after the same insert")
 		}
 	})
 }

@@ -3,43 +3,61 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"exaloglog/internal/bitpack"
 	"exaloglog/internal/hashing"
 )
 
-// Hybrid is a sketch that starts in sparse mode — a sorted, bit-packed array
-// of distinct hash tokens with a linearly growing footprint — and converts
-// itself, losslessly, to a dense ExaLogLog sketch at the break-even point,
-// as proposed in Section 4.3 of the paper. Use it when many sketches are
-// kept and most stay almost empty (one per customer/key): it is the value
-// the server's store holds under every plain key.
+// Hybrid is a sketch that starts in sparse mode — a sorted set of distinct
+// hash tokens, succinctly encoded, with a footprint that grows with the
+// tokens — and converts itself, losslessly, to a dense ExaLogLog sketch at
+// the break-even point, as proposed in Section 4.3 of the paper. Use it when
+// many sketches are kept and most stay almost empty (one per customer/key):
+// it is the value the server's store holds under every plain key.
 //
 // Tokens are taken at the smallest parameter the paper allows, v = p+t, so
-// a token is p+t+6 bits wide (20 at the default p = 12 ELL(2,20)) and the
-// distinct tokens are exactly the distinct (register, update value) pairs
-// seen. The mode is a pure function of the token set: sparse while the
-// packed tokens stay below the dense register array (5735 tokens at the
-// default), dense from then on. Everything observable is the same in both
-// modes: Estimate is the dense bias-corrected ML estimate (Algorithms 3 and
-// 8) — in sparse mode computed from the registers the tokens touch,
-// bit-identical to converting first — and merging in any combination of
-// modes gives the registers a dense-only merge would. Serialization is
-// canonical (tokens ascending), so equal token sets give equal bytes
-// whatever order or route they arrived by.
+// the distinct tokens are exactly the distinct (register, update value)
+// pairs seen. A token is a v-bit hash prefix and a zero count (NLZ), and
+// the set is kept in one allocation as three bit regions, back to back:
+//
+//	quotients   the prefixes' high v-l bits in unary (Elias–Fano): token i
+//	            sets bit (prefix>>l)+i, which leaves n ones among 2^(v-l)
+//	            zeros, one zero closing each quotient's bucket
+//	remainders  the prefixes' low l bits, n fields of l bits
+//	zero counts each NLZ in unary, that many zeros and a one: the NLZ is
+//	            geometric, two bits on average where a fixed field takes six
+//
+// with l = max(0, v - ⌈log₂ n⌉), a function of n alone, so the n sorted
+// prefixes cost l+2 to l+3 bits each instead of v: at the default p = 12
+// ELL(2,20) a token takes 11.6 bits at n = 100, 8.0 at 1000 and 4.7 at
+// 10 000, where the paper's plain token takes 20. The mode is a pure
+// function of the token set: sparse while this encoding is smaller than the
+// dense register array (about 30 000 tokens at the default, which some
+// 44 000 elements make), dense from then on. Everything observable is the
+// same in both modes: Estimate is the dense bias-corrected ML estimate
+// (Algorithms 3 and 8) — in sparse mode computed from the registers the
+// tokens touch, bit-identical to converting first — and merging in any
+// combination of modes gives the registers a dense-only merge would. The
+// encoding is canonical and is the serialized form, so equal token sets give
+// equal bytes whatever order or route they arrived by.
 //
 // The zero value is not usable; create instances with NewHybrid or
 // HybridFromBinary. A Hybrid is not safe for concurrent use.
 type Hybrid struct {
-	cfg   Config
-	words []uint64 // the packed tokens at their full capacity; nil once dense
-	n     int      // tokens held in words
-	dense *Sketch  // non-nil once converted
+	words   []uint64 // the encoded tokens at their full capacity; nil while empty and once dense
+	dense   *Sketch  // non-nil once converted
+	n       int32    // tokens held in words
+	used    uint32   // bits of words the encoding takes; every bit past them is zero
+	t, d, p uint8    // the dense configuration
 }
 
-// hybridOverhead is the Hybrid struct itself as the allocator rounds it.
-const hybridOverhead = 64
+// hybridOverhead is the Hybrid struct itself as the allocator rounds it:
+// the slice, the pointer, two 32-bit counts and the configuration as three
+// bytes are 43 bytes, the 48-byte size class.
+const hybridOverhead = 48
 
 // NewHybrid creates an empty sketch that densifies into cfg. It starts
 // sparse.
@@ -47,21 +65,37 @@ func NewHybrid(cfg Config) (*Hybrid, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Hybrid{cfg: cfg}, nil
+	h := emptyHybrid(cfg)
+	return &h, nil
+}
+
+func emptyHybrid(cfg Config) Hybrid {
+	return Hybrid{t: uint8(cfg.T), d: uint8(cfg.D), p: uint8(cfg.P)}
+}
+
+func denseHybrid(s *Sketch) Hybrid {
+	h := emptyHybrid(s.cfg)
+	h.dense = s
+	return h
+}
+
+// denseFrom returns the dense hybrid the tokens convert to.
+func denseFrom(cfg Config, tokens tokenSeq) Hybrid {
+	dense := MustNew(cfg)
+	dense.addTokens(tokens)
+	return denseHybrid(dense)
 }
 
 // tokenV is the token parameter v = p+t, the smallest whose tokens convert
-// to the dense sketch without loss. The v-bit field of a token is the
+// to the dense sketch without loss. The v-bit prefix of a token is the
 // register index above the t low bits of the update value, so tokens sort
 // by register.
 func (c Config) tokenV() int { return c.P + c.T }
 
-// tokenWidth is the token size in bits, v+6: at most 38.
-func (c Config) tokenWidth() uint { return uint(c.tokenV() + 6) }
-
-// pastBreakEven reports whether n tokens end the sparse mode: packed, they
-// would be no smaller than the dense register array.
-func (c Config) pastBreakEven(n int) bool { return n*int(c.tokenWidth()) >= 8*c.SizeBytes() }
+// pastBreakEven reports whether a token set that encodes to the given number
+// of bits ends the sparse mode: in whole bytes it would be no smaller than
+// the dense register array.
+func (c Config) pastBreakEven(encoded uint) bool { return (encoded+7)/8 >= uint(c.SizeBytes()) }
 
 // splitToken returns the register and the update value (equation (9)) a
 // token stands for: what registerIndex and updateValue give for every hash
@@ -70,45 +104,76 @@ func (c Config) splitToken(w uint64) (i int, k uint64) {
 	return int(w >> uint(c.T+6)), (w&63)<<uint(c.T) + w>>6&(uint64(1)<<uint(c.T)-1) + 1
 }
 
-// tokenSeq is n tokens of w bits each, packed back to back from bit 0 of
-// words[0] upward; a plain []uint64 of tokens is the case w = 64. The struct
-// is passed by value on every hot path: n and w are 32-bit so that it stays
-// within the four words the compiler keeps in registers.
-type tokenSeq struct {
-	words []uint64
-	n     int32
-	w     uint32
+// tokenLayout places the three regions of n >= 1 encoded tokens.
+type tokenLayout struct {
+	l   uint // bits of a prefix that go to its remainder
+	rem uint // the first bit of the remainders; the quotient vector is bits [0, rem)
+	nlz uint // the first bit of the zero counts
 }
 
-func (s tokenSeq) len() int { return int(s.n) }
+func layoutTokens(v, n int) tokenLayout {
+	l := uint(max(0, v-bits.Len(uint(n-1))))
+	rem := uint(n) + 1<<(uint(v)-l)
+	return tokenLayout{l, rem, rem + uint(n)*l}
+}
 
-// at returns token i. It reads the word the token starts in and the next
-// one whether or not the token reaches into it — a token that does not
-// picks up only bits the mask drops — so there is no branch for hash bits
-// to mispredict.
-func (s tokenSeq) at(i int) uint64 {
-	if s.w == 64 {
-		return s.words[i]
-	}
-	bit := uint(i) * uint(s.w)
-	k, shift := bit>>6, bit&63
-	next := min(k+1, uint(len(s.words))-1)
-	return (s.words[k]>>shift | s.words[next]<<(64-shift)) & (1<<(s.w&63) - 1)
+// size is the encoded size in bits of n tokens whose NLZs sum to nlzSum.
+func (lay tokenLayout) size(n int, nlzSum uint) uint { return lay.nlz + uint(n) + nlzSum }
+
+// tokenSeq is a sorted sequence of n distinct tokens: encoded in the first
+// size bits of words at parameter v, or — v = 0, a sorted batch on its way
+// in — one to a word.
+type tokenSeq struct {
+	words []uint64
+	n     int
+	v     int
+	size  uint
 }
 
 // tokenStream reads a sequence in order through a buffer it decodes a block
 // at a time. Decoding in a tight loop of its own costs a fraction of
 // decoding on demand inside a merge, where every step would wait for it.
+// Reading an encoded sequence in order needs no search: the next token's
+// quotient is the next one bit of the quotient vector less the token's
+// index, its remainder the next field, its NLZ the distance to the next one
+// bit of the zero counts.
 type tokenStream struct {
-	seq  tokenSeq
-	next int // the first token not decoded yet
-	i, n int // buf[i:n] is decoded and unread
-	buf  [64]uint64
+	i, n  int      // buf[i:n] is decoded and unread
+	plain []uint64 // what is left of a sequence that needs no decoding
+
+	words  []uint64 // what is left of an encoded sequence
+	left   int      // tokens not decoded yet
+	next   uint     // the index of the first of them
+	l      uint
+	qk, zk uint   // the words of the two bit vectors being read …
+	qw, zw uint64 // … with the bits already consumed cleared
+	r, z   uint   // the next remainder; the bit after the last NLZ's one
+	buf    [64]uint64
 }
 
 // endOfTokens is above every token of at most 38 bits: the head of a stream
 // that has run out.
 const endOfTokens = 1 << 62
+
+// stream returns a reader at the start of the sequence. (A value, not a
+// method that fills one in: what a function stores through a pointer
+// argument counts as escaping, and a batch on the stack would move to the
+// heap.)
+func (s tokenSeq) stream() tokenStream {
+	if s.v == 0 {
+		return tokenStream{plain: s.words[:s.n]}
+	}
+	if s.n == 0 {
+		return tokenStream{}
+	}
+	lay := layoutTokens(s.v, s.n)
+	return tokenStream{
+		words: s.words, left: s.n, l: lay.l,
+		qw: s.words[0],
+		r:  lay.rem, z: lay.nlz,
+		zk: lay.nlz >> 6, zw: s.words[lay.nlz>>6] &^ (1<<(lay.nlz&63) - 1),
+	}
+}
 
 // head returns the next unread token; t.i++ consumes it.
 func (t *tokenStream) head() uint64 {
@@ -119,67 +184,136 @@ func (t *tokenStream) head() uint64 {
 }
 
 func (t *tokenStream) refill() {
-	t.i, t.n = 0, min(len(t.buf), t.seq.len()-t.next)
-	for k := range t.buf[:t.n] {
-		t.buf[k] = t.seq.at(t.next + k)
+	t.i = 0
+	if t.n = copy(t.buf[:], t.plain); t.n > 0 {
+		t.plain = t.plain[t.n:]
+		return
 	}
-	if t.next += t.n; t.n == 0 {
+	n := min(len(t.buf), t.left)
+	if t.n = n; n == 0 {
 		t.buf[0], t.n = endOfTokens, 1
+		return
 	}
+	t.left -= n
+	// A loop to a region: each is a few instructions around one running
+	// position, which one loop over all three would keep spilling.
+	buf, words := t.buf[:n], t.words
+	k, w, next := t.qk, t.qw, t.next
+	for j := range buf {
+		for w == 0 {
+			k++
+			w = words[k]
+		}
+		buf[j] = uint64(k<<6 + uint(bits.TrailingZeros64(w)) - next)
+		w &= w - 1
+		next++
+	}
+	t.qk, t.qw, t.next = k, w, next
+	if l := t.l; l > 0 {
+		// The remainders are read off the low end of acc, which holds the
+		// `have` bits of their region that come next.
+		i, mask := t.r>>6, uint64(1)<<l-1
+		acc, have := words[i]>>(t.r&63), 64-t.r&63
+		for j := range buf {
+			x := acc
+			if have < l {
+				i++
+				acc = words[i]
+				x |= acc << (have & 63)
+				acc >>= (l - have) & 63
+				have += 64
+			} else {
+				acc >>= l & 63
+			}
+			have -= l
+			buf[j] = buf[j]<<(l&63) | x&mask
+		}
+		t.r += uint(n) * l
+	}
+	k, w, z := t.zk, t.zw, t.z
+	for j := range buf {
+		for w == 0 {
+			k++
+			w = words[k]
+		}
+		one := k<<6 + uint(bits.TrailingZeros64(w))
+		w &= w - 1
+		// An NLZ is at most 64-v; a decoder checking a blob still has to
+		// see a longer run as an NLZ, not as prefix bits.
+		buf[j] = buf[j]<<6 | uint64(min(one-z, 63))
+		z = one + 1
+	}
+	t.zk, t.zw, t.z = k, w, z
 }
 
-// search returns the position of the first token >= x and whether it is x.
-// The tokens must be narrower than 63 bits.
-func (s tokenSeq) search(x uint64) (int, bool) {
-	lo, n := 0, s.len()
-	if n == 0 {
-		return 0, false
+// encodeTokens returns the sorted, distinct tokens encoded in the given
+// layout, which they fill to the given size. Each region is written in
+// order, a word at a time: a bit set in memory would have to wait for the
+// one set before it.
+func encodeTokens(tokens []uint64, lay tokenLayout, size uint) []uint64 {
+	words := tokenWords(size)
+	k, acc := uint(0), uint64(0)
+	for i, x := range tokens {
+		q := uint(x>>(lay.l+6)) + uint(i)
+		if q>>6 != k {
+			words[k] = acc
+			k, acc = q>>6, 0
+		}
+		acc |= 1 << (q & 63)
 	}
-	// The position is in [lo, lo+n]. y-x wraps to a set top bit exactly
-	// when y < x, which turns a step into arithmetic instead of a branch on
-	// hash bits. First by quarters: the three probes of a step do not
-	// depend on one another, so they overlap where three halving steps
-	// would wait for each other. Then by halves.
-	for n >= 4 {
-		q := n / 4
-		below := (s.at(lo+q-1)-x)>>63 + (s.at(lo+2*q-1)-x)>>63 + (s.at(lo+3*q-1)-x)>>63
-		lo += q * int(below)
-		n -= 3 * q
+	if l := lay.l; l > 0 {
+		fill, mask := lay.rem&63, uint64(1)<<l-1
+		if lay.rem>>6 != k {
+			words[k] = acc
+			k, acc = lay.rem>>6, 0
+		}
+		for _, x := range tokens {
+			lo := x >> 6 & mask
+			acc |= lo << fill
+			if fill += l; fill >= 64 {
+				words[k] = acc
+				k++
+				fill -= 64
+				acc = lo >> (l - fill)
+			}
+		}
 	}
-	for n > 1 {
-		half := n / 2
-		lo += half & -int((s.at(lo+half-1)-x)>>63)
-		n -= half
+	z := lay.nlz
+	for _, x := range tokens {
+		z += uint(x & 63)
+		if z>>6 != k {
+			words[k] = acc
+			k, acc = z>>6, 0
+		}
+		acc |= 1 << (z & 63)
+		z++
 	}
-	y := s.at(lo)
-	if y < x {
-		return lo + 1, false
-	}
-	return lo, y == x
+	words[k] = acc
+	return words
 }
 
-// tokens is the sketch's token set. Every bit of h.words past it is zero.
+// tokens is the sketch's token set.
 func (h *Hybrid) tokens() tokenSeq {
-	return tokenSeq{h.words, int32(h.n), uint32(h.cfg.tokenWidth())}
+	return tokenSeq{h.words, int(h.n), int(h.p) + int(h.t), uint(h.used)}
 }
 
-// tokenWords returns a zeroed word array with room for at least n tokens of
-// w bits, sliced to its full capacity. Appending to a nil slice rounds the
-// capacity up to the allocator's size class, so 8·len() is what the heap
-// really holds and none of it is hidden.
-func tokenWords(n int, w uint) []uint64 {
-	words := append([]uint64(nil), make([]uint64, (uint(n)*w+63)/64)...)
+// tokenWords returns a zeroed word array with room for an encoding of the
+// given size in bits, sliced to its full capacity. Appending to a nil slice
+// rounds the capacity up to the allocator's size class, so 8·len() is what
+// the heap really holds and none of it is hidden.
+func tokenWords(size uint) []uint64 {
+	words := append([]uint64(nil), make([]uint64, (size+63)/64)...)
 	return words[:cap(words)]
 }
 
 // Config returns the dense-mode configuration.
-func (h *Hybrid) Config() Config { return h.cfg }
+func (h *Hybrid) Config() Config { return Config{T: int(h.t), D: int(h.d), P: int(h.p)} }
 
 // IsSparse reports whether the sketch is still in sparse (token) mode.
 func (h *Hybrid) IsSparse() bool { return h.dense == nil }
 
 // Tokens returns the number of distinct tokens held (0 once dense).
-func (h *Hybrid) Tokens() int { return h.n }
+func (h *Hybrid) Tokens() int { return int(h.n) }
 
 // IsEmpty reports whether nothing has been recorded yet.
 func (h *Hybrid) IsEmpty() bool {
@@ -187,6 +321,107 @@ func (h *Hybrid) IsEmpty() bool {
 		return h.dense.IsEmpty()
 	}
 	return h.n == 0
+}
+
+// selectBit returns the position of the k-th (from 0) of the count set bits
+// among bits [from, to) of words — with flip = ^0, of the count clear bits —
+// counting whole words by popcount from whichever end is nearer.
+func selectBit(words []uint64, from, to uint, k, count int, flip uint64) uint {
+	if 2*k < count {
+		j := from >> 6
+		w := (words[j] ^ flip) &^ (1<<(from&63) - 1)
+		for c := bits.OnesCount64(w); k >= c; c = bits.OnesCount64(w) {
+			k -= c
+			j++
+			w = words[j] ^ flip
+		}
+		return j<<6 + select64(w, k)
+	}
+	k = count - 1 - k // from the top
+	j := (to - 1) >> 6
+	w := (words[j] ^ flip) & (^uint64(0) >> (63 - (to-1)&63))
+	for c := bits.OnesCount64(w); k >= c; c = bits.OnesCount64(w) {
+		k -= c
+		j--
+		w = words[j] ^ flip
+	}
+	return j<<6 + select64(w, bits.OnesCount64(w)-1-k)
+}
+
+// select64 returns the position of the k-th set bit (from 0) of w, which
+// has more than k. By halves, without a branch on what the bits are: where
+// the low half holds k set bits or fewer, drop it and its count.
+func select64(w uint64, k int) (pos uint) {
+	for half := uint(32); half > 0; half >>= 1 {
+		c := bits.OnesCount64(w & (1<<half - 1))
+		skip := uint(int64(c-k-1) >> 63) // all ones if k >= c
+		k -= c & int(skip)
+		w >>= half & skip
+		pos += half & skip
+	}
+	return pos
+}
+
+// bitField returns the width <= 32 bits of words from bit pos on.
+func bitField(words []uint64, pos, width uint) uint64 {
+	k, shift := pos>>6, pos&63
+	return (words[k]>>shift | words[min(k+1, uint(len(words))-1)]<<(64-shift)) & (1<<width - 1)
+}
+
+// setBitField overwrites the width < 64 bits of words from bit pos on.
+func setBitField(words []uint64, pos, width uint, x uint64) {
+	k, shift, mask := pos>>6, pos&63, uint64(1)<<width-1
+	words[k] = words[k]&^(mask<<shift) | x<<shift
+	if shift+width > 64 {
+		words[k+1] = words[k+1]&^(mask>>(64-shift)) | x>>(64-shift)
+	}
+}
+
+// moveBits moves bits [from, to) of words up by `by` bits. Bits from..from+by
+// keep what they held; the caller overwrites them.
+func moveBits(words []uint64, from, to, by uint) {
+	if from >= to {
+		return
+	}
+	// Word k of the destination takes the 64 bits that lie `by` below it:
+	// the low bits of word k-d and, unless by is whole words, the high bits
+	// of the word below that. Going down from the top, no word is read after
+	// it was written. The first and the last word are written whole and
+	// then given back the bits they hold outside the destination.
+	lo, hi, d, r := from+by, to+by-1, by>>6, by&63
+	kLo, kHi := lo>>6, hi>>6
+	first, last := words[kLo], words[kHi]
+	if r == 0 {
+		copy(words[kLo:kHi+1], words[kLo-d:])
+	} else {
+		dst := words[kLo : kHi+1]
+		src := words[kLo-d:][:len(dst)]
+		high := src[len(dst)-1]
+		for j := len(dst) - 1; j > 0; j-- {
+			low := src[j-1]
+			dst[j] = high<<(r&63) | low>>((64-r)&63)
+			high = low
+		}
+		dst[0] = high << r
+		if kLo > d {
+			dst[0] |= words[kLo-d-1] >> (64 - r)
+		}
+	}
+	above, below := ^(^uint64(0) >> (63 - hi&63)), uint64(1)<<(lo&63)-1
+	words[kHi] = words[kHi]&^above | last&above
+	words[kLo] = words[kLo]&^below | first&below
+}
+
+// zeroRun returns the number of clear bits of words from bit pos up to the
+// next set bit: the NLZ whose code starts there.
+func zeroRun(words []uint64, pos uint) uint {
+	k := pos >> 6
+	w := words[k] &^ (1<<(pos&63) - 1)
+	for w == 0 {
+		k++
+		w = words[k]
+	}
+	return k<<6 + uint(bits.TrailingZeros64(w)) - pos
 }
 
 // AddHash inserts an element by its 64-bit hash and reports whether the
@@ -198,46 +433,95 @@ func (h *Hybrid) AddHash(hash uint64) bool {
 		h.dense.AddHash(hash)
 		return h.dense.changedCount != before
 	}
-	x := TokenFromHash(hash, h.cfg.tokenV())
-	s, w := h.tokens(), h.cfg.tokenWidth()
-	i, found := s.search(x)
-	if found {
-		return false
+	cfg := h.Config()
+	v, n := cfg.tokenV(), int(h.n)
+	x := TokenFromHash(hash, v)
+	if n == 0 {
+		h.setTokens([]uint64{x})
+		return true
 	}
-	if h.cfg.pastBreakEven(h.n + 1) {
+	// The token's bucket starts after the zeros that close the buckets
+	// below it, and holds one set bit per token. Within it the remainders
+	// ascend, and where they are equal the NLZs: the bucket answers whether
+	// the token is known and, if not, where it goes — as token i, quotient
+	// bit q, NLZ bit z.
+	lay, words := layoutTokens(v, n), h.words
+	prefix, nlz := x>>6, uint(x&63)
+	bucket, lo := uint(prefix>>lay.l), prefix&(1<<lay.l-1)
+	q := uint(0)
+	if bucket > 0 {
+		q = selectBit(words, 0, lay.rem, int(bucket)-1, int(lay.rem)-n, ^uint64(0)) + 1
+	}
+	i := q - bucket
+	for ; words[q>>6]>>(q&63)&1 != 0 && bitField(words, lay.rem+i*lay.l, lay.l) < lo; q, i = q+1, i+1 {
+	}
+	z := lay.nlz
+	if i > 0 {
+		z = selectBit(words, lay.nlz, uint(h.used), int(i)-1, n, 0) + 1
+	}
+	for ; words[q>>6]>>(q&63)&1 != 0 && bitField(words, lay.rem+i*lay.l, lay.l) == lo; q, i = q+1, i+1 {
+		have := zeroRun(words, z)
+		if have == nlz {
+			return false
+		}
+		if have > nlz {
+			break
+		}
+		z += have + 1
+	}
+	if lay.l > 0 && n&(n-1) == 0 {
+		// n was a power of two: the remainders lose a bit and the buckets
+		// double, so the set is encoded anew, the token in its place. That
+		// happens at most v times in a key's life, the number of tokens
+		// doubling in between.
+		scratch := tokenScratch.Get().(*[]uint64)
+		defer tokenScratch.Put(scratch)
+		tokens := scratchTokens(scratch, n+1)
+		ts := h.tokens().stream()
+		for j := range tokens {
+			if uint(j) == i {
+				tokens[j] = x
+				continue
+			}
+			tokens[j] = ts.head()
+			ts.i++
+		}
+		h.setTokens(tokens)
+		return true
+	}
+	used := uint(h.used)
+	size := used + lay.l + 2 + nlz
+	if cfg.pastBreakEven(size) {
 		h.densify()
 		h.dense.AddHash(hash)
 		return true
 	}
-	if uint(h.n+1)*w > 64*uint(len(h.words)) {
+	if size > 64*uint(len(words)) {
 		// Grow by one size class: at most one class step (≈ 12 %) of
 		// slack, where append's doubling would leave up to half unused.
-		words := tokenWords(h.n+1, w)
+		words = tokenWords(size)
 		copy(words, h.words)
 		h.words = words
 	}
-	// Move tokens i.. up by one: every word above the one token i starts
-	// in takes its high bits from itself and its low bits from the word
-	// below. That carries bits from below token i into the word above it
-	// only where the new token is about to be written.
-	first, last, shift := uint(i)*w>>6, (uint(i+1)*w-1)>>6, uint(i)*w&63
-	tail, up, down := h.words[first:(uint(h.n+1)*w+63)>>6], w&63, (64-w)&63
-	for k := len(tail) - 1; k > 0; k-- {
-		tail[k] = tail[k]<<up | tail[k-1]>>down
-	}
-	below := uint64(1)<<shift - 1
-	tail[0] = tail[0]&below | x<<shift | tail[0]&^below<<up
-	if last > first {
-		tail[1] = tail[1]&^(1<<(shift+w-64)-1) | x>>(64-shift)
-	}
-	h.n++
+	// Make room in the three regions, the highest first: the NLZs from z on
+	// move past all the new token adds, the remainders from i on and the
+	// NLZs below z past its quotient bit and its remainder, the quotient
+	// bits from q on by one.
+	r := lay.rem + i*lay.l
+	moveBits(words, z, used, lay.l+2+nlz)
+	setBitField(words, z+lay.l+1, nlz+1, 1<<nlz)
+	moveBits(words, r, z, lay.l+1)
+	setBitField(words, r+1, lay.l, lo)
+	moveBits(words, q, r, 1)
+	words[q>>6] |= 1 << (q & 63)
+	h.n, h.used = int32(n+1), uint32(size)
 	return true
 }
 
 // bulkMin is the batch size from which AddHashes sorts the batch and merges
-// it in one pass. A single insert moves half the token array on average;
-// one merge pass decodes and rewrites all of it — about two dozen inserts'
-// worth, whatever the array's length.
+// it in one go. A single insert searches and moves some two thirds of the
+// encoding; a merge decodes all of it and writes it anew — a few dozen
+// inserts' worth, whatever the set's size.
 const bulkMin = 32
 
 // AddHashes inserts a batch of elements by their 64-bit hashes and reports
@@ -253,11 +537,11 @@ func (h *Hybrid) AddHashes(hashes []uint64) bool {
 	}
 	buf := make([]uint64, 2*len(hashes))
 	batch, other := buf[:len(hashes)], buf[len(hashes):]
-	v := h.cfg.tokenV()
+	v := h.Config().tokenV()
 	for i, hash := range hashes {
 		batch[i] = TokenFromHash(hash, v)
 	}
-	batch = sortTokens(batch, other, h.cfg.tokenWidth())
+	batch = sortTokens(batch, other, uint(v+6))
 	n := 1
 	for _, x := range batch[1:] {
 		if x != batch[n-1] {
@@ -265,17 +549,7 @@ func (h *Hybrid) AddHashes(hashes []uint64) bool {
 			n++
 		}
 	}
-	b := tokenSeq{batch, int32(n), 64}
-	switch {
-	case h.n > 0:
-		return h.uniteTokens(b)
-	case h.cfg.pastBreakEven(n): // the first load of a key: nothing to merge with
-		h.densify()
-		h.dense.addTokens(b)
-	default:
-		h.words, h.n = packTokens(batch[:n], h.cfg.tokenWidth()), n
-	}
-	return true
+	return h.uniteTokens(tokenSeq{words: batch, n: n})
 }
 
 // sortTokens sorts w-bit tokens ascending by LSD radix sort — one stable
@@ -319,12 +593,15 @@ func (h *Hybrid) AddString(element string) bool { return h.AddHash(hashing.WyStr
 // must be c's own (v = p+t); they sort by register, so each register is
 // read and written once for its whole run of tokens.
 func (c Config) replayTokens(regs *bitpack.Array, tokens tokenSeq) {
-	for j := 0; j < tokens.len(); {
-		i, k := c.splitToken(tokens.at(j))
+	ts := tokens.stream()
+	for x := ts.head(); x != endOfTokens; {
+		i, k := c.splitToken(x)
 		r := regs.Get(i)
 		rNew := updateRegister(r, k, c.D)
-		for j++; j < tokens.len(); j++ {
-			i2, k2 := c.splitToken(tokens.at(j))
+		for {
+			ts.i++
+			x = ts.head()
+			i2, k2 := c.splitToken(x) // the end of the stream is in no register
 			if i2 != i {
 				break
 			}
@@ -344,11 +621,7 @@ func (s *Sketch) addTokens(tokens tokenSeq) {
 }
 
 // densify converts the token set to the dense representation.
-func (h *Hybrid) densify() {
-	h.dense = MustNew(h.cfg)
-	h.dense.addTokens(h.tokens())
-	h.words, h.n = nil, 0
-}
+func (h *Hybrid) densify() { *h = denseFrom(h.Config(), h.tokens()) }
 
 // Densify forces the conversion to dense mode (idempotent) and returns the
 // dense sketch, which the hybrid keeps owning.
@@ -365,21 +638,21 @@ func (h *Hybrid) ToSketch() *Sketch {
 	if h.dense != nil {
 		return h.dense.Clone()
 	}
-	s := MustNew(h.cfg)
+	s := MustNew(h.Config())
 	s.addTokens(h.tokens())
 	return s
 }
 
 // Clone returns a deep copy.
 func (h *Hybrid) Clone() *Hybrid {
-	c := &Hybrid{cfg: h.cfg, n: h.n}
+	c := *h
 	if h.dense != nil {
 		c.dense = h.dense.Clone()
 	} else if h.n > 0 {
-		c.words = tokenWords(h.n, h.cfg.tokenWidth())
+		c.words = tokenWords(uint(h.used))
 		copy(c.words, h.words)
 	}
-	return c
+	return &c
 }
 
 // estimateTokens is the dense estimate of the sketch the tokens would
@@ -392,11 +665,14 @@ func (h *Hybrid) Clone() *Hybrid {
 func (c Config) estimateTokens(tokens tokenSeq) float64 {
 	acc := mlAccum{cfg: c}
 	touched := 0
-	for j := 0; j < tokens.len(); touched++ {
-		i, k := c.splitToken(tokens.at(j))
+	ts := tokens.stream()
+	for x := ts.head(); x != endOfTokens; touched++ {
+		i, k := c.splitToken(x)
 		r := updateRegister(0, k, c.D)
-		for j++; j < tokens.len(); j++ {
-			i2, k2 := c.splitToken(tokens.at(j))
+		for {
+			ts.i++
+			x = ts.head()
+			i2, k2 := c.splitToken(x) // the end of the stream is in no register
 			if i2 != i {
 				break
 			}
@@ -414,7 +690,7 @@ func (h *Hybrid) Estimate() float64 {
 	if h.dense != nil {
 		return h.dense.EstimateML()
 	}
-	return h.cfg.estimateTokens(h.tokens())
+	return h.Config().estimateTokens(h.tokens())
 }
 
 // MemoryFootprint returns the heap bytes the sketch holds in its current
@@ -427,13 +703,13 @@ func (h *Hybrid) MemoryFootprint() int {
 	return 8*len(h.words) + hybridOverhead
 }
 
-// SizeBytes returns the payload size in the current mode: the packed
+// SizeBytes returns the payload size in the current mode: the encoded
 // tokens, or the dense register array.
 func (h *Hybrid) SizeBytes() int {
 	if h.dense != nil {
 		return h.dense.SizeBytes()
 	}
-	return int(uint(h.n)*h.cfg.tokenWidth()+7) / 8
+	return int(h.used+7) / 8
 }
 
 // Merge folds other into h; other is not modified. With equal
@@ -444,12 +720,12 @@ func (h *Hybrid) SizeBytes() int {
 // first (Section 4.1) and h becomes dense at those; a different t is an
 // error and leaves h unchanged.
 func (h *Hybrid) Merge(other *Hybrid) error {
-	if h.cfg != other.cfg {
+	if h.Config() != other.Config() {
 		merged, err := MergeCompatible(h.ToSketch(), other.ToSketch())
 		if err != nil {
 			return err
 		}
-		*h = Hybrid{cfg: merged.cfg, dense: merged}
+		*h = denseHybrid(merged)
 		return nil
 	}
 	switch {
@@ -459,7 +735,7 @@ func (h *Hybrid) Merge(other *Hybrid) error {
 		h.dense.addTokens(other.tokens())
 	case other.dense != nil:
 		tokens := h.tokens()
-		*h = Hybrid{cfg: h.cfg, dense: other.dense.Clone()}
+		*h = denseHybrid(other.dense.Clone())
 		h.dense.addTokens(tokens)
 	default:
 		h.uniteTokens(other.tokens())
@@ -471,8 +747,8 @@ func (h *Hybrid) Merge(other *Hybrid) error {
 // configuration: a register merge in dense mode, a token replay in sparse
 // mode.
 func (h *Hybrid) MergeInto(acc *Sketch) error {
-	if h.cfg != acc.cfg {
-		return fmt.Errorf("exaloglog: cannot merge config %+v into %+v; reduce to common parameters first", h.cfg, acc.cfg)
+	if h.Config() != acc.cfg {
+		return fmt.Errorf("exaloglog: cannot merge config %+v into %+v; reduce to common parameters first", h.Config(), acc.cfg)
 	}
 	if h.dense != nil {
 		return acc.Merge(h.dense)
@@ -481,81 +757,82 @@ func (h *Hybrid) MergeInto(acc *Sketch) error {
 	return nil
 }
 
-// uniteTokens sets h's tokens to the union with the sorted, distinct
-// sequence b, densifying at break-even, and reports whether b added
-// anything. A replica re-sending exactly what h holds costs one comparison
-// of the packed words, and nothing is allocated unless b adds a token.
+// uniteTokens sets h's tokens to the union with the sequence b, densifying
+// at break-even, and reports whether b added anything. The layout of an
+// encoding follows from the size of the set, so the union is first merged
+// into plain tokens and then encoded. A replica re-sending exactly what h
+// holds costs one comparison of the encoded words, and nothing is allocated
+// unless b adds a token.
 func (h *Hybrid) uniteTokens(b tokenSeq) bool {
-	a, w := h.tokens(), h.cfg.tokenWidth()
-	if a.n == b.n && a.w == b.w && slices.Equal(a.words[:(uint(a.n)*w+63)/64], b.words[:(uint(b.n)*w+63)/64]) {
+	a := h.tokens()
+	if a.n == b.n && a.size == b.size && a.v == b.v && slices.Equal(a.words[:(a.size+63)/64], b.words[:(b.size+63)/64]) {
 		return false
 	}
-	words, n := mergeTokens(a, b, w)
-	if words == nil {
+	scratch := tokenScratch.Get().(*[]uint64)
+	defer tokenScratch.Put(scratch)
+	union := mergeTokens(a, b, scratch)
+	if union == nil {
 		return false
 	}
-	h.words, h.n = words, n
-	if h.cfg.pastBreakEven(n) {
-		h.densify()
-		return true
-	}
-	// Shared tokens leave the array larger than the union needs: move to
-	// the size class that fits, as a single insert would have grown it.
-	if n < a.len()+b.len() {
-		if fit := tokenWords(n, w); len(fit) < len(words) {
-			copy(fit, words)
-			h.words = fit
-		}
-	}
+	h.setTokens(union)
 	return true
 }
 
-// appendToken adds the w-bit token x to a packed array that is being filled
-// from the bottom: k words of it are written, and acc holds the fill bits
-// of the next one that are settled.
-func appendToken(words []uint64, k int, acc uint64, fill uint, x uint64, w uint) (int, uint64, uint) {
-	acc |= x << fill
-	if fill += w; fill >= 64 {
-		words[k] = acc
-		k++
-		fill -= 64
-		acc = x >> (w - fill)
-	}
-	return k, acc, fill
-}
-
-// packTokens returns the sorted, distinct tokens packed at w bits each.
-func packTokens(tokens []uint64, w uint) []uint64 {
-	words, k, acc, fill := tokenWords(len(tokens), w), 0, uint64(0), uint(0)
+// setTokens makes the sorted, distinct tokens h's token set: encoded, or
+// replayed into registers if that would be no smaller.
+func (h *Hybrid) setTokens(tokens []uint64) {
+	cfg, nlzSum := h.Config(), uint(0)
 	for _, x := range tokens {
-		k, acc, fill = appendToken(words, k, acc, fill, x, w)
+		nlzSum += uint(x & 63)
 	}
-	if fill > 0 {
-		words[k] = acc
+	lay := layoutTokens(cfg.tokenV(), len(tokens))
+	size := lay.size(len(tokens), nlzSum)
+	if cfg.pastBreakEven(size) {
+		*h = denseFrom(cfg, tokenSeq{words: tokens, n: len(tokens)})
+		return
 	}
-	return words
+	h.words, h.n, h.used = encodeTokens(tokens, lay, size), int32(len(tokens)), uint32(size)
 }
 
-// mergeTokens returns the union of the sorted, distinct sequences a and b as
-// packed w-bit tokens, and its size. Nothing is allocated, and words is nil,
-// when b has no token that a lacks.
-func mergeTokens(a, b tokenSeq, w uint) (words []uint64, n int) {
-	k, acc, fill := 0, uint64(0), uint(0)
-	as, bs := tokenStream{seq: a}, tokenStream{seq: b}
-	for ; ; n++ {
+// tokenScratch holds the plain token arrays sets are put together in before
+// they are encoded, so that a merge leaves no garbage eight times the size
+// of its result.
+var tokenScratch = sync.Pool{New: func() any { return new([]uint64) }}
+
+// scratchTokens returns the first n words of *scratch, grown if need be.
+func scratchTokens(scratch *[]uint64, n int) []uint64 {
+	if cap(*scratch) < n {
+		*scratch = make([]uint64, n+n/4)
+	}
+	return (*scratch)[:n]
+}
+
+// mergeTokens returns the union of the sequences a and b, a token to a
+// word, in *scratch (which it grows if it has to) or, where b is all there
+// is, in b's own array. The union is nil, and scratch not touched, when b
+// has no token that a lacks.
+func mergeTokens(a, b tokenSeq, scratch *[]uint64) (union []uint64) {
+	if a.n == 0 && b.v == 0 && b.n > 0 {
+		return b.words[:b.n]
+	}
+	as, bs := a.stream(), b.stream()
+	for n := 0; ; n++ {
 		x, y := as.head(), bs.head()
 		m := min(x, y)
 		if m == endOfTokens {
-			break
+			if union == nil {
+				return nil
+			}
+			return union[:n]
 		}
-		if words == nil && y < x {
+		if union == nil && y < x {
 			// The first token only b has. Up to here the union is a's own
-			// first n tokens: they are copied as they lie, and the array
-			// is filled word by word from there.
-			words = tokenWords(a.len()+b.len(), w)
-			k, fill = n*int(w)>>6, uint(n)*w&63
-			if copy(words, a.words[:k]); fill > 0 {
-				acc = a.words[k] & (1<<fill - 1)
+			// first n tokens, read once more.
+			union = scratchTokens(scratch, a.n+b.n)
+			again := a.stream()
+			for i := range union[:n] {
+				union[i] = again.head()
+				again.i++
 			}
 		}
 		if x == m {
@@ -564,29 +841,27 @@ func mergeTokens(a, b tokenSeq, w uint) (words []uint64, n int) {
 		if y == m {
 			bs.i++
 		}
-		if words != nil {
-			k, acc, fill = appendToken(words, k, acc, fill, m, w)
+		if union != nil {
+			union[n] = m
 		}
 	}
-	if fill > 0 {
-		words[k] = acc
-	}
-	return words, n
 }
 
 // Serialization. A dense hybrid serializes as its sketch does (the raw
 // "EL\x01" format of Sketch.MarshalBinary, unchanged). A sparse one is
 //
-//	bytes 0-3  magic "ELT2" (distinct from "EL\x01", "ELW1", "ELC1")
+//	bytes 0-3  magic "ELT3" (distinct from "EL\x01", "ELW1", "ELC1")
 //	bytes 4-6  t, d, p
-//	then       the tokens, p+t+6 bits each, strictly ascending, packed back
-//	           to back from the lowest bit of the first byte upward
+//	then       n, the number of tokens, as a uvarint
+//	then       the encoding as it lies in memory (see Hybrid), from the
+//	           lowest bit of the first byte upward: n + 2^(v-l) quotient
+//	           bits, n remainders of l bits, the NLZs in unary
 //
-// The body is the fewest bytes that hold the tokens and the bits left over
-// in its last byte are zero, so its length implies the token count. Both
-// formats are canonical: one token set, one byte string.
+// The body is the fewest bytes that hold the encoding, which ends with the
+// one bit of the last NLZ, and the bits left over in its last byte are zero.
+// Both formats are canonical: one token set, one byte string.
 const (
-	tokenBlobMagic  = "ELT2"
+	tokenBlobMagic  = "ELT3"
 	tokenBlobHeader = len(tokenBlobMagic) + 3
 )
 
@@ -600,29 +875,48 @@ func (h *Hybrid) MarshalBinary() ([]byte, error) {
 	if h.dense != nil {
 		return h.dense.MarshalBinary()
 	}
-	size := tokenBlobHeader + h.SizeBytes()
-	out := make([]byte, tokenBlobHeader, size+7)
+	size := h.SizeBytes()
+	out := make([]byte, tokenBlobHeader, tokenBlobHeader+binary.MaxVarintLen32+size+7)
 	copy(out, tokenBlobMagic)
-	out[4], out[5], out[6] = byte(h.cfg.T), byte(h.cfg.D), byte(h.cfg.P)
+	out[4], out[5], out[6] = h.t, h.d, h.p
+	out = binary.AppendUvarint(out, uint64(h.n))
+	size += len(out)
 	for i := 0; len(out) < size; i++ {
 		out = binary.LittleEndian.AppendUint64(out, h.words[i])
 	}
 	return out[:size], nil
 }
 
+// countOnes returns the number of set bits among bits [from, to) of words.
+func countOnes(words []uint64, from, to uint) (n int) {
+	for k := from >> 6; k<<6 < to; k++ {
+		w := words[k]
+		if k == from>>6 {
+			w &^= 1<<(from&63) - 1
+		}
+		if to-k<<6 < 64 {
+			w &= 1<<(to&63) - 1
+		}
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // UnmarshalBinary restores a sketch serialized by MarshalBinary (or by
 // Sketch.MarshalBinary), replacing the receiver's state. A token blob must
-// be canonical — tokens strictly ascending, each a value TokenFromHash can
-// produce, no spare byte and no set bit after the last — or it is rejected;
-// one at or past break-even is accepted and densified, so the restored mode
-// is again a function of the token set.
+// be canonical — the count in its shortest form, as many ones in either bit
+// vector as there are tokens, every quotient within range, tokens strictly
+// ascending, each a value TokenFromHash can produce, no spare byte and no
+// set bit after the last — or it is rejected; one at or past break-even is
+// accepted and densified, so the restored mode is again a function of the
+// token set. What is allocated is sized by the blob, not by its count.
 func (h *Hybrid) UnmarshalBinary(data []byte) error {
 	if !IsTokenBlob(data) {
 		s, err := FromBinary(data)
 		if err != nil {
 			return err
 		}
-		*h = Hybrid{cfg: s.cfg, dense: s}
+		*h = denseHybrid(s)
 		return nil
 	}
 	if len(data) < tokenBlobHeader {
@@ -632,29 +926,52 @@ func (h *Hybrid) UnmarshalBinary(data []byte) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	body, w := data[tokenBlobHeader:], cfg.tokenWidth()
-	n := Hybrid{cfg: cfg, n: int(8 * uint(len(body)) / w)}
-	spare := 8*uint(len(body)) - uint(n.n)*w
-	if spare >= 8 {
-		return fmt.Errorf("exaloglog: token blob body of %d bytes is not a whole number of %d-bit tokens", len(body), w)
+	count, k := binary.Uvarint(data[tokenBlobHeader:])
+	if k <= 0 || k > 1 && data[tokenBlobHeader+k-1] == 0 {
+		return fmt.Errorf("exaloglog: token blob has a malformed token count")
 	}
-	if spare > 0 && body[len(body)-1]>>(8-spare) != 0 {
-		return fmt.Errorf("exaloglog: token blob has bits set after its %d tokens", n.n)
+	body := data[tokenBlobHeader+k:]
+	// A token takes two bits at the least: a count the body cannot hold is
+	// refused before anything is computed from it.
+	if count > 4*uint64(len(body)) {
+		return fmt.Errorf("exaloglog: token blob body of %d bytes cannot hold %d tokens", len(body), count)
 	}
-	if n.n > 0 {
-		n.words = tokenWords(n.n, w)
+	next := emptyHybrid(cfg)
+	if count == 0 {
+		if len(body) > 0 {
+			return fmt.Errorf("exaloglog: empty token blob with a body of %d bytes", len(body))
+		}
+		*h = next
+		return nil
 	}
+	n, v := int(count), cfg.tokenV()
+	lay := layoutTokens(v, n)
+	size := 8*uint(len(body)) - uint(bits.LeadingZeros8(body[len(body)-1]))
+	if body[len(body)-1] == 0 || size < lay.size(n, 0) {
+		return fmt.Errorf("exaloglog: token blob body of %d bytes does not end with the last of %d tokens", len(body), n)
+	}
+	words := tokenWords(size)
 	whole := len(body) / 8
 	for i := 0; i < whole; i++ {
-		n.words[i] = binary.LittleEndian.Uint64(body[8*i:])
+		words[i] = binary.LittleEndian.Uint64(body[8*i:])
 	}
 	for i, b := range body[8*whole:] {
-		n.words[whole] |= uint64(b) << (8 * uint(i))
+		words[whole] |= uint64(b) << (8 * uint(i))
 	}
-	tokens := n.tokens()
-	for i, prev := 0, uint64(0); i < n.n; i++ {
-		x := tokens.at(i)
-		if x&63 > uint64(64-cfg.tokenV()) {
+	// With n ones in either vector a reader takes n tokens and stays inside
+	// both; with the quotient vector's last bit clear, its 2^(v-l) zeros
+	// all close a bucket and no quotient lies past them.
+	if ones := countOnes(words, 0, lay.rem); ones != n || words[(lay.rem-1)>>6]>>((lay.rem-1)&63)&1 != 0 {
+		return fmt.Errorf("exaloglog: token blob's quotient vector holds %d tokens, not %d, or one out of range", ones, n)
+	}
+	if ones := countOnes(words, lay.nlz, size); ones != n {
+		return fmt.Errorf("exaloglog: token blob holds %d zero counts for %d tokens", ones, n)
+	}
+	tokens := tokenSeq{words, n, v, size}
+	ts := tokens.stream()
+	for i, prev := 0, uint64(0); i < n; i, ts.i = i+1, ts.i+1 {
+		x := ts.head()
+		if x&63 > uint64(64-v) {
 			return fmt.Errorf("exaloglog: token %#x at index %d has an impossible zero count", x, i)
 		}
 		if i > 0 && x <= prev {
@@ -662,10 +979,12 @@ func (h *Hybrid) UnmarshalBinary(data []byte) error {
 		}
 		prev = x
 	}
-	if cfg.pastBreakEven(n.n) {
-		n.densify()
+	if cfg.pastBreakEven(size) {
+		next = denseFrom(cfg, tokens)
+	} else {
+		next.words, next.n, next.used = words, int32(n), uint32(size)
 	}
-	*h = n
+	*h = next
 	return nil
 }
 

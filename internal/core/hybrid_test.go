@@ -2,16 +2,101 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"slices"
 	"testing"
 	"unsafe"
 )
 
-// breakEven is the smallest token count past break-even.
+// refBits writes the body of a sparse blob as the format's description
+// says, a bit at a time: the reference the real encoder is checked against.
+// The tokens are taken in the order given, so that a test can also build
+// what a decoder must refuse.
+func refBits(cfg Config, tokens []uint64) []bool {
+	v, n := cfg.tokenV(), len(tokens)
+	if n == 0 {
+		return nil
+	}
+	l := 0
+	for n<<uint(l+1) <= 1<<uint(v) {
+		l++
+	}
+	out := make([]bool, n+1<<uint(v-l))
+	for i, x := range tokens {
+		out[int(x>>6>>uint(l))+i] = true
+	}
+	for _, x := range tokens {
+		for b := 0; b < l; b++ {
+			out = append(out, x>>6>>uint(b)&1 != 0)
+		}
+	}
+	for _, x := range tokens {
+		out = append(out, make([]bool, x&63)...)
+		out = append(out, true)
+	}
+	return out
+}
+
+// tokenBlob builds a sparse blob by hand from refBits.
+func tokenBlob(cfg Config, tokens ...uint64) []byte {
+	return rawTokenBlob(cfg, len(tokens), refBits(cfg, tokens))
+}
+
+// rawTokenBlob is a sparse blob that claims n tokens over any body bits.
+func rawTokenBlob(cfg Config, n int, body []bool) []byte {
+	out := append([]byte(tokenBlobMagic), byte(cfg.T), byte(cfg.D), byte(cfg.P))
+	out = binary.AppendUvarint(out, uint64(n))
+	packed := make([]byte, (len(body)+7)/8)
+	for i, set := range body {
+		if set {
+			packed[i/8] |= 1 << uint(i%8)
+		}
+	}
+	return append(out, packed...)
+}
+
+// tokensOf returns the sorted distinct tokens of the hashes at c's v.
+func (c Config) tokensOf(hashes []uint64) []uint64 {
+	tokens := make([]uint64, len(hashes))
+	for i, x := range hashes {
+		tokens[i] = TokenFromHash(x, c.tokenV())
+	}
+	slices.Sort(tokens)
+	return slices.Compact(tokens)
+}
+
+// staysSparse is the mode the token set of the hashes must be in: sparse
+// while the reference encoding is smaller than the dense register array.
+func (c Config) staysSparse(hashes []uint64) bool {
+	return (len(refBits(c, c.tokensOf(hashes)))+7)/8 < c.SizeBytes()
+}
+
+// wantBytes is what a hybrid fed the hashes must serialize to, whatever the
+// route: the reference encoding of their tokens, or past break-even the
+// dense sketch.
+func (c Config) wantBytes(hashes []uint64) []byte {
+	if c.staysSparse(hashes) {
+		return tokenBlob(c, c.tokensOf(hashes)...)
+	}
+	dense := MustNew(c)
+	for _, x := range hashes {
+		dense.AddHash(x)
+	}
+	out, _ := dense.MarshalBinary()
+	return out
+}
+
+// breakEven is about the number of tokens at which the sparse mode ends: the
+// first n whose encoding is no smaller than the dense array if the NLZs
+// average one, as those of few random hashes do. (Near 2^v tokens the small
+// NLZs run out, the average rises and the sparse mode ends a little sooner.)
 func (c Config) breakEven() int {
-	w := int(c.tokenWidth())
-	return (8*c.SizeBytes() + w - 1) / w
+	for n := 1; ; n++ {
+		if lay := layoutTokens(c.tokenV(), n); c.pastBreakEven(lay.size(n, uint(n))) {
+			return n
+		}
+	}
 }
 
 func TestHybridValidation(t *testing.T) {
@@ -38,21 +123,24 @@ func TestHybridStartsSparseAndDensifies(t *testing.T) {
 		t.Fatal("fresh hybrid not sparse")
 	}
 	r := rng(50)
-	n := 0
+	n, tokens := 0, 0
 	for h.IsSparse() {
+		tokens = h.Tokens()
+		if h.SizeBytes() >= cfg.SizeBytes() {
+			t.Fatalf("sparse at %d bytes, the dense array is %d", h.SizeBytes(), cfg.SizeBytes())
+		}
 		h.AddHash(r.Uint64())
 		n++
 		if n > 100000 {
 			t.Fatal("never densified")
 		}
 	}
-	// Break-even for 16-bit tokens at 896 bytes is 448 tokens; a tenth of
-	// that many random hashes share a v = 10 token with an earlier one.
-	if n < 448 || n > 700 {
-		t.Errorf("densified after %d inserts; expected ≈ 500", n)
+	// Past 2^v = 1024 tokens l is 0 and a token costs two bits and its NLZ:
+	// 7168 bits hold 1024 bucket zeros and about 1700 tokens, which takes
+	// some 2500 random hashes (the likely tokens are soon all known).
+	if tokens < 1500 || tokens > 1900 || n < tokens {
+		t.Errorf("densified after %d inserts at %d tokens; expected ≈ 1700 tokens", n, tokens)
 	}
-	// Memory in sparse mode must have been below the dense footprint
-	// right up to the switch, and estimates stay sane across it.
 	est := h.Estimate()
 	if math.Abs(est-float64(n))/float64(n) > 0.25 {
 		t.Errorf("estimate %.0f right after densify (n=%d)", est, n)
@@ -209,33 +297,71 @@ func TestHybridSerializationBothModes(t *testing.T) {
 	if !bytes.Equal(data, raw) {
 		t.Error("dense hybrid bytes differ from the sketch's own")
 	}
+	// An empty one is its header and a zero count.
+	empty, _ := NewHybrid(cfg)
+	data, _ = empty.MarshalBinary()
+	if string(data) != "ELT3\x02\x14\x08\x00" {
+		t.Errorf("empty hybrid serializes as %q", data)
+	}
+	if err := h3.UnmarshalBinary(data); err != nil || !h3.IsSparse() || !h3.IsEmpty() || h3.Config() != cfg {
+		t.Errorf("empty round trip: %v, sparse=%v empty=%v", err, h3.IsSparse(), h3.IsEmpty())
+	}
 	// Corrupt payloads.
 	if err := new(Hybrid).UnmarshalBinary([]byte{'X'}); err == nil {
 		t.Error("accepted bad magic")
 	}
-	if err := new(Hybrid).UnmarshalBinary([]byte("ELT2\x02\x14")); err == nil {
+	if err := new(Hybrid).UnmarshalBinary([]byte("ELT3\x02\x14")); err == nil {
 		t.Error("accepted a truncated token header")
+	}
+	if err := new(Hybrid).UnmarshalBinary([]byte("ELT3\x02\x14\x08")); err == nil {
+		t.Error("accepted a token blob without a count")
 	}
 }
 
-// tokenBlob builds a sparse blob by hand, bit by bit.
-func tokenBlob(cfg Config, tokens ...uint64) []byte {
-	w := int(cfg.tokenWidth())
-	body := make([]byte, (len(tokens)*w+7)/8)
-	for i, x := range tokens {
-		for b := 0; b < w; b++ {
-			if x>>uint(b)&1 != 0 {
-				body[(i*w+b)/8] |= 1 << uint((i*w+b)%8)
-			}
-		}
+// rejectedTokenBlobs is every way a sparse blob can be wrong, by name: the
+// decoding test's table and the fuzzer's seeds.
+func rejectedTokenBlobs() map[string][]byte {
+	cfg := Config{T: 2, D: 20, P: 9} // v = 11; three tokens have l = 9
+	ok := []uint64{1<<6 | 3, 2<<6 | 0, 2<<6 | 1}
+	body := refBits(cfg, ok) // 3+4 quotient bits, 27 remainder bits, 4+1+2 NLZ bits
+	with := func(edit func(b []bool) []bool) []byte {
+		return rawTokenBlob(cfg, len(ok), edit(slices.Clone(body)))
 	}
-	return append(append([]byte(tokenBlobMagic), byte(cfg.T), byte(cfg.D), byte(cfg.P)), body...)
+	set := func(bit int, to bool) func([]bool) []bool {
+		return func(b []bool) []bool { b[bit] = to; return b }
+	}
+	long := tokenBlob(cfg, ok...)
+	long = slices.Insert(long, tokenBlobHeader, 0x83) // 3 as the two-byte varint 0x83 0x00
+	long[tokenBlobHeader+1] = 0
+	return map[string][]byte{
+		"remainders descend in a bucket":  tokenBlob(cfg, 2<<6, 1<<6),
+		"duplicate":                       tokenBlob(cfg, 1<<6, 1<<6),
+		"zero counts descend in a prefix": tokenBlob(cfg, 2<<6|1, 2<<6|0),
+		"impossible zero count":           tokenBlob(cfg, 1<<6|54),
+		"one quotient bit too many":       with(set(3, true)),
+		"one quotient bit too few":        with(set(2, false)),
+		"quotient out of range":           with(func(b []bool) []bool { b[2], b[6] = false, true; return b }),
+		"one zero count too many":         with(func(b []bool) []bool { return append(b, false, true) }),
+		"one zero count too few":          with(func(b []bool) []bool { return b[:len(b)-2] }),
+		"body ends inside the remainders": with(func(b []bool) []bool { return append(b[:20], true) }),
+		"padding bit":                     with(func(b []bool) []bool { return append(b, false, false, true) }),
+		"trailing zero byte":              append(tokenBlob(cfg, ok...), 0),
+		"truncated":                       tokenBlob(cfg, ok...)[:tokenBlobHeader+1+4],
+		"count longer than it need be":    long,
+		"count without a body":            rawTokenBlob(cfg, 1<<40, nil),
+		"count past four to a byte":       rawTokenBlob(cfg, 400, body),
+		"count the body cannot hold":      rawTokenBlob(cfg, 20, body),
+		"empty with a body":               rawTokenBlob(cfg, 0, []bool{true}),
+		"invalid config":                  tokenBlob(Config{T: 9, D: 20, P: 8}),
+		"ELT2, 20-bit tokens":             append([]byte("ELT2\x02\x14\x0c"), 0x43, 0, 0x08),
+		"ELT1, v = 26 tokens":             append([]byte("ELT1\x02\x14\x09"), 0x43, 0, 0, 0),
+	}
 }
 
 func TestHybridTokenBlobDecoding(t *testing.T) {
-	cfg := Config{T: 2, D: 20, P: 9} // 17-bit tokens, break-even 844
+	cfg := Config{T: 2, D: 20, P: 9}
 	ok := tokenBlob(cfg, 1<<6|3, 2<<6|0, 2<<6|1)
-	if len(ok) != 7+7 { // 51 bits
+	if len(ok) != 7+1+6 { // 41 bits
 		t.Fatalf("hand-built blob is %d bytes", len(ok))
 	}
 	h, err := HybridFromBinary(ok)
@@ -248,19 +374,7 @@ func TestHybridTokenBlobDecoding(t *testing.T) {
 	if back, _ := h.MarshalBinary(); !bytes.Equal(back, ok) {
 		t.Error("canonical blob did not round-trip byte for byte")
 	}
-	padded := tokenBlob(cfg, 1<<6|3, 2<<6|0, 2<<6|1)
-	padded[len(padded)-1] |= 0x80
-	for name, bad := range map[string][]byte{
-		"unsorted":       tokenBlob(cfg, 2<<6, 1<<6),
-		"duplicate":      tokenBlob(cfg, 1<<6, 1<<6),
-		"impossible nlz": tokenBlob(cfg, 1<<6|54),
-		"ragged body":    append(tokenBlob(cfg, 1<<6), 0),
-		"one byte":       append(tokenBlob(cfg), 0),
-		"padding bit":    padded,
-		"truncated":      ok[:len(ok)-1],
-		"invalid config": tokenBlob(Config{T: 9, D: 20, P: 8}),
-		"v = 26 blob":    append([]byte("ELT1\x02\x14\x09"), 0x43, 0, 0, 0),
-	} {
+	for name, bad := range rejectedTokenBlobs() {
 		if _, err := HybridFromBinary(bad); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -269,7 +383,7 @@ func TestHybridTokenBlobDecoding(t *testing.T) {
 	if _, err := HybridFromBinary(tokenBlob(cfg, 1<<6|53)); err != nil {
 		t.Errorf("nlz = 64-v rejected: %v", err)
 	}
-	// A configuration 32-bit tokens could not feed decodes like any other.
+	// The widest tokens there are decode like any other.
 	wide := Config{T: 6, D: 2, P: 26}
 	if h, err := HybridFromBinary(tokenBlob(wide, 5<<6|1, 1<<37|7<<6)); err != nil || h.Tokens() != 2 {
 		t.Errorf("38-bit tokens: %v", err)
@@ -278,8 +392,8 @@ func TestHybridTokenBlobDecoding(t *testing.T) {
 	// result is what adding the same tokens one by one gives.
 	var many []uint64
 	ref, _ := NewHybrid(cfg)
-	for i := 0; i < 1000; i++ {
-		x := uint64(i+1)<<6 | uint64(i%30)
+	for i := 0; i < 3000; i++ {
+		x := uint64(i/2+1)<<6 | uint64(i%2*(i%30+1))
 		many = append(many, x)
 		ref.AddHash(HashFromToken(x, cfg.tokenV()))
 	}
@@ -288,7 +402,7 @@ func TestHybridTokenBlobDecoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	if big.IsSparse() || ref.IsSparse() {
-		t.Fatal("1000 tokens at break-even 844 stayed sparse")
+		t.Fatalf("3000 tokens at break-even ≈ %d stayed sparse", cfg.breakEven())
 	}
 	a, _ := big.MarshalBinary()
 	b, _ := ref.MarshalBinary()
@@ -299,7 +413,7 @@ func TestHybridTokenBlobDecoding(t *testing.T) {
 
 // addAll feeds hashes to h: one by one where that is affordable, else in
 // bulk with a few single adds in between (a single insert moves half the
-// token array, and the widest configurations hold hundreds of thousands).
+// encoding, and the widest configurations hold hundreds of thousands).
 func addAll(h *Hybrid, hashes []uint64) {
 	if h.Config().breakEven() <= 1<<14 {
 		for _, x := range hashes {
@@ -309,7 +423,7 @@ func addAll(h *Hybrid, hashes []uint64) {
 	}
 	for len(hashes) > 0 {
 		h.AddHash(hashes[0])
-		k := min(len(hashes), 20000)
+		k := min(len(hashes), max(20000, h.Config().breakEven()/4))
 		h.AddHashes(hashes[1:k])
 		hashes = hashes[k:]
 	}
@@ -318,24 +432,25 @@ func addAll(h *Hybrid, hashes []uint64) {
 // TestHybridParityAcrossBreakEven is the contract the store and the cluster
 // oracle rest on, checked on seeded streams that cross break-even: at every
 // checkpoint the hybrid's estimate is the dense estimate to the bit, its
-// bytes do not depend on insertion order or on whether state arrived by
-// add or by merge, and merging in all four mode pairs gives the dense merge.
-// The configurations cover token widths that are a whole number of bytes
-// (16, 24), the default (20), odd ones (15, 17) and one past 32 bits.
+// bytes are the reference encoding of its token set — so they do not depend
+// on insertion order or on whether state arrived by add or by merge — its
+// mode is the one the reference encoding's size implies, and merging in all
+// four mode pairs gives the dense merge. The configurations cover p+t from
+// 9 to 25, among them the default.
 func TestHybridParityAcrossBreakEven(t *testing.T) {
 	for _, cfg := range []Config{
 		{T: 2, D: 20, P: 8}, {T: 2, D: 20, P: 12}, {T: 1, D: 9, P: 10}, {T: 0, D: 2, P: 9},
 		{T: 6, D: 4, P: 12}, // p+t = 18
-		{T: 6, D: 0, P: 21}, // p+t = 27: 33-bit tokens, break-even 762 601
+		{T: 6, D: 0, P: 19}, // p+t = 25, break-even near 600 000 tokens
 	} {
 		r := rng(int64(900 + cfg.P))
-		n := 3 * cfg.breakEven() / 2
+		n := 2 * cfg.breakEven()
 		checkpoints, chunk := 40, 107
 		if n > 1<<16 {
 			if testing.Short() {
 				continue
 			}
-			checkpoints, chunk = 3, 20011
+			checkpoints, chunk = 3, n/12+1
 		}
 		hashes := make([]uint64, n)
 		for i := range hashes {
@@ -350,9 +465,6 @@ func TestHybridParityAcrossBreakEven(t *testing.T) {
 		for done := 0; done < n; {
 			from := done
 			done = min(done+step, n)
-			if done > cfg.breakEven()-step/2 && from < cfg.breakEven()-step/2 {
-				done = cfg.breakEven() - step/2 // one checkpoint just below break-even
-			}
 			for _, x := range hashes[from:done] {
 				dense.AddHash(x)
 			}
@@ -369,8 +481,8 @@ func TestHybridParityAcrossBreakEven(t *testing.T) {
 			if got, want := forward.Estimate(), dense.Estimate(); got != want {
 				t.Fatalf("%+v: after %d adds (sparse=%v) estimate %v, dense %v", cfg, done, forward.IsSparse(), got, want)
 			}
-			if forward.IsSparse() && forward.Tokens() >= cfg.breakEven() {
-				t.Fatalf("%+v: sparse with %d tokens at break-even %d", cfg, forward.Tokens(), cfg.breakEven())
+			if forward.IsSparse() != cfg.staysSparse(hashes[:done]) {
+				t.Fatalf("%+v: after %d adds sparse=%v with %d tokens", cfg, done, forward.IsSparse(), forward.Tokens())
 			}
 			// Same elements, reverse order, and split over two halves that merge.
 			reversed := slices.Clone(hashes[:done])
@@ -405,10 +517,10 @@ func TestHybridParityAcrossBreakEven(t *testing.T) {
 				chunks.AddHash(hashes[j])
 				chunks.AddHashes(hashes[j+1 : min(j+chunk, done)])
 			}
-			want, _ := forward.MarshalBinary()
-			for name, other := range map[string]*Hybrid{"reverse order": backward, "merge of two halves": left, "one bulk add": bulk, "chunked bulk adds": chunks} {
+			want := cfg.wantBytes(hashes[:done])
+			for name, other := range map[string]*Hybrid{"in order": forward, "reverse order": backward, "merge of two halves": left, "one bulk add": bulk, "chunked bulk adds": chunks} {
 				if got, _ := other.MarshalBinary(); !bytes.Equal(got, want) {
-					t.Fatalf("%+v: after %d adds, %s serializes differently (sparse %v vs %v)", cfg, done, name, other.IsSparse(), forward.IsSparse())
+					t.Fatalf("%+v: after %d adds, %s does not serialize to the reference encoding (sparse %v vs %v)", cfg, done, name, other.IsSparse(), forward.IsSparse())
 				}
 			}
 			back, err := HybridFromBinary(want)
@@ -430,7 +542,7 @@ func TestHybridParityAcrossBreakEven(t *testing.T) {
 		}
 
 		// All four mode pairs against the dense merge.
-		small, big := cfg.breakEven()/3, 2*cfg.breakEven()
+		small, big := cfg.breakEven()/3, 3*cfg.breakEven()
 		for _, sizes := range [][2]int{{small, small}, {small, big}, {big, small}, {big, big}} {
 			a, _ := NewHybrid(cfg)
 			b, _ := NewHybrid(cfg)
@@ -446,6 +558,9 @@ func TestHybridParityAcrossBreakEven(t *testing.T) {
 			}
 			addAll(a, as)
 			addAll(b, bs)
+			if a.IsSparse() != (sizes[0] == small) || b.IsSparse() != (sizes[1] == small) {
+				t.Fatalf("%+v: sizes %v are sparse=%v, %v", cfg, sizes, a.IsSparse(), b.IsSparse())
+			}
 			bBefore, _ := b.MarshalBinary()
 			acc := da.Clone()
 			if err := b.MergeInto(acc); err != nil {
@@ -463,11 +578,89 @@ func TestHybridParityAcrossBreakEven(t *testing.T) {
 			if string(acc.RegisterBytes()) != string(da.RegisterBytes()) {
 				t.Fatalf("%+v: MergeInto of sizes %v differs from the dense merge", cfg, sizes)
 			}
-			if a.IsSparse() != (sizes[0]+sizes[1] < cfg.breakEven()) {
+			if a.IsSparse() != cfg.staysSparse(append(as, bs...)) {
 				t.Fatalf("%+v: merge of sizes %v ended sparse=%v", cfg, sizes, a.IsSparse())
 			}
 			if bAfter, _ := b.MarshalBinary(); !bytes.Equal(bBefore, bAfter) {
 				t.Fatalf("%+v: merge modified its source", cfg)
+			}
+		}
+	}
+}
+
+// TestHybridCanonicalBytes: one token set, one byte string, however it was
+// put together — single inserts in random order, one bulk add, a bulk add
+// and single inserts on either side of it, a merge of two halves in either
+// direction — and that string is the reference encoding. Checked with every
+// number of tokens at which the remainder width l changes (a power of two
+// and the count after it), from one token to past break-even, for p+t of
+// 10, 14, 18 and 22.
+func TestHybridCanonicalBytes(t *testing.T) {
+	for _, cfg := range []Config{{T: 2, D: 20, P: 8}, {T: 2, D: 20, P: 12}, {T: 6, D: 0, P: 12}, {T: 6, D: 0, P: 16}} {
+		if testing.Short() && cfg.tokenV() > 14 {
+			continue
+		}
+		r := rng(int64(300 + cfg.tokenV()))
+		var hashes []uint64
+		seen := map[uint64]bool{}
+		grow := func(tokens int) { // hashes that make exactly that many tokens
+			for len(seen) < tokens {
+				x := r.Uint64()
+				hashes = append(hashes, x)
+				seen[TokenFromHash(x, cfg.tokenV())] = true
+				if len(hashes)%5 == 0 {
+					hashes = append(hashes, hashes[r.Intn(len(hashes))]) // a known element
+				}
+			}
+		}
+		var sizes []int
+		for n := 1; n < cfg.breakEven(); n *= 2 {
+			sizes = append(sizes, n, n+1)
+		}
+		sizes = append(sizes, cfg.breakEven()*5/4)
+		for _, tokens := range sizes {
+			grow(tokens)
+			want := cfg.wantBytes(hashes)
+			if sparse := cfg.staysSparse(hashes); sparse != (tokens < cfg.breakEven()) {
+				t.Fatalf("%+v: the reference says %d tokens are sparse=%v, break-even ≈ %d", cfg, tokens, sparse, cfg.breakEven())
+			}
+			shuffled := slices.Clone(hashes)
+			r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			cut := r.Intn(len(shuffled) + 1)
+			built := map[string]*Hybrid{}
+			for _, name := range []string{"single inserts", "one bulk add", "bulk then singles", "singles then bulk", "merge a<-b", "merge b<-a"} {
+				built[name], _ = NewHybrid(cfg)
+			}
+			for _, x := range shuffled {
+				built["single inserts"].AddHash(x)
+			}
+			built["one bulk add"].AddHashes(shuffled)
+			built["bulk then singles"].AddHashes(shuffled[:cut])
+			for _, x := range shuffled[cut:] {
+				built["bulk then singles"].AddHash(x)
+			}
+			for _, x := range shuffled[:cut] {
+				built["singles then bulk"].AddHash(x)
+			}
+			built["singles then bulk"].AddHashes(shuffled[cut:])
+			other, _ := NewHybrid(cfg)
+			built["merge a<-b"].AddHashes(shuffled[:cut])
+			other.AddHashes(shuffled[cut:])
+			built["merge b<-a"].AddHashes(shuffled[cut:])
+			if err := built["merge b<-a"].Merge(built["merge a<-b"]); err != nil {
+				t.Fatal(err)
+			}
+			if err := built["merge a<-b"].Merge(other); err != nil {
+				t.Fatal(err)
+			}
+			for name, h := range built {
+				if got, _ := h.MarshalBinary(); !bytes.Equal(got, want) {
+					t.Fatalf("%+v, %d tokens, cut at %d of %d: %s does not give the reference encoding (sparse=%v, %d tokens)",
+						cfg, tokens, cut, len(shuffled), name, h.IsSparse(), h.Tokens())
+				}
+				if h.IsSparse() && h.Tokens() != tokens {
+					t.Fatalf("%+v: %s holds %d tokens, want %d", cfg, name, h.Tokens(), tokens)
+				}
 			}
 		}
 	}
@@ -484,7 +677,7 @@ func TestHybridMergeAcrossPrecisions(t *testing.T) {
 		mine[i] = r.Uint64()
 	}
 	for _, p := range []int{10, 14} {
-		for _, n := range []int{300, 40000} { // sparse and dense at both precisions
+		for _, n := range []int{300, 200000} { // sparse and dense at both precisions
 			other := Config{T: 2, D: 20, P: p}
 			theirs := make([]uint64, n)
 			for i := range theirs {
@@ -538,47 +731,101 @@ func TestSortTokens(t *testing.T) {
 	}
 }
 
-// TestTokenSeq checks the packed accessors against a plain slice, and the
-// single-insert word shift against slices.Insert, at every width.
-func TestTokenSeq(t *testing.T) {
+// TestTokenEncoding checks, for every v, the single insert — search, the
+// three shifts, the re-encoding when l changes, growth — against a plain
+// sorted slice: after each one the stream reads back exactly the slice, the
+// words are the reference encoding and nothing is set past it.
+func TestTokenEncoding(t *testing.T) {
 	r := rng(32)
-	for w := uint(8); w <= 38; w++ {
-		tt := min(6, max(0, int(w)-26))
-		cfg := Config{T: tt, D: 1, P: int(w) - 6 - tt}
-		if cfg.tokenWidth() != w {
-			t.Fatalf("%+v has width %d, want %d", cfg, cfg.tokenWidth(), w)
-		}
+	for v := 2; v <= 32; v++ {
+		tt := min(6, max(0, v-26))
+		cfg := Config{T: tt, D: 30, P: v - tt} // d = 30: the sparse mode of the smallest lasts a few tokens
 		h, err := NewHybrid(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var want []uint64
-		for len(want) < min(300, cfg.breakEven()-1) {
+		for len(want) < 300 {
 			x := r.Uint64()
-			if len(want)%3 == 0 {
-				x &= 1<<uint(cfg.tokenV()+2) - 1 // small tokens: inserts at the front too
+			switch len(want) % 3 {
+			case 0:
+				x &= 1<<uint(v+2) - 1 // small prefixes and long zero runs: inserts at the front too
+			case 1:
+				x = x&^(1<<uint(v)-1) | HashFromToken(want[r.Intn(len(want))], v)&(1<<uint(v)-1) // a known prefix
 			}
-			tok := TokenFromHash(x, cfg.tokenV())
+			tok := TokenFromHash(x, v)
 			i, found := slices.BinarySearch(want, tok)
+			if !found && !cfg.staysSparse(append([]uint64{x}, hashesOf(want, v)...)) {
+				break
+			}
 			if changed := h.AddHash(x); changed == found {
-				t.Fatalf("w=%d: AddHash changed=%v for a token found=%v", w, changed, found)
+				t.Fatalf("v=%d: AddHash changed=%v for a token found=%v", v, changed, found)
 			}
 			if !found {
 				want = slices.Insert(want, i, tok)
 			}
-			s := h.tokens()
-			if s.len() != len(want) {
-				t.Fatalf("w=%d: %d tokens, want %d", w, s.n, len(want))
-			}
+			ts := h.tokens().stream()
 			for j, y := range want {
-				if s.at(j) != y {
-					t.Fatalf("w=%d: token %d of %d is %#x, want %#x", w, j, s.n, s.at(j), y)
+				if got := ts.head(); got != y {
+					t.Fatalf("v=%d: token %d of %d is %#x, want %#x", v, j, len(want), got, y)
+				}
+				ts.i++
+			}
+			if ts.head() != endOfTokens || h.Tokens() != len(want) {
+				t.Fatalf("v=%d: %d tokens and more after them, want %d", v, h.Tokens(), len(want))
+			}
+			ref := refBits(cfg, want)
+			if int(h.used) != len(ref) {
+				t.Fatalf("v=%d: %d tokens take %d bits, the reference %d", v, len(want), h.used, len(ref))
+			}
+			for bit := 0; bit < 64*len(h.words); bit++ {
+				if got := h.words[bit/64]>>uint(bit%64)&1 != 0; got != (bit < len(ref) && ref[bit]) {
+					t.Fatalf("v=%d: bit %d of %d tokens is %v", v, bit, len(want), got)
 				}
 			}
-			for bit := uint(s.n) * w; bit < 64*uint(len(s.words)); bit++ {
-				if s.words[bit/64]>>(bit%64)&1 != 0 {
-					t.Fatalf("w=%d: bit %d set past the %d tokens", w, bit, s.n)
-				}
+		}
+		if len(want) < 3 {
+			t.Fatalf("v=%d: only %d tokens fit", v, len(want))
+		}
+	}
+}
+
+// hashesOf returns a hash for each token.
+func hashesOf(tokens []uint64, v int) []uint64 {
+	out := make([]uint64, len(tokens))
+	for i, x := range tokens {
+		out[i] = HashFromToken(x, v)
+	}
+	return out
+}
+
+func TestMoveBits(t *testing.T) {
+	r := rng(33)
+	for trial := 0; trial < 20000; trial++ {
+		words := make([]uint64, 1+r.Intn(6))
+		for i := range words {
+			words[i] = r.Uint64()
+		}
+		size := uint(64 * len(words))
+		from := uint(r.Intn(int(size)))
+		to := from + uint(r.Intn(int(size-from)))
+		by := 1 + uint(r.Intn(int(size-to)+1))
+		if to+by > size {
+			continue
+		}
+		bit := func(w []uint64, i uint) uint64 { return w[i/64] >> (i % 64) & 1 }
+		before := slices.Clone(words)
+		moveBits(words, from, to, by)
+		for i := uint(0); i < size; i++ {
+			want := bit(before, i)
+			if i >= from+by && i < to+by {
+				want = bit(before, i-by)
+			}
+			if i >= from && i < from+by && i < to+by && from < to {
+				continue // left to the caller
+			}
+			if bit(words, i) != want {
+				t.Fatalf("moveBits(%d words, %d, %d, %d): bit %d is %d", len(words), from, to, by, i, bit(words, i))
 			}
 		}
 	}
@@ -601,14 +848,17 @@ func TestHybridEstimateDoesNotAllocate(t *testing.T) {
 }
 
 // TestHybridMergeOfKnownTokensDoesNotAllocate: a replica re-sending what a
-// key already holds — all of it, or a part — is compared, not copied.
+// key already holds — all of it, or a part — is compared, not copied, and
+// so is a batch of known elements.
 func TestHybridMergeOfKnownTokensDoesNotAllocate(t *testing.T) {
 	cfg := Config{T: 2, D: 20, P: 12}
 	all, _ := NewHybrid(cfg)
 	part, _ := NewHybrid(cfg)
 	r := rng(78)
+	var hashes []uint64
 	for i := 0; i < 2000; i++ {
 		x := r.Uint64()
+		hashes = append(hashes, x)
 		all.AddHash(x)
 		if i%2 == 0 {
 			part.AddHash(x)
@@ -624,6 +874,13 @@ func TestHybridMergeOfKnownTokensDoesNotAllocate(t *testing.T) {
 			t.Errorf("merging %s allocates %v times", name, n)
 		}
 	}
+	if n := testing.AllocsPerRun(20, func() {
+		if all.AddHash(hashes[7]) || all.AddHashes(hashes[:500]) {
+			t.Fatal("known elements changed the sketch")
+		}
+	}); n > 1 { // the batch's own sort buffer
+		t.Errorf("adding known elements allocates %v times", n)
+	}
 	if after, _ := all.MarshalBinary(); !bytes.Equal(before, after) {
 		t.Error("merging known tokens changed the sketch")
 	}
@@ -636,23 +893,31 @@ func TestHybridMergeOfKnownTokensDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestHybridFootprintIsTight: the encoding is as dense as the header
+// comment says, and the heap holds it with a size class step of slack at
+// the most, in the 48-byte struct.
 func TestHybridFootprintIsTight(t *testing.T) {
 	cfg := Config{T: 2, D: 20, P: 12}
-	for _, n := range []int{1, 16, 100, 1000, 3000, 5000} {
+	perToken := map[int]float64{100: 12, 1000: 8.5, 5000: 6}
+	for _, n := range []int{1, 16, 100, 1000, 3000, 5000, 15000} {
 		h, _ := NewHybrid(cfg)
 		r := rng(int64(n))
-		for i := 0; i < n; i++ {
+		for h.Tokens() < n {
 			h.AddHash(r.Uint64())
 		}
-		payload := (20*h.Tokens() + 7) / 8
-		if payload != h.SizeBytes() {
-			t.Errorf("n=%d: SizeBytes %d for %d 20-bit tokens", n, h.SizeBytes(), h.Tokens())
+		payload := h.SizeBytes()
+		if payload != (len(refBits(cfg, collect(h)))+7)/8 {
+			t.Errorf("n=%d: SizeBytes %d, the reference encoding is %d bits", n, payload, len(refBits(cfg, collect(h))))
 		}
-		if got := h.MemoryFootprint(); got < payload+hybridOverhead || got > payload+payload/7+hybridOverhead+8 {
+		if limit, ok := perToken[n]; ok && 8*float64(payload)/float64(n) > limit {
+			t.Errorf("n=%d: %.2f bits per token, want <= %v", n, 8*float64(payload)/float64(n), limit)
+		}
+		// The widest step between two size classes, 4096 to 4864, is 19 %.
+		if got := h.MemoryFootprint(); got < payload+hybridOverhead || got > payload+payload/5+hybridOverhead+8 {
 			t.Errorf("n=%d: footprint %d bytes for %d payload bytes", n, got, payload)
 		}
-		if n == 100 && h.MemoryFootprint()-hybridOverhead > 256 {
-			t.Errorf("100 tokens hold %d bytes of token heap, want <= 256", h.MemoryFootprint()-hybridOverhead)
+		if n == 100 && h.MemoryFootprint()-hybridOverhead > 160 {
+			t.Errorf("100 tokens hold %d bytes of token heap, want <= 160", h.MemoryFootprint()-hybridOverhead)
 		}
 		// A bulk load, a clone and a decoded blob are as tight.
 		blob, _ := h.MarshalBinary()
@@ -666,9 +931,20 @@ func TestHybridFootprintIsTight(t *testing.T) {
 			}
 		}
 	}
-	if unsafe.Sizeof(Hybrid{}) > hybridOverhead {
-		t.Errorf("Hybrid is %d bytes, hybridOverhead says %d", unsafe.Sizeof(Hybrid{}), hybridOverhead)
+	if unsafe.Sizeof(Hybrid{}) > hybridOverhead || hybridOverhead > 48 {
+		t.Errorf("Hybrid is %d bytes, hybridOverhead says %d, the size class to stay in is 48", unsafe.Sizeof(Hybrid{}), hybridOverhead)
 	}
+}
+
+// collect reads a sparse hybrid's tokens out.
+func collect(h *Hybrid) []uint64 {
+	ts := h.tokens().stream()
+	var out []uint64
+	for x := ts.head(); x != endOfTokens; x = ts.head() {
+		out = append(out, x)
+		ts.i++
+	}
+	return out
 }
 
 func TestHybridAddString(t *testing.T) {

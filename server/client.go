@@ -157,17 +157,29 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// checkTokens rejects command tokens the line protocol cannot carry: an
-// empty token vanishes and a token containing whitespace is split into
-// several tokens (or injected as a second command) on the server —
-// silently corrupting the stream. Mirrors the cluster package's
-// validToken rule.
+// ValidToken reports whether s can travel as one token of the line
+// protocol: an empty token vanishes, and one holding a space, a tab or a
+// line break is split into several tokens (or injected as a second command)
+// on the server — silently corrupting the stream. It is called for every
+// key and element of every command and routed add, so it is a loop over the
+// bytes: the four are ASCII, which no byte of a longer rune equals.
+func ValidToken(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c <= ' ' && (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
+			return false
+		}
+	}
+	return s != ""
+}
+
+// checkTokens rejects command tokens the line protocol cannot carry (see
+// ValidToken, which the cluster package's validToken rule shares).
 func checkTokens(parts []string) error {
 	if len(parts) == 0 {
 		return errors.New("server: empty command")
 	}
 	for _, p := range parts {
-		if p == "" || strings.ContainsAny(p, " \t\r\n") {
+		if !ValidToken(p) {
 			return fmt.Errorf("server: token %q must be non-empty and free of whitespace", p)
 		}
 	}

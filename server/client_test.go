@@ -42,6 +42,50 @@ func TestClientRejectsBadTokens(t *testing.T) {
 	}
 }
 
+// TestValidToken: the byte loop refuses exactly what
+// strings.ContainsAny(s, " \t\r\n") refused — the empty token and each of
+// the four bytes wherever it stands — and checkTokens words the refusal as
+// it always did.
+func TestValidToken(t *testing.T) {
+	bad := []string{""}
+	for _, c := range []string{" ", "\t", "\r", "\n"} {
+		bad = append(bad, c, c+"ab", "a"+c+"b", "ab"+c, "é"+c+"ü")
+	}
+	for _, s := range bad {
+		if ValidToken(s) {
+			t.Errorf("ValidToken(%q) = true", s)
+		}
+		want := fmt.Sprintf("server: token %q must be non-empty and free of whitespace", s)
+		if err := checkTokens([]string{"PFADD", "key", s}); err == nil || err.Error() != want {
+			t.Errorf("checkTokens with %q: %v, want %q", s, err, want)
+		}
+	}
+	for _, s := range []string{"a", "key:1", "é\u00a0ü\u2028", "\x00\x0b\x0c\x1f\x7f", "a\u0085b"} { // other space characters are data
+		if !ValidToken(s) || s == "" || strings.ContainsAny(s, " \t\r\n") {
+			t.Errorf("ValidToken(%q) = false", s)
+		}
+		if err := checkTokens([]string{"PFADD", "key", s}); err != nil {
+			t.Errorf("checkTokens with %q: %v", s, err)
+		}
+	}
+}
+
+// BenchmarkCheckTokens10000 is the validation a 10 000-element PFADD pays
+// before a byte is sent or hashed: Client.PFAdd, Pipeline and (through
+// ValidToken) Node.Add and the ClusterClient all go through this loop.
+func BenchmarkCheckTokens10000(b *testing.B) {
+	parts := []string{"PFADD", "visitors:2026-09-26"}
+	for i := 0; i < 10000; i++ {
+		parts = append(parts, "user-"+strconv.Itoa(1000000+i))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := checkTokens(parts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestPipelineExec drives the Pipeline API end to end: queued commands
 // go out as one batch, and results come back in order with per-command
 // errors in place.

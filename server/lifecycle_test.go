@@ -578,8 +578,9 @@ func FuzzLifecycleVerbFraming(f *testing.F) {
 // -mem-high/-mem-low watermarks act on, so it has to be the heap the keys
 // really hold — within 15 % of the measured live-heap delta on a skewed
 // keyspace (of every 20 keys 14 hold 1–32 elements, 5 hold 33–1000 and 1
-// holds 1001–10000: mostly sparse values that grow token by token, a few
-// dense ones), and back at zero when the keys are gone.
+// holds 1001–10000, and one key in a hundred 45 000–60 000: sparse values
+// that grow token by token, a few dense ones), and back at zero when the
+// keys are gone.
 func TestResidentBytesTracksLiveHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
@@ -602,6 +603,8 @@ func TestResidentBytesTracksLiveHeap(t *testing.T) {
 	for i, name := range names {
 		lo, hi := 1, 32
 		switch m := i % 20; {
+		case i%100 == 1: // past break-even, about 44 000 elements
+			lo, hi = 45000, 60000
 		case m == 0:
 			lo, hi = 1001, 10000
 		case m <= 5:

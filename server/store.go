@@ -749,7 +749,7 @@ func (s *Store) Keys() []string {
 }
 
 // Dump serializes the value at key; ok is false if the key is missing.
-// A plain sketch is the raw core format once dense and an "ELT1" token
+// A plain sketch is the raw core format once dense and an "ELT3" token
 // blob while sparse (core.HybridFromBinary reads both); windowed keys
 // serialize slot-wise (see the window package), so a scatter-gather
 // reader can merge rings instead of collapsed sketches.

@@ -476,13 +476,14 @@ func TestSparseKeysThroughTheStore(t *testing.T) {
 	}
 	check("k", "1000 elements")
 	// 11 of the 1000 elements share their register and update value — their
-	// 20-bit token — with another: 989 tokens, 2.5 bytes each.
-	if got := info("k"); !strings.Contains(got, "mode=sparse tokens=989 bytes=2473 ") {
-		t.Errorf("INFO %q, want mode=sparse tokens=989 bytes=2473", got)
+	// token — with another: 989 tokens, 8.07 bits each (l = 4: 989+1024
+	// quotient bits, 989 4-bit remainders, 2011 bits of unary NLZs).
+	if got := info("k"); !strings.Contains(got, "mode=sparse tokens=989 bytes=998 ") {
+		t.Errorf("INFO %q, want mode=sparse tokens=989 bytes=998", got)
 	}
 
 	blob, _ := store.Dump("k")
-	if !core.IsTokenBlob(blob) || len(blob) != 7+2473 {
+	if !core.IsTokenBlob(blob) || len(blob) != 7+2+998 { // header, 989 as a varint, body
 		t.Fatalf("DUMP of a sparse key: %d bytes, token blob %v", len(blob), core.IsTokenBlob(blob))
 	}
 	if err := store.Restore("copy", blob); err != nil {
@@ -504,13 +505,24 @@ func TestSparseKeysThroughTheStore(t *testing.T) {
 		}
 	}
 
-	// Crossing break-even (5735 tokens at p=12): dense, the raw core format.
+	// Still sparse where 20-bit tokens had long been dense.
 	for i := 0; i < 6000; i++ {
-		el := fmt.Sprintf("more-%d", i)
+		el := fmt.Sprintf("mid-%d", i)
 		store.Add("k", el)
 		ref.AddString(el)
 	}
 	check("k", "7000 elements")
+	if got := info("k"); !strings.Contains(got, "mode=sparse tokens=6511 bytes=4312 ") {
+		t.Errorf("INFO %q, want mode=sparse tokens=6511 bytes=4312", got)
+	}
+	// Crossing break-even (about 30 000 tokens at p=12, which takes some
+	// 45 000 elements): dense, the raw core format.
+	for i := 0; i < 43000; i++ {
+		el := fmt.Sprintf("more-%d", i)
+		store.Add("k", el)
+		ref.AddString(el)
+	}
+	check("k", "50000 elements")
 	if got := info("k"); !strings.Contains(got, "mode=dense bytes=14336 ") {
 		t.Errorf("INFO %q, want mode=dense bytes=14336", got)
 	}

@@ -35,7 +35,7 @@ type SketchValue interface {
 	Estimate() float64
 	// MarshalBinary serializes the value; every format is
 	// self-describing. A plain sketch is the raw core format once dense
-	// and an "ELT2" token blob while sparse; window rings use the
+	// and an "ELT3" token blob while sparse; window rings use the
 	// "ELW1" slot-wise format.
 	MarshalBinary() ([]byte, error)
 	// Info renders the INFO reply body.
@@ -90,7 +90,7 @@ func (v *windowValue) Info() string {
 
 // decodeValue reconstructs a SketchValue from a serialized blob,
 // dispatching on the blob's own magic: "ELW1" is a window ring, anything
-// else is handed to the core decoder (an "ELT2" token blob or a dense
+// else is handed to the core decoder (an "ELT3" token blob or a dense
 // sketch). This is what keeps RESTORE, ABSORB and snapshot blobs
 // polymorphic without a wire change — every value format is
 // self-describing.
