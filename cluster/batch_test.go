@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/base64"
 	"fmt"
 	"math"
 	"strings"
@@ -10,67 +11,6 @@ import (
 
 	"exaloglog/server"
 )
-
-// TestMLPFAddWire drives the batched internal add verb over the wire:
-// counted framing, per-group changed bits, and strict framing errors.
-func TestMLPFAddWire(t *testing.T) {
-	nodes := startCluster(t, 1, 1)
-	c, err := server.Dial(nodes[0].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	reply, err := c.Do("CLUSTER", "MLPFADD", "2", "k1", "2", "a", "b", "k2", "1", "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reply) != 2 || strings.Trim(reply, "01") != "" {
-		t.Fatalf("MLPFADD reply %q, want two changed-bits", reply)
-	}
-	n1, err := nodes[0].Count("k1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(n1-2) > 0.5 {
-		t.Errorf("k1 count = %f, want ≈2", n1)
-	}
-	n2, err := nodes[0].Count("k2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(n2-1) > 0.5 {
-		t.Errorf("k2 count = %f, want ≈1", n2)
-	}
-	// Re-sending the identical batch changes nothing: all bits 0.
-	reply, err = c.Do("CLUSTER", "MLPFADD", "2", "k1", "2", "a", "b", "k2", "1", "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply != "00" {
-		t.Errorf("idempotent re-send reply %q, want 00", reply)
-	}
-
-	for _, bad := range [][]string{
-		{"CLUSTER", "MLPFADD"},                              // no group count
-		{"CLUSTER", "MLPFADD", "x"},                         // bad group count
-		{"CLUSTER", "MLPFADD", "0"},                         // zero groups
-		{"CLUSTER", "MLPFADD", "9000000000000000000"},       // absurd count: must not allocate by it
-		{"CLUSTER", "MLPFADD", "3", "k", "1", "a"},          // count beyond what tokens can satisfy
-		{"CLUSTER", "MLPFADD", "1", "k"},                    // missing element count
-		{"CLUSTER", "MLPFADD", "1", "k", "2", "a"},          // truncated elements
-		{"CLUSTER", "MLPFADD", "1", "k", "q", "a"},          // bad element count
-		{"CLUSTER", "MLPFADD", "1", "k", "1", "a", "extra"}, // trailing tokens
-	} {
-		if _, err := c.Do(bad...); err == nil {
-			t.Errorf("malformed %v accepted", bad)
-		}
-	}
-	// The malformed lines must not have taken the server down.
-	if _, err := c.Do("PING"); err != nil {
-		t.Fatalf("server unusable after malformed MLPFADD: %v", err)
-	}
-}
 
 // TestMLAddWire drives the mixed group-commit verb over the wire: plain
 // ("p") and windowed ("w") groups interleave in one batch, the reply
@@ -143,6 +83,41 @@ func TestMLAddWire(t *testing.T) {
 	}
 }
 
+// TestRetiredClusterVerbsAreRefused: MLADD is the one forwarded-add verb
+// and ABSORB takes exactly three arguments. The verbs and forms that
+// used to sit beside them get an error reply — nothing is applied — and
+// the connection stays usable.
+func TestRetiredClusterVerbsAreRefused(t *testing.T) {
+	nodes := startCluster(t, 1, 1)
+	c := dialNode(t, nodes[0])
+	blob := base64.StdEncoding.EncodeToString(denseBlob(t, "x"))
+	for _, tc := range []struct {
+		cmd  []string
+		want string
+	}{
+		{[]string{"CLUSTER", "MLPFADD", "1", "k", "1", "a"}, "unknown CLUSTER subcommand MLPFADD"},
+		{[]string{"CLUSTER", "LPFADD", "k", "a"}, "unknown CLUSTER subcommand LPFADD"},
+		{[]string{"CLUSTER", "LWADD", "k", "1700000000000", "a"}, "unknown CLUSTER subcommand LWADD"},
+		{[]string{"CLUSTER", "ABSORB", "k", blob}, "CLUSTER ABSORB needs a key, a base64 payload and a deadline"},
+		{[]string{"CLUSTER", "XFER", "BEGIN", "e=1", "sid=s.1", "seq=1", "c=1"}, "CLUSTER XFER BEGIN needs e=<epoch> sid=<id> seq=<n>"},
+	} {
+		_, err := c.Do(tc.cmd...)
+		if !server.IsReplyErr(err) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want reply error %q", tc.cmd, err, tc.want)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatalf("connection unusable after %v: %v", tc.cmd, err)
+		}
+	}
+	if got := nodes[0].Store().Len(); got != 0 {
+		t.Errorf("refused commands created %d keys", got)
+	}
+	// The three-argument form is the one that works.
+	if _, err := c.Do("CLUSTER", "ABSORB", "k", blob, "0"); err != nil {
+		t.Fatalf("CLUSTER ABSORB k <blob> 0: %v", err)
+	}
+}
+
 // TestAddNoElements: a zero-element Add is rejected up front — queued
 // into a batch it would fail every unrelated coalesced write.
 func TestAddNoElements(t *testing.T) {
@@ -156,7 +131,7 @@ func TestAddNoElements(t *testing.T) {
 }
 
 // TestBatchedAddConvergence fires many concurrent Adds through one
-// coordinator — exercising the per-peer MLPFADD batcher — and checks
+// coordinator — exercising the per-peer MLADD batcher — and checks
 // that every replica of every key converges to the same sketch state,
 // observable as identical counts through every node.
 func TestBatchedAddConvergence(t *testing.T) {

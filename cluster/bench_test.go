@@ -55,7 +55,7 @@ func BenchmarkClusterRoutedPFAdd(b *testing.B) {
 
 // BenchmarkClusterBatchedPFAdd measures concurrent Node.Add calls
 // through one coordinator of a 3-node cluster: the per-peer batcher
-// coalesces the forwards to each owner into pipelined CLUSTER MLPFADD
+// coalesces the forwards to each owner into pipelined CLUSTER MLADD
 // batches, so k concurrent adds to the same owner share one round trip
 // instead of paying k.
 func BenchmarkClusterBatchedPFAdd(b *testing.B) {

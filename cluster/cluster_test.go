@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -421,6 +422,46 @@ func TestAddRejectsProtocolUnsafeTokens(t *testing.T) {
 	}
 	if err := validToken("key", "visits:é\u00a0"); err != nil {
 		t.Errorf("a key without the four bytes: %v", err)
+	}
+}
+
+// TestMergeKeysKeepsDestinationTTL: PFMERGE ships the union to dest's
+// owners as CLUSTER ABSORB <key> <blob> 0 — "no deadline to impose" — so
+// a destination that already has a lifetime keeps it on every owner,
+// the remote ones included.
+func TestMergeKeysKeepsDestinationTTL(t *testing.T) {
+	nodes := startCluster(t, 3, 2)
+	// A destination n1 does not own: both ABSORBs go over the wire.
+	dest := findKeyWhere(t, nodes[0].Map(), func(ids []string) bool { return !slices.Contains(ids, "n1") })
+	if _, err := nodes[0].Add(dest, "a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nodes[0].Add("src", "c", "d", "e"); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Hour).UnixMilli()
+	if ok, err := nodes[0].ExpireAt(dest, deadline); err != nil || !ok {
+		t.Fatalf("ExpireAt = %v, %v", ok, err)
+	}
+	if err := nodes[0].MergeKeys(dest, "src"); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustCount(t, nodes[0], dest); int64(got+0.5) != 5 {
+		t.Errorf("merged count = %v, want 5", got)
+	}
+	owners := 0
+	for _, n := range nodes {
+		dl, ok := n.Store().DeadlineOf(dest)
+		if !ok {
+			continue
+		}
+		owners++
+		if dl != deadline {
+			t.Errorf("%s: deadline after PFMERGE = %d, want %d", n.ID(), dl, deadline)
+		}
+	}
+	if owners != 2 {
+		t.Errorf("%d nodes hold the destination, want 2", owners)
 	}
 }
 

@@ -136,7 +136,7 @@ func TestDigestSyncConvergedMessageCount(t *testing.T) {
 	if got, want := counts["DSUM"], 2; got != want {
 		t.Errorf("converged round sent %d DSUM messages, want %d (one per peer)", got, want)
 	}
-	for _, verb := range []string{"DKEYS", "XFER", "ABSORB", "LPFADD", "MLPFADD"} {
+	for _, verb := range []string{"DKEYS", "XFER", "ABSORB", "MLADD"} {
 		if counts[verb] != 0 {
 			t.Errorf("converged round sent %d %s messages, want 0", counts[verb], verb)
 		}

@@ -35,16 +35,13 @@ import (
 //	CLUSTER GOSSIP <g1 digest>         → +<g1 digest> (push-pull failure-detector exchange; internal)
 //	CLUSTER HEALTH                     → +round=.. quorum=.. member=.. <id>=<state>,hb=..,heard=..,sus=.. ...
 //	CLUSTER REBALANCE                  → +OK (full re-push of local sketches to their owners)
-//	CLUSTER LPFADD <key> <el>...       → :1/:0 (local add; internal replication verb)
-//	CLUSTER MLPFADD <g> <key> <n> <el>... ×g → +<g × '0'/'1'> (batched local adds; internal)
-//	CLUSTER MLADD <g> <group>... ×g    → +<g tokens> (batched mixed plain/windowed local adds; internal)
-//	CLUSTER LWADD <key> <ts> <el>...   → :<accepted> (local windowed add; internal)
+//	CLUSTER MLADD <g> <group>... ×g    → +<g tokens> (batched mixed plain/windowed local adds; internal replication verb)
 //	CLUSTER LDEL <key>                 → :1/:0 (local delete; internal)
 //	CLUSTER LEXPIREAT <key> <ms>       → :1/:0 (local absolute-deadline arm; internal, see lifecycle.go)
 //	CLUSTER LDEADLINE <key>            → :<ms> (local deadline read; internal)
 //	CLUSTER LPERSIST <key>             → :1/:0 (local deadline clear; internal)
 //	CLUSTER LKEYS                      → +<keys> (local keys; internal)
-//	CLUSTER ABSORB <key> <base64> [ms] → +OK (merge a sketch blob — and expiry deadline — into key; internal)
+//	CLUSTER ABSORB <key> <base64> <ms> → +OK (merge a sketch blob into key; ms is the expiry deadline to impose, 0 = none; internal)
 //	CLUSTER XFER BEGIN|FRAME|END ...   → streaming bulk-transfer transport (internal; see transfer.go)
 //
 // It also overrides EXPIRE / PEXPIRE / TTL / PERSIST with cluster-wide
@@ -52,7 +49,7 @@ import (
 // replicates that instant to every owner (see lifecycle.go).
 //
 // Any node answers any command: writes are forwarded to all of the key's
-// owners (chosen by the consistent-hash ring), and counts scatter DUMP
+// owners (chosen by the consistent-hash ring), and counts scatter DUMPZ
 // requests to the owners and merge the serialized sketches locally.
 // DUMP / RESTORE / INFO / SAVE remain node-local, which is exactly what
 // the scatter-gather path relies on.
@@ -371,7 +368,7 @@ func (n *Node) Map() *Map { return n.currentMap() }
 // redirect; dumb clients see it as an error. Multi-key reads (PFCOUNT
 // with several keys, PFMERGE, KEYS) are always served — they are
 // scatter-gathers with no single owner to point at. Internal forwards
-// (the CLUSTER L*/MLPFADD/ABSORB verbs) are exempt by construction:
+// (the CLUSTER L*/MLADD/ABSORB verbs) are exempt by construction:
 // they bypass the public handlers entirely, so a replica can never
 // bounce a replication write into a redirect loop. Off by default;
 // safe to toggle at runtime.
@@ -538,7 +535,7 @@ func (n *Node) claimEpoch() (uint64, error) {
 					return
 				}
 				h, _ := strconv.ParseUint(fields[1], 10, 64)
-				m, _ := DecodeMap(fields[2:]) // best-effort; nil on older peers
+				m, _ := DecodeMap(fields[2:]) // best-effort; nil when the vote carries no usable map
 				tally(fields[0] == "GRANTED", h, m)
 			}(mem.Addr)
 		}
@@ -731,7 +728,7 @@ func (n *Node) Add(key string, elements ...string) (bool, error) {
 	}
 	if len(elements) == 0 {
 		// Reject before queueing: a zero-element group would fail the
-		// whole MLPFADD batch it gets coalesced into, not just this call.
+		// whole MLADD batch it gets coalesced into, not just this call.
 		return false, errors.New("cluster: Add needs at least one element")
 	}
 	for _, e := range elements {
@@ -768,7 +765,7 @@ func (n *Node) addWith(m *Map, key string, elements []string) (bool, error) {
 				return
 			}
 			// Batched forwarding: concurrent Adds to the same owner
-			// coalesce into one pipelined CLUSTER MLPFADD round trip.
+			// coalesce into one pipelined CLUSTER MLADD round trip.
 			changed[i], errs[i] = n.peers.batchAdd(o.Addr, key, elements)
 		}(i, o)
 	}
@@ -829,13 +826,6 @@ type ownerBlob struct {
 // the frame limit.
 const maxGatherBlobBytes = 1 << 28
 
-// isUnknownCommand reports whether err is a peer's well-formed "-ERR
-// unknown command ..." reply — the signature of a pre-codec peer that
-// doesn't speak DUMPZ.
-func isUnknownCommand(err error) bool {
-	return server.IsReplyErr(err) && strings.Contains(err.Error(), "unknown command")
-}
-
 func (n *Node) gatherOwnerBlobs(m *Map, keys []string) ([]ownerBlob, error) {
 	type ownerJobs struct {
 		owner Member
@@ -871,12 +861,8 @@ func (n *Node) gatherOwnerBlobs(m *Map, keys []string) ([]ownerBlob, error) {
 				blobs[i] = got
 				return
 			}
-			// Prefer the compressed dump: an 8-key scatter-gather count
-			// moves a fraction of the raw register bytes. A peer from
-			// before the codec answers "unknown command" — re-fetch that
-			// owner's batch with plain DUMP (and remember nothing: the
-			// next gather probes again, so an upgraded peer is picked up).
-			compressed := true
+			// The compressed dump: an 8-key scatter-gather count moves a
+			// fraction of the raw register bytes.
 			cmds := make([][]string, len(oj.keys))
 			for j, key := range oj.keys {
 				cmds[j] = []string{"DUMPZ", key}
@@ -885,16 +871,6 @@ func (n *Node) gatherOwnerBlobs(m *Map, keys []string) ([]ownerBlob, error) {
 			if err != nil {
 				errs[i] = fmt.Errorf("cluster: dump from %s: %w", oj.owner.ID, err)
 				return
-			}
-			if len(results) > 0 && isUnknownCommand(results[0].Err) {
-				compressed = false
-				for j, key := range oj.keys {
-					cmds[j] = []string{"DUMP", key}
-				}
-				if results, err = n.peers.pipeline(oj.owner.Addr, cmds); err != nil {
-					errs[i] = fmt.Errorf("cluster: dump from %s: %w", oj.owner.ID, err)
-					return
-				}
 			}
 			for j, res := range results {
 				if errors.Is(res.Err, server.ErrNoSuchKey) {
@@ -909,11 +885,9 @@ func (n *Node) gatherOwnerBlobs(m *Map, keys []string) ([]ownerBlob, error) {
 					errs[i] = fmt.Errorf("cluster: dump %q from %s: %w", oj.keys[j], oj.owner.ID, err)
 					return
 				}
-				if compressed {
-					if blob, err = compress.DecodeBlob(blob, maxGatherBlobBytes); err != nil {
-						errs[i] = fmt.Errorf("cluster: dump %q from %s: %w", oj.keys[j], oj.owner.ID, err)
-						return
-					}
+				if blob, err = compress.DecodeBlob(blob, maxGatherBlobBytes); err != nil {
+					errs[i] = fmt.Errorf("cluster: dump %q from %s: %w", oj.keys[j], oj.owner.ID, err)
+					return
 				}
 				got = append(got, ownerBlob{oj.keys[j], oj.owner.ID, blob})
 			}
@@ -1023,8 +997,7 @@ func (n *Node) windowAddWith(m *Map, key string, tsMillis int64, elements []stri
 			}
 			// Batched forwarding: concurrent WindowAdds (and plain Adds)
 			// to the same owner coalesce into one pipelined CLUSTER MLADD
-			// round trip. The LWADD single-shot verb remains for
-			// compatibility but this path no longer uses it.
+			// round trip.
 			accepted[i], errs[i] = n.peers.batchWAdd(o.Addr, key, tsMillis, elements)
 		}(i, o)
 	}
@@ -1146,7 +1119,9 @@ func (n *Node) MergeKeys(dest string, sources ...string) error {
 	return n.absorbAll(m.Owners(dest), dest, blob)
 }
 
-// absorbAll merges blob into key on every given owner.
+// absorbAll merges blob into key on every given owner, imposing no
+// deadline (ABSORB's 0): a destination that already has a lifetime
+// keeps it.
 func (n *Node) absorbAll(owners []Member, key string, blob []byte) error {
 	b64 := base64.StdEncoding.EncodeToString(blob)
 	errs := make([]error, len(owners))
@@ -1159,7 +1134,7 @@ func (n *Node) absorbAll(owners []Member, key string, blob []byte) error {
 				errs[i] = n.store.MergeBlob(key, blob)
 				return
 			}
-			_, errs[i] = n.peers.do(o.Addr, "CLUSTER", "ABSORB", key, b64)
+			_, errs[i] = n.peers.do(o.Addr, "CLUSTER", "ABSORB", key, b64, "0")
 		}(i, o)
 	}
 	wg.Wait()
@@ -1466,35 +1441,8 @@ func (n *Node) handleCluster(args []string) string {
 			return "-ERR rebalance: " + err.Error()
 		}
 		return "+OK"
-	case "LPFADD":
-		if len(rest) < 2 {
-			return "-ERR CLUSTER LPFADD needs a key and at least one element"
-		}
-		changed, err := n.store.Add(rest[0], rest[1:]...)
-		if err != nil {
-			return "-ERR " + err.Error()
-		}
-		if changed {
-			return ":1"
-		}
-		return ":0"
-	case "MLPFADD":
-		return n.handleMLPFAdd(rest)
 	case "MLADD":
 		return n.handleMLAdd(rest)
-	case "LWADD":
-		if len(rest) < 3 {
-			return "-ERR CLUSTER LWADD needs a key, a timestamp and at least one element"
-		}
-		ts, err := strconv.ParseInt(rest[1], 10, 64)
-		if err != nil {
-			return fmt.Sprintf("-ERR bad CLUSTER LWADD timestamp %q", rest[1])
-		}
-		accepted, err := n.store.WindowAdd(rest[0], time.UnixMilli(ts), rest[2:]...)
-		if err != nil {
-			return "-ERR " + err.Error()
-		}
-		return ":" + strconv.Itoa(accepted)
 	case "LDEL":
 		if len(rest) != 1 {
 			return "-ERR CLUSTER LDEL needs exactly one key"
@@ -1536,24 +1484,20 @@ func (n *Node) handleCluster(args []string) string {
 	case "LKEYS":
 		return "+" + strings.Join(n.store.Keys(), " ")
 	case "ABSORB":
-		// The optional third argument is the source entry's expiry
-		// deadline (unix milliseconds, 0 = none): rebalance and the
-		// transfer degrade path send it so a key's lifetime travels
-		// with its registers. The 2-arg form (no deadline to impose)
-		// stays valid — PFMERGE's absorbAll uses it.
-		if len(rest) != 2 && len(rest) != 3 {
-			return "-ERR CLUSTER ABSORB needs a key, a base64 payload and an optional deadline"
+		// The third argument is the source entry's expiry deadline (unix
+		// milliseconds): rebalance and the transfer degrade path send it
+		// so a key's lifetime travels with its registers; PFMERGE's
+		// absorbAll sends 0, no deadline to impose.
+		if len(rest) != 3 {
+			return "-ERR CLUSTER ABSORB needs a key, a base64 payload and a deadline"
 		}
 		blob, err := base64.StdEncoding.DecodeString(rest[1])
 		if err != nil {
 			return "-ERR bad base64: " + err.Error()
 		}
-		var deadline int64
-		if len(rest) == 3 {
-			deadline, err = strconv.ParseInt(rest[2], 10, 64)
-			if err != nil || deadline < 0 || deadline > server.MaxDeadlineMillis {
-				return fmt.Sprintf("-ERR bad CLUSTER ABSORB deadline %q", rest[2])
-			}
+		deadline, err := strconv.ParseInt(rest[2], 10, 64)
+		if err != nil || deadline < 0 || deadline > server.MaxDeadlineMillis {
+			return fmt.Sprintf("-ERR bad CLUSTER ABSORB deadline %q", rest[2])
 		}
 		if err := n.store.MergeBlobDeadline(rest[0], blob, deadline); err != nil {
 			return "-ERR " + err.Error()
@@ -1566,63 +1510,11 @@ func (n *Node) handleCluster(args []string) string {
 	}
 }
 
-// handleMLPFAdd executes a batched local-add: g groups, each a key, an
-// element count, and that many elements (counted framing, so keys and
-// elements need no reserved separator token). The reply is '+' followed
-// by one byte per group, in order — '0'/'1' for the changed-bit, 'E'
-// for a group whose add failed (a WRONGTYPE key) — what lets many
-// concurrent forwarded PFADDs share one round trip yet each learn its
-// own outcome. One bad group must NOT fail the whole batch: the other
-// groups belong to unrelated callers coalesced by the group-commit
-// batcher, and earlier groups have already been applied. Only framing
-// corruption (which poisons everything after it) aborts with -ERR.
-func (n *Node) handleMLPFAdd(rest []string) string {
-	if len(rest) < 1 {
-		return "-ERR CLUSTER MLPFADD needs a group count"
-	}
-	g, err := strconv.Atoi(rest[0])
-	// Each group needs at least 3 tokens (key, count, one element), so
-	// a count beyond (len(rest)-1)/3 cannot be satisfied — reject it
-	// before sizing any allocation by it (wire input is untrusted).
-	if err != nil || g < 1 || g > (len(rest)-1)/3 {
-		return fmt.Sprintf("-ERR bad CLUSTER MLPFADD group count %q", rest[0])
-	}
-	bits := make([]byte, 0, g)
-	i := 1
-	for gi := 0; gi < g; gi++ {
-		if len(rest)-i < 2 {
-			return "-ERR truncated CLUSTER MLPFADD group"
-		}
-		key := rest[i]
-		cnt, err := strconv.Atoi(rest[i+1])
-		if err != nil || cnt < 1 {
-			return fmt.Sprintf("-ERR bad CLUSTER MLPFADD element count %q", rest[i+1])
-		}
-		i += 2
-		if len(rest)-i < cnt {
-			return "-ERR truncated CLUSTER MLPFADD group"
-		}
-		changed, err := n.store.Add(key, rest[i:i+cnt]...)
-		switch {
-		case err != nil:
-			bits = append(bits, 'E')
-		case changed:
-			bits = append(bits, '1')
-		default:
-			bits = append(bits, '0')
-		}
-		i += cnt
-	}
-	if i != len(rest) {
-		return "-ERR trailing tokens after CLUSTER MLPFADD groups"
-	}
-	return "+" + string(bits)
-}
-
-// handleMLAdd is handleMLPFAdd's mixed-verb successor: one batch may
-// carry plain PFADD groups and windowed WADD groups interleaved, so the
-// group-commit batcher no longer has to segregate (or serialize) the
-// two write kinds. Framing per group:
+// handleMLAdd executes a batched local add — the one forwarded-add
+// verb: what lets many concurrent forwarded PFADDs and WADDs share one
+// round trip yet each learn its own outcome. A batch carries g groups,
+// plain and windowed interleaved, in counted framing (so keys and
+// elements need no reserved separator token). Framing per group:
 //
 //	p <key> <count> <element>...        (plain add)
 //	w <key> <ts> <count> <element>...   (windowed add, unix-ms timestamp)
@@ -1630,9 +1522,11 @@ func (n *Node) handleMLPFAdd(rest []string) string {
 // The reply is '+' followed by one space-separated token per group, in
 // order: a plain group answers its changed-bit ('0'/'1'), a windowed
 // group its accepted count, and either kind answers 'E' when its add
-// failed (e.g. WRONGTYPE). As with MLPFADD, one bad group must not fail
-// the whole batch — the groups belong to unrelated coalesced callers —
-// and only framing corruption aborts with -ERR.
+// failed (e.g. WRONGTYPE). One bad group must NOT fail the whole batch:
+// the other groups belong to unrelated callers coalesced by the
+// group-commit batcher, and earlier groups have already been applied.
+// Only framing corruption (which poisons everything after it) aborts
+// with -ERR.
 func (n *Node) handleMLAdd(rest []string) string {
 	if len(rest) < 1 {
 		return "-ERR CLUSTER MLADD needs a group count"

@@ -3,7 +3,7 @@ package cluster
 // Cluster-level observability: the CLUSTER STATS verb and the
 // Prometheus rendering of the counters the cluster layer keeps on top
 // of the per-verb server stats — gossip rounds, suspicions raised,
-// auto-LEAVE evictions, MLPFADD group-commit coalescing, and rebalance
+// auto-LEAVE evictions, MLADD group-commit coalescing, and rebalance
 // pushes. CLUSTER STATS ALL fans the same question out to every member
 // through the peer pool, which doubles as liveness evidence: a
 // metrics-polling operator keeps the failure detector fed (see
@@ -24,8 +24,8 @@ type ClusterStats struct {
 	GossipRounds   uint64 // detector rounds this node has run
 	SuspectsRaised uint64 // alive→suspect transitions in this node's own judgment
 	AutoLeaves     uint64 // quorum-backed evictions this node coordinated
-	MLPFAddGroups  uint64 // per-key add groups coalesced into MLPFADD batches
-	MLPFAddBatches uint64 // MLPFADD batches flushed
+	MLPFAddGroups  uint64 // per-key add groups coalesced into MLADD batches (the name predates the verb)
+	MLPFAddBatches uint64 // MLADD batches flushed
 	RebalPushes    uint64 // cumulative rebalance per-(key,owner) pushes planned
 	MovedReplies   uint64 // -MOVED redirects sent to misrouted clients (strict routing)
 	MapRefetches   uint64 // CLUSTER MAP replies served (client refetches + syncs)

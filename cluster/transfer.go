@@ -52,22 +52,14 @@ import (
 // transfer can only ever be as unreliable as the pre-existing protocol,
 // never less reliable.
 
-// frameMagic tags the binary frame format ("ELX2": ExaLogLog Xfer v2,
-// which carries each record's expiry deadline so a key's lifetime rides
-// rebalance with its registers). frameMagicV1 frames — no deadline
-// field — are still decoded, with every deadline read as 0.
-//
-// frameMagicZ ("ELX3") is ELX2 with every record blob run through the
-// wire codec (internal/compress EncodeBlob): sparse sketches shrink by
-// orders of magnitude. A sender only emits ELX3 after the receiver
-// granted compression in the BEGIN handshake (c=1), and skips it per
-// frame when the codec wins too little; a receiver decodes all three
-// magics unconditionally — the frame is self-describing.
-const (
-	frameMagic   = "ELX2"
-	frameMagicV1 = "ELX1"
-	frameMagicZ  = "ELX3"
-)
+// frameMagic tags the one binary frame format. Each record carries its
+// key, its expiry deadline (so a key's lifetime rides rebalance with its
+// registers) and its blob, and the blob is self-describing: either the
+// wire codec's output (internal/compress EncodeBlob, "ELC1" — near-empty
+// dense sketches shrink by orders of magnitude) or the raw value blob,
+// which the codec's decoder passes through. The sender picks per frame
+// (see encodeFrame); the receiver needs no flag.
+const frameMagic = "ELX3"
 
 const (
 	// maxFrameKeys bounds the per-frame key count a config can ask for.
@@ -110,10 +102,6 @@ type TransferConfig struct {
 	// pushes use per-key ABSORB directly (a one-key handshake+frame+end
 	// exchange would cost more round trips than it saves).
 	MinStreamKeys int
-	// NoCompress disables the ELX3 compressed frame format (elld
-	// -xfer-compress=false). The zero value — compression on — keeps
-	// the zero-fields-keep-defaults convention.
-	NoCompress bool
 }
 
 func defaultTransferConfig() TransferConfig {
@@ -183,13 +171,8 @@ type transferState struct {
 	retries   atomic.Uint64 // frames re-sent on a resumed stream
 	bytes     atomic.Uint64 // payload (blob) bytes framed
 	fallbacks atomic.Uint64 // keys degraded to per-key ABSORB
-	preBytes  atomic.Uint64 // frame bytes before compression (ELX2-equivalent)
+	preBytes  atomic.Uint64 // frame bytes had every blob travelled raw
 	wireBytes atomic.Uint64 // frame bytes actually written (pre-base64)
-
-	// legacy makes this node's receiver behave like a pre-ELX3 build —
-	// BEGIN rejects the c= token by arity and compressed frames are
-	// refused — so mixed-version negotiation is testable in-process.
-	legacy atomic.Bool
 
 	mu    sync.Mutex
 	sess  map[string]*xferSession
@@ -217,7 +200,7 @@ type TransferStats struct {
 	FrameRetries     uint64 // frames re-sent on resumed streams
 	BytesMoved       uint64 // payload bytes framed
 	FallbackKeys     uint64 // keys that degraded to per-key ABSORB
-	BytesPrecompress uint64 // frame bytes before compression (ELX2-equivalent)
+	BytesPrecompress uint64 // frame bytes had every blob travelled raw
 	BytesWire        uint64 // frame bytes actually written, pre-base64
 }
 
@@ -237,28 +220,6 @@ func (n *Node) TransferStats() TransferStats {
 
 // --- frame codec -------------------------------------------------------
 
-// encodeFrame serializes items as one transfer frame: the magic,
-// a uvarint record count, then per record a length-prefixed key, a
-// uvarint expiry deadline (unix milliseconds, 0 = none) and a
-// length-prefixed blob.
-func encodeFrame(items []server.KeyBlob) []byte {
-	size := len(frameMagic) + binary.MaxVarintLen64
-	for _, it := range items {
-		size += 3*binary.MaxVarintLen64 + len(it.Key) + len(it.Blob)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, frameMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(items)))
-	for _, it := range items {
-		buf = binary.AppendUvarint(buf, uint64(len(it.Key)))
-		buf = append(buf, it.Key...)
-		buf = binary.AppendUvarint(buf, uint64(it.Deadline))
-		buf = binary.AppendUvarint(buf, uint64(len(it.Blob)))
-		buf = append(buf, it.Blob...)
-	}
-	return buf
-}
-
 // uvarintLen returns how many bytes binary.AppendUvarint emits for v.
 func uvarintLen(v uint64) int {
 	n := 1
@@ -269,9 +230,9 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// frameSizeRaw is the exact size of encodeFrame(items) without building
-// it — the "bytes before compression" number the xfer_bytes_precompress
-// counter and the bench columns report.
+// frameSizeRaw is the exact size of a frame carrying items' blobs raw,
+// without building it — the "bytes before compression" number the
+// xfer_bytes_precompress counter and the bench columns report.
 func frameSizeRaw(items []server.KeyBlob) int {
 	size := len(frameMagic) + uvarintLen(uint64(len(items)))
 	for _, it := range items {
@@ -282,36 +243,40 @@ func frameSizeRaw(items []server.KeyBlob) int {
 	return size
 }
 
-// encodeFrameCompressed serializes items as an ELX3 frame — ELX2 with
-// each record blob run through the wire codec. When the codec saves
-// less than ~5% over the whole frame it returns a plain ELX2 frame
-// instead (the ratio is poor for dense sketches; spending decoder CPU
-// for nothing helps nobody). pre is the ELX2-equivalent size either way.
-func encodeFrameCompressed(items []server.KeyBlob) (buf []byte, pre int) {
+// encodeFrame serializes items as one transfer frame: the magic, a
+// uvarint record count, then per record a length-prefixed key, a uvarint
+// expiry deadline (unix milliseconds, 0 = none) and a length-prefixed
+// blob. Each blob runs through the wire codec; when the codec saves less
+// than ~5% over the whole frame the raw blobs are written instead (the
+// ratio is poor for dense sketches and token blobs; spending decoder CPU
+// for nothing helps nobody). pre is the raw-blob frame size either way.
+func encodeFrame(items []server.KeyBlob) (buf []byte, pre int) {
 	pre = frameSizeRaw(items)
-	zblobs := make([][]byte, len(items))
+	blobs := make([][]byte, len(items))
 	zTotal, rawTotal := 0, 0
 	for i, it := range items {
-		zblobs[i] = compress.EncodeBlob(it.Blob)
-		zTotal += len(zblobs[i])
+		blobs[i] = compress.EncodeBlob(it.Blob)
+		zTotal += len(blobs[i])
 		rawTotal += len(it.Blob)
 	}
-	if zTotal*20 >= rawTotal*19 { // under 5% saved: not worth the magic switch
-		return encodeFrame(items), pre
+	if zTotal*20 >= rawTotal*19 { // under 5% saved: ship the blobs as they are
+		for i, it := range items {
+			blobs[i] = it.Blob
+		}
 	}
-	size := len(frameMagicZ) + binary.MaxVarintLen64
+	size := len(frameMagic) + binary.MaxVarintLen64
 	for i, it := range items {
-		size += 3*binary.MaxVarintLen64 + len(it.Key) + len(zblobs[i])
+		size += 3*binary.MaxVarintLen64 + len(it.Key) + len(blobs[i])
 	}
 	buf = make([]byte, 0, size)
-	buf = append(buf, frameMagicZ...)
+	buf = append(buf, frameMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(items)))
 	for i, it := range items {
 		buf = binary.AppendUvarint(buf, uint64(len(it.Key)))
 		buf = append(buf, it.Key...)
 		buf = binary.AppendUvarint(buf, uint64(it.Deadline))
-		buf = binary.AppendUvarint(buf, uint64(len(zblobs[i])))
-		buf = append(buf, zblobs[i]...)
+		buf = binary.AppendUvarint(buf, uint64(len(blobs[i])))
+		buf = append(buf, blobs[i]...)
 	}
 	return buf, pre
 }
@@ -323,15 +288,9 @@ func encodeFrameCompressed(items []server.KeyBlob) (buf []byte, pre int) {
 // least three bytes), the prealloc is additionally clamped, and key and
 // blob lengths are checked against the remaining buffer.
 func decodeFrame(buf []byte) ([]server.KeyBlob, error) {
-	if len(buf) < len(frameMagic) {
+	if len(buf) < len(frameMagic) || string(buf[:len(frameMagic)]) != frameMagic {
 		return nil, errors.New("cluster: xfer frame: bad magic")
 	}
-	magic := string(buf[:len(frameMagic)])
-	if magic != frameMagic && magic != frameMagicV1 && magic != frameMagicZ {
-		return nil, errors.New("cluster: xfer frame: bad magic")
-	}
-	withDeadline := magic != frameMagicV1
-	compressed := magic == frameMagicZ
 	rest := buf[len(frameMagic):]
 	next := func() (uint64, bool) {
 		v, w := binary.Uvarint(rest)
@@ -356,31 +315,24 @@ func decodeFrame(buf []byte) ([]server.KeyBlob, error) {
 		}
 		key := string(rest[:klen])
 		rest = rest[klen:]
-		var deadline int64
-		if withDeadline {
-			dl, ok := next()
-			if !ok || dl > uint64(server.MaxDeadlineMillis) {
-				return nil, errors.New("cluster: xfer frame: bad deadline")
-			}
-			deadline = int64(dl)
+		dl, ok := next()
+		if !ok || dl > uint64(server.MaxDeadlineMillis) {
+			return nil, errors.New("cluster: xfer frame: bad deadline")
 		}
 		blen, ok := next()
 		if !ok || blen > uint64(len(rest)) {
 			return nil, errors.New("cluster: xfer frame: bad blob length")
 		}
-		blob := rest[:blen:blen]
-		rest = rest[blen:]
-		if compressed {
-			// The per-blob cap mirrors the frame cap: a compressed record
-			// may legitimately expand well past its wire size, but never
-			// past what an uncompressed frame could have carried.
-			dec, err := compress.DecodeBlob(blob, maxFrameBytes)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: xfer frame record %d: %w", i, err)
-			}
-			blob = dec
+		// A raw blob passes through the codec unchanged, whatever its
+		// size (the frame carried it). The cap on a compressed record
+		// mirrors the frame cap: it may legitimately expand well past its
+		// wire size, but never past what a raw frame could have carried.
+		blob, err := compress.DecodeBlob(rest[:blen:blen], max(maxFrameBytes, int(blen)))
+		if err != nil {
+			return nil, fmt.Errorf("cluster: xfer frame record %d: %w", i, err)
 		}
-		items = append(items, server.KeyBlob{Key: key, Blob: blob, Deadline: deadline})
+		rest = rest[blen:]
+		items = append(items, server.KeyBlob{Key: key, Blob: blob, Deadline: int64(dl)})
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("cluster: xfer frame: %d trailing bytes", len(rest))
@@ -400,16 +352,9 @@ var errXferStale = errors.New("cluster: xfer stream refused: receiver map epoch 
 // cannot help — degrade straight to per-key ABSORB.
 var errXferReject = errors.New("cluster: xfer stream rejected by receiver")
 
-// errXferNoCompress reports that the receiver did not grant the c=1
-// compression request (an old build rejects the token by arity; a new
-// one simply omits the grant). The caller rebuilds its frames in the
-// ELX2 format and streams again — negotiation, not failure, so it
-// consumes no retry-budget attempt.
-var errXferNoCompress = errors.New("cluster: xfer receiver declined compression")
-
 // xferFrame is one pre-encoded outbound frame: its binary payload
-// (base64-encoded into pooled scratch at write time), the ELX2-
-// equivalent size for the compression counters, the items it carries
+// (base64-encoded into pooled scratch at write time), the raw-blob
+// frame size for the compression counters, the items it carries
 // (kept for the per-key fallback path) and their raw blob byte count.
 type xferFrame struct {
 	raw       []byte
@@ -421,9 +366,8 @@ type xferFrame struct {
 // buildFrames groups items into frames of at most cfg.BatchKeys keys
 // and roughly cfg.FrameBytes payload bytes each (always at least one
 // item per frame), and returns the frames plus the key/byte totals the
-// XFER END checksum carries. With compressed set the frames use the
-// ELX3 format (per frame, only where the codec actually wins).
-func buildFrames(items []server.KeyBlob, cfg TransferConfig, compressed bool) (frames []xferFrame, totKeys, totBytes uint64) {
+// XFER END checksum carries.
+func buildFrames(items []server.KeyBlob, cfg TransferConfig) (frames []xferFrame, totKeys, totBytes uint64) {
 	for i := 0; i < len(items); {
 		j, raw := i, 0
 		for j < len(items) && j-i < cfg.BatchKeys {
@@ -439,14 +383,7 @@ func buildFrames(items []server.KeyBlob, cfg TransferConfig, compressed bool) (f
 		for _, it := range batch {
 			blobBytes += len(it.Blob)
 		}
-		var payload []byte
-		var pre int
-		if compressed {
-			payload, pre = encodeFrameCompressed(batch)
-		} else {
-			payload = encodeFrame(batch)
-			pre = len(payload)
-		}
+		payload, pre := encodeFrame(batch)
 		frames = append(frames, xferFrame{
 			raw:       payload,
 			rawPre:    pre,
@@ -526,24 +463,14 @@ func parseXferReply(line string) (string, error) {
 // map instead of retrying blindly.
 func (n *Node) streamTo(addr string, epoch uint64, items []server.KeyBlob) map[string]error {
 	cfg := n.transferConfig()
-	useC := !cfg.NoCompress
-	frames, totKeys, totBytes := buildFrames(items, cfg, useC)
+	frames, totKeys, totBytes := buildFrames(items, cfg)
 	sid := fmt.Sprintf("%s.%d", n.id, n.xfer.sid.Add(1))
 	var acked, sent uint64 // frames cumulatively acked / highest frame written
 	for attempt := 0; attempt <= cfg.RetryBudget; attempt++ {
 		if attempt > 0 {
 			time.Sleep(xferBackoff(cfg.BackoffBase, attempt))
 		}
-		err := n.runStream(addr, epoch, sid, frames, totKeys, totBytes, &acked, &sent, attempt > 0, useC, cfg)
-		if errors.Is(err, errXferNoCompress) {
-			// Negotiated down: the receiver cannot take ELX3. Rebuild the
-			// unsent frames in the ELX2 format and stream again — same
-			// grouping, so frame numbering (and any acked prefix) holds.
-			useC = false
-			frames, totKeys, totBytes = buildFrames(items, cfg, false)
-			attempt--
-			continue
-		}
+		err := n.runStream(addr, epoch, sid, frames, totKeys, totBytes, &acked, &sent, attempt > 0, cfg)
 		if err == nil {
 			if n.peers.alive != nil {
 				n.peers.alive(addr) // a completed stream is liveness evidence
@@ -564,21 +491,12 @@ func (n *Node) streamTo(addr string, epoch uint64, items []server.KeyBlob) map[s
 	// Degrade gracefully: everything past the last acked frame goes out
 	// over the pre-existing per-key path, so bulk transfer is never less
 	// reliable than the protocol it replaced.
-	out := make(map[string]error)
-	for i := int(acked); i < len(frames); i++ {
-		for _, it := range frames[i].items {
-			n.xfer.fallbacks.Add(1)
-			b64 := base64.StdEncoding.EncodeToString(it.Blob)
-			dl := strconv.FormatInt(it.Deadline, 10)
-			if _, err := n.peers.do(addr, "CLUSTER", "ABSORB", it.Key, b64, dl); err != nil {
-				out[it.Key] = err
-			}
-		}
+	var rest []server.KeyBlob
+	for _, f := range frames[min(acked, uint64(len(frames))):] {
+		rest = append(rest, f.items...)
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	n.xfer.fallbacks.Add(uint64(len(rest)))
+	return n.absorbEach(addr, rest)
 }
 
 // runStream is one connection attempt of streamTo: dial, BEGIN
@@ -586,7 +504,7 @@ func (n *Node) streamTo(addr string, epoch uint64, items []server.KeyBlob) map[s
 // cumulative ack reads, END checksum. Every write and read runs under
 // cfg.Timeout; progress is reported back through *acked and *sent so
 // the next attempt resumes instead of restarting.
-func (n *Node) runStream(addr string, epoch uint64, sid string, frames []xferFrame, totKeys, totBytes uint64, acked, sent *uint64, resume, wantC bool, cfg TransferConfig) error {
+func (n *Node) runStream(addr string, epoch uint64, sid string, frames []xferFrame, totKeys, totBytes uint64, acked, sent *uint64, resume bool, cfg TransferConfig) error {
 	// The harness fault hook sees every logical protocol step BEFORE its
 	// I/O (like pool.do), so simulated partitions and gates apply to
 	// streams without real sockets hanging under them.
@@ -596,11 +514,7 @@ func (n *Node) runStream(addr string, epoch uint64, sid string, frames []xferFra
 		}
 		return nil
 	}
-	beginHook := []string{"CLUSTER", "XFER", "BEGIN", "sid=" + sid, "seq=" + strconv.FormatUint(*acked+1, 10)}
-	if wantC {
-		beginHook = append(beginHook, "c=1")
-	}
-	if err := consult(beginHook...); err != nil {
+	if err := consult("CLUSTER", "XFER", "BEGIN", "sid="+sid, "seq="+strconv.FormatUint(*acked+1, 10)); err != nil {
 		return err
 	}
 	// A dedicated connection, NOT the peer pool: a stream holds its
@@ -634,11 +548,7 @@ func (n *Node) runStream(addr string, epoch uint64, sid string, frames []xferFra
 		return strings.TrimRight(line, "\r\n"), nil
 	}
 
-	begin := fmt.Sprintf("CLUSTER XFER BEGIN e=%d sid=%s seq=%d", epoch, sid, *acked+1)
-	if wantC {
-		begin += " c=1"
-	}
-	if err := writeLine(begin); err != nil {
+	if err := writeLine(fmt.Sprintf("CLUSTER XFER BEGIN e=%d sid=%s seq=%d", epoch, sid, *acked+1)); err != nil {
 		return err
 	}
 	line, err := readLine()
@@ -647,21 +557,11 @@ func (n *Node) runStream(addr string, epoch uint64, sid string, frames []xferFra
 	}
 	body, err := parseXferReply(line)
 	if err != nil {
-		if wantC && errors.Is(err, errXferReject) {
-			// An old receiver rejects the c= token by arity. Negotiate
-			// down: the caller re-streams without compression, where a
-			// repeat rejection is a real one.
-			return errXferNoCompress
-		}
 		return err
 	}
 	fields := strings.Fields(body)
-	if len(fields) < 2 || len(fields) > 3 || fields[0] != "OK" || !strings.HasPrefix(fields[1], "seq=") {
+	if len(fields) != 2 || fields[0] != "OK" || !strings.HasPrefix(fields[1], "seq=") {
 		return fmt.Errorf("%w: unexpected XFER BEGIN reply %q", errXferReject, line)
-	}
-	if wantC && (len(fields) != 3 || fields[2] != "c=1") {
-		// The receiver answered BEGIN but did not grant compression.
-		return errXferNoCompress
 	}
 	start, perr := strconv.ParseUint(strings.TrimPrefix(fields[1], "seq="), 10, 64)
 	if perr != nil {
@@ -697,11 +597,7 @@ func (n *Node) runStream(addr string, epoch uint64, sid string, frames []xferFra
 	for *acked < total {
 		for next <= total && unread < cfg.Window {
 			f := frames[next-1]
-			seqStr := strconv.FormatUint(next, 10)
-			// The trailing magic token tells the hook which frame format
-			// is about to hit the wire (ELX2/ELX3) without shipping the
-			// payload through it.
-			if err := consult("CLUSTER", "XFER", "FRAME", sid, seqStr, string(f.raw[:4])); err != nil {
+			if err := consult("CLUSTER", "XFER", "FRAME", sid, strconv.FormatUint(next, 10)); err != nil {
 				return err
 			}
 			if err := writeFrameLine(next, f); err != nil {
@@ -833,15 +729,6 @@ func (n *Node) handleXfer(rest []string) string {
 }
 
 func (n *Node) handleXferBegin(args []string) string {
-	// The optional trailing c=1 token asks for ELX3 compressed frames;
-	// the grant is echoed in the reply. A legacy-mode receiver (and any
-	// pre-ELX3 build, whose arity check this mirrors) rejects the token
-	// wholesale — the sender then negotiates down to ELX2.
-	wantC := false
-	if !n.xfer.legacy.Load() && len(args) == 4 && args[3] == "c=1" {
-		wantC = true
-		args = args[:3]
-	}
 	if len(args) != 3 || !strings.HasPrefix(args[0], "e=") ||
 		!strings.HasPrefix(args[1], "sid=") || !strings.HasPrefix(args[2], "seq=") {
 		return "-ERR CLUSTER XFER BEGIN needs e=<epoch> sid=<id> seq=<n>"
@@ -870,11 +757,6 @@ func (n *Node) handleXferBegin(args []string) string {
 	// The session is authoritative about what it already applied: the
 	// reply tells the sender where to (re)start, which both resumes
 	// broken streams and skips frames whose ack was lost in flight.
-	// The compression grant is only echoed when asked for, so an old
-	// sender's strict two-field reply parse keeps working.
-	if wantC {
-		return fmt.Sprintf("+OK seq=%d c=1", s.cum+1)
-	}
 	return fmt.Sprintf("+OK seq=%d", s.cum+1)
 }
 
@@ -925,13 +807,7 @@ func (n *Node) handleXferFrame(args []string) string {
 	if err != nil {
 		return "-ERR xfer: bad base64: " + err.Error()
 	}
-	raw := (*rawp)[:nDec]
-	if n.xfer.legacy.Load() && len(raw) >= len(frameMagicZ) && string(raw[:len(frameMagicZ)]) == frameMagicZ {
-		// Legacy mode refuses compressed frames like a pre-ELX3 build's
-		// magic check would.
-		return "-ERR cluster: xfer frame: bad magic"
-	}
-	items, err := decodeFrame(raw)
+	items, err := decodeFrame((*rawp)[:nDec])
 	if err != nil {
 		return "-ERR " + err.Error()
 	}

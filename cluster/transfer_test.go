@@ -21,25 +21,63 @@ import (
 	"exaloglog/server"
 )
 
-func TestFrameCodecRoundTrip(t *testing.T) {
-	items := []server.KeyBlob{
-		{Key: "a", Blob: []byte{1, 2, 3}},
-		{Key: "key-2", Blob: []byte{}},
-		{Key: "k3", Blob: bytes.Repeat([]byte{7}, 1000)},
-	}
-	enc := encodeFrame(items)
-	got, err := decodeFrame(enc)
+// mixedItems is one record of each value kind a store dumps: a
+// near-empty dense sketch (which the codec shrinks), a token blob and a
+// window ring.
+func mixedItems(t testing.TB) []server.KeyBlob {
+	t.Helper()
+	st, err := server.NewStore(testConfig())
 	if err != nil {
-		t.Fatalf("decode of a valid frame: %v", err)
+		t.Fatal(err)
 	}
-	if len(got) != len(items) {
-		t.Fatalf("decoded %d records, want %d", len(got), len(items))
+	if err := st.Restore("dense", denseBlob(t, "x")); err != nil {
+		t.Fatal(err)
 	}
-	for i := range items {
-		if got[i].Key != items[i].Key || !bytes.Equal(got[i].Blob, items[i].Blob) {
-			t.Errorf("record %d: got %q/%d blob bytes, want %q/%d",
-				i, got[i].Key, len(got[i].Blob), items[i].Key, len(items[i].Blob))
+	if _, err := st.Add("tokens", "a", "b", "c"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.WindowAdd("ring", time.UnixMilli(1_700_000_000_000), "p", "q"); err != nil {
+		t.Fatal(err)
+	}
+	var items []server.KeyBlob
+	for i, key := range []string{"dense", "tokens", "ring"} {
+		blob, ok := st.Dump(key)
+		if !ok {
+			t.Fatalf("fixture key %s missing", key)
 		}
+		items = append(items, server.KeyBlob{Key: key, Blob: blob, Deadline: int64(i) * 1_000_000})
+	}
+	return items
+}
+
+func TestFrameCodecRoundTrip(t *testing.T) {
+	mixed := mixedItems(t)
+	for name, items := range map[string][]server.KeyBlob{
+		"arbitrary": {
+			{Key: "a", Blob: []byte{1, 2, 3}},
+			{Key: "key-2", Blob: []byte{}},
+			{Key: "k3", Blob: bytes.Repeat([]byte{7}, 1000)},
+		},
+		"mixed": mixed,
+	} {
+		enc, _ := encodeFrame(items)
+		got, err := decodeFrame(enc)
+		if err != nil {
+			t.Fatalf("%s: decode of a valid frame: %v", name, err)
+		}
+		if len(got) != len(items) {
+			t.Fatalf("%s: decoded %d records, want %d", name, len(got), len(items))
+		}
+		for i := range items {
+			if got[i].Key != items[i].Key || got[i].Deadline != items[i].Deadline || !bytes.Equal(got[i].Blob, items[i].Blob) {
+				t.Errorf("%s record %d: got %q/%d/%d blob bytes, want %q/%d/%d", name,
+					i, got[i].Key, got[i].Deadline, len(got[i].Blob), items[i].Key, items[i].Deadline, len(items[i].Blob))
+			}
+		}
+	}
+	enc, pre := encodeFrame(mixed)
+	if len(enc) >= pre {
+		t.Errorf("mixed frame is %d bytes for %d raw — the dense record did not shrink", len(enc), pre)
 	}
 	// Every truncation must fail cleanly — the frame carries its record
 	// count up front, so losing any tail byte is detectable.
@@ -58,20 +96,29 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 func FuzzTransferDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(frameMagic))
-	valid := encodeFrame([]server.KeyBlob{
+	valid, _ := encodeFrame([]server.KeyBlob{
 		{Key: "k", Blob: []byte("v")},
 		{Key: "longer-key", Blob: bytes.Repeat([]byte{9}, 300)},
 	})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(append([]byte(frameMagic), binary.AppendUvarint(nil, 1<<40)...))
+	mixed, _ := encodeFrame(mixedItems(f))
+	f.Add(mixed)
+	// The retired magics: otherwise valid frames that must be refused.
+	f.Add(append([]byte("ELX1"), valid[len(frameMagic):]...))
+	f.Add(append([]byte("ELX2"), valid[len(frameMagic):]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		items, err := decodeFrame(data)
 		if err != nil {
 			return // rejected input: the only requirement is not panicking
 		}
+		if !bytes.HasPrefix(data, []byte(frameMagic)) {
+			t.Fatalf("frame with magic %q decoded", data[:4])
+		}
 		// Anything that decodes must round-trip through the encoder.
-		re, err := decodeFrame(encodeFrame(items))
+		enc, _ := encodeFrame(items)
+		re, err := decodeFrame(enc)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded frame: %v", err)
 		}

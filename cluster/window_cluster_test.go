@@ -10,6 +10,7 @@ package cluster
 // ring fed the same elements (slice merging is lossless).
 
 import (
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"strings"
@@ -141,23 +142,23 @@ func TestClusterWindowedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMLPFAddWrongTypeGroupDoesNotPoisonBatch: with the typed keyspace
+// TestMLAddWrongTypeGroupDoesNotPoisonBatch: with the typed keyspace
 // a batched-add group CAN fail (WRONGTYPE); its outcome must be the
-// per-group 'E' byte, not a batch-level -ERR — the other groups belong
+// per-group 'E' token, not a batch-level -ERR — the other groups belong
 // to unrelated callers coalesced by the group-commit batcher and their
 // adds have already been applied.
-func TestMLPFAddWrongTypeGroupDoesNotPoisonBatch(t *testing.T) {
+func TestMLAddWrongTypeGroupDoesNotPoisonBatch(t *testing.T) {
 	nodes := startCluster(t, 1, 1)
 	if _, err := nodes[0].Store().WindowAdd("wkey", time.UnixMilli(streamMS), "x"); err != nil {
 		t.Fatal(err)
 	}
 	c := dialNode(t, nodes[0])
-	reply, err := c.Do("CLUSTER", "MLPFADD", "3", "wkey", "1", "a", "pkey", "1", "b", "wkey", "1", "c")
+	reply, err := c.Do("CLUSTER", "MLADD", "3", "p", "wkey", "1", "a", "p", "pkey", "1", "b", "p", "wkey", "1", "c")
 	if err != nil {
 		t.Fatalf("whole batch failed on one wrongtype group: %v", err)
 	}
-	if reply != "E1E" {
-		t.Fatalf("MLPFADD reply %q, want E1E (per-group outcomes)", reply)
+	if reply != "E 1 E" {
+		t.Fatalf("MLADD reply %q, want E 1 E (per-group outcomes)", reply)
 	}
 	// The healthy group landed.
 	if n, err := nodes[0].Store().Count("pkey"); err != nil || int64(n+0.5) != 1 {
@@ -190,8 +191,9 @@ func TestPoolKeepsConnectionOnWrongType(t *testing.T) {
 	if before == nil {
 		t.Fatal("no pooled connection after PING")
 	}
-	if _, err := n1.peers.do(n2.Addr(), "CLUSTER", "LPFADD", "wkey", "y"); !errors.Is(err, server.ErrWrongType) {
-		t.Fatalf("LPFADD on a windowed key: %v, want ErrWrongType", err)
+	plain := base64.StdEncoding.EncodeToString(denseBlob(t, "y"))
+	if _, err := n1.peers.do(n2.Addr(), "CLUSTER", "ABSORB", "wkey", plain, "0"); !errors.Is(err, server.ErrWrongType) {
+		t.Fatalf("ABSORB of a plain sketch into a windowed key: %v, want ErrWrongType", err)
 	}
 	n1.peers.mu.Lock()
 	after := n1.peers.conns[n2.Addr()]

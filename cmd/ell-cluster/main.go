@@ -36,7 +36,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -45,68 +45,102 @@ import (
 	"exaloglog/server"
 )
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ell-cluster [-addr host:port] info|map|health|stats [all]|join <id> <addr>|leave <id>|sync|rebalance|add <key> <el>...|count <key>...|wadd <key> <ts> <el>...|wcount <key> <window> [ts]|winfo <key>|keys|ping")
-	os.Exit(2)
+const usageLine = "usage: ell-cluster [-addr host:port] info|map|health|stats [all]|join <id> <addr>|leave <id>|sync|rebalance|add <key> <el>...|count <key>...|wadd <key> <ts> <el>...|wcount <key> <window> [ts]|winfo <key>|keys|ping"
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is one invocation: the connection to the contacted node and where
+// output goes. Its methods return the process exit code.
+type cli struct {
+	c              *server.Client
+	stdout, stderr io.Writer
 }
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:7700", "address of any cluster node")
-	flag.Usage = usage
-	flag.Parse()
-	args := flag.Args()
+func (x *cli) usage() int {
+	fmt.Fprintln(x.stderr, usageLine)
+	return 2
+}
+
+func (x *cli) fail(err error) int {
+	fmt.Fprintln(x.stderr, "ell-cluster:", err)
+	return 1
+}
+
+// run is main without the process: it parses args (everything after the
+// program name), runs one command and returns the exit code — 0 on
+// success, 1 on a failed command, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	x := &cli{stdout: stdout, stderr: stderr}
+	fs := flag.NewFlagSet("ell-cluster", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() { x.usage() }
+	addr := fs.String("addr", "127.0.0.1:7700", "address of any cluster node")
+	if err := fs.Parse(args); err != nil {
+		return 2 // Parse has reported the error and the usage line
+	}
+	args = fs.Args()
 	if len(args) == 0 {
-		usage()
+		return x.usage()
 	}
 
 	c, err := server.Dial(*addr)
 	if err != nil {
-		log.Fatal(err)
+		return x.fail(err)
 	}
 	defer c.Close()
+	x.c = c
 
 	cmd, rest := strings.ToLower(args[0]), args[1:]
 	switch cmd {
 	case "info":
-		reply := mustDo(c, "CLUSTER", "INFO")
-		fmt.Println(strings.ReplaceAll(reply, " ", "\n"))
+		reply, err := x.do("CLUSTER", "INFO")
+		if err != nil {
+			return x.fail(err)
+		}
+		fmt.Fprintln(stdout, strings.ReplaceAll(reply, " ", "\n"))
 	case "map":
-		reply := mustDo(c, "CLUSTER", "MAP")
+		reply, err := x.do("CLUSTER", "MAP")
+		if err != nil {
+			return x.fail(err)
+		}
 		m, err := cluster.DecodeMap(strings.Fields(reply))
 		if err != nil {
-			log.Fatalf("malformed map reply %q: %v", reply, err)
+			return x.fail(fmt.Errorf("malformed map reply %q: %w", reply, err))
 		}
 		coord := m.Coordinator
 		if coord == "" {
 			coord = "(none)"
 		}
-		fmt.Printf("epoch       %d\nversion     %d\ncoordinator %s\nreplicas    %d\n",
+		fmt.Fprintf(stdout, "epoch       %d\nversion     %d\ncoordinator %s\nreplicas    %d\n",
 			m.Epoch, m.Version, coord, m.Replicas)
 		for _, mem := range m.Members() {
-			fmt.Printf("node        %-12s %s\n", mem.ID, mem.Addr)
+			fmt.Fprintf(stdout, "node        %-12s %s\n", mem.ID, mem.Addr)
 		}
 	case "health":
-		reply := mustDo(c, "CLUSTER", "HEALTH")
+		reply, err := x.do("CLUSTER", "HEALTH")
+		if err != nil {
+			return x.fail(err)
+		}
 		for _, tok := range strings.Fields(reply) {
 			// Member rows are "<id>=<state>,k=v,...": the id cannot
 			// contain '=' (validID), so the first '=' splits cleanly.
 			id, fields, ok := strings.Cut(tok, "=")
 			if !ok {
-				fmt.Println(tok)
+				fmt.Fprintln(stdout, tok)
 				continue
 			}
-			fmt.Printf("%-12s %s\n", id, strings.ReplaceAll(fields, ",", " "))
+			fmt.Fprintf(stdout, "%-12s %s\n", id, strings.ReplaceAll(fields, ",", " "))
 		}
 		// Append every member's cluster-layer counters (best-effort: an
 		// unreachable member shows an err= row, the detector rows above
 		// still stand). These polls run through each node's peer pool,
 		// so watching health is itself liveness evidence.
 		if reply, err := c.Do("CLUSTER", "STATS", "ALL"); err == nil {
-			fmt.Println()
-			fmt.Println("per-node stats:")
+			fmt.Fprintln(stdout)
+			fmt.Fprintln(stdout, "per-node stats:")
 			for _, row := range strings.Split(reply, "; ") {
 				if strings.HasPrefix(row, "node=") {
-					fmt.Println(row)
+					fmt.Fprintln(stdout, row)
 				}
 			}
 		}
@@ -116,96 +150,104 @@ func main() {
 		case len(rest) == 1 && strings.EqualFold(rest[0], "all"):
 			parts = append(parts, "ALL")
 		case len(rest) != 0:
-			usage()
+			return x.usage()
+		}
+		reply, err := x.do(parts...)
+		if err != nil {
+			return x.fail(err)
 		}
 		// The wire reply is one folded line (newlines → "; ", the
 		// protocol's one-reply-one-line rule); unfold for humans.
-		for _, row := range strings.Split(mustDo(c, parts...), "; ") {
-			fmt.Println(row)
+		for _, row := range strings.Split(reply, "; ") {
+			fmt.Fprintln(stdout, row)
 			if line := compressionSummary(row); line != "" {
-				fmt.Println(line)
+				fmt.Fprintln(stdout, line)
 			}
 		}
 	case "join":
 		if len(rest) != 2 {
-			usage()
+			return x.usage()
 		}
-		printMutation(mustDo(c, "CLUSTER", "JOIN", rest[0], rest[1]))
+		return x.mutation("CLUSTER", "JOIN", rest[0], rest[1])
 	case "leave":
 		if len(rest) != 1 {
-			usage()
+			return x.usage()
 		}
-		printMutation(mustDo(c, "CLUSTER", "LEAVE", rest[0]))
+		return x.mutation("CLUSTER", "LEAVE", rest[0])
 	case "sync":
-		fmt.Println(mustDo(c, "CLUSTER", "SYNC"))
+		return x.echo("CLUSTER", "SYNC")
 	case "rebalance":
-		fmt.Println(mustDo(c, "CLUSTER", "REBALANCE"))
+		return x.echo("CLUSTER", "REBALANCE")
 	case "add":
 		if len(rest) < 2 {
-			usage()
+			return x.usage()
 		}
-		changed, err := c.PFAdd(rest[0], rest[1:]...)
-		if c2 := redialMoved(err); c2 != nil {
-			changed, err = c2.PFAdd(rest[0], rest[1:]...)
-			c2.Close()
-		}
+		var changed bool
+		err := x.follow(func(c *server.Client) (err error) {
+			changed, err = c.PFAdd(rest[0], rest[1:]...)
+			return err
+		})
 		if err != nil {
-			log.Fatal(err)
+			return x.fail(err)
 		}
-		fmt.Printf("changed=%v\n", changed)
+		fmt.Fprintf(stdout, "changed=%v\n", changed)
 	case "count":
 		if len(rest) < 1 {
-			usage()
+			return x.usage()
 		}
-		n, err := c.PFCount(rest...)
-		if c2 := redialMoved(err); c2 != nil {
-			n, err = c2.PFCount(rest...)
-			c2.Close()
-		}
+		var n int64
+		err := x.follow(func(c *server.Client) (err error) {
+			n, err = c.PFCount(rest...)
+			return err
+		})
 		if err != nil {
-			log.Fatal(err)
+			return x.fail(err)
 		}
-		fmt.Println(n)
+		fmt.Fprintln(stdout, n)
 	case "wadd":
 		if len(rest) < 3 {
-			usage()
+			return x.usage()
 		}
-		reply := mustDo(c, append([]string{"WADD"}, rest...)...)
-		fmt.Printf("accepted=%s\n", reply)
+		reply, err := x.do(append([]string{"WADD"}, rest...)...)
+		if err != nil {
+			return x.fail(err)
+		}
+		fmt.Fprintf(stdout, "accepted=%s\n", reply)
 	case "wcount":
 		if len(rest) != 2 && len(rest) != 3 {
-			usage()
+			return x.usage()
 		}
-		fmt.Println(mustDo(c, append([]string{"WCOUNT"}, rest...)...))
+		return x.echo(append([]string{"WCOUNT"}, rest...)...)
 	case "winfo":
 		if len(rest) != 1 {
-			usage()
+			return x.usage()
 		}
-		for _, tok := range strings.Fields(mustDo(c, "WINFO", rest[0])) {
-			fmt.Println(tok)
+		reply, err := x.do("WINFO", rest[0])
+		if err != nil {
+			return x.fail(err)
+		}
+		for _, tok := range strings.Fields(reply) {
+			fmt.Fprintln(stdout, tok)
 		}
 	case "keys":
 		keys, err := c.Keys()
 		if err != nil {
-			log.Fatal(err)
+			return x.fail(err)
 		}
 		for _, k := range keys {
-			fmt.Println(k)
+			fmt.Fprintln(stdout, k)
 		}
 	case "ping":
 		if err := c.Ping(); err != nil {
-			log.Fatal(err)
+			return x.fail(err)
 		}
-		fmt.Println("PONG")
+		fmt.Fprintln(stdout, "PONG")
 	default:
-		usage()
+		return x.usage()
 	}
+	return 0
 }
 
-// printMutation renders a JOIN/LEAVE reply. A mutation can lose to a
-// concurrent one under the epoch order; the reply then starts with
-// SUPERSEDED and carries the winning map's (epoch, version,
-// coordinator) so the operator sees WHAT won instead of a silent no-op.
 // compressionSummary derives the transfer codec's achieved reduction
 // from a node's cluster-counter row: precompress bytes vs bytes that
 // actually hit the wire. Returns "" until the node has framed at least
@@ -231,41 +273,60 @@ func compressionSummary(row string) string {
 		pre, wire, float64(pre)/float64(wire))
 }
 
-func printMutation(reply string) {
-	if rest, ok := strings.CutPrefix(reply, "SUPERSEDED"); ok {
-		fmt.Printf("superseded: a concurrent membership change won (%s); inspect 'map' and re-issue if still wanted\n",
-			strings.TrimSpace(rest))
-		os.Exit(1)
-	}
-	fmt.Println(reply)
-}
-
-func mustDo(c *server.Client, parts ...string) string {
-	reply, err := c.Do(parts...)
-	if c2 := redialMoved(err); c2 != nil {
-		reply, err = c2.Do(parts...)
-		c2.Close()
-	}
+// echo runs one command and prints its reply as it came.
+func (x *cli) echo(parts ...string) int {
+	reply, err := x.do(parts...)
 	if err != nil {
-		log.Fatal(err)
+		return x.fail(err)
 	}
-	return reply
+	fmt.Fprintln(x.stdout, reply)
+	return 0
 }
 
-// redialMoved dials the owner a -MOVED redirect names, or returns nil
-// for any other outcome. Strict-routing nodes (elld -strict-routing)
-// bounce misrouted single-key data commands instead of forwarding, so
-// the CLI follows one redirect — enough against a stable map; a second
-// bounce surfaces as the error it is.
-func redialMoved(err error) *server.Client {
+// mutation runs a JOIN/LEAVE and renders its reply. A mutation can lose
+// to a concurrent one under the epoch order; the reply then starts with
+// SUPERSEDED and carries the winning map's (epoch, version,
+// coordinator) so the operator sees WHAT won instead of a silent no-op.
+func (x *cli) mutation(parts ...string) int {
+	reply, err := x.do(parts...)
+	if err != nil {
+		return x.fail(err)
+	}
+	if rest, ok := strings.CutPrefix(reply, "SUPERSEDED"); ok {
+		fmt.Fprintf(x.stdout, "superseded: a concurrent membership change won (%s); inspect 'map' and re-issue if still wanted\n",
+			strings.TrimSpace(rest))
+		return 1
+	}
+	fmt.Fprintln(x.stdout, reply)
+	return 0
+}
+
+// do runs one command against the contacted node (or the owner it
+// redirects to, see follow).
+func (x *cli) do(parts ...string) (reply string, err error) {
+	err = x.follow(func(c *server.Client) (err error) {
+		reply, err = c.Do(parts...)
+		return err
+	})
+	return reply, err
+}
+
+// follow runs op against the contacted node and, when the answer is a
+// -MOVED redirect, once more against the owner it names. Strict-routing
+// nodes (elld -strict-routing) bounce misrouted single-key data commands
+// instead of forwarding, so the CLI follows one redirect — enough
+// against a stable map; a second bounce surfaces as the error it is.
+func (x *cli) follow(op func(c *server.Client) error) error {
+	err := op(x.c)
 	mv, ok := server.AsMoved(err)
 	if !ok {
-		return nil
+		return err
 	}
 	c2, derr := server.Dial(mv.Addr)
 	if derr != nil {
-		log.Fatalf("following MOVED to %s (%s): %v", mv.NodeID, mv.Addr, derr)
+		return fmt.Errorf("following MOVED to %s (%s): %w", mv.NodeID, mv.Addr, derr)
 	}
-	fmt.Fprintf(os.Stderr, "ell-cluster: redirected to owner %s at %s\n", mv.NodeID, mv.Addr)
-	return c2
+	defer c2.Close()
+	fmt.Fprintf(x.stderr, "ell-cluster: redirected to owner %s at %s\n", mv.NodeID, mv.Addr)
+	return op(c2)
 }

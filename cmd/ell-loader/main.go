@@ -1,13 +1,13 @@
 // Command ell-loader drives a configurable load mix against a sketch
 // cluster (or a single elld) and reports achieved throughput and
-// client-observed latency percentiles as JSON — the cluster-level
-// counterpart to the single-process Go benchmarks, feeding
-// BENCH_serving.json through ell-benchjson's -load flag.
+// client-observed latency percentiles as JSON. The repository's
+// benchmark (benchmark/) runs closed-loop against an in-process
+// cluster; this tool is for the one thing it does not do — open-loop,
+// QPS-paced load against a cluster that is already running somewhere.
 //
 // Target selection: -addrs takes a comma-separated list of running
 // nodes (connections round-robin across them), or -self N spins up an
-// N-node in-process cluster first — the self-contained mode the
-// Makefile loadtest smoke uses.
+// N-node in-process cluster first — the self-contained smoke mode.
 //
 // Workload shape: -conns pipelined connections, each sending batches of
 // -depth commands drawn from the -mix weights (pfadd/pfcount/wadd/
@@ -21,9 +21,7 @@
 // locally and every command goes straight to an owner, the smart-
 // client path. With -self the nodes then run strict routing, so the
 // measured path is honest single-hop (a misroute would bounce, not
-// silently forward). The JSON result records the route, and the
-// Makefile loadtest emits one row per route so the latency win is
-// recorded, not asserted.
+// silently forward). The JSON result records the route.
 //
 // TTL churn: -ttl arms an expiry deadline on every key a pfadd
 // touches — the EXPIRE rides in the same pipeline batch — so a long
@@ -55,7 +53,6 @@ import (
 
 	"exaloglog/cluster"
 	"exaloglog/internal/core"
-	"exaloglog/internal/loadreport"
 	"exaloglog/server"
 )
 
@@ -420,10 +417,52 @@ func runWorker(targets []string, idx int, seed int64, cfg workerConfig, warmupEn
 	return st
 }
 
-// aggregate folds the per-connection stats into one Result.
-func aggregate(stats []*workerStats, specs []verbSpec) *loadreport.Result {
+// latency is a set of client-observed latency percentiles in
+// microseconds. For pipelined workloads the unit observed is one
+// pipeline batch round trip, attributed to every command in the batch
+// — what a caller awaiting its own reply actually experiences.
+type latency struct {
+	P50 int64 `json:"p50"`
+	P90 int64 `json:"p90"`
+	P99 int64 `json:"p99"`
+	Max int64 `json:"max"`
+}
+
+// verbResult is the per-verb slice of the load outcome.
+type verbResult struct {
+	Ops    uint64 `json:"ops"`
+	Errors uint64 `json:"errors,omitempty"`
+}
+
+// result is one complete loader run — the JSON document -out writes:
+// the configuration that produced it (so a saved file stays
+// self-describing) and the measured outcome.
+type result struct {
+	Tool  string   `json:"tool"` // "ell-loader"
+	Addrs []string `json:"addrs"`
+	Conns int      `json:"conns"`
+	Depth int      `json:"depth"` // pipeline depth per connection
+	Dist  string   `json:"dist"`  // "zipf" or "uniform"
+	Keys  int      `json:"keys"`
+	Mix   string   `json:"mix"` // e.g. "pfadd=8,pfcount=1,wadd=1"
+	Seed  int64    `json:"seed"`
+	Route string   `json:"route,omitempty"` // "coordinator" or "single-hop"
+
+	TargetQPS   float64 `json:"target_qps,omitempty"` // 0: max throughput
+	DurationSec float64 `json:"duration_sec"`
+	WarmupSec   float64 `json:"warmup_sec"`
+
+	Ops         uint64                `json:"ops"`
+	Errors      uint64                `json:"errors"`
+	AchievedQPS float64               `json:"achieved_qps"`
+	LatencyUS   latency               `json:"latency_us"`
+	PerVerb     map[string]verbResult `json:"per_verb,omitempty"`
+}
+
+// aggregate folds the per-connection stats into one result.
+func aggregate(stats []*workerStats, specs []verbSpec) *result {
 	var hist server.LatencyHist
-	res := &loadreport.Result{Tool: "ell-loader", PerVerb: make(map[string]loadreport.VerbResult)}
+	res := &result{Tool: "ell-loader", PerVerb: make(map[string]verbResult)}
 	for _, st := range stats {
 		if st == nil {
 			continue
@@ -438,7 +477,7 @@ func aggregate(stats []*workerStats, specs []verbSpec) *loadreport.Result {
 			res.PerVerb[sp.name] = v
 		}
 	}
-	res.LatencyUS = loadreport.Latency{
+	res.LatencyUS = latency{
 		P50: hist.Quantile(0.50).Microseconds(),
 		P90: hist.Quantile(0.90).Microseconds(),
 		P99: hist.Quantile(0.99).Microseconds(),

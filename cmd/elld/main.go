@@ -13,7 +13,7 @@
 //	elld -node-id n1 [-replicas 2] [-join host:port] \
 //	     [-gossip-interval 1s] [-suspect-after 5] \
 //	     [-strict-routing] [-peer-timeout 5s] \
-//	     [-xfer-batch 64] [-xfer-window 8] [-xfer-compress=true] \
+//	     [-xfer-batch 64] [-xfer-window 8] \
 //	     [-sync-digest-interval 30s]                 # cluster mode
 //
 // -metrics-addr serves Prometheus-text metrics at /metrics: per-verb
@@ -46,10 +46,6 @@
 // -xfer-batch and -xfer-window tune the streaming bulk-transfer
 // transport that rebalance and sync move sketches over (keys per
 // frame, unacked frames in flight; see the cluster package).
-// -xfer-compress (default on) runs transfer frames through the
-// sketch-aware wire codec when the receiver negotiates support; turn
-// it off to debug with byte-identical ELX2 frames. Old peers that
-// never negotiate compression get uncompressed frames either way.
 //
 // -sync-digest-interval runs periodic digest anti-entropy on top of
 // the map sync: each round the node exchanges per-shard content
@@ -120,7 +116,6 @@ func main() {
 	peerTimeout := flag.Duration("peer-timeout", 5*time.Second, "I/O deadline per node-to-node command and transfer frame, 0 disables (cluster mode)")
 	xferBatch := flag.Int("xfer-batch", 64, "keys per bulk-transfer frame (cluster mode)")
 	xferWindow := flag.Int("xfer-window", 8, "unacked bulk-transfer frames in flight (cluster mode)")
-	xferCompress := flag.Bool("xfer-compress", true, "compress bulk-transfer frames with the sketch wire codec when the receiver supports it (cluster mode)")
 	syncDigestInterval := flag.Duration("sync-digest-interval", 30*time.Second, "period of digest anti-entropy rounds repairing diverged replicas, 0 disables (cluster mode)")
 	windowSlice := flag.Duration("window-slice", time.Second, "slice duration of WADD-created sliding-window keys")
 	windowSlices := flag.Int("window-slices", 60, "number of slices in WADD-created rings (max window = slice x slices)")
@@ -140,7 +135,7 @@ func main() {
 		sweepInterval: *sweepInterval,
 	}
 	if *nodeID != "" {
-		runCluster(ctx, cfg, *addr, *snapshot, *nodeID, *join, *replicas, *gossipInterval, *suspectAfter, *windowSlice, *windowSlices, *metricsAddr, *strictRouting, *peerTimeout, *xferBatch, *xferWindow, *xferCompress, *syncDigestInterval, lc)
+		runCluster(ctx, cfg, *addr, *snapshot, *nodeID, *join, *replicas, *gossipInterval, *suspectAfter, *windowSlice, *windowSlices, *metricsAddr, *strictRouting, *peerTimeout, *xferBatch, *xferWindow, *syncDigestInterval, lc)
 		return
 	}
 	if *strictRouting {
@@ -215,7 +210,7 @@ func (o lifecycleOpts) apply(ctx context.Context, store *server.Store) {
 	}()
 }
 
-func runCluster(ctx context.Context, cfg core.Config, addr, snapshot, nodeID, join string, replicas int, gossipInterval time.Duration, suspectAfter int, windowSlice time.Duration, windowSlices int, metricsAddr string, strictRouting bool, peerTimeout time.Duration, xferBatch, xferWindow int, xferCompress bool, syncDigestInterval time.Duration, lc lifecycleOpts) {
+func runCluster(ctx context.Context, cfg core.Config, addr, snapshot, nodeID, join string, replicas int, gossipInterval time.Duration, suspectAfter int, windowSlice time.Duration, windowSlices int, metricsAddr string, strictRouting bool, peerTimeout time.Duration, xferBatch, xferWindow int, syncDigestInterval time.Duration, lc lifecycleOpts) {
 	node, err := cluster.NewNode(nodeID, cfg, replicas)
 	if err != nil {
 		log.Fatal(err)
@@ -228,10 +223,9 @@ func runCluster(ctx context.Context, cfg core.Config, addr, snapshot, nodeID, jo
 	node.SetStrictRouting(strictRouting)
 	node.SetPeerTimeout(peerTimeout)
 	node.SetTransferConfig(cluster.TransferConfig{
-		BatchKeys:  xferBatch,
-		Window:     xferWindow,
-		Timeout:    peerTimeout,
-		NoCompress: !xferCompress,
+		BatchKeys: xferBatch,
+		Window:    xferWindow,
+		Timeout:   peerTimeout,
 	})
 	loadSnapshot(node.Store(), snapshot)
 	node.SetSnapshotPath(snapshot)

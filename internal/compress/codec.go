@@ -14,8 +14,8 @@ import (
 // Layout: "ELC1" | method byte | uvarint rawLen | [uvarint midLen] | payload.
 // The magic is distinct from every raw blob magic in the system ("EL\x01"
 // core sketches, "ELW1" window counters, "ELSS" snapshots), so DecodeBlob
-// can sniff it and pass anything else through unchanged — uncompressed
-// blobs from old peers keep decoding forever.
+// can sniff it and pass anything else through unchanged — which is what
+// lets EncodeBlob hand back the raw blob whenever it cannot win.
 //
 // Methods form a cheap-first ladder:
 //
@@ -119,7 +119,7 @@ func EncodeBlob(raw []byte) []byte {
 }
 
 // DecodeBlob reverses EncodeBlob. Input without the codec magic is
-// returned unchanged (an uncompressed blob from an old peer). maxLen
+// returned unchanged (a raw blob the encoder declined to shrink). maxLen
 // bounds the decoded size: any container claiming more is rejected
 // before a single byte is allocated.
 func DecodeBlob(data []byte, maxLen int) ([]byte, error) {

@@ -316,12 +316,6 @@ func (p *Pipeline) WCount(key string, window time.Duration) {
 	p.Do("WCOUNT", key, window.String())
 }
 
-// Dump queues a DUMP key command; decode the Result value with
-// base64.StdEncoding.
-func (p *Pipeline) Dump(key string) {
-	p.Do("DUMP", key)
-}
-
 // Expire queues an EXPIRE key seconds command (ttl rounded up to whole
 // seconds).
 func (p *Pipeline) Expire(key string, ttl time.Duration) {

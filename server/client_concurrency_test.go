@@ -63,45 +63,3 @@ func TestClientConcurrentUse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestMultiClientConcurrentUse does the same through a MultiClient over
-// two shards.
-func TestMultiClientConcurrentUse(t *testing.T) {
-	a, b := startTestServer(t), startTestServer(t)
-	mc, err := DialMulti(a.Addr(), b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mc.Close()
-
-	const goroutines, ops = 8, 50
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			key := fmt.Sprintf("key-%d", g)
-			for i := 0; i < ops; i++ {
-				if _, err := mc.PFAdd(key, fmt.Sprintf("el-%d", i)); err != nil {
-					errs <- err
-					return
-				}
-			}
-			n, err := mc.PFCount(key)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if int64(n+0.5) < ops-ops/10 || int64(n+0.5) > ops+ops/10 {
-				errs <- fmt.Errorf("goroutine %d: PFCount(%s) = %v, want ≈%d", g, key, n, ops)
-				return
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}

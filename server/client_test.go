@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -179,5 +180,13 @@ func TestPipelineEmptyExec(t *testing.T) {
 	results, err := c.Pipeline().Exec()
 	if err != nil || results != nil {
 		t.Fatalf("empty Exec = %+v, %v", results, err)
+	}
+}
+
+func TestErrNoSuchKeySentinel(t *testing.T) {
+	_, c := startServer(t)
+	_, err := c.Dump("nope")
+	if !errors.Is(err, ErrNoSuchKey) {
+		t.Fatalf("Dump error %v does not wrap ErrNoSuchKey", err)
 	}
 }

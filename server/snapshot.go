@@ -19,7 +19,7 @@ import (
 // plus the register array, so snapshots are cheap); windowed keys
 // serialize slot-wise (see the window package).
 //
-// Format (version 5; versions 1–4 are still readable):
+// Format (version 5, the only one read or written):
 //
 //	bytes 0-3  magic "ELSS"
 //	byte  4    version (5)
@@ -31,24 +31,16 @@ import (
 //	  uvarint  expiry deadline, unix milliseconds (0 = none)
 //	  uvarint  blob length, then the value blob
 //
-// Version 5 runs each value blob through the wire codec
-// (internal/compress EncodeBlob): sparse sketches shrink dramatically
-// on disk, and because the codec passes uncompressed data through
-// unchanged, a v5 record's blob may also be a raw value blob (the
-// codec declined to compress). Version 4 wrote raw blobs only.
-// Version 3 lacked the per-record expiry deadline (keys restore
-// without a lifetime); version 2 additionally lacked the type tag
-// (every value was a plain sketch); version 1 additionally lacked the
-// metadata blob. The metadata blob (SetMeta/Meta) is opaque to the
-// server: the cluster package stores its membership map there so a
-// restarted node remembers its cluster.
+// Each value blob runs through the wire codec (internal/compress
+// EncodeBlob): near-empty dense sketches shrink dramatically on disk,
+// and because the codec passes uncompressed data through unchanged, a
+// record's blob may also be a raw value blob (the codec declined to
+// compress). The metadata blob (SetMeta/Meta) is opaque to the server:
+// the cluster package stores its membership map there so a restarted
+// node remembers its cluster.
 const (
 	snapshotMagic      = "ELSS"
 	snapshotVersion    = 5
-	snapshotVersionV4  = 4
-	snapshotVersionV3  = 3
-	snapshotVersionV2  = 2
-	snapshotVersionV1  = 1
 	snapshotMetaLimit  = 1 << 20
 	snapshotKeyLimit   = 1 << 16
 	snapshotBlobLimit  = 1 << 30
@@ -125,19 +117,15 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 	if string(header[:len(snapshotMagic)]) != snapshotMagic {
 		return fmt.Errorf("server: bad snapshot magic %q", header[:len(snapshotMagic)])
 	}
-	version := header[len(snapshotMagic)]
-	if version < snapshotVersionV1 || version > snapshotVersion {
+	if version := header[len(snapshotMagic)]; version != snapshotVersion {
 		return fmt.Errorf("server: unsupported snapshot version %d", version)
 	}
-	var meta []byte
-	if version >= snapshotVersionV2 {
-		var err error
-		if meta, err = readBlob(br, snapshotMetaLimit); err != nil {
-			return fmt.Errorf("server: snapshot metadata: %w", err)
-		}
-		if len(meta) == 0 {
-			meta = nil
-		}
+	meta, err := readBlob(br, snapshotMetaLimit)
+	if err != nil {
+		return fmt.Errorf("server: snapshot metadata: %w", err)
+	}
+	if len(meta) == 0 {
+		meta = nil
 	}
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -153,34 +141,25 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("server: snapshot record %d key: %w", i, err)
 		}
-		// v1/v2 records carry no type tag: every value is a plain sketch.
-		tag := valueTagEll
-		if version >= snapshotVersionV3 {
-			if tag, err = br.ReadByte(); err != nil {
-				return fmt.Errorf("server: snapshot record %d type tag: %w", i, err)
-			}
+		tag, err := br.ReadByte()
+		if err != nil {
+			return fmt.Errorf("server: snapshot record %d type tag: %w", i, err)
 		}
-		// v1–v3 records carry no deadline: keys restore without one.
-		var deadline int64
-		if version >= snapshotVersionV4 {
-			dl, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fmt.Errorf("server: snapshot record %d deadline: %w", i, err)
-			}
-			if dl > uint64(MaxDeadlineMillis) {
-				return fmt.Errorf("server: snapshot record %d deadline %d out of range", i, dl)
-			}
-			deadline = int64(dl)
+		dl, err := binary.ReadUvarint(br)
+		if err != nil {
+			return fmt.Errorf("server: snapshot record %d deadline: %w", i, err)
 		}
+		if dl > uint64(MaxDeadlineMillis) {
+			return fmt.Errorf("server: snapshot record %d deadline %d out of range", i, dl)
+		}
+		deadline := int64(dl)
 		blob, err := readBlob(br, snapshotBlobLimit)
 		if err != nil {
 			return fmt.Errorf("server: snapshot record %d blob: %w", i, err)
 		}
-		if version >= snapshotVersion {
-			// v5 blobs ride the wire codec; raw blobs pass through.
-			if blob, err = compress.DecodeBlob(blob, snapshotBlobLimit); err != nil {
-				return fmt.Errorf("server: snapshot record %d blob: %w", i, err)
-			}
+		// Blobs ride the wire codec; raw blobs pass through.
+		if blob, err = compress.DecodeBlob(blob, snapshotBlobLimit); err != nil {
+			return fmt.Errorf("server: snapshot record %d blob: %w", i, err)
 		}
 		val, err := decodeValueTagged(tag, blob)
 		if err != nil {

@@ -64,7 +64,7 @@ func TestReadSnapshotCorruption(t *testing.T) {
 // TestReadSnapshotHugeCount: a header claiming an absurd record count is
 // rejected before any allocation.
 func TestReadSnapshotHugeCount(t *testing.T) {
-	data := []byte("ELSS\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f") // count = maxuint64/2
+	data := []byte("ELSS\x05\x00\xff\xff\xff\xff\xff\xff\xff\xff\x7f") // no metadata, count = maxuint64/2
 	store, err := NewStore(core.RecommendedML(10))
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,9 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -128,108 +126,35 @@ func TestSnapshotMetaRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeLegacySnapshot renders a store's plain sketches in the exact
-// byte layout old writers produced: version 1 (no metadata blob, no
-// type tags) or version 2 (metadata blob, no type tags). It is the
-// test's own encoder on purpose — the shipped writer only emits v3, so
-// backwards readability has to be pinned against independently
-// constructed bytes.
-func encodeLegacySnapshot(t *testing.T, version byte, blobs map[string][]byte, meta []byte) []byte {
-	t.Helper()
+// TestSnapshotRejectsOtherVersions: version 5 is the only snapshot
+// format. A stream that is a valid snapshot in every byte but the
+// version is refused with the "unsupported snapshot version" error, and
+// the store it was aimed at keeps its sketches and its metadata.
+func TestSnapshotRejectsOtherVersions(t *testing.T) {
 	var buf bytes.Buffer
-	buf.WriteString("ELSS")
-	buf.WriteByte(version)
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) {
-		buf.Write(scratch[:binary.PutUvarint(scratch[:], v)])
+	if err := populatedStore(t, 2).WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if version >= 2 {
-		writeUvarint(uint64(len(meta)))
-		buf.Write(meta)
-	} else if len(meta) != 0 {
-		t.Fatal("v1 snapshots cannot carry metadata")
+	if got := buf.Bytes()[4]; got != snapshotVersion {
+		t.Fatalf("writer emitted version %d, want %d", got, snapshotVersion)
 	}
-	keys := make([]string, 0, len(blobs))
-	for k := range blobs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	writeUvarint(uint64(len(keys)))
-	for _, k := range keys {
-		writeUvarint(uint64(len(k)))
-		buf.WriteString(k)
-		writeUvarint(uint64(len(blobs[k])))
-		buf.Write(blobs[k])
-	}
-	return buf.Bytes()
-}
-
-// TestSnapshotCrossVersion: version-1 and version-2 snapshot files (no
-// per-record type tags; v1 also without the metadata blob) still load —
-// a pre-upgrade snapshot must not strand its node — and a legacy store
-// carried forward re-saves as version 3 with every count intact.
-func TestSnapshotCrossVersion(t *testing.T) {
-	orig := populatedStore(t, 3)
-	meta := []byte("v2 7 3 n1 2 n1=a:1 n2=a:2")
-	blobs := orig.DumpAll()
-
-	counts := func(s *Store) map[string]float64 {
-		out := make(map[string]float64)
-		for _, k := range s.Keys() {
-			n, err := s.Count(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[k] = n
+	target := populatedStore(t, 1)
+	target.SetMeta([]byte("keep-me"))
+	want, _ := target.Count("key-0")
+	for _, version := range []byte{0, 1, 2, 3, 4, 6} {
+		data := append([]byte{}, buf.Bytes()...)
+		data[4] = version
+		err := target.ReadSnapshot(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported snapshot version %d", version)) {
+			t.Errorf("version %d: err = %v, want unsupported snapshot version", version, err)
 		}
-		return out
-	}
-	want := counts(orig)
-
-	for _, tc := range []struct {
-		name string
-		data []byte
-		meta []byte
-	}{
-		{"v1", encodeLegacySnapshot(t, 1, blobs, nil), nil},
-		{"v2", encodeLegacySnapshot(t, 2, blobs, meta), meta},
-	} {
-		restored, _ := NewStore(core.RecommendedML(8))
-		if err := restored.ReadSnapshot(bytes.NewReader(tc.data)); err != nil {
-			t.Fatalf("%s snapshot rejected: %v", tc.name, err)
-		}
-		if restored.Len() != orig.Len() {
-			t.Errorf("%s load restored %d keys, want %d", tc.name, restored.Len(), orig.Len())
-		}
-		if got := restored.Meta(); !bytes.Equal(got, tc.meta) {
-			t.Errorf("%s load meta %q, want %q", tc.name, got, tc.meta)
-		}
-		for k, w := range want {
-			if got := counts(restored)[k]; got != w {
-				t.Errorf("%s load count %s = %v, want %v", tc.name, k, got, w)
-			}
-		}
-		// Carry the legacy store forward: re-save (now v3) and load again.
-		var v3 bytes.Buffer
-		if err := restored.WriteSnapshot(&v3); err != nil {
-			t.Fatal(err)
-		}
-		if got := v3.Bytes()[4]; got != snapshotVersion {
-			t.Fatalf("re-save wrote version %d, want %d", got, snapshotVersion)
-		}
-		again, _ := NewStore(core.RecommendedML(8))
-		if err := again.ReadSnapshot(&v3); err != nil {
-			t.Fatalf("%s → v3 reload: %v", tc.name, err)
-		}
-		for k, w := range want {
-			if got := counts(again)[k]; got != w {
-				t.Errorf("%s → v3 reload count %s = %v, want %v", tc.name, k, got, w)
-			}
+		if got, _ := target.Count("key-0"); target.Len() != 1 || got != want || string(target.Meta()) != "keep-me" {
+			t.Errorf("version %d: refused load changed the store (len=%d count=%v meta=%q)", version, target.Len(), got, target.Meta())
 		}
 	}
 }
 
-// TestSnapshotV3WindowRoundTrip: snapshot v3 tags each record with its
+// TestSnapshotV3WindowRoundTrip: each snapshot record is tagged with its
 // value type, so a store mixing plain and windowed keys round-trips
 // with both workloads intact — including the windowed keys' Dropped
 // statistic and per-window estimates.
@@ -299,61 +224,6 @@ func TestSnapshotV3WindowRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(b, "dropped=1") {
 		t.Errorf("window info %q does not surface the dropped insert", b)
-	}
-}
-
-// TestSnapshotV4RawBlobLoad: version-4 snapshots (per-record deadlines,
-// raw uncompressed blobs — what every pre-codec build wrote) must still
-// load with counts and deadlines intact. The bytes are built by the
-// test's own encoder, since the shipped writer now emits v5 only.
-func TestSnapshotV4RawBlobLoad(t *testing.T) {
-	orig := populatedStore(t, 3)
-	deadline := time.Now().Add(time.Hour).UnixMilli()
-	if !orig.ExpireAt("key-1", deadline) {
-		t.Fatal("fixture: ExpireAt on key-1 failed")
-	}
-	tagged := orig.DumpAllTagged()
-
-	var buf bytes.Buffer
-	buf.WriteString("ELSS")
-	buf.WriteByte(4)
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) {
-		buf.Write(scratch[:binary.PutUvarint(scratch[:], v)])
-	}
-	writeUvarint(0) // no metadata
-	keys := make([]string, 0, len(tagged))
-	for k := range tagged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	writeUvarint(uint64(len(keys)))
-	for _, k := range keys {
-		tb := tagged[k]
-		writeUvarint(uint64(len(k)))
-		buf.WriteString(k)
-		buf.WriteByte(tb.Type)
-		writeUvarint(uint64(tb.Deadline))
-		writeUvarint(uint64(len(tb.Blob)))
-		buf.Write(tb.Blob) // raw: v4 never compressed
-	}
-
-	restored, _ := NewStore(core.RecommendedML(8))
-	if err := restored.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("v4 snapshot rejected: %v", err)
-	}
-	if restored.Len() != orig.Len() {
-		t.Fatalf("v4 load restored %d keys, want %d", restored.Len(), orig.Len())
-	}
-	for _, k := range keys {
-		a, _ := orig.Count(k)
-		b, err := restored.Count(k)
-		if err != nil || a != b {
-			t.Errorf("v4 load count %s = %v (%v), want %v", k, b, err, a)
-		}
-	}
-	if got, _ := restored.DeadlineOf("key-1"); got != deadline {
-		t.Errorf("v4 load deadline = %d, want %d", got, deadline)
 	}
 }
 

@@ -311,78 +311,6 @@ func TestPipelineWindowVerbs(t *testing.T) {
 	}
 }
 
-// TestMultiClientWindow: client-side sharding routes WADD by key and
-// WCount unions shard rings slot-wise.
-func TestMultiClientWindow(t *testing.T) {
-	var addrs []string
-	var stores []*Store
-	for i := 0; i < 3; i++ {
-		store, err := NewStore(core.RecommendedML(12))
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(store)
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		addrs = append(addrs, srv.Addr())
-		stores = append(stores, store)
-	}
-	mc, err := DialMulti(addrs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mc.Close() })
-
-	ref, _ := window.New(core.RecommendedML(12), time.Second, 60)
-	for i := 0; i < 200; i++ {
-		el := fmt.Sprintf("s-%d", i)
-		ts := baseMS + int64(i)*50
-		if _, err := mc.WAdd("scan", ts, el); err != nil {
-			t.Fatal(err)
-		}
-		ref.AddString(time.UnixMilli(ts), el)
-	}
-	// The key lives on exactly one shard (hash routing)...
-	holders := 0
-	for _, st := range stores {
-		if st.Len() > 0 {
-			holders++
-		}
-	}
-	if holders != 1 {
-		t.Errorf("windowed key spread over %d shards, want 1", holders)
-	}
-	// ...but WCount would also survive multi-shard copies: write the
-	// same key directly on another shard and the union stays exact.
-	for _, st := range stores {
-		if st.Len() == 0 {
-			if _, err := st.WindowAdd("scan", time.UnixMilli(baseMS), "extra"); err != nil {
-				t.Fatal(err)
-			}
-			ref.AddString(time.UnixMilli(baseMS), "extra")
-			break
-		}
-	}
-	got, err := mc.WCount("scan", 30*time.Second, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Estimate(ref.Latest(), 30*time.Second)
-	if got != want {
-		t.Errorf("MultiClient.WCount = %v, want %v", got, want)
-	}
-	// WCount on a plain-sketch key maps to ErrWrongType, matching the
-	// single-node and cluster paths (not a raw decode error).
-	if _, err := mc.PFAdd("plain", "x"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mc.WCount("plain", time.Second, 0); !errors.Is(err, ErrWrongType) {
-		t.Errorf("MultiClient.WCount on a plain key: %v, want ErrWrongType", err)
-	}
-}
-
 // FuzzWindowVerbFraming mirrors FuzzGossipDecode at the dispatch layer:
 // arbitrary WADD/WCOUNT/WINFO argument bytes must never panic the
 // server or produce an unframed reply — every line the dispatcher
