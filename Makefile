@@ -14,7 +14,7 @@ test: build vet
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -timeout 5m ./server/ ./cluster/ ./window/
+	$(GO) test -race -timeout 5m ./server/ ./cluster/ ./window/ ./cmd/...
 
 # bench-smoke compiles and runs every benchmark once — a fast
 # does-it-still-run check, not a measurement (measurements come from

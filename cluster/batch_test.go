@@ -83,10 +83,11 @@ func TestMLAddWire(t *testing.T) {
 	}
 }
 
-// TestRetiredClusterVerbsAreRefused: MLADD is the one forwarded-add verb
-// and ABSORB takes exactly three arguments. The verbs and forms that
-// used to sit beside them get an error reply — nothing is applied — and
-// the connection stays usable.
+// TestRetiredClusterVerbsAreRefused: MLADD is the one forwarded-add verb,
+// ABSORB takes exactly three arguments, and anti-entropy has no operator
+// verb (gossip and the digest round run on their tickers). The verbs and
+// forms that used to sit beside them get an error reply — nothing is
+// applied — and the connection stays usable.
 func TestRetiredClusterVerbsAreRefused(t *testing.T) {
 	nodes := startCluster(t, 1, 1)
 	c := dialNode(t, nodes[0])
@@ -98,6 +99,8 @@ func TestRetiredClusterVerbsAreRefused(t *testing.T) {
 		{[]string{"CLUSTER", "MLPFADD", "1", "k", "1", "a"}, "unknown CLUSTER subcommand MLPFADD"},
 		{[]string{"CLUSTER", "LPFADD", "k", "a"}, "unknown CLUSTER subcommand LPFADD"},
 		{[]string{"CLUSTER", "LWADD", "k", "1700000000000", "a"}, "unknown CLUSTER subcommand LWADD"},
+		{[]string{"CLUSTER", "SYNC"}, "unknown CLUSTER subcommand SYNC"},
+		{[]string{"CLUSTER", "REBALANCE"}, "unknown CLUSTER subcommand REBALANCE"},
 		{[]string{"CLUSTER", "ABSORB", "k", blob}, "CLUSTER ABSORB needs a key, a base64 payload and a deadline"},
 		{[]string{"CLUSTER", "XFER", "BEGIN", "e=1", "sid=s.1", "seq=1", "c=1"}, "CLUSTER XFER BEGIN needs e=<epoch> sid=<id> seq=<n>"},
 	} {

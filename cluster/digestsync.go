@@ -13,14 +13,16 @@ import (
 	"exaloglog/server"
 )
 
-// Digest anti-entropy: instead of probing replicas key by key, a node
-// summarizes the replicated state it shares with one peer as 128
-// per-shard digests (one XOR-fold of per-key content digests each, see
-// server/digest.go) and ships only the keys of shards that disagree.
-// On a converged cluster a full round is one DSUM message per peer —
-// O(members) messages carrying O(shards) bytes — no matter how many
-// keys the cluster holds; the old path (CLUSTER REBALANCE) re-pushed
-// every key every time.
+// Digest anti-entropy — the one path that moves DATA between nodes
+// outside a membership change (gossip moves maps, see gossip.go).
+// Instead of probing replicas key by key, a node summarizes the
+// replicated state it shares with one peer as 128 per-shard digests
+// (one XOR-fold of per-key content digests each, see server/digest.go)
+// and ships only the keys of shards that disagree. On a converged
+// cluster a full round is one DSUM message per peer — O(members)
+// messages carrying O(shards) bytes — no matter how many keys the
+// cluster holds. The same pass over the keys notices strays (keys this
+// node holds but does not own), which the round hands to their owners.
 //
 // Wire protocol (CLUSTER subcommands on the ordinary line protocol):
 //
@@ -32,8 +34,10 @@ import (
 // the vectors comparable — each side digests the same key population.
 // Both sides insist on the same map epoch (-STALE otherwise), since
 // comparing digests across different ownership views would ship keys
-// to nodes that no longer own them. <shards> is a comma-separated list
-// of shard indices whose folded digests disagreed.
+// to nodes that no longer own them; the refused requester settles the
+// maps with that one peer (reconcileMap), so digest rounds alone heal
+// a missed broadcast. <shards> is a comma-separated list of shard
+// indices whose folded digests disagreed.
 //
 // Repair is push-only and merge-based: each node ships the divergent
 // keys IT holds over the streaming transfer channel (one batched XFER
@@ -153,11 +157,19 @@ func decodeKeyDigests(body string) (map[string]uint64, error) {
 
 // coOwnedFilter accepts the keys whose owner set under m contains both
 // this node and peerID — the key population a digest exchange between
-// the two summarizes.
-func (n *Node) coOwnedFilter(m *Map, peerID string) func(string) bool {
+// the two summarizes. A non-nil stray is set when the scan meets a key
+// this node does not own at all: the stray check rides the ownership
+// pass instead of costing a key scan of its own.
+func (n *Node) coOwnedFilter(m *Map, peerID string, stray *bool) func(string) bool {
 	return func(key string) bool {
 		ids := m.ownerIDs(key)
-		return slices.Contains(ids, n.id) && slices.Contains(ids, peerID)
+		if !slices.Contains(ids, n.id) {
+			if stray != nil {
+				*stray = true
+			}
+			return false
+		}
+		return slices.Contains(ids, peerID)
 	}
 }
 
@@ -193,7 +205,7 @@ func (n *Node) handleDigestSum(rest []string) string {
 	if len(rest) != 2 {
 		return "-ERR CLUSTER DSUM needs a requester ID and e=<epoch>"
 	}
-	return "=" + encodeDigestVector(n.store.ShardDigests(n.coOwnedFilter(m, peerID)))
+	return "=" + encodeDigestVector(n.store.ShardDigests(n.coOwnedFilter(m, peerID, nil)))
 }
 
 // handleDigestKeys serves CLUSTER DKEYS (see the file comment).
@@ -205,7 +217,7 @@ func (n *Node) handleDigestKeys(rest []string) string {
 	if len(rest) != 3 {
 		return "-ERR CLUSTER DKEYS needs a requester ID, e=<epoch> and a shard list"
 	}
-	filter := n.coOwnedFilter(m, peerID)
+	filter := n.coOwnedFilter(m, peerID, nil)
 	var kds []server.KeyDigest
 	for _, tok := range strings.Split(rest[2], ",") {
 		shard, err := strconv.Atoi(tok)
@@ -218,7 +230,8 @@ func (n *Node) handleDigestKeys(rest []string) string {
 }
 
 // errDigestStale marks a digest round the peer refused because its map
-// epoch differs; the round is skipped and retried after maps converge.
+// epoch differs; DigestSync reconciles the maps and the next round
+// covers the peer.
 var errDigestStale = errors.New("cluster: digest sync: map epochs differ")
 
 // digestDo issues one digest request and decodes the =<base64> reply
@@ -234,30 +247,42 @@ func (n *Node) digestDo(addr string, args ...string) (string, error) {
 	return reply, nil
 }
 
-// DigestSync runs one digest anti-entropy round against every peer:
-// exchange per-shard digest vectors, narrow disagreeing shards to
-// per-key digests, and ship the divergent keys this node holds over
-// the streaming transfer channel. Peers whose map epoch differs are
-// skipped silently — gossip/Sync converge maps first, and the next
-// round covers them. Returns the first hard error encountered.
+// DigestSync runs one anti-entropy round against every peer: exchange
+// per-shard digest vectors, narrow disagreeing shards to per-key
+// digests, and ship the divergent keys this node holds over the
+// streaming transfer channel; then drain any stray the pass over the
+// keys met. A peer whose map epoch differs refuses the exchange; the
+// maps are reconciled with that peer on the spot and the next round
+// covers its data. Every peer is tried; the errors are joined.
 func (n *Node) DigestSync() error {
-	m := n.currentMap()
-	members := m.Members()
 	var errs []error
-	for _, mem := range members {
-		if mem.ID == n.id {
+	stray := false
+	for _, mem := range n.currentMap().Members() {
+		// Re-read per peer: a reconcile earlier in the round may have
+		// installed a newer map.
+		m := n.currentMap()
+		if mem.ID == n.id || !m.Has(mem.ID) {
 			continue
 		}
-		if err := n.digestSyncPeer(m, mem); err != nil && !errors.Is(err, errDigestStale) {
+		err := n.digestSyncPeer(m, mem, &stray)
+		if errors.Is(err, errDigestStale) {
+			err = n.reconcileMap(mem.Addr)
+		}
+		if err != nil {
 			errs = append(errs, fmt.Errorf("cluster: digest sync with %s: %w", mem.ID, err))
+		}
+	}
+	if stray {
+		if err := n.drainStrays(); err != nil {
+			errs = append(errs, fmt.Errorf("cluster: digest sync: drain strays: %w", err))
 		}
 	}
 	return errors.Join(errs...)
 }
 
 // digestSyncPeer is one peer's round of DigestSync.
-func (n *Node) digestSyncPeer(m *Map, peer Member) error {
-	filter := n.coOwnedFilter(m, peer.ID)
+func (n *Node) digestSyncPeer(m *Map, peer Member, stray *bool) error {
+	filter := n.coOwnedFilter(m, peer.ID, stray)
 	local := n.store.ShardDigests(filter)
 	epochTok := "e=" + strconv.FormatUint(m.Epoch, 10)
 	n.digestRounds.Add(1)
@@ -305,13 +330,7 @@ func (n *Node) digestSyncPeer(m *Map, peer Member) error {
 	if len(items) == 0 {
 		return nil
 	}
-	cfg := n.transferConfig()
-	var failed map[string]error
-	if len(items) >= cfg.MinStreamKeys {
-		failed = n.streamTo(peer.Addr, m.Epoch, items)
-	} else {
-		failed = n.absorbEach(peer.Addr, items)
-	}
+	failed := n.streamTo(peer.Addr, m.Epoch, items)
 	n.digestRepairs.Add(uint64(len(items) - len(failed)))
 	if len(failed) == 0 {
 		return nil

@@ -7,13 +7,39 @@ package cluster
 // keys that actually differ.
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"exaloglog/internal/core"
 	"exaloglog/server"
 )
+
+// countClusterVerbs installs an intercept that counts every outbound
+// CLUSTER subcommand of every node and returns a reader of the tally;
+// the empty verb reads the total.
+func countClusterVerbs(h *harness) (count func(verb string) int) {
+	var mu sync.Mutex
+	counts := map[string]int{}
+	h.setIntercept(func(id, addr string, parts []string) error {
+		if len(parts) >= 2 && strings.EqualFold(parts[0], "CLUSTER") {
+			mu.Lock()
+			counts[strings.ToUpper(parts[1])]++
+			counts[""]++
+			mu.Unlock()
+		}
+		return nil
+	})
+	h.t.Cleanup(func() { h.setIntercept(nil) })
+	return func(verb string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return counts[verb]
+	}
+}
 
 func TestDigestVectorRoundTrip(t *testing.T) {
 	v := make([]uint64, server.NumShards)
@@ -115,37 +141,21 @@ func TestDigestSyncConvergedMessageCount(t *testing.T) {
 		}
 	}
 
-	var mu sync.Mutex
-	counts := map[string]int{}
-	h.setIntercept(func(id, addr string, parts []string) error {
-		if len(parts) >= 2 && strings.EqualFold(parts[0], "CLUSTER") {
-			mu.Lock()
-			counts[strings.ToUpper(parts[1])]++
-			mu.Unlock()
-		}
-		return nil
-	})
-	defer h.setIntercept(nil)
+	count := countClusterVerbs(h)
 
 	if err := h.node("n1").DigestSync(); err != nil {
 		t.Fatalf("digest sync on a converged cluster: %v", err)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	if got, want := counts["DSUM"], 2; got != want {
+	if got, want := count("DSUM"), 2; got != want {
 		t.Errorf("converged round sent %d DSUM messages, want %d (one per peer)", got, want)
 	}
-	for _, verb := range []string{"DKEYS", "XFER", "ABSORB", "MLADD"} {
-		if counts[verb] != 0 {
-			t.Errorf("converged round sent %d %s messages, want 0", counts[verb], verb)
+	for _, verb := range []string{"DKEYS", "XFER", "ABSORB", "MLADD", "MAP", "SETMAP"} {
+		if count(verb) != 0 {
+			t.Errorf("converged round sent %d %s messages, want 0", count(verb), verb)
 		}
 	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total >= keys/10 {
+	if total := count(""); total >= keys/10 {
 		t.Errorf("converged round cost %d messages for %d keys — not O(members)", total, keys)
 	}
 	if _, repaired := h.node("n1").DigestSyncStats(); repaired != 0 {
@@ -175,17 +185,7 @@ func TestDigestSyncRepairsDivergence(t *testing.T) {
 		}
 	}
 
-	var mu sync.Mutex
-	counts := map[string]int{}
-	h.setIntercept(func(id, addr string, parts []string) error {
-		if len(parts) >= 2 && strings.EqualFold(parts[0], "CLUSTER") {
-			mu.Lock()
-			counts[strings.ToUpper(parts[1])]++
-			mu.Unlock()
-		}
-		return nil
-	})
-	defer h.setIntercept(nil)
+	count := countClusterVerbs(h)
 
 	if err := h.node("n1").DigestSync(); err != nil {
 		t.Fatalf("digest sync over diverged replicas: %v", err)
@@ -214,24 +214,17 @@ func TestDigestSyncRepairsDivergence(t *testing.T) {
 		t.Errorf("repaired counter = %d, want %d", repaired, len(lost))
 	}
 
-	mu.Lock()
-	dsum, dkeys := counts["DSUM"], counts["DKEYS"]
-	mu.Unlock()
-	if dsum != 1 || dkeys != 1 {
+	dkeys, xfer := count("DKEYS"), count("XFER")
+	if dsum := count("DSUM"); dsum != 1 || dkeys != 1 {
 		t.Errorf("round sent %d DSUM + %d DKEYS, want 1 + 1 (narrow, then fetch once)", dsum, dkeys)
 	}
 
 	// The round after the repair is silent again: digests agree.
-	mu.Lock()
-	clear(counts)
-	mu.Unlock()
 	if err := h.node("n1").DigestSync(); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if counts["DKEYS"] != 0 || counts["XFER"] != 0 {
-		t.Errorf("post-repair round still moved data: %v", counts)
+	if count("DKEYS") != dkeys || count("XFER") != xfer {
+		t.Errorf("post-repair round still moved data: %d DKEYS, %d XFER messages", count("DKEYS")-dkeys, count("XFER")-xfer)
 	}
 }
 
@@ -349,5 +342,117 @@ func TestDigestSyncChaosUnderLoad(t *testing.T) {
 	}
 	if repaired < uint64(len(droppedKeys)) {
 		t.Errorf("cluster repaired %d keys, want ≥ %d (every dropped key re-shipped)", repaired, len(droppedKeys))
+	}
+}
+
+// TestDigestSyncDrainsStray: a write that landed on a non-owner — its
+// coordinator routed it under a stale map — is handed to the key's
+// owners and dropped locally by ONE digest round of the node holding
+// it. The drain is a rebalance push, not a digest repair.
+func TestDigestSyncDrainsStray(t *testing.T) {
+	h := newHarness(t, 3, 2)
+	n3 := h.node("n3")
+	m := n3.Map()
+	key := ""
+	for k := 0; key == ""; k++ {
+		if cand := fmt.Sprintf("stray-%d", k); !slices.Contains(m.ownerIDs(cand), "n3") {
+			key = cand
+		}
+	}
+	want, err := core.NewHybrid(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The owners hold part of the key; the late write reaches n3 alone.
+	for _, el := range []string{"a", "b", "c"} {
+		want.AddString(el)
+	}
+	if _, err := h.node("n1").Add(key, "a", "b", "c"); err != nil {
+		t.Fatal(err)
+	}
+	for _, el := range []string{"c", "late-1", "late-2"} {
+		want.AddString(el)
+	}
+	if _, err := n3.Store().Add(key, "c", "late-1", "late-2"); err != nil {
+		t.Fatal(err)
+	}
+	_, repairedBefore := n3.DigestSyncStats()
+
+	if err := n3.DigestSync(); err != nil {
+		t.Fatalf("digest round with a stray: %v", err)
+	}
+
+	if _, ok := n3.Store().Dump(key); ok {
+		t.Errorf("n3 still holds the stray %s after its digest round", key)
+	}
+	wantBlob, _ := want.MarshalBinary()
+	for _, id := range m.ownerIDs(key) {
+		blob, ok := h.node(id).Store().Dump(key)
+		if !ok || !bytes.Equal(blob, wantBlob) {
+			t.Errorf("owner %s holds %d bytes of %s (present %v), the reference %d bytes", id, len(blob), key, ok, len(wantBlob))
+		}
+	}
+	if _, repaired := n3.DigestSyncStats(); repaired != repairedBefore {
+		t.Errorf("draining a stray counted %d digest repairs, want 0", repaired-repairedBefore)
+	}
+}
+
+// TestDigestSyncHealsMissedJoin: a node partitioned through a JOIN heals
+// with digest rounds alone — no Gossip call, so this is what keeps maps
+// converging under -gossip-interval 0. The refused DSUM costs one MAP
+// pull and one targeted SETMAP for the one stale peer, and nothing once
+// the maps agree.
+func TestDigestSyncHealsMissedJoin(t *testing.T) {
+	h := newHarness(t, 3, 2)
+	const keys = 20
+	ref := make([]float64, keys)
+	for k := 0; k < keys; k++ {
+		key := fmt.Sprintf("mj-%d", k)
+		if _, err := h.node("n2").Add(key, "x", "y", fmt.Sprint(k)); err != nil {
+			t.Fatal(err)
+		}
+		ref[k] = mustCount(t, h.node("n1"), key)
+	}
+	h.partition("n3", true)
+	h.start("x1", "127.0.0.1:0")
+	h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1")) // the broadcast to n3 fails: that is the point
+	if !h.node("n1").Map().Has("x1") || h.node("n3").Map().Has("x1") {
+		t.Fatal("fixture: the join must land on the majority and miss n3")
+	}
+	h.partition("n3", false)
+
+	count := countClusterVerbs(h)
+	round := func() {
+		t.Helper()
+		for _, n := range h.running() {
+			if err := n.DigestSync(); err != nil {
+				t.Fatalf("%s digest round: %v", n.ID(), err)
+			}
+		}
+	}
+	round()
+	enc := h.node("n1").Map().Encode()
+	for _, n := range h.running() {
+		if got := n.Map().Encode(); got != enc {
+			t.Fatalf("%s holds %s after one digest round each, the cluster %s", n.ID(), got, enc)
+		}
+	}
+	if pulls, pushes := count("MAP"), count("SETMAP"); pulls > 1 || pushes > 1 {
+		t.Errorf("healing one stale peer cost %d MAP pulls and %d SETMAPs, want ≤ 1 each", pulls, pushes)
+	}
+	if count("GOSSIP") != 0 {
+		t.Error("the heal used gossip")
+	}
+	pulls, pushes := count("MAP"), count("SETMAP")
+	round()
+	if count("MAP") != pulls || count("SETMAP") != pushes {
+		t.Errorf("a converged round still moved maps: %d MAP pulls, %d SETMAPs", count("MAP")-pulls, count("SETMAP")-pushes)
+	}
+	for k := 0; k < keys; k++ {
+		for _, n := range h.running() {
+			if got := mustCount(t, n, fmt.Sprintf("mj-%d", k)); got != ref[k] {
+				t.Errorf("%s: count mj-%d = %v, want %v after the heal", n.ID(), k, got, ref[k])
+			}
+		}
 	}
 }

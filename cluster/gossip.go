@@ -63,13 +63,12 @@ type peerState struct {
 // gossipState is the detector state machine; it has its own lock,
 // taken strictly after (never around) node-level locks.
 type gossipState struct {
-	mu       sync.Mutex
-	cfg      GossipConfig
-	round    uint64 // local logical clock, advanced only by Gossip
-	selfHB   uint64 // own heartbeat counter
-	peers    map[string]*peerState
-	cursor   int  // round-robin position for fanout target selection
-	needSync bool // a digest revealed a newer map triple; Sync next round
+	mu     sync.Mutex
+	cfg    GossipConfig
+	round  uint64 // local logical clock, advanced only by Gossip
+	selfHB uint64 // own heartbeat counter
+	peers  map[string]*peerState
+	cursor int // round-robin position for fanout target selection
 
 	// suspectsRaised counts alive→suspect transitions in this node's
 	// own judgment (re-asserting an existing suspicion does not count)
@@ -164,17 +163,6 @@ func (n *Node) markAlive(addr string) {
 // is itself the signal the detector feeds on.
 func (n *Node) Gossip() []string {
 	g := &n.gsp
-
-	// A previous round learned (from a digest triple) that some peer
-	// holds a newer map; pull it before acting on stale membership.
-	g.mu.Lock()
-	syncFirst := g.needSync
-	g.needSync = false
-	g.mu.Unlock()
-	if syncFirst {
-		n.Sync() // best-effort: a failed sync just retries next round
-	}
-
 	m := n.currentMap()
 	members := m.Members()
 
@@ -221,7 +209,7 @@ func (n *Node) Gossip() []string {
 	// Push-pull exchange. Each reply carries the target's digest, which
 	// may deliver the suspicion bits that complete a quorum below — and,
 	// when the target's map supersedes ours, the full map piggybacked as
-	// an "@map" payload, healing us in the same round trip with no Sync.
+	// an "@map" payload, healing us in the same round trip.
 	payload := append([]string{"CLUSTER", "GOSSIP"}, strings.Fields(digest)...)
 	for _, addr := range targets {
 		reply, err := n.peers.do(addr, payload...)
@@ -233,12 +221,17 @@ func (n *Node) Gossip() []string {
 			continue
 		}
 		n.installDigestMap(d)
-		n.processDigest(d, true)
-		// The reply's triple shows the replier behind our map: push the
-		// full map now, one targeted SETMAP, instead of leaving the
-		// laggard to discover it and pull a full Sync round.
-		if cur := n.currentMap(); tripleBehind(cur, d.Epoch, d.Version, d.Coordinator) {
-			n.peers.do(addr, append([]string{"CLUSTER", "SETMAP"}, strings.Fields(cur.Encode())...)...)
+		n.processDigest(d)
+		// Both best-effort: a failed heal retries on the next exchange.
+		switch cur := n.currentMap(); {
+		case tripleBehind(cur, d.Epoch, d.Version, d.Coordinator):
+			// The replier is behind our map: push it now, one targeted
+			// SETMAP, instead of leaving the laggard to discover it.
+			n.peers.do(addr, setmapCommand(cur)...)
+		case cur.SupersededByTriple(d.Epoch, d.Version, d.Coordinator):
+			// The replier is still ahead, so its map did not fit the
+			// reply (size-capped): pull it from that one peer.
+			n.reconcileMap(addr)
 		}
 	}
 
@@ -356,16 +349,9 @@ func (n *Node) pickTargetsLocked(members []Member) []string {
 // processDigest folds one received digest into the detector state:
 // direct contact with the sender, heartbeat advances (which refute all
 // outstanding suspicion of that peer), and the sender's suspicion bits.
-//
-// fromReply distinguishes how a superseding map triple is handled. A
-// digest that arrived as a gossip REPLY should have piggybacked the
-// full map (installDigestMap already installed it); if it did not —
-// size-capped — the needSync fallback queues a full Sync. A digest
-// PUSHED at us never queues a Sync: our reply carries our (stale)
-// triple back, and the pusher answers it with a targeted SETMAP — the
-// delta path that keeps a single laggard from costing O(members) MAP
-// pulls.
-func (n *Node) processDigest(d *digest, fromReply bool) {
+// The map triple the digest carries is the callers' business (Gossip,
+// handleGossip): detector state never moves maps.
+func (n *Node) processDigest(d *digest) {
 	m := n.currentMap()
 	g := &n.gsp
 	g.mu.Lock()
@@ -382,7 +368,7 @@ func (n *Node) processDigest(d *digest, fromReply bool) {
 		}
 		st, ok := g.peers[e.ID]
 		if !ok {
-			continue // not in our map (yet); Sync will reconcile
+			continue // not in our map (yet); the @map heal will bring it
 		}
 		if e.HB > st.hb {
 			st.hb = e.HB
@@ -416,17 +402,13 @@ func (n *Node) processDigest(d *digest, fromReply bool) {
 			g.recordEvictionLocked(r.ID, r.Epoch)
 		}
 	}
-	if fromReply && d.MapPayload == nil && m.SupersededByTriple(d.Epoch, d.Version, d.Coordinator) {
-		g.needSync = true
-	}
 }
 
 // installDigestMap installs a full map piggybacked on a gossip digest
 // (no-op without a payload, or when the payload is not newer). It runs
-// OUTSIDE g.mu — installing triggers a rebalance — and callers invoke
-// it BEFORE processDigest so a superseding triple whose map already
-// arrived does not also queue a Sync. Best-effort: a failed rebalance
-// leaves strays for the next Sync/drain to heal, as everywhere else.
+// OUTSIDE g.mu — installing triggers a rebalance. Best-effort: a failed
+// rebalance leaves strays for the next digest round's drain to heal, as
+// everywhere else.
 func (n *Node) installDigestMap(d *digest) {
 	if d.MapPayload == nil || !d.MapPayload.Newer(n.currentMap()) {
 		return
@@ -447,15 +429,16 @@ func tripleBehind(m *Map, epoch, version uint64, coordinator string) bool {
 // digest in and reply with ours (push-pull), so one round trip moves
 // information both ways. When the pusher's map triple is strictly
 // behind this node's, the reply additionally piggybacks the full map as
-// an "@map" payload — the one-round-trip heal that replaces the old
-// "set needSync, pull every member's map next round" behavior.
+// an "@map" payload: the pusher heals in the same round trip. A pusher
+// AHEAD of us needs nothing here — our reply carries our stale triple
+// back and the pusher answers it with a targeted SETMAP.
 func (n *Node) handleGossip(rest []string) string {
 	d, err := decodeDigest(rest)
 	if err != nil {
 		return "-ERR " + err.Error()
 	}
 	n.installDigestMap(d)
-	n.processDigest(d, false)
+	n.processDigest(d)
 	m := n.currentMap()
 	n.gsp.mu.Lock()
 	reply := n.buildDigestLocked(m)
@@ -584,8 +567,7 @@ type evictionRecord struct {
 // gossipState). A gossip REPLY whose sender's map supersedes the
 // pusher's additionally piggybacks the full map after an "@map" marker
 // — the map delta rides the digest exchange itself, so a node that
-// missed a broadcast heals in one round trip instead of pulling every
-// member's map through a Sync round.
+// missed a broadcast heals in one round trip with no MAP pull.
 type digest struct {
 	Sender      string
 	Epoch       uint64

@@ -362,15 +362,17 @@ func (h *harness) do(id string, parts ...string) (string, error) {
 	return c.Do(parts...)
 }
 
-// converge drives Sync rounds until every running node holds a
-// byte-identical map, failing the test after deadline. Returns the
-// converged encoding.
+// converge drives digest rounds — the one anti-entropy path: a refused
+// DSUM reconciles maps, the round's drain moves strays — until every
+// running node holds a byte-identical map, failing the test after
+// deadline. It never calls Gossip, so the failure detector's logical
+// clock stands still. Returns the converged encoding.
 func (h *harness) converge(deadline time.Duration) string {
 	h.t.Helper()
 	end := time.Now().Add(deadline)
 	for {
 		for _, n := range h.running() {
-			n.Sync() // best-effort: unreachable peers just miss this round
+			n.DigestSync() // best-effort: unreachable peers just miss this round
 		}
 		encodings := make(map[string]bool)
 		var enc string
@@ -617,8 +619,8 @@ func TestMinorityCoordinatorCannotMutate(t *testing.T) {
 
 // TestPartitionedNodeMissesBroadcastThenHeals: a node cut off during a
 // membership change misses the SETMAP broadcast (the majority side
-// proceeds); when the partition heals, Sync pulls it onto the newest
-// map and every count survives.
+// proceeds); when the partition heals, digest rounds pull it onto the
+// newest map and every count survives.
 func TestPartitionedNodeMissesBroadcastThenHeals(t *testing.T) {
 	h := newHarness(t, 3, 2)
 	const keys = 20
@@ -964,8 +966,8 @@ func TestGossipMinorityCannotEvict(t *testing.T) {
 		}
 	}
 
-	// Heal: gossip tells n3 a newer map exists; the next rounds Sync it
-	// onto the n3-less map and drain its sketches to the owners.
+	// Heal: n3's next gossip push is answered with the n3-less map
+	// (@map); installing it drains n3's sketches to the owners.
 	h.partition("n3", false)
 	h.tick(3)
 	if h.node("n3").Map().Has("n3") {
@@ -1411,18 +1413,18 @@ func TestTTLChaosDeterministicExpiry(t *testing.T) {
 		}
 	}
 
-	// Anti-entropy must not resurrect ghosts: repair re-pushes every
-	// local sketch, but expired keys are skipped at the dump.
+	// Anti-entropy must not resurrect ghosts: a digest round digests an
+	// expired key as absent and never ships it.
 	for _, n := range h.running() {
-		if err := n.repair(); err != nil {
-			t.Fatalf("%s: repair: %v", n.ID(), err)
+		if err := n.DigestSync(); err != nil {
+			t.Fatalf("%s: digest round: %v", n.ID(), err)
 		}
 	}
 	h.tick(2)
 	for k := 0; k < ttlKeys; k++ {
 		for _, n := range h.running() {
 			if got := mustCount(t, n, ttlName(k)); got != 0 {
-				t.Errorf("%s: repair resurrected expired key %s (count %v)", n.ID(), ttlName(k), got)
+				t.Errorf("%s: digest round resurrected expired key %s (count %v)", n.ID(), ttlName(k), got)
 			}
 			if _, ok := n.Store().Dump(ttlName(k)); ok {
 				t.Errorf("%s: store still dumps expired key %s", n.ID(), ttlName(k))
@@ -1454,8 +1456,8 @@ func TestTTLChaosDeterministicExpiry(t *testing.T) {
 // TestGossipPiggybackHealsWithoutMapPull: a node that missed a SETMAP
 // broadcast heals through the map payload piggybacked on ordinary
 // gossip digests — zero CLUSTER MAP pull rounds, and at most a handful
-// of targeted SETMAPs — instead of waiting for a full Sync. The test
-// counts every message on the wire during the heal.
+// of targeted SETMAPs. The test counts every message on the wire
+// during the heal.
 func TestGossipPiggybackHealsWithoutMapPull(t *testing.T) {
 	h := newHarness(t, 3, 2)
 	h.tick(2) // healthy baseline
@@ -1472,7 +1474,7 @@ func TestGossipPiggybackHealsWithoutMapPull(t *testing.T) {
 	}
 
 	// Heal, then count every message while ONLY gossip rounds run — no
-	// converge, no Sync.
+	// converge, no digest round.
 	h.partition("n3", false)
 	var msgMu sync.Mutex
 	var mapPulls, setmaps, gossips int
@@ -1523,6 +1525,44 @@ func TestGossipPiggybackHealsWithoutMapPull(t *testing.T) {
 	// stay targeted (no O(members) spray, no repeat after the heal).
 	if setmaps > 8 {
 		t.Errorf("heal broadcast %d SETMAPs — targeted push degraded to a spray", setmaps)
+	}
+}
+
+// TestGossipOversizedMapFallsBackToOnePull: a map too large to ride a
+// gossip reply beside the digest is the one case a laggard has to pull
+// — and it pulls from the one peer whose reply showed the newer triple,
+// once, not from every member.
+func TestGossipOversizedMapFallsBackToOnePull(t *testing.T) {
+	h := newHarness(t, 2, 1)
+	n1, n2 := h.node("n1"), h.node("n2")
+	// 2000 members with 60-byte ids at a dead address: the map and n1's
+	// digest each fit maxWireBytes, together they do not. The fake ids
+	// sort first, so n1's own gossip round below targets two of them
+	// (refused dials) and never reaches n2.
+	cur := n1.Map()
+	tokens := strings.Fields(cur.withNode("n1", cur.Addr("n1"), cur.Epoch+1, "n1").Encode())
+	for i := 0; i < 2000; i++ {
+		tokens = append(tokens, fmt.Sprintf("a%059d=127.0.0.1:1", i))
+	}
+	big, err := DecodeMap(tokens)
+	if err != nil {
+		t.Fatalf("fixture map: %v", err)
+	}
+	if err := n1.installAndRebalance(big); err != nil {
+		t.Fatal(err)
+	}
+	n1.Gossip() // gives n1 a detector entry, hence a digest row, per member
+	if n2.Map().Encode() == big.Encode() {
+		t.Fatal("fixture: n2 learned the map before the exchange under test")
+	}
+
+	count := countClusterVerbs(h)
+	n2.Gossip()
+	if got := n2.Map().Encode(); got != big.Encode() {
+		t.Fatalf("n2 did not adopt the oversized map: holds %d bytes, want %d", len(got), len(big.Encode()))
+	}
+	if pulls, pushes := count("MAP"), count("SETMAP"); pulls != 1 || pushes != 0 {
+		t.Errorf("the fallback cost %d MAP pulls and %d SETMAPs, want 1 and 0", pulls, pushes)
 	}
 }
 

@@ -44,7 +44,7 @@ type Member struct {
 // majority side can keep mutating while the minority side serves its
 // last map, and a minority-side mutation that cannot reach quorum
 // fails. When the partition heals, the highest-epoch map wins
-// everywhere (Sync/SETMAP) and the losing side's unmerged membership
+// everywhere (gossip/SETMAP) and the losing side's unmerged membership
 // mutations — not its sketch data, which rebalance re-pushes — are
 // discarded and must be re-issued. Likewise, a mutation whose
 // coordinator becomes unreachable before any reachable member learns

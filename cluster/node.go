@@ -5,7 +5,6 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,10 +30,8 @@ import (
 //	CLUSTER LEAVE <id>                 → +OK e=.. v=.. c=.. / +SUPERSEDED e=.. v=.. c=.. (as JOIN, removing the node)
 //	CLUSTER SETMAP <v2 payload>        → +OK (install if newer under the epoch order, delta-rebalance)
 //	CLUSTER EPOCH <epoch> <coord>      → +GRANTED <epoch> / +DENIED <highest> (epoch claim; internal)
-//	CLUSTER SYNC                       → +OK (one anti-entropy round: pull peer maps, adopt/spread the newest)
 //	CLUSTER GOSSIP <g1 digest>         → +<g1 digest> (push-pull failure-detector exchange; internal)
 //	CLUSTER HEALTH                     → +round=.. quorum=.. member=.. <id>=<state>,hb=..,heard=..,sus=.. ...
-//	CLUSTER REBALANCE                  → +OK (full re-push of local sketches to their owners)
 //	CLUSTER MLADD <g> <group>... ×g    → +<g tokens> (batched mixed plain/windowed local adds; internal replication verb)
 //	CLUSTER LDEL <key>                 → :1/:0 (local delete; internal)
 //	CLUSTER LEXPIREAT <key> <ms>       → :1/:0 (local absolute-deadline arm; internal, see lifecycle.go)
@@ -78,7 +75,7 @@ type Node struct {
 	// mode, where any node answers any command, stays the default.
 	strict       atomic.Bool
 	movedReplies atomic.Uint64 // -MOVED redirects sent to misrouted clients
-	mapRefetches atomic.Uint64 // CLUSTER MAP replies served (client refetches + syncs)
+	mapRefetches atomic.Uint64 // CLUSTER MAP replies served (smart clients refetching after a -MOVED)
 
 	// mutateMu serializes membership mutations coordinated BY THIS
 	// node (claim → mint → install → broadcast), so two JOINs arriving
@@ -556,93 +553,54 @@ func (n *Node) claimEpoch() (uint64, error) {
 	return 0, lastErr
 }
 
-// Sync is one anti-entropy round: fetch every peer's map, adopt the
-// newest (delta-rebalancing if it changed), and re-broadcast the
-// winner when any peer was behind. Driven periodically (elld does) it
-// heals nodes that missed a SETMAP broadcast — a restarted node, or
-// either side of a healed partition — without a consensus dependency.
-func (n *Node) Sync() error {
-	local := n.currentMap()
-	members := local.Members()
-	maps := make([]*Map, len(members))
-	errs := make([]error, len(members))
-	var wg sync.WaitGroup
-	for i, mem := range members {
-		if mem.ID == n.id {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, mem Member) {
-			defer wg.Done()
-			reply, err := n.peers.do(mem.Addr, "CLUSTER", "MAP")
-			if err != nil {
-				errs[i] = fmt.Errorf("cluster: sync map from %s: %w", mem.ID, err)
-				return
-			}
-			m, err := DecodeMap(strings.Fields(reply))
-			if err != nil {
-				errs[i] = fmt.Errorf("cluster: sync map from %s: %w", mem.ID, err)
-				return
-			}
-			maps[i] = m
-		}(i, mem)
+// peerMap pulls the cluster map one peer holds — the node's only
+// CLUSTER MAP pull, shared by reconcileMap and rebalance's re-plan.
+func (n *Node) peerMap(addr string) (*Map, error) {
+	reply, err := n.peers.do(addr, "CLUSTER", "MAP")
+	if err != nil {
+		return nil, fmt.Errorf("cluster: map from %s: %w", addr, err)
 	}
-	wg.Wait()
-	best := local
-	for _, m := range maps {
-		if m != nil && m.Newer(best) {
-			best = m
-		}
+	m, err := DecodeMap(strings.Fields(reply))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: map from %s: %w", addr, err)
 	}
-	if best.Newer(local) {
-		if err := n.installAndRebalance(best); err != nil {
-			errs = append(errs, err)
-		}
+	return m, nil
+}
+
+// reconcileMap settles a map mismatch with the one peer it was seen on:
+// pull that peer's map, install it if it supersedes ours
+// (delta-rebalancing), and answer with one targeted SETMAP if the peer
+// turns out to be the one behind. The two callers learn of the mismatch
+// for free — a gossip reply whose triple supersedes ours but whose @map
+// payload did not fit, and a -STALE refusal of a digest round's DSUM —
+// so a converged cluster never pays a MAP pull.
+func (n *Node) reconcileMap(addr string) error {
+	theirs, err := n.peerMap(addr)
+	if err != nil {
+		return err
 	}
-	// Push the winner only to the peers observed behind it — every
-	// node runs Sync, so spraying all members would cost O(N²)
-	// messages per tick for a single laggard.
-	setmap := append([]string{"CLUSTER", "SETMAP"}, strings.Fields(best.Encode())...)
-	var pushWG sync.WaitGroup
-	pushErrs := make([]error, len(members))
-	for i, m := range maps {
-		if m == nil || !best.Newer(m) {
-			continue
-		}
-		pushWG.Add(1)
-		go func(i int, addr string) {
-			defer pushWG.Done()
-			_, pushErrs[i] = n.peers.do(addr, setmap...)
-		}(i, members[i].Addr)
+	if err := n.installAndRebalance(theirs); err != nil {
+		return err
 	}
-	pushWG.Wait()
-	errs = append(errs, pushErrs...)
-	if err := n.drainStrays(); err != nil {
-		errs = append(errs, err)
+	if cur := n.currentMap(); cur.Newer(theirs) {
+		_, err = n.peers.do(addr, setmapCommand(cur)...)
 	}
-	return errors.Join(errs...)
+	return err
+}
+
+// setmapCommand renders the CLUSTER SETMAP command that installs m.
+func setmapCommand(m *Map) []string {
+	return append([]string{"CLUSTER", "SETMAP"}, strings.Fields(m.Encode())...)
 }
 
 // drainStrays pushes local sketches this node does not own under the
 // current map to their owners, then drops them — e.g. a write that
 // landed here under a stale map after this node's rebalance already
-// handed the key off. Free when there are no strays (the common case),
-// so Sync can run it every round.
+// handed the key off. rebalance with old == cur pushes nothing for
+// owned keys (their owner-set delta is empty) and full-pushes + drops
+// exactly the strays.
 func (n *Node) drainStrays() error {
 	m := n.currentMap()
-	stray := false
-	for _, key := range n.store.Keys() {
-		if !slices.Contains(m.ownerIDs(key), n.id) {
-			stray = true
-			break
-		}
-	}
-	if !stray {
-		return nil
-	}
-	// rebalance with old == cur pushes nothing for owned keys (their
-	// owner-set delta is empty) and full-pushes + drops exactly the
-	// strays.
 	return n.rebalance(m, m)
 }
 
@@ -651,8 +609,7 @@ func (n *Node) drainStrays() error {
 // it learns to drain). Peers rebalance before replying, so a nil return
 // means the cluster has converged. Extra-address errors are ignored.
 func (n *Node) broadcast(m *Map, extraAddrs []string) error {
-	tokens := strings.Fields(m.Encode())
-	args := append([]string{"CLUSTER", "SETMAP"}, tokens...)
+	args := setmapCommand(m)
 	var wg sync.WaitGroup
 	members := m.Members()
 	errs := make([]error, len(members))
@@ -1375,7 +1332,9 @@ func (n *Node) handleCluster(args []string) string {
 	case "MAP":
 		// Counted as a refetch: under strict routing this is the verb
 		// stale smart clients issue after a -MOVED, so moved_replies vs
-		// map_refetches shows whether redirects are converging.
+		// map_refetches shows whether redirects are converging. A peer
+		// pulls it only while its map differs (reconcileMap), so on a
+		// converged cluster the counter moves with clients alone.
 		n.mapRefetches.Add(1)
 		return "+" + n.currentMap().Encode()
 	case "JOIN":
@@ -1415,17 +1374,6 @@ func (n *Node) handleCluster(args []string) string {
 			return fmt.Sprintf("+DENIED %d %s", highest, n.currentMap().Encode())
 		}
 		return fmt.Sprintf("+GRANTED %d %s", e, n.currentMap().Encode())
-	case "SYNC":
-		// Full operator-facing anti-entropy: converge maps, drain
-		// strays, then run a digest round so replica divergence heals
-		// without the full re-push CLUSTER REBALANCE would cost.
-		if err := n.Sync(); err != nil {
-			return "-ERR sync: " + err.Error()
-		}
-		if err := n.DigestSync(); err != nil {
-			return "-ERR sync: " + err.Error()
-		}
-		return "+OK"
 	case "DSUM":
 		return n.handleDigestSum(rest)
 	case "DKEYS":
@@ -1436,11 +1384,6 @@ func (n *Node) handleCluster(args []string) string {
 		return n.handleHealth()
 	case "STATS":
 		return n.handleClusterStats(rest)
-	case "REBALANCE":
-		if err := n.repair(); err != nil {
-			return "-ERR rebalance: " + err.Error()
-		}
-		return "+OK"
 	case "MLADD":
 		return n.handleMLAdd(rest)
 	case "LDEL":

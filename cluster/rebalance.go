@@ -5,7 +5,6 @@ import (
 	"errors"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"exaloglog/server"
@@ -22,14 +21,11 @@ const rebalanceReplans = 3
 // owners it GAINED in the transition — owners that already held it
 // under old are not re-sent — so a membership change costs messages
 // proportional to the keys whose owner set actually changed, not
-// O(keys×replicas). Two cases fall back to a full push of the key to
-// every owner under cur:
-//
-//   - old is nil (repair / unknown provenance, e.g. data restored from
-//     a snapshot or an operator-issued CLUSTER REBALANCE), and
-//   - this node did not own the key under old (a stray copy, e.g. from
-//     a drain that previously failed half-way) — cur's owners may
-//     never have seen it.
+// O(keys×replicas). A key this node did not own under old — a stray
+// copy, e.g. a write that landed here under a stale map, or a drain
+// that previously failed half-way — is pushed in full to every owner
+// under cur, which may never have seen it (drainStrays is this case
+// alone: old == cur).
 //
 // Pushes travel over the streaming bulk-transfer transport (see
 // transfer.go): one framed, resumable stream per gaining peer, with
@@ -43,30 +39,38 @@ const rebalanceReplans = 3
 //
 // Receivers are epoch-fenced: a peer whose map has already moved past
 // cur refuses the stream with -STALE, and rebalance then adopts the
-// newest map its peers hold and re-plans the SAME old→ transition
-// against it (bounded by rebalanceReplans) — keys bound for a dead
+// refusing peers' maps and re-plans the SAME old→ transition against
+// the newest (bounded by rebalanceReplans) — keys bound for a dead
 // epoch are re-routed instead of lost or misdelivered.
 //
 // A node absent from cur (it is leaving) owns nothing, so rebalance
 // drains it: every local sketch is pushed to its new owners and
 // dropped locally once every push for that key succeeded.
 func (n *Node) rebalance(old, cur *Map) error {
-	err := n.rebalanceOnce(old, cur)
-	for replan := 0; replan < rebalanceReplans && errors.Is(err, errXferStale); replan++ {
-		newest := n.newestPeerMap(cur)
-		if newest == nil || !newest.Newer(cur) {
+	stale, err := n.rebalanceOnce(old, cur)
+	for replan := 0; replan < rebalanceReplans && len(stale) > 0; replan++ {
+		// Whoever refused holds the map that superseded cur. Swap it in
+		// without installAndRebalance: the re-plan below IS its rebalance.
+		for _, addr := range stale {
+			if m, err := n.peerMap(addr); err == nil {
+				n.swapMap(m)
+			}
+		}
+		next := n.currentMap()
+		if !next.Newer(cur) {
 			break // fence tripped but no newer map visible yet; surface the error
 		}
-		n.swapMap(newest)
-		cur = n.currentMap()
-		err = n.rebalanceOnce(old, cur)
+		cur = next
+		stale, err = n.rebalanceOnce(old, cur)
 	}
 	return err
 }
 
 // rebalanceOnce is one planning+push pass of rebalance against a fixed
-// transition; see rebalance for the protocol it is part of.
-func (n *Node) rebalanceOnce(old, cur *Map) error {
+// transition; see rebalance for the protocol it is part of. stale lists
+// the peers that refused their stream with -STALE (err then wraps
+// errXferStale once).
+func (n *Node) rebalanceOnce(old, cur *Map) (stale []string, err error) {
 	blobs := n.store.DumpAllTagged()
 	byAddr := make(map[string][]server.KeyBlob)
 	keep := make(map[string]bool, len(blobs))
@@ -80,10 +84,8 @@ func (n *Node) rebalanceOnce(old, cur *Map) error {
 		// oldOwners is non-nil only when this node owned the key under
 		// old; then owners already present under old are skipped.
 		var oldOwners []string
-		if old != nil {
-			if ids := old.ownerIDs(key); slices.Contains(ids, n.id) {
-				oldOwners = ids
-			}
+		if ids := old.ownerIDs(key); slices.Contains(ids, n.id) {
+			oldOwners = ids
 		}
 		for _, o := range owners {
 			if o.ID == n.id {
@@ -98,7 +100,6 @@ func (n *Node) rebalanceOnce(old, cur *Map) error {
 		}
 	}
 	n.pushes.Add(uint64(pushes))
-	cfg := n.transferConfig()
 	errsByKey := make(map[string]error, len(blobs))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -106,35 +107,32 @@ func (n *Node) rebalanceOnce(old, cur *Map) error {
 		wg.Add(1)
 		go func(addr string, items []server.KeyBlob) {
 			defer wg.Done()
-			var failed map[string]error
-			if len(items) >= cfg.MinStreamKeys {
-				failed = n.streamTo(addr, cur.Epoch, items)
-			} else {
-				failed = n.absorbEach(addr, items)
-			}
+			failed := n.streamTo(addr, cur.Epoch, items)
 			if len(failed) == 0 {
 				return
 			}
 			mu.Lock()
+			refused := false
 			for key, err := range failed {
+				refused = refused || errors.Is(err, errXferStale)
 				if errsByKey[key] == nil {
 					errsByKey[key] = err
 				}
+			}
+			if refused {
+				stale = append(stale, addr)
 			}
 			mu.Unlock()
 		}(addr, items)
 	}
 	wg.Wait()
 	var errs []error
-	stale := false
 	for key, tagged := range blobs {
 		if err := errsByKey[key]; err != nil {
-			// Collapse the fan-out of a -STALE refusal (every key of the
-			// refused stream carries it) into one marker error for the
-			// re-plan loop; other failures surface per key.
-			if errors.Is(err, errXferStale) {
-				stale = true
-			} else {
+			// A -STALE refusal fans out to every key of the refused
+			// stream; it surfaces once, below. Other failures surface
+			// per key.
+			if !errors.Is(err, errXferStale) {
 				errs = append(errs, err)
 			}
 			continue // don't drop a key we failed to hand off
@@ -142,19 +140,19 @@ func (n *Node) rebalanceOnce(old, cur *Map) error {
 		if !keep[key] {
 			// Conditional delete: a write that landed after the dump
 			// was NOT in the pushed blob — keep the key as a stray and
-			// let the next rebalance/Sync hand the fresh state off.
+			// let the next digest round's drain hand the fresh state off.
 			n.store.DeleteIfUnchanged(key, tagged)
 		}
 	}
-	if stale {
+	if len(stale) > 0 {
 		errs = append(errs, errXferStale)
 	}
-	return errors.Join(errs...)
+	return stale, errors.Join(errs...)
 }
 
-// absorbEach pushes items to addr one CLUSTER ABSORB per key — the
-// path for pushes too small to amortize a stream's handshake, and the
-// building block streamTo degrades to. It returns the keys that failed.
+// absorbEach pushes items to addr one CLUSTER ABSORB per key — what
+// streamTo does for pushes too small to amortize a stream's handshake,
+// and degrades to. It returns the keys that failed.
 func (n *Node) absorbEach(addr string, items []server.KeyBlob) map[string]error {
 	var failed map[string]error
 	for _, it := range items {
@@ -168,42 +166,3 @@ func (n *Node) absorbEach(addr string, items []server.KeyBlob) map[string]error 
 	}
 	return failed
 }
-
-// newestPeerMap fetches the map of every member of m and returns the
-// newest one seen (nil if no peer answered) — how a sender whose
-// stream was -STALE-refused finds the map that superseded its own.
-func (n *Node) newestPeerMap(m *Map) *Map {
-	members := m.Members()
-	maps := make([]*Map, len(members))
-	var wg sync.WaitGroup
-	for i, mem := range members {
-		if mem.ID == n.id {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			reply, err := n.peers.do(addr, "CLUSTER", "MAP")
-			if err != nil {
-				return
-			}
-			if got, err := DecodeMap(strings.Fields(reply)); err == nil {
-				maps[i] = got
-			}
-		}(i, mem.Addr)
-	}
-	wg.Wait()
-	var best *Map
-	for _, got := range maps {
-		if got != nil && got.Newer(best) {
-			best = got
-		}
-	}
-	return best
-}
-
-// repair re-pushes every local sketch to all of its current owners —
-// the pre-delta full rebalance, kept as an anti-entropy tool (the
-// CLUSTER REBALANCE verb) for healing replica divergence after crashes
-// or partitions.
-func (n *Node) repair() error { return n.rebalance(nil, n.currentMap()) }

@@ -28,7 +28,7 @@ type ClusterStats struct {
 	MLPFAddBatches uint64 // MLADD batches flushed
 	RebalPushes    uint64 // cumulative rebalance per-(key,owner) pushes planned
 	MovedReplies   uint64 // -MOVED redirects sent to misrouted clients (strict routing)
-	MapRefetches   uint64 // CLUSTER MAP replies served (client refetches + syncs)
+	MapRefetches   uint64 // CLUSTER MAP replies served (smart clients refetching after a -MOVED)
 
 	// Bulk-transfer transport counters (see transfer.go).
 	XferStreams      uint64 // XFER streams opened

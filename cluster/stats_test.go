@@ -60,6 +60,45 @@ func TestClusterStatsReportsCounters(t *testing.T) {
 	}
 }
 
+// TestMapRefetchesIsTheClientSignal: map_refetches counts CLUSTER MAP
+// replies, documented as what smart clients do after a -MOVED. On a
+// converged cluster the nodes' own anti-entropy must leave it alone —
+// a periodic map pull between peers once added members−1 to it per
+// tick, drowning the signal.
+func TestMapRefetchesIsTheClientSignal(t *testing.T) {
+	h := newHarness(t, 3, 2)
+	for k := 0; k < 20; k++ {
+		if _, err := h.node("n1").Add(fmt.Sprintf("rf-%d", k), "a", "b"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Join pulls the seed's map once per joiner; start from there.
+	before := map[string]uint64{}
+	for _, n := range h.running() {
+		before[n.ID()] = n.StatsCounters().MapRefetches
+	}
+	for round := 0; round < 10; round++ {
+		h.tick(1)
+		for _, n := range h.running() {
+			if err := n.DigestSync(); err != nil {
+				t.Fatalf("%s digest round: %v", n.ID(), err)
+			}
+		}
+	}
+	for _, n := range h.running() {
+		if got := n.StatsCounters().MapRefetches - before[n.ID()]; got != 0 {
+			t.Errorf("%s: map_refetches rose by %d over 10 gossip + digest rounds with no client, want 0", n.ID(), got)
+		}
+	}
+	// The one thing that moves it: someone asking for the map.
+	if _, err := h.do("n2", "CLUSTER", "MAP"); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.node("n2").StatsCounters().MapRefetches - before["n2"]; got != 1 {
+		t.Errorf("n2: map_refetches rose by %d after one CLUSTER MAP, want 1", got)
+	}
+}
+
 // TestMetricsPollingCountsAsLiveness: CLUSTER STATS round trips run
 // through the peer pool, whose alive callback feeds the failure
 // detector (markAlive) — so a peer whose gossip digests are all lost

@@ -20,14 +20,15 @@ import (
 )
 
 // This file is the streaming bulk-transfer transport used by rebalance,
-// Sync's stray drain and post-eviction data return. Instead of one
-// CLUSTER ABSORB round trip per (key, owner) pair, a sender opens one
-// dedicated connection per peer, frames N tagged key blobs per message,
-// keeps a bounded window of frames in flight, and resumes from the last
-// cumulatively acked frame after any timeout or connection drop. The
-// protocol leans entirely on the paper's merge property: re-delivering
-// a frame is an idempotent re-merge, so at-least-once is exactly-once
-// in effect and resume needs no receiver-side undo log.
+// the digest round's repair and stray drain, and post-eviction data
+// return. Instead of one CLUSTER ABSORB round trip per (key, owner)
+// pair, a sender opens one dedicated connection per peer, frames N
+// tagged key blobs per message, keeps a bounded window of frames in
+// flight, and resumes from the last cumulatively acked frame after any
+// timeout or connection drop. The protocol leans entirely on the
+// paper's merge property: re-delivering a frame is an idempotent
+// re-merge, so at-least-once is exactly-once in effect and resume needs
+// no receiver-side undo log.
 //
 // Wire protocol (all lines ride the ordinary line protocol, under the
 // CLUSTER verb, so the server needs no second listener):
@@ -457,12 +458,16 @@ func parseXferReply(line string) (string, error) {
 // streamTo pushes items to the peer at addr over one transfer stream
 // under the given map epoch, retrying and resuming per the node's
 // TransferConfig and degrading to per-key CLUSTER ABSORB once the
-// retry budget is spent. It returns nil when every key landed, or a
-// map of key → error for the keys that did not. A -STALE refusal marks
-// every key with errXferStale so the caller re-plans against the fresh
-// map instead of retrying blindly.
+// retry budget is spent — or at once, for a push below MinStreamKeys,
+// too small to amortize the handshake. It returns nil when every key
+// landed, or a map of key → error for the keys that did not. A -STALE
+// refusal marks every key with errXferStale so the caller re-plans
+// against the fresh map instead of retrying blindly.
 func (n *Node) streamTo(addr string, epoch uint64, items []server.KeyBlob) map[string]error {
 	cfg := n.transferConfig()
+	if len(items) < cfg.MinStreamKeys {
+		return n.absorbEach(addr, items)
+	}
 	frames, totKeys, totBytes := buildFrames(items, cfg)
 	sid := fmt.Sprintf("%s.%d", n.id, n.xfer.sid.Add(1))
 	var acked, sent uint64 // frames cumulatively acked / highest frame written
@@ -745,8 +750,8 @@ func (n *Node) handleXferBegin(args []string) string {
 	// Epoch fence: a sender streaming under an older map may be pushing
 	// keys to an owner that no longer owns them. Refuse; the sender
 	// re-plans against the newer map. (A sender AHEAD of us is fine —
-	// its map will reach us via SETMAP/Sync, and accepting extra keys
-	// early is harmless: strays drain.)
+	// its map will reach us via SETMAP or gossip, and accepting extra
+	// keys early is harmless: strays drain.)
 	if cur := n.currentMap(); cur.Epoch > epoch {
 		return fmt.Sprintf("-STALE e=%d", cur.Epoch)
 	}

@@ -418,7 +418,7 @@ func TestTransferResumesAfterReceiverCrashRestart(t *testing.T) {
 	if reply := <-joinDone; !strings.HasPrefix(reply, "OK") {
 		t.Fatalf("join across the receiver crash replied %q, want OK", reply)
 	}
-	// A Sync round flushes the pool connections that died with the old
+	// A digest round flushes the pool connections that died with the old
 	// n2 process (the pool drops a dead connection on first use and
 	// redials on the next) and confirms the maps agree across the crash.
 	h.converge(10 * time.Second)

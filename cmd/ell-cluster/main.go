@@ -15,8 +15,6 @@
 //	                      cluster counters of the contacted node — or of every member with "all"
 //	join <id> <addr>      add node <id> at <addr> to the cluster (epoch-fenced)
 //	leave <id>            remove node <id> (survivors re-replicate its keys)
-//	sync                  one anti-entropy round: pull peer maps, adopt/spread the newest
-//	rebalance             re-push the contacted node's sketches to their owners (repair)
 //	add <key> <el>...     PFADD routed to the key's owners
 //	count <key>...        cluster-wide union distinct count
 //	wadd <key> <ts> <el>...  WADD routed to the key's owners (ts in unix ms)
@@ -45,7 +43,7 @@ import (
 	"exaloglog/server"
 )
 
-const usageLine = "usage: ell-cluster [-addr host:port] info|map|health|stats [all]|join <id> <addr>|leave <id>|sync|rebalance|add <key> <el>...|count <key>...|wadd <key> <ts> <el>...|wcount <key> <window> [ts]|winfo <key>|keys|ping"
+const usageLine = "usage: ell-cluster [-addr host:port] info|map|health|stats [all]|join <id> <addr>|leave <id>|add <key> <el>...|count <key>...|wadd <key> <ts> <el>...|wcount <key> <window> [ts]|winfo <key>|keys|ping"
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -174,10 +172,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return x.usage()
 		}
 		return x.mutation("CLUSTER", "LEAVE", rest[0])
-	case "sync":
-		return x.echo("CLUSTER", "SYNC")
-	case "rebalance":
-		return x.echo("CLUSTER", "REBALANCE")
 	case "add":
 		if len(rest) < 2 {
 			return x.usage()

@@ -80,6 +80,8 @@ func TestRunUsageErrors(t *testing.T) {
 		{},               // no sub-command
 		{"add", "key"},   // too few arguments
 		{"stats", "one"}, // bad argument
+		{"sync"},         // retired: anti-entropy runs on the nodes' own tickers
+		{"rebalance"},    // retired with it
 	} {
 		code, out, errOut := invoke(nodes[0].Addr(), args...)
 		if code != 2 || out != "" || !strings.HasPrefix(errOut, "usage: ell-cluster ") {

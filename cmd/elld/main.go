@@ -35,24 +35,25 @@
 // the node exchanges heartbeat digests with a few peers, suspects any
 // member silent for -suspect-after intervals, and — once a quorum of
 // members agrees — evicts it with an epoch-fenced automatic LEAVE, so
-// a dead node leaves the map without operator action. -gossip-interval
-// 0 disables the detector (membership then changes only by operator
-// command and anti-entropy sync).
+// a dead node leaves the map without operator action. The same
+// exchange carries the cluster map to a peer that missed a broadcast.
+// -gossip-interval 0 disables both (membership then changes only by
+// operator command, and maps heal on the digest round).
 //
 // -peer-timeout bounds every node-to-node command (forwards,
 // scatter-gather, gossip, bulk transfer) with an I/O deadline: a
 // black-holed peer fails fast as a transport error and feeds the
 // failure detector instead of hanging an operation forever.
 // -xfer-batch and -xfer-window tune the streaming bulk-transfer
-// transport that rebalance and sync move sketches over (keys per
-// frame, unacked frames in flight; see the cluster package).
+// transport that rebalance and anti-entropy move sketches over (keys
+// per frame, unacked frames in flight; see the cluster package).
 //
-// -sync-digest-interval runs periodic digest anti-entropy on top of
-// the map sync: each round the node exchanges per-shard content
-// digests with its peers and re-ships only the keys that actually
-// diverge — O(shards) messages on a converged cluster, instead of
-// probing every key. 0 disables digest rounds (map-level sync still
-// runs).
+// -sync-digest-interval is the anti-entropy period: each round the node
+// hands keys it holds but does not own to their owners, exchanges
+// per-shard content digests with its peers and re-ships only the keys
+// that diverge — O(shards) messages on a converged cluster — and
+// settles the map with any peer whose epoch differs. 0 disables the
+// round (gossip still moves maps).
 //
 // Keyspace lifecycle: -default-ttl stamps every key created from then
 // on with an absolute expiry deadline (creation + TTL); EXPIRE/PERSIST
@@ -87,6 +88,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -104,241 +106,264 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7700", "listen address")
-	p := flag.Int("p", 12, "sketch precision (2^p registers, ELL(2,20) configuration)")
-	snapshot := flag.String("snapshot", "", "snapshot file: loaded at startup if present, written by the SAVE command and on shutdown")
-	nodeID := flag.String("node-id", "", "cluster node ID; non-empty enables cluster mode")
-	join := flag.String("join", "", "address of any member of an existing cluster to join (cluster mode)")
-	replicas := flag.Int("replicas", 2, "number of nodes holding each key (cluster mode)")
-	gossipInterval := flag.Duration("gossip-interval", time.Second, "failure-detector gossip period, 0 disables (cluster mode)")
-	suspectAfter := flag.Int("suspect-after", 5, "gossip intervals a silent member survives before suspicion (cluster mode)")
-	strictRouting := flag.Bool("strict-routing", false, "answer misrouted single-key data commands with -MOVED instead of forwarding (cluster mode, for smart clients)")
-	peerTimeout := flag.Duration("peer-timeout", 5*time.Second, "I/O deadline per node-to-node command and transfer frame, 0 disables (cluster mode)")
-	xferBatch := flag.Int("xfer-batch", 64, "keys per bulk-transfer frame (cluster mode)")
-	xferWindow := flag.Int("xfer-window", 8, "unacked bulk-transfer frames in flight (cluster mode)")
-	syncDigestInterval := flag.Duration("sync-digest-interval", 30*time.Second, "period of digest anti-entropy rounds repairing diverged replicas, 0 disables (cluster mode)")
-	windowSlice := flag.Duration("window-slice", time.Second, "slice duration of WADD-created sliding-window keys")
-	windowSlices := flag.Int("window-slices", 60, "number of slices in WADD-created rings (max window = slice x slices)")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus-text /metrics on this address (empty disables)")
-	defaultTTL := flag.Duration("default-ttl", 0, "expiry deadline stamped on every created key (0 disables); EXPIRE/PERSIST override per key")
-	memHigh := flag.Int64("mem-high", 0, "resident sketch bytes that trigger cold-key eviction (0 disables)")
-	memLow := flag.Int64("mem-low", 0, "resident sketch bytes eviction drains down to")
-	sweepInterval := flag.Duration("sweep-interval", 10*time.Second, "period of the background expiry sweep and watermark check (0 disables)")
-	flag.Parse()
-
-	cfg := core.RecommendedML(*p)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	lc := lifecycleOpts{
-		defaultTTL: *defaultTTL, memHigh: *memHigh, memLow: *memLow,
-		sweepInterval: *sweepInterval,
+// options is every flag's value, plus where the process's output goes.
+type options struct {
+	addr, snapshot, metricsAddr string
+	p                           int
+	windowSlice                 time.Duration
+	windowSlices                int
+	defaultTTL, sweepInterval   time.Duration
+	memHigh, memLow             int64
+
+	// Cluster mode (nodeID non-empty).
+	nodeID, join                                    string
+	replicas, suspectAfter, xferBatch, xferWindow   int
+	gossipInterval, syncDigestInterval, peerTimeout time.Duration
+	strictRouting                                   bool
+
+	stdout io.Writer
+	log    *log.Logger
+}
+
+// run is main without the process: it parses args (everything after the
+// program name), serves until ctx is cancelled and returns the exit
+// code — 0 after a clean shutdown, 1 on a start-up failure, 2 on a
+// usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	o := options{stdout: stdout, log: log.New(stderr, "", log.LstdFlags)}
+	fs := flag.NewFlagSet("elld", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7700", "listen address")
+	fs.IntVar(&o.p, "p", 12, "sketch precision (2^p registers, ELL(2,20) configuration)")
+	fs.StringVar(&o.snapshot, "snapshot", "", "snapshot file: loaded at startup if present, written by the SAVE command and on shutdown")
+	fs.StringVar(&o.nodeID, "node-id", "", "cluster node ID; non-empty enables cluster mode")
+	fs.StringVar(&o.join, "join", "", "address of any member of an existing cluster to join (cluster mode)")
+	fs.IntVar(&o.replicas, "replicas", 2, "number of nodes holding each key (cluster mode)")
+	fs.DurationVar(&o.gossipInterval, "gossip-interval", time.Second, "failure-detector gossip period, 0 disables (cluster mode)")
+	fs.IntVar(&o.suspectAfter, "suspect-after", 5, "gossip intervals a silent member survives before suspicion (cluster mode)")
+	fs.BoolVar(&o.strictRouting, "strict-routing", false, "answer misrouted single-key data commands with -MOVED instead of forwarding (cluster mode, for smart clients)")
+	fs.DurationVar(&o.peerTimeout, "peer-timeout", 5*time.Second, "I/O deadline per node-to-node command and transfer frame, 0 disables (cluster mode)")
+	fs.IntVar(&o.xferBatch, "xfer-batch", 64, "keys per bulk-transfer frame (cluster mode)")
+	fs.IntVar(&o.xferWindow, "xfer-window", 8, "unacked bulk-transfer frames in flight (cluster mode)")
+	fs.DurationVar(&o.syncDigestInterval, "sync-digest-interval", 30*time.Second, "anti-entropy period: each round drains stray keys to their owners and repairs diverged replicas by digest, 0 disables (cluster mode)")
+	fs.DurationVar(&o.windowSlice, "window-slice", time.Second, "slice duration of WADD-created sliding-window keys")
+	fs.IntVar(&o.windowSlices, "window-slices", 60, "number of slices in WADD-created rings (max window = slice x slices)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus-text /metrics on this address (empty disables)")
+	fs.DurationVar(&o.defaultTTL, "default-ttl", 0, "expiry deadline stamped on every created key (0 disables); EXPIRE/PERSIST override per key")
+	fs.Int64Var(&o.memHigh, "mem-high", 0, "resident sketch bytes that trigger cold-key eviction (0 disables)")
+	fs.Int64Var(&o.memLow, "mem-low", 0, "resident sketch bytes eviction drains down to")
+	fs.DurationVar(&o.sweepInterval, "sweep-interval", 10*time.Second, "period of the background expiry sweep and watermark check (0 disables)")
+	if err := fs.Parse(args); err != nil {
+		return 2 // Parse has reported the error and the flag list
 	}
-	if *nodeID != "" {
-		runCluster(ctx, cfg, *addr, *snapshot, *nodeID, *join, *replicas, *gossipInterval, *suspectAfter, *windowSlice, *windowSlices, *metricsAddr, *strictRouting, *peerTimeout, *xferBatch, *xferWindow, *syncDigestInterval, lc)
+
+	// The tickers stop when serving does, even if the caller's ctx lives on.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	serve := o.serveSingle
+	if o.nodeID != "" {
+		serve = o.serveCluster
+	}
+	if err := serve(ctx); err != nil {
+		o.log.Print(err)
+		return 1
+	}
+	return 0
+}
+
+// every calls fn each d until ctx is cancelled; d ≤ 0 never starts.
+func every(ctx context.Context, d time.Duration, fn func()) {
+	if d <= 0 {
 		return
 	}
-	if *strictRouting {
-		log.Fatal("-strict-routing requires cluster mode (-node-id)")
-	}
-
-	store, err := server.NewStore(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := store.SetWindowConfig(*windowSlice, *windowSlices); err != nil {
-		log.Fatal(err)
-	}
-	lc.apply(ctx, store)
-	loadSnapshot(store, *snapshot)
-	srv := server.NewServer(store)
-	srv.SetSnapshotPath(*snapshot)
-	if err := srv.Listen(*addr); err != nil {
-		log.Fatal(err)
-	}
-	if closeMetrics := startMetrics(*metricsAddr, srv.WriteMetrics); closeMetrics != nil {
-		defer closeMetrics()
-	}
-	fmt.Printf("elld listening on %s (ELL t=2 d=20 p=%d, %d bytes per sketch)\n",
-		srv.Addr(), *p, cfg.SizeBytes())
-
-	<-ctx.Done()
-	fmt.Println("shutting down")
-	// Close first: it stops the listener and waits for in-flight
-	// connections, so the final snapshot cannot miss a racing write.
-	if err := srv.Close(); err != nil {
-		log.Print(err)
-	}
-	saveSnapshot(store, *snapshot)
+	go func() {
+		ticker := time.NewTicker(d)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-ticker.C:
+				fn()
+			}
+		}
+	}()
 }
 
-// lifecycleOpts bundles the keyspace-lifecycle flags: default TTL,
-// memory watermarks, and the background sweep period.
-type lifecycleOpts struct {
-	defaultTTL      time.Duration
-	memHigh, memLow int64
-	sweepInterval   time.Duration
-}
-
-// apply configures the store's lifecycle knobs (before it serves) and,
-// when a sweep interval is set, starts the background sweeper: each
-// tick collects a sample of due keys per shard and, above the high
+// prepare configures a store before it serves: ring geometry, the
+// lifecycle knobs and the snapshot (a missing file is a fresh start).
+// With a sweep interval it starts the background sweeper: each tick
+// collects a sample of due keys per shard and, above the high
 // watermark, evicts cold keys down to the low one. Lazy expiry on
 // access works regardless — the sweep only bounds how long an untouched
 // expired key can linger.
-func (o lifecycleOpts) apply(ctx context.Context, store *server.Store) {
+func (o options) prepare(ctx context.Context, store *server.Store) error {
+	if err := store.SetWindowConfig(o.windowSlice, o.windowSlices); err != nil {
+		return err
+	}
 	if o.defaultTTL > 0 {
 		store.SetDefaultTTL(o.defaultTTL)
 	}
 	if o.memHigh > 0 {
 		store.SetMemoryWatermarks(o.memHigh, o.memLow)
 	}
-	if o.sweepInterval <= 0 {
-		return
+	every(ctx, o.sweepInterval, func() { store.Sweep(128) })
+	if o.snapshot == "" {
+		return nil
 	}
-	go func() {
-		ticker := time.NewTicker(o.sweepInterval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				store.Sweep(128)
-			}
-		}
-	}()
+	switch err := store.LoadFile(o.snapshot); {
+	case err == nil:
+		fmt.Fprintf(o.stdout, "loaded %d sketches from %s\n", store.Len(), o.snapshot)
+	case os.IsNotExist(err):
+		fmt.Fprintf(o.stdout, "snapshot %s not found, starting empty\n", o.snapshot)
+	default:
+		return err
+	}
+	return nil
 }
 
-func runCluster(ctx context.Context, cfg core.Config, addr, snapshot, nodeID, join string, replicas int, gossipInterval time.Duration, suspectAfter int, windowSlice time.Duration, windowSlices int, metricsAddr string, strictRouting bool, peerTimeout time.Duration, xferBatch, xferWindow int, syncDigestInterval time.Duration, lc lifecycleOpts) {
-	node, err := cluster.NewNode(nodeID, cfg, replicas)
+// finish waits for ctx to end, then closes the listener and writes the
+// final snapshot so a restart loses nothing. Close first: it waits for
+// in-flight connections, so the snapshot cannot miss a racing write.
+func (o options) finish(ctx context.Context, listener io.Closer, store *server.Store) {
+	<-ctx.Done()
+	fmt.Fprintln(o.stdout, "shutting down")
+	if err := listener.Close(); err != nil {
+		o.log.Print(err)
+	}
+	if o.snapshot == "" {
+		return
+	}
+	if err := store.SaveFile(o.snapshot); err != nil {
+		o.log.Printf("final snapshot: %v", err)
+		return
+	}
+	fmt.Fprintf(o.stdout, "saved %d sketches to %s\n", store.Len(), o.snapshot)
+}
+
+// serveSingle runs a standalone server until ctx is cancelled.
+func (o options) serveSingle(ctx context.Context) error {
+	if o.strictRouting {
+		return errors.New("-strict-routing requires cluster mode (-node-id)")
+	}
+	cfg := core.RecommendedML(o.p)
+	store, err := server.NewStore(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := node.Store().SetWindowConfig(windowSlice, windowSlices); err != nil {
-		log.Fatal(err)
+	if err := o.prepare(ctx, store); err != nil {
+		return err
 	}
-	lc.apply(ctx, node.Store())
-	node.SetGossipConfig(cluster.GossipConfig{SuspectAfter: suspectAfter})
-	node.SetStrictRouting(strictRouting)
-	node.SetPeerTimeout(peerTimeout)
+	srv := server.NewServer(store)
+	srv.SetSnapshotPath(o.snapshot)
+	if err := srv.Listen(o.addr); err != nil {
+		return err
+	}
+	closeMetrics, err := o.startMetrics(srv.WriteMetrics)
+	if err != nil {
+		srv.Close()
+		return err
+	}
+	defer closeMetrics()
+	fmt.Fprintf(o.stdout, "elld listening on %s (ELL t=2 d=20 p=%d, %d bytes per sketch)\n",
+		srv.Addr(), o.p, cfg.SizeBytes())
+	o.finish(ctx, srv, store)
+	return nil
+}
+
+// serveCluster runs a cluster node until ctx is cancelled.
+func (o options) serveCluster(ctx context.Context) error {
+	node, err := cluster.NewNode(o.nodeID, core.RecommendedML(o.p), o.replicas)
+	if err != nil {
+		return err
+	}
+	if err := o.prepare(ctx, node.Store()); err != nil {
+		return err
+	}
+	node.SetGossipConfig(cluster.GossipConfig{SuspectAfter: o.suspectAfter})
+	node.SetStrictRouting(o.strictRouting)
+	node.SetPeerTimeout(o.peerTimeout)
 	node.SetTransferConfig(cluster.TransferConfig{
-		BatchKeys: xferBatch,
-		Window:    xferWindow,
-		Timeout:   peerTimeout,
+		BatchKeys: o.xferBatch,
+		Window:    o.xferWindow,
+		Timeout:   o.peerTimeout,
 	})
-	loadSnapshot(node.Store(), snapshot)
-	node.SetSnapshotPath(snapshot)
-	if err := node.Start(addr); err != nil {
-		log.Fatal(err)
+	node.SetSnapshotPath(o.snapshot)
+	if err := node.Start(o.addr); err != nil {
+		return err
 	}
-	if closeMetrics := startMetrics(metricsAddr, func(w io.Writer) {
+	closeMetrics, err := o.startMetrics(func(w io.Writer) {
 		// One scrape covers both layers: per-verb server stats, then
 		// the cluster counters (gossip, evictions, batching, rebalance).
 		node.Server().WriteMetrics(w)
 		node.WriteMetrics(w)
-	}); closeMetrics != nil {
-		defer closeMetrics()
+	})
+	if err != nil {
+		node.Close()
+		return err
 	}
-	fmt.Printf("elld node %s listening on %s (cluster mode, replicas=%d, p=%d)\n",
-		nodeID, node.Addr(), replicas, cfg.P)
+	defer closeMetrics()
+	fmt.Fprintf(o.stdout, "elld node %s listening on %s (cluster mode, replicas=%d, p=%d)\n",
+		o.nodeID, node.Addr(), o.replicas, o.p)
 	switch {
-	case join != "":
-		if err := node.Join(join); err != nil {
+	case o.join != "":
+		if err := node.Join(o.join); err != nil {
 			node.Close()
-			log.Fatal(err)
+			return err
 		}
 		m := node.Map()
-		fmt.Printf("joined cluster via %s (map e%d v%d, %d nodes)\n", join, m.Epoch, m.Version, m.Len())
+		fmt.Fprintf(o.stdout, "joined cluster via %s (map e%d v%d, %d nodes)\n", o.join, m.Epoch, m.Version, m.Len())
 	case node.Map().Len() > 1:
 		// The snapshot recorded a multi-node cluster: self-heal back
 		// into it without any -join seed. Unreachable peers are not
-		// fatal — the periodic sync keeps retrying.
+		// fatal — gossip and the digest round keep retrying.
 		if err := node.Rejoin(); err != nil {
-			log.Printf("rejoin (will keep syncing): %v", err)
+			o.log.Printf("rejoin (anti-entropy will keep trying): %v", err)
 		} else {
 			m := node.Map()
-			fmt.Printf("rejoined cluster from snapshot (map e%d v%d, %d nodes)\n", m.Epoch, m.Version, m.Len())
+			fmt.Fprintf(o.stdout, "rejoined cluster from snapshot (map e%d v%d, %d nodes)\n", m.Epoch, m.Version, m.Len())
 		}
 	}
 
-	// Anti-entropy: periodically pull peer maps and adopt/spread the
-	// newest, so missed SETMAP broadcasts (partitions, restarts) heal
-	// without operator action.
-	go func() {
-		ticker := time.NewTicker(5 * time.Second)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				node.Sync() // best-effort; unreachable peers retry next tick
-			}
-		}
-	}()
-
-	// Replica anti-entropy: each round exchanges per-shard content
-	// digests with the peers and re-ships only keys that diverge, so a
+	// Anti-entropy, data: drain strays, exchange per-shard content
+	// digests with the peers and re-ship only keys that diverge, so a
 	// converged cluster pays O(shards) messages, not O(keys).
-	if syncDigestInterval > 0 {
-		go func() {
-			ticker := time.NewTicker(syncDigestInterval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					if err := node.DigestSync(); err != nil {
-						log.Printf("digest sync (will retry): %v", err)
-					}
-				}
-			}
-		}()
-	}
-
-	// Failure detection: each tick is one gossip round (heartbeat
-	// exchange, suspicion, quorum-gated auto-LEAVE). The detector
-	// itself is clockless — this ticker IS its clock, which is also
-	// what lets the test harness drive it deterministically.
-	if gossipInterval > 0 {
-		go func() {
-			ticker := time.NewTicker(gossipInterval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					for _, id := range node.Gossip() {
-						log.Printf("gossip: auto-evicted unresponsive node %s", id)
-					}
-				}
-			}
-		}()
-	}
-
-	<-ctx.Done()
-	fmt.Println("shutting down")
-	// Close first so in-flight writes land before the final snapshot.
-	if err := node.Close(); err != nil {
-		log.Print(err)
-	}
-	saveSnapshot(node.Store(), snapshot)
+	every(ctx, o.syncDigestInterval, func() {
+		if err := node.DigestSync(); err != nil {
+			o.log.Printf("digest sync (will retry): %v", err)
+		}
+	})
+	// Failure detection and anti-entropy, maps: each tick is one gossip
+	// round (heartbeat exchange carrying the map to laggards, suspicion,
+	// quorum-gated auto-LEAVE). The detector itself is clockless — this
+	// ticker IS its clock, which is also what lets the test harness
+	// drive it deterministically.
+	every(ctx, o.gossipInterval, func() {
+		for _, id := range node.Gossip() {
+			o.log.Printf("gossip: auto-evicted unresponsive node %s", id)
+		}
+	})
+	o.finish(ctx, node, node.Store())
+	return nil
 }
 
-// startMetrics serves Prometheus-text metrics at http://addr/metrics,
-// rendered by write on every scrape. It returns a shutdown func, or nil
-// when addr is empty (metrics disabled). A bind failure is fatal — an
-// operator who asked for metrics should not silently fly blind.
-func startMetrics(addr string, write func(io.Writer)) func() {
-	if addr == "" {
-		return nil
+// startMetrics serves Prometheus-text metrics at
+// http://<-metrics-addr>/metrics, rendered by write on every scrape,
+// and returns its shutdown func (a no-op when the flag is empty:
+// metrics disabled). A bind failure is an error — an operator who asked
+// for metrics should not silently fly blind.
+func (o options) startMetrics(write func(io.Writer)) (stop func(), err error) {
+	if o.metricsAddr == "" {
+		return func() {}, nil
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", o.metricsAddr)
 	if err != nil {
-		log.Fatalf("metrics listener: %v", err)
+		return nil, fmt.Errorf("metrics listener: %w", err)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -347,35 +372,6 @@ func startMetrics(addr string, write func(io.Writer)) func() {
 	})
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
-	fmt.Printf("metrics at http://%s/metrics\n", ln.Addr())
-	return func() { srv.Close() }
-}
-
-// loadSnapshot restores store from path if it exists; a missing file is
-// a fresh start, any other failure is fatal.
-func loadSnapshot(store *server.Store, path string) {
-	if path == "" {
-		return
-	}
-	switch err := store.LoadFile(path); {
-	case err == nil:
-		fmt.Printf("loaded %d sketches from %s\n", store.Len(), path)
-	case os.IsNotExist(err):
-		fmt.Printf("snapshot %s not found, starting empty\n", path)
-	default:
-		log.Fatal(err)
-	}
-}
-
-// saveSnapshot writes a final snapshot on shutdown so a restart loses
-// nothing.
-func saveSnapshot(store *server.Store, path string) {
-	if path == "" {
-		return
-	}
-	if err := store.SaveFile(path); err != nil {
-		log.Printf("final snapshot: %v", err)
-		return
-	}
-	fmt.Printf("saved %d sketches to %s\n", store.Len(), path)
+	fmt.Fprintf(o.stdout, "metrics at http://%s/metrics\n", ln.Addr())
+	return func() { srv.Close() }, nil
 }
