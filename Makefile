@@ -18,7 +18,10 @@ race:
 
 # bench-smoke compiles and runs every benchmark once — a fast
 # does-it-still-run check, not a measurement (measurements come from
-# benchmark/, see its README). CI runs this non-blocking.
+# benchmark/, see its README). CI runs this non-blocking. -bench . takes
+# whatever the packages define: the dispatch benchmarks (PFADD, PFCOUNT,
+# WADD in server/, the forwarded-add BenchmarkDispatchMLAdd in cluster/)
+# need no list here.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./server/ ./cluster/ ./window/ ./internal/compress/
 

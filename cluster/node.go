@@ -153,7 +153,7 @@ func NewNode(id string, cfg core.Config, replicas int) (*Node, error) {
 	n.srv.Handle("TTL", n.handleTTL)
 	n.srv.Handle("PERSIST", n.handlePersist)
 	n.srv.Handle("KEYS", n.handleKeys)
-	n.srv.Handle("CLUSTER", n.handleCluster)
+	n.srv.HandleBytes("CLUSTER", n.handleClusterBytes)
 	n.cmap = NewMap(replicas) // empty until Start learns the bound address
 	return n, nil
 }
@@ -1318,6 +1318,15 @@ func (n *Node) handleKeys(args []string) string {
 	return "+" + strings.Join(keys, " ")
 }
 
+// handleClusterBytes takes MLADD, the one CLUSTER verb on the request
+// path, as the bytes it arrived in; the others get strings.
+func (n *Node) handleClusterBytes(reply []byte, args [][]byte) []byte {
+	if len(args) > 0 && bytes.EqualFold(args[0], []byte("MLADD")) {
+		return n.handleMLAdd(reply, args[1:])
+	}
+	return append(reply, n.handleCluster(server.StringArgs(args))...)
+}
+
 func (n *Node) handleCluster(args []string) string {
 	if len(args) == 0 {
 		return "-ERR CLUSTER needs a subcommand"
@@ -1384,8 +1393,6 @@ func (n *Node) handleCluster(args []string) string {
 		return n.handleHealth()
 	case "STATS":
 		return n.handleClusterStats(rest)
-	case "MLADD":
-		return n.handleMLAdd(rest)
 	case "LDEL":
 		if len(rest) != 1 {
 			return "-ERR CLUSTER LDEL needs exactly one key"
@@ -1469,81 +1476,79 @@ func (n *Node) handleCluster(args []string) string {
 // the other groups belong to unrelated callers coalesced by the
 // group-commit batcher, and earlier groups have already been applied.
 // Only framing corruption (which poisons everything after it) aborts
-// with -ERR.
-func (n *Node) handleMLAdd(rest []string) string {
+// with -ERR. This is the receiving end of every forwarded write, so rest
+// is the line's own bytes: counts are parsed and keys and elements hashed
+// where they lie, and the outcomes appended to reply.
+func (n *Node) handleMLAdd(reply []byte, rest [][]byte) []byte {
 	if len(rest) < 1 {
-		return "-ERR CLUSTER MLADD needs a group count"
+		return append(reply, "-ERR CLUSTER MLADD needs a group count"...)
 	}
-	g, err := strconv.Atoi(rest[0])
 	// Each group needs at least 4 tokens (type, key, count, one
-	// element), so a count beyond (len(rest)-1)/4 cannot be satisfied —
-	// reject before sizing any allocation by it (wire input is
-	// untrusted).
-	if err != nil || g < 1 || g > (len(rest)-1)/4 {
-		return fmt.Sprintf("-ERR bad CLUSTER MLADD group count %q", rest[0])
+	// element), so a count beyond (len(rest)-1)/4 cannot be satisfied
+	// (wire input is untrusted).
+	g, ok := server.ParseIntBytes(rest[0])
+	if !ok || g < 1 || g > int64(len(rest)-1)/4 {
+		return mlAddBad(reply, "group count", rest[0])
 	}
-	toks := make([]string, 0, g)
+	reply = append(reply, '+')
 	i := 1
-	for gi := 0; gi < g; gi++ {
-		if len(rest)-i < 1 {
-			return "-ERR truncated CLUSTER MLADD group"
+	for ; g > 0; g-- {
+		// A group's head: type, key, a windowed group's timestamp, element count.
+		head := 3
+		switch {
+		case i == len(rest):
+		case string(rest[i]) == "w":
+			head = 4
+		case string(rest[i]) != "p":
+			return mlAddBad(reply, "group type", rest[i])
 		}
-		switch rest[i] {
-		case "p":
-			if len(rest)-i < 3 {
-				return "-ERR truncated CLUSTER MLADD group"
+		if len(rest)-i < head {
+			return append(reply[:0], mlAddTruncated...)
+		}
+		key := rest[i+1]
+		var ts int64
+		if head == 4 {
+			if ts, ok = server.ParseIntBytes(rest[i+2]); !ok {
+				return mlAddBad(reply, "timestamp", rest[i+2])
 			}
-			key := rest[i+1]
-			cnt, err := strconv.Atoi(rest[i+2])
-			if err != nil || cnt < 1 {
-				return fmt.Sprintf("-ERR bad CLUSTER MLADD element count %q", rest[i+2])
-			}
-			i += 3
-			if len(rest)-i < cnt {
-				return "-ERR truncated CLUSTER MLADD group"
-			}
-			changed, err := n.store.Add(key, rest[i:i+cnt]...)
+		}
+		cnt, ok := server.ParseIntBytes(rest[i+head-1])
+		if !ok || cnt < 1 {
+			return mlAddBad(reply, "element count", rest[i+head-1])
+		}
+		i += head
+		if int64(len(rest)-i) < cnt {
+			return append(reply[:0], mlAddTruncated...)
+		}
+		elements := rest[i : i+int(cnt)]
+		i += int(cnt)
+		if head == 3 {
+			changed, err := n.store.AddBytes(key, elements)
 			switch {
 			case err != nil:
-				toks = append(toks, "E")
+				reply = append(reply, 'E')
 			case changed:
-				toks = append(toks, "1")
+				reply = append(reply, '1')
 			default:
-				toks = append(toks, "0")
+				reply = append(reply, '0')
 			}
-			i += cnt
-		case "w":
-			if len(rest)-i < 4 {
-				return "-ERR truncated CLUSTER MLADD group"
-			}
-			key := rest[i+1]
-			ts, err := strconv.ParseInt(rest[i+2], 10, 64)
-			if err != nil {
-				return fmt.Sprintf("-ERR bad CLUSTER MLADD timestamp %q", rest[i+2])
-			}
-			cnt, err := strconv.Atoi(rest[i+3])
-			if err != nil || cnt < 1 {
-				return fmt.Sprintf("-ERR bad CLUSTER MLADD element count %q", rest[i+3])
-			}
-			i += 4
-			if len(rest)-i < cnt {
-				return "-ERR truncated CLUSTER MLADD group"
-			}
-			accepted, err := n.store.WindowAdd(key, time.UnixMilli(ts), rest[i:i+cnt]...)
-			if err != nil {
-				toks = append(toks, "E")
-			} else {
-				toks = append(toks, strconv.Itoa(accepted))
-			}
-			i += cnt
-		default:
-			return fmt.Sprintf("-ERR bad CLUSTER MLADD group type %q", rest[i])
+		} else if accepted, err := n.store.WindowAddBytes(key, ts, elements); err != nil {
+			reply = append(reply, 'E')
+		} else {
+			reply = strconv.AppendInt(reply, int64(accepted), 10)
 		}
+		reply = append(reply, ' ')
 	}
 	if i != len(rest) {
-		return "-ERR trailing tokens after CLUSTER MLADD groups"
+		return append(reply[:0], "-ERR trailing tokens after CLUSTER MLADD groups"...)
 	}
-	return "+" + strings.Join(toks, " ")
+	return reply[:len(reply)-1] // without the last group's separator
+}
+
+const mlAddTruncated = "-ERR truncated CLUSTER MLADD group"
+
+func mlAddBad(reply []byte, what string, tok []byte) []byte {
+	return fmt.Appendf(reply[:0], "-ERR bad CLUSTER MLADD %s %q", what, tok)
 }
 
 // joinOutcome renders the final JOIN reply by re-reading the current

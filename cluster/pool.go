@@ -130,8 +130,14 @@ func (p *pool) drop(addr string, c *server.Client) {
 // alive() into the detector as spurious suspicion of a peer that just
 // answered.
 func (p *pool) do(addr string, parts ...string) (string, error) {
+	return p.send(addr, parts, func(c *server.Client) (string, error) { return c.Do(parts...) })
+}
+
+// send is do with the command put on the wire by cmd; head, its first
+// tokens, is what the fault hook is shown.
+func (p *pool) send(addr string, head []string, cmd func(*server.Client) (string, error)) (string, error) {
 	if p.hook != nil {
-		if err := p.hook(addr, parts); err != nil {
+		if err := p.hook(addr, head); err != nil {
 			return "", err
 		}
 	}
@@ -139,7 +145,7 @@ func (p *pool) do(addr string, parts ...string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	reply, err := c.Do(parts...)
+	reply, err := cmd(c)
 	answered := err == nil || server.IsReplyErr(err)
 	if !answered {
 		p.drop(addr, c)
@@ -272,21 +278,25 @@ func (p *pool) enqueueAdd(addr string, req *addReq) addResult {
 func (p *pool) flushAdds(addr string, batch []*addReq) {
 	p.mlBatches.Add(1)
 	p.mlGroups.Add(uint64(len(batch)))
-	size := 3
-	for _, r := range batch {
-		size += 4 + len(r.elements)
-	}
-	parts := make([]string, 0, size)
-	parts = append(parts, "CLUSTER", "MLADD", strconv.Itoa(len(batch)))
-	for _, r := range batch {
-		if r.windowed {
-			parts = append(parts, "w", r.key, strconv.FormatInt(r.ts, 10), strconv.Itoa(len(r.elements)))
-		} else {
-			parts = append(parts, "p", r.key, strconv.Itoa(len(r.elements)))
-		}
-		parts = append(parts, r.elements...)
-	}
-	reply, err := p.do(addr, parts...)
+	// The line is written once, into the buffer it is sent from.
+	reply, err := p.send(addr, mlAddHead, func(c *server.Client) (string, error) {
+		return c.DoLine(func(line []byte) []byte {
+			line = strconv.AppendInt(append(line, "CLUSTER MLADD "...), int64(len(batch)), 10)
+			for _, r := range batch {
+				if r.windowed {
+					line = append(append(line, " w "...), r.key...)
+					line = strconv.AppendInt(append(line, ' '), r.ts, 10)
+				} else {
+					line = append(append(line, " p "...), r.key...)
+				}
+				line = strconv.AppendInt(append(line, ' '), int64(len(r.elements)), 10)
+				for _, el := range r.elements {
+					line = append(append(line, ' '), el...)
+				}
+			}
+			return line
+		})
+	})
 	var toks []string
 	if err == nil {
 		toks = strings.Fields(reply)
@@ -315,6 +325,8 @@ func (p *pool) flushAdds(addr string, batch []*addReq) {
 		r.done <- addResult{changed: toks[i] == "1"}
 	}
 }
+
+var mlAddHead = []string{"CLUSTER", "MLADD"}
 
 func (p *pool) closeAll() {
 	p.mu.Lock()

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -210,7 +209,7 @@ func BenchmarkPipelinedPFAdd(b *testing.B) {
 func BenchmarkDispatchPFAdd(b *testing.B) {
 	store := newBenchStore(b)
 	srv := NewServer(store)
-	cc := &connCtx{s: srv, w: bufio.NewWriterSize(io.Discard, 64*1024)}
+	cc := newConnCtx(srv, nil, io.Discard)
 	lines := make([][]byte, 512)
 	for i := range lines {
 		lines[i] = []byte(fmt.Sprintf("PFADD key el-%d\n", i))
@@ -232,7 +231,7 @@ func BenchmarkDispatchPFAdd(b *testing.B) {
 func BenchmarkDispatchPFAddInstrumented(b *testing.B) {
 	store := newBenchStore(b)
 	srv := NewServer(store)
-	cc := &connCtx{s: srv, w: bufio.NewWriterSize(io.Discard, 64*1024)}
+	cc := newConnCtx(srv, nil, io.Discard)
 	lines := make([][]byte, 512)
 	for i := range lines {
 		lines[i] = []byte(fmt.Sprintf("PFADD key el-%d\n", i))
@@ -256,7 +255,7 @@ func BenchmarkDispatchPFAddInstrumented(b *testing.B) {
 func BenchmarkDispatchWAdd(b *testing.B) {
 	store := newBenchStore(b)
 	srv := NewServer(store)
-	cc := &connCtx{s: srv, w: bufio.NewWriterSize(io.Discard, 64*1024)}
+	cc := newConnCtx(srv, nil, io.Discard)
 	lines := make([][]byte, 512)
 	for i := range lines {
 		// Timestamps advance so the ring rotates like live traffic.
@@ -282,7 +281,7 @@ func BenchmarkDispatchPFCount(b *testing.B) {
 		store.Add("key", fmt.Sprintf("el-%d", i))
 	}
 	srv := NewServer(store)
-	cc := &connCtx{s: srv, w: bufio.NewWriterSize(io.Discard, 64*1024)}
+	cc := newConnCtx(srv, nil, io.Discard)
 	line := []byte("PFCOUNT key\n")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -301,7 +300,7 @@ func BenchmarkDispatchPFCountInvalidated(b *testing.B) {
 		store.Add("key", fmt.Sprintf("el-%d", i))
 	}
 	srv := NewServer(store)
-	cc := &connCtx{s: srv, w: bufio.NewWriterSize(io.Discard, 64*1024)}
+	cc := newConnCtx(srv, nil, io.Discard)
 	count := []byte("PFCOUNT key\n")
 	// Every add uses a never-seen element, so (almost) every one bumps
 	// the entry version and the following count misses the cache. Built
@@ -332,7 +331,7 @@ func BenchmarkDispatchPFCountUnion(b *testing.B) {
 		}
 	}
 	srv := NewServer(store)
-	cc := &connCtx{s: srv, w: bufio.NewWriterSize(io.Discard, 64*1024)}
+	cc := newConnCtx(srv, nil, io.Discard)
 	line := []byte("PFCOUNT " + strings.Join(keys, " ") + "\n")
 	b.ReportAllocs()
 	b.ResetTimer()

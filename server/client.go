@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -101,9 +100,8 @@ func parseMoved(rest string) (*MovedError, bool) {
 type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
-	r       *bufio.Reader
-	wbuf    []byte        // reusable request-line build buffer (guarded by mu)
 	timeout time.Duration // per-operation I/O deadline; 0 = none (guarded by mu)
+	err     error         // the first transport failure, which every later operation returns (guarded by mu)
 }
 
 // Dial connects to a sketch server.
@@ -119,17 +117,18 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := bufio.NewReaderSize(conn, connBufSize)
-	return &Client{conn: conn, r: r}, nil
+	return &Client{conn: conn}, nil
 }
 
 // SetOpTimeout bounds every subsequent operation's network I/O: each Do
 // gets one deadline for its write+read, and each Pipeline.Exec refreshes
-// the deadline before the write and before every reply read (a batch is
-// allowed timeout per reply, not timeout total). 0 disables. A deadline
+// it before every further reply read (a batch is allowed timeout per
+// reply, not timeout total). 0 disables. A deadline
 // that trips surfaces as a net timeout error — NOT a ReplyError — so
 // connection-pooling callers classify it as a transport failure and drop
-// the connection, exactly like a peer that vanished.
+// the connection, exactly like a peer that vanished. They must: the late
+// reply may still arrive, so after any transport failure the client
+// answers every further operation with that first error.
 func (c *Client) SetOpTimeout(d time.Duration) {
 	c.mu.Lock()
 	c.timeout = d
@@ -186,16 +185,16 @@ func checkTokens(parts []string) error {
 	return nil
 }
 
-// appendLine appends the space-joined command line (with trailing
-// newline) to buf and returns the extended slice.
-func appendLine(buf []byte, parts []string) []byte {
+// appendTokens appends the space-joined tokens of one command line to
+// buf and returns the extended slice.
+func appendTokens(buf []byte, parts []string) []byte {
 	for i, p := range parts {
 		if i > 0 {
 			buf = append(buf, ' ')
 		}
 		buf = append(buf, p...)
 	}
-	return append(buf, '\n')
+	return buf
 }
 
 // parseReply strips the type sigil from one reply line and converts
@@ -237,23 +236,54 @@ func (c *Client) Do(parts ...string) (string, error) {
 	if err := checkTokens(parts); err != nil {
 		return "", err
 	}
+	return c.DoLine(func(line []byte) []byte { return appendTokens(line, parts) })
+}
+
+// DoLine is Do for a caller that writes its own command line: build
+// appends the tokens, single spaces between them and no line break at
+// the end, to the buffer the request is sent from. The caller answers
+// for the tokens (see ValidToken).
+func (c *Client) DoLine(build func(line []byte) []byte) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	buf := getBuf()
+	defer putBuf(buf)
+	var res [1]Result
+	if err := c.exchange(append(build(buf[:0]), '\n'), buf, res[:]); err != nil {
+		return "", err
+	}
+	return res[0].Value, res[0].Err
+}
+
+// exchange writes req and reads one reply into each element of res,
+// through buf — which req may lie in: it is free once req is written.
+// A connection holds a buffer only for as long as that takes. Callers
+// hold c.mu.
+func (c *Client) exchange(req, buf []byte, res []Result) (err error) {
+	if c.err != nil {
+		return c.err
+	}
+	defer func() { c.err = err }() // whatever fails below leaves the stream in an unknown state
 	c.armDeadline()
 	defer c.clearDeadline()
-	c.wbuf = appendLine(c.wbuf[:0], parts)
-	_, err := c.conn.Write(c.wbuf)
-	if cap(c.wbuf) > connBufSize {
-		c.wbuf = nil // one oversized request must not size a long-lived connection's buffer for good
+	if _, err := c.conn.Write(req); err != nil {
+		return err
 	}
-	if err != nil {
-		return "", err
+	lr := lineReader{src: c.conn, buf: buf}
+	for i := range res {
+		if i > 0 {
+			c.armDeadline() // per-reply budget: a long batch is not one deadline
+		}
+		line, err := lr.readLine()
+		if err != nil {
+			return fmt.Errorf("server: reply %d/%d: %w", i+1, len(res), err)
+		}
+		res[i].Value, res[i].Err = parseReply(string(line))
 	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
+	if lr.w > lr.r { // more than was asked for: whose reply the next line is can no longer be told
+		return fmt.Errorf("server: %d unsolicited bytes after the reply", lr.w-lr.r)
 	}
-	return parseReply(line)
+	return nil
 }
 
 // Result is one command's outcome within an executed Pipeline.
@@ -268,12 +298,14 @@ type Result struct {
 // Do/PFAdd/PFCount/Dump, then call Exec. A Pipeline is not safe for
 // concurrent use; the Exec itself serializes with other commands on
 // the shared connection. After Exec the pipeline is empty and can be
-// reused.
+// reused; between its first queued command and Exec it holds a pooled
+// buffer.
 type Pipeline struct {
-	c   *Client
-	buf []byte
-	n   int
-	err error // first queueing error; reported by Exec
+	c    *Client
+	base []byte // the pooled buffer buf starts in, held from the first queued command to Exec
+	buf  []byte // the queued command lines
+	n    int
+	err  error // first queueing error; reported by Exec
 }
 
 // Pipeline returns an empty command pipeline on this connection.
@@ -289,7 +321,11 @@ func (p *Pipeline) Do(parts ...string) {
 		p.err = err
 		return
 	}
-	p.buf = appendLine(p.buf, parts)
+	if p.base == nil {
+		p.base = getBuf()
+		p.buf = p.base[:0]
+	}
+	p.buf = append(appendTokens(p.buf, parts), '\n')
 	p.n++
 }
 
@@ -333,30 +369,20 @@ func (p *Pipeline) Len() int { return p.n }
 // transport error: the connection is broken) — the results are then
 // nil. Exec resets the pipeline for reuse either way.
 func (p *Pipeline) Exec() ([]Result, error) {
-	buf, n, err := p.buf, p.n, p.err
-	p.buf, p.n, p.err = p.buf[:0], 0, nil
+	base, buf, n, err := p.base, p.buf, p.n, p.err
+	*p = Pipeline{c: p.c}
+	defer putBuf(base)
 	if err != nil {
 		return nil, err
 	}
 	if n == 0 {
 		return nil, nil
 	}
-	c := p.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.armDeadline()
-	defer c.clearDeadline()
-	if _, err := c.conn.Write(buf); err != nil {
-		return nil, err
-	}
+	p.c.mu.Lock()
+	defer p.c.mu.Unlock()
 	results := make([]Result, n)
-	for i := range results {
-		c.armDeadline() // per-reply budget: a long batch is not one deadline
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return nil, fmt.Errorf("server: pipeline reply %d/%d: %w", i+1, n, err)
-		}
-		results[i].Value, results[i].Err = parseReply(line)
+	if err := p.c.exchange(buf, base, results); err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"runtime"
@@ -501,13 +500,13 @@ func FuzzLifecycleVerbFraming(f *testing.F) {
 		}
 		srv := NewServer(store)
 		var out bytes.Buffer
-		cc := &connCtx{s: srv, w: bufio.NewWriterSize(&out, 64*1024)}
+		cc := newConnCtx(srv, nil, &out)
 		for _, verb := range []string{"EXPIRE ", "PEXPIRE ", "TTL ", "PERSIST "} {
 			if quit := cc.exec([]byte(verb + args + "\n")); quit {
 				t.Fatalf("%s%q quit the connection", verb, args)
 			}
 		}
-		cc.w.Flush()
+		cc.flush()
 		for _, line := range strings.Split(strings.TrimRight(out.String(), "\n"), "\n") {
 			if line == "" {
 				continue
@@ -535,13 +534,6 @@ func FuzzLifecycleVerbFraming(f *testing.F) {
 func TestResidentBytesTracksLiveHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
-	}
-	liveHeap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
 	}
 	const keys = 2000
 	names := make([]string, keys)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"strings"
@@ -17,20 +16,22 @@ func TestConnectionScratchIsShed(t *testing.T) {
 		els[i] = fmt.Sprintf("element-%06d", i)
 	}
 	big := "PFADD big " + strings.Join(els, " ") + "\n"
+	held0 := bufPool.held.Load()
 
 	// Server side, white box: serve the two commands from memory.
 	srv := NewServer(newTestStore(t))
 	var out bytes.Buffer
-	cc := &connCtx{s: srv, w: bufio.NewWriterSize(&out, connBufSize)}
+	cc := newConnCtx(srv, strings.NewReader(big+"PFCOUNT big\n"), &out)
 	if quit := cc.exec([]byte(big)); quit || cap(cc.args) < len(els) {
 		t.Fatalf("exec alone kept %d argument slots of %d", cap(cc.args), len(els))
 	}
-	cc.serve(bufio.NewReaderSize(strings.NewReader(big+"PFCOUNT big\n"), connBufSize))
+	cc.serve()
 	if got := out.String(); !strings.HasPrefix(got, ":1\n:0\n:") || strings.Count(got, "\n") != 3 {
 		t.Fatalf("replies %q, want :1 :0 and a count", got)
 	}
-	if cap(cc.long) > connBufSize || cap(cc.args)*argHeaderBytes > connBufSize {
-		t.Errorf("after a small command the connection keeps %d line bytes and %d argument slots", cap(cc.long), cap(cc.args))
+	if cap(cc.in.long) > 0 || cap(cc.args) > len(cc.idleArgs) || len(cc.in.buf) > len(cc.idleIn) || cap(cc.out) > len(cc.idleOut) {
+		t.Errorf("an idle connection keeps %d line bytes, %d argument slots, a %d-byte read and a %d-byte reply buffer",
+			cap(cc.in.long), cap(cc.args), len(cc.in.buf), cap(cc.out))
 	}
 
 	// Client side, over a real connection.
@@ -41,9 +42,7 @@ func TestConnectionScratchIsShed(t *testing.T) {
 	if n, err := c.PFCount("big"); err != nil || n < 9000 {
 		t.Fatalf("count %d, %v", n, err)
 	}
-	if cap(c.wbuf) > connBufSize {
-		t.Errorf("client keeps a %d-byte request buffer", cap(c.wbuf))
-	}
+	waitBuffersHeld(t, held0)
 }
 
 // TestEntryStaysInItsSizeClass pins what entryOverhead assumes: an entry is

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/base64"
 	"errors"
@@ -49,8 +49,8 @@ import (
 // Dispatch is table-driven: every verb — built-in or registered through
 // Handle — lives in one command registry entry carrying its arity check
 // and handler, plus an optional allocation-free fast path for the hot
-// verbs (PFADD, PFCOUNT, WADD). Adding a workload's verbs means
-// registering entries, not growing a switch.
+// verbs (PFADD, PFCOUNT, WADD, and what HandleBytes registers). Adding a
+// workload's verbs means registering entries, not growing a switch.
 type Server struct {
 	store        *Store
 	snapshotPath string
@@ -119,16 +119,43 @@ func (s *Server) Store() *Store { return s.store }
 
 // Handle registers a handler for verb (case-insensitive), taking
 // precedence over the built-in command of the same name — including its
-// fast path; an overridden verb always sees string arguments. This is
-// the extension point the cluster package uses to layer CLUSTER verbs —
-// and cluster-wide PFADD/PFCOUNT/WADD/WCOUNT semantics — onto the line
-// protocol. Call before Listen; Handle is not safe to call concurrently
-// with serving.
+// fast path; a verb overridden here sees string arguments, one overridden
+// with HandleBytes the byte tokens. This is the extension point the
+// cluster package uses to layer CLUSTER verbs — and cluster-wide
+// PFADD/PFCOUNT/WADD/WCOUNT semantics — onto the line protocol. Call
+// before Listen; Handle is not safe to call concurrently with serving.
 func (s *Server) Handle(verb string, h Handler) {
 	s.register(verb, &command{
 		max: -1,
 		run: func(_ *Server, args []string) (string, bool) { return h(args), false },
 	})
+}
+
+// ByteHandler is a Handler for a verb too hot to have a string made of
+// every token: args are the tokens as they lie in the connection's read
+// buffer, valid only until it returns, and the reply line is appended to
+// reply, which the connection keeps for the next call.
+type ByteHandler func(reply []byte, args [][]byte) []byte
+
+// HandleBytes is Handle for a ByteHandler.
+func (s *Server) HandleBytes(verb string, h ByteHandler) {
+	s.register(verb, &command{
+		max: -1,
+		fast: func(c *connCtx, args [][]byte) {
+			c.line = h(c.line[:0], args)
+			c.writeRaw(unsafe.String(unsafe.SliceData(c.line), len(c.line))) // no copy: writeRaw only reads it
+		},
+	})
+}
+
+// StringArgs copies byte tokens into strings, for the part of a
+// ByteHandler that is not hot.
+func StringArgs(args [][]byte) []string {
+	out := make([]string, len(args))
+	for i, a := range args {
+		out[i] = string(a)
+	}
+	return out
 }
 
 // registerBuiltins fills the command registry with the built-in verbs.
@@ -449,14 +476,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// maxLineBytes caps one protocol line (RESTORE payloads are the big
-// ones); a connection sending a longer line is dropped.
-const maxLineBytes = 16 * 1024 * 1024
-
-// connBufSize is the size of a connection's read and write buffers, and
-// the most line or argument scratch it keeps from one command to the next.
-const connBufSize = 64 * 1024
-
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -466,68 +485,81 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		s.stats.connsCur.Add(-1)
 	}()
-	cc := &connCtx{s: s, w: bufio.NewWriterSize(conn, connBufSize)}
-	cc.serve(bufio.NewReaderSize(conn, connBufSize))
+	s.ServeStream(conn, conn)
 }
 
-// serve reads command lines from r and executes them until the peer
-// quits, hangs up or sends a line that is too long.
-func (c *connCtx) serve(r *bufio.Reader) {
-	for {
-		line, err := r.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			c.long = append(c.long[:0], line...)
-			for err == bufio.ErrBufferFull {
-				line, err = r.ReadSlice('\n')
-				if len(c.long)+len(line) > maxLineBytes {
-					return // oversized line: drop the connection
-				}
-				c.long = append(c.long, line...)
-			}
-			line = c.long
-		}
-		if err != nil && err != io.EOF {
-			return
-		}
-		atEOF := err == io.EOF
-		quit := c.exec(line)
-		// Scratch that one oversized command grew goes back to the
-		// allocator: kept, every connection would hold its high-water mark
-		// for as long as it lives. The arguments alias the line and would
-		// pin it, so the two go together.
-		if cap(c.long) > connBufSize || cap(c.args) > connBufSize/argHeaderBytes {
-			c.long, c.args = nil, nil
-		}
-		// Coalesced flush: only flush when no further request is
-		// already buffered, so a pipelining client pays one write
-		// syscall per burst instead of one per command.
-		if quit || atEOF || r.Buffered() == 0 {
-			if c.w.Flush() != nil || quit || atEOF {
-				return
-			}
-		}
-	}
-}
+// ServeStream serves the protocol on a byte stream until r ends or a
+// QUIT arrives: everything a connection does, without a socket — how
+// tests, benchmarks and fuzz targets reach the verbs a package registers.
+func (s *Server) ServeStream(r io.Reader, w io.Writer) { newConnCtx(s, r, w).serve() }
 
-// connCtx is the per-connection dispatch state: the buffered writer the
-// replies coalesce into, plus reusable token and integer scratch
-// buffers that make the PFADD/PFCOUNT/WADD fast paths allocation-free.
+// connCtx is the per-connection dispatch state. Between bursts it is all
+// a connection holds: requests are awaited in idleIn, and a command that
+// fits there is tokenized into idleArgs and answered from idleOut. A burst
+// that outgrows them takes pooled buffers, which release gives back, with
+// everything the burst allocated, once nothing is buffered either way.
 type connCtx struct {
 	s    *Server
-	w    *bufio.Writer
-	long []byte // spillover for lines longer than the reader buffer
+	in   lineReader
+	dst  io.Writer
+	out  []byte // replies not yet written to dst
+	werr error  // the first failed write to dst
 	args [][]byte
-	num  []byte
+	line []byte // a ByteHandler's reply
 
 	// Per-command reply accounting, reset by exec before dispatch and
 	// read back into the verb's stats block afterwards: writeRaw and
 	// writeInt bump outBytes, and writeRaw flags an "-ERR ..." reply.
 	outBytes int
 	wroteErr bool
+
+	idleIn   [512]byte
+	idleOut  [64]byte
+	idleLine [64]byte
+	idleArgs [8][]byte
 }
 
-// argHeaderBytes is what one element of connCtx.args occupies.
-const argHeaderBytes = int(unsafe.Sizeof([]byte(nil)))
+func newConnCtx(s *Server, src io.Reader, dst io.Writer) *connCtx {
+	c := &connCtx{s: s, dst: dst}
+	c.in.src = src
+	c.release()
+	return c
+}
+
+// release writes out the replies and puts the connection in its idle
+// state (unread requests, if any, are lost). The read side goes first:
+// by the time the peer sees its reply, the request's buffer is back in
+// the pool.
+func (c *connCtx) release() {
+	putBuf(c.in.buf)
+	c.in.buf, c.in.r, c.in.w, c.in.long = c.idleIn[:], 0, 0, nil
+	c.args = c.idleArgs[:0]
+	c.flush()
+	putBuf(c.out)
+	c.out, c.line = c.idleOut[:0], c.idleLine[:0]
+}
+
+// serve reads command lines and executes them until the peer quits,
+// hangs up or sends a line that is too long.
+func (c *connCtx) serve() {
+	defer c.release()
+	for {
+		line, err := c.in.readLine()
+		if err != nil && err != io.EOF {
+			return
+		}
+		done := c.exec(line) || err == io.EOF
+		// Coalesced flush: only flush when no further request is
+		// already buffered, so a pipelining client pays one write
+		// syscall per burst instead of one per command.
+		if done || c.in.r == c.in.w {
+			c.release()
+			if done || c.werr != nil {
+				return
+			}
+		}
+	}
+}
 
 func isLineSpace(b byte) bool {
 	return b == ' ' || b == '\t' || b == '\r' || b == '\n'
@@ -537,6 +569,9 @@ func isLineSpace(b byte) bool {
 // reusing c.args. The returned subslices alias line.
 func (c *connCtx) tokenize(line []byte) [][]byte {
 	args := c.args[:0]
+	if n := bytes.Count(line, []byte(" ")) + 1; n > cap(args) {
+		args = make([][]byte, 0, n) // once, not by doubling: an idle connection keeps no slots
+	}
 	for i := 0; i < len(line); {
 		for i < len(line) && isLineSpace(line[i]) {
 			i++
@@ -576,28 +611,46 @@ func (c *connCtx) writeRaw(reply string) {
 		c.wroteErr = true
 	}
 	c.outBytes += len(reply) + 1
-	c.w.WriteString(reply)
-	c.w.WriteByte('\n')
+	for len(reply) > 0 {
+		c.reserve(1)
+		n := copy(c.out[len(c.out):cap(c.out)], reply)
+		c.out, reply = c.out[:len(c.out)+n], reply[n:]
+	}
+	c.reserve(1)
+	c.out = append(c.out, '\n')
 }
 
 func (c *connCtx) writeInt(v int64) {
-	c.num = strconv.AppendInt(append(c.num[:0], ':'), v, 10)
-	c.outBytes += len(c.num) + 1
-	c.w.Write(c.num)
-	c.w.WriteByte('\n')
+	c.reserve(22) // ':', an int64's 20 bytes, '\n'
+	n := len(c.out)
+	c.out = append(strconv.AppendInt(append(c.out, ':'), v, 10), '\n')
+	c.outBytes += len(c.out) - n
 }
 
-func stringArgs(args [][]byte) []string {
-	out := make([]string, len(args))
-	for i, a := range args {
-		out[i] = string(a)
+// reserve makes room for n (at most idleOut's size) more reply bytes:
+// replies that outgrow the idle array move to a pooled buffer, and a
+// full pooled buffer is written out.
+func (c *connCtx) reserve(n int) {
+	switch {
+	case cap(c.out)-len(c.out) >= n:
+	case cap(c.out) < connBufSize:
+		c.out = append(getBuf()[:0], c.out...)
+	default:
+		c.flush()
 	}
-	return out
 }
 
-// parseIntBytes parses a signed decimal int64 from b without
-// allocating — the fast paths' strconv.ParseInt.
-func parseIntBytes(b []byte) (int64, bool) {
+// flush writes the buffered replies to the peer.
+func (c *connCtx) flush() {
+	if len(c.out) > 0 && c.werr == nil {
+		_, c.werr = c.dst.Write(c.out)
+	}
+	c.out = c.out[:0]
+}
+
+// ParseIntBytes parses a signed decimal int64 from b without
+// allocating — strconv.ParseInt for a ByteHandler and the fast paths.
+func ParseIntBytes(b []byte) (int64, bool) {
 	if len(b) == 0 {
 		return 0, false
 	}
@@ -626,12 +679,12 @@ func parseIntBytes(b []byte) (int64, bool) {
 	return v, true
 }
 
-// exec runs one command line, writing the reply into c.w, and reports
+// exec runs one command line, writing the reply into c.out, and reports
 // whether the connection should close. The verb is resolved through
 // the command registry exactly once: entries with a fast handler
-// (PFADD, PFCOUNT, WADD — unless overridden) run on the
-// allocation-free path where tokens stay []byte end to end and integer
-// replies are appended to a reusable scratch buffer; all other entries
+// (PFADD, PFCOUNT, WADD — unless overridden — and a ByteHandler) run on
+// the allocation-free path where tokens stay []byte end to end and
+// integer replies are appended to the reply buffer; all other entries
 // materialize string arguments for their regular handler.
 func (c *connCtx) exec(line []byte) (quit bool) {
 	args := c.tokenize(line)
@@ -659,7 +712,7 @@ func (c *connCtx) exec(line []byte) (quit bool) {
 		cmd.stats.record(len(line), c.outBytes, c.wroteErr, time.Since(start))
 		return false
 	}
-	reply, quit := cmd.run(c.s, stringArgs(args[1:]))
+	reply, quit := cmd.run(c.s, StringArgs(args[1:]))
 	c.writeRaw(reply)
 	cmd.stats.record(len(line), c.outBytes, c.wroteErr, time.Since(start))
 	return quit
@@ -690,7 +743,7 @@ func fastPFCount(c *connCtx, args [][]byte) {
 }
 
 func fastWAdd(c *connCtx, args [][]byte) {
-	ts, ok := parseIntBytes(args[1])
+	ts, ok := ParseIntBytes(args[1])
 	if !ok {
 		c.writeRaw("-ERR WADD timestamp must be an integer (unix milliseconds)")
 		return

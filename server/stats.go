@@ -313,6 +313,10 @@ func (s *Stats) Text(store *Store) string {
 		fmt.Fprintf(&b, " keys=%d shards_used=%d cache_hits=%d cache_misses=%d expired_keys=%d evicted_keys=%d resident_bytes=%d",
 			store.Len(), store.ShardsUsed(), hits, misses, expired, evicted, resident)
 	}
+	// What the process's connections — accepted and dialed — pin beside
+	// resident_bytes: pooled I/O buffers checked out right now.
+	held := bufPool.held.Load()
+	fmt.Fprintf(&b, " conn_buffers_held=%d conn_buffer_bytes=%d", held, held*connBufSize)
 	for _, e := range s.sortedVerbs() {
 		calls := e.v.Calls()
 		if calls == 0 {
@@ -348,6 +352,9 @@ func (s *Stats) WriteMetrics(w io.Writer, store *Store) {
 		fmt.Fprintf(w, "# TYPE ell_evicted_keys_total counter\nell_evicted_keys_total %d\n", evicted)
 		fmt.Fprintf(w, "# TYPE ell_resident_bytes gauge\nell_resident_bytes %d\n", resident)
 	}
+	held := bufPool.held.Load()
+	fmt.Fprintf(w, "# TYPE ell_conn_buffers_held gauge\nell_conn_buffers_held %d\n", held)
+	fmt.Fprintf(w, "# TYPE ell_conn_buffer_bytes gauge\nell_conn_buffer_bytes %d\n", held*connBufSize)
 	fmt.Fprint(w, "# TYPE ell_verb_calls_total counter\n")
 	fmt.Fprint(w, "# TYPE ell_verb_errors_total counter\n")
 	fmt.Fprint(w, "# TYPE ell_verb_bytes_in_total counter\n")

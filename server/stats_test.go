@@ -265,7 +265,7 @@ func TestDispatchPFAddFastPathZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(store)
-	cc := &connCtx{s: srv, w: bufio.NewWriterSize(io.Discard, 64*1024)}
+	cc := newConnCtx(srv, nil, io.Discard)
 	cc.exec([]byte("PFADD key el-warm\n")) // create the key and the scratch buffers
 	lines := make([][]byte, 64)
 	for i := range lines {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -336,13 +335,13 @@ func FuzzWindowVerbFraming(f *testing.F) {
 		}
 		srv := NewServer(store)
 		var out bytes.Buffer
-		cc := &connCtx{s: srv, w: bufio.NewWriterSize(&out, 64*1024)}
+		cc := newConnCtx(srv, nil, &out)
 		for _, verb := range []string{"WADD ", "WCOUNT ", "WINFO ", "PFADD ", "PFCOUNT "} {
 			if quit := cc.exec([]byte(verb + args + "\n")); quit {
 				t.Fatalf("%s%q quit the connection", verb, args)
 			}
 		}
-		cc.w.Flush()
+		cc.flush()
 		for _, line := range strings.Split(strings.TrimRight(out.String(), "\n"), "\n") {
 			if line == "" {
 				continue
