@@ -21,9 +21,11 @@ race:
 # benchmark/, see its README). CI runs this non-blocking. -bench . takes
 # whatever the packages define: the dispatch benchmarks (PFADD, PFCOUNT,
 # WADD in server/, the forwarded-add BenchmarkDispatchMLAdd in cluster/)
-# need no list here.
+# need no list here. The root package and internal/core hold the sketch's
+# own rows (BenchmarkHybridInsert/Bulk/Union/Estimate, which ROADMAP's
+# insert-debt figures quote).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./server/ ./cluster/ ./window/ ./internal/compress/
+	$(GO) test -run '^$$' -bench . -benchtime=1x . ./internal/core/ ./server/ ./cluster/ ./window/ ./internal/compress/
 
 # fuzz runs every fuzz target there is, FUZZTIME each: the list is what
 # `go test -list` finds per package (-fuzz takes one target of one package

@@ -1,13 +1,12 @@
 // Command ell-ext runs the extension experiments built on top of the
 // paper reproduction — the application subsystems of the packages
-// exaloglog/graph, exaloglog/window, exaloglog/similarity and
-// internal/fastell. These go beyond the paper's own evaluation; each
-// experiment prints a TSV table, consistent with the other cmd/ binaries.
+// exaloglog/graph, exaloglog/window and exaloglog/similarity. These go
+// beyond the paper's own evaluation; each experiment prints a TSV table,
+// consistent with the other cmd/ binaries.
 //
 // Experiments:
 //
 //	-experiment anf        HyperANF neighborhood function vs exact BFS
-//	-experiment hardcoded  generic vs hardcoded ELL insert cost (Section 5.3 remark)
 //	-experiment overlap    inclusion–exclusion error vs true Jaccard
 //	-experiment window     sliding-window estimate vs exact sliding count
 //	-experiment skew       estimation error under duplication skew (negative control)
@@ -23,7 +22,6 @@ import (
 
 	"exaloglog/graph"
 	"exaloglog/internal/core"
-	"exaloglog/internal/fastell"
 	"exaloglog/internal/hashing"
 	"exaloglog/internal/workload"
 	"exaloglog/similarity"
@@ -31,14 +29,12 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "anf | hardcoded | overlap | window | skew | all")
+	experiment := flag.String("experiment", "all", "anf | overlap | window | skew | all")
 	flag.Parse()
 
 	switch *experiment {
 	case "anf":
 		runANF()
-	case "hardcoded":
-		runHardcoded()
 	case "overlap":
 		runOverlap()
 	case "window":
@@ -47,8 +43,6 @@ func main() {
 		runSkew()
 	case "all":
 		runANF()
-		fmt.Println()
-		runHardcoded()
 		fmt.Println()
 		runOverlap()
 		fmt.Println()
@@ -76,38 +70,6 @@ func runANF() {
 		fmt.Printf("%d\t%.0f\t%.0f\t%+.2f\n", r, res.N[r], exact[r], (res.N[r]/exact[r]-1)*100)
 	}
 	fmt.Printf("# effective diameter (90%%): approx %.2f\n", res.EffectiveDiameter(0.9))
-}
-
-// runHardcoded times generic vs hardcoded inserts (Section 5.3:
-// "hardcoding these values could potentially further improve its
-// performance").
-func runHardcoded() {
-	fmt.Println("# EXT-2: generic vs hardcoded insert cost, p=11 (Section 5.3 remark)")
-	fmt.Println("variant\tns_per_insert")
-	const rounds = 1 << 22
-	state := uint64(7)
-	hashes := make([]uint64, 1<<16)
-	for i := range hashes {
-		hashes[i] = hashing.SplitMix64(&state)
-	}
-	mask := len(hashes) - 1
-
-	gen20 := core.MustNew(core.Config{T: 2, D: 20, P: 11})
-	gen24 := core.MustNew(core.Config{T: 2, D: 24, P: 11})
-	fast20, _ := fastell.New2420(11)
-	fast24, _ := fastell.New2424(11)
-
-	timeIt := func(name string, f func(h uint64)) {
-		start := time.Now()
-		for i := 0; i < rounds; i++ {
-			f(hashes[i&mask])
-		}
-		fmt.Printf("%s\t%.2f\n", name, float64(time.Since(start).Nanoseconds())/rounds)
-	}
-	timeIt("generic ELL(2,20)", gen20.AddHash)
-	timeIt("hardcoded ELL(2,20)", fast20.AddHash)
-	timeIt("generic ELL(2,24)", gen24.AddHash)
-	timeIt("hardcoded ELL(2,24)", fast24.AddHash)
 }
 
 // runOverlap sweeps the true Jaccard similarity and reports the

@@ -41,9 +41,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math/rand"
 	"os"
 	"strconv"
@@ -56,45 +57,60 @@ import (
 	"exaloglog/server"
 )
 
-func main() {
-	addrs := flag.String("addrs", "", "comma-separated node addresses to load (alternative to -self)")
-	self := flag.Int("self", 0, "spin up an in-process cluster of this many nodes instead of -addrs")
-	replicas := flag.Int("replicas", 2, "replica factor of the -self cluster")
-	p := flag.Int("p", 12, "sketch precision of the -self cluster")
-	conns := flag.Int("conns", 4, "concurrent pipelined connections")
-	depth := flag.Int("depth", 32, "commands per pipeline batch")
-	duration := flag.Duration("duration", 10*time.Second, "measured load duration")
-	warmup := flag.Duration("warmup", time.Second, "unmeasured warmup before the clock starts")
-	keys := flag.Int("keys", 1000, "size of the key space")
-	keyPrefix := flag.String("key-prefix", "lk", "key name prefix")
-	dist := flag.String("dist", "zipf", "key distribution: zipf or uniform")
-	zipfS := flag.Float64("zipf-s", 1.1, "zipf s parameter (>1; larger = more skew)")
-	zipfV := flag.Float64("zipf-v", 1, "zipf v parameter (>=1)")
-	mix := flag.String("mix", "pfadd=8,pfcount=1,wadd=1", "verb mix as verb=weight[,verb=weight...]; verbs: pfadd, pfcount, wadd, wcount")
-	qps := flag.Float64("qps", 0, "target total commands/second (0 = max throughput)")
-	elements := flag.Int("elements", 2, "elements per pfadd/wadd command")
-	seed := flag.Int64("seed", 1, "base RNG seed (per-connection streams derive from it)")
-	singleHop := flag.Bool("single-hop", false, "route each command straight to an owner via the smart client (with -self, nodes run strict routing)")
-	ttl := flag.Duration("ttl", 0, "churn mode: arm this expiry TTL on every pfadd'd key, in the same batch (0 disables)")
-	out := flag.String("out", "", "write the JSON result here instead of stdout")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it parses args (everything after the
+// program name), drives the load and writes the JSON result to -out or
+// stdout. It returns the exit code — 0 on success, 1 when the run could not
+// be set up or its result not written, 2 on a usage error — with the reason
+// on stderr. Command errors during the load are counted, not fatal.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ell-loader", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addrs := fs.String("addrs", "", "comma-separated node addresses to load (alternative to -self)")
+	self := fs.Int("self", 0, "spin up an in-process cluster of this many nodes instead of -addrs")
+	replicas := fs.Int("replicas", 2, "replica factor of the -self cluster")
+	p := fs.Int("p", 12, "sketch precision of the -self cluster")
+	conns := fs.Int("conns", 4, "concurrent pipelined connections")
+	depth := fs.Int("depth", 32, "commands per pipeline batch")
+	duration := fs.Duration("duration", 10*time.Second, "measured load duration")
+	warmup := fs.Duration("warmup", time.Second, "unmeasured warmup before the clock starts")
+	keys := fs.Int("keys", 1000, "size of the key space")
+	keyPrefix := fs.String("key-prefix", "lk", "key name prefix")
+	dist := fs.String("dist", "zipf", "key distribution: zipf or uniform")
+	zipfS := fs.Float64("zipf-s", 1.1, "zipf s parameter (>1; larger = more skew)")
+	zipfV := fs.Float64("zipf-v", 1, "zipf v parameter (>=1)")
+	mix := fs.String("mix", "pfadd=8,pfcount=1,wadd=1", "verb mix as verb=weight[,verb=weight...]; verbs: pfadd, pfcount, wadd, wcount")
+	qps := fs.Float64("qps", 0, "target total commands/second (0 = max throughput)")
+	elements := fs.Int("elements", 2, "elements per pfadd/wadd command")
+	seed := fs.Int64("seed", 1, "base RNG seed (per-connection streams derive from it)")
+	singleHop := fs.Bool("single-hop", false, "route each command straight to an owner via the smart client (with -self, nodes run strict routing)")
+	ttl := fs.Duration("ttl", 0, "churn mode: arm this expiry TTL on every pfadd'd key, in the same batch (0 disables)")
+	out := fs.String("out", "", "write the JSON result here instead of stdout")
+	if err := fs.Parse(args); err != nil {
+		return 2 // Parse has reported the error and the flag list
+	}
+	exit := func(code int, err error) int {
+		fmt.Fprintln(stderr, "ell-loader:", err)
+		return code
+	}
 
 	specs, err := parseMix(*mix)
 	if err != nil {
-		log.Fatal("ell-loader: ", err)
+		return exit(2, err)
 	}
 	if *conns < 1 || *depth < 1 || *keys < 1 || *elements < 1 {
-		log.Fatal("ell-loader: -conns, -depth, -keys and -elements must be >= 1")
+		return exit(2, errors.New("-conns, -depth, -keys and -elements must be >= 1"))
 	}
 	if *dist != "zipf" && *dist != "uniform" {
-		log.Fatalf("ell-loader: unknown -dist %q (want zipf or uniform)", *dist)
+		return exit(2, fmt.Errorf("unknown -dist %q (want zipf or uniform)", *dist))
 	}
 
 	var targets []string
 	if *self > 0 {
-		nodes, stop, err := startSelfCluster(*self, *replicas, *p, *singleHop)
+		nodes, stop, err := startSelfCluster(*self, *replicas, *p, *singleHop, stderr)
 		if err != nil {
-			log.Fatal("ell-loader: ", err)
+			return exit(1, err)
 		}
 		defer stop()
 		targets = nodes
@@ -106,7 +122,7 @@ func main() {
 		}
 	}
 	if len(targets) == 0 {
-		log.Fatal("ell-loader: no targets: set -addrs or -self")
+		return exit(2, errors.New("no targets: set -addrs or -self"))
 	}
 
 	cfg := workerConfig{
@@ -145,22 +161,22 @@ func main() {
 		res.AchievedQPS = float64(res.Ops) / duration.Seconds()
 	}
 
-	w := os.Stdout
+	doc, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return exit(1, err)
+	}
+	doc = append(doc, '\n')
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal("ell-loader: ", err)
-		}
-		defer f.Close()
-		w = f
+		err = os.WriteFile(*out, doc, 0o644)
+	} else {
+		_, err = stdout.Write(doc)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		log.Fatal("ell-loader: ", err)
+	if err != nil {
+		return exit(1, err)
 	}
-	fmt.Fprintf(os.Stderr, "ell-loader: %s route: %d ops in %v: %.0f cmd/s, p50=%dµs p99=%dµs max=%dµs, %d errors\n",
+	fmt.Fprintf(stderr, "ell-loader: %s route: %d ops in %v: %.0f cmd/s, p50=%dµs p99=%dµs max=%dµs, %d errors\n",
 		res.Route, res.Ops, *duration, res.AchievedQPS, res.LatencyUS.P50, res.LatencyUS.P99, res.LatencyUS.Max, res.Errors)
+	return 0
 }
 
 // verbSpec is one weighted entry of the -mix.
@@ -490,7 +506,7 @@ func aggregate(stats []*workerStats, specs []verbSpec) *result {
 // addresses plus a shutdown func — the zero-setup mode for smoke tests.
 // With strict set, nodes bounce misrouted data commands with -MOVED so
 // a single-hop run measures genuine owner-direct latency.
-func startSelfCluster(n, replicas, p int, strict bool) ([]string, func(), error) {
+func startSelfCluster(n, replicas, p int, strict bool, stderr io.Writer) ([]string, func(), error) {
 	cfg := core.RecommendedML(p)
 	if replicas > n {
 		replicas = n
@@ -524,7 +540,7 @@ func startSelfCluster(n, replicas, p int, strict bool) ([]string, func(), error)
 	for i, nd := range nodes {
 		addrs[i] = nd.Addr()
 	}
-	fmt.Fprintf(os.Stderr, "ell-loader: self-cluster of %d nodes (replicas=%d) at %s\n",
+	fmt.Fprintf(stderr, "ell-loader: self-cluster of %d nodes (replicas=%d) at %s\n",
 		n, replicas, strings.Join(addrs, " "))
 	return addrs, stop, nil
 }

@@ -48,12 +48,16 @@
 //
 // # Sparse mode
 //
-// For sketches that usually stay almost empty, use [NewHybrid]: it keeps
-// sorted hash tokens of P+T+6 bits each, converts itself to a dense sketch
-// at the break-even point, and estimates, merges and serializes the same in
-// both modes. [NewTokenSet] and [Token32List] are the paper's building blocks
-// for collecting tokens by hand ([TokenSet.ToSketch] converts, or estimate
-// straight from the tokens).
+// For sketches that usually stay almost empty, use [NewHybrid]: it keeps the
+// distinct hash tokens at v = P+T in a succinct sorted encoding (Elias–Fano
+// prefixes and unary zero counts: 14.5 bits a token at 16 tokens and 4.7 at
+// 10 000, where the paper's plain token takes P+T+6), converts itself to a
+// dense sketch at the break-even point, and estimates, merges and serializes
+// the same in both modes. Reach for it whenever a sketch is stored, merged
+// or shipped. [NewTokenSet] is the paper's Section 4.3 as written — tokens
+// at any v in a map, Algorithm 7's estimate straight from them,
+// [TokenSet.ToSketch] to convert by hand — for experiments that vary v; it
+// has no serialized form.
 package exaloglog
 
 import (
@@ -145,20 +149,6 @@ func MergeCompatible(a, b *Sketch) (*Sketch, error) {
 // (32-bit tokens) accommodates every practical configuration.
 func NewTokenSet(v int) (*TokenSet, error) {
 	return core.NewTokenSet(v)
-}
-
-// Token32List is the plain-32-bit-array sparse mode the paper singles out
-// for v=26: tokens live in a []uint32 deduplicated by sorting, at 4 bytes
-// per distinct token. The zero value is ready to use.
-type Token32List = core.Token32List
-
-// NewToken32List creates an empty 32-bit token list.
-func NewToken32List() *Token32List { return core.NewToken32List() }
-
-// TokenSetFromBinary reconstructs a token collection serialized with
-// TokenSet.MarshalBinary or Token32List.MarshalBinary.
-func TokenSetFromBinary(data []byte) (*TokenSet, error) {
-	return core.TokenSetFromBinary(data)
 }
 
 // Hybrid is a sketch that starts in sparse (hash-token) mode and converts

@@ -1,8 +1,9 @@
 // Sparse mode: track millions of mostly-small per-key cardinalities
 // without allocating dense register arrays up front (Section 4.3 of the
-// paper). Hash tokens of v+6 bits are collected per key; only keys that
-// grow past the break-even point are converted to dense sketches, and the
-// distinct count can be estimated straight from the tokens at any time.
+// paper). A Hybrid keeps a key's distinct hash tokens, succinctly encoded,
+// and converts itself — losslessly — to the dense register array at the
+// break-even point, where the tokens would take as many bytes as the
+// registers; the estimate is the same in both modes.
 //
 // Run with:
 //
@@ -13,14 +14,10 @@ import (
 	"fmt"
 
 	"exaloglog"
-	"exaloglog/internal/hashing"
 )
 
 func main() {
-	// v=26 gives 32-bit tokens, large enough for every practical dense
-	// configuration (p+t <= 26).
-	const v = 26
-	denseCfg := exaloglog.Config{T: 2, D: 20, P: 10}
+	cfg := exaloglog.Config{T: 2, D: 20, P: 10}
 
 	// A per-customer distinct-URL counter: most customers touch a
 	// handful of URLs, a few touch millions.
@@ -31,41 +28,20 @@ func main() {
 	}
 
 	for name, urls := range customers {
-		tokens, err := exaloglog.NewTokenSet(v)
+		h, err := exaloglog.NewHybrid(cfg)
 		if err != nil {
 			panic(err)
 		}
-		dense, _ := exaloglog.NewWithConfig(denseCfg)
-		denseBytes := dense.SizeBytes()
-
-		converted := false
-		var converted2 *exaloglog.Sketch
 		for u := 0; u < urls; u++ {
-			h := hashing.WyString(fmt.Sprintf("%s/url/%d", name, u), 0)
-			if !converted {
-				tokens.AddHash(h)
-				if tokens.SizeBytes() >= denseBytes {
-					// Break-even: switch to the dense representation.
-					// The conversion is lossless — the dense sketch is
-					// identical to direct insertion.
-					s, err := tokens.ToSketch(denseCfg)
-					if err != nil {
-						panic(err)
-					}
-					converted2 = s
-					converted = true
-				}
-			} else {
-				converted2.AddHash(h)
-			}
+			h.AddString(fmt.Sprintf("%s/url/%d", name, u))
 		}
 
-		if converted {
-			fmt.Printf("%-12s dense   %7d bytes  ≈ %9.0f distinct (true %d)\n",
-				name, converted2.SizeBytes(), converted2.Estimate(), urls)
-		} else {
+		if h.IsSparse() {
 			fmt.Printf("%-12s sparse  %7d bytes  ≈ %9.0f distinct (true %d, %d tokens)\n",
-				name, tokens.SizeBytes(), tokens.EstimateML(), urls, tokens.Len())
+				name, h.SizeBytes(), h.Estimate(), urls, h.Tokens())
+		} else {
+			fmt.Printf("%-12s dense   %7d bytes  ≈ %9.0f distinct (true %d)\n",
+				name, h.SizeBytes(), h.Estimate(), urls)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // traffic. Test files may import what they like.
 func TestServingPathImportFence(t *testing.T) {
 	fenced := map[string]bool{}
-	for _, pkg := range []string{"hll", "hlll", "pcsa", "spike", "compare", "simulation", "geomell", "fastell", "mvp", "workload"} {
+	for _, pkg := range []string{"hll", "hlll", "pcsa", "spike", "compare", "simulation", "geomell", "mvp", "workload"} {
 		fenced["exaloglog/internal/"+pkg] = true
 	}
 	for _, dir := range []string{"server", "cluster", "window"} {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -355,6 +356,39 @@ func rejectedTokenBlobs() map[string][]byte {
 		"invalid config":                  tokenBlob(Config{T: 9, D: 20, P: 8}),
 		"ELT2, 20-bit tokens":             append([]byte("ELT2\x02\x14\x0c"), 0x43, 0, 0x08),
 		"ELT1, v = 26 tokens":             append([]byte("ELT1\x02\x14\x09"), 0x43, 0, 0, 0),
+		"ET v1, empty":                    {'E', 'T', 1, 26, 0},
+		"ET v1, 50 tokens at v = 26":      retiredETBlob(),
+	}
+}
+
+// retiredETBlob is 50 tokens in the deleted "ET" layout: magic, version 1,
+// v = 26, the count as a uvarint, then the ascending tokens at v+6 = 32
+// bits each, which is one little-endian word a token.
+func retiredETBlob() []byte {
+	out := []byte{'E', 'T', 1, 26, 50}
+	for i := uint32(1); i <= 50; i++ {
+		out = binary.LittleEndian.AppendUint32(out, i<<6|i%3)
+	}
+	return out
+}
+
+// The "ET" token format went with its only decoder. What is left — FromBinary
+// (which exaloglog.FromBinary is) and Hybrid.UnmarshalBinary — refuses it at
+// the magic, before a config or a count is read out of it, and leaves the
+// receiver alone. The five-byte empty blob, too short for any header, is
+// refused with the other rejectedTokenBlobs.
+func TestRetiredETBlobRefused(t *testing.T) {
+	blob := retiredETBlob()
+	if _, err := FromBinary(blob); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("FromBinary(ET blob) = %v, want a bad-magic error", err)
+	}
+	h, _ := NewHybrid(Config{T: 2, D: 20, P: 8})
+	h.AddHash(1)
+	if err := h.UnmarshalBinary(blob); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("Hybrid.UnmarshalBinary(ET blob) = %v, want a bad-magic error", err)
+	}
+	if h.Tokens() != 1 {
+		t.Errorf("a refused blob changed the receiver: %d tokens", h.Tokens())
 	}
 }
 

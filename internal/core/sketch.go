@@ -46,28 +46,6 @@ func New(cfg Config) (*Sketch, error) {
 	return s, nil
 }
 
-// FromRegisters builds a sketch directly from raw register values, which
-// must all be valid register states below 2^(6+t+d). It is the bridge from
-// the hardcoded fast-path variants (internal/fastell) back to the generic
-// sketch with its full merge/reduce/serialize API.
-func FromRegisters(cfg Config, regs []uint64) (*Sketch, error) {
-	s, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(regs) != cfg.NumRegisters() {
-		return nil, fmt.Errorf("exaloglog: got %d register values, config needs %d", len(regs), cfg.NumRegisters())
-	}
-	limit := uint64(1) << cfg.RegisterWidth()
-	for i, r := range regs {
-		if r >= limit {
-			return nil, fmt.Errorf("exaloglog: register %d value %d exceeds width %d bits", i, r, cfg.RegisterWidth())
-		}
-		s.regs.Set(i, r)
-	}
-	return s, nil
-}
-
 // MustNew is New but panics on invalid configuration; intended for
 // compile-time-constant configurations.
 func MustNew(cfg Config) *Sketch {

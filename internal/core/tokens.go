@@ -14,6 +14,14 @@ import (
 // least significant v bits of the hash plus the number of leading zeros of
 // the remaining 64-v bits (6 bits), which is sufficient for insertion into
 // any ELL sketch with p+t <= v.
+//
+// There is one token container per job. Hybrid (hybrid.go) is the one to
+// store, merge and ship: v fixed at p+t, a succinct canonical encoding that
+// is also its serialized form (the only token blob this package decodes),
+// automatic conversion at break-even. TokenSet, below, is Algorithm 7 as
+// the paper states it, at any v, in a map: the reference the simulations
+// and the ML solver's iteration count are taken from. It has no serialized
+// form.
 
 // TokenMinV and TokenMaxV bound the token parameter v. v >= 1 makes the
 // NLZ fit into 6 bits; v <= 26 keeps tokens within 32 bits, which the
@@ -22,6 +30,11 @@ const (
 	TokenMinV = 1
 	TokenMaxV = 58
 )
+
+// DefaultTokenV is the token parameter for a token set that is not tied to
+// one sketch configuration: 32-bit tokens, compatible with every
+// configuration up to p+t = 26.
+const DefaultTokenV = 26
 
 // TokenFromHash compresses a 64-bit hash value into a (v+6)-bit hash token:
 // the low v bits of the hash shifted left by 6, plus the NLZ of the

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"exaloglog/internal/hashing"
 )
 
 // TestTokenRoundTripInsertEquivalence is the key sparse-mode property
@@ -248,5 +250,18 @@ func TestTokenPMFSumsToOne(t *testing.T) {
 		if math.Abs(sum-1) > 1e-12 {
 			t.Errorf("v=%d: Σρ_token = %.15f, want 1", v, sum)
 		}
+	}
+}
+
+func BenchmarkTokenSetInsert(b *testing.B) {
+	ts, _ := NewTokenSet(DefaultTokenV)
+	state := uint64(1)
+	hashes := make([]uint64, 1<<16)
+	for i := range hashes {
+		hashes[i] = hashing.SplitMix64(&state)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ts.AddHash(hashes[i&(1<<16-1)])
 	}
 }

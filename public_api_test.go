@@ -2,7 +2,6 @@ package exaloglog_test
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"exaloglog"
@@ -31,66 +30,15 @@ func TestPublicEstimateWithBounds(t *testing.T) {
 	}
 }
 
-func TestPublicToken32List(t *testing.T) {
-	list := exaloglog.NewToken32List()
-	for i := 0; i < 5000; i++ {
-		list.AddHash(hash64(uint64(i)))
-	}
-	if rel := math.Abs(list.EstimateML()-5000) / 5000; rel > 0.02 {
-		t.Errorf("token estimate off by %.1f%%", 100*rel)
-	}
-	// Serialization through the public constructor.
-	data, err := list.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := exaloglog.TokenSetFromBinary(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.Len() != list.Len() {
-		t.Errorf("round trip %d tokens, want %d", ts.Len(), list.Len())
-	}
-	// Densify and keep counting.
-	sketch, err := list.ToSketch(exaloglog.Config{T: 2, D: 20, P: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(sketch.Estimate()-5000) / 5000; rel > 0.03 {
-		t.Errorf("densified estimate off by %.1f%%", 100*rel)
-	}
-}
-
-// hash64 is a stand-in for a user's hash function.
-func hash64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-func TestPublicTokenSetSerialization(t *testing.T) {
-	ts, err := exaloglog.NewTokenSet(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		ts.AddHash(hash64(uint64(i)))
-	}
-	data, err := ts.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := exaloglog.TokenSetFromBinary(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.EstimateML() != ts.EstimateML() {
-		t.Error("estimate changed across public serialization round trip")
-	}
-}
+// The sparse surface, all of it: NewHybrid for anything stored, merged or
+// shipped, NewTokenSet for the paper's Algorithm 7 at a free v, and the two
+// token conversions. A name dropped or a signature changed fails to compile.
+var (
+	_ func(exaloglog.Config) (*exaloglog.Hybrid, error) = exaloglog.NewHybrid
+	_ func(int) (*exaloglog.TokenSet, error)            = exaloglog.NewTokenSet
+	_ func(uint64, int) uint64                          = exaloglog.TokenFromHash
+	_ func(uint64, int) uint64                          = exaloglog.HashFromToken
+)
 
 func ExampleSketch_EstimateWithBounds() {
 	s := exaloglog.New(12)

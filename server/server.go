@@ -70,10 +70,10 @@ type Server struct {
 type Handler func(args []string) (reply string)
 
 // command is one registry entry: arity bounds (arguments after the
-// verb; max < 0 means unbounded), the arity-failure reply, the regular
-// string-args handler, and — for hot verbs — a fast handler that works
-// on the in-place byte tokens and writes its own reply, allocating
-// nothing.
+// verb; max < 0 means unbounded), the arity-failure reply and exactly one
+// handler — run, which takes string arguments and returns the reply, or,
+// for hot verbs, fast, which works on the in-place byte tokens and writes
+// its own reply, allocating nothing.
 type command struct {
 	min, max int
 	usage    string
@@ -164,41 +164,16 @@ func (s *Server) registerBuiltins() {
 		min: 2, max: -1,
 		usage: "-ERR PFADD needs a key and at least one element",
 		fast:  fastPFAdd,
-		run: func(s *Server, args []string) (string, bool) {
-			changed, err := s.store.Add(args[0], args[1:]...)
-			if err != nil {
-				return "-ERR " + err.Error(), false
-			}
-			return boolReply(changed), false
-		},
 	})
 	s.register("PFCOUNT", &command{
 		min: 1, max: -1,
 		usage: "-ERR PFCOUNT needs at least one key",
 		fast:  fastPFCount,
-		run: func(s *Server, args []string) (string, bool) {
-			n, err := s.store.Count(args...)
-			if err != nil {
-				return "-ERR " + err.Error(), false
-			}
-			return ":" + strconv.FormatInt(int64(n+0.5), 10), false
-		},
 	})
 	s.register("WADD", &command{
 		min: 3, max: -1,
 		usage: "-ERR WADD needs a key, a unix-millisecond timestamp and at least one element",
 		fast:  fastWAdd,
-		run: func(s *Server, args []string) (string, bool) {
-			ts, err := strconv.ParseInt(args[1], 10, 64)
-			if err != nil {
-				return "-ERR WADD timestamp must be an integer (unix milliseconds)", false
-			}
-			n, err := s.store.WindowAdd(args[0], time.UnixMilli(ts), args[2:]...)
-			if err != nil {
-				return "-ERR " + err.Error(), false
-			}
-			return ":" + strconv.Itoa(n), false
-		},
 	})
 	s.register("WCOUNT", &command{
 		min: 2, max: 3,

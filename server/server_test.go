@@ -329,6 +329,24 @@ func TestMultilineReplyIsFoldedToOneLine(t *testing.T) {
 	}
 }
 
+// TestRegistryEntriesHaveOneHandler: exec takes fast whenever it is set, so
+// a run beside it could never be reached; Handle and HandleBytes replace the
+// whole entry, leaving the same one handler.
+func TestRegistryEntriesHaveOneHandler(t *testing.T) {
+	store, err := NewStore(core.RecommendedML(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store)
+	srv.Handle("PFADD", func([]string) string { return "+OK" })
+	srv.HandleBytes("WCOUNT", func(reply []byte, _ [][]byte) []byte { return append(reply, "+OK"...) })
+	for verb, cmd := range srv.commands {
+		if (cmd.run == nil) == (cmd.fast == nil) {
+			t.Errorf("%s: run set = %v, fast set = %v; an entry has exactly one handler", verb, cmd.run != nil, cmd.fast != nil)
+		}
+	}
+}
+
 func TestQuitClosesConnection(t *testing.T) {
 	_, c := startServer(t)
 	reply, err := c.Do("QUIT")
