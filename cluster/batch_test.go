@@ -84,14 +84,21 @@ func TestMLAddWire(t *testing.T) {
 }
 
 // TestRetiredClusterVerbsAreRefused: MLADD is the one forwarded-add verb,
-// ABSORB takes exactly three arguments, and anti-entropy has no operator
-// verb (gossip and the digest round run on their tickers). The verbs and
-// forms that used to sit beside them get an error reply — nothing is
-// applied — and the connection stays usable.
+// ABSORB takes exactly three arguments, anti-entropy has no operator verb
+// (gossip and the digest round run on their tickers) and a value blob
+// travels as the store serialized it. The verbs and forms
+// that used to sit beside them — an "ELC1" container of the retired codec
+// where a blob goes among them — get an error reply naming what was
+// refused, nothing is applied, and the connection stays usable.
 func TestRetiredClusterVerbsAreRefused(t *testing.T) {
 	nodes := startCluster(t, 1, 1)
 	c := dialNode(t, nodes[0])
 	blob := base64.StdEncoding.EncodeToString(denseBlob(t, "x"))
+	elc1 := base64.StdEncoding.EncodeToString(elc1Blob(t))
+	elc1Frame := base64.StdEncoding.EncodeToString(encodeFrame([]server.KeyBlob{{Key: "framed", Blob: elc1Blob(t)}}))
+	if _, err := c.Do("CLUSTER", "XFER", "BEGIN", "e=1", "sid=s.1", "seq=1"); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		cmd  []string
 		want string
@@ -103,6 +110,9 @@ func TestRetiredClusterVerbsAreRefused(t *testing.T) {
 		{[]string{"CLUSTER", "REBALANCE"}, "unknown CLUSTER subcommand REBALANCE"},
 		{[]string{"CLUSTER", "ABSORB", "k", blob}, "CLUSTER ABSORB needs a key, a base64 payload and a deadline"},
 		{[]string{"CLUSTER", "XFER", "BEGIN", "e=1", "sid=s.1", "seq=1", "c=1"}, "CLUSTER XFER BEGIN needs e=<epoch> sid=<id> seq=<n>"},
+		{[]string{"CLUSTER", "ABSORB", "absorbed", elc1, "0"}, `merge blob into "absorbed"`},
+		{[]string{"RESTORE", "restored", elc1}, "unsupported format version 67"},
+		{[]string{"CLUSTER", "XFER", "FRAME", "s.1", "1", elc1Frame}, `xfer: server: merge blob into "framed"`},
 	} {
 		_, err := c.Do(tc.cmd...)
 		if !server.IsReplyErr(err) || !strings.Contains(err.Error(), tc.want) {

@@ -170,13 +170,10 @@ func BenchmarkRebalance(b *testing.B) {
 	all := append(nodes, n4)
 	b.ReportMetric(float64(sumPushes(all...))/float64(b.N), "pushes/op")
 	// The pushes travel framed: frames/op stays O(keys/batch), far under
-	// the one-message-per-push cost of the per-key path. The two bytes
-	// columns are the compression ledger — wireB/op is what actually
-	// crossed the network, preB/op what the uncompressed framing would
-	// have cost.
+	// the one-message-per-push cost of the per-key path; wireB/op is what
+	// crossed the network.
 	stats := sumTransferStats(all)
 	b.ReportMetric(float64(stats.FramesSent)/float64(b.N), "frames/op")
-	b.ReportMetric(float64(stats.BytesPrecompress)/float64(b.N), "preB/op")
 	b.ReportMetric(float64(stats.BytesWire)/float64(b.N), "wireB/op")
 }
 

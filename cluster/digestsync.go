@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"exaloglog/internal/compress"
 	"exaloglog/server"
 )
 
@@ -48,16 +47,10 @@ import (
 const (
 	digestVecMagic  = "ELD1"
 	digestKeysMagic = "ELK1"
-
-	// maxDigestPayload caps a decoded digest payload: generous for
-	// 65536 max-length keys, far below anything allocatable by a
-	// hostile length claim.
-	maxDigestPayload = 1 << 24
 )
 
 // encodeDigestVector packs per-shard digests as the ELD1 payload and
-// returns it base64-wrapped (codec-compressed when that wins; a vector
-// from a mostly-empty store is almost all zero bytes).
+// returns it base64-wrapped.
 func encodeDigestVector(v []uint64) string {
 	buf := make([]byte, 0, len(digestVecMagic)+binary.MaxVarintLen64+8*len(v))
 	buf = append(buf, digestVecMagic...)
@@ -65,15 +58,11 @@ func encodeDigestVector(v []uint64) string {
 	for _, d := range v {
 		buf = binary.LittleEndian.AppendUint64(buf, d)
 	}
-	return base64.StdEncoding.EncodeToString(compress.EncodeBlob(buf))
+	return base64.StdEncoding.EncodeToString(buf)
 }
 
 func decodeDigestVector(body string) ([]uint64, error) {
-	raw, err := base64.StdEncoding.DecodeString(body)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: digest vector: %w", err)
-	}
-	buf, err := compress.DecodeBlob(raw, maxDigestPayload)
+	buf, err := base64.StdEncoding.DecodeString(body)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: digest vector: %w", err)
 	}
@@ -94,7 +83,7 @@ func decodeDigestVector(body string) ([]uint64, error) {
 }
 
 // encodeKeyDigests packs per-key digests as the ELK1 payload,
-// base64-wrapped and codec-compressed when that wins.
+// base64-wrapped.
 func encodeKeyDigests(kds []server.KeyDigest) string {
 	size := len(digestKeysMagic) + binary.MaxVarintLen64
 	for _, kd := range kds {
@@ -108,15 +97,11 @@ func encodeKeyDigests(kds []server.KeyDigest) string {
 		buf = append(buf, kd.Key...)
 		buf = binary.LittleEndian.AppendUint64(buf, kd.Digest)
 	}
-	return base64.StdEncoding.EncodeToString(compress.EncodeBlob(buf))
+	return base64.StdEncoding.EncodeToString(buf)
 }
 
 func decodeKeyDigests(body string) (map[string]uint64, error) {
-	raw, err := base64.StdEncoding.DecodeString(body)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: key digests: %w", err)
-	}
-	buf, err := compress.DecodeBlob(raw, maxDigestPayload)
+	buf, err := base64.StdEncoding.DecodeString(body)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: key digests: %w", err)
 	}

@@ -66,6 +66,12 @@ func TestDigestVectorRoundTrip(t *testing.T) {
 	if _, err := decodeDigestVector(""); err == nil {
 		t.Error("empty vector accepted")
 	}
+	// The all-zero vector of an empty store as the retired codec shrank it,
+	// "ELC1" around 1030 bytes: a payload is base64 of the ELD1 bytes, and
+	// this is refused as the unknown magic it now is.
+	if _, err := decodeDigestVector("RUxDMWWGCAC6s7POf/7//////////////////////////////////////////////////8sUlYA="); err == nil || !strings.Contains(err.Error(), "digest vector: bad magic") {
+		t.Errorf("ELC1-wrapped vector: err = %v, want a digest vector bad-magic error", err)
+	}
 }
 
 func TestKeyDigestsRoundTrip(t *testing.T) {
@@ -92,6 +98,10 @@ func TestKeyDigestsRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeKeyDigests("###"); err == nil {
 		t.Error("non-base64 key digests accepted")
+	}
+	// Three keys' digests in the retired codec's "ELC1" container.
+	if _, err := decodeKeyDigests("RUxDMWW2AQC6s6zO/M2enp1lJcSc6jCR5hwUpaJgHxI4IIltM8dSPm/////4Dx+9eci7EfdK////pAcUTIX/WP/xU2kv"); err == nil || !strings.Contains(err.Error(), "key digests: bad magic") {
+		t.Errorf("ELC1-wrapped key digests: err = %v, want a key digests bad-magic error", err)
 	}
 }
 

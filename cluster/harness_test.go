@@ -1577,7 +1577,6 @@ func sumTransferStats(nodes []*Node) TransferStats {
 		sum.FrameRetries += s.FrameRetries
 		sum.BytesMoved += s.BytesMoved
 		sum.FallbackKeys += s.FallbackKeys
-		sum.BytesPrecompress += s.BytesPrecompress
 		sum.BytesWire += s.BytesWire
 	}
 	return sum

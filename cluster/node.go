@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"exaloglog/internal/compress"
 	"exaloglog/internal/core"
 	"exaloglog/server"
 	"exaloglog/window"
@@ -46,7 +45,7 @@ import (
 // replicates that instant to every owner (see lifecycle.go).
 //
 // Any node answers any command: writes are forwarded to all of the key's
-// owners (chosen by the consistent-hash ring), and counts scatter DUMPZ
+// owners (chosen by the consistent-hash ring), and counts scatter DUMP
 // requests to the owners and merge the serialized sketches locally.
 // DUMP / RESTORE / INFO / SAVE remain node-local, which is exactly what
 // the scatter-gather path relies on.
@@ -777,12 +776,6 @@ type ownerBlob struct {
 // Owners are queried concurrently; missing keys are skipped. Both the
 // plain (gather) and windowed (gatherWindows) scatter-gathers sit on
 // this one scaffold and differ only in how they decode and merge.
-// maxGatherBlobBytes caps the decoded size of a single DUMPZ reply. A
-// compressed blob can legitimately expand past the line-protocol cap,
-// so this mirrors the window package's largest wire ring rather than
-// the frame limit.
-const maxGatherBlobBytes = 1 << 28
-
 func (n *Node) gatherOwnerBlobs(m *Map, keys []string) ([]ownerBlob, error) {
 	type ownerJobs struct {
 		owner Member
@@ -818,11 +811,9 @@ func (n *Node) gatherOwnerBlobs(m *Map, keys []string) ([]ownerBlob, error) {
 				blobs[i] = got
 				return
 			}
-			// The compressed dump: an 8-key scatter-gather count moves a
-			// fraction of the raw register bytes.
 			cmds := make([][]string, len(oj.keys))
 			for j, key := range oj.keys {
-				cmds[j] = []string{"DUMPZ", key}
+				cmds[j] = []string{"DUMP", key}
 			}
 			results, err := n.peers.pipeline(oj.owner.Addr, cmds)
 			if err != nil {
@@ -839,10 +830,6 @@ func (n *Node) gatherOwnerBlobs(m *Map, keys []string) ([]ownerBlob, error) {
 				}
 				blob, err := base64.StdEncoding.DecodeString(res.Value)
 				if err != nil {
-					errs[i] = fmt.Errorf("cluster: dump %q from %s: %w", oj.keys[j], oj.owner.ID, err)
-					return
-				}
-				if blob, err = compress.DecodeBlob(blob, maxGatherBlobBytes); err != nil {
 					errs[i] = fmt.Errorf("cluster: dump %q from %s: %w", oj.keys[j], oj.owner.ID, err)
 					return
 				}
@@ -875,33 +862,44 @@ func (n *Node) gather(m *Map, keys []string) (*core.Hybrid, error) {
 		return nil, err
 	}
 	var acc *core.Hybrid
-	merged := make(map[string][]byte, len(keys)) // key -> the first copy merged
-	for _, b := range blobs {
-		// Blobs are canonical: a replica in step with a copy already
-		// merged sends the very same bytes and has nothing to add.
-		first, seen := merged[b.key]
-		if seen && bytes.Equal(first, b.blob) {
-			continue
-		}
-		if !seen {
-			merged[b.key] = b.blob
-		}
+	err = eachDistinctCopy(blobs, func(b ownerBlob) error {
 		if window.IsSerialized(b.blob) {
-			return nil, fmt.Errorf("cluster: sketch %q from %s: %w", b.key, b.ownerID, server.ErrWrongType)
+			return fmt.Errorf("cluster: sketch %q from %s: %w", b.key, b.ownerID, server.ErrWrongType)
 		}
 		sk, err := core.HybridFromBinary(b.blob)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: sketch %q from %s: %w", b.key, b.ownerID, err)
+			return fmt.Errorf("cluster: sketch %q from %s: %w", b.key, b.ownerID, err)
 		}
 		if acc == nil {
 			acc = sk
-			continue
+			return nil
 		}
-		if err := acc.Merge(sk); err != nil {
-			return nil, err
-		}
+		return acc.Merge(sk)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return acc, nil
+}
+
+// eachDistinctCopy calls merge for every gathered blob but those that are,
+// byte for byte, the first copy of their key it was called for. Blobs are
+// canonical — "ELT3" tokens, and "ELW1" rings of them — so a replica in step
+// with a copy already merged sends the very same bytes and has nothing to
+// add: with every owner in step a key is decoded once, not once a replica.
+func eachDistinctCopy(blobs []ownerBlob, merge func(ownerBlob) error) error {
+	first := make(map[string][]byte) // key -> the first copy merged
+	for _, b := range blobs {
+		if f, seen := first[b.key]; !seen {
+			first[b.key] = b.blob
+		} else if bytes.Equal(f, b.blob) {
+			continue
+		}
+		if err := merge(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WindowAdd inserts elements observed at the unix-millisecond
@@ -1034,21 +1032,22 @@ func (n *Node) gatherWindows(m *Map, keys []string) (*window.Counter, error) {
 		return nil, err
 	}
 	var acc *window.Counter
-	for _, b := range blobs {
+	err = eachDistinctCopy(blobs, func(b ownerBlob) error {
 		if !window.IsSerialized(b.blob) {
-			return nil, fmt.Errorf("cluster: window dump %q from %s: %w", b.key, b.ownerID, server.ErrWrongType)
+			return fmt.Errorf("cluster: window dump %q from %s: %w", b.key, b.ownerID, server.ErrWrongType)
 		}
 		c, err := window.FromBinary(b.blob)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: window dump %q from %s: %w", b.key, b.ownerID, err)
+			return fmt.Errorf("cluster: window dump %q from %s: %w", b.key, b.ownerID, err)
 		}
 		if acc == nil {
 			acc = c
-			continue
+			return nil
 		}
-		if err := acc.Merge(c); err != nil {
-			return nil, err
-		}
+		return acc.Merge(c)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return acc, nil
 }

@@ -38,10 +38,9 @@ type ClusterStats struct {
 	XferBytes        uint64 // payload bytes framed
 	XferFallbacks    uint64 // keys degraded to per-key ABSORB
 
-	// Wire-codec and digest anti-entropy counters (see transfer.go
-	// and digestsync.go). Precompress vs wire is the compression
-	// ledger: their ratio is the transport's achieved reduction.
-	XferBytesPrecompress uint64 // frame payload bytes before the codec ran
+	// Frame bytes and digest anti-entropy counters (see transfer.go and
+	// digestsync.go).
+	XferBytesPrecompress uint64 // equal to XferBytesWire: frames carry blobs as they are
 	XferBytesWire        uint64 // frame payload bytes actually framed onto the wire
 	SyncDigestRounds     uint64 // digest anti-entropy rounds completed
 	SyncKeysRepaired     uint64 // divergent keys re-shipped by digest rounds
@@ -54,6 +53,7 @@ func (n *Node) StatsCounters() ClusterStats {
 	g.mu.Lock()
 	rounds, raised := g.round, g.suspectsRaised
 	g.mu.Unlock()
+	wire := n.xfer.wireBytes.Load()
 	return ClusterStats{
 		GossipRounds:   rounds,
 		SuspectsRaised: raised,
@@ -71,8 +71,8 @@ func (n *Node) StatsCounters() ClusterStats {
 		XferBytes:        n.xfer.bytes.Load(),
 		XferFallbacks:    n.xfer.fallbacks.Load(),
 
-		XferBytesPrecompress: n.xfer.preBytes.Load(),
-		XferBytesWire:        n.xfer.wireBytes.Load(),
+		XferBytesPrecompress: wire,
+		XferBytesWire:        wire,
 		SyncDigestRounds:     n.digestRounds.Load(),
 		SyncKeysRepaired:     n.digestRepairs.Load(),
 	}

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"exaloglog/internal/compress"
 	"exaloglog/server"
 )
 
@@ -55,11 +54,7 @@ import (
 
 // frameMagic tags the one binary frame format. Each record carries its
 // key, its expiry deadline (so a key's lifetime rides rebalance with its
-// registers) and its blob, and the blob is self-describing: either the
-// wire codec's output (internal/compress EncodeBlob, "ELC1" — near-empty
-// dense sketches shrink by orders of magnitude) or the raw value blob,
-// which the codec's decoder passes through. The sender picks per frame
-// (see encodeFrame); the receiver needs no flag.
+// registers) and its value blob as the store dumped it.
 const frameMagic = "ELX3"
 
 const (
@@ -172,7 +167,6 @@ type transferState struct {
 	retries   atomic.Uint64 // frames re-sent on a resumed stream
 	bytes     atomic.Uint64 // payload (blob) bytes framed
 	fallbacks atomic.Uint64 // keys degraded to per-key ABSORB
-	preBytes  atomic.Uint64 // frame bytes had every blob travelled raw
 	wireBytes atomic.Uint64 // frame bytes actually written (pre-base64)
 
 	mu    sync.Mutex
@@ -201,12 +195,13 @@ type TransferStats struct {
 	FrameRetries     uint64 // frames re-sent on resumed streams
 	BytesMoved       uint64 // payload bytes framed
 	FallbackKeys     uint64 // keys that degraded to per-key ABSORB
-	BytesPrecompress uint64 // frame bytes had every blob travelled raw
+	BytesPrecompress uint64 // equal to BytesWire: frames carry blobs as they are
 	BytesWire        uint64 // frame bytes actually written, pre-base64
 }
 
 // TransferStats returns this node's cumulative bulk-transfer counters.
 func (n *Node) TransferStats() TransferStats {
+	wire := n.xfer.wireBytes.Load()
 	return TransferStats{
 		StreamsOpened:    n.xfer.streams.Load(),
 		StreamsResumed:   n.xfer.resumed.Load(),
@@ -214,72 +209,33 @@ func (n *Node) TransferStats() TransferStats {
 		FrameRetries:     n.xfer.retries.Load(),
 		BytesMoved:       n.xfer.bytes.Load(),
 		FallbackKeys:     n.xfer.fallbacks.Load(),
-		BytesPrecompress: n.xfer.preBytes.Load(),
-		BytesWire:        n.xfer.wireBytes.Load(),
+		BytesPrecompress: wire,
+		BytesWire:        wire,
 	}
 }
 
 // --- frame codec -------------------------------------------------------
 
-// uvarintLen returns how many bytes binary.AppendUvarint emits for v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// frameSizeRaw is the exact size of a frame carrying items' blobs raw,
-// without building it — the "bytes before compression" number the
-// xfer_bytes_precompress counter and the bench columns report.
-func frameSizeRaw(items []server.KeyBlob) int {
-	size := len(frameMagic) + uvarintLen(uint64(len(items)))
-	for _, it := range items {
-		size += uvarintLen(uint64(len(it.Key))) + len(it.Key) +
-			uvarintLen(uint64(it.Deadline)) +
-			uvarintLen(uint64(len(it.Blob))) + len(it.Blob)
-	}
-	return size
-}
-
 // encodeFrame serializes items as one transfer frame: the magic, a
 // uvarint record count, then per record a length-prefixed key, a uvarint
 // expiry deadline (unix milliseconds, 0 = none) and a length-prefixed
-// blob. Each blob runs through the wire codec; when the codec saves less
-// than ~5% over the whole frame the raw blobs are written instead (the
-// ratio is poor for dense sketches and token blobs; spending decoder CPU
-// for nothing helps nobody). pre is the raw-blob frame size either way.
-func encodeFrame(items []server.KeyBlob) (buf []byte, pre int) {
-	pre = frameSizeRaw(items)
-	blobs := make([][]byte, len(items))
-	zTotal, rawTotal := 0, 0
-	for i, it := range items {
-		blobs[i] = compress.EncodeBlob(it.Blob)
-		zTotal += len(blobs[i])
-		rawTotal += len(it.Blob)
-	}
-	if zTotal*20 >= rawTotal*19 { // under 5% saved: ship the blobs as they are
-		for i, it := range items {
-			blobs[i] = it.Blob
-		}
-	}
+// blob.
+func encodeFrame(items []server.KeyBlob) []byte {
 	size := len(frameMagic) + binary.MaxVarintLen64
-	for i, it := range items {
-		size += 3*binary.MaxVarintLen64 + len(it.Key) + len(blobs[i])
+	for _, it := range items {
+		size += 3*binary.MaxVarintLen64 + len(it.Key) + len(it.Blob)
 	}
-	buf = make([]byte, 0, size)
+	buf := make([]byte, 0, size)
 	buf = append(buf, frameMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(items)))
-	for i, it := range items {
+	for _, it := range items {
 		buf = binary.AppendUvarint(buf, uint64(len(it.Key)))
 		buf = append(buf, it.Key...)
 		buf = binary.AppendUvarint(buf, uint64(it.Deadline))
-		buf = binary.AppendUvarint(buf, uint64(len(blobs[i])))
-		buf = append(buf, blobs[i]...)
+		buf = binary.AppendUvarint(buf, uint64(len(it.Blob)))
+		buf = append(buf, it.Blob...)
 	}
-	return buf, pre
+	return buf
 }
 
 // decodeFrame parses one transfer frame. Wire input is untrusted, so
@@ -324,16 +280,8 @@ func decodeFrame(buf []byte) ([]server.KeyBlob, error) {
 		if !ok || blen > uint64(len(rest)) {
 			return nil, errors.New("cluster: xfer frame: bad blob length")
 		}
-		// A raw blob passes through the codec unchanged, whatever its
-		// size (the frame carried it). The cap on a compressed record
-		// mirrors the frame cap: it may legitimately expand well past its
-		// wire size, but never past what a raw frame could have carried.
-		blob, err := compress.DecodeBlob(rest[:blen:blen], max(maxFrameBytes, int(blen)))
-		if err != nil {
-			return nil, fmt.Errorf("cluster: xfer frame record %d: %w", i, err)
-		}
+		items = append(items, server.KeyBlob{Key: key, Blob: rest[:blen:blen], Deadline: int64(dl)})
 		rest = rest[blen:]
-		items = append(items, server.KeyBlob{Key: key, Blob: blob, Deadline: int64(dl)})
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("cluster: xfer frame: %d trailing bytes", len(rest))
@@ -354,12 +302,10 @@ var errXferStale = errors.New("cluster: xfer stream refused: receiver map epoch 
 var errXferReject = errors.New("cluster: xfer stream rejected by receiver")
 
 // xferFrame is one pre-encoded outbound frame: its binary payload
-// (base64-encoded into pooled scratch at write time), the raw-blob
-// frame size for the compression counters, the items it carries
-// (kept for the per-key fallback path) and their raw blob byte count.
+// (base64-encoded into pooled scratch at write time), the items it
+// carries (kept for the per-key fallback path) and their blob byte count.
 type xferFrame struct {
 	raw       []byte
-	rawPre    int
 	items     []server.KeyBlob
 	blobBytes int
 }
@@ -384,10 +330,8 @@ func buildFrames(items []server.KeyBlob, cfg TransferConfig) (frames []xferFrame
 		for _, it := range batch {
 			blobBytes += len(it.Blob)
 		}
-		payload, pre := encodeFrame(batch)
 		frames = append(frames, xferFrame{
-			raw:       payload,
-			rawPre:    pre,
+			raw:       encodeFrame(batch),
 			items:     batch,
 			blobBytes: blobBytes,
 		})
@@ -610,7 +554,6 @@ func (n *Node) runStream(addr string, epoch uint64, sid string, frames []xferFra
 			}
 			n.xfer.frames.Add(1)
 			n.xfer.bytes.Add(uint64(f.blobBytes))
-			n.xfer.preBytes.Add(uint64(f.rawPre))
 			n.xfer.wireBytes.Add(uint64(len(f.raw)))
 			if next <= *sent {
 				n.xfer.retries.Add(1) // re-sent on a resumed stream

@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"strconv"
@@ -18,12 +19,40 @@ import (
 	"testing"
 	"time"
 
+	"exaloglog/internal/core"
 	"exaloglog/server"
 )
 
-// mixedItems is one record of each value kind a store dumps: a
-// near-empty dense sketch (which the codec shrinks), a token blob and a
-// window ring.
+// denseBlob is a dense serialized sketch holding the elements — what a
+// key past break-even, or one restored from a plain sketch, holds.
+func denseBlob(t testing.TB, elements ...string) []byte {
+	t.Helper()
+	sk := core.MustNew(testConfig())
+	for _, el := range elements {
+		sk.AddString(el)
+	}
+	blob, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// elc1Blob is a container of the generic codec the serving path used until
+// PR 24 — "ELC1" around the 3592-byte dense blob of one element, as a node
+// of that time framed it. Nothing decodes it any more: wherever a value
+// blob is expected it must be refused like any other unknown magic.
+func elc1Blob(t testing.TB) []byte {
+	t.Helper()
+	blob, err := base64.StdEncoding.DecodeString("RUxDMXOIHEVMAQIUCgAAAY8CgICEAg==")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// mixedItems is one record of each value kind a store dumps: a dense
+// sketch, a token blob and a window ring of token slices.
 func mixedItems(t testing.TB) []server.KeyBlob {
 	t.Helper()
 	st, err := server.NewStore(testConfig())
@@ -60,7 +89,7 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 		},
 		"mixed": mixed,
 	} {
-		enc, _ := encodeFrame(items)
+		enc := encodeFrame(items)
 		got, err := decodeFrame(enc)
 		if err != nil {
 			t.Fatalf("%s: decode of a valid frame: %v", name, err)
@@ -75,9 +104,14 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	enc, pre := encodeFrame(mixed)
-	if len(enc) >= pre {
-		t.Errorf("mixed frame is %d bytes for %d raw — the dense record did not shrink", len(enc), pre)
+	// A frame is its records and a few bytes of framing: the two-element
+	// ring travels as its token slices, not as 60 register arrays.
+	enc, payload := encodeFrame(mixed), 0
+	for _, it := range mixed {
+		payload += len(it.Key) + len(it.Blob)
+	}
+	if ring := mixed[2].Blob; len(ring) > 100 || len(enc) > payload+4*len(mixed)+8 {
+		t.Errorf("mixed frame is %d bytes for %d of keys and blobs, its ring %d", len(enc), payload, len(ring))
 	}
 	// Every truncation must fail cleanly — the frame carries its record
 	// count up front, so losing any tail byte is detectable.
@@ -96,15 +130,17 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 func FuzzTransferDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(frameMagic))
-	valid, _ := encodeFrame([]server.KeyBlob{
+	valid := encodeFrame([]server.KeyBlob{
 		{Key: "k", Blob: []byte("v")},
 		{Key: "longer-key", Blob: bytes.Repeat([]byte{9}, 300)},
 	})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(append([]byte(frameMagic), binary.AppendUvarint(nil, 1<<40)...))
-	mixed, _ := encodeFrame(mixedItems(f))
-	f.Add(mixed)
+	f.Add(encodeFrame(mixedItems(f)))
+	// A record in the retired codec's container is opaque bytes to the
+	// frame; the store refuses it (TestRetiredClusterVerbsAreRefused).
+	f.Add(encodeFrame([]server.KeyBlob{{Key: "k", Blob: elc1Blob(f)}}))
 	// The retired magics: otherwise valid frames that must be refused.
 	f.Add(append([]byte("ELX1"), valid[len(frameMagic):]...))
 	f.Add(append([]byte("ELX2"), valid[len(frameMagic):]...))
@@ -117,7 +153,7 @@ func FuzzTransferDecode(f *testing.F) {
 			t.Fatalf("frame with magic %q decoded", data[:4])
 		}
 		// Anything that decodes must round-trip through the encoder.
-		enc, _ := encodeFrame(items)
+		enc := encodeFrame(items)
 		re, err := decodeFrame(enc)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded frame: %v", err)
@@ -470,5 +506,36 @@ func TestTransferResumesAfterReceiverCrashRestart(t *testing.T) {
 				t.Errorf("%s: count %s = %v after crash-restart, want ≈1", n.ID(), keyName(k), got)
 			}
 		}
+	}
+}
+
+// TestFrameLineScratchZeroAlloc: assembling a frame line into a warmed
+// pooled scratch buffer must not allocate — the sender's steady state
+// re-uses one buffer per stream, whatever the frame count.
+func TestFrameLineScratchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is not meaningful under the race detector")
+	}
+	items := []server.KeyBlob{
+		{Key: "k1", Blob: bytes.Repeat([]byte{3}, 1500)},
+		{Key: "k2", Blob: bytes.Repeat([]byte{9}, 900), Deadline: 12345},
+	}
+	raw := encodeFrame(items)
+	bufp := lineScratch.Get().(*[]byte)
+	defer lineScratch.Put(bufp)
+	*bufp = appendFrameLine((*bufp)[:0], "sid-warmup", 1, raw) // size the buffer once
+	seq := uint64(2)
+	avg := testing.AllocsPerRun(200, func() {
+		*bufp = appendFrameLine((*bufp)[:0], "sid-warmup", seq, raw)
+		seq++
+	})
+	if avg != 0 {
+		t.Errorf("appendFrameLine allocates %.2f per frame with a warmed scratch buffer, want 0", avg)
+	}
+	// The assembled line is still correct after the pooling dance.
+	want := "CLUSTER XFER FRAME sid-warmup " +
+		fmt.Sprint(seq-1) + " " + base64.StdEncoding.EncodeToString(raw)
+	if got := string(*bufp); got != want {
+		t.Errorf("pooled frame line diverged from the reference encoding:\n got %q\nwant %q", got[:60], want[:60])
 	}
 }

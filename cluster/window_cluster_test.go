@@ -281,3 +281,50 @@ func TestClusterWindowedRebalance(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherSkipsReplicasInStep: blobs are canonical — token sets, and
+// rings of them — so two owners in step dump the very same bytes, and the
+// gather decodes and merges a key once, not once a replica. A replica that
+// diverged still merges: the count is the union of what the owners hold.
+func TestGatherSkipsReplicasInStep(t *testing.T) {
+	nodes := startCluster(t, 2, 2)
+	ref, _ := window.New(testConfig(), time.Second, 60)
+	for s := 0; s < 5; s++ {
+		for e := 0; e < 40; e++ {
+			ts, el := streamMS+int64(s)*1000, fmt.Sprintf("src-%d-%d", s, e)
+			if _, err := nodes[s%2].WindowAdd("ring", ts, el); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := nodes[e%2].Add("plain", el); err != nil {
+				t.Fatal(err)
+			}
+			ref.AddString(time.UnixMilli(ts), el)
+		}
+	}
+	merges := func() (n int) {
+		blobs, err := nodes[0].gatherOwnerBlobs(nodes[0].currentMap(), []string{"ring", "plain"})
+		if err != nil || len(blobs) != 4 {
+			t.Fatalf("gathered %d blobs, err %v; want both owners' copies of both keys", len(blobs), err)
+		}
+		eachDistinctCopy(blobs, func(ownerBlob) error { n++; return nil })
+		return n
+	}
+	if got := merges(); got != 2 {
+		t.Errorf("two owners in step: %d blobs merged for 2 keys, want one a key", got)
+	}
+	// One replica alone takes a write: its ring differs and is merged too.
+	late := time.UnixMilli(streamMS + 5000)
+	if _, err := nodes[1].Store().WindowAdd("ring", late, "only-on-n2"); err != nil {
+		t.Fatal(err)
+	}
+	ref.AddString(late, "only-on-n2")
+	if got := merges(); got != 3 {
+		t.Errorf("one diverged ring: %d blobs merged, want 3", got)
+	}
+	for i, n := range nodes {
+		got, err := n.WindowCount("ring", time.Minute, 0)
+		if want := ref.Estimate(ref.Latest(), time.Minute); err != nil || got != want {
+			t.Errorf("WCOUNT via node %d: %v, %v; want the union %v", i, got, err, want)
+		}
+	}
+}

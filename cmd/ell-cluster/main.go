@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"exaloglog/cluster"
@@ -158,9 +157,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// protocol's one-reply-one-line rule); unfold for humans.
 		for _, row := range strings.Split(reply, "; ") {
 			fmt.Fprintln(stdout, row)
-			if line := compressionSummary(row); line != "" {
-				fmt.Fprintln(stdout, line)
-			}
 		}
 	case "join":
 		if len(rest) != 2 {
@@ -240,31 +236,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return x.usage()
 	}
 	return 0
-}
-
-// compressionSummary derives the transfer codec's achieved reduction
-// from a node's cluster-counter row: precompress bytes vs bytes that
-// actually hit the wire. Returns "" until the node has framed at least
-// one compressed transfer (both counters zero), or for non-counter
-// rows.
-func compressionSummary(row string) string {
-	if !strings.HasPrefix(row, "node=") {
-		return ""
-	}
-	vals := make(map[string]uint64)
-	for _, f := range strings.Fields(row) {
-		if k, v, ok := strings.Cut(f, "="); ok {
-			if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-				vals[k] = n
-			}
-		}
-	}
-	pre, wire := vals["xfer_bytes_precompress"], vals["xfer_bytes_wire"]
-	if pre == 0 || wire == 0 {
-		return ""
-	}
-	return fmt.Sprintf("  xfer compression: %d -> %d bytes (%.2fx)",
-		pre, wire, float64(pre)/float64(wire))
 }
 
 // echo runs one command and prints its reply as it came.

@@ -10,14 +10,15 @@ import (
 )
 
 // TestServingPathImportFence: the serving path (server/, cluster/,
-// window/) is built from the sketch core, the hash and the wire codec
-// alone. The reproduction apparatus — the baseline sketches, the
-// simulation and comparison harnesses, the experimental variants — must
-// stay out of it, so it can change or go without touching what serves
-// traffic. Test files may import what they like.
+// window/) is built from the sketch core and the hash alone. The
+// reproduction apparatus — the baseline sketches, the simulation and
+// comparison harnesses, the experimental variants, the entropy coder of the
+// compressed-size experiments — must stay out of it, so it can change or go
+// without touching what serves traffic. Test files may import what they
+// like.
 func TestServingPathImportFence(t *testing.T) {
 	fenced := map[string]bool{}
-	for _, pkg := range []string{"hll", "hlll", "pcsa", "spike", "compare", "simulation", "geomell", "mvp", "workload"} {
+	for _, pkg := range []string{"hll", "hlll", "pcsa", "spike", "compare", "simulation", "geomell", "mvp", "workload", "compress"} {
 		fenced["exaloglog/internal/"+pkg] = true
 	}
 	for _, dir := range []string{"server", "cluster", "window"} {

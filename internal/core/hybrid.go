@@ -541,15 +541,22 @@ func (h *Hybrid) AddHashes(hashes []uint64) bool {
 	for i, hash := range hashes {
 		batch[i] = TokenFromHash(hash, v)
 	}
-	batch = sortTokens(batch, other, uint(v+6))
+	batch = sortDistinct(batch, other, uint(v+6))
+	return h.uniteTokens(tokenSeq{words: batch, n: len(batch)})
+}
+
+// sortDistinct returns the distinct tokens among the w-bit tokens of a,
+// ascending, in a's array or in tmp's (see sortTokens). a is not empty.
+func sortDistinct(a, tmp []uint64, w uint) []uint64 {
+	a = sortTokens(a, tmp, w)
 	n := 1
-	for _, x := range batch[1:] {
-		if x != batch[n-1] {
-			batch[n] = x
+	for _, x := range a[1:] {
+		if x != a[n-1] {
+			a[n] = x
 			n++
 		}
 	}
-	return h.uniteTokens(tokenSeq{words: batch, n: n})
+	return a[:n]
 }
 
 // sortTokens sorts w-bit tokens ascending by LSD radix sort — one stable
@@ -642,6 +649,9 @@ func (h *Hybrid) ToSketch() *Sketch {
 	s.addTokens(h.tokens())
 	return s
 }
+
+// Reset returns the sketch to its empty, sparse state.
+func (h *Hybrid) Reset() { *h = emptyHybrid(h.Config()) }
 
 // Clone returns a deep copy.
 func (h *Hybrid) Clone() *Hybrid {
@@ -755,6 +765,51 @@ func (h *Hybrid) MergeInto(acc *Sketch) error {
 	}
 	acc.addTokens(h.tokens())
 	return nil
+}
+
+// UnionHybrids returns the union of the sketches, all of configuration cfg,
+// in one pass: what folding them together with Merge gives, without encoding
+// every intermediate set. The result is dense if a part is, or if the parts'
+// tokens, were they all distinct, would pass break-even — each part is then
+// replayed into one register array; below that the parts' tokens are sorted
+// together and encoded once. The estimate is the same float either way.
+func UnionHybrids(cfg Config, parts []*Hybrid) (*Hybrid, error) {
+	v, n, nlzSum, dense := cfg.tokenV(), 0, uint(0), false
+	for _, h := range parts {
+		if h.Config() != cfg {
+			return nil, fmt.Errorf("exaloglog: cannot unite config %+v with %+v; reduce to common parameters first", h.Config(), cfg)
+		}
+		if h.n > 0 {
+			n += int(h.n)
+			nlzSum += uint(h.used) - layoutTokens(v, int(h.n)).size(int(h.n), 0)
+		}
+		dense = dense || h.dense != nil
+	}
+	union := emptyHybrid(cfg)
+	switch {
+	case dense || n > 0 && cfg.pastBreakEven(layoutTokens(v, n).size(n, nlzSum)):
+		acc := MustNew(cfg)
+		for _, h := range parts {
+			if err := h.MergeInto(acc); err != nil {
+				return nil, err // unreachable: configurations checked above
+			}
+		}
+		union = denseHybrid(acc)
+	case n > 0:
+		scratch := tokenScratch.Get().(*[]uint64)
+		defer tokenScratch.Put(scratch)
+		buf := scratchTokens(scratch, 2*n)
+		all := buf[:0]
+		for _, h := range parts {
+			ts := h.tokens().stream()
+			for x := ts.head(); x != endOfTokens; x = ts.head() {
+				all = append(all, x)
+				ts.i++
+			}
+		}
+		union.setTokens(sortDistinct(all, buf[n:], uint(v+6)))
+	}
+	return &union, nil
 }
 
 // uniteTokens sets h's tokens to the union with the sequence b, densifying

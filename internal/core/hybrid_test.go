@@ -259,6 +259,50 @@ func TestHybridMergeMixedModes(t *testing.T) {
 	}
 }
 
+// TestUnionHybrids: the one-pass union is the fold by Merge — the same
+// bytes while the parts' tokens stay below break-even, the same registers
+// and the same float once they could pass it or a part is dense — and parts
+// of another configuration are an error.
+func TestUnionHybrids(t *testing.T) {
+	cfg := Config{T: 2, D: 20, P: 8}
+	r := rng(77)
+	pool := make([]uint64, 30000) // the parts draw from one pool, so they overlap
+	for i := range pool {
+		pool[i] = r.Uint64()
+	}
+	for _, tc := range []struct {
+		sizes  []int
+		sparse bool
+	}{{nil, true}, {[]int{0, 0}, true}, {[]int{3, 0, 40, 40, 200}, true}, {[]int{1500, 1500, 1500, 1500}, false}, {[]int{5, 20000, 5}, false}} {
+		fold, _ := NewHybrid(cfg)
+		var parts []*Hybrid
+		for _, n := range tc.sizes {
+			h, _ := NewHybrid(cfg)
+			for i := 0; i < n; i++ {
+				h.AddHash(pool[r.Intn(len(pool))])
+			}
+			parts = append(parts, h)
+			if err := fold.Merge(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		union, err := UnionHybrids(cfg, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := union.MarshalBinary()
+		want, _ := fold.MarshalBinary()
+		if union.IsSparse() != tc.sparse || union.Estimate() != fold.Estimate() || tc.sparse && string(got) != string(want) ||
+			string(union.ToSketch().RegisterBytes()) != string(fold.ToSketch().RegisterBytes()) {
+			t.Errorf("parts of %v: union sparse=%v estimating %v in %d bytes, the fold %v in %d", tc.sizes, union.IsSparse(), union.Estimate(), len(got), fold.Estimate(), len(want))
+		}
+	}
+	other, _ := NewHybrid(Config{T: 2, D: 20, P: 9})
+	if _, err := UnionHybrids(cfg, []*Hybrid{other}); err == nil {
+		t.Error("union accepted a part of another configuration")
+	}
+}
+
 func TestHybridSerializationBothModes(t *testing.T) {
 	cfg := Config{T: 2, D: 20, P: 8}
 	// Sparse mode round trip.

@@ -432,10 +432,67 @@ func TestSnapshotV4DeadlineRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotV4Decode fuzzes the current (version 5) reader — the name
-// is kept so the recorded seed ids stay stable: arbitrary snapshot bytes
+// TestResidentBytesTracksWindowRings is TestResidentBytesTracksLiveHeap for
+// the windowed keyspace: a ring is charged what its slices hold — a few KB
+// while they are token sets, a register array for each slice that filled
+// past break-even — so the gauge stays within 15 % of the measured live
+// heap as rings fill and densify, and the watermark eviction, which judges
+// by the gauge, stops at the low mark instead of shedding every ring as if
+// each were 60 register arrays (867 KB).
+func TestResidentBytesTracksWindowRings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	const keys = 40
+	store := newTestStore(t)
+	element := make([]byte, 0, 32)
+	fill := func(key, slice, from, to int) {
+		name := []byte(fmt.Sprintf("ring-%02d", key))
+		for j := from; j < to; j++ {
+			element = strconv.AppendInt(append(element[:0], name...), int64(slice)<<32|int64(j), 10)
+			if _, err := store.WindowAddBytes(name, 1_750_000_000_000+int64(slice)*1000, [][]byte{element}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := liveHeap()
+	check := func(stage string) int64 {
+		heap := float64(liveHeap() - before)
+		_, _, resident := store.LifecycleStats()
+		if ratio := float64(resident) / heap; ratio < 0.85 || ratio > 1.15 {
+			t.Errorf("%s: resident_bytes %d vs %.0f live heap bytes: ratio %.3f outside 0.85–1.15", stage, resident, heap, ratio)
+		}
+		t.Logf("%s: resident_bytes %.0f B/ring, live heap %.0f B/ring", stage, float64(resident)/keys, heap/keys)
+		return resident
+	}
+	for i := 0; i < keys; i++ {
+		for s := 0; s < 60; s++ {
+			fill(i, s, 0, 5+35*(i%3)) // 5, 40 or 75 elements a slice
+		}
+	}
+	if light := check("token slices"); light > keys*16<<10 {
+		t.Errorf("%d rings of at most 75 elements a slice are charged %d bytes", keys, light)
+	}
+	for i := 0; i < keys; i += 10 {
+		for s := 0; s < 3; s++ {
+			fill(i, s, 100, 50000) // past break-even, about 44 000 elements
+		}
+	}
+	resident := check("four rings with three dense slices each")
+	// The four heavy rings are the hottest (most writes): shedding a quarter
+	// of the gauge takes some of the light rings, a few KB at a time.
+	low := resident * 3 / 4
+	store.SetMemoryWatermarks(resident-1, low)
+	evicted := store.EvictToWatermark()
+	if _, _, after := store.LifecycleStats(); after > low || after < low-16<<10 || evicted < 8 || evicted > 24 {
+		t.Errorf("evicted %d of %d rings, resident_bytes %d → %d: want a stop just under the low mark %d", evicted, keys, resident, after, low)
+	}
+	runtime.KeepAlive(store)
+}
+
+// FuzzSnapshotDecode fuzzes the snapshot reader: arbitrary snapshot bytes
 // must never panic it, and an accepted stream must re-encode cleanly.
-func FuzzSnapshotV4Decode(f *testing.F) {
+func FuzzSnapshotDecode(f *testing.F) {
 	seedStore, err := NewStore(core.RecommendedML(8))
 	if err != nil {
 		f.Fatal(err)
@@ -460,6 +517,7 @@ func FuzzSnapshotV4Decode(f *testing.F) {
 		mut[7] ^= 0xff
 		f.Add(mut)
 	}
+	f.Add(elc1Record(f)) // a record in the retired codec's container
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store, err := NewStore(core.RecommendedML(8))
 		if err != nil {

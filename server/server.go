@@ -13,8 +13,6 @@ import (
 	"sync"
 	"time"
 	"unsafe"
-
-	"exaloglog/internal/compress"
 )
 
 // Server serves the sketch store over TCP with a line-oriented protocol.
@@ -37,7 +35,6 @@ import (
 //	KEYS                              → +<space-separated sorted keys>
 //	INFO key                          → +<value-typed description>
 //	DUMP key                          → =<base64 of the serialized value>
-//	DUMPZ key                         → =<base64 of the codec-compressed value>
 //	RESTORE key <base64>              → +OK
 //	SAVE                              → +OK (snapshot to the configured path)
 //	PING                              → +PONG
@@ -292,17 +289,6 @@ func (s *Server) registerBuiltins() {
 				return "-ERR no such key", false
 			}
 			return "=" + base64.StdEncoding.EncodeToString(data), false
-		},
-	})
-	s.register("DUMPZ", &command{
-		min: 1, max: 1,
-		usage: "-ERR DUMPZ needs exactly one key",
-		run: func(s *Server, args []string) (string, bool) {
-			data, ok := s.store.Dump(args[0])
-			if !ok {
-				return "-ERR no such key", false
-			}
-			return "=" + base64.StdEncoding.EncodeToString(compress.EncodeBlob(data)), false
 		},
 	})
 	s.register("RESTORE", &command{

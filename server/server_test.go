@@ -37,6 +37,17 @@ func TestPingAndUnknown(t *testing.T) {
 	if _, err := c.Do("BOGUS"); err == nil {
 		t.Error("unknown command accepted")
 	}
+	// DUMP is the one dump: the codec-compressed DUMPZ is gone, refused like
+	// any verb the registry does not hold, and the connection stays usable.
+	if _, err := c.PFAdd("k", "a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Do("DUMPZ", "k"); !IsReplyErr(err) || !strings.Contains(err.Error(), "unknown command DUMPZ") {
+		t.Errorf("DUMPZ k: err = %v, want an unknown-command reply", err)
+	}
+	if _, err := c.Dump("k"); err != nil {
+		t.Errorf("DUMP after the refused DUMPZ: %v", err)
+	}
 }
 
 func TestPFAddCount(t *testing.T) {

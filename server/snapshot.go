@@ -7,8 +7,6 @@ import (
 	"io"
 	"os"
 	"sort"
-
-	"exaloglog/internal/compress"
 )
 
 // Snapshot persistence: the whole store serializes to a compact binary
@@ -31,11 +29,9 @@ import (
 //	  uvarint  expiry deadline, unix milliseconds (0 = none)
 //	  uvarint  blob length, then the value blob
 //
-// Each value blob runs through the wire codec (internal/compress
-// EncodeBlob): near-empty dense sketches shrink dramatically on disk,
-// and because the codec passes uncompressed data through unchanged, a
-// record's blob may also be a raw value blob (the codec declined to
-// compress). The metadata blob (SetMeta/Meta) is opaque to the server:
+// A value blob is written as the value serializes itself — a sparse
+// sketch is small because it is a token set; nothing else compresses.
+// The metadata blob (SetMeta/Meta) is opaque to the server:
 // the cluster package stores its membership map there so a restarted
 // node remembers its cluster.
 const (
@@ -95,11 +91,10 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 		if err := writeUvarint(uint64(tagged.Deadline)); err != nil {
 			return err
 		}
-		blob := compress.EncodeBlob(tagged.Blob)
-		if err := writeUvarint(uint64(len(blob))); err != nil {
+		if err := writeUvarint(uint64(len(tagged.Blob))); err != nil {
 			return err
 		}
-		if _, err := bw.Write(blob); err != nil {
+		if _, err := bw.Write(tagged.Blob); err != nil {
 			return err
 		}
 	}
@@ -155,10 +150,6 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 		deadline := int64(dl)
 		blob, err := readBlob(br, snapshotBlobLimit)
 		if err != nil {
-			return fmt.Errorf("server: snapshot record %d blob: %w", i, err)
-		}
-		// Blobs ride the wire codec; raw blobs pass through.
-		if blob, err = compress.DecodeBlob(blob, snapshotBlobLimit); err != nil {
 			return fmt.Errorf("server: snapshot record %d blob: %w", i, err)
 		}
 		val, err := decodeValueTagged(tag, blob)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -227,42 +228,45 @@ func TestSnapshotV3WindowRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotV5CompressesSparseBlobs: the v5 writer runs blobs through
-// the wire codec, so near-empty dense register arrays (restored dense
-// blobs here; PFADD-built keys of this size are token blobs of a few
-// bytes and are stored as they are) snapshot far smaller than they are.
-func TestSnapshotV5CompressesSparseBlobs(t *testing.T) {
-	st, err := NewStore(core.RecommendedML(12))
+// elc1Record is a v5 snapshot of one plain key whose blob is an "ELC1"
+// container of the generic codec snapshots ran through until PR 24 — the
+// 14 344-byte dense blob of one element, in the 22 bytes a store of that
+// time wrote for it.
+func elc1Record(tb testing.TB) []byte {
+	tb.Helper()
+	blob, err := base64.StdEncoding.DecodeString("RUxDMXOIcEVMAQIUDAAAAY8KgICEAg==")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	rawBytes := 0
-	for k := 0; k < 50; k++ {
-		key := fmt.Sprintf("sparse-%d", k)
-		dense := core.MustNew(st.Config())
-		dense.AddString("one-element")
-		blob, _ := dense.MarshalBinary()
-		if err := st.Restore(key, blob); err != nil {
-			t.Fatal(err)
-		}
-		if dumped, _ := st.Dump(key); !bytes.Equal(dumped, blob) {
-			t.Fatal("a restored dense blob does not dump as it came")
-		}
-		rawBytes += len(blob)
+	snap := append([]byte("ELSS\x05\x00\x01"), byte(len("packed")))
+	snap = append(append(snap, "packed"...), valueTagEll, 0, byte(len(blob)))
+	return append(snap, blob...)
+}
+
+// TestSnapshotRecordsAreStoredAsTheyAre: a record's blob is the value's own
+// serialization, byte for byte — a dense blob included — and a record in the
+// retired codec's container is refused by name, the store untouched.
+func TestSnapshotRecordsAreStoredAsTheyAre(t *testing.T) {
+	st := newTestStore(t)
+	dense := core.MustNew(st.Config())
+	dense.AddString("one-element")
+	blob, _ := dense.MarshalBinary()
+	if err := st.Restore("dense", blob); err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := st.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len()*2 >= rawBytes {
-		t.Errorf("v5 snapshot is %d bytes for %d raw blob bytes — expected at least a 2× reduction on sparse sketches", buf.Len(), rawBytes)
+	if !bytes.HasSuffix(buf.Bytes(), blob) {
+		t.Errorf("the %d-byte snapshot does not end with the %d bytes the key dumps as", buf.Len(), len(blob))
 	}
-	restored, _ := NewStore(core.RecommendedML(12))
-	if err := restored.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
+	err := st.ReadSnapshot(bytes.NewReader(elc1Record(t)))
+	if err == nil || !strings.Contains(err.Error(), `record 0 ("packed")`) {
+		t.Errorf("ELC1 record: err = %v, want one naming record 0 (\"packed\")", err)
 	}
-	if restored.Len() != st.Len() {
-		t.Fatalf("restored %d keys, want %d", restored.Len(), st.Len())
+	if dumped, _ := st.Dump("dense"); st.Len() != 1 || !bytes.Equal(dumped, blob) {
+		t.Error("a refused snapshot changed the store")
 	}
 }
 

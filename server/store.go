@@ -817,7 +817,7 @@ func (s *Store) MergeBlob(key string, data []byte) error {
 func (s *Store) MergeBlobDeadline(key string, data []byte, deadlineMillis int64) error {
 	in, err := decodeValue(data)
 	if err != nil {
-		return err
+		return fmt.Errorf("server: merge blob into %q: %w", key, err)
 	}
 	if deadlineMillis != 0 && deadlineMillis <= s.NowMillis() {
 		return nil

@@ -11,12 +11,13 @@ import (
 
 // Serialization: a Counter marshals slot-wise — a fixed magic, the
 // sketch configuration and ring geometry, then one record per live
-// slice (slice index + the slice sketch's own binary form). Empty
-// slots are skipped, so a mostly idle window costs almost nothing on
-// the wire. The format is what lets a sketch server DUMP windowed
-// keys, replicate them with idempotent merges, and scatter-gather
-// window queries slot-wise (merging rings, not collapsed union
-// sketches, so the receiver can still answer any sub-window).
+// slice (slice index + the slice sketch's own binary form: its hash
+// tokens below break-even, the register array above). Empty slots are
+// skipped, so a window costs on the wire what its slices hold. The
+// format is what lets a sketch server DUMP windowed keys, replicate
+// them with idempotent merges, and scatter-gather window queries
+// slot-wise (merging rings, not collapsed union sketches, so the
+// receiver can still answer any sub-window).
 //
 // Format:
 //
@@ -29,7 +30,9 @@ import (
 //	uvarint    number of live slice records
 //	per record:
 //	  uvarint  slice index
-//	  uvarint  sketch blob length, then the core sketch blob
+//	  uvarint  sketch blob length, then the slice's blob: an "ELT3"
+//	           token blob or a dense core sketch (core.Hybrid), of the
+//	           ring's configuration
 //
 // The magic deliberately shares its first two bytes with the core
 // sketch format ("EL" + version byte 1) while remaining unambiguous:
@@ -41,13 +44,11 @@ const (
 
 	// decode caps: a corrupt or hostile blob must be rejected before it
 	// can drive an absurd allocation (mirrors the cluster wire codecs).
+	// A slice is allocated from its blob, never from the header's
+	// geometry: an empty ring of maxWireSlices slots is a few MB whatever
+	// p the header claims.
 	maxWireSlices    = 1 << 16
 	maxWireSliceBlob = 1 << 26
-	// maxWireRingBytes bounds slices × per-slice-sketch size BEFORE the
-	// ring is allocated: the geometry comes from the (hostile) header,
-	// not from the blob length, so a ~30-byte blob claiming p=26 ×
-	// 65536 slices must not drive a multi-TB allocation.
-	maxWireRingBytes = 1 << 28
 )
 
 // IsSerialized reports whether data looks like a serialized Counter
@@ -151,11 +152,6 @@ func FromBinary(data []byte) (*Counter, error) {
 	if slice <= 0 {
 		return nil, fmt.Errorf("window: blob slice duration %d out of range", sliceNS)
 	}
-	// The ring is allocated eagerly (one sketch per slot), so bound the
-	// claimed total size before New — the header is untrusted input.
-	if ringBytes := uint64(cfg.SizeBytes()) * numSlices; ringBytes > maxWireRingBytes {
-		return nil, fmt.Errorf("window: blob claims a %d-byte ring (limit %d)", ringBytes, maxWireRingBytes)
-	}
 	// Slice indexes and the latest timestamp must stay inside the range
 	// live inserts can produce (AddHash's maxUnixSec guard): a decoded
 	// idx near 2^62 would set maxIndex so high that every future real
@@ -184,20 +180,18 @@ func FromBinary(data []byte) (*Counter, error) {
 		if blobLen > maxWireSliceBlob || blobLen > uint64(len(rest)) {
 			return nil, fmt.Errorf("window: slice blob length %d exceeds input", blobLen)
 		}
-		sk, err := core.FromBinary(rest[:blobLen])
-		if err != nil {
-			return nil, fmt.Errorf("window: slice %d sketch: %w", idx, err)
-		}
-		rest = rest[blobLen:]
-		if sk.Config() != cfg {
-			return nil, fmt.Errorf("window: slice %d configuration %+v differs from ring %+v", idx, sk.Config(), cfg)
-		}
 		s := &c.slots[int(idx%int64(numSlices))]
 		if s.index >= 0 {
 			return nil, fmt.Errorf("window: slice indexes %d and %d collide in a %d-slice ring", s.index, idx, numSlices)
 		}
+		if err := s.sketch.UnmarshalBinary(rest[:blobLen]); err != nil {
+			return nil, fmt.Errorf("window: slice %d sketch: %w", idx, err)
+		}
+		rest = rest[blobLen:]
+		if s.sketch.Config() != cfg {
+			return nil, fmt.Errorf("window: slice %d configuration %+v differs from ring %+v", idx, s.sketch.Config(), cfg)
+		}
 		s.index = idx
-		s.sketch = sk
 		if idx > c.maxIndex {
 			c.maxIndex = idx
 		}

@@ -2,6 +2,7 @@ package window
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -103,10 +104,7 @@ func TestFromBinaryRejects(t *testing.T) {
 		"live over ring":  {'E', 'L', 'W', '1', 2, 20, 8, 1, 4, 0, 0, 9},
 		"zero slice dur":  {'E', 'L', 'W', '1', 2, 20, 8, 0, 4, 0, 0, 0},
 		"huge slice blob": {'E', 'L', 'W', '1', 2, 20, 8, 1, 4, 0, 0, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x7f},
-		// ~14 bytes claiming p=18 × 65535 slices (~60 GB of ring): the
-		// geometry must be rejected BEFORE any slot allocation happens —
-		// the blob, not its header, has to pay for what it claims.
-		"huge ring claim": {'E', 'L', 'W', '1', 2, 20, 18, 1, 0xff, 0xff, 0x03, 0, 0, 0},
+		"ELC1 ring":       append([]byte("ELC1"), good...),
 		// A slice index past what any representable timestamp can produce
 		// would poison maxIndex so every future real add counts as
 		// dropped; same for a latest timestamp with the top bit set.
@@ -115,10 +113,52 @@ func TestFromBinaryRejects(t *testing.T) {
 		"huge latest": {'E', 'L', 'W', '1', 2, 20, 8, 1, 4, 0,
 			0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0},
 	}
+	for name, blob := range refusedSlices(t) {
+		cases[name] = blob
+	}
 	for name, blob := range cases {
 		if got, err := FromBinary(blob); err == nil {
 			t.Errorf("%s blob accepted: %+v", name, got)
 		}
+	}
+}
+
+// sliceBlob is the blob of one slice holding n elements: "ELT3" tokens
+// below break-even, the dense core format above.
+func sliceBlob(tb testing.TB, cfg core.Config, n int) []byte {
+	tb.Helper()
+	h, err := core.NewHybrid(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		h.AddHash(hashing.Wy64Uint64(uint64(i), 0))
+	}
+	blob, err := h.MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// ringOf assembles by hand a 4-slice "ELW1" ring of testCfg whose slices 0,
+// 1, … carry the given blobs, whatever they are.
+func ringOf(slices ...[]byte) []byte {
+	ring := append([]byte(Magic), 2, 20, 8, 1, 4, 0, 0, byte(len(slices)))
+	for i, blob := range slices {
+		ring = binary.AppendUvarint(append(ring, byte(i)), uint64(len(blob)))
+		ring = append(ring, blob...)
+	}
+	return ring
+}
+
+// refusedSlices are rings whose one slice is not a core.Hybrid blob of the
+// ring's configuration as it is: one of another t, d, p, and one inside the
+// generic codec's "ELC1" container.
+func refusedSlices(tb testing.TB) map[string][]byte {
+	return map[string][]byte{
+		"foreign slice": ringOf(sliceBlob(tb, core.Config{T: 2, D: 20, P: 9}, 3)),
+		"ELC1 slice":    ringOf(append([]byte("ELC1"), sliceBlob(tb, testCfg(), 3)...)),
 	}
 }
 
@@ -136,6 +176,15 @@ func FuzzWindowDecode(f *testing.F) {
 	f.Add([]byte("ELW1"))
 	f.Add([]byte("ELW1\x02\x14\x08\x01\x04\x00\x00\x00"))
 	f.Add([]byte{})
+	// Rings of token slices, of dense slices and of both; then the refused.
+	tokens, dense := sliceBlob(f, testCfg(), 3), sliceBlob(f, testCfg(), 20000)
+	f.Add(ringOf(tokens, tokens))
+	f.Add(ringOf(dense, dense))
+	f.Add(ringOf(tokens, dense))
+	f.Add(append([]byte("ELC1"), ringOf(tokens)...))
+	for _, ring := range refusedSlices(f) {
+		f.Add(ring)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := FromBinary(data)
 		if err != nil {

@@ -25,7 +25,8 @@ import (
 // Counter counts distinct elements over a sliding time window.
 //
 // A Counter is a ring of numSlices ExaLogLog sketches, each covering one
-// slice of wall-clock time. Timestamps are supplied by the caller, which
+// slice of wall-clock time and, like a plain key, held as hash tokens until
+// it fills past break-even (core.Hybrid): a ring costs what its slices hold. Timestamps are supplied by the caller, which
 // keeps the Counter deterministic and testable; feed time.Now() for live
 // use. Timestamps may arrive slightly out of order; elements older than
 // the ring span are counted in Dropped and ignored.
@@ -42,14 +43,15 @@ type Counter struct {
 
 type slot struct {
 	index  int64 // slice index currently stored, -1 if empty
-	sketch *core.Sketch
+	sketch core.Hybrid
 }
 
 // New returns a sliding-window counter with the given sketch
 // configuration, slice duration and number of slices. The maximum
 // queryable window is slice·numSlices.
 func New(cfg core.Config, slice time.Duration, numSlices int) (*Counter, error) {
-	if err := cfg.Validate(); err != nil {
+	empty, err := core.NewHybrid(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if slice <= 0 {
@@ -60,7 +62,7 @@ func New(cfg core.Config, slice time.Duration, numSlices int) (*Counter, error) 
 	}
 	c := &Counter{cfg: cfg, slice: slice, slots: make([]slot, numSlices), maxIndex: -1}
 	for i := range c.slots {
-		c.slots[i] = slot{index: -1, sketch: core.MustNew(cfg)}
+		c.slots[i] = slot{index: -1, sketch: *empty}
 	}
 	return c, nil
 }
@@ -92,10 +94,15 @@ func (c *Counter) Latest() time.Time {
 	return time.Unix(0, c.latest)
 }
 
-// MemoryFootprint returns the approximate total in-memory size in bytes.
+// MemoryFootprint returns the approximate total in-memory size in bytes:
+// what every slice holds in its current mode, its slice index, and the
+// Counter itself.
 func (c *Counter) MemoryFootprint() int {
-	per := c.slots[0].sketch.MemoryFootprint()
-	return len(c.slots)*(per+24) + 64
+	size := 64
+	for i := range c.slots {
+		size += 8 + c.slots[i].sketch.MemoryFootprint()
+	}
+	return size
 }
 
 // sliceIndex maps a timestamp to its slice index.
@@ -192,7 +199,7 @@ func (c *Counter) Merge(other *Counter) error {
 		if s.index < 0 {
 			continue
 		}
-		c.mergeSlice(s.index, s.sketch)
+		c.mergeSlice(s.index, &s.sketch)
 	}
 	if other.latest > c.latest {
 		c.latest = other.latest
@@ -206,7 +213,7 @@ func (c *Counter) Merge(other *Counter) error {
 // mergeSlice folds one slice sketch into the ring at slice index idx,
 // with the same advance rules as AddHash; expired slices are skipped
 // without touching Dropped (see Merge).
-func (c *Counter) mergeSlice(idx int64, sk *core.Sketch) {
+func (c *Counter) mergeSlice(idx int64, sk *core.Hybrid) {
 	if idx < 0 {
 		return // in-memory rings and the decoder only hold idx >= 0; defensive
 	}
@@ -232,58 +239,41 @@ func (c *Counter) mergeSlice(idx int64, sk *core.Sketch) {
 // the window (now-window, now]. The window is rounded up to whole slices
 // and capped at Span.
 func (c *Counter) Estimate(now time.Time, window time.Duration) float64 {
-	merged := c.merged(now, window)
-	if merged == nil {
-		return 0
-	}
-	return merged.Estimate()
+	return c.merged(now, window).Estimate()
 }
 
 // EstimateWithBounds is Estimate plus a confidence interval (see
 // core.Sketch.EstimateWithBounds).
 func (c *Counter) EstimateWithBounds(now time.Time, window time.Duration, confidence float64) (core.Interval, error) {
-	merged := c.merged(now, window)
-	if merged == nil {
-		merged = core.MustNew(c.cfg)
-	}
-	return merged.EstimateWithBounds(confidence)
+	return c.Sketch(now, window).EstimateWithBounds(confidence)
 }
 
-// merged returns the union sketch of all live slices overlapping
-// (now-window, now], or nil if none do.
-func (c *Counter) merged(now time.Time, window time.Duration) *core.Sketch {
-	if window <= 0 {
-		return nil
-	}
-	if window > c.Span() {
-		window = c.Span()
-	}
-	nowIdx := c.sliceIndex(now)
-	n := int64((window + c.slice - 1) / c.slice) // slices covered, rounded up
-	oldest := nowIdx - n + 1
-	var acc *core.Sketch
-	for i := range c.slots {
-		s := &c.slots[i]
-		if s.index < oldest || s.index > nowIdx {
-			continue
-		}
-		if acc == nil {
-			acc = s.sketch.Clone()
-			continue
-		}
-		if err := acc.Merge(s.sketch); err != nil {
-			panic(err) // unreachable: all slices share one configuration
+// merged returns the union of all live slices overlapping (now-window,
+// now], empty if none do: a token set while the slices' tokens together stay
+// below break-even, dense registers otherwise (core.UnionHybrids).
+func (c *Counter) merged(now time.Time, window time.Duration) *core.Hybrid {
+	var live []*core.Hybrid
+	if window > 0 {
+		window = min(window, c.Span())
+		nowIdx := c.sliceIndex(now)
+		n := int64((window + c.slice - 1) / c.slice) // slices covered, rounded up
+		oldest := nowIdx - n + 1
+		for i := range c.slots {
+			if s := &c.slots[i]; s.index >= oldest && s.index <= nowIdx {
+				live = append(live, &s.sketch)
+			}
 		}
 	}
-	return acc
+	union, err := core.UnionHybrids(c.cfg, live)
+	if err != nil {
+		panic(err) // unreachable: all slices share one configuration
+	}
+	return union
 }
 
 // Sketch returns the union sketch over the window — for callers that want
 // to merge windows across counters (e.g. per-shard counters in a
 // distributed collector). Returns an empty sketch if no slice overlaps.
 func (c *Counter) Sketch(now time.Time, window time.Duration) *core.Sketch {
-	if m := c.merged(now, window); m != nil {
-		return m
-	}
-	return core.MustNew(c.cfg)
+	return c.merged(now, window).Densify()
 }

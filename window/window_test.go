@@ -400,10 +400,36 @@ func TestScanDetectorValidation(t *testing.T) {
 	}
 }
 
+// TestMemoryFootprint: a ring costs what its slices hold, in memory and
+// serialized. The served geometry — 60 slices of p = 12 ELL(2,20) — at 40
+// elements a slice is pinned (867 424 resident bytes and an 861 084-byte
+// blob when every slice was a register array); slices filled past
+// break-even are register arrays again.
 func TestMemoryFootprint(t *testing.T) {
-	c := newCounter(t, 8, time.Second, 8)
-	// 8 slices of 256·28/8 = 896-byte sketches plus overhead.
-	if got := c.MemoryFootprint(); got < 8*896 || got > 8*896+8*256 {
-		t.Errorf("MemoryFootprint = %d, outside plausible range", got)
+	fill := func(c *Counter, perSlice int) (footprint, blob int) {
+		state := uint64(7)
+		for s := 0; s < c.NumSlices(); s++ {
+			for i := 0; i < perSlice; i++ {
+				c.AddHash(t0.Add(time.Duration(s)*time.Second), hashing.SplitMix64(&state))
+			}
+		}
+		b, err := c.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.MemoryFootprint(), len(b)
+	}
+	c := newCounter(t, 12, time.Second, 60)
+	if got := c.MemoryFootprint(); got > 60*64 {
+		t.Errorf("empty ring: MemoryFootprint = %d", got)
+	}
+	if footprint, blob := fill(c, 40); footprint > 10<<10 || blob > 6<<10 {
+		t.Errorf("40 elements a slice: MemoryFootprint = %d (want ≤ 10 KB), blob %d bytes (want ≤ 6 KB)", footprint, blob)
+	} else {
+		t.Logf("40 elements a slice: %d bytes resident, %d serialized", footprint, blob)
+	}
+	// 8 slices of 256·28/8 = 896-byte register arrays plus overhead.
+	if footprint, blob := fill(newCounter(t, 8, time.Second, 8), 20000); footprint < 8*896 || footprint > 8*896+8*256 || blob < 8*896 {
+		t.Errorf("dense slices: MemoryFootprint = %d, blob %d bytes, outside plausible range", footprint, blob)
 	}
 }
