@@ -195,9 +195,11 @@ func TestOversizedCommandThenIdle(t *testing.T) {
 // TestResidentBytesTracksLiveHeapServed is server's
 // TestResidentBytesTracksLiveHeap on a served keyspace: two nodes, every
 // key on both, their peer connections open and idle. What the two stores'
-// resident_bytes gauges add up to is within 15 % of the live heap the
+// resident_bytes gauges add up to is within 7 % of the live heap the
 // whole cluster holds — nodes, stores, sockets and all (of every 20 keys
-// 14 hold 1–32 elements, 5 hold 33–1000 and 1 holds 1001–10000).
+// 14 hold 1–32 elements, 5 hold 33–1000 and 1 holds 1001–10000). The
+// gauge reads some 4 % under: two idle nodes hold about 69 KB that is no
+// key's, 17 bytes per key and replica at this size.
 func TestResidentBytesTracksLiveHeapServed(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
@@ -230,8 +232,8 @@ func TestResidentBytesTracksLiveHeapServed(t *testing.T) {
 	}
 	const replicas = 2 * keys
 	t.Logf("resident_bytes %.0f B, live heap %.0f B per key and replica", float64(resident)/replicas, heap/replicas)
-	if ratio := float64(resident) / heap; ratio < 0.85 || ratio > 1.15 {
-		t.Errorf("resident_bytes %d vs %.0f live heap bytes: ratio %.3f outside 0.85–1.15", resident, heap, ratio)
+	if ratio := float64(resident) / heap; ratio < 0.93 || ratio > 1.07 {
+		t.Errorf("resident_bytes %d vs %.0f live heap bytes: ratio %.3f outside 0.93–1.07", resident, heap, ratio)
 	}
 	runtime.KeepAlive(nodes)
 }

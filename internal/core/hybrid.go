@@ -44,8 +44,8 @@ import (
 // encoding is canonical and is the serialized form, so equal token sets give
 // equal bytes whatever order or route they arrived by.
 //
-// The zero value is not usable; create instances with NewHybrid or
-// HybridFromBinary. A Hybrid is not safe for concurrent use.
+// The zero value is not usable; create instances with NewHybrid, MakeHybrid
+// or HybridFromBinary. A Hybrid is not safe for concurrent use.
 type Hybrid struct {
 	words   []uint64 // the encoded tokens at their full capacity; nil while empty and once dense
 	dense   *Sketch  // non-nil once converted
@@ -62,11 +62,20 @@ const hybridOverhead = 48
 // NewHybrid creates an empty sketch that densifies into cfg. It starts
 // sparse.
 func NewHybrid(cfg Config) (*Hybrid, error) {
-	if err := cfg.Validate(); err != nil {
+	h, err := MakeHybrid(cfg)
+	if err != nil {
 		return nil, err
 	}
-	h := emptyHybrid(cfg)
 	return &h, nil
+}
+
+// MakeHybrid is NewHybrid by value, for a sketch that lives inside another
+// structure and so costs no allocation of its own.
+func MakeHybrid(cfg Config) (Hybrid, error) {
+	if err := cfg.Validate(); err != nil {
+		return Hybrid{}, err
+	}
+	return emptyHybrid(cfg), nil
 }
 
 func emptyHybrid(cfg Config) Hybrid {

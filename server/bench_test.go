@@ -75,6 +75,22 @@ func BenchmarkStoreAddSparse(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreNewKey measures creating a key: one Store.Add of one
+// element to a key not yet there — the entry with the sketch inside it,
+// the first token array, and the shard map's growth spread over the keys.
+func BenchmarkStoreNewKey(b *testing.B) {
+	store := newBenchStore(b)
+	keys := make([]string, b.N)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store.Add(keys[i], "el")
+	}
+}
+
 // BenchmarkStoreParallelAdd hammers Store.Add from parallel goroutines,
 // each with its own working set of keys. Under the global-mutex store
 // every add serializes; the sharded store lets disjoint keys proceed

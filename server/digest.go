@@ -9,11 +9,10 @@ package server
 // matter how they arrived at the state (the same order-independence
 // the sketch merge itself guarantees).
 //
-// The per-entry blob digest is cached under the entry's version
-// counter (every observable mutation bumps it), so a converged,
-// idle store answers repeated digest sweeps without re-serializing
-// anything; the deadline is mixed in fresh on every read because
-// deadline adoption does not always bump the version.
+// The per-entry blob digest is cached until the entry changes (every
+// observable mutation calls changedLocked, which drops it), so a
+// converged, idle store answers repeated digest sweeps without
+// re-serializing anything; the deadline is mixed in fresh on every read.
 
 // NumShards is the store's shard count, exported so cluster peers can
 // exchange per-shard digest vectors. The shard of a key is a pure
@@ -63,9 +62,9 @@ func mix64(h uint64) uint64 {
 }
 
 // blobDigestLocked returns the digest of (key, serialized value),
-// cached against the entry version; e.mu must be held.
+// cached until the entry changes; e.mu must be held.
 func blobDigestLocked(key string, e *entry) (uint64, bool) {
-	if e.digOK && e.digVer == e.ver {
+	if e.digOK {
 		return e.dig, true
 	}
 	blob, err := e.val.MarshalBinary()
@@ -75,7 +74,7 @@ func blobDigestLocked(key string, e *entry) (uint64, bool) {
 	h := fnvString(fnvOffset, key)
 	h = (h ^ uint64(len(blob))) * fnvPrime
 	h = fnvBytes(h, blob)
-	e.dig, e.digVer, e.digOK = h, e.ver, true
+	e.dig, e.digOK = h, true
 	return h, true
 }
 

@@ -22,6 +22,8 @@ package server
 import (
 	"sort"
 	"time"
+
+	"exaloglog/window"
 )
 
 // MaxTTLMillis bounds EXPIRE/PEXPIRE arguments so deadline arithmetic
@@ -77,24 +79,35 @@ func (s *Store) LifecycleStats() (expired, evicted uint64, residentBytes int64) 
 // type, stamped with the store's default TTL and accounted against the
 // resident-bytes gauge. Callers link it into a shard map themselves.
 func (s *Store) newEntry(tag byte) *entry {
-	e := &entry{val: s.newValue(tag)}
+	e := &entry{}
+	if tag == valueTagWindow {
+		c, err := window.New(s.cfg, s.winSlice, s.winSlices)
+		if err != nil {
+			panic(err) // unreachable: cfg and geometry validated up front
+		}
+		e.setLocked(&pendingValue{win: c})
+	} else {
+		e.setLocked(&pendingValue{ell: s.emptyEll()})
+	}
 	if s.defaultTTL > 0 {
 		e.deadline.Store(s.NowMillis() + s.defaultTTL.Milliseconds())
 	}
-	e.size = residentSize(e.val)
-	s.residentBytes.Add(int64(e.size))
+	s.resizeLocked(e)
 	return e
 }
 
 // entryOverhead is what a key holds on the heap beside its value: the
-// entry struct (96 bytes) and its share of the shard map — a bucket slot
-// and a short key string, measured at about 32 bytes. With sparse values
-// of a few dozen bytes this is most of a small key, so the gauge counts it.
-// What connections hold is not a key's and is reported beside the gauge, as
-// conn_buffer_bytes; with it gone from the idle heap the gauge is 8–10 %
-// under the live heap of a served keyspace
-// (cluster.TestResidentBytesTracksLiveHeapServed).
-const entryOverhead = 128
+// entry struct (112 bytes, the plain key's Hybrid inside it) and its share
+// of the shard map — a slot, measured at about 46 bytes, and a key string
+// of up to 16. With sparse values of a few dozen bytes this is most of a
+// small key, so the gauge counts it, and it is then within about 1 % of
+// the live heap of a store's keys (TestResidentBytesTracksLiveHeap). On a
+// served keyspace it reads some 4 % under
+// (cluster.TestResidentBytesTracksLiveHeapServed): the gap is the node
+// itself — server, store shards, peer pools — about 35 KB an idle node,
+// which is no key's. What busy connections hold is reported beside the
+// gauge, as conn_buffer_bytes.
+const entryOverhead = 176
 
 // residentSize is the heap footprint the resident-bytes gauge charges for
 // a key holding v.
@@ -113,12 +126,13 @@ func (s *Store) killLocked(e *entry) {
 }
 
 // resizeLocked refreshes e's resident-bytes accounting after a mutation
-// that may have changed the value's footprint; the caller holds e.mu.
+// that may have changed the value's footprint, or charges a new entry's;
+// the caller holds e.mu or has not shared e yet.
 func (s *Store) resizeLocked(e *entry) {
 	if e.dead {
 		return
 	}
-	if n := residentSize(e.val); n != e.size {
+	if n := int32(residentSize(e.val)); n != e.size {
 		s.residentBytes.Add(int64(n - e.size))
 		e.size = n
 	}
@@ -139,8 +153,7 @@ func (s *Store) expireDueLocked(e *entry) bool {
 		return false
 	}
 	s.killLocked(e)
-	e.ver++
-	e.estValid = false
+	e.changedLocked()
 	s.expiredKeys.Add(1)
 	return true
 }
@@ -188,7 +201,7 @@ func (s *Store) ExpireAt(key string, deadlineMillis int64) bool {
 		return false
 	}
 	e.deadline.Store(deadlineMillis)
-	e.ver++
+	e.changedLocked()
 	return true
 }
 
@@ -228,7 +241,7 @@ func (s *Store) Persist(key string) bool {
 		return false
 	}
 	e.deadline.Store(0)
-	e.ver++
+	e.changedLocked()
 	return true
 }
 

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"exaloglog/internal/core"
 )
 
 // TestConnectionScratchIsShed: one oversized command must not size a
@@ -45,10 +47,17 @@ func TestConnectionScratchIsShed(t *testing.T) {
 	waitBuffersHeld(t, held0)
 }
 
-// TestEntryStaysInItsSizeClass pins what entryOverhead assumes: an entry is
-// allocated from the 96-byte class.
+// TestEntryStaysInItsSizeClass pins what entryOverhead assumes: an entry,
+// the plain key's Hybrid inside it, is allocated from the 112-byte class,
+// and the Hybrid that ellValue.SizeBytes leaves to the entry is the struct
+// that MemoryFootprint counts.
 func TestEntryStaysInItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(entry{}); size > 96 {
-		t.Errorf("entry is %d bytes, past the 96-byte size class entryOverhead counts on", size)
+	if size := unsafe.Sizeof(entry{}); size > 112 {
+		t.Errorf("entry is %d bytes with its embedded %d-byte core.Hybrid, past the 112-byte size class entryOverhead counts on",
+			size, unsafe.Sizeof(core.Hybrid{}))
+	}
+	var h core.Hybrid
+	if got := (ellValue{&h}).SizeBytes(); got != 0 {
+		t.Errorf("an empty Hybrid's MemoryFootprint is %d bytes beyond the %d-byte struct the entry holds", got, hybridSize)
 	}
 }

@@ -130,7 +130,7 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 		return fmt.Errorf("server: snapshot claims %d records (limit %d)", count, snapshotMaxRecords)
 	}
 	nowMs := s.NowMillis()
-	loaded := make(map[string]snapRecord, count)
+	loaded := make(map[string]*entry, count)
 	for i := uint64(0); i < count; i++ {
 		key, err := readBlob(br, snapshotKeyLimit)
 		if err != nil {
@@ -159,31 +159,26 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 		if deadline != 0 && deadline <= nowMs {
 			continue // expired while the snapshot sat on disk: stay dead
 		}
-		loaded[string(key)] = snapRecord{val: val, deadline: deadline}
+		e := &entry{}
+		e.setLocked(&val)
+		e.deadline.Store(deadline)
+		loaded[string(key)] = e
 	}
 	s.replaceAll(loaded, meta)
 	return nil
 }
 
-// snapRecord is one decoded snapshot record awaiting installation.
-type snapRecord struct {
-	val      SketchValue
-	deadline int64
-}
-
-// replaceAll swaps the store's entire contents for the loaded values.
+// replaceAll swaps the store's entire contents for the loaded entries.
 // Entries being replaced are marked dead so mutators that raced the
 // swap retry against the new maps instead of writing into orphans; the
 // resident-bytes gauge is rebuilt from the loaded values.
-func (s *Store) replaceAll(loaded map[string]snapRecord, meta []byte) {
+func (s *Store) replaceAll(loaded map[string]*entry, meta []byte) {
 	fresh := make([]map[string]*entry, numShards)
 	for i := range fresh {
 		fresh[i] = make(map[string]*entry)
 	}
-	for k, rec := range loaded {
-		e := &entry{val: rec.val, size: residentSize(rec.val)}
-		e.deadline.Store(rec.deadline)
-		s.residentBytes.Add(int64(e.size))
+	for k, e := range loaded {
+		s.resizeLocked(e)
 		fresh[shardIndex(k)][k] = e
 	}
 	for i := range s.shards {

@@ -40,20 +40,17 @@ const shardSeed = 0x5bd1e995a967bd1e
 // entry is one key's value plus its own lock, so concurrent commands
 // on different keys never contend. The value is polymorphic (see
 // SketchValue); everything else here — the version counter, the death
-// mark, the estimate cache — is value-type-agnostic machinery. ver
-// counts observable state changes (inserts that changed registers,
-// merges, restores); together with the entry's identity it lets
-// DeleteIfUnchanged detect writes that landed after a dump. dead marks
-// an entry that has been unlinked from its shard map: a mutator that
-// raced a Delete re-fetches instead of writing into an orphan.
+// mark, the estimate and digest caches — is value-type-agnostic
+// machinery. ver counts observable state changes (inserts that changed
+// registers, merges, restores, lifetime changes); together with the
+// entry's identity it lets DeleteIfUnchanged detect writes that landed
+// after a dump. dead marks an entry that has been unlinked from its
+// shard map: a mutator that raced a Delete re-fetches instead of
+// writing into an orphan.
 type entry struct {
 	mu  sync.Mutex
 	val SketchValue
 	ver uint64
-
-	// size is the value's approximate resident footprint as last
-	// accounted against the store's resident-bytes gauge (e.mu held).
-	size int
 
 	// deadline is the key's absolute expiry instant in unix
 	// milliseconds, 0 meaning none. Atomic so lookup paths can skip the
@@ -61,33 +58,42 @@ type entry struct {
 	// expiry decision itself happens under e.mu (see expireDueLocked).
 	deadline atomic.Int64
 
-	// est caches val.Estimate() as of version estVer, so a hot-key
-	// PFCOUNT on an unchanged sketch is O(1) instead of a scan of the
-	// registers. estValid distinguishes "no cache yet" from a
-	// (legitimate) cached value at ver 0.
-	est    float64
-	estVer uint64
+	// est caches val.Estimate() while estValid, so a hot-key PFCOUNT on
+	// an unchanged sketch is O(1) instead of a scan of the registers; dig
+	// caches the anti-entropy content digest of (key, serialized value)
+	// while digOK — see digest.go. changedLocked drops both.
+	est float64
+	dig uint64
 
-	// dig caches the anti-entropy content digest of (key, serialized
-	// value) as of version digVer — see digest.go. Like the estimate
-	// cache it needs no invalidation hook: a ver mismatch is staleness.
-	dig    uint64
-	digVer uint64
+	// ell is a plain key's sketch, held here by value — val is
+	// ellValue{&e.ell} — so a plain key is one allocation beside its
+	// tokens, not two. A window key leaves it empty.
+	ell core.Hybrid
 
-	// The three flags sit together: apart, each is padded to a word and
-	// the struct leaves the allocator's 96-byte size class for the 112-byte
-	// one.
+	// size is the value's approximate resident footprint as last
+	// accounted against the store's resident-bytes gauge (e.mu held).
+	// 32 bits and the flags beside it keep the entry in the allocator's
+	// 112-byte size class (TestEntryStaysInItsSizeClass).
+	size     int32
 	dead     bool
 	estValid bool
 	digOK    bool
 }
 
+// changedLocked records an observable state change of e — its value or
+// its lifetime; the caller holds e.mu. Every mutation path calls it: it
+// bumps ver, which eviction ranking and TaggedBlob compare, and drops the
+// cached estimate and digest.
+func (e *entry) changedLocked() {
+	e.ver++
+	e.estValid, e.digOK = false, false
+}
+
 // estimateEll returns the entry's current plain-sketch estimate under
 // its lock, serving repeated counts of an unchanged sketch from the
-// per-entry cache. The cache needs no explicit invalidation hook:
-// every mutation path already bumps ver, and a ver mismatch is
-// staleness. Hits and misses land in the store's cache counters. ok is
-// false for a dead entry; a non-plain value is ErrWrongType.
+// per-entry cache, which changedLocked invalidates. Hits and misses land
+// in the store's cache counters. ok is false for a dead entry; a
+// non-plain value is ErrWrongType.
 func (s *Store) estimateEll(e *entry) (v float64, ok bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -97,10 +103,8 @@ func (s *Store) estimateEll(e *entry) (v float64, ok bool, err error) {
 	if _, isEll := e.val.(ellValue); !isEll {
 		return 0, false, ErrWrongType
 	}
-	if !e.estValid || e.estVer != e.ver {
-		e.est = e.val.Estimate()
-		e.estVer = e.ver
-		e.estValid = true
+	if !e.estValid {
+		e.est, e.estValid = e.val.Estimate(), true
 		s.cacheMisses.Add(1)
 	} else {
 		s.cacheHits.Add(1)
@@ -258,22 +262,9 @@ func (s *Store) lookupBytes(key []byte) *entry {
 	return e
 }
 
-// newValue constructs an empty value of the given type with the
-// store's defaults.
-func (s *Store) newValue(tag byte) SketchValue {
-	if tag == valueTagWindow {
-		c, err := window.New(s.cfg, s.winSlice, s.winSlices)
-		if err != nil {
-			panic(err) // unreachable: cfg and geometry validated up front
-		}
-		return &windowValue{c: c}
-	}
-	return ellValue{s.newEll()}
-}
-
-// newEll constructs an empty plain sketch with the store's configuration.
-func (s *Store) newEll() *core.Hybrid {
-	h, err := core.NewHybrid(s.cfg)
+// emptyEll is an empty plain sketch with the store's configuration.
+func (s *Store) emptyEll() core.Hybrid {
+	h, err := core.MakeHybrid(s.cfg)
 	if err != nil {
 		panic(err) // unreachable: cfg validated up front
 	}
@@ -369,7 +360,7 @@ func (s *Store) Add(key string, elements ...string) (bool, error) {
 		}
 		changed := sk.AddHashes(hashes)
 		if changed {
-			e.ver++
+			e.changedLocked()
 			s.resizeLocked(e) // a sparse value grows with every new token
 		}
 		e.mu.Unlock()
@@ -400,7 +391,7 @@ func (s *Store) AddBytes(key []byte, elements [][]byte) (bool, error) {
 		}
 		changed := sk.AddHashes(hashes)
 		if changed {
-			e.ver++
+			e.changedLocked()
 			s.resizeLocked(e)
 		}
 		e.mu.Unlock()
@@ -432,7 +423,7 @@ func (s *Store) WindowAdd(key string, ts time.Time, elements ...string) (int, er
 			c.AddString(ts, el)
 		}
 		accepted := len(elements) - int(c.Dropped()-before)
-		e.ver++
+		e.changedLocked()
 		s.resizeLocked(e)
 		e.mu.Unlock()
 		return accepted, nil
@@ -461,7 +452,7 @@ func (s *Store) WindowAddBytes(key []byte, tsMillis int64, elements [][]byte) (i
 			c.Add(ts, el)
 		}
 		accepted := len(elements) - int(c.Dropped()-before)
-		e.ver++
+		e.changedLocked()
 		s.resizeLocked(e)
 		e.mu.Unlock()
 		return accepted, nil
@@ -678,7 +669,8 @@ func (s *Store) Merge(dest string, sources ...string) error {
 		}
 	}
 	if acc == nil {
-		acc = s.newEll()
+		empty := s.emptyEll()
+		acc = &empty
 	}
 	for {
 		// When dest would be created, fail an incompatible merge BEFORE
@@ -701,7 +693,7 @@ func (s *Store) Merge(dest string, sources ...string) error {
 			e.mu.Unlock()
 			return fmt.Errorf("server: merge %q: %w", dest, err)
 		}
-		e.ver++
+		e.changedLocked()
 		s.resizeLocked(e)
 		e.mu.Unlock()
 		return nil
@@ -779,14 +771,14 @@ func (s *Store) Restore(key string, data []byte) error {
 		return err
 	}
 	for {
-		e := s.getOrCreate(key, val.Tag())
+		e := s.getOrCreate(key, val.tag())
 		e.mu.Lock()
 		if e.dead {
 			e.mu.Unlock()
 			continue
 		}
-		e.val = val
-		e.ver++
+		e.setLocked(&val)
+		e.changedLocked()
 		s.resizeLocked(e)
 		e.mu.Unlock()
 		return nil
@@ -823,14 +815,14 @@ func (s *Store) MergeBlobDeadline(key string, data []byte, deadlineMillis int64)
 		return nil
 	}
 	for {
-		e := s.getOrCreate(key, in.Tag())
+		e := s.getOrCreate(key, in.tag())
 		e.mu.Lock()
 		if e.dead {
 			e.mu.Unlock()
 			continue
 		}
 		fresh := e.val.empty()
-		err := s.mergeValueLocked(e, in)
+		err := s.mergeValueLocked(e, &in)
 		if err != nil {
 			e.mu.Unlock()
 			return fmt.Errorf("server: merge blob into %q: %w", key, err)
@@ -842,7 +834,7 @@ func (s *Store) MergeBlobDeadline(key string, data []byte, deadlineMillis int64)
 				e.deadline.Store(deadlineMillis)
 			}
 		}
-		e.ver++
+		e.changedLocked()
 		s.resizeLocked(e)
 		e.mu.Unlock()
 		return nil
@@ -879,30 +871,26 @@ func (s *Store) AbsorbBatch(pairs []KeyBlob) (keys, bytes int, err error) {
 }
 
 // mergeValueLocked folds the decoded value in into e's value; e.mu held.
-func (s *Store) mergeValueLocked(e *entry, in SketchValue) error {
+func (s *Store) mergeValueLocked(e *entry, in *pendingValue) error {
 	if e.val.empty() {
 		// Freshly created (or still empty) entry: adopt the incoming
 		// value wholesale — its type, configuration and geometry — as a
 		// missing-key MergeBlob always has.
-		e.val = in
+		e.setLocked(in)
 		return nil
 	}
-	switch inv := in.(type) {
-	case ellValue:
-		cur, err := e.ellLocked()
-		if err != nil {
-			return err
-		}
-		return cur.Merge(inv.Hybrid)
-	case *windowValue:
+	if in.win != nil {
 		cur, err := e.windowLocked()
 		if err != nil {
 			return err
 		}
-		return cur.Merge(inv.c)
-	default:
-		return fmt.Errorf("unknown value type %T", in)
+		return cur.Merge(in.win)
 	}
+	cur, err := e.ellLocked()
+	if err != nil {
+		return err
+	}
+	return cur.Merge(&in.ell)
 }
 
 // DumpAll serializes every value in the store, keyed by name. Each
@@ -928,7 +916,7 @@ type TaggedBlob struct {
 	Blob     []byte
 	Type     byte
 	Deadline int64
-	e        *entry // identity: Restore swaps entries only via death+recreate
+	e        *entry // identity: a key deleted and re-created is a new entry
 	ver      uint64 // entry version at dump time: every mutation bumps it
 }
 

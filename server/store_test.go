@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"exaloglog/internal/core"
 )
@@ -307,9 +310,9 @@ func TestDeleteIfUnchangedVersioning(t *testing.T) {
 
 // TestEstimateCacheInvalidation pins the per-entry cached Estimate: a
 // repeated single-key Count is served from the cache, every mutation
-// path (Add, Merge, MergeBlob, Restore) invalidates it via the entry
-// version counter, and the cached value always equals a reference
-// sketch fed the same elements.
+// path (Add, Merge, MergeBlob, Restore) invalidates it through the
+// entry's changedLocked hook, and the cached value always equals a
+// reference sketch fed the same elements.
 func TestEstimateCacheInvalidation(t *testing.T) {
 	store := newTestStore(t)
 	ref := core.MustNew(store.Config())
@@ -333,26 +336,27 @@ func TestEstimateCacheInvalidation(t *testing.T) {
 	// The cache is now primed; white-box check that it holds.
 	e := store.lookup("k")
 	e.mu.Lock()
-	if !e.estValid || e.estVer != e.ver {
-		t.Fatalf("cache not primed after Count: valid=%v estVer=%d ver=%d", e.estValid, e.estVer, e.ver)
+	if !e.estValid {
+		t.Fatal("cache not primed after Count")
 	}
-	cachedVer := e.estVer
+	cachedVer := e.ver
 	e.mu.Unlock()
 	if got, want := count(), ref.Estimate(); got != want {
 		t.Fatalf("cached count = %v, want %v", got, want)
 	}
 
-	// An add that changes the sketch must invalidate and recompute.
+	// An add that changes the sketch goes through changedLocked: the
+	// version advances and the cache is dropped, then recomputed.
 	store.Add("k", "fresh-element")
 	ref.AddString("fresh-element")
+	e.mu.Lock()
+	if e.estValid || e.ver == cachedVer {
+		t.Fatalf("after a mutating add: estValid=%v, ver %d → %d", e.estValid, cachedVer, e.ver)
+	}
+	e.mu.Unlock()
 	if got, want := count(), ref.Estimate(); got != want {
 		t.Fatalf("count after add = %v, want %v (stale cache served)", got, want)
 	}
-	e.mu.Lock()
-	if e.estVer == cachedVer {
-		t.Fatal("cache version did not advance after a mutating add")
-	}
-	e.mu.Unlock()
 
 	// An add that does NOT change the sketch keeps the cache valid —
 	// and correct, since the estimate cannot have moved.
@@ -393,6 +397,238 @@ func TestEstimateCacheInvalidation(t *testing.T) {
 	store.Delete("k")
 	if got := count(); got != 0 {
 		t.Fatalf("count after delete = %v, want 0", got)
+	}
+}
+
+// keyDigest is the store's anti-entropy digest of key, false if the key
+// is missing.
+func keyDigest(store *Store, key string) (uint64, bool) {
+	d := store.ShardKeyDigests(ShardIndex(key), func(k string) bool { return k == key })
+	if len(d) == 0 {
+		return 0, false
+	}
+	return d[0].Digest, true
+}
+
+// TestChangeHookKeepsCachesFresh: every call that mutates a key goes
+// through the entry's one invalidation hook, changedLocked. After each,
+// the next Count and the key's digest equal what a fresh store holding the
+// dumped value and deadline computes, and a plain key's count is a cache
+// miss; an Add that changes nothing keeps the estimate cache, and its
+// count is a hit. Every check primes both caches for the next call.
+func TestChangeHookKeepsCachesFresh(t *testing.T) {
+	const start = 1_000_000
+	store, clk := newClockedStore(t, start)
+	src := newTestStore(t)
+	src.Add("a", "m1", "m2")
+	mergeBlob, _ := src.Dump("a")
+	src.Add("b", "r1")
+	restoreBlob, _ := src.Dump("b")
+	store.Add("m", "x1", "x2", "x3")
+
+	add := func(els ...string) func() error {
+		return func() error { _, err := store.Add("k", els...); return err }
+	}
+	addBytes := func(els ...string) func() error {
+		return func() error {
+			bs := make([][]byte, len(els))
+			for i, el := range els {
+				bs[i] = []byte(el)
+			}
+			_, err := store.AddBytes([]byte("k"), bs)
+			return err
+		}
+	}
+	wadd := func(el string) func() error {
+		return func() error { _, err := store.WindowAdd("w", clk.now(), el); return err }
+	}
+	steps := []struct {
+		name  string
+		key   string
+		do    func() error
+		cache string // what the next Count is: a cache "hit", a "miss", or neither
+	}{
+		{"Add, new elements", "k", add("e1", "e2"), "miss"},
+		{"Add, known element", "k", add("e1"), "hit"},
+		{"AddBytes, new element", "k", addBytes("e3"), "miss"},
+		{"AddBytes, known elements", "k", addBytes("e2", "e3"), "hit"},
+		{"Merge", "k", func() error { return store.Merge("k", "k", "m") }, "miss"},
+		{"MergeBlob", "k", func() error { return store.MergeBlob("k", mergeBlob) }, "miss"},
+		{"Restore", "k", func() error { return store.Restore("k", restoreBlob) }, "miss"},
+		{"ExpireAt", "k", func() error { store.ExpireAt("k", start+60_000); return nil }, "miss"},
+		{"Persist", "k", func() error { store.Persist("k"); return nil }, "miss"},
+		{"WindowAdd, new key", "w", wadd("w1"), ""},
+		{"WindowAdd", "w", wadd("w2"), ""},
+		{"lazy expiry", "k", func() error {
+			store.ExpireAt("k", clk.ms.Load()+1000)
+			store.Count("k") // primes the cache again
+			clk.advance(2 * time.Second)
+			return nil
+		}, ""},
+		{"Add after expiry", "k", add("e4"), "miss"},
+	}
+	check := func(step, key, cache string) {
+		t.Helper()
+		hits, misses := store.CacheStats()
+		got, _ := store.Count(key) // a window key is ErrWrongType and 0
+		h, m := store.CacheStats()
+		moved := map[string]bool{"hit": h == hits+1 && m == misses, "miss": h == hits && m == misses+1, "": h == hits && m == misses}
+		if !moved[cache] {
+			t.Errorf("%s: the next count moved hits %d → %d, misses %d → %d; want %q", step, hits, h, misses, m, cache)
+		}
+		ref, _ := newClockedStore(t, clk.ms.Load())
+		if blob, ok := store.Dump(key); ok {
+			if err := ref.Restore(key, blob); err != nil {
+				t.Fatal(err)
+			}
+			if dl, _ := store.DeadlineOf(key); dl != 0 {
+				ref.ExpireAt(key, dl)
+			}
+		}
+		want, _ := ref.Count(key)
+		gotDig, gotOK := keyDigest(store, key)
+		wantDig, wantOK := keyDigest(ref, key)
+		if got != want || gotDig != wantDig || gotOK != wantOK {
+			t.Errorf("%s: count %v digest %#x (%v), a fresh recompute gives %v %#x (%v)", step, got, gotDig, gotOK, want, wantDig, wantOK)
+		}
+	}
+	store.Add("k", "e0")
+	check("prime", "k", "miss")
+	for _, st := range steps {
+		if err := st.do(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		check(st.name, st.key, st.cache)
+	}
+}
+
+// TestInPlaceReplaceUnderRace: Restore and MergeBlob overwrite a plain
+// key's sketch in place, inside its entry, so every reader must use the
+// sketch only under the entry lock. Two writers alternate a sparse blob a
+// and a dense blob b ⊇ a on one key — every state is a or b — while
+// PFCOUNT (cached and through the union path), DUMP and the digest read
+// it: every DUMP decodes to one of the two, every count is one of their
+// estimates. Run with -race.
+func TestInPlaceReplaceUnderRace(t *testing.T) {
+	elements := func(prefix string, n int) []string {
+		els := make([]string, n)
+		for i := range els {
+			els[i] = prefix + strconv.Itoa(i)
+		}
+		return els
+	}
+	src := newTestStore(t)
+	src.Add("a", elements("a", 100)...)
+	src.Add("b", elements("a", 100)...)
+	src.Add("b", elements("b", 50_000)...)
+	a, _ := src.Dump("a")
+	b, _ := src.Dump("b")
+	if !core.IsTokenBlob(a) || core.IsTokenBlob(b) {
+		t.Fatal("want a sparse blob a and a dense blob b")
+	}
+	estimates := map[float64]bool{}
+	digests := map[uint64]bool{}
+	for _, blob := range [][]byte{a, b} {
+		ref := newTestStore(t)
+		ref.Restore("k", blob)
+		n, _ := ref.Count("k")
+		d, _ := keyDigest(ref, "k")
+		estimates[n], digests[d] = true, true
+	}
+	oneOf := func(what string, n float64) error {
+		if !estimates[n] {
+			return fmt.Errorf("%s %v, want one of %v", what, n, estimates)
+		}
+		return nil
+	}
+
+	store := newTestStore(t)
+	store.Restore("k", a)
+	rounds := 200
+	if testing.Short() {
+		rounds = 20
+	}
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for _, blobs := range [][2][]byte{{a, b}, {b, a}} {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < rounds; i++ {
+				if err := errors.Join(store.Restore("k", blobs[0]), store.MergeBlob("k", blobs[1])); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for _, read := range []func() error{
+		func() error { n, err := store.Count("k"); return errors.Join(err, oneOf("PFCOUNT", n)) },
+		func() error {
+			n, err := store.Count("k", "missing")
+			return errors.Join(err, oneOf("union PFCOUNT", n))
+		},
+		func() error {
+			blob, _ := store.Dump("k")
+			h, err := core.HybridFromBinary(blob)
+			if err != nil {
+				return fmt.Errorf("DUMP does not decode: %w", err)
+			}
+			return oneOf("DUMP estimate", h.Estimate())
+		},
+		func() error {
+			if d, _ := keyDigest(store, "k"); !digests[d] {
+				return fmt.Errorf("digest %#x is neither blob's", d)
+			}
+			return nil
+		},
+	} {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := read(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+}
+
+// TestNewKeyAllocations pins what creating a plain key allocates: the
+// entry, which holds the sketch, and the first token array — whether the
+// key is created by an insert or by a blob decoded straight into it.
+func TestNewKeyAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	store := newTestStore(t)
+	src := newTestStore(t)
+	src.Add("src", "a", "b", "c")
+	blob, _ := src.Dump("src")
+	if !core.IsTokenBlob(blob) {
+		t.Fatal("want an ELT3 blob")
+	}
+	for _, c := range []struct {
+		name string
+		add  func()
+	}{
+		{"Add", func() { store.Add("fresh", "x") }},
+		{"MergeBlob", func() { store.MergeBlob("fresh", blob) }},
+		{"Restore", func() { store.Restore("fresh", blob) }},
+	} {
+		if n := testing.AllocsPerRun(100, func() { c.add(); store.Delete("fresh") }); n > 2 {
+			t.Errorf("%s of a new key: %.0f allocations, want 2", c.name, n)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"time"
+	"unsafe"
 
 	"exaloglog/internal/core"
 	"exaloglog/window"
@@ -54,13 +55,17 @@ const (
 	valueTagWindow = byte('W')
 )
 
-// ellValue adapts *core.Hybrid to SketchValue; Estimate and MarshalBinary
-// are the hybrid's own. A struct of one pointer, it sits in the interface
-// without an allocation of its own.
+// ellValue adapts *core.Hybrid — the entry's own ell field — to
+// SketchValue; Estimate and MarshalBinary are the hybrid's own. A struct of
+// one pointer, it sits in the interface without an allocation of its own.
 type ellValue struct{ *core.Hybrid }
 
+// hybridSize is the Hybrid struct, which MemoryFootprint counts and which
+// lives inside the entry that entryOverhead counts.
+const hybridSize = int(unsafe.Sizeof(core.Hybrid{}))
+
 func (v ellValue) Tag() byte      { return valueTagEll }
-func (v ellValue) SizeBytes() int { return v.MemoryFootprint() }
+func (v ellValue) SizeBytes() int { return v.MemoryFootprint() - hybridSize }
 func (v ellValue) empty() bool    { return v.IsEmpty() }
 
 func (v ellValue) Info() string {
@@ -73,68 +78,88 @@ func (v ellValue) Info() string {
 		cfg.T, cfg.D, cfg.P, mode, v.Hybrid.SizeBytes(), v.Estimate())
 }
 
-// windowValue adapts *window.Counter to SketchValue.
+// windowValue adapts *window.Counter to SketchValue; like ellValue a
+// struct of one pointer.
 type windowValue struct {
 	c *window.Counter
 }
 
-func (v *windowValue) Tag() byte                      { return valueTagWindow }
-func (v *windowValue) Estimate() float64              { return v.c.Estimate(v.c.Latest(), v.c.Span()) }
-func (v *windowValue) MarshalBinary() ([]byte, error) { return v.c.MarshalBinary() }
-func (v *windowValue) SizeBytes() int                 { return v.c.MemoryFootprint() }
-func (v *windowValue) empty() bool                    { return v.c.Latest().IsZero() && v.c.Dropped() == 0 }
+func (v windowValue) Tag() byte                      { return valueTagWindow }
+func (v windowValue) Estimate() float64              { return v.c.Estimate(v.c.Latest(), v.c.Span()) }
+func (v windowValue) MarshalBinary() ([]byte, error) { return v.c.MarshalBinary() }
+func (v windowValue) SizeBytes() int                 { return v.c.MemoryFootprint() }
+func (v windowValue) empty() bool                    { return v.c.Latest().IsZero() && v.c.Dropped() == 0 }
 
-func (v *windowValue) Info() string {
+func (v windowValue) Info() string {
 	return "type=window " + v.c.Describe()
 }
 
-// decodeValue reconstructs a SketchValue from a serialized blob,
-// dispatching on the blob's own magic: "ELW1" is a window ring, anything
-// else is handed to the core decoder (an "ELT3" token blob or a dense
-// sketch). This is what keeps RESTORE, ABSORB and snapshot blobs
-// polymorphic without a wire change — every value format is
-// self-describing.
-func decodeValue(data []byte) (SketchValue, error) {
+// pendingValue is a value on its way into an entry — made empty or
+// decoded from a blob: a plain sketch, held by value so that setLocked
+// copies it into the entry's own Hybrid, or a window ring.
+type pendingValue struct {
+	ell core.Hybrid
+	win *window.Counter // nil for a plain sketch
+}
+
+func (d *pendingValue) tag() byte {
+	if d.win != nil {
+		return valueTagWindow
+	}
+	return valueTagEll
+}
+
+// decodeValue decodes a serialized value, dispatching on the blob's own
+// magic: "ELW1" is a window ring, anything else is handed to the core
+// decoder (an "ELT3" token blob or a dense sketch). This is what keeps
+// RESTORE, ABSORB and snapshot blobs polymorphic without a wire change —
+// every value format is self-describing.
+func decodeValue(data []byte) (pendingValue, error) {
 	if window.IsSerialized(data) {
 		return decodeValueTagged(valueTagWindow, data)
 	}
 	return decodeValueTagged(valueTagEll, data)
 }
 
-// decodeValueTagged is decodeValue for snapshot v3 records, where the
+// decodeValueTagged is decodeValue for snapshot records, where the
 // expected type travels beside the blob; a tag/blob mismatch is
 // corruption and must fail loudly.
-func decodeValueTagged(tag byte, data []byte) (SketchValue, error) {
+func decodeValueTagged(tag byte, data []byte) (d pendingValue, err error) {
 	switch tag {
 	case valueTagEll:
-		h, err := core.HybridFromBinary(data)
-		if err != nil {
-			return nil, err
-		}
-		return ellValue{h}, nil
+		err = d.ell.UnmarshalBinary(data)
 	case valueTagWindow:
-		c, err := window.FromBinary(data)
-		if err != nil {
-			return nil, err
-		}
-		return &windowValue{c: c}, nil
+		d.win, err = window.FromBinary(data)
 	default:
-		return nil, fmt.Errorf("unknown value type tag %q", tag)
+		err = fmt.Errorf("unknown value type tag %q", tag)
 	}
+	return d, err
 }
 
-// ellLocked returns the entry's plain sketch; the caller holds e.mu.
+// setLocked makes d e's value, in place of whatever e held; the caller
+// holds e.mu or has not shared e yet. A plain sketch is copied into e.ell,
+// so a reader that goes through ellLocked must hold e.mu while it uses the
+// sketch: the struct it points at is overwritten here.
+func (e *entry) setLocked(d *pendingValue) {
+	if d.win != nil {
+		e.val, e.ell = windowValue{d.win}, core.Hybrid{}
+		return
+	}
+	e.ell, e.val = d.ell, ellValue{&e.ell}
+}
+
+// ellLocked returns the entry's plain sketch, e.ell; the caller holds e.mu
+// for as long as it uses it.
 func (e *entry) ellLocked() (*core.Hybrid, error) {
-	v, ok := e.val.(ellValue)
-	if !ok {
+	if _, ok := e.val.(ellValue); !ok {
 		return nil, ErrWrongType
 	}
-	return v.Hybrid, nil
+	return &e.ell, nil
 }
 
 // windowLocked returns the entry's window counter; the caller holds e.mu.
 func (e *entry) windowLocked() (*window.Counter, error) {
-	v, ok := e.val.(*windowValue)
+	v, ok := e.val.(windowValue)
 	if !ok {
 		return nil, ErrWrongType
 	}

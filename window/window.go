@@ -50,7 +50,7 @@ type slot struct {
 // configuration, slice duration and number of slices. The maximum
 // queryable window is slice·numSlices.
 func New(cfg core.Config, slice time.Duration, numSlices int) (*Counter, error) {
-	empty, err := core.NewHybrid(cfg)
+	empty, err := core.MakeHybrid(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func New(cfg core.Config, slice time.Duration, numSlices int) (*Counter, error) 
 	}
 	c := &Counter{cfg: cfg, slice: slice, slots: make([]slot, numSlices), maxIndex: -1}
 	for i := range c.slots {
-		c.slots[i] = slot{index: -1, sketch: *empty}
+		c.slots[i] = slot{index: -1, sketch: empty}
 	}
 	return c, nil
 }
