@@ -13,8 +13,10 @@ vet:
 test: build vet
 	$(GO) test ./...
 
+# -race also turns on checkptr, which checks every unsafe.Pointer conversion
+# and unsafe.Slice core.Hybrid's one-pointer handle makes.
 race:
-	$(GO) test -race -timeout 5m ./server/ ./cluster/ ./window/ ./cmd/...
+	$(GO) test -race -timeout 5m ./internal/core/ ./server/ ./cluster/ ./window/ ./cmd/...
 
 # bench-smoke compiles and runs every benchmark once — a fast
 # does-it-still-run check, not a measurement (measurements come from

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"exaloglog/internal/bitpack"
 	"exaloglog/internal/hashing"
@@ -47,17 +48,50 @@ import (
 // The zero value is not usable; create instances with NewHybrid, MakeHybrid
 // or HybridFromBinary. A Hybrid is not safe for concurrent use.
 type Hybrid struct {
-	words   []uint64 // the encoded tokens at their full capacity; nil while empty and once dense
-	dense   *Sketch  // non-nil once converted
-	n       int32    // tokens held in words
-	used    uint32   // bits of words the encoding takes; every bit past them is zero
-	t, d, p uint8    // the dense configuration
+	// ptr is the first of the nwords words of encoded tokens while sparse,
+	// the *Sketch once dense, nil while empty. Only tokenWords, sketch,
+	// setTokenWords and setSketch touch it, and each converts it back only
+	// to the type that was stored.
+	ptr     unsafe.Pointer
+	n       int32  // tokens encoded
+	used    uint32 // bits of the token words the encoding takes; every bit past them is zero
+	nwords  uint32 // the token array's length in words, its full capacity
+	t, d, p uint8  // the dense configuration
+	dense   bool   // ptr is a *Sketch
 }
 
 // hybridOverhead is the Hybrid struct itself as the allocator rounds it:
-// the slice, the pointer, two 32-bit counts and the configuration as three
-// bytes are 43 bytes, the 48-byte size class.
-const hybridOverhead = 48
+// the pointer, three 32-bit counts and four bytes of configuration and mode
+// are 24 bytes, a size class of their own.
+const hybridOverhead = 24
+
+// tokenWords returns the encoded tokens' array at its full capacity; nil
+// while empty and once dense.
+func (h *Hybrid) tokenWords() []uint64 {
+	if h.dense {
+		return nil
+	}
+	return unsafe.Slice((*uint64)(h.ptr), h.nwords)
+}
+
+// sketch returns the dense sketch; nil while sparse.
+func (h *Hybrid) sketch() *Sketch {
+	if !h.dense {
+		return nil
+	}
+	return (*Sketch)(h.ptr)
+}
+
+// setTokenWords makes words, sliced to its full capacity, the token array.
+// The caller sets n and used.
+func (h *Hybrid) setTokenWords(words []uint64) {
+	h.ptr, h.nwords, h.dense = unsafe.Pointer(unsafe.SliceData(words)), uint32(len(words)), false
+}
+
+// setSketch makes s the sketch's dense state, in place of any tokens.
+func (h *Hybrid) setSketch(s *Sketch) {
+	h.ptr, h.nwords, h.n, h.used, h.dense = unsafe.Pointer(s), 0, 0, 0, true
+}
 
 // NewHybrid creates an empty sketch that densifies into cfg. It starts
 // sparse.
@@ -84,7 +118,7 @@ func emptyHybrid(cfg Config) Hybrid {
 
 func denseHybrid(s *Sketch) Hybrid {
 	h := emptyHybrid(s.cfg)
-	h.dense = s
+	h.setSketch(s)
 	return h
 }
 
@@ -260,7 +294,7 @@ func (t *tokenStream) refill() {
 // order, a word at a time: a bit set in memory would have to wait for the
 // one set before it.
 func encodeTokens(tokens []uint64, lay tokenLayout, size uint) []uint64 {
-	words := tokenWords(size)
+	words := newTokenWords(size)
 	k, acc := uint(0), uint64(0)
 	for i, x := range tokens {
 		q := uint(x>>(lay.l+6)) + uint(i)
@@ -303,14 +337,14 @@ func encodeTokens(tokens []uint64, lay tokenLayout, size uint) []uint64 {
 
 // tokens is the sketch's token set.
 func (h *Hybrid) tokens() tokenSeq {
-	return tokenSeq{h.words, int(h.n), int(h.p) + int(h.t), uint(h.used)}
+	return tokenSeq{h.tokenWords(), int(h.n), int(h.p) + int(h.t), uint(h.used)}
 }
 
-// tokenWords returns a zeroed word array with room for an encoding of the
-// given size in bits, sliced to its full capacity. Appending to a nil slice
-// rounds the capacity up to the allocator's size class, so 8·len() is what
-// the heap really holds and none of it is hidden.
-func tokenWords(size uint) []uint64 {
+// newTokenWords returns a zeroed word array with room for an encoding of
+// the given size in bits, sliced to its full capacity. Appending to a nil
+// slice rounds the capacity up to the allocator's size class, so 8·len() is
+// what the heap really holds and none of it is hidden.
+func newTokenWords(size uint) []uint64 {
 	words := append([]uint64(nil), make([]uint64, (size+63)/64)...)
 	return words[:cap(words)]
 }
@@ -319,15 +353,15 @@ func tokenWords(size uint) []uint64 {
 func (h *Hybrid) Config() Config { return Config{T: int(h.t), D: int(h.d), P: int(h.p)} }
 
 // IsSparse reports whether the sketch is still in sparse (token) mode.
-func (h *Hybrid) IsSparse() bool { return h.dense == nil }
+func (h *Hybrid) IsSparse() bool { return !h.dense }
 
 // Tokens returns the number of distinct tokens held (0 once dense).
 func (h *Hybrid) Tokens() int { return int(h.n) }
 
 // IsEmpty reports whether nothing has been recorded yet.
 func (h *Hybrid) IsEmpty() bool {
-	if h.dense != nil {
-		return h.dense.IsEmpty()
+	if s := h.sketch(); s != nil {
+		return s.IsEmpty()
 	}
 	return h.n == 0
 }
@@ -437,10 +471,10 @@ func zeroRun(words []uint64, pos uint) uint {
 // state changed: in sparse mode that a new token was recorded, in dense
 // mode that a register changed.
 func (h *Hybrid) AddHash(hash uint64) bool {
-	if h.dense != nil {
-		before := h.dense.changedCount
-		h.dense.AddHash(hash)
-		return h.dense.changedCount != before
+	if s := h.sketch(); s != nil {
+		before := s.changedCount
+		s.AddHash(hash)
+		return s.changedCount != before
 	}
 	cfg := h.Config()
 	v, n := cfg.tokenV(), int(h.n)
@@ -454,7 +488,7 @@ func (h *Hybrid) AddHash(hash uint64) bool {
 	// ascend, and where they are equal the NLZs: the bucket answers whether
 	// the token is known and, if not, where it goes — as token i, quotient
 	// bit q, NLZ bit z.
-	lay, words := layoutTokens(v, n), h.words
+	lay, words := layoutTokens(v, n), h.tokenWords()
 	prefix, nlz := x>>6, uint(x&63)
 	bucket, lo := uint(prefix>>lay.l), prefix&(1<<lay.l-1)
 	q := uint(0)
@@ -502,15 +536,16 @@ func (h *Hybrid) AddHash(hash uint64) bool {
 	size := used + lay.l + 2 + nlz
 	if cfg.pastBreakEven(size) {
 		h.densify()
-		h.dense.AddHash(hash)
+		h.sketch().AddHash(hash)
 		return true
 	}
 	if size > 64*uint(len(words)) {
 		// Grow by one size class: at most one class step (≈ 12 %) of
 		// slack, where append's doubling would leave up to half unused.
-		words = tokenWords(size)
-		copy(words, h.words)
-		h.words = words
+		grown := newTokenWords(size)
+		copy(grown, words)
+		words = grown
+		h.setTokenWords(words)
 	}
 	// Make room in the three regions, the highest first: the NLZs from z on
 	// move past all the new token adds, the remainders from i on and the
@@ -537,7 +572,7 @@ const bulkMin = 32
 // whether any of them changed the state (see AddHash). A large batch into a
 // sparse sketch costs O(k log k + tokens), not O(k · tokens).
 func (h *Hybrid) AddHashes(hashes []uint64) bool {
-	if h.dense != nil || len(hashes) < bulkMin {
+	if h.dense || len(hashes) < bulkMin {
 		changed := false
 		for _, hash := range hashes {
 			changed = h.AddHash(hash) || changed
@@ -642,17 +677,17 @@ func (h *Hybrid) densify() { *h = denseFrom(h.Config(), h.tokens()) }
 // Densify forces the conversion to dense mode (idempotent) and returns the
 // dense sketch, which the hybrid keeps owning.
 func (h *Hybrid) Densify() *Sketch {
-	if h.dense == nil {
+	if !h.dense {
 		h.densify()
 	}
-	return h.dense
+	return h.sketch()
 }
 
 // ToSketch returns an independent dense sketch with the hybrid's state; the
 // hybrid itself stays in its mode.
 func (h *Hybrid) ToSketch() *Sketch {
-	if h.dense != nil {
-		return h.dense.Clone()
+	if s := h.sketch(); s != nil {
+		return s.Clone()
 	}
 	s := MustNew(h.Config())
 	s.addTokens(h.tokens())
@@ -665,11 +700,12 @@ func (h *Hybrid) Reset() { *h = emptyHybrid(h.Config()) }
 // Clone returns a deep copy.
 func (h *Hybrid) Clone() *Hybrid {
 	c := *h
-	if h.dense != nil {
-		c.dense = h.dense.Clone()
+	if s := h.sketch(); s != nil {
+		c.setSketch(s.Clone())
 	} else if h.n > 0 {
-		c.words = tokenWords(uint(h.used))
-		copy(c.words, h.words)
+		words := newTokenWords(uint(h.used))
+		copy(words, h.tokenWords())
+		c.setTokenWords(words)
 	}
 	return &c
 }
@@ -706,8 +742,8 @@ func (c Config) estimateTokens(tokens tokenSeq) float64 {
 // Estimate returns the bias-corrected ML distinct-count estimate; the same
 // float in either mode for the same token set.
 func (h *Hybrid) Estimate() float64 {
-	if h.dense != nil {
-		return h.dense.EstimateML()
+	if s := h.sketch(); s != nil {
+		return s.EstimateML()
 	}
 	return h.Config().estimateTokens(h.tokens())
 }
@@ -716,17 +752,17 @@ func (h *Hybrid) Estimate() float64 {
 // mode: the token array at its real capacity, or the dense sketch, plus the
 // Hybrid struct.
 func (h *Hybrid) MemoryFootprint() int {
-	if h.dense != nil {
-		return h.dense.MemoryFootprint() + hybridOverhead
+	if s := h.sketch(); s != nil {
+		return s.MemoryFootprint() + hybridOverhead
 	}
-	return 8*len(h.words) + hybridOverhead
+	return 8*int(h.nwords) + hybridOverhead
 }
 
 // SizeBytes returns the payload size in the current mode: the encoded
 // tokens, or the dense register array.
 func (h *Hybrid) SizeBytes() int {
-	if h.dense != nil {
-		return h.dense.SizeBytes()
+	if s := h.sketch(); s != nil {
+		return s.SizeBytes()
 	}
 	return int(h.used+7) / 8
 }
@@ -747,15 +783,16 @@ func (h *Hybrid) Merge(other *Hybrid) error {
 		*h = denseHybrid(merged)
 		return nil
 	}
+	mine, theirs := h.sketch(), other.sketch()
 	switch {
-	case h.dense != nil && other.dense != nil:
-		return h.dense.Merge(other.dense)
-	case h.dense != nil:
-		h.dense.addTokens(other.tokens())
-	case other.dense != nil:
-		tokens := h.tokens()
-		*h = denseHybrid(other.dense.Clone())
-		h.dense.addTokens(tokens)
+	case mine != nil && theirs != nil:
+		return mine.Merge(theirs)
+	case mine != nil:
+		mine.addTokens(other.tokens())
+	case theirs != nil:
+		s := theirs.Clone()
+		s.addTokens(h.tokens())
+		*h = denseHybrid(s)
 	default:
 		h.uniteTokens(other.tokens())
 	}
@@ -769,8 +806,8 @@ func (h *Hybrid) MergeInto(acc *Sketch) error {
 	if h.Config() != acc.cfg {
 		return fmt.Errorf("exaloglog: cannot merge config %+v into %+v; reduce to common parameters first", h.Config(), acc.cfg)
 	}
-	if h.dense != nil {
-		return acc.Merge(h.dense)
+	if s := h.sketch(); s != nil {
+		return acc.Merge(s)
 	}
 	acc.addTokens(h.tokens())
 	return nil
@@ -792,7 +829,7 @@ func UnionHybrids(cfg Config, parts []*Hybrid) (*Hybrid, error) {
 			n += int(h.n)
 			nlzSum += uint(h.used) - layoutTokens(v, int(h.n)).size(int(h.n), 0)
 		}
-		dense = dense || h.dense != nil
+		dense = dense || h.dense
 	}
 	union := emptyHybrid(cfg)
 	switch {
@@ -855,7 +892,8 @@ func (h *Hybrid) setTokens(tokens []uint64) {
 		*h = denseFrom(cfg, tokenSeq{words: tokens, n: len(tokens)})
 		return
 	}
-	h.words, h.n, h.used = encodeTokens(tokens, lay, size), int32(len(tokens)), uint32(size)
+	h.setTokenWords(encodeTokens(tokens, lay, size))
+	h.n, h.used = int32(len(tokens)), uint32(size)
 }
 
 // tokenScratch holds the plain token arrays sets are put together in before
@@ -936,8 +974,8 @@ func IsTokenBlob(data []byte) bool {
 
 // MarshalBinary serializes the sketch in its current mode.
 func (h *Hybrid) MarshalBinary() ([]byte, error) {
-	if h.dense != nil {
-		return h.dense.MarshalBinary()
+	if s := h.sketch(); s != nil {
+		return s.MarshalBinary()
 	}
 	size := h.SizeBytes()
 	out := make([]byte, tokenBlobHeader, tokenBlobHeader+binary.MaxVarintLen32+size+7)
@@ -945,8 +983,9 @@ func (h *Hybrid) MarshalBinary() ([]byte, error) {
 	out[4], out[5], out[6] = h.t, h.d, h.p
 	out = binary.AppendUvarint(out, uint64(h.n))
 	size += len(out)
+	words := h.tokenWords()
 	for i := 0; len(out) < size; i++ {
-		out = binary.LittleEndian.AppendUint64(out, h.words[i])
+		out = binary.LittleEndian.AppendUint64(out, words[i])
 	}
 	return out[:size], nil
 }
@@ -1014,7 +1053,7 @@ func (h *Hybrid) UnmarshalBinary(data []byte) error {
 	if body[len(body)-1] == 0 || size < lay.size(n, 0) {
 		return fmt.Errorf("exaloglog: token blob body of %d bytes does not end with the last of %d tokens", len(body), n)
 	}
-	words := tokenWords(size)
+	words := newTokenWords(size)
 	whole := len(body) / 8
 	for i := 0; i < whole; i++ {
 		words[i] = binary.LittleEndian.Uint64(body[8*i:])
@@ -1046,7 +1085,8 @@ func (h *Hybrid) UnmarshalBinary(data []byte) error {
 	if cfg.pastBreakEven(size) {
 		next = denseFrom(cfg, tokens)
 	} else {
-		next.words, next.n, next.used = words, int32(n), uint32(size)
+		next.setTokenWords(words)
+		next.n, next.used = int32(n), uint32(size)
 	}
 	*h = next
 	return nil

@@ -550,8 +550,8 @@ func TestHybridParityAcrossBreakEven(t *testing.T) {
 				addAll(forward, hashes[from:done])
 			} else {
 				for _, x := range hashes[from:done] {
-					before := forward.dense.StateChanges()
-					if changed := forward.AddHash(x); changed != (forward.dense.StateChanges() != before) {
+					before := forward.sketch().StateChanges()
+					if changed := forward.AddHash(x); changed != (forward.sketch().StateChanges() != before) {
 						t.Fatalf("%+v: dense-mode changed bit disagrees", cfg)
 					}
 				}
@@ -856,8 +856,9 @@ func TestTokenEncoding(t *testing.T) {
 			if int(h.used) != len(ref) {
 				t.Fatalf("v=%d: %d tokens take %d bits, the reference %d", v, len(want), h.used, len(ref))
 			}
-			for bit := 0; bit < 64*len(h.words); bit++ {
-				if got := h.words[bit/64]>>uint(bit%64)&1 != 0; got != (bit < len(ref) && ref[bit]) {
+			words := h.tokenWords()
+			for bit := 0; bit < 64*len(words); bit++ {
+				if got := words[bit/64]>>uint(bit%64)&1 != 0; got != (bit < len(ref) && ref[bit]) {
 					t.Fatalf("v=%d: bit %d of %d tokens is %v", v, bit, len(want), got)
 				}
 			}
@@ -973,7 +974,7 @@ func TestHybridMergeOfKnownTokensDoesNotAllocate(t *testing.T) {
 
 // TestHybridFootprintIsTight: the encoding is as dense as the header
 // comment says, and the heap holds it with a size class step of slack at
-// the most, in the 48-byte struct.
+// the most, in the 24-byte struct.
 func TestHybridFootprintIsTight(t *testing.T) {
 	cfg := Config{T: 2, D: 20, P: 12}
 	perToken := map[int]float64{100: 12, 1000: 8.5, 5000: 6}
@@ -1009,8 +1010,196 @@ func TestHybridFootprintIsTight(t *testing.T) {
 			}
 		}
 	}
-	if unsafe.Sizeof(Hybrid{}) > hybridOverhead || hybridOverhead > 48 {
-		t.Errorf("Hybrid is %d bytes, hybridOverhead says %d, the size class to stay in is 48", unsafe.Sizeof(Hybrid{}), hybridOverhead)
+	if unsafe.Sizeof(Hybrid{}) != hybridOverhead || hybridOverhead != 24 {
+		t.Errorf("Hybrid is %d bytes, hybridOverhead says %d, the handle is 24", unsafe.Sizeof(Hybrid{}), hybridOverhead)
+	}
+}
+
+// TestHybridHandleThroughEveryMode drives one Hybrid through every change
+// of what its pointer holds — nothing, a token array that grows and is
+// re-encoded, a dense sketch, and back — and after each step checks that
+// the handle agrees with itself (the mode flag, the two accessors, the
+// array's length) and that its bytes and estimate are those of ToSketch():
+// for a configuration of its own, the reference encoding of every hash it
+// was fed.
+func TestHybridHandleThroughEveryMode(t *testing.T) {
+	cfg := Config{T: 2, D: 20, P: 8}
+	r := rng(2027)
+	fresh := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = r.Uint64()
+		}
+		return out
+	}
+	hybridOf := func(c Config, hashes []uint64) *Hybrid {
+		o, _ := NewHybrid(c)
+		addAll(o, hashes)
+		return o
+	}
+	blobOf := func(o *Hybrid) []byte {
+		b, err := o.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	// The state the steps move: the handle, its configuration, the hashes
+	// it holds (nil once that is no longer a reference, after a merge of
+	// another configuration), and its mode.
+	h, _ := NewHybrid(cfg)
+	want, fed, sparse := cfg, []uint64(nil), true
+	check := func(step string) {
+		t.Helper()
+		if h.Config() != want || h.IsSparse() != sparse || (h.sketch() == nil) != sparse {
+			t.Fatalf("%s: config %+v sparse=%v sketch=%v, want %+v sparse=%v", step, h.Config(), h.IsSparse(), h.sketch() != nil, want, sparse)
+		}
+		if words := h.tokenWords(); sparse {
+			if len(words) != int(h.nwords) || uint(h.used) > 64*uint(len(words)) || (h.ptr == nil) != (h.n == 0) ||
+				h.MemoryFootprint() != 8*len(words)+hybridOverhead {
+				t.Fatalf("%s: %d tokens in %d bits of %d words (nwords %d, ptr set %v), footprint %d",
+					step, h.n, h.used, len(words), h.nwords, h.ptr != nil, h.MemoryFootprint())
+			}
+		} else if words != nil || h.n != 0 || h.used != 0 || h.nwords != 0 {
+			t.Fatalf("%s: a dense handle keeps %d token words, n=%d used=%d", step, len(words), h.n, h.used)
+		}
+		ref := h.ToSketch()
+		refBlob, _ := ref.MarshalBinary()
+		blob := blobOf(h)
+		if h.Estimate() != ref.Estimate() {
+			t.Fatalf("%s: estimate %v, ToSketch %v", step, h.Estimate(), ref.Estimate())
+		}
+		if !sparse && !bytes.Equal(blob, refBlob) {
+			t.Fatalf("%s: dense bytes differ from ToSketch's", step)
+		}
+		if sparse {
+			back, err := HybridFromBinary(blob)
+			if err != nil || !IsTokenBlob(blob) {
+				t.Fatalf("%s: sparse blob of %d bytes: %v", step, len(blob), err)
+			}
+			if got, _ := back.ToSketch().MarshalBinary(); !bytes.Equal(got, refBlob) {
+				t.Fatalf("%s: the sparse blob decodes to other registers than ToSketch's", step)
+			}
+		}
+		if fed != nil && !bytes.Equal(blob, want.wantBytes(fed)) {
+			t.Fatalf("%s: %d bytes, not the reference encoding of the %d hashes fed", step, len(blob), len(fed))
+		}
+	}
+
+	steps := []struct {
+		name string
+		run  func(step string)
+	}{
+		{"empty", func(string) {}},
+		{"single inserts across size classes and power-of-two re-encodes", func(step string) {
+			sizes := map[uint32]bool{}
+			for _, x := range fresh(300) {
+				h.AddHash(x)
+				fed = append(fed, x)
+				sizes[h.nwords] = true
+				check(step)
+			}
+			if len(sizes) < 5 || h.Tokens() < 256 {
+				t.Fatalf("%s: %d tokens in %d array sizes, want past 256 tokens in 5 or more", step, h.Tokens(), len(sizes))
+			}
+		}},
+		{"bulk AddHashes", func(string) {
+			batch := fresh(100)
+			h.AddHashes(batch)
+			fed = append(fed, batch...)
+		}},
+		{"merge sparse into sparse", func(string) {
+			other := fresh(40)
+			h.Merge(hybridOf(cfg, other))
+			fed = append(fed, other...)
+		}},
+		{"merge dense into sparse", func(string) {
+			other := fresh(6000)
+			h.Merge(hybridOf(cfg, other))
+			fed, sparse = append(fed, other...), false
+		}},
+		{"ELT3 blob into a dense handle", func(string) {
+			fed = fresh(50)
+			if err := h.UnmarshalBinary(blobOf(hybridOf(cfg, fed))); err != nil {
+				t.Fatal(err)
+			}
+			sparse = true
+		}},
+		{"single inserts to break-even", func(step string) {
+			for h.IsSparse() {
+				x := r.Uint64()
+				h.AddHash(x)
+				fed = append(fed, x)
+				sparse = cfg.staysSparse(fed)
+				check(step)
+			}
+		}},
+		{"merge sparse into dense", func(string) {
+			other := fresh(60)
+			h.Merge(hybridOf(cfg, other))
+			fed = append(fed, other...)
+		}},
+		{"dense blob into a dense handle", func(string) {
+			fed = fresh(6000)
+			if err := h.UnmarshalBinary(blobOf(hybridOf(cfg, fed))); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"dense clone stays independent", func(step string) {
+			c := h.Clone()
+			before := blobOf(h)
+			c.AddHashes(fresh(500))
+			if !bytes.Equal(blobOf(h), before) || bytes.Equal(blobOf(c), before) || c.sketch() == h.sketch() {
+				t.Fatalf("%s: a clone shares its registers with the original", step)
+			}
+		}},
+		{"reset", func(string) {
+			h.Reset()
+			fed, sparse = nil, true
+		}},
+		{"sparse clone stays independent", func(step string) {
+			fed = fresh(20)
+			h.AddHashes(fed)
+			c := h.Clone()
+			c.AddHash(r.Uint64())
+			more := fresh(3)
+			for _, x := range more {
+				h.AddHash(x)
+			}
+			fed = append(fed, more...)
+			if c.Tokens() != 21 || &c.tokenWords()[0] == &h.tokenWords()[0] {
+				t.Fatalf("%s: the clone holds %d tokens, want 21 in an array of its own", step, c.Tokens())
+			}
+		}},
+		{"merge of another t is refused", func(step string) {
+			before := blobOf(h)
+			if err := h.Merge(hybridOf(Config{T: 1, D: 9, P: 8}, fresh(5))); err == nil || !bytes.Equal(blobOf(h), before) {
+				t.Fatalf("%s: err %v, or the handle changed", step, err)
+			}
+		}},
+		{"merge of a smaller precision", func(step string) {
+			other := hybridOf(Config{T: 2, D: 20, P: 7}, fresh(30))
+			reduced, err := MergeCompatible(h.ToSketch(), other.ToSketch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Merge(other); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := reduced.MarshalBinary(); !bytes.Equal(blobOf(h), got) {
+				t.Fatalf("%s: the merge is not the reduced union", step)
+			}
+			want, fed, sparse = reduced.Config(), nil, false
+		}},
+		{"reset keeps the configuration", func(string) {
+			h.Reset()
+			sparse = true
+		}},
+	}
+	for _, s := range steps {
+		s.run(s.name)
+		check(s.name)
 	}
 }
 

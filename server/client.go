@@ -298,14 +298,13 @@ type Result struct {
 // Do/PFAdd/PFCount/Dump, then call Exec. A Pipeline is not safe for
 // concurrent use; the Exec itself serializes with other commands on
 // the shared connection. After Exec the pipeline is empty and can be
-// reused; between its first queued command and Exec it holds a pooled
-// buffer.
+// reused. It takes a pooled buffer only inside Exec, for the replies, so
+// a pipeline dropped with commands queued holds nothing of the pool.
 type Pipeline struct {
-	c    *Client
-	base []byte // the pooled buffer buf starts in, held from the first queued command to Exec
-	buf  []byte // the queued command lines
-	n    int
-	err  error // first queueing error; reported by Exec
+	c   *Client
+	buf []byte // the queued command lines
+	n   int
+	err error // first queueing error; reported by Exec
 }
 
 // Pipeline returns an empty command pipeline on this connection.
@@ -321,30 +320,28 @@ func (p *Pipeline) Do(parts ...string) {
 		p.err = err
 		return
 	}
-	if p.base == nil {
-		p.base = getBuf()
-		p.buf = p.base[:0]
-	}
 	p.buf = append(appendTokens(p.buf, parts), '\n')
 	p.n++
 }
 
-// PFAdd queues a PFADD key element... command.
+// PFAdd queues a PFADD key element... command. (The typed methods gather
+// a command's tokens on the stack; a longer one spills to the heap.)
 func (p *Pipeline) PFAdd(key string, elements ...string) {
-	p.Do(append(append(make([]string, 0, 2+len(elements)), "PFADD", key), elements...)...)
+	var parts [8]string
+	p.Do(append(append(parts[:0], "PFADD", key), elements...)...)
 }
 
 // PFCount queues a PFCOUNT key... command.
 func (p *Pipeline) PFCount(keys ...string) {
-	p.Do(append(append(make([]string, 0, 1+len(keys)), "PFCOUNT"), keys...)...)
+	var parts [8]string
+	p.Do(append(append(parts[:0], "PFCOUNT"), keys...)...)
 }
 
 // WAdd queues a WADD key ts element... command (ts in unix
 // milliseconds).
 func (p *Pipeline) WAdd(key string, tsMillis int64, elements ...string) {
-	parts := make([]string, 0, 3+len(elements))
-	parts = append(parts, "WADD", key, strconv.FormatInt(tsMillis, 10))
-	p.Do(append(parts, elements...)...)
+	var parts [8]string
+	p.Do(append(append(parts[:0], "WADD", key, strconv.FormatInt(tsMillis, 10)), elements...)...)
 }
 
 // WCount queues a WCOUNT key window command.
@@ -369,9 +366,8 @@ func (p *Pipeline) Len() int { return p.n }
 // transport error: the connection is broken) — the results are then
 // nil. Exec resets the pipeline for reuse either way.
 func (p *Pipeline) Exec() ([]Result, error) {
-	base, buf, n, err := p.base, p.buf, p.n, p.err
+	req, n, err := p.buf, p.n, p.err
 	*p = Pipeline{c: p.c}
-	defer putBuf(base)
 	if err != nil {
 		return nil, err
 	}
@@ -380,8 +376,10 @@ func (p *Pipeline) Exec() ([]Result, error) {
 	}
 	p.c.mu.Lock()
 	defer p.c.mu.Unlock()
+	buf := getBuf()
+	defer putBuf(buf)
 	results := make([]Result, n)
-	if err := p.c.exchange(buf, base, results); err != nil {
+	if err := p.c.exchange(req, buf, results); err != nil {
 		return nil, err
 	}
 	return results, nil

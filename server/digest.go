@@ -67,7 +67,7 @@ func blobDigestLocked(key string, e *entry) (uint64, bool) {
 	if e.digOK {
 		return e.dig, true
 	}
-	blob, err := e.val.MarshalBinary()
+	blob, err := e.MarshalBinary()
 	if err != nil {
 		return 0, false // unreachable: value marshaling cannot fail
 	}
@@ -186,9 +186,9 @@ func (s *Store) DumpTagged(key string) (TaggedBlob, bool) {
 	if e.dead {
 		return TaggedBlob{}, false
 	}
-	blob, err := e.val.MarshalBinary()
+	blob, err := e.MarshalBinary()
 	if err != nil {
 		return TaggedBlob{}, false // unreachable: value marshaling cannot fail
 	}
-	return TaggedBlob{Blob: blob, Type: e.val.Tag(), Deadline: e.deadline.Load(), e: e, ver: e.ver}, true
+	return TaggedBlob{Blob: blob, Type: e.Tag(), Deadline: e.deadline.Load(), e: e, ver: e.ver}, true
 }

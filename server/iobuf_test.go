@@ -223,28 +223,53 @@ func TestClientRefusesUnsolicitedBytes(t *testing.T) {
 }
 
 // TestPipelineGivesItsBufferBack: one huge batch must not size a long-lived
-// pipeline for good, and an executed pipeline holds nothing.
+// pipeline for good, an executed pipeline holds nothing, and queued
+// commands hold nothing of the pool — only Exec takes a buffer.
 func TestPipelineGivesItsBufferBack(t *testing.T) {
 	_, c := startServer(t)
 	held0 := bufPool.held.Load()
 	p := c.Pipeline()
 	big := strings.Repeat("e", 200)
 	for round := 0; round < 2; round++ {
-		for j := 0; j < 2000; j++ { // 400 KB of commands: outgrows the pooled buffer
+		for j := 0; j < 2000; j++ { // 400 KB of commands: larger than a pooled buffer
 			p.PFAdd("k", fmt.Sprintf("%s-%d", big, j))
 		}
-		if bufPool.held.Load() != held0+1 {
-			t.Fatalf("a pipeline with queued commands holds %d pooled buffers, want 1", bufPool.held.Load()-held0)
+		if bufPool.held.Load() != held0 {
+			t.Fatalf("a pipeline with queued commands holds %d pooled buffers, want 0", bufPool.held.Load()-held0)
 		}
 		results, err := p.Exec()
 		if err != nil || len(results) != 2000 {
 			t.Fatalf("Exec: %d results, %v", len(results), err)
 		}
-		if p.buf != nil || p.base != nil {
+		if p.buf != nil {
 			t.Errorf("an executed pipeline keeps a %d-byte buffer", cap(p.buf))
 		}
 		waitBuffersHeld(t, held0)
 	}
+}
+
+// TestAbandonedPipelineHoldsNoBuffer: a pipeline dropped with commands
+// queued, its client then closed, leaves the conn_buffers_held gauge where
+// it was.
+func TestAbandonedPipelineHoldsNoBuffer(t *testing.T) {
+	srv, _ := startServer(t)
+	held0 := bufPool.held.Load()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := c.Pipeline()
+	for j := 0; j < 32; j++ {
+		p.PFAdd("k", fmt.Sprintf("el-%d", j))
+	}
+	p.WAdd("w", baseMS, "x")
+	if p.Len() != 33 {
+		t.Fatalf("%d commands queued, want 33", p.Len())
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitBuffersHeld(t, held0)
 }
 
 // TestConnBufferGaugesAreExposed: STATS and /metrics carry the two pool

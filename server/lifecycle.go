@@ -97,7 +97,7 @@ func (s *Store) newEntry(tag byte) *entry {
 }
 
 // entryOverhead is what a key holds on the heap beside its value: the
-// entry struct (112 bytes, the plain key's Hybrid inside it) and its share
+// entry struct (80 bytes, the plain key's Hybrid inside it) and its share
 // of the shard map — a slot, measured at about 46 bytes, and a key string
 // of up to 16. With sparse values of a few dozen bytes this is most of a
 // small key, so the gauge counts it, and it is then within about 1 % of
@@ -107,11 +107,7 @@ func (s *Store) newEntry(tag byte) *entry {
 // itself — server, store shards, peer pools — about 35 KB an idle node,
 // which is no key's. What busy connections hold is reported beside the
 // gauge, as conn_buffer_bytes.
-const entryOverhead = 176
-
-// residentSize is the heap footprint the resident-bytes gauge charges for
-// a key holding v.
-func residentSize(v SketchValue) int { return v.SizeBytes() + entryOverhead }
+const entryOverhead = 144
 
 // killLocked marks e dead and releases its resident-bytes accounting;
 // the caller holds e.mu. Idempotent: a second kill is a no-op, so the
@@ -132,7 +128,7 @@ func (s *Store) resizeLocked(e *entry) {
 	if e.dead {
 		return
 	}
-	if n := int32(residentSize(e.val)); n != e.size {
+	if n := int32(e.SizeBytes() + entryOverhead); n != e.size {
 		s.residentBytes.Add(int64(n - e.size))
 		e.size = n
 	}

@@ -48,16 +48,15 @@ func TestConnectionScratchIsShed(t *testing.T) {
 }
 
 // TestEntryStaysInItsSizeClass pins what entryOverhead assumes: an entry,
-// the plain key's Hybrid inside it, is allocated from the 112-byte class,
-// and the Hybrid that ellValue.SizeBytes leaves to the entry is the struct
+// the plain key's Hybrid inside it, is allocated from the 80-byte class,
+// and the Hybrid that entry.SizeBytes leaves to the entry is the struct
 // that MemoryFootprint counts.
 func TestEntryStaysInItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(entry{}); size > 112 {
-		t.Errorf("entry is %d bytes with its embedded %d-byte core.Hybrid, past the 112-byte size class entryOverhead counts on",
+	if size := unsafe.Sizeof(entry{}); size != 80 {
+		t.Errorf("entry is %d bytes with its embedded %d-byte core.Hybrid, not the 80 bytes entryOverhead counts on",
 			size, unsafe.Sizeof(core.Hybrid{}))
 	}
-	var h core.Hybrid
-	if got := (ellValue{&h}).SizeBytes(); got != 0 {
+	if got := (&entry{}).SizeBytes(); got != 0 {
 		t.Errorf("an empty Hybrid's MemoryFootprint is %d bytes beyond the %d-byte struct the entry holds", got, hybridSize)
 	}
 }

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/base64"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -320,6 +322,57 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if err := restored.LoadFile(filepath.Join(dir, "missing.elss")); err == nil {
 		t.Error("loading missing file succeeded")
+	}
+}
+
+// TestSaveFileBytesArePinned: the snapshot file of a fixed mixed keyspace —
+// a sparse plain key, a dense one with a deadline, a dense key of a foreign
+// configuration and a window ring with sparse and dense slices — is the same
+// file, byte for byte, whatever shape the store holds its values in.
+func TestSaveFileBytesArePinned(t *testing.T) {
+	store, err := NewStore(core.RecommendedML(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Add("sparse", "alice", "bob", "carol"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if _, err := store.Add("dense", fmt.Sprintf("d-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.ExpireAt("dense", 9_000_000_000_000)
+	foreign := core.MustNew(core.Config{T: 2, D: 20, P: 6})
+	foreign.AddString("x")
+	blob, _ := foreign.MarshalBinary()
+	if err := store.Restore("foreign", blob); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 3; s++ {
+		ts := time.UnixMilli(1_750_000_000_000 + int64(s)*1000)
+		for i := 0; i < 5+1500*(s%2); i++ {
+			if _, err := store.WindowAdd("ring", ts, fmt.Sprintf("w-%d-%d", s, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for key, mode := range map[string]string{"sparse": "mode=sparse", "dense": "mode=dense"} {
+		if info, _ := store.Info(key); !strings.Contains(info, mode) {
+			t.Fatalf("%s: INFO %q, want %s", key, info, mode)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "pinned.elss")
+	if err := store.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "6b8cb3b7fdf285900debeef54b5811bd59d67aa715a8745f997938aee9ea8ce6"
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("the %d-byte snapshot has SHA-256 %x, want %s", len(data), sum, want)
 	}
 }
 

@@ -38,9 +38,9 @@ const numShards = 128
 const shardSeed = 0x5bd1e995a967bd1e
 
 // entry is one key's value plus its own lock, so concurrent commands
-// on different keys never contend. The value is polymorphic (see
-// SketchValue); everything else here — the version counter, the death
-// mark, the estimate and digest caches — is value-type-agnostic
+// on different keys never contend. The value is a plain sketch or a
+// window ring (see value.go); everything else here — the version counter,
+// the death mark, the estimate and digest caches — is value-type-agnostic
 // machinery. ver counts observable state changes (inserts that changed
 // registers, merges, restores, lifetime changes); together with the
 // entry's identity it lets DeleteIfUnchanged detect writes that landed
@@ -49,7 +49,7 @@ const shardSeed = 0x5bd1e995a967bd1e
 // writing into an orphan.
 type entry struct {
 	mu  sync.Mutex
-	val SketchValue
+	win *window.Counter // a window key's ring; nil for a plain key
 	ver uint64
 
 	// deadline is the key's absolute expiry instant in unix
@@ -58,22 +58,22 @@ type entry struct {
 	// expiry decision itself happens under e.mu (see expireDueLocked).
 	deadline atomic.Int64
 
-	// est caches val.Estimate() while estValid, so a hot-key PFCOUNT on
-	// an unchanged sketch is O(1) instead of a scan of the registers; dig
+	// est caches ell.Estimate() while estValid, so a hot-key PFCOUNT on an
+	// unchanged sketch is O(1) instead of a scan of the registers; dig
 	// caches the anti-entropy content digest of (key, serialized value)
 	// while digOK — see digest.go. changedLocked drops both.
 	est float64
 	dig uint64
 
-	// ell is a plain key's sketch, held here by value — val is
-	// ellValue{&e.ell} — so a plain key is one allocation beside its
-	// tokens, not two. A window key leaves it empty.
+	// ell is a plain key's sketch, held here by value, so a plain key is
+	// one allocation beside its tokens, not two. A window key leaves it
+	// empty.
 	ell core.Hybrid
 
 	// size is the value's approximate resident footprint as last
 	// accounted against the store's resident-bytes gauge (e.mu held).
 	// 32 bits and the flags beside it keep the entry in the allocator's
-	// 112-byte size class (TestEntryStaysInItsSizeClass).
+	// 80-byte size class (TestEntryStaysInItsSizeClass).
 	size     int32
 	dead     bool
 	estValid bool
@@ -100,11 +100,11 @@ func (s *Store) estimateEll(e *entry) (v float64, ok bool, err error) {
 	if e.dead {
 		return 0, false, nil
 	}
-	if _, isEll := e.val.(ellValue); !isEll {
+	if e.win != nil {
 		return 0, false, ErrWrongType
 	}
 	if !e.estValid {
-		e.est, e.estValid = e.val.Estimate(), true
+		e.est, e.estValid = e.ell.Estimate(), true
 		s.cacheMisses.Add(1)
 	} else {
 		s.cacheHits.Add(1)
@@ -755,7 +755,7 @@ func (s *Store) Dump(key string) (data []byte, ok bool) {
 	if e.dead {
 		return nil, false
 	}
-	data, err := e.val.MarshalBinary()
+	data, err := e.MarshalBinary()
 	if err != nil {
 		return nil, false // unreachable: value marshaling cannot fail
 	}
@@ -821,7 +821,7 @@ func (s *Store) MergeBlobDeadline(key string, data []byte, deadlineMillis int64)
 			e.mu.Unlock()
 			continue
 		}
-		fresh := e.val.empty()
+		fresh := e.empty()
 		err := s.mergeValueLocked(e, &in)
 		if err != nil {
 			e.mu.Unlock()
@@ -872,7 +872,7 @@ func (s *Store) AbsorbBatch(pairs []KeyBlob) (keys, bytes int, err error) {
 
 // mergeValueLocked folds the decoded value in into e's value; e.mu held.
 func (s *Store) mergeValueLocked(e *entry, in *pendingValue) error {
-	if e.val.empty() {
+	if e.empty() {
 		// Freshly created (or still empty) entry: adopt the incoming
 		// value wholesale — its type, configuration and geometry — as a
 		// missing-key MergeBlob always has.
@@ -952,8 +952,8 @@ func (s *Store) DumpAllTagged() map[string]TaggedBlob {
 			s.unlink(ne.key, ne.e)
 			continue
 		}
-		blob, err := ne.e.val.MarshalBinary()
-		tag := ne.e.val.Tag()
+		blob, err := ne.e.MarshalBinary()
+		tag := ne.e.Tag()
 		ver := ne.e.ver
 		dl := ne.e.deadline.Load()
 		ne.e.mu.Unlock()
@@ -1033,7 +1033,7 @@ func (s *Store) Info(key string) (info string, ok bool) {
 	if e.dead {
 		return "", false
 	}
-	return e.val.Info(), true
+	return e.Info(), true
 }
 
 // Len returns the number of keys.

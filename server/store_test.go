@@ -632,6 +632,107 @@ func TestNewKeyAllocations(t *testing.T) {
 	}
 }
 
+// TestEntryDispatchesOnItsType covers the paths that branch on a key's value
+// type: a blob of either type merged or restored into a fresh key of the
+// other type takes the key over (MergeBlob adopts it because the key is
+// still empty), and then DUMP, TaggedBlob.Type, INFO, the typed verbs and the
+// resident-bytes gauge all follow the new type; a blob of the other type is
+// refused by a key that holds something.
+func TestEntryDispatchesOnItsType(t *testing.T) {
+	src := newTestStore(t)
+	if _, err := src.Add("plain", "alice", "bob", "carol"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.WindowAdd("ring", time.UnixMilli(baseMS), "alice", "bob"); err != nil {
+		t.Fatal(err)
+	}
+	type value struct {
+		tag  byte
+		blob []byte
+		info string
+	}
+	var values []value
+	for key, v := range map[string]value{
+		"plain": {tag: valueTagEll, info: "t=2 d=20 p=12 mode=sparse tokens=3 bytes=7 estimate=3.0"},
+		"ring":  {tag: valueTagWindow, info: "type=window slice=1s slices=60 span=1m0s"},
+	} {
+		tagged, ok := src.DumpTagged(key)
+		if !ok || tagged.Type != v.tag {
+			t.Fatalf("%s: TaggedBlob.Type %q, want %q", key, tagged.Type, v.tag)
+		}
+		v.blob = tagged.Blob
+		values = append(values, v)
+	}
+	// What a key created from the blob costs the gauge: a missing key restored.
+	resident := func(v value) int64 {
+		st := newTestStore(t)
+		if err := st.Restore("k", v.blob); err != nil {
+			t.Fatal(err)
+		}
+		_, _, n := st.LifecycleStats()
+		return n
+	}
+	for _, v := range values {
+		want := resident(v)
+		for _, route := range []string{"MergeBlob", "Restore"} {
+			st := newTestStore(t)
+			// A fresh, empty key of the other type.
+			if v.tag == valueTagEll {
+				_, err := st.WindowAdd("k", time.UnixMilli(baseMS))
+				if err != nil {
+					t.Fatal(err)
+				}
+			} else if err := st.Merge("k"); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if route == "MergeBlob" {
+				err = st.MergeBlob("k", v.blob)
+			} else {
+				err = st.Restore("k", v.blob)
+			}
+			if err != nil {
+				t.Fatalf("%s of a %q blob into a fresh key of the other type: %v", route, v.tag, err)
+			}
+			name := fmt.Sprintf("%s of a %q blob", route, v.tag)
+			if got, _ := st.Dump("k"); !bytes.Equal(got, v.blob) {
+				t.Errorf("%s: DUMP is not the blob", name)
+			}
+			if tagged, _ := st.DumpTagged("k"); tagged.Type != v.tag {
+				t.Errorf("%s: DumpTagged type %q", name, tagged.Type)
+			}
+			if tagged := st.DumpAllTagged()["k"]; tagged.Type != v.tag {
+				t.Errorf("%s: DumpAllTagged type %q", name, tagged.Type)
+			}
+			if info, _ := st.Info("k"); !strings.HasPrefix(info, v.info) {
+				t.Errorf("%s: INFO %q, want it to start %q", name, info, v.info)
+			}
+			_, countErr := st.Count("k")
+			_, windowErr := st.WindowCount("k", time.Minute, time.Time{})
+			if plain := v.tag == valueTagEll; errors.Is(countErr, ErrWrongType) == plain || errors.Is(windowErr, ErrWrongType) != plain {
+				t.Errorf("%s: PFCOUNT error %v, WCOUNT error %v", name, countErr, windowErr)
+			}
+			if _, _, got := st.LifecycleStats(); got != want {
+				t.Errorf("%s: resident_bytes %d, a key restored from the blob %d", name, got, want)
+			}
+		}
+	}
+	// A key that holds something keeps its type.
+	st := newTestStore(t)
+	if _, err := st.Add("plain", "x"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.WindowAdd("ring", time.UnixMilli(baseMS), "x"); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range values {
+		key := map[byte]string{valueTagEll: "ring", valueTagWindow: "plain"}[v.tag]
+		if err := st.MergeBlob(key, v.blob); !errors.Is(err, ErrWrongType) {
+			t.Errorf("a %q blob into the non-empty %s key: %v, want ErrWrongType", v.tag, key, err)
+		}
+	}
+}
+
 // TestSingleKeyCountMatchesUnionPath: the single-key fast path and the
 // multi-key accumulator path must agree exactly, including for keys
 // with a foreign configuration introduced by Restore.

@@ -9,89 +9,79 @@ import (
 	"exaloglog/window"
 )
 
-// SketchValue is the polymorphic value a store key holds. The store's
-// machinery — sharded buckets, the per-entry lock and version counter,
-// the cached estimate, snapshot and rebalance plumbing — is shared
-// across implementations; only the value semantics differ:
+// A store key holds one of two value types, and the entry's methods below
+// branch on which:
 //
-//   - ellValue: a plain ExaLogLog sketch, the value PFADD / PFCOUNT /
-//     PFMERGE operate on — sparse hash tokens that densify at the
-//     paper's break-even (core.Hybrid).
-//   - windowValue: a sliding-window slice-ring of sketches
-//     (window.Counter), the value WADD / WCOUNT / WINFO operate on —
-//     the paper's port-scan/DDoS motivation served as a data-store
-//     command.
+//   - a plain ExaLogLog sketch, the value PFADD / PFCOUNT / PFMERGE operate
+//     on — sparse hash tokens that densify at the paper's break-even
+//     (core.Hybrid), held in the entry itself (entry.ell);
+//   - a sliding-window slice-ring of sketches (window.Counter, entry.win),
+//     the value WADD / WCOUNT / WINFO operate on — the paper's
+//     port-scan/DDoS motivation served as a data-store command.
 //
-// Commands are typed: addressing a key with a verb of the other value
-// type fails with ErrWrongType rather than silently corrupting state
-// (the Redis WRONGTYPE convention). Adding a new workload means adding
-// an implementation here and registering its verbs in the command
-// registry — no dispatch or persistence changes.
-type SketchValue interface {
-	// Tag identifies the value type in snapshot v3 records.
-	Tag() byte
-	// Estimate is the value's headline distinct-count estimate (plain:
-	// the sketch estimate; windowed: the full-span estimate at the
-	// newest observed timestamp).
-	Estimate() float64
-	// MarshalBinary serializes the value; every format is
-	// self-describing. A plain sketch is the raw core format once dense
-	// and an "ELT3" token blob while sparse; window rings use the
-	// "ELW1" slot-wise format.
-	MarshalBinary() ([]byte, error)
-	// Info renders the INFO reply body.
-	Info() string
-	// SizeBytes is the value's resident heap footprint — the store's
-	// resident_bytes gauge and the eviction watermarks sum it per key.
-	SizeBytes() int
-	// empty reports whether the value carries no observed state yet (a
-	// just-created value a replication blob of any type may overwrite).
-	empty() bool
-}
+// Commands are typed: addressing a key with a verb of the other value type
+// fails with ErrWrongType rather than silently corrupting state (the Redis
+// WRONGTYPE convention). Every serialized format is self-describing: a
+// plain sketch is the raw core format once dense and an "ELT3" token blob
+// while sparse; window rings use the "ELW1" slot-wise format.
 
-// Value type tags, as written in snapshot v3 records.
+// Value type tags, as written in snapshot records.
 const (
 	valueTagEll    = byte('E')
 	valueTagWindow = byte('W')
 )
 
-// ellValue adapts *core.Hybrid — the entry's own ell field — to
-// SketchValue; Estimate and MarshalBinary are the hybrid's own. A struct of
-// one pointer, it sits in the interface without an allocation of its own.
-type ellValue struct{ *core.Hybrid }
-
 // hybridSize is the Hybrid struct, which MemoryFootprint counts and which
 // lives inside the entry that entryOverhead counts.
 const hybridSize = int(unsafe.Sizeof(core.Hybrid{}))
 
-func (v ellValue) Tag() byte      { return valueTagEll }
-func (v ellValue) SizeBytes() int { return v.MemoryFootprint() - hybridSize }
-func (v ellValue) empty() bool    { return v.IsEmpty() }
+// Tag identifies the value type in snapshot records. The caller holds e.mu,
+// as for every method below.
+func (e *entry) Tag() byte {
+	if e.win != nil {
+		return valueTagWindow
+	}
+	return valueTagEll
+}
 
-func (v ellValue) Info() string {
-	cfg := v.Config()
-	mode := "dense"
-	if v.IsSparse() {
-		mode = fmt.Sprintf("sparse tokens=%d", v.Tokens())
+// MarshalBinary serializes the value.
+func (e *entry) MarshalBinary() ([]byte, error) {
+	if e.win != nil {
+		return e.win.MarshalBinary()
+	}
+	return e.ell.MarshalBinary()
+}
+
+// Info renders the INFO reply body.
+func (e *entry) Info() string {
+	if e.win != nil {
+		return "type=window " + e.win.Describe()
+	}
+	cfg, mode := e.ell.Config(), "dense"
+	if e.ell.IsSparse() {
+		mode = fmt.Sprintf("sparse tokens=%d", e.ell.Tokens())
 	}
 	return fmt.Sprintf("t=%d d=%d p=%d mode=%s bytes=%d estimate=%.1f",
-		cfg.T, cfg.D, cfg.P, mode, v.Hybrid.SizeBytes(), v.Estimate())
+		cfg.T, cfg.D, cfg.P, mode, e.ell.SizeBytes(), e.ell.Estimate())
 }
 
-// windowValue adapts *window.Counter to SketchValue; like ellValue a
-// struct of one pointer.
-type windowValue struct {
-	c *window.Counter
+// SizeBytes is the value's resident heap footprint beside the entry — the
+// store's resident_bytes gauge and the eviction watermarks sum it per key.
+// A plain sketch's Hybrid struct is part of the entry.
+func (e *entry) SizeBytes() int {
+	if e.win != nil {
+		return e.win.MemoryFootprint()
+	}
+	return e.ell.MemoryFootprint() - hybridSize
 }
 
-func (v windowValue) Tag() byte                      { return valueTagWindow }
-func (v windowValue) Estimate() float64              { return v.c.Estimate(v.c.Latest(), v.c.Span()) }
-func (v windowValue) MarshalBinary() ([]byte, error) { return v.c.MarshalBinary() }
-func (v windowValue) SizeBytes() int                 { return v.c.MemoryFootprint() }
-func (v windowValue) empty() bool                    { return v.c.Latest().IsZero() && v.c.Dropped() == 0 }
-
-func (v windowValue) Info() string {
-	return "type=window " + v.c.Describe()
+// empty reports whether the value carries no observed state yet (a
+// just-created value a replication blob of either type may overwrite).
+func (e *entry) empty() bool {
+	if e.win != nil {
+		return e.win.Latest().IsZero() && e.win.Dropped() == 0
+	}
+	return e.ell.IsEmpty()
 }
 
 // pendingValue is a value on its way into an entry — made empty or
@@ -141,17 +131,13 @@ func decodeValueTagged(tag byte, data []byte) (d pendingValue, err error) {
 // so a reader that goes through ellLocked must hold e.mu while it uses the
 // sketch: the struct it points at is overwritten here.
 func (e *entry) setLocked(d *pendingValue) {
-	if d.win != nil {
-		e.val, e.ell = windowValue{d.win}, core.Hybrid{}
-		return
-	}
-	e.ell, e.val = d.ell, ellValue{&e.ell}
+	e.ell, e.win = d.ell, d.win
 }
 
 // ellLocked returns the entry's plain sketch, e.ell; the caller holds e.mu
 // for as long as it uses it.
 func (e *entry) ellLocked() (*core.Hybrid, error) {
-	if _, ok := e.val.(ellValue); !ok {
+	if e.win != nil {
 		return nil, ErrWrongType
 	}
 	return &e.ell, nil
@@ -159,11 +145,10 @@ func (e *entry) ellLocked() (*core.Hybrid, error) {
 
 // windowLocked returns the entry's window counter; the caller holds e.mu.
 func (e *entry) windowLocked() (*window.Counter, error) {
-	v, ok := e.val.(windowValue)
-	if !ok {
+	if e.win == nil {
 		return nil, ErrWrongType
 	}
-	return v.c, nil
+	return e.win, nil
 }
 
 // Window-key creation defaults: 1-second slices, 60 of them — a

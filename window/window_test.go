@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 
 	"exaloglog/internal/core"
 	"exaloglog/internal/hashing"
@@ -402,9 +403,10 @@ func TestScanDetectorValidation(t *testing.T) {
 
 // TestMemoryFootprint: a ring costs what its slices hold, in memory and
 // serialized. The served geometry — 60 slices of p = 12 ELL(2,20) — at 40
-// elements a slice is pinned (867 424 resident bytes and an 861 084-byte
-// blob when every slice was a register array); slices filled past
-// break-even are register arrays again.
+// elements a slice is pinned: 6 016 resident bytes with 32-byte slots
+// (7 456 with 56-byte ones, 867 424 when every slice was a register array)
+// and a 4 677-byte blob (861 084); slices filled past break-even are
+// register arrays again.
 func TestMemoryFootprint(t *testing.T) {
 	fill := func(c *Counter, perSlice int) (footprint, blob int) {
 		state := uint64(7)
@@ -423,13 +425,17 @@ func TestMemoryFootprint(t *testing.T) {
 	if got := c.MemoryFootprint(); got > 60*64 {
 		t.Errorf("empty ring: MemoryFootprint = %d", got)
 	}
-	if footprint, blob := fill(c, 40); footprint > 10<<10 || blob > 6<<10 {
-		t.Errorf("40 elements a slice: MemoryFootprint = %d (want ≤ 10 KB), blob %d bytes (want ≤ 6 KB)", footprint, blob)
+	if footprint, blob := fill(c, 40); footprint > 6016 || blob > 4677 {
+		t.Errorf("40 elements a slice: MemoryFootprint = %d (want ≤ 6 016), blob %d bytes (want ≤ 4 677)", footprint, blob)
 	} else {
 		t.Logf("40 elements a slice: %d bytes resident, %d serialized", footprint, blob)
 	}
 	// 8 slices of 256·28/8 = 896-byte register arrays plus overhead.
 	if footprint, blob := fill(newCounter(t, 8, time.Second, 8), 20000); footprint < 8*896 || footprint > 8*896+8*256 || blob < 8*896 {
 		t.Errorf("dense slices: MemoryFootprint = %d, blob %d bytes, outside plausible range", footprint, blob)
+	}
+	// A slot is its slice index and the 24-byte Hybrid handle.
+	if size := unsafe.Sizeof(slot{}); size != 32 {
+		t.Errorf("a slot is %d bytes, want 32", size)
 	}
 }
