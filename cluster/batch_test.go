@@ -95,7 +95,7 @@ func TestRetiredClusterVerbsAreRefused(t *testing.T) {
 	c := dialNode(t, nodes[0])
 	blob := base64.StdEncoding.EncodeToString(denseBlob(t, "x"))
 	elc1 := base64.StdEncoding.EncodeToString(elc1Blob(t))
-	elc1Frame := base64.StdEncoding.EncodeToString(encodeFrame([]server.KeyBlob{{Key: "framed", Blob: elc1Blob(t)}}))
+	elc1Frame := base64.StdEncoding.EncodeToString(server.EncodeFrame([]server.KeyBlob{{Key: "framed", Blob: elc1Blob(t)}}))
 	if _, err := c.Do("CLUSTER", "XFER", "BEGIN", "e=1", "sid=s.1", "seq=1"); err != nil {
 		t.Fatal(err)
 	}

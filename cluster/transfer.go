@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"encoding/base64"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -45,6 +44,11 @@ import (
 // its rebalance against the fresh map instead of delivering keys to an
 // owner that may no longer own them.
 //
+// A frame is the server package's record format (server.EncodeFrame,
+// "ELX3"), the one snapshot files are made of too: each record carries
+// its key, its expiry deadline (so a key's lifetime rides rebalance with
+// its registers) and its value blob as the store dumped it.
+//
 // Failure ladder: every frame write and ack read runs under
 // TransferConfig.Timeout; on a timeout or drop the sender backs off
 // (jittered exponential), redials and resumes; after RetryBudget
@@ -52,17 +56,7 @@ import (
 // transfer can only ever be as unreliable as the pre-existing protocol,
 // never less reliable.
 
-// frameMagic tags the one binary frame format. Each record carries its
-// key, its expiry deadline (so a key's lifetime rides rebalance with its
-// registers) and its value blob as the store dumped it.
-const frameMagic = "ELX3"
-
 const (
-	// maxFrameKeys bounds the per-frame key count a config can ask for.
-	maxFrameKeys = 1 << 16
-	// maxFrameBytes keeps an encoded+base64 frame safely under the line
-	// protocol's 16MB line cap.
-	maxFrameBytes = 8 << 20
 	// maxXferSessions caps the receiver's session table; the oldest
 	// session is evicted first (a sender whose session was evicted
 	// mid-stream sees "unknown session" and falls back to per-key
@@ -102,8 +96,8 @@ type TransferConfig struct {
 
 func defaultTransferConfig() TransferConfig {
 	return TransferConfig{
-		BatchKeys:     64,
-		FrameBytes:    1 << 20,
+		BatchKeys:     server.DefaultFrameKeys,
+		FrameBytes:    server.DefaultFrameBytes,
 		Window:        8,
 		Timeout:       5 * time.Second,
 		RetryBudget:   4,
@@ -120,14 +114,14 @@ func (n *Node) SetTransferConfig(c TransferConfig) {
 	if c.BatchKeys <= 0 {
 		c.BatchKeys = d.BatchKeys
 	}
-	if c.BatchKeys > maxFrameKeys {
-		c.BatchKeys = maxFrameKeys
+	if c.BatchKeys > server.MaxFrameKeys {
+		c.BatchKeys = server.MaxFrameKeys
 	}
 	if c.FrameBytes <= 0 {
 		c.FrameBytes = d.FrameBytes
 	}
-	if c.FrameBytes > maxFrameBytes {
-		c.FrameBytes = maxFrameBytes
+	if c.FrameBytes > server.MaxFrameBytes {
+		c.FrameBytes = server.MaxFrameBytes
 	}
 	if c.Window <= 0 {
 		c.Window = d.Window
@@ -214,81 +208,6 @@ func (n *Node) TransferStats() TransferStats {
 	}
 }
 
-// --- frame codec -------------------------------------------------------
-
-// encodeFrame serializes items as one transfer frame: the magic, a
-// uvarint record count, then per record a length-prefixed key, a uvarint
-// expiry deadline (unix milliseconds, 0 = none) and a length-prefixed
-// blob.
-func encodeFrame(items []server.KeyBlob) []byte {
-	size := len(frameMagic) + binary.MaxVarintLen64
-	for _, it := range items {
-		size += 3*binary.MaxVarintLen64 + len(it.Key) + len(it.Blob)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, frameMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(items)))
-	for _, it := range items {
-		buf = binary.AppendUvarint(buf, uint64(len(it.Key)))
-		buf = append(buf, it.Key...)
-		buf = binary.AppendUvarint(buf, uint64(it.Deadline))
-		buf = binary.AppendUvarint(buf, uint64(len(it.Blob)))
-		buf = append(buf, it.Blob...)
-	}
-	return buf
-}
-
-// decodeFrame parses one transfer frame. Wire input is untrusted, so
-// every claimed length is capped by the bytes actually present BEFORE
-// it sizes an allocation or a slice (the window.FromBinary rule): the
-// record count must be satisfiable by the payload (each record needs at
-// least three bytes), the prealloc is additionally clamped, and key and
-// blob lengths are checked against the remaining buffer.
-func decodeFrame(buf []byte) ([]server.KeyBlob, error) {
-	if len(buf) < len(frameMagic) || string(buf[:len(frameMagic)]) != frameMagic {
-		return nil, errors.New("cluster: xfer frame: bad magic")
-	}
-	rest := buf[len(frameMagic):]
-	next := func() (uint64, bool) {
-		v, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return 0, false
-		}
-		rest = rest[w:]
-		return v, true
-	}
-	count, ok := next()
-	if !ok {
-		return nil, errors.New("cluster: xfer frame: truncated record count")
-	}
-	if count == 0 || count > uint64(len(rest))/3 {
-		return nil, fmt.Errorf("cluster: xfer frame: implausible record count %d for %d payload bytes", count, len(rest))
-	}
-	items := make([]server.KeyBlob, 0, int(min(count, 4096)))
-	for i := uint64(0); i < count; i++ {
-		klen, ok := next()
-		if !ok || klen == 0 || klen > uint64(len(rest)) {
-			return nil, errors.New("cluster: xfer frame: bad key length")
-		}
-		key := string(rest[:klen])
-		rest = rest[klen:]
-		dl, ok := next()
-		if !ok || dl > uint64(server.MaxDeadlineMillis) {
-			return nil, errors.New("cluster: xfer frame: bad deadline")
-		}
-		blen, ok := next()
-		if !ok || blen > uint64(len(rest)) {
-			return nil, errors.New("cluster: xfer frame: bad blob length")
-		}
-		items = append(items, server.KeyBlob{Key: key, Blob: rest[:blen:blen], Deadline: int64(dl)})
-		rest = rest[blen:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("cluster: xfer frame: %d trailing bytes", len(rest))
-	}
-	return items, nil
-}
-
 // --- sender ------------------------------------------------------------
 
 // errXferStale marks a stream the receiver refused because its map has
@@ -331,7 +250,7 @@ func buildFrames(items []server.KeyBlob, cfg TransferConfig) (frames []xferFrame
 			blobBytes += len(it.Blob)
 		}
 		frames = append(frames, xferFrame{
-			raw:       encodeFrame(batch),
+			raw:       server.EncodeFrame(batch),
 			items:     batch,
 			blobBytes: blobBytes,
 		})
@@ -755,7 +674,7 @@ func (n *Node) handleXferFrame(args []string) string {
 	if err != nil {
 		return "-ERR xfer: bad base64: " + err.Error()
 	}
-	items, err := decodeFrame((*rawp)[:nDec])
+	items, err := server.DecodeFrame((*rawp)[:nDec])
 	if err != nil {
 		return "-ERR " + err.Error()
 	}

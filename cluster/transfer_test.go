@@ -1,8 +1,7 @@
 package cluster
 
-// Tests for the streaming bulk-transfer transport (transfer.go): frame
-// codec hardening (truncations, hostile length prefixes), the stall
-// fault that I/O deadlines exist to beat, and the two headline chaos
+// Tests for the streaming bulk-transfer transport (transfer.go): the
+// stall fault that I/O deadlines exist to beat, and the two headline chaos
 // scenarios — a mid-stream connection drop and a receiver
 // crash-restart-from-snapshot — both of which must RESUME from the
 // last acked frame rather than restart from frame one, and converge
@@ -11,7 +10,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -49,124 +47,6 @@ func elc1Blob(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	return blob
-}
-
-// mixedItems is one record of each value kind a store dumps: a dense
-// sketch, a token blob and a window ring of token slices.
-func mixedItems(t testing.TB) []server.KeyBlob {
-	t.Helper()
-	st, err := server.NewStore(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Restore("dense", denseBlob(t, "x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Add("tokens", "a", "b", "c"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.WindowAdd("ring", time.UnixMilli(1_700_000_000_000), "p", "q"); err != nil {
-		t.Fatal(err)
-	}
-	var items []server.KeyBlob
-	for i, key := range []string{"dense", "tokens", "ring"} {
-		blob, ok := st.Dump(key)
-		if !ok {
-			t.Fatalf("fixture key %s missing", key)
-		}
-		items = append(items, server.KeyBlob{Key: key, Blob: blob, Deadline: int64(i) * 1_000_000})
-	}
-	return items
-}
-
-func TestFrameCodecRoundTrip(t *testing.T) {
-	mixed := mixedItems(t)
-	for name, items := range map[string][]server.KeyBlob{
-		"arbitrary": {
-			{Key: "a", Blob: []byte{1, 2, 3}},
-			{Key: "key-2", Blob: []byte{}},
-			{Key: "k3", Blob: bytes.Repeat([]byte{7}, 1000)},
-		},
-		"mixed": mixed,
-	} {
-		enc := encodeFrame(items)
-		got, err := decodeFrame(enc)
-		if err != nil {
-			t.Fatalf("%s: decode of a valid frame: %v", name, err)
-		}
-		if len(got) != len(items) {
-			t.Fatalf("%s: decoded %d records, want %d", name, len(got), len(items))
-		}
-		for i := range items {
-			if got[i].Key != items[i].Key || got[i].Deadline != items[i].Deadline || !bytes.Equal(got[i].Blob, items[i].Blob) {
-				t.Errorf("%s record %d: got %q/%d/%d blob bytes, want %q/%d/%d", name,
-					i, got[i].Key, got[i].Deadline, len(got[i].Blob), items[i].Key, items[i].Deadline, len(items[i].Blob))
-			}
-		}
-	}
-	// A frame is its records and a few bytes of framing: the two-element
-	// ring travels as its token slices, not as 60 register arrays.
-	enc, payload := encodeFrame(mixed), 0
-	for _, it := range mixed {
-		payload += len(it.Key) + len(it.Blob)
-	}
-	if ring := mixed[2].Blob; len(ring) > 100 || len(enc) > payload+4*len(mixed)+8 {
-		t.Errorf("mixed frame is %d bytes for %d of keys and blobs, its ring %d", len(enc), payload, len(ring))
-	}
-	// Every truncation must fail cleanly — the frame carries its record
-	// count up front, so losing any tail byte is detectable.
-	for i := 0; i < len(enc); i++ {
-		if _, err := decodeFrame(enc[:i]); err == nil {
-			t.Errorf("frame truncated to %d of %d bytes decoded without error", i, len(enc))
-		}
-	}
-	// A hostile count must be rejected before it can size an allocation.
-	huge := append([]byte(frameMagic), binary.AppendUvarint(nil, 1<<40)...)
-	if _, err := decodeFrame(huge); err == nil {
-		t.Error("frame claiming 2^40 records decoded without error")
-	}
-}
-
-func FuzzTransferDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte(frameMagic))
-	valid := encodeFrame([]server.KeyBlob{
-		{Key: "k", Blob: []byte("v")},
-		{Key: "longer-key", Blob: bytes.Repeat([]byte{9}, 300)},
-	})
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(append([]byte(frameMagic), binary.AppendUvarint(nil, 1<<40)...))
-	f.Add(encodeFrame(mixedItems(f)))
-	// A record in the retired codec's container is opaque bytes to the
-	// frame; the store refuses it (TestRetiredClusterVerbsAreRefused).
-	f.Add(encodeFrame([]server.KeyBlob{{Key: "k", Blob: elc1Blob(f)}}))
-	// The retired magics: otherwise valid frames that must be refused.
-	f.Add(append([]byte("ELX1"), valid[len(frameMagic):]...))
-	f.Add(append([]byte("ELX2"), valid[len(frameMagic):]...))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		items, err := decodeFrame(data)
-		if err != nil {
-			return // rejected input: the only requirement is not panicking
-		}
-		if !bytes.HasPrefix(data, []byte(frameMagic)) {
-			t.Fatalf("frame with magic %q decoded", data[:4])
-		}
-		// Anything that decodes must round-trip through the encoder.
-		enc := encodeFrame(items)
-		re, err := decodeFrame(enc)
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded frame: %v", err)
-		}
-		if len(re) != len(items) {
-			t.Fatalf("round trip changed record count: %d → %d", len(items), len(re))
-		}
-		for i := range items {
-			if re[i].Key != items[i].Key || !bytes.Equal(re[i].Blob, items[i].Blob) {
-				t.Fatalf("round trip changed record %d", i)
-			}
-		}
-	})
 }
 
 // TestStalledPeerTripsDeadline: a peer that accepts connections but
@@ -520,7 +400,7 @@ func TestFrameLineScratchZeroAlloc(t *testing.T) {
 		{Key: "k1", Blob: bytes.Repeat([]byte{3}, 1500)},
 		{Key: "k2", Blob: bytes.Repeat([]byte{9}, 900), Deadline: 12345},
 	}
-	raw := encodeFrame(items)
+	raw := server.EncodeFrame(items)
 	bufp := lineScratch.Get().(*[]byte)
 	defer lineScratch.Put(bufp)
 	*bufp = appendFrameLine((*bufp)[:0], "sid-warmup", 1, raw) // size the buffer once

@@ -173,22 +173,13 @@ func (s *Store) ShardKeyDigests(shard int, filter func(key string) bool) []KeyDi
 }
 
 // DumpTagged is Dump for a single key with the full state token —
-// blob, type tag, deadline and change-detection identity — so a digest
-// repair can ship exactly what DumpAllTagged would have shipped
-// without serializing the whole store.
+// blob, deadline and change-detection identity — so a digest repair can
+// ship exactly what DumpAllTagged would have shipped without serializing
+// the whole store.
 func (s *Store) DumpTagged(key string) (TaggedBlob, bool) {
 	e := s.lookup(key)
 	if e == nil {
 		return TaggedBlob{}, false
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.dead {
-		return TaggedBlob{}, false
-	}
-	blob, err := e.MarshalBinary()
-	if err != nil {
-		return TaggedBlob{}, false // unreachable: value marshaling cannot fail
-	}
-	return TaggedBlob{Blob: blob, Type: e.Tag(), Deadline: e.deadline.Load(), e: e, ver: e.ver}, true
+	return s.dumpEntry(key, e)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -490,8 +491,10 @@ func TestResidentBytesTracksWindowRings(t *testing.T) {
 	runtime.KeepAlive(store)
 }
 
-// FuzzSnapshotDecode fuzzes the snapshot reader: arbitrary snapshot bytes
-// must never panic it, and an accepted stream must re-encode cleanly.
+// FuzzSnapshotDecode fuzzes the snapshot reader and, through it, the frame
+// decoder the transfer stream shares: arbitrary snapshot bytes must never
+// panic it, and an accepted stream must re-encode to one that loads the
+// same keys.
 func FuzzSnapshotDecode(f *testing.F) {
 	seedStore, err := NewStore(core.RecommendedML(8))
 	if err != nil {
@@ -506,10 +509,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Add(seed.Bytes())
 	f.Add([]byte("ELSS"))
-	f.Add([]byte("ELSS\x05"))
-	f.Add([]byte("ELSS\x05\x00\x01"))
-	f.Add([]byte("ELSS\x05\x00\x00"))
-	f.Add(append([]byte("ELSS\x05\x00"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
+	f.Add([]byte("ELSS\x06"))
+	f.Add([]byte("ELSS\x06\x00\x01"))
+	f.Add([]byte("ELSS\x06\x00\x00"))
+	f.Add(append([]byte("ELSS\x06\x00"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
 	if len(seed.Bytes()) > 10 {
 		trunc := seed.Bytes()[:len(seed.Bytes())-7]
 		f.Add(append([]byte{}, trunc...))
@@ -518,6 +521,20 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(mut)
 	}
 	f.Add(elc1Record(f)) // a record in the retired codec's container
+	// The frame decoder's own cases, each in a snapshot: a bare magic, two
+	// plain records and half of them, a count of 2^40, one record of each
+	// value kind, and the retired frame magics.
+	valid := EncodeFrame([]KeyBlob{
+		{Key: "k", Blob: []byte("v")},
+		{Key: "longer-key", Blob: bytes.Repeat([]byte{9}, 300)},
+	})
+	f.Add(snapshotOf([]byte(frameMagic)))
+	f.Add(snapshotOf(valid))
+	f.Add(snapshotOf(valid[:len(valid)/2]))
+	f.Add(snapshotOf(append([]byte(frameMagic), binary.AppendUvarint(nil, 1<<40)...)))
+	f.Add(snapshotOf(EncodeFrame(mixedItems(f))))
+	f.Add(snapshotOf(append([]byte("ELX1"), valid[len(frameMagic):]...)))
+	f.Add(snapshotOf(append([]byte("ELX2"), valid[len(frameMagic):]...)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store, err := NewStore(core.RecommendedML(8))
 		if err != nil {
@@ -533,6 +550,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 		again, _ := NewStore(core.RecommendedML(8))
 		if err := again.ReadSnapshot(&out); err != nil {
 			t.Fatalf("re-encoded snapshot rejected: %v", err)
+		}
+		if again.Len() != store.Len() {
+			t.Fatalf("re-encoded snapshot holds %d keys, the accepted one %d", again.Len(), store.Len())
 		}
 	})
 }

@@ -2,8 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -61,27 +64,47 @@ func TestReadSnapshotCorruption(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotHugeCount: a header claiming an absurd record count is
-// rejected before any allocation.
-func TestReadSnapshotHugeCount(t *testing.T) {
-	data := []byte("ELSS\x05\x00\xff\xff\xff\xff\xff\xff\xff\xff\x7f") // no metadata, count = maxuint64/2
+// TestReadSnapshotHugeFrame: a frame claiming more bytes than the frame
+// cap is refused before anything is allocated for it, and one under the
+// cap that the stream cannot back costs one read step, not its claim.
+func TestReadSnapshotHugeFrame(t *testing.T) {
 	store, err := NewStore(core.RecommendedML(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = store.ReadSnapshot(bytes.NewReader(data))
-	if err == nil || !strings.Contains(err.Error(), "limit") {
-		t.Fatalf("ReadSnapshot = %v, want record-limit error", err)
+	for name, c := range map[string]struct {
+		length   uint64
+		want     string
+		maxAlloc uint64
+	}{
+		"a 2^40-byte frame":                  {1 << 40, "exceeds limit", 64 << 10},
+		"a frame at the cap, 4 bytes behind": {snapshotFrameLimit, "unexpected EOF", 4 * DefaultFrameBytes},
+	} {
+		data := append(binary.AppendUvarint([]byte("ELSS\x06\x00"), c.length), "ELX3"...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := store.ReadSnapshot(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, c.want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > c.maxAlloc {
+			t.Errorf("%s: refusing it allocated %d bytes, want at most %d", name, alloc, c.maxAlloc)
+		}
 	}
 }
 
-// TestLoadFileTruncated: a truncated snapshot file on disk fails cleanly.
+// TestLoadFileTruncated: a snapshot file cut anywhere — inside the header,
+// a frame length, a frame, or just before the terminator — fails cleanly
+// and leaves the store empty.
 func TestLoadFileTruncated(t *testing.T) {
 	store, err := NewStore(core.RecommendedML(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Add("k", "a", "b")
+	for k := 0; k < 3*DefaultFrameKeys; k++ {
+		store.Add(fmt.Sprintf("k%d", k), "a", "b")
+	}
 	path := filepath.Join(t.TempDir(), "snap.elss")
 	if err := store.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -90,18 +113,24 @@ func TestLoadFileTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
 	fresh, err := NewStore(core.RecommendedML(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.LoadFile(path); err == nil {
-		t.Fatal("LoadFile succeeded on truncated file")
+	if err := fresh.LoadFile(path); err != nil || fresh.Len() != store.Len() {
+		t.Fatalf("whole file: err = %v, %d keys", err, fresh.Len())
 	}
-	if fresh.Len() != 0 {
-		t.Errorf("store has %d keys after failed load, want 0", fresh.Len())
+	fresh, _ = NewStore(core.RecommendedML(10))
+	for n := 0; n < len(data); n++ {
+		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.LoadFile(path); err == nil {
+			t.Fatalf("LoadFile succeeded on the first %d of %d bytes", n, len(data))
+		}
+		if fresh.Len() != 0 {
+			t.Fatalf("store has %d keys after a failed load of %d bytes, want 0", fresh.Len(), n)
+		}
 	}
 }
 

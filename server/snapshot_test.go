@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -129,9 +131,10 @@ func TestSnapshotMetaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsOtherVersions: version 5 is the only snapshot
+// TestSnapshotRejectsOtherVersions: version 6 is the only snapshot
 // format. A stream that is a valid snapshot in every byte but the
 // version is refused with the "unsupported snapshot version" error, and
+// so is a real version 5 file (a record count, then type-tagged records);
 // the store it was aimed at keeps its sketches and its metadata.
 func TestSnapshotRejectsOtherVersions(t *testing.T) {
 	var buf bytes.Buffer
@@ -144,21 +147,29 @@ func TestSnapshotRejectsOtherVersions(t *testing.T) {
 	target := populatedStore(t, 1)
 	target.SetMeta([]byte("keep-me"))
 	want, _ := target.Count("key-0")
-	for _, version := range []byte{0, 1, 2, 3, 4, 6} {
+	// A store of one plain key "k" holding "a" as version 5 wrote it: no
+	// metadata, one record, its key, the type tag 'E', no deadline, the
+	// 10-byte token blob.
+	v5, _ := hex.DecodeString("454c5353050001016b4500" + "0a" + "454c543302140801f91c")
+	cases := map[string][]byte{"a version 5 file": v5}
+	for _, version := range []byte{0, 1, 2, 3, 4, 5, 7} {
 		data := append([]byte{}, buf.Bytes()...)
 		data[4] = version
+		cases[fmt.Sprintf("version %d", version)] = data
+	}
+	for name, data := range cases {
 		err := target.ReadSnapshot(bytes.NewReader(data))
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported snapshot version %d", version)) {
-			t.Errorf("version %d: err = %v, want unsupported snapshot version", version, err)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported snapshot version %d", data[4])) {
+			t.Errorf("%s: err = %v, want unsupported snapshot version", name, err)
 		}
 		if got, _ := target.Count("key-0"); target.Len() != 1 || got != want || string(target.Meta()) != "keep-me" {
-			t.Errorf("version %d: refused load changed the store (len=%d count=%v meta=%q)", version, target.Len(), got, target.Meta())
+			t.Errorf("%s: refused load changed the store (len=%d count=%v meta=%q)", name, target.Len(), got, target.Meta())
 		}
 	}
 }
 
-// TestSnapshotV3WindowRoundTrip: each snapshot record is tagged with its
-// value type, so a store mixing plain and windowed keys round-trips
+// TestSnapshotV3WindowRoundTrip: each record's blob names its value type
+// by its own magic, so a store mixing plain and windowed keys round-trips
 // with both workloads intact — including the windowed keys' Dropped
 // statistic and per-window estimates.
 func TestSnapshotV3WindowRoundTrip(t *testing.T) {
@@ -230,7 +241,17 @@ func TestSnapshotV3WindowRoundTrip(t *testing.T) {
 	}
 }
 
-// elc1Record is a v5 snapshot of one plain key whose blob is an "ELC1"
+// snapshotOf wraps frames in a snapshot file without metadata: the v6
+// header, each frame behind its length, the terminator.
+func snapshotOf(frames ...[]byte) []byte {
+	snap := []byte("ELSS\x06\x00")
+	for _, f := range frames {
+		snap = append(binary.AppendUvarint(snap, uint64(len(f))), f...)
+	}
+	return append(snap, 0)
+}
+
+// elc1Record is a snapshot of one plain key whose blob is an "ELC1"
 // container of the generic codec snapshots ran through until PR 24 — the
 // 14 344-byte dense blob of one element, in the 22 bytes a store of that
 // time wrote for it.
@@ -240,9 +261,7 @@ func elc1Record(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	snap := append([]byte("ELSS\x05\x00\x01"), byte(len("packed")))
-	snap = append(append(snap, "packed"...), valueTagEll, 0, byte(len(blob)))
-	return append(snap, blob...)
+	return snapshotOf(EncodeFrame([]KeyBlob{{Key: "packed", Blob: blob}}))
 }
 
 // TestSnapshotRecordsAreStoredAsTheyAre: a record's blob is the value's own
@@ -260,12 +279,12 @@ func TestSnapshotRecordsAreStoredAsTheyAre(t *testing.T) {
 	if err := st.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasSuffix(buf.Bytes(), blob) {
+	if body := buf.Bytes()[:buf.Len()-1]; !bytes.HasSuffix(body, blob) { // before the terminator
 		t.Errorf("the %d-byte snapshot does not end with the %d bytes the key dumps as", buf.Len(), len(blob))
 	}
 	err := st.ReadSnapshot(bytes.NewReader(elc1Record(t)))
-	if err == nil || !strings.Contains(err.Error(), `record 0 ("packed")`) {
-		t.Errorf("ELC1 record: err = %v, want one naming record 0 (\"packed\")", err)
+	if err == nil || !strings.Contains(err.Error(), `frame 0 ("packed")`) {
+		t.Errorf("ELC1 record: err = %v, want one naming frame 0 (\"packed\")", err)
 	}
 	if dumped, _ := st.Dump("dense"); st.Len() != 1 || !bytes.Equal(dumped, blob) {
 		t.Error("a refused snapshot changed the store")
@@ -295,6 +314,36 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 		if fresh.Len() != 0 {
 			t.Fatalf("%s: failed load mutated the store", name)
 		}
+	}
+}
+
+// TestSnapshotRefusesRepeatedKeys: a writer emits every key once, so a key
+// that comes back — in the same frame, in a later one, or after a first
+// record that had already expired — is corruption, not a newer value.
+func TestSnapshotRefusesRepeatedKeys(t *testing.T) {
+	st := newTestStore(t)
+	if _, err := st.Add("k", "a"); err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := st.Dump("k")
+	rec := KeyBlob{Key: "k", Blob: blob}
+	gone := KeyBlob{Key: "k", Blob: blob, Deadline: 1}
+	other := KeyBlob{Key: "other", Blob: blob}
+	for name, data := range map[string][]byte{
+		"same frame":          snapshotOf(EncodeFrame([]KeyBlob{rec, other, rec})),
+		"later frame":         snapshotOf(EncodeFrame([]KeyBlob{rec}), EncodeFrame([]KeyBlob{other, rec})),
+		"after expired first": snapshotOf(EncodeFrame([]KeyBlob{gone}), EncodeFrame([]KeyBlob{rec})),
+	} {
+		err := st.ReadSnapshot(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), `key "k" repeats`) {
+			t.Errorf("%s: err = %v, want the repeated key named", name, err)
+		}
+		if st.Len() != 1 {
+			t.Errorf("%s: refused load left %d keys", name, st.Len())
+		}
+	}
+	if err := st.ReadSnapshot(bytes.NewReader(snapshotOf(EncodeFrame([]KeyBlob{rec}), EncodeFrame([]KeyBlob{other})))); err != nil || st.Len() != 2 {
+		t.Errorf("two frames of distinct keys: err = %v, %d keys", err, st.Len())
 	}
 }
 
@@ -370,10 +419,60 @@ func TestSaveFileBytesArePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "6b8cb3b7fdf285900debeef54b5811bd59d67aa715a8745f997938aee9ea8ce6"
+	const want = "d4ef6ae5ff13bddf371c94b44daf39c55b5ecf6d5cea8c6e0374297dab31ea72"
 	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != want {
 		t.Errorf("the %d-byte snapshot has SHA-256 %x, want %s", len(data), sum, want)
 	}
+}
+
+// heapSampler discards what it is given and samples the live heap on every
+// nth Write.
+type heapSampler struct {
+	every, writes int
+	bytes         int
+	peak          uint64
+}
+
+func (w *heapSampler) Write(p []byte) (int, error) {
+	if w.writes%w.every == 0 {
+		w.peak = max(w.peak, liveHeap())
+	}
+	w.writes++
+	w.bytes += len(p)
+	return len(p), nil
+}
+
+// TestSnapshotSaveHoldsOneFrame: a save streams the store frame by frame,
+// so while it writes an 8 MB snapshot the live heap holds one frame
+// (1 MB) beside the store, not a second, serialized copy of it.
+func TestSnapshotSaveHoldsOneFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	store := newTestStore(t)
+	for i := 0; i < 600; i++ { // 600 dense keys of 14 344 bytes
+		sk := core.MustNew(store.Config())
+		sk.AddString(fmt.Sprint(i))
+		blob, _ := sk.MarshalBinary()
+		if err := store.Restore(fmt.Sprintf("dense-%03d", i), blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := &heapSampler{every: 4}
+	before := liveHeap()
+	if err := store.WriteSnapshot(w); err != nil {
+		t.Fatal(err)
+	}
+	if w.bytes < 8<<20 {
+		t.Fatalf("the snapshot is %d bytes, want at least 8 MB", w.bytes)
+	}
+	growth := int64(w.peak) - int64(before)
+	t.Logf("a %d-byte snapshot in %d writes: live heap grew by at most %d bytes (%.2f× the file)",
+		w.bytes, w.writes, growth, float64(growth)/float64(w.bytes))
+	if growth > 2<<20 {
+		t.Errorf("saving grew the live heap by %d bytes, want at most 2 MB", growth)
+	}
+	runtime.KeepAlive(store)
 }
 
 func TestSaveCommandOverWire(t *testing.T) {

@@ -841,16 +841,6 @@ func (s *Store) MergeBlobDeadline(key string, data []byte, deadlineMillis int64)
 	}
 }
 
-// KeyBlob is one (key, serialized value) pair of a bulk absorb — the
-// unit the cluster's streaming transfer frames carry — plus the key's
-// absolute expiry deadline (0 = none), so moved keys keep their
-// lifetime.
-type KeyBlob struct {
-	Key      string
-	Blob     []byte
-	Deadline int64
-}
-
 // AbsorbBatch merges every pair's blob into its key with MergeBlob's
 // idempotent merge-not-replace semantics, reporting how many pairs and
 // payload bytes were applied. It stops at the first failing pair (its
@@ -893,76 +883,74 @@ func (s *Store) mergeValueLocked(e *entry, in *pendingValue) error {
 	return cur.Merge(&in.ell)
 }
 
-// DumpAll serializes every value in the store, keyed by name. Each
-// blob is a consistent snapshot of its value; the set of keys is
-// gathered shard by shard, so keys created or deleted mid-call may or
-// may not appear.
-func (s *Store) DumpAll() map[string][]byte {
-	tagged := s.DumpAllTagged()
-	out := make(map[string][]byte, len(tagged))
-	for k, t := range tagged {
-		out[k] = t.Blob
-	}
-	return out
-}
-
 // TaggedBlob is a serialized value plus an opaque token identifying
 // the exact state that was dumped; DeleteIfUnchanged uses the token to
-// delete a key only if nothing mutated it after the dump. Type carries
-// the value's type tag (snapshot v3+ uses it); Deadline the key's
-// absolute expiry instant at dump time (snapshot v4 and the cluster
-// transfer paths carry it so a moved key keeps its lifetime).
+// delete a key only if nothing mutated it after the dump. Deadline is the
+// key's absolute expiry instant at dump time, which frames carry so a
+// moved or restored key keeps its lifetime. The blob names its value type
+// by its own magic.
 type TaggedBlob struct {
 	Blob     []byte
-	Type     byte
 	Deadline int64
 	e        *entry // identity: a key deleted and re-created is a new entry
 	ver      uint64 // entry version at dump time: every mutation bumps it
 }
 
-// DumpAllTagged is DumpAll plus a state token per key, for callers that
-// hand blobs off and must not drop a write that lands mid-handoff (the
-// cluster rebalance drain).
+// DumpAllTagged serializes every value in the store, keyed by name, each
+// with its state token, for callers that hand blobs off and must not drop
+// a write that lands mid-handoff (the cluster rebalance drain). Each blob
+// is a consistent snapshot of its value; the set of keys is gathered
+// shard by shard, so keys created or deleted mid-call may or may not
+// appear.
 func (s *Store) DumpAllTagged() map[string]TaggedBlob {
-	type namedEntry struct {
-		key string
-		e   *entry
-	}
-	var entries []namedEntry
+	out := make(map[string]TaggedBlob, s.Len())
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, e := range sh.m {
-			entries = append(entries, namedEntry{k, e})
+		for _, ne := range s.shardEntries(i) {
+			if t, ok := s.dumpEntry(ne.key, ne.e); ok {
+				out[ne.key] = t
+			}
 		}
-		sh.mu.RUnlock()
-	}
-	out := make(map[string]TaggedBlob, len(entries))
-	for _, ne := range entries {
-		ne.e.mu.Lock()
-		if ne.e.dead {
-			ne.e.mu.Unlock()
-			continue
-		}
-		if s.expireDueLocked(ne.e) {
-			// Past its deadline: an expired key must never be dumped,
-			// snapshotted or handed to a rebalance — that would
-			// resurrect it elsewhere.
-			ne.e.mu.Unlock()
-			s.unlink(ne.key, ne.e)
-			continue
-		}
-		blob, err := ne.e.MarshalBinary()
-		tag := ne.e.Tag()
-		ver := ne.e.ver
-		dl := ne.e.deadline.Load()
-		ne.e.mu.Unlock()
-		if err != nil {
-			continue // unreachable: value marshaling cannot fail
-		}
-		out[ne.key] = TaggedBlob{Blob: blob, Type: tag, Deadline: dl, e: ne.e, ver: ver}
 	}
 	return out
+}
+
+// namedEntry is a key and its entry, as a shard map held them.
+type namedEntry struct {
+	key string
+	e   *entry
+}
+
+// shardEntries lists shard i's keys and entries, under its read lock only.
+func (s *Store) shardEntries(i int) []namedEntry {
+	sh := &s.shards[i]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	entries := make([]namedEntry, 0, len(sh.m))
+	for k, e := range sh.m {
+		entries = append(entries, namedEntry{k, e})
+	}
+	return entries
+}
+
+// dumpEntry serializes e, the entry of key, under its lock; ok is false if
+// e is dead. A key past its deadline is collected instead: an expired key
+// must never be dumped, snapshotted or handed to a rebalance — that would
+// resurrect it elsewhere.
+func (s *Store) dumpEntry(key string, e *entry) (TaggedBlob, bool) {
+	e.mu.Lock()
+	if e.dead {
+		e.mu.Unlock()
+		return TaggedBlob{}, false
+	}
+	if s.expireDueLocked(e) {
+		e.mu.Unlock()
+		s.unlink(key, e)
+		return TaggedBlob{}, false
+	}
+	blob, err := e.MarshalBinary()
+	t := TaggedBlob{Blob: blob, Deadline: e.deadline.Load(), e: e, ver: e.ver}
+	e.mu.Unlock()
+	return t, err == nil // marshaling a value cannot fail
 }
 
 // DeleteIfUnchanged removes key only if its value is still exactly the
@@ -994,11 +982,11 @@ func (s *Store) DeleteIfUnchanged(key string, t TaggedBlob) bool {
 // Config returns the store's default sketch configuration.
 func (s *Store) Config() core.Config { return s.cfg }
 
-// SetMeta attaches an opaque metadata blob to the store. It is
-// persisted alongside the sketches by WriteSnapshot and restored by
-// ReadSnapshot, so a layer above the store (e.g. the cluster package,
-// which keeps its membership map here) survives restarts. nil clears
-// it. The blob is copied.
+// SetMeta attaches an opaque metadata blob to the store. WriteSnapshot
+// writes it into the snapshot header, ahead of the frames, and
+// ReadSnapshot restores it (refusing one over 1 MB), so a layer above the
+// store (e.g. the cluster package, which keeps its membership map here)
+// survives restarts. nil clears it. The blob is copied.
 func (s *Store) SetMeta(b []byte) {
 	s.metaMu.Lock()
 	defer s.metaMu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"exaloglog/internal/core"
+	"exaloglog/window"
 )
 
 func newTestStore(t *testing.T) *Store {
@@ -635,9 +636,9 @@ func TestNewKeyAllocations(t *testing.T) {
 // TestEntryDispatchesOnItsType covers the paths that branch on a key's value
 // type: a blob of either type merged or restored into a fresh key of the
 // other type takes the key over (MergeBlob adopts it because the key is
-// still empty), and then DUMP, TaggedBlob.Type, INFO, the typed verbs and the
-// resident-bytes gauge all follow the new type; a blob of the other type is
-// refused by a key that holds something.
+// still empty), and then DUMP, DumpTagged, DumpAllTagged, INFO, the typed
+// verbs and the resident-bytes gauge all follow the new type; a blob of the
+// other type is refused by a key that holds something.
 func TestEntryDispatchesOnItsType(t *testing.T) {
 	src := newTestStore(t)
 	if _, err := src.Add("plain", "alice", "bob", "carol"); err != nil {
@@ -656,11 +657,11 @@ func TestEntryDispatchesOnItsType(t *testing.T) {
 		"plain": {tag: valueTagEll, info: "t=2 d=20 p=12 mode=sparse tokens=3 bytes=7 estimate=3.0"},
 		"ring":  {tag: valueTagWindow, info: "type=window slice=1s slices=60 span=1m0s"},
 	} {
-		tagged, ok := src.DumpTagged(key)
-		if !ok || tagged.Type != v.tag {
-			t.Fatalf("%s: TaggedBlob.Type %q, want %q", key, tagged.Type, v.tag)
+		blob, ok := src.Dump(key)
+		if !ok || window.IsSerialized(blob) != (v.tag == valueTagWindow) {
+			t.Fatalf("%s: DUMP %q is not a %q blob", key, blob, v.tag)
 		}
-		v.blob = tagged.Blob
+		v.blob = blob
 		values = append(values, v)
 	}
 	// What a key created from the blob costs the gauge: a missing key restored.
@@ -698,11 +699,11 @@ func TestEntryDispatchesOnItsType(t *testing.T) {
 			if got, _ := st.Dump("k"); !bytes.Equal(got, v.blob) {
 				t.Errorf("%s: DUMP is not the blob", name)
 			}
-			if tagged, _ := st.DumpTagged("k"); tagged.Type != v.tag {
-				t.Errorf("%s: DumpTagged type %q", name, tagged.Type)
+			if tagged, _ := st.DumpTagged("k"); !bytes.Equal(tagged.Blob, v.blob) {
+				t.Errorf("%s: DumpTagged is not the blob", name)
 			}
-			if tagged := st.DumpAllTagged()["k"]; tagged.Type != v.tag {
-				t.Errorf("%s: DumpAllTagged type %q", name, tagged.Type)
+			if tagged := st.DumpAllTagged()["k"]; !bytes.Equal(tagged.Blob, v.blob) {
+				t.Errorf("%s: DumpAllTagged is not the blob", name)
 			}
 			if info, _ := st.Info("k"); !strings.HasPrefix(info, v.info) {
 				t.Errorf("%s: INFO %q, want it to start %q", name, info, v.info)

@@ -25,7 +25,7 @@ import (
 // plain sketch is the raw core format once dense and an "ELT3" token blob
 // while sparse; window rings use the "ELW1" slot-wise format.
 
-// Value type tags, as written in snapshot records.
+// Value type tags: which kind of value a key is created with.
 const (
 	valueTagEll    = byte('E')
 	valueTagWindow = byte('W')
@@ -35,16 +35,8 @@ const (
 // lives inside the entry that entryOverhead counts.
 const hybridSize = int(unsafe.Sizeof(core.Hybrid{}))
 
-// Tag identifies the value type in snapshot records. The caller holds e.mu,
-// as for every method below.
-func (e *entry) Tag() byte {
-	if e.win != nil {
-		return valueTagWindow
-	}
-	return valueTagEll
-}
-
-// MarshalBinary serializes the value.
+// MarshalBinary serializes the value. The caller holds e.mu, as for every
+// method below.
 func (e *entry) MarshalBinary() ([]byte, error) {
 	if e.win != nil {
 		return e.win.MarshalBinary()
@@ -102,26 +94,14 @@ func (d *pendingValue) tag() byte {
 // decodeValue decodes a serialized value, dispatching on the blob's own
 // magic: "ELW1" is a window ring, anything else is handed to the core
 // decoder (an "ELT3" token blob or a dense sketch). This is what keeps
-// RESTORE, ABSORB and snapshot blobs polymorphic without a wire change —
-// every value format is self-describing.
-func decodeValue(data []byte) (pendingValue, error) {
+// RESTORE, ABSORB, transfer and snapshot records polymorphic without a
+// type tag — every value format is self-describing. The result shares no
+// memory with data.
+func decodeValue(data []byte) (d pendingValue, err error) {
 	if window.IsSerialized(data) {
-		return decodeValueTagged(valueTagWindow, data)
-	}
-	return decodeValueTagged(valueTagEll, data)
-}
-
-// decodeValueTagged is decodeValue for snapshot records, where the
-// expected type travels beside the blob; a tag/blob mismatch is
-// corruption and must fail loudly.
-func decodeValueTagged(tag byte, data []byte) (d pendingValue, err error) {
-	switch tag {
-	case valueTagEll:
-		err = d.ell.UnmarshalBinary(data)
-	case valueTagWindow:
 		d.win, err = window.FromBinary(data)
-	default:
-		err = fmt.Errorf("unknown value type tag %q", tag)
+	} else {
+		err = d.ell.UnmarshalBinary(data)
 	}
 	return d, err
 }
