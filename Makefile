@@ -23,7 +23,8 @@ race:
 # benchmark/, see its README). CI runs this non-blocking. -bench . takes
 # whatever the packages define: the dispatch benchmarks (PFADD, PFCOUNT,
 # WADD in server/, the forwarded-add BenchmarkDispatchMLAdd in cluster/)
-# need no list here. The root package and internal/core hold the sketch's
+# and the coordinator's BenchmarkNodeAdd/{1,40,1000,5000} (cluster/,
+# ns/element on a 2-node cluster) need no list here. The root package and internal/core hold the sketch's
 # own rows (BenchmarkHybridInsert/Bulk/Union/Estimate, which ROADMAP's
 # insert-debt figures quote).
 bench-smoke:

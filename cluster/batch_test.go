@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"crypto/sha256"
 	"encoding/base64"
+	"encoding/hex"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -13,9 +16,10 @@ import (
 )
 
 // TestMLAddWire drives the mixed group-commit verb over the wire: plain
-// ("p") and windowed ("w") groups interleave in one batch, the reply
-// carries one token per group in order, a WRONGTYPE group answers 'E'
-// without poisoning its neighbors, and framing corruption is -ERR.
+// ("p") and windowed ("w") groups interleave in one batch, each carrying
+// its elements' token batch, the reply carries one token per group in
+// order, a WRONGTYPE group answers 'E' without poisoning its neighbors, and
+// framing corruption is -ERR.
 func TestMLAddWire(t *testing.T) {
 	nodes := startCluster(t, 1, 1)
 	c, err := server.Dial(nodes[0].Addr())
@@ -24,10 +28,11 @@ func TestMLAddWire(t *testing.T) {
 	}
 	defer c.Close()
 
+	ab, one := batchB64(t, "a", "b"), batchB64(t, "a")
 	reply, err := c.Do("CLUSTER", "MLADD", "3",
-		"p", "pk", "2", "a", "b",
-		"w", "wk", "1700000000000", "2", "x", "y",
-		"p", "pk", "1", "c")
+		"p", "pk", ab,
+		"w", "wk", "1700000000000", "2", batchB64(t, "x", "y"),
+		"p", "pk", batchB64(t, "c"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +44,7 @@ func TestMLAddWire(t *testing.T) {
 	}
 	// Idempotent re-send: plain bit 0, windowed re-accepts (window
 	// semantics count accepted inserts, not changed state).
-	reply, err = c.Do("CLUSTER", "MLADD", "1", "p", "pk", "2", "a", "b")
+	reply, err = c.Do("CLUSTER", "MLADD", "1", "p", "pk", ab)
 	if err != nil || reply != "0" {
 		t.Fatalf("idempotent plain re-send reply %q, %v; want 0", reply, err)
 	}
@@ -47,9 +52,9 @@ func TestMLAddWire(t *testing.T) {
 	// A windowed group aimed at the plain key (and vice versa) answers
 	// 'E' in place; the unrelated groups in the batch still land.
 	reply, err = c.Do("CLUSTER", "MLADD", "3",
-		"w", "pk", "1700000000000", "1", "z",
-		"p", "iso", "1", "q",
-		"p", "wk", "1", "z")
+		"w", "pk", "1700000000000", "1", batchB64(t, "z"),
+		"p", "iso", batchB64(t, "q"),
+		"p", "wk", batchB64(t, "z"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,18 +66,19 @@ func TestMLAddWire(t *testing.T) {
 	}
 
 	for _, bad := range [][]string{
-		{"CLUSTER", "MLADD"},                                             // no group count
-		{"CLUSTER", "MLADD", "x"},                                        // bad group count
-		{"CLUSTER", "MLADD", "0"},                                        // zero groups
-		{"CLUSTER", "MLADD", "9000000000000000000"},                      // absurd count: must not allocate by it
-		{"CLUSTER", "MLADD", "2", "p", "k", "1", "a"},                    // count beyond what tokens can satisfy
-		{"CLUSTER", "MLADD", "1", "q", "k", "1", "a"},                    // unknown group type
-		{"CLUSTER", "MLADD", "1", "p", "k"},                              // missing element count
-		{"CLUSTER", "MLADD", "1", "p", "k", "2", "a"},                    // truncated elements
-		{"CLUSTER", "MLADD", "1", "p", "k", "q", "a"},                    // bad element count
-		{"CLUSTER", "MLADD", "1", "w", "k", "nope", "1", "a"},            // bad timestamp
-		{"CLUSTER", "MLADD", "1", "w", "k", "1700000000000", "2", "a"},   // truncated windowed elements
-		{"CLUSTER", "MLADD", "1", "p", "k", "1", "a", "extra", "extra2"}, // trailing tokens
+		{"CLUSTER", "MLADD"},                                                         // no group count
+		{"CLUSTER", "MLADD", "x"},                                                    // bad group count
+		{"CLUSTER", "MLADD", "0"},                                                    // zero groups
+		{"CLUSTER", "MLADD", "9000000000000000000"},                                  // absurd count: must not allocate by it
+		{"CLUSTER", "MLADD", "2", "p", "k", one},                                     // count beyond what tokens can satisfy
+		{"CLUSTER", "MLADD", "1", "q", "k", one},                                     // unknown group type
+		{"CLUSTER", "MLADD", "1", "p", "k"},                                          // missing batch
+		{"CLUSTER", "MLADD", "1", "w", "k", "nope", "1", one},                        // bad timestamp
+		{"CLUSTER", "MLADD", "1", "w", "k", "1700000000000", "0", one},               // bad element count
+		{"CLUSTER", "MLADD", "1", "w", "k", "1700000000000", one},                    // truncated windowed group
+		{"CLUSTER", "MLADD", "1", "p", "k", one, "extra"},                            // trailing tokens
+		{"CLUSTER", "MLADD", "1", "p", "k", "1", "a"},                                // the retired element framing
+		{"CLUSTER", "MLADD", "2", "p", "k", "2", "a", "b", "w", "wk", "1", "1", "x"}, // ... of two groups
 	} {
 		if _, err := c.Do(bad...); err == nil {
 			t.Errorf("malformed %v accepted", bad)
@@ -282,5 +288,55 @@ func TestMixedBatchedAddConvergence(t *testing.T) {
 	t.Logf("mixed batcher coalesced %d groups into %d MLADD flushes", groups, batches)
 	if batches >= groups {
 		t.Errorf("no coalescing: %d batches for %d groups", batches, groups)
+	}
+}
+
+// TestForwardedWritesPinned pins what forwarded writes leave behind: a
+// seeded mix of Node.Add and Node.WindowAdd calls through every coordinator
+// of a 3-node, replica-2 cluster — plain keys and window slices on both
+// sides of break-even, new elements and repeated writes, timestamps older
+// than the ring span — and the SHA-256 over every reply and every node's
+// blob of every key. The pin was taken when owners still hashed the
+// elements themselves: the token batches a coordinator ships change
+// neither a replica's bytes nor a reply.
+func TestForwardedWritesPinned(t *testing.T) {
+	nodes := startCluster(t, 3, 2)
+	r := rand.New(rand.NewSource(30))
+	sizes := []int{1, 2, 5, 31, 32, 33, 200, 1500, 20000} // break-even at p=10 is ~4000 tokens
+	const ts0 = int64(1_750_000_000_000)
+	sum := sha256.New()
+	var key string
+	var els []string
+	var ts int64
+	for i := 0; i < 100; i++ {
+		windowed := i%4 == 3
+		if i%5 != 4 { // else the write before, once more
+			els = make([]string, sizes[r.Intn(len(sizes))])
+			for j := range els {
+				els[j] = fmt.Sprintf("e%d", r.Intn(1<<20))
+			}
+			key, ts = fmt.Sprintf("p%d", r.Intn(12)), ts0+int64(r.Intn(90_000))
+			if windowed {
+				key = fmt.Sprintf("w%d", r.Intn(4))
+			}
+		}
+		coord := nodes[i%len(nodes)]
+		if key[0] == 'w' {
+			accepted, err := coord.WindowAdd(key, ts, els...)
+			fmt.Fprintf(sum, "W %s %d %d %d %v\n", key, ts, len(els), accepted, err)
+			continue
+		}
+		changed, err := coord.Add(key, els...)
+		fmt.Fprintf(sum, "P %s %d %v %v\n", key, len(els), changed, err)
+	}
+	for _, n := range nodes {
+		for _, key := range n.Store().Keys() {
+			blob, _ := n.Store().Dump(key)
+			fmt.Fprintf(sum, "%s %s %x\n", n.ID(), key, blob)
+		}
+	}
+	const want = "70a2c20f5a4923651138e8a0785462540b0f5c909c42c91b5c7f8caee1ff1b2a"
+	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
+		t.Errorf("replies and replica blobs hash to %s, want %s", got, want)
 	}
 }

@@ -178,11 +178,11 @@ func TestInternalForwardsExemptFromStrictRouting(t *testing.T) {
 	// Every internal data verb is served by the non-owner n1 where the
 	// public equivalent would bounce.
 	internal := [][]string{
-		{"CLUSTER", "MLADD", "1", "p", key, "1", "x"},
+		{"CLUSTER", "MLADD", "1", "p", key, batchB64(t, "x")},
 		{"CLUSTER", "LEXPIREAT", key, "99999999999999"},
 		{"CLUSTER", "LDEADLINE", key},
 		{"CLUSTER", "LPERSIST", key},
-		{"CLUSTER", "MLADD", "1", "w", key + "-w", "1700000000000", "1", "x"},
+		{"CLUSTER", "MLADD", "1", "w", key + "-w", "1700000000000", "1", batchB64(t, "x")},
 		{"CLUSTER", "LDEL", key + "-w"},
 		{"CLUSTER", "LKEYS"},
 	}

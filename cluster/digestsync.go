@@ -131,6 +131,11 @@ func decodeKeyDigests(body string) (map[string]uint64, error) {
 		if len(rest) < 8 {
 			return nil, errors.New("cluster: key digests: truncated digest")
 		}
+		if _, seen := out[key]; seen {
+			// Two digests for one key: which one stands for the key is
+			// not the sender's to leave open.
+			return nil, fmt.Errorf("cluster: key digests: key %q repeated", key)
+		}
 		out[key] = binary.LittleEndian.Uint64(rest)
 		rest = rest[8:]
 	}

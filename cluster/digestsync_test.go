@@ -8,7 +8,10 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -103,6 +106,65 @@ func TestKeyDigestsRoundTrip(t *testing.T) {
 	if _, err := decodeKeyDigests("RUxDMWW2AQC6s6zO/M2enp1lJcSc6jCR5hwUpaJgHxI4IIltM8dSPm/////4Dx+9eci7EfdK////pAcUTIX/WP/xU2kv"); err == nil || !strings.Contains(err.Error(), "key digests: bad magic") {
 		t.Errorf("ELC1-wrapped key digests: err = %v, want a key digests bad-magic error", err)
 	}
+	// One key twice, with the same digest or another: refused, not left to
+	// whichever record came last.
+	for _, second := range []uint64{1, 2} {
+		twice := encodeKeyDigests([]server.KeyDigest{{Key: "a", Digest: 1}, {Key: "b", Digest: 3}, {Key: "a", Digest: second}})
+		if _, err := decodeKeyDigests(twice); err == nil || !strings.Contains(err.Error(), `key "a" repeated`) {
+			t.Errorf("key a repeated with digest %d: err = %v, want a repeated-key error", second, err)
+		}
+	}
+}
+
+// FuzzDigestDecode: whatever a DSUM or DKEYS reply carries, the ELD1 and
+// ELK1 decoders refuse it or return what encodes back to the same digests —
+// one per shard for a vector, one per key, each key once, for key digests.
+func FuzzDigestDecode(f *testing.F) {
+	vec := make([]uint64, server.NumShards)
+	for i := range vec {
+		vec[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	kds := []server.KeyDigest{{Key: "a", Digest: 1}, {Key: "visits:2026-08-07", Digest: 0xdeadbeefcafef00d}}
+	for _, seed := range []string{
+		encodeDigestVector(vec), encodeDigestVector(vec[:10]), encodeDigestVector(nil),
+		encodeKeyDigests(kds), encodeKeyDigests(nil),
+		encodeKeyDigests(append(kds, server.KeyDigest{Key: "a", Digest: 2})), // a repeated key
+		encodeKeyDigests([]server.KeyDigest{{Key: "", Digest: 1}}),           // an empty key
+		"", "###", "RUxEMQ==", "RUxLMQ==", "RUxLMf8=",
+		"RUxDMWWGCAC6s7POf/7//////////////////////////////////////////////////8sUlYA=",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		if v, err := decodeDigestVector(body); err == nil {
+			if len(v) != server.NumShards {
+				t.Fatalf("accepted a vector of %d digests for %d shards", len(v), server.NumShards)
+			}
+			again, err := decodeDigestVector(encodeDigestVector(v))
+			if err != nil || !slices.Equal(again, v) {
+				t.Fatalf("a vector does not survive its own encoding: %v", err)
+			}
+		}
+		got, err := decodeKeyDigests(body)
+		if err != nil {
+			return
+		}
+		payload, _ := base64.StdEncoding.DecodeString(body)
+		if count, _ := binary.Uvarint(payload[len(digestKeysMagic):]); count != uint64(len(got)) {
+			t.Fatalf("%d records decoded into %d keys", count, len(got))
+		}
+		var back []server.KeyDigest
+		for k, d := range got {
+			if k == "" {
+				t.Fatal("accepted an empty key")
+			}
+			back = append(back, server.KeyDigest{Key: k, Digest: d})
+		}
+		again, err := decodeKeyDigests(encodeKeyDigests(back))
+		if err != nil || !maps.Equal(again, got) {
+			t.Fatalf("key digests do not survive their own encoding: %v", err)
+		}
+	})
 }
 
 // TestDigestHandlersEpochFence: DSUM and DKEYS refuse a requester whose

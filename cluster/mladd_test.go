@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/base64"
 	"fmt"
 	"io"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"exaloglog/internal/core"
 	"exaloglog/server"
 )
 
@@ -31,29 +33,54 @@ func (r *streamOf) Read(p []byte) (int, error) {
 	return k, nil
 }
 
+// batchB64 is an MLADD group's batch: the base64 of the token batch a
+// coordinator of the test configuration hashes the elements into.
+func batchB64(t testing.TB, elements ...string) string {
+	t.Helper()
+	return batchB64Of(t, testConfig(), elements...)
+}
+
+func batchB64Of(t testing.TB, cfg core.Config, elements ...string) string {
+	t.Helper()
+	store, err := server.NewStore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := store.Batch(elements)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := batch.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base64.StdEncoding.EncodeToString(blob)
+}
+
 // mlAddLine is one forwarded batch: groups plain groups of the given size
 // and one windowed group, every element already recorded after one pass.
-func mlAddLine(groups, elements int) []byte {
+func mlAddLine(t testing.TB, groups, elements int) []byte {
 	line := []byte("CLUSTER MLADD " + strconv.Itoa(groups+1))
 	for g := 0; g < groups; g++ {
-		line = append(line, fmt.Sprintf(" p bench-%d %d", g, elements)...)
-		for e := 0; e < elements; e++ {
-			line = append(line, fmt.Sprintf(" el-%d-%d", g, e)...)
+		els := make([]string, elements)
+		for e := range els {
+			els[e] = fmt.Sprintf("el-%d-%d", g, e)
 		}
+		line = append(line, fmt.Sprintf(" p bench-%d %s", g, batchB64(t, els...))...)
 	}
-	return append(line, " w bench-w 1750000000000 2 a b\n"...)
+	return append(line, " w bench-w 1750000000000 2 "+batchB64(t, "a", "b")+"\n"...)
 }
 
 // BenchmarkDispatchMLAdd isolates the receiving owner's side of a forwarded
-// add — line in, tokens hashed from the line's bytes, reply bytes out, no
-// network: 4 plain groups of 8 elements and a windowed one.
+// add — line in, batches decoded and absorbed, reply bytes out, no network:
+// 4 plain groups of 8 elements and a windowed one.
 func BenchmarkDispatchMLAdd(b *testing.B) {
 	node, err := NewNode("n1", testConfig(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer node.Close()
-	line := mlAddLine(4, 8)
+	line := mlAddLine(b, 4, 8)
 	node.Server().ServeStream(&streamOf{line: line, n: 1}, io.Discard)
 	b.SetBytes(int64(len(line)))
 	b.ReportAllocs()
@@ -63,9 +90,9 @@ func BenchmarkDispatchMLAdd(b *testing.B) {
 
 // TestMLAddAllocsDoNotGrowWithElements is the benchmark's guard: what a
 // forwarded batch allocates on the owner is the argument slots of a line
-// that outgrew the idle array — one allocation, however many elements the
-// groups carry. No string is made of a key or an element. (Groups stay
-// within what Store.AddBytes hashes on its stack.)
+// that outgrew the idle array — one allocation, however many groups and
+// elements it carries. No string is made of a key, and a group's batch is
+// decoded and absorbed on the stack.
 func TestMLAddAllocsDoNotGrowWithElements(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is not meaningful under the race detector")
@@ -76,7 +103,7 @@ func TestMLAddAllocsDoNotGrowWithElements(t *testing.T) {
 	}
 	defer node.Close()
 	perCommand := func(groups, elements int) float64 {
-		line := mlAddLine(groups, elements)
+		line := mlAddLine(t, groups, elements)
 		node.Server().ServeStream(&streamOf{line: line, n: 2}, io.Discard) // record every token, fill the pool
 		const n = 50
 		return testing.AllocsPerRun(10, func() {
@@ -84,7 +111,7 @@ func TestMLAddAllocsDoNotGrowWithElements(t *testing.T) {
 		}) / n
 	}
 	few, many := perCommand(28, 1), perCommand(28, 16)
-	t.Logf("allocations per MLADD of 28 groups: %.2f with 30 elements, %.2f with 450", few, many)
+	t.Logf("allocations per MLADD of 29 groups: %.2f with 30 elements, %.2f with 450", few, many)
 	if many > few+0.1 || many > 1.1 {
 		t.Errorf("an MLADD of 450 elements allocates %.2f times, one of 30 elements %.2f: want one allocation each", many, few)
 	}
@@ -92,17 +119,23 @@ func TestMLAddAllocsDoNotGrowWithElements(t *testing.T) {
 
 // FuzzMLAddFraming: whatever follows CLUSTER MLADD on the line, the byte
 // parser answers with exactly one reply line and leaves the connection in
-// step. Seeded with TestMLAddWire's malformed table and the wrong-type
-// batch of TestMLAddWrongTypeGroupDoesNotPoisonBatch.
+// step. Seeded with TestMLAddWire's malformed table, the refused blobs of
+// TestMLAddRefusedGroups and the retired element framing.
 func FuzzMLAddFraming(f *testing.F) {
+	one, two := batchB64(f, "a"), batchB64(f, "x", "y")
 	for _, seed := range []string{
-		"", "x", "0", "-1", "+1 p k 1 a", "9000000000000000000",
-		"2 p k 1 a", "1 q k 1 a", "1 p k", "1 p k 2 a", "1 p k q a", "1 p k 0 a",
-		"1 w k nope 1 a", "1 w k 1700000000000 2 a", "1 w k 1700000000000", "1 p k 1 a extra extra2",
-		"1 p k 9000000000000000000 a", "1 w", "1 p",
-		"3 p wkey 1 a p pkey 1 b p wkey 1 c",
-		"3 p pk 2 a b w wkey 1700000000000 2 x y p pk 1 c",
-		"1 p k 1 \x00\xff", "1\tp\tk\t1\ta",
+		"", "x", "0", "-1", "+1 p k " + one, "9000000000000000000",
+		"2 p k " + one, "1 q k " + one, "1 p k", "1 p", "1 w",
+		"1 w k nope 1 " + one, "1 w k 1700000000000 0 " + one, "1 w k 1700000000000 " + one,
+		"1 w k 1700000000000 9000000000000000000 " + one, "1 p k " + one + " extra",
+		"3 p wkey " + one + " p pkey " + one + " p wkey " + one,
+		"3 p pk " + two + " w wkey 1700000000000 2 " + two + " p pk " + one,
+		"1 p k !!!!", "1 p k " + one[:len(one)-2], "1 p k " + base64.StdEncoding.EncodeToString([]byte("ELT3\x02\x14\x0a\x05")),
+		"1 p k RUxUMwIUCgA=", // a batch of no tokens
+		"1 p k " + batchB64Of(f, core.RecommendedML(12), "a"),
+		// The retired element framing.
+		"1 p k 1 a", "2 p pk 2 a b w wk 1700000000000 2 x y", "1 w k 1700000000000 1 a",
+		"1 p k 1 \x00\xff", "1\tp\tk\t" + one,
 	} {
 		f.Add(seed)
 	}
@@ -159,25 +192,27 @@ func buffersHeld(t *testing.T, c *server.Client) int {
 	return n
 }
 
-// TestOversizedCommandThenIdle: a 1 MB forwarded batch takes a pooled
-// buffer, a spill-over line and 80 000 argument slots; once the connection
+// TestOversizedCommandThenIdle: a 700 KB forwarded batch takes a pooled
+// buffer, a spill-over line and 81 000 argument slots; once the connection
 // is idle again all of it is gone, on both ends.
 func TestOversizedCommandThenIdle(t *testing.T) {
 	nodes := startCluster(t, 1, 1)
 	c := dialNode(t, nodes[0])
-	if reply, err := c.Do("CLUSTER", "MLADD", "1", "p", "big", "1", "the-one-element"); err != nil || reply != "1" {
+	one := batchB64(t, "the-one-element")
+	if reply, err := c.Do("CLUSTER", "MLADD", "1", "p", "big", one); err != nil || reply != "1" {
 		t.Fatalf("MLADD: %q, %v", reply, err)
 	}
 	held := buffersHeld(t, c)
 	base := liveHeap()
 
-	const copies = 80000 // of the element the key already holds: the keyspace does not grow
-	parts := append(make([]string, 0, 6+copies), "CLUSTER", "MLADD", "1", "p", "big", strconv.Itoa(copies))
-	for i := 0; i < copies; i++ {
-		parts = append(parts, "the-one-element")
+	const groups = 27000 // of the element the key already holds: the keyspace does not grow
+	parts := append(make([]string, 0, 3+3*groups), "CLUSTER", "MLADD", strconv.Itoa(groups))
+	for i := 0; i < groups; i++ {
+		parts = append(parts, "p", "big", one)
 	}
-	if reply, err := c.Do(parts...); err != nil || reply != "0" {
-		t.Fatalf("1 MB MLADD: %q, %v", reply, err)
+	reply, err := c.Do(parts...)
+	if toks := strings.Fields(reply); err != nil || len(toks) != groups || strings.Trim(reply, "0 ") != "" {
+		t.Fatalf("700 KB MLADD: %d reply tokens, not all 0, %v", len(toks), err)
 	}
 	parts = nil
 
@@ -188,7 +223,7 @@ func TestOversizedCommandThenIdle(t *testing.T) {
 		return // heap sizes are not meaningful under the race detector
 	}
 	if grown := int64(liveHeap()) - int64(base); grown > 16<<10 {
-		t.Errorf("the idle connection holds %d bytes more than before its 1 MB command", grown)
+		t.Errorf("the idle connection holds %d bytes more than before its 700 KB command", grown)
 	}
 }
 
@@ -236,4 +271,98 @@ func TestResidentBytesTracksLiveHeapServed(t *testing.T) {
 		t.Errorf("resident_bytes %d vs %.0f live heap bytes: ratio %.3f outside 0.93–1.07", resident, heap, ratio)
 	}
 	runtime.KeepAlive(nodes)
+}
+
+// TestMLAddRefusedGroups: a group whose batch is refused — not base64, a
+// blob the core decoder refuses (ELT3, EL 0x01 or the retired ELT2), a
+// batch of no tokens, or one of another sketch configuration than the key
+// holds — answers E, changes nothing, and the groups around it still apply.
+// The retired element framing and a truncated group are framing errors:
+// one -ERR line, and the connection stays in step.
+func TestMLAddRefusedGroups(t *testing.T) {
+	nodes := startCluster(t, 1, 1)
+	store := nodes[0].Store()
+	c := dialNode(t, nodes[0])
+	if reply, err := c.Do("CLUSTER", "MLADD", "2", "p", "held", batchB64(t, "a"), "w", "ring", "1750000000000", "1", batchB64(t, "a")); err != nil || reply != "1 1" {
+		t.Fatalf("MLADD of the held keys: %q, %v", reply, err)
+	}
+	dense, _ := core.MustNew(testConfig()).MarshalBinary()
+	b64 := base64.StdEncoding.EncodeToString
+	for i, bad := range []struct {
+		name, group string // the group refers to the key it goes into as %s
+	}{
+		{"not base64", "p %s !!!!"},
+		{"truncated base64", "p %s " + batchB64(t, "b")[:8]},
+		{"an ELT3 blob without its tokens", "p %s " + b64([]byte("ELT3\x02\x14\x0a\x05"))},
+		{"a truncated EL 0x01 blob", "p %s " + b64(dense[:len(dense)-1])},
+		{"an ELT2 blob", "p %s RUxUMgIUDEMACA=="},
+		{"a batch of no tokens", "p %s " + b64([]byte("ELT3\x02\x14\x0a\x00"))},
+		{"another configuration", "p %s " + batchB64Of(t, core.RecommendedML(12), "b")},
+		{"another configuration in a window", "w %s 1750000000000 1 " + batchB64Of(t, core.RecommendedML(12), "b")},
+	} {
+		target := "held"
+		if strings.HasPrefix(bad.group, "w ") {
+			target = "ring"
+		}
+		before, _ := store.Dump(target)
+		line := fmt.Sprintf("3 p before-%d %s "+bad.group+" w after-%d 1750000000000 1 %s",
+			i, batchB64(t, "x"), target, i, batchB64(t, "y"))
+		reply, err := c.Do(append([]string{"CLUSTER", "MLADD"}, strings.Fields(line)...)...)
+		if err != nil || reply != "1 E 1" {
+			t.Errorf("%s: reply %q, %v; want 1 E 1", bad.name, reply, err)
+		}
+		if after, _ := store.Dump(target); !bytes.Equal(after, before) {
+			t.Errorf("%s: the refused group changed %q", bad.name, target)
+		}
+		for _, key := range []string{fmt.Sprintf("before-%d", i), fmt.Sprintf("after-%d", i)} {
+			if _, ok := store.Dump(key); !ok {
+				t.Errorf("%s: the group for %q beside it was not applied", bad.name, key)
+			}
+		}
+	}
+	for _, framing := range []string{
+		"1 p k 1 a",
+		"2 p k 2 a b w wk 1750000000000 1 x",
+		"1 w k 1750000000000 " + batchB64(t, "a"),
+		"2 p k " + batchB64(t, "a") + " p",
+	} {
+		_, err := c.Do(append([]string{"CLUSTER", "MLADD"}, strings.Fields(framing)...)...)
+		if !server.IsReplyErr(err) {
+			t.Errorf("MLADD %s: %v, want an -ERR reply", framing, err)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatalf("connection out of step after MLADD %s: %v", framing, err)
+		}
+	}
+}
+
+// TestMLAddBytesSent: a node counts the bytes of the MLADD lines it sends —
+// StatsCounters, its CLUSTER STATS row and /metrics — and a 1000-element
+// Add sends its remote owner at most an eighth of the elements' own bytes:
+// their tokens, not their text.
+func TestMLAddBytesSent(t *testing.T) {
+	nodes := startCluster(t, 2, 2)
+	elements, text := make([]string, 1000), 0
+	for i := range elements {
+		elements[i] = fmt.Sprintf("element-%08d", i)
+		text += len(elements[i])
+	}
+	before := nodes[0].StatsCounters().MLAddBytes
+	if _, err := nodes[0].Add("big", elements...); err != nil {
+		t.Fatal(err)
+	}
+	total := nodes[0].StatsCounters().MLAddBytes
+	sent := int(total - before)
+	t.Logf("a 1000-element add of %d bytes of text sent %d MLADD bytes", text, sent)
+	if sent == 0 || sent > text/8 {
+		t.Errorf("the add sent %d MLADD bytes for %d bytes of elements, want at most %d", sent, text, text/8)
+	}
+	if row := nodes[0].statsBody(); !strings.Contains(row, fmt.Sprintf(" mladd_bytes=%d\n", total)) {
+		t.Errorf("CLUSTER STATS row lacks mladd_bytes=%d: %q", total, strings.SplitN(row, "\n", 2)[0])
+	}
+	var metrics bytes.Buffer
+	nodes[0].WriteMetrics(&metrics)
+	if !strings.Contains(metrics.String(), fmt.Sprintf("\nell_cluster_mladd_bytes_total %d\n", total)) {
+		t.Error("/metrics lacks ell_cluster_mladd_bytes_total")
+	}
 }

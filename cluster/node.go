@@ -674,67 +674,115 @@ func (n *Node) withStaleMapRetry(op func(m *Map) error) error {
 }
 
 // Add inserts elements into key on every owner node; it reports whether
-// any owner's sketch changed. All owners receive the same elements, so
-// replicas stay byte-identical (insertion order does not matter — the
-// paper's reproducibility property). Keys and elements must be non-empty
-// and whitespace-free (the line protocol's token rule).
+// any owner's sketch changed. The elements are hashed once, here, into one
+// sorted token batch (Store.Batch): this node's copy absorbs it, and every
+// other owner gets its ELT3 bytes in a CLUSTER MLADD group and absorbs
+// those, so all owners record the same tokens and replicas stay
+// byte-identical (insertion order does not matter — the paper's
+// reproducibility property). Keys and elements must be non-empty and
+// whitespace-free, the line protocol's token rule: the elements no longer
+// travel between nodes, but ClusterClient sends them on the wire, and one
+// rule holds for both routes.
 func (n *Node) Add(key string, elements ...string) (bool, error) {
-	if err := validToken("key", key); err != nil {
+	batch, err := n.batchOf("Add", key, elements)
+	if err != nil {
 		return false, err
 	}
-	if len(elements) == 0 {
-		// Reject before queueing: a zero-element group would fail the
-		// whole MLADD batch it gets coalesced into, not just this call.
-		return false, errors.New("cluster: Add needs at least one element")
-	}
-	for _, e := range elements {
-		if err := validToken("element", e); err != nil {
-			return false, err
-		}
-	}
 	var changed bool
-	err := n.withStaleMapRetry(func(m *Map) error {
+	err = n.withStaleMapRetry(func(m *Map) error {
 		var err error
-		changed, err = n.addWith(m, key, elements)
+		changed, err = n.addWith(m, key, &batch)
 		return err
 	})
 	return changed, err
 }
 
-// addWith is Add's fan-out against one specific map; re-sending to an
-// owner that already applied the elements is harmless (sketch inserts
-// are idempotent), which is what makes the stale-map retry safe.
-func (n *Node) addWith(m *Map, key string, elements []string) (bool, error) {
-	owners := m.Owners(key)
-	if len(owners) == 0 {
-		return false, errors.New("cluster: empty cluster map (node not started?)")
+// batchOf checks a write's key and elements by the token rule and hashes
+// the elements into their token batch; verb names the write in errors.
+func (n *Node) batchOf(verb, key string, elements []string) (core.Hybrid, error) {
+	if err := validToken("key", key); err != nil {
+		return core.Hybrid{}, err
 	}
-	changed := make([]bool, len(owners))
-	errs := make([]error, len(owners))
-	var wg sync.WaitGroup
-	for i, o := range owners {
-		wg.Add(1)
-		go func(i int, o Member) {
-			defer wg.Done()
-			if o.ID == n.id {
-				changed[i], errs[i] = n.store.Add(key, elements...)
-				return
-			}
-			// Batched forwarding: concurrent Adds to the same owner
-			// coalesce into one pipelined CLUSTER MLADD round trip.
-			changed[i], errs[i] = n.peers.batchAdd(o.Addr, key, elements)
-		}(i, o)
+	if len(elements) == 0 {
+		// Reject before queueing: a batch of no tokens is refused by the
+		// owners, and creates nothing anywhere.
+		return core.Hybrid{}, fmt.Errorf("cluster: %s needs at least one element", verb)
 	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return false, err
-	}
-	for _, c := range changed {
-		if c {
-			return true, nil
+	for _, e := range elements {
+		if err := validToken("element", e); err != nil {
+			return core.Hybrid{}, err
 		}
 	}
-	return false, nil
+	return n.store.Batch(elements)
+}
+
+// addWith is Add's fan-out against one specific map; re-sending to an
+// owner that already applied the batch is harmless (absorbing tokens is
+// idempotent), which is what makes the stale-map retry safe.
+func (n *Node) addWith(m *Map, key string, batch *core.Hybrid) (bool, error) {
+	var changed atomic.Bool
+	err := n.eachOwner(m.Owners(key), func(o Member) error {
+		var c bool
+		var err error
+		if o.ID == n.id {
+			c, err = n.store.AddBatch(key, batch)
+		} else {
+			// Batched forwarding: concurrent Adds to the same owner
+			// coalesce into one pipelined CLUSTER MLADD round trip.
+			c, err = n.peers.batchAdd(o.Addr, key, batch)
+		}
+		if c {
+			changed.Store(true)
+		}
+		return err
+	})
+	if err != nil {
+		return false, err
+	}
+	return changed.Load(), nil
+}
+
+// eachOwner runs a forwarded write on every one of a key's owners and
+// returns their errors joined. The last remote owner's write runs on the
+// caller's goroutine, and so does this node's own, between the two; only
+// a second remote owner's gets a goroutine — with a replica factor of 2,
+// none does.
+func (n *Node) eachOwner(owners []Member, write func(o Member) error) error {
+	if len(owners) == 0 {
+		return errors.New("cluster: empty cluster map (node not started?)")
+	}
+	local, last := -1, -1
+	for i, o := range owners {
+		if o.ID == n.id {
+			local = i
+		} else {
+			last = i
+		}
+	}
+	var async chan error
+	pending := 0
+	for i, o := range owners {
+		if i == local || i == last {
+			continue
+		}
+		if async == nil {
+			async = make(chan error, len(owners))
+		}
+		pending++
+		go func() { async <- write(o) }()
+	}
+	var buf [4]error
+	errs := buf[:0]
+	if local >= 0 {
+		errs = append(errs, write(owners[local]))
+	}
+	if last >= 0 {
+		errs = append(errs, write(owners[last]))
+	}
+	for ; pending > 0; pending-- {
+		errs = append(errs, <-async)
+	}
+	return errors.Join(errs...) // nil when every write succeeded
 }
 
 // Count estimates the distinct count of the union of keys cluster-wide:
@@ -904,63 +952,54 @@ func eachDistinctCopy(blobs []ownerBlob, merge func(ownerBlob) error) error {
 
 // WindowAdd inserts elements observed at the unix-millisecond
 // timestamp ts into the windowed key on every owner node; it returns
-// how many elements the primary owner accepted (replicas see the same
-// elements and timestamps, so their rings stay identical — slice
-// assignment is a pure function of the timestamp). Keys and elements
-// must be non-empty and whitespace-free (the line protocol's token
-// rule). Every node must share one window geometry (elld's
-// -window-slice/-window-slices), like the sketch configuration.
+// how many elements the primary owner accepted. Like Add it hashes the
+// elements once into a token batch that every owner absorbs into the
+// slice of ts, so replicas' rings stay identical — slice assignment is a
+// pure function of the timestamp. Keys and elements must be non-empty
+// and whitespace-free, for the reason Add gives. Every node must share
+// one window geometry (elld's -window-slice/-window-slices), like the
+// sketch configuration.
 func (n *Node) WindowAdd(key string, tsMillis int64, elements ...string) (int, error) {
-	if err := validToken("key", key); err != nil {
+	batch, err := n.batchOf("WindowAdd", key, elements)
+	if err != nil {
 		return 0, err
 	}
-	if len(elements) == 0 {
-		return 0, errors.New("cluster: WindowAdd needs at least one element")
-	}
-	for _, e := range elements {
-		if err := validToken("element", e); err != nil {
-			return 0, err
-		}
-	}
 	var accepted int
-	err := n.withStaleMapRetry(func(m *Map) error {
+	err = n.withStaleMapRetry(func(m *Map) error {
 		var err error
-		accepted, err = n.windowAddWith(m, key, tsMillis, elements)
+		accepted, err = n.windowAddWith(m, key, tsMillis, &batch, len(elements))
 		return err
 	})
 	return accepted, err
 }
 
-// windowAddWith is WindowAdd's fan-out against one specific map;
-// re-sending is harmless (slice merges are idempotent, slice assignment
-// is a pure function of the timestamp), making the stale-map retry safe.
-func (n *Node) windowAddWith(m *Map, key string, tsMillis int64, elements []string) (int, error) {
+// windowAddWith is WindowAdd's fan-out of the batch of cnt elements
+// against one specific map; re-sending is harmless (slice merges are
+// idempotent, slice assignment is a pure function of the timestamp),
+// making the stale-map retry safe.
+func (n *Node) windowAddWith(m *Map, key string, tsMillis int64, batch *core.Hybrid, cnt int) (int, error) {
 	owners := m.Owners(key)
-	if len(owners) == 0 {
-		return 0, errors.New("cluster: empty cluster map (node not started?)")
-	}
-	accepted := make([]int, len(owners))
-	errs := make([]error, len(owners))
-	var wg sync.WaitGroup
-	for i, o := range owners {
-		wg.Add(1)
-		go func(i int, o Member) {
-			defer wg.Done()
-			if o.ID == n.id {
-				accepted[i], errs[i] = n.store.WindowAdd(key, time.UnixMilli(tsMillis), elements...)
-				return
-			}
+	var accepted int
+	err := n.eachOwner(owners, func(o Member) error {
+		var a int
+		var err error
+		if o.ID == n.id {
+			a, err = n.store.WindowAddBatch(key, tsMillis, batch, cnt)
+		} else {
 			// Batched forwarding: concurrent WindowAdds (and plain Adds)
 			// to the same owner coalesce into one pipelined CLUSTER MLADD
 			// round trip.
-			accepted[i], errs[i] = n.peers.batchWAdd(o.Addr, key, tsMillis, elements)
-		}(i, o)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+			a, err = n.peers.batchWAdd(o.Addr, key, tsMillis, batch, cnt)
+		}
+		if o.ID == owners[0].ID { // the one write that sets it
+			accepted = a
+		}
+		return err
+	})
+	if err != nil {
 		return 0, err
 	}
-	return accepted[0], nil
+	return accepted, nil
 }
 
 // WindowCount estimates the distinct count the windowed key observed
@@ -1462,86 +1501,125 @@ func (n *Node) handleCluster(args []string) string {
 // handleMLAdd executes a batched local add — the one forwarded-add
 // verb: what lets many concurrent forwarded PFADDs and WADDs share one
 // round trip yet each learn its own outcome. A batch carries g groups,
-// plain and windowed interleaved, in counted framing (so keys and
-// elements need no reserved separator token). Framing per group:
+// plain and windowed interleaved, each the token batch the coordinator
+// hashed the elements into (Store.Batch), as the base64 of its ELT3 (or,
+// past break-even, dense) bytes:
 //
-//	p <key> <count> <element>...        (plain add)
-//	w <key> <ts> <count> <element>...   (windowed add, unix-ms timestamp)
+//	p <key> <batch>             (plain add)
+//	w <key> <ts> <n> <batch>    (windowed add of n elements, unix-ms timestamp)
 //
 // The reply is '+' followed by one space-separated token per group, in
 // order: a plain group answers its changed-bit ('0'/'1'), a windowed
-// group its accepted count, and either kind answers 'E' when its add
-// failed (e.g. WRONGTYPE). One bad group must NOT fail the whole batch:
-// the other groups belong to unrelated callers coalesced by the
-// group-commit batcher, and earlier groups have already been applied.
-// Only framing corruption (which poisons everything after it) aborts
-// with -ERR. This is the receiving end of every forwarded write, so rest
-// is the line's own bytes: counts are parsed and keys and elements hashed
-// where they lie, and the outcomes appended to reply.
+// group its accepted count, and either kind answers 'E' when the owner
+// refused it: a key of the other value type or of another sketch
+// configuration, or a batch that is not base64 of a blob the core
+// decoder accepts, or holds no token. One refused group must NOT fail
+// the whole batch: the other groups belong to unrelated callers coalesced
+// by the group-commit batcher, and earlier groups have already been
+// applied. Only framing corruption (which poisons everything after it)
+// aborts with -ERR. This is the receiving end of every forwarded write,
+// so rest is the line's own bytes, and the outcomes are appended to
+// reply.
 func (n *Node) handleMLAdd(reply []byte, rest [][]byte) []byte {
 	if len(rest) < 1 {
 		return append(reply, "-ERR CLUSTER MLADD needs a group count"...)
 	}
-	// Each group needs at least 4 tokens (type, key, count, one
-	// element), so a count beyond (len(rest)-1)/4 cannot be satisfied
-	// (wire input is untrusted).
+	// Each group needs at least 3 tokens (type, key, batch), so a count
+	// beyond (len(rest)-1)/3 cannot be satisfied (wire input is
+	// untrusted).
 	g, ok := server.ParseIntBytes(rest[0])
-	if !ok || g < 1 || g > int64(len(rest)-1)/4 {
+	if !ok || g < 1 || g > int64(len(rest)-1)/3 {
 		return mlAddBad(reply, "group count", rest[0])
 	}
 	reply = append(reply, '+')
 	i := 1
 	for ; g > 0; g-- {
-		// A group's head: type, key, a windowed group's timestamp, element count.
-		head := 3
+		// A group: type, key, a windowed group's timestamp and element
+		// count, the batch.
+		size := 3
 		switch {
 		case i == len(rest):
 		case string(rest[i]) == "w":
-			head = 4
+			size = 5
 		case string(rest[i]) != "p":
 			return mlAddBad(reply, "group type", rest[i])
 		}
-		if len(rest)-i < head {
+		if len(rest)-i < size {
 			return append(reply[:0], mlAddTruncated...)
 		}
-		key := rest[i+1]
-		var ts int64
-		if head == 4 {
-			if ts, ok = server.ParseIntBytes(rest[i+2]); !ok {
+		key, blob := rest[i+1], rest[i+size-1]
+		if size == 3 {
+			reply = n.mlAddPlain(reply, key, blob)
+		} else {
+			ts, ok := server.ParseIntBytes(rest[i+2])
+			if !ok {
 				return mlAddBad(reply, "timestamp", rest[i+2])
 			}
-		}
-		cnt, ok := server.ParseIntBytes(rest[i+head-1])
-		if !ok || cnt < 1 {
-			return mlAddBad(reply, "element count", rest[i+head-1])
-		}
-		i += head
-		if int64(len(rest)-i) < cnt {
-			return append(reply[:0], mlAddTruncated...)
-		}
-		elements := rest[i : i+int(cnt)]
-		i += int(cnt)
-		if head == 3 {
-			changed, err := n.store.AddBytes(key, elements)
-			switch {
-			case err != nil:
-				reply = append(reply, 'E')
-			case changed:
-				reply = append(reply, '1')
-			default:
-				reply = append(reply, '0')
+			cnt, ok := server.ParseIntBytes(rest[i+3])
+			if !ok || cnt < 1 {
+				return mlAddBad(reply, "element count", rest[i+3])
 			}
-		} else if accepted, err := n.store.WindowAddBytes(key, ts, elements); err != nil {
-			reply = append(reply, 'E')
-		} else {
-			reply = strconv.AppendInt(reply, int64(accepted), 10)
+			reply = n.mlAddWindow(reply, key, ts, cnt, blob)
 		}
 		reply = append(reply, ' ')
+		i += size
 	}
 	if i != len(rest) {
 		return append(reply[:0], "-ERR trailing tokens after CLUSTER MLADD groups"...)
 	}
 	return reply[:len(reply)-1] // without the last group's separator
+}
+
+// mlAddPlain applies one plain MLADD group and appends its outcome.
+func (n *Node) mlAddPlain(reply, key, b64 []byte) []byte {
+	var raw [mlAddRawBytes]byte
+	var words [mlAddRawBytes / 8]uint64
+	changed := false
+	batch, err := decodeBatch(raw[:], words[:], b64)
+	if err == nil {
+		changed, err = n.store.AddBatchBytes(key, &batch)
+	}
+	switch {
+	case err != nil:
+		return append(reply, 'E')
+	case changed:
+		return append(reply, '1')
+	default:
+		return append(reply, '0')
+	}
+}
+
+// mlAddWindow applies one windowed MLADD group and appends its outcome.
+func (n *Node) mlAddWindow(reply, key []byte, ts, cnt int64, b64 []byte) []byte {
+	var raw [mlAddRawBytes]byte
+	var words [mlAddRawBytes / 8]uint64
+	accepted := 0
+	batch, err := decodeBatch(raw[:], words[:], b64)
+	if err == nil {
+		accepted, err = n.store.WindowAddBatchBytes(key, ts, &batch, int(cnt))
+	}
+	if err != nil {
+		return append(reply, 'E')
+	}
+	return strconv.AppendInt(reply, int64(accepted), 10)
+}
+
+// mlAddRawBytes is how large a group's blob may be to be decoded on the
+// stack, as appendBatch encodes it there on the sending side.
+const mlAddRawBytes = 512
+
+// decodeBatch decodes a group's base64 batch, through raw and into words
+// when it fits, with the core decoder: a blob it would refuse from DUMP or
+// RESTORE it refuses here.
+func decodeBatch(raw []byte, words []uint64, b64 []byte) (core.Hybrid, error) {
+	if m := base64.StdEncoding.DecodedLen(len(b64)); m > len(raw) {
+		raw = make([]byte, m)
+	}
+	k, err := base64.StdEncoding.Decode(raw, b64)
+	if err != nil {
+		return core.Hybrid{}, err
+	}
+	return core.DecodeBatch(raw[:k], words)
 }
 
 const mlAddTruncated = "-ERR truncated CLUSTER MLADD group"

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/base64"
 	"fmt"
 	"strconv"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"exaloglog/internal/core"
 	"exaloglog/server"
 )
 
@@ -50,9 +52,11 @@ type pool struct {
 	// mlGroups/mlBatches count the group-commit coalescing: how many
 	// per-key add groups went out, in how many MLADD flushes — the
 	// CLUSTER STATS mlpfadd_* counters (groups/batches is the average
-	// coalescing factor; the names predate the mixed batcher).
+	// coalescing factor; the names predate the mixed batcher). mlBytes
+	// counts the bytes of the MLADD lines sent, line breaks included.
 	mlGroups  atomic.Uint64
 	mlBatches atomic.Uint64
+	mlBytes   atomic.Uint64
 
 	// timeoutNS is the per-command I/O deadline (nanoseconds; 0 = no
 	// deadline) applied to every dialed connection: each Do/pipeline
@@ -189,12 +193,14 @@ func (p *pool) pipeline(addr string, cmds [][]string) ([]server.Result, error) {
 
 // addReq is one queued remote add awaiting a batched flush — plain
 // (PFADD-shaped) or, when windowed is set, a WADD carrying its
-// unix-millisecond observation timestamp.
+// unix-millisecond observation timestamp. The elements travel as their
+// token batch; the caller keeps it unchanged until done is answered.
 type addReq struct {
 	key      string
 	windowed bool
 	ts       int64 // unix milliseconds; windowed groups only
-	elements []string
+	n        int   // the elements the batch was made of; windowed groups only
+	batch    core.Hybrid
 	done     chan addResult
 }
 
@@ -222,24 +228,24 @@ func (p *pool) batchFor(addr string) *peerBatch {
 	return b
 }
 
-// batchAdd queues a plain add of elements into key on the peer at addr
-// and returns its result. Concurrent calls to the same peer coalesce:
+// batchAdd queues a plain add of a token batch into key on the peer at
+// addr and returns its result. Concurrent calls to the same peer coalesce:
 // one caller becomes the flusher and drains the queue in MLADD batches
 // (one write, one reply per batch) while later callers just park on
 // their result channel — the cluster-side equivalent of the server's
 // coalesced flush.
-func (p *pool) batchAdd(addr, key string, elements []string) (bool, error) {
-	res := p.enqueueAdd(addr, &addReq{key: key, elements: elements, done: make(chan addResult, 1)})
+func (p *pool) batchAdd(addr, key string, batch *core.Hybrid) (bool, error) {
+	res := p.enqueueAdd(addr, &addReq{key: key, batch: *batch, done: make(chan addResult, 1)})
 	return res.changed, res.err
 }
 
-// batchWAdd is batchAdd's windowed sibling: the request rides the same
-// per-peer group-commit queue, so mixed PFADD/WADD load to one owner
-// still coalesces into single MLADD round trips instead of splitting
-// into two serialized batch streams.
-func (p *pool) batchWAdd(addr, key string, tsMillis int64, elements []string) (int, error) {
-	res := p.enqueueAdd(addr, &addReq{key: key, windowed: true, ts: tsMillis,
-		elements: elements, done: make(chan addResult, 1)})
+// batchWAdd is batchAdd's windowed sibling for n elements observed at
+// tsMillis: the request rides the same per-peer group-commit queue, so
+// mixed PFADD/WADD load to one owner still coalesces into single MLADD
+// round trips instead of splitting into two serialized batch streams.
+func (p *pool) batchWAdd(addr, key string, tsMillis int64, batch *core.Hybrid, n int) (int, error) {
+	res := p.enqueueAdd(addr, &addReq{key: key, windowed: true, ts: tsMillis, n: n,
+		batch: *batch, done: make(chan addResult, 1)})
 	return res.accepted, res.err
 }
 
@@ -272,9 +278,9 @@ func (p *pool) enqueueAdd(addr string, req *addReq) addResult {
 
 // flushAdds sends one MLADD carrying every queued group — plain and
 // windowed interleaved — and fans the per-group results back out to the
-// waiting callers. A group's 'E' outcome (the only per-group failure: a
-// WRONGTYPE key) fails that caller alone; the neighbors coalesced into
-// the batch are unaffected.
+// waiting callers. A group's 'E' outcome (the owner refused it: a
+// WRONGTYPE key, or a key of another sketch configuration) fails that
+// caller alone; the neighbors coalesced into the batch are unaffected.
 func (p *pool) flushAdds(addr string, batch []*addReq) {
 	p.mlBatches.Add(1)
 	p.mlGroups.Add(uint64(len(batch)))
@@ -286,14 +292,13 @@ func (p *pool) flushAdds(addr string, batch []*addReq) {
 				if r.windowed {
 					line = append(append(line, " w "...), r.key...)
 					line = strconv.AppendInt(append(line, ' '), r.ts, 10)
+					line = strconv.AppendInt(append(line, ' '), int64(r.n), 10)
 				} else {
 					line = append(append(line, " p "...), r.key...)
 				}
-				line = strconv.AppendInt(append(line, ' '), int64(len(r.elements)), 10)
-				for _, el := range r.elements {
-					line = append(append(line, ' '), el...)
-				}
+				line = appendBatch(append(line, ' '), &r.batch)
 			}
+			p.mlBytes.Add(uint64(len(line) + 1)) // and the line break
 			return line
 		})
 	})
@@ -310,7 +315,8 @@ func (p *pool) flushAdds(addr string, batch []*addReq) {
 			continue
 		}
 		if toks[i] == "E" {
-			r.done <- addResult{err: fmt.Errorf("cluster: add %q on %s: %w", r.key, addr, server.ErrWrongType)}
+			r.done <- addResult{err: fmt.Errorf("cluster: add %q refused on %s (a key of another type or sketch configuration): %w",
+				r.key, addr, server.ErrWrongType)}
 			continue
 		}
 		if r.windowed {
@@ -327,6 +333,15 @@ func (p *pool) flushAdds(addr string, batch []*addReq) {
 }
 
 var mlAddHead = []string{"CLUSTER", "MLADD"}
+
+// appendBatch appends the base64 of the batch's MarshalBinary bytes to
+// line. A batch of up to some 300 tokens is marshaled on the stack, so the
+// line holds the only copy on the heap.
+func appendBatch(line []byte, batch *core.Hybrid) []byte {
+	var raw [mlAddRawBytes]byte
+	blob, _ := batch.AppendBinary(raw[:0]) // appending a sketch's bytes cannot fail
+	return base64.StdEncoding.AppendEncode(line, blob)
+}
 
 func (p *pool) closeAll() {
 	p.mu.Lock()

@@ -26,6 +26,7 @@ type ClusterStats struct {
 	AutoLeaves     uint64 // quorum-backed evictions this node coordinated
 	MLPFAddGroups  uint64 // per-key add groups coalesced into MLADD batches (the name predates the verb)
 	MLPFAddBatches uint64 // MLADD batches flushed
+	MLAddBytes     uint64 // bytes of the MLADD lines sent, line breaks included
 	RebalPushes    uint64 // cumulative rebalance per-(key,owner) pushes planned
 	MovedReplies   uint64 // -MOVED redirects sent to misrouted clients (strict routing)
 	MapRefetches   uint64 // CLUSTER MAP replies served (smart clients refetching after a -MOVED)
@@ -60,6 +61,7 @@ func (n *Node) StatsCounters() ClusterStats {
 		AutoLeaves:     n.autoLeaves.Load(),
 		MLPFAddGroups:  n.peers.mlGroups.Load(),
 		MLPFAddBatches: n.peers.mlBatches.Load(),
+		MLAddBytes:     n.peers.mlBytes.Load(),
 		RebalPushes:    n.pushes.Load(),
 		MovedReplies:   n.movedReplies.Load(),
 		MapRefetches:   n.mapRefetches.Load(),
@@ -88,14 +90,14 @@ func (n *Node) statsBody() string {
 	// k=v pairs by name, but prefix-matching tests and scripts stay
 	// stable that way.
 	return fmt.Sprintf(
-		"node=%s gossip_rounds=%d suspects_raised=%d auto_leaves=%d mlpfadd_groups=%d mlpfadd_batches=%d rebal_pushes=%d moved_replies=%d map_refetches=%d xfer_streams=%d xfer_resumed=%d xfer_frames=%d xfer_frame_retries=%d xfer_bytes=%d xfer_fallbacks=%d xfer_bytes_precompress=%d xfer_bytes_wire=%d sync_digest_rounds=%d sync_keys_repaired=%d\n%s",
+		"node=%s gossip_rounds=%d suspects_raised=%d auto_leaves=%d mlpfadd_groups=%d mlpfadd_batches=%d rebal_pushes=%d moved_replies=%d map_refetches=%d xfer_streams=%d xfer_resumed=%d xfer_frames=%d xfer_frame_retries=%d xfer_bytes=%d xfer_fallbacks=%d xfer_bytes_precompress=%d xfer_bytes_wire=%d sync_digest_rounds=%d sync_keys_repaired=%d mladd_bytes=%d\n%s",
 		n.id, c.GossipRounds, c.SuspectsRaised, c.AutoLeaves,
 		c.MLPFAddGroups, c.MLPFAddBatches, c.RebalPushes,
 		c.MovedReplies, c.MapRefetches,
 		c.XferStreams, c.XferResumed, c.XferFrames,
 		c.XferFrameRetries, c.XferBytes, c.XferFallbacks,
 		c.XferBytesPrecompress, c.XferBytesWire,
-		c.SyncDigestRounds, c.SyncKeysRepaired,
+		c.SyncDigestRounds, c.SyncKeysRepaired, c.MLAddBytes,
 		n.srv.StatsText())
 }
 
@@ -147,6 +149,7 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE ell_cluster_auto_leaves_total counter\nell_cluster_auto_leaves_total %d\n", c.AutoLeaves)
 	fmt.Fprintf(w, "# TYPE ell_cluster_mlpfadd_groups_total counter\nell_cluster_mlpfadd_groups_total %d\n", c.MLPFAddGroups)
 	fmt.Fprintf(w, "# TYPE ell_cluster_mlpfadd_batches_total counter\nell_cluster_mlpfadd_batches_total %d\n", c.MLPFAddBatches)
+	fmt.Fprintf(w, "# TYPE ell_cluster_mladd_bytes_total counter\nell_cluster_mladd_bytes_total %d\n", c.MLAddBytes)
 	fmt.Fprintf(w, "# TYPE ell_cluster_rebalance_pushes_total counter\nell_cluster_rebalance_pushes_total %d\n", c.RebalPushes)
 	fmt.Fprintf(w, "# TYPE ell_cluster_moved_replies_total counter\nell_cluster_moved_replies_total %d\n", c.MovedReplies)
 	fmt.Fprintf(w, "# TYPE ell_cluster_map_refetches_total counter\nell_cluster_map_refetches_total %d\n", c.MapRefetches)

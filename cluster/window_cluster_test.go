@@ -153,7 +153,7 @@ func TestMLAddWrongTypeGroupDoesNotPoisonBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := dialNode(t, nodes[0])
-	reply, err := c.Do("CLUSTER", "MLADD", "3", "p", "wkey", "1", "a", "p", "pkey", "1", "b", "p", "wkey", "1", "c")
+	reply, err := c.Do("CLUSTER", "MLADD", "3", "p", "wkey", batchB64(t, "a"), "p", "pkey", batchB64(t, "b"), "p", "wkey", batchB64(t, "c"))
 	if err != nil {
 		t.Fatalf("whole batch failed on one wrongtype group: %v", err)
 	}
@@ -166,7 +166,11 @@ func TestMLAddWrongTypeGroupDoesNotPoisonBatch(t *testing.T) {
 	}
 	// The batcher maps 'E' back to a per-caller ErrWrongType, so a
 	// forwarded Add through the pool reports the right error too.
-	if _, err := nodes[0].peers.batchAdd(nodes[0].Addr(), "wkey", []string{"z"}); !errors.Is(err, server.ErrWrongType) {
+	batch, err := nodes[0].Store().Batch([]string{"z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nodes[0].peers.batchAdd(nodes[0].Addr(), "wkey", &batch); !errors.Is(err, server.ErrWrongType) {
 		t.Errorf("batched add to a windowed key: %v, want ErrWrongType", err)
 	}
 }

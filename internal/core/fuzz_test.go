@@ -91,8 +91,19 @@ func FuzzHybridUnmarshal(f *testing.F) {
 	f.Add(tokenBlob(Config{T: 2, D: 20, P: 26}, 1<<6, 1<<33))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var hy Hybrid
+		var words [8]uint64
+		batch, batchErr := DecodeBatch(data, words[:])
 		if err := hy.UnmarshalBinary(data); err != nil {
+			if batchErr == nil {
+				t.Fatalf("DecodeBatch accepted what UnmarshalBinary refuses: %v", err)
+			}
 			return
+		}
+		if batchErr != nil {
+			t.Fatalf("DecodeBatch refused what UnmarshalBinary accepts: %v", batchErr)
+		}
+		if got, _ := batch.MarshalBinary(); !bytes.Equal(got, data) && hy.IsSparse() {
+			t.Fatal("DecodeBatch into a buffer gives other bytes than the blob's")
 		}
 		if hy.IsSparse() && hy.SizeBytes() >= hy.Config().SizeBytes() {
 			t.Fatalf("accepted %d tokens sparse in %d bytes, the dense array is %d", hy.Tokens(), hy.SizeBytes(), hy.Config().SizeBytes())
@@ -147,8 +158,23 @@ func FuzzHybridRoundTrip(f *testing.F) {
 		}
 		h.AddHashes(hashes[len(hashes)/2:])
 		blob, _ := h.MarshalBinary()
-		if want := cfg.wantBytes(hashes); !bytes.Equal(blob, want) {
+		want := cfg.wantBytes(hashes)
+		if !bytes.Equal(blob, want) {
 			t.Fatalf("%d hashes at p=%d: not the reference encoding", len(hashes), cfg.P)
+		}
+		// The same elements as one batch, and as two absorbed one after the
+		// other, give the same bytes.
+		var words [4]uint64
+		batch, _ := MakeBatch(cfg, hashes, words[:])
+		first, _ := MakeBatch(cfg, hashes[:len(hashes)/3], nil)
+		second, _ := MakeBatch(cfg, hashes[len(hashes)/3:], nil)
+		halves, _ := NewHybrid(cfg)
+		halves.Absorb(&first)
+		halves.Absorb(&second)
+		for name, o := range map[string]*Hybrid{"one batch": &batch, "two absorbed batches": halves} {
+			if got, _ := o.MarshalBinary(); !bytes.Equal(got, want) {
+				t.Fatalf("%d hashes at p=%d: %s is not the reference encoding", len(hashes), cfg.P, name)
+			}
 		}
 		back, err := HybridFromBinary(blob)
 		if err != nil {

@@ -289,12 +289,11 @@ func (t *tokenStream) refill() {
 	t.zk, t.zw, t.z = k, w, z
 }
 
-// encodeTokens returns the sorted, distinct tokens encoded in the given
-// layout, which they fill to the given size. Each region is written in
-// order, a word at a time: a bit set in memory would have to wait for the
-// one set before it.
-func encodeTokens(tokens []uint64, lay tokenLayout, size uint) []uint64 {
-	words := newTokenWords(size)
+// encodeTokens writes the sorted, distinct tokens into words, zeroed and
+// large enough, in the given layout, which they fill to the given size.
+// Each region is written in order, a word at a time: a bit set in memory
+// would have to wait for the one set before it.
+func encodeTokens(words, tokens []uint64, lay tokenLayout) {
 	k, acc := uint(0), uint64(0)
 	for i, x := range tokens {
 		q := uint(x>>(lay.l+6)) + uint(i)
@@ -332,7 +331,6 @@ func encodeTokens(tokens []uint64, lay tokenLayout, size uint) []uint64 {
 		z++
 	}
 	words[k] = acc
-	return words
 }
 
 // tokens is the sketch's token set.
@@ -476,9 +474,17 @@ func (h *Hybrid) AddHash(hash uint64) bool {
 		s.AddHash(hash)
 		return s.changedCount != before
 	}
+	return h.insertToken(TokenFromHash(hash, h.Config().tokenV()))
+}
+
+// insertToken records the token x, one of h's own, and reports whether the
+// state changed, as AddHash does for a hash with that token.
+func (h *Hybrid) insertToken(x uint64) bool {
+	if s := h.sketch(); s != nil {
+		return s.addToken(x)
+	}
 	cfg := h.Config()
 	v, n := cfg.tokenV(), int(h.n)
-	x := TokenFromHash(hash, v)
 	if n == 0 {
 		h.setTokens([]uint64{x})
 		return true
@@ -536,7 +542,7 @@ func (h *Hybrid) AddHash(hash uint64) bool {
 	size := used + lay.l + 2 + nlz
 	if cfg.pastBreakEven(size) {
 		h.densify()
-		h.sketch().AddHash(hash)
+		h.sketch().addToken(x)
 		return true
 	}
 	if size > 64*uint(len(words)) {
@@ -562,15 +568,16 @@ func (h *Hybrid) AddHash(hash uint64) bool {
 	return true
 }
 
-// bulkMin is the batch size from which AddHashes sorts the batch and merges
-// it in one go. A single insert searches and moves some two thirds of the
+// bulkMin is the batch size from which a sparse sketch takes a sorted batch
+// in by one merge. A single insert searches and moves some two thirds of the
 // encoding; a merge decodes all of it and writes it anew — a few dozen
 // inserts' worth, whatever the set's size.
 const bulkMin = 32
 
 // AddHashes inserts a batch of elements by their 64-bit hashes and reports
 // whether any of them changed the state (see AddHash). A large batch into a
-// sparse sketch costs O(k log k + tokens), not O(k · tokens).
+// sparse sketch is sorted and absorbed in one merge, O(k log k + tokens),
+// not O(k · tokens).
 func (h *Hybrid) AddHashes(hashes []uint64) bool {
 	if h.dense || len(hashes) < bulkMin {
 		changed := false
@@ -579,20 +586,99 @@ func (h *Hybrid) AddHashes(hashes []uint64) bool {
 		}
 		return changed
 	}
-	buf := make([]uint64, 2*len(hashes))
-	batch, other := buf[:len(hashes)], buf[len(hashes):]
-	v := h.Config().tokenV()
+	scratch := tokenScratch.Get().(*[]uint64)
+	defer tokenScratch.Put(scratch)
+	buf := scratchTokens(scratch, 2*len(hashes))
+	return h.absorb(h.Config().sortedTokens(hashes, buf))
+}
+
+// sortedTokens returns the distinct tokens of the hashes, ascending, one to
+// a word, in buf, which has room for twice as many words as there are
+// hashes.
+func (c Config) sortedTokens(hashes, buf []uint64) tokenSeq {
+	batch, tmp := buf[:len(hashes)], buf[len(hashes):2*len(hashes)]
+	v := c.tokenV()
 	for i, hash := range hashes {
 		batch[i] = TokenFromHash(hash, v)
 	}
-	batch = sortDistinct(batch, other, uint(v+6))
-	return h.uniteTokens(tokenSeq{words: batch, n: len(batch)})
+	batch = sortDistinct(batch, tmp, uint(v+6))
+	return tokenSeq{words: batch, n: len(batch)}
+}
+
+// MakeBatch returns the token batch of the elements with the given hashes: a
+// sketch of configuration cfg that holds exactly their tokens, sorted and
+// encoded once. It is what Absorb takes in, and its MarshalBinary bytes are
+// what a forwarded write carries. The encoding goes into buf when it fits —
+// a batch that does not outlive buf then allocates nothing — and into a new
+// array otherwise. A batch past break-even is dense, like any sketch.
+func MakeBatch(cfg Config, hashes, buf []uint64) (Hybrid, error) {
+	if err := cfg.Validate(); err != nil {
+		return Hybrid{}, err
+	}
+	if len(hashes) == 0 {
+		return emptyHybrid(cfg), nil
+	}
+	scratch := tokenScratch.Get().(*[]uint64)
+	defer tokenScratch.Put(scratch)
+	tokens := cfg.sortedTokens(hashes, scratchTokens(scratch, 2*len(hashes)))
+	return tokensHybrid(cfg, tokens.words[:tokens.n], buf), nil
+}
+
+// Absorb folds the token batch b (see MakeBatch) into h and reports whether
+// h changed: exactly what adding b's elements one by one with AddHash would
+// report, in every combination of modes. An empty h becomes a copy of b, its
+// configuration included; otherwise b must have h's configuration. A batch
+// below bulkMin tokens goes in by single inserts, so a small batch into a
+// large set moves bits in place and never encodes the set anew. b is not
+// modified or retained.
+func (h *Hybrid) Absorb(b *Hybrid) (bool, error) {
+	if h.IsEmpty() {
+		*h = b.clone()
+		return !b.IsEmpty(), nil
+	}
+	if h.Config() != b.Config() {
+		return false, fmt.Errorf("exaloglog: cannot absorb a batch of config %+v into %+v", b.Config(), h.Config())
+	}
+	mine, theirs := h.sketch(), b.sketch()
+	switch {
+	case theirs == nil:
+		return h.absorb(b.tokens()), nil
+	case mine != nil:
+		return mine.mergeRegisters(theirs), nil
+	default:
+		// A dense batch holds more tokens than a sparse set can, so not all
+		// of them are h's: the state changes.
+		return true, h.Merge(b)
+	}
+}
+
+// absorb folds the sorted, distinct tokens b into h and reports whether h
+// changed.
+func (h *Hybrid) absorb(b tokenSeq) bool {
+	if s := h.sketch(); s != nil {
+		return s.addTokens(b)
+	}
+	if b.n >= bulkMin {
+		return h.uniteTokens(b)
+	}
+	changed := false
+	ts := b.stream()
+	for x := ts.head(); x != endOfTokens; x = ts.head() {
+		changed = h.insertToken(x) || changed
+		ts.i++
+	}
+	return changed
 }
 
 // sortDistinct returns the distinct tokens among the w-bit tokens of a,
 // ascending, in a's array or in tmp's (see sortTokens). a is not empty.
 func sortDistinct(a, tmp []uint64, w uint) []uint64 {
-	a = sortTokens(a, tmp, w)
+	if len(a) < bulkMin {
+		// Below a radix sort's fixed cost: its counters alone are 16 KB.
+		slices.Sort(a)
+	} else {
+		a = sortTokens(a, tmp, w)
+	}
 	n := 1
 	for _, x := range a[1:] {
 		if x != a[n-1] {
@@ -640,10 +726,11 @@ func sortTokens(a, tmp []uint64, w uint) []uint64 {
 func (h *Hybrid) AddString(element string) bool { return h.AddHash(hashing.WyString(element, 0)) }
 
 // replayTokens applies the update values the tokens stand for to regs,
-// exactly as Algorithm 2 would have for the original hashes. The tokens
-// must be c's own (v = p+t); they sort by register, so each register is
-// read and written once for its whole run of tokens.
-func (c Config) replayTokens(regs *bitpack.Array, tokens tokenSeq) {
+// exactly as Algorithm 2 would have for the original hashes, and reports
+// whether a register changed. The tokens must be c's own (v = p+t); they
+// sort by register, so each register is read and written once for its
+// whole run of tokens.
+func (c Config) replayTokens(regs *bitpack.Array, tokens tokenSeq) (changed bool) {
 	ts := tokens.stream()
 	for x := ts.head(); x != endOfTokens; {
 		i, k := c.splitToken(x)
@@ -660,15 +747,27 @@ func (c Config) replayTokens(regs *bitpack.Array, tokens tokenSeq) {
 		}
 		if rNew != r {
 			regs.Set(i, rNew)
+			changed = true
 		}
 	}
+	return changed
 }
 
-// addTokens folds a token set into the sketch. Like Merge it is a union of
-// streams, so martingale tracking is switched off.
-func (s *Sketch) addTokens(tokens tokenSeq) {
+// addTokens folds a token set into the sketch and reports whether a
+// register changed. Like Merge it is a union of streams, so martingale
+// tracking is switched off.
+func (s *Sketch) addTokens(tokens tokenSeq) bool {
 	s.martingale = false
-	s.cfg.replayTokens(s.regs, tokens)
+	return s.cfg.replayTokens(s.regs, tokens)
+}
+
+// addToken applies the update value of one of the sketch's own tokens, as
+// AddHash would for a hash with that token, and reports whether its
+// register changed.
+func (s *Sketch) addToken(x uint64) bool {
+	before := s.changedCount
+	s.AddPair(s.cfg.splitToken(x))
+	return s.changedCount != before
 }
 
 // densify converts the token set to the dense representation.
@@ -699,15 +798,23 @@ func (h *Hybrid) Reset() { *h = emptyHybrid(h.Config()) }
 
 // Clone returns a deep copy.
 func (h *Hybrid) Clone() *Hybrid {
-	c := *h
+	c := h.clone()
+	return &c
+}
+
+// clone is Clone by value: a token array sized to the tokens, however much
+// room h's has.
+func (h *Hybrid) clone() Hybrid {
+	c := emptyHybrid(h.Config())
 	if s := h.sketch(); s != nil {
 		c.setSketch(s.Clone())
 	} else if h.n > 0 {
 		words := newTokenWords(uint(h.used))
 		copy(words, h.tokenWords())
 		c.setTokenWords(words)
+		c.n, c.used = h.n, h.used
 	}
-	return &c
+	return c
 }
 
 // estimateTokens is the dense estimate of the sketch the tokens would
@@ -881,19 +988,48 @@ func (h *Hybrid) uniteTokens(b tokenSeq) bool {
 
 // setTokens makes the sorted, distinct tokens h's token set: encoded, or
 // replayed into registers if that would be no smaller.
-func (h *Hybrid) setTokens(tokens []uint64) {
-	cfg, nlzSum := h.Config(), uint(0)
+func (h *Hybrid) setTokens(tokens []uint64) { *h = tokensHybrid(h.Config(), tokens, nil) }
+
+// tokensHybrid returns the sketch of configuration cfg whose token set is
+// the sorted, distinct tokens: encoded — into buf, if the encoding fits —
+// or replayed into registers if that would be no smaller. (A result, not a
+// receiver it fills in, for the reason sparseHybrid gives.)
+func tokensHybrid(cfg Config, tokens, buf []uint64) Hybrid {
+	nlzSum := uint(0)
 	for _, x := range tokens {
 		nlzSum += uint(x & 63)
 	}
 	lay := layoutTokens(cfg.tokenV(), len(tokens))
 	size := lay.size(len(tokens), nlzSum)
 	if cfg.pastBreakEven(size) {
-		*h = denseFrom(cfg, tokenSeq{words: tokens, n: len(tokens)})
-		return
+		return denseFrom(cfg, tokenSeq{words: tokens, n: len(tokens)})
 	}
-	h.setTokenWords(encodeTokens(tokens, lay, size))
-	h.n, h.used = int32(len(tokens)), uint32(size)
+	words := tokenArray(size, buf)
+	encodeTokens(words, tokens, lay)
+	return sparseHybrid(cfg, words, len(tokens), size)
+}
+
+// tokenArray returns a zeroed word array with room for an encoding of the
+// given size in bits: the words of buf it takes, cleared, if it is large
+// enough, else a new one.
+func tokenArray(size uint, buf []uint64) []uint64 {
+	if need := (size + 63) / 64; uint(len(buf)) >= need {
+		buf = buf[:need]
+		clear(buf)
+		return buf
+	}
+	return newTokenWords(size)
+}
+
+// sparseHybrid returns the sketch of configuration cfg whose n tokens are
+// encoded in the first size bits of words, not empty. (Set here, not by
+// setTokenWords: a store through a pointer, even to a local, counts as
+// escaping, and words would move to the heap.)
+func sparseHybrid(cfg Config, words []uint64, n int, size uint) Hybrid {
+	h := emptyHybrid(cfg)
+	h.ptr, h.nwords = unsafe.Pointer(&words[0]), uint32(len(words))
+	h.n, h.used = int32(n), uint32(size)
+	return h
 }
 
 // tokenScratch holds the plain token arrays sets are put together in before
@@ -977,17 +1113,23 @@ func (h *Hybrid) MarshalBinary() ([]byte, error) {
 	if s := h.sketch(); s != nil {
 		return s.MarshalBinary()
 	}
-	size := h.SizeBytes()
-	out := make([]byte, tokenBlobHeader, tokenBlobHeader+binary.MaxVarintLen32+size+7)
-	copy(out, tokenBlobMagic)
-	out[4], out[5], out[6] = h.t, h.d, h.p
-	out = binary.AppendUvarint(out, uint64(h.n))
-	size += len(out)
-	words := h.tokenWords()
-	for i := 0; len(out) < size; i++ {
-		out = binary.LittleEndian.AppendUint64(out, words[i])
+	return h.AppendBinary(make([]byte, 0, tokenBlobHeader+binary.MaxVarintLen32+h.SizeBytes()+7))
+}
+
+// AppendBinary appends MarshalBinary's bytes to b.
+func (h *Hybrid) AppendBinary(b []byte) ([]byte, error) {
+	if s := h.sketch(); s != nil {
+		return s.AppendBinary(b)
 	}
-	return out[:size], nil
+	b = append(b, tokenBlobMagic...)
+	b = append(b, h.t, h.d, h.p)
+	b = binary.AppendUvarint(b, uint64(h.n))
+	end := len(b) + h.SizeBytes()
+	words := h.tokenWords()
+	for i := 0; len(b) < end; i++ {
+		b = binary.LittleEndian.AppendUint64(b, words[i])
+	}
+	return b[:end], nil
 }
 
 // countOnes returns the number of set bits among bits [from, to) of words.
@@ -1014,46 +1156,55 @@ func countOnes(words []uint64, from, to uint) (n int) {
 // accepted and densified, so the restored mode is again a function of the
 // token set. What is allocated is sized by the blob, not by its count.
 func (h *Hybrid) UnmarshalBinary(data []byte) error {
+	d, err := DecodeBatch(data, nil)
+	if err != nil {
+		return err
+	}
+	*h = d
+	return nil
+}
+
+// DecodeBatch is UnmarshalBinary for a token batch (see MakeBatch) that
+// lives no longer than buf: the blob is checked alike, and its token array
+// is decoded into buf when it fits, so that such a batch allocates nothing.
+func DecodeBatch(data []byte, buf []uint64) (Hybrid, error) {
 	if !IsTokenBlob(data) {
 		s, err := FromBinary(data)
 		if err != nil {
-			return err
+			return Hybrid{}, err
 		}
-		*h = denseHybrid(s)
-		return nil
+		return denseHybrid(s), nil
 	}
 	if len(data) < tokenBlobHeader {
-		return fmt.Errorf("exaloglog: token blob too short (%d bytes)", len(data))
+		return Hybrid{}, fmt.Errorf("exaloglog: token blob too short (%d bytes)", len(data))
 	}
 	cfg := Config{T: int(data[4]), D: int(data[5]), P: int(data[6])}
 	if err := cfg.Validate(); err != nil {
-		return err
+		return Hybrid{}, err
 	}
 	count, k := binary.Uvarint(data[tokenBlobHeader:])
 	if k <= 0 || k > 1 && data[tokenBlobHeader+k-1] == 0 {
-		return fmt.Errorf("exaloglog: token blob has a malformed token count")
+		return Hybrid{}, fmt.Errorf("exaloglog: token blob has a malformed token count")
 	}
 	body := data[tokenBlobHeader+k:]
 	// A token takes two bits at the least: a count the body cannot hold is
 	// refused before anything is computed from it.
 	if count > 4*uint64(len(body)) {
-		return fmt.Errorf("exaloglog: token blob body of %d bytes cannot hold %d tokens", len(body), count)
+		return Hybrid{}, fmt.Errorf("exaloglog: token blob body of %d bytes cannot hold %d tokens", len(body), count)
 	}
-	next := emptyHybrid(cfg)
 	if count == 0 {
 		if len(body) > 0 {
-			return fmt.Errorf("exaloglog: empty token blob with a body of %d bytes", len(body))
+			return Hybrid{}, fmt.Errorf("exaloglog: empty token blob with a body of %d bytes", len(body))
 		}
-		*h = next
-		return nil
+		return emptyHybrid(cfg), nil
 	}
 	n, v := int(count), cfg.tokenV()
 	lay := layoutTokens(v, n)
 	size := 8*uint(len(body)) - uint(bits.LeadingZeros8(body[len(body)-1]))
 	if body[len(body)-1] == 0 || size < lay.size(n, 0) {
-		return fmt.Errorf("exaloglog: token blob body of %d bytes does not end with the last of %d tokens", len(body), n)
+		return Hybrid{}, fmt.Errorf("exaloglog: token blob body of %d bytes does not end with the last of %d tokens", len(body), n)
 	}
-	words := newTokenWords(size)
+	words := tokenArray(size, buf)
 	whole := len(body) / 8
 	for i := 0; i < whole; i++ {
 		words[i] = binary.LittleEndian.Uint64(body[8*i:])
@@ -1065,31 +1216,27 @@ func (h *Hybrid) UnmarshalBinary(data []byte) error {
 	// both; with the quotient vector's last bit clear, its 2^(v-l) zeros
 	// all close a bucket and no quotient lies past them.
 	if ones := countOnes(words, 0, lay.rem); ones != n || words[(lay.rem-1)>>6]>>((lay.rem-1)&63)&1 != 0 {
-		return fmt.Errorf("exaloglog: token blob's quotient vector holds %d tokens, not %d, or one out of range", ones, n)
+		return Hybrid{}, fmt.Errorf("exaloglog: token blob's quotient vector holds %d tokens, not %d, or one out of range", ones, n)
 	}
 	if ones := countOnes(words, lay.nlz, size); ones != n {
-		return fmt.Errorf("exaloglog: token blob holds %d zero counts for %d tokens", ones, n)
+		return Hybrid{}, fmt.Errorf("exaloglog: token blob holds %d zero counts for %d tokens", ones, n)
 	}
 	tokens := tokenSeq{words, n, v, size}
 	ts := tokens.stream()
 	for i, prev := 0, uint64(0); i < n; i, ts.i = i+1, ts.i+1 {
 		x := ts.head()
 		if x&63 > uint64(64-v) {
-			return fmt.Errorf("exaloglog: token %#x at index %d has an impossible zero count", x, i)
+			return Hybrid{}, fmt.Errorf("exaloglog: token %#x at index %d has an impossible zero count", x, i)
 		}
 		if i > 0 && x <= prev {
-			return fmt.Errorf("exaloglog: tokens not strictly ascending at index %d", i)
+			return Hybrid{}, fmt.Errorf("exaloglog: tokens not strictly ascending at index %d", i)
 		}
 		prev = x
 	}
 	if cfg.pastBreakEven(size) {
-		next = denseFrom(cfg, tokens)
-	} else {
-		next.setTokenWords(words)
-		next.n, next.used = int32(n), uint32(size)
+		return denseFrom(cfg, tokens), nil
 	}
-	*h = next
-	return nil
+	return sparseHybrid(cfg, words, n, size), nil
 }
 
 // HybridFromBinary constructs a hybrid sketch from serialized data.

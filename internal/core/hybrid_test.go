@@ -957,7 +957,7 @@ func TestHybridMergeOfKnownTokensDoesNotAllocate(t *testing.T) {
 		if all.AddHash(hashes[7]) || all.AddHashes(hashes[:500]) {
 			t.Fatal("known elements changed the sketch")
 		}
-	}); n > 1 { // the batch's own sort buffer
+	}); n != 0 {
 		t.Errorf("adding known elements allocates %v times", n)
 	}
 	if after, _ := all.MarshalBinary(); !bytes.Equal(before, after) {
@@ -1170,6 +1170,17 @@ func TestHybridHandleThroughEveryMode(t *testing.T) {
 			fed = append(fed, more...)
 			if c.Tokens() != 21 || &c.tokenWords()[0] == &h.tokenWords()[0] {
 				t.Fatalf("%s: the clone holds %d tokens, want 21 in an array of its own", step, c.Tokens())
+			}
+		}},
+		{"absorb batches made in a buffer: by single inserts, by a merge, dense", func(step string) {
+			for _, n := range []int{3, 100, 6000} {
+				more := fresh(n)
+				var words [8]uint64
+				batch, _ := MakeBatch(cfg, more, words[:])
+				h.Absorb(&batch)
+				fed = append(fed, more...)
+				sparse = cfg.staysSparse(fed)
+				check(step)
 			}
 		}},
 		{"merge of another t is refused", func(step string) {

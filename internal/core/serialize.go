@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"exaloglog/internal/bitpack"
@@ -42,15 +41,13 @@ func (s *Sketch) RegisterBytes() []byte {
 // consolidation is performed, which is why it is fast (Section 5.3).
 // Martingale state is intentionally not serialized: it is stream-local.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, s.SerializedSizeBytes())
-	buf[0], buf[1] = 'E', 'L'
-	buf[2] = formatVersion
-	buf[3] = byte(s.cfg.T)
-	buf[4] = byte(s.cfg.D)
-	buf[5] = byte(s.cfg.P)
-	binary.LittleEndian.PutUint16(buf[6:], 0)
-	copy(buf[serializedHeaderSize:], s.regs.Bytes())
-	return buf, nil
+	return s.AppendBinary(make([]byte, 0, s.SerializedSizeBytes()))
+}
+
+// AppendBinary appends MarshalBinary's bytes to b.
+func (s *Sketch) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, 'E', 'L', formatVersion, byte(s.cfg.T), byte(s.cfg.D), byte(s.cfg.P), 0, 0)
+	return append(b, s.regs.Bytes()...), nil
 }
 
 // UnmarshalBinary deserializes a sketch produced by MarshalBinary,
@@ -60,7 +57,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("exaloglog: serialized data too short (%d bytes)", len(data))
 	}
 	if data[0] != 'E' || data[1] != 'L' {
-		return fmt.Errorf("exaloglog: bad magic %q", data[:2])
+		return fmt.Errorf("exaloglog: bad magic %q", string(data[:2])) // a copy: data is not retained
 	}
 	if data[2] != formatVersion {
 		return fmt.Errorf("exaloglog: unsupported format version %d", data[2])

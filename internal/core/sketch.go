@@ -115,9 +115,12 @@ func (s *Sketch) Reset() {
 
 // Clone returns a deep copy, including martingale state.
 func (s *Sketch) Clone() *Sketch {
-	c := *s
-	c.regs = s.regs.Clone()
-	return &c
+	// Field by field: a copy of *s would hold s.regs for a moment, and the
+	// compiler would take all s points to as escaping with it — including
+	// the caller's stack buffer a token batch that Hybrid.Absorb copies may
+	// lie in, which would then move to the heap.
+	return &Sketch{cfg: s.cfg, regs: s.regs.Clone(), martingale: s.martingale,
+		martingaleN: s.martingaleN, muHi: s.muHi, muLo: s.muLo, changedCount: s.changedCount}
 }
 
 // Add inserts an element given as a byte slice. The element is hashed with
@@ -224,6 +227,13 @@ func (s *Sketch) Merge(other *Sketch) error {
 	if s.cfg != other.cfg {
 		return fmt.Errorf("exaloglog: cannot merge config %+v with %+v; reduce to common parameters first", s.cfg, other.cfg)
 	}
+	s.mergeRegisters(other)
+	return nil
+}
+
+// mergeRegisters is Merge for a sketch of s's configuration; it reports
+// whether a register changed.
+func (s *Sketch) mergeRegisters(other *Sketch) (changed bool) {
 	s.martingale = false
 	m := s.cfg.NumRegisters()
 	for i := 0; i < m; i++ {
@@ -231,9 +241,10 @@ func (s *Sketch) Merge(other *Sketch) error {
 		rp := other.regs.Get(i)
 		if merged := MergeRegister(r, rp, s.cfg.D); merged != r {
 			s.regs.Set(i, merged)
+			changed = true
 		}
 	}
-	return nil
+	return changed
 }
 
 // IsEmpty reports whether no insertion has modified the sketch.

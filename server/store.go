@@ -14,6 +14,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -341,61 +342,128 @@ const addBatch = 16
 // recorded, once dense that a register changed. A key holding another
 // value type is ErrWrongType.
 func (s *Store) Add(key string, elements ...string) (bool, error) {
-	for {
-		e := s.getOrCreate(key, valueTagEll)
-		e.mu.Lock()
-		if e.dead {
-			e.mu.Unlock()
-			continue // deleted between lookup and lock; re-create
-		}
-		sk, err := e.ellLocked()
-		if err != nil {
-			e.mu.Unlock()
-			return false, fmt.Errorf("server: add %q: %w", key, err)
-		}
-		var buf [addBatch]uint64 // a larger batch spills to the heap
-		hashes := buf[:0]
-		for _, el := range elements {
-			hashes = append(hashes, hashing.WyString(el, 0))
-		}
-		changed := sk.AddHashes(hashes)
-		if changed {
-			e.changedLocked()
-			s.resizeLocked(e) // a sparse value grows with every new token
-		}
-		e.mu.Unlock()
-		return changed, nil
+	e := s.lockedEntry(key, valueTagEll)
+	defer e.mu.Unlock()
+	sk, err := e.ellLocked()
+	if err != nil {
+		return false, fmt.Errorf("server: add %q: %w", key, err)
 	}
+	var buf [addBatch]uint64 // a larger batch spills to the heap
+	hashes := buf[:0]
+	for _, el := range elements {
+		hashes = append(hashes, hashing.WyString(el, 0))
+	}
+	changed := sk.AddHashes(hashes)
+	if changed {
+		e.changedLocked()
+		s.resizeLocked(e) // a sparse value grows with every new token
+	}
+	return changed, nil
 }
 
 // AddBytes is Add with byte-slice key and elements; it allocates nothing
 // once the key exists, which makes it the server's PFADD fast path. The
 // slices are not retained.
 func (s *Store) AddBytes(key []byte, elements [][]byte) (bool, error) {
+	e := s.lockedEntryBytes(key, valueTagEll)
+	defer e.mu.Unlock()
+	sk, err := e.ellLocked()
+	if err != nil {
+		return false, fmt.Errorf("server: add %q: %w", key, err)
+	}
+	var buf [addBatch]uint64
+	hashes := buf[:0]
+	for _, el := range elements {
+		hashes = append(hashes, hashing.Wy64(el, 0))
+	}
+	changed := sk.AddHashes(hashes)
+	if changed {
+		e.changedLocked()
+		s.resizeLocked(e)
+	}
+	return changed, nil
+}
+
+// Batch hashes elements, as Add does, into one token batch at the store's
+// configuration (core.MakeBatch): what AddBatch and WindowAddBatch take in,
+// here or, as its MarshalBinary bytes, on another node.
+func (s *Store) Batch(elements []string) (core.Hybrid, error) {
+	var buf [addBatch]uint64
+	hashes := buf[:0]
+	for _, el := range elements {
+		hashes = append(hashes, hashing.WyString(el, 0))
+	}
+	return core.MakeBatch(s.cfg, hashes, nil)
+}
+
+// AddBatch inserts the elements of a token batch (Batch, or the batch a
+// forwarded write carried) into the plain sketch at key, creating it if
+// needed, and reports whether the sketch changed — what Add of the batch's
+// elements would report. An empty key takes a copy of the batch as it is
+// encoded; otherwise the batch must have the key's configuration. The
+// batch must hold at least one element and is not retained. A key holding
+// another value type is ErrWrongType.
+func (s *Store) AddBatch(key string, batch *core.Hybrid) (bool, error) {
+	changed, err := s.addBatch(batch, func() *entry { return s.lockedEntry(key, valueTagEll) })
+	if err != nil {
+		return false, fmt.Errorf("server: add %q: %w", key, err)
+	}
+	return changed, nil
+}
+
+// AddBatchBytes is AddBatch with a byte-slice key, which is not retained:
+// the receiving end of a forwarded write.
+func (s *Store) AddBatchBytes(key []byte, batch *core.Hybrid) (bool, error) {
+	changed, err := s.addBatch(batch, func() *entry { return s.lockedEntryBytes(key, valueTagEll) })
+	if err != nil {
+		return false, fmt.Errorf("server: add %q: %w", string(key), err)
+	}
+	return changed, nil
+}
+
+// addBatch is AddBatch on the entry entryOf returns, locked.
+func (s *Store) addBatch(batch *core.Hybrid, entryOf func() *entry) (bool, error) {
+	if batch.IsEmpty() {
+		return false, errEmptyBatch
+	}
+	e := entryOf()
+	defer e.mu.Unlock()
+	sk, err := e.ellLocked()
+	if err != nil {
+		return false, err
+	}
+	changed, err := sk.Absorb(batch)
+	if changed {
+		e.changedLocked()
+		s.resizeLocked(e)
+	}
+	return changed, err
+}
+
+var errEmptyBatch = errors.New("a batch of no elements")
+
+// lockedEntry returns the live entry for key, created with an empty value
+// of type tag if absent, with its lock held.
+func (s *Store) lockedEntry(key string, tag byte) *entry {
 	for {
-		e := s.getOrCreateBytes(key, valueTagEll)
+		e := s.getOrCreate(key, tag)
 		e.mu.Lock()
-		if e.dead {
-			e.mu.Unlock()
-			continue
+		if !e.dead {
+			return e
 		}
-		sk, err := e.ellLocked()
-		if err != nil {
-			e.mu.Unlock()
-			return false, fmt.Errorf("server: add %q: %w", key, err)
-		}
-		var buf [addBatch]uint64
-		hashes := buf[:0]
-		for _, el := range elements {
-			hashes = append(hashes, hashing.Wy64(el, 0))
-		}
-		changed := sk.AddHashes(hashes)
-		if changed {
-			e.changedLocked()
-			s.resizeLocked(e)
+		e.mu.Unlock() // deleted between lookup and lock; re-create
+	}
+}
+
+// lockedEntryBytes is lockedEntry with a byte-slice key.
+func (s *Store) lockedEntryBytes(key []byte, tag byte) *entry {
+	for {
+		e := s.getOrCreateBytes(key, tag)
+		e.mu.Lock()
+		if !e.dead {
+			return e
 		}
 		e.mu.Unlock()
-		return changed, nil
 	}
 }
 
@@ -406,57 +474,106 @@ func (s *Store) AddBytes(key []byte, elements [][]byte) (bool, error) {
 // observable through WINFO. A key holding another value type is
 // ErrWrongType.
 func (s *Store) WindowAdd(key string, ts time.Time, elements ...string) (int, error) {
-	for {
-		e := s.getOrCreate(key, valueTagWindow)
-		e.mu.Lock()
-		if e.dead {
-			e.mu.Unlock()
-			continue
-		}
-		c, err := e.windowLocked()
-		if err != nil {
-			e.mu.Unlock()
-			return 0, fmt.Errorf("server: window add %q: %w", key, err)
-		}
-		before := c.Dropped()
-		for _, el := range elements {
-			c.AddString(ts, el)
-		}
-		accepted := len(elements) - int(c.Dropped()-before)
-		e.changedLocked()
-		s.resizeLocked(e)
-		e.mu.Unlock()
-		return accepted, nil
+	var buf [addBatch]uint64
+	hashes := buf[:0]
+	for _, el := range elements {
+		hashes = append(hashes, hashing.WyString(el, 0))
 	}
+	accepted, err := s.windowAddHashes(ts, hashes, func() *entry { return s.lockedEntry(key, valueTagWindow) })
+	if err != nil {
+		return 0, fmt.Errorf("server: window add %q: %w", key, err)
+	}
+	return accepted, nil
 }
 
 // WindowAddBytes is WindowAdd with byte-slice key and elements and a
 // unix-millisecond timestamp — the server's WADD fast path. The slices
 // are not retained.
 func (s *Store) WindowAddBytes(key []byte, tsMillis int64, elements [][]byte) (int, error) {
-	ts := time.UnixMilli(tsMillis)
-	for {
-		e := s.getOrCreateBytes(key, valueTagWindow)
-		e.mu.Lock()
-		if e.dead {
-			e.mu.Unlock()
-			continue
-		}
-		c, err := e.windowLocked()
-		if err != nil {
-			e.mu.Unlock()
-			return 0, fmt.Errorf("server: window add %q: %w", key, err)
-		}
-		before := c.Dropped()
-		for _, el := range elements {
-			c.Add(ts, el)
-		}
-		accepted := len(elements) - int(c.Dropped()-before)
-		e.changedLocked()
-		s.resizeLocked(e)
-		e.mu.Unlock()
-		return accepted, nil
+	var buf [addBatch]uint64
+	hashes := buf[:0]
+	for _, el := range elements {
+		hashes = append(hashes, hashing.Wy64(el, 0))
 	}
+	accepted, err := s.windowAddHashes(time.UnixMilli(tsMillis), hashes, func() *entry { return s.lockedEntryBytes(key, valueTagWindow) })
+	if err != nil {
+		return 0, fmt.Errorf("server: window add %q: %w", key, err)
+	}
+	return accepted, nil
+}
+
+// batchWords is the token array a WADD's batch is encoded in on the stack:
+// room for some 80 tokens at the default configuration.
+const batchWords = 16
+
+// windowAddHashes inserts the elements with the given hashes into the ring
+// of the entry entryOf returns, locked, as one token batch made at the
+// ring's own configuration.
+func (s *Store) windowAddHashes(ts time.Time, hashes []uint64, entryOf func() *entry) (int, error) {
+	e := entryOf()
+	defer e.mu.Unlock()
+	c, err := e.windowLocked()
+	if err != nil {
+		return 0, err
+	}
+	accepted := 0
+	if len(hashes) > 0 {
+		var words [batchWords]uint64
+		batch, err := core.MakeBatch(c.Config(), hashes, words[:])
+		if err != nil {
+			return 0, err
+		}
+		if accepted, err = c.AddBatch(ts, &batch, len(hashes)); err != nil {
+			return 0, err
+		}
+	}
+	e.changedLocked()
+	s.resizeLocked(e)
+	return accepted, nil
+}
+
+// WindowAddBatch inserts n elements observed at the unix-millisecond
+// timestamp tsMillis, given as their token batch (see AddBatch), into the
+// windowed counter at key, creating it if needed, and returns how many it
+// accepted: n, or none when they are older than the ring span. The batch
+// must have the ring's configuration and hold at least one element; it is
+// not retained. A key holding another value type is ErrWrongType.
+func (s *Store) WindowAddBatch(key string, tsMillis int64, batch *core.Hybrid, n int) (int, error) {
+	accepted, err := s.windowAddBatch(tsMillis, batch, n, func() *entry { return s.lockedEntry(key, valueTagWindow) })
+	if err != nil {
+		return 0, fmt.Errorf("server: window add %q: %w", key, err)
+	}
+	return accepted, nil
+}
+
+// WindowAddBatchBytes is WindowAddBatch with a byte-slice key, which is
+// not retained: the receiving end of a forwarded write.
+func (s *Store) WindowAddBatchBytes(key []byte, tsMillis int64, batch *core.Hybrid, n int) (int, error) {
+	accepted, err := s.windowAddBatch(tsMillis, batch, n, func() *entry { return s.lockedEntryBytes(key, valueTagWindow) })
+	if err != nil {
+		return 0, fmt.Errorf("server: window add %q: %w", string(key), err)
+	}
+	return accepted, nil
+}
+
+// windowAddBatch is WindowAddBatch on the entry entryOf returns, locked.
+func (s *Store) windowAddBatch(tsMillis int64, batch *core.Hybrid, n int, entryOf func() *entry) (int, error) {
+	if n < 1 || batch.IsEmpty() {
+		return 0, errEmptyBatch
+	}
+	e := entryOf()
+	defer e.mu.Unlock()
+	c, err := e.windowLocked()
+	if err != nil {
+		return 0, err
+	}
+	accepted, err := c.AddBatch(time.UnixMilli(tsMillis), batch, n)
+	if err != nil {
+		return 0, err
+	}
+	e.changedLocked()
+	s.resizeLocked(e)
+	return accepted, nil
 }
 
 // WindowCount estimates the number of distinct elements the windowed

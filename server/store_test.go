@@ -132,6 +132,79 @@ func TestStoreAddDeleteRace(t *testing.T) {
 	}
 }
 
+// TestStoreBatchesMatchAdd: the elements of a token batch, through
+// AddBatch, AddBatchBytes, WindowAddBatch or WindowAddBatchBytes, leave the
+// key Add and WindowAdd of them leave, with the same reply, on a new key and
+// on one that holds some of them already. An empty batch is refused and
+// creates no key; a key that holds something refuses a batch of another
+// configuration and the other value type.
+func TestStoreBatchesMatchAdd(t *testing.T) {
+	ref, st := newTestStore(t), newTestStore(t)
+	els := func(from, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("el-%d", from+i)
+		}
+		return out
+	}
+	for i, part := range [][]string{els(0, 3), els(2, 40), els(0, 3), els(100, 5000)} {
+		batch, err := st.Batch(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := baseMS + int64(i%2)*1000
+		want, _ := ref.Add("p", part...)
+		got, err := st.AddBatch("p", &batch)
+		gotBytes, errBytes := st.AddBatchBytes([]byte("pb"), &batch)
+		if err != nil || errBytes != nil || got != want || gotBytes != want {
+			t.Fatalf("part %d: AddBatch %v, %v and AddBatchBytes %v, %v; Add %v", i, got, err, gotBytes, errBytes, want)
+		}
+		wantN, _ := ref.WindowAdd("w", time.UnixMilli(ts), part...)
+		n, err := st.WindowAddBatch("w", ts, &batch, len(part))
+		nBytes, errBytes := st.WindowAddBatchBytes([]byte("wb"), ts, &batch, len(part))
+		if err != nil || errBytes != nil || n != wantN || nBytes != wantN {
+			t.Fatalf("part %d: WindowAddBatch %d, %v and WindowAddBatchBytes %d, %v; WindowAdd %d", i, n, err, nBytes, errBytes, wantN)
+		}
+		for key, refKey := range map[string]string{"p": "p", "pb": "p", "w": "w", "wb": "w"} {
+			got, _ := st.Dump(key)
+			want, _ := ref.Dump(refKey)
+			if string(got) != string(want) {
+				t.Fatalf("part %d: %s holds other bytes than Add's %s", i, key, refKey)
+			}
+		}
+	}
+	var empty core.Hybrid
+	if err := empty.UnmarshalBinary([]byte("ELT3\x02\x14\x0c\x00")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AddBatch("none", &empty); err == nil {
+		t.Error("an empty batch was accepted")
+	}
+	if _, err := st.WindowAddBatchBytes([]byte("none"), baseMS, &empty, 1); err == nil {
+		t.Error("an empty window batch was accepted")
+	}
+	if _, ok := st.Dump("none"); ok {
+		t.Error("a refused empty batch created its key")
+	}
+	other, err := core.MakeBatch(core.RecommendedML(10), []uint64{1, 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AddBatch("p", &other); err == nil {
+		t.Error("a batch of p=10 was absorbed by a p=12 key")
+	}
+	if _, err := st.WindowAddBatch("w", baseMS, &other, 2); err == nil {
+		t.Error("a batch of p=10 was absorbed by a p=12 ring")
+	}
+	plain, _ := st.Batch([]string{"x"})
+	if _, err := st.AddBatch("w", &plain); !errors.Is(err, ErrWrongType) {
+		t.Errorf("a plain batch into a window key: %v, want ErrWrongType", err)
+	}
+	if _, err := st.WindowAddBatchBytes([]byte("p"), baseMS, &plain, 1); !errors.Is(err, ErrWrongType) {
+		t.Errorf("a window batch into a plain key: %v, want ErrWrongType", err)
+	}
+}
+
 // TestStoreAddBytesMatchesAdd checks the byte-slice fast path produces
 // the same sketch state as the string path, and does not retain its
 // argument slices.

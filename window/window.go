@@ -135,18 +135,47 @@ const maxUnixSec = int64(math.MaxInt64 / int64(time.Second))
 
 // AddHash inserts an element by its 64-bit hash, observed at ts.
 func (c *Counter) AddHash(ts time.Time, h uint64) {
+	if s := c.slotFor(ts); s != nil {
+		s.sketch.AddHash(h)
+		return
+	}
+	c.dropped++
+}
+
+// AddBatch inserts n elements observed at ts, given as their token batch
+// (core.MakeBatch), which must have the counter's configuration: the slice
+// is found once for all of them, and the batch goes in as one
+// (core.Hybrid.Absorb). It returns how many elements were accepted — all n,
+// or none when ts is older than the ring span (they count in Dropped).
+func (c *Counter) AddBatch(ts time.Time, batch *core.Hybrid, n int) (int, error) {
+	if batch.Config() != c.cfg {
+		return 0, fmt.Errorf("window: batch of config %+v for a ring of %+v", batch.Config(), c.cfg)
+	}
+	s := c.slotFor(ts)
+	if s == nil {
+		c.dropped += uint64(n)
+		return 0, nil
+	}
+	if _, err := s.sketch.Absorb(batch); err != nil {
+		panic(err) // unreachable: configurations checked above
+	}
+	return n, nil
+}
+
+// slotFor returns the slot an element observed at ts goes into, advancing
+// the ring to it, or nil when ts cannot be represented or is older than the
+// ring span.
+func (c *Counter) slotFor(ts time.Time) *slot {
 	if sec := ts.Unix(); sec <= -maxUnixSec || sec >= maxUnixSec {
 		// Outside UnixNano's defined range: unrepresentable. Timestamps
 		// arrive from the wire, so this is load-bearing, not defensive.
-		c.dropped++
-		return
+		return nil
 	}
 	idx := c.sliceIndex(ts)
 	if idx < 0 {
 		// Pre-epoch: representable as a time, not as a ring slice (a
 		// negative modulus would index out of range).
-		c.dropped++
-		return
+		return nil
 	}
 	if ns := ts.UnixNano(); ns > c.latest {
 		c.latest = ns
@@ -154,21 +183,19 @@ func (c *Counter) AddHash(ts time.Time, h uint64) {
 	if idx > c.maxIndex {
 		c.maxIndex = idx
 	} else if c.maxIndex-idx >= int64(len(c.slots)) {
-		c.dropped++ // older than the ring span
-		return
+		return nil // older than the ring span
 	}
 	s := &c.slots[int(idx%int64(len(c.slots)))]
 	if s.index != idx {
 		if s.index > idx {
 			// The slot already holds a newer slice; the element is too
 			// old to be representable.
-			c.dropped++
-			return
+			return nil
 		}
 		s.sketch.Reset()
 		s.index = idx
 	}
-	s.sketch.AddHash(h)
+	return s
 }
 
 // Merge folds other into c slot-wise: slices with the same index merge

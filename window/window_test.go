@@ -439,3 +439,60 @@ func TestMemoryFootprint(t *testing.T) {
 		t.Errorf("a slot is %d bytes, want 32", size)
 	}
 }
+
+// TestAddBatchIsAddHashPerElement: n elements added as one token batch at
+// ts leave the ring — bytes, Dropped, Latest — that AddHash of each of them
+// at ts leaves: accepted whole, or dropped whole when ts is older than the
+// span, whether the slice is new, holds some of them already or turns
+// dense. A batch of another configuration is refused and changes nothing.
+func TestAddBatchIsAddHashPerElement(t *testing.T) {
+	cfg := core.Config{T: 2, D: 20, P: 8}
+	batched, single := newCounter(t, 8, time.Second, 4), newCounter(t, 8, time.Second, 4)
+	var next uint64
+	elements := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			next++
+			out[i] = hashing.Wy64Uint64(next, 0)
+		}
+		return out
+	}
+	for _, step := range []struct {
+		at     time.Duration
+		hashes []uint64
+		want   int
+	}{
+		{0, elements(3), 3},
+		{0, elements(40), 40},
+		{2 * time.Second, elements(1), 1},
+		{9 * time.Second, elements(5000), 5000}, // past break-even
+		{time.Second, elements(7), 0},           // older than the span
+		{9 * time.Second, elements(2), 2},
+	} {
+		ts := t0.Add(step.at)
+		for _, h := range step.hashes {
+			single.AddHash(ts, h)
+		}
+		batch, err := core.MakeBatch(cfg, step.hashes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted, err := batched.AddBatch(ts, &batch, len(step.hashes))
+		if err != nil || accepted != step.want {
+			t.Fatalf("%d elements at +%v: accepted %d, %v; want %d", len(step.hashes), step.at, accepted, err, step.want)
+		}
+		got, _ := batched.MarshalBinary()
+		want, _ := single.MarshalBinary()
+		if string(got) != string(want) || batched.Dropped() != single.Dropped() || batched.Latest() != single.Latest() {
+			t.Fatalf("%d elements at +%v: the batched ring differs from one fed element by element", len(step.hashes), step.at)
+		}
+	}
+	before, _ := batched.MarshalBinary()
+	other, _ := core.MakeBatch(core.Config{T: 2, D: 20, P: 10}, elements(3), nil)
+	if _, err := batched.AddBatch(t0.Add(9*time.Second), &other, 3); err == nil {
+		t.Error("a batch of another configuration was accepted")
+	}
+	if after, _ := batched.MarshalBinary(); string(after) != string(before) {
+		t.Error("a refused batch changed the ring")
+	}
+}
