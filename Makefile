@@ -2,10 +2,15 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench-smoke fuzz
+.PHONY: build fmt-check vet test race bench-smoke fuzz
 
 build:
 	$(GO) build ./...
+
+# gofmt walks the tree, so both modules (the root and benchmark/) are
+# covered. CI runs it as a blocking step.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

@@ -203,8 +203,8 @@ func BenchmarkClusterWindowCount(b *testing.B) {
 
 // BenchmarkRebalance measures one full membership round trip — a
 // fourth node joining and then leaving a 3-node, replica-2 cluster
-// holding 512 keys. The delta-aware rebalance moves only keys whose
-// owner set changed, which is what keeps this flat-ish as stores grow.
+// holding 512 keys. The digest rounds a membership change runs move only
+// keys whose owner set changed, which keeps this flat-ish as stores grow.
 func BenchmarkRebalance(b *testing.B) {
 	nodes, _ := startBenchCluster(b)
 	for i := 0; i < 512; i++ {

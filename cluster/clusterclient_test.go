@@ -296,7 +296,7 @@ func TestForwardRetriesOnFreshMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := m.withoutNode(victim.ID(), m.Epoch+1, "n1")
-	if err := n1.installAndRebalance(next); err != nil {
+	if err := n1.installAndSync(next); err != nil {
 		t.Fatal(err)
 	}
 	close(release) // the parked forward now dials a dead node and must retry

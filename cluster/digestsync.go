@@ -12,16 +12,18 @@ import (
 	"exaloglog/server"
 )
 
-// Digest anti-entropy — the one path that moves DATA between nodes
-// outside a membership change (gossip moves maps, see gossip.go).
+// Digest anti-entropy — the one path that moves DATA between nodes (gossip
+// moves maps, see gossip.go). It runs on a timer (DigestSync) and whenever
+// a node installs a newer map (installAndSync): a membership change is a
+// digest round, and the next round is its retry.
 // Instead of probing replicas key by key, a node summarizes the
 // replicated state it shares with one peer as 128 per-shard digests
 // (one XOR-fold of per-key content digests each, see server/digest.go)
 // and ships only the keys of shards that disagree. On a converged
 // cluster a full round is one DSUM message per peer — O(members)
 // messages carrying O(shards) bytes — no matter how many keys the
-// cluster holds. The same pass over the keys notices strays (keys this
-// node holds but does not own), which the round hands to their owners.
+// cluster holds. Before its rounds a pass hands strays (keys this node
+// holds but does not own) to their owners.
 //
 // Wire protocol (CLUSTER subcommands on the ordinary line protocol):
 //
@@ -39,11 +41,11 @@ import (
 // indices whose folded digests disagreed.
 //
 // Repair is push-only and merge-based: each node ships the divergent
-// keys IT holds over the streaming transfer channel (one batched XFER
-// stream, or per-key ABSORB below the stream threshold) and trusts the
-// peer's own round for the reverse direction. Merging is idempotent
-// and monotone, so concurrent repairs from both sides converge exactly
-// like every other data movement in the cluster.
+// keys IT holds as XFER frames (see transfer.go) and trusts the peer's
+// own round for the reverse direction. Merging is idempotent and
+// monotone, so concurrent repairs from both sides converge, and a round
+// that failed half-way is finished by the next one: what landed no
+// longer differs.
 const (
 	digestVecMagic  = "ELD1"
 	digestKeysMagic = "ELK1"
@@ -147,19 +149,11 @@ func decodeKeyDigests(body string) (map[string]uint64, error) {
 
 // coOwnedFilter accepts the keys whose owner set under m contains both
 // this node and peerID — the key population a digest exchange between
-// the two summarizes. A non-nil stray is set when the scan meets a key
-// this node does not own at all: the stray check rides the ownership
-// pass instead of costing a key scan of its own.
-func (n *Node) coOwnedFilter(m *Map, peerID string, stray *bool) func(string) bool {
+// the two summarizes.
+func (n *Node) coOwnedFilter(m *Map, peerID string) func(string) bool {
 	return func(key string) bool {
 		ids := m.ownerIDs(key)
-		if !slices.Contains(ids, n.id) {
-			if stray != nil {
-				*stray = true
-			}
-			return false
-		}
-		return slices.Contains(ids, peerID)
+		return slices.Contains(ids, n.id) && slices.Contains(ids, peerID)
 	}
 }
 
@@ -195,7 +189,7 @@ func (n *Node) handleDigestSum(rest []string) string {
 	if len(rest) != 2 {
 		return "-ERR CLUSTER DSUM needs a requester ID and e=<epoch>"
 	}
-	return "=" + encodeDigestVector(n.store.ShardDigests(n.coOwnedFilter(m, peerID, nil)))
+	return "=" + encodeDigestVector(n.store.ShardDigests(n.coOwnedFilter(m, peerID)))
 }
 
 // handleDigestKeys serves CLUSTER DKEYS (see the file comment).
@@ -207,7 +201,7 @@ func (n *Node) handleDigestKeys(rest []string) string {
 	if len(rest) != 3 {
 		return "-ERR CLUSTER DKEYS needs a requester ID, e=<epoch> and a shard list"
 	}
-	filter := n.coOwnedFilter(m, peerID, nil)
+	filter := n.coOwnedFilter(m, peerID)
 	var kds []server.KeyDigest
 	for _, tok := range strings.Split(rest[2], ",") {
 		shard, err := strconv.Atoi(tok)
@@ -220,8 +214,7 @@ func (n *Node) handleDigestKeys(rest []string) string {
 }
 
 // errDigestStale marks a digest round the peer refused because its map
-// epoch differs; DigestSync reconciles the maps and the next round
-// covers the peer.
+// epoch differs; the pass reconciles the maps and retries the peer once.
 var errDigestStale = errors.New("cluster: digest sync: map epochs differ")
 
 // digestDo issues one digest request and decodes the =<base64> reply
@@ -237,42 +230,68 @@ func (n *Node) digestDo(addr string, args ...string) (string, error) {
 	return reply, nil
 }
 
-// DigestSync runs one anti-entropy round against every peer: exchange
-// per-shard digest vectors, narrow disagreeing shards to per-key
-// digests, and ship the divergent keys this node holds over the
-// streaming transfer channel; then drain any stray the pass over the
-// keys met. A peer whose map epoch differs refuses the exchange; the
-// maps are reconciled with that peer on the spot and the next round
-// covers its data. Every peer is tried; the errors are joined.
-func (n *Node) DigestSync() error {
+// DigestSync runs one anti-entropy pass — the periodic one; a map install
+// runs the same pass (installAndSync). See syncPass.
+func (n *Node) DigestSync() error { return n.syncPass(false) }
+
+// installAndSync swaps in m and, if it superseded the current map, runs
+// the pass that moves the data the new map places elsewhere. This is the
+// only way a membership change moves data.
+func (n *Node) installAndSync(m *Map) error {
+	if !n.swapMap(m) {
+		return nil
+	}
+	return n.syncPass(true)
+}
+
+// syncPass is the one data mover. It first drains the strays — keys this
+// node holds but does not own, every key on a node off the map — to all
+// their owners. Then, against each peer, it exchanges per-shard digest
+// vectors, narrows disagreeing shards to per-key digests and ships the
+// divergent keys this node holds; what the drain delivered no longer
+// differs. A peer whose map epoch differs refuses the exchange: the maps
+// are reconciled with that peer on the spot and the peer is tried once
+// more. Every peer is tried; the errors are joined.
+//
+// membership says a map install started the pass. Its rounds go to the
+// peers this node now shares keys with, and what it ships is counted as
+// RebalancePushes, not as digest repairs (a drained stray always is). The
+// timer's pass goes to every member, since a refused exchange is also how
+// a node — one off the map too — learns that it missed a map.
+func (n *Node) syncPass(membership bool) error {
+	return errors.Join(n.drainStrays(), n.syncRounds(membership))
+}
+
+// syncRounds is the second half of a pass: one digest round with each
+// peer.
+func (n *Node) syncRounds(membership bool) error {
 	var errs []error
-	stray := false
-	for _, mem := range n.currentMap().Members() {
-		// Re-read per peer: a reconcile earlier in the round may have
-		// installed a newer map.
-		m := n.currentMap()
-		if mem.ID == n.id || !m.Has(mem.ID) {
+	m := n.currentMap()
+	for _, mem := range m.Members() {
+		if mem.ID == n.id || membership && !m.coOwned(n.id, mem.ID) {
 			continue
 		}
-		err := n.digestSyncPeer(m, mem, &stray)
+		err := n.digestSyncPeer(mem, membership)
 		if errors.Is(err, errDigestStale) {
-			err = n.reconcileMap(mem.Addr)
+			if err = n.reconcileMap(mem.Addr); err == nil {
+				err = n.digestSyncPeer(mem, membership)
+			}
 		}
 		if err != nil {
 			errs = append(errs, fmt.Errorf("cluster: digest sync with %s: %w", mem.ID, err))
 		}
 	}
-	if stray {
-		if err := n.drainStrays(); err != nil {
-			errs = append(errs, fmt.Errorf("cluster: digest sync: drain strays: %w", err))
-		}
-	}
 	return errors.Join(errs...)
 }
 
-// digestSyncPeer is one peer's round of DigestSync.
-func (n *Node) digestSyncPeer(m *Map, peer Member, stray *bool) error {
-	filter := n.coOwnedFilter(m, peer.ID, stray)
+// digestSyncPeer is one peer's round of a pass, under the current map (a
+// reconcile earlier in the pass may have installed a newer one).
+func (n *Node) digestSyncPeer(peer Member, membership bool) error {
+	m := n.currentMap()
+	if !m.Has(peer.ID) {
+		return nil
+	}
+	filter := n.coOwnedFilter(m, peer.ID)
 	local := n.store.ShardDigests(filter)
 	epochTok := "e=" + strconv.FormatUint(m.Epoch, 10)
 	n.digestRounds.Add(1)
@@ -284,18 +303,18 @@ func (n *Node) digestSyncPeer(m *Map, peer Member, stray *bool) error {
 	if err != nil {
 		return err
 	}
-	var diff []string
-	diffIdx := make(map[int]bool)
+	var diff []int
+	var list []string
 	for i := range local {
 		if local[i] != remote[i] {
-			diff = append(diff, strconv.Itoa(i))
-			diffIdx[i] = true
+			diff = append(diff, i)
+			list = append(list, strconv.Itoa(i))
 		}
 	}
 	if len(diff) == 0 {
 		return nil // converged: the whole round cost one message
 	}
-	body, err = n.digestDo(peer.Addr, "CLUSTER", "DKEYS", n.id, epochTok, strings.Join(diff, ","))
+	body, err = n.digestDo(peer.Addr, "CLUSTER", "DKEYS", n.id, epochTok, strings.Join(list, ","))
 	if err != nil {
 		return err
 	}
@@ -306,31 +325,88 @@ func (n *Node) digestSyncPeer(m *Map, peer Member, stray *bool) error {
 	// Ship every key this node holds in a disagreeing shard whose digest
 	// the peer lacks or contradicts. Keys only THEY hold are their
 	// round's job — push-only repair keeps both sides independent.
-	var items []server.KeyBlob
-	for shard := range diffIdx {
+	count := &n.digestRepairs
+	if membership {
+		count = &n.pushes
+	}
+	s := n.newStream(peer.Addr, m.Epoch, count, nil)
+	for _, shard := range diff {
 		for _, kd := range n.store.ShardKeyDigests(shard, filter) {
 			if theirs[kd.Key] == kd.Digest {
 				continue
 			}
 			if tb, ok := n.store.DumpTagged(kd.Key); ok {
-				items = append(items, server.KeyBlob{Key: kd.Key, Blob: tb.Blob, Deadline: tb.Deadline})
+				s.add(server.KeyBlob{Key: kd.Key, Blob: tb.Blob, Deadline: tb.Deadline})
 			}
 		}
 	}
-	if len(items) == 0 {
-		return nil
-	}
-	failed := n.streamTo(peer.Addr, m.Epoch, items)
-	n.digestRepairs.Add(uint64(len(items) - len(failed)))
-	if len(failed) == 0 {
-		return nil
-	}
-	errs := make([]error, 0, len(failed))
-	for key, ferr := range failed {
-		if errors.Is(ferr, errXferStale) {
-			return errDigestStale // map moved mid-round: next round re-plans
+	if err := s.close(); err != nil {
+		if errors.Is(err, errXferStale) {
+			return errDigestStale // the map moved mid-round
 		}
-		errs = append(errs, fmt.Errorf("repair %q: %w", key, ferr))
+		return fmt.Errorf("repair: %w", err)
+	}
+	return nil
+}
+
+// drainStrays hands every key this node holds but does not own under the
+// current map to its owners, and drops the key once every owner merged it
+// — e.g. a write that landed here under a stale map, or every key of a
+// node that left the map. It walks the store shard by shard and holds,
+// per owner, the frame it fills and one window. A key whose hand-off
+// failed stays, and so does one written to after it was dumped
+// (Store.DeleteIfUnchanged): the next pass drains it again. An owner that
+// refuses a frame for holding a newer map has its map installed, whose
+// pass drains again at once.
+func (n *Node) drainStrays() error {
+	m := n.currentMap()
+	type handoff struct {
+		tag    server.TaggedBlob
+		owners int // owners yet to merge the key
+	}
+	pending := make(map[string]*handoff)
+	acked := func(keys []string) {
+		for _, key := range keys {
+			if h := pending[key]; h != nil {
+				if h.owners--; h.owners == 0 {
+					n.store.DeleteIfUnchanged(key, h.tag)
+					delete(pending, key)
+				}
+			}
+		}
+	}
+	streams := make(map[string]*stream)
+	var order []*stream
+	notOwned := func(key string) bool { return !slices.Contains(m.ownerIDs(key), n.id) }
+	n.store.EachTagged(notOwned, func(key string, t server.TaggedBlob) {
+		owners := m.Owners(key)
+		if len(owners) == 0 {
+			return // ownerless key (degenerate map): never drop data
+		}
+		kb := server.KeyBlob{Key: key, Blob: t.Blob, Deadline: t.Deadline}
+		t.Blob = nil // the streams hold it until it is framed
+		pending[key] = &handoff{tag: t, owners: len(owners)}
+		for _, o := range owners {
+			s := streams[o.ID]
+			if s == nil {
+				s = n.newStream(o.Addr, m.Epoch, &n.pushes, acked)
+				streams[o.ID] = s
+				order = append(order, s)
+			}
+			s.add(kb)
+		}
+	})
+	var errs []error
+	for _, s := range order {
+		err := s.close()
+		if errors.Is(err, errXferStale) {
+			// The owner holds a newer map. Installing it runs a pass, and
+			// that pass drains whatever is a stray under it.
+			err = n.reconcileMap(s.addr)
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("cluster: drain strays to %s: %w", s.addr, err))
+		}
 	}
 	return errors.Join(errs...)
 }

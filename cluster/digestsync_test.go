@@ -242,7 +242,7 @@ func TestDigestSyncConvergedMessageCount(t *testing.T) {
 func TestDigestSyncRepairsDivergence(t *testing.T) {
 	const keys = 60
 	lost := map[string]bool{"dv-3": true, "dv-17": true, "dv-29": true, "dv-41": true, "dv-55": true}
-	h := newHarnessCfg(t, 2, 2, &TransferConfig{MinStreamKeys: 1})
+	h := newHarness(t, 2, 2)
 	ref := make(map[string]float64, keys)
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("dv-%d", k)
@@ -305,7 +305,7 @@ func TestDigestSyncRepairsDivergence(t *testing.T) {
 // runs its own push-only round — merge is idempotent and monotone, so
 // the union wins on both.
 func TestDigestSyncBidirectional(t *testing.T) {
-	h := newHarnessCfg(t, 2, 2, &TransferConfig{MinStreamKeys: 1})
+	h := newHarness(t, 2, 2)
 	if _, err := h.node("n1").Add("bi", "shared"); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestDigestSyncChaosUnderLoad(t *testing.T) {
 		t.Skip("digest chaos skipped in -short")
 	}
 	const keys = 500
-	h := newHarnessCfg(t, 3, 2, &TransferConfig{MinStreamKeys: 4})
+	h := newHarness(t, 3, 2)
 	ref := make(map[string]float64, keys)
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("dc-%d", k)

@@ -227,7 +227,7 @@ func (n *Node) Gossip() []string {
 		case tripleBehind(cur, d.Epoch, d.Version, d.Coordinator):
 			// The replier is behind our map: push it now, one targeted
 			// SETMAP, instead of leaving the laggard to discover it.
-			n.peers.do(addr, setmapCommand(cur)...)
+			n.peers.direct(addr, setmapCommand(cur)...)
 		case cur.SupersededByTriple(d.Epoch, d.Version, d.Coordinator):
 			// The replier is still ahead, so its map did not fit the
 			// reply (size-capped): pull it from that one peer.
@@ -406,14 +406,13 @@ func (n *Node) processDigest(d *digest) {
 
 // installDigestMap installs a full map piggybacked on a gossip digest
 // (no-op without a payload, or when the payload is not newer). It runs
-// OUTSIDE g.mu — installing triggers a rebalance. Best-effort: a failed
-// rebalance leaves strays for the next digest round's drain to heal, as
-// everywhere else.
+// OUTSIDE g.mu — installing runs a digest round. Best-effort: what a
+// failed round left behind the next one moves, as everywhere else.
 func (n *Node) installDigestMap(d *digest) {
 	if d.MapPayload == nil || !d.MapPayload.Newer(n.currentMap()) {
 		return
 	}
-	n.installAndRebalance(d.MapPayload)
+	n.installAndSync(d.MapPayload)
 }
 
 // tripleBehind reports whether the ordering triple (epoch, version,

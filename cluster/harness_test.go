@@ -541,9 +541,7 @@ func TestCrashRestartSelfHeals(t *testing.T) {
 	// A join starts; its rebalance traffic is slowed so n3 dies while
 	// the membership change is still propagating.
 	h.start("x1", "127.0.0.1:0")
-	// Slow both rebalance transports — the streams and the per-key path
-	// they degrade to — so n3 dies while data is still moving.
-	h.delay("ABSORB", 5*time.Millisecond)
+	// Slow the transfer frames so n3 dies while data is still moving.
 	h.delay("XFER", 5*time.Millisecond)
 	joinDone := make(chan struct{})
 	go func() {
@@ -554,7 +552,6 @@ func TestCrashRestartSelfHeals(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	h.crash("n3")
 	<-joinDone
-	h.delay("ABSORB", 0)
 	h.delay("XFER", 0)
 
 	// The survivors carry on and converge without n3.
@@ -773,9 +770,9 @@ func TestStaleSetmapIgnored(t *testing.T) {
 	}
 }
 
-// TestDeltaRebalanceMessageCount: a join must cost ABSORB messages
-// proportional to the keys whose owner set changed, never the old
-// O(keys×replicas) full re-push.
+// TestDeltaRebalanceMessageCount: a join must cost pushes proportional
+// to the keys whose owner set changed, never an O(keys×replicas) full
+// re-push: the digest rounds it runs ship only keys that differ.
 func TestDeltaRebalanceMessageCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-key rebalance accounting skipped in -short")
@@ -827,10 +824,10 @@ func TestDeltaRebalanceMessageCount(t *testing.T) {
 	if moved == 0 || moved == total {
 		t.Fatalf("owner-set diff degenerate: %d of %d keys moved", moved, total)
 	}
-	t.Logf("join moved %d/%d keys at a cost of %d ABSORB pushes", moved, total, pushes)
-	// Each moved key is pushed by each prior holder to each owner it
-	// gained — ≈ replicas × 1. Allow headroom, but stay far under the
-	// old cost of re-pushing every key to every remote owner.
+	t.Logf("join moved %d/%d keys at a cost of %d pushes", moved, total, pushes)
+	// Each moved key is drained by the owner that lost it to each of its
+	// replicas new owners; the rounds after find them in step. Allow
+	// headroom, but stay far under re-pushing every key to every owner.
 	if pushes > 3*moved {
 		t.Errorf("join cost %d pushes for %d moved keys — rebalance is not delta-proportional", pushes, moved)
 	}
@@ -1203,7 +1200,7 @@ func TestGossipTransientPartitionDoesNotEvict(t *testing.T) {
 // the one whose mutation is erased before its handler returns replies
 // +SUPERSEDED with the winning map's (Epoch, Version, Coordinator)
 // instead of a silent +OK, closing the ROADMAP feedback gap. The
-// interleaving is pinned with a gate (n1's rebalance pushes park until
+// interleaving is pinned with a gate (n1's transfer frames park until
 // the rival LEAVE has landed), not with timers, so the race resolves
 // the same way on every run.
 func TestSupersededJoinReportsWinner(t *testing.T) {
@@ -1216,13 +1213,10 @@ func TestSupersededJoinReportsWinner(t *testing.T) {
 	}
 	h.start("x1", "127.0.0.1:0")
 
-	// Park n1's outbound rebalance pushes (both the transfer stream and
-	// the per-key path small pushes take): its JOIN will claim, install,
-	// broadcast (the other nodes rebalance freely) and then hang in its
-	// own rebalance — handler still open, outcome not yet reported.
-	releaseXfer := h.gate("n1", "XFER")
-	releaseAbsorb := h.gate("n1", "ABSORB")
-	release := func() { releaseXfer(); releaseAbsorb() }
+	// Park n1's outbound transfer frames: its JOIN will claim, install
+	// and then hang in its own pass, which moves data before it tells
+	// the members — handler still open, outcome not yet reported.
+	release := h.gate("n1", "XFER")
 	defer release()
 	joinReply := make(chan string, 1)
 	go func() {
@@ -1232,12 +1226,16 @@ func TestSupersededJoinReportsWinner(t *testing.T) {
 		}
 		joinReply <- reply
 	}()
-	h.waitFor(10*time.Second, "join map on n2", func() bool { return h.node("n2").Map().Has("x1") })
+	h.waitFor(10*time.Second, "join map on n1", func() bool { return h.node("n1").Map().Has("x1") })
+	// The join map reaches n2 as a round of n1's would have brought it.
+	if _, err := h.do("n2", setmapCommand(h.node("n1").Map())...); err != nil {
+		t.Fatal(err)
+	}
 
 	// The rival coordinator: n2 LEAVEs x1. Its claim adopts the join
-	// map from the vote replies and mints a newer map without x1; the
-	// broadcast installs that winner on n1 immediately (SETMAP is not
-	// gated — only n1's subsequent pushes are).
+	// map from the vote replies and mints a newer map without x1, which
+	// its pass and broadcast install on n1 immediately (SETMAP is not
+	// gated — only n1's transfer frames are).
 	leaveReply := make(chan string, 1)
 	go func() {
 		reply, err := h.do("n2", "CLUSTER", "LEAVE", "x1")
@@ -1548,8 +1546,10 @@ func TestGossipOversizedMapFallsBackToOnePull(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fixture map: %v", err)
 	}
-	if err := n1.installAndRebalance(big); err != nil {
-		t.Fatal(err)
+	// Installed without the digest round an install runs: its refused DSUM
+	// would hand n2 the map before the exchange under test.
+	if !n1.swapMap(big) {
+		t.Fatal("fixture: the big map did not supersede n1's")
 	}
 	n1.Gossip() // gives n1 a detector entry, hence a digest row, per member
 	if n2.Map().Encode() == big.Encode() {
@@ -1572,7 +1572,6 @@ func sumTransferStats(nodes []*Node) TransferStats {
 	for _, n := range nodes {
 		s := n.TransferStats()
 		sum.StreamsOpened += s.StreamsOpened
-		sum.StreamsResumed += s.StreamsResumed
 		sum.FramesSent += s.FramesSent
 		sum.FrameRetries += s.FrameRetries
 		sum.BytesMoved += s.BytesMoved

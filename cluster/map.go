@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -186,6 +187,18 @@ func (m *Map) Owners(key string) []Member {
 
 // ownerIDs returns just the IDs owning key, for cheap owner-set diffs.
 func (m *Map) ownerIDs(key string) []string { return m.ring.ownersOf(key, m.Replicas) }
+
+// coOwned reports whether some key has both a and b among its owners: the
+// peers a digest round of a has keys to compare with. With one replica no
+// two nodes are; a node off the map is with none.
+func (m *Map) coOwned(a, b string) bool {
+	for i := range m.ring.hashes {
+		if ids := m.ring.ownersAt(i, m.Replicas); slices.Contains(ids, a) && slices.Contains(ids, b) {
+			return true
+		}
+	}
+	return false
+}
 
 // withNode returns a new map minted by coordinator at epoch with node
 // id added or re-addressed, at version+1.

@@ -27,7 +27,7 @@ import (
 //	CLUSTER JOIN <id> <addr>           → +OK e=.. v=.. c=.. (claims an epoch, adds the node, broadcasts)
 //	                                     or +SUPERSEDED e=.. v=.. c=.. (a rival map won; the triple is the winner's)
 //	CLUSTER LEAVE <id>                 → +OK e=.. v=.. c=.. / +SUPERSEDED e=.. v=.. c=.. (as JOIN, removing the node)
-//	CLUSTER SETMAP <v2 payload>        → +OK (install if newer under the epoch order, delta-rebalance)
+//	CLUSTER SETMAP <v2 payload>        → +OK (install if newer under the epoch order, then run a digest round)
 //	CLUSTER EPOCH <epoch> <coord>      → +GRANTED <epoch> / +DENIED <highest> (epoch claim; internal)
 //	CLUSTER GOSSIP <g1 digest>         → +<g1 digest> (push-pull failure-detector exchange; internal)
 //	CLUSTER HEALTH                     → +round=.. quorum=.. member=.. <id>=<state>,hb=..,heard=..,sus=.. ...
@@ -37,8 +37,13 @@ import (
 //	CLUSTER LDEADLINE <key>            → :<ms> (local deadline read; internal)
 //	CLUSTER LPERSIST <key>             → :1/:0 (local deadline clear; internal)
 //	CLUSTER LKEYS                      → +<keys> (local keys; internal)
-//	CLUSTER ABSORB <key> <base64> <ms> → +OK (merge a sketch blob into key; ms is the expiry deadline to impose, 0 = none; internal)
-//	CLUSTER XFER BEGIN|FRAME|END ...   → streaming bulk-transfer transport (internal; see transfer.go)
+//	CLUSTER ABSORB <key> <base64> <ms> → +OK (merge a sketch blob into key; ms is the expiry deadline to impose, 0 = none; internal, PFMERGE's)
+//	CLUSTER DSUM|DKEYS ...             → digest round exchanges (internal; see digestsync.go)
+//	CLUSTER XFER FRAME e=<epoch> <b64> → +OK | -STALE e=.. (merge one frame of records; internal, see transfer.go)
+//
+// A membership change moves data one way only: every node that installs
+// the newer map drains the keys it no longer owns and runs a digest round
+// against its peers (installAndSync), before it answers the SETMAP.
 //
 // It also overrides EXPIRE / PEXPIRE / TTL / PERSIST with cluster-wide
 // semantics: the coordinator computes the absolute deadline once and
@@ -62,7 +67,7 @@ type Node struct {
 	srv   *server.Server
 	peers *pool
 
-	pushes     atomic.Uint64 // cumulative rebalance ABSORB messages sent
+	pushes     atomic.Uint64 // keys shipped by map-install rounds and stray drains
 	autoLeaves atomic.Uint64 // quorum-backed evictions this node coordinated
 
 	digestRounds  atomic.Uint64 // digest anti-entropy peer-rounds initiated
@@ -93,8 +98,8 @@ type Node struct {
 	// the map, map code never touches detector state.
 	gsp gossipState
 
-	// xfer is the streaming bulk-transfer transport state (see
-	// transfer.go): sender counters and the receiver session table.
+	// xfer is the transfer pipeline's config and counters (see
+	// transfer.go).
 	xfer transferState
 }
 
@@ -127,7 +132,6 @@ func NewNode(id string, cfg core.Config, replicas int) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{id: id, store: store, peers: newPool()}
-	n.xfer.sess = make(map[string]*xferSession)
 	// Every pooled peer command runs under a deadline, so a black-holed
 	// peer surfaces as a transport error (suspicion fuel) instead of
 	// hanging a forward forever. SetPeerTimeout tunes it (elld
@@ -240,27 +244,20 @@ func (n *Node) Rejoin() error {
 }
 
 // Join enters the cluster that seedAddr is a member of: the seed adds
-// this node to its map and broadcasts the new map to every member
-// (including this node), each of which rebalances before replying. When
-// Join returns nil the whole cluster has converged on the new map.
+// this node to its map, drains what it no longer owns, and broadcasts the
+// new map to every member (including this node), each of which drains and
+// runs its digest round before replying; then the seed runs its own
+// rounds (moveThenAnnounce). When Join returns nil the whole cluster has
+// converged on the new map: every key is on its new owners, and a further
+// digest round repairs nothing.
 func (n *Node) Join(seedAddr string) error {
-	// Use a dedicated connection, NOT the peer pool: the seed answers
-	// JOIN only after broadcasting SETMAP to this node, whose handler
-	// rebalances — and rebalance may push ABSORB back to the seed. If the
-	// pending JOIN held the pooled client's lock, that ABSORB would wait
-	// on it forever: a distributed deadlock whenever a node with local
-	// data (e.g. restored from snapshot) joins on a fresh address.
-	if h := n.peers.hook; h != nil { // fault hook covers the out-of-pool join connection too
-		if err := h(seedAddr, []string{"CLUSTER", "JOIN", n.id, n.Addr()}); err != nil {
-			return fmt.Errorf("cluster: join via %s: %w", seedAddr, err)
-		}
-	}
-	seed, err := server.Dial(seedAddr)
-	if err != nil {
-		return fmt.Errorf("cluster: join via %s: %w", seedAddr, err)
-	}
-	defer seed.Close()
-	reply, err := seed.Do("CLUSTER", "JOIN", n.id, n.Addr())
+	// A connection of its own, NOT the pooled one (pool.direct): the seed
+	// answers JOIN only after its SETMAP to this node is answered, and
+	// this node's round pushes its keys back to the seed over the pool. A
+	// JOIN pending on the pooled connection would hold that push up for
+	// good whenever a node with local data (e.g. restored from snapshot)
+	// joins on a fresh address.
+	reply, err := n.peers.direct(seedAddr, "CLUSTER", "JOIN", n.id, n.Addr())
 	if err != nil {
 		return fmt.Errorf("cluster: join via %s: %w", seedAddr, err)
 	}
@@ -274,26 +271,24 @@ func (n *Node) Join(seedAddr string) error {
 	// Pull the seed's map explicitly: on an idempotent re-join (this node
 	// was already a member, e.g. it restarted) the seed does not
 	// re-broadcast, so without this a restarted node would keep its stale
-	// self-only map. The follow-up rebalance pushes any locally restored
-	// sketches to their current owners.
-	mreply, err := seed.Do("CLUSTER", "MAP")
+	// self-only map. The round that follows its install pushes any
+	// locally restored sketches to their current owners.
+	m, err := n.peerMap(seedAddr)
 	if err != nil {
-		return fmt.Errorf("cluster: fetch map via %s: %w", seedAddr, err)
+		return err
 	}
-	m, err := DecodeMap(strings.Fields(mreply))
-	if err != nil {
-		return fmt.Errorf("cluster: fetch map via %s: %w", seedAddr, err)
-	}
-	if err := n.installAndRebalance(m); err != nil {
-		return fmt.Errorf("cluster: rebalance after join: %w", err)
+	if err := n.installAndSync(m); err != nil {
+		return fmt.Errorf("cluster: sync after join: %w", err)
 	}
 	return nil
 }
 
-// Leave gracefully exits the cluster: this node claims a fresh epoch,
-// drains every local sketch to its new owners (safe to re-send —
-// merging is idempotent), then broadcasts the shrunken map to the
-// remaining members.
+// Leave gracefully exits the cluster: this node claims a fresh epoch and
+// installs the map without itself, drains every local sketch to its new
+// owners (safe to re-send — merging is idempotent), then broadcasts the
+// map to the remaining members, each of which runs its digest round
+// before replying. When Leave returns nil the remaining members have
+// converged on the new map and this node holds nothing.
 func (n *Node) Leave() error {
 	n.mutateMu.Lock()
 	defer n.mutateMu.Unlock()
@@ -304,10 +299,10 @@ func (n *Node) Leave() error {
 			// Finish the hand-off idempotently instead of reporting
 			// instant success: drain whatever is still local and
 			// re-tell the members (no-ops when all done).
-			if err := n.drainStrays(); err != nil {
-				return fmt.Errorf("cluster: drain before leave: %w", err)
+			if err := n.moveThenAnnounce(n.currentMap(), nil); err != nil {
+				return fmt.Errorf("cluster: leave: %w", err)
 			}
-			return n.broadcast(n.currentMap(), nil)
+			return nil
 		}
 		epoch, err := n.claimEpoch()
 		if err != nil {
@@ -318,15 +313,14 @@ func (n *Node) Leave() error {
 			continue // someone else removed us mid-claim: drain via the loop top
 		}
 		newMap := cur.withoutNode(n.id, epoch, n.id)
-		prev, changed := n.swapMap(newMap)
-		if !changed {
+		if !n.swapMap(newMap) {
 			continue // a newer map landed between claim and install; retry
 		}
-		if err := n.rebalance(prev, newMap); err != nil {
-			return fmt.Errorf("cluster: drain before leave: %w", err)
-		}
-		if err := n.broadcast(newMap, nil); err != nil {
-			return fmt.Errorf("cluster: announce leave: %w", err)
+		// Off the map this node owns nothing, so its pass is the drain
+		// alone, and it runs before the broadcast: a read that no longer
+		// asks this node finds the keys on their owners already.
+		if err := n.moveThenAnnounce(newMap, nil); err != nil {
+			return fmt.Errorf("cluster: leave: %w", err)
 		}
 		return nil
 	}
@@ -400,30 +394,20 @@ func (n *Node) currentMap() *Map {
 // swapMap installs m if it supersedes the current map under the
 // (Epoch, Version, Coordinator) order, mirroring it into the store's
 // snapshot metadata and fast-forwarding the node's epoch watermark. It
-// returns the map that was current before the call and whether it
-// changed.
-func (n *Node) swapMap(m *Map) (prev *Map, changed bool) {
+// reports whether it did. Moving the data is the caller's: see
+// installAndSync.
+func (n *Node) swapMap(m *Map) (changed bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !m.Newer(n.cmap) {
-		return n.cmap, false
+		return false
 	}
-	prev, n.cmap = n.cmap, m
+	n.cmap = m
 	if m.Epoch > n.grantedEpoch {
 		n.grantedEpoch, n.grantedTo = m.Epoch, m.Coordinator
 	}
 	n.store.SetMeta([]byte(m.Encode()))
-	return prev, true
-}
-
-// installAndRebalance swaps in m and, if it superseded the current
-// map, runs the delta rebalance for the transition.
-func (n *Node) installAndRebalance(m *Map) error {
-	prev, changed := n.swapMap(m)
-	if !changed {
-		return nil
-	}
-	return n.rebalance(prev, m)
+	return true
 }
 
 // grantEpoch is this node's vote in an epoch claim: e is granted iff
@@ -537,7 +521,7 @@ func (n *Node) claimEpoch() (uint64, error) {
 		}
 		wg.Wait()
 		if newest != nil && newest.Newer(n.currentMap()) {
-			if err := n.installAndRebalance(newest); err != nil {
+			if err := n.installAndSync(newest); err != nil {
 				lastErr = err
 				continue
 			}
@@ -553,7 +537,7 @@ func (n *Node) claimEpoch() (uint64, error) {
 }
 
 // peerMap pulls the cluster map one peer holds — the node's only
-// CLUSTER MAP pull, shared by reconcileMap and rebalance's re-plan.
+// CLUSTER MAP pull, shared by reconcileMap and Join.
 func (n *Node) peerMap(addr string) (*Map, error) {
 	reply, err := n.peers.do(addr, "CLUSTER", "MAP")
 	if err != nil {
@@ -567,10 +551,10 @@ func (n *Node) peerMap(addr string) (*Map, error) {
 }
 
 // reconcileMap settles a map mismatch with the one peer it was seen on:
-// pull that peer's map, install it if it supersedes ours
-// (delta-rebalancing), and answer with one targeted SETMAP if the peer
-// turns out to be the one behind. The two callers learn of the mismatch
-// for free — a gossip reply whose triple supersedes ours but whose @map
+// pull that peer's map, install it if it supersedes ours (running its
+// digest round), and answer with one targeted SETMAP if the peer turns
+// out to be the one behind. The two callers learn of the mismatch for
+// free — a gossip reply whose triple supersedes ours but whose @map
 // payload did not fit, and a -STALE refusal of a digest round's DSUM —
 // so a converged cluster never pays a MAP pull.
 func (n *Node) reconcileMap(addr string) error {
@@ -578,11 +562,11 @@ func (n *Node) reconcileMap(addr string) error {
 	if err != nil {
 		return err
 	}
-	if err := n.installAndRebalance(theirs); err != nil {
+	if err := n.installAndSync(theirs); err != nil {
 		return err
 	}
 	if cur := n.currentMap(); cur.Newer(theirs) {
-		_, err = n.peers.do(addr, setmapCommand(cur)...)
+		_, err = n.peers.direct(addr, setmapCommand(cur)...)
 	}
 	return err
 }
@@ -592,21 +576,30 @@ func setmapCommand(m *Map) []string {
 	return append([]string{"CLUSTER", "SETMAP"}, strings.Fields(m.Encode())...)
 }
 
-// drainStrays pushes local sketches this node does not own under the
-// current map to their owners, then drops them — e.g. a write that
-// landed here under a stale map after this node's rebalance already
-// handed the key off. rebalance with old == cur pushes nothing for
-// owned keys (their owner-set delta is empty) and full-pushes + drops
-// exactly the strays.
-func (n *Node) drainStrays() error {
-	m := n.currentMap()
-	return n.rebalance(m, m)
+// moveThenAnnounce finishes a membership change this node coordinates
+// once it installed m — its pass, split around the SETMAP broadcast. Its
+// drain goes first and hands the keys this node gave up to all their new
+// owners (the XFER fence lets a sender ahead of the receiver's map in).
+// Then the broadcast: every member drains and runs its rounds before it
+// replies. Its own rounds go last, when every peer holds m. So a nil return
+// means the cluster has converged on m, and, since every node drains
+// before any round compares, a moved key costs the same pushes whichever
+// node coordinates.
+func (n *Node) moveThenAnnounce(m *Map, extraAddrs []string) error {
+	if err := n.drainStrays(); err != nil {
+		return err
+	}
+	if err := n.broadcast(m, extraAddrs); err != nil {
+		return fmt.Errorf("broadcast: %w", err)
+	}
+	return n.syncRounds(true)
 }
 
 // broadcast sends SETMAP to every member of m except this node, plus any
 // extra addresses (e.g. a node just removed from the map, best-effort so
-// it learns to drain). Peers rebalance before replying, so a nil return
-// means the cluster has converged. Extra-address errors are ignored.
+// it learns to drain). Peers run their digest round before replying, so
+// a nil return means the cluster has converged. Extra-address errors are
+// ignored.
 func (n *Node) broadcast(m *Map, extraAddrs []string) error {
 	args := setmapCommand(m)
 	var wg sync.WaitGroup
@@ -619,14 +612,14 @@ func (n *Node) broadcast(m *Map, extraAddrs []string) error {
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
-			_, errs[i] = n.peers.do(addr, args...)
+			_, errs[i] = n.peers.direct(addr, args...)
 		}(i, mem.Addr)
 	}
 	for _, addr := range extraAddrs {
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
-			n.peers.do(addr, args...)
+			n.peers.direct(addr, args...)
 		}(addr)
 	}
 	wg.Wait()
@@ -1357,10 +1350,14 @@ func (n *Node) handleKeys(args []string) string {
 }
 
 // handleClusterBytes takes MLADD, the one CLUSTER verb on the request
-// path, as the bytes it arrived in; the others get strings.
+// path, and XFER, whose frames are the largest lines there are, as the
+// bytes they arrived in; the others get strings.
 func (n *Node) handleClusterBytes(reply []byte, args [][]byte) []byte {
-	if len(args) > 0 && bytes.EqualFold(args[0], []byte("MLADD")) {
+	switch {
+	case len(args) > 0 && bytes.EqualFold(args[0], []byte("MLADD")):
 		return n.handleMLAdd(reply, args[1:])
+	case len(args) > 0 && bytes.EqualFold(args[0], []byte("XFER")):
+		return n.handleXfer(reply, args[1:])
 	}
 	return append(reply, n.handleCluster(server.StringArgs(args))...)
 }
@@ -1399,8 +1396,8 @@ func (n *Node) handleCluster(args []string) string {
 		if err != nil {
 			return "-ERR " + err.Error()
 		}
-		if err := n.installAndRebalance(m); err != nil {
-			return "-ERR rebalance: " + err.Error()
+		if err := n.installAndSync(m); err != nil {
+			return "-ERR sync: " + err.Error()
 		}
 		return "+OK"
 	case "EPOCH":
@@ -1472,10 +1469,9 @@ func (n *Node) handleCluster(args []string) string {
 	case "LKEYS":
 		return "+" + strings.Join(n.store.Keys(), " ")
 	case "ABSORB":
-		// The third argument is the source entry's expiry deadline (unix
-		// milliseconds): rebalance and the transfer degrade path send it
-		// so a key's lifetime travels with its registers; PFMERGE's
-		// absorbAll sends 0, no deadline to impose.
+		// PFMERGE's absorbAll is the one sender. The third argument is an
+		// expiry deadline to impose (unix milliseconds); absorbAll sends
+		// 0, none, so a destination keeps its own lifetime.
 		if len(rest) != 3 {
 			return "-ERR CLUSTER ABSORB needs a key, a base64 payload and a deadline"
 		}
@@ -1491,8 +1487,6 @@ func (n *Node) handleCluster(args []string) string {
 			return "-ERR " + err.Error()
 		}
 		return "+OK"
-	case "XFER":
-		return n.handleXfer(rest)
 	default:
 		return "-ERR unknown CLUSTER subcommand " + sub
 	}
@@ -1678,15 +1672,11 @@ func (n *Node) handleJoin(id, addr string) string {
 			return "+OK " + cur.Triple() + n.rejoinNote(id)
 		}
 		newMap := cur.withNode(id, addr, epoch, n.id)
-		prev, changed := n.swapMap(newMap)
-		if !changed {
+		if !n.swapMap(newMap) {
 			continue // a newer map landed between claim and install; retry
 		}
-		if err := n.broadcast(newMap, nil); err != nil {
-			return "-ERR broadcast: " + err.Error()
-		}
-		if err := n.rebalance(prev, newMap); err != nil {
-			return "-ERR rebalance: " + err.Error()
+		if err := n.moveThenAnnounce(newMap, nil); err != nil {
+			return "-ERR " + err.Error()
 		}
 		return n.joinOutcome(id, addr)
 	}
@@ -1721,43 +1711,39 @@ func (n *Node) handleLeave(id string) string {
 		}
 		oldAddr := cur.Addr(id)
 		newMap := cur.withoutNode(id, epoch, n.id)
-		prev, changed := n.swapMap(newMap)
-		if !changed {
+		if !n.swapMap(newMap) {
 			continue
 		}
 		// Tell the departing node too (best-effort: it may be dead) so a
 		// live leaver drains its keys to the remaining owners.
-		if err := n.broadcast(newMap, []string{oldAddr}); err != nil {
-			return "-ERR broadcast: " + err.Error()
-		}
-		if err := n.rebalance(prev, newMap); err != nil {
-			return "-ERR rebalance: " + err.Error()
+		if err := n.moveThenAnnounce(newMap, []string{oldAddr}); err != nil {
+			return "-ERR " + err.Error()
 		}
 		return n.leaveOutcome(id)
 	}
 	return "+SUPERSEDED " + n.currentMap().Triple()
 }
 
-// RebalancePushes returns the cumulative number of per-(key, owner)
-// pushes this node's rebalances have planned — the cost observable that
-// shows a membership change moving only its delta, not every key. (The
-// pushes themselves travel framed over the transfer stream; see
+// RebalancePushes returns the cumulative number of keys this node shipped
+// because of a membership change — by the digest round a map install
+// started, one per (key, owner) a peer merged — or as strays it drained:
+// the cost observable that shows a membership change moving only the keys
+// whose owners changed, not every key. (They travel framed; see
 // TransferStats for the resulting message counts.)
 func (n *Node) RebalancePushes() uint64 { return n.pushes.Load() }
 
-// SetPeerTimeout bounds every pooled peer command (forwards,
-// scatter-gather, gossip, map broadcasts) with one I/O deadline per
+// SetPeerTimeout bounds every peer command (forwards, scatter-gather,
+// gossip, map broadcasts, transfer frames) with one I/O deadline per
 // command: dials, writes and reply reads past d fail as TRANSPORT
 // errors, dropping the cached connection and feeding the failure
 // detector — a black-holed peer can no longer hang an operation
 // forever. It applies to connections dialed after the call (elld sets
-// it before Start); d ≤ 0 disables deadlines. The transfer stream has
-// its own deadline, TransferConfig.Timeout.
+// it before Start); d ≤ 0 disables deadlines.
 func (n *Node) SetPeerTimeout(d time.Duration) { n.peers.setTimeout(d) }
 
 // setFaultHook installs f as this node's outbound fault hook (nil
-// disables). Every outgoing peer command — pool traffic and the
-// dedicated Join connection — consults it first; a non-nil error
+// disables). Every outgoing peer command — pooled, or on a connection of
+// its own (pool.direct) — consults it first; a non-nil error
 // aborts the send, simulating a partition or delaying a message. Test
 // harness support: set before Start, never while serving.
 func (n *Node) setFaultHook(f func(addr string, parts []string) error) { n.peers.hook = f }

@@ -22,7 +22,8 @@ import (
 //
 //   - pipeline sends a slice of commands in one write and reads the
 //     replies in one batch (server.Pipeline) — used by the read
-//     scatter-gather so N keys on one owner cost one round trip.
+//     scatter-gather so N keys on one owner cost one round trip; batch
+//     is the same for lines the caller wrote, a transfer window's frames.
 //   - batchAdd/batchWAdd coalesce concurrent per-key add requests —
 //     plain and windowed mixed freely — to the same peer into a single
 //     CLUSTER MLADD command (group commit): while one flush is on the
@@ -32,8 +33,8 @@ import (
 // hook, when non-nil, is consulted before every outbound command; a
 // non-nil return aborts the command with that error. It exists for the
 // in-process test harness (simulated partitions and delays) and must
-// be set before the owning node starts serving. pipeline consults the
-// hook once per queued command (so per-verb partitions and delays see
+// be set before the owning node starts serving. pipeline and batch consult
+// the hook once per queued command (so per-verb partitions and delays see
 // every logical command); the add batcher consults it once per flushed
 // batch, with the combined MLADD command.
 // alive, when non-nil, is invoked with the peer address after every
@@ -160,13 +161,51 @@ func (p *pool) send(addr string, head []string, cmd func(*server.Client) (string
 	return reply, err
 }
 
+// direct runs one command against addr on a connection of its own, not
+// the pool's — for SETMAP and JOIN, whose handlers run a digest round
+// before they answer. That round's own traffic to this node travels on
+// the pool; a pooled connection held by a SETMAP waiting on it could hold
+// it up for good. The hook, the timeout and the alive callback apply as to
+// pooled commands.
+func (p *pool) direct(addr string, parts ...string) (string, error) {
+	if p.hook != nil {
+		if err := p.hook(addr, parts); err != nil {
+			return "", err
+		}
+	}
+	t := p.timeout()
+	c, err := server.DialTimeout(addr, t)
+	if err != nil {
+		return "", err
+	}
+	defer c.Close()
+	c.SetOpTimeout(t)
+	reply, err := c.Do(parts...)
+	if (err == nil || server.IsReplyErr(err)) && p.alive != nil {
+		p.alive(addr)
+	}
+	return reply, err
+}
+
 // pipeline sends cmds to addr as one pipelined batch and returns one
 // Result per command. A transport-level failure drops the cached
 // connection; per-command protocol errors (e.g. a missing key) land in
 // the individual Results.
 func (p *pool) pipeline(addr string, cmds [][]string) ([]server.Result, error) {
-	if p.hook != nil {
+	return p.batch(addr, cmds, func(c *server.Client) ([]server.Result, error) {
+		pl := c.Pipeline()
 		for _, parts := range cmds {
+			pl.Do(parts...)
+		}
+		return pl.Exec()
+	})
+}
+
+// batch is pipeline with the batch put on the wire by exec; heads holds
+// each command's first tokens, what the fault hook is shown.
+func (p *pool) batch(addr string, heads [][]string, exec func(*server.Client) ([]server.Result, error)) ([]server.Result, error) {
+	if p.hook != nil {
+		for _, parts := range heads {
 			if err := p.hook(addr, parts); err != nil {
 				return nil, err
 			}
@@ -176,11 +215,7 @@ func (p *pool) pipeline(addr string, cmds [][]string) ([]server.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := c.Pipeline()
-	for _, parts := range cmds {
-		pl.Do(parts...)
-	}
-	results, err := pl.Exec()
+	results, err := exec(c)
 	if err != nil {
 		p.drop(addr, c)
 		return nil, err

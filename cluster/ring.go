@@ -17,6 +17,7 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -85,16 +86,19 @@ func (r *ring) ownersOf(key string, n int) []string {
 		return nil
 	}
 	h := hash64(key)
-	start := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
+	return r.ownersAt(sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h }), n)
+}
+
+// ownersAt returns up to n distinct node IDs walking clockwise from the
+// virtual node at index start: the owners of every key hashing into the
+// arc that ends there. n is a replica factor, a handful at most, so out
+// itself is the set of IDs seen.
+func (r *ring) ownersAt(start, n int) []string {
 	out := make([]string, 0, n)
-	seen := make(map[string]struct{}, n)
 	for i := 0; i < len(r.hashes) && len(out) < n; i++ {
-		id := r.owners[(start+i)%len(r.hashes)]
-		if _, dup := seen[id]; dup {
-			continue
+		if id := r.owners[(start+i)%len(r.hashes)]; !slices.Contains(out, id) {
+			out = append(out, id)
 		}
-		seen[id] = struct{}{}
-		out = append(out, id)
 	}
 	return out
 }

@@ -28,7 +28,7 @@ func TestMixedSparseDenseKeyspaceConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("join + leave + restart fixture skipped in -short")
 	}
-	h := newHarnessCfg(t, 2, 2, &TransferConfig{MinStreamKeys: 1})
+	h := newHarness(t, 2, 2)
 	const be = 11000
 	cards := []int{1, 2, 16, 33, be / 30, be / 3, be - 600, be - 100, be, be + 100, be + 600, 2 * be}
 	type key struct {

@@ -3,8 +3,8 @@ package cluster
 // Cluster-level observability: the CLUSTER STATS verb and the
 // Prometheus rendering of the counters the cluster layer keeps on top
 // of the per-verb server stats — gossip rounds, suspicions raised,
-// auto-LEAVE evictions, MLADD group-commit coalescing, and rebalance
-// pushes. CLUSTER STATS ALL fans the same question out to every member
+// auto-LEAVE evictions, MLADD group-commit coalescing, transfer frames
+// and digest rounds. CLUSTER STATS ALL fans the same question out to every member
 // through the peer pool, which doubles as liveness evidence: a
 // metrics-polling operator keeps the failure detector fed (see
 // pool.alive).
@@ -27,22 +27,18 @@ type ClusterStats struct {
 	MLPFAddGroups  uint64 // per-key add groups coalesced into MLADD batches (the name predates the verb)
 	MLPFAddBatches uint64 // MLADD batches flushed
 	MLAddBytes     uint64 // bytes of the MLADD lines sent, line breaks included
-	RebalPushes    uint64 // cumulative rebalance per-(key,owner) pushes planned
 	MovedReplies   uint64 // -MOVED redirects sent to misrouted clients (strict routing)
 	MapRefetches   uint64 // CLUSTER MAP replies served (smart clients refetching after a -MOVED)
 
-	// Bulk-transfer transport counters (see transfer.go).
-	XferStreams      uint64 // XFER streams opened
-	XferResumed      uint64 // streams resumed after a timeout/drop
-	XferFrames       uint64 // frames sent (re-sends included)
-	XferFrameRetries uint64 // frames re-sent on resumed streams
-	XferBytes        uint64 // payload bytes framed
-	XferFallbacks    uint64 // keys degraded to per-key ABSORB
+	// Transfer pipeline counters (see transfer.go).
+	XferStreams uint64 // streams that sent a frame
+	XferFrames  uint64 // frames sent
+	XferBytes   uint64 // value blob bytes in the frames a peer merged
 
 	// Frame bytes and digest anti-entropy counters (see transfer.go and
 	// digestsync.go).
 	XferBytesPrecompress uint64 // equal to XferBytesWire: frames carry blobs as they are
-	XferBytesWire        uint64 // frame payload bytes actually framed onto the wire
+	XferBytesWire        uint64 // frame bytes sent, before base64
 	SyncDigestRounds     uint64 // digest anti-entropy rounds completed
 	SyncKeysRepaired     uint64 // divergent keys re-shipped by digest rounds
 }
@@ -62,16 +58,12 @@ func (n *Node) StatsCounters() ClusterStats {
 		MLPFAddGroups:  n.peers.mlGroups.Load(),
 		MLPFAddBatches: n.peers.mlBatches.Load(),
 		MLAddBytes:     n.peers.mlBytes.Load(),
-		RebalPushes:    n.pushes.Load(),
 		MovedReplies:   n.movedReplies.Load(),
 		MapRefetches:   n.mapRefetches.Load(),
 
-		XferStreams:      n.xfer.streams.Load(),
-		XferResumed:      n.xfer.resumed.Load(),
-		XferFrames:       n.xfer.frames.Load(),
-		XferFrameRetries: n.xfer.retries.Load(),
-		XferBytes:        n.xfer.bytes.Load(),
-		XferFallbacks:    n.xfer.fallbacks.Load(),
+		XferStreams: n.xfer.streams.Load(),
+		XferFrames:  n.xfer.frames.Load(),
+		XferBytes:   n.xfer.bytes.Load(),
 
 		XferBytesPrecompress: wire,
 		XferBytesWire:        wire,
@@ -90,12 +82,11 @@ func (n *Node) statsBody() string {
 	// k=v pairs by name, but prefix-matching tests and scripts stay
 	// stable that way.
 	return fmt.Sprintf(
-		"node=%s gossip_rounds=%d suspects_raised=%d auto_leaves=%d mlpfadd_groups=%d mlpfadd_batches=%d rebal_pushes=%d moved_replies=%d map_refetches=%d xfer_streams=%d xfer_resumed=%d xfer_frames=%d xfer_frame_retries=%d xfer_bytes=%d xfer_fallbacks=%d xfer_bytes_precompress=%d xfer_bytes_wire=%d sync_digest_rounds=%d sync_keys_repaired=%d mladd_bytes=%d\n%s",
+		"node=%s gossip_rounds=%d suspects_raised=%d auto_leaves=%d mlpfadd_groups=%d mlpfadd_batches=%d moved_replies=%d map_refetches=%d xfer_streams=%d xfer_frames=%d xfer_bytes=%d xfer_bytes_precompress=%d xfer_bytes_wire=%d sync_digest_rounds=%d sync_keys_repaired=%d mladd_bytes=%d\n%s",
 		n.id, c.GossipRounds, c.SuspectsRaised, c.AutoLeaves,
-		c.MLPFAddGroups, c.MLPFAddBatches, c.RebalPushes,
+		c.MLPFAddGroups, c.MLPFAddBatches,
 		c.MovedReplies, c.MapRefetches,
-		c.XferStreams, c.XferResumed, c.XferFrames,
-		c.XferFrameRetries, c.XferBytes, c.XferFallbacks,
+		c.XferStreams, c.XferFrames, c.XferBytes,
 		c.XferBytesPrecompress, c.XferBytesWire,
 		c.SyncDigestRounds, c.SyncKeysRepaired, c.MLAddBytes,
 		n.srv.StatsText())
@@ -150,15 +141,11 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE ell_cluster_mlpfadd_groups_total counter\nell_cluster_mlpfadd_groups_total %d\n", c.MLPFAddGroups)
 	fmt.Fprintf(w, "# TYPE ell_cluster_mlpfadd_batches_total counter\nell_cluster_mlpfadd_batches_total %d\n", c.MLPFAddBatches)
 	fmt.Fprintf(w, "# TYPE ell_cluster_mladd_bytes_total counter\nell_cluster_mladd_bytes_total %d\n", c.MLAddBytes)
-	fmt.Fprintf(w, "# TYPE ell_cluster_rebalance_pushes_total counter\nell_cluster_rebalance_pushes_total %d\n", c.RebalPushes)
 	fmt.Fprintf(w, "# TYPE ell_cluster_moved_replies_total counter\nell_cluster_moved_replies_total %d\n", c.MovedReplies)
 	fmt.Fprintf(w, "# TYPE ell_cluster_map_refetches_total counter\nell_cluster_map_refetches_total %d\n", c.MapRefetches)
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_streams_total counter\nell_cluster_xfer_streams_total %d\n", c.XferStreams)
-	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_resumed_total counter\nell_cluster_xfer_resumed_total %d\n", c.XferResumed)
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_frames_total counter\nell_cluster_xfer_frames_total %d\n", c.XferFrames)
-	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_frame_retries_total counter\nell_cluster_xfer_frame_retries_total %d\n", c.XferFrameRetries)
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_bytes_total counter\nell_cluster_xfer_bytes_total %d\n", c.XferBytes)
-	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_fallback_keys_total counter\nell_cluster_xfer_fallback_keys_total %d\n", c.XferFallbacks)
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_bytes_precompress_total counter\nell_cluster_xfer_bytes_precompress_total %d\n", c.XferBytesPrecompress)
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_bytes_wire_total counter\nell_cluster_xfer_bytes_wire_total %d\n", c.XferBytesWire)
 	fmt.Fprintf(w, "# TYPE ell_cluster_sync_digest_rounds_total counter\nell_cluster_sync_digest_rounds_total %d\n", c.SyncDigestRounds)

@@ -30,7 +30,7 @@ func TestClusterStatsReportsCounters(t *testing.T) {
 	if !strings.Contains(rows[0], "mlpfadd_groups=") || !strings.Contains(rows[0], "auto_leaves=0") {
 		t.Errorf("counter row %q lacks batcher/eviction counters", rows[0])
 	}
-	if !strings.Contains(rows[0], "xfer_streams=") || !strings.Contains(rows[0], "xfer_fallbacks=") {
+	if !strings.Contains(rows[0], "xfer_streams=") || !strings.Contains(rows[0], "xfer_frames=") {
 		t.Errorf("counter row %q lacks the bulk-transfer counters", rows[0])
 	}
 	if !strings.Contains(reply, "uptime_ms=") {

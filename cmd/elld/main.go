@@ -19,7 +19,7 @@
 // -metrics-addr serves Prometheus-text metrics at /metrics: per-verb
 // call counts, error counts, bytes and latency histograms (see the
 // STATS verb), plus — in cluster mode — the gossip/eviction/batching/
-// rebalance counters of CLUSTER STATS.
+// transfer/digest-round counters of CLUSTER STATS.
 //
 // -window-slice and -window-slices set the ring geometry of keys
 // created by WADD: windows are answerable up to slice·slices back, at
@@ -44,9 +44,11 @@
 // scatter-gather, gossip, bulk transfer) with an I/O deadline: a
 // black-holed peer fails fast as a transport error and feeds the
 // failure detector instead of hanging an operation forever.
-// -xfer-batch and -xfer-window tune the streaming bulk-transfer
-// transport that rebalance and anti-entropy move sketches over (keys
-// per frame, unacked frames in flight; see the cluster package).
+// -xfer-batch and -xfer-window tune the transfer pipeline every data
+// movement rides — the digest round a membership change runs and the
+// periodic one alike (keys per frame, frames per round trip; see the
+// cluster package). A stream that fails is not retried: the next digest
+// round ships what it did not.
 //
 // -sync-digest-interval is the anti-entropy period: each round the node
 // hands keys it holds but does not own to their owners, exchanges
@@ -149,7 +151,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.strictRouting, "strict-routing", false, "answer misrouted single-key data commands with -MOVED instead of forwarding (cluster mode, for smart clients)")
 	fs.DurationVar(&o.peerTimeout, "peer-timeout", 5*time.Second, "I/O deadline per node-to-node command and transfer frame, 0 disables (cluster mode)")
 	fs.IntVar(&o.xferBatch, "xfer-batch", 64, "keys per bulk-transfer frame (cluster mode)")
-	fs.IntVar(&o.xferWindow, "xfer-window", 8, "unacked bulk-transfer frames in flight (cluster mode)")
+	fs.IntVar(&o.xferWindow, "xfer-window", 8, "transfer frames per round trip (cluster mode)")
 	fs.DurationVar(&o.syncDigestInterval, "sync-digest-interval", 30*time.Second, "anti-entropy period: each round drains stray keys to their owners and repairs diverged replicas by digest, 0 disables (cluster mode)")
 	fs.DurationVar(&o.windowSlice, "window-slice", time.Second, "slice duration of WADD-created sliding-window keys")
 	fs.IntVar(&o.windowSlices, "window-slices", 60, "number of slices in WADD-created rings (max window = slice x slices)")
@@ -291,7 +293,6 @@ func (o options) serveCluster(ctx context.Context) error {
 	node.SetTransferConfig(cluster.TransferConfig{
 		BatchKeys: o.xferBatch,
 		Window:    o.xferWindow,
-		Timeout:   o.peerTimeout,
 	})
 	node.SetSnapshotPath(o.snapshot)
 	if err := node.Start(o.addr); err != nil {
@@ -299,7 +300,7 @@ func (o options) serveCluster(ctx context.Context) error {
 	}
 	closeMetrics, err := o.startMetrics(func(w io.Writer) {
 		// One scrape covers both layers: per-verb server stats, then
-		// the cluster counters (gossip, evictions, batching, rebalance).
+		// the cluster counters (gossip, evictions, batching, transfer).
 		node.Server().WriteMetrics(w)
 		node.WriteMetrics(w)
 	})

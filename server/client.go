@@ -371,15 +371,23 @@ func (p *Pipeline) Exec() ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.c.DoLines(req, n)
+}
+
+// DoLines is Exec for a caller that writes its own command lines: lines
+// holds n of them, each ending in a line break, sent in one write; the n
+// replies are read back in order. The caller answers for the tokens (see
+// ValidToken).
+func (c *Client) DoLines(lines []byte, n int) ([]Result, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	p.c.mu.Lock()
-	defer p.c.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	buf := getBuf()
 	defer putBuf(buf)
 	results := make([]Result, n)
-	if err := p.c.exchange(req, buf, results); err != nil {
+	if err := c.exchange(lines, buf, results); err != nil {
 		return nil, err
 	}
 	return results, nil

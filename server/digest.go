@@ -172,10 +172,9 @@ func (s *Store) ShardKeyDigests(shard int, filter func(key string) bool) []KeyDi
 	return out
 }
 
-// DumpTagged is Dump for a single key with the full state token —
-// blob, deadline and change-detection identity — so a digest repair can
-// ship exactly what DumpAllTagged would have shipped without serializing
-// the whole store.
+// DumpTagged is Dump for a single key with the full state token — blob,
+// deadline and change-detection identity — what a digest repair ships
+// for a key that diverged.
 func (s *Store) DumpTagged(key string) (TaggedBlob, bool) {
 	e := s.lookup(key)
 	if e == nil {

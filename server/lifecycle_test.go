@@ -117,9 +117,9 @@ func TestDeleteIfUnchangedExpiryRace(t *testing.T) {
 	if _, err := store.Add("contested", "original"); err != nil {
 		t.Fatal(err)
 	}
-	tag, ok := store.DumpAllTagged()["contested"]
+	tag, ok := store.DumpTagged("contested")
 	if !ok {
-		t.Fatal("DumpAllTagged missed the key")
+		t.Fatal("DumpTagged missed the key")
 	}
 	// EXPIRE after the dump bumps the version: the tag is stale.
 	if !store.Expire("contested", time.Second) {
@@ -130,7 +130,7 @@ func TestDeleteIfUnchangedExpiryRace(t *testing.T) {
 	}
 	// Now let it expire and recreate it: the old tag must not touch the
 	// successor.
-	tag2 := store.DumpAllTagged()["contested"]
+	tag2, _ := store.DumpTagged("contested")
 	clk.advance(2 * time.Second)
 	if _, err := store.Add("contested", "successor"); err != nil {
 		t.Fatal(err)

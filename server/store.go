@@ -332,9 +332,59 @@ func (s *Store) getAcc() *core.Sketch {
 	return acc
 }
 
-// addBatch is how many element hashes Add and AddBytes keep on the stack
-// before handing them to the sketch in one call: every realistic PFADD.
+// addBatch is how many element hashes a write keeps on the stack before
+// handing them to the sketch in one call: every realistic PFADD. A larger
+// write hashes into a pooled array (hashScratch).
 const addBatch = 16
+
+// hashScratch pools the hash arrays of writes of more than addBatch
+// elements, so such a write neither allocates its hashes nor grows them
+// step by step.
+var hashScratch = sync.Pool{New: func() any { return new([]uint64) }}
+
+// hashes holds one write's element hashes: in buf up to addBatch of them,
+// in an array from hashScratch beyond.
+type hashes struct {
+	buf    [addBatch]uint64
+	pooled *[]uint64
+}
+
+// room returns an empty slice with room for n hashes.
+func (h *hashes) room(n int) []uint64 {
+	if n <= len(h.buf) {
+		return h.buf[:0]
+	}
+	h.pooled = hashScratch.Get().(*[]uint64)
+	if cap(*h.pooled) < n {
+		*h.pooled = make([]uint64, 0, n)
+	}
+	return (*h.pooled)[:0]
+}
+
+// ofStrings hashes the elements.
+func (h *hashes) ofStrings(elements []string) []uint64 {
+	out := h.room(len(elements))
+	for _, el := range elements {
+		out = append(out, hashing.WyString(el, 0))
+	}
+	return out
+}
+
+// ofBytes hashes the elements.
+func (h *hashes) ofBytes(elements [][]byte) []uint64 {
+	out := h.room(len(elements))
+	for _, el := range elements {
+		out = append(out, hashing.Wy64(el, 0))
+	}
+	return out
+}
+
+// release gives a pooled array back; the hashes are dead after it.
+func (h *hashes) release() {
+	if h.pooled != nil {
+		hashScratch.Put(h.pooled)
+	}
+}
 
 // Add inserts elements into the sketch at key, creating it if needed.
 // It returns true if any insertion changed the sketch state (the Redis
@@ -348,12 +398,9 @@ func (s *Store) Add(key string, elements ...string) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("server: add %q: %w", key, err)
 	}
-	var buf [addBatch]uint64 // a larger batch spills to the heap
-	hashes := buf[:0]
-	for _, el := range elements {
-		hashes = append(hashes, hashing.WyString(el, 0))
-	}
-	changed := sk.AddHashes(hashes)
+	var hs hashes
+	changed := sk.AddHashes(hs.ofStrings(elements))
+	hs.release()
 	if changed {
 		e.changedLocked()
 		s.resizeLocked(e) // a sparse value grows with every new token
@@ -371,12 +418,9 @@ func (s *Store) AddBytes(key []byte, elements [][]byte) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("server: add %q: %w", key, err)
 	}
-	var buf [addBatch]uint64
-	hashes := buf[:0]
-	for _, el := range elements {
-		hashes = append(hashes, hashing.Wy64(el, 0))
-	}
-	changed := sk.AddHashes(hashes)
+	var hs hashes
+	changed := sk.AddHashes(hs.ofBytes(elements))
+	hs.release()
 	if changed {
 		e.changedLocked()
 		s.resizeLocked(e)
@@ -388,12 +432,10 @@ func (s *Store) AddBytes(key []byte, elements [][]byte) (bool, error) {
 // configuration (core.MakeBatch): what AddBatch and WindowAddBatch take in,
 // here or, as its MarshalBinary bytes, on another node.
 func (s *Store) Batch(elements []string) (core.Hybrid, error) {
-	var buf [addBatch]uint64
-	hashes := buf[:0]
-	for _, el := range elements {
-		hashes = append(hashes, hashing.WyString(el, 0))
-	}
-	return core.MakeBatch(s.cfg, hashes, nil)
+	var hs hashes
+	b, err := core.MakeBatch(s.cfg, hs.ofStrings(elements), nil)
+	hs.release()
+	return b, err
 }
 
 // AddBatch inserts the elements of a token batch (Batch, or the batch a
@@ -474,12 +516,9 @@ func (s *Store) lockedEntryBytes(key []byte, tag byte) *entry {
 // observable through WINFO. A key holding another value type is
 // ErrWrongType.
 func (s *Store) WindowAdd(key string, ts time.Time, elements ...string) (int, error) {
-	var buf [addBatch]uint64
-	hashes := buf[:0]
-	for _, el := range elements {
-		hashes = append(hashes, hashing.WyString(el, 0))
-	}
-	accepted, err := s.windowAddHashes(ts, hashes, func() *entry { return s.lockedEntry(key, valueTagWindow) })
+	var hs hashes
+	accepted, err := s.windowAddHashes(ts, hs.ofStrings(elements), func() *entry { return s.lockedEntry(key, valueTagWindow) })
+	hs.release()
 	if err != nil {
 		return 0, fmt.Errorf("server: window add %q: %w", key, err)
 	}
@@ -490,25 +529,19 @@ func (s *Store) WindowAdd(key string, ts time.Time, elements ...string) (int, er
 // unix-millisecond timestamp — the server's WADD fast path. The slices
 // are not retained.
 func (s *Store) WindowAddBytes(key []byte, tsMillis int64, elements [][]byte) (int, error) {
-	var buf [addBatch]uint64
-	hashes := buf[:0]
-	for _, el := range elements {
-		hashes = append(hashes, hashing.Wy64(el, 0))
-	}
-	accepted, err := s.windowAddHashes(time.UnixMilli(tsMillis), hashes, func() *entry { return s.lockedEntryBytes(key, valueTagWindow) })
+	var hs hashes
+	accepted, err := s.windowAddHashes(time.UnixMilli(tsMillis), hs.ofBytes(elements), func() *entry { return s.lockedEntryBytes(key, valueTagWindow) })
+	hs.release()
 	if err != nil {
 		return 0, fmt.Errorf("server: window add %q: %w", key, err)
 	}
 	return accepted, nil
 }
 
-// batchWords is the token array a WADD's batch is encoded in on the stack:
-// room for some 80 tokens at the default configuration.
-const batchWords = 16
-
 // windowAddHashes inserts the elements with the given hashes into the ring
-// of the entry entryOf returns, locked, as one token batch made at the
-// ring's own configuration.
+// of the entry entryOf returns, locked: straight into the slice of ts, one
+// by one for a small write (window.Counter.AddHashes), never through the
+// batch codec a forwarded write travels in.
 func (s *Store) windowAddHashes(ts time.Time, hashes []uint64, entryOf func() *entry) (int, error) {
 	e := entryOf()
 	defer e.mu.Unlock()
@@ -518,14 +551,7 @@ func (s *Store) windowAddHashes(ts time.Time, hashes []uint64, entryOf func() *e
 	}
 	accepted := 0
 	if len(hashes) > 0 {
-		var words [batchWords]uint64
-		batch, err := core.MakeBatch(c.Config(), hashes, words[:])
-		if err != nil {
-			return 0, err
-		}
-		if accepted, err = c.AddBatch(ts, &batch, len(hashes)); err != nil {
-			return 0, err
-		}
+		accepted = c.AddHashes(ts, hashes)
 	}
 	e.changedLocked()
 	s.resizeLocked(e)
@@ -959,22 +985,16 @@ func (s *Store) MergeBlobDeadline(key string, data []byte, deadlineMillis int64)
 }
 
 // AbsorbBatch merges every pair's blob into its key with MergeBlob's
-// idempotent merge-not-replace semantics, reporting how many pairs and
-// payload bytes were applied. It stops at the first failing pair (its
-// error is returned with the counts so far): pairs arrive framed in
-// order, and the streaming sender treats a failed frame as
-// all-or-nothing — it re-delivers per key through the fallback path,
-// where the failing key surfaces its own error without blocking its
-// frame-mates. Re-applying an already-merged prefix is a no-op.
-func (s *Store) AbsorbBatch(pairs []KeyBlob) (keys, bytes int, err error) {
+// idempotent merge-not-replace semantics — the receiving end of a cluster
+// transfer frame. It stops at the first failing pair and returns its
+// error; re-applying an already-merged prefix is a no-op.
+func (s *Store) AbsorbBatch(pairs []KeyBlob) error {
 	for _, p := range pairs {
 		if err := s.MergeBlobDeadline(p.Key, p.Blob, p.Deadline); err != nil {
-			return keys, bytes, err
+			return err
 		}
-		keys++
-		bytes += len(p.Blob)
 	}
-	return keys, bytes, nil
+	return nil
 }
 
 // mergeValueLocked folds the decoded value in into e's value; e.mu held.
@@ -1013,22 +1033,24 @@ type TaggedBlob struct {
 	ver      uint64 // entry version at dump time: every mutation bumps it
 }
 
-// DumpAllTagged serializes every value in the store, keyed by name, each
-// with its state token, for callers that hand blobs off and must not drop
-// a write that lands mid-handoff (the cluster rebalance drain). Each blob
-// is a consistent snapshot of its value; the set of keys is gathered
-// shard by shard, so keys created or deleted mid-call may or may not
-// appear.
-func (s *Store) DumpAllTagged() map[string]TaggedBlob {
-	out := make(map[string]TaggedBlob, s.Len())
+// EachTagged calls fn with every key the filter accepts and its value
+// dumped with its state token (see DumpTagged), for callers that hand
+// blobs off and must not drop a write that lands mid-handoff (the cluster's
+// stray drain). It walks the store shard by shard and marshals one value at
+// a time, holding no lock while fn runs, so fn may hand a blob off and
+// delete its key. Each blob is a consistent snapshot of its value; keys
+// created or deleted mid-walk may or may not be seen.
+func (s *Store) EachTagged(filter func(key string) bool, fn func(key string, t TaggedBlob)) {
 	for i := range s.shards {
 		for _, ne := range s.shardEntries(i) {
+			if !filter(ne.key) {
+				continue
+			}
 			if t, ok := s.dumpEntry(ne.key, ne.e); ok {
-				out[ne.key] = t
+				fn(ne.key, t)
 			}
 		}
 	}
-	return out
 }
 
 // namedEntry is a key and its entry, as a shard map held them.

@@ -62,13 +62,12 @@ func TestStoreShardedConcurrency(t *testing.T) {
 					store.Delete(fmt.Sprintf("scratch-%d", w))
 					store.Add(fmt.Sprintf("scratch-%d", w), el)
 				case 70:
-					for key, tagged := range store.DumpAllTagged() {
-						// Only ever try to delete scratch keys; a
-						// false return (concurrent write) is fine.
-						if len(key) > 7 && key[:7] == "scratch" {
-							store.DeleteIfUnchanged(key, tagged)
-						}
-					}
+					// Only ever try to delete scratch keys; a false
+					// return (concurrent write) is fine.
+					scratch := func(key string) bool { return strings.HasPrefix(key, "scratch") }
+					store.EachTagged(scratch, func(key string, tagged TaggedBlob) {
+						store.DeleteIfUnchanged(key, tagged)
+					})
 				case 90:
 					store.Keys()
 					store.Len()
@@ -129,6 +128,29 @@ func TestStoreAddDeleteRace(t *testing.T) {
 	}
 	if n < 0.5 {
 		t.Errorf("count after terminal add = %f, want ≈1 or more", n)
+	}
+}
+
+// TestStoreBatchAllocations: a write of a thousand elements is hashed
+// once, into one batch — no hash array grows on the way.
+func TestStoreBatchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is not meaningful under the race detector")
+	}
+	st := newTestStore(t)
+	els := make([]string, 1000)
+	for i := range els {
+		els[i] = fmt.Sprintf("element-%08d", i)
+	}
+	// The hashes go into a pooled array, not a stack array grown step by
+	// step: what is left is the batch's own encoding.
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := st.Batch(els); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("Store.Batch of %d elements allocates %.1f times, want at most 2", len(els), allocs)
 	}
 }
 
@@ -354,13 +376,13 @@ func TestStoreMergeConcurrentWithAdds(t *testing.T) {
 func TestDeleteIfUnchangedVersioning(t *testing.T) {
 	store := newTestStore(t)
 	store.Add("k", "a")
-	tagged := store.DumpAllTagged()["k"]
+	tagged, _ := store.DumpTagged("k")
 
 	store.Add("k", "b") // mutates after dump
 	if store.DeleteIfUnchanged("k", tagged) {
 		t.Fatal("DeleteIfUnchanged deleted a key mutated after the dump")
 	}
-	tagged = store.DumpAllTagged()["k"]
+	tagged, _ = store.DumpTagged("k")
 	if err := store.MergeBlob("k", tagged.Blob); err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +391,7 @@ func TestDeleteIfUnchangedVersioning(t *testing.T) {
 	if store.DeleteIfUnchanged("k", tagged) {
 		t.Fatal("DeleteIfUnchanged deleted a key merged after the dump")
 	}
-	tagged = store.DumpAllTagged()["k"]
+	tagged, _ = store.DumpTagged("k")
 	if !store.DeleteIfUnchanged("k", tagged) {
 		t.Fatal("DeleteIfUnchanged refused an unmutated key")
 	}
@@ -709,7 +731,7 @@ func TestNewKeyAllocations(t *testing.T) {
 // TestEntryDispatchesOnItsType covers the paths that branch on a key's value
 // type: a blob of either type merged or restored into a fresh key of the
 // other type takes the key over (MergeBlob adopts it because the key is
-// still empty), and then DUMP, DumpTagged, DumpAllTagged, INFO, the typed
+// still empty), and then DUMP, DumpTagged, EachTagged, INFO, the typed
 // verbs and the resident-bytes gauge all follow the new type; a blob of the
 // other type is refused by a key that holds something.
 func TestEntryDispatchesOnItsType(t *testing.T) {
@@ -775,8 +797,14 @@ func TestEntryDispatchesOnItsType(t *testing.T) {
 			if tagged, _ := st.DumpTagged("k"); !bytes.Equal(tagged.Blob, v.blob) {
 				t.Errorf("%s: DumpTagged is not the blob", name)
 			}
-			if tagged := st.DumpAllTagged()["k"]; !bytes.Equal(tagged.Blob, v.blob) {
-				t.Errorf("%s: DumpAllTagged is not the blob", name)
+			each := 0
+			st.EachTagged(func(string) bool { return true }, func(key string, tagged TaggedBlob) {
+				if each++; key != "k" || !bytes.Equal(tagged.Blob, v.blob) {
+					t.Errorf("%s: EachTagged gave %q and not the blob", name, key)
+				}
+			})
+			if each != 1 {
+				t.Errorf("%s: EachTagged gave %d keys, want 1", name, each)
 			}
 			if info, _ := st.Info("k"); !strings.HasPrefix(info, v.info) {
 				t.Errorf("%s: INFO %q, want it to start %q", name, info, v.info)

@@ -142,6 +142,21 @@ func (c *Counter) AddHash(ts time.Time, h uint64) {
 	c.dropped++
 }
 
+// AddHashes inserts elements by their 64-bit hashes, all observed at ts:
+// the slice is found once, and the hashes go in as core.Hybrid.AddHashes
+// takes them — one by one below a few dozen, as one sorted merge above. It
+// returns how many were accepted: all of them, or none when ts is older
+// than the ring span (they count in Dropped).
+func (c *Counter) AddHashes(ts time.Time, hashes []uint64) int {
+	s := c.slotFor(ts)
+	if s == nil {
+		c.dropped += uint64(len(hashes))
+		return 0
+	}
+	s.sketch.AddHashes(hashes)
+	return len(hashes)
+}
+
 // AddBatch inserts n elements observed at ts, given as their token batch
 // (core.MakeBatch), which must have the counter's configuration: the slice
 // is found once for all of them, and the batch goes in as one
