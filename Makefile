@@ -19,7 +19,8 @@ test: build vet
 	$(GO) test ./...
 
 # -race also turns on checkptr, which checks every unsafe.Pointer conversion
-# and unsafe.Slice core.Hybrid's one-pointer handle makes.
+# and unsafe.Slice core.Hybrid's one-pointer handle makes, and the string
+# views of command-line keys the server's store takes.
 race:
 	$(GO) test -race -timeout 5m ./internal/core/ ./server/ ./cluster/ ./window/ ./cmd/...
 
@@ -31,9 +32,10 @@ race:
 # and the coordinator's BenchmarkNodeAdd/{1,40,1000,5000} (cluster/,
 # ns/element on a 2-node cluster) need no list here. The root package and internal/core hold the sketch's
 # own rows (BenchmarkHybridInsert/Bulk/Union/Estimate, which ROADMAP's
-# insert-debt figures quote).
+# insert-debt figures quote); internal/hashing holds BenchmarkWy64_16B, the
+# micro twin of the benchmark's hashing.wy64_ns.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x . ./internal/core/ ./server/ ./cluster/ ./window/ ./internal/compress/
+	$(GO) test -run '^$$' -bench . -benchtime=1x . ./internal/core/ ./server/ ./cluster/ ./window/ ./internal/compress/ ./internal/hashing/
 
 # fuzz runs every fuzz target there is, FUZZTIME each: the list is what
 # `go test -list` finds per package (-fuzz takes one target of one package

@@ -37,10 +37,8 @@ import (
 )
 
 // GossipConfig tunes the failure detector. The zero value is replaced
-// by defaults (Fanout 2, SuspectAfter 5) in NewNode.
+// by the default (SuspectAfter 5) in NewNode.
 type GossipConfig struct {
-	// Fanout is how many peers one Gossip round pushes a digest to.
-	Fanout int
 	// SuspectAfter is how many rounds a peer's heartbeat may stall
 	// before this node suspects it. With an interval of I the detection
 	// latency is roughly (SuspectAfter+2)·I: the timeout plus a round
@@ -48,10 +46,10 @@ type GossipConfig struct {
 	SuspectAfter int
 }
 
-const (
-	defaultFanout       = 2
-	defaultSuspectAfter = 5
-)
+const defaultSuspectAfter = 5
+
+// gossipFanout is how many peers one Gossip round pushes a digest to.
+const gossipFanout = 2
 
 // peerState is this node's evidence about one cluster member.
 type peerState struct {
@@ -127,9 +125,6 @@ func (g *gossipState) recordEvictionLocked(id string, epoch uint64) {
 func (n *Node) SetGossipConfig(cfg GossipConfig) {
 	n.gsp.mu.Lock()
 	defer n.gsp.mu.Unlock()
-	if cfg.Fanout > 0 {
-		n.gsp.cfg.Fanout = cfg.Fanout
-	}
 	if cfg.SuspectAfter > 0 {
 		n.gsp.cfg.SuspectAfter = cfg.SuspectAfter
 	}
@@ -156,7 +151,7 @@ func (n *Node) markAlive(addr string) {
 
 // Gossip runs one failure-detection round: advance the logical clock
 // and own heartbeat, time out silent peers into SUSPECT, exchange
-// digests with Fanout round-robin peers, and coordinate an epoch-fenced
+// digests with gossipFanout round-robin peers, and coordinate an epoch-fenced
 // auto-LEAVE for any peer this node suspects once a quorum of members
 // is known to agree. It returns the ids it evicted this round (usually
 // none). Unreachable gossip targets are simply skipped — that silence
@@ -320,7 +315,7 @@ func (n *Node) buildDigestLocked(m *Map) string {
 	return strings.Join(parts, " ")
 }
 
-// pickTargetsLocked chooses up to Fanout peer addresses round-robin
+// pickTargetsLocked chooses up to gossipFanout peer addresses round-robin
 // over the sorted member list — deterministic, and over enough rounds
 // every peer is contacted equally often. g.mu held.
 func (n *Node) pickTargetsLocked(members []Member) []string {
@@ -334,10 +329,7 @@ func (n *Node) pickTargetsLocked(members []Member) []string {
 	if len(others) == 0 {
 		return nil
 	}
-	k := g.cfg.Fanout
-	if k > len(others) {
-		k = len(others)
-	}
+	k := min(gossipFanout, len(others))
 	out := make([]string, 0, k)
 	for i := 0; i < k; i++ {
 		out = append(out, others[(g.cursor+i)%len(others)].Addr)

@@ -230,7 +230,7 @@ func (h *harness) start(id, listen string) *Node {
 	}
 	n.SetSnapshotPath(snap)
 	n.setFaultHook(h.hookFor(id))
-	n.SetGossipConfig(GossipConfig{Fanout: 2, SuspectAfter: testSuspectAfter})
+	n.SetGossipConfig(GossipConfig{SuspectAfter: testSuspectAfter})
 	if h.xfer != nil {
 		n.SetTransferConfig(*h.xfer)
 	}

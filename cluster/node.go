@@ -139,7 +139,7 @@ func NewNode(id string, cfg core.Config, replicas int) (*Node, error) {
 	// hanging a forward forever. SetPeerTimeout tunes it (elld
 	// -peer-timeout).
 	n.peers.setTimeout(defaultPeerTimeout)
-	n.gsp.cfg = GossipConfig{Fanout: defaultFanout, SuspectAfter: defaultSuspectAfter}
+	n.gsp.cfg = GossipConfig{SuspectAfter: defaultSuspectAfter}
 	n.gsp.peers = make(map[string]*peerState)
 	n.gsp.evictedAt = make(map[string]uint64)
 	// Any successful peer command is liveness evidence; feed it to the

@@ -37,10 +37,9 @@ type ClusterStats struct {
 
 	// Frame bytes and digest anti-entropy counters (see transfer.go and
 	// digestsync.go).
-	XferBytesPrecompress uint64 // equal to XferBytesWire: frames carry blobs as they are
-	XferBytesWire        uint64 // frame bytes sent, before base64
-	SyncDigestRounds     uint64 // digest anti-entropy rounds completed
-	SyncKeysRepaired     uint64 // divergent keys re-shipped by digest rounds
+	XferBytesWire    uint64 // frame bytes sent, before base64
+	SyncDigestRounds uint64 // digest anti-entropy rounds completed
+	SyncKeysRepaired uint64 // divergent keys re-shipped by digest rounds
 }
 
 // StatsCounters returns a snapshot of this node's cluster-layer
@@ -50,7 +49,6 @@ func (n *Node) StatsCounters() ClusterStats {
 	g.mu.Lock()
 	rounds, raised := g.round, g.suspectsRaised
 	g.mu.Unlock()
-	wire := n.xfer.wireBytes.Load()
 	return ClusterStats{
 		GossipRounds:   rounds,
 		SuspectsRaised: raised,
@@ -65,10 +63,9 @@ func (n *Node) StatsCounters() ClusterStats {
 		XferFrames:  n.xfer.frames.Load(),
 		XferBytes:   n.xfer.bytes.Load(),
 
-		XferBytesPrecompress: wire,
-		XferBytesWire:        wire,
-		SyncDigestRounds:     n.digestRounds.Load(),
-		SyncKeysRepaired:     n.digestRepairs.Load(),
+		XferBytesWire:    n.xfer.wireBytes.Load(),
+		SyncDigestRounds: n.digestRounds.Load(),
+		SyncKeysRepaired: n.digestRepairs.Load(),
 	}
 }
 
@@ -82,13 +79,12 @@ func (n *Node) statsBody() string {
 	// k=v pairs by name, but prefix-matching tests and scripts stay
 	// stable that way.
 	return fmt.Sprintf(
-		"node=%s gossip_rounds=%d suspects_raised=%d auto_leaves=%d mlpfadd_groups=%d mlpfadd_batches=%d moved_replies=%d map_refetches=%d xfer_streams=%d xfer_frames=%d xfer_bytes=%d xfer_bytes_precompress=%d xfer_bytes_wire=%d sync_digest_rounds=%d sync_keys_repaired=%d mladd_bytes=%d\n%s",
+		"node=%s gossip_rounds=%d suspects_raised=%d auto_leaves=%d mlpfadd_groups=%d mlpfadd_batches=%d moved_replies=%d map_refetches=%d xfer_streams=%d xfer_frames=%d xfer_bytes=%d xfer_bytes_wire=%d sync_digest_rounds=%d sync_keys_repaired=%d mladd_bytes=%d\n%s",
 		n.id, c.GossipRounds, c.SuspectsRaised, c.AutoLeaves,
 		c.MLPFAddGroups, c.MLPFAddBatches,
 		c.MovedReplies, c.MapRefetches,
 		c.XferStreams, c.XferFrames, c.XferBytes,
-		c.XferBytesPrecompress, c.XferBytesWire,
-		c.SyncDigestRounds, c.SyncKeysRepaired, c.MLAddBytes,
+		c.XferBytesWire, c.SyncDigestRounds, c.SyncKeysRepaired, c.MLAddBytes,
 		n.srv.StatsText())
 }
 
@@ -146,7 +142,6 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_streams_total counter\nell_cluster_xfer_streams_total %d\n", c.XferStreams)
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_frames_total counter\nell_cluster_xfer_frames_total %d\n", c.XferFrames)
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_bytes_total counter\nell_cluster_xfer_bytes_total %d\n", c.XferBytes)
-	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_bytes_precompress_total counter\nell_cluster_xfer_bytes_precompress_total %d\n", c.XferBytesPrecompress)
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_bytes_wire_total counter\nell_cluster_xfer_bytes_wire_total %d\n", c.XferBytesWire)
 	fmt.Fprintf(w, "# TYPE ell_cluster_sync_digest_rounds_total counter\nell_cluster_sync_digest_rounds_total %d\n", c.SyncDigestRounds)
 	fmt.Fprintf(w, "# TYPE ell_cluster_sync_keys_repaired_total counter\nell_cluster_sync_keys_repaired_total %d\n", c.SyncKeysRepaired)

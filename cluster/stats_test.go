@@ -121,7 +121,7 @@ func TestMetricsPollingCountsAsLiveness(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.setFaultHook(dropGossip)
-		n.SetGossipConfig(GossipConfig{Fanout: 2, SuspectAfter: testSuspectAfter})
+		n.SetGossipConfig(GossipConfig{SuspectAfter: testSuspectAfter})
 		if err := n.Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}

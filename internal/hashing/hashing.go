@@ -67,7 +67,12 @@ func Wy64(data []byte, seed uint64) uint64 {
 	return mum(wyp1^uint64(n), h^wyp2)
 }
 
-// WyString hashes a string without allocating.
+// WyString hashes a string without allocating; it equals Wy64 of the
+// string's bytes. The two stay two bodies on purpose. One generic body over
+// string | []byte measured 2–3× slower at 16 B and above. WyString as Wy64
+// over an unsafe.String view of the bytes was about 1.5× faster at 40 B and
+// 2× at 200 B, but 0.4–1.1 ns slower at 16 B and below — where most keys
+// and elements are — so merging them is a speed trade, not a clean-up.
 func WyString(s string, seed uint64) uint64 {
 	n := len(s)
 	h := seed ^ wyp0

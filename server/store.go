@@ -17,9 +17,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"exaloglog/internal/core"
 	"exaloglog/internal/hashing"
@@ -147,6 +149,13 @@ type shard struct {
 // which still count and merge together as long as they share the
 // t-parameter (Section 4.1 of the paper). Windowed values created
 // through WindowAdd use the store's window geometry (SetWindowConfig).
+//
+// Every method reaches a key through one key path: lookup, or getOrCreate
+// and lockedEntry to create one. A method with a byte-slice key (AddBytes,
+// CountBytes, …) only passes the key down as a view — a string over the
+// caller's bytes (lineKey) — flagged as such. The path keeps a key in one
+// place only: getOrCreate stores a view's copy and a Go caller's string as
+// it is, so no caller's byte is ever retained.
 type Store struct {
 	cfg core.Config
 
@@ -231,9 +240,10 @@ func (s *Store) shardOf(key string) *shard {
 	return &s.shards[shardIndex(key)]
 }
 
-func (s *Store) shardOfBytes(key []byte) *shard {
-	return &s.shards[hashing.Wy64(key, shardSeed)&(numShards-1)]
-}
+// lineKey returns a view of b: a string over b's bytes (unsafe.String), no
+// copy. It is valid only until the byte entry point that made it returns,
+// so the store looks keys up by a view but never keeps one (getOrCreate).
+func lineKey(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // lookup returns the live entry for key, or nil. An entry whose expiry
 // deadline has passed is collected here — every read path goes through
@@ -244,20 +254,6 @@ func (s *Store) lookup(key string) *entry {
 	e := sh.m[key]
 	sh.mu.RUnlock()
 	if e != nil && s.expireIfDue(key, e) {
-		return nil
-	}
-	return e
-}
-
-// lookupBytes is lookup with a byte-slice key; the map access compiles
-// to a no-allocation string conversion (the key only materializes on
-// the rare expiry).
-func (s *Store) lookupBytes(key []byte) *entry {
-	sh := s.shardOfBytes(key)
-	sh.mu.RLock()
-	e := sh.m[string(key)]
-	sh.mu.RUnlock()
-	if e != nil && e.deadline.Load() != 0 && s.expireIfDue(string(key), e) {
 		return nil
 	}
 	return e
@@ -278,7 +274,12 @@ func (s *Store) emptyEll() core.Hybrid {
 // loser's command then fails its type check. An expired entry is
 // collected and re-created fresh — writing into a key past its
 // deadline must behave exactly like writing into a missing one.
-func (s *Store) getOrCreate(key string, tag byte) *entry {
+//
+// getOrCreate is the one place the store keeps a key: a new entry's map
+// key is the caller's string as it is, or a copy of it if view says it is
+// a view (lineKey). A Go caller's key is thus shared, not cloned, and no
+// line byte is ever retained.
+func (s *Store) getOrCreate(key string, view bool, tag byte) *entry {
 	for {
 		sh := s.shardOf(key)
 		sh.mu.RLock()
@@ -287,6 +288,9 @@ func (s *Store) getOrCreate(key string, tag byte) *entry {
 		if e == nil {
 			sh.mu.Lock()
 			if e = sh.m[key]; e == nil {
+				if view {
+					key = strings.Clone(key)
+				}
 				e = s.newEntry(tag)
 				sh.m[key] = e
 				sh.mu.Unlock()
@@ -295,29 +299,6 @@ func (s *Store) getOrCreate(key string, tag byte) *entry {
 			sh.mu.Unlock()
 		}
 		if s.expireIfDue(key, e) {
-			continue
-		}
-		return e
-	}
-}
-
-func (s *Store) getOrCreateBytes(key []byte, tag byte) *entry {
-	for {
-		sh := s.shardOfBytes(key)
-		sh.mu.RLock()
-		e := sh.m[string(key)]
-		sh.mu.RUnlock()
-		if e == nil {
-			sh.mu.Lock()
-			if e = sh.m[string(key)]; e == nil {
-				e = s.newEntry(tag)
-				sh.m[string(key)] = e
-				sh.mu.Unlock()
-				return e
-			}
-			sh.mu.Unlock()
-		}
-		if e.deadline.Load() != 0 && s.expireIfDue(string(key), e) {
 			continue
 		}
 		return e
@@ -343,40 +324,49 @@ const addBatch = 16
 var hashScratch = sync.Pool{New: func() any { return new([]uint64) }}
 
 // hashes holds one write's element hashes: in buf up to addBatch of them,
-// in an array from hashScratch beyond.
+// in an array from hashScratch beyond. ofStrings and ofBytes fill one.
 type hashes struct {
 	buf    [addBatch]uint64
+	n      int
 	pooled *[]uint64
 }
 
-// room returns an empty slice with room for n hashes.
+// room makes h hold n hashes and returns them, to be filled in.
 func (h *hashes) room(n int) []uint64 {
-	if n <= len(h.buf) {
-		return h.buf[:0]
+	h.n = n
+	if n > len(h.buf) {
+		h.pooled = hashScratch.Get().(*[]uint64)
+		if cap(*h.pooled) < n {
+			*h.pooled = make([]uint64, n)
+		}
 	}
-	h.pooled = hashScratch.Get().(*[]uint64)
-	if cap(*h.pooled) < n {
-		*h.pooled = make([]uint64, 0, n)
+	return h.list()
+}
+
+// list returns the hashes.
+func (h *hashes) list() []uint64 {
+	if h.pooled != nil {
+		return (*h.pooled)[:h.n]
 	}
-	return (*h.pooled)[:0]
+	return h.buf[:h.n]
 }
 
 // ofStrings hashes the elements.
-func (h *hashes) ofStrings(elements []string) []uint64 {
+func ofStrings(elements []string) (h hashes) {
 	out := h.room(len(elements))
-	for _, el := range elements {
-		out = append(out, hashing.WyString(el, 0))
+	for i, el := range elements {
+		out[i] = hashing.WyString(el, 0)
 	}
-	return out
+	return h
 }
 
 // ofBytes hashes the elements.
-func (h *hashes) ofBytes(elements [][]byte) []uint64 {
+func ofBytes(elements [][]byte) (h hashes) {
 	out := h.room(len(elements))
-	for _, el := range elements {
-		out = append(out, hashing.Wy64(el, 0))
+	for i, el := range elements {
+		out[i] = hashing.Wy64(el, 0)
 	}
-	return out
+	return h
 }
 
 // release gives a pooled array back; the hashes are dead after it.
@@ -392,38 +382,29 @@ func (h *hashes) release() {
 // recorded, once dense that a register changed. A key holding another
 // value type is ErrWrongType.
 func (s *Store) Add(key string, elements ...string) (bool, error) {
-	e := s.lockedEntry(key, valueTagEll)
-	defer e.mu.Unlock()
-	sk, err := e.ellLocked()
-	if err != nil {
-		return false, fmt.Errorf("server: add %q: %w", key, err)
-	}
-	var hs hashes
-	changed := sk.AddHashes(hs.ofStrings(elements))
-	hs.release()
-	if changed {
-		e.changedLocked()
-		s.resizeLocked(e) // a sparse value grows with every new token
-	}
-	return changed, nil
+	return s.add(key, false, ofStrings(elements))
 }
 
 // AddBytes is Add with byte-slice key and elements; it allocates nothing
 // once the key exists, which makes it the server's PFADD fast path. The
 // slices are not retained.
 func (s *Store) AddBytes(key []byte, elements [][]byte) (bool, error) {
-	e := s.lockedEntryBytes(key, valueTagEll)
+	return s.add(lineKey(key), true, ofBytes(elements))
+}
+
+// add is Add of the hashed elements; view says whether key is a view.
+func (s *Store) add(key string, view bool, hs hashes) (bool, error) {
+	defer hs.release()
+	e := s.lockedEntry(key, view, valueTagEll)
 	defer e.mu.Unlock()
 	sk, err := e.ellLocked()
 	if err != nil {
 		return false, fmt.Errorf("server: add %q: %w", key, err)
 	}
-	var hs hashes
-	changed := sk.AddHashes(hs.ofBytes(elements))
-	hs.release()
+	changed := sk.AddHashes(hs.list())
 	if changed {
 		e.changedLocked()
-		s.resizeLocked(e)
+		s.resizeLocked(e) // a sparse value grows with every new token
 	}
 	return changed, nil
 }
@@ -432,18 +413,16 @@ func (s *Store) AddBytes(key []byte, elements [][]byte) (bool, error) {
 // configuration (core.MakeBatch): what AddBatch and WindowAddBatch take in,
 // here or, as its MarshalBinary bytes, on another node.
 func (s *Store) Batch(elements []string) (core.Hybrid, error) {
-	var hs hashes
-	b, err := core.MakeBatch(s.cfg, hs.ofStrings(elements), nil)
-	hs.release()
-	return b, err
+	hs := ofStrings(elements)
+	defer hs.release()
+	return core.MakeBatch(s.cfg, hs.list(), nil)
 }
 
 // BatchBytes is Batch with byte-slice elements, which are not retained.
 func (s *Store) BatchBytes(elements [][]byte) (core.Hybrid, error) {
-	var hs hashes
-	b, err := core.MakeBatch(s.cfg, hs.ofBytes(elements), nil)
-	hs.release()
-	return b, err
+	hs := ofBytes(elements)
+	defer hs.release()
+	return core.MakeBatch(s.cfg, hs.list(), nil)
 }
 
 // AddBatch inserts the elements of a token batch (Batch, or the batch a
@@ -454,66 +433,49 @@ func (s *Store) BatchBytes(elements [][]byte) (core.Hybrid, error) {
 // batch must hold at least one element and is not retained. A key holding
 // another value type is ErrWrongType.
 func (s *Store) AddBatch(key string, batch *core.Hybrid) (bool, error) {
-	changed, err := s.addBatch(batch, func() *entry { return s.lockedEntry(key, valueTagEll) })
-	if err != nil {
-		return false, fmt.Errorf("server: add %q: %w", key, err)
-	}
-	return changed, nil
+	return s.addBatch(key, false, batch)
 }
 
 // AddBatchBytes is AddBatch with a byte-slice key, which is not retained:
 // the receiving end of a forwarded write.
 func (s *Store) AddBatchBytes(key []byte, batch *core.Hybrid) (bool, error) {
-	changed, err := s.addBatch(batch, func() *entry { return s.lockedEntryBytes(key, valueTagEll) })
-	if err != nil {
-		return false, fmt.Errorf("server: add %q: %w", string(key), err)
-	}
-	return changed, nil
+	return s.addBatch(lineKey(key), true, batch)
 }
 
-// addBatch is AddBatch on the entry entryOf returns, locked.
-func (s *Store) addBatch(batch *core.Hybrid, entryOf func() *entry) (bool, error) {
+// addBatch is AddBatch; view says whether key is a view.
+func (s *Store) addBatch(key string, view bool, batch *core.Hybrid) (bool, error) {
 	if batch.IsEmpty() {
-		return false, errEmptyBatch
+		return false, fmt.Errorf("server: add %q: %w", key, errEmptyBatch)
 	}
-	e := entryOf()
+	e := s.lockedEntry(key, view, valueTagEll)
 	defer e.mu.Unlock()
 	sk, err := e.ellLocked()
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("server: add %q: %w", key, err)
 	}
 	changed, err := sk.Absorb(batch)
 	if changed {
 		e.changedLocked()
 		s.resizeLocked(e)
 	}
-	return changed, err
+	if err != nil {
+		return false, fmt.Errorf("server: add %q: %w", key, err)
+	}
+	return changed, nil
 }
 
 var errEmptyBatch = errors.New("a batch of no elements")
 
 // lockedEntry returns the live entry for key, created with an empty value
-// of type tag if absent, with its lock held.
-func (s *Store) lockedEntry(key string, tag byte) *entry {
+// of type tag if absent, with its lock held; view is getOrCreate's.
+func (s *Store) lockedEntry(key string, view bool, tag byte) *entry {
 	for {
-		e := s.getOrCreate(key, tag)
+		e := s.getOrCreate(key, view, tag)
 		e.mu.Lock()
 		if !e.dead {
 			return e
 		}
 		e.mu.Unlock() // deleted between lookup and lock; re-create
-	}
-}
-
-// lockedEntryBytes is lockedEntry with a byte-slice key.
-func (s *Store) lockedEntryBytes(key []byte, tag byte) *entry {
-	for {
-		e := s.getOrCreateBytes(key, tag)
-		e.mu.Lock()
-		if !e.dead {
-			return e
-		}
-		e.mu.Unlock()
 	}
 }
 
@@ -524,42 +486,31 @@ func (s *Store) lockedEntryBytes(key []byte, tag byte) *entry {
 // observable through WINFO. A key holding another value type is
 // ErrWrongType.
 func (s *Store) WindowAdd(key string, ts time.Time, elements ...string) (int, error) {
-	var hs hashes
-	accepted, err := s.windowAddHashes(ts, hs.ofStrings(elements), func() *entry { return s.lockedEntry(key, valueTagWindow) })
-	hs.release()
-	if err != nil {
-		return 0, fmt.Errorf("server: window add %q: %w", key, err)
-	}
-	return accepted, nil
+	return s.windowAdd(key, false, ts, ofStrings(elements))
 }
 
 // WindowAddBytes is WindowAdd with byte-slice key and elements and a
 // unix-millisecond timestamp — the server's WADD fast path. The slices
 // are not retained.
 func (s *Store) WindowAddBytes(key []byte, tsMillis int64, elements [][]byte) (int, error) {
-	var hs hashes
-	accepted, err := s.windowAddHashes(time.UnixMilli(tsMillis), hs.ofBytes(elements), func() *entry { return s.lockedEntryBytes(key, valueTagWindow) })
-	hs.release()
-	if err != nil {
-		return 0, fmt.Errorf("server: window add %q: %w", key, err)
-	}
-	return accepted, nil
+	return s.windowAdd(lineKey(key), true, time.UnixMilli(tsMillis), ofBytes(elements))
 }
 
-// windowAddHashes inserts the elements with the given hashes into the ring
-// of the entry entryOf returns, locked: straight into the slice of ts, one
-// by one for a small write (window.Counter.AddHashes), never through the
-// batch codec a forwarded write travels in.
-func (s *Store) windowAddHashes(ts time.Time, hashes []uint64, entryOf func() *entry) (int, error) {
-	e := entryOf()
+// windowAdd is WindowAdd of the hashed elements; view says whether key is
+// a view. The hashes go straight into the slice of ts, one by one for a
+// small write (window.Counter.AddHashes), never through the batch codec a
+// forwarded write travels in.
+func (s *Store) windowAdd(key string, view bool, ts time.Time, hs hashes) (int, error) {
+	defer hs.release()
+	e := s.lockedEntry(key, view, valueTagWindow)
 	defer e.mu.Unlock()
 	c, err := e.windowLocked()
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("server: window add %q: %w", key, err)
 	}
 	accepted := 0
-	if len(hashes) > 0 {
-		accepted = c.AddHashes(ts, hashes)
+	if hs.n > 0 {
+		accepted = c.AddHashes(ts, hs.list())
 	}
 	e.changedLocked()
 	s.resizeLocked(e)
@@ -573,37 +524,29 @@ func (s *Store) windowAddHashes(ts time.Time, hashes []uint64, entryOf func() *e
 // must have the ring's configuration and hold at least one element; it is
 // not retained. A key holding another value type is ErrWrongType.
 func (s *Store) WindowAddBatch(key string, tsMillis int64, batch *core.Hybrid, n int) (int, error) {
-	accepted, err := s.windowAddBatch(tsMillis, batch, n, func() *entry { return s.lockedEntry(key, valueTagWindow) })
-	if err != nil {
-		return 0, fmt.Errorf("server: window add %q: %w", key, err)
-	}
-	return accepted, nil
+	return s.windowAddBatch(key, false, tsMillis, batch, n)
 }
 
 // WindowAddBatchBytes is WindowAddBatch with a byte-slice key, which is
 // not retained: the receiving end of a forwarded write.
 func (s *Store) WindowAddBatchBytes(key []byte, tsMillis int64, batch *core.Hybrid, n int) (int, error) {
-	accepted, err := s.windowAddBatch(tsMillis, batch, n, func() *entry { return s.lockedEntryBytes(key, valueTagWindow) })
-	if err != nil {
-		return 0, fmt.Errorf("server: window add %q: %w", string(key), err)
-	}
-	return accepted, nil
+	return s.windowAddBatch(lineKey(key), true, tsMillis, batch, n)
 }
 
-// windowAddBatch is WindowAddBatch on the entry entryOf returns, locked.
-func (s *Store) windowAddBatch(tsMillis int64, batch *core.Hybrid, n int, entryOf func() *entry) (int, error) {
+// windowAddBatch is WindowAddBatch; view says whether key is a view.
+func (s *Store) windowAddBatch(key string, view bool, tsMillis int64, batch *core.Hybrid, n int) (int, error) {
 	if n < 1 || batch.IsEmpty() {
-		return 0, errEmptyBatch
+		return 0, fmt.Errorf("server: window add %q: %w", key, errEmptyBatch)
 	}
-	e := entryOf()
+	e := s.lockedEntry(key, view, valueTagWindow)
 	defer e.mu.Unlock()
 	c, err := e.windowLocked()
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("server: window add %q: %w", key, err)
 	}
 	accepted, err := c.AddBatch(time.UnixMilli(tsMillis), batch, n)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("server: window add %q: %w", key, err)
 	}
 	e.changedLocked()
 	s.resizeLocked(e)
@@ -718,63 +661,46 @@ func (s *Store) mergeInto(acc **core.Sketch, pooled, found *bool, e *entry) erro
 // are aligned via reduction when they share t.
 func (s *Store) Count(keys ...string) (float64, error) {
 	if len(keys) == 1 {
-		// Hot-key fast path: a single-key count needs no union at all,
-		// and the per-entry cache makes a repeated count O(1).
-		if e := s.lookup(keys[0]); e != nil {
-			v, ok, err := s.estimateEll(e)
-			if err != nil {
-				return 0, fmt.Errorf("server: count %q: %w", keys[0], err)
-			}
-			if ok {
-				return v, nil
-			}
-		}
-		return 0, nil
+		return s.countOne(keys[0])
 	}
-	acc, pooled, found := s.getAcc(), true, false
-	defer func() {
-		if pooled {
-			s.accs.Put(acc)
-		}
-	}()
-	for _, k := range keys {
-		e := s.lookup(k)
-		if e == nil {
-			continue
-		}
-		if err := s.mergeInto(&acc, &pooled, &found, e); err != nil {
-			return 0, fmt.Errorf("server: count %q: %w", k, err)
-		}
-	}
-	if !found {
-		return 0, nil
-	}
-	return acc.Estimate(), nil
+	return s.countUnion(len(keys), func(i int) string { return keys[i] })
 }
 
 // CountBytes is Count with byte-slice keys — the server's PFCOUNT fast
 // path. The slices are not retained.
 func (s *Store) CountBytes(keys [][]byte) (float64, error) {
 	if len(keys) == 1 {
-		if e := s.lookupBytes(keys[0]); e != nil {
-			v, ok, err := s.estimateEll(e)
-			if err != nil {
-				return 0, fmt.Errorf("server: count %q: %w", keys[0], err)
-			}
-			if ok {
-				return v, nil
-			}
-		}
-		return 0, nil
+		return s.countOne(lineKey(keys[0]))
 	}
+	return s.countUnion(len(keys), func(i int) string { return lineKey(keys[i]) })
+}
+
+// countOne is the hot-key path: a single-key count needs no union at all,
+// and the per-entry cache makes a repeated count O(1).
+func (s *Store) countOne(key string) (float64, error) {
+	if e := s.lookup(key); e != nil {
+		v, ok, err := s.estimateEll(e)
+		if err != nil {
+			return 0, fmt.Errorf("server: count %q: %w", key, err)
+		}
+		if ok {
+			return v, nil
+		}
+	}
+	return 0, nil
+}
+
+// countUnion is Count of the n keys key returns, n other than one.
+func (s *Store) countUnion(n int, key func(i int) string) (float64, error) {
 	acc, pooled, found := s.getAcc(), true, false
 	defer func() {
 		if pooled {
 			s.accs.Put(acc)
 		}
 	}()
-	for _, k := range keys {
-		e := s.lookupBytes(k)
+	for i := range n {
+		k := key(i)
+		e := s.lookup(k)
 		if e == nil {
 			continue
 		}
@@ -830,7 +756,7 @@ func (s *Store) Merge(dest string, sources ...string) error {
 		if s.lookup(dest) == nil && acc.Config().T != s.cfg.T {
 			return fmt.Errorf("server: merge %q: t=%d sketches cannot merge into the store's t=%d", dest, acc.Config().T, s.cfg.T)
 		}
-		e := s.getOrCreate(dest, valueTagEll)
+		e := s.getOrCreate(dest, false, valueTagEll)
 		e.mu.Lock()
 		if e.dead {
 			e.mu.Unlock()
@@ -921,19 +847,12 @@ func (s *Store) Restore(key string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	for {
-		e := s.getOrCreate(key, val.tag())
-		e.mu.Lock()
-		if e.dead {
-			e.mu.Unlock()
-			continue
-		}
-		e.setLocked(&val)
-		e.changedLocked()
-		s.resizeLocked(e)
-		e.mu.Unlock()
-		return nil
-	}
+	e := s.lockedEntry(key, false, val.tag())
+	defer e.mu.Unlock()
+	e.setLocked(&val)
+	e.changedLocked()
+	s.resizeLocked(e)
+	return nil
 }
 
 // MergeBlob merges a serialized value into the value at key, creating
@@ -965,31 +884,22 @@ func (s *Store) MergeBlobDeadline(key string, data []byte, deadlineMillis int64)
 	if deadlineMillis != 0 && deadlineMillis <= s.NowMillis() {
 		return nil
 	}
-	for {
-		e := s.getOrCreate(key, in.tag())
-		e.mu.Lock()
-		if e.dead {
-			e.mu.Unlock()
-			continue
-		}
-		fresh := e.empty()
-		err := s.mergeValueLocked(e, &in)
-		if err != nil {
-			e.mu.Unlock()
-			return fmt.Errorf("server: merge blob into %q: %w", key, err)
-		}
-		if fresh {
-			e.deadline.Store(deadlineMillis)
-		} else if deadlineMillis != 0 {
-			if dl := e.deadline.Load(); dl == 0 || deadlineMillis > dl {
-				e.deadline.Store(deadlineMillis)
-			}
-		}
-		e.changedLocked()
-		s.resizeLocked(e)
-		e.mu.Unlock()
-		return nil
+	e := s.lockedEntry(key, false, in.tag())
+	defer e.mu.Unlock()
+	fresh := e.empty()
+	if err := s.mergeValueLocked(e, &in); err != nil {
+		return fmt.Errorf("server: merge blob into %q: %w", key, err)
 	}
+	if fresh {
+		e.deadline.Store(deadlineMillis)
+	} else if deadlineMillis != 0 {
+		if dl := e.deadline.Load(); dl == 0 || deadlineMillis > dl {
+			e.deadline.Store(deadlineMillis)
+		}
+	}
+	e.changedLocked()
+	s.resizeLocked(e)
+	return nil
 }
 
 // AbsorbBatch merges every pair's blob into its key with MergeBlob's

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -700,9 +701,12 @@ func TestInPlaceReplaceUnderRace(t *testing.T) {
 	readers.Wait()
 }
 
-// TestNewKeyAllocations pins what creating a plain key allocates: the
-// entry, which holds the sketch, and the first token array — whether the
-// key is created by an insert or by a blob decoded straight into it.
+// TestNewKeyAllocations pins what creating a key allocates at each entry
+// point. A plain key is the entry, which holds the sketch, and the first
+// token array — whether the key is created by an insert or by a blob
+// decoded straight into it. A Go caller's key string becomes the map key
+// as it is; a byte-slice key costs its one copy more. A window key adds its
+// ring. And a union count of 16 keys allocates nothing.
 func TestNewKeyAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -714,18 +718,113 @@ func TestNewKeyAllocations(t *testing.T) {
 	if !core.IsTokenBlob(blob) {
 		t.Fatal("want an ELT3 blob")
 	}
+	batch, err := store.Batch([]string{"x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, els := []byte("fresh"), [][]byte{[]byte("x")}
 	for _, c := range []struct {
 		name string
 		add  func()
+		want float64
 	}{
-		{"Add", func() { store.Add("fresh", "x") }},
-		{"MergeBlob", func() { store.MergeBlob("fresh", blob) }},
-		{"Restore", func() { store.Restore("fresh", blob) }},
+		{"Add", func() { store.Add("fresh", "x") }, 2},
+		{"AddBytes", func() { store.AddBytes(key, els) }, 3},
+		{"AddBatch", func() { store.AddBatch("fresh", &batch) }, 2},
+		{"AddBatchBytes", func() { store.AddBatchBytes(key, &batch) }, 3},
+		{"MergeBlob", func() { store.MergeBlob("fresh", blob) }, 2},
+		{"Restore", func() { store.Restore("fresh", blob) }, 2},
+		{"WindowAdd", func() { store.WindowAdd("fresh", time.UnixMilli(baseMS), "x") }, 4},
+		{"WindowAddBytes", func() { store.WindowAddBytes(key, baseMS, els) }, 5},
 	} {
-		if n := testing.AllocsPerRun(100, func() { c.add(); store.Delete("fresh") }); n > 2 {
-			t.Errorf("%s of a new key: %.0f allocations, want 2", c.name, n)
+		if n := testing.AllocsPerRun(100, func() { c.add(); store.Delete("fresh") }); n != c.want {
+			t.Errorf("%s of a new key: %.0f allocations, want %.0f", c.name, n, c.want)
 		}
 	}
+	keys := make([][]byte, 16)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "k%d", i)
+		store.AddBytes(keys[i], els)
+	}
+	if n := testing.AllocsPerRun(100, func() { store.CountBytes(keys) }); n != 0 {
+		t.Errorf("CountBytes of %d keys: %.0f allocations, want 0", len(keys), n)
+	}
+}
+
+// TestLineKeysAreCopied: a key created from a caller's bytes — through a
+// byte-slice Store method or a command line — is the store's own copy.
+// Overwriting the bytes afterwards changes no key, count or WINFO. Under
+// -race, checkptr also checks the string views the store takes of them.
+func TestLineKeysAreCopied(t *testing.T) {
+	store := newTestStore(t)
+	srv := NewServer(store)
+	batch, err := store.Batch([]string{"y", "z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte("plain wind batch wbat")
+	el := [][]byte{buf[:5]}
+	_, err1 := store.AddBytes(buf[:5], el)
+	_, err2 := store.WindowAddBytes(buf[6:10], baseMS, el)
+	_, err3 := store.AddBatchBytes(buf[11:16], &batch)
+	_, err4 := store.WindowAddBatchBytes(buf[17:21], baseMS, &batch, 2)
+	if err := errors.Join(err1, err2, err3, err4); err != nil {
+		t.Fatal(err)
+	}
+	// The lines are read into the connection's buffers; the reader keeps
+	// hold of those, so the test can overwrite what the keys were parsed
+	// from.
+	lines := &recordingReader{data: []byte(fmt.Sprintf("PFADD line-p a b\nWADD line-w %d a b\nPFADD plain c\n", baseMS))}
+	srv.ServeStream(lines, io.Discard)
+
+	// What the store holds, rendered into a string of the test's own: a
+	// retained view would change under the overwrite along with the store.
+	state := func() string {
+		var b strings.Builder
+		for _, k := range store.Keys() {
+			n, err := store.Count(k)
+			info, _ := store.Info(k)
+			if errors.Is(err, ErrWrongType) {
+				n, err = store.WindowCount(k, time.Minute, time.Time{})
+				info, _, _ = store.WindowInfo(k)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s %.3f %s\n", k, n, info)
+		}
+		return b.String()
+	}
+	before := state()
+	for _, want := range []string{"batch", "line-p", "line-w", "plain", "wbat", "wind"} {
+		if !strings.Contains(before, want+" ") {
+			t.Fatalf("no key %q in\n%s", want, before)
+		}
+	}
+	for _, b := range append(lines.read, buf) {
+		for i := range b {
+			b[i] = 'X'
+		}
+	}
+	if after := state(); after != before {
+		t.Errorf("overwriting the callers' bytes changed the store:\nbefore\n%s\nafter\n%s", before, after)
+	}
+}
+
+// recordingReader serves data and records every buffer it read into.
+type recordingReader struct {
+	data []byte
+	read [][]byte
+}
+
+func (r *recordingReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	r.read = append(r.read, p[:n])
+	return n, nil
 }
 
 // TestEntryDispatchesOnItsType covers the paths that branch on a key's value
