@@ -13,17 +13,31 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"exaloglog"
 	"exaloglog/internal/mvp"
 )
 
-func main() {
-	p := flag.Int("p", 12, "precision: 2^p registers; standard error halves per +2")
-	martingale := flag.Bool("martingale", false, "use the martingale estimator (single-stream, lower error)")
-	exact := flag.Bool("exact", false, "also compute the exact count in memory for comparison")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is main without the process: it parses args (everything after the
+// program name), counts the lines of stdin and returns the exit code — 0
+// ok, 1 stdin could not be read, 2 usage.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("distinct", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	p := fs.Int("p", 12, "precision: 2^p registers; standard error halves per +2")
+	martingale := fs.Bool("martingale", false, "use the martingale estimator (single-stream, lower error)")
+	exact := fs.Bool("exact", false, "also compute the exact count in memory for comparison")
+	if err := fs.Parse(args); err != nil {
+		return 2 // Parse has reported the error and the flag list
+	}
+	if *p < exaloglog.MinPrecision || *p > exaloglog.MaxPrecision {
+		fmt.Fprintf(stderr, "distinct: -p %d outside [%d, %d]\n", *p, exaloglog.MinPrecision, exaloglog.MaxPrecision)
+		return 2
+	}
 
 	var sketch *exaloglog.Sketch
 	var stdErr float64
@@ -40,7 +54,7 @@ func main() {
 		exactSet = make(map[string]struct{})
 	}
 
-	scanner := bufio.NewScanner(os.Stdin)
+	scanner := bufio.NewScanner(stdin)
 	scanner.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	lines := 0
 	for scanner.Scan() {
@@ -52,12 +66,12 @@ func main() {
 		lines++
 	}
 	if err := scanner.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "distinct: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "distinct: %v\n", err)
+		return 1
 	}
 
 	est := sketch.Estimate()
-	fmt.Printf("≈ %.0f distinct lines (of %d total; %.2f %% standard error, %d bytes of sketch)\n",
+	fmt.Fprintf(stdout, "≈ %.0f distinct lines (of %d total; %.2f %% standard error, %d bytes of sketch)\n",
 		est, lines, stdErr*100, sketch.SizeBytes())
 	if exactSet != nil {
 		exactN := len(exactSet)
@@ -65,6 +79,7 @@ func main() {
 		if exactN > 0 {
 			relErr = (est - float64(exactN)) / float64(exactN) * 100
 		}
-		fmt.Printf("exactly %d distinct lines (estimate off by %+.2f %%)\n", exactN, relErr)
+		fmt.Fprintf(stdout, "exactly %d distinct lines (estimate off by %+.2f %%)\n", exactN, relErr)
 	}
+	return 0
 }

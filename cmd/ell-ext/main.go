@@ -14,8 +14,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"time"
@@ -28,59 +30,91 @@ import (
 	"exaloglog/window"
 )
 
-func main() {
-	experiment := flag.String("experiment", "all", "anf | overlap | window | skew | all")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	switch *experiment {
-	case "anf":
-		runANF()
-	case "overlap":
-		runOverlap()
-	case "window":
-		runWindow()
-	case "skew":
-		runSkew()
-	case "all":
-		runANF()
-		fmt.Println()
-		runOverlap()
-		fmt.Println()
-		runWindow()
-		fmt.Println()
-		runSkew()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
-		os.Exit(2)
+// sizes are the input sizes of the experiments.
+type sizes struct {
+	anfNodes     int // EXT-1: graph nodes
+	overlapN     int // EXT-3: |A| = |B|
+	windowPerSec int // EXT-4: values per second
+	skewEvents   int // EXT-5: events per workload
+}
+
+var full = sizes{anfNodes: 2000, overlapN: 100000, windowPerSec: 500, skewEvents: 1000000}
+
+// experiment is one table of the command.
+type experiment struct {
+	name string
+	run  func(w io.Writer, z sizes)
+}
+
+var experiments = []experiment{
+	{"anf", runANF},
+	{"overlap", runOverlap},
+	{"window", runWindow},
+	{"skew", runSkew},
+}
+
+// run is main without the process: it parses args (everything after the
+// program name), prints the chosen experiments and returns the exit code
+// — 0 ok, 1 the output could not be written, 2 usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ell-ext", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("experiment", "all", "anf | overlap | window | skew | all")
+	if err := fs.Parse(args); err != nil {
+		return 2 // Parse has reported the error and the flag list
 	}
+	var chosen []experiment
+	for _, e := range experiments {
+		if *name == "all" || e.name == *name {
+			chosen = append(chosen, e)
+		}
+	}
+	if len(chosen) == 0 {
+		fmt.Fprintf(stderr, "ell-ext: unknown experiment %q\n", *name)
+		return 2
+	}
+	w := bufio.NewWriter(stdout)
+	for i, e := range chosen {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		e.run(w, full)
+	}
+	if err := w.Flush(); err != nil {
+		fmt.Fprintln(stderr, "ell-ext:", err)
+		return 1
+	}
+	return 0
 }
 
 // runANF compares the HyperANF estimate against exact BFS on a
 // preferential-attachment graph.
-func runANF() {
-	fmt.Println("# EXT-1: HyperANF neighborhood function vs exact (PA graph, 2000 nodes, k=3, ELL(2,20,8))")
-	fmt.Println("r\tapprox_N\texact_N\trel_err_pct")
-	g := graph.PreferentialAttachment(2000, 3, 42)
+func runANF(w io.Writer, z sizes) {
+	fmt.Fprintf(w, "# EXT-1: HyperANF neighborhood function vs exact (PA graph, %d nodes, k=3, ELL(2,20,8))\n", z.anfNodes)
+	fmt.Fprintln(w, "r\tapprox_N\texact_N\trel_err_pct")
+	g := graph.PreferentialAttachment(z.anfNodes, 3, 42)
 	res, err := graph.ApproxNeighborhood(g, core.Config{T: 2, D: 20, P: 8}, graph.Options{})
 	if err != nil {
 		panic(err)
 	}
 	exact := graph.ExactNeighborhood(g, 0)
 	for r := 0; r < len(res.N) && r < len(exact); r++ {
-		fmt.Printf("%d\t%.0f\t%.0f\t%+.2f\n", r, res.N[r], exact[r], (res.N[r]/exact[r]-1)*100)
+		fmt.Fprintf(w, "%d\t%.0f\t%.0f\t%+.2f\n", r, res.N[r], exact[r], (res.N[r]/exact[r]-1)*100)
 	}
-	fmt.Printf("# effective diameter (90%%): approx %.2f\n", res.EffectiveDiameter(0.9))
+	fmt.Fprintf(w, "# effective diameter (90%%): approx %.2f\n", res.EffectiveDiameter(0.9))
 }
 
 // runOverlap sweeps the true Jaccard similarity and reports the
 // inclusion–exclusion estimation error, illustrating that the relative
 // intersection error grows as the overlap shrinks.
-func runOverlap() {
-	fmt.Println("# EXT-3: inclusion–exclusion error vs true overlap (|A|=|B|=100000, p=12)")
-	fmt.Println("true_jaccard\test_jaccard\tjaccard_err_abs\tintersection_rel_err_pct")
-	const n = 100000
+func runOverlap(w io.Writer, z sizes) {
+	fmt.Fprintf(w, "# EXT-3: inclusion–exclusion error vs true overlap (|A|=|B|=%d, p=12)\n", z.overlapN)
+	fmt.Fprintln(w, "true_jaccard\test_jaccard\tjaccard_err_abs\tintersection_rel_err_pct")
+	n := z.overlapN
 	for _, overlapFrac := range []float64{0.5, 0.2, 0.1, 0.05, 0.02, 0.01} {
-		overlap := int(overlapFrac * n)
+		overlap := int(overlapFrac * float64(n))
 		a := core.MustNew(core.RecommendedML(12))
 		b := core.MustNew(core.RecommendedML(12))
 		for i := 0; i < n; i++ {
@@ -96,7 +130,7 @@ func runOverlap() {
 		if overlap > 0 {
 			relErr = (e.Intersection/float64(overlap) - 1) * 100
 		}
-		fmt.Printf("%.4f\t%.4f\t%.4f\t%+.1f\n", trueJ, e.Jaccard, math.Abs(e.Jaccard-trueJ), relErr)
+		fmt.Fprintf(w, "%.4f\t%.4f\t%.4f\t%+.1f\n", trueJ, e.Jaccard, math.Abs(e.Jaccard-trueJ), relErr)
 	}
 }
 
@@ -104,9 +138,9 @@ func runOverlap() {
 // function of the distinct count only — duplication factor, popularity
 // skew and duplicate clustering must not matter (idempotency +
 // commutativity, Section 1).
-func runSkew() {
-	fmt.Println("# EXT-5: estimate vs exact under duplication skew (1e6 events, ELL(2,20,12))")
-	fmt.Println("workload\tevents\texact_distinct\testimate\trel_err_pct")
+func runSkew(w io.Writer, z sizes) {
+	fmt.Fprintf(w, "# EXT-5: estimate vs exact under duplication skew (%d events, ELL(2,20,12))\n", z.skewEvents)
+	fmt.Fprintln(w, "workload\tevents\texact_distinct\testimate\trel_err_pct")
 	type namedStream struct {
 		name string
 		s    workload.Stream
@@ -119,32 +153,31 @@ func runSkew() {
 	} {
 		sketch := core.MustNew(core.RecommendedML(12))
 		exact := workload.NewDistinctCounter()
-		const events = 1000000
-		for i := 0; i < events; i++ {
+		for range z.skewEvents {
 			h := ns.s.NextHash()
 			sketch.AddHash(h)
 			exact.Observe(h)
 		}
 		est := sketch.EstimateML()
 		truth := float64(exact.Count())
-		fmt.Printf("%s\t%d\t%d\t%.0f\t%+.2f\n", ns.name, events, exact.Count(), est, (est/truth-1)*100)
+		fmt.Fprintf(w, "%s\t%d\t%d\t%.0f\t%+.2f\n", ns.name, z.skewEvents, exact.Count(), est, (est/truth-1)*100)
 	}
 }
 
 // runWindow replays a stream with a moving distinct-value population and
 // compares sliding-window estimates with exact sliding counts.
-func runWindow() {
-	fmt.Println("# EXT-4: sliding-window estimate vs exact (60 slices x 1s, ELL(2,20,11))")
-	fmt.Println("minute\twindow_s\testimate\texact\trel_err_pct")
+func runWindow(w io.Writer, z sizes) {
+	fmt.Fprintln(w, "# EXT-4: sliding-window estimate vs exact (60 slices x 1s, ELL(2,20,11))")
+	fmt.Fprintln(w, "minute\twindow_s\testimate\texact\trel_err_pct")
 	c, err := window.New(core.RecommendedML(11), time.Second, 60)
 	if err != nil {
 		panic(err)
 	}
 	base := time.Date(2026, 6, 13, 0, 0, 0, 0, time.UTC)
 	state := uint64(99)
-	// Each second: 500 distinct values drawn from a window-dependent
-	// population (values rotate every 30 s, so the 60 s window holds
-	// ≈ 2 populations).
+	// Each second: windowPerSec values drawn from a window-dependent
+	// population of 30·windowPerSec (values rotate every 30 s, so the
+	// 60 s window holds ≈ 2 populations).
 	type obs struct {
 		slice int64
 		v     uint64
@@ -153,24 +186,24 @@ func runWindow() {
 	for sec := 0; sec < 180; sec++ {
 		ts := base.Add(time.Duration(sec) * time.Second)
 		epoch := uint64(sec / 30)
-		for i := 0; i < 500; i++ {
-			v := epoch<<32 | hashing.SplitMix64(&state)%15000
+		for range z.windowPerSec {
+			v := epoch<<32 | hashing.SplitMix64(&state)%uint64(30*z.windowPerSec)
 			c.AddUint64(ts, v)
 			log = append(log, obs{int64(sec), v})
 		}
 		if (sec+1)%60 != 0 {
 			continue
 		}
-		for _, w := range []int64{10, 30, 60} {
+		for _, span := range []int64{10, 30, 60} {
 			exactSet := make(map[uint64]struct{})
 			for _, o := range log {
-				if o.slice > int64(sec)-w && o.slice <= int64(sec) {
+				if o.slice > int64(sec)-span && o.slice <= int64(sec) {
 					exactSet[o.v] = struct{}{}
 				}
 			}
-			got := c.Estimate(ts, time.Duration(w)*time.Second)
+			got := c.Estimate(ts, time.Duration(span)*time.Second)
 			exact := float64(len(exactSet))
-			fmt.Printf("%d\t%d\t%.0f\t%.0f\t%+.2f\n", (sec+1)/60, w, got, exact, (got/exact-1)*100)
+			fmt.Fprintf(w, "%d\t%d\t%.0f\t%.0f\t%+.2f\n", (sec+1)/60, span, got, exact, (got/exact-1)*100)
 		}
 	}
 }

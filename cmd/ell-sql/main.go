@@ -19,6 +19,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -26,12 +27,22 @@ import (
 	"exaloglog/aggdb"
 )
 
-func main() {
-	tablePath := flag.String("table", "", "TSV file with name:type header (string|int)")
-	demo := flag.Bool("demo", false, "load a built-in demo table instead of a file")
-	precision := flag.Int("p", 12, "sketch precision for approximate queries")
-	parts := flag.Int("partitions", 8, "number of table partitions")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is main without the process: it parses args (everything after the
+// program name), loads the table, answers the queries on stdin until it
+// ends and returns the exit code — 0 ok, 1 the table could not be loaded,
+// 2 usage. A query that fails prints its error and the shell goes on.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ell-sql", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	tablePath := fs.String("table", "", "TSV file with name:type header (string|int)")
+	demo := fs.Bool("demo", false, "load a built-in demo table instead of a file")
+	precision := fs.Int("p", 12, "sketch precision for approximate queries")
+	parts := fs.Int("partitions", 8, "number of table partitions")
+	if err := fs.Parse(args); err != nil {
+		return 2 // Parse has reported the error and the flag list
+	}
 
 	var (
 		table *aggdb.Table
@@ -43,25 +54,25 @@ func main() {
 	case *tablePath != "":
 		table, err = loadTSV(*tablePath, *parts)
 	default:
-		fmt.Fprintln(os.Stderr, "need -table <file.tsv> or -demo")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "need -table <file.tsv> or -demo")
+		return 2
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Printf("table t: %d rows, %d partitions; schema:", table.NumRows(), table.NumPartitions())
+	fmt.Fprintf(stdout, "table t: %d rows, %d partitions; schema:", table.NumRows(), table.NumPartitions())
 	for _, c := range table.Schema() {
-		fmt.Printf(" %s:%s", c.Name, strings.ToLower(c.Type.String()))
+		fmt.Fprintf(stdout, " %s:%s", c.Name, strings.ToLower(c.Type.String()))
 	}
-	fmt.Println("\nenter queries (FROM t), ctrl-d to exit")
+	fmt.Fprintln(stdout, "\nenter queries (FROM t), ctrl-d to exit")
 
-	in := bufio.NewScanner(os.Stdin)
+	in := bufio.NewScanner(stdin)
 	for {
-		fmt.Print("ell-sql> ")
+		fmt.Fprint(stdout, "ell-sql> ")
 		if !in.Scan() {
-			fmt.Println()
-			return
+			fmt.Fprintln(stdout)
+			return 0
 		}
 		query := strings.TrimSpace(in.Text())
 		if query == "" {
@@ -69,10 +80,10 @@ func main() {
 		}
 		res, err := table.ExecuteSQL("t", query, *precision)
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(stdout, "error:", err)
 			continue
 		}
-		fmt.Print(res.Format())
+		fmt.Fprint(stdout, res.Format())
 	}
 }
 

@@ -3,13 +3,17 @@
 // ExaLogLog registers occupy 6+t+d bits each; for the configurations the
 // paper recommends this is 16, 24, 28 or 32 bits. The Array type stores n
 // such fields back to back in a byte slice so that the total footprint is
-// exactly ceil(n*w/8) bytes, matching the paper's space accounting. Widths
-// of 8, 16, 24 and 32 bits use dedicated fast paths; every width from 1 to
-// 57 bits is supported through a generic path that never reads past the
-// underlying slice. The slice carries no padding: a power-of-two count of
-// 28-bit registers is a round number of bytes (14 336 at p = 12) that sits
+// exactly ceil(n*w/8) bytes, matching the paper's space accounting. Get and
+// Set read widths of 8, 16, 24 and 32 bits with loads of that width and
+// every width from 1 to 57 bits through a generic path that never reads
+// past the underlying slice. Load and Store, a read-modify-write of one
+// field, read and write the 8-byte word that holds it; a field among the
+// last eight bytes is reached through the array's last word, shifted
+// further. So the slice carries no padding: a power-of-two count of 28-bit
+// registers is a round number of bytes (14 336 at p = 12) that sits
 // exactly in an allocator size class, and even a few bytes more would push
-// it into the next one (16 384).
+// it into the next one (16 384). Only an array under eight bytes has a
+// backing of eight, for Load and Store's word.
 package bitpack
 
 import (
@@ -29,6 +33,7 @@ const MaxWidth = 57
 type Array struct {
 	bits  []byte
 	n     int
+	last  int // offset of the array's last 8-byte word; 0 under eight bytes
 	width uint
 }
 
@@ -40,13 +45,13 @@ func New(n int, width uint) *Array {
 	if width == 0 || width > MaxWidth {
 		panic(fmt.Sprintf("bitpack: unsupported width %d", width))
 	}
-	nbits := uint64(n) * uint64(width)
-	return &Array{
-		bits:  make([]byte, (nbits+7)/8),
-		n:     n,
-		width: width,
-	}
+	size := int((uint64(n)*uint64(width) + 7) / 8)
+	return &Array{bits: alloc(size), n: n, last: max(size-8, 0), width: width}
 }
+
+// alloc returns a zeroed slice of size bytes whose backing holds at least
+// one 8-byte word.
+func alloc(size int) []byte { return make([]byte, size, max(size, 8)) }
 
 // FromBytes reconstructs an Array from the serialized representation
 // produced by Bytes. The data is copied.
@@ -71,18 +76,16 @@ func (a *Array) SizeBytes() int { return len(a.bits) }
 
 // Bytes returns the packed representation, exactly SizeBytes() long. The
 // returned slice aliases the array's storage; callers must copy it before
-// mutating the array if they need a stable snapshot.
-func (a *Array) Bytes() []byte { return a.bits }
+// mutating the array if they need a stable snapshot. It has no spare
+// capacity, so an append to it never writes into the array's backing.
+func (a *Array) Bytes() []byte { return a.bits[:len(a.bits):len(a.bits)] }
 
 // Clone returns a deep copy of the array.
 func (a *Array) Clone() *Array {
-	c := &Array{
-		bits:  make([]byte, len(a.bits)),
-		n:     a.n,
-		width: a.width,
-	}
+	c := *a
+	c.bits = alloc(len(a.bits))
 	copy(c.bits, a.bits)
-	return c
+	return &c
 }
 
 // Reset zeroes all fields.
@@ -95,7 +98,7 @@ func (a *Array) Reset() {
 // Get returns field i.
 func (a *Array) Get(i int) uint64 {
 	if uint(i) >= uint(a.n) {
-		panic(fmt.Sprintf("bitpack: index %d out of range [0,%d)", i, a.n))
+		panic(indexError{i, a.n})
 	}
 	switch a.width {
 	case 8:
@@ -124,10 +127,10 @@ func (a *Array) Get(i int) uint64 {
 // violating this corrupts neighbouring fields, so Set panics instead.
 func (a *Array) Set(i int, v uint64) {
 	if uint(i) >= uint(a.n) {
-		panic(fmt.Sprintf("bitpack: index %d out of range [0,%d)", i, a.n))
+		panic(indexError{i, a.n})
 	}
 	if v&^a.mask() != 0 {
-		panic(fmt.Sprintf("bitpack: value %#x exceeds width %d", v, a.width))
+		panic(widthError{v, a.width})
 	}
 	switch a.width {
 	case 8:
@@ -165,6 +168,40 @@ func (a *Array) Set(i int, v uint64) {
 	}
 }
 
+// A Slot locates a field for Store: the offset of the 8-byte word that
+// holds it and the field's lowest bit in that word.
+type Slot struct {
+	off   int
+	shift uint
+}
+
+// Load returns field i and its Slot: a read-modify-write of one field —
+// the dense insert of Algorithm 2 — finds the field once and costs one
+// 8-byte load and one 8-byte store. Load and Store are small enough to
+// inline at the caller.
+func (a *Array) Load(i int) (uint64, Slot) {
+	if uint(i) >= uint(a.n) {
+		panic(indexError{i, a.n})
+	}
+	bit := uint64(i) * uint64(a.width)
+	off, shift := int(bit>>3), uint(bit&7)
+	if off > a.last {
+		shift += uint(off-a.last) * 8
+		off = a.last
+	}
+	return binary.LittleEndian.Uint64(a.bits[off:off+8]) >> shift & (1<<a.width - 1), Slot{off, shift}
+}
+
+// Store writes v into the field Load located at s. Like Set it panics if v
+// has bits above the field width.
+func (a *Array) Store(s Slot, v uint64) {
+	if v&^a.mask() != 0 {
+		panic(widthError{v, a.width})
+	}
+	w := a.bits[s.off : s.off+8]
+	binary.LittleEndian.PutUint64(w, binary.LittleEndian.Uint64(w)&^(a.mask()<<s.shift)|v<<s.shift)
+}
+
 // loadTail is the little-endian load for the last fields of the array,
 // where fewer than eight bytes remain; the missing high bytes read as zero.
 func loadTail(tail []byte) uint64 {
@@ -173,6 +210,23 @@ func loadTail(tail []byte) uint64 {
 		word |= uint64(b) << (8 * uint(j))
 	}
 	return word
+}
+
+// indexError and widthError are the accessors' panics: values, not
+// formatted strings, so that Load and Store inline.
+type indexError struct{ i, n int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("bitpack: index %d out of range [0,%d)", e.i, e.n)
+}
+
+type widthError struct {
+	v uint64
+	w uint
+}
+
+func (e widthError) Error() string {
+	return fmt.Sprintf("bitpack: value %#x exceeds width %d", e.v, e.w)
 }
 
 func (a *Array) mask() uint64 {

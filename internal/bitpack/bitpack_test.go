@@ -1,6 +1,7 @@
 package bitpack
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -124,21 +125,25 @@ func TestReset(t *testing.T) {
 }
 
 func TestSetPanicsOnOversizedValue(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Set accepted a value wider than the field")
-		}
-	}()
-	New(4, 6).Set(0, 64)
+	a := New(4, 6)
+	_, at := a.Load(0)
+	expectPanic(t, "Set accepted a value wider than the field", func() { a.Set(0, 64) })
+	expectPanic(t, "Store accepted a value wider than the field", func() { a.Store(at, 64) })
 }
 
 func TestGetPanicsOutOfRange(t *testing.T) {
+	expectPanic(t, "Get accepted an out-of-range index", func() { New(4, 6).Get(4) })
+	expectPanic(t, "Load accepted an out-of-range index", func() { New(4, 6).Load(4) })
+}
+
+func expectPanic(t *testing.T, msg string, f func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Get accepted an out-of-range index")
+			t.Error(msg)
 		}
 	}()
-	New(4, 6).Get(4)
+	f()
 }
 
 func TestQuickSetGet(t *testing.T) {
@@ -186,5 +191,43 @@ func TestDefaultBackingHasNoPadding(t *testing.T) {
 	}
 	if a.Get(4092) != 0 {
 		t.Fatalf("tail writes clobbered field 4092: %#x", a.Get(4092))
+	}
+}
+
+// TestLayoutIsLittleEndianBits pins the byte layout serialized sketches
+// carry — field i is bits i·w .. i·w+w-1, bit j of the array being bit j%8
+// of byte j/8 — against a bit-at-a-time packing, at every width, after
+// every write by Set or by Load and Store: in arrays under eight bytes
+// (whose backing has room for Load's word), around eight bytes and longer
+// ones, whose last fields Load reaches through the last word.
+func TestLayoutIsLittleEndianBits(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for w := uint(1); w <= MaxWidth; w++ {
+		for _, n := range []int{1, 2, 3, 5, 9, 17, 100} {
+			a, ref := New(n, w), make([]uint64, n)
+			for op := range 4 * n {
+				i, v := r.Intn(n), r.Uint64()&(1<<w-1)
+				loaded, at := a.Load(i)
+				if got := a.Get(i); got != ref[i] || loaded != ref[i] {
+					t.Fatalf("width %d n %d: Get(%d) = %#x, Load %#x, want %#x", w, n, i, got, loaded, ref[i])
+				}
+				if op%2 == 0 {
+					a.Set(i, v)
+				} else {
+					a.Store(at, v)
+				}
+				ref[i] = v
+				want := make([]byte, a.SizeBytes())
+				for j, x := range ref {
+					for b := range w {
+						bit := uint(j)*w + b
+						want[bit/8] |= byte(x>>b&1) << (bit % 8)
+					}
+				}
+				if !bytes.Equal(a.Bytes(), want) {
+					t.Fatalf("width %d n %d: after writing %#x to field %d, bytes % x, want % x", w, n, v, i, a.Bytes(), want)
+				}
+			}
+		}
 	}
 }

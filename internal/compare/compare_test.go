@@ -137,7 +137,7 @@ func TestFigure10SpikeArtifact(t *testing.T) {
 
 func TestFigure11SmokeTest(t *testing.T) {
 	// One tiny timing pass over two algorithms to validate plumbing; the
-	// real run lives in cmd/ell-perf.
+	// real run is ell-paper figure11.
 	algos := Figure11Algorithms()[:1]
 	res := Figure11(algos, []int{100}, 2, 5)
 	if len(res) != 1 {

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
 
 // BenchmarkAddHash is the dense insert on the default configuration, whose
 // 28-bit registers go through bitpack's generic accessor: the row that
@@ -15,5 +19,33 @@ func BenchmarkAddHash(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.AddHash(hashes[i&(len(hashes)-1)])
+	}
+}
+
+// BenchmarkSortDistinct times the two sorts sortDistinct chooses between,
+// on n random tokens of the default configuration (20 bits): radixMin is
+// the n from which the radix sort is faster.
+func BenchmarkSortDistinct(b *testing.B) {
+	cfg := RecommendedML(12)
+	w := uint(cfg.tokenV() + 6)
+	r := rng(1)
+	for _, n := range []int{32, 64, 128, 192, 256, 512, 1024} {
+		src := make([]uint64, n)
+		for i := range src {
+			src[i] = TokenFromHash(r.Uint64(), cfg.tokenV())
+		}
+		a, tmp := make([]uint64, n), make([]uint64, n)
+		b.Run(fmt.Sprintf("%d/radix", n), func(b *testing.B) {
+			for range b.N {
+				copy(a, src)
+				sortTokens(a, tmp, w)
+			}
+		})
+		b.Run(fmt.Sprintf("%d/slices", n), func(b *testing.B) {
+			for range b.N {
+				copy(a, src)
+				slices.Sort(a)
+			}
+		})
 	}
 }

@@ -670,11 +670,16 @@ func (h *Hybrid) absorb(b tokenSeq) bool {
 	return changed
 }
 
+// radixMin is the token count from which sortDistinct radix-sorts. Below
+// it a comparison sort is faster: the radix sort's fixed cost, zeroing and
+// summing 16 KB of counters, is that of comparison-sorting some 200 tokens
+// (BenchmarkSortDistinct crosses between 192 and 256).
+const radixMin = 224
+
 // sortDistinct returns the distinct tokens among the w-bit tokens of a,
 // ascending, in a's array or in tmp's (see sortTokens). a is not empty.
 func sortDistinct(a, tmp []uint64, w uint) []uint64 {
-	if len(a) < bulkMin {
-		// Below a radix sort's fixed cost: its counters alone are 16 KB.
+	if len(a) < radixMin {
 		slices.Sort(a)
 	} else {
 		a = sortTokens(a, tmp, w)
@@ -734,7 +739,7 @@ func (c Config) replayTokens(regs *bitpack.Array, tokens tokenSeq) (changed bool
 	ts := tokens.stream()
 	for x := ts.head(); x != endOfTokens; {
 		i, k := c.splitToken(x)
-		r := regs.Get(i)
+		r, at := regs.Load(i)
 		rNew := updateRegister(r, k, c.D)
 		for {
 			ts.i++
@@ -746,7 +751,7 @@ func (c Config) replayTokens(regs *bitpack.Array, tokens tokenSeq) (changed bool
 			rNew = updateRegister(rNew, k2, c.D)
 		}
 		if rNew != r {
-			regs.Set(i, rNew)
+			regs.Store(at, rNew)
 			changed = true
 		}
 	}

@@ -62,47 +62,46 @@ func (c Config) RegisterPMF(r uint64, n float64) float64 {
 }
 
 // RegisterEntropy computes the Shannon entropy (in bits) of the register
-// distribution at distinct count n by enumerating all register values with
-// non-negligible probability. It quantifies the compression potential the
-// paper's Section 6 points to: entropy × m is the information-theoretic
-// lower bound for the state size, compared to the (6+t+d)·m dense bits.
+// distribution at distinct count n. It quantifies the compression
+// potential the paper's Section 6 points to: entropy × m is the
+// information-theoretic lower bound for the state size, compared to the
+// (6+t+d)·m dense bits.
 //
-// The enumeration is exponential in d, so this is intended for small-d
-// configurations and analysis tooling (d <= 16).
+// Given the maximum update value u, RegisterPMF is a_u times a product of
+// independent indicator-bit probabilities q_k (or 1-q_k), so the entropy
+// needs no enumeration of register values:
+//
+//	H = H(p₀) + Σ_u [H(a_u) + a_u · Σ_k H_b(q_k)],
+//
+// with H(x) = -x·log₂x, H_b the binary entropy and k over the free bits
+// u-1 .. max(1, u-d). The work is O(kmax·d) for any d. The result is
+// divided by the total mass p₀ + Σ_u a_u (≈ 1), as an enumeration
+// normalizing its probabilities would be.
 func (c Config) RegisterEntropy(n float64) float64 {
-	if c.D > 16 {
-		panic("exaloglog: RegisterEntropy is exponential in d; use d <= 16")
-	}
-	h := 0.0
-	total := 0.0
-	add := func(p float64) {
-		total += p
-		if p > 0 {
-			h -= p * math.Log2(p)
+	m := float64(c.NumRegisters())
+	rho := func(k int64) float64 { return math.Exp2(-float64(c.phi(k))) }
+	plogp := func(p float64) float64 {
+		if p <= 0 {
+			return 0
 		}
+		return -p * math.Log2(p)
 	}
-	add(c.RegisterPMF(0, n))
+	p0 := math.Exp(-n / m)
+	h, total := plogp(p0), p0
 	kmax := int64(c.MaxUpdateValue())
 	for u := int64(1); u <= kmax; u++ {
-		// Enumerate the free indicator bits: values u-1 .. max(1, u-d).
-		nBits := int64(c.D)
-		if u-1 < nBits {
-			nBits = u - 1
+		omega := float64(c.omegaNumerator(u)) * math.Exp2(-float64(c.phi(u)))
+		a := -math.Expm1(-n/m*rho(u)) * math.Exp(-n/m*omega)
+		if a <= 0 {
+			continue
 		}
-		base := uint64(u) << uint(c.D)
-		if u <= int64(c.D) {
-			base |= uint64(1) << uint(int64(c.D)-u) // phantom bit
+		bits := 0.0
+		for k := max(1, u-int64(c.D)); k < u; k++ {
+			q := -math.Expm1(-n / m * rho(k))
+			bits += plogp(q) + plogp(1-q)
 		}
-		for mask := uint64(0); mask < uint64(1)<<uint(nBits); mask++ {
-			// Free bits occupy positions d-1 .. d-nBits.
-			r := base | mask<<uint(int64(c.D)-u+(u-nBits))
-			add(c.RegisterPMF(r, n))
-		}
+		h += plogp(a) + a*bits
+		total += a
 	}
-	// total should be ≈ 1; expose gross inconsistencies to callers by
-	// normalizing (tests assert closeness separately).
-	if total > 0 {
-		h /= total
-	}
-	return h
+	return h / total
 }

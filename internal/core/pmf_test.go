@@ -16,22 +16,8 @@ func TestRegisterPMFSumsToOne(t *testing.T) {
 		{T: 2, D: 6, P: 2},
 	} {
 		for _, n := range []float64{1, 10, 1000, 1e6, 1e12} {
-			total := cfg.RegisterPMF(0, n)
-			kmax := int64(cfg.MaxUpdateValue())
-			for u := int64(1); u <= kmax; u++ {
-				nBits := int64(cfg.D)
-				if u-1 < nBits {
-					nBits = u - 1
-				}
-				base := uint64(u) << uint(cfg.D)
-				if u <= int64(cfg.D) {
-					base |= uint64(1) << uint(int64(cfg.D)-u)
-				}
-				for mask := uint64(0); mask < uint64(1)<<uint(nBits); mask++ {
-					r := base | mask<<uint(int64(cfg.D)-nBits)
-					total += cfg.RegisterPMF(r, n)
-				}
-			}
+			total := 0.0
+			forEachRegisterValue(cfg, func(r uint64) { total += cfg.RegisterPMF(r, n) })
 			if math.Abs(total-1) > 1e-9 {
 				t.Errorf("cfg %+v n=%g: ΣPMF = %.12f, want 1", cfg, n, total)
 			}
@@ -98,11 +84,67 @@ func TestRegisterEntropyProperties(t *testing.T) {
 	}
 }
 
-func TestRegisterEntropyPanicsOnLargeD(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for d > 16")
+// forEachRegisterValue calls f with every register value Algorithm 2 can
+// reach: 0, and for each maximum update value u every combination of the
+// free indicator bits u-1 .. max(1, u-d), with the phantom bit set.
+func forEachRegisterValue(c Config, f func(r uint64)) {
+	f(0)
+	for u := int64(1); u <= int64(c.MaxUpdateValue()); u++ {
+		nBits := min(int64(c.D), u-1)
+		base := uint64(u) << uint(c.D)
+		if u <= int64(c.D) {
+			base |= uint64(1) << uint(int64(c.D)-u) // phantom bit
 		}
-	}()
-	(Config{T: 2, D: 20, P: 4}).RegisterEntropy(100)
+		for mask := uint64(0); mask < uint64(1)<<uint(nBits); mask++ {
+			f(base | mask<<uint(int64(c.D)-nBits))
+		}
+	}
+}
+
+// enumeratedEntropy is the reference for RegisterEntropy: it sums
+// -p·log₂p over every reachable register value, each p from RegisterPMF,
+// and normalizes by the total mass. It is exponential in d.
+func enumeratedEntropy(c Config, n float64) float64 {
+	h, total := 0.0, 0.0
+	forEachRegisterValue(c, func(r uint64) {
+		p := c.RegisterPMF(r, n)
+		total += p
+		if p > 0 {
+			h -= p * math.Log2(p)
+		}
+	})
+	return h / total
+}
+
+// TestRegisterEntropyMatchesEnumeration: the closed form equals the sum
+// over every register value of the Section 3.1 PMF.
+func TestRegisterEntropyMatchesEnumeration(t *testing.T) {
+	for _, cfg := range []Config{
+		{T: 0, D: 0, P: 4},  // HLL
+		{T: 0, D: 2, P: 10}, // ULL
+		{T: 1, D: 3, P: 6},
+		{T: 1, D: 9, P: 10},
+		{T: 2, D: 6, P: 2},
+		{T: 2, D: 8, P: 8},
+	} {
+		for _, n := range []float64{0, 1, 100, 1e4, 1e6, 1e12} {
+			got, want := cfg.RegisterEntropy(n), enumeratedEntropy(cfg, n)
+			if math.Abs(got-want) > 1e-9 {
+				t.Errorf("cfg %+v n=%g: closed form %.12f, enumeration %.12f", cfg, n, got, want)
+			}
+		}
+	}
+}
+
+// TestRegisterEntropyLargeD: the closed form serves the d the enumeration
+// could not (d = 20, 24), and the result stays inside (0, register width).
+func TestRegisterEntropyLargeD(t *testing.T) {
+	for _, cfg := range []Config{{T: 2, D: 20, P: 10}, {T: 2, D: 24, P: 8}} {
+		for _, n := range []float64{100, 1e6, 1e18} {
+			h := cfg.RegisterEntropy(n)
+			if !(h > 0 && h < float64(cfg.RegisterWidth())) {
+				t.Errorf("cfg %+v n=%g: entropy %v outside (0, %d)", cfg, n, h, cfg.RegisterWidth())
+			}
+		}
+	}
 }

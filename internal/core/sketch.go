@@ -146,11 +146,11 @@ func (s *Sketch) AddUint64(element uint64) {
 func (s *Sketch) AddHash(h uint64) {
 	i := s.cfg.registerIndex(h)
 	k := s.cfg.updateValue(h)
-	r := s.regs.Get(i)
+	r, at := s.regs.Load(i)
 	rNew := updateRegister(r, k, s.cfg.D)
 	if rNew != r {
 		s.noteChange(r, rNew)
-		s.regs.Set(i, rNew)
+		s.regs.Store(at, rNew)
 	}
 }
 
@@ -160,11 +160,11 @@ func (s *Sketch) AddHash(h uint64) {
 // update value) occurrence events are sampled instead of hashes; it
 // updates the martingale state exactly like AddHash.
 func (s *Sketch) AddPair(i int, k uint64) {
-	r := s.regs.Get(i)
+	r, at := s.regs.Load(i)
 	rNew := updateRegister(r, k, s.cfg.D)
 	if rNew != r {
 		s.noteChange(r, rNew)
-		s.regs.Set(i, rNew)
+		s.regs.Store(at, rNew)
 	}
 }
 

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"exaloglog/internal/bitpack"
 )
 
 // testConfigs covers the paper's recommended configurations plus the
@@ -413,5 +416,31 @@ func TestMemoryFootprintOrdering(t *testing.T) {
 	}
 	if small.SizeBytes() != 256*28/8/16 {
 		t.Errorf("p=4 size = %d, want %d", small.SizeBytes(), 16*28/8)
+	}
+}
+
+// TestAddHashMatchesGetSetPath: AddHash's one-load, one-store register
+// update leaves the same register bytes as reading the register with Get,
+// applying updateRegister and writing it back with Set, on a random stream
+// — for arrays under eight bytes (p = 2 at width 6), widths 6, 28 and 57,
+// and small and large p.
+func TestAddHashMatchesGetSetPath(t *testing.T) {
+	for _, cfg := range []Config{
+		{T: 0, D: 0, P: 2}, {T: 0, D: 0, P: 10},
+		{T: 2, D: 20, P: 2}, {T: 2, D: 20, P: 4}, {T: 2, D: 20, P: 12},
+		{T: 3, D: 48, P: 3}, {T: 2, D: 49, P: 9},
+	} {
+		s := MustNew(cfg)
+		ref := bitpack.New(cfg.NumRegisters(), cfg.RegisterWidth())
+		r := rng(int64(cfg.P))
+		for range 20 * cfg.NumRegisters() {
+			h := r.Uint64()
+			s.AddHash(h)
+			i := cfg.registerIndex(h)
+			ref.Set(i, updateRegister(ref.Get(i), cfg.updateValue(h), cfg.D))
+		}
+		if !bytes.Equal(s.regs.Bytes(), ref.Bytes()) {
+			t.Errorf("cfg %+v: AddHash registers differ from the Get/Set path", cfg)
+		}
 	}
 }
