@@ -74,7 +74,7 @@ type ClusterClient struct {
 }
 
 // ClientStats is a snapshot of a ClusterClient's routing counters —
-// the client-side mirror of the node's moved_replies / map_refetches.
+// the client-side mirror of a node's moved_replies and CLUSTER.MAP calls.
 type ClientStats struct {
 	Moved        uint64 // -MOVED redirects followed
 	MapRefetches uint64 // map refetches performed

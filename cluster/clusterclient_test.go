@@ -41,8 +41,8 @@ func TestPoolClassifiesByTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := server.NewServer(store)
-	srv.HandleBytes("WEIRD", func(reply []byte, _ [][]byte) []byte { return append(reply, "-ERR totally novel failure"...) })
-	srv.HandleBytes("BOUNCE", func(reply []byte, _ [][]byte) []byte { return append(reply, "-MOVED e=9 nX=127.0.0.1:1"...) })
+	srv.Handle("WEIRD", 0, -1, "", func(reply []byte, _ [][]byte) []byte { return append(reply, "-ERR totally novel failure"...) })
+	srv.Handle("BOUNCE", 0, -1, "", func(reply []byte, _ [][]byte) []byte { return append(reply, "-MOVED e=9 nX=127.0.0.1:1"...) })
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"errors"
@@ -157,60 +158,54 @@ func (n *Node) coOwnedFilter(m *Map, peerID string) func(string) bool {
 	}
 }
 
-// parseDigestEpoch validates the requester ID and e=<epoch> tokens
-// shared by DSUM and DKEYS, and enforces the epoch fence.
-func (n *Node) parseDigestEpoch(rest []string) (peerID string, m *Map, errReply string) {
-	if len(rest) < 2 || !strings.HasPrefix(rest[1], "e=") {
-		return "", nil, "-ERR needs a requester ID and e=<epoch>"
+// digestFilter checks DSUM's and DKEYS's requester ID and e=<epoch>,
+// enforces the epoch fence and filters the keys the two nodes co-own.
+func (n *Node) digestFilter(args [][]byte) (filter func(string) bool, errReply string) {
+	if !bytes.HasPrefix(args[1], []byte("e=")) {
+		return nil, "-ERR needs a requester ID and e=<epoch>"
 	}
-	if !validID(rest[0]) {
-		return "", nil, fmt.Sprintf("-ERR invalid requester ID %q", rest[0])
+	peerID := string(args[0])
+	if !validID(peerID) {
+		return nil, fmt.Sprintf("-ERR invalid requester ID %q", peerID)
 	}
-	epoch, err := strconv.ParseUint(strings.TrimPrefix(rest[1], "e="), 10, 64)
+	epoch, err := strconv.ParseUint(string(args[1][2:]), 10, 64)
 	if err != nil {
-		return "", nil, "-ERR bad epoch " + rest[1]
+		return nil, fmt.Sprintf("-ERR bad epoch %s", args[1])
 	}
-	m = n.currentMap()
+	m := n.currentMap()
 	// Strict both-ways fence (unlike XFER's one-sided one): digests
 	// computed under different maps cover different key populations, so
 	// comparing them would only manufacture phantom divergence.
 	if m.Epoch != epoch {
-		return "", nil, fmt.Sprintf("-STALE e=%d", m.Epoch)
+		return nil, fmt.Sprintf("-STALE e=%d", m.Epoch)
 	}
-	return rest[0], m, ""
+	return n.coOwnedFilter(m, peerID), ""
 }
 
 // handleDigestSum serves CLUSTER DSUM (see the file comment).
-func (n *Node) handleDigestSum(rest []string) string {
-	peerID, m, errReply := n.parseDigestEpoch(rest)
+func (n *Node) handleDigestSum(reply []byte, args [][]byte) []byte {
+	filter, errReply := n.digestFilter(args)
 	if errReply != "" {
-		return errReply
+		return append(reply, errReply...)
 	}
-	if len(rest) != 2 {
-		return "-ERR CLUSTER DSUM needs a requester ID and e=<epoch>"
-	}
-	return "=" + encodeDigestVector(n.store.ShardDigests(n.coOwnedFilter(m, peerID)))
+	return append(append(reply, '='), encodeDigestVector(n.store.ShardDigests(filter))...)
 }
 
 // handleDigestKeys serves CLUSTER DKEYS (see the file comment).
-func (n *Node) handleDigestKeys(rest []string) string {
-	peerID, m, errReply := n.parseDigestEpoch(rest)
+func (n *Node) handleDigestKeys(reply []byte, args [][]byte) []byte {
+	filter, errReply := n.digestFilter(args)
 	if errReply != "" {
-		return errReply
+		return append(reply, errReply...)
 	}
-	if len(rest) != 3 {
-		return "-ERR CLUSTER DKEYS needs a requester ID, e=<epoch> and a shard list"
-	}
-	filter := n.coOwnedFilter(m, peerID)
 	var kds []server.KeyDigest
-	for _, tok := range strings.Split(rest[2], ",") {
+	for _, tok := range strings.Split(string(args[2]), ",") {
 		shard, err := strconv.Atoi(tok)
 		if err != nil || shard < 0 || shard >= server.NumShards {
-			return fmt.Sprintf("-ERR bad shard index %q", tok)
+			return fmt.Appendf(reply, "-ERR bad shard index %q", tok)
 		}
 		kds = append(kds, n.store.ShardKeyDigests(shard, filter)...)
 	}
-	return "=" + encodeKeyDigests(kds)
+	return append(append(reply, '='), encodeKeyDigests(kds)...)
 }
 
 // errDigestStale marks a digest round the peer refused because its map

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -224,5 +225,126 @@ func TestUnstartedNodeRefusesDataVerbs(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "node not started") {
 			t.Errorf("%s on an unstarted node: %v, want the empty-map error", verb, err)
 		}
+	}
+}
+
+// TestClusterVerbForms runs every CLUSTER subverb of the registry in its
+// forms on a 1-node cluster: a wrong argument count gets the entry's usage
+// text, a bad argument its refusal ("" where a verb has no such form), and
+// a valid command its normal reply. No refused form creates a key or puts
+// the connection out of step, and afterwards each subverb has a stats row
+// of its own — in STATS and in the Prometheus text — beside the CLUSTER row
+// the bare verb and an unknown subverb record into.
+func TestClusterVerbForms(t *testing.T) {
+	n := startCluster(t, 1, 1)[0]
+	e := fmt.Sprintf("e=%d", n.Map().Epoch)
+	m := n.Map()
+	coordinator := m.Coordinator
+	if coordinator == "" {
+		coordinator = noCoordinator
+	}
+	blob := base64.StdEncoding.EncodeToString(denseBlob(t, "x"))
+	frame := base64.StdEncoding.EncodeToString(server.EncodeFrame([]server.KeyBlob{{Key: "framed", Blob: denseBlob(t, "y")}}))
+	forms := []struct{ sub, arity, bad, badWant, valid, validWant string }{
+		{"INFO", "CLUSTER INFO x", "", "", "CLUSTER INFO", "+id=n1 addr=" + n.Addr() + " "},
+		{"MAP", "CLUSTER MAP x", "", "", "CLUSTER MAP", "+" + m.Encode() + "\n"},
+		{"JOIN", "CLUSTER JOIN n9", "CLUSTER JOIN a=b addr", `-ERR invalid node ID "a=b"`, "CLUSTER JOIN n1 " + n.Addr(), "+OK " + m.Triple() + "\n"},
+		{"LEAVE", "CLUSTER LEAVE", "", "", "CLUSTER LEAVE ghost", "+OK " + m.Triple() + "\n"},
+		{"SETMAP", "", "CLUSTER SETMAP v9", "-ERR cluster: ", "CLUSTER SETMAP " + m.Encode(), "+OK\n"},
+		{"EPOCH", "CLUSTER EPOCH 5", "CLUSTER EPOCH soon n1", `-ERR bad epoch "soon"`, "CLUSTER EPOCH 1000 n1", "+GRANTED 1000 " + m.Encode() + "\n"},
+		{"DSUM", "CLUSTER DSUM n1", "CLUSTER DSUM n1 e=soon", "-ERR bad epoch e=soon\n", "CLUSTER DSUM n1 " + e, "="},
+		{"DKEYS", "CLUSTER DKEYS n1 " + e, "CLUSTER DKEYS n1 " + e + " 0,999", `-ERR bad shard index "999"`, "CLUSTER DKEYS n1 " + e + " 0,1", "="},
+		{"GOSSIP", "", "CLUSTER GOSSIP g1 n9", "-ERR cluster: gossip digest needs", fmt.Sprintf("CLUSTER GOSSIP g1 n9 %d %d %s", m.Epoch, m.Version, coordinator), "+g1 n1 "},
+		{"HEALTH", "CLUSTER HEALTH x", "", "", "CLUSTER HEALTH", "+round="},
+		{"STATS", "CLUSTER STATS ALL x", "CLUSTER STATS BOGUS", clusterStatsUsage + "\n", "CLUSTER STATS", "+node=n1 "},
+		{"LDEL", "CLUSTER LDEL", "", "", "CLUSTER LDEL nowhere", ":0\n"},
+		{"LEXPIREAT", "CLUSTER LEXPIREAT p", "CLUSTER LEXPIREAT p soon", `-ERR bad CLUSTER LEXPIREAT deadline "soon"`, "CLUSTER LEXPIREAT p 4102444800000", ":1\n"},
+		{"LDEADLINE", "CLUSTER LDEADLINE", "", "", "CLUSTER LDEADLINE p", ":4102444800000\n"},
+		{"LPERSIST", "CLUSTER LPERSIST", "", "", "CLUSTER LPERSIST p", ":1\n"},
+		{"LKEYS", "CLUSTER LKEYS x", "", "", "CLUSTER LKEYS", "+p\n"},
+		{"ABSORB", "CLUSTER ABSORB k " + blob, "CLUSTER ABSORB k !!!! 0", "-ERR bad base64: ", "CLUSTER ABSORB absorbed " + blob + " 0", "+OK\n"},
+		{"MLADD", "CLUSTER MLADD", "CLUSTER MLADD x", `-ERR bad CLUSTER MLADD group count "x"`, "CLUSTER MLADD 1 p mladded " + batchB64(t, "z"), "+1\n"},
+		{"XFER", "CLUSTER XFER FRAME " + e, "CLUSTER XFER FRAME " + e + " !!!!", "-ERR xfer: bad base64: ", "CLUSTER XFER FRAME " + e + " " + frame, "+OK\n"},
+	}
+	usage := map[string]string{}
+	for _, v := range clusterVerbs {
+		usage[v.sub] = v.usage
+	}
+	if len(forms) != len(usage) {
+		t.Errorf("%d subverbs registered, %d with forms here", len(usage), len(forms))
+	}
+
+	conn, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	r := bufio.NewReader(conn)
+	send := func(line string) string {
+		t.Helper()
+		if _, err := io.WriteString(conn, line+"\n"); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("%.60q: %v", line, err)
+		}
+		return reply
+	}
+	expect := func(line, want string) {
+		t.Helper()
+		if got := send(line); !strings.HasPrefix(got, want) {
+			t.Errorf("%.80q answered %q, want %q", line, got, want)
+		}
+	}
+	expect("PFADD p a", ":1\n")
+	calls, errs := map[string]uint64{}, map[string]uint64{}
+	for _, f := range forms {
+		want, ok := usage[f.sub]
+		if !ok {
+			t.Errorf("CLUSTER %s has forms here but is not registered", f.sub)
+		}
+		for _, refused := range []struct{ line, want string }{{f.arity, want + "\n"}, {f.bad, f.badWant}} {
+			if refused.line == "" {
+				continue
+			}
+			expect(refused.line, refused.want)
+			calls[f.sub]++
+			errs[f.sub]++
+			if got := n.Store().Len(); got != 1 {
+				t.Errorf("%.80q left %d keys, want 1", refused.line, got)
+			}
+			expect("PING", "+PONG\n")
+		}
+	}
+	for _, f := range forms {
+		expect(f.valid, f.validWant)
+		calls[f.sub]++
+	}
+	expect("CLUSTER", "-ERR CLUSTER needs a subcommand\n")
+	expect("cluster bogus", "-ERR unknown CLUSTER subcommand BOGUS\n")
+
+	stats := strings.Split(send("STATS"), "; ")
+	var metrics strings.Builder
+	n.Server().WriteMetrics(&metrics)
+	row := func(verb string) string {
+		for _, r := range stats {
+			if strings.HasPrefix(r, "verb="+verb+" ") {
+				return r
+			}
+		}
+		return ""
+	}
+	for _, f := range forms {
+		verb := "CLUSTER." + f.sub
+		if want := fmt.Sprintf("verb=%s calls=%d errs=%d ", verb, calls[f.sub], errs[f.sub]); !strings.HasPrefix(row(verb), want) {
+			t.Errorf("STATS row %q, want %q...", row(verb), want)
+		}
+		if !strings.Contains(metrics.String(), fmt.Sprintf("ell_verb_calls_total{verb=%q} %d\n", verb, calls[f.sub])) {
+			t.Errorf("/metrics lacks %s's calls", verb)
+		}
+	}
+	if got := row("CLUSTER"); !strings.HasPrefix(got, "verb=CLUSTER calls=2 errs=2 ") {
+		t.Errorf("CLUSTER row %q, want the bare verb and the unknown subverb alone", got)
 	}
 }

@@ -34,6 +34,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"exaloglog/server"
 )
 
 // GossipConfig tunes the failure detector. The zero value is replaced
@@ -260,7 +262,7 @@ func (n *Node) Gossip() []string {
 		if !n.currentMap().Has(id) {
 			continue // a rival detector beat us to it
 		}
-		if reply := n.handleLeave(id); strings.HasPrefix(reply, "+OK") {
+		if reply := n.coordinateLeave(id); strings.HasPrefix(reply, "+OK") {
 			epoch := n.currentMap().Epoch
 			g.mu.Lock()
 			g.recordEvictionLocked(id, epoch)
@@ -423,23 +425,23 @@ func tripleBehind(m *Map, epoch, version uint64, coordinator string) bool {
 // an "@map" payload: the pusher heals in the same round trip. A pusher
 // AHEAD of us needs nothing here — our reply carries our stale triple
 // back and the pusher answers it with a targeted SETMAP.
-func (n *Node) handleGossip(rest []string) string {
-	d, err := decodeDigest(rest)
+func (n *Node) handleGossip(reply []byte, args [][]byte) []byte {
+	d, err := decodeDigest(server.StringArgs(args))
 	if err != nil {
-		return "-ERR " + err.Error()
+		return append(reply, "-ERR "+err.Error()...)
 	}
 	n.installDigestMap(d)
 	n.processDigest(d)
 	m := n.currentMap()
 	n.gsp.mu.Lock()
-	reply := n.buildDigestLocked(m)
+	body := n.buildDigestLocked(m)
 	n.gsp.mu.Unlock()
 	if tripleBehind(m, d.Epoch, d.Version, d.Coordinator) {
-		if enc := m.Encode(); len(reply)+len(mapMark)+len(enc)+2 <= maxWireBytes {
-			reply += " " + mapMark + " " + enc
+		if enc := m.Encode(); len(body)+len(mapMark)+len(enc)+2 <= maxWireBytes {
+			body += " " + mapMark + " " + enc
 		}
 	}
-	return "+" + reply
+	return append(append(reply, '+'), body...)
 }
 
 // MemberHealth is one member's state as seen by this node's detector.
@@ -488,14 +490,10 @@ func (n *Node) Health() (round uint64, members []MemberHealth) {
 // Fields after a member's first '=' are comma-separated k=v pairs; the
 // id itself may contain neither '=' nor whitespace (validID), so the
 // first '=' is an unambiguous split point.
-func (n *Node) handleHealth() string {
+func (n *Node) handleHealth(reply []byte, _ [][]byte) []byte {
 	round, members := n.Health()
 	m := n.currentMap()
-	parts := make([]string, 0, 3+len(members))
-	parts = append(parts,
-		"round="+strconv.FormatUint(round, 10),
-		"quorum="+strconv.Itoa(m.Len()/2+1),
-		"member="+strconv.FormatBool(m.Has(n.id)))
+	reply = fmt.Appendf(reply, "+round=%d quorum=%d member=%t", round, m.Len()/2+1, m.Has(n.id))
 	for _, mh := range members {
 		state := "alive"
 		switch {
@@ -504,10 +502,9 @@ func (n *Node) handleHealth() string {
 		case mh.Suspect:
 			state = "suspect"
 		}
-		parts = append(parts, fmt.Sprintf("%s=%s,hb=%d,heard=%d,sus=%d",
-			mh.ID, state, mh.HB, mh.SinceHeard, mh.Suspectors))
+		reply = fmt.Appendf(reply, " %s=%s,hb=%d,heard=%d,sus=%d", mh.ID, state, mh.HB, mh.SinceHeard, mh.Suspectors)
 	}
-	return "+" + strings.Join(parts, " ")
+	return reply
 }
 
 // --- wire format -------------------------------------------------------

@@ -24,7 +24,7 @@ import (
 // it does standalone, and the node gives them cluster-wide semantics. It
 // adds the CLUSTER subcommands:
 //
-//	CLUSTER INFO                       → +id=.. addr=.. e=.. v=.. replicas=.. nodes=.. keys=.. rebal=..
+//	CLUSTER INFO                       → +id=.. addr=.. e=.. v=.. replicas=.. nodes=.. keys=.. pushes=..
 //	CLUSTER MAP                        → +v2 <epoch> <version> <coordinator> <replicas> <id>=<addr> ...
 //	CLUSTER JOIN <id> <addr>           → +OK e=.. v=.. c=.. (claims an epoch, adds the node, broadcasts)
 //	                                     or +SUPERSEDED e=.. v=.. c=.. (a rival map won; the triple is the winner's)
@@ -81,7 +81,6 @@ type Node struct {
 	// mode, where any node answers any command, stays the default.
 	strict       atomic.Bool
 	movedReplies atomic.Uint64 // -MOVED redirects sent to misrouted clients
-	mapRefetches atomic.Uint64 // CLUSTER MAP replies served (smart clients refetching after a -MOVED)
 
 	// mutateMu serializes membership mutations coordinated BY THIS
 	// node (claim → mint → install → broadcast), so two JOINs arriving
@@ -147,7 +146,11 @@ func NewNode(id string, cfg core.Config, replicas int) (*Node, error) {
 	n.peers.alive = n.markAlive
 	n.srv = server.NewServer(store)
 	n.srv.SetKeyspace(n)
-	n.srv.HandleBytes("CLUSTER", n.handleClusterBytes)
+	for _, v := range clusterVerbs {
+		n.srv.Handle("CLUSTER "+v.sub, v.min, v.max, v.usage, func(reply []byte, args [][]byte) []byte {
+			return v.handle(n, reply, args)
+		})
+	}
 	n.cmap = NewMap(replicas) // empty until Start learns the bound address
 	return n, nil
 }
@@ -227,7 +230,7 @@ func (n *Node) Rejoin() error {
 	// instead: the self-grant plus any reachable peer's grant can
 	// still make quorum, and the broadcast carries the address out.
 	if n.currentMap().Addr(n.id) != n.Addr() {
-		if reply := n.handleJoin(n.id, n.Addr()); strings.HasPrefix(reply, "+OK") {
+		if reply := n.coordinateJoin(n.id, n.Addr()); strings.HasPrefix(reply, "+OK") {
 			return nil
 		}
 	}
@@ -1214,147 +1217,139 @@ func (n *Node) AllKeys() ([]string, error) {
 
 // --- protocol handlers -------------------------------------------------
 
-// handleClusterBytes takes MLADD, the one CLUSTER verb on the request
-// path, and XFER, whose frames are the largest lines there are, as the
-// bytes they arrived in; the others get strings.
-func (n *Node) handleClusterBytes(reply []byte, args [][]byte) []byte {
-	switch {
-	case len(args) > 0 && bytes.EqualFold(args[0], []byte("MLADD")):
-		return n.handleMLAdd(reply, args[1:])
-	case len(args) > 0 && bytes.EqualFold(args[0], []byte("XFER")):
-		return n.handleXfer(reply, args[1:])
-	}
-	return append(reply, n.handleCluster(server.StringArgs(args))...)
+// clusterVerbs is the CLUSTER subverb table NewNode registers: each entry's
+// arity (max < 0: unbounded), the reply to any other count, and a handler
+// that parses only what was counted (SETMAP's and GOSSIP's decoders count).
+var clusterVerbs = []struct {
+	sub      string
+	min, max int
+	usage    string
+	handle   func(n *Node, reply []byte, args [][]byte) []byte
+}{
+	{"INFO", 0, 0, "-ERR CLUSTER INFO takes no arguments", (*Node).handleInfo},
+	{"MAP", 0, 0, "-ERR CLUSTER MAP takes no arguments", (*Node).handleMap},
+	{"JOIN", 2, 2, "-ERR CLUSTER JOIN needs an ID and an address", (*Node).handleJoin},
+	{"LEAVE", 1, 1, "-ERR CLUSTER LEAVE needs a node ID", (*Node).handleLeave},
+	{"SETMAP", 0, -1, "", (*Node).handleSetMap},
+	{"EPOCH", 2, 2, "-ERR CLUSTER EPOCH needs an epoch and a coordinator ID", (*Node).handleEpoch},
+	{"DSUM", 2, 2, "-ERR CLUSTER DSUM needs a requester ID and e=<epoch>", (*Node).handleDigestSum},
+	{"DKEYS", 3, 3, "-ERR CLUSTER DKEYS needs a requester ID, e=<epoch> and a shard list", (*Node).handleDigestKeys},
+	{"GOSSIP", 0, -1, "", (*Node).handleGossip},
+	{"HEALTH", 0, 0, "-ERR CLUSTER HEALTH takes no arguments", (*Node).handleHealth},
+	{"STATS", 0, 1, clusterStatsUsage, (*Node).handleStats},
+	{"LDEL", 1, 1, "-ERR CLUSTER LDEL needs exactly one key", (*Node).handleLDel},
+	{"LEXPIREAT", 2, 2, "-ERR CLUSTER LEXPIREAT needs a key and a unix-millisecond deadline", (*Node).handleLExpireAt},
+	{"LDEADLINE", 1, 1, "-ERR CLUSTER LDEADLINE needs exactly one key", (*Node).handleLDeadline},
+	{"LPERSIST", 1, 1, "-ERR CLUSTER LPERSIST needs exactly one key", (*Node).handleLPersist},
+	{"LKEYS", 0, 0, "-ERR CLUSTER LKEYS takes no arguments", (*Node).handleLKeys},
+	{"ABSORB", 3, 3, "-ERR CLUSTER ABSORB needs a key, a base64 payload and a deadline", (*Node).handleAbsorb},
+	{"MLADD", 1, -1, "-ERR CLUSTER MLADD needs a group count", (*Node).handleMLAdd},
+	{"XFER", 3, 3, xferUsage, (*Node).handleXfer},
 }
 
-func (n *Node) handleCluster(args []string) string {
-	if len(args) == 0 {
-		return "-ERR CLUSTER needs a subcommand"
+func (n *Node) handleInfo(reply []byte, _ [][]byte) []byte {
+	m := n.currentMap()
+	return fmt.Appendf(reply, "+id=%s addr=%s e=%d v=%d replicas=%d nodes=%d keys=%d pushes=%d",
+		n.id, n.Addr(), m.Epoch, m.Version, m.Replicas, m.Len(), n.store.Len(), n.pushes.Load())
+}
+
+// handleMap serves CLUSTER MAP: what a smart client refetches after a
+// -MOVED, so the CLUSTER.MAP stats row beside moved_replies shows whether
+// redirects converge. Peers pull it only while maps differ (reconcileMap).
+func (n *Node) handleMap(reply []byte, _ [][]byte) []byte {
+	return append(append(reply, '+'), n.currentMap().Encode()...)
+}
+
+func (n *Node) handleJoin(reply []byte, args [][]byte) []byte {
+	return append(reply, n.coordinateJoin(string(args[0]), string(args[1]))...)
+}
+
+func (n *Node) handleLeave(reply []byte, args [][]byte) []byte {
+	return append(reply, n.coordinateLeave(string(args[0]))...)
+}
+
+func (n *Node) handleSetMap(reply []byte, args [][]byte) []byte {
+	m, err := DecodeMap(server.StringArgs(args))
+	if err != nil {
+		return append(reply, "-ERR "+err.Error()...)
 	}
-	sub := strings.ToUpper(args[0])
-	rest := args[1:]
-	switch sub {
-	case "INFO":
-		m := n.currentMap()
-		return fmt.Sprintf("+id=%s addr=%s e=%d v=%d replicas=%d nodes=%d keys=%d rebal=%d",
-			n.id, n.Addr(), m.Epoch, m.Version, m.Replicas, m.Len(), n.store.Len(), n.pushes.Load())
-	case "MAP":
-		// Counted as a refetch: under strict routing this is the verb
-		// stale smart clients issue after a -MOVED, so moved_replies vs
-		// map_refetches shows whether redirects are converging. A peer
-		// pulls it only while its map differs (reconcileMap), so on a
-		// converged cluster the counter moves with clients alone.
-		n.mapRefetches.Add(1)
-		return "+" + n.currentMap().Encode()
-	case "JOIN":
-		if len(rest) != 2 {
-			return "-ERR CLUSTER JOIN needs an ID and an address"
-		}
-		return n.handleJoin(rest[0], rest[1])
-	case "LEAVE":
-		if len(rest) != 1 {
-			return "-ERR CLUSTER LEAVE needs a node ID"
-		}
-		return n.handleLeave(rest[0])
-	case "SETMAP":
-		m, err := DecodeMap(rest)
-		if err != nil {
-			return "-ERR " + err.Error()
-		}
-		if err := n.installAndSync(m); err != nil {
-			return "-ERR sync: " + err.Error()
-		}
-		return "+OK"
-	case "EPOCH":
-		if len(rest) != 2 {
-			return "-ERR CLUSTER EPOCH needs an epoch and a coordinator ID"
-		}
-		e, err := strconv.ParseUint(rest[0], 10, 64)
-		if err != nil {
-			return fmt.Sprintf("-ERR bad epoch %q", rest[0])
-		}
-		if !validID(rest[1]) {
-			return fmt.Sprintf("-ERR invalid coordinator ID %q", rest[1])
-		}
-		// Either way the reply carries this node's current map, so the
-		// claiming coordinator mints its mutation from the newest map
-		// any voter has seen instead of a stale local parent.
-		if ok, highest := n.grantEpoch(e, rest[1]); !ok {
-			return fmt.Sprintf("+DENIED %d %s", highest, n.currentMap().Encode())
-		}
-		return fmt.Sprintf("+GRANTED %d %s", e, n.currentMap().Encode())
-	case "DSUM":
-		return n.handleDigestSum(rest)
-	case "DKEYS":
-		return n.handleDigestKeys(rest)
-	case "GOSSIP":
-		return n.handleGossip(rest)
-	case "HEALTH":
-		return n.handleHealth()
-	case "STATS":
-		return n.handleClusterStats(rest)
-	case "LDEL":
-		if len(rest) != 1 {
-			return "-ERR CLUSTER LDEL needs exactly one key"
-		}
-		if n.store.Delete(rest[0]) {
-			return ":1"
-		}
-		return ":0"
-	case "LEXPIREAT":
-		if len(rest) != 2 {
-			return "-ERR CLUSTER LEXPIREAT needs a key and a unix-millisecond deadline"
-		}
-		dl, err := strconv.ParseInt(rest[1], 10, 64)
-		if err != nil || dl <= 0 || dl > server.MaxDeadlineMillis {
-			return fmt.Sprintf("-ERR bad CLUSTER LEXPIREAT deadline %q", rest[1])
-		}
-		if n.store.ExpireAt(rest[0], dl) {
-			return ":1"
-		}
-		return ":0"
-	case "LDEADLINE":
-		if len(rest) != 1 {
-			return "-ERR CLUSTER LDEADLINE needs exactly one key"
-		}
-		dl, ok := n.store.DeadlineOf(rest[0])
-		if !ok {
-			// Verbatim, so the gather path maps it back to ErrNoSuchKey.
-			return "-ERR " + server.ErrNoSuchKey.Error()
-		}
-		return ":" + strconv.FormatInt(dl, 10)
-	case "LPERSIST":
-		if len(rest) != 1 {
-			return "-ERR CLUSTER LPERSIST needs exactly one key"
-		}
-		if n.store.Persist(rest[0]) {
-			return ":1"
-		}
-		return ":0"
-	case "LKEYS":
-		return "+" + strings.Join(n.store.Keys(), " ")
-	case "ABSORB":
-		// PFMERGE's absorbAll is the one sender. The third argument is an
-		// expiry deadline to impose (unix milliseconds); absorbAll sends
-		// 0, none, so a destination keeps its own lifetime.
-		if len(rest) != 3 {
-			return "-ERR CLUSTER ABSORB needs a key, a base64 payload and a deadline"
-		}
-		blob, err := base64.StdEncoding.DecodeString(rest[1])
-		if err != nil {
-			return "-ERR bad base64: " + err.Error()
-		}
-		deadline, err := strconv.ParseInt(rest[2], 10, 64)
-		if err != nil || deadline < 0 || deadline > server.MaxDeadlineMillis {
-			return fmt.Sprintf("-ERR bad CLUSTER ABSORB deadline %q", rest[2])
-		}
-		if err := n.store.MergeBlobDeadline(rest[0], blob, deadline); err != nil {
-			return "-ERR " + err.Error()
-		}
-		return "+OK"
-	default:
-		return "-ERR unknown CLUSTER subcommand " + sub
+	if err := n.installAndSync(m); err != nil {
+		return append(reply, "-ERR sync: "+err.Error()...)
 	}
+	return append(reply, "+OK"...)
+}
+
+func (n *Node) handleEpoch(reply []byte, args [][]byte) []byte {
+	e, err := strconv.ParseUint(string(args[0]), 10, 64)
+	if err != nil {
+		return fmt.Appendf(reply, "-ERR bad epoch %q", args[0])
+	}
+	coordinator := string(args[1])
+	if !validID(coordinator) {
+		return fmt.Appendf(reply, "-ERR invalid coordinator ID %q", coordinator)
+	}
+	// Either way the reply carries this node's current map, so the
+	// claiming coordinator mints its mutation from the newest map any
+	// voter has seen instead of a stale local parent.
+	if ok, highest := n.grantEpoch(e, coordinator); !ok {
+		return fmt.Appendf(reply, "+DENIED %d %s", highest, n.currentMap().Encode())
+	}
+	return fmt.Appendf(reply, "+GRANTED %d %s", e, n.currentMap().Encode())
+}
+
+func (n *Node) handleLDel(reply []byte, args [][]byte) []byte {
+	return appendYes(reply, n.store.Delete(string(args[0])))
+}
+
+func (n *Node) handleLExpireAt(reply []byte, args [][]byte) []byte {
+	dl, ok := server.ParseIntBytes(args[1])
+	if !ok || dl <= 0 || dl > server.MaxDeadlineMillis {
+		return fmt.Appendf(reply, "-ERR bad CLUSTER LEXPIREAT deadline %q", args[1])
+	}
+	return appendYes(reply, n.store.ExpireAt(string(args[0]), dl))
+}
+
+func (n *Node) handleLDeadline(reply []byte, args [][]byte) []byte {
+	dl, ok := n.store.DeadlineOf(string(args[0]))
+	if !ok {
+		// Verbatim, so the gather path maps it back to ErrNoSuchKey.
+		return append(reply, "-ERR "+server.ErrNoSuchKey.Error()...)
+	}
+	return strconv.AppendInt(append(reply, ':'), dl, 10)
+}
+
+func (n *Node) handleLPersist(reply []byte, args [][]byte) []byte {
+	return appendYes(reply, n.store.Persist(string(args[0])))
+}
+
+func (n *Node) handleLKeys(reply []byte, _ [][]byte) []byte {
+	return append(append(reply, '+'), strings.Join(n.store.Keys(), " ")...)
+}
+
+// handleAbsorb serves PFMERGE's absorbAll, the one sender. The deadline is
+// an expiry to impose (unix milliseconds); absorbAll sends 0, none, so a
+// destination keeps its own lifetime.
+func (n *Node) handleAbsorb(reply []byte, args [][]byte) []byte {
+	blob, err := base64.StdEncoding.AppendDecode(nil, args[1])
+	if err != nil {
+		return append(reply, "-ERR bad base64: "+err.Error()...)
+	}
+	deadline, ok := server.ParseIntBytes(args[2])
+	if !ok || deadline < 0 || deadline > server.MaxDeadlineMillis {
+		return fmt.Appendf(reply, "-ERR bad CLUSTER ABSORB deadline %q", args[2])
+	}
+	if err := n.store.MergeBlobDeadline(string(args[0]), blob, deadline); err != nil {
+		return append(reply, "-ERR "+err.Error()...)
+	}
+	return append(reply, "+OK"...)
+}
+
+// appendYes appends a local verb's :1 or :0.
+func appendYes(reply []byte, yes bool) []byte {
+	if yes {
+		return append(reply, ":1"...)
+	}
+	return append(reply, ":0"...)
 }
 
 // handleMLAdd executes a batched local add — the one forwarded-add
@@ -1380,9 +1375,6 @@ func (n *Node) handleCluster(args []string) string {
 // so rest is the line's own bytes, and the outcomes are appended to
 // reply.
 func (n *Node) handleMLAdd(reply []byte, rest [][]byte) []byte {
-	if len(rest) < 1 {
-		return append(reply, "-ERR CLUSTER MLADD needs a group count"...)
-	}
 	// Each group needs at least 3 tokens (type, key, batch), so a count
 	// beyond (len(rest)-1)/3 cannot be satisfied (wire input is
 	// untrusted).
@@ -1515,7 +1507,7 @@ func (n *Node) rejoinNote(id string) string {
 	return ""
 }
 
-func (n *Node) handleJoin(id, addr string) string {
+func (n *Node) coordinateJoin(id, addr string) string {
 	if !validID(id) {
 		return fmt.Sprintf("-ERR invalid node ID %q", id)
 	}
@@ -1559,7 +1551,7 @@ func (n *Node) leaveOutcome(id string) string {
 	return "+OK " + m.Triple()
 }
 
-func (n *Node) handleLeave(id string) string {
+func (n *Node) coordinateLeave(id string) string {
 	n.mutateMu.Lock()
 	defer n.mutateMu.Unlock()
 	for attempt := 0; attempt < mutateAttempts; attempt++ {

@@ -10,10 +10,11 @@ package cluster
 // pool.alive).
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
-	"sync"
 
 	"exaloglog/server"
 )
@@ -28,7 +29,6 @@ type ClusterStats struct {
 	MLPFAddBatches uint64 // MLADD batches flushed
 	MLAddBytes     uint64 // bytes of the MLADD lines sent, line breaks included
 	MovedReplies   uint64 // -MOVED redirects sent to misrouted clients (strict routing)
-	MapRefetches   uint64 // CLUSTER MAP replies served (smart clients refetching after a -MOVED)
 
 	// Transfer pipeline counters (see transfer.go).
 	XferStreams uint64 // streams that sent a frame
@@ -57,7 +57,6 @@ func (n *Node) StatsCounters() ClusterStats {
 		MLPFAddBatches: n.peers.mlBatches.Load(),
 		MLAddBytes:     n.peers.mlBytes.Load(),
 		MovedReplies:   n.movedReplies.Load(),
-		MapRefetches:   n.mapRefetches.Load(),
 
 		XferStreams: n.xfer.streams.Load(),
 		XferFrames:  n.xfer.frames.Load(),
@@ -79,51 +78,44 @@ func (n *Node) statsBody() string {
 	// k=v pairs by name, but prefix-matching tests and scripts stay
 	// stable that way.
 	return fmt.Sprintf(
-		"node=%s gossip_rounds=%d suspects_raised=%d auto_leaves=%d mlpfadd_groups=%d mlpfadd_batches=%d moved_replies=%d map_refetches=%d xfer_streams=%d xfer_frames=%d xfer_bytes=%d xfer_bytes_wire=%d sync_digest_rounds=%d sync_keys_repaired=%d mladd_bytes=%d\n%s",
+		"node=%s gossip_rounds=%d suspects_raised=%d auto_leaves=%d mlpfadd_groups=%d mlpfadd_batches=%d moved_replies=%d xfer_streams=%d xfer_frames=%d xfer_bytes=%d xfer_bytes_wire=%d sync_digest_rounds=%d sync_keys_repaired=%d mladd_bytes=%d\n%s",
 		n.id, c.GossipRounds, c.SuspectsRaised, c.AutoLeaves,
 		c.MLPFAddGroups, c.MLPFAddBatches,
-		c.MovedReplies, c.MapRefetches,
+		c.MovedReplies,
 		c.XferStreams, c.XferFrames, c.XferBytes,
 		c.XferBytesWire, c.SyncDigestRounds, c.SyncKeysRepaired, c.MLAddBytes,
-		n.srv.StatsText())
+		n.srv.Stats().Text(n.store))
 }
 
-// handleClusterStats serves CLUSTER STATS [ALL]: this node's cluster
-// counters plus its per-verb server stats, or — with ALL — every
-// member's, fetched through the peer pool (so the polls themselves feed
-// the failure detector) and newline-joined in member order. An
-// unreachable member contributes an err= row instead of failing the
-// whole reply: an operator polling stats mid-partition still wants the
-// reachable side.
-func (n *Node) handleClusterStats(rest []string) string {
-	switch {
-	case len(rest) == 0:
-		return "+" + n.statsBody()
-	case len(rest) == 1 && strings.EqualFold(rest[0], "ALL"):
-		members := n.currentMap().Members()
-		rows := make([]string, len(members))
-		var wg sync.WaitGroup
-		for i, mem := range members {
-			if mem.ID == n.id {
-				rows[i] = n.statsBody()
-				continue
-			}
-			wg.Add(1)
-			go func(i int, mem Member) {
-				defer wg.Done()
-				reply, err := n.peers.do(mem.Addr, "CLUSTER", "STATS")
-				if err != nil {
-					rows[i] = fmt.Sprintf("node=%s err=%q", mem.ID, err.Error())
-					return
-				}
-				rows[i] = reply
-			}(i, mem)
-		}
-		wg.Wait()
-		return "+" + strings.Join(rows, "\n")
-	default:
-		return "-ERR CLUSTER STATS takes at most one argument: ALL"
+const clusterStatsUsage = "-ERR CLUSTER STATS takes at most one argument: ALL"
+
+// handleStats serves CLUSTER STATS [ALL]: this node's cluster counters
+// plus its per-verb server stats, or — with ALL — every member's, fetched
+// through the peer pool (so the polls themselves feed the failure
+// detector) and newline-joined in member order. An unreachable member
+// contributes an err= row instead of failing the whole reply: an operator
+// polling stats mid-partition still wants the reachable side.
+func (n *Node) handleStats(reply []byte, args [][]byte) []byte {
+	if len(args) == 0 {
+		return append(append(reply, '+'), n.statsBody()...)
 	}
+	if !bytes.EqualFold(args[0], []byte("ALL")) {
+		return append(reply, clusterStatsUsage...)
+	}
+	members := n.currentMap().Members()
+	rows := make([]string, len(members))
+	n.eachOwner(members, func(mem Member) error {
+		i := slices.IndexFunc(members, func(o Member) bool { return o.ID == mem.ID })
+		if mem.ID == n.id {
+			rows[i] = n.statsBody()
+		} else if row, err := n.peers.do(mem.Addr, "CLUSTER", "STATS"); err != nil {
+			rows[i] = fmt.Sprintf("node=%s err=%q", mem.ID, err.Error())
+		} else {
+			rows[i] = row
+		}
+		return nil
+	})
+	return append(append(reply, '+'), strings.Join(rows, "\n")...)
 }
 
 // WriteMetrics writes the node's cluster-layer counters in Prometheus
@@ -138,7 +130,6 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE ell_cluster_mlpfadd_batches_total counter\nell_cluster_mlpfadd_batches_total %d\n", c.MLPFAddBatches)
 	fmt.Fprintf(w, "# TYPE ell_cluster_mladd_bytes_total counter\nell_cluster_mladd_bytes_total %d\n", c.MLAddBytes)
 	fmt.Fprintf(w, "# TYPE ell_cluster_moved_replies_total counter\nell_cluster_moved_replies_total %d\n", c.MovedReplies)
-	fmt.Fprintf(w, "# TYPE ell_cluster_map_refetches_total counter\nell_cluster_map_refetches_total %d\n", c.MapRefetches)
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_streams_total counter\nell_cluster_xfer_streams_total %d\n", c.XferStreams)
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_frames_total counter\nell_cluster_xfer_frames_total %d\n", c.XferFrames)
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_bytes_total counter\nell_cluster_xfer_bytes_total %d\n", c.XferBytes)

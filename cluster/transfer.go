@@ -272,12 +272,14 @@ func appendFrameLine(dst []byte, epochTok string, raw []byte) []byte {
 // frame stream allocates no receive buffer per frame.
 var frameScratch = sync.Pool{New: func() any { return new([]byte) }}
 
+const xferUsage = "-ERR CLUSTER XFER needs FRAME, e=<epoch> and a frame"
+
 // handleXfer serves CLUSTER XFER FRAME e=<epoch> <base64 frame> on the
 // bytes it arrived in: the epoch fence, then every record merged into the
 // store.
 func (n *Node) handleXfer(reply []byte, args [][]byte) []byte {
-	if len(args) != 3 || !bytes.EqualFold(args[0], []byte("FRAME")) || !bytes.HasPrefix(args[1], []byte("e=")) {
-		return append(reply, "-ERR CLUSTER XFER needs FRAME, e=<epoch> and a frame"...)
+	if !bytes.EqualFold(args[0], []byte("FRAME")) || !bytes.HasPrefix(args[1], []byte("e=")) {
+		return append(reply, xferUsage...)
 	}
 	epoch, err := strconv.ParseUint(string(args[1][2:]), 10, 64)
 	if err != nil {

@@ -84,7 +84,7 @@ func TestIdleConnectionsHoldNoBuffers(t *testing.T) {
 func TestBurstsAndIdleShareThePool(t *testing.T) {
 	store := newTestStore(t)
 	srv := NewServer(store)
-	srv.HandleBytes("ECHO", func(reply []byte, args [][]byte) []byte {
+	srv.Handle("ECHO", 0, -1, "", func(reply []byte, args [][]byte) []byte {
 		return append(append(reply, '+'), bytes.Join(args, []byte(" "))...)
 	})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
@@ -319,18 +319,23 @@ func (r *burstReader) Read(p []byte) (int, error) {
 
 // TestServeLoopZeroAlloc: the fast paths stay allocation-free through the
 // whole serve loop, at depth 1 (every command served from the idle arrays
-// and released after) and in bursts that take and return pooled buffers.
+// and released after) and in bursts that take and return pooled buffers —
+// a two-word verb's resolution through its first word's sub-table too.
 func TestServeLoopZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is not meaningful under the race detector")
 	}
 	srv := NewServer(newTestStore(t))
+	srv.Handle("TEST ECHO", 1, 1, "-ERR TEST ECHO needs one token", func(reply []byte, args [][]byte) []byte {
+		return append(append(reply, '+'), args[0]...)
+	})
 	var cmds [][]byte
 	for i := 0; i < 32; i++ {
 		cmds = append(cmds,
 			[]byte(fmt.Sprintf("PFADD key el-%d\n", i)),
 			[]byte(fmt.Sprintf("WADD wkey %d el-%d\n", 1_750_000_000_000+int64(i), i)),
-			[]byte("PFCOUNT key\n"))
+			[]byte("PFCOUNT key\n"),
+			[]byte(fmt.Sprintf("test echo el-%d\n", i)))
 	}
 	for name, lines := range map[string][][]byte{
 		"depth 1":  cmds,
@@ -346,5 +351,8 @@ func TestServeLoopZeroAlloc(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("%s: serving %d fast-path commands allocates %.2f times, want 0", name, len(cmds), avg)
 		}
+	}
+	if v := srv.Stats().Verb("TEST.ECHO"); v == nil || v.Calls() == 0 || v.Errs() != 0 {
+		t.Errorf("the two-word verb was not served by its own entry: %+v", v)
 	}
 }

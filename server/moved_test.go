@@ -87,7 +87,7 @@ func TestPipelineMovedInterleaved(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(store)
-	srv.HandleBytes("BOUNCE", func(reply []byte, _ [][]byte) []byte {
+	srv.Handle("BOUNCE", 0, -1, "", func(reply []byte, _ [][]byte) []byte {
 		return append(reply, "-MOVED e=3 n9=10.0.0.9:7700"...)
 	})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {

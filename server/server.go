@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 )
@@ -49,9 +50,9 @@ import (
 // verbs — PFADD through KEYS, see Keyspace — are one front end in both
 // modes: they parse and answer here and act on the server's keyspace, the
 // store itself, or the whole cluster behind a cluster node (SetKeyspace).
-// DUMP, RESTORE, INFO and SAVE stay node-local in both. HandleBytes adds a
-// verb; adding a workload's verbs means registering entries, not growing a
-// switch.
+// DUMP, RESTORE, INFO and SAVE stay node-local in both. Handle adds a verb,
+// or a two-word one ("CLUSTER INFO") to its first word's sub-table; adding a
+// workload's verbs means registering entries, not growing a switch.
 type Server struct {
 	store        *Store
 	ks           Keyspace
@@ -69,23 +70,37 @@ type Server struct {
 // command is one registry entry: arity bounds (arguments after the verb;
 // max < 0 means unbounded), the arity-failure reply and the handler, which
 // gets the tokens as they lie in the connection's read buffer, valid only
-// until it returns, and writes its reply through the connection.
+// until it returns, and writes its reply through the connection. A verb
+// with subverbs keeps them in subs; its own handler refuses an unknown one.
 type command struct {
 	min, max int
 	usage    string
 	run      func(c *connCtx, args [][]byte)
-	stats    *VerbStats // the verb's counter block, cached at register time
+	name     string                    // its stats row: the verb, "VERB.SUB" for a subverb
+	stats    atomic.Pointer[VerbStats] // its counter block, cached by its first command
+	subs     map[string]*command
 }
 
 // register installs cmd under the (upper-case) verb name, replacing any
-// existing entry. The verb's stats block is resolved here, once, so
-// dispatch records metrics through a cached pointer — no map lookup, no
-// lock, no allocation on the hot path. A re-registered verb keeps
+// existing entry; a two-word name goes into the first word's sub-table.
+// The verb's first command caches its stats block in the entry: dispatch
+// records through that pointer (no map lookup, lock or allocation), no
+// block is kept for a verb never sent, and a re-registered verb keeps
 // accumulating into the same block.
 func (s *Server) register(verb string, cmd *command) {
 	verb = strings.ToUpper(verb)
-	cmd.stats = s.stats.verbFor(verb)
-	s.commands[verb] = cmd
+	cmd.name = strings.Replace(verb, " ", ".", 1)
+	table := s.commands
+	if name, sub, ok := strings.Cut(verb, " "); ok {
+		parent := s.commands[name]
+		if parent == nil || parent.subs == nil {
+			parent = &command{min: 1, max: -1, usage: "-ERR " + name + " needs a subcommand", subs: map[string]*command{}}
+			parent.run = func(c *connCtx, args [][]byte) { c.writeRaw("-ERR unknown " + name + " subcommand " + string(args[0])) }
+			s.register(name, parent)
+		}
+		table, verb = parent.subs, sub
+	}
+	table[verb] = cmd
 }
 
 // NewServer returns a server wrapping the given store, which is also the
@@ -104,9 +119,6 @@ func (s *Server) SetKeyspace(ks Keyspace) { s.ks = ks }
 // Stats returns the server's runtime statistics core.
 func (s *Server) Stats() *Stats { return s.stats }
 
-// StatsText renders the STATS reply body (see Stats.Text).
-func (s *Server) StatsText() string { return s.stats.Text(s.store) }
-
 // WriteMetrics writes the server's statistics in Prometheus text
 // exposition format — the payload behind elld's -metrics-addr listener.
 func (s *Server) WriteMetrics(w io.Writer) { s.stats.WriteMetrics(w, s.store) }
@@ -118,19 +130,20 @@ func (s *Server) SetSnapshotPath(path string) { s.snapshotPath = path }
 // Store returns the store this server serves.
 func (s *Server) Store() *Store { return s.store }
 
-// ByteHandler answers one command of a verb registered with HandleBytes:
-// args are the tokens after the verb as they lie in the connection's read
+// ByteHandler answers one command of a verb registered with Handle: args
+// are the tokens after the verb as they lie in the connection's read
 // buffer, valid only until it returns, and the reply line is appended to
 // reply, which the connection keeps for the next call.
 type ByteHandler func(reply []byte, args [][]byte) []byte
 
-// HandleBytes registers h for verb (case-insensitive), replacing a built-in
-// command of the same name. This is the extension point the cluster package
-// uses to layer its CLUSTER verbs onto the line protocol. Call before
-// Listen; HandleBytes is not safe to call concurrently with serving.
-func (s *Server) HandleBytes(verb string, h ByteHandler) {
+// Handle registers h for verb (case-insensitive), replacing a built-in
+// command of the same name; a two-word verb ("CLUSTER INFO") is a subverb
+// with a stats row of its own. h runs when min to max arguments follow the
+// verb (max < 0: no upper bound); any other count is answered usage. Call
+// before Listen; Handle is not safe to call concurrently with serving.
+func (s *Server) Handle(verb string, min, max int, usage string, h ByteHandler) {
 	s.register(verb, &command{
-		max: -1,
+		min: min, max: max, usage: usage,
 		run: func(c *connCtx, args [][]byte) {
 			c.line = h(c.line[:0], args)
 			c.writeRaw(unsafe.String(unsafe.SliceData(c.line), len(c.line))) // no copy: writeRaw only reads it
@@ -504,7 +517,8 @@ func ParseIntBytes(b []byte) (int64, bool) {
 
 // exec runs one command line, writing the reply into c.out, and reports
 // whether the connection should close. The verb is resolved through the
-// command registry exactly once, and its handler works on the tokens in
+// command registry exactly once — a verb with subverbs resolves its second
+// word the same way, in place — and its handler works on the tokens in
 // place: the hot verbs (PFADD, PFCOUNT, WADD) allocate nothing, and integer
 // replies are appended to the reply buffer.
 func (c *connCtx) exec(line []byte) (quit bool) {
@@ -522,12 +536,23 @@ func (c *connCtx) exec(line []byte) (quit bool) {
 		c.s.stats.unknown.record(len(line), c.outBytes, c.wroteErr, time.Since(start))
 		return false
 	}
+	if cmd.subs != nil && len(args) > 1 {
+		upperInPlace(args[1])
+		if sub, ok := cmd.subs[string(args[1])]; ok {
+			cmd, args = sub, args[1:]
+		}
+	}
 	if n := len(args) - 1; n < cmd.min || (cmd.max >= 0 && n > cmd.max) {
 		c.writeRaw(cmd.usage)
 	} else {
 		cmd.run(c, args[1:])
 	}
-	cmd.stats.record(len(line), c.outBytes, c.wroteErr, time.Since(start))
+	st := cmd.stats.Load()
+	if st == nil {
+		st = c.s.stats.verbFor(cmd.name)
+		cmd.stats.Store(st)
+	}
+	st.record(len(line), c.outBytes, c.wroteErr, time.Since(start))
 	return c.quit
 }
 

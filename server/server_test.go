@@ -318,7 +318,7 @@ func TestMultilineReplyIsFoldedToOneLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(store)
-	srv.HandleBytes("MULTI", func(reply []byte, _ [][]byte) []byte {
+	srv.Handle("MULTI", 0, -1, "", func(reply []byte, _ [][]byte) []byte {
 		return append(reply, "-ERR "+fmt.Errorf("%w", fmt.Errorf("first\nsecond\rthird")).Error()...)
 	})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
@@ -342,14 +342,14 @@ func TestMultilineReplyIsFoldedToOneLine(t *testing.T) {
 }
 
 // TestRegistryEntriesHaveOneHandler: every entry has its handler, and
-// HandleBytes replaces a built-in's whole entry, arity check included.
+// Handle replaces a built-in's whole entry, arity check included.
 func TestRegistryEntriesHaveOneHandler(t *testing.T) {
 	store, err := NewStore(core.RecommendedML(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(store)
-	srv.HandleBytes("WCOUNT", func(reply []byte, _ [][]byte) []byte { return append(reply, "+OK"...) })
+	srv.Handle("WCOUNT", 0, -1, "", func(reply []byte, _ [][]byte) []byte { return append(reply, "+OK"...) })
 	for verb, cmd := range srv.commands {
 		if cmd.run == nil {
 			t.Errorf("%s has no handler", verb)

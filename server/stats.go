@@ -4,8 +4,8 @@ package server
 // histograms hooked into the command-registry dispatch, so every verb —
 // including the allocation-free PFADD/PFCOUNT/WADD fast paths — is
 // measured without a lock or an allocation on the hot path. Each
-// registry entry caches a pointer to its verb's stats at registration
-// time; dispatch touches only that pointer, a time.Now() pair, and a
+// registry entry caches a pointer to its verb's stats on its first
+// command; dispatch touches only that pointer, a time.Now() pair, and a
 // handful of atomic adds.
 //
 // The numbers surface three ways: the STATS wire verb (one line of k=v
@@ -156,19 +156,17 @@ func (h *LatencyHist) reset() {
 
 // VerbStats is the per-verb counter block. All fields are atomics so
 // the dispatch hot path records without locking; a reader sees each
-// counter individually consistent (not a cross-counter snapshot).
+// counter individually consistent (not a cross-counter snapshot). The
+// call count is the histogram's sample count, so the two always agree
+// (see TestStatsHammer).
 type VerbStats struct {
-	calls    atomic.Uint64
 	errs     atomic.Uint64
 	bytesIn  atomic.Uint64
 	bytesOut atomic.Uint64
 	hist     LatencyHist
 }
 
-// record books one executed command. The histogram is bumped before
-// the call counter, so at any quiescent point sum(histogram buckets)
-// equals Calls — histograms never lose samples relative to the counter
-// (see TestStatsHammer).
+// record books one executed command.
 func (v *VerbStats) record(in, out int, isErr bool, d time.Duration) {
 	v.hist.Observe(d)
 	v.bytesIn.Add(uint64(in))
@@ -176,11 +174,10 @@ func (v *VerbStats) record(in, out int, isErr bool, d time.Duration) {
 	if isErr {
 		v.errs.Add(1)
 	}
-	v.calls.Add(1)
 }
 
 // Calls returns the number of commands dispatched to this verb.
-func (v *VerbStats) Calls() uint64 { return v.calls.Load() }
+func (v *VerbStats) Calls() uint64 { return v.hist.Count() }
 
 // Errs returns how many of those commands replied with -ERR.
 func (v *VerbStats) Errs() uint64 { return v.errs.Load() }
@@ -192,7 +189,6 @@ func (v *VerbStats) Bytes() (in, out uint64) { return v.bytesIn.Load(), v.bytesO
 func (v *VerbStats) Hist() *LatencyHist { return &v.hist }
 
 func (v *VerbStats) reset() {
-	v.calls.Store(0)
 	v.errs.Store(0)
 	v.bytesIn.Store(0)
 	v.bytesOut.Store(0)
@@ -203,9 +199,9 @@ func (v *VerbStats) reset() {
 const unknownVerb = "UNKNOWN"
 
 // Stats is a server's runtime statistics core. One instance lives in
-// every Server; obtain it with Server.Stats. The per-verb blocks are
-// created at registration time and cached in the command registry, so
-// the verbs map is read-mostly and dispatch never touches it.
+// every Server; obtain it with Server.Stats. A verb's block is created by
+// its first command and cached in the command registry, so the verbs map
+// is read-mostly and dispatch touches it once per verb.
 type Stats struct {
 	mu        sync.Mutex
 	verbs     map[string]*VerbStats
@@ -223,10 +219,10 @@ func newStats() *Stats {
 	return s
 }
 
-// verbFor returns the stats block for verb (upper-case), creating it on
-// first registration. Re-registering a verb (HandleBytes replacing a
-// builtin) keeps the existing block, so both handlers' traffic
-// accumulates in one place.
+// verbFor returns the stats block for verb (upper-case; a subverb's is
+// "VERB.SUB"), creating it on the verb's first command. Re-registering a
+// verb (Handle replacing a builtin) keeps the existing block, so both
+// handlers' traffic accumulates in one place.
 func (s *Stats) verbFor(verb string) *VerbStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -238,8 +234,8 @@ func (s *Stats) verbFor(verb string) *VerbStats {
 	return v
 }
 
-// Verb returns the stats block for verb (case-insensitive), or nil if
-// no such verb was ever registered.
+// Verb returns the stats block for verb (case-insensitive; "VERB.SUB" for
+// a subverb), or nil if no command of that verb has run.
 func (s *Stats) Verb(verb string) *VerbStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
