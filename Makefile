@@ -20,9 +20,10 @@ test: build vet
 
 # -race also turns on checkptr, which checks every unsafe.Pointer conversion
 # and unsafe.Slice core.Hybrid's one-pointer handle makes, and the string
-# views of command-line keys the server's store takes.
+# views of command-line keys the server's store takes. The root package's
+# ExampleNewAtomic inserts from four goroutines by compare-and-swap.
 race:
-	$(GO) test -race -timeout 5m ./internal/core/ ./server/ ./cluster/ ./window/ ./cmd/...
+	$(GO) test -race -timeout 5m . ./internal/core/ ./server/ ./cluster/ ./window/ ./cmd/...
 
 # bench-smoke compiles and runs every benchmark once — a fast
 # does-it-still-run check, not a measurement (measurements come from

@@ -1,20 +1,14 @@
-// Benchmarks regenerating the paper's tables and figures. Each evaluation
-// artifact has at least one bench:
+// Micro-benchmarks of the sketch itself: ablations of the paper's design
+// choices (insert cost against d and p, the Newton solver, martingale
+// tracking, the approximated update distribution (8) against the geometric
+// one (2), token conversion, reduction, compressed serialization), the
+// Hybrid sketch's insert, estimate, bulk and union paths, and the atomic
+// sketch's concurrent insert.
 //
-//	Figure 1/2/4-7  → BenchmarkFigure1Series, BenchmarkFigure2PMFs,
-//	                  BenchmarkFigure4to7Curves (analytic generation)
-//	Figure 8        → BenchmarkFigure8ErrorSimulation (one run/iteration)
-//	Figure 9        → BenchmarkFigure9TokenSimulation
-//	Table 2         → BenchmarkTable2 (scaled-down row computation)
-//	Figure 10       → BenchmarkFigure10 (scaled-down sweep)
-//	Figure 11       → BenchmarkInsert*/BenchmarkEstimate*/
-//	                  BenchmarkSerialize*/BenchmarkMerge* per algorithm
-//
-// plus ablation benches for the design choices called out in DESIGN.md
-// (d-sweep, bias correction, token conversion).
-//
-// Absolute numbers depend on the host; the paper-relevant comparisons are
-// the relative ones across algorithms.
+// The paper's figures and tables are reproduced by cmd/ell-paper (its
+// figure11 entry times Figure 11's operations for every algorithm),
+// and recorded end-to-end figures come from benchmark/. Absolute numbers
+// depend on the host.
 package exaloglog_test
 
 import (
@@ -23,240 +17,12 @@ import (
 	"testing"
 
 	"exaloglog"
-	"exaloglog/internal/compare"
 	"exaloglog/internal/core"
 	"exaloglog/internal/geomell"
 	"exaloglog/internal/hashing"
-	"exaloglog/internal/mvp"
-	"exaloglog/internal/simulation"
 )
 
-// ---- Figure 11: per-operation micro-benchmarks per algorithm ----
-
-func benchAlgorithms() []compare.Algorithm { return compare.Figure11Algorithms() }
-
-func BenchmarkInsert(b *testing.B) {
-	for _, a := range benchAlgorithms() {
-		a := a
-		b.Run(a.Name, func(b *testing.B) {
-			c := a.New()
-			var key [16]byte
-			state := uint64(1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v := hashing.SplitMix64(&state)
-				for j := 0; j < 8; j++ {
-					key[j] = byte(v >> (8 * j))
-				}
-				h, _ := hashing.Murmur3_128(key[:], 0)
-				c.AddHash(h)
-			}
-		})
-	}
-}
-
-func BenchmarkEstimate(b *testing.B) {
-	for _, a := range benchAlgorithms() {
-		a := a
-		b.Run(a.Name, func(b *testing.B) {
-			c := a.New()
-			state := uint64(2)
-			for i := 0; i < 100000; i++ {
-				c.AddHash(hashing.SplitMix64(&state))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			sink := 0.0
-			for i := 0; i < b.N; i++ {
-				sink += c.Estimate()
-			}
-			_ = sink
-		})
-	}
-}
-
-func BenchmarkSerialize(b *testing.B) {
-	for _, a := range benchAlgorithms() {
-		a := a
-		b.Run(a.Name, func(b *testing.B) {
-			c := a.New()
-			state := uint64(3)
-			for i := 0; i < 100000; i++ {
-				c.AddHash(hashing.SplitMix64(&state))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var n int
-			for i := 0; i < b.N; i++ {
-				n += len(c.Serialize())
-			}
-			_ = n
-		})
-	}
-}
-
-func BenchmarkMerge(b *testing.B) {
-	for _, a := range benchAlgorithms() {
-		a := a
-		b.Run(a.Name, func(b *testing.B) {
-			if err := a.New().Merge(a.New()); err != nil {
-				// E.g. the HIP-tracking HLL: merging would invalidate its
-				// running estimate (same reason the paper has no merge
-				// numbers for some baselines).
-				b.Skipf("not mergeable: %v", err)
-			}
-			other := a.New()
-			state := uint64(4)
-			for i := 0; i < 100000; i++ {
-				other.AddHash(hashing.SplitMix64(&state))
-			}
-			c := a.New()
-			st := uint64(5)
-			for k := 0; k < 20000; k++ {
-				c.AddHash(hashing.SplitMix64(&st))
-			}
-			// One warm-up merge so the timed loop measures the steady
-			// state: scanning both register sets with almost no writes
-			// (the union has already been absorbed). Rebuilding a fresh
-			// receiver per iteration would cost ~1000x the merge itself
-			// and drown the measurement in untimed setup.
-			if err := c.Merge(other); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Merge(other); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkMergeAndEstimate(b *testing.B) {
-	for _, a := range benchAlgorithms() {
-		a := a
-		b.Run(a.Name, func(b *testing.B) {
-			if err := a.New().Merge(a.New()); err != nil {
-				// E.g. the HIP-tracking HLL: merging would invalidate its
-				// running estimate (same reason the paper has no merge
-				// numbers for some baselines).
-				b.Skipf("not mergeable: %v", err)
-			}
-			other := a.New()
-			state := uint64(6)
-			for i := 0; i < 50000; i++ {
-				other.AddHash(hashing.SplitMix64(&state))
-			}
-			c := a.New()
-			st := uint64(7)
-			for k := 0; k < 20000; k++ {
-				c.AddHash(hashing.SplitMix64(&st))
-			}
-			// Steady-state protocol; see BenchmarkMerge.
-			if err := c.Merge(other); err != nil {
-				b.Fatal(err)
-			}
-			sink := 0.0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Merge(other); err != nil {
-					b.Fatal(err)
-				}
-				sink += c.Estimate()
-			}
-			_ = sink
-		})
-	}
-}
-
-// ---- Figures 1, 2, 4-7: analytic series generation ----
-
-func BenchmarkFigure1Series(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		series := mvp.Figure1([]float64{2, 3, 4, 5, 6, 8})
-		if len(series) != 6 {
-			b.Fatal("bad series")
-		}
-	}
-}
-
-func BenchmarkFigure2PMFs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g, a := mvp.Figure2(2, 21)
-		if len(g.Points) == 0 || len(a.Points) == 0 {
-			b.Fatal("bad series")
-		}
-	}
-}
-
-func BenchmarkFigure4to7Curves(b *testing.B) {
-	kinds := []mvp.CurveKind{mvp.KindDenseML, mvp.KindDenseMartingale, mvp.KindCompressedML, mvp.KindCompressedMartingale}
-	for i := 0; i < b.N; i++ {
-		for _, k := range kinds {
-			for t := 0; t <= 3; t++ {
-				c := mvp.Curve(k, t, 60)
-				if len(c.Points) != 61 {
-					b.Fatal("bad curve")
-				}
-			}
-		}
-	}
-}
-
-// ---- Figure 8: error simulation (one full run per iteration) ----
-
-func BenchmarkFigure8ErrorSimulation(b *testing.B) {
-	cfg := core.Config{T: 2, D: 20, P: 8}
-	cps := simulation.Checkpoints(1e21, 3)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res := simulation.RunELL(cfg, cps, 1e4, uint64(i)+1, true)
-		if len(res) != len(cps) {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-// ---- Figure 9: token estimation simulation ----
-
-func BenchmarkFigure9TokenSimulation(b *testing.B) {
-	cps := simulation.Checkpoints(1e5, 3)
-	for i := 0; i < b.N; i++ {
-		res := simulation.RunTokens(12, cps, uint64(i)+1)
-		if len(res) != len(cps) {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-// ---- Table 2 / Figure 10: scaled-down sweeps ----
-
-func BenchmarkTable2(b *testing.B) {
-	algos := compare.Table2Algorithms()
-	for i := 0; i < b.N; i++ {
-		rows := compare.Table2(algos, 20000, 1, uint64(i)+1)
-		if len(rows) != len(algos) {
-			b.Fatal("bad table")
-		}
-	}
-}
-
-func BenchmarkFigure10(b *testing.B) {
-	algos := compare.Table2Algorithms()[:2]
-	ns := []int{10, 100, 1000, 10000}
-	for i := 0; i < b.N; i++ {
-		pts := compare.Figure10(algos, ns, 1, uint64(i)+1)
-		if len(pts) != len(algos)*len(ns) {
-			b.Fatal("bad points")
-		}
-	}
-}
-
-// ---- Ablations (DESIGN.md section 5) ----
+// ---- Ablations ----
 
 // BenchmarkAblationInsertByD shows that insert cost is independent of d
 // (constant-time insert regardless of register width).

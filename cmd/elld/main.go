@@ -69,10 +69,10 @@
 //
 // -strict-routing makes the node answer misrouted single-key data
 // commands with a -MOVED redirect instead of forwarding to the owners
-// — the serving mode for smart clients (cluster.ClusterClient,
-// ell-loader -single-hop) that hash keys locally and expect one-hop
-// latency. Coordinator-style clients can keep using non-strict nodes
-// of the same cluster; the flag is per node.
+// — the serving mode for smart clients (cluster.ClusterClient) that
+// hash keys locally and expect one-hop latency. Coordinator-style
+// clients can keep using non-strict nodes of the same cluster; the flag
+// is per node.
 //
 // On SIGINT/SIGTERM elld takes a final snapshot (when -snapshot is set)
 // before closing the listener, so a restarted node loses nothing. The

@@ -3,6 +3,8 @@ package exaloglog_test
 import (
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -40,5 +42,57 @@ func TestServingPathImportFence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEveryMainIsTested: a main stays only if a test runs it. Every
+// package main directory of this module needs a _test.go file beside it;
+// an untested demo belongs in a package's Example, where go test checks
+// what it prints. Nested modules (benchmark/) and testdata are not this
+// module's packages.
+func TestEveryMainIsTested(t *testing.T) {
+	mains := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." {
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		files, err := filepath.Glob(filepath.Join(path, "*.go"))
+		if err != nil {
+			return err
+		}
+		isMain, tested := false, false
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				tested = true
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.PackageClauseOnly)
+			if err != nil {
+				return err
+			}
+			isMain = isMain || f.Name.Name == "main"
+		}
+		if isMain {
+			mains++
+			if !tested {
+				t.Errorf("%s is a package main with no _test.go beside it", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mains == 0 {
+		t.Fatal("found no package main at all: the walk is not looking at this module")
 	}
 }

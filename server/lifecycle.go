@@ -15,9 +15,9 @@ package server
 // dead and version-bumped under its own lock (so the cached estimate
 // and any TaggedBlob handed out before the deadline can never serve
 // ghost data), then unlinked from its shard map. The watermark eviction
-// pass ranks keys by the per-entry version counter — a write-recency
-// signal the store already maintains — and evicts coldest-first until
-// resident bytes drop to the low watermark.
+// pass ranks keys by their entry version — the store-wide write sequence
+// number of each key's last change — and evicts the least recently
+// written first until resident bytes drop to the low watermark.
 
 import (
 	"sort"
@@ -149,7 +149,7 @@ func (s *Store) expireDueLocked(e *entry) bool {
 		return false
 	}
 	s.killLocked(e)
-	e.changedLocked()
+	s.changedLocked(e)
 	s.expiredKeys.Add(1)
 	return true
 }
@@ -197,7 +197,7 @@ func (s *Store) ExpireAt(key string, deadlineMillis int64) bool {
 		return false
 	}
 	e.deadline.Store(deadlineMillis)
-	e.changedLocked()
+	s.changedLocked(e)
 	return true
 }
 
@@ -237,7 +237,7 @@ func (s *Store) Persist(key string) bool {
 		return false
 	}
 	e.deadline.Store(0)
-	e.changedLocked()
+	s.changedLocked(e)
 	return true
 }
 
@@ -279,11 +279,11 @@ func (s *Store) SweepExpired(samplePerShard int) (expired int) {
 
 // EvictToWatermark evicts cold keys when resident sketch bytes exceed
 // the high watermark, until they drop to the low watermark, returning
-// how many keys were evicted. Coldness is ranked by the per-entry
-// version counter — a cheap monotone write-recency signal the store
-// already maintains — so keys that stopped changing longest ago go
-// first. A key that takes a write between ranking and eviction is
-// spared (its version no longer matches).
+// how many keys were evicted. Coldness is ranked by the entry version,
+// the store-wide write sequence number of the key's last change, so the
+// keys written least recently go first, however often they were written
+// before. A key that takes a write between ranking and eviction is spared
+// (its version no longer matches).
 func (s *Store) EvictToWatermark() (evicted int) {
 	if s.hiWater <= 0 || s.residentBytes.Load() <= s.hiWater {
 		return 0

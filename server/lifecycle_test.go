@@ -249,7 +249,7 @@ func TestSweepExpired(t *testing.T) {
 }
 
 // TestEvictToWatermark: above the high watermark the store sheds the
-// coldest keys (lowest entry version) until resident bytes reach the
+// coldest keys (least recently written) until resident bytes reach the
 // low watermark; recently-written keys survive.
 func TestEvictToWatermark(t *testing.T) {
 	store, _ := newClockedStore(t, 1_000_000)
@@ -259,7 +259,7 @@ func TestEvictToWatermark(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Heat up the upper half with extra writes: higher versions.
+	// Heat up the upper half with later writes: higher versions.
 	for i := n / 2; i < n; i++ {
 		for j := 0; j < 4; j++ {
 			store.Add(fmt.Sprintf("k-%d", i), fmt.Sprintf("w-%d", j))
@@ -292,6 +292,37 @@ func TestEvictToWatermark(t *testing.T) {
 	store.SetMemoryWatermarks(0, 0)
 	if got := store.EvictToWatermark(); got != 0 {
 		t.Errorf("disabled watermark evicted %d keys", got)
+	}
+}
+
+// TestEvictionRanksByRecency: eviction ranks keys by when they were last
+// written, not by how often. A key written many times, long ago, goes before
+// keys written once each, since.
+func TestEvictionRanksByRecency(t *testing.T) {
+	store, _ := newClockedStore(t, 1_000_000)
+	for i := 0; i < 1000; i++ {
+		if _, err := store.Add("a", fmt.Sprintf("e-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const later = 8
+	for i := 0; i < later; i++ {
+		if _, err := store.Add(fmt.Sprintf("b-%d", i), "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, resident := store.LifecycleStats()
+	store.SetMemoryWatermarks(resident-1, resident-1) // shed one key
+	if got := store.EvictToWatermark(); got != 1 {
+		t.Fatalf("evicted %d keys, want 1", got)
+	}
+	if _, ok := store.Dump("a"); ok {
+		t.Error("the least recently written key a survived eviction")
+	}
+	for i := 0; i < later; i++ {
+		if _, ok := store.Dump(fmt.Sprintf("b-%d", i)); !ok {
+			t.Errorf("b-%d, written after a, was evicted", i)
+		}
 	}
 }
 

@@ -39,8 +39,7 @@ const histBuckets = 31
 // the quantile falls in, clamped to the observed maximum — a ≤2×
 // overestimate by construction, which is the usual trade for a
 // histogram that costs one atomic add per sample. The zero value is
-// ready to use; ell-loader reuses this type for its client-side
-// percentiles.
+// ready to use.
 type LatencyHist struct {
 	buckets [histBuckets]atomic.Uint64
 	sumNS   atomic.Uint64

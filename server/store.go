@@ -42,14 +42,15 @@ const shardSeed = 0x5bd1e995a967bd1e
 
 // entry is one key's value plus its own lock, so concurrent commands
 // on different keys never contend. The value is a plain sketch or a
-// window ring (see value.go); everything else here — the version counter,
+// window ring (see value.go); everything else here — the version,
 // the death mark, the estimate and digest caches — is value-type-agnostic
-// machinery. ver counts observable state changes (inserts that changed
-// registers, merges, restores, lifetime changes); together with the
-// entry's identity it lets DeleteIfUnchanged detect writes that landed
-// after a dump. dead marks an entry that has been unlinked from its
-// shard map: a mutator that raced a Delete re-fetches instead of
-// writing into an orphan.
+// machinery. ver is the store's write sequence number at the entry's last
+// observable state change (an insert that changed registers, a merge, a
+// restore, a lifetime change): it orders writes across keys, which
+// eviction ranks by, and together with the entry's identity it lets
+// DeleteIfUnchanged detect writes that landed after a dump. dead marks an
+// entry that has been unlinked from its shard map: a mutator that raced a
+// Delete re-fetches instead of writing into an orphan.
 type entry struct {
 	mu  sync.Mutex
 	win *window.Counter // a window key's ring; nil for a plain key
@@ -85,10 +86,10 @@ type entry struct {
 
 // changedLocked records an observable state change of e — its value or
 // its lifetime; the caller holds e.mu. Every mutation path calls it: it
-// bumps ver, which eviction ranking and TaggedBlob compare, and drops the
-// cached estimate and digest.
-func (e *entry) changedLocked() {
-	e.ver++
+// stamps ver with the next write sequence number, which eviction ranking
+// and TaggedBlob compare, and drops the cached estimate and digest.
+func (s *Store) changedLocked(e *entry) {
+	e.ver = s.writeSeq.Add(1)
 	e.estValid, e.digOK = false, false
 }
 
@@ -199,6 +200,10 @@ type Store struct {
 	expiredKeys   atomic.Uint64
 	evictedKeys   atomic.Uint64
 	residentBytes atomic.Int64
+
+	// writeSeq numbers the store's observable state changes; an entry's
+	// ver is the number of its last one (changedLocked).
+	writeSeq atomic.Uint64
 }
 
 // NewStore returns an empty store whose sketches use configuration cfg.
@@ -403,7 +408,7 @@ func (s *Store) add(key string, view bool, hs hashes) (bool, error) {
 	}
 	changed := sk.AddHashes(hs.list())
 	if changed {
-		e.changedLocked()
+		s.changedLocked(e)
 		s.resizeLocked(e) // a sparse value grows with every new token
 	}
 	return changed, nil
@@ -455,7 +460,7 @@ func (s *Store) addBatch(key string, view bool, batch *core.Hybrid) (bool, error
 	}
 	changed, err := sk.Absorb(batch)
 	if changed {
-		e.changedLocked()
+		s.changedLocked(e)
 		s.resizeLocked(e)
 	}
 	if err != nil {
@@ -512,7 +517,7 @@ func (s *Store) windowAdd(key string, view bool, ts time.Time, hs hashes) (int, 
 	if hs.n > 0 {
 		accepted = c.AddHashes(ts, hs.list())
 	}
-	e.changedLocked()
+	s.changedLocked(e)
 	s.resizeLocked(e)
 	return accepted, nil
 }
@@ -548,7 +553,7 @@ func (s *Store) windowAddBatch(key string, view bool, tsMillis int64, batch *cor
 	if err != nil {
 		return 0, fmt.Errorf("server: window add %q: %w", key, err)
 	}
-	e.changedLocked()
+	s.changedLocked(e)
 	s.resizeLocked(e)
 	return accepted, nil
 }
@@ -770,7 +775,7 @@ func (s *Store) Merge(dest string, sources ...string) error {
 			e.mu.Unlock()
 			return fmt.Errorf("server: merge %q: %w", dest, err)
 		}
-		e.changedLocked()
+		s.changedLocked(e)
 		s.resizeLocked(e)
 		e.mu.Unlock()
 		return nil
@@ -850,7 +855,7 @@ func (s *Store) Restore(key string, data []byte) error {
 	e := s.lockedEntry(key, false, val.tag())
 	defer e.mu.Unlock()
 	e.setLocked(&val)
-	e.changedLocked()
+	s.changedLocked(e)
 	s.resizeLocked(e)
 	return nil
 }
@@ -897,7 +902,7 @@ func (s *Store) MergeBlobDeadline(key string, data []byte, deadlineMillis int64)
 			e.deadline.Store(deadlineMillis)
 		}
 	}
-	e.changedLocked()
+	s.changedLocked(e)
 	s.resizeLocked(e)
 	return nil
 }
@@ -948,7 +953,7 @@ type TaggedBlob struct {
 	Blob     []byte
 	Deadline int64
 	e        *entry // identity: a key deleted and re-created is a new entry
-	ver      uint64 // entry version at dump time: every mutation bumps it
+	ver      uint64 // entry version at dump time: every mutation changes it
 }
 
 // EachTagged calls fn with every key the filter accepts and its value

@@ -80,20 +80,3 @@ func BenchmarkWindowMarshal(b *testing.B) {
 		b.SetBytes(int64(len(blob)))
 	}
 }
-
-// BenchmarkDetectorObserve measures the per-flow cost of the scan
-// detector with a realistic population of tracked hosts.
-func BenchmarkDetectorObserve(b *testing.B) {
-	d, err := NewScanDetector(core.Config{T: 2, D: 20, P: 6}, time.Second, 10, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := time.Date(2026, 6, 13, 0, 0, 0, 0, time.UTC)
-	state := uint64(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ts := base.Add(time.Duration(i) * time.Microsecond)
-		h := hashing.SplitMix64(&state)
-		d.Observe(ts, h%1000, h>>32%64)
-	}
-}

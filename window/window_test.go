@@ -345,62 +345,6 @@ func TestSketchMergeAcrossCounters(t *testing.T) {
 	}
 }
 
-func TestScanDetector(t *testing.T) {
-	d, err := NewScanDetector(core.Config{T: 2, D: 20, P: 6}, time.Second, 10, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const scanner, normal = 0xBAD, 0x600D
-	// The scanner touches 500 distinct ports; the normal host touches 3
-	// ports repeatedly.
-	for i := 0; i < 500; i++ {
-		ts := t0.Add(time.Duration(i) * 10 * time.Millisecond)
-		d.Observe(ts, scanner, uint64(1000+i))
-		d.Observe(ts, normal, uint64(80+i%3))
-	}
-	now := t0.Add(5 * time.Second)
-	findings := d.Suspicious(now)
-	if len(findings) != 1 || findings[0].Entity != scanner {
-		t.Fatalf("Suspicious = %+v, want only the scanner", findings)
-	}
-	if s := d.Score(now, scanner); s < 300 {
-		t.Errorf("scanner score %.0f too low", s)
-	}
-	if s := d.Score(now, normal); s > 10 {
-		t.Errorf("normal host score %.0f too high", s)
-	}
-	if s := d.Score(now, 0xDEAD); s != 0 {
-		t.Errorf("unknown entity score %g", s)
-	}
-}
-
-// TestScanDetectorEviction: idle entities are dropped once their window
-// has fully expired.
-func TestScanDetectorEviction(t *testing.T) {
-	d, err := NewScanDetector(core.Config{T: 2, D: 20, P: 4}, time.Second, 4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.evictEvery = 1 // sweep on every observation for the test
-	for e := uint64(0); e < 100; e++ {
-		d.Observe(t0, e, 1)
-	}
-	if got := d.TrackedEntities(); got != 100 {
-		t.Fatalf("TrackedEntities = %d, want 100", got)
-	}
-	// One entity stays active far in the future; the rest expire.
-	d.Observe(t0.Add(time.Minute), 0, 2)
-	if got := d.TrackedEntities(); got != 1 {
-		t.Fatalf("after expiry TrackedEntities = %d, want 1", got)
-	}
-}
-
-func TestScanDetectorValidation(t *testing.T) {
-	if _, err := NewScanDetector(core.Config{T: 2, D: 20, P: 99}, time.Second, 4, 10); err == nil {
-		t.Error("invalid config accepted")
-	}
-}
-
 // TestMemoryFootprint: a ring costs what its slices hold, in memory and
 // serialized. The served geometry — 60 slices of p = 12 ELL(2,20) — at 40
 // elements a slice is pinned: 6 016 resident bytes with 32-byte slots
