@@ -91,10 +91,11 @@ func TestMLAddWire(t *testing.T) {
 }
 
 // TestRetiredClusterVerbsAreRefused: MLADD is the one forwarded-add verb,
-// ABSORB takes exactly three arguments, anti-entropy has no operator verb
-// (gossip and the digest round run on their tickers), XFER is FRAME alone
-// (no sessions: BEGIN, END and sequence numbers are gone) and a value
-// blob travels as the store serialized it. The verbs and forms
+// anti-entropy has no operator verb (gossip and the digest round run on
+// their tickers), XFER is FRAME alone (no sessions: BEGIN, END and
+// sequence numbers are gone) and the one way to merge a blob into a key —
+// PFMERGE's too, ABSORB is gone — and a value blob travels as the store
+// serialized it. The verbs and forms
 // that used to sit beside them — an "ELC1" container of the retired codec
 // where a blob goes among them — get an error reply naming what was
 // refused, nothing is applied, and the connection stays usable.
@@ -113,11 +114,11 @@ func TestRetiredClusterVerbsAreRefused(t *testing.T) {
 		{[]string{"CLUSTER", "LWADD", "k", "1700000000000", "a"}, "unknown CLUSTER subcommand LWADD"},
 		{[]string{"CLUSTER", "SYNC"}, "unknown CLUSTER subcommand SYNC"},
 		{[]string{"CLUSTER", "REBALANCE"}, "unknown CLUSTER subcommand REBALANCE"},
-		{[]string{"CLUSTER", "ABSORB", "k", blob}, "CLUSTER ABSORB needs a key, a base64 payload and a deadline"},
+		{[]string{"CLUSTER", "ABSORB", "k", blob}, "unknown CLUSTER subcommand ABSORB"},
 		{[]string{"CLUSTER", "XFER", "BEGIN", "e=1", "sid=s.1", "seq=1"}, "CLUSTER XFER needs FRAME, e=<epoch> and a frame"},
 		{[]string{"CLUSTER", "XFER", "END", "s.1", "1", "10"}, "CLUSTER XFER needs FRAME, e=<epoch> and a frame"},
 		{[]string{"CLUSTER", "XFER", "FRAME", "s.1", "1", elc1Frame}, "CLUSTER XFER needs FRAME, e=<epoch> and a frame"},
-		{[]string{"CLUSTER", "ABSORB", "absorbed", elc1, "0"}, `merge blob into "absorbed"`},
+		{[]string{"CLUSTER", "ABSORB", "absorbed", blob, "0"}, "unknown CLUSTER subcommand ABSORB"},
 		{[]string{"RESTORE", "restored", elc1}, "unsupported format version 67"},
 		{[]string{"CLUSTER", "XFER", "FRAME", "e=1", elc1Frame}, `xfer: server: merge blob into "framed"`},
 	} {
@@ -132,9 +133,10 @@ func TestRetiredClusterVerbsAreRefused(t *testing.T) {
 	if got := nodes[0].Store().Len(); got != 0 {
 		t.Errorf("refused commands created %d keys", got)
 	}
-	// The three-argument form is the one that works.
-	if _, err := c.Do("CLUSTER", "ABSORB", "k", blob, "0"); err != nil {
-		t.Fatalf("CLUSTER ABSORB k <blob> 0: %v", err)
+	// A frame of the blob is the form that works.
+	frame := base64.StdEncoding.EncodeToString(server.EncodeFrame([]server.KeyBlob{{Key: "k", Blob: denseBlob(t, "x")}}))
+	if _, err := c.Do("CLUSTER", "XFER", "FRAME", "e=1", frame); err != nil || nodes[0].Store().Len() != 1 {
+		t.Fatalf("CLUSTER XFER FRAME e=1 <frame of k>: %v, %d keys", err, nodes[0].Store().Len())
 	}
 }
 

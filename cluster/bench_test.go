@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -159,6 +160,37 @@ func BenchmarkClusterFanoutPFCount(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.PFCount(keys...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+}
+
+// BenchmarkClusterPFMerge measures wire-level PFMERGE of 8 sources through
+// a node that owns neither replica of dest: the sources and dest are
+// gathered with DUMP, merged at the coordinator, and the union goes to
+// both owners of dest.
+func BenchmarkClusterPFMerge(b *testing.B) {
+	nodes, c := startBenchCluster(b)
+	m := nodes[0].Map()
+	dest := ""
+	for i := 0; dest == ""; i++ {
+		if k := fmt.Sprintf("dest-%d", i); !slices.Contains(m.ownerIDs(k), nodes[0].ID()) {
+			dest = k
+		}
+	}
+	sources := make([]string, 8)
+	for i := range sources {
+		sources[i] = fmt.Sprintf("src-%d", i)
+		for j := 0; j < 1000; j++ {
+			if _, err := nodes[0].Add(sources[i], fmt.Sprintf("el-%d-%d", i, j)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.PFMerge(dest, sources...); err != nil {
 			b.Fatal(err)
 		}
 	}

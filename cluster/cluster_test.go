@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -426,12 +428,12 @@ func TestAddRejectsProtocolUnsafeTokens(t *testing.T) {
 }
 
 // TestMergeKeysKeepsDestinationTTL: PFMERGE ships the union to dest's
-// owners as CLUSTER ABSORB <key> <blob> 0 — "no deadline to impose" — so
-// a destination that already has a lifetime keeps it on every owner,
-// the remote ones included.
+// owners as a one-record XFER frame whose deadline is 0 — "no deadline to
+// impose" — so a destination that already has a lifetime keeps it on
+// every owner, the remote ones included.
 func TestMergeKeysKeepsDestinationTTL(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
-	// A destination n1 does not own: both ABSORBs go over the wire.
+	// A destination n1 does not own: both frames go over the wire.
 	dest := findKeyWhere(t, nodes[0].Map(), func(ids []string) bool { return !slices.Contains(ids, "n1") })
 	if _, err := nodes[0].Add(dest, "a", "b"); err != nil {
 		t.Fatal(err)
@@ -462,6 +464,95 @@ func TestMergeKeysKeepsDestinationTTL(t *testing.T) {
 	}
 	if owners != 2 {
 		t.Errorf("%d nodes hold the destination, want 2", owners)
+	}
+}
+
+// TestMergeKeysFromStaleCoordinator: a coordinator one epoch behind
+// PFMERGEs into a dest whose owners moved in the newer map. Its frames are
+// refused with -STALE, it takes the owner's map and merges again under it,
+// so by the time PFMERGE returns the union is on dest's current owners,
+// byte for byte what one sketch fed every element holds, and not on an
+// owner of the old map only. A PFMERGE onto a window key is still WRONGTYPE.
+func TestMergeKeysFromStaleCoordinator(t *testing.T) {
+	nodes := startCluster(t, 3, 2)
+	n4, err := NewNode("n4", testConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n4.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n4.Close() })
+	old := nodes[0].Map()
+	cur := old.withNode("n4", n4.Addr(), old.Epoch+1, "n2")
+
+	// dest: owned by neither the coordinator n1 nor n4 in the old map, by
+	// n4 and not n1 in the new one. Sources and the window key keep their
+	// owners, so no data has to move for the new map to answer for them.
+	var dest, wdest string
+	var sources []string
+	for i := 0; dest == "" || wdest == "" || len(sources) < 8; i++ {
+		k := fmt.Sprintf("merge-%d", i)
+		was, is := old.ownerIDs(k), cur.ownerIDs(k)
+		switch {
+		case dest == "" && !slices.Contains(was, "n1") && slices.Contains(is, "n4") && !slices.Contains(is, "n1"):
+			dest = k
+		case slices.Equal(was, is) && !slices.Contains(is, "n1"):
+			if wdest == "" {
+				wdest = k
+			} else if len(sources) < 8 {
+				sources = append(sources, k)
+			}
+		}
+	}
+	ref, err := core.NewHybrid(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, key := range append([]string{dest}, sources...) {
+		els := []string{fmt.Sprintf("%s-a", key), fmt.Sprintf("%s-b", key), fmt.Sprintf("shared-%d", i%3)}
+		if _, err := nodes[0].Add(key, els...); err != nil {
+			t.Fatal(err)
+		}
+		for _, el := range els {
+			ref.AddString(el)
+		}
+	}
+	if _, err := nodes[0].WindowAdd(wdest, streamMS, "x"); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every node but the coordinator installs the new map.
+	for _, n := range []*Node{nodes[1], nodes[2], n4} {
+		if !n.swapMap(cur) {
+			t.Fatalf("fixture: %s did not take the new map", n.ID())
+		}
+	}
+
+	c := dialNode(t, nodes[0])
+	if err := c.PFMerge(dest, sources...); err != nil {
+		t.Fatalf("PFMERGE through the stale coordinator: %v", err)
+	}
+	if got := nodes[0].Map().Epoch; got != cur.Epoch {
+		t.Errorf("coordinator at epoch %d after the refusal, want %d", got, cur.Epoch)
+	}
+	byID := map[string]*Node{"n1": nodes[0], "n2": nodes[1], "n3": nodes[2], "n4": n4}
+	for _, id := range cur.ownerIDs(dest) {
+		got, ok := byID[id].Store().Dump(dest)
+		if !ok || !bytes.Equal(got, want) {
+			t.Errorf("current owner %s holds %d bytes of dest (present %v), want the %d of a sketch fed sources and dest", id, len(got), ok, len(want))
+		}
+	}
+	for _, id := range old.ownerIDs(dest) {
+		if got, _ := byID[id].Store().Dump(dest); !slices.Contains(cur.ownerIDs(dest), id) && bytes.Equal(got, want) {
+			t.Errorf("the union landed on %s, an owner of the old map only", id)
+		}
+	}
+	if err := c.PFMerge(wdest, sources...); !errors.Is(err, server.ErrWrongType) {
+		t.Errorf("PFMERGE onto a window key: %v, want WRONGTYPE", err)
 	}
 }
 

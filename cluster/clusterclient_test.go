@@ -203,7 +203,7 @@ func TestInternalForwardsExemptFromStrictRouting(t *testing.T) {
 
 	// A write burst through coordinator-mode forwarding (Node.Add fans
 	// MLADD out to owners) while a join-triggered rebalance pushes
-	// ABSORB blobs around — all internal traffic, none of it may bounce.
+	// XFER frames around — all internal traffic, none of it may bounce.
 	for i := 0; i < 32; i++ {
 		if _, err := nodes[i%3].Add(fmt.Sprintf("burst-%d", i), "el"); err != nil {
 			t.Fatal(err)

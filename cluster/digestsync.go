@@ -208,23 +208,6 @@ func (n *Node) handleDigestKeys(reply []byte, args [][]byte) []byte {
 	return append(append(reply, '='), encodeKeyDigests(kds)...)
 }
 
-// errDigestStale marks a digest round the peer refused because its map
-// epoch differs; the pass reconciles the maps and retries the peer once.
-var errDigestStale = errors.New("cluster: digest sync: map epochs differ")
-
-// digestDo issues one digest request and decodes the =<base64> reply
-// body, folding -STALE refusals into errDigestStale.
-func (n *Node) digestDo(addr string, args ...string) (string, error) {
-	reply, err := n.peers.do(addr, args...)
-	if err != nil {
-		if strings.Contains(err.Error(), "STALE") {
-			return "", errDigestStale
-		}
-		return "", err
-	}
-	return reply, nil
-}
-
 // DigestSync runs one anti-entropy pass — the periodic one; a map install
 // runs the same pass (installAndSync). See syncPass.
 func (n *Node) DigestSync() error { return n.syncPass(false) }
@@ -267,7 +250,7 @@ func (n *Node) syncRounds(membership bool) error {
 			continue
 		}
 		err := n.digestSyncPeer(mem, membership)
-		if errors.Is(err, errDigestStale) {
+		if errors.Is(err, errStale) {
 			if err = n.reconcileMap(mem.Addr); err == nil {
 				err = n.digestSyncPeer(mem, membership)
 			}
@@ -290,9 +273,9 @@ func (n *Node) digestSyncPeer(peer Member, membership bool) error {
 	local := n.store.ShardDigests(filter)
 	epochTok := "e=" + strconv.FormatUint(m.Epoch, 10)
 	n.digestRounds.Add(1)
-	body, err := n.digestDo(peer.Addr, "CLUSTER", "DSUM", n.id, epochTok)
+	body, err := n.peers.do(peer.Addr, "CLUSTER", "DSUM", n.id, epochTok)
 	if err != nil {
-		return err
+		return asStale(err)
 	}
 	remote, err := decodeDigestVector(body)
 	if err != nil {
@@ -309,9 +292,9 @@ func (n *Node) digestSyncPeer(peer Member, membership bool) error {
 	if len(diff) == 0 {
 		return nil // converged: the whole round cost one message
 	}
-	body, err = n.digestDo(peer.Addr, "CLUSTER", "DKEYS", n.id, epochTok, strings.Join(list, ","))
+	body, err = n.peers.do(peer.Addr, "CLUSTER", "DKEYS", n.id, epochTok, strings.Join(list, ","))
 	if err != nil {
-		return err
+		return asStale(err)
 	}
 	theirs, err := decodeKeyDigests(body)
 	if err != nil {
@@ -336,10 +319,7 @@ func (n *Node) digestSyncPeer(peer Member, membership bool) error {
 		}
 	}
 	if err := s.close(); err != nil {
-		if errors.Is(err, errXferStale) {
-			return errDigestStale // the map moved mid-round
-		}
-		return fmt.Errorf("repair: %w", err)
+		return fmt.Errorf("repair: %w", err) // errStale if the map moved mid-round
 	}
 	return nil
 }
@@ -394,7 +374,7 @@ func (n *Node) drainStrays() error {
 	var errs []error
 	for _, s := range order {
 		err := s.close()
-		if errors.Is(err, errXferStale) {
+		if errors.Is(err, errStale) {
 			// The owner holds a newer map. Installing it runs a pass, and
 			// that pass drains whatever is a stray under it.
 			err = n.reconcileMap(s.addr)

@@ -243,7 +243,6 @@ func TestClusterVerbForms(t *testing.T) {
 	if coordinator == "" {
 		coordinator = noCoordinator
 	}
-	blob := base64.StdEncoding.EncodeToString(denseBlob(t, "x"))
 	frame := base64.StdEncoding.EncodeToString(server.EncodeFrame([]server.KeyBlob{{Key: "framed", Blob: denseBlob(t, "y")}}))
 	forms := []struct{ sub, arity, bad, badWant, valid, validWant string }{
 		{"INFO", "CLUSTER INFO x", "", "", "CLUSTER INFO", "+id=n1 addr=" + n.Addr() + " "},
@@ -262,7 +261,6 @@ func TestClusterVerbForms(t *testing.T) {
 		{"LDEADLINE", "CLUSTER LDEADLINE", "", "", "CLUSTER LDEADLINE p", ":4102444800000\n"},
 		{"LPERSIST", "CLUSTER LPERSIST", "", "", "CLUSTER LPERSIST p", ":1\n"},
 		{"LKEYS", "CLUSTER LKEYS x", "", "", "CLUSTER LKEYS", "+p\n"},
-		{"ABSORB", "CLUSTER ABSORB k " + blob, "CLUSTER ABSORB k !!!! 0", "-ERR bad base64: ", "CLUSTER ABSORB absorbed " + blob + " 0", "+OK\n"},
 		{"MLADD", "CLUSTER MLADD", "CLUSTER MLADD x", `-ERR bad CLUSTER MLADD group count "x"`, "CLUSTER MLADD 1 p mladded " + batchB64(t, "z"), "+1\n"},
 		{"XFER", "CLUSTER XFER FRAME " + e, "CLUSTER XFER FRAME " + e + " !!!!", "-ERR xfer: bad base64: ", "CLUSTER XFER FRAME " + e + " " + frame, "+OK\n"},
 	}

@@ -11,7 +11,7 @@ package cluster
 // digest each peer sends back, so liveness information spreads
 // epidemically in O(log N) rounds.
 //
-// A peer whose evidence has not advanced for SuspectAfter rounds
+// A peer whose evidence has not advanced for suspectAfter rounds
 // becomes SUSPECT locally; the suspicion bit travels with every digest,
 // so suspicions accumulate per node across the cluster. Only when this
 // node itself suspects a peer AND a quorum (majority of the current
@@ -38,17 +38,11 @@ import (
 	"exaloglog/server"
 )
 
-// GossipConfig tunes the failure detector. The zero value is replaced
-// by the default (SuspectAfter 5) in NewNode.
-type GossipConfig struct {
-	// SuspectAfter is how many rounds a peer's heartbeat may stall
-	// before this node suspects it. With an interval of I the detection
-	// latency is roughly (SuspectAfter+2)·I: the timeout plus a round
-	// or two for suspicions to meet quorum.
-	SuspectAfter int
-}
-
-const defaultSuspectAfter = 5
+// suspectAfter is how many rounds a peer's heartbeat may stall before
+// this node suspects it. With an interval of I the detection latency is
+// roughly (suspectAfter+2)·I: the timeout plus a round or two for
+// suspicions to meet quorum.
+const suspectAfter = 5
 
 // gossipFanout is how many peers one Gossip round pushes a digest to.
 const gossipFanout = 2
@@ -63,12 +57,12 @@ type peerState struct {
 // gossipState is the detector state machine; it has its own lock,
 // taken strictly after (never around) node-level locks.
 type gossipState struct {
-	mu     sync.Mutex
-	cfg    GossipConfig
-	round  uint64 // local logical clock, advanced only by Gossip
-	selfHB uint64 // own heartbeat counter
-	peers  map[string]*peerState
-	cursor int // round-robin position for fanout target selection
+	mu           sync.Mutex
+	suspectAfter int    // the const suspectAfter, or fewer rounds in a test
+	round        uint64 // local logical clock, advanced only by Gossip
+	selfHB       uint64 // own heartbeat counter
+	peers        map[string]*peerState
+	cursor       int // round-robin position for fanout target selection
 
 	// suspectsRaised counts alive→suspect transitions in this node's
 	// own judgment (re-asserting an existing suspicion does not count)
@@ -120,16 +114,6 @@ func (g *gossipState) recordEvictionLocked(id string, epoch uint64) {
 		delete(g.evictedAt, victim)
 	}
 	g.evictedAt[id] = epoch
-}
-
-// SetGossipConfig overrides the failure-detector tuning. Call before
-// the node starts gossiping; zero fields keep their defaults.
-func (n *Node) SetGossipConfig(cfg GossipConfig) {
-	n.gsp.mu.Lock()
-	defer n.gsp.mu.Unlock()
-	if cfg.SuspectAfter > 0 {
-		n.gsp.cfg.SuspectAfter = cfg.SuspectAfter
-	}
 }
 
 // markAlive is direct liveness evidence from transport level: any
@@ -191,15 +175,15 @@ func (n *Node) Gossip() []string {
 			delete(g.evictedAt, id)
 		}
 	}
-	// Timeout: a peer whose evidence stalled for SuspectAfter rounds is
+	// Timeout: a peer whose evidence stalled for suspectAfter rounds is
 	// suspect in this node's own judgment.
 	for _, st := range g.peers {
-		if g.round-st.lastAlive >= uint64(g.cfg.SuspectAfter) && !st.suspectedBy[n.id] {
+		if g.round-st.lastAlive >= uint64(g.suspectAfter) && !st.suspectedBy[n.id] {
 			st.suspectedBy[n.id] = true
 			g.suspectsRaised++
 		}
 	}
-	digest := n.buildDigestLocked(m)
+	digest := n.digestLocked(m).encode()
 	targets := n.pickTargetsLocked(members)
 	g.mu.Unlock()
 
@@ -274,47 +258,23 @@ func (n *Node) Gossip() []string {
 	return evicted
 }
 
-// buildDigestLocked renders this node's current digest; g.mu held.
-func (n *Node) buildDigestLocked(m *Map) string {
+// digestLocked fills this node's current digest; g.mu held.
+func (n *Node) digestLocked(m *Map) *digest {
 	g := &n.gsp
-	coord := m.Coordinator
-	if coord == "" {
-		coord = noCoordinator
-	}
-	parts := make([]string, 0, 5+m.Len()+len(g.evictedAt))
-	parts = append(parts, gossipWireTag, n.id,
-		strconv.FormatUint(m.Epoch, 10),
-		strconv.FormatUint(m.Version, 10),
-		coord)
+	d := &digest{Sender: n.id, Epoch: m.Epoch, Version: m.Version, Coordinator: m.Coordinator}
 	for _, mem := range m.Members() {
 		if mem.ID == n.id {
-			parts = append(parts, mem.ID+"="+strconv.FormatUint(g.selfHB, 10))
-			continue
-		}
-		st := g.peers[mem.ID]
-		if st == nil {
-			continue
-		}
-		tok := mem.ID + "=" + strconv.FormatUint(st.hb, 10)
-		if st.suspectedBy[n.id] {
-			tok += suspectMark
-		}
-		parts = append(parts, tok)
-	}
-	// Piggyback the eviction records, sorted for determinism. An old
-	// (pre-record) decoder reads "~id=epoch" as a heartbeat entry for
-	// the unknown member "~id" and skips it — tolerated, not misread.
-	if len(g.evictedAt) > 0 {
-		ids := make([]string, 0, len(g.evictedAt))
-		for id := range g.evictedAt {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			parts = append(parts, evictionMark+id+"="+strconv.FormatUint(g.evictedAt[id], 10))
+			d.Entries = append(d.Entries, digestEntry{ID: mem.ID, HB: g.selfHB})
+		} else if st := g.peers[mem.ID]; st != nil {
+			d.Entries = append(d.Entries, digestEntry{ID: mem.ID, HB: st.hb, Suspect: st.suspectedBy[n.id]})
 		}
 	}
-	return strings.Join(parts, " ")
+	// Piggyback the eviction records, sorted for determinism.
+	for id, epoch := range g.evictedAt {
+		d.Evictions = append(d.Evictions, evictionRecord{ID: id, Epoch: epoch})
+	}
+	slices.SortFunc(d.Evictions, func(a, b evictionRecord) int { return strings.Compare(a.ID, b.ID) })
+	return d
 }
 
 // pickTargetsLocked chooses up to gossipFanout peer addresses round-robin
@@ -434,11 +394,13 @@ func (n *Node) handleGossip(reply []byte, args [][]byte) []byte {
 	n.processDigest(d)
 	m := n.currentMap()
 	n.gsp.mu.Lock()
-	body := n.buildDigestLocked(m)
+	ours := n.digestLocked(m)
 	n.gsp.mu.Unlock()
+	body := ours.encode()
 	if tripleBehind(m, d.Epoch, d.Version, d.Coordinator) {
-		if enc := m.Encode(); len(body)+len(mapMark)+len(enc)+2 <= maxWireBytes {
-			body += " " + mapMark + " " + enc
+		ours.MapPayload = m
+		if withMap := ours.encode(); len(withMap) <= maxWireBytes {
+			body = withMap
 		}
 	}
 	return append(append(reply, '+'), body...)
@@ -520,15 +482,12 @@ const suspectMark = "!"
 // evictionMark prefixes an eviction-record token ("~id=epoch"). A
 // valid member id may itself start with '~', but such an id can never
 // appear as an entry in the same digest as a record for it — records
-// are only carried for ids OFF the map — and a pre-record decoder
-// reads the token as an unknown member's heartbeat and skips it.
+// are only carried for ids OFF the map.
 const evictionMark = "~"
 
 // mapMark separates the digest's entry tokens from an optional
 // piggybacked full-map payload: everything after it is a Map.Encode
-// token stream. The marker contains no '=', so a pre-payload decoder
-// errors on it (rejecting the digest) rather than misreading map tokens
-// as heartbeat entries.
+// token stream.
 const mapMark = "@map"
 
 // digestEntry is one member's row in a gossip digest.
@@ -664,8 +623,8 @@ func decodeDigest(tokens []string) (*digest, error) {
 	return d, nil
 }
 
-// encode renders the digest back to its token form (the inverse of
-// decodeDigest; used by tests to pin round-trip stability).
+// encode renders the digest in its wire form, the inverse of
+// decodeDigest: what Gossip pushes and handleGossip replies.
 func (d *digest) encode() string {
 	coord := d.Coordinator
 	if coord == "" {

@@ -226,7 +226,9 @@ func TestGossipWireExchange(t *testing.T) {
 // the suspicion (unit-level companion to the harness chaos tests).
 func TestHealthReportsSuspects(t *testing.T) {
 	nodes := startCluster(t, 2, 1)
-	nodes[0].SetGossipConfig(GossipConfig{SuspectAfter: 2})
+	nodes[0].gsp.mu.Lock()
+	nodes[0].gsp.suspectAfter = 2
+	nodes[0].gsp.mu.Unlock()
 	nodes[1].Close() // silence n2 without any LEAVE
 	for i := 0; i < 4; i++ {
 		nodes[0].Gossip()

@@ -34,7 +34,7 @@ type harness struct {
 	t        *testing.T
 	replicas int
 	dir      string
-	xfer     *TransferConfig  // non-nil: applied to every started node
+	window   int              // non-zero: the transfer window of every started node
 	clock    func() time.Time // non-nil: injected store clock (expiry tests)
 
 	mu          sync.Mutex
@@ -51,29 +51,28 @@ type harness struct {
 // replica factor, each with a snapshot path and a fault hook.
 func newHarness(t *testing.T, n, replicas int) *harness {
 	t.Helper()
-	return newHarnessCfg(t, n, replicas, nil)
+	return newHarnessCfg(t, n, replicas, 0)
 }
 
-// newHarnessCfg is newHarness with a TransferConfig applied to every
-// node it starts — how the transfer chaos tests pin small frames,
-// narrow windows and short timeouts without changing the defaults the
-// other tests exercise.
-func newHarnessCfg(t *testing.T, n, replicas int, xfer *TransferConfig) *harness {
+// newHarnessCfg is newHarness with a transfer window (frames a round trip)
+// set on every node it starts — how the transfer chaos tests narrow the
+// window without changing the default the other tests exercise.
+func newHarnessCfg(t *testing.T, n, replicas, window int) *harness {
 	t.Helper()
-	return newHarnessClock(t, n, replicas, xfer, nil)
+	return newHarnessClock(t, n, replicas, window, nil)
 }
 
 // newHarnessClock is newHarnessCfg with an injected store clock: every
 // node it starts (including crash-restarts) judges expiry deadlines
 // against the given time source instead of the wall clock, so TTL chaos
 // tests advance time explicitly and deterministically.
-func newHarnessClock(t *testing.T, n, replicas int, xfer *TransferConfig, clock func() time.Time) *harness {
+func newHarnessClock(t *testing.T, n, replicas, window int, clock func() time.Time) *harness {
 	t.Helper()
 	h := &harness{
 		t:           t,
 		replicas:    replicas,
 		dir:         t.TempDir(),
-		xfer:        xfer,
+		window:      window,
 		clock:       clock,
 		nodes:       make(map[string]*Node),
 		addrs:       make(map[string]string),
@@ -230,9 +229,9 @@ func (h *harness) start(id, listen string) *Node {
 	}
 	n.SetSnapshotPath(snap)
 	n.setFaultHook(h.hookFor(id))
-	n.SetGossipConfig(GossipConfig{SuspectAfter: testSuspectAfter})
-	if h.xfer != nil {
-		n.SetTransferConfig(*h.xfer)
+	n.gsp.suspectAfter = testSuspectAfter
+	if h.window != 0 {
+		n.xfer.window = h.window
 	}
 	// A just-crashed listener's port can take a moment to rebind.
 	startErr := n.Start(listen)
@@ -506,7 +505,7 @@ func TestChaosConcurrentMembership(t *testing.T) {
 }
 
 // TestCrashRestartSelfHeals: a node is killed mid-rebalance (a join is
-// in flight and its ABSORB pushes are delayed), restarted from its
+// in flight and its transfer frames are delayed), restarted from its
 // last snapshot with NO seed address, and must self-heal into the
 // current epoch's map with every key still countable.
 func TestCrashRestartSelfHeals(t *testing.T) {
@@ -848,7 +847,7 @@ func TestDeltaRebalanceMessageCount(t *testing.T) {
 		t.Errorf("join cost %d frames for %d pushes — frames are not batching O(keys/batch)", frames, pushes)
 	}
 	if fallbacks != 0 {
-		t.Errorf("%d keys degraded to per-key ABSORB on a healthy cluster", fallbacks)
+		t.Errorf("%d keys degraded to a per-key path on a healthy cluster", fallbacks)
 	}
 	// The delta still replicated everything: spot-check counts.
 	for k := 0; k < total; k += 101 {
@@ -859,7 +858,7 @@ func TestDeltaRebalanceMessageCount(t *testing.T) {
 }
 
 // TestGossipAutoEvictsCrashedNode: a crashed node is suspected after
-// SuspectAfter silent gossip rounds and auto-evicted once a quorum of
+// suspectAfter silent gossip rounds and auto-evicted once a quorum of
 // members agrees — an epoch-fenced LEAVE no operator had to issue —
 // and the survivors' maps converge with every count intact. Entirely
 // fake-clock driven: the failure timeline is measured in rounds, not
@@ -1294,7 +1293,7 @@ func TestTTLChaosDeterministicExpiry(t *testing.T) {
 	}
 	const base = int64(1_700_000_000_000)
 	clk := newStoreClock(base)
-	h := newHarnessClock(t, 3, 2, nil, clk.now)
+	h := newHarnessClock(t, 3, 2, 0, clk.now)
 
 	const (
 		ttlKeys   = 16

@@ -39,9 +39,8 @@ import (
 //	CLUSTER LDEADLINE <key>            → :<ms> (local deadline read; internal)
 //	CLUSTER LPERSIST <key>             → :1/:0 (local deadline clear; internal)
 //	CLUSTER LKEYS                      → +<keys> (local keys; internal)
-//	CLUSTER ABSORB <key> <base64> <ms> → +OK (merge a sketch blob into key; ms is the expiry deadline to impose, 0 = none; internal, PFMERGE's)
 //	CLUSTER DSUM|DKEYS ...             → digest round exchanges (internal; see digestsync.go)
-//	CLUSTER XFER FRAME e=<epoch> <b64> → +OK | -STALE e=.. (merge one frame of records; internal, see transfer.go)
+//	CLUSTER XFER FRAME e=<epoch> <b64> → +OK | -STALE e=.. (merge one frame of records: data movement and PFMERGE; internal, see transfer.go)
 //
 // A membership change moves data one way only: every node that installs
 // the newer map drains the keys it no longer owns and runs a digest round
@@ -99,7 +98,7 @@ type Node struct {
 	// the map, map code never touches detector state.
 	gsp gossipState
 
-	// xfer is the transfer pipeline's config and counters (see
+	// xfer is the transfer pipeline's window and counters (see
 	// transfer.go).
 	xfer transferState
 }
@@ -138,7 +137,8 @@ func NewNode(id string, cfg core.Config, replicas int) (*Node, error) {
 	// hanging a forward forever. SetPeerTimeout tunes it (elld
 	// -peer-timeout).
 	n.peers.setTimeout(defaultPeerTimeout)
-	n.gsp.cfg = GossipConfig{SuspectAfter: defaultSuspectAfter}
+	n.gsp.suspectAfter = suspectAfter
+	n.xfer.window = xferWindow
 	n.gsp.peers = make(map[string]*peerState)
 	n.gsp.evictedAt = make(map[string]uint64)
 	// Any successful peer command is liveness evidence; feed it to the
@@ -352,7 +352,7 @@ func (n *Node) Map() *Map { return n.currentMap() }
 // redirect; dumb clients see it as an error. Multi-key reads (PFCOUNT
 // with several keys, PFMERGE, KEYS) are always served — they are
 // scatter-gathers with no single owner to point at. Internal forwards
-// (the CLUSTER L*/MLADD/ABSORB verbs) are exempt by construction:
+// (the CLUSTER L*/MLADD/XFER verbs) are exempt by construction:
 // they bypass the public handlers entirely, so a replica can never
 // bounce a replication write into a redirect loop. Off by default;
 // safe to toggle at runtime.
@@ -1109,38 +1109,50 @@ func (n *Node) gatherWindows(m *Map, keys []string) (*window.Counter, error) {
 }
 
 // MergeKeys stores the cluster-wide union of the source keys (and dest's
-// current value) at dest, replicated to all of dest's owners.
+// current value) at dest, replicated to all of dest's owners. Re-sending
+// the union is harmless (merges are idempotent), so a PFMERGE that an
+// owner refused for holding a newer map retries once under that map.
 func (n *Node) MergeKeys(dest string, sources ...string) error {
 	if err := validKeys(append([]string{dest}, sources...)); err != nil {
 		return err
 	}
-	m := n.currentMap()
-	acc, err := n.gather(m, append(append([]string{}, sources...), dest))
-	if err != nil {
-		return err
-	}
-	if acc == nil {
-		if acc, err = core.NewHybrid(n.store.Config()); err != nil {
+	keys := append(append([]string{}, sources...), dest)
+	return n.withStaleMapRetry(func(m *Map) error {
+		acc, err := n.gather(m, keys)
+		if err != nil {
 			return err
 		}
-	}
-	blob, err := acc.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	return n.absorbAll(m.Owners(dest), dest, blob)
+		if acc == nil {
+			if acc, err = core.NewHybrid(n.store.Config()); err != nil {
+				return err
+			}
+		}
+		blob, err := acc.MarshalBinary()
+		if err != nil {
+			return err
+		}
+		return n.absorbAll(m, dest, blob)
+	})
 }
 
-// absorbAll merges blob into key on every given owner, imposing no
-// deadline (ABSORB's 0): a destination that already has a lifetime
-// keeps it.
-func (n *Node) absorbAll(owners []Member, key string, blob []byte) error {
-	b64 := base64.StdEncoding.EncodeToString(blob)
-	return n.eachOwner(owners, func(o Member) error {
+// absorbAll merges blob into key on every owner under m: a remote owner
+// gets it as a one-record XFER frame. The record imposes no deadline, so a
+// destination that already has a lifetime keeps it. An owner that refuses
+// the frame for holding a newer map has that map installed here
+// (reconcileMap), so MergeKeys' retry routes by it.
+func (n *Node) absorbAll(m *Map, key string, blob []byte) error {
+	return n.eachOwner(m.Owners(key), func(o Member) error {
 		if o.ID == n.id {
 			return n.store.MergeBlob(key, blob)
 		}
-		_, err := n.peers.do(o.Addr, "CLUSTER", "ABSORB", key, b64, "0")
+		s := n.newStream(o.Addr, m.Epoch, nil, nil)
+		s.add(server.KeyBlob{Key: key, Blob: blob})
+		err := s.close()
+		if errors.Is(err, errStale) {
+			if rerr := n.reconcileMap(o.Addr); rerr != nil {
+				err = errors.Join(err, rerr)
+			}
+		}
 		return err
 	})
 }
@@ -1242,7 +1254,6 @@ var clusterVerbs = []struct {
 	{"LDEADLINE", 1, 1, "-ERR CLUSTER LDEADLINE needs exactly one key", (*Node).handleLDeadline},
 	{"LPERSIST", 1, 1, "-ERR CLUSTER LPERSIST needs exactly one key", (*Node).handleLPersist},
 	{"LKEYS", 0, 0, "-ERR CLUSTER LKEYS takes no arguments", (*Node).handleLKeys},
-	{"ABSORB", 3, 3, "-ERR CLUSTER ABSORB needs a key, a base64 payload and a deadline", (*Node).handleAbsorb},
 	{"MLADD", 1, -1, "-ERR CLUSTER MLADD needs a group count", (*Node).handleMLAdd},
 	{"XFER", 3, 3, xferUsage, (*Node).handleXfer},
 }
@@ -1324,24 +1335,6 @@ func (n *Node) handleLPersist(reply []byte, args [][]byte) []byte {
 
 func (n *Node) handleLKeys(reply []byte, _ [][]byte) []byte {
 	return append(append(reply, '+'), strings.Join(n.store.Keys(), " ")...)
-}
-
-// handleAbsorb serves PFMERGE's absorbAll, the one sender. The deadline is
-// an expiry to impose (unix milliseconds); absorbAll sends 0, none, so a
-// destination keeps its own lifetime.
-func (n *Node) handleAbsorb(reply []byte, args [][]byte) []byte {
-	blob, err := base64.StdEncoding.AppendDecode(nil, args[1])
-	if err != nil {
-		return append(reply, "-ERR bad base64: "+err.Error()...)
-	}
-	deadline, ok := server.ParseIntBytes(args[2])
-	if !ok || deadline < 0 || deadline > server.MaxDeadlineMillis {
-		return fmt.Appendf(reply, "-ERR bad CLUSTER ABSORB deadline %q", args[2])
-	}
-	if err := n.store.MergeBlobDeadline(string(args[0]), blob, deadline); err != nil {
-		return append(reply, "-ERR "+err.Error()...)
-	}
-	return append(reply, "+OK"...)
 }
 
 // appendYes appends a local verb's :1 or :0.

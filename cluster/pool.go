@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/base64"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -18,12 +19,13 @@ import (
 // fan-out across peers runs in parallel while same-peer commands queue.
 // Connections that error are dropped and redialed on next use.
 //
-// Beyond single commands the pool offers two batched paths:
+// Every request goes through exchange. Beyond single commands (do, and
+// direct on a connection of its own) there are two batched paths:
 //
 //   - pipeline sends a slice of commands in one write and reads the
 //     replies in one batch (server.Pipeline) — used by the read
-//     scatter-gather so N keys on one owner cost one round trip; batch
-//     is the same for lines the caller wrote, a transfer window's frames.
+//     scatter-gather so N keys on one owner cost one round trip; a
+//     transfer window's frames go the same way (stream.flush).
 //   - batchAdd/batchWAdd coalesce concurrent per-key add requests —
 //     plain and windowed mixed freely — to the same peer into a single
 //     CLUSTER MLADD command (group commit): while one flush is on the
@@ -33,10 +35,10 @@ import (
 // hook, when non-nil, is consulted before every outbound command; a
 // non-nil return aborts the command with that error. It exists for the
 // in-process test harness (simulated partitions and delays) and must
-// be set before the owning node starts serving. pipeline and batch consult
-// the hook once per queued command (so per-verb partitions and delays see
-// every logical command); the add batcher consults it once per flushed
-// batch, with the combined MLADD command.
+// be set before the owning node starts serving. pipeline and a transfer
+// window consult the hook once per queued command (so per-verb
+// partitions and delays see every logical command); the add batcher
+// consults it once per flushed batch, with the combined MLADD command.
 // alive, when non-nil, is invoked with the peer address after every
 // successful command or pipeline — transport-level proof the peer is
 // up, which the gossip failure detector folds in as heartbeat-grade
@@ -97,12 +99,10 @@ func (p *pool) get(addr string) (*server.Client, error) {
 		return c, nil
 	}
 	p.mu.Unlock()
-	t := p.timeout()
-	c, err := server.DialTimeout(addr, t)
+	c, err := p.dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	c.SetOpTimeout(t)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if prev, ok := p.conns[addr]; ok { // lost the dial race; keep the first
@@ -111,6 +111,17 @@ func (p *pool) get(addr string) (*server.Client, error) {
 	}
 	p.conns[addr] = c
 	return c, nil
+}
+
+// dial opens a connection to addr whose commands run under the peer
+// timeout.
+func (p *pool) dial(addr string) (*server.Client, error) {
+	t := p.timeout()
+	c, err := server.DialTimeout(addr, t)
+	if err == nil {
+		c.SetOpTimeout(t)
+	}
+	return c, err
 }
 
 func (p *pool) drop(addr string, c *server.Client) {
@@ -122,68 +133,81 @@ func (p *pool) drop(addr string, c *server.Client) {
 	c.Close()
 }
 
-// do runs one command against addr, classifying the outcome by
-// TRANSPORT, not by error kind: any parsed reply line — OK, a missing
-// key, a WRONGTYPE value, an arity error, a -MOVED redirect — means
-// the peer read the command and answered, so the pooled connection is
-// healthy (the protocol is strictly one-reply-one-line, no desync
-// possible) and the answer is liveness evidence for the failure
-// detector. Only dial/read/write failures drop the cached connection
-// for a redial on next use. Enumerating "benign" error replies here
-// would be wrong twice over: a novel error reply would needlessly
-// tear down a healthy connection, and — worse — feed the missing
-// alive() into the detector as spurious suspicion of a peer that just
-// answered.
-func (p *pool) do(addr string, parts ...string) (string, error) {
-	return p.send(addr, parts, func(c *server.Client) (string, error) { return c.Do(parts...) })
-}
-
-// send is do with the command put on the wire by cmd; head, its first
-// tokens, is what the fault hook is shown.
-func (p *pool) send(addr string, head []string, cmd func(*server.Client) (string, error)) (string, error) {
+// exchange is the one way a request reaches a peer. The fault hook is
+// shown each command's first tokens (heads), then run puts the request on
+// a connection — the pooled one, or with fresh a connection of its own,
+// closed afterwards — and reads the replies. The outcome is classified by
+// TRANSPORT, not by error kind: any parsed reply line — OK, a missing key,
+// a WRONGTYPE value, an arity error, a -MOVED redirect — means the peer
+// read the request and answered, so the connection is healthy (the
+// protocol is strictly one-reply-one-line, no desync possible) and the
+// answer is liveness evidence for the failure detector. Only dial, read
+// and write failures drop the pooled connection for a redial on next use.
+// Enumerating "benign" error replies here would be wrong twice over: a
+// novel error reply would needlessly tear down a healthy connection, and —
+// worse — feed the missing alive() into the detector as spurious suspicion
+// of a peer that just answered.
+func (p *pool) exchange(addr string, fresh bool, heads [][]string, run func(*server.Client) error) error {
 	if p.hook != nil {
-		if err := p.hook(addr, head); err != nil {
-			return "", err
+		for _, parts := range heads {
+			if err := p.hook(addr, parts); err != nil {
+				return err
+			}
 		}
 	}
-	c, err := p.get(addr)
+	connect := p.get
+	if fresh {
+		connect = p.dial
+	}
+	c, err := connect(addr)
 	if err != nil {
-		return "", err
+		return err
 	}
-	reply, err := cmd(c)
-	answered := err == nil || server.IsReplyErr(err)
-	if !answered {
+	if fresh {
+		defer c.Close()
+	}
+	err = run(c)
+	if err == nil || server.IsReplyErr(err) {
+		if p.alive != nil {
+			p.alive(addr)
+		}
+	} else if !fresh {
 		p.drop(addr, c)
-	} else if p.alive != nil {
-		// Even an error reply proves the peer answered.
-		p.alive(addr)
 	}
+	return err
+}
+
+// errStale marks a request the peer refused with -STALE: its map epoch
+// differs from the one the request was made under. The caller settles the
+// maps with that peer (reconcileMap) and retries at most once.
+var errStale = errors.New("cluster: peer map epoch differs")
+
+// asStale folds a -STALE reply into errStale.
+func asStale(err error) error {
+	if err != nil && server.IsReplyErr(err) && strings.HasPrefix(err.Error(), "STALE ") {
+		return fmt.Errorf("%w (%v)", errStale, err)
+	}
+	return err
+}
+
+// do runs one command against addr on the pooled connection.
+func (p *pool) do(addr string, parts ...string) (reply string, err error) {
+	err = p.exchange(addr, false, [][]string{parts}, func(c *server.Client) (err error) {
+		reply, err = c.Do(parts...)
+		return err
+	})
 	return reply, err
 }
 
-// direct runs one command against addr on a connection of its own, not
-// the pool's — for SETMAP and JOIN, whose handlers run a digest round
-// before they answer. That round's own traffic to this node travels on
-// the pool; a pooled connection held by a SETMAP waiting on it could hold
-// it up for good. The hook, the timeout and the alive callback apply as to
-// pooled commands.
-func (p *pool) direct(addr string, parts ...string) (string, error) {
-	if p.hook != nil {
-		if err := p.hook(addr, parts); err != nil {
-			return "", err
-		}
-	}
-	t := p.timeout()
-	c, err := server.DialTimeout(addr, t)
-	if err != nil {
-		return "", err
-	}
-	defer c.Close()
-	c.SetOpTimeout(t)
-	reply, err := c.Do(parts...)
-	if (err == nil || server.IsReplyErr(err)) && p.alive != nil {
-		p.alive(addr)
-	}
+// direct is do on a connection of its own, not the pool's — for SETMAP and
+// JOIN, whose handlers run a digest round before they answer. That round's
+// own traffic to this node travels on the pool; a pooled connection held
+// by a SETMAP waiting on it could hold it up for good.
+func (p *pool) direct(addr string, parts ...string) (reply string, err error) {
+	err = p.exchange(addr, true, [][]string{parts}, func(c *server.Client) (err error) {
+		reply, err = c.Do(parts...)
+		return err
+	})
 	return reply, err
 }
 
@@ -191,39 +215,16 @@ func (p *pool) direct(addr string, parts ...string) (string, error) {
 // Result per command. A transport-level failure drops the cached
 // connection; per-command protocol errors (e.g. a missing key) land in
 // the individual Results.
-func (p *pool) pipeline(addr string, cmds [][]string) ([]server.Result, error) {
-	return p.batch(addr, cmds, func(c *server.Client) ([]server.Result, error) {
+func (p *pool) pipeline(addr string, cmds [][]string) (results []server.Result, err error) {
+	err = p.exchange(addr, false, cmds, func(c *server.Client) (err error) {
 		pl := c.Pipeline()
 		for _, parts := range cmds {
 			pl.Do(parts...)
 		}
-		return pl.Exec()
+		results, err = pl.Exec()
+		return err
 	})
-}
-
-// batch is pipeline with the batch put on the wire by exec; heads holds
-// each command's first tokens, what the fault hook is shown.
-func (p *pool) batch(addr string, heads [][]string, exec func(*server.Client) ([]server.Result, error)) ([]server.Result, error) {
-	if p.hook != nil {
-		for _, parts := range heads {
-			if err := p.hook(addr, parts); err != nil {
-				return nil, err
-			}
-		}
-	}
-	c, err := p.get(addr)
-	if err != nil {
-		return nil, err
-	}
-	results, err := exec(c)
-	if err != nil {
-		p.drop(addr, c)
-		return nil, err
-	}
-	if p.alive != nil {
-		p.alive(addr)
-	}
-	return results, nil
+	return results, err
 }
 
 // addReq is one queued remote add awaiting a batched flush — plain
@@ -320,8 +321,9 @@ func (p *pool) flushAdds(addr string, batch []*addReq) {
 	p.mlBatches.Add(1)
 	p.mlGroups.Add(uint64(len(batch)))
 	// The line is written once, into the buffer it is sent from.
-	reply, err := p.send(addr, mlAddHead, func(c *server.Client) (string, error) {
-		return c.DoLine(func(line []byte) []byte {
+	var reply string
+	err := p.exchange(addr, false, mlAddHeads, func(c *server.Client) (err error) {
+		reply, err = c.DoLine(func(line []byte) []byte {
 			line = strconv.AppendInt(append(line, "CLUSTER MLADD "...), int64(len(batch)), 10)
 			for _, r := range batch {
 				if r.windowed {
@@ -336,6 +338,7 @@ func (p *pool) flushAdds(addr string, batch []*addReq) {
 			p.mlBytes.Add(uint64(len(line) + 1)) // and the line break
 			return line
 		})
+		return err
 	})
 	var toks []string
 	if err == nil {
@@ -367,7 +370,7 @@ func (p *pool) flushAdds(addr string, batch []*addReq) {
 	}
 }
 
-var mlAddHead = []string{"CLUSTER", "MLADD"}
+var mlAddHeads = [][]string{{"CLUSTER", "MLADD"}}
 
 // appendBatch appends the base64 of the batch's MarshalBinary bytes to
 // line. A batch of up to some 300 tokens is marshaled on the stack, so the

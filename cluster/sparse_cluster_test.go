@@ -100,7 +100,7 @@ func TestMixedSparseDenseKeyspaceConverges(t *testing.T) {
 		}
 	}
 	if fallbacks := sumTransferStats(h.running()).FallbackKeys; fallbacks != 0 {
-		t.Errorf("%d keys fell back from the transfer stream to per-key ABSORB", fallbacks)
+		t.Errorf("%d keys fell back from the transfer stream to a per-key path", fallbacks)
 	}
 	sparse, dense := 0, 0
 	for _, k := range keys {

@@ -127,7 +127,7 @@ func TestMetricsPollingCountsAsLiveness(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.setFaultHook(dropGossip)
-		n.SetGossipConfig(GossipConfig{SuspectAfter: testSuspectAfter})
+		n.gsp.suspectAfter = testSuspectAfter
 		if err := n.Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}

@@ -3,11 +3,9 @@ package cluster
 import (
 	"bytes"
 	"encoding/base64"
-	"errors"
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -22,7 +20,7 @@ import (
 //
 //	CLUSTER XFER FRAME e=<epoch> <base64 frame>  → +OK | -STALE e=<cur> | -ERR ...
 //
-// requests on the pooled connection: up to Window frames in one write,
+// requests on the pooled connection: up to xferWindow frames in one write,
 // their replies read back in one batch. The receiver applies the epoch
 // fence — a receiver whose map is newer than the sender's refuses with
 // -STALE; a sender ahead of it is fine, its map follows — decodes the
@@ -34,65 +32,16 @@ import (
 // frame that did not is shipped again by that round. A stream that fails
 // returns its error, and nothing it did not hand off is deleted.
 
-// TransferConfig tunes the transfer pipeline. Zero fields keep their
-// defaults (the SetGossipConfig convention). Every frame round trip runs
-// under the peer timeout (SetPeerTimeout), like any pooled peer command.
-type TransferConfig struct {
-	// BatchKeys is the maximum number of keys per frame (elld
-	// -xfer-batch).
-	BatchKeys int
-	// FrameBytes soft-caps a frame's key and blob bytes: a frame closes
-	// before the record that would take it past this (a single larger
-	// record travels alone).
-	FrameBytes int
-	// Window is how many frames go out in one round trip (elld
-	// -xfer-window).
-	Window int
-}
+// xferWindow is how many frames a stream sends in one round trip. Every
+// frame round trip runs under the peer timeout (SetPeerTimeout), like any
+// pooled peer command.
+const xferWindow = 8
 
-func defaultTransferConfig() TransferConfig {
-	return TransferConfig{
-		BatchKeys:  server.DefaultFrameKeys,
-		FrameBytes: server.DefaultFrameBytes,
-		Window:     8,
-	}
-}
-
-// SetTransferConfig applies c to this node's transfer pipeline; zero
-// fields keep their defaults. Safe to call at runtime; streams in flight
-// finish under the config they started with.
-func (n *Node) SetTransferConfig(c TransferConfig) {
-	d := defaultTransferConfig()
-	if c.BatchKeys <= 0 {
-		c.BatchKeys = d.BatchKeys
-	}
-	if c.BatchKeys > server.MaxFrameKeys {
-		c.BatchKeys = server.MaxFrameKeys
-	}
-	if c.FrameBytes <= 0 {
-		c.FrameBytes = d.FrameBytes
-	}
-	if c.FrameBytes > server.MaxFrameBytes {
-		c.FrameBytes = server.MaxFrameBytes
-	}
-	if c.Window <= 0 {
-		c.Window = d.Window
-	}
-	n.xfer.cfg.Store(&c)
-}
-
-func (n *Node) transferConfig() TransferConfig {
-	if c := n.xfer.cfg.Load(); c != nil {
-		return *c
-	}
-	return defaultTransferConfig()
-}
-
-// transferState is the per-node transfer config and the sender's
-// counters. It lives as one field on Node so node.go stays focused on
-// membership.
+// transferState is the sender's counters, and the window its streams use
+// (xferWindow; a test may narrow it before the node moves data). It lives
+// as one field on Node so node.go stays focused on membership.
 type transferState struct {
-	cfg atomic.Pointer[TransferConfig]
+	window int
 
 	streams   atomic.Uint64 // streams that sent a frame
 	frames    atomic.Uint64 // frames sent
@@ -127,10 +76,6 @@ func (n *Node) TransferStats() TransferStats {
 
 // --- sender ------------------------------------------------------------
 
-// errXferStale marks a stream the receiver refused because its map has
-// moved to a newer epoch.
-var errXferStale = errors.New("cluster: xfer refused: receiver map epoch is newer")
-
 // stream ships records to one peer. add gathers them into frames, and a
 // window of frames goes out as one pipelined round trip, so a stream holds
 // the frame it fills and the window's lines, never more. After the first
@@ -138,9 +83,8 @@ var errXferStale = errors.New("cluster: xfer refused: receiver map epoch is newe
 type stream struct {
 	n     *Node
 	addr  string
-	head  []string // what the fault hook is shown for each frame
-	cfg   TransferConfig
-	count *atomic.Uint64 // the keys the peer merged are counted here
+	head  []string       // what the fault hook is shown for each frame
+	count *atomic.Uint64 // the keys the peer merged are counted here, if not nil
 	acked func(keys []string)
 
 	recs   []server.KeyBlob // the frame being filled
@@ -157,15 +101,14 @@ type windowFrame struct {
 	wire, blob int
 }
 
-// newStream starts a stream to addr under the map epoch. count tallies
-// the keys the peer merged; acked, when not nil, is told them frame by
-// frame.
+// newStream starts a stream to addr under the map epoch. count, when not
+// nil, tallies the keys the peer merged; acked, when not nil, is told them
+// frame by frame.
 func (n *Node) newStream(addr string, epoch uint64, count *atomic.Uint64, acked func(keys []string)) *stream {
 	return &stream{
 		n:     n,
 		addr:  addr,
 		head:  []string{"CLUSTER", "XFER", "FRAME", "e=" + strconv.FormatUint(epoch, 10)},
-		cfg:   n.transferConfig(),
 		count: count,
 		acked: acked,
 	}
@@ -178,7 +121,7 @@ func (s *stream) add(kb server.KeyBlob) {
 		return
 	}
 	sz := len(kb.Key) + len(kb.Blob)
-	if len(s.recs) == s.cfg.BatchKeys || len(s.recs) > 0 && s.raw+sz > s.cfg.FrameBytes {
+	if server.FrameFull(len(s.recs), s.raw, sz) {
 		s.closeFrame()
 	}
 	s.recs = append(s.recs, kb)
@@ -201,7 +144,7 @@ func (s *stream) closeFrame() {
 	s.window = append(s.window, f)
 	clear(s.recs)
 	s.recs, s.raw = s.recs[:0], 0
-	if len(s.window) == s.cfg.Window {
+	if len(s.window) == s.n.xfer.window {
 		s.flush()
 	}
 }
@@ -216,8 +159,10 @@ func (s *stream) flush() {
 	for i := range heads {
 		heads[i] = s.head
 	}
-	results, err := s.n.peers.batch(s.addr, heads, func(c *server.Client) ([]server.Result, error) {
-		return c.DoLines(s.lines, len(heads))
+	var results []server.Result
+	err := s.n.peers.exchange(s.addr, false, heads, func(c *server.Client) (err error) {
+		results, err = c.DoLines(s.lines, len(heads))
+		return err
 	})
 	if err == nil {
 		if !s.opened {
@@ -237,15 +182,14 @@ func (s *stream) flush() {
 			break
 		}
 		s.n.xfer.bytes.Add(uint64(f.blob))
-		s.count.Add(uint64(len(f.keys)))
+		if s.count != nil {
+			s.count.Add(uint64(len(f.keys)))
+		}
 		if s.acked != nil {
 			s.acked(f.keys)
 		}
 	}
-	if err != nil && strings.Contains(err.Error(), "STALE") {
-		err = fmt.Errorf("%w (%v)", errXferStale, err)
-	}
-	s.err = err
+	s.err = asStale(err)
 	s.lines, s.window = s.lines[:0], s.window[:0]
 }
 

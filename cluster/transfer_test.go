@@ -183,11 +183,11 @@ func TestTransferResumesAfterMidStreamDrop(t *testing.T) {
 	}
 	const (
 		total  = 2200
-		batch  = 64
+		batch  = server.DefaultFrameKeys // tiny keys: a frame closes at its key count
 		window = 2
 		dropAt = 6
 	)
-	h := newHarnessCfg(t, 1, 2, &TransferConfig{BatchKeys: batch, Window: window})
+	h := newHarnessCfg(t, 1, 2, window)
 	keyName := func(k int) string { return fmt.Sprintf("drop-%d", k) }
 	for k := 0; k < total; k++ {
 		if _, err := h.node("n1").Add(keyName(k), "x"); err != nil {
@@ -253,11 +253,11 @@ func TestTransferResumesAfterReceiverCrashRestart(t *testing.T) {
 	}
 	const (
 		total  = 2400
-		batch  = 64
-		window = 1 // one frame a round trip: the crash point is exactly stopAt-1 merged frames
+		batch  = server.DefaultFrameKeys // tiny keys: a frame closes at its key count
+		window = 1                       // one frame a round trip: the crash point is exactly stopAt-1 merged frames
 		stopAt = 6
 	)
-	h := newHarnessCfg(t, 1, 2, &TransferConfig{BatchKeys: batch, Window: window})
+	h := newHarnessCfg(t, 1, 2, window)
 	keyName := func(k int) string { return fmt.Sprintf("cr-%d", k) }
 	for k := 0; k < total; k++ {
 		if _, err := h.node("n1").Add(keyName(k), "x"); err != nil {
@@ -371,6 +371,10 @@ func TestLeaveDrainHoldsOneWindow(t *testing.T) {
 	defer ln.Close()
 	var peak uint64
 	var frames int
+	// The stand-in's read buffer holds one frame line (64 of these keys,
+	// ~307 KB of base64). It is made before the heap is measured: what is
+	// measured is the drain's heap.
+	r := bufio.NewReaderSize(nil, 512<<10)
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
@@ -379,7 +383,7 @@ func TestLeaveDrainHoldsOneWindow(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		r := bufio.NewReaderSize(c, 256<<10)
+		r.Reset(c)
 		for {
 			line, err := r.ReadSlice('\n')
 			if err != nil {
@@ -407,7 +411,7 @@ func TestLeaveDrainHoldsOneWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	n.SetTransferConfig(TransferConfig{FrameBytes: 64 << 10, Window: 2})
+	n.xfer.window = 1 // a window of one ~307 KB frame line; the default 8 would outgrow the bound below
 	const keys = 2400 // dense keys of 3 592 bytes: 8.6 MB
 	for i := 0; i < keys; i++ {
 		if err := n.Store().Restore(fmt.Sprintf("dense-%04d", i), denseBlob(t, fmt.Sprint(i))); err != nil {
@@ -436,7 +440,7 @@ func TestLeaveDrainHoldsOneWindow(t *testing.T) {
 	growth := int64(peak) - int64(before)
 	t.Logf("%d keys drained in %d frames: live heap grew by at most %d bytes", keys, frames, growth)
 	if growth > 1<<20 {
-		t.Errorf("draining grew the live heap by %d bytes, want at most 1 MB (a window is ~170 KB, the store 8.6 MB)", growth)
+		t.Errorf("draining grew the live heap by %d bytes, want at most 1 MB (a window is ~307 KB, the store 8.6 MB)", growth)
 	}
 }
 

@@ -195,9 +195,10 @@ func TestPoolKeepsConnectionOnWrongType(t *testing.T) {
 	if before == nil {
 		t.Fatal("no pooled connection after PING")
 	}
-	plain := base64.StdEncoding.EncodeToString(denseBlob(t, "y"))
-	if _, err := n1.peers.do(n2.Addr(), "CLUSTER", "ABSORB", "wkey", plain, "0"); !errors.Is(err, server.ErrWrongType) {
-		t.Fatalf("ABSORB of a plain sketch into a windowed key: %v, want ErrWrongType", err)
+	plain := base64.StdEncoding.EncodeToString(server.EncodeFrame([]server.KeyBlob{{Key: "wkey", Blob: denseBlob(t, "y")}}))
+	epoch := fmt.Sprintf("e=%d", n2.Map().Epoch)
+	if _, err := n1.peers.do(n2.Addr(), "CLUSTER", "XFER", "FRAME", epoch, plain); !errors.Is(err, server.ErrWrongType) {
+		t.Fatalf("a frame merging a plain sketch into a windowed key: %v, want ErrWrongType", err)
 	}
 	n1.peers.mu.Lock()
 	after := n1.peers.conns[n2.Addr()]
@@ -209,7 +210,7 @@ func TestPoolKeepsConnectionOnWrongType(t *testing.T) {
 
 // TestClusterWindowedRebalance: windowed keys ride the ordinary
 // membership machinery — a join moves them to their new owners with
-// slot-wise ABSORB merges, a leave drains them — and every windowed
+// slot-wise frame merges, a leave drains them — and every windowed
 // estimate is unchanged afterwards, from every surviving node.
 func TestClusterWindowedRebalance(t *testing.T) {
 	nodes := startCluster(t, 3, 2)

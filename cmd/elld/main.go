@@ -11,9 +11,7 @@
 //	     [-window-slice 1s] [-window-slices 60] [-metrics-addr 127.0.0.1:9100] \
 //	     [-default-ttl 0] [-mem-high 0] [-mem-low 0] [-sweep-interval 10s]
 //	elld -node-id n1 [-replicas 2] [-join host:port] \
-//	     [-gossip-interval 1s] [-suspect-after 5] \
-//	     [-strict-routing] [-peer-timeout 5s] \
-//	     [-xfer-batch 64] [-xfer-window 8] \
+//	     [-gossip-interval 1s] [-strict-routing] [-peer-timeout 5s] \
 //	     [-sync-digest-interval 30s]                 # cluster mode
 //
 // -metrics-addr serves Prometheus-text metrics at /metrics: per-verb
@@ -33,9 +31,9 @@
 //
 // Cluster nodes run a gossip failure detector: every -gossip-interval
 // the node exchanges heartbeat digests with a few peers, suspects any
-// member silent for -suspect-after intervals, and — once a quorum of
-// members agrees — evicts it with an epoch-fenced automatic LEAVE, so
-// a dead node leaves the map without operator action. The same
+// member silent for 5 intervals, and — once a quorum of members agrees
+// — evicts it with an epoch-fenced automatic LEAVE, so a dead node
+// leaves the map without operator action. The same
 // exchange carries the cluster map to a peer that missed a broadcast.
 // -gossip-interval 0 disables both (membership then changes only by
 // operator command, and maps heal on the digest round).
@@ -43,12 +41,12 @@
 // -peer-timeout bounds every node-to-node command (forwards,
 // scatter-gather, gossip, bulk transfer) with an I/O deadline: a
 // black-holed peer fails fast as a transport error and feeds the
-// failure detector instead of hanging an operation forever.
-// -xfer-batch and -xfer-window tune the transfer pipeline every data
-// movement rides — the digest round a membership change runs and the
-// periodic one alike (keys per frame, frames per round trip; see the
-// cluster package). A stream that fails is not retried: the next digest
-// round ships what it did not.
+// failure detector instead of hanging an operation forever. Every data
+// movement — the digest round a membership change runs, the periodic one
+// and PFMERGE's union alike — rides one transfer pipeline: frames of up to
+// 64 keys or about 1 MB, 8 frames a round trip (see the cluster package).
+// A stream that fails is not retried: the next digest round ships what it
+// did not.
 //
 // -sync-digest-interval is the anti-entropy period: each round the node
 // hands keys it holds but does not own to their owners, exchanges
@@ -64,8 +62,10 @@
 // lazy expiry still applies). -mem-high/-mem-low arm the memory
 // watermark: when approximate resident sketch bytes exceed -mem-high,
 // the sweep evicts the coldest keys until resident bytes drop to
-// -mem-low. In cluster mode deadlines are replicated as absolute
-// instants, so every replica expires a key at the same moment.
+// -mem-low. The two come together, 0 < -mem-low ≤ -mem-high; elld
+// refuses to start on either alone. In cluster mode deadlines are
+// replicated as absolute instants, so every replica expires a key at the
+// same moment.
 //
 // -strict-routing makes the node answer misrouted single-key data
 // commands with a -MOVED redirect instead of forwarding to the owners
@@ -124,7 +124,7 @@ type options struct {
 
 	// Cluster mode (nodeID non-empty).
 	nodeID, join                                    string
-	replicas, suspectAfter, xferBatch, xferWindow   int
+	replicas                                        int
 	gossipInterval, syncDigestInterval, peerTimeout time.Duration
 	strictRouting                                   bool
 
@@ -147,18 +147,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.join, "join", "", "address of any member of an existing cluster to join (cluster mode)")
 	fs.IntVar(&o.replicas, "replicas", 2, "number of nodes holding each key (cluster mode)")
 	fs.DurationVar(&o.gossipInterval, "gossip-interval", time.Second, "failure-detector gossip period, 0 disables (cluster mode)")
-	fs.IntVar(&o.suspectAfter, "suspect-after", 5, "gossip intervals a silent member survives before suspicion (cluster mode)")
 	fs.BoolVar(&o.strictRouting, "strict-routing", false, "answer misrouted single-key data commands with -MOVED instead of forwarding (cluster mode, for smart clients)")
 	fs.DurationVar(&o.peerTimeout, "peer-timeout", 5*time.Second, "I/O deadline per node-to-node command and transfer frame, 0 disables (cluster mode)")
-	fs.IntVar(&o.xferBatch, "xfer-batch", 64, "keys per bulk-transfer frame (cluster mode)")
-	fs.IntVar(&o.xferWindow, "xfer-window", 8, "transfer frames per round trip (cluster mode)")
 	fs.DurationVar(&o.syncDigestInterval, "sync-digest-interval", 30*time.Second, "anti-entropy period: each round drains stray keys to their owners and repairs diverged replicas by digest, 0 disables (cluster mode)")
 	fs.DurationVar(&o.windowSlice, "window-slice", time.Second, "slice duration of WADD-created sliding-window keys")
 	fs.IntVar(&o.windowSlices, "window-slices", 60, "number of slices in WADD-created rings (max window = slice x slices)")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus-text /metrics on this address (empty disables)")
 	fs.DurationVar(&o.defaultTTL, "default-ttl", 0, "expiry deadline stamped on every created key (0 disables); EXPIRE/PERSIST override per key")
-	fs.Int64Var(&o.memHigh, "mem-high", 0, "resident sketch bytes that trigger cold-key eviction (0 disables)")
-	fs.Int64Var(&o.memLow, "mem-low", 0, "resident sketch bytes eviction drains down to")
+	fs.Int64Var(&o.memHigh, "mem-high", 0, "resident sketch bytes that trigger cold-key eviction (0 disables; needs -mem-low)")
+	fs.Int64Var(&o.memLow, "mem-low", 0, "resident sketch bytes eviction drains down to (0 < -mem-low <= -mem-high)")
 	fs.DurationVar(&o.sweepInterval, "sweep-interval", 10*time.Second, "period of the background expiry sweep and watermark check (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return 2 // Parse has reported the error and the flag list
@@ -205,6 +202,11 @@ func every(ctx context.Context, d time.Duration, fn func()) {
 // access works regardless — the sweep only bounds how long an untouched
 // expired key can linger.
 func (o options) prepare(ctx context.Context, store *server.Store) error {
+	// Eviction drains down to -mem-low, so a high watermark without a low
+	// one would evict every key.
+	if o.memHigh > 0 && (o.memLow <= 0 || o.memLow > o.memHigh) || o.memHigh <= 0 && o.memLow != 0 {
+		return errors.New("-mem-high and -mem-low go together, 0 < -mem-low <= -mem-high")
+	}
 	if err := store.SetWindowConfig(o.windowSlice, o.windowSlices); err != nil {
 		return err
 	}
@@ -287,13 +289,8 @@ func (o options) serveCluster(ctx context.Context) error {
 	if err := o.prepare(ctx, node.Store()); err != nil {
 		return err
 	}
-	node.SetGossipConfig(cluster.GossipConfig{SuspectAfter: o.suspectAfter})
 	node.SetStrictRouting(o.strictRouting)
 	node.SetPeerTimeout(o.peerTimeout)
-	node.SetTransferConfig(cluster.TransferConfig{
-		BatchKeys: o.xferBatch,
-		Window:    o.xferWindow,
-	})
 	node.SetSnapshotPath(o.snapshot)
 	if err := node.Start(o.addr); err != nil {
 		return err

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -32,17 +34,32 @@ func (o *output) String() string {
 	return o.buf.String()
 }
 
+// TestRunUsageAndStartupErrors: a usage error is exit 2, a refused start
+// exit 1, and neither serves. Its context is cancelled up front, so a run
+// that wrongly starts serving returns at once with exit 0.
 func TestRunUsageAndStartupErrors(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, tc := range []struct {
 		args   []string
 		code   int
 		stderr string
 	}{
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
+		{[]string{"-addr", "127.0.0.1:0", "-xfer-batch", "64"}, 2, "flag provided but not defined: -xfer-batch"},
+		{[]string{"-addr", "127.0.0.1:0", "-xfer-window", "8"}, 2, "flag provided but not defined: -xfer-window"},
+		{[]string{"-addr", "127.0.0.1:0", "-suspect-after", "5"}, 2, "flag provided but not defined: -suspect-after"},
 		{[]string{"-strict-routing", "-addr", "127.0.0.1:0"}, 1, "-strict-routing requires cluster mode (-node-id)"},
+		// Eviction drains down to -mem-low: a high watermark alone would
+		// evict every key.
+		{[]string{"-mem-high", "5000", "-addr", "127.0.0.1:0"}, 1, "-mem-high and -mem-low go together, 0 < -mem-low <= -mem-high"},
+		{[]string{"-mem-high", "5000", "-mem-low", "6000", "-addr", "127.0.0.1:0"}, 1, "-mem-high and -mem-low go together, 0 < -mem-low <= -mem-high"},
+		{[]string{"-mem-high", "5000", "-mem-low", "-1", "-node-id", "n1", "-addr", "127.0.0.1:0"}, 1, "-mem-high and -mem-low go together, 0 < -mem-low <= -mem-high"},
+		{[]string{"-mem-low", "100", "-addr", "127.0.0.1:0"}, 1, "-mem-high and -mem-low go together, 0 < -mem-low <= -mem-high"},
+		{[]string{"-mem-low", "100", "-node-id", "n1", "-addr", "127.0.0.1:0"}, 1, "-mem-high and -mem-low go together, 0 < -mem-low <= -mem-high"},
 	} {
 		var out, errOut bytes.Buffer
-		code := run(context.Background(), tc.args, &out, &errOut)
+		code := run(ctx, tc.args, &out, &errOut)
 		if code != tc.code || out.Len() != 0 || !strings.Contains(errOut.String(), tc.stderr) {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit %d and %q on stderr",
 				tc.args, code, out.String(), errOut.String(), tc.code, tc.stderr)
@@ -113,5 +130,47 @@ func TestRunClusterNodeServesAndSavesOnCancel(t *testing.T) {
 	}
 	if errOut.String() != "" {
 		t.Errorf("a healthy run logged to stderr: %q", errOut.String())
+	}
+}
+
+// TestUsageNamesEveryFlag: the usage block of the package doc names
+// exactly the flags run registers, so the doc cannot keep a flag that is
+// gone or miss one that was added.
+func TestUsageNamesEveryFlag(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(f.Doc.Text(), "Usage:\n\n")
+	if !ok {
+		t.Fatal("the package doc has no Usage block")
+	}
+	block, _, _ = strings.Cut(block, "\n\n")
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z-]*)`).FindAllStringSubmatch(block, -1) {
+		documented[m[1]] = true
+	}
+
+	// -h makes run print every flag it registers and exit 2.
+	var out, errOut bytes.Buffer
+	if code := run(context.Background(), []string{"-h"}, &out, &errOut); code != 2 {
+		t.Fatalf("-h: exit %d, want 2", code)
+	}
+	registered := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(errOut.String(), -1) {
+		registered[m[1]] = true
+	}
+	if len(registered) == 0 {
+		t.Fatalf("no flags in the -h output %q", errOut.String())
+	}
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("flag -%s is registered but not in the usage block", name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("the usage block names -%s, which run does not register", name)
+		}
 	}
 }

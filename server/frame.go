@@ -20,21 +20,20 @@ import (
 //	  uvarint  blob length, then the value blob
 const frameMagic = "ELX3"
 
+// DefaultFrameKeys and DefaultFrameBytes are where a frame closes (see
+// FrameFull). Snapshots and the cluster's transfer stream both use them.
 const (
-	// DefaultFrameKeys and DefaultFrameBytes are where a frame closes: at
-	// this many keys, or before the record that would take its keys and
-	// blobs past this many bytes (a single larger record travels alone).
-	// Snapshots use them as they are; they are the cluster transfer's
-	// defaults.
 	DefaultFrameKeys  = 64
 	DefaultFrameBytes = 1 << 20
-	// MaxFrameKeys bounds the per-frame key count a transfer config can
-	// ask for.
-	MaxFrameKeys = 1 << 16
-	// MaxFrameBytes keeps an encoded+base64 transfer frame safely under
-	// the line protocol's 16MB line cap.
-	MaxFrameBytes = 8 << 20
 )
+
+// FrameFull reports whether a frame of keys records, whose keys and blobs
+// take size bytes, must close before a record of next key and blob bytes
+// joins it: at DefaultFrameKeys records, or before the record that would
+// take it past DefaultFrameBytes. A single larger record travels alone.
+func FrameFull(keys, size, next int) bool {
+	return keys == DefaultFrameKeys || keys > 0 && size+next > DefaultFrameBytes
+}
 
 // KeyBlob is one record of a frame: a key, its serialized value and the
 // key's absolute expiry deadline (0 = none), so a moved or restored key

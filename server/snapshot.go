@@ -78,7 +78,7 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 				continue
 			}
 			sz := len(ne.key) + len(t.Blob)
-			if keys == DefaultFrameKeys || keys > 0 && raw+sz > DefaultFrameBytes {
+			if FrameFull(keys, raw, sz) {
 				if err := flush(); err != nil {
 					return err
 				}

@@ -867,21 +867,21 @@ func (s *Store) Restore(key string, data []byte) error {
 // commutative and idempotent). Windowed blobs merge slot-wise. A
 // type mismatch against a non-empty existing value is ErrWrongType.
 func (s *Store) MergeBlob(key string, data []byte) error {
-	return s.MergeBlobDeadline(key, data, 0)
+	return s.mergeBlob(key, data, 0)
 }
 
-// MergeBlobDeadline is MergeBlob for blobs that travel with the source
-// key's expiry deadline (unix milliseconds, 0 = none) — rebalance,
-// streaming transfer and replication all use it so a moved key keeps
-// its lifetime. Deadlines merge monotonically: a fresh (empty) entry
-// adopts the incoming deadline verbatim; otherwise the later of the
-// two deadlines wins (treating a local "none" as adoptable, so a
-// racing plain create cannot strip the TTL a rebalance blob carries),
-// and an incoming "none" leaves local state alone — replicas converge
-// on the maximum known deadline no matter the merge order, exactly
-// like the sketches themselves. A blob whose deadline already passed
-// is dropped whole: merging it could only resurrect a ghost.
-func (s *Store) MergeBlobDeadline(key string, data []byte, deadlineMillis int64) error {
+// mergeBlob is MergeBlob for blobs that travel with the source key's
+// expiry deadline (unix milliseconds, 0 = none) — every transfer record
+// does (AbsorbBatch), so a moved key keeps its lifetime. Deadlines merge
+// monotonically: a fresh (empty) entry adopts the incoming deadline
+// verbatim; otherwise the later of the two deadlines wins (treating a
+// local "none" as adoptable, so a racing plain create cannot strip the
+// TTL a rebalance blob carries), and an incoming "none" leaves local
+// state alone — replicas converge on the maximum known deadline no
+// matter the merge order, exactly like the sketches themselves. A blob
+// whose deadline already passed is dropped whole: merging it could only
+// resurrect a ghost.
+func (s *Store) mergeBlob(key string, data []byte, deadlineMillis int64) error {
 	in, err := decodeValue(data)
 	if err != nil {
 		return fmt.Errorf("server: merge blob into %q: %w", key, err)
@@ -913,7 +913,7 @@ func (s *Store) MergeBlobDeadline(key string, data []byte, deadlineMillis int64)
 // error; re-applying an already-merged prefix is a no-op.
 func (s *Store) AbsorbBatch(pairs []KeyBlob) error {
 	for _, p := range pairs {
-		if err := s.MergeBlobDeadline(p.Key, p.Blob, p.Deadline); err != nil {
+		if err := s.mergeBlob(p.Key, p.Blob, p.Deadline); err != nil {
 			return err
 		}
 	}

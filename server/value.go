@@ -94,9 +94,9 @@ func (d *pendingValue) tag() byte {
 // decodeValue decodes a serialized value, dispatching on the blob's own
 // magic: "ELW1" is a window ring, anything else is handed to the core
 // decoder (an "ELT3" token blob or a dense sketch). This is what keeps
-// RESTORE, ABSORB, transfer and snapshot records polymorphic without a
-// type tag — every value format is self-describing. The result shares no
-// memory with data.
+// RESTORE, transfer records (PFMERGE's union among them) and snapshot
+// records polymorphic without a type tag — every value format is
+// self-describing. The result shares no memory with data.
 func decodeValue(data []byte) (d pendingValue, err error) {
 	if window.IsSerialized(data) {
 		d.win, err = window.FromBinary(data)
