@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"errors"
@@ -28,18 +27,20 @@ import (
 //
 // Wire protocol (CLUSTER subcommands on the ordinary line protocol):
 //
-//	CLUSTER DSUM <peerID> e=<epoch>            → =<b64 digest vector> | -STALE e=<cur>
-//	CLUSTER DKEYS <peerID> e=<epoch> <shards>  → =<b64 key digests>   | -STALE e=<cur>
+//	CLUSTER DSUM <peerID> e=.. v=.. c=..            → =<b64 digest vector> | -STALE e=.. v=.. c=..
+//	CLUSTER DKEYS <peerID> e=.. v=.. c=.. <shards>  → =<b64 key digests>   | -STALE e=.. v=.. c=..
 //
 // <peerID> is the REQUESTER's node ID: the responder folds only keys
 // co-owned by both nodes under its current map, which is what makes
 // the vectors comparable — each side digests the same key population.
-// Both sides insist on the same map epoch (-STALE otherwise), since
-// comparing digests across different ownership views would ship keys
-// to nodes that no longer own them; the refused requester settles the
-// maps with that one peer (reconcileMap), so digest rounds alone heal
-// a missed broadcast. <shards> is a comma-separated list of shard
-// indices whose folded digests disagreed.
+// Both sides insist on the same map — the same (epoch, version,
+// coordinator) triple, Map.Triple's fields; -STALE with the responder's
+// otherwise — since comparing digests across different ownership views
+// would ship keys to nodes that no longer own them. Rival maps of one
+// epoch hold different members too. The refused requester settles the
+// maps with that one peer (reconcileMap), so digest rounds alone heal a
+// missed broadcast. <shards> is a comma-separated list of shard indices
+// whose folded digests disagreed.
 //
 // Repair is push-only and merge-based: each node ships the divergent
 // keys IT holds as XFER frames (see transfer.go) and trusts the peer's
@@ -158,26 +159,24 @@ func (n *Node) coOwnedFilter(m *Map, peerID string) func(string) bool {
 	}
 }
 
-// digestFilter checks DSUM's and DKEYS's requester ID and e=<epoch>,
-// enforces the epoch fence and filters the keys the two nodes co-own.
+// digestFilter checks DSUM's and DKEYS's requester ID and map triple,
+// enforces the map fence and filters the keys the two nodes co-own.
 func (n *Node) digestFilter(args [][]byte) (filter func(string) bool, errReply string) {
-	if !bytes.HasPrefix(args[1], []byte("e=")) {
-		return nil, "-ERR needs a requester ID and e=<epoch>"
-	}
 	peerID := string(args[0])
 	if !validID(peerID) {
 		return nil, fmt.Sprintf("-ERR invalid requester ID %q", peerID)
 	}
-	epoch, err := strconv.ParseUint(string(args[1][2:]), 10, 64)
+	t, err := parseTriple(server.StringArgs(args[1:4]))
 	if err != nil {
-		return nil, fmt.Sprintf("-ERR bad epoch %s", args[1])
+		return nil, "-ERR " + err.Error()
 	}
 	m := n.currentMap()
-	// Strict both-ways fence (unlike XFER's one-sided one): digests
-	// computed under different maps cover different key populations, so
-	// comparing them would only manufacture phantom divergence.
-	if m.Epoch != epoch {
-		return nil, fmt.Sprintf("-STALE e=%d", m.Epoch)
+	// Strict both-ways fence on the whole triple (unlike XFER's one-sided
+	// epoch fence): digests computed under different maps cover different
+	// key populations, so comparing them would only manufacture phantom
+	// divergence.
+	if m.triple() != t {
+		return nil, "-STALE " + m.Triple()
 	}
 	return n.coOwnedFilter(m, peerID), ""
 }
@@ -198,7 +197,7 @@ func (n *Node) handleDigestKeys(reply []byte, args [][]byte) []byte {
 		return append(reply, errReply...)
 	}
 	var kds []server.KeyDigest
-	for _, tok := range strings.Split(string(args[2]), ",") {
+	for _, tok := range strings.Split(string(args[4]), ",") {
 		shard, err := strconv.Atoi(tok)
 		if err != nil || shard < 0 || shard >= server.NumShards {
 			return fmt.Appendf(reply, "-ERR bad shard index %q", tok)
@@ -227,7 +226,7 @@ func (n *Node) installAndSync(m *Map) error {
 // their owners. Then, against each peer, it exchanges per-shard digest
 // vectors, narrows disagreeing shards to per-key digests and ships the
 // divergent keys this node holds; what the drain delivered no longer
-// differs. A peer whose map epoch differs refuses the exchange: the maps
+// differs. A peer whose map differs refuses the exchange: the maps
 // are reconciled with that peer on the spot and the peer is tried once
 // more. Every peer is tried; the errors are joined.
 //
@@ -271,9 +270,9 @@ func (n *Node) digestSyncPeer(peer Member, membership bool) error {
 	}
 	filter := n.coOwnedFilter(m, peer.ID)
 	local := n.store.ShardDigests(filter)
-	epochTok := "e=" + strconv.FormatUint(m.Epoch, 10)
+	tri := strings.Fields(m.Triple())
 	n.digestRounds.Add(1)
-	body, err := n.peers.do(peer.Addr, "CLUSTER", "DSUM", n.id, epochTok)
+	body, err := n.peers.do(peer.Addr, append([]string{"CLUSTER", "DSUM", n.id}, tri...)...)
 	if err != nil {
 		return asStale(err)
 	}
@@ -292,7 +291,7 @@ func (n *Node) digestSyncPeer(peer Member, membership bool) error {
 	if len(diff) == 0 {
 		return nil // converged: the whole round cost one message
 	}
-	body, err = n.peers.do(peer.Addr, "CLUSTER", "DKEYS", n.id, epochTok, strings.Join(list, ","))
+	body, err = n.peers.do(peer.Addr, append(append([]string{"CLUSTER", "DKEYS", n.id}, tri...), strings.Join(list, ","))...)
 	if err != nil {
 		return asStale(err)
 	}

@@ -168,36 +168,69 @@ func FuzzDigestDecode(f *testing.F) {
 }
 
 // TestDigestHandlersEpochFence: DSUM and DKEYS refuse a requester whose
-// map epoch differs with -STALE — digests computed under different
-// ownership views cover different key populations, so comparing them
-// would manufacture phantom divergence.
+// map triple differs with -STALE and the responder's triple — digests
+// computed under different ownership views cover different key
+// populations, so comparing them would manufacture phantom divergence. A
+// rival map of the same epoch differs as much as an older one.
 func TestDigestHandlersEpochFence(t *testing.T) {
 	h := newHarness(t, 2, 2)
 	n := h.node("n1")
-	cur := n.currentMap().Epoch
-	wrong := fmt.Sprintf("e=%d", cur+7)
-	for _, args := range [][]string{
-		{"CLUSTER", "DSUM", "n2", wrong},
-		{"CLUSTER", "DKEYS", "n2", wrong, "0,1"},
+	m := n.currentMap()
+	cur := m.Triple()
+	for _, wrong := range []string{
+		fmt.Sprintf("e=%d v=%d c=n1", m.Epoch+7, m.Version),
+		fmt.Sprintf("e=%d v=%d c=n1", m.Epoch, m.Version+1), // same epoch, other version
 	} {
-		_, err := h.do("n1", args...)
-		if err == nil || !strings.Contains(err.Error(), "STALE") {
-			t.Errorf("%s with wrong epoch: err = %v, want -STALE", args[1], err)
+		tri := strings.Fields(wrong)
+		for _, args := range [][]string{
+			append([]string{"CLUSTER", "DSUM", "n2"}, tri...),
+			append(append([]string{"CLUSTER", "DKEYS", "n2"}, tri...), "0,1"),
+		} {
+			_, err := h.do("n1", args...)
+			if err == nil || err.Error() != "STALE "+cur {
+				t.Errorf("%s with %s: err = %v, want -STALE %s", args[1], wrong, err, cur)
+			}
 		}
 	}
-	// The right epoch answers with a payload.
-	reply, err := h.do("n1", "CLUSTER", "DSUM", "n2", fmt.Sprintf("e=%d", cur))
+	// The right triple answers with a payload.
+	tri := strings.Fields(cur)
+	reply, err := h.do("n1", append([]string{"CLUSTER", "DSUM", "n2"}, tri...)...)
 	if err != nil {
-		t.Fatalf("DSUM at the current epoch: %v", err)
+		t.Fatalf("DSUM at the current map: %v", err)
 	}
 	if _, err := decodeDigestVector(reply); err != nil {
 		t.Fatalf("DSUM reply did not decode: %v", err)
 	}
-	if _, err := h.do("n1", "CLUSTER", "DKEYS", "bad id", fmt.Sprintf("e=%d", cur), "0"); err == nil {
+	if _, err := h.do("n1", append(append([]string{"CLUSTER", "DKEYS", "bad id"}, tri...), "0")...); err == nil {
 		t.Error("invalid requester ID accepted")
 	}
-	if _, err := h.do("n1", "CLUSTER", "DKEYS", "n2", fmt.Sprintf("e=%d", cur), "999"); err == nil {
+	if _, err := h.do("n1", append(append([]string{"CLUSTER", "DKEYS", "n2"}, tri...), "999")...); err == nil {
 		t.Error("out-of-range shard index accepted")
+	}
+}
+
+// TestDigestSyncHealsEqualEpochRivals: two nodes hold rival maps of one
+// epoch — as a claim that could not reach quorum leaves them — and no
+// gossip runs. The DSUM fence sees the whole triple, so one DigestSync
+// refuses, settles the maps with the peer and leaves both on the newer.
+func TestDigestSyncHealsEqualEpochRivals(t *testing.T) {
+	h := newHarness(t, 2, 2)
+	n1, n2 := h.node("n1"), h.node("n2")
+	for k := 0; k < 20; k++ {
+		if _, err := n1.Add(fmt.Sprintf("rival-%d", k), "a", "b"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur := n1.Map()
+	h.start("x1", "127.0.0.1:0")
+	rivalA := cur.withNode("x1", h.addr("x1"), cur.Epoch+1, "n1")
+	rivalB := cur.withNode("x2", "127.0.0.1:1", cur.Epoch+1, "n2")
+	if !n1.swapMap(rivalA) || !n2.swapMap(rivalB) {
+		t.Fatal("fixture: the rival maps did not install")
+	}
+	if n1.DigestSync(); n1.Map().Encode() != rivalB.Encode() || n2.Map().Encode() != rivalB.Encode() {
+		t.Fatalf("one digest round left rival maps: n1 %s, n2 %s, want %s",
+			n1.Map().Encode(), n2.Map().Encode(), rivalB.Encode())
 	}
 }
 

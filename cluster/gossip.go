@@ -9,7 +9,9 @@ package cluster
 // heartbeat, plus a piggybacked suspicion bit and the sender's map
 // ordering triple) to a few peers chosen round-robin, and processes the
 // digest each peer sends back, so liveness information spreads
-// epidemically in O(log N) rounds.
+// epidemically in O(log N) rounds. The triples heal maps: a pusher whose
+// reply shows a newer one pulls that peer's map (CLUSTER MAP), one that
+// shows an older one gets a targeted CLUSTER SETMAP. No map rides a digest.
 //
 // A peer whose evidence has not advanced for suspectAfter rounds
 // becomes SUSPECT locally; the suspicion bit travels with every digest,
@@ -28,6 +30,7 @@ package cluster
 // what makes every failure-detection test deterministic.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -188,9 +191,8 @@ func (n *Node) Gossip() []string {
 	g.mu.Unlock()
 
 	// Push-pull exchange. Each reply carries the target's digest, which
-	// may deliver the suspicion bits that complete a quorum below — and,
-	// when the target's map supersedes ours, the full map piggybacked as
-	// an "@map" payload, healing us in the same round trip.
+	// may deliver the suspicion bits that complete a quorum below, and the
+	// target's map triple, which says who of the two is behind.
 	payload := append([]string{"CLUSTER", "GOSSIP"}, strings.Fields(digest)...)
 	for _, addr := range targets {
 		reply, err := n.peers.do(addr, payload...)
@@ -201,17 +203,15 @@ func (n *Node) Gossip() []string {
 		if err != nil {
 			continue
 		}
-		n.installDigestMap(d)
 		n.processDigest(d)
 		// Both best-effort: a failed heal retries on the next exchange.
 		switch cur := n.currentMap(); {
-		case tripleBehind(cur, d.Epoch, d.Version, d.Coordinator):
+		case cur.triple().after(d.triple()):
 			// The replier is behind our map: push it now, one targeted
 			// SETMAP, instead of leaving the laggard to discover it.
 			n.peers.direct(addr, setmapCommand(cur)...)
-		case cur.SupersededByTriple(d.Epoch, d.Version, d.Coordinator):
-			// The replier is still ahead, so its map did not fit the
-			// reply (size-capped): pull it from that one peer.
+		case d.triple().after(cur.triple()):
+			// The replier is ahead: pull its map from that one peer.
 			n.reconcileMap(addr)
 		}
 	}
@@ -322,7 +322,7 @@ func (n *Node) processDigest(d *digest) {
 		}
 		st, ok := g.peers[e.ID]
 		if !ok {
-			continue // not in our map (yet); the @map heal will bring it
+			continue // not in our map (yet); the triple's heal will bring it
 		}
 		if e.HB > st.hb {
 			st.hb = e.HB
@@ -358,52 +358,22 @@ func (n *Node) processDigest(d *digest) {
 	}
 }
 
-// installDigestMap installs a full map piggybacked on a gossip digest
-// (no-op without a payload, or when the payload is not newer). It runs
-// OUTSIDE g.mu — installing runs a digest round. Best-effort: what a
-// failed round left behind the next one moves, as everywhere else.
-func (n *Node) installDigestMap(d *digest) {
-	if d.MapPayload == nil || !d.MapPayload.Newer(n.currentMap()) {
-		return
-	}
-	n.installAndSync(d.MapPayload)
-}
-
-// tripleBehind reports whether the ordering triple (epoch, version,
-// coordinator) is strictly OLDER than m — i.e. whoever sent it needs m.
-func tripleBehind(m *Map, epoch, version uint64, coordinator string) bool {
-	if m.SupersededByTriple(epoch, version, coordinator) {
-		return false // the triple is ahead of m (or incomparable-newer)
-	}
-	return m.Epoch != epoch || m.Version != version || m.Coordinator != coordinator
-}
-
 // handleGossip is the CLUSTER GOSSIP wire handler: fold the pushed
 // digest in and reply with ours (push-pull), so one round trip moves
-// information both ways. When the pusher's map triple is strictly
-// behind this node's, the reply additionally piggybacks the full map as
-// an "@map" payload: the pusher heals in the same round trip. A pusher
-// AHEAD of us needs nothing here — our reply carries our stale triple
-// back and the pusher answers it with a targeted SETMAP.
+// information both ways. Maps are the pusher's business: our reply carries
+// our triple, and a pusher behind it pulls our map, one ahead of it pushes
+// its own.
 func (n *Node) handleGossip(reply []byte, args [][]byte) []byte {
 	d, err := decodeDigest(server.StringArgs(args))
 	if err != nil {
 		return append(reply, "-ERR "+err.Error()...)
 	}
-	n.installDigestMap(d)
 	n.processDigest(d)
 	m := n.currentMap()
 	n.gsp.mu.Lock()
-	ours := n.digestLocked(m)
+	ours := n.digestLocked(m).encode()
 	n.gsp.mu.Unlock()
-	body := ours.encode()
-	if tripleBehind(m, d.Epoch, d.Version, d.Coordinator) {
-		ours.MapPayload = m
-		if withMap := ours.encode(); len(withMap) <= maxWireBytes {
-			body = withMap
-		}
-	}
-	return append(append(reply, '+'), body...)
+	return append(append(reply, '+'), ours...)
 }
 
 // MemberHealth is one member's state as seen by this node's detector.
@@ -485,11 +455,6 @@ const suspectMark = "!"
 // are only carried for ids OFF the map.
 const evictionMark = "~"
 
-// mapMark separates the digest's entry tokens from an optional
-// piggybacked full-map payload: everything after it is a Map.Encode
-// token stream.
-const mapMark = "@map"
-
 // digestEntry is one member's row in a gossip digest.
 type digestEntry struct {
 	ID      string
@@ -506,15 +471,12 @@ type evictionRecord struct {
 
 // digest is the decoded CLUSTER GOSSIP payload:
 //
-//	g1 <sender> <epoch> <version> <coordinator|-> <id>=<hb>[!] ... ~<id>=<epoch> ... [@map <v2 map tokens>]
+//	g1 <sender> <epoch> <version> <coordinator|-> <id>=<hb>[!] ... ~<id>=<epoch> ...
 //
 // The (epoch, version, coordinator) triple is the sender's map
-// ordering, enough for the receiver to know WHETHER it is behind. The
-// trailing "~id=epoch" tokens are auto-eviction records (see
-// gossipState). A gossip REPLY whose sender's map supersedes the
-// pusher's additionally piggybacks the full map after an "@map" marker
-// — the map delta rides the digest exchange itself, so a node that
-// missed a broadcast heals in one round trip with no MAP pull.
+// ordering, enough for the receiver to know whether it is behind; the
+// map itself never rides a digest. The trailing "~id=epoch" tokens are
+// auto-eviction records (see gossipState).
 type digest struct {
 	Sender      string
 	Epoch       uint64
@@ -522,8 +484,9 @@ type digest struct {
 	Coordinator string
 	Entries     []digestEntry
 	Evictions   []evictionRecord
-	MapPayload  *Map // piggybacked full map (nil when absent)
 }
+
+func (d *digest) triple() triple { return triple{d.Epoch, d.Version, d.Coordinator} }
 
 // decodeDigest parses the gossip payload strictly: like DecodeMap it
 // must reject (never panic on, never over-allocate for) a corrupt or
@@ -546,34 +509,19 @@ func decodeDigest(tokens []string) (*digest, error) {
 	if !validID(tokens[1]) {
 		return nil, fmt.Errorf("cluster: bad gossip sender %q", tokens[1])
 	}
-	epoch, err := strconv.ParseUint(tokens[2], 10, 64)
+	t, err := readTriple(tokens[2], tokens[3], tokens[4])
 	if err != nil {
-		return nil, fmt.Errorf("cluster: bad gossip epoch %q", tokens[2])
-	}
-	version, err := strconv.ParseUint(tokens[3], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: bad gossip version %q", tokens[3])
-	}
-	coordinator := tokens[4]
-	if coordinator == noCoordinator {
-		coordinator = ""
-	} else if !validID(coordinator) {
-		return nil, fmt.Errorf("cluster: bad gossip coordinator %q", tokens[4])
+		return nil, fmt.Errorf("cluster: gossip digest: %w", err)
 	}
 	entryTokens := tokens[5:]
-	var mapTokens []string
-	if i := slices.Index(entryTokens, mapMark); i >= 0 {
-		mapTokens = entryTokens[i+1:]
-		entryTokens = entryTokens[:i]
-	}
 	if len(entryTokens) > maxWireMembers {
 		return nil, fmt.Errorf("cluster: gossip digest claims %d entries (limit %d)", len(entryTokens), maxWireMembers)
 	}
 	d := &digest{
 		Sender:      tokens[1],
-		Epoch:       epoch,
-		Version:     version,
-		Coordinator: coordinator,
+		Epoch:       t.epoch,
+		Version:     t.version,
+		Coordinator: t.coordinator,
 		Entries:     make([]digestEntry, 0, len(entryTokens)),
 	}
 	seen := make(map[string]bool, len(entryTokens))
@@ -613,28 +561,17 @@ func decodeDigest(tokens []string) (*digest, error) {
 		}
 		d.Entries = append(d.Entries, digestEntry{ID: id, HB: hb, Suspect: suspect})
 	}
-	if mapTokens != nil {
-		m, err := DecodeMap(mapTokens)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: bad gossip map payload: %w", err)
-		}
-		d.MapPayload = m
-	}
 	return d, nil
 }
 
 // encode renders the digest in its wire form, the inverse of
 // decodeDigest: what Gossip pushes and handleGossip replies.
 func (d *digest) encode() string {
-	coord := d.Coordinator
-	if coord == "" {
-		coord = noCoordinator
-	}
 	parts := make([]string, 0, 5+len(d.Entries)+len(d.Evictions))
 	parts = append(parts, gossipWireTag, d.Sender,
 		strconv.FormatUint(d.Epoch, 10),
 		strconv.FormatUint(d.Version, 10),
-		coord)
+		cmp.Or(d.Coordinator, noCoordinator))
 	for _, e := range d.Entries {
 		tok := e.ID + "=" + strconv.FormatUint(e.HB, 10)
 		if e.Suspect {
@@ -644,10 +581,6 @@ func (d *digest) encode() string {
 	}
 	for _, r := range d.Evictions {
 		parts = append(parts, evictionMark+r.ID+"="+strconv.FormatUint(r.Epoch, 10))
-	}
-	if d.MapPayload != nil {
-		parts = append(parts, mapMark)
-		parts = append(parts, strings.Fields(d.MapPayload.Encode())...)
 	}
 	return strings.Join(parts, " ")
 }

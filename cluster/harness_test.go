@@ -716,9 +716,10 @@ func TestLeaveAfterBeingRemovedStillDrains(t *testing.T) {
 		t.Fatal("partitioned n3 drained — the partition hook is leaky")
 	}
 	h.partition("n3", false)
-	// n3's own graceful Leave: its epoch claim adopts the majority's
-	// n3-less map from the vote replies, and the retry path must then
-	// DRAIN, not declare victory because the map already excludes it.
+	// n3's own graceful Leave: its epoch claim pulls the majority's
+	// n3-less map from a voter whose triple is newer, and the retry path
+	// must then DRAIN, not declare victory because the map already
+	// excludes it.
 	if err := h.node("n3").Leave(); err != nil {
 		t.Fatalf("leave after being removed: %v", err)
 	}
@@ -962,8 +963,9 @@ func TestGossipMinorityCannotEvict(t *testing.T) {
 		}
 	}
 
-	// Heal: n3's next gossip push is answered with the n3-less map
-	// (@map); installing it drains n3's sketches to the owners.
+	// Heal: n3's next gossip exchange shows it the newer triple, and it
+	// pulls the n3-less map (or is handed it by a targeted SETMAP);
+	// installing it drains n3's sketches to the owners.
 	h.partition("n3", false)
 	h.tick(3)
 	if h.node("n3").Map().Has("n3") {
@@ -1267,6 +1269,46 @@ func TestSupersededJoinReportsWinner(t *testing.T) {
 	}
 }
 
+// TestClaimPullsNewerVoterMap: n2 installed a newer map (without n3) and
+// crashed before broadcasting it, as far as the cluster knows. n1 then
+// coordinates a JOIN: n2's EPOCH vote carries the newer triple, so n1
+// pulls n2's map — one CLUSTER MAP, nothing else moves a map to n1 — and
+// mints the join from it instead of overwriting n2's change.
+func TestClaimPullsNewerVoterMap(t *testing.T) {
+	h := newHarness(t, 3, 2)
+	n1, n2 := h.node("n1"), h.node("n2")
+	cur := n2.Map()
+	if !n2.swapMap(cur.withoutNode("n3", cur.Epoch+1, "n2")) {
+		t.Fatal("fixture: n2's map did not install")
+	}
+	h.start("x1", "127.0.0.1:0")
+	// n1's pulls only: members that install the broadcast run their
+	// rounds in parallel, and one may refuse a peer's DSUM until it has
+	// installed too — a pull of theirs, not of the claim's.
+	var mu sync.Mutex
+	var pulls []string
+	h.setIntercept(func(id, addr string, parts []string) error {
+		if id == "n1" && len(parts) == 2 && parts[1] == "MAP" {
+			mu.Lock()
+			pulls = append(pulls, addr)
+			mu.Unlock()
+		}
+		return nil
+	})
+	if reply, err := h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1")); err != nil || !strings.HasPrefix(reply, "OK") {
+		t.Fatalf("join via n1: %q, %v", reply, err)
+	}
+	h.setIntercept(nil)
+	if m := n1.Map(); !m.Has("x1") || m.Has("n3") {
+		t.Errorf("n1 minted %s, want x1 added to n2's map without n3", m.Encode())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(pulls) != 1 || pulls[0] != n2.Addr() {
+		t.Errorf("n1 pulled maps from %v, want one CLUSTER MAP from n2 (%s)", pulls, n2.Addr())
+	}
+}
+
 // storeClock is the fake time source TTL chaos tests inject through
 // newHarnessClock: expiry is judged everywhere against this counter, so
 // "the deadline passes" is an explicit, deterministic event.
@@ -1450,12 +1492,15 @@ func TestTTLChaosDeterministicExpiry(t *testing.T) {
 	}
 }
 
-// TestGossipPiggybackHealsWithoutMapPull: a node that missed a SETMAP
-// broadcast heals through the map payload piggybacked on ordinary
-// gossip digests — zero CLUSTER MAP pull rounds, and at most a handful
-// of targeted SETMAPs. The test counts every message on the wire
-// during the heal.
-func TestGossipPiggybackHealsWithoutMapPull(t *testing.T) {
+// TestGossipTripleHealsMissedBroadcast: a node that missed a SETMAP
+// broadcast heals through the map triples of ordinary gossip digests. The
+// first exchange that touches it is n1's push (rounds run in ID order), and
+// n3's reply shows the older triple, so n1 answers with one targeted
+// SETMAP — no CLUSTER MAP pull, and at most a handful of SETMAPs. (A
+// laggard that pushes first pulls once instead, from the peer whose reply
+// showed the newer triple: TestGossipOversizedMapFallsBackToOnePull.) The
+// test counts every message on the wire during the heal.
+func TestGossipTripleHealsMissedBroadcast(t *testing.T) {
 	h := newHarness(t, 3, 2)
 	h.tick(2) // healthy baseline
 
@@ -1513,7 +1558,7 @@ func TestGossipPiggybackHealsWithoutMapPull(t *testing.T) {
 	t.Logf("heal cost: %d gossip msgs (%d B), %d targeted SETMAPs (%d B), %d MAP pulls",
 		gossips, gossipBytes, setmaps, setmapBytes, mapPulls)
 	if mapPulls != 0 {
-		t.Errorf("heal fell back to %d CLUSTER MAP pull(s) — the piggyback did not carry the map", mapPulls)
+		t.Errorf("heal cost %d CLUSTER MAP pull(s) — n1's targeted SETMAP did not reach n3 first", mapPulls)
 	}
 	if gossips == 0 {
 		t.Error("no gossip traffic observed during the heal rounds")
@@ -1525,10 +1570,10 @@ func TestGossipPiggybackHealsWithoutMapPull(t *testing.T) {
 	}
 }
 
-// TestGossipOversizedMapFallsBackToOnePull: a map too large to ride a
-// gossip reply beside the digest is the one case a laggard has to pull
-// — and it pulls from the one peer whose reply showed the newer triple,
-// once, not from every member.
+// TestGossipOversizedMapFallsBackToOnePull: a laggard whose own push
+// shows it a newer triple pulls the map — from the one peer whose reply
+// showed it, once, not from every member — however large the map is: this
+// one would not fit a gossip reply beside the digest, and no map rides one.
 func TestGossipOversizedMapFallsBackToOnePull(t *testing.T) {
 	h := newHarness(t, 2, 1)
 	n1, n2 := h.node("n1"), h.node("n2")

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -30,14 +31,18 @@ type Member struct {
 // broadcasts it. A node grants each epoch to at most one coordinator,
 // and majorities intersect, so two concurrent JOIN/LEAVEs routed
 // through different coordinators cannot both win the same epoch: one
-// coordinator retries at a higher epoch. Claim replies carry each
-// voter's current map and the coordinator adopts the newest before
-// minting, so the later mutation builds on — rather than overwrites —
-// a rival map that is still mid-broadcast, as long as some reachable
-// member has installed it. Even when a partition lets equal-epoch maps
-// escape (quorum unreachable), the Version and Coordinator tie-breaks
-// still give every node the same winner, so reconciliation never
-// stalls — convergence degrades, correctness does not.
+// coordinator retries at a higher epoch. Each vote carries the voter's
+// map triple, and when one supersedes the coordinator's map it pulls
+// that voter's map (CLUSTER MAP) before minting, so the later mutation
+// builds on — rather than overwrites — a rival map that is still
+// mid-broadcast, as long as some reachable member has installed it.
+// Installing a map is a max-join under the order, so a node needs only
+// the other side's triple to know whether to pull (CLUSTER MAP) or push
+// (CLUSTER SETMAP); maps travel as nothing else. Even when a partition
+// lets equal-epoch maps escape (quorum unreachable), the Version and
+// Coordinator tie-breaks still give every node the same winner, so
+// reconciliation never stalls — convergence degrades, correctness does
+// not.
 //
 // # Limits (single partition)
 //
@@ -113,40 +118,70 @@ func build(epoch, version uint64, coordinator string, replicas int, nodes map[st
 // (Epoch, Version, Coordinator). A nil other is always superseded.
 // Equal maps are NOT newer, which makes re-delivered SETMAPs no-ops.
 func (m *Map) Newer(other *Map) bool {
-	if other == nil {
-		return true
-	}
-	if m.Epoch != other.Epoch {
-		return m.Epoch > other.Epoch
-	}
-	if m.Version != other.Version {
-		return m.Version > other.Version
-	}
-	return m.Coordinator > other.Coordinator
+	return other == nil || m.triple().after(other.triple())
 }
 
-// SupersededByTriple reports whether an ordering triple (epoch,
-// version, coordinator) — e.g. one carried in a gossip digest, without
-// its full map — supersedes m under the same total order as Newer.
-func (m *Map) SupersededByTriple(epoch, version uint64, coordinator string) bool {
-	if epoch != m.Epoch {
-		return epoch > m.Epoch
+// triple is a map's place in the total order: all of a map that gossip
+// digests, EPOCH votes and DSUM/DKEYS requests and refusals carry.
+type triple struct {
+	epoch, version uint64
+	coordinator    string
+}
+
+func (m *Map) triple() triple { return triple{m.Epoch, m.Version, m.Coordinator} }
+
+// after reports whether t supersedes u: the epoch decides, then the
+// version, then the coordinator.
+func (t triple) after(u triple) bool {
+	if t.epoch != u.epoch {
+		return t.epoch > u.epoch
 	}
-	if version != m.Version {
-		return version > m.Version
+	if t.version != u.version {
+		return t.version > u.version
 	}
-	return coordinator > m.Coordinator
+	return t.coordinator > u.coordinator
 }
 
 // Triple renders m's ordering triple as reply fields: "e=<epoch>
 // v=<version> c=<coordinator|->" — the form JOIN/LEAVE replies carry so
-// an operator whose mutation lost can see the map that won.
+// an operator whose mutation lost can see the map that won, and the
+// form EPOCH votes and DSUM/DKEYS carry in place of the map.
 func (m *Map) Triple() string {
-	coord := m.Coordinator
-	if coord == "" {
-		coord = noCoordinator
+	return fmt.Sprintf("e=%d v=%d c=%s", m.Epoch, m.Version, cmp.Or(m.Coordinator, noCoordinator))
+}
+
+// parseTriple is Triple's inverse, for the triples that arrive in Triple's
+// form.
+func parseTriple(fields []string) (triple, error) {
+	if len(fields) == 3 {
+		e, okE := strings.CutPrefix(fields[0], "e=")
+		v, okV := strings.CutPrefix(fields[1], "v=")
+		c, okC := strings.CutPrefix(fields[2], "c=")
+		if okE && okV && okC {
+			return readTriple(e, v, c)
+		}
 	}
-	return fmt.Sprintf("e=%d v=%d c=%s", m.Epoch, m.Version, coord)
+	return triple{}, fmt.Errorf("cluster: bad map triple %q (want e=<epoch> v=<version> c=<coordinator>)", strings.Join(fields, " "))
+}
+
+// readTriple reads the three fields of a triple as every wire form spells
+// them — a decimal epoch and version, a coordinator ID or "-" — Triple's
+// as much as the map's and the gossip digest's.
+func readTriple(epoch, version, coordinator string) (triple, error) {
+	e, err := strconv.ParseUint(epoch, 10, 64)
+	if err != nil {
+		return triple{}, fmt.Errorf("cluster: bad epoch %q", epoch)
+	}
+	v, err := strconv.ParseUint(version, 10, 64)
+	if err != nil {
+		return triple{}, fmt.Errorf("cluster: bad version %q", version)
+	}
+	if coordinator == noCoordinator {
+		coordinator = ""
+	} else if !validID(coordinator) {
+		return triple{}, fmt.Errorf("cluster: bad coordinator %q", coordinator)
+	}
+	return triple{e, v, coordinator}, nil
 }
 
 // Members returns all members sorted by ID.
@@ -251,15 +286,11 @@ const maxWireBytes = 1 << 18
 // Node enforces this at join time. Members are emitted sorted by ID,
 // so equal maps encode byte-identically.
 func (m *Map) Encode() string {
-	coord := m.Coordinator
-	if coord == "" {
-		coord = noCoordinator
-	}
 	parts := make([]string, 0, 5+len(m.nodes))
 	parts = append(parts, mapWireTag,
 		strconv.FormatUint(m.Epoch, 10),
 		strconv.FormatUint(m.Version, 10),
-		coord,
+		cmp.Or(m.Coordinator, noCoordinator),
 		strconv.Itoa(m.Replicas))
 	for _, mem := range m.Members() {
 		parts = append(parts, mem.ID+"="+mem.Addr)
@@ -284,19 +315,9 @@ func DecodeMap(tokens []string) (*Map, error) {
 	if tokens[0] != mapWireTag {
 		return nil, fmt.Errorf("cluster: unsupported map payload tag %q (want %s)", tokens[0], mapWireTag)
 	}
-	epoch, err := strconv.ParseUint(tokens[1], 10, 64)
+	t, err := readTriple(tokens[1], tokens[2], tokens[3])
 	if err != nil {
-		return nil, fmt.Errorf("cluster: bad map epoch %q", tokens[1])
-	}
-	version, err := strconv.ParseUint(tokens[2], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: bad map version %q", tokens[2])
-	}
-	coordinator := tokens[3]
-	if coordinator == noCoordinator {
-		coordinator = ""
-	} else if !validID(coordinator) {
-		return nil, fmt.Errorf("cluster: bad map coordinator %q", tokens[3])
+		return nil, err
 	}
 	replicas, err := strconv.Atoi(tokens[4])
 	if err != nil || replicas < 1 || replicas > maxWireMembers {
@@ -322,7 +343,7 @@ func DecodeMap(tokens []string) (*Map, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: map has no members")
 	}
-	return build(epoch, version, coordinator, replicas, nodes), nil
+	return build(t.epoch, t.version, t.coordinator, replicas, nodes), nil
 }
 
 // validID reports whether id is usable on the wire (non-empty, no

@@ -2,6 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -113,6 +118,71 @@ func TestEncodeCanonical(t *testing.T) {
 		for j := range ao {
 			if ao[j] != bo[j] {
 				t.Fatalf("owners differ for %q: %v vs %v", key, ao, bo)
+			}
+		}
+	}
+}
+
+// TestMapsTravelOnlyAsSetmapOrMap fences the map's wire form: a map leaves
+// a node only as CLUSTER SETMAP (setmapCommand) or a CLUSTER MAP reply
+// (handleMap), besides the snapshot metadata swapMap keeps, and it is read
+// only from those and the snapshot. Everything else that tells nodes apart
+// — gossip digests, EPOCH votes, DSUM/DKEYS — carries the triple. The
+// package's non-test files are parsed, and every use of a method named
+// Encode called with no arguments ((*Map).Encode; the base64 encoders take
+// two) and of DecodeMap is attributed to its enclosing function.
+func TestMapsTravelOnlyAsSetmapOrMap(t *testing.T) {
+	allowed := map[string][]string{
+		"Encode":    {"setmapCommand", "Node.handleMap", "Node.swapMap"},
+		"DecodeMap": {"Node.handleSetMap", "Node.peerMap", "Node.persistedMap", "ClusterClient.fetchMapFrom"},
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := map[string][]string{}
+	for _, file := range pkgs["cluster"].Files {
+		for _, decl := range file.Decls {
+			fn := ""
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				fn = fd.Name.Name
+				if fd.Recv != nil {
+					recv := fd.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					fn = recv.(*ast.Ident).Name + "." + fn
+				}
+			}
+			ast.Inspect(decl, func(node ast.Node) bool {
+				use := ""
+				switch x := node.(type) {
+				case *ast.CallExpr:
+					if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Encode" && len(x.Args) == 0 {
+						use = "Encode"
+					}
+				case *ast.Ident:
+					if x.Name == "DecodeMap" && fn != "DecodeMap" {
+						use = "DecodeMap"
+					}
+				}
+				if use != "" {
+					if !slices.Contains(allowed[use], fn) {
+						t.Errorf("%s: %s in %q — maps travel only as CLUSTER SETMAP and CLUSTER MAP", fset.Position(node.Pos()), use, fn)
+					}
+					found[use] = append(found[use], fn)
+				}
+				return true
+			})
+		}
+	}
+	for use, fns := range allowed {
+		for _, fn := range fns {
+			if !slices.Contains(found[use], fn) {
+				t.Errorf("%s no longer uses %s: drop it from the fence", fn, use)
 			}
 		}
 	}

@@ -30,7 +30,7 @@ import (
 //	                                     or +SUPERSEDED e=.. v=.. c=.. (a rival map won; the triple is the winner's)
 //	CLUSTER LEAVE <id>                 → +OK e=.. v=.. c=.. / +SUPERSEDED e=.. v=.. c=.. (as JOIN, removing the node)
 //	CLUSTER SETMAP <v2 payload>        → +OK (install if newer under the epoch order, then run a digest round)
-//	CLUSTER EPOCH <epoch> <coord>      → +GRANTED <epoch> / +DENIED <highest> (epoch claim; internal)
+//	CLUSTER EPOCH <epoch> <coord>      → +GRANTED <epoch> e=.. v=.. c=.. / +DENIED <highest> e=.. v=.. c=.. (epoch claim and the voter's map triple; internal)
 //	CLUSTER GOSSIP <g1 digest>         → +<g1 digest> (push-pull failure-detector exchange; internal)
 //	CLUSTER HEALTH                     → +round=.. quorum=.. member=.. <id>=<state>,hb=..,heard=..,sus=.. ...
 //	CLUSTER MLADD <g> <group>... ×g    → +<g tokens> (batched mixed plain/windowed local adds; internal replication verb)
@@ -103,7 +103,7 @@ type Node struct {
 	xfer transferState
 }
 
-// ErrSuperseded is returned (wrapped) by Join when the mutation was
+// ErrSuperseded is returned (wrapped) by Join and Leave when the mutation was
 // overtaken by a newer map before it could stick — the operator must
 // inspect the cluster and re-issue if still wanted.
 var ErrSuperseded = errors.New("membership mutation superseded by a newer map")
@@ -151,7 +151,9 @@ func NewNode(id string, cfg core.Config, replicas int) (*Node, error) {
 			return v.handle(n, reply, args)
 		})
 	}
-	n.cmap = NewMap(replicas) // empty until Start learns the bound address
+	// Empty until Start learns the bound address; at epoch 0, any map Start
+	// installs supersedes it.
+	n.cmap = build(0, 0, "", replicas, nil)
 	return n, nil
 }
 
@@ -174,16 +176,10 @@ func (n *Node) Start(addr string) error {
 	// internal path routes to self by ID, never by address — and
 	// Rejoin announces the real address under a claimed epoch.
 	m := n.persistedMap()
-	n.mu.Lock()
 	if m == nil {
-		m = NewMap(n.cmap.Replicas, Member{ID: n.id, Addr: actual})
+		m = NewMap(n.currentMap().Replicas, Member{ID: n.id, Addr: actual})
 	}
-	n.cmap = m
-	if m.Epoch > n.grantedEpoch {
-		n.grantedEpoch, n.grantedTo = m.Epoch, m.Coordinator
-	}
-	n.store.SetMeta([]byte(m.Encode()))
-	n.mu.Unlock()
+	n.swapMap(m)
 	return nil
 }
 
@@ -284,41 +280,14 @@ func (n *Node) Join(seedAddr string) error {
 // before replying. When Leave returns nil the remaining members have
 // converged on the new map and this node holds nothing.
 func (n *Node) Leave() error {
-	n.mutateMu.Lock()
-	defer n.mutateMu.Unlock()
-	for attempt := 0; attempt < mutateAttempts; attempt++ {
-		if !n.currentMap().Has(n.id) {
-			// Already off the map — possibly from a previous Leave
-			// that failed AFTER installing the self-excluded map.
-			// Finish the hand-off idempotently instead of reporting
-			// instant success: drain whatever is still local and
-			// re-tell the members (no-ops when all done).
-			if err := n.moveThenAnnounce(n.currentMap(), nil); err != nil {
-				return fmt.Errorf("cluster: leave: %w", err)
-			}
-			return nil
-		}
-		epoch, err := n.claimEpoch()
-		if err != nil {
-			return fmt.Errorf("cluster: leave: %w", err)
-		}
-		cur := n.currentMap()
-		if !cur.Has(n.id) {
-			continue // someone else removed us mid-claim: drain via the loop top
-		}
-		newMap := cur.withoutNode(n.id, epoch, n.id)
-		if !n.swapMap(newMap) {
-			continue // a newer map landed between claim and install; retry
-		}
-		// Off the map this node owns nothing, so its pass is the drain
-		// alone, and it runs before the broadcast: a read that no longer
-		// asks this node finds the keys on their owners already.
-		if err := n.moveThenAnnounce(newMap, nil); err != nil {
-			return fmt.Errorf("cluster: leave: %w", err)
-		}
-		return nil
+	reply := n.coordinateLeave(n.id)
+	if winner, ok := strings.CutPrefix(reply, "+SUPERSEDED "); ok {
+		return fmt.Errorf("cluster: leave: %w (winner %s)", ErrSuperseded, winner)
 	}
-	return errors.New("cluster: leave kept losing to concurrent membership changes")
+	if !strings.HasPrefix(reply, "+OK") {
+		return fmt.Errorf("cluster: leave: %s", strings.TrimPrefix(reply, "-ERR "))
+	}
+	return nil
 }
 
 // Close shuts down the node's server and peer connections.
@@ -452,14 +421,15 @@ func (n *Node) nextEpochProposal() uint64 {
 // given epoch while a quorum is reachable — the fencing that keeps
 // concurrent JOIN/LEAVEs from minting rival maps at the same epoch.
 //
-// Every vote (grant or denial) also carries the voter's current map;
-// the newest one is adopted before claimEpoch returns, so the
-// coordinator mints its mutation from the freshest map any reachable
-// member holds — a rival's just-installed, not-yet-broadcast map is
-// picked up here instead of being silently overwritten at a higher
-// epoch. Only a mutation whose minting coordinator is unreachable
-// during the whole claim can still be superseded (see the single-
-// partition limits in Map's doc).
+// Every vote (grant or denial) also carries the voter's map triple. When
+// the newest one supersedes this node's map, claimEpoch pulls that voter's
+// map (reconcileMap) before it returns, so the coordinator mints its
+// mutation from the freshest map any reachable member holds — a rival's
+// just-installed, not-yet-broadcast map is picked up here instead of being
+// silently overwritten at a higher epoch. A failed pull fails the attempt,
+// which retries. Only a mutation whose minting coordinator is unreachable
+// during the whole claim can still be superseded (see the single-partition
+// limits in Map's doc).
 func (n *Node) claimEpoch() (uint64, error) {
 	var lastErr error
 	for attempt := 0; attempt < epochClaimAttempts; attempt++ {
@@ -477,10 +447,11 @@ func (n *Node) claimEpoch() (uint64, error) {
 			mu      sync.Mutex
 			grants  int
 			highest uint64
-			newest  *Map
+			newest  triple // the newest voter's triple, and its address
+			from    string
 			wg      sync.WaitGroup
 		)
-		tally := func(granted bool, h uint64, m *Map) {
+		tally := func(granted bool, h uint64, t triple, addr string) {
 			mu.Lock()
 			defer mu.Unlock()
 			if granted {
@@ -489,14 +460,14 @@ func (n *Node) claimEpoch() (uint64, error) {
 			if h > highest {
 				highest = h
 			}
-			if m != nil && m.Newer(newest) {
-				newest = m
+			if t.after(newest) {
+				newest, from = t, addr
 			}
 		}
 		for _, mem := range members {
 			if mem.ID == n.id {
 				ok, h := n.grantEpoch(propose, n.id)
-				tally(ok, h, nil)
+				tally(ok, h, triple{}, "")
 				continue
 			}
 			wg.Add(1)
@@ -511,13 +482,13 @@ func (n *Node) claimEpoch() (uint64, error) {
 					return
 				}
 				h, _ := strconv.ParseUint(fields[1], 10, 64)
-				m, _ := DecodeMap(fields[2:]) // best-effort; nil when the vote carries no usable map
-				tally(fields[0] == "GRANTED", h, m)
+				t, _ := parseTriple(fields[2:]) // best-effort: the zero triple supersedes no map
+				tally(fields[0] == "GRANTED", h, t, addr)
 			}(mem.Addr)
 		}
 		wg.Wait()
-		if newest != nil && newest.Newer(n.currentMap()) {
-			if err := n.installAndSync(newest); err != nil {
+		if from != "" && newest.after(n.currentMap().triple()) {
+			if err := n.reconcileMap(from); err != nil {
 				lastErr = err
 				continue
 			}
@@ -549,10 +520,10 @@ func (n *Node) peerMap(addr string) (*Map, error) {
 // reconcileMap settles a map mismatch with the one peer it was seen on:
 // pull that peer's map, install it if it supersedes ours (running its
 // digest round), and answer with one targeted SETMAP if the peer turns
-// out to be the one behind. The two callers learn of the mismatch for
-// free — a gossip reply whose triple supersedes ours but whose @map
-// payload did not fit, and a -STALE refusal of a digest round's DSUM —
-// so a converged cluster never pays a MAP pull.
+// out to be the one behind. Its callers learn of the mismatch for free,
+// from a triple the peer sent anyway — a gossip reply's, an EPOCH vote's
+// (claimEpoch), a -STALE refusal of a DSUM or of an XFER frame — so a
+// converged cluster never pays a MAP pull.
 func (n *Node) reconcileMap(addr string) error {
 	theirs, err := n.peerMap(addr)
 	if err != nil {
@@ -572,51 +543,51 @@ func setmapCommand(m *Map) []string {
 	return append([]string{"CLUSTER", "SETMAP"}, strings.Fields(m.Encode())...)
 }
 
-// moveThenAnnounce finishes a membership change this node coordinates
-// once it installed m — its pass, split around the SETMAP broadcast. Its
-// drain goes first and hands the keys this node gave up to all their new
-// owners (the XFER fence lets a sender ahead of the receiver's map in).
+// moveThenAnnounce finishes a membership change from prev this node
+// coordinates once it installed m — its pass, split around the SETMAP
+// broadcast. Its drain goes first and hands the keys this node gave up to
+// all their new owners (the XFER fence lets a sender ahead of the
+// receiver's map in).
 // Then the broadcast: every member drains and runs its rounds before it
 // replies. Its own rounds go last, when every peer holds m. So a nil return
 // means the cluster has converged on m, and, since every node drains
 // before any round compares, a moved key costs the same pushes whichever
 // node coordinates.
-func (n *Node) moveThenAnnounce(m *Map, extraAddrs []string) error {
+func (n *Node) moveThenAnnounce(m, prev *Map) error {
 	if err := n.drainStrays(); err != nil {
 		return err
 	}
-	if err := n.broadcast(m, extraAddrs); err != nil {
+	if err := n.broadcast(m, prev); err != nil {
 		return fmt.Errorf("broadcast: %w", err)
 	}
 	return n.syncRounds(true)
 }
 
-// broadcast sends SETMAP to every member of m except this node, plus any
-// extra addresses (e.g. a node just removed from the map, best-effort so
-// it learns to drain). Peers run their digest round before replying, so
-// a nil return means the cluster has converged. Extra-address errors are
-// ignored.
-func (n *Node) broadcast(m *Map, extraAddrs []string) error {
+// broadcast sends SETMAP to every member of m except this node, and to
+// every member of prev that m dropped — best-effort: a live leaver learns
+// to drain, a dead one is ignored. Peers run their digest round before
+// replying, so a nil return means the cluster has converged.
+func (n *Node) broadcast(m, prev *Map) error {
 	args := setmapCommand(m)
+	to := m.Members()
+	for _, mem := range prev.Members() {
+		if !m.Has(mem.ID) {
+			to = append(to, mem)
+		}
+	}
 	var wg sync.WaitGroup
-	members := m.Members()
-	errs := make([]error, len(members))
-	for i, mem := range members {
+	errs := make([]error, len(to))
+	for i, mem := range to {
 		if mem.ID == n.id {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, addr string) {
+		go func() {
 			defer wg.Done()
-			_, errs[i] = n.peers.direct(addr, args...)
-		}(i, mem.Addr)
-	}
-	for _, addr := range extraAddrs {
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			n.peers.direct(addr, args...)
-		}(addr)
+			if _, err := n.peers.direct(mem.Addr, args...); m.Has(mem.ID) {
+				errs[i] = err
+			}
+		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
@@ -1244,8 +1215,8 @@ var clusterVerbs = []struct {
 	{"LEAVE", 1, 1, "-ERR CLUSTER LEAVE needs a node ID", (*Node).handleLeave},
 	{"SETMAP", 0, -1, "", (*Node).handleSetMap},
 	{"EPOCH", 2, 2, "-ERR CLUSTER EPOCH needs an epoch and a coordinator ID", (*Node).handleEpoch},
-	{"DSUM", 2, 2, "-ERR CLUSTER DSUM needs a requester ID and e=<epoch>", (*Node).handleDigestSum},
-	{"DKEYS", 3, 3, "-ERR CLUSTER DKEYS needs a requester ID, e=<epoch> and a shard list", (*Node).handleDigestKeys},
+	{"DSUM", 4, 4, "-ERR CLUSTER DSUM needs a requester ID and e=<epoch> v=<version> c=<coordinator>", (*Node).handleDigestSum},
+	{"DKEYS", 5, 5, "-ERR CLUSTER DKEYS needs a requester ID, e=<epoch> v=<version> c=<coordinator> and a shard list", (*Node).handleDigestKeys},
 	{"GOSSIP", 0, -1, "", (*Node).handleGossip},
 	{"HEALTH", 0, 0, "-ERR CLUSTER HEALTH takes no arguments", (*Node).handleHealth},
 	{"STATS", 0, 1, clusterStatsUsage, (*Node).handleStats},
@@ -1299,13 +1270,12 @@ func (n *Node) handleEpoch(reply []byte, args [][]byte) []byte {
 	if !validID(coordinator) {
 		return fmt.Appendf(reply, "-ERR invalid coordinator ID %q", coordinator)
 	}
-	// Either way the reply carries this node's current map, so the
-	// claiming coordinator mints its mutation from the newest map any
-	// voter has seen instead of a stale local parent.
+	// Either way the reply carries this node's map triple: a claiming
+	// coordinator behind it pulls the map before minting its mutation.
 	if ok, highest := n.grantEpoch(e, coordinator); !ok {
-		return fmt.Appendf(reply, "+DENIED %d %s", highest, n.currentMap().Encode())
+		return fmt.Appendf(reply, "+DENIED %d %s", highest, n.currentMap().Triple())
 	}
-	return fmt.Appendf(reply, "+GRANTED %d %s", e, n.currentMap().Encode())
+	return fmt.Appendf(reply, "+GRANTED %d %s", e, n.currentMap().Triple())
 }
 
 func (n *Node) handleLDel(reply []byte, args [][]byte) []byte {
@@ -1472,19 +1442,21 @@ func mlAddBad(reply []byte, what string, tok []byte) []byte {
 	return fmt.Appendf(reply[:0], "-ERR bad CLUSTER MLADD %s %q", what, tok)
 }
 
-// joinOutcome renders the final JOIN reply by re-reading the current
-// map: +OK when the mutation is reflected in it (whoever minted it),
-// +SUPERSEDED with the winning map's ordering triple when a rival map
-// erased the mutation before the handler could return — the feedback
-// channel that turns the epoch order's deterministic-but-silent losses
-// into something an operator (or Join caller) can act on. A node that
-// re-enters after an auto-eviction is told so.
-func (n *Node) joinOutcome(id, addr string) string {
-	m := n.currentMap()
-	if m.Addr(id) != addr {
-		return "+SUPERSEDED " + m.Triple()
+// coordinateJoin is JOIN: id listening at addr, through mutate. A node
+// that re-enters after an auto-eviction is told so.
+func (n *Node) coordinateJoin(id, addr string) string {
+	if !validID(id) {
+		return fmt.Sprintf("-ERR invalid node ID %q", id)
 	}
-	return "+OK " + m.Triple() + n.rejoinNote(id)
+	if strings.ContainsAny(addr, " \t\r\n=") || addr == "" {
+		return fmt.Sprintf("-ERR invalid node address %q", addr)
+	}
+	reply := n.mutate(func(m *Map) bool { return m.Addr(id) == addr },
+		func(cur *Map, epoch uint64) *Map { return cur.withNode(id, addr, epoch, n.id) })
+	if strings.HasPrefix(reply, "+OK") {
+		reply += n.rejoinNote(id)
+	}
+	return reply
 }
 
 // rejoinNote returns " rejoined-after-eviction=e<epoch>" when this node
@@ -1500,78 +1472,67 @@ func (n *Node) rejoinNote(id string) string {
 	return ""
 }
 
-func (n *Node) coordinateJoin(id, addr string) string {
-	if !validID(id) {
-		return fmt.Sprintf("-ERR invalid node ID %q", id)
-	}
-	if strings.ContainsAny(addr, " \t\r\n=") || addr == "" {
-		return fmt.Sprintf("-ERR invalid node address %q", addr)
-	}
-	n.mutateMu.Lock()
-	defer n.mutateMu.Unlock()
-	for attempt := 0; attempt < mutateAttempts; attempt++ {
-		if m := n.currentMap(); m.Addr(id) == addr {
-			return "+OK " + m.Triple() + n.rejoinNote(id) // idempotent re-join
-		}
-		epoch, err := n.claimEpoch()
-		if err != nil {
-			return "-ERR claim epoch: " + err.Error()
-		}
-		cur := n.currentMap() // re-read: the freshest map wins the race with other coordinators
-		if cur.Addr(id) == addr {
-			return "+OK " + cur.Triple() + n.rejoinNote(id)
-		}
-		newMap := cur.withNode(id, addr, epoch, n.id)
-		if !n.swapMap(newMap) {
-			continue // a newer map landed between claim and install; retry
-		}
-		if err := n.moveThenAnnounce(newMap, nil); err != nil {
-			return "-ERR " + err.Error()
-		}
-		return n.joinOutcome(id, addr)
-	}
-	return "+SUPERSEDED " + n.currentMap().Triple()
-}
-
-// leaveOutcome is joinOutcome's LEAVE counterpart: +OK when id is gone
-// from the current map, +SUPERSEDED with the winner's triple when a
-// rival map re-established it.
-func (n *Node) leaveOutcome(id string) string {
-	m := n.currentMap()
-	if m.Has(id) {
-		return "+SUPERSEDED " + m.Triple()
-	}
-	return "+OK " + m.Triple()
-}
-
+// coordinateLeave is LEAVE: id off the map, through mutate — an operator's,
+// gossip's auto-eviction and this node's own Leave.
 func (n *Node) coordinateLeave(id string) string {
+	return n.mutate(func(m *Map) bool { return !m.Has(id) },
+		func(cur *Map, epoch uint64) *Map { return cur.withoutNode(id, epoch, n.id) })
+}
+
+// mutate is the one way this node changes the cluster map as coordinator.
+// Unless done reports that the current map already holds the change, it
+// claims a fresh epoch, mints next from the map the claim left (the
+// freshest any voter held), installs it — a newer map landing first makes
+// it retry — and finishes with moveThenAnnounce, which tells the members
+// the change removed too, so a live leaver drains its keys. mutateMu
+// serializes it. A node already off its own map — e.g. after a Leave that
+// failed once it had installed the map without itself — finishes the
+// hand-off instead: it drains what is still local and re-tells the
+// members, no-ops when all is done.
+func (n *Node) mutate(done func(*Map) bool, next func(cur *Map, epoch uint64) *Map) string {
 	n.mutateMu.Lock()
 	defer n.mutateMu.Unlock()
 	for attempt := 0; attempt < mutateAttempts; attempt++ {
-		if m := n.currentMap(); !m.Has(id) {
-			return "+OK " + m.Triple() // idempotent re-leave
+		if cur := n.currentMap(); done(cur) {
+			if !cur.Has(n.id) {
+				if err := n.moveThenAnnounce(cur, cur); err != nil {
+					return "-ERR " + err.Error()
+				}
+			}
+			return n.verdict(done)
 		}
 		epoch, err := n.claimEpoch()
 		if err != nil {
 			return "-ERR claim epoch: " + err.Error()
 		}
-		cur := n.currentMap()
-		if !cur.Has(id) {
-			return "+OK " + cur.Triple()
-		}
-		oldAddr := cur.Addr(id)
-		newMap := cur.withoutNode(id, epoch, n.id)
-		if !n.swapMap(newMap) {
+		cur := n.currentMap() // re-read: the claim may have installed a newer map
+		if done(cur) {
 			continue
 		}
-		// Tell the departing node too (best-effort: it may be dead) so a
-		// live leaver drains its keys to the remaining owners.
-		if err := n.moveThenAnnounce(newMap, []string{oldAddr}); err != nil {
+		m := next(cur, epoch)
+		if !n.swapMap(m) {
+			continue // a newer map landed between claim and install
+		}
+		if err := n.moveThenAnnounce(m, cur); err != nil {
 			return "-ERR " + err.Error()
 		}
-		return n.leaveOutcome(id)
+		return n.verdict(done)
 	}
-	return "+SUPERSEDED " + n.currentMap().Triple()
+	return n.verdict(done)
+}
+
+// verdict renders a mutation's reply by re-reading the current map: +OK
+// with its triple when the change holds in it (whoever minted it),
+// +SUPERSEDED with the winning map's triple when a rival map erased the
+// change before the handler could return — the feedback channel that turns
+// the epoch order's deterministic-but-silent losses into something an
+// operator (or Join caller) can act on.
+func (n *Node) verdict(done func(*Map) bool) string {
+	m := n.currentMap()
+	if done(m) {
+		return "+OK " + m.Triple()
+	}
+	return "+SUPERSEDED " + m.Triple()
 }
 
 // RebalancePushes returns the cumulative number of keys this node shipped

@@ -177,10 +177,11 @@ func (p *pool) exchange(addr string, fresh bool, heads [][]string, run func(*ser
 	return err
 }
 
-// errStale marks a request the peer refused with -STALE: its map epoch
-// differs from the one the request was made under. The caller settles the
-// maps with that peer (reconcileMap) and retries at most once.
-var errStale = errors.New("cluster: peer map epoch differs")
+// errStale marks a request the peer refused with -STALE: its map differs
+// from the one the request was made under (XFER: its epoch is newer). The
+// caller settles the maps with that peer (reconcileMap) and retries at
+// most once.
+var errStale = errors.New("cluster: peer map differs")
 
 // asStale folds a -STALE reply into errStale.
 func asStale(err error) error {

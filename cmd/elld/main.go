@@ -33,8 +33,9 @@
 // the node exchanges heartbeat digests with a few peers, suspects any
 // member silent for 5 intervals, and — once a quorum of members agrees
 // — evicts it with an epoch-fenced automatic LEAVE, so a dead node
-// leaves the map without operator action. The same
-// exchange carries the cluster map to a peer that missed a broadcast.
+// leaves the map without operator action. The same exchange carries
+// each side's map triple, and a peer that missed a broadcast is pushed
+// the map or pulls it.
 // -gossip-interval 0 disables both (membership then changes only by
 // operator command, and maps heal on the digest round).
 //
