@@ -148,22 +148,52 @@ func TestMultiColumnGroupBy(t *testing.T) {
 	}
 }
 
+// TestWhereFilter runs filtered global aggregates, exact, over 100 users
+// per country, each on days 0..4. A filter no row passes leaves the global
+// aggregate with no row at all.
 func TestWhereFilter(t *testing.T) {
-	tbl, _ := NewTable(eventsSchema, 2)
-	for u := 0; u < 100; u++ {
-		_ = tbl.Append("at", u%10, int64(u))
-	}
-	dayIdx, _ := tbl.Schema().columnIndex("day")
-	results, err := tbl.DistinctCount(DistinctQuery{
-		Of:    "user",
-		Where: func(r RowView) bool { return r.Int(dayIdx) < 5 },
-		Exact: true,
-	})
+	tbl, err := NewTable(eventsSchema, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Count != 50 {
-		t.Errorf("filtered count %.0f, want 50", results[0].Count)
+	user := int64(0)
+	for _, c := range []string{"at", "de", "us"} {
+		for u := 0; u < 100; u++ {
+			user++
+			for day := 0; day < 5; day++ {
+				if err := tbl.Append(c, day, user); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	country, _ := tbl.Schema().columnIndex("country")
+	day, _ := tbl.Schema().columnIndex("day")
+	usr, _ := tbl.Schema().columnIndex("user")
+	for _, c := range []struct {
+		name  string
+		of    string
+		where func(RowView) bool
+		want  float64 // 0: no row
+	}{
+		{"country = at", "user", func(r RowView) bool { return r.String(country) == "at" }, 100},
+		{"country != at", "user", func(r RowView) bool { return r.String(country) != "at" }, 200},
+		{"user <= 50", "user", func(r RowView) bool { return r.Int(usr) <= 50 }, 50},
+		{"day < 0", "user", func(r RowView) bool { return r.Int(day) < 0 }, 0},
+		{"day >= 0", "user", func(r RowView) bool { return r.Int(day) >= 0 }, 300},
+		{"country = de and user <= 150", "user", func(r RowView) bool { return r.String(country) == "de" && r.Int(usr) <= 150 }, 50},
+		{"distinct day where day != 2", "day", func(r RowView) bool { return r.Int(day) != 2 }, 4},
+	} {
+		results, err := tbl.DistinctCount(DistinctQuery{Of: c.of, Where: c.where, Exact: true})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		switch {
+		case c.want == 0 && len(results) != 0:
+			t.Errorf("%s: %d rows, want none", c.name, len(results))
+		case c.want != 0 && (len(results) != 1 || results[0].Count != c.want):
+			t.Errorf("%s: %v, want one row counting %.0f", c.name, results, c.want)
+		}
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 	"exaloglog/aggdb"
 )
 
-// Run a grouped approximate distinct-count query through the SQL
-// front-end.
-func ExampleTable_ExecuteSQL() {
+// Count the distinct users per country: one sketch per group and
+// partition, merged across partitions. The exact counts are 1000 and 2000.
+func ExampleTable_DistinctCount() {
 	table, err := aggdb.NewTable(aggdb.Schema{
 		{Name: "country", Type: aggdb.TypeString},
 		{Name: "user", Type: aggdb.TypeInt},
@@ -25,14 +25,14 @@ func ExampleTable_ExecuteSQL() {
 			panic(err)
 		}
 	}
-	res, err := table.ExecuteSQL("events",
-		"SELECT country, COUNT(DISTINCT user) FROM events GROUP BY country EXACT", 0)
+	q := aggdb.DistinctQuery{GroupBy: []string{"country"}, Of: "user"}
+	res, err := table.DistinctCount(q)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Print(res.Format())
+	fmt.Print(aggdb.FormatResults(q.GroupBy, q.Of, res))
 	// Output:
-	// country           count(distinct user)
-	// at                1000
-	// de                2000
+	// country         approx_distinct(user)
+	// at              1001
+	// de              2003
 }

@@ -282,6 +282,24 @@ func sumPushes(nodes ...*Node) uint64 {
 	return total
 }
 
+// BenchmarkMembershipPass measures the peer selection of a membership
+// pass — the members sharing keys with this node, found in one walk of
+// the ring — at 3, 64 and 512 members, replica 2 (maps only, no sockets).
+func BenchmarkMembershipPass(b *testing.B) {
+	for _, n := range []int{3, 64, 512} {
+		m := memberMap(n, 2)
+		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				passPeersSink = m.passPeers("n000", true)
+			}
+		})
+	}
+}
+
+// passPeersSink keeps the compiler from dropping the measured call.
+var passPeersSink []Member
+
 // BenchmarkRingOwners isolates the routing cost: key → N owners on the
 // consistent-hash ring.
 func BenchmarkRingOwners(b *testing.B) {

@@ -240,14 +240,11 @@ func (n *Node) syncPass(membership bool) error {
 }
 
 // syncRounds is the second half of a pass: one digest round with each
-// peer.
+// of the map's passPeers.
 func (n *Node) syncRounds(membership bool) error {
 	var errs []error
 	m := n.currentMap()
-	for _, mem := range m.Members() {
-		if mem.ID == n.id || membership && !m.coOwned(n.id, mem.ID) {
-			continue
-		}
+	for _, mem := range m.passPeers(n.id, membership) {
 		err := n.digestSyncPeer(mem, membership)
 		if errors.Is(err, errStale) {
 			if err = n.reconcileMap(mem.Addr); err == nil {

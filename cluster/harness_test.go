@@ -1498,7 +1498,7 @@ func TestTTLChaosDeterministicExpiry(t *testing.T) {
 // n3's reply shows the older triple, so n1 answers with one targeted
 // SETMAP — no CLUSTER MAP pull, and at most a handful of SETMAPs. (A
 // laggard that pushes first pulls once instead, from the peer whose reply
-// showed the newer triple: TestGossipOversizedMapFallsBackToOnePull.) The
+// showed the newer triple: TestGossipPusherBehindHugeMapPullsOnce.) The
 // test counts every message on the wire during the heal.
 func TestGossipTripleHealsMissedBroadcast(t *testing.T) {
 	h := newHarness(t, 3, 2)
@@ -1570,11 +1570,11 @@ func TestGossipTripleHealsMissedBroadcast(t *testing.T) {
 	}
 }
 
-// TestGossipOversizedMapFallsBackToOnePull: a laggard whose own push
+// TestGossipPusherBehindHugeMapPullsOnce: a laggard whose own push
 // shows it a newer triple pulls the map — from the one peer whose reply
 // showed it, once, not from every member — however large the map is: this
 // one would not fit a gossip reply beside the digest, and no map rides one.
-func TestGossipOversizedMapFallsBackToOnePull(t *testing.T) {
+func TestGossipPusherBehindHugeMapPullsOnce(t *testing.T) {
 	h := newHarness(t, 2, 1)
 	n1, n2 := h.node("n1"), h.node("n2")
 	// 2000 members with 60-byte ids at a dead address: the map and n1's

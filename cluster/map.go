@@ -223,16 +223,26 @@ func (m *Map) Owners(key string) []Member {
 // ownerIDs returns just the IDs owning key, for cheap owner-set diffs.
 func (m *Map) ownerIDs(key string) []string { return m.ring.ownersOf(key, m.Replicas) }
 
-// coOwned reports whether some key has both a and b among its owners: the
-// peers a digest round of a has keys to compare with. With one replica no
-// two nodes are; a node off the map is with none.
-func (m *Map) coOwned(a, b string) bool {
+// passPeers returns the members a pass of node self runs digest rounds
+// with: for the timer's pass every other member; for a membership pass
+// only those that share some key with self, the peers it has keys to
+// compare with — none with one replica, none for a node off the map. One
+// walk of the ring finds them.
+func (m *Map) passPeers(self string, membership bool) []Member {
+	peers := m.Members()
+	if !membership {
+		return slices.DeleteFunc(peers, func(mem Member) bool { return mem.ID == self })
+	}
+	co := make(map[string]bool)
+	owners := make([]string, 0, m.Replicas)
 	for i := range m.ring.hashes {
-		if ids := m.ring.ownersAt(i, m.Replicas); slices.Contains(ids, a) && slices.Contains(ids, b) {
-			return true
+		if owners = m.ring.ownersAt(owners, i, m.Replicas); slices.Contains(owners, self) {
+			for _, id := range owners {
+				co[id] = true
+			}
 		}
 	}
-	return false
+	return slices.DeleteFunc(peers, func(mem Member) bool { return mem.ID == self || !co[mem.ID] })
 }
 
 // withNode returns a new map minted by coordinator at epoch with node

@@ -187,3 +187,51 @@ func TestMapsTravelOnlyAsSetmapOrMap(t *testing.T) {
 		}
 	}
 }
+
+// memberMap is a map of n members n000, n001, … at replica factor
+// replicas; no node listens on their addresses.
+func memberMap(n, replicas int) *Map {
+	members := make([]Member, n)
+	for i := range members {
+		members[i] = Member{ID: fmt.Sprintf("n%03d", i), Addr: fmt.Sprintf("10.0.0.1:%d", 7000+i)}
+	}
+	return NewMap(replicas, members...)
+}
+
+// TestPassPeersOneRingWalk: a membership pass goes to exactly the members
+// that share a vnode's owner set with the node — the pairwise check, one
+// ring walk per member, is the reference — and finding them at 512
+// members allocates O(members), far under the O(members·ring) of one
+// walk per member.
+func TestPassPeersOneRingWalk(t *testing.T) {
+	for _, replicas := range []int{1, 2, 3} {
+		m := memberMap(12, replicas)
+		for _, me := range append(m.Members(), Member{ID: "gone"}) {
+			self := me.ID
+			others := slices.DeleteFunc(m.Members(), func(mem Member) bool { return mem.ID == self })
+			if all := m.passPeers(self, false); !slices.Equal(all, others) {
+				t.Errorf("replicas %d, %s: timer pass goes to %v, want every other member", replicas, self, all)
+			}
+			var want []Member
+			for _, mem := range others {
+				for i := range m.ring.hashes {
+					if ids := m.ring.ownersAt(nil, i, replicas); slices.Contains(ids, self) && slices.Contains(ids, mem.ID) {
+						want = append(want, mem)
+						break
+					}
+				}
+			}
+			if got := m.passPeers(self, true); !slices.Equal(got, want) {
+				t.Errorf("replicas %d, %s: membership pass goes to %v, want %v", replicas, self, got, want)
+			}
+		}
+	}
+	if raceEnabled {
+		t.Skip("allocation counting is not meaningful under the race detector")
+	}
+	big := memberMap(512, 2)
+	allocs := testing.AllocsPerRun(5, func() { big.passPeers("n000", true) })
+	if allocs > 512 {
+		t.Errorf("a membership pass at 512 members allocates %.0f times finding its peers; want O(members), the ring has %d vnodes", allocs, len(big.ring.hashes))
+	}
+}

@@ -85,15 +85,15 @@ func (r *ring) ownersOf(key string, n int) []string {
 		return nil
 	}
 	h := hash64(key)
-	return r.ownersAt(sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h }), n)
+	return r.ownersAt(make([]string, 0, n), sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h }), n)
 }
 
-// ownersAt returns up to n distinct node IDs walking clockwise from the
-// virtual node at index start: the owners of every key hashing into the
-// arc that ends there. n is a replica factor, a handful at most, so out
-// itself is the set of IDs seen.
-func (r *ring) ownersAt(start, n int) []string {
-	out := make([]string, 0, n)
+// ownersAt appends to dst[:0] up to n distinct node IDs walking clockwise
+// from the virtual node at index start: the owners of every key hashing
+// into the arc that ends there. n is a replica factor, a handful at most,
+// so out itself is the set of IDs seen.
+func (r *ring) ownersAt(dst []string, start, n int) []string {
+	out := dst[:0]
 	for i := 0; i < len(r.hashes) && len(out) < n; i++ {
 		if id := r.owners[(start+i)%len(r.hashes)]; !slices.Contains(out, id) {
 			out = append(out, id)

@@ -2,22 +2,30 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"regexp"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"exaloglog/internal/mvp"
+	"exaloglog/similarity"
 )
 
-// smoke runs one entry through run at smoke scale and returns its output.
-func smoke(t *testing.T, id string) string {
+// runAt runs one entry through run at the named scale and returns its
+// output.
+func runAt(t *testing.T, scaleName, id string) string {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-scale", "smoke", id}, &stdout, &stderr); code != 0 {
-		t.Fatalf("ell-paper -scale smoke %s: exit %d, stderr %q", id, code, stderr.String())
+	if code := run([]string{"-scale", scaleName, id}, &stdout, &stderr); code != 0 {
+		t.Fatalf("ell-paper -scale %s %s: exit %d, stderr %q", scaleName, id, code, stderr.String())
 	}
 	return stdout.String()
 }
+
+// smoke runs one entry at smoke scale.
+func smoke(t *testing.T, id string) string { t.Helper(); return runAt(t, "smoke", id) }
 
 // columns splits a row into its columns: on tabs, or for Table 2's text
 // table on the 36-wide algorithm name and the blank-separated fields
@@ -120,6 +128,66 @@ func TestSection6EntropyForEveryConfig(t *testing.T) {
 			t.Errorf("t=%s d=%s n=%s: entropy %q not in (0, %s)", row[0], row[1], row[3], row[entropy], row[dense])
 		}
 	}
+}
+
+// column returns the values of the named column of an entry's rows.
+func column(t *testing.T, id string, header []string, rows [][]string, name string) []float64 {
+	t.Helper()
+	col := slices.Index(header, name)
+	if col < 0 {
+		t.Fatalf("%s: no %s column in %q", id, name, header)
+	}
+	out := make([]float64, len(rows))
+	for i, row := range rows {
+		v, err := strconv.ParseFloat(row[col], 64)
+		if err != nil {
+			t.Fatalf("%s: %s %q: %v", id, name, row[col], err)
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// TestBeyondThePaperWithinThreeSigma grades the four entries beyond the
+// paper at default scale: each estimate lies within 3σ of the exact
+// answer beside it, σ being ELL(2,20)'s relative standard error at the
+// entry's precision — 2.3 % at p = 8, 0.80 % at p = 11, 0.57 % at p = 12.
+// overlap's Jaccard is held to 3σ of the absolute error the two sketches'
+// σ predict (similarity.Estimates.JaccardError). skew's rows all face the
+// uniform workload's bound: duplication must not widen the error.
+func TestBeyondThePaperWithinThreeSigma(t *testing.T) {
+	sigma := func(p int) float64 { return mvp.TheoreticalRMSE(2, 20, p, false) }
+	for _, c := range []struct {
+		id, est, exact string
+		p              int
+	}{
+		{"anf", "approx_N", "exact_N", anfP},
+		{"window", "estimate", "exact", windowP},
+		{"skew", "estimate", "exact_distinct", skewP},
+	} {
+		t.Run(c.id, func(t *testing.T) {
+			t.Parallel()
+			header, rows := table(t, c.id, runAt(t, "default", c.id))
+			est, exact := column(t, c.id, header, rows, c.est), column(t, c.id, header, rows, c.exact)
+			bound := 3 * sigma(c.p)
+			for i := range rows {
+				if rel := est[i]/exact[i] - 1; math.Abs(rel) > bound {
+					t.Errorf("%s row %q: estimate off by %+.2f %%, beyond 3σ = %.2f %%", c.id, rows[i], rel*100, bound*100)
+				}
+			}
+		})
+	}
+	t.Run("overlap", func(t *testing.T) {
+		t.Parallel()
+		header, rows := table(t, "overlap", runAt(t, "default", "overlap"))
+		est, truth := column(t, "overlap", header, rows, "est_jaccard"), column(t, "overlap", header, rows, "true_jaccard")
+		for i := range rows {
+			bound := 3 * similarity.Estimates{Sigma: sigma(overlapP), Jaccard: truth[i]}.JaccardError()
+			if diff := est[i] - truth[i]; math.Abs(diff) > bound {
+				t.Errorf("overlap row %q: Jaccard off by %+.4f, beyond 3σ = %.4f", rows[i], diff, bound)
+			}
+		}
+	})
 }
 
 func TestNoIdsPicksEveryEntry(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -94,5 +95,67 @@ func TestEveryMainIsTested(t *testing.T) {
 	}
 	if mains == 0 {
 		t.Fatal("found no package main at all: the walk is not looking at this module")
+	}
+}
+
+// TestReadmeNamesEveryMain: README names exactly the binaries there are.
+// The first sentence of its binaries paragraph ("Binaries live under
+// `cmd/`: …") names every package main directory under cmd/ and nothing
+// else, and every cmd/<name> path README mentions is one of them.
+func TestReadmeNamesEveryMain(t *testing.T) {
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mains := map[string]bool{}
+	for _, d := range dirs {
+		files, err := filepath.Glob(filepath.Join("cmd", d.Name(), "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.PackageClauseOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Name.Name == "main" {
+				mains[d.Name()] = true
+			}
+		}
+	}
+	if len(mains) == 0 {
+		t.Fatal("found no package main under cmd/")
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lead = "Binaries live under `cmd/`:"
+	_, rest, ok := strings.Cut(string(readme), lead)
+	if !ok {
+		t.Fatalf("README has no binaries paragraph starting %q", lead)
+	}
+	sentence, _, _ := strings.Cut(rest, ".")
+	named := map[string]bool{}
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(sentence, -1) {
+		named[m[1]] = true
+	}
+	for name := range mains {
+		if !named[name] {
+			t.Errorf("cmd/%s is a package main that README's binaries paragraph does not name", name)
+		}
+	}
+	for name := range named {
+		if !mains[name] {
+			t.Errorf("README's binaries paragraph names %s, which is no package main under cmd/", name)
+		}
+	}
+	for _, m := range regexp.MustCompile(`cmd/([A-Za-z0-9_-]+)`).FindAllStringSubmatch(string(readme), -1) {
+		if !mains[m[1]] {
+			t.Errorf("README mentions cmd/%s, which is no package main", m[1])
+		}
 	}
 }
