@@ -28,13 +28,16 @@ race:
 # bench-smoke compiles and runs every benchmark once — a fast
 # does-it-still-run check, not a measurement (measurements come from
 # benchmark/, see its README). CI runs this non-blocking. -bench . takes
-# whatever the packages define: the dispatch benchmarks (PFADD, PFCOUNT,
-# WADD in server/, the forwarded-add BenchmarkDispatchMLAdd in cluster/)
-# and the coordinator's BenchmarkNodeAdd/{1,40,1000,5000} (cluster/,
-# ns/element on a 2-node cluster) need no list here. The root package and internal/core hold the sketch's
-# own rows (BenchmarkHybridInsert/Bulk/Union/Estimate, which ROADMAP's
-# insert-debt figures quote); internal/hashing holds BenchmarkWy64_16B, the
-# micro twin of the benchmark's hashing.wy64_ns.
+# whatever the packages define: the dispatch benchmarks (PFADD, PFCOUNT —
+# one uncached estimate each — and WADD in server/, the forwarded-add
+# BenchmarkDispatchMLAdd in cluster/), server's BenchmarkShardDigests (one
+# uncached anti-entropy sweep of 3 000 keys) and the coordinator's
+# BenchmarkNodeAdd/{1,40,1000,5000} (cluster/, ns/element on a 2-node
+# cluster) need no list here. The root package and internal/core hold the
+# sketch's own rows (BenchmarkHybridInsert/Bulk/Union/Estimate, which
+# ROADMAP's insert-debt figures quote, and internal/core's BenchmarkEstimate,
+# the φ-group estimator dense and sparse); internal/hashing holds
+# BenchmarkWy64_16B, the micro twin of the benchmark's hashing.wy64_ns.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x . ./internal/core/ ./server/ ./cluster/ ./window/ ./internal/compress/ ./internal/hashing/
 

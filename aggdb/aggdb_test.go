@@ -368,9 +368,14 @@ func TestRollupResultsSorted(t *testing.T) {
 
 func TestFormatResults(t *testing.T) {
 	tbl := buildEvents(t, 1, []string{"at"}, 5, 1, 1)
-	results, _ := tbl.DistinctCount(DistinctQuery{GroupBy: []string{"country"}, Of: "user", Exact: true})
-	out := FormatResults([]string{"country"}, "user", results)
-	if !strings.Contains(out, "approx_distinct(user)") || !strings.Contains(out, "at") {
-		t.Errorf("FormatResults output malformed:\n%s", out)
+	for _, c := range []struct {
+		exact  bool
+		header string
+	}{{true, "country         distinct(user)\n"}, {false, "country         approx_distinct(user)\n"}} {
+		results, _ := tbl.DistinctCount(DistinctQuery{GroupBy: []string{"country"}, Of: "user", Exact: c.exact})
+		out := FormatResults([]string{"country"}, "user", results)
+		if !strings.HasPrefix(out, c.header) || !strings.Contains(out, "at") {
+			t.Errorf("Exact %v: FormatResults output malformed, want header %q:\n%s", c.exact, c.header, out)
+		}
 	}
 }

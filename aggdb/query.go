@@ -219,13 +219,19 @@ func (p *queryPlan) keyValues(part *partition, row int) []any {
 }
 
 // FormatResults renders query results as an aligned text table — the
-// "same rows the paper reports" convention used by the cmd/ binaries.
+// "same rows the paper reports" convention used by the cmd/ binaries. The
+// count column is headed approx_distinct(<of>) for sketch estimates and
+// distinct(<of>) for exact counts, which carry no sketch.
 func FormatResults(groupBy []string, of string, results []GroupResult) string {
 	var b strings.Builder
 	for _, g := range groupBy {
 		fmt.Fprintf(&b, "%-16s", g)
 	}
-	fmt.Fprintf(&b, "approx_distinct(%s)\n", of)
+	agg := "approx_distinct"
+	if len(results) > 0 && results[0].Sketch == nil {
+		agg = "distinct"
+	}
+	fmt.Fprintf(&b, "%s(%s)\n", agg, of)
 	for _, r := range results {
 		for _, v := range r.Key {
 			fmt.Fprintf(&b, "%-16v", v)

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -149,16 +148,6 @@ func decodeKeyDigests(body string) (map[string]uint64, error) {
 	return out, nil
 }
 
-// coOwnedFilter accepts the keys whose owner set under m contains both
-// this node and peerID — the key population a digest exchange between
-// the two summarizes.
-func (n *Node) coOwnedFilter(m *Map, peerID string) func(string) bool {
-	return func(key string) bool {
-		ids := m.ownerIDs(key)
-		return slices.Contains(ids, n.id) && slices.Contains(ids, peerID)
-	}
-}
-
 // digestFilter checks DSUM's and DKEYS's requester ID and map triple,
 // enforces the map fence and filters the keys the two nodes co-own.
 func (n *Node) digestFilter(args [][]byte) (filter func(string) bool, errReply string) {
@@ -178,7 +167,8 @@ func (n *Node) digestFilter(args [][]byte) (filter func(string) bool, errReply s
 	if m.triple() != t {
 		return nil, "-STALE " + m.Triple()
 	}
-	return n.coOwnedFilter(m, peerID), ""
+	// The keys both nodes own: the population the exchange summarizes.
+	return m.ownedBy(n.id, peerID), ""
 }
 
 // handleDigestSum serves CLUSTER DSUM (see the file comment).
@@ -265,7 +255,7 @@ func (n *Node) digestSyncPeer(peer Member, membership bool) error {
 	if !m.Has(peer.ID) {
 		return nil
 	}
-	filter := n.coOwnedFilter(m, peer.ID)
+	filter := m.ownedBy(n.id, peer.ID)
 	local := n.store.ShardDigests(filter)
 	tri := strings.Fields(m.Triple())
 	n.digestRounds.Add(1)
@@ -348,7 +338,8 @@ func (n *Node) drainStrays() error {
 	}
 	streams := make(map[string]*stream)
 	var order []*stream
-	notOwned := func(key string) bool { return !slices.Contains(m.ownerIDs(key), n.id) }
+	owned := m.ownedBy(n.id)
+	notOwned := func(key string) bool { return !owned(key) }
 	n.store.EachTagged(notOwned, func(key string, t server.TaggedBlob) {
 		owners := m.Owners(key)
 		if len(owners) == 0 {

@@ -223,6 +223,23 @@ func (m *Map) Owners(key string) []Member {
 // ownerIDs returns just the IDs owning key, for cheap owner-set diffs.
 func (m *Map) ownerIDs(key string) []string { return m.ring.ownersOf(key, m.Replicas) }
 
+// ownedBy returns a key filter that accepts the keys whose owners include
+// every one of ids. The owners are the same over each arc of the ring, so
+// one walk over the arcs marks the accepted ones, and a key's test is a
+// hash, a binary search and a lookup — no per-key owner list.
+func (m *Map) ownedBy(ids ...string) func(key string) bool {
+	if len(m.ring.hashes) == 0 {
+		return func(string) bool { return false }
+	}
+	accept := make([]bool, len(m.ring.hashes))
+	owners := make([]string, 0, m.Replicas)
+	for i := range accept {
+		owners = m.ring.ownersAt(owners, i, m.Replicas)
+		accept[i] = !slices.ContainsFunc(ids, func(id string) bool { return !slices.Contains(owners, id) })
+	}
+	return func(key string) bool { return accept[m.ring.arcOf(key)] }
+}
+
 // passPeers returns the members a pass of node self runs digest rounds
 // with: for the timer's pass every other member; for a membership pass
 // only those that share some key with self, the peers it has keys to

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -196,6 +197,46 @@ func memberMap(n, replicas int) *Map {
 		members[i] = Member{ID: fmt.Sprintf("n%03d", i), Addr: fmt.Sprintf("10.0.0.1:%d", 7000+i)}
 	}
 	return NewMap(replicas, members...)
+}
+
+// TestOwnedByMatchesOwnerIDs: the arc-table filter a digest exchange
+// and a stray drain build once per request accepts exactly the keys whose
+// owner list — ownerIDs, one ring walk per key, the reference — holds
+// every given ID, on random keys at replicas 1–3, with a node off the map
+// and an empty map among the cases; and testing a key allocates nothing.
+func TestOwnedByMatchesOwnerIDs(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	keys := make([]string, 2000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%x", r.Uint64())
+	}
+	for _, replicas := range []int{1, 2, 3} {
+		m := memberMap(5, replicas)
+		for _, ids := range [][]string{{"n000"}, {"n001", "n003"}, {"n002", "n002"}, {"n000", "gone"}} {
+			owned := m.ownedBy(ids...)
+			for _, key := range keys {
+				owners := m.ownerIDs(key)
+				want := !slices.ContainsFunc(ids, func(id string) bool { return !slices.Contains(owners, id) })
+				if got := owned(key); got != want {
+					t.Fatalf("replicas %d, ids %v, key %q with owners %v: ownedBy says %v", replicas, ids, key, owners, got)
+				}
+			}
+		}
+	}
+	if NewMap(2).ownedBy("n000")("k") {
+		t.Error("an empty map's filter accepts a key")
+	}
+	if raceEnabled {
+		t.Skip("allocation counting is not meaningful under the race detector")
+	}
+	owned := memberMap(64, 3).ownedBy("n000", "n001")
+	if allocs := testing.AllocsPerRun(5, func() {
+		for _, key := range keys {
+			owned(key)
+		}
+	}); allocs > 0 {
+		t.Errorf("filtering %d keys allocates %.0f times; want none", len(keys), allocs)
+	}
 }
 
 // TestPassPeersOneRingWalk: a membership pass goes to exactly the members

@@ -84,8 +84,19 @@ func (r *ring) ownersOf(key string, n int) []string {
 	if len(r.hashes) == 0 || n <= 0 {
 		return nil
 	}
+	return r.ownersAt(make([]string, 0, n), r.arcOf(key), n)
+}
+
+// arcOf returns the index of the virtual node whose arc key hashes into:
+// the first at or past the key's hash, clockwise, wrapping to 0. Every
+// key of one arc has the same owners, ownersAt(dst, arcOf(key), n). The
+// ring must not be empty.
+func (r *ring) arcOf(key string) int {
 	h := hash64(key)
-	return r.ownersAt(make([]string, 0, n), sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h }), n)
+	if i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h }); i < len(r.hashes) {
+		return i
+	}
+	return 0
 }
 
 // ownersAt appends to dst[:0] up to n distinct node IDs walking clockwise

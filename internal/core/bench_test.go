@@ -49,3 +49,41 @@ func BenchmarkSortDistinct(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEstimate is one ML estimate of an ELL(2,20) sketch filled with
+// n distinct random hashes: dense at p = 12, the server's default, and
+// sparse, the Hybrid's token mode, at p = 16, which keeps 10⁴ tokens
+// sparse. The dense rows scan all 4 096 registers whatever n is; n moves
+// how many indicator bits are set and how far u climbs.
+func BenchmarkEstimate(b *testing.B) {
+	r := rng(1)
+	for _, n := range []int{1_000, 100_000, 10_000_000} {
+		s := MustNew(RecommendedML(12))
+		for range n {
+			s.AddHash(r.Uint64())
+		}
+		b.Run(fmt.Sprintf("dense/n%d", n), func(b *testing.B) {
+			for range b.N {
+				s.Estimate()
+			}
+		})
+	}
+	for _, n := range []int{1_000, 10_000} {
+		h, err := NewHybrid(RecommendedML(16))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for range n {
+			h.AddHash(r.Uint64())
+		}
+		if !h.IsSparse() {
+			b.Fatalf("%d tokens left sparse mode at p = 16", n)
+		}
+		b.Run(fmt.Sprintf("sparse/n%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				h.Estimate()
+			}
+		})
+	}
+}

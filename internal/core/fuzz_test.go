@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -213,5 +214,41 @@ func FuzzTokenHashRoundTrip(f *testing.F) {
 		if TokenFromHash(HashFromToken(w, v), v) != w {
 			t.Fatalf("token %#x not a fixed point", w)
 		}
+	})
+}
+
+// paperConfigs are the (t, d) pairs of the paper's evaluation: the four
+// recommended ELL configurations and HLL, EHLL and ULL.
+var paperConfigs = [...][2]int{{2, 20}, {2, 24}, {1, 9}, {2, 16}, {0, 0}, {0, 1}, {0, 2}}
+
+// FuzzCoefficientsByGroup: the φ-group coefficients of Algorithm 3 are
+// bit-identical to the bit-by-bit reference, for one register of any
+// content under any paper configuration and precision, and for a batch
+// holding every u the register's 6+t bits can hold, with random
+// indicator bits. The seeds cover u = 0, u ≤ d, and u at and past the
+// largest update value, where φ saturates at 64-p.
+func FuzzCoefficientsByGroup(f *testing.F) {
+	for i, td := range paperConfigs {
+		for _, p := range []uint8{2, 12, 26} {
+			cfg := Config{T: td[0], D: td[1], P: int(p)}
+			for _, u := range []uint64{0, 1, uint64(cfg.D) / 2, uint64(cfg.D), cfg.MaxUpdateValue(), cfg.MaxUpdateValue() - 1} {
+				f.Add(uint8(i), p, u, uint64(0x9e3779b97f4a7c15)*(u+1))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, ci, p uint8, u, indicators uint64) {
+		td := paperConfigs[int(ci)%len(paperConfigs)]
+		cfg := Config{T: td[0], D: td[1], P: MinP + int(p)%(MaxP-MinP+1)}
+		if cfg.Validate() != nil {
+			return
+		}
+		field := uint64(1)<<cfg.RegisterWidth() - 1
+		checkByGroup(t, cfg, (u<<uint(cfg.D)|indicators&(uint64(1)<<uint(cfg.D)-1))&field)
+		r := rand.New(rand.NewSource(int64(indicators)))
+		regs := make([]uint64, 0, 64<<uint(cfg.T))
+		for v := uint64(0); v < 64<<uint(cfg.T); v++ {
+			regs = append(regs, v<<uint(cfg.D)|r.Uint64()&(uint64(1)<<uint(cfg.D)-1))
+		}
+		checkByGroup(t, cfg, regs...)
 	})
 }

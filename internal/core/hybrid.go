@@ -1121,6 +1121,10 @@ func (h *Hybrid) MarshalBinary() ([]byte, error) {
 	return h.AppendBinary(make([]byte, 0, tokenBlobHeader+binary.MaxVarintLen32+h.SizeBytes()+7))
 }
 
+// nativeLittleEndian is whether a token word's bytes in memory are its
+// little-endian encoding, so the blob can copy them as they are.
+var nativeLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // AppendBinary appends MarshalBinary's bytes to b.
 func (h *Hybrid) AppendBinary(b []byte) ([]byte, error) {
 	if s := h.sketch(); s != nil {
@@ -1130,6 +1134,9 @@ func (h *Hybrid) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, h.t, h.d, h.p)
 	b = binary.AppendUvarint(b, uint64(h.n))
 	end := len(b) + h.SizeBytes()
+	if nativeLittleEndian {
+		return append(b, unsafe.Slice((*byte)(h.ptr), end-len(b))...), nil
+	}
 	words := h.tokenWords()
 	for i := 0; len(b) < end; i++ {
 		b = binary.LittleEndian.AppendUint64(b, words[i])

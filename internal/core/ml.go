@@ -27,63 +27,107 @@ type Coefficients struct {
 }
 
 // mlAccum accumulates the coefficients of the log-likelihood function
-// (15) one register at a time, following Algorithm 3. α' = α·2^(64-p) is
-// held as a 128-bit integer (aHi, aLo): a register contributes at most
-// 2^(64-p), so m of them never overflow the pair, and because every
-// contribution is an exact integer the result does not depend on the order
-// the registers arrive in — a dense scan and a walk over only the touched
-// registers (sparse mode) yield bit-identical coefficients. The β counters
-// live in the struct so that estimating allocates nothing.
+// (15) one register at a time, following Algorithm 3, but by φ-group
+// rather than bit by bit. φ(k) (11) is constant over each aligned run of
+// 2^t update values, so a register's indicator bits fall into a few runs
+// that each add their popcount to one β_j and their zeros·2^(64-p-j) to
+// α' = α·2^(64-p); a register's own update value u adds a term that
+// depends on u alone, so registers are only counted per u here and those
+// terms are folded in once, by coefficients.
+//
+// Every sum is an exact integer — α' in 128 bits: a register contributes
+// at most 2^(64-p), so m of them never overflow — and the result does not
+// depend on the order the registers arrive in: a dense scan and a walk
+// over only the touched registers (sparse mode) yield bit-identical
+// coefficients, and both equal the bit-by-bit loop of Algorithm 3. The
+// counters live in the struct so that estimating allocates nothing.
 type mlAccum struct {
-	cfg      Config
-	aHi, aLo uint64
-	beta     [64]int32 // beta[j] counts terms with exponent u = t+1+j
+	cfg Config
+	// hist[u] counts the registers whose update value is u; a register
+	// of 6+t bits for u holds u < 64·2^t.
+	hist [64 << MaxT]uint32
+	// ones[64+g] counts the set indicator bits of φ-group g, the update
+	// values k with ⌊(k-1)/2^t⌋ = g, so that φ(k) = t+1+g below the cap
+	// 64-p; k ≤ u-1 < 64·2^t keeps g < 64. The bits of k ≤ 0 count for
+	// nothing: they fall in groups g < 0, slots 64+g > 0 that
+	// coefficients never reads, as do the empty runs past bit d-1, whose
+	// slots wrap mod 128.
+	ones [128]uint64
+	beta [64]int32 // beta[j] counts terms with exponent u = t+1+j
 }
 
-func (a *mlAccum) addAlpha(x uint64) {
-	var carry uint64
-	a.aLo, carry = bits.Add64(a.aLo, x, 0)
-	a.aHi += carry
-}
-
-// addRegister adds the contribution of one register with value r.
+// addRegister adds the contribution of one register with value r: u to
+// the histogram, and one popcount per φ-group of its indicator bits.
+// Indicator bit b of r records update value k = u-d+b. φ-groups begin at
+// the bits b with k-1 ≡ 0 mod 2^t; s is the first of them, and past it
+// the groups are aligned runs of 2^t bits of x >> s.
 func (a *mlAccum) addRegister(r uint64) {
-	cfg := a.cfg
-	lo := cfg.T + 1
-	u := int64(r >> uint(cfg.D))
-	a.addAlpha(uint64(cfg.omegaNumerator(u)) << uint(64-cfg.P-cfg.phi(u)))
-	if u < 1 {
-		return
+	t, d := uint(a.cfg.T)&7, uint(a.cfg.D)&63
+	u := uint(r>>d) & (64<<MaxT - 1)
+	a.hist[u]++
+	if u == 0 {
+		return // never written: every indicator bit has k ≤ 0
 	}
-	a.beta[cfg.phi(u)-lo]++
-	k := u - int64(cfg.D)
-	if k < 1 {
-		k = 1
-	}
-	for ; k < u; k++ {
-		j := cfg.phi(k)
-		if r&(uint64(1)<<uint(int64(cfg.D)-u+k)) == 0 {
-			a.addAlpha(uint64(1) << uint(64-cfg.P-j))
-		} else {
-			a.beta[j-lo]++
-		}
+	x := r & (1<<d - 1)
+	s := (d + 1 - u) & (1<<t - 1)
+	g := int(u+s-d-1)>>t + 64 // slot of the group that begins at bit s
+	a.ones[(g-1)&127] += uint64(bits.OnesCount64(x & (1<<s - 1)))
+	x >>= s
+	w := uint(1) << t
+	for c := uint(0); c < d; c += w {
+		a.ones[g&127] += uint64(bits.OnesCount64(x & (1<<w - 1)))
+		x >>= w & 63
+		g++
 	}
 }
 
 // addEmpty adds the contribution of n registers that were never written:
 // each adds ω(0)·2^(64-p) = 2^(64-p) to α' and nothing to β.
-func (a *mlAccum) addEmpty(n int) {
-	hi, lo := bits.Mul64(uint64(n), uint64(1)<<uint(64-a.cfg.P))
-	a.addAlpha(lo)
-	a.aHi += hi
-}
+func (a *mlAccum) addEmpty(n int) { a.hist[0] += uint32(n) }
 
 // coefficients returns (α, β) as accumulated so far. Beta aliases the
-// accumulator.
+// accumulator. Per u counted, ω(u)·2^(64-p) enters α' once a register,
+// β_φ(u) counts the registers with u ≥ 1, and the indicator bits of u's
+// φ-groups enter as zeros: each of a group's clear bits adds 2^(64-p-j)
+// to α', each set bit one to β_j.
 func (a *mlAccum) coefficients() Coefficients {
-	p := a.cfg.P
-	alpha := math.Ldexp(float64(a.aHi), p) + math.Ldexp(float64(a.aLo), p-64)
-	return Coefficients{Alpha: alpha, Beta: a.beta[:64-p-a.cfg.T], Lo: a.cfg.T + 1}
+	c := a.cfg
+	t, d := uint(c.T), c.D
+	lo := c.T + 1
+	var aHi, aLo uint64
+	add := func(n, x uint64) {
+		hi, l := bits.Mul64(n, x)
+		var carry uint64
+		aLo, carry = bits.Add64(aLo, l, 0)
+		aHi += hi + carry
+	}
+	var bitsOf [64]uint64 // bitsOf[g]: the indicator bits of φ-group g
+	a.beta = [64]int32{}
+	for u, n := range a.hist[:64<<t] {
+		if n == 0 {
+			continue
+		}
+		j := c.phi(int64(u))
+		add(uint64(n), uint64(c.omegaNumerator(int64(u)))<<uint(64-c.P-j))
+		if u >= 1 {
+			a.beta[j-lo] += int32(n)
+		}
+		for k := max(u-d, 1); k < u; k++ {
+			bitsOf[(k-1)>>t] += uint64(n)
+		}
+	}
+	for g, n := range bitsOf {
+		ones := a.ones[g+64]
+		if n == 0 {
+			continue
+		}
+		j := c.phi(int64(g)<<t + 1)
+		add(n-ones, uint64(1)<<uint(64-c.P-j))
+		a.beta[j-lo] += int32(ones)
+	}
+	p := c.P
+	alpha := math.Ldexp(float64(aHi), p) + math.Ldexp(float64(aLo), p-64)
+	return Coefficients{Alpha: alpha, Beta: a.beta[:64-p-c.T], Lo: lo}
 }
 
 // solve returns the raw ML estimate for the accumulated coefficients.

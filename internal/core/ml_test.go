@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -23,6 +25,81 @@ func (s *Sketch) mlCoefficients() Coefficients {
 	acc := new(mlAccum)
 	s.accumulate(acc)
 	return acc.coefficients()
+}
+
+// bitAccum is Algorithm 3 as the paper states it, one indicator bit at a
+// time: the reference mlAccum's φ-group kernel must match bit for bit.
+type bitAccum struct {
+	cfg      Config
+	aHi, aLo uint64
+	beta     [64]int32
+}
+
+func (a *bitAccum) addAlpha(x uint64) {
+	var carry uint64
+	a.aLo, carry = bits.Add64(a.aLo, x, 0)
+	a.aHi += carry
+}
+
+func (a *bitAccum) addRegister(r uint64) {
+	cfg := a.cfg
+	lo := cfg.T + 1
+	u := int64(r >> uint(cfg.D))
+	a.addAlpha(uint64(cfg.omegaNumerator(u)) << uint(64-cfg.P-cfg.phi(u)))
+	if u < 1 {
+		return
+	}
+	a.beta[cfg.phi(u)-lo]++
+	for k := max(u-int64(cfg.D), 1); k < u; k++ {
+		j := cfg.phi(k)
+		if r&(uint64(1)<<uint(int64(cfg.D)-u+k)) == 0 {
+			a.addAlpha(uint64(1) << uint(64-cfg.P-j))
+		} else {
+			a.beta[j-lo]++
+		}
+	}
+}
+
+func (a *bitAccum) coefficients() Coefficients {
+	p := a.cfg.P
+	alpha := math.Ldexp(float64(a.aHi), p) + math.Ldexp(float64(a.aLo), p-64)
+	return Coefficients{Alpha: alpha, Beta: a.beta[:64-p-a.cfg.T], Lo: a.cfg.T + 1}
+}
+
+// sameCoefficients reports whether two coefficient sets are bit-identical.
+func sameCoefficients(a, b Coefficients) bool {
+	return math.Float64bits(a.Alpha) == math.Float64bits(b.Alpha) && a.Lo == b.Lo && slices.Equal(a.Beta, b.Beta)
+}
+
+// checkByGroup feeds regs to both accumulators and fails unless their
+// coefficients are bit-identical.
+func checkByGroup(t *testing.T, cfg Config, regs ...uint64) {
+	t.Helper()
+	got, want := mlAccum{cfg: cfg}, bitAccum{cfg: cfg}
+	for _, r := range regs {
+		got.addRegister(r)
+		want.addRegister(r)
+	}
+	if g, w := got.coefficients(), want.coefficients(); !sameCoefficients(g, w) {
+		t.Fatalf("cfg %+v, registers %#x: by φ-group α=%v β=%v, bit by bit α=%v β=%v", cfg, regs, g.Alpha, g.Beta, w.Alpha, w.Beta)
+	}
+}
+
+// TestCoefficientsByGroupOnSketches checks the φ-group kernel against
+// the bitwise reference on filled sketches of every test configuration,
+// from empty to saturated-high fill levels.
+func TestCoefficientsByGroupOnSketches(t *testing.T) {
+	for _, cfg := range testConfigs {
+		for _, n := range []int{0, 1, 100, 10000, 1000000} {
+			s := MustNew(cfg)
+			fillRandom(s, n, int64(n)+int64(cfg.D))
+			regs := make([]uint64, cfg.NumRegisters())
+			for i := range regs {
+				regs[i] = s.regs.Get(i)
+			}
+			checkByGroup(t, cfg, regs...)
+		}
+	}
 }
 
 func fillRandom(s *Sketch, n int, seed int64) {

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,7 +10,7 @@ import (
 	"exaloglog/internal/core"
 )
 
-func newBenchStore(b *testing.B) *Store {
+func newBenchStore(b testing.TB) *Store {
 	b.Helper()
 	store, err := NewStore(core.RecommendedML(12))
 	if err != nil {
@@ -286,11 +285,9 @@ func BenchmarkDispatchWAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchPFCount isolates the PFCOUNT dispatch fast path.
-// Since the per-entry estimate cache, a repeated single-key count on an
-// unchanged sketch is O(1) — no accumulator merge, no register scan —
-// so this measures the hot-key floor. BenchmarkDispatchPFCountInvalidated
-// measures the recompute path the cache saves.
+// BenchmarkDispatchPFCount isolates the PFCOUNT dispatch path on one
+// dense key (10 000 elements): each count is one estimate of the key's
+// 4 096 registers, as the entry caches no estimate.
 func BenchmarkDispatchPFCount(b *testing.B) {
 	store := newBenchStore(b)
 	for i := 0; i < 10000; i++ {
@@ -306,37 +303,8 @@ func BenchmarkDispatchPFCount(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchPFCountInvalidated interleaves a mutating PFADD with
-// every PFCOUNT, so each count misses the estimate cache and pays the
-// full Estimate() over the dense register array — the pre-cache cost,
-// and the bound for write-heavy keys.
-func BenchmarkDispatchPFCountInvalidated(b *testing.B) {
-	store := newBenchStore(b)
-	for i := 0; i < 10000; i++ {
-		store.Add("key", fmt.Sprintf("el-%d", i))
-	}
-	srv := NewServer(store)
-	cc := newConnCtx(srv, nil, io.Discard)
-	count := []byte("PFCOUNT key\n")
-	// Every add uses a never-seen element, so (almost) every one bumps
-	// the entry version and the following count misses the cache. Built
-	// in a reusable buffer so the loop measures dispatch, not Sprintf.
-	prefix := []byte("PFADD key inv-")
-	add := make([]byte, 0, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		add = append(add[:0], prefix...)
-		add = strconv.AppendInt(add, int64(i), 10)
-		add = append(add, '\n')
-		cc.exec(add)
-		cc.exec(count)
-	}
-}
-
 // BenchmarkDispatchPFCountUnion keeps the multi-key accumulator path
-// honest: an 8-key union cannot use the per-entry cache and must still
-// be merge-bound, not allocation-bound.
+// honest: an 8-key union must be merge-bound, not allocation-bound.
 func BenchmarkDispatchPFCountUnion(b *testing.B) {
 	store := newBenchStore(b)
 	keys := make([]string, 8)
@@ -387,4 +355,55 @@ func BenchmarkServerParallelPFAdd(b *testing.B) {
 		}
 	})
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+}
+
+// manyKeysCardinality is the benchmark module's many-keys size mix: of
+// every 20 keys one holds 1 001–10 000 elements (dense), five 33–1 000,
+// and the rest 1–32 (sparse).
+func manyKeysCardinality(i int) int {
+	lo, hi := 1, 32
+	switch m := i % 20; {
+	case m == 0:
+		lo, hi = 1001, 10000
+	case m <= 5:
+		lo, hi = 33, 1000
+	}
+	return lo + i*7919%(hi-lo+1)
+}
+
+// newManyKeysStore returns a store of n plain keys in the many-keys mix.
+func newManyKeysStore(b testing.TB, n int) *Store {
+	store := newBenchStore(b)
+	for i := range n {
+		key := fmt.Sprintf("mk%05d", i)
+		els := make([]string, manyKeysCardinality(i))
+		for j := range els {
+			els[j] = fmt.Sprintf("%s-%d", key, j)
+		}
+		store.Add(key, els...)
+	}
+	return store
+}
+
+// BenchmarkShardDigests is one anti-entropy sweep, ShardDigests, over
+// 3 000 keys in the many-keys mix: every key serialized and hashed, since
+// the entry caches no digest. The filtered sweep accepts about half the
+// keys, as a digest exchange's co-owned filter would with two of three
+// nodes holding each key.
+func BenchmarkShardDigests(b *testing.B) {
+	store := newManyKeysStore(b, 3000)
+	for _, bc := range []struct {
+		name   string
+		filter func(string) bool
+	}{
+		{"all", nil},
+		{"filtered", func(key string) bool { return ShardIndex(key+"#")&1 == 0 }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				store.ShardDigests(bc.filter)
+			}
+		})
+	}
 }

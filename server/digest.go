@@ -9,10 +9,16 @@ package server
 // matter how they arrived at the state (the same order-independence
 // the sketch merge itself guarantees).
 //
-// The per-entry blob digest is cached until the entry changes (every
-// observable mutation calls changedLocked, which drops it), so a
-// converged, idle store answers repeated digest sweeps without
-// re-serializing anything; the deadline is mixed in fresh on every read.
+// Nothing is cached: a sweep appends each key's canonical bytes into one
+// scratch buffer and hashes them with wyhash, which costs a few
+// microseconds for a dense key, allocates nothing per key, and keeps the
+// entry free of a cached digest and its invalidation.
+
+import (
+	"encoding/binary"
+
+	"exaloglog/internal/hashing"
+)
 
 // NumShards is the store's shard count, exported so cluster peers can
 // exchange per-shard digest vectors. The shard of a key is a pure
@@ -30,62 +36,55 @@ type KeyDigest struct {
 	Digest uint64
 }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func fnvBytes(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime
-	}
-	return h
+// digester is one digest sweep's scratch: the serialized bytes of the key
+// being digested, and the keys and entries of the shard being swept.
+// Reused from key to key and shard to shard, it lets a sweep allocate
+// only while its buffers grow.
+type digester struct {
+	buf     []byte
+	keys    []string
+	entries []*entry
 }
 
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
+// keyDigestLocked returns the digest of (key, serialized value, deadline);
+// e.mu must be held. The key goes in length-prefixed, so no two (key,
+// value) pairs hash the same bytes.
+func (dg *digester) keyDigestLocked(key string, e *entry) uint64 {
+	b := binary.AppendUvarint(dg.buf[:0], uint64(len(key)))
+	b = append(b, key...)
+	if e.win != nil {
+		b = e.win.AppendBinary(b)
+	} else {
+		b, _ = e.ell.AppendBinary(b) // appending a sketch's bytes cannot fail
 	}
-	return h
+	dg.buf = b
+	h := hashing.Wy64(b, 0)
+	return hashing.Mix64(h ^ hashing.Mix64(uint64(e.deadline.Load())))
 }
 
-// mix64 finalizes a digest with a splitmix64-style avalanche so that
-// XOR-folding per-key digests over a shard doesn't cancel structured
-// low-entropy bits.
-func mix64(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
-// blobDigestLocked returns the digest of (key, serialized value),
-// cached until the entry changes; e.mu must be held.
-func blobDigestLocked(key string, e *entry) (uint64, bool) {
-	if e.digOK {
-		return e.dig, true
+// shard calls fn with the digest of every live, unexpired key of shard i
+// that the filter accepts (a nil filter accepts all). Keys are gathered
+// under the shard's read lock and digested each under its own lock.
+func (dg *digester) shard(s *Store, i int, filter func(key string) bool, nowMs int64, fn func(key string, d uint64)) {
+	sh := &s.shards[i]
+	dg.keys, dg.entries = dg.keys[:0], dg.entries[:0]
+	sh.mu.RLock()
+	for k, e := range sh.m {
+		if filter == nil || filter(k) {
+			dg.keys = append(dg.keys, k)
+			dg.entries = append(dg.entries, e)
+		}
 	}
-	blob, err := e.MarshalBinary()
-	if err != nil {
-		return 0, false // unreachable: value marshaling cannot fail
+	sh.mu.RUnlock()
+	for j, e := range dg.entries {
+		e.mu.Lock()
+		// An expired key is digested as absent, and collected lazily.
+		if dl := e.deadline.Load(); !e.dead && (dl == 0 || nowMs < dl) {
+			fn(dg.keys[j], dg.keyDigestLocked(dg.keys[j], e))
+		}
+		e.mu.Unlock()
 	}
-	h := fnvString(fnvOffset, key)
-	h = (h ^ uint64(len(blob))) * fnvPrime
-	h = fnvBytes(h, blob)
-	e.dig, e.digOK = h, true
-	return h, true
-}
-
-// keyDigestLocked combines the cached blob digest with the entry's
-// current deadline; e.mu must be held.
-func keyDigestLocked(key string, e *entry) (uint64, bool) {
-	h, ok := blobDigestLocked(key, e)
-	if !ok {
-		return 0, false
-	}
-	return mix64(h ^ mix64(uint64(e.deadline.Load()))), true
+	clear(dg.entries) // hold no entry past the sweep
 }
 
 // ShardDigests returns one digest per shard: the XOR-fold of the
@@ -96,37 +95,9 @@ func keyDigestLocked(key string, e *entry) (uint64, bool) {
 func (s *Store) ShardDigests(filter func(key string) bool) []uint64 {
 	out := make([]uint64, numShards)
 	nowMs := s.NowMillis()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		keys := make([]string, 0, len(sh.m))
-		entries := make([]*entry, 0, len(sh.m))
-		for k, e := range sh.m {
-			if filter != nil && !filter(k) {
-				continue
-			}
-			keys = append(keys, k)
-			entries = append(entries, e)
-		}
-		sh.mu.RUnlock()
-		var fold uint64
-		for j, e := range entries {
-			e.mu.Lock()
-			if e.dead {
-				e.mu.Unlock()
-				continue
-			}
-			if dl := e.deadline.Load(); dl != 0 && nowMs >= dl {
-				e.mu.Unlock()
-				continue // expired: digested as absent, collected lazily
-			}
-			d, ok := keyDigestLocked(keys[j], e)
-			e.mu.Unlock()
-			if ok {
-				fold ^= d
-			}
-		}
-		out[i] = fold
+	var dg digester
+	for i := range out {
+		dg.shard(s, i, filter, nowMs, func(_ string, d uint64) { out[i] ^= d })
 	}
 	return out
 }
@@ -139,36 +110,11 @@ func (s *Store) ShardKeyDigests(shard int, filter func(key string) bool) []KeyDi
 	if shard < 0 || shard >= numShards {
 		return nil
 	}
-	nowMs := s.NowMillis()
-	sh := &s.shards[shard]
-	sh.mu.RLock()
-	keys := make([]string, 0, len(sh.m))
-	entries := make([]*entry, 0, len(sh.m))
-	for k, e := range sh.m {
-		if filter != nil && !filter(k) {
-			continue
-		}
-		keys = append(keys, k)
-		entries = append(entries, e)
-	}
-	sh.mu.RUnlock()
-	out := make([]KeyDigest, 0, len(entries))
-	for j, e := range entries {
-		e.mu.Lock()
-		if e.dead {
-			e.mu.Unlock()
-			continue
-		}
-		if dl := e.deadline.Load(); dl != 0 && nowMs >= dl {
-			e.mu.Unlock()
-			continue
-		}
-		d, ok := keyDigestLocked(keys[j], e)
-		e.mu.Unlock()
-		if ok {
-			out = append(out, KeyDigest{Key: keys[j], Digest: d})
-		}
-	}
+	var dg digester
+	var out []KeyDigest
+	dg.shard(s, shard, filter, s.NowMillis(), func(key string, d uint64) {
+		out = append(out, KeyDigest{Key: key, Digest: d})
+	})
 	return out
 }
 

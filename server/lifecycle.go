@@ -12,12 +12,13 @@ package server
 // missing one — and a background sweeper reclaims keys nobody touches.
 //
 // Expiry reuses the store's deletion machinery: the entry is marked
-// dead and version-bumped under its own lock (so the cached estimate
-// and any TaggedBlob handed out before the deadline can never serve
-// ghost data), then unlinked from its shard map. The watermark eviction
-// pass ranks keys by their entry version — the store-wide write sequence
-// number of each key's last change — and evicts the least recently
-// written first until resident bytes drop to the low watermark.
+// dead and version-bumped under its own lock (so a count that holds the
+// entry sees it dead, and a TaggedBlob handed out before the deadline
+// can never delete a recreated key), then unlinked from its shard map.
+// The watermark eviction pass ranks keys by their entry version — the
+// store-wide write sequence number of each key's last change — and
+// evicts the least recently written first until resident bytes drop to
+// the low watermark.
 
 import (
 	"sort"
@@ -97,7 +98,7 @@ func (s *Store) newEntry(tag byte) *entry {
 }
 
 // entryOverhead is what a key holds on the heap beside its value: the
-// entry struct (80 bytes, the plain key's Hybrid inside it) and its share
+// entry struct (64 bytes, the plain key's Hybrid inside it) and its share
 // of the shard map — a slot, measured at about 46 bytes, and a key string
 // of up to 16. With sparse values of a few dozen bytes this is most of a
 // small key, so the gauge counts it, and it is then within about 1 % of
@@ -107,7 +108,7 @@ func (s *Store) newEntry(tag byte) *entry {
 // itself — server, store shards, peer pools — about 35 KB an idle node,
 // which is no key's. What busy connections hold is reported beside the
 // gauge, as conn_buffer_bytes.
-const entryOverhead = 144
+const entryOverhead = 128
 
 // killLocked marks e dead and releases its resident-bytes accounting;
 // the caller holds e.mu. Idempotent: a second kill is a no-op, so the
@@ -135,11 +136,11 @@ func (s *Store) resizeLocked(e *entry) {
 }
 
 // expireDueLocked expires e if its deadline has passed; the caller
-// holds e.mu. The dead mark, the version bump and the estimate-cache
-// invalidation happen atomically under that lock, so a concurrent read
-// can never serve the pre-expiry cached estimate and a TaggedBlob
-// dumped before the deadline can never delete a recreated key. The
-// caller must unlink e from its shard map when true is returned.
+// holds e.mu. The dead mark and the version bump happen atomically under
+// that lock, so a concurrent read can never count the pre-expiry sketch
+// and a TaggedBlob dumped before the deadline can never delete a
+// recreated key. The caller must unlink e from its shard map when true
+// is returned.
 func (s *Store) expireDueLocked(e *entry) bool {
 	if e.dead {
 		return false

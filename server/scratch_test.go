@@ -48,12 +48,12 @@ func TestConnectionScratchIsShed(t *testing.T) {
 }
 
 // TestEntryStaysInItsSizeClass pins what entryOverhead assumes: an entry,
-// the plain key's Hybrid inside it, is allocated from the 80-byte class,
+// the plain key's Hybrid inside it, is allocated from the 64-byte class,
 // and the Hybrid that entry.SizeBytes leaves to the entry is the struct
 // that MemoryFootprint counts.
 func TestEntryStaysInItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(entry{}); size != 80 {
-		t.Errorf("entry is %d bytes with its embedded %d-byte core.Hybrid, not the 80 bytes entryOverhead counts on",
+	if size := unsafe.Sizeof(entry{}); size != 64 {
+		t.Errorf("entry is %d bytes with its embedded %d-byte core.Hybrid, not the 64 bytes entryOverhead counts on",
 			size, unsafe.Sizeof(core.Hybrid{}))
 	}
 	if got := (&entry{}).SizeBytes(); got != 0 {

@@ -303,10 +303,9 @@ func (s *Stats) Text(store *Store) string {
 	fmt.Fprintf(&b, "uptime_ms=%d conns=%d conns_total=%d",
 		s.Uptime().Milliseconds(), cur, total)
 	if store != nil {
-		hits, misses := store.CacheStats()
 		expired, evicted, resident := store.LifecycleStats()
-		fmt.Fprintf(&b, " keys=%d shards_used=%d cache_hits=%d cache_misses=%d expired_keys=%d evicted_keys=%d resident_bytes=%d",
-			store.Len(), store.ShardsUsed(), hits, misses, expired, evicted, resident)
+		fmt.Fprintf(&b, " keys=%d shards_used=%d expired_keys=%d evicted_keys=%d resident_bytes=%d",
+			store.Len(), store.ShardsUsed(), expired, evicted, resident)
 	}
 	// What the process's connections — accepted and dialed — pin beside
 	// resident_bytes: pooled I/O buffers checked out right now.
@@ -337,12 +336,9 @@ func (s *Stats) WriteMetrics(w io.Writer, store *Store) {
 	fmt.Fprintf(w, "# TYPE ell_connections gauge\nell_connections %d\n", cur)
 	fmt.Fprintf(w, "# TYPE ell_connections_accepted_total counter\nell_connections_accepted_total %d\n", total)
 	if store != nil {
-		hits, misses := store.CacheStats()
 		expired, evicted, resident := store.LifecycleStats()
 		fmt.Fprintf(w, "# TYPE ell_keys gauge\nell_keys %d\n", store.Len())
 		fmt.Fprintf(w, "# TYPE ell_shards_used gauge\nell_shards_used %d\n", store.ShardsUsed())
-		fmt.Fprintf(w, "# TYPE ell_estimate_cache_hits_total counter\nell_estimate_cache_hits_total %d\n", hits)
-		fmt.Fprintf(w, "# TYPE ell_estimate_cache_misses_total counter\nell_estimate_cache_misses_total %d\n", misses)
 		fmt.Fprintf(w, "# TYPE ell_expired_keys_total counter\nell_expired_keys_total %d\n", expired)
 		fmt.Fprintf(w, "# TYPE ell_evicted_keys_total counter\nell_evicted_keys_total %d\n", evicted)
 		fmt.Fprintf(w, "# TYPE ell_resident_bytes gauge\nell_resident_bytes %d\n", resident)

@@ -42,15 +42,19 @@ const shardSeed = 0x5bd1e995a967bd1e
 
 // entry is one key's value plus its own lock, so concurrent commands
 // on different keys never contend. The value is a plain sketch or a
-// window ring (see value.go); everything else here — the version,
-// the death mark, the estimate and digest caches — is value-type-agnostic
-// machinery. ver is the store's write sequence number at the entry's last
-// observable state change (an insert that changed registers, a merge, a
-// restore, a lifetime change): it orders writes across keys, which
-// eviction ranks by, and together with the entry's identity it lets
-// DeleteIfUnchanged detect writes that landed after a dump. dead marks an
-// entry that has been unlinked from its shard map: a mutator that raced a
-// Delete re-fetches instead of writing into an orphan.
+// window ring (see value.go); everything else here — the version and
+// the death mark — is value-type-agnostic machinery. The entry caches
+// nothing derived from its value: a count estimates and a digest
+// serializes on demand (internal/core's BenchmarkEstimate, this
+// package's BenchmarkShardDigests), which keeps a key's entry in the
+// 64-byte size class. ver is the store's write sequence
+// number at the entry's last observable state change (an insert that
+// changed registers, a merge, a restore, a lifetime change): it orders
+// writes across keys, which eviction ranks by, and together with the
+// entry's identity it lets DeleteIfUnchanged detect writes that landed
+// after a dump. dead marks an entry that has been unlinked from its
+// shard map: a mutator that raced a Delete re-fetches instead of writing
+// into an orphan.
 type entry struct {
 	mu  sync.Mutex
 	win *window.Counter // a window key's ring; nil for a plain key
@@ -62,13 +66,6 @@ type entry struct {
 	// expiry decision itself happens under e.mu (see expireDueLocked).
 	deadline atomic.Int64
 
-	// est caches ell.Estimate() while estValid, so a hot-key PFCOUNT on an
-	// unchanged sketch is O(1) instead of a scan of the registers; dig
-	// caches the anti-entropy content digest of (key, serialized value)
-	// while digOK — see digest.go. changedLocked drops both.
-	est float64
-	dig uint64
-
 	// ell is a plain key's sketch, held here by value, so a plain key is
 	// one allocation beside its tokens, not two. A window key leaves it
 	// empty.
@@ -76,28 +73,23 @@ type entry struct {
 
 	// size is the value's approximate resident footprint as last
 	// accounted against the store's resident-bytes gauge (e.mu held).
-	// 32 bits and the flags beside it keep the entry in the allocator's
-	// 80-byte size class (TestEntryStaysInItsSizeClass).
-	size     int32
-	dead     bool
-	estValid bool
-	digOK    bool
+	// 32 bits and the flag beside it keep the entry in the allocator's
+	// 64-byte size class (TestEntryStaysInItsSizeClass).
+	size int32
+	dead bool
 }
 
 // changedLocked records an observable state change of e — its value or
 // its lifetime; the caller holds e.mu. Every mutation path calls it: it
 // stamps ver with the next write sequence number, which eviction ranking
-// and TaggedBlob compare, and drops the cached estimate and digest.
+// and TaggedBlob compare.
 func (s *Store) changedLocked(e *entry) {
 	e.ver = s.writeSeq.Add(1)
-	e.estValid, e.digOK = false, false
 }
 
 // estimateEll returns the entry's current plain-sketch estimate under
-// its lock, serving repeated counts of an unchanged sketch from the
-// per-entry cache, which changedLocked invalidates. Hits and misses land
-// in the store's cache counters. ok is false for a dead entry; a
-// non-plain value is ErrWrongType.
+// its lock, counted in the store's estimate counter. ok is false for a
+// dead entry; a non-plain value is ErrWrongType.
 func (s *Store) estimateEll(e *entry) (v float64, ok bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -107,19 +99,15 @@ func (s *Store) estimateEll(e *entry) (v float64, ok bool, err error) {
 	if e.win != nil {
 		return 0, false, ErrWrongType
 	}
-	if !e.estValid {
-		e.est, e.estValid = e.ell.Estimate(), true
-		s.cacheMisses.Add(1)
-	} else {
-		s.cacheHits.Add(1)
-	}
-	return e.est, true, nil
+	s.estimates.Add(1)
+	return e.ell.Estimate(), true, nil
 }
 
-// CacheStats returns how many single-key estimates were served from the
-// per-entry estimate cache (hits) versus recomputed (misses).
+// CacheStats reports single-key estimates as estimate-cache hits and
+// misses. The store caches no estimate, so hits is always 0 and misses
+// counts every single-key estimate.
 func (s *Store) CacheStats() (hits, misses uint64) {
-	return s.cacheHits.Load(), s.cacheMisses.Load()
+	return 0, s.estimates.Load()
 }
 
 // ShardsUsed returns how many of the store's hash shards hold at least
@@ -188,11 +176,8 @@ type Store struct {
 	metaMu sync.RWMutex
 	meta   []byte
 
-	// cacheHits/cacheMisses count single-key estimate lookups served
-	// from (or filling) the per-entry estimate cache — the STATS
-	// cache_hits/cache_misses gauges.
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
+	// estimates counts single-key estimates (CacheStats).
+	estimates atomic.Uint64
 
 	// Lifecycle gauges: cumulative lazily/sweeper-expired keys,
 	// cumulative watermark-evicted keys, and the approximate resident
@@ -681,7 +666,7 @@ func (s *Store) CountBytes(keys [][]byte) (float64, error) {
 }
 
 // countOne is the hot-key path: a single-key count needs no union at all,
-// and the per-entry cache makes a repeated count O(1).
+// only one estimate of the key's own sketch.
 func (s *Store) countOne(key string) (float64, error) {
 	if e := s.lookup(key); e != nil {
 		v, ok, err := s.estimateEll(e)

@@ -405,12 +405,11 @@ func TestDeleteIfUnchangedVersioning(t *testing.T) {
 	}
 }
 
-// TestEstimateCacheInvalidation pins the per-entry cached Estimate: a
-// repeated single-key Count is served from the cache, every mutation
-// path (Add, Merge, MergeBlob, Restore) invalidates it through the
-// entry's changedLocked hook, and the cached value always equals a
-// reference sketch fed the same elements.
-func TestEstimateCacheInvalidation(t *testing.T) {
+// TestCountFollowsEveryMutation: a single-key Count is a fresh estimate,
+// equal after every mutation path (Add, Merge, MergeBlob, Restore,
+// Delete) to a reference sketch fed the same elements, and a mutating
+// add advances the entry's version through changedLocked.
+func TestCountFollowsEveryMutation(t *testing.T) {
 	store := newTestStore(t)
 	ref := core.MustNew(store.Config())
 	count := func() float64 {
@@ -430,33 +429,23 @@ func TestEstimateCacheInvalidation(t *testing.T) {
 	if got, want := count(), ref.Estimate(); got != want {
 		t.Fatalf("count = %v, want %v", got, want)
 	}
-	// The cache is now primed; white-box check that it holds.
-	e := store.lookup("k")
-	e.mu.Lock()
-	if !e.estValid {
-		t.Fatal("cache not primed after Count")
-	}
-	cachedVer := e.ver
-	e.mu.Unlock()
 	if got, want := count(), ref.Estimate(); got != want {
-		t.Fatalf("cached count = %v, want %v", got, want)
+		t.Fatalf("repeated count = %v, want %v", got, want)
 	}
+	ver := keyVersion(store, "k")
 
 	// An add that changes the sketch goes through changedLocked: the
-	// version advances and the cache is dropped, then recomputed.
+	// version advances and the count moves with the sketch.
 	store.Add("k", "fresh-element")
 	ref.AddString("fresh-element")
-	e.mu.Lock()
-	if e.estValid || e.ver == cachedVer {
-		t.Fatalf("after a mutating add: estValid=%v, ver %d → %d", e.estValid, cachedVer, e.ver)
+	if v := keyVersion(store, "k"); v == ver {
+		t.Fatalf("after a mutating add: version still %d", v)
 	}
-	e.mu.Unlock()
 	if got, want := count(), ref.Estimate(); got != want {
-		t.Fatalf("count after add = %v, want %v (stale cache served)", got, want)
+		t.Fatalf("count after add = %v, want %v", got, want)
 	}
 
-	// An add that does NOT change the sketch keeps the cache valid —
-	// and correct, since the estimate cannot have moved.
+	// An add that does not change the sketch leaves the count as it was.
 	store.Add("k", "fresh-element")
 	if got, want := count(), ref.Estimate(); got != want {
 		t.Fatalf("count after idempotent add = %v, want %v", got, want)
@@ -490,11 +479,23 @@ func TestEstimateCacheInvalidation(t *testing.T) {
 		t.Fatalf("count after Restore = %v, want %v", got, want)
 	}
 
-	// Deleted key: the cache dies with the entry.
+	// A deleted key counts 0.
 	store.Delete("k")
 	if got := count(); got != 0 {
 		t.Fatalf("count after delete = %v, want 0", got)
 	}
+}
+
+// keyVersion is key's entry version, the store's write sequence number
+// at its last change; 0 if the key is missing.
+func keyVersion(store *Store, key string) uint64 {
+	e := store.lookup(key)
+	if e == nil {
+		return 0
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.ver
 }
 
 // keyDigest is the store's anti-entropy digest of key, false if the key
@@ -507,13 +508,28 @@ func keyDigest(store *Store, key string) (uint64, bool) {
 	return d[0].Digest, true
 }
 
-// TestChangeHookKeepsCachesFresh: every call that mutates a key goes
-// through the entry's one invalidation hook, changedLocked. After each,
-// the next Count and the key's digest equal what a fresh store holding the
-// dumped value and deadline computes, and a plain key's count is a cache
-// miss; an Add that changes nothing keeps the estimate cache, and its
-// count is a hit. Every check primes both caches for the next call.
-func TestChangeHookKeepsCachesFresh(t *testing.T) {
+// TestShardDigestsAllocateNothingPerKey: a digest sweep serializes every
+// key into one reused buffer, so what it allocates does not grow with the
+// keys — only the buffers' growth and the result, for 3 000 keys in the
+// many-keys mix, filtered or not.
+func TestShardDigestsAllocateNothingPerKey(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	store := newManyKeysStore(t, 3000)
+	for _, filter := range []func(string) bool{nil, func(key string) bool { return key[len(key)-1]&1 == 0 }} {
+		if n := testing.AllocsPerRun(3, func() { store.ShardDigests(filter) }); n > 64 {
+			t.Errorf("a sweep of 3 000 keys allocates %v times, want at most 64", n)
+		}
+	}
+}
+
+// TestEveryChangeMatchesAFreshRecompute: every call that changes a key
+// goes through the entry's one change hook, changedLocked, which advances
+// its version, and one that changes nothing leaves the version alone.
+// After each, the next Count and the key's digest equal what a fresh store
+// holding the dumped value and deadline computes.
+func TestEveryChangeMatchesAFreshRecompute(t *testing.T) {
 	const start = 1_000_000
 	store, clk := newClockedStore(t, start)
 	src := newTestStore(t)
@@ -543,36 +559,29 @@ func TestChangeHookKeepsCachesFresh(t *testing.T) {
 		name  string
 		key   string
 		do    func() error
-		cache string // what the next Count is: a cache "hit", a "miss", or neither
+		bumps bool // whether the key's version advances
 	}{
-		{"Add, new elements", "k", add("e1", "e2"), "miss"},
-		{"Add, known element", "k", add("e1"), "hit"},
-		{"AddBytes, new element", "k", addBytes("e3"), "miss"},
-		{"AddBytes, known elements", "k", addBytes("e2", "e3"), "hit"},
-		{"Merge", "k", func() error { return store.Merge("k", "k", "m") }, "miss"},
-		{"MergeBlob", "k", func() error { return store.MergeBlob("k", mergeBlob) }, "miss"},
-		{"Restore", "k", func() error { return store.Restore("k", restoreBlob) }, "miss"},
-		{"ExpireAt", "k", func() error { store.ExpireAt("k", start+60_000); return nil }, "miss"},
-		{"Persist", "k", func() error { store.Persist("k"); return nil }, "miss"},
-		{"WindowAdd, new key", "w", wadd("w1"), ""},
-		{"WindowAdd", "w", wadd("w2"), ""},
+		{"Add, new elements", "k", add("e1", "e2"), true},
+		{"Add, known element", "k", add("e1"), false},
+		{"AddBytes, new element", "k", addBytes("e3"), true},
+		{"AddBytes, known elements", "k", addBytes("e2", "e3"), false},
+		{"Merge", "k", func() error { return store.Merge("k", "k", "m") }, true},
+		{"MergeBlob", "k", func() error { return store.MergeBlob("k", mergeBlob) }, true},
+		{"Restore", "k", func() error { return store.Restore("k", restoreBlob) }, true},
+		{"ExpireAt", "k", func() error { store.ExpireAt("k", start+60_000); return nil }, true},
+		{"Persist", "k", func() error { store.Persist("k"); return nil }, true},
+		{"WindowAdd, new key", "w", wadd("w1"), true},
+		{"WindowAdd", "w", wadd("w2"), true},
 		{"lazy expiry", "k", func() error {
 			store.ExpireAt("k", clk.ms.Load()+1000)
-			store.Count("k") // primes the cache again
 			clk.advance(2 * time.Second)
 			return nil
-		}, ""},
-		{"Add after expiry", "k", add("e4"), "miss"},
+		}, true},
+		{"Add after expiry", "k", add("e4"), true},
 	}
-	check := func(step, key, cache string) {
+	check := func(step, key string) {
 		t.Helper()
-		hits, misses := store.CacheStats()
 		got, _ := store.Count(key) // a window key is ErrWrongType and 0
-		h, m := store.CacheStats()
-		moved := map[string]bool{"hit": h == hits+1 && m == misses, "miss": h == hits && m == misses+1, "": h == hits && m == misses}
-		if !moved[cache] {
-			t.Errorf("%s: the next count moved hits %d → %d, misses %d → %d; want %q", step, hits, h, misses, m, cache)
-		}
 		ref, _ := newClockedStore(t, clk.ms.Load())
 		if blob, ok := store.Dump(key); ok {
 			if err := ref.Restore(key, blob); err != nil {
@@ -590,12 +599,16 @@ func TestChangeHookKeepsCachesFresh(t *testing.T) {
 		}
 	}
 	store.Add("k", "e0")
-	check("prime", "k", "miss")
+	check("prime", "k")
 	for _, st := range steps {
+		ver := keyVersion(store, st.key)
 		if err := st.do(); err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
-		check(st.name, st.key, st.cache)
+		if bumped := keyVersion(store, st.key) != ver; bumped != st.bumps {
+			t.Errorf("%s: version advanced %v, want %v", st.name, bumped, st.bumps)
+		}
+		check(st.name, st.key)
 	}
 }
 
@@ -603,7 +616,7 @@ func TestChangeHookKeepsCachesFresh(t *testing.T) {
 // key's sketch in place, inside its entry, so every reader must use the
 // sketch only under the entry lock. Two writers alternate a sparse blob a
 // and a dense blob b ⊇ a on one key — every state is a or b — while
-// PFCOUNT (cached and through the union path), DUMP and the digest read
+// PFCOUNT (single-key and through the union path), DUMP and the digest read
 // it: every DUMP decodes to one of the two, every count is one of their
 // estimates. Run with -race.
 func TestInPlaceReplaceUnderRace(t *testing.T) {

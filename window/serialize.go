@@ -59,39 +59,42 @@ func IsSerialized(data []byte) bool {
 
 // MarshalBinary serializes the counter slot-wise.
 func (c *Counter) MarshalBinary() ([]byte, error) {
-	var scratch [binary.MaxVarintLen64]byte
-	buf := make([]byte, 0, 64)
+	return c.AppendBinary(make([]byte, 0, 64)), nil
+}
+
+// AppendBinary appends MarshalBinary's bytes to buf. Each live slot's
+// sketch is appended in place and its length prefix slid in before it,
+// so nothing is allocated beyond buf's growth.
+func (c *Counter) AppendBinary(buf []byte) []byte {
 	buf = append(buf, Magic...)
 	buf = append(buf, byte(c.cfg.T), byte(c.cfg.D), byte(c.cfg.P))
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf = append(buf, scratch[:n]...)
-	}
-	putUvarint(uint64(c.slice))
-	putUvarint(uint64(len(c.slots)))
-	putUvarint(c.dropped)
-	putUvarint(uint64(c.latest))
+	buf = binary.AppendUvarint(buf, uint64(c.slice))
+	buf = binary.AppendUvarint(buf, uint64(len(c.slots)))
+	buf = binary.AppendUvarint(buf, c.dropped)
+	buf = binary.AppendUvarint(buf, uint64(c.latest))
 	live := 0
 	for i := range c.slots {
 		if c.slots[i].index >= 0 {
 			live++
 		}
 	}
-	putUvarint(uint64(live))
+	buf = binary.AppendUvarint(buf, uint64(live))
 	for i := range c.slots {
 		s := &c.slots[i]
 		if s.index < 0 {
 			continue
 		}
-		putUvarint(uint64(s.index))
-		blob, err := s.sketch.MarshalBinary()
-		if err != nil {
-			return nil, err // unreachable: sketch MarshalBinary cannot fail
-		}
-		putUvarint(uint64(len(blob)))
-		buf = append(buf, blob...)
+		buf = binary.AppendUvarint(buf, uint64(s.index))
+		start := len(buf)
+		buf, _ = s.sketch.AppendBinary(buf) // appending a sketch's bytes cannot fail
+		n := len(buf) - start
+		var prefix [binary.MaxVarintLen64]byte
+		k := binary.PutUvarint(prefix[:], uint64(n))
+		buf = append(buf, prefix[:k]...)
+		copy(buf[start+k:], buf[start:start+n])
+		copy(buf[start:], prefix[:k])
 	}
-	return buf, nil
+	return buf
 }
 
 // FromBinary reconstructs a Counter from MarshalBinary's output. It is

@@ -13,8 +13,9 @@ import (
 func testCfg() core.Config { return core.Config{T: 2, D: 20, P: 8} }
 
 // TestSerializeRoundTrip: marshal → unmarshal preserves every
-// observable — per-window estimates, Dropped, Latest, geometry — and a
-// second marshal is byte-identical.
+// observable — per-window estimates, Dropped, Latest, geometry — a
+// second marshal is byte-identical, and AppendBinary appends the same
+// bytes.
 func TestSerializeRoundTrip(t *testing.T) {
 	c := newCounter(t, 10, time.Second, 8)
 	state := uint64(9)
@@ -59,6 +60,12 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(blob, blob2) {
 		t.Error("re-marshal is not byte-stable")
+	}
+	// AppendBinary writes the same bytes after what the buffer holds,
+	// sliding each slice's length prefix in before the slice.
+	prefix := []byte("prefix")
+	if got := c.AppendBinary(prefix); !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], blob) {
+		t.Error("AppendBinary does not append MarshalBinary's bytes")
 	}
 }
 
