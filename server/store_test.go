@@ -405,11 +405,12 @@ func TestDeleteIfUnchangedVersioning(t *testing.T) {
 	}
 }
 
-// TestCountFollowsEveryMutation: a single-key Count is a fresh estimate,
-// equal after every mutation path (Add, Merge, MergeBlob, Restore,
+// TestEstimateCacheInvalidation: a single-key Count never serves a stale
+// estimate. The entry keeps no estimate cache; each Count is a fresh
+// estimate, equal after every mutation path (Add, Merge, MergeBlob, Restore,
 // Delete) to a reference sketch fed the same elements, and a mutating
 // add advances the entry's version through changedLocked.
-func TestCountFollowsEveryMutation(t *testing.T) {
+func TestEstimateCacheInvalidation(t *testing.T) {
 	store := newTestStore(t)
 	ref := core.MustNew(store.Config())
 	count := func() float64 {
@@ -524,12 +525,13 @@ func TestShardDigestsAllocateNothingPerKey(t *testing.T) {
 	}
 }
 
-// TestEveryChangeMatchesAFreshRecompute: every call that changes a key
+// TestChangeHookKeepsCachesFresh: what is derived from a key's value, its
+// count and its digest, is never stale. Every call that changes a key
 // goes through the entry's one change hook, changedLocked, which advances
 // its version, and one that changes nothing leaves the version alone.
 // After each, the next Count and the key's digest equal what a fresh store
 // holding the dumped value and deadline computes.
-func TestEveryChangeMatchesAFreshRecompute(t *testing.T) {
+func TestChangeHookKeepsCachesFresh(t *testing.T) {
 	const start = 1_000_000
 	store, clk := newClockedStore(t, start)
 	src := newTestStore(t)
