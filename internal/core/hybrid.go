@@ -823,32 +823,50 @@ func (h *Hybrid) clone() Hybrid {
 }
 
 // estimateTokens is the dense estimate of the sketch the tokens would
-// convert to, without converting. Tokens sort by register, so each run of
-// one register's tokens is folded into the value Algorithm 2 would have
-// left there and fed to the Algorithm 3 accumulator, while the untouched
-// registers enter in closed form. The accumulator is exact integer
-// arithmetic, so the result is bit-identical to ToSketch().Estimate() at
-// O(tokens), not O(m), and allocates nothing.
+// convert to, without converting, at O(tokens), not O(m), and allocating
+// nothing.
 func (c Config) estimateTokens(tokens tokenSeq) float64 {
-	acc := mlAccum{cfg: c}
+	var acc mlAccum
+	c.accumulateTokens(&acc, tokens)
+	return acc.estimate()
+}
+
+// accumulateTokens feeds a the registers of the sketch the tokens would
+// convert to. Tokens sort by register, so each run of one register's
+// tokens is folded into the value Algorithm 2 would have left there, while
+// the untouched registers enter in closed form. The accumulator is exact
+// integer arithmetic, so the coefficients are bit-identical to a dense
+// scan's.
+//
+// A run is folded without updateRegister's branches: u is the largest
+// update value so far, and bit d-(u-k) of y records update value k. An
+// update value k moves u to max(u, k), shifts y by the distance u moved
+// and sets bit d-(u-k); a shift of 64 or more, as for k < u-d, where that
+// bit position wraps, is zero in Go. Bit d, u's own, is cleared at the
+// end. Unlike Algorithm 2 the fold sets no bit for update value 0, which
+// no estimator reads.
+func (c Config) accumulateTokens(a *mlAccum, tokens tokenSeq) {
+	a.cfg = c
+	d := uint64(c.D) & 63
 	touched := 0
 	ts := tokens.stream()
 	for x := ts.head(); x != endOfTokens; touched++ {
 		i, k := c.splitToken(x)
-		r := updateRegister(0, k, c.D)
+		u, y := uint64(0), uint64(0)
 		for {
+			nu := max(u, k)
+			y = y>>(nu-u) | 1<<(d+k-nu)
+			u = nu
 			ts.i++
 			x = ts.head()
-			i2, k2 := c.splitToken(x) // the end of the stream is in no register
-			if i2 != i {
+			var i2 int
+			if i2, k = c.splitToken(x); i2 != i { // the end of the stream is in no register
 				break
 			}
-			r = updateRegister(r, k2, c.D)
 		}
-		acc.addRegister(r)
+		a.addRegister(u<<d | y&(1<<d-1))
 	}
-	acc.addEmpty(c.NumRegisters() - touched)
-	return acc.estimate()
+	a.addEmpty(c.NumRegisters() - touched)
 }
 
 // Estimate returns the bias-corrected ML distinct-count estimate; the same
@@ -1121,10 +1139,6 @@ func (h *Hybrid) MarshalBinary() ([]byte, error) {
 	return h.AppendBinary(make([]byte, 0, tokenBlobHeader+binary.MaxVarintLen32+h.SizeBytes()+7))
 }
 
-// nativeLittleEndian is whether a token word's bytes in memory are its
-// little-endian encoding, so the blob can copy them as they are.
-var nativeLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
-
 // AppendBinary appends MarshalBinary's bytes to b.
 func (h *Hybrid) AppendBinary(b []byte) ([]byte, error) {
 	if s := h.sketch(); s != nil {
@@ -1134,9 +1148,6 @@ func (h *Hybrid) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, h.t, h.d, h.p)
 	b = binary.AppendUvarint(b, uint64(h.n))
 	end := len(b) + h.SizeBytes()
-	if nativeLittleEndian {
-		return append(b, unsafe.Slice((*byte)(h.ptr), end-len(b))...), nil
-	}
 	words := h.tokenWords()
 	for i := 0; len(b) < end; i++ {
 		b = binary.LittleEndian.AppendUint64(b, words[i])

@@ -50,17 +50,18 @@ type mlAccum struct {
 	// values k with ⌊(k-1)/2^t⌋ = g, so that φ(k) = t+1+g below the cap
 	// 64-p; k ≤ u-1 < 64·2^t keeps g < 64. The bits of k ≤ 0 count for
 	// nothing: they fall in groups g < 0, slots 64+g > 0 that
-	// coefficients never reads, as do the empty runs past bit d-1, whose
-	// slots wrap mod 128.
+	// coefficients never reads.
 	ones [128]uint64
 	beta [64]int32 // beta[j] counts terms with exponent u = t+1+j
 }
 
 // addRegister adds the contribution of one register with value r: u to
-// the histogram, and one popcount per φ-group of its indicator bits.
+// the histogram, and one popcount per φ-group of its set indicator bits.
 // Indicator bit b of r records update value k = u-d+b. φ-groups begin at
-// the bits b with k-1 ≡ 0 mod 2^t; s is the first of them, and past it
-// the groups are aligned runs of 2^t bits of x >> s.
+// the bits b with k-1 ≡ 0 mod 2^t; s is the first of them with k ≥ 1,
+// d+1-u when u ≤ d, and past it the groups are aligned runs of 2^t bits
+// of x >> s, counted until no set bit is left: a register of a small u,
+// as most are in sparse mode, adds a group or two.
 func (a *mlAccum) addRegister(r uint64) {
 	t, d := uint(a.cfg.T)&7, uint(a.cfg.D)&63
 	u := uint(r>>d) & (64<<MaxT - 1)
@@ -69,14 +70,13 @@ func (a *mlAccum) addRegister(r uint64) {
 		return // never written: every indicator bit has k ≤ 0
 	}
 	x := r & (1<<d - 1)
-	s := (d + 1 - u) & (1<<t - 1)
+	e := int(d+1) - int(u)
+	s := uint(max(e, e&(1<<t-1)))
 	g := int(u+s-d-1)>>t + 64 // slot of the group that begins at bit s
 	a.ones[(g-1)&127] += uint64(bits.OnesCount64(x & (1<<s - 1)))
-	x >>= s
 	w := uint(1) << t
-	for c := uint(0); c < d; c += w {
+	for x >>= s; x != 0; x >>= w {
 		a.ones[g&127] += uint64(bits.OnesCount64(x & (1<<w - 1)))
-		x >>= w & 63
 		g++
 	}
 }

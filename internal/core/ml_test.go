@@ -102,6 +102,36 @@ func TestCoefficientsByGroupOnSketches(t *testing.T) {
 	}
 }
 
+// TestTokenRunFold checks the branch-free fold of a register's token run
+// against Algorithm 2: the coefficients accumulated from a sorted token
+// sequence equal a dense scan's, bit for bit, for every paper
+// configuration. At p = 2 a register's run grows to hundreds of tokens,
+// which arrive out of update-value order and reach past the d indicator
+// bits. The tokens are read plain, not encoded, so that no break-even
+// bounds how many there are.
+func TestTokenRunFold(t *testing.T) {
+	for _, td := range paperConfigs {
+		for _, p := range []int{2, 6, 12} {
+			cfg := Config{T: td[0], D: td[1], P: p}
+			r := rng(int64(40*p + cfg.D))
+			for _, n := range []int{1, 10, 100, 3000} {
+				s, hashes := MustNew(cfg), make([]uint64, n)
+				for i := range hashes {
+					hashes[i] = r.Uint64()
+					s.AddHash(hashes[i])
+				}
+				tokens := cfg.tokensOf(hashes)
+				var got, want mlAccum
+				cfg.accumulateTokens(&got, tokenSeq{words: tokens, n: len(tokens)})
+				s.accumulate(&want)
+				if g, w := got.coefficients(), want.coefficients(); !sameCoefficients(g, w) {
+					t.Fatalf("%+v, %d hashes: from tokens α=%v β=%v, dense α=%v β=%v", cfg, n, g.Alpha, g.Beta, w.Alpha, w.Beta)
+				}
+			}
+		}
+	}
+}
+
 func fillRandom(s *Sketch, n int, seed int64) {
 	r := rng(seed)
 	for i := 0; i < n; i++ {

@@ -285,9 +285,10 @@ func BenchmarkDispatchWAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchPFCount isolates the PFCOUNT dispatch path on one
-// dense key (10 000 elements): each count is one estimate of the key's
-// 4 096 registers, as the entry caches no estimate.
+// BenchmarkDispatchPFCount isolates the PFCOUNT dispatch path on one key
+// of 10 000 elements, which at p = 12 is still sparse: each count is one
+// estimate over the key's roughly 9 000 tokens, as the entry caches no
+// estimate.
 func BenchmarkDispatchPFCount(b *testing.B) {
 	store := newBenchStore(b)
 	for i := 0; i < 10000; i++ {

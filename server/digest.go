@@ -52,11 +52,7 @@ type digester struct {
 func (dg *digester) keyDigestLocked(key string, e *entry) uint64 {
 	b := binary.AppendUvarint(dg.buf[:0], uint64(len(key)))
 	b = append(b, key...)
-	if e.win != nil {
-		b = e.win.AppendBinary(b)
-	} else {
-		b, _ = e.ell.AppendBinary(b) // appending a sketch's bytes cannot fail
-	}
+	b, _ = e.AppendBinary(b) // appending a value's bytes cannot fail
 	dg.buf = b
 	h := hashing.Wy64(b, 0)
 	return hashing.Mix64(h ^ hashing.Mix64(uint64(e.deadline.Load())))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"exaloglog/internal/core"
@@ -58,5 +59,37 @@ func TestEntryStaysInItsSizeClass(t *testing.T) {
 	}
 	if got := (&entry{}).SizeBytes(); got != 0 {
 		t.Errorf("an empty Hybrid's MemoryFootprint is %d bytes beyond the %d-byte struct the entry holds", got, hybridSize)
+	}
+}
+
+// TestEntryMarshalSizesItsBuffer: a value's heap footprint sizes the
+// buffer MarshalBinary fills, so serializing any value allocates once,
+// and its bytes are AppendBinary's.
+func TestEntryMarshalSizesItsBuffer(t *testing.T) {
+	store := newTestStore(t)
+	for _, n := range []int{1, 100, 9000, 20000} {
+		els := make([]string, n)
+		for i := range els {
+			els[i] = fmt.Sprintf("el-%d", i)
+		}
+		key := fmt.Sprintf("plain%d", n)
+		store.Add(key, els...)
+		if _, err := store.WindowAdd("win"+key, time.UnixMilli(1_750_000_000_000), els...); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{key, "win" + key} {
+			e := store.lookup(key)
+			e.mu.Lock()
+			blob, _ := e.MarshalBinary()
+			appended, _ := e.AppendBinary([]byte("prefix"))
+			allocs := testing.AllocsPerRun(10, func() { e.MarshalBinary() })
+			e.mu.Unlock()
+			if !bytes.Equal(appended, append([]byte("prefix"), blob...)) {
+				t.Errorf("%s: AppendBinary after a prefix gives other bytes than MarshalBinary", key)
+			}
+			if allocs != 1 {
+				t.Errorf("%s: MarshalBinary of %d bytes allocates %v times", key, len(blob), allocs)
+			}
+		}
 	}
 }

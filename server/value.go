@@ -36,12 +36,18 @@ const (
 const hybridSize = int(unsafe.Sizeof(core.Hybrid{}))
 
 // MarshalBinary serializes the value. The caller holds e.mu, as for every
-// method below.
+// method below. The value's heap footprint sizes the buffer: a plain
+// sketch's bytes are its payload and a header of at most 16 bytes.
 func (e *entry) MarshalBinary() ([]byte, error) {
+	return e.AppendBinary(make([]byte, 0, e.SizeBytes()+16))
+}
+
+// AppendBinary appends MarshalBinary's bytes to b.
+func (e *entry) AppendBinary(b []byte) ([]byte, error) {
 	if e.win != nil {
-		return e.win.MarshalBinary()
+		return e.win.AppendBinary(b), nil
 	}
-	return e.ell.MarshalBinary()
+	return e.ell.AppendBinary(b)
 }
 
 // Info renders the INFO reply body.
