@@ -1,7 +1,6 @@
 // Micro-benchmarks of the sketch itself: ablations of the paper's design
 // choices (insert cost against d and p, the Newton solver, martingale
-// tracking, the approximated update distribution (8) against the geometric
-// one (2), token conversion, reduction, compressed serialization), the
+// tracking, token conversion, reduction, compressed serialization), the
 // Hybrid sketch's insert, estimate, bulk and union paths, and the atomic
 // sketch's concurrent insert.
 //
@@ -13,12 +12,10 @@ package exaloglog_test
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"exaloglog"
 	"exaloglog/internal/core"
-	"exaloglog/internal/geomell"
 	"exaloglog/internal/hashing"
 )
 
@@ -297,9 +294,12 @@ func BenchmarkHybridBulk(b *testing.B) {
 	})
 }
 
-// BenchmarkHybridUnion is what a coordinator does for a PFCOUNT over 8 keys
-// of 1000 elements: decode the 8 blobs, merge them one after the other — the
-// accumulator crosses break-even on the way — and estimate the union.
+// BenchmarkHybridUnion is the public API's union of 8 blobs of 1000-element
+// keys: decode them, fold them together with Merge — the token set is
+// encoded anew after every part and crosses break-even on the way — and
+// estimate the result. The store and the cluster take such unions with
+// internal/core's Union instead, which encodes nothing
+// (server's BenchmarkStoreCountSparse/n=1000).
 func BenchmarkHybridUnion(b *testing.B) {
 	cfg := exaloglog.Config{T: 2, D: 20, P: 12}
 	state := uint64(22)
@@ -348,68 +348,6 @@ func BenchmarkAtomicInsertParallel(b *testing.B) {
 		for pb.Next() {
 			s.AddHash(hashing.SplitMix64(&state))
 		}
-	})
-}
-
-// BenchmarkAblationUpdateDistribution compares inserting with the
-// approximated update-value distribution (8) (branch-free shifts and a
-// leading-zero count) against the exact geometric distribution (2)
-// (floating-point log transform) — the engineering motivation of the
-// paper's Section 2.2 for introducing (8).
-func BenchmarkAblationUpdateDistribution(b *testing.B) {
-	b.Run("approximate-eq8", func(b *testing.B) {
-		s := core.MustNew(core.Config{T: 2, D: 16, P: 10})
-		state := uint64(20)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.AddHash(hashing.SplitMix64(&state))
-		}
-	})
-	b.Run("geometric-eq2", func(b *testing.B) {
-		s, err := geomell.New(math.Pow(2, 0.25), 16, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		state := uint64(20)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.AddHash(hashing.SplitMix64(&state))
-		}
-	})
-}
-
-// BenchmarkAblationMLSolverVsBisection compares ELL's specialized Newton
-// solver (possible because (8) yields power-of-two likelihood terms)
-// against the generic bisection the geometric variant is forced into.
-func BenchmarkAblationMLSolverVsBisection(b *testing.B) {
-	b.Run("newton-eq15", func(b *testing.B) {
-		s := core.MustNew(core.Config{T: 2, D: 16, P: 8})
-		state := uint64(21)
-		for i := 0; i < 50000; i++ {
-			s.AddHash(hashing.SplitMix64(&state))
-		}
-		b.ResetTimer()
-		sink := 0.0
-		for i := 0; i < b.N; i++ {
-			sink += s.EstimateML()
-		}
-		_ = sink
-	})
-	b.Run("bisection-generic", func(b *testing.B) {
-		s, err := geomell.New(math.Pow(2, 0.25), 16, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		state := uint64(21)
-		for i := 0; i < 50000; i++ {
-			s.AddHash(hashing.SplitMix64(&state))
-		}
-		b.ResetTimer()
-		sink := 0.0
-		for i := 0; i < b.N; i++ {
-			sink += s.EstimateML()
-		}
-		_ = sink
 	})
 }
 

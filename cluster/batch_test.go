@@ -330,13 +330,13 @@ func TestForwardedWritesPinned(t *testing.T) {
 // token a string and hashed it through Node.Add.
 func TestForwardedWireWritesPinned(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
-	var script []scriptLine
+	var script []string
 	for _, w := range forwardedMix() {
 		line := fmt.Sprintf("PFADD %s %s", w.key, strings.Join(w.els, " "))
 		if w.key[0] == 'w' {
 			line = fmt.Sprintf("WADD %s %d %s", w.key, w.ts, strings.Join(w.els, " "))
 		}
-		script = append(script, scriptLine{line, sameReply})
+		script = append(script, line)
 	}
 	replies := runScript(t, script, []string{nodes[0].Addr(), nodes[1].Addr(), nodes[2].Addr()})
 	sum := sha256.New()

@@ -16,58 +16,59 @@ import (
 	"exaloglog/server"
 )
 
-// How a front-end script line's replies compare across modes.
-const (
-	sameReply = iota // byte for byte
-	anyReply         // not compared: a multi-key count is a dense union standalone, a token union in a cluster
-)
-
-type scriptLine struct {
-	line string
-	cmp  int
-}
-
 // frontEndScript is a seeded run of every public data verb as raw command
 // lines: writes on both sides of break-even, windowed writes, one-key and
 // multi-key reads, the window and lifecycle verbs, PFMERGE, DEL and KEYS, a
 // few refusals — and then every verb's five forms (verbForms), on a plain
-// key p and a windowed key w.
-func frontEndScript() []scriptLine {
+// key p and a windowed key w. Multi-key PFCOUNTs and PFMERGEs unite sparse
+// keys into a sparse union (s: below break-even, though their tokens
+// counted with repeats pass it) and into a dense one (b).
+func frontEndScript() []string {
 	r := rand.New(rand.NewSource(31))
 	const ts0 = int64(1_750_000_000_000)
 	sizes := []int{1, 2, 5, 40, 300, 5000}
-	var script []scriptLine
-	add := func(cmp int, lines ...string) {
+	var script []string
+	add := func(lines ...string) {
 		for _, l := range lines {
 			if l != "" {
-				script = append(script, scriptLine{l, cmp})
+				script = append(script, l)
 			}
 		}
 	}
-	for i := 0; i < 60; i++ {
-		els := make([]string, sizes[r.Intn(len(sizes))])
+	elements := func(n, pool int) string {
+		els := make([]string, n)
 		for j := range els {
-			els[j] = fmt.Sprintf("e%d", r.Intn(1<<20))
+			els[j] = fmt.Sprintf("e%d", r.Intn(pool))
 		}
+		return strings.Join(els, " ")
+	}
+	for i := 0; i < 60; i++ {
+		els := elements(sizes[r.Intn(len(sizes))], 1<<20)
 		key := fmt.Sprintf("p%d", r.Intn(6))
 		if i%3 == 2 {
 			key = fmt.Sprintf("w%d", r.Intn(3))
-			add(sameReply, fmt.Sprintf("WADD %s %d %s", key, ts0+int64(r.Intn(120_000)), strings.Join(els, " ")),
-				"WCOUNT "+key+" 1m")
+			add(fmt.Sprintf("WADD %s %d %s", key, ts0+int64(r.Intn(120_000)), els), "WCOUNT "+key+" 1m")
 			continue
 		}
-		add(sameReply, "PFADD "+key+" "+strings.Join(els, " "), "PFCOUNT "+key)
+		add("PFADD "+key+" "+els, "PFCOUNT "+key)
 	}
-	add(anyReply, "PFCOUNT p0 p1 p2", "PFCOUNT p3 nowhere")
-	add(sameReply,
-		"WCOUNT w0 30s", "WCOUNT w1 2m 1750000060000", "WINFO w2",
+	add("PFCOUNT p0 p1 p2", "PFCOUNT p3 nowhere")
+	for _, k := range []string{"s1", "s2", "s3"} {
+		add("PFADD " + k + " " + elements(5000, 8000))
+	}
+	for _, k := range []string{"b1", "b2", "b3"} {
+		add("PFADD " + k + " " + elements(4000, 1<<20))
+	}
+	add("PFCOUNT s1 s2 s3", "PFMERGE ms s1 s2 s3", "PFCOUNT ms", "PFCOUNT ms s2",
+		"PFCOUNT b1 b2 b3", "PFMERGE mb b1 b2 b3", "PFCOUNT mb", "PFCOUNT mb b2", "PFCOUNT mb ms")
+	add("WCOUNT w0 30s", "WCOUNT w1 2m 1750000060000", "WINFO w2",
 		"PFMERGE m p0 p3", "PFCOUNT m",
 		"EXPIRE p1 100", "TTL p1", "PERSIST p1", "TTL p1", "PERSIST p1",
 		"DEL p4", "DEL p4", "PFCOUNT p4", "KEYS",
 		"WCOUNT w0 0s", "EXPIRE p0 0", "TTL a b", "WINFO a b", "DEL a b",
 		"PFADD p a b c", "WADD w 1750000000000 a b")
 	for _, v := range verbForms {
-		add(sameReply, v.valid, v.arity, v.bad, v.wrongType, v.missing)
+		add(v.valid, v.arity, v.bad, v.wrongType, v.missing)
 	}
 	return script
 }
@@ -93,7 +94,7 @@ var verbForms = []struct{ valid, arity, bad, wrongType, missing string }{
 
 // runScript sends line i to addrs[i%len(addrs)] and returns the reply
 // lines as the wire carried them.
-func runScript(t *testing.T, script []scriptLine, addrs []string) []string {
+func runScript(t *testing.T, script []string, addrs []string) []string {
 	t.Helper()
 	type conn struct {
 		c net.Conn
@@ -111,12 +112,12 @@ func runScript(t *testing.T, script []scriptLine, addrs []string) []string {
 	replies := make([]string, len(script))
 	for i, l := range script {
 		c := conns[i%len(conns)]
-		if _, err := io.WriteString(c.c, l.line+"\n"); err != nil {
+		if _, err := io.WriteString(c.c, l+"\n"); err != nil {
 			t.Fatal(err)
 		}
 		reply, err := c.r.ReadString('\n')
 		if err != nil {
-			t.Fatalf("%q: %v", l.line, err)
+			t.Fatalf("%q: %v", l, err)
 		}
 		replies[i] = reply
 	}
@@ -146,7 +147,7 @@ func TestEveryVerbAnswersAlikeInBothModes(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	standalone := runScript(t, script, []string{srv.Addr()})
 
-	const pin = "17d6ff5d3eecc24a8310a2581b91791f482af7f3cd3956c7829451d5f6b019c0"
+	const pin = "ec838ffb04f60f7b1d3eb5ed9356ace912956cf586f6296b0f5f476b1f585825"
 	for _, tc := range []struct{ nodes, replicas int }{{1, 1}, {3, 2}} {
 		t.Run(fmt.Sprintf("%dnodes-r%d", tc.nodes, tc.replicas), func(t *testing.T) {
 			var addrs []string
@@ -157,11 +158,11 @@ func TestEveryVerbAnswersAlikeInBothModes(t *testing.T) {
 			sum := sha256.New()
 			for i, l := range script {
 				s, c := standalone[i], clustered[i]
-				if l.cmp == sameReply && s != c {
-					t.Errorf("%.60q: standalone %q, cluster %q", l.line, s, c)
+				if s != c {
+					t.Errorf("%.60q: standalone %q, cluster %q", l, s, c)
 				}
 				if c[0] != '-' {
-					fmt.Fprintf(sum, "%s\n%s", l.line, c)
+					fmt.Fprintf(sum, "%s\n%s", l, c)
 				}
 			}
 			if got := hex.EncodeToString(sum.Sum(nil)); got != pin {

@@ -779,19 +779,12 @@ func (n *Node) Count(keys ...string) (float64, error) {
 	if err := validKeys(keys); err != nil {
 		return 0, err
 	}
-	var acc *core.Hybrid
-	err := n.withStaleMapRetry(func(m *Map) error {
-		var err error
-		acc, err = n.gather(m, keys)
-		return err
-	})
-	if err != nil {
+	var u core.Union
+	defer u.Reset(core.Config{}) // gives its token array back
+	if err := n.withStaleMapRetry(func(m *Map) error { return n.gather(&u, m, keys) }); err != nil {
 		return 0, err
 	}
-	if acc == nil {
-		return 0, nil
-	}
-	return acc.Estimate(), nil
+	return u.Estimate(), nil
 }
 
 // CountBytes is Count for the tokens of a command line — the server's
@@ -877,36 +870,33 @@ func (n *Node) gatherOwnerBlobs(m *Map, keys []string) ([]ownerBlob, error) {
 }
 
 // gather fetches every owner's sketch for every key (one pipelined
-// batch per owner, see gatherOwnerBlobs) and merges them into one
-// sketch (nil if no key exists anywhere). Blobs merge as the owners
-// hold them: token sets unite and stay sparse below break-even, a token
-// blob is replayed into dense registers, never expanded first. A
-// windowed key surfaces the store's WRONGTYPE error rather than merging
-// garbage.
-func (n *Node) gather(m *Map, keys []string) (*core.Hybrid, error) {
+// batch per owner, see gatherOwnerBlobs) and adds every distinct copy to u,
+// emptied first. Token blobs decode into one reused array, which the
+// union copies what it keeps from. A windowed key surfaces the store's
+// WRONGTYPE error rather than merging garbage.
+func (n *Node) gather(u *core.Union, m *Map, keys []string) error {
+	u.Reset(n.store.Config())
 	blobs, err := n.gatherOwnerBlobs(m, keys)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var acc *core.Hybrid
-	err = eachDistinctCopy(blobs, func(b ownerBlob) error {
+	var buf []uint64
+	return eachDistinctCopy(blobs, func(b ownerBlob) error {
 		if window.IsSerialized(b.blob) {
 			return fmt.Errorf("cluster: sketch %q from %s: %w", b.key, b.ownerID, server.ErrWrongType)
 		}
-		sk, err := core.HybridFromBinary(b.blob)
+		if need := len(b.blob)/8 + 1; core.IsTokenBlob(b.blob) && len(buf) < need {
+			buf = make([]uint64, need)
+		}
+		sk, err := core.DecodeBatch(b.blob, buf)
+		if err == nil {
+			err = u.Add(&sk)
+		}
 		if err != nil {
 			return fmt.Errorf("cluster: sketch %q from %s: %w", b.key, b.ownerID, err)
 		}
-		if acc == nil {
-			acc = sk
-			return nil
-		}
-		return acc.Merge(sk)
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return acc, nil
 }
 
 // eachDistinctCopy calls merge for every gathered blob but those that are,
@@ -1089,16 +1079,13 @@ func (n *Node) MergeKeys(dest string, sources ...string) error {
 	}
 	keys := append(append([]string{}, sources...), dest)
 	return n.withStaleMapRetry(func(m *Map) error {
-		acc, err := n.gather(m, keys)
-		if err != nil {
+		var u core.Union
+		defer u.Reset(core.Config{}) // gives its token array back
+		if err := n.gather(&u, m, keys); err != nil {
 			return err
 		}
-		if acc == nil {
-			if acc, err = core.NewHybrid(n.store.Config()); err != nil {
-				return err
-			}
-		}
-		blob, err := acc.MarshalBinary()
+		union := u.Hybrid()
+		blob, err := union.MarshalBinary()
 		if err != nil {
 			return err
 		}

@@ -425,11 +425,12 @@ func extANF(w io.Writer, s scale) {
 
 // extOverlap sweeps the true Jaccard similarity and reports the
 // inclusion–exclusion estimation error: the relative intersection error
-// grows as the overlap shrinks.
+// grows as the overlap shrinks. Beside it stand the union's estimate and
+// the true |A∪B|, which the estimate must match to ELL's own error.
 func extOverlap(w io.Writer, s scale) {
 	n := s.ext.overlapN
 	fmt.Fprintf(w, "# overlap: inclusion–exclusion error vs true overlap (|A|=|B|=%d, p=%d)\n", n, overlapP)
-	fmt.Fprintln(w, "true_jaccard\test_jaccard\tjaccard_err_abs\tintersection_rel_err_pct")
+	fmt.Fprintln(w, "true_jaccard\test_jaccard\tjaccard_err_abs\tintersection_rel_err_pct\test_union\ttrue_union")
 	for _, overlapFrac := range []float64{0.5, 0.2, 0.1, 0.05, 0.02, 0.01} {
 		overlap := int(overlapFrac * float64(n))
 		a := core.MustNew(core.RecommendedML(overlapP))
@@ -447,7 +448,7 @@ func extOverlap(w io.Writer, s scale) {
 		if overlap > 0 {
 			relErr = (e.Intersection/float64(overlap) - 1) * 100
 		}
-		fmt.Fprintf(w, "%.4f\t%.4f\t%.4f\t%+.1f\n", trueJ, e.Jaccard, math.Abs(e.Jaccard-trueJ), relErr)
+		fmt.Fprintf(w, "%.4f\t%.4f\t%.4f\t%+.1f\t%.0f\t%d\n", trueJ, e.Jaccard, math.Abs(e.Jaccard-trueJ), relErr, e.Union, 2*n-overlap)
 	}
 }
 

@@ -152,9 +152,10 @@ func column(t *testing.T, id string, header []string, rows [][]string, name stri
 // paper at default scale: each estimate lies within 3σ of the exact
 // answer beside it, σ being ELL(2,20)'s relative standard error at the
 // entry's precision — 2.3 % at p = 8, 0.80 % at p = 11, 0.57 % at p = 12.
-// overlap's Jaccard is held to 3σ of the absolute error the two sketches'
-// σ predict (similarity.Estimates.JaccardError). skew's rows all face the
-// uniform workload's bound: duplication must not widen the error.
+// overlap's union estimate is held to 3σ of the true |A∪B|, and its
+// Jaccard to 3σ of the absolute error the two sketches' σ predict
+// (similarity.Estimates.JaccardError). skew's rows all face the uniform
+// workload's bound: duplication must not widen the error.
 func TestBeyondThePaperWithinThreeSigma(t *testing.T) {
 	sigma := func(p int) float64 { return mvp.TheoreticalRMSE(2, 20, p, false) }
 	for _, c := range []struct {
@@ -164,6 +165,7 @@ func TestBeyondThePaperWithinThreeSigma(t *testing.T) {
 		{"anf", "approx_N", "exact_N", anfP},
 		{"window", "estimate", "exact", windowP},
 		{"skew", "estimate", "exact_distinct", skewP},
+		{"overlap", "est_union", "true_union", overlapP},
 	} {
 		t.Run(c.id, func(t *testing.T) {
 			t.Parallel()
@@ -177,7 +179,7 @@ func TestBeyondThePaperWithinThreeSigma(t *testing.T) {
 			}
 		})
 	}
-	t.Run("overlap", func(t *testing.T) {
+	t.Run("overlap-jaccard", func(t *testing.T) {
 		t.Parallel()
 		header, rows := table(t, "overlap", runAt(t, "default", "overlap"))
 		est, truth := column(t, "overlap", header, rows, "est_jaccard"), column(t, "overlap", header, rows, "true_jaccard")

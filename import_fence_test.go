@@ -21,7 +21,7 @@ import (
 // like.
 func TestServingPathImportFence(t *testing.T) {
 	fenced := map[string]bool{}
-	for _, pkg := range []string{"hll", "hlll", "pcsa", "spike", "compare", "simulation", "geomell", "mvp", "workload", "compress"} {
+	for _, pkg := range []string{"hll", "hlll", "pcsa", "spike", "compare", "simulation", "mvp", "workload", "compress"} {
 		fenced["exaloglog/internal/"+pkg] = true
 	}
 	for _, dir := range []string{"server", "cluster", "window"} {

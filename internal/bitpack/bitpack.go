@@ -68,9 +68,6 @@ func FromBytes(data []byte, n int, width uint) (*Array, error) {
 // Len returns the number of fields.
 func (a *Array) Len() int { return a.n }
 
-// Width returns the field width in bits.
-func (a *Array) Width() uint { return a.width }
-
 // SizeBytes returns the exact serialized size in bytes: ceil(n*w/8).
 func (a *Array) SizeBytes() int { return len(a.bits) }
 

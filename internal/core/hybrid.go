@@ -163,6 +163,14 @@ func layoutTokens(v, n int) tokenLayout {
 // size is the encoded size in bits of n tokens whose NLZs sum to nlzSum.
 func (lay tokenLayout) size(n int, nlzSum uint) uint { return lay.nlz + uint(n) + nlzSum }
 
+// nlzSum returns the sum of the tokens' NLZs.
+func nlzSum(tokens []uint64) (sum uint) {
+	for _, x := range tokens {
+		sum += uint(x & 63)
+	}
+	return sum
+}
+
 // tokenSeq is a sorted sequence of n distinct tokens: encoded in the first
 // size bits of words at parameter v, or — v = 0, a sorted batch on its way
 // in — one to a word.
@@ -734,23 +742,29 @@ func (h *Hybrid) AddString(element string) bool { return h.AddHash(hashing.WyStr
 // exactly as Algorithm 2 would have for the original hashes, and reports
 // whether a register changed. The tokens must be c's own (v = p+t); they
 // sort by register, so each register is read and written once for its
-// whole run of tokens.
+// whole run of tokens. A run is folded as accumulateTokens folds it,
+// without updateRegister's branches, from the register's own state: u and
+// its indicator bits below bit d, which stands for u itself — for an empty
+// register, for the update value 0 whose bit Algorithm 2 keeps while u ≤ d.
 func (c Config) replayTokens(regs *bitpack.Array, tokens tokenSeq) (changed bool) {
+	d := uint64(c.D) & 63
 	ts := tokens.stream()
 	for x := ts.head(); x != endOfTokens; {
 		i, k := c.splitToken(x)
 		r, at := regs.Load(i)
-		rNew := updateRegister(r, k, c.D)
+		u, y := r>>d, r&(1<<d-1)|1<<d
 		for {
+			nu := max(u, k)
+			y = y>>(nu-u) | 1<<(d+k-nu)
+			u = nu
 			ts.i++
 			x = ts.head()
-			i2, k2 := c.splitToken(x) // the end of the stream is in no register
-			if i2 != i {
+			var i2 int
+			if i2, k = c.splitToken(x); i2 != i { // the end of the stream is in no register
 				break
 			}
-			rNew = updateRegister(rNew, k2, c.D)
 		}
-		if rNew != r {
+		if rNew := u<<d | y&(1<<d-1); rNew != r {
 			regs.Store(at, rNew)
 			changed = true
 		}
@@ -929,65 +943,6 @@ func (h *Hybrid) Merge(other *Hybrid) error {
 	return nil
 }
 
-// MergeInto folds h into the dense accumulator acc, which must have h's
-// configuration: a register merge in dense mode, a token replay in sparse
-// mode.
-func (h *Hybrid) MergeInto(acc *Sketch) error {
-	if h.Config() != acc.cfg {
-		return fmt.Errorf("exaloglog: cannot merge config %+v into %+v; reduce to common parameters first", h.Config(), acc.cfg)
-	}
-	if s := h.sketch(); s != nil {
-		return acc.Merge(s)
-	}
-	acc.addTokens(h.tokens())
-	return nil
-}
-
-// UnionHybrids returns the union of the sketches, all of configuration cfg,
-// in one pass: what folding them together with Merge gives, without encoding
-// every intermediate set. The result is dense if a part is, or if the parts'
-// tokens, were they all distinct, would pass break-even — each part is then
-// replayed into one register array; below that the parts' tokens are sorted
-// together and encoded once. The estimate is the same float either way.
-func UnionHybrids(cfg Config, parts []*Hybrid) (*Hybrid, error) {
-	v, n, nlzSum, dense := cfg.tokenV(), 0, uint(0), false
-	for _, h := range parts {
-		if h.Config() != cfg {
-			return nil, fmt.Errorf("exaloglog: cannot unite config %+v with %+v; reduce to common parameters first", h.Config(), cfg)
-		}
-		if h.n > 0 {
-			n += int(h.n)
-			nlzSum += uint(h.used) - layoutTokens(v, int(h.n)).size(int(h.n), 0)
-		}
-		dense = dense || h.dense
-	}
-	union := emptyHybrid(cfg)
-	switch {
-	case dense || n > 0 && cfg.pastBreakEven(layoutTokens(v, n).size(n, nlzSum)):
-		acc := MustNew(cfg)
-		for _, h := range parts {
-			if err := h.MergeInto(acc); err != nil {
-				return nil, err // unreachable: configurations checked above
-			}
-		}
-		union = denseHybrid(acc)
-	case n > 0:
-		scratch := tokenScratch.Get().(*[]uint64)
-		defer tokenScratch.Put(scratch)
-		buf := scratchTokens(scratch, 2*n)
-		all := buf[:0]
-		for _, h := range parts {
-			ts := h.tokens().stream()
-			for x := ts.head(); x != endOfTokens; x = ts.head() {
-				all = append(all, x)
-				ts.i++
-			}
-		}
-		union.setTokens(sortDistinct(all, buf[n:], uint(v+6)))
-	}
-	return &union, nil
-}
-
 // uniteTokens sets h's tokens to the union with the sequence b, densifying
 // at break-even, and reports whether b added anything. The layout of an
 // encoding follows from the size of the set, so the union is first merged
@@ -1018,12 +973,8 @@ func (h *Hybrid) setTokens(tokens []uint64) { *h = tokensHybrid(h.Config(), toke
 // or replayed into registers if that would be no smaller. (A result, not a
 // receiver it fills in, for the reason sparseHybrid gives.)
 func tokensHybrid(cfg Config, tokens, buf []uint64) Hybrid {
-	nlzSum := uint(0)
-	for _, x := range tokens {
-		nlzSum += uint(x & 63)
-	}
 	lay := layoutTokens(cfg.tokenV(), len(tokens))
-	size := lay.size(len(tokens), nlzSum)
+	size := lay.size(len(tokens), nlzSum(tokens))
 	if cfg.pastBreakEven(size) {
 		return denseFrom(cfg, tokenSeq{words: tokens, n: len(tokens)})
 	}

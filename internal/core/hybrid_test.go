@@ -259,50 +259,6 @@ func TestHybridMergeMixedModes(t *testing.T) {
 	}
 }
 
-// TestUnionHybrids: the one-pass union is the fold by Merge — the same
-// bytes while the parts' tokens stay below break-even, the same registers
-// and the same float once they could pass it or a part is dense — and parts
-// of another configuration are an error.
-func TestUnionHybrids(t *testing.T) {
-	cfg := Config{T: 2, D: 20, P: 8}
-	r := rng(77)
-	pool := make([]uint64, 30000) // the parts draw from one pool, so they overlap
-	for i := range pool {
-		pool[i] = r.Uint64()
-	}
-	for _, tc := range []struct {
-		sizes  []int
-		sparse bool
-	}{{nil, true}, {[]int{0, 0}, true}, {[]int{3, 0, 40, 40, 200}, true}, {[]int{1500, 1500, 1500, 1500}, false}, {[]int{5, 20000, 5}, false}} {
-		fold, _ := NewHybrid(cfg)
-		var parts []*Hybrid
-		for _, n := range tc.sizes {
-			h, _ := NewHybrid(cfg)
-			for i := 0; i < n; i++ {
-				h.AddHash(pool[r.Intn(len(pool))])
-			}
-			parts = append(parts, h)
-			if err := fold.Merge(h); err != nil {
-				t.Fatal(err)
-			}
-		}
-		union, err := UnionHybrids(cfg, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := union.MarshalBinary()
-		want, _ := fold.MarshalBinary()
-		if union.IsSparse() != tc.sparse || union.Estimate() != fold.Estimate() || tc.sparse && string(got) != string(want) ||
-			string(union.ToSketch().RegisterBytes()) != string(fold.ToSketch().RegisterBytes()) {
-			t.Errorf("parts of %v: union sparse=%v estimating %v in %d bytes, the fold %v in %d", tc.sizes, union.IsSparse(), union.Estimate(), len(got), fold.Estimate(), len(want))
-		}
-	}
-	other, _ := NewHybrid(Config{T: 2, D: 20, P: 9})
-	if _, err := UnionHybrids(cfg, []*Hybrid{other}); err == nil {
-		t.Error("union accepted a part of another configuration")
-	}
-}
-
 func TestHybridSerializationBothModes(t *testing.T) {
 	cfg := Config{T: 2, D: 20, P: 8}
 	// Sparse mode round trip.
@@ -640,10 +596,6 @@ func TestHybridParityAcrossBreakEven(t *testing.T) {
 				t.Fatalf("%+v: sizes %v are sparse=%v, %v", cfg, sizes, a.IsSparse(), b.IsSparse())
 			}
 			bBefore, _ := b.MarshalBinary()
-			acc := da.Clone()
-			if err := b.MergeInto(acc); err != nil {
-				t.Fatal(err)
-			}
 			if err := a.Merge(b); err != nil {
 				t.Fatal(err)
 			}
@@ -652,9 +604,6 @@ func TestHybridParityAcrossBreakEven(t *testing.T) {
 			}
 			if a.Estimate() != da.Estimate() || string(a.ToSketch().RegisterBytes()) != string(da.RegisterBytes()) {
 				t.Fatalf("%+v: merge of sizes %v differs from the dense merge", cfg, sizes)
-			}
-			if string(acc.RegisterBytes()) != string(da.RegisterBytes()) {
-				t.Fatalf("%+v: MergeInto of sizes %v differs from the dense merge", cfg, sizes)
 			}
 			if a.IsSparse() != cfg.staysSparse(append(as, bs...)) {
 				t.Fatalf("%+v: merge of sizes %v ended sparse=%v", cfg, sizes, a.IsSparse())
@@ -787,6 +736,35 @@ func TestHybridMergeAcrossPrecisions(t *testing.T) {
 				if got.Config() != want.Config() || !bytes.Equal(got.RegisterBytes(), want.RegisterBytes()) {
 					t.Errorf("p=%d n=%d, %s: registers differ from MergeCompatible of the dense sketches", p, n, name)
 				}
+			}
+		}
+	}
+}
+
+// TestReplayTokensIsAlgorithm2: replaying a sorted batch of tokens into
+// registers that hold anything Algorithm 2 can leave — nothing, or the
+// state of earlier hashes — gives the registers updateRegister gives
+// applied to the batch's hashes one at a time, for the paper's (t, d)
+// configurations, d = 0 included. At p = 4 a batch piles many tokens on a
+// register, updates far below its largest among them.
+func TestReplayTokensIsAlgorithm2(t *testing.T) {
+	r := rng(9)
+	for _, td := range paperConfigs {
+		cfg := Config{T: td[0], D: td[1], P: 4}
+		for _, sizes := range [][2]int{{0, 1}, {0, 40}, {3, 5}, {40, 40}, {200, 2000}} {
+			replayed := MustNew(cfg)
+			for range sizes[0] {
+				replayed.AddHash(r.Uint64())
+			}
+			ref := replayed.Clone()
+			hashes := make([]uint64, sizes[1])
+			for i := range hashes {
+				hashes[i] = r.Uint64()
+				ref.AddHash(hashes[i])
+			}
+			replayed.addTokens(cfg.sortedTokens(hashes, make([]uint64, 2*len(hashes))))
+			if string(replayed.RegisterBytes()) != string(ref.RegisterBytes()) {
+				t.Errorf("%+v, %d hashes over %d: the replayed registers differ from Algorithm 2's", cfg, sizes[1], sizes[0])
 			}
 		}
 	}

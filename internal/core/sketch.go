@@ -66,21 +66,9 @@ func RecommendedML(p int) Config { return Config{T: 2, D: 20, P: p} }
 // allow the fastest register access and CAS-friendly alignment.
 func RecommendedFast(p int) Config { return Config{T: 2, D: 24, P: p} }
 
-// RecommendedCompact returns ELL(t=1, d=9): MVP 3.90 with 16-bit registers.
-func RecommendedCompact(p int) Config { return Config{T: 1, D: 9, P: p} }
-
 // RecommendedMartingale returns ELL(t=2, d=16): MVP 2.77 under martingale
 // estimation, 33 % less space than HLL, 24-bit registers.
 func RecommendedMartingale(p int) Config { return Config{T: 2, D: 16, P: p} }
-
-// ConfigHLL returns the HyperLogLog special case ELL(0,0).
-func ConfigHLL(p int) Config { return Config{T: 0, D: 0, P: p} }
-
-// ConfigEHLL returns the ExtendedHyperLogLog special case ELL(0,1).
-func ConfigEHLL(p int) Config { return Config{T: 0, D: 1, P: p} }
-
-// ConfigULL returns the UltraLogLog special case ELL(0,2).
-func ConfigULL(p int) Config { return Config{T: 0, D: 2, P: p} }
 
 // Config returns the sketch parameters.
 func (s *Sketch) Config() Config { return s.cfg }

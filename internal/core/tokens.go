@@ -81,11 +81,6 @@ func (ts *TokenSet) AddHash(h uint64) {
 	ts.tokens[TokenFromHash(h, ts.v)] = struct{}{}
 }
 
-// AddToken records an already-computed token.
-func (ts *TokenSet) AddToken(w uint64) {
-	ts.tokens[w] = struct{}{}
-}
-
 // Tokens returns the collected tokens in ascending order.
 func (ts *TokenSet) Tokens() []uint64 {
 	out := make([]uint64, 0, len(ts.tokens))
@@ -100,13 +95,6 @@ func (ts *TokenSet) Tokens() []uint64 {
 // ceil(len·(v+6)/8) bytes, the sparse-mode space accounting.
 func (ts *TokenSet) SizeBytes() int {
 	return int((uint64(len(ts.tokens))*uint64(ts.v+6) + 7) / 8)
-}
-
-// DenseBreakEven returns the number of tokens at which the dense
-// representation of cfg becomes smaller than the token list.
-func (ts *TokenSet) DenseBreakEven(cfg Config) int {
-	perToken := ts.v + 6
-	return (cfg.SizeBytes()*8 + perToken - 1) / perToken
 }
 
 // ToSketch converts the token set into a dense ELL sketch with the given

@@ -238,12 +238,6 @@ func EstimateRawHistogram(histo []int32, p int) float64 {
 	return estimateRaw(histo, p)
 }
 
-// EstimateMLHistogram exposes the ML estimator for other sketches with
-// HLL-equivalent register content.
-func EstimateMLHistogram(histo []int32, p int) float64 {
-	return estimateML(histo, p)
-}
-
 // estimateRaw is the original HyperLogLog estimator of Flajolet et al.
 // with the small-range linear-counting correction of Heule et al. The
 // large-range correction is unnecessary with 64-bit hashes.

@@ -114,10 +114,10 @@ func BenchmarkStoreParallelAdd(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreCount measures Count over an 8-key union of dense keys —
-// the accumulator-reuse path (one register merge per key, no per-key
-// sketch allocation when configurations match). 60 000 elements a key:
-// break-even is near 44 000.
+// BenchmarkStoreCount measures Count over an 8-key union of dense keys: a
+// pooled core.Union copies the first key's registers and merges the other
+// seven's into them, allocating nothing. 60 000 elements a key: break-even
+// is near 44 000.
 func BenchmarkStoreCount(b *testing.B) {
 	store := newBenchStore(b)
 	keys := make([]string, 8)
@@ -139,8 +139,9 @@ func BenchmarkStoreCount(b *testing.B) {
 }
 
 // BenchmarkStoreCountSparse is BenchmarkStoreCount over 8 keys of n
-// elements each, all sparse: the tokens are replayed into the pooled
-// accumulator instead of merging register arrays.
+// elements each, all sparse, whose union stays sparse too: the pooled
+// union appends the keys' tokens, sorts them once and estimates from them,
+// and no register array is filled or scanned.
 func BenchmarkStoreCountSparse(b *testing.B) {
 	for _, n := range []int{16, 1000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -304,8 +305,8 @@ func BenchmarkDispatchPFCount(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchPFCountUnion keeps the multi-key accumulator path
-// honest: an 8-key union must be merge-bound, not allocation-bound.
+// BenchmarkDispatchPFCountUnion keeps the multi-key union path honest: an
+// 8-key union must be merge-bound, not allocation-bound.
 func BenchmarkDispatchPFCountUnion(b *testing.B) {
 	store := newBenchStore(b)
 	keys := make([]string, 8)

@@ -87,25 +87,9 @@ func (s *Store) changedLocked(e *entry) {
 	e.ver = s.writeSeq.Add(1)
 }
 
-// estimateEll returns the entry's current plain-sketch estimate under
-// its lock, counted in the store's estimate counter. ok is false for a
-// dead entry; a non-plain value is ErrWrongType.
-func (s *Store) estimateEll(e *entry) (v float64, ok bool, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.dead {
-		return 0, false, nil
-	}
-	if e.win != nil {
-		return 0, false, ErrWrongType
-	}
-	s.estimates.Add(1)
-	return e.ell.Estimate(), true, nil
-}
-
-// CacheStats reports single-key estimates as estimate-cache hits and
+// CacheStats reports single-key counts as estimate-cache hits and
 // misses. The store caches no estimate, so hits is always 0 and misses
-// counts every single-key estimate.
+// counts every single-key count.
 func (s *Store) CacheStats() (hits, misses uint64) {
 	return 0, s.estimates.Load()
 }
@@ -169,14 +153,14 @@ type Store struct {
 
 	shards [numShards]shard
 
-	// accs pools union accumulators for Count/Merge so the common
-	// all-configs-identical case allocates no sketch per call.
-	accs sync.Pool
+	// unions pools the unions Count and Merge take, so a warm one
+	// allocates nothing.
+	unions sync.Pool
 
 	metaMu sync.RWMutex
 	meta   []byte
 
-	// estimates counts single-key estimates (CacheStats).
+	// estimates counts single-key counts (CacheStats).
 	estimates atomic.Uint64
 
 	// Lifecycle gauges: cumulative lazily/sweeper-expired keys,
@@ -200,7 +184,7 @@ func NewStore(cfg core.Config) (*Store, error) {
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]*entry)
 	}
-	s.accs.New = func() any { return core.MustNew(cfg) }
+	s.unions.New = func() any { return new(core.Union) }
 	return s, nil
 }
 
@@ -215,11 +199,6 @@ func (s *Store) SetWindowConfig(slice time.Duration, slices int) error {
 	}
 	s.winSlice, s.winSlices = slice, slices
 	return nil
-}
-
-// WindowConfig returns the ring geometry WindowAdd-created keys get.
-func (s *Store) WindowConfig() (slice time.Duration, slices int) {
-	return s.winSlice, s.winSlices
 }
 
 func shardIndex(key string) int {
@@ -293,14 +272,6 @@ func (s *Store) getOrCreate(key string, view bool, tag byte) *entry {
 		}
 		return e
 	}
-}
-
-// getAcc returns an empty accumulator sketch with the store's default
-// configuration, reusing a pooled one when available.
-func (s *Store) getAcc() *core.Sketch {
-	acc := s.accs.Get().(*core.Sketch)
-	acc.Reset()
-	return acc
 }
 
 // addBatch is how many element hashes a write keeps on the stack before
@@ -591,154 +562,75 @@ func (s *Store) WindowInfo(key string) (info string, ok bool, err error) {
 	return c.Describe(), true, nil
 }
 
-// mergeInto folds e's plain sketch into *acc under e's lock. When the
-// configs match — the overwhelmingly common case — the merge happens in
-// place with no allocation (a sparse value replays its tokens into the
-// accumulator). Otherwise the sketch is cloned out and
-// aligned via MergeCompatible: if *acc is still the untouched pooled
-// accumulator (*found false) the clone simply becomes the accumulator
-// (preserving, e.g., counting a lone foreign-t key); else both are
-// reduced to common parameters. *pooled tracks whether *acc still is
-// the poolable accumulator.
-func (s *Store) mergeInto(acc **core.Sketch, pooled, found *bool, e *entry) error {
-	e.mu.Lock()
-	if e.dead {
-		e.mu.Unlock()
-		return nil // concurrently deleted: contributes nothing
-	}
-	sk, err := e.ellLocked()
-	if err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	if sk.Config() == (*acc).Config() {
-		err := sk.MergeInto(*acc)
-		e.mu.Unlock()
-		if err != nil {
-			return err // unreachable: identical configs
-		}
-		*found = true
-		return nil
-	}
-	clone := sk.ToSketch()
-	e.mu.Unlock()
-	if !*found {
-		if *pooled {
-			s.accs.Put(*acc)
-			*pooled = false
-		}
-		*acc = clone
-		*found = true
-		return nil
-	}
-	merged, err := core.MergeCompatible(*acc, clone)
-	if err != nil {
-		return err
-	}
-	if *pooled {
-		s.accs.Put(*acc)
-		*pooled = false
-	}
-	*acc = merged
-	return nil
-}
-
 // Count estimates the number of distinct elements in the union of the
 // sketches at the given keys. Missing keys contribute nothing; a
 // windowed key is ErrWrongType (query those with WindowCount). Keys
-// with the store's configuration are merged in place into one reusable
-// accumulator (no per-key allocation); keys with other configurations
-// are aligned via reduction when they share t.
+// with other configurations are aligned via reduction when they share t.
+// One key costs its estimate and a copy of its sketch, taken under its
+// lock so that the estimate is not.
 func (s *Store) Count(keys ...string) (float64, error) {
-	if len(keys) == 1 {
-		return s.countOne(keys[0])
-	}
-	return s.countUnion(len(keys), func(i int) string { return keys[i] })
+	return s.count(len(keys), func(i int) string { return keys[i] })
 }
 
 // CountBytes is Count with byte-slice keys — the server's PFCOUNT fast
 // path. The slices are not retained.
 func (s *Store) CountBytes(keys [][]byte) (float64, error) {
-	if len(keys) == 1 {
-		return s.countOne(lineKey(keys[0]))
-	}
-	return s.countUnion(len(keys), func(i int) string { return lineKey(keys[i]) })
+	return s.count(len(keys), func(i int) string { return lineKey(keys[i]) })
 }
 
-// countOne is the hot-key path: a single-key count needs no union at all,
-// only one estimate of the key's own sketch.
-func (s *Store) countOne(key string) (float64, error) {
-	if e := s.lookup(key); e != nil {
-		v, ok, err := s.estimateEll(e)
-		if err != nil {
-			return 0, fmt.Errorf("server: count %q: %w", key, err)
-		}
-		if ok {
-			return v, nil
-		}
+// count is Count of the n keys key returns.
+func (s *Store) count(n int, key func(i int) string) (float64, error) {
+	if n == 1 {
+		s.estimates.Add(1)
 	}
-	return 0, nil
+	u, err := s.union("count", n, key)
+	defer s.unions.Put(u)
+	if err != nil {
+		return 0, err
+	}
+	return u.Estimate(), nil
 }
 
-// countUnion is Count of the n keys key returns, n other than one.
-func (s *Store) countUnion(n int, key func(i int) string) (float64, error) {
-	acc, pooled, found := s.getAcc(), true, false
-	defer func() {
-		if pooled {
-			s.accs.Put(acc)
-		}
-	}()
+// union adds the plain sketches at the n keys key returns to a pooled
+// union, each under its own lock; a missing key adds nothing. The caller
+// puts the union back. A window key, or one whose t differs from the
+// union's, fails the verb.
+func (s *Store) union(verb string, n int, key func(i int) string) (u *core.Union, err error) {
+	u = s.unions.Get().(*core.Union)
+	u.Reset(s.cfg)
 	for i := range n {
 		k := key(i)
 		e := s.lookup(k)
 		if e == nil {
 			continue
 		}
-		if err := s.mergeInto(&acc, &pooled, &found, e); err != nil {
-			return 0, fmt.Errorf("server: count %q: %w", k, err)
-		}
-	}
-	if !found {
-		return 0, nil
-	}
-	return acc.Estimate(), nil
-}
-
-// Merge stores the union of the source keys' sketches at dest (which may
-// itself be one of the sources, and is created if absent). The union is
-// accumulated without holding dest's lock and then folded into dest in
-// place, so a write racing the merge is never lost. It is accumulated as
-// the values are held — token sets unite — so a union below break-even
-// leaves dest sparse. Windowed keys — sources or dest — are ErrWrongType.
-func (s *Store) Merge(dest string, sources ...string) error {
-	var acc *core.Hybrid
-	for _, k := range sources {
-		e := s.lookup(k)
-		if e == nil {
-			continue
-		}
 		e.mu.Lock()
-		if e.dead {
-			e.mu.Unlock()
-			continue // concurrently deleted: contributes nothing
-		}
-		sk, err := e.ellLocked()
-		if err == nil {
-			if acc == nil {
-				acc = sk.Clone()
-			} else {
-				err = acc.Merge(sk)
+		if !e.dead { // a concurrently deleted key adds nothing
+			var sk *core.Hybrid
+			if sk, err = e.ellLocked(); err == nil {
+				err = u.Add(sk)
 			}
 		}
 		e.mu.Unlock()
 		if err != nil {
-			return fmt.Errorf("server: merge %q: %w", k, err)
+			return u, fmt.Errorf("server: %s %q: %w", verb, k, err)
 		}
 	}
-	if acc == nil {
-		empty := s.emptyEll()
-		acc = &empty
+	return u, nil
+}
+
+// Merge stores the union of the source keys' sketches at dest (which may
+// itself be one of the sources, and is created if absent). The union is
+// taken without holding dest's lock and then folded into dest in place, so
+// a write racing the merge is never lost. A union below break-even leaves
+// dest sparse. Windowed keys — sources or dest — are ErrWrongType.
+func (s *Store) Merge(dest string, sources ...string) error {
+	u, err := s.union("merge", len(sources), func(i int) string { return sources[i] })
+	defer s.unions.Put(u)
+	if err != nil {
+		return err
 	}
+	acc := u.Hybrid()
 	for {
 		// When dest would be created, fail an incompatible merge BEFORE
 		// getOrCreate so the error cannot leave an empty dest key behind
@@ -754,7 +646,7 @@ func (s *Store) Merge(dest string, sources ...string) error {
 		}
 		sk, err := e.ellLocked()
 		if err == nil {
-			err = sk.Merge(acc)
+			err = sk.Merge(&acc)
 		}
 		if err != nil {
 			e.mu.Unlock()

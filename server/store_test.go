@@ -265,7 +265,7 @@ func TestStoreAddBytesMatchesAdd(t *testing.T) {
 	}
 }
 
-// TestStoreCountCrossConfig pins the accumulator fallback paths: a
+// TestStoreCountCrossConfig pins the union's cross-configuration paths: a
 // lone foreign-config key counts on its own, mixes with native keys
 // via reduction when t matches, and errors when t differs.
 func TestStoreCountCrossConfig(t *testing.T) {
@@ -302,7 +302,7 @@ func TestStoreCountCrossConfig(t *testing.T) {
 	if _, err := store.Count("ull", "native"); err == nil {
 		t.Error("counting across different t succeeded, want error")
 	}
-	// The failed count must not have poisoned the pooled accumulator.
+	// The failed count must not have poisoned the pooled union.
 	if n, err := store.Count("native"); err != nil || math.Abs(n-2) > 0.5 {
 		t.Errorf("count after failed cross-t count = %f, %v; want ≈2, nil", n, err)
 	}
@@ -950,7 +950,7 @@ func TestEntryDispatchesOnItsType(t *testing.T) {
 }
 
 // TestSingleKeyCountMatchesUnionPath: the single-key fast path and the
-// multi-key accumulator path must agree exactly, including for keys
+// multi-key union path must agree exactly, including for keys
 // with a foreign configuration introduced by Restore.
 func TestSingleKeyCountMatchesUnionPath(t *testing.T) {
 	store := newTestStore(t)

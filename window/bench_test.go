@@ -57,7 +57,8 @@ func BenchmarkWindowAddHash(b *testing.B) {
 }
 
 // BenchmarkWindowEstimate30 measures a half-span query at 1000 elements a
-// slice: 30 token sets replayed into one register array, one ML estimation.
+// slice: 30 token sets sorted into one that stays below break-even, one ML
+// estimation over its tokens.
 func BenchmarkWindowEstimate30(b *testing.B) {
 	c, _ := filledRing(b, 1000)
 	now := benchBase.Add(59 * time.Second)

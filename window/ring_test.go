@@ -18,7 +18,7 @@ import (
 // dropped), split at random over two replicas. Merged in either order, or
 // twice, the replicas serialize to the bytes of a ring fed the whole stream,
 // and every window estimates the float the dense slices give — through the
-// token union (light) and through the register accumulator (mixed) alike.
+// token union (light) and through the dense union (mixed) alike.
 func TestRingMatchesDenseReference(t *testing.T) {
 	cfg := testCfg()
 	marshal := func(c *Counter) []byte {

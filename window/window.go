@@ -26,10 +26,12 @@ import (
 //
 // A Counter is a ring of numSlices ExaLogLog sketches, each covering one
 // slice of wall-clock time and, like a plain key, held as hash tokens until
-// it fills past break-even (core.Hybrid): a ring costs what its slices hold. Timestamps are supplied by the caller, which
-// keeps the Counter deterministic and testable; feed time.Now() for live
-// use. Timestamps may arrive slightly out of order; elements older than
-// the ring span are counted in Dropped and ignored.
+// it fills past break-even (core.Hybrid): a ring costs what its slices
+// hold. A window query adds its slices to a core.Union. Timestamps are
+// supplied by the caller, which keeps the Counter deterministic and
+// testable; feed time.Now() for live use. Timestamps may arrive slightly
+// out of order; elements older than the ring span are counted in Dropped
+// and ignored.
 //
 // A Counter is not safe for concurrent use.
 type Counter struct {
@@ -281,7 +283,9 @@ func (c *Counter) mergeSlice(idx int64, sk *core.Hybrid) {
 // the window (now-window, now]. The window is rounded up to whole slices
 // and capped at Span.
 func (c *Counter) Estimate(now time.Time, window time.Duration) float64 {
-	return c.merged(now, window).Estimate()
+	var u core.Union
+	defer u.Reset(c.cfg) // gives its token array back
+	return c.union(&u, now, window).Estimate()
 }
 
 // EstimateWithBounds is Estimate plus a confidence interval (see
@@ -290,32 +294,33 @@ func (c *Counter) EstimateWithBounds(now time.Time, window time.Duration, confid
 	return c.Sketch(now, window).EstimateWithBounds(confidence)
 }
 
-// merged returns the union of all live slices overlapping (now-window,
-// now], empty if none do: a token set while the slices' tokens together stay
-// below break-even, dense registers otherwise (core.UnionHybrids).
-func (c *Counter) merged(now time.Time, window time.Duration) *core.Hybrid {
-	var live []*core.Hybrid
-	if window > 0 {
-		window = min(window, c.Span())
-		nowIdx := c.sliceIndex(now)
-		n := int64((window + c.slice - 1) / c.slice) // slices covered, rounded up
-		oldest := nowIdx - n + 1
-		for i := range c.slots {
-			if s := &c.slots[i]; s.index >= oldest && s.index <= nowIdx {
-				live = append(live, &s.sketch)
+// union returns u, emptied, with every live slice overlapping
+// (now-window, now] added.
+func (c *Counter) union(u *core.Union, now time.Time, window time.Duration) *core.Union {
+	u.Reset(c.cfg)
+	if window <= 0 {
+		return u
+	}
+	window = min(window, c.Span())
+	nowIdx := c.sliceIndex(now)
+	n := int64((window + c.slice - 1) / c.slice) // slices covered, rounded up
+	oldest := nowIdx - n + 1
+	for i := range c.slots {
+		if s := &c.slots[i]; s.index >= oldest && s.index <= nowIdx {
+			if err := u.Add(&s.sketch); err != nil {
+				panic(err) // unreachable: all slices share one configuration
 			}
 		}
 	}
-	union, err := core.UnionHybrids(c.cfg, live)
-	if err != nil {
-		panic(err) // unreachable: all slices share one configuration
-	}
-	return union
+	return u
 }
 
 // Sketch returns the union sketch over the window — for callers that want
 // to merge windows across counters (e.g. per-shard counters in a
 // distributed collector). Returns an empty sketch if no slice overlaps.
 func (c *Counter) Sketch(now time.Time, window time.Duration) *core.Sketch {
-	return c.merged(now, window).Densify()
+	var u core.Union
+	defer u.Reset(c.cfg) // gives its token array back
+	h := c.union(&u, now, window).Hybrid()
+	return h.Densify()
 }
