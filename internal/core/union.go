@@ -159,7 +159,7 @@ func (u *Union) compact() {
 	all := (*u.buf)[:u.n]
 	distinct := sortDistinct(all, (*u.buf)[u.n:2*u.n], uint(u.cfg.tokenV()+6))
 	u.n = copy(all, distinct) // sortTokens may leave them in the second array
-	u.sorted, u.nlzSum = u.n, nlzSum(all)
+	u.sorted, u.nlzSum = u.n, nlzSum(distinct)
 }
 
 // densify makes the union dense: s's registers, or none for s nil, with

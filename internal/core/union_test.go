@@ -36,6 +36,7 @@ var unionCases = []struct {
 	{"that part and a part of the union's", []byte{1 | 3<<2, 3 << 2}, 30000},
 	{"parts of another p and another d", []byte{1 | 3<<2, 2 | 7<<2, 3 << 2}, 30000},
 	{"a part of another t", []byte{3 << 2, 3 | 3<<2, 2 << 2}, 30000},
+	{"one sparse part's elements three times over", []byte{7 << 2, 7 << 2, 7 << 2}, 2000},
 	{"HLL parts that pass break-even together", []byte{3 | 3<<2, 3 | 3<<2, 3 | 3<<2}, 30000},
 	{"HLL repeats", []byte{3 | 3<<2, 3 | 3<<2, 3 | 3<<2, 3 | 3<<2}, 300},
 }
@@ -147,7 +148,7 @@ func TestUnion(t *testing.T) {
 	for _, c := range []struct {
 		i      int
 		sparse bool
-	}{{2, true}, {3, false}, {4, true}, {6, false}, {7, true}, {9, true}, {10, false}, {13, false}, {14, true}} {
+	}{{2, true}, {3, false}, {4, true}, {6, false}, {7, true}, {9, true}, {10, false}, {13, true}, {14, false}, {15, true}} {
 		u.Reset(unionConfigs[0])
 		for _, h := range unionParts(unionCases[c.i].parts, unionCases[c.i].pool, int64(c.i)) {
 			u.Add(h)
