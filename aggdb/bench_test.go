@@ -53,17 +53,3 @@ func BenchmarkDistinctQueryExact(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkRollupQuery measures answering from a materialized rollup
-// (no table scan).
-func BenchmarkRollupQuery(b *testing.B) {
-	tbl := benchTable(b, 4)
-	r, err := tbl.MaterializeDistinct([]string{"country"}, "user", 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.Count("at")
-	}
-}

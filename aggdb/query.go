@@ -37,7 +37,7 @@ type GroupResult struct {
 	// Count is the (approximate or exact) distinct count.
 	Count float64
 	// Sketch is the group's merged ELL sketch (nil in exact mode); it can
-	// be merged with results from other tables or stored as a rollup.
+	// be merged with results from other tables.
 	Sketch *core.Sketch
 }
 

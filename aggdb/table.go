@@ -6,11 +6,9 @@
 // BigQuery, DuckDB, ...). This package reproduces that setting end to end:
 // a partitioned columnar table, a GROUP BY ... COUNT(DISTINCT col) query
 // that aggregates per partition in parallel and merges the per-group
-// sketches — exactly the mergeability use case of Section 1 — plus
-// materialized sketch rollups that answer repeated queries without
-// re-scanning and merge across tables for distributed aggregation. An
-// exact hash-set execution mode provides ground truth for tests and for
-// the accuracy experiments.
+// sketches — exactly the mergeability use case of Section 1. An exact
+// hash-set execution mode provides ground truth for tests and for the
+// accuracy experiments.
 package aggdb
 
 import (
@@ -86,7 +84,6 @@ type Table struct {
 	schema     Schema
 	partitions []*partition
 	nextPart   int
-	rows       int
 }
 
 // NewTable creates an empty table with the given schema, split into
@@ -121,12 +118,6 @@ func NewTable(schema Schema, numPartitions int) (*Table, error) {
 // Schema returns the table schema.
 func (t *Table) Schema() Schema { return t.schema }
 
-// NumRows returns the total number of appended rows.
-func (t *Table) NumRows() int { return t.rows }
-
-// NumPartitions returns the partition count.
-func (t *Table) NumPartitions() int { return len(t.partitions) }
-
 // Append adds one row. Values must match the schema: string for
 // TypeString columns, int64 (or int) for TypeInt columns.
 func (t *Table) Append(values ...any) error {
@@ -154,7 +145,6 @@ func (t *Table) Append(values ...any) error {
 		}
 	}
 	p.rows++
-	t.rows++
 	t.nextPart = (t.nextPart + 1) % len(t.partitions)
 	return nil
 }

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,17 +138,11 @@ func (cc *ClusterClient) install(m *Map) {
 func (cc *ClusterClient) fetchMapFrom(addrs []string) (*Map, error) {
 	var errs []error
 	for _, addr := range addrs {
-		reply, err := cc.peers.do(addr, "CLUSTER", "MAP")
-		if err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", addr, err))
-			continue
+		m, err := cc.peers.fetchMap(addr)
+		if err == nil {
+			return m, nil
 		}
-		m, err := DecodeMap(strings.Fields(reply))
-		if err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", addr, err))
-			continue
-		}
-		return m, nil
+		errs = append(errs, err)
 	}
 	return nil, errors.Join(errs...)
 }

@@ -135,7 +135,7 @@ func TestEncodeCanonical(t *testing.T) {
 func TestMapsTravelOnlyAsSetmapOrMap(t *testing.T) {
 	allowed := map[string][]string{
 		"Encode":    {"setmapCommand", "Node.handleMap", "Node.swapMap"},
-		"DecodeMap": {"Node.handleSetMap", "Node.peerMap", "Node.persistedMap", "ClusterClient.fetchMapFrom"},
+		"DecodeMap": {"Node.handleSetMap", "pool.fetchMap", "Node.persistedMap"},
 	}
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {

@@ -263,7 +263,7 @@ func (n *Node) Join(seedAddr string) error {
 	// re-broadcast, so without this a restarted node would keep its stale
 	// self-only map. The round that follows its install pushes any
 	// locally restored sketches to their current owners.
-	m, err := n.peerMap(seedAddr)
+	m, err := n.peers.fetchMap(seedAddr)
 	if err != nil {
 		return err
 	}
@@ -503,20 +503,6 @@ func (n *Node) claimEpoch() (uint64, error) {
 	return 0, lastErr
 }
 
-// peerMap pulls the cluster map one peer holds — the node's only
-// CLUSTER MAP pull, shared by reconcileMap and Join.
-func (n *Node) peerMap(addr string) (*Map, error) {
-	reply, err := n.peers.do(addr, "CLUSTER", "MAP")
-	if err != nil {
-		return nil, fmt.Errorf("cluster: map from %s: %w", addr, err)
-	}
-	m, err := DecodeMap(strings.Fields(reply))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: map from %s: %w", addr, err)
-	}
-	return m, nil
-}
-
 // reconcileMap settles a map mismatch with the one peer it was seen on:
 // pull that peer's map, install it if it supersedes ours (running its
 // digest round), and answer with one targeted SETMAP if the peer turns
@@ -525,7 +511,7 @@ func (n *Node) peerMap(addr string) (*Map, error) {
 // (claimEpoch), a -STALE refusal of a DSUM or of an XFER frame — so a
 // converged cluster never pays a MAP pull.
 func (n *Node) reconcileMap(addr string) error {
-	theirs, err := n.peerMap(addr)
+	theirs, err := n.peers.fetchMap(addr)
 	if err != nil {
 		return err
 	}

@@ -200,6 +200,20 @@ func (p *pool) do(addr string, parts ...string) (reply string, err error) {
 	return reply, err
 }
 
+// fetchMap pulls the cluster map addr holds: the package's one CLUSTER MAP
+// request, shared by a node's Join and reconcileMap and by ClusterClient.
+func (p *pool) fetchMap(addr string) (*Map, error) {
+	reply, err := p.do(addr, "CLUSTER", "MAP")
+	if err != nil {
+		return nil, fmt.Errorf("cluster: map from %s: %w", addr, err)
+	}
+	m, err := DecodeMap(strings.Fields(reply))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: map from %s: %w", addr, err)
+	}
+	return m, nil
+}
+
 // direct is do on a connection of its own, not the pool's — for SETMAP and
 // JOIN, whose handlers run a digest round before they answer. That round's
 // own traffic to this node travels on the pool; a pooled connection held

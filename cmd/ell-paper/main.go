@@ -89,8 +89,8 @@ type extSizes struct {
 }
 
 var (
-	tinyExt = extSizes{anfNodes: 200, overlapN: 1000, windowPerSec: 50, skewEvents: 10000}
-	fullExt = extSizes{anfNodes: 2000, overlapN: 100000, windowPerSec: 500, skewEvents: 1000000}
+	tinyExt = extSizes{anfNodes: 50, overlapN: 1000, windowPerSec: 50, skewEvents: 10000}
+	fullExt = extSizes{anfNodes: 500, overlapN: 100000, windowPerSec: 500, skewEvents: 1000000}
 )
 
 var scales = map[string]scale{
@@ -112,7 +112,7 @@ const (
 	entropySeed = 7                  // Section 6
 
 	// Precisions of the ELL(2,20) sketches of the entries beyond the paper.
-	anfP     = 8
+	anfP     = 12
 	overlapP = 12
 	windowP  = 11
 	skewP    = 12
@@ -426,18 +426,21 @@ func extANF(w io.Writer, s scale) {
 // extOverlap sweeps the true Jaccard similarity and reports the
 // inclusion–exclusion estimation error: the relative intersection error
 // grows as the overlap shrinks. Beside it stand the union's estimate and
-// the true |A∪B|, which the estimate must match to ELL's own error.
+// the true |A∪B|, which the estimate must match to ELL's own error. Each
+// row draws its ids from a range of its own, so the rows' errors are
+// independent draws rather than one stream's shared error.
 func extOverlap(w io.Writer, s scale) {
 	n := s.ext.overlapN
 	fmt.Fprintf(w, "# overlap: inclusion–exclusion error vs true overlap (|A|=|B|=%d, p=%d)\n", n, overlapP)
 	fmt.Fprintln(w, "true_jaccard\test_jaccard\tjaccard_err_abs\tintersection_rel_err_pct\test_union\ttrue_union")
-	for _, overlapFrac := range []float64{0.5, 0.2, 0.1, 0.05, 0.02, 0.01} {
+	for row, overlapFrac := range []float64{0.5, 0.2, 0.1, 0.05, 0.02, 0.01} {
 		overlap := int(overlapFrac * float64(n))
 		a := core.MustNew(core.RecommendedML(overlapP))
 		b := core.MustNew(core.RecommendedML(overlapP))
-		for i := 0; i < n; i++ {
-			a.AddUint64(uint64(i))
-			b.AddUint64(uint64(i + n - overlap))
+		first := uint64(row) << 40
+		for i := range uint64(n) {
+			a.AddUint64(first + i)
+			b.AddUint64(first + i + uint64(n-overlap))
 		}
 		e, err := similarity.Analyze(a, b)
 		if err != nil {

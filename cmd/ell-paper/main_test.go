@@ -151,7 +151,7 @@ func column(t *testing.T, id string, header []string, rows [][]string, name stri
 // TestBeyondThePaperWithinThreeSigma grades the four entries beyond the
 // paper at default scale: each estimate lies within 3σ of the exact
 // answer beside it, σ being ELL(2,20)'s relative standard error at the
-// entry's precision — 2.3 % at p = 8, 0.80 % at p = 11, 0.57 % at p = 12.
+// entry's precision — 0.80 % at p = 11, 0.57 % at p = 12.
 // overlap's union estimate is held to 3σ of the true |A∪B|, and its
 // Jaccard to 3σ of the absolute error the two sketches' σ predict
 // (similarity.Estimates.JaccardError). skew's rows all face the uniform

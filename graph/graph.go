@@ -16,7 +16,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -37,15 +36,6 @@ func NewGraph(n int) *Graph {
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.adj) }
 
-// NumEdges returns the number of directed edges.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, nbrs := range g.adj {
-		total += len(nbrs)
-	}
-	return total
-}
-
 // AddEdge adds the directed edge u → v. Self-loops and parallel edges are
 // permitted; they do not affect neighborhood estimates (sketch union is
 // idempotent).
@@ -60,9 +50,6 @@ func (g *Graph) AddUndirectedEdge(u, v int) {
 		g.AddEdge(v, u)
 	}
 }
-
-// Neighbors returns the out-neighbors of u (shared slice; do not modify).
-func (g *Graph) Neighbors(u int) []int32 { return g.adj[u] }
 
 // Result holds an estimated neighborhood function.
 type Result struct {
@@ -228,24 +215,6 @@ func (r *Result) EffectiveDiameter(q float64) float64 {
 	return float64(len(r.N) - 1)
 }
 
-// AverageDistance returns the estimated mean distance over all connected
-// ordered pairs, Σ_r r·(N(r)-N(r-1)) / (N(r_max)-N(0)). Pairs (v, v) at
-// distance 0 are excluded.
-func (r *Result) AverageDistance() float64 {
-	if len(r.N) < 2 {
-		return 0
-	}
-	reachable := r.N[len(r.N)-1] - r.N[0]
-	if reachable <= 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := 1; i < len(r.N); i++ {
-		sum += float64(i) * (r.N[i] - r.N[i-1])
-	}
-	return sum / reachable
-}
-
 // ExactNeighborhood computes the exact neighborhood function by BFS from
 // every node, up to radius maxR (or the true eccentricity bound if maxR
 // <= 0). Quadratic; intended as ground truth for tests and experiments on
@@ -300,23 +269,4 @@ func ExactNeighborhood(g *Graph, maxR int) []float64 {
 		last--
 	}
 	return counts[:last+1]
-}
-
-// RelativeError returns max_r |approx.N(r) - exact(r)| / exact(r) over the
-// overlapping radius range — a convenience for experiments.
-func RelativeError(approx *Result, exact []float64) float64 {
-	worst := 0.0
-	n := len(approx.N)
-	if len(exact) < n {
-		n = len(exact)
-	}
-	for r := 0; r < n; r++ {
-		if exact[r] == 0 {
-			continue
-		}
-		if e := math.Abs(approx.N[r]-exact[r]) / exact[r]; e > worst {
-			worst = e
-		}
-	}
-	return worst
 }

@@ -177,8 +177,8 @@ func FuzzHybridRoundTrip(f *testing.F) {
 				t.Fatalf("%d hashes at p=%d: %s is not the reference encoding", len(hashes), cfg.P, name)
 			}
 		}
-		back, err := HybridFromBinary(blob)
-		if err != nil {
+		back := new(Hybrid)
+		if err := back.UnmarshalBinary(blob); err != nil {
 			t.Fatalf("own bytes rejected: %v", err)
 		}
 		if again, _ := back.MarshalBinary(); !bytes.Equal(again, blob) {

@@ -45,8 +45,9 @@ import (
 // encoding is canonical and is the serialized form, so equal token sets give
 // equal bytes whatever order or route they arrived by.
 //
-// The zero value is not usable; create instances with NewHybrid, MakeHybrid
-// or HybridFromBinary. A Hybrid is not safe for concurrent use.
+// The zero value is not usable; create instances with NewHybrid or
+// MakeHybrid, or decode one with UnmarshalBinary. A Hybrid is not safe for
+// concurrent use.
 type Hybrid struct {
 	// ptr is the first of the nwords words of encoded tokens while sparse,
 	// the *Sketch once dense, nil while empty. Only tokenWords, sketch,
@@ -1211,13 +1212,4 @@ func DecodeBatch(data []byte, buf []uint64) (Hybrid, error) {
 		return denseFrom(cfg, tokens), nil
 	}
 	return sparseHybrid(cfg, words, n, size), nil
-}
-
-// HybridFromBinary constructs a hybrid sketch from serialized data.
-func HybridFromBinary(data []byte) (*Hybrid, error) {
-	h := &Hybrid{}
-	if err := h.UnmarshalBinary(data); err != nil {
-		return nil, err
-	}
-	return h, nil
 }

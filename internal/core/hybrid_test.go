@@ -398,8 +398,8 @@ func TestHybridTokenBlobDecoding(t *testing.T) {
 	if len(ok) != 7+1+6 { // 41 bits
 		t.Fatalf("hand-built blob is %d bytes", len(ok))
 	}
-	h, err := HybridFromBinary(ok)
-	if err != nil {
+	h := new(Hybrid)
+	if err := h.UnmarshalBinary(ok); err != nil {
 		t.Fatal(err)
 	}
 	if !h.IsSparse() || h.Tokens() != 3 {
@@ -409,17 +409,17 @@ func TestHybridTokenBlobDecoding(t *testing.T) {
 		t.Error("canonical blob did not round-trip byte for byte")
 	}
 	for name, bad := range rejectedTokenBlobs() {
-		if _, err := HybridFromBinary(bad); err == nil {
+		if err := new(Hybrid).UnmarshalBinary(bad); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// The largest zero count a token can carry is 64-v.
-	if _, err := HybridFromBinary(tokenBlob(cfg, 1<<6|53)); err != nil {
+	if err := new(Hybrid).UnmarshalBinary(tokenBlob(cfg, 1<<6|53)); err != nil {
 		t.Errorf("nlz = 64-v rejected: %v", err)
 	}
 	// The widest tokens there are decode like any other.
 	wide := Config{T: 6, D: 2, P: 26}
-	if h, err := HybridFromBinary(tokenBlob(wide, 5<<6|1, 1<<37|7<<6)); err != nil || h.Tokens() != 2 {
+	if err := h.UnmarshalBinary(tokenBlob(wide, 5<<6|1, 1<<37|7<<6)); err != nil || h.Tokens() != 2 {
 		t.Errorf("38-bit tokens: %v", err)
 	}
 	// At or past break-even the blob is accepted and densified, and the
@@ -431,8 +431,8 @@ func TestHybridTokenBlobDecoding(t *testing.T) {
 		many = append(many, x)
 		ref.AddHash(HashFromToken(x, cfg.tokenV()))
 	}
-	big, err := HybridFromBinary(tokenBlob(cfg, many...))
-	if err != nil {
+	big := new(Hybrid)
+	if err := big.UnmarshalBinary(tokenBlob(cfg, many...)); err != nil {
 		t.Fatal(err)
 	}
 	if big.IsSparse() || ref.IsSparse() {
@@ -557,8 +557,8 @@ func TestHybridParityAcrossBreakEven(t *testing.T) {
 					t.Fatalf("%+v: after %d adds, %s does not serialize to the reference encoding (sparse %v vs %v)", cfg, done, name, other.IsSparse(), forward.IsSparse())
 				}
 			}
-			back, err := HybridFromBinary(want)
-			if err != nil {
+			back := new(Hybrid)
+			if err := back.UnmarshalBinary(want); err != nil {
 				t.Fatal(err)
 			}
 			if again, _ := back.MarshalBinary(); !bytes.Equal(again, want) || back.Estimate() != forward.Estimate() {
@@ -978,8 +978,8 @@ func TestHybridFootprintIsTight(t *testing.T) {
 		}
 		// A bulk load, a clone and a decoded blob are as tight.
 		blob, _ := h.MarshalBinary()
-		back, err := HybridFromBinary(blob)
-		if err != nil {
+		back := new(Hybrid)
+		if err := back.UnmarshalBinary(blob); err != nil {
 			t.Fatal(err)
 		}
 		for name, other := range map[string]*Hybrid{"clone": h.Clone(), "decoded": back} {
@@ -1052,8 +1052,8 @@ func TestHybridHandleThroughEveryMode(t *testing.T) {
 			t.Fatalf("%s: dense bytes differ from ToSketch's", step)
 		}
 		if sparse {
-			back, err := HybridFromBinary(blob)
-			if err != nil || !IsTokenBlob(blob) {
+			back := new(Hybrid)
+			if err := back.UnmarshalBinary(blob); err != nil || !IsTokenBlob(blob) {
 				t.Fatalf("%s: sparse blob of %d bytes: %v", step, len(blob), err)
 			}
 			if got, _ := back.ToSketch().MarshalBinary(); !bytes.Equal(got, refBlob) {

@@ -82,9 +82,6 @@ func (s *Sketch) Precision() int { return s.p }
 // NumRegisters returns 2^p.
 func (s *Sketch) NumRegisters() int { return 1 << uint(s.p) }
 
-// Rebases returns how many O(m) rebase sweeps have happened (diagnostic).
-func (s *Sketch) Rebases() int { return s.rebases }
-
 // Register returns the absolute value of register i.
 func (s *Sketch) Register(i int) uint8 {
 	if v, ok := s.exc[i]; ok {

@@ -35,7 +35,7 @@ func TestRegistersMatchPlainHLL(t *testing.T) {
 	if s.base == 0 {
 		t.Error("base never advanced at n >> m")
 	}
-	if s.Rebases() == 0 {
+	if s.rebases == 0 {
 		t.Error("no rebase sweeps recorded")
 	}
 }

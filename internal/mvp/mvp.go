@@ -70,15 +70,6 @@ func CompressedMartingale(b float64, d int) float64 {
 	return (1 + (1+yy)*zeta.CompressedIntegral(yy)) / (2 * math.Ln2)
 }
 
-// BiasCorrectionConstant evaluates the constant c of equation (4). The
-// first-order bias-corrected ML estimate is n̂ = n̂_ML / (1 + c/m).
-func BiasCorrectionConstant(b float64, d int) float64 {
-	yy := y(b, d)
-	z2 := zeta.Hurwitz(2, 1+yy)
-	z3 := zeta.Hurwitz(3, 1+yy)
-	return math.Log(b) * (1 + 2*yy) * z3 / (z2 * z2)
-}
-
 // TheoreticalRMSE returns the relative standard error sqrt(MVP/((q+d)·m))
 // predicted for a dense ELL sketch with m = 2^p registers (Section 5.1),
 // for either the ML (martingale=false) or martingale estimator.

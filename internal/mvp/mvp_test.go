@@ -158,17 +158,6 @@ func TestChunkProbabilityMatch(t *testing.T) {
 	}
 }
 
-func TestBiasCorrectionConstantPositive(t *testing.T) {
-	for _, tt := range []int{0, 1, 2} {
-		for _, d := range []int{0, 2, 9, 16, 20, 24} {
-			c := BiasCorrectionConstant(Base(tt), d)
-			if c <= 0 || c > 10 {
-				t.Errorf("c(t=%d, d=%d) = %.4f out of plausible range", tt, d, c)
-			}
-		}
-	}
-}
-
 func TestTheoreticalRMSE(t *testing.T) {
 	// ELL(2,20,p=8): RMSE = sqrt(3.67/(28·256)) ≈ 2.26 % — the Table 2 row.
 	got := TheoreticalRMSE(2, 20, 8, false)

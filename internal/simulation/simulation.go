@@ -229,9 +229,6 @@ func (e *ErrorStats) Merge(other ErrorStats) {
 	e.sumSq += other.sumSq
 }
 
-// Runs returns the number of recorded runs.
-func (e *ErrorStats) Runs() int { return e.runs }
-
 // Bias returns the mean relative error.
 func (e *ErrorStats) Bias() float64 {
 	if e.runs == 0 {

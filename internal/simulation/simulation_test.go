@@ -129,8 +129,8 @@ func TestErrorStats(t *testing.T) {
 	if got := e.RMSE(); math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("RMSE = %g, want 0.1", got)
 	}
-	if e.Runs() != 2 {
-		t.Errorf("runs = %d", e.Runs())
+	if e.runs != 2 {
+		t.Errorf("runs = %d", e.runs)
 	}
 }
 

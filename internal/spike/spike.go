@@ -73,14 +73,8 @@ func New(buckets int) (*Sketch, error) {
 	}, nil
 }
 
-// NumBuckets returns the bucket count.
-func (s *Sketch) NumBuckets() int { return len(s.buckets) }
-
 // NumCells returns the total cell count (16 per bucket).
 func (s *Sketch) NumCells() int { return len(s.buckets) * cellsPerBucket }
-
-// Offset returns the current stepwise offset (diagnostics).
-func (s *Sketch) Offset() int { return s.offset }
 
 func (s *Sketch) cell(i int) int {
 	return int(s.buckets[i/cellsPerBucket] >> uint(i%cellsPerBucket*cellBits) & cellMax)

@@ -19,8 +19,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumBuckets() != 128 || s.SizeBytes() != 1024 {
-		t.Errorf("buckets=%d size=%d, want 128 and 1024 (Table 2 row)", s.NumBuckets(), s.SizeBytes())
+	if len(s.buckets) != 128 || s.SizeBytes() != 1024 {
+		t.Errorf("buckets=%d size=%d, want 128 and 1024 (Table 2 row)", len(s.buckets), s.SizeBytes())
 	}
 	if s.NumCells() != 2048 {
 		t.Errorf("cells=%d, want 2048 (16 per bucket)", s.NumCells())
@@ -47,7 +47,7 @@ func TestOffsetAdvances(t *testing.T) {
 	for i := 0; i < 200000; i++ {
 		s.AddHash(r.Uint64())
 	}
-	if s.Offset() == 0 {
+	if s.offset == 0 {
 		t.Error("offset never advanced at n >> cells")
 	}
 	est := s.Estimate()

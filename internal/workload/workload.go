@@ -77,9 +77,6 @@ func (z *Zipf) NextHash() uint64 {
 	return hashing.Wy64Uint64(uint64(lo), z.seed)
 }
 
-// Universe returns the number of distinct elements the stream can emit.
-func (z *Zipf) Universe() int { return len(z.cdf) }
-
 // Bursty yields elements in bursts: each burst picks one element and
 // repeats it burstLen times before moving on — the pathological ordering
 // for algorithms sensitive to duplicate clustering (ELL is not: the

@@ -52,8 +52,8 @@ func TestZipfSkew(t *testing.T) {
 	if len(counts) >= events/2 {
 		t.Errorf("zipf stream produced %d distinct of %d events", len(counts), events)
 	}
-	if z.Universe() != 10000 {
-		t.Errorf("Universe = %d", z.Universe())
+	if len(z.cdf) != 10000 {
+		t.Errorf("Universe = %d", len(z.cdf))
 	}
 }
 

@@ -313,32 +313,13 @@ func (s *Store) EvictToWatermark() (evicted int) {
 		if s.residentBytes.Load() <= s.loWater {
 			break
 		}
-		if s.evictIfUnchanged(c.key, c.e, c.ver) {
+		// Only the ranked state goes: a key written since is kept.
+		if deleted, _ := s.deleteIfUnchanged(c.key, c.e, c.ver); deleted {
+			s.evictedKeys.Add(1)
 			evicted++
 		}
 	}
 	return evicted
-}
-
-// evictIfUnchanged removes (key, e) only if the entry is still exactly
-// the ranked state — identity and version both match — mirroring
-// DeleteIfUnchanged's compare-and-delete.
-func (s *Store) evictIfUnchanged(key string, e *entry, ver uint64) bool {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.m[key] != e {
-		return false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.dead || e.ver != ver {
-		return false
-	}
-	s.killLocked(e)
-	s.evictedKeys.Add(1)
-	delete(sh.m, key)
-	return true
 }
 
 // Sweep runs one background lifecycle tick: a sampled expiry scan, then

@@ -701,7 +701,7 @@ func (s *Store) Keys() []string {
 
 // Dump serializes the value at key; ok is false if the key is missing.
 // A plain sketch is the raw core format once dense and an "ELT3" token
-// blob while sparse (core.HybridFromBinary reads both); windowed keys
+// blob while sparse (Hybrid.UnmarshalBinary reads both); windowed keys
 // serialize slot-wise (see the window package), so a scatter-gather
 // reader can merge rings instead of collapsed sketches.
 func (s *Store) Dump(key string) (data []byte, ok bool) {
@@ -898,24 +898,35 @@ func (s *Store) dumpEntry(key string, e *entry) (TaggedBlob, bool) {
 // false return means new data arrived after the dump; the caller must
 // re-dump and hand the key off again before dropping it.
 func (s *Store) DeleteIfUnchanged(key string, t TaggedBlob) bool {
+	deleted, present := s.deleteIfUnchanged(key, t.e, t.ver)
+	return deleted || !present
+}
+
+// deleteIfUnchanged is the store's one compare-and-delete: it removes key
+// only if key still holds e, alive, at version ver, and reports whether it
+// did and whether key held anything at all. The version check also covers
+// the expiry race: lazy expiry bumps the version before the key can be
+// recreated, so a state captured before the deadline never deletes the
+// successor key.
+func (s *Store) deleteIfUnchanged(key string, e *entry, ver uint64) (deleted, present bool) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.m[key]
+	cur, ok := sh.m[key]
 	if !ok {
-		return true
+		return false, false
+	}
+	if cur != e {
+		return false, true
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e != t.e || e.ver != t.ver {
-		// Also covers the expiry race: lazy expiry bumps the version
-		// before the key can be recreated, so a tag dumped before the
-		// deadline never deletes the successor key.
-		return false
+	if e.dead || e.ver != ver {
+		return false, true
 	}
 	s.killLocked(e)
 	delete(sh.m, key)
-	return true
+	return true, true
 }
 
 // Config returns the store's default sketch configuration.

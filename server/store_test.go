@@ -682,8 +682,8 @@ func TestInPlaceReplaceUnderRace(t *testing.T) {
 		},
 		func() error {
 			blob, _ := store.Dump("k")
-			h, err := core.HybridFromBinary(blob)
-			if err != nil {
+			h := new(core.Hybrid)
+			if err := h.UnmarshalBinary(blob); err != nil {
 				return fmt.Errorf("DUMP does not decode: %w", err)
 			}
 			return oneOf("DUMP estimate", h.Estimate())

@@ -10,8 +10,8 @@
 // grows as the true intersection shrinks relative to the union. The
 // rule of thumb: with per-sketch relative standard error σ, the Jaccard
 // estimate j carries an absolute error of roughly σ·√3·(1+j); trusting
-// fine distinctions below j ≈ 3σ is not meaningful. SizeBounds quantifies
-// this per call.
+// fine distinctions below j ≈ 3σ is not meaningful. Estimates.JaccardError
+// quantifies this per call.
 package similarity
 
 import (
@@ -85,34 +85,6 @@ func Analyze(a, b *core.Sketch) (Estimates, error) {
 		e.ContainmentBinA = math.Min(1, inter/e.CountB)
 	}
 	return e, nil
-}
-
-// UnionCount estimates |A ∪ B| without computing the full analysis.
-func UnionCount(a, b *core.Sketch) (float64, error) {
-	u, err := core.MergeCompatible(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return u.Estimate(), nil
-}
-
-// IntersectionCount estimates |A ∩ B| by inclusion–exclusion. See the
-// package documentation for the error characteristics.
-func IntersectionCount(a, b *core.Sketch) (float64, error) {
-	e, err := Analyze(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return e.Intersection, nil
-}
-
-// Jaccard estimates the Jaccard similarity |A∩B| / |A∪B|.
-func Jaccard(a, b *core.Sketch) (float64, error) {
-	e, err := Analyze(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return e.Jaccard, nil
 }
 
 // UnionAll merges any number of sketches (sharing t) and returns the

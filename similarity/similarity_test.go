@@ -148,31 +148,6 @@ func TestClamping(t *testing.T) {
 	}
 }
 
-func TestConvenienceWrappers(t *testing.T) {
-	a, b := buildPair(t, 12, 30000, 30000, 15000)
-	u, err := UnionCount(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(u-45000) / 45000; rel > 0.03 {
-		t.Errorf("UnionCount %.0f, want ≈45000", u)
-	}
-	inter, err := IntersectionCount(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(inter-15000) / 15000; rel > 0.2 {
-		t.Errorf("IntersectionCount %.0f, want ≈15000", inter)
-	}
-	j, err := Jaccard(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(j-1.0/3) > 0.08 {
-		t.Errorf("Jaccard %.3f, want ≈0.333", j)
-	}
-}
-
 func TestUnionAll(t *testing.T) {
 	sketches := make([]*core.Sketch, 5)
 	for i := range sketches {

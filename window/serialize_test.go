@@ -51,7 +51,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if !got.Latest().Equal(c.Latest()) {
 		t.Errorf("Latest %v != %v after round trip", got.Latest(), c.Latest())
 	}
-	if got.SliceDuration() != c.SliceDuration() || got.NumSlices() != c.NumSlices() || got.Config() != c.Config() {
+	if got.slice != c.slice || len(got.slots) != len(c.slots) || got.Config() != c.Config() {
 		t.Error("geometry or configuration lost in round trip")
 	}
 	blob2, err := got.MarshalBinary()
@@ -81,8 +81,8 @@ func TestSerializeEmptyCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumSlices() != 4 || got.SliceDuration() != 250*time.Millisecond {
-		t.Errorf("empty round trip geometry %v×%d", got.SliceDuration(), got.NumSlices())
+	if len(got.slots) != 4 || got.slice != 250*time.Millisecond {
+		t.Errorf("empty round trip geometry %v×%d", got.slice, len(got.slots))
 	}
 	if !got.Latest().IsZero() || got.Dropped() != 0 {
 		t.Error("empty round trip invented state")
@@ -197,8 +197,8 @@ func FuzzWindowDecode(f *testing.F) {
 		if err != nil {
 			return // rejected cleanly
 		}
-		if got.NumSlices() < 2 || got.NumSlices() > maxWireSlices {
-			t.Fatalf("accepted a %d-slice ring", got.NumSlices())
+		if len(got.slots) < 2 || len(got.slots) > maxWireSlices {
+			t.Fatalf("accepted a %d-slice ring", len(got.slots))
 		}
 		enc, err := got.MarshalBinary()
 		if err != nil {

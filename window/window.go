@@ -72,18 +72,12 @@ func New(cfg core.Config, slice time.Duration, numSlices int) (*Counter, error) 
 // Span returns the maximum window the counter can answer, slice·numSlices.
 func (c *Counter) Span() time.Duration { return c.slice * time.Duration(len(c.slots)) }
 
-// SliceDuration returns the granularity of window edges.
-func (c *Counter) SliceDuration() time.Duration { return c.slice }
-
 // Dropped returns how many insertions were discarded because their
 // timestamp was older than the ring span.
 func (c *Counter) Dropped() uint64 { return c.dropped }
 
 // Config returns the sketch configuration the counter's slices use.
 func (c *Counter) Config() core.Config { return c.cfg }
-
-// NumSlices returns the number of slices in the ring.
-func (c *Counter) NumSlices() int { return len(c.slots) }
 
 // Latest returns the newest timestamp any insertion carried (the
 // counter's logical "now" — useful as the default query time for
@@ -194,8 +188,16 @@ func (c *Counter) slotFor(ts time.Time) *slot {
 		// negative modulus would index out of range).
 		return nil
 	}
-	if ns := ts.UnixNano(); ns > c.latest {
-		c.latest = ns
+	c.latest = max(c.latest, ts.UnixNano())
+	return c.slotAt(idx)
+}
+
+// slotAt returns the slot of slice index idx, advancing the ring to it, or
+// nil when idx is negative, older than the ring span, or older than the
+// slice its slot already holds.
+func (c *Counter) slotAt(idx int64) *slot {
+	if idx < 0 {
+		return nil
 	}
 	if idx > c.maxIndex {
 		c.maxIndex = idx
@@ -205,9 +207,7 @@ func (c *Counter) slotFor(ts time.Time) *slot {
 	s := &c.slots[int(idx%int64(len(c.slots)))]
 	if s.index != idx {
 		if s.index > idx {
-			// The slot already holds a newer slice; the element is too
-			// old to be representable.
-			return nil
+			return nil // the slot holds a newer slice
 		}
 		s.sketch.Reset()
 		s.index = idx
@@ -258,21 +258,9 @@ func (c *Counter) Merge(other *Counter) error {
 // with the same advance rules as AddHash; expired slices are skipped
 // without touching Dropped (see Merge).
 func (c *Counter) mergeSlice(idx int64, sk *core.Hybrid) {
-	if idx < 0 {
-		return // in-memory rings and the decoder only hold idx >= 0; defensive
-	}
-	if idx > c.maxIndex {
-		c.maxIndex = idx
-	} else if c.maxIndex-idx >= int64(len(c.slots)) {
+	s := c.slotAt(idx)
+	if s == nil {
 		return // already expired in the merged ring
-	}
-	s := &c.slots[int(idx%int64(len(c.slots)))]
-	if s.index != idx {
-		if s.index > idx {
-			return // the slot holds a newer slice (defensive; see AddHash)
-		}
-		s.sketch.Reset()
-		s.index = idx
 	}
 	if err := s.sketch.Merge(sk); err != nil {
 		panic(err) // unreachable: configurations checked by Merge

@@ -354,7 +354,7 @@ func TestSketchMergeAcrossCounters(t *testing.T) {
 func TestMemoryFootprint(t *testing.T) {
 	fill := func(c *Counter, perSlice int) (footprint, blob int) {
 		state := uint64(7)
-		for s := 0; s < c.NumSlices(); s++ {
+		for s := 0; s < len(c.slots); s++ {
 			for i := 0; i < perSlice; i++ {
 				c.AddHash(t0.Add(time.Duration(s)*time.Second), hashing.SplitMix64(&state))
 			}
