@@ -22,8 +22,10 @@ test: build vet
 # and unsafe.Slice core.Hybrid's one-pointer handle makes, and the string
 # views of command-line keys the server's store takes. The root package's
 # ExampleNewAtomic inserts from four goroutines by compare-and-swap.
+# aggdb/ queries its partitions on goroutines and graph/ runs its ANF
+# iterations on workers.
 race:
-	$(GO) test -race -timeout 5m . ./internal/core/ ./server/ ./cluster/ ./window/ ./cmd/...
+	$(GO) test -race -timeout 5m . ./internal/core/ ./server/ ./cluster/ ./window/ ./cmd/... ./aggdb/ ./graph/
 
 # bench-smoke compiles and runs every benchmark once — a fast
 # does-it-still-run check, not a measurement (measurements come from

@@ -170,9 +170,9 @@ func TestWhereFilter(t *testing.T) {
 			}
 		}
 	}
-	country, _ := tbl.Schema().columnIndex("country")
-	day, _ := tbl.Schema().columnIndex("day")
-	usr, _ := tbl.Schema().columnIndex("user")
+	country, _ := tbl.schema.columnIndex("country")
+	day, _ := tbl.schema.columnIndex("day")
+	usr, _ := tbl.schema.columnIndex("user")
 	for _, c := range []struct {
 		name  string
 		of    string
@@ -181,11 +181,11 @@ func TestWhereFilter(t *testing.T) {
 	}{
 		{"country = at", "user", func(r RowView) bool { return r.String(country) == "at" }, 100},
 		{"country != at", "user", func(r RowView) bool { return r.String(country) != "at" }, 200},
-		{"user <= 50", "user", func(r RowView) bool { return r.Int(usr) <= 50 }, 50},
-		{"day < 0", "user", func(r RowView) bool { return r.Int(day) < 0 }, 0},
-		{"day >= 0", "user", func(r RowView) bool { return r.Int(day) >= 0 }, 300},
-		{"country = de and user <= 150", "user", func(r RowView) bool { return r.String(country) == "de" && r.Int(usr) <= 150 }, 50},
-		{"distinct day where day != 2", "day", func(r RowView) bool { return r.Int(day) != 2 }, 4},
+		{"user <= 50", "user", func(r RowView) bool { return r.part.ints[usr][r.row] <= 50 }, 50},
+		{"day < 0", "user", func(r RowView) bool { return r.part.ints[day][r.row] < 0 }, 0},
+		{"day >= 0", "user", func(r RowView) bool { return r.part.ints[day][r.row] >= 0 }, 300},
+		{"country = de and user <= 150", "user", func(r RowView) bool { return r.String(country) == "de" && r.part.ints[usr][r.row] <= 150 }, 50},
+		{"distinct day where day != 2", "day", func(r RowView) bool { return r.part.ints[day][r.row] != 2 }, 4},
 	} {
 		results, err := tbl.DistinctCount(DistinctQuery{Of: c.of, Where: c.where, Exact: true})
 		if err != nil {

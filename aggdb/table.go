@@ -115,9 +115,6 @@ func NewTable(schema Schema, numPartitions int) (*Table, error) {
 	return t, nil
 }
 
-// Schema returns the table schema.
-func (t *Table) Schema() Schema { return t.schema }
-
 // Append adds one row. Values must match the schema: string for
 // TypeString columns, int64 (or int) for TypeInt columns.
 func (t *Table) Append(values ...any) error {
@@ -158,6 +155,3 @@ type RowView struct {
 
 // String returns the value of string column index col.
 func (r RowView) String(col int) string { return r.part.strs[col][r.row] }
-
-// Int returns the value of int column index col.
-func (r RowView) Int(col int) int64 { return r.part.ints[col][r.row] }

@@ -7,20 +7,17 @@ package cluster
 // no coordinator hop, so a routed op costs one RTT instead of two and
 // no single node carries everyone's forwarding load.
 //
-// Staleness is self-healing, Redis-Cluster style: nodes running strict
-// routing (Node.SetStrictRouting) answer a misrouted single-key verb
-// with
-//
-//	-MOVED e=<epoch> <id>=<addr>
-//
-// and the client follows the redirect, refetches the map when the
-// redirect's epoch is ahead of its own (rate-limited and single-flight,
-// so a thundering herd of stale clients issues one fetch), and fails
-// over to the next replica on a transport error. Every op carries a
-// bounded redirect budget, so a flapping rebalance degrades into an
-// error instead of a livelock. Maps only ever move forward in the
-// (Epoch, Version, Coordinator) order — a delayed old map can never
-// regress the client's view.
+// A stale map costs a hop, never an answer: every node serves every key,
+// forwarding a write to the key's owners and gathering a read from them
+// (sketches merge, so the reply is the same whichever node was reached),
+// so an op routed by an old map is answered by the node it reached. A
+// transport error fails the op over to the next replica and refetches
+// the map (rate-limited and single-flight, so a thundering herd of
+// stale clients issues one fetch). Every op carries a bounded failover
+// budget, so a dead cluster degrades into an error instead of a
+// livelock. Maps only ever move forward in the (Epoch, Version,
+// Coordinator) order — a delayed old map can never regress the
+// client's view.
 //
 // A ClusterClient is safe for concurrent use. Compare server.Client +
 // a coordinator node: that path still works against any node (and is
@@ -40,13 +37,11 @@ import (
 )
 
 const (
-	// defaultRedirectBudget bounds how many redirect-or-failover hops
-	// one op may take before it fails. Two map transitions plus a
-	// replica failover fit comfortably; a livelocked rebalance does not.
-	defaultRedirectBudget = 6
+	// failoverBudget bounds how many failover hops one op may take
+	// before it fails.
+	failoverBudget = 6
 	// defaultMinRefetch rate-limits map refetches: within this window
-	// after a fetch, further -MOVED replies follow their hint without
-	// hitting the cluster for a new map again.
+	// after a fetch, further failovers do not fetch the map again.
 	defaultMinRefetch = 25 * time.Millisecond
 )
 
@@ -65,17 +60,13 @@ type ClusterClient struct {
 	lastFetch  time.Time
 	minRefetch time.Duration
 
-	redirectBudget int
-
-	moved     atomic.Uint64 // -MOVED redirects followed
 	refetches atomic.Uint64 // map refetches performed
 	failovers atomic.Uint64 // transport-error replica failovers
 }
 
-// ClientStats is a snapshot of a ClusterClient's routing counters —
-// the client-side mirror of a node's moved_replies and CLUSTER.MAP calls.
+// ClientStats is a snapshot of a ClusterClient's routing counters.
 type ClientStats struct {
-	Moved        uint64 // -MOVED redirects followed
+	Moved        uint64 // always 0: nodes forward, they never redirect
 	MapRefetches uint64 // map refetches performed
 	Failovers    uint64 // transport-error replica failovers
 }
@@ -88,10 +79,9 @@ func DialCluster(seeds ...string) (*ClusterClient, error) {
 		return nil, errors.New("cluster: DialCluster needs at least one seed address")
 	}
 	cc := &ClusterClient{
-		peers:          newPool(),
-		seeds:          append([]string(nil), seeds...),
-		minRefetch:     defaultMinRefetch,
-		redirectBudget: defaultRedirectBudget,
+		peers:      newPool(),
+		seeds:      append([]string(nil), seeds...),
+		minRefetch: defaultMinRefetch,
 	}
 	m, err := cc.fetchMapFrom(cc.seeds)
 	if err != nil {
@@ -117,7 +107,6 @@ func (cc *ClusterClient) Map() *Map {
 // Stats returns a snapshot of the client's routing counters.
 func (cc *ClusterClient) Stats() ClientStats {
 	return ClientStats{
-		Moved:        cc.moved.Load(),
 		MapRefetches: cc.refetches.Load(),
 		Failovers:    cc.failovers.Load(),
 	}
@@ -147,13 +136,13 @@ func (cc *ClusterClient) fetchMapFrom(addrs []string) (*Map, error) {
 	return nil, errors.Join(errs...)
 }
 
-// refetchMap refreshes the map because an op saw evidence (a -MOVED at
-// epoch beyond, or a dead owner) that the view at epoch seen is stale.
-// Single-flight: concurrent callers serialize on fetchMu and all but
-// the first find the work already done. Rate-limited: within
-// minRefetch of the last fetch it is a no-op — redirect hints still
-// route ops correctly in the meantime. Best-effort: a failed fetch
-// leaves the current map in place.
+// refetchMap refreshes the map because an op saw evidence (a dead
+// owner) that the view at epoch seen is stale. Single-flight:
+// concurrent callers serialize on fetchMu and all but the first find
+// the work already done. Rate-limited: within minRefetch of the last
+// fetch it is a no-op — a misrouted op is still forwarded by the node
+// it reaches in the meantime. Best-effort: a failed fetch leaves the
+// current map in place.
 func (cc *ClusterClient) refetchMap(seen uint64) {
 	cc.fetchMu.Lock()
 	defer cc.fetchMu.Unlock()
@@ -190,15 +179,13 @@ func (cc *ClusterClient) refetchMap(seen uint64) {
 }
 
 // cop is one client op in flight: its wire command, routing key, and
-// redirect state. res carries the final outcome.
+// failover state. res carries the final outcome.
 type cop struct {
 	parts    []string
 	key      string
 	res      server.Result
 	done     bool
-	tries    int    // redirect + failover hops consumed (budgeted)
-	failover int    // replica index offset after transport errors
-	hint     string // one-shot target address from a -MOVED reply
+	failover int // transport failovers taken, also the replica index offset
 }
 
 func (op *cop) fail(err error) {
@@ -208,11 +195,10 @@ func (op *cop) fail(err error) {
 
 // run drives ops to completion in rounds: group the pending ops by
 // target address, send each group as one pipelined batch (groups go
-// out concurrently), then settle each reply — an answer (OK or any
-// non-MOVED error reply) finishes the op, a -MOVED re-aims it at the
-// named owner, a transport error fails it over to the next replica.
-// Every hop consumes budget, so the loop is bounded: each round every
-// pending op either finishes or spends one try, and an op out of tries
+// out concurrently), then record each reply — any answer, OK or an
+// error reply, finishes the op; a transport error fails it over to the
+// next replica. The loop is bounded: each round every pending op
+// either finishes or spends one failover, and an op out of failovers
 // fails.
 func (cc *ClusterClient) run(ops []*cop) {
 	for {
@@ -222,16 +208,12 @@ func (cc *ClusterClient) run(ops []*cop) {
 			if op.done {
 				continue
 			}
-			addr := op.hint
-			op.hint = ""
-			if addr == "" {
-				owners := m.Owners(op.key)
-				if len(owners) == 0 {
-					op.fail(errors.New("cluster: empty cluster map"))
-					continue
-				}
-				addr = owners[op.failover%len(owners)].Addr
+			owners := m.Owners(op.key)
+			if len(owners) == 0 {
+				op.fail(errors.New("cluster: empty cluster map"))
+				continue
 			}
+			addr := owners[op.failover%len(owners)].Addr
 			groups[addr] = append(groups[addr], op)
 		}
 		if len(groups) == 0 {
@@ -250,8 +232,9 @@ func (cc *ClusterClient) run(ops []*cop) {
 				if err != nil {
 					cc.failovers.Add(1)
 					for _, op := range group {
-						cc.spend(op, fmt.Errorf("cluster: %s unreachable: %w", addr, err))
-						op.failover++
+						if op.failover++; op.failover > failoverBudget {
+							op.fail(fmt.Errorf("cluster: %s unreachable: %w", addr, err))
+						}
 					}
 					// The owner is likely gone for everyone; a fresh map
 					// stops future ops from aiming at it at all.
@@ -259,45 +242,11 @@ func (cc *ClusterClient) run(ops []*cop) {
 					return
 				}
 				for i, op := range group {
-					cc.settle(op, results[i], m)
+					op.res, op.done = results[i], true
 				}
 			}(addr, group)
 		}
 		wg.Wait()
-	}
-}
-
-// settle records one reply for op. m is the map the round routed by.
-func (cc *ClusterClient) settle(op *cop, res server.Result, m *Map) {
-	mv, isMoved := server.AsMoved(res.Err)
-	if !isMoved {
-		// Any direct answer — success or an ordinary error reply — is
-		// the op's final outcome.
-		op.res = res
-		op.done = true
-		return
-	}
-	cc.moved.Add(1)
-	cc.spend(op, fmt.Errorf("cluster: redirect budget exhausted: %w", mv))
-	if op.done {
-		return
-	}
-	op.hint = mv.Addr
-	if mv.Epoch >= m.Epoch {
-		// The redirecting node's map is at least as new as ours, yet we
-		// misrouted — our view is stale. (A redirect at an OLDER epoch
-		// is the node lagging behind us; following its one-shot hint is
-		// harmless and the next round re-routes by our newer map.)
-		cc.refetchMap(m.Epoch)
-	}
-}
-
-// spend consumes one try of op's budget, failing it with err when the
-// budget is exhausted.
-func (cc *ClusterClient) spend(op *cop, err error) {
-	op.tries++
-	if op.tries > cc.redirectBudget {
-		op.fail(err)
 	}
 }
 
@@ -524,7 +473,7 @@ func (b *ClientBatch) Len() int { return len(b.ops) }
 
 // Exec routes and executes every queued command and returns one Result
 // per command, in queue order. Per-command failures (including a
-// redirect budget exhausted mid-rebalance) land in the individual
+// failover budget exhausted on unreachable owners) land in the individual
 // Results; the returned error is non-nil only for a queueing error, in
 // which case nothing was sent. Exec resets the batch for reuse.
 func (b *ClientBatch) Exec() ([]server.Result, error) {

@@ -28,10 +28,10 @@ func findKeyWhere(t *testing.T, m *Map, pred func(ids []string) bool) string {
 	return ""
 }
 
-// TestPoolClassifiesByTransport is the satellite-1 regression: any
-// parsed reply line — success, a novel -ERR, a -MOVED redirect, a
-// missing key — keeps the pooled connection and counts as liveness
-// evidence; only transport failures drop it. Before the fix, an
+// TestPoolClassifiesByTransport: any parsed reply line — success, a
+// novel -ERR, an error reply of an unknown kind, a missing key — keeps
+// the pooled connection and counts as liveness evidence; only transport
+// failures drop it. Before the fix, an
 // unrecognized error reply tore down a healthy connection AND withheld
 // the alive() signal, feeding spurious suspicion into the failure
 // detector about a peer that had just answered.
@@ -64,10 +64,8 @@ func TestPoolClassifiesByTransport(t *testing.T) {
 	if _, err := p.do(addr, "WEIRD"); err == nil || !server.IsReplyErr(err) {
 		t.Fatalf("WEIRD: err = %v, want a reply-classified error", err)
 	}
-	if _, err := p.do(addr, "BOUNCE"); err == nil {
-		t.Fatal("BOUNCE: expected an error")
-	} else if _, ok := server.AsMoved(err); !ok {
-		t.Fatalf("BOUNCE: err = %v, want MovedError", err)
+	if _, err := p.do(addr, "BOUNCE"); err == nil || !server.IsReplyErr(err) {
+		t.Fatalf("BOUNCE: err = %v, want a reply-classified error", err)
 	}
 	if _, err := p.do(addr, "DUMP", "missing"); !errors.Is(err, server.ErrNoSuchKey) || !server.IsReplyErr(err) {
 		t.Fatalf("DUMP missing: err = %v, want reply-classified ErrNoSuchKey", err)
@@ -100,120 +98,41 @@ func TestPoolClassifiesByTransport(t *testing.T) {
 	}
 }
 
-// TestStrictRoutingMoved covers the server half of the tentpole: under
-// strict routing a non-owner bounces public single-key verbs with an
-// epoch-tagged -MOVED naming the primary owner, keeps serving multi-key
-// scatter-gathers, and stays in coordinator mode for everything when
-// strict routing is off.
-func TestStrictRoutingMoved(t *testing.T) {
+// TestRebalanceLosesNoPublicWrite: public writes sent to every node —
+// owners and non-owners alike, forwarded to the owners — before and
+// after a join reshuffles the ring are all counted afterwards, through
+// every node.
+func TestRebalanceLosesNoPublicWrite(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
-	m := nodes[0].Map()
-	key := findKeyWhere(t, m, func(ids []string) bool { return !slices.Contains(ids, "n1") })
-	owners := m.Owners(key)
-
 	c, err := server.Dial(nodes[0].Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// Strict routing off (the default): the non-owner forwards.
-	if _, err := c.Do("PFADD", key, "x"); err != nil {
-		t.Fatalf("coordinator mode must forward: %v", err)
+	const keys = 64
+	ref := make([]*core.Sketch, keys)
+	for i := range ref {
+		ref[i] = core.MustNew(testConfig())
 	}
-
-	nodes[0].SetStrictRouting(true)
-	verbs := [][]string{
-		{"PFADD", key, "y"},
-		{"PFCOUNT", key},
-		{"WADD", key, "1700000000000", "y"},
-		{"WCOUNT", key, "30s"},
-		{"WINFO", key},
-		{"DEL", key},
-	}
-	for _, parts := range verbs {
-		_, err := c.Do(parts...)
-		mv, ok := server.AsMoved(err)
-		if !ok {
-			t.Fatalf("%s on a non-owner: err = %v, want MOVED", parts[0], err)
+	write := func(i int, via func(key, el string) error) {
+		t.Helper()
+		key, el := fmt.Sprintf("burst-%d", i%keys), fmt.Sprintf("el-%d", i)
+		if err := via(key, el); err != nil {
+			t.Fatalf("write %s: %v", key, err)
 		}
-		if mv.Epoch != m.Epoch || mv.NodeID != owners[0].ID || mv.Addr != owners[0].Addr {
-			t.Errorf("%s redirect = %+v, want e=%d %s=%s", parts[0], mv, m.Epoch, owners[0].ID, owners[0].Addr)
-		}
+		ref[i%keys].AddString(el)
 	}
-	if got := nodes[0].StatsCounters().MovedReplies; got != uint64(len(verbs)) {
-		t.Errorf("moved_replies = %d, want %d", got, len(verbs))
-	}
-
-	// Multi-key PFCOUNT has no single owner to point at: always served.
-	otherKey := findKeyWhere(t, m, func(ids []string) bool { return slices.Contains(ids, "n1") })
-	if _, err := c.Do("PFCOUNT", key, otherKey); err != nil {
-		t.Errorf("multi-key PFCOUNT under strict routing: %v", err)
-	}
-	// A key this node owns is served normally.
-	if _, err := c.Do("PFADD", otherKey, "z"); err != nil {
-		t.Errorf("owned key under strict routing: %v", err)
-	}
-}
-
-// TestInternalForwardsExemptFromStrictRouting is the satellite-3 test:
-// the internal replication verbs bypass the strict check entirely, so a
-// replica can never -MOVED an internal forward — the classic redirect-
-// loop bug in this design — even while a rebalance is reshuffling
-// ownership under strict routing cluster-wide.
-func TestInternalForwardsExemptFromStrictRouting(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
-	for _, n := range nodes {
-		n.SetStrictRouting(true)
-	}
-	m := nodes[0].Map()
-	key := findKeyWhere(t, m, func(ids []string) bool { return !slices.Contains(ids, "n1") })
-
-	c, err := server.Dial(nodes[0].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Every internal data verb is served by the non-owner n1 where the
-	// public equivalent would bounce.
-	internal := [][]string{
-		{"CLUSTER", "MLADD", "1", "p", key, batchB64(t, "x")},
-		{"CLUSTER", "LEXPIREAT", key, "99999999999999"},
-		{"CLUSTER", "LDEADLINE", key},
-		{"CLUSTER", "LPERSIST", key},
-		{"CLUSTER", "MLADD", "1", "w", key + "-w", "1700000000000", "1", batchB64(t, "x")},
-		{"CLUSTER", "LDEL", key + "-w"},
-		{"CLUSTER", "LKEYS"},
-	}
-	for _, parts := range internal {
-		if _, err := c.Do(parts...); err != nil {
-			t.Fatalf("internal %s %s on a non-owner bounced: %v", parts[0], parts[1], err)
-		}
-	}
-
-	movedSum := func() uint64 {
-		var sum uint64
-		for _, n := range nodes {
-			sum += n.StatsCounters().MovedReplies
-		}
-		return sum
-	}
-	before := movedSum()
-
-	// A write burst through coordinator-mode forwarding (Node.Add fans
-	// MLADD out to owners) while a join-triggered rebalance pushes
-	// XFER frames around — all internal traffic, none of it may bounce.
-	for i := 0; i < 32; i++ {
-		if _, err := nodes[i%3].Add(fmt.Sprintf("burst-%d", i), "el"); err != nil {
-			t.Fatal(err)
-		}
+	wire := func(key, el string) error { _, err := c.PFAdd(key, el); return err }
+	// Through the wire to n1 and through the Go API of every node.
+	for i := 0; i < keys; i++ {
+		write(i, wire)
+		write(i+keys, func(key, el string) error { _, err := nodes[i%3].Add(key, el); return err })
 	}
 	n4, err := NewNode("n4", testConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n4.SetStrictRouting(true)
 	if err := n4.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +140,18 @@ func TestInternalForwardsExemptFromStrictRouting(t *testing.T) {
 	if err := n4.Join(nodes[0].Addr()); err != nil {
 		t.Fatal(err)
 	}
-	for i := 32; i < 64; i++ {
-		if _, err := nodes[i%3].Add(fmt.Sprintf("burst-%d", i), "el"); err != nil {
-			t.Fatal(err)
-		}
+	all := append(append([]*Node{}, nodes...), n4)
+	for i := 2 * keys; i < 3*keys; i++ {
+		write(i, wire)
+		write(i+keys, func(key, el string) error { _, err := all[i%4].Add(key, el); return err })
 	}
-	if after := movedSum() + n4.StatsCounters().MovedReplies; after != before {
-		t.Errorf("internal replication traffic drew %d -MOVED replies during rebalance", after-before)
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("burst-%d", i)
+		for _, n := range all {
+			if got, err := n.Count(key); err != nil || got != ref[i].Estimate() {
+				t.Errorf("%s counts %s = %v, %v; want %v", n.ID(), key, got, err, ref[i].Estimate())
+			}
+		}
 	}
 }
 
@@ -317,13 +241,10 @@ func TestForwardRetriesOnFreshMap(t *testing.T) {
 }
 
 // TestClusterClientSingleHop drives the smart client against a fresh
-// map: every op lands on an owner first try — zero redirects on either
-// side — and the batch API keeps results in queue order.
+// map: every op lands on an owner first try — no failover, no refetch —
+// and the batch API keeps results in queue order.
 func TestClusterClientSingleHop(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
-	for _, n := range nodes {
-		n.SetStrictRouting(true)
-	}
 	cc, err := DialCluster(nodes[0].Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -392,55 +313,73 @@ func TestClusterClientSingleHop(t *testing.T) {
 		}
 	}
 
-	// Fresh map: not a single redirect anywhere.
-	if s := cc.Stats(); s.Moved != 0 || s.Failovers != 0 {
-		t.Errorf("client stats = %+v, want zero redirects/failovers on a fresh map", s)
-	}
-	var movedSum uint64
-	for _, n := range nodes {
-		movedSum += n.StatsCounters().MovedReplies
-	}
-	if movedSum != 0 {
-		t.Errorf("nodes sent %d -MOVED replies to a fresh-mapped client", movedSum)
+	if s := cc.Stats(); s != (ClientStats{}) {
+		t.Errorf("client stats = %+v, want all zero on a fresh map", s)
 	}
 }
 
-// TestClusterClientFollowsMovedAfterRebalance grows the cluster behind
-// the client's back: ops on keys whose owners moved must bounce once,
-// drag the map forward (epoch order), and converge — no lost writes.
-func TestClusterClientFollowsMovedAfterRebalance(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
-	for _, n := range nodes {
-		n.SetStrictRouting(true)
+// staleClientRun writes to and reads from keys through a ClusterClient
+// whose map a membership change has made stale: every Add, Count, WAdd
+// and WCount must succeed, each count must equal a reference sketch fed
+// every acknowledged write, and the client must keep its old map — no
+// redirect, no failover, no refetch. Some key's owners must differ
+// between old and cur, so that the old map routes some op wrong.
+func staleClientRun(t *testing.T, cc *ClusterClient, old, cur *Map) {
+	t.Helper()
+	const keys = 48
+	const ts = int64(1700000000000)
+	moved := 0
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("st-%d", i)
+		ref := core.MustNew(testConfig())
+		for j := 0; j < 3; j++ {
+			el := fmt.Sprintf("el-%d-%d", i, j)
+			if _, err := cc.Add(key, el); err != nil {
+				t.Fatalf("Add %s: %v", key, err)
+			}
+			if n, err := cc.WAdd(key+"-w", ts, el); err != nil || n != 1 {
+				t.Fatalf("WAdd %s = %d, %v; want 1 accepted", key, n, err)
+			}
+			ref.AddString(el)
+		}
+		want := int64(ref.Estimate() + 0.5)
+		if got, err := cc.Count(key); err != nil || got != want {
+			t.Errorf("Count %s = %d, %v; want %d", key, got, err, want)
+		}
+		if got, err := cc.WCount(key+"-w", time.Minute); err != nil || got != want {
+			t.Errorf("WCount %s = %d, %v; want %d", key, got, err, want)
+		}
+		if !slices.Equal(cur.ownerIDs(key), old.ownerIDs(key)) {
+			moved++
+		}
 	}
-	cc, err := DialCluster(nodes[0].Addr(), nodes[1].Addr())
+	if moved == 0 {
+		t.Error("no key changed owners: the old map routed nothing wrong")
+	}
+	if cc.Map() != old {
+		t.Error("the client replaced its map")
+	}
+	if s := cc.Stats(); s != (ClientStats{}) {
+		t.Errorf("client stats = %+v, want all zero: a stale map is forwarded, not bounced or failed over", s)
+	}
+}
+
+// TestClusterClientStaleAfterJoin: a client dialed before a JOIN keeps
+// routing by the old ring; the nodes it reaches forward to the new
+// owners, so nothing is lost and nothing bounces.
+func TestClusterClientStaleAfterJoin(t *testing.T) {
+	nodes := startCluster(t, 3, 2)
+	cc, err := DialCluster(nodes[0].Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cc.Close()
-	cc.minRefetch = time.Millisecond
+	old := cc.Map()
 
-	const keys = 48
-	key := func(i int) string { return fmt.Sprintf("mv-%d", i) }
-	ref := make(map[string]*core.Sketch, keys)
-	for i := 0; i < keys; i++ {
-		ref[key(i)] = core.MustNew(testConfig())
-	}
-	for i := 0; i < keys; i++ {
-		el := fmt.Sprintf("first-%d", i)
-		ref[key(i)].AddString(el)
-		if _, err := cc.Add(key(i), el); err != nil {
-			t.Fatal(err)
-		}
-	}
-	oldMap := cc.Map()
-
-	// Grow the cluster; the client's map is now one epoch behind.
 	n4, err := NewNode("n4", testConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n4.SetStrictRouting(true)
 	if err := n4.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -448,49 +387,29 @@ func TestClusterClientFollowsMovedAfterRebalance(t *testing.T) {
 	if err := n4.Join(nodes[0].Addr()); err != nil {
 		t.Fatal(err)
 	}
-	newMap := nodes[0].Map()
+	staleClientRun(t, cc, old, n4.Map())
+}
 
-	// How many keys will bounce is a pure function of the ring: those
-	// whose old primary is no longer an owner at all.
-	expectBounce := 0
-	for i := 0; i < keys; i++ {
-		oldPrimary := oldMap.ownerIDs(key(i))[0]
-		if !slices.Contains(newMap.ownerIDs(key(i)), oldPrimary) {
-			expectBounce++
-		}
+// TestClusterClientStaleAfterLeave: a client dialed before a LEAVE keeps
+// sending a third of its keys to the node that left; that node, still
+// up, forwards them to their owners under the map without it.
+func TestClusterClientStaleAfterLeave(t *testing.T) {
+	nodes := startCluster(t, 3, 2)
+	cc, err := DialCluster(nodes[0].Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer cc.Close()
+	old := cc.Map()
 
-	for i := 0; i < keys; i++ {
-		el := fmt.Sprintf("second-%d", i)
-		ref[key(i)].AddString(el)
-		if _, err := cc.Add(key(i), el); err != nil {
-			t.Fatalf("Add %s against a stale map: %v", key(i), err)
-		}
+	if err := nodes[2].Leave(); err != nil {
+		t.Fatal(err)
 	}
-
-	s := cc.Stats()
-	if expectBounce > 0 {
-		if s.Moved == 0 {
-			t.Errorf("expected redirects for %d moved keys, client followed none", expectBounce)
-		}
-		if s.MapRefetches == 0 {
-			t.Error("a -MOVED beyond the client's epoch must trigger a map refetch")
-		}
-		if got := cc.Map(); !got.Newer(oldMap) {
-			t.Errorf("client map did not move forward (still e=%d v=%d)", got.Epoch, got.Version)
-		}
+	cur := nodes[0].Map()
+	if cur.Has("n3") {
+		t.Fatalf("n3 still in the map after its LEAVE (e=%d)", cur.Epoch)
 	}
-
-	// No lost writes: every key counts exactly its reference estimate.
-	for i := 0; i < keys; i++ {
-		got, err := nodes[0].Count(key(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != ref[key(i)].Estimate() {
-			t.Errorf("count %s = %v, want %v", key(i), got, ref[key(i)].Estimate())
-		}
-	}
+	staleClientRun(t, cc, old, cur)
 }
 
 // TestClusterClientFailsOverOnDeadOwner crashes a key's primary after
@@ -499,9 +418,6 @@ func TestClusterClientFollowsMovedAfterRebalance(t *testing.T) {
 // refetch, and converge on the surviving replica.
 func TestClusterClientFailsOverOnDeadOwner(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
-	for _, n := range nodes {
-		n.SetStrictRouting(true)
-	}
 	cc, err := DialCluster(nodes[0].Addr(), nodes[1].Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -545,16 +461,12 @@ func TestClusterClientFailsOverOnDeadOwner(t *testing.T) {
 	}
 }
 
-// TestClusterClientMidRebalanceChaos is the satellite-4 chaos test: 64
-// hot keys under concurrent batched load while a join reshuffles the
-// ring. Every op must converge within the redirect budget (any budget
-// exhaustion is a Result error and fails the test), no write may be
-// lost, and moved_replies must go quiet once the map settles.
+// TestClusterClientMidRebalanceChaos: 64 hot keys under concurrent
+// batched load while a join reshuffles the ring. Every op must succeed
+// (any error is a Result error and fails the test), and no write may be
+// lost.
 func TestClusterClientMidRebalanceChaos(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
-	for _, n := range nodes {
-		n.SetStrictRouting(true)
-	}
 	cc, err := DialCluster(nodes[0].Addr(), nodes[1].Addr(), nodes[2].Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -617,7 +529,6 @@ func TestClusterClientMidRebalanceChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n4.SetStrictRouting(true)
 	if err := n4.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -630,45 +541,8 @@ func TestClusterClientMidRebalanceChaos(t *testing.T) {
 	wg.Wait()
 	select {
 	case err := <-errCh:
-		t.Fatalf("an op failed to converge within the redirect budget: %v", err)
+		t.Fatalf("an op failed mid-rebalance: %v", err)
 	default:
-	}
-
-	all := append(append([]*Node{}, nodes...), n4)
-	movedSum := func() uint64 {
-		var sum uint64
-		for _, n := range all {
-			sum += n.StatsCounters().MovedReplies
-		}
-		return sum
-	}
-
-	// Force the client onto the settled map (deterministic sync: the
-	// rate limiter is bypassed by rewinding its clock), then assert
-	// quiescence: a full sweep over every hot key draws zero new
-	// -MOVED replies anywhere.
-	cc.fetchMu.Lock()
-	cc.lastFetch = time.Time{}
-	cc.fetchMu.Unlock()
-	cc.refetchMap(cc.Map().Epoch)
-	if got, want := cc.Map().Epoch, n4.Map().Epoch; got != want {
-		t.Fatalf("client map epoch %d after refetch, cluster at %d", got, want)
-	}
-	before := movedSum()
-	for i := 0; i < hotKeys; i++ {
-		if _, err := cc.Count(key(i)); err != nil {
-			t.Fatalf("quiet-phase Count %s: %v", key(i), err)
-		}
-		el := fmt.Sprintf("quiet-%d", i)
-		refMu.Lock()
-		ref[key(i)].AddString(el)
-		refMu.Unlock()
-		if _, err := cc.Add(key(i), el); err != nil {
-			t.Fatalf("quiet-phase Add %s: %v", key(i), err)
-		}
-	}
-	if after := movedSum(); after != before {
-		t.Errorf("moved_replies rose %d→%d after the map settled — not quiescent", before, after)
 	}
 
 	// No lost writes: every hot key matches its reference sketch.

@@ -74,13 +74,6 @@ type Node struct {
 	digestRounds  atomic.Uint64 // digest anti-entropy peer-rounds initiated
 	digestRepairs atomic.Uint64 // divergent keys shipped by digest repair
 
-	// strict gates the -MOVED answer path: when set, public single-key
-	// data verbs for keys this node does not own are redirected instead
-	// of forwarded (see SetStrictRouting). Off by default — coordinator
-	// mode, where any node answers any command, stays the default.
-	strict       atomic.Bool
-	movedReplies atomic.Uint64 // -MOVED redirects sent to misrouted clients
-
 	// mutateMu serializes membership mutations coordinated BY THIS
 	// node (claim → mint → install → broadcast), so two JOINs arriving
 	// at the same coordinator cannot claim successive epochs and then
@@ -308,47 +301,6 @@ func (n *Node) Store() *server.Store { return n.store }
 
 // Map returns the node's current cluster map. Treat it as read-only.
 func (n *Node) Map() *Map { return n.currentMap() }
-
-// SetStrictRouting toggles the smart-client answer path: when enabled,
-// a public single-key data verb (PFADD, WADD, WCOUNT, WINFO, DEL,
-// EXPIRE, PEXPIRE, TTL, PERSIST, and single-key PFCOUNT) whose key this
-// node does not own is answered with
-//
-//	-MOVED e=<epoch> <id>=<addr>
-//
-// naming the primary owner under this node's current map, instead of
-// being forwarded on the client's behalf. ClusterClient follows the
-// redirect; dumb clients see it as an error. Multi-key reads (PFCOUNT
-// with several keys, PFMERGE, KEYS) are always served — they are
-// scatter-gathers with no single owner to point at. Internal forwards
-// (the CLUSTER L*/MLADD/XFER verbs) are exempt by construction:
-// they bypass the public handlers entirely, so a replica can never
-// bounce a replication write into a redirect loop. Off by default;
-// safe to toggle at runtime.
-func (n *Node) SetStrictRouting(on bool) { n.strict.Store(on) }
-
-// Moved returns the -MOVED redirect line for key when strict routing is
-// on and this node is not among the key's owners (see SetStrictRouting) —
-// what the server's front end answers a single-key data verb with instead
-// of acting on it. The epoch tag lets clients ignore redirects older than
-// the map they already hold.
-func (n *Node) Moved(key []byte) (string, bool) {
-	if !n.strict.Load() {
-		return "", false
-	}
-	m := n.currentMap()
-	owners := m.Owners(string(key))
-	if len(owners) == 0 {
-		return "", false
-	}
-	for _, o := range owners {
-		if o.ID == n.id {
-			return "", false
-		}
-	}
-	n.movedReplies.Add(1)
-	return fmt.Sprintf("-MOVED e=%d %s=%s", m.Epoch, owners[0].ID, owners[0].Addr), true
-}
 
 func (n *Node) currentMap() *Map {
 	n.mu.RLock()
@@ -621,8 +573,8 @@ func validWrite(verb, key string, elements []string) error {
 // withStaleMapRetry runs op against the current map and, when it fails
 // while a strictly newer map was installed concurrently, re-resolves
 // once against the fresh map. This is the server-side mirror of the
-// smart client's redirect budget: a forward that lands on a just-
-// evicted owner mid-rebalance gets one second chance against the map
+// smart client's failover: a forward that lands on a just-evicted
+// owner mid-rebalance gets one second chance against the map
 // that evicted it, instead of surfacing a transport error the caller
 // would have to retry anyway. Bounded at one re-resolve — a second
 // concurrent map change surfaces its error as before.
@@ -1208,9 +1160,9 @@ func (n *Node) handleInfo(reply []byte, _ [][]byte) []byte {
 		n.id, n.Addr(), m.Epoch, m.Version, m.Replicas, m.Len(), n.store.Len(), n.pushes.Load())
 }
 
-// handleMap serves CLUSTER MAP: what a smart client refetches after a
-// -MOVED, so the CLUSTER.MAP stats row beside moved_replies shows whether
-// redirects converge. Peers pull it only while maps differ (reconcileMap).
+// handleMap serves CLUSTER MAP: what a smart client fetches at dial and
+// after a transport failover. Peers pull it only while maps differ
+// (reconcileMap).
 func (n *Node) handleMap(reply []byte, _ [][]byte) []byte {
 	return append(append(reply, '+'), n.currentMap().Encode()...)
 }

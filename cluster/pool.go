@@ -138,7 +138,7 @@ func (p *pool) drop(addr string, c *server.Client) {
 // a connection — the pooled one, or with fresh a connection of its own,
 // closed afterwards — and reads the replies. The outcome is classified by
 // TRANSPORT, not by error kind: any parsed reply line — OK, a missing key,
-// a WRONGTYPE value, an arity error, a -MOVED redirect — means the peer
+// a WRONGTYPE value, an arity error — means the peer
 // read the request and answered, so the connection is healthy (the
 // protocol is strictly one-reply-one-line, no desync possible) and the
 // answer is liveness evidence for the failure detector. Only dial, read

@@ -28,7 +28,6 @@ type ClusterStats struct {
 	MLPFAddGroups  uint64 // per-key add groups coalesced into MLADD batches (the name predates the verb)
 	MLPFAddBatches uint64 // MLADD batches flushed
 	MLAddBytes     uint64 // bytes of the MLADD lines sent, line breaks included
-	MovedReplies   uint64 // -MOVED redirects sent to misrouted clients (strict routing)
 
 	// Transfer pipeline counters (see transfer.go).
 	XferStreams uint64 // streams that sent a frame
@@ -56,7 +55,6 @@ func (n *Node) StatsCounters() ClusterStats {
 		MLPFAddGroups:  n.peers.mlGroups.Load(),
 		MLPFAddBatches: n.peers.mlBatches.Load(),
 		MLAddBytes:     n.peers.mlBytes.Load(),
-		MovedReplies:   n.movedReplies.Load(),
 
 		XferStreams: n.xfer.streams.Load(),
 		XferFrames:  n.xfer.frames.Load(),
@@ -78,10 +76,9 @@ func (n *Node) statsBody() string {
 	// k=v pairs by name, but prefix-matching tests and scripts stay
 	// stable that way.
 	return fmt.Sprintf(
-		"node=%s gossip_rounds=%d suspects_raised=%d auto_leaves=%d mlpfadd_groups=%d mlpfadd_batches=%d moved_replies=%d xfer_streams=%d xfer_frames=%d xfer_bytes=%d xfer_bytes_wire=%d sync_digest_rounds=%d sync_keys_repaired=%d mladd_bytes=%d\n%s",
+		"node=%s gossip_rounds=%d suspects_raised=%d auto_leaves=%d mlpfadd_groups=%d mlpfadd_batches=%d xfer_streams=%d xfer_frames=%d xfer_bytes=%d xfer_bytes_wire=%d sync_digest_rounds=%d sync_keys_repaired=%d mladd_bytes=%d\n%s",
 		n.id, c.GossipRounds, c.SuspectsRaised, c.AutoLeaves,
 		c.MLPFAddGroups, c.MLPFAddBatches,
-		c.MovedReplies,
 		c.XferStreams, c.XferFrames, c.XferBytes,
 		c.XferBytesWire, c.SyncDigestRounds, c.SyncKeysRepaired, c.MLAddBytes,
 		n.srv.Stats().Text(n.store))
@@ -129,7 +126,6 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE ell_cluster_mlpfadd_groups_total counter\nell_cluster_mlpfadd_groups_total %d\n", c.MLPFAddGroups)
 	fmt.Fprintf(w, "# TYPE ell_cluster_mlpfadd_batches_total counter\nell_cluster_mlpfadd_batches_total %d\n", c.MLPFAddBatches)
 	fmt.Fprintf(w, "# TYPE ell_cluster_mladd_bytes_total counter\nell_cluster_mladd_bytes_total %d\n", c.MLAddBytes)
-	fmt.Fprintf(w, "# TYPE ell_cluster_moved_replies_total counter\nell_cluster_moved_replies_total %d\n", c.MovedReplies)
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_streams_total counter\nell_cluster_xfer_streams_total %d\n", c.XferStreams)
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_frames_total counter\nell_cluster_xfer_frames_total %d\n", c.XferFrames)
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_bytes_total counter\nell_cluster_xfer_bytes_total %d\n", c.XferBytes)

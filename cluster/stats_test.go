@@ -61,7 +61,7 @@ func TestClusterStatsReportsCounters(t *testing.T) {
 }
 
 // TestMapRefetchesIsTheClientSignal: the CLUSTER.MAP stats row counts
-// CLUSTER MAP replies, documented as what smart clients do after a -MOVED.
+// CLUSTER MAP replies, documented as what smart clients do at dial and after a failover.
 // On a converged cluster the nodes' own anti-entropy must leave it alone —
 // a periodic map pull between peers once added members−1 to it per tick,
 // drowning the signal.

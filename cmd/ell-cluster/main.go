@@ -91,13 +91,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cmd, rest := strings.ToLower(args[0]), args[1:]
 	switch cmd {
 	case "info":
-		reply, err := x.do("CLUSTER", "INFO")
+		reply, err := x.c.Do("CLUSTER", "INFO")
 		if err != nil {
 			return x.fail(err)
 		}
 		fmt.Fprintln(stdout, strings.ReplaceAll(reply, " ", "\n"))
 	case "map":
-		reply, err := x.do("CLUSTER", "MAP")
+		reply, err := x.c.Do("CLUSTER", "MAP")
 		if err != nil {
 			return x.fail(err)
 		}
@@ -115,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "node        %-12s %s\n", mem.ID, mem.Addr)
 		}
 	case "health":
-		reply, err := x.do("CLUSTER", "HEALTH")
+		reply, err := x.c.Do("CLUSTER", "HEALTH")
 		if err != nil {
 			return x.fail(err)
 		}
@@ -150,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		case len(rest) != 0:
 			return x.usage()
 		}
-		reply, err := x.do(parts...)
+		reply, err := x.c.Do(parts...)
 		if err != nil {
 			return x.fail(err)
 		}
@@ -173,11 +173,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if len(rest) < 2 {
 			return x.usage()
 		}
-		var changed bool
-		err := x.follow(func(c *server.Client) (err error) {
-			changed, err = c.PFAdd(rest[0], rest[1:]...)
-			return err
-		})
+		changed, err := x.c.PFAdd(rest[0], rest[1:]...)
 		if err != nil {
 			return x.fail(err)
 		}
@@ -186,11 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if len(rest) < 1 {
 			return x.usage()
 		}
-		var n int64
-		err := x.follow(func(c *server.Client) (err error) {
-			n, err = c.PFCount(rest...)
-			return err
-		})
+		n, err := x.c.PFCount(rest...)
 		if err != nil {
 			return x.fail(err)
 		}
@@ -199,7 +191,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if len(rest) < 3 {
 			return x.usage()
 		}
-		reply, err := x.do(append([]string{"WADD"}, rest...)...)
+		reply, err := x.c.Do(append([]string{"WADD"}, rest...)...)
 		if err != nil {
 			return x.fail(err)
 		}
@@ -213,7 +205,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if len(rest) != 1 {
 			return x.usage()
 		}
-		reply, err := x.do("WINFO", rest[0])
+		reply, err := x.c.Do("WINFO", rest[0])
 		if err != nil {
 			return x.fail(err)
 		}
@@ -241,7 +233,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // echo runs one command and prints its reply as it came.
 func (x *cli) echo(parts ...string) int {
-	reply, err := x.do(parts...)
+	reply, err := x.c.Do(parts...)
 	if err != nil {
 		return x.fail(err)
 	}
@@ -254,7 +246,7 @@ func (x *cli) echo(parts ...string) int {
 // SUPERSEDED and carries the winning map's (epoch, version,
 // coordinator) so the operator sees WHAT won instead of a silent no-op.
 func (x *cli) mutation(parts ...string) int {
-	reply, err := x.do(parts...)
+	reply, err := x.c.Do(parts...)
 	if err != nil {
 		return x.fail(err)
 	}
@@ -265,34 +257,4 @@ func (x *cli) mutation(parts ...string) int {
 	}
 	fmt.Fprintln(x.stdout, reply)
 	return 0
-}
-
-// do runs one command against the contacted node (or the owner it
-// redirects to, see follow).
-func (x *cli) do(parts ...string) (reply string, err error) {
-	err = x.follow(func(c *server.Client) (err error) {
-		reply, err = c.Do(parts...)
-		return err
-	})
-	return reply, err
-}
-
-// follow runs op against the contacted node and, when the answer is a
-// -MOVED redirect, once more against the owner it names. Strict-routing
-// nodes (elld -strict-routing) bounce misrouted single-key data commands
-// instead of forwarding, so the CLI follows one redirect — enough
-// against a stable map; a second bounce surfaces as the error it is.
-func (x *cli) follow(op func(c *server.Client) error) error {
-	err := op(x.c)
-	mv, ok := server.AsMoved(err)
-	if !ok {
-		return err
-	}
-	c2, derr := server.Dial(mv.Addr)
-	if derr != nil {
-		return fmt.Errorf("following MOVED to %s (%s): %w", mv.NodeID, mv.Addr, derr)
-	}
-	defer c2.Close()
-	fmt.Fprintf(x.stderr, "ell-cluster: redirected to owner %s at %s\n", mv.NodeID, mv.Addr)
-	return op(c2)
 }

@@ -11,7 +11,7 @@
 //	     [-window-slice 1s] [-window-slices 60] [-metrics-addr 127.0.0.1:9100] \
 //	     [-default-ttl 0] [-mem-high 0] [-mem-low 0] [-sweep-interval 10s]
 //	elld -node-id n1 [-replicas 2] [-join host:port] \
-//	     [-gossip-interval 1s] [-strict-routing] [-peer-timeout 5s] \
+//	     [-gossip-interval 1s] [-peer-timeout 5s] \
 //	     [-sync-digest-interval 30s]                 # cluster mode
 //
 // -metrics-addr serves Prometheus-text metrics at /metrics: per-verb
@@ -68,12 +68,9 @@
 // replicated as absolute instants, so every replica expires a key at the
 // same moment.
 //
-// -strict-routing makes the node answer misrouted single-key data
-// commands with a -MOVED redirect instead of forwarding to the owners
-// — the serving mode for smart clients (cluster.ClusterClient) that
-// hash keys locally and expect one-hop latency. Coordinator-style
-// clients can keep using non-strict nodes of the same cluster; the flag
-// is per node.
+// Any cluster node answers any command: a key it does not own is
+// forwarded to the key's owners, so a smart client (cluster.ClusterClient)
+// holding a stale map still gets the right answer, one hop later.
 //
 // On SIGINT/SIGTERM elld takes a final snapshot (when -snapshot is set)
 // before closing the listener, so a restarted node loses nothing. The
@@ -127,7 +124,6 @@ type options struct {
 	nodeID, join                                    string
 	replicas                                        int
 	gossipInterval, syncDigestInterval, peerTimeout time.Duration
-	strictRouting                                   bool
 
 	stdout io.Writer
 	log    *log.Logger
@@ -148,7 +144,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.join, "join", "", "address of any member of an existing cluster to join (cluster mode)")
 	fs.IntVar(&o.replicas, "replicas", 2, "number of nodes holding each key (cluster mode)")
 	fs.DurationVar(&o.gossipInterval, "gossip-interval", time.Second, "failure-detector gossip period, 0 disables (cluster mode)")
-	fs.BoolVar(&o.strictRouting, "strict-routing", false, "answer misrouted single-key data commands with -MOVED instead of forwarding (cluster mode, for smart clients)")
 	fs.DurationVar(&o.peerTimeout, "peer-timeout", 5*time.Second, "I/O deadline per node-to-node command and transfer frame, 0 disables (cluster mode)")
 	fs.DurationVar(&o.syncDigestInterval, "sync-digest-interval", 30*time.Second, "anti-entropy period: each round drains stray keys to their owners and repairs diverged replicas by digest, 0 disables (cluster mode)")
 	fs.DurationVar(&o.windowSlice, "window-slice", time.Second, "slice duration of WADD-created sliding-window keys")
@@ -253,9 +248,6 @@ func (o options) finish(ctx context.Context, listener io.Closer, store *server.S
 
 // serveSingle runs a standalone server until ctx is cancelled.
 func (o options) serveSingle(ctx context.Context) error {
-	if o.strictRouting {
-		return errors.New("-strict-routing requires cluster mode (-node-id)")
-	}
 	cfg := core.RecommendedML(o.p)
 	store, err := server.NewStore(cfg)
 	if err != nil {
@@ -290,7 +282,6 @@ func (o options) serveCluster(ctx context.Context) error {
 	if err := o.prepare(ctx, node.Store()); err != nil {
 		return err
 	}
-	node.SetStrictRouting(o.strictRouting)
 	node.SetPeerTimeout(o.peerTimeout)
 	node.SetSnapshotPath(o.snapshot)
 	if err := node.Start(o.addr); err != nil {

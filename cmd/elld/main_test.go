@@ -49,7 +49,6 @@ func TestRunUsageAndStartupErrors(t *testing.T) {
 		{[]string{"-addr", "127.0.0.1:0", "-xfer-batch", "64"}, 2, "flag provided but not defined: -xfer-batch"},
 		{[]string{"-addr", "127.0.0.1:0", "-xfer-window", "8"}, 2, "flag provided but not defined: -xfer-window"},
 		{[]string{"-addr", "127.0.0.1:0", "-suspect-after", "5"}, 2, "flag provided but not defined: -suspect-after"},
-		{[]string{"-strict-routing", "-addr", "127.0.0.1:0"}, 1, "-strict-routing requires cluster mode (-node-id)"},
 		// Eviction drains down to -mem-low: a high watermark alone would
 		// evict every key.
 		{[]string{"-mem-high", "5000", "-addr", "127.0.0.1:0"}, 1, "-mem-high and -mem-low go together, 0 < -mem-low <= -mem-high"},

@@ -1,14 +1,19 @@
 package exaloglog_test
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -46,8 +51,9 @@ var publicCoreTypes = map[string]bool{
 // deadNameAllowed are the exported names kept although only a test calls
 // them, each with the check that needs it.
 var deadNameAllowed = map[string]string{
-	"exaloglog/similarity.Estimates.JaccardError": "the error bound of cmd/ell-paper's graded overlap-jaccard check (TestBeyondThePaperWithinThreeSigma)",
-	"exaloglog/internal/pcsa.Sketch.EstimateFM":   "the Flajolet–Martin baseline TestMLBetterThanFM holds EstimateML to",
+	"exaloglog/similarity.Estimates.JaccardError":        "the error bound of cmd/ell-paper's graded overlap-jaccard check (TestBeyondThePaperWithinThreeSigma)",
+	"exaloglog/internal/pcsa.Sketch.EstimateFM":          "the Flajolet–Martin baseline TestMLBetterThanFM holds the ML estimate to",
+	"exaloglog/internal/pcsa.Sketch.UnmarshalCompressed": "the decoder TestSerializationRoundTrip and TestWindowedSerializationRoundTrips check the compressed CPC form of Table 2 and Figure 11 with",
 }
 
 // TestNoDeadExportedNames: every exported function and method of a library
@@ -57,18 +63,134 @@ var deadNameAllowed = map[string]string{
 // references it; a test alone does not keep a name — code only its tests
 // run is dead, so delete it, or move a fixture into the tests. Methods of
 // the core types the root package re-exports (publicCoreTypes) are public
-// API and count a test too. A function counts as referenced by its package
-// and name (Name inside its package, pkg.Name outside it), a method by its
-// name after any dot. benchmark/ is only read.
+// API and count a test too. The module and benchmark/ are type-checked
+// from source (the standard library from its export data), so a reference
+// is to one declaration: a function is its package and name, a method its
+// package, receiver type and name. A method nothing names still serves
+// when it implements a used interface method: one of the same name and
+// signature. benchmark/ is only read.
 func TestNoDeadExportedNames(t *testing.T) {
-	type name struct{ pkg, ident string }
-	type method struct{ pkg, recv, ident, where string }
-	funcs := map[name]string{} // declared function -> where
-	var methods []method
-	// used and usedMethods hold what non-test code, Examples and
-	// benchmark/ reference; testMethods the method names tests call.
-	used, usedMethods, testMethods := map[name]bool{}, map[string]bool{}, map[string]bool{}
-	files := 0
+	fset := token.NewFileSet()
+	dirs, err := parseModule(fset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := &typeChecker{fset: fset, dirs: dirs, std: importer.ForCompiler(fset, "gc", nil), pkgs: map[string]*checked{}}
+
+	type decl struct{ key, sig, where string }
+	var declared []decl
+	// used holds the functions and methods that non-test code, Examples
+	// and benchmark/ reference, usedIface the signatures of the interface
+	// methods among them, testUsed what any test references.
+	used, usedIface, testUsed := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	use := func(obj types.Object) {
+		if key, sig, iface := funcKey(obj); key != "" {
+			used[key] = true
+			if iface {
+				usedIface[sig] = true
+			}
+		}
+	}
+	paths := make([]string, 0, len(dirs))
+	for p := range dirs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		if len(dirs[p].files) > 0 {
+			c, err := tc.load(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, obj := range c.info.Uses {
+				use(obj)
+			}
+			if !benchmarkDir(p) && !unfencedPackages[p] && c.pkg.Name() != "main" {
+				scope := c.pkg.Scope()
+				for _, n := range scope.Names() {
+					switch obj := scope.Lookup(n).(type) {
+					case *types.Func:
+						if obj.Exported() {
+							declared = append(declared, decl{p + "." + n, "", fset.Position(obj.Pos()).String()})
+						}
+					case *types.TypeName:
+						named, ok := obj.Type().(*types.Named)
+						if !ok || types.IsInterface(named) {
+							continue
+						}
+						for i := 0; i < named.NumMethods(); i++ {
+							if m := named.Method(i); m.Exported() && !stdInterfaceMethods[m.Name()] {
+								key, sig, _ := funcKey(m)
+								declared = append(declared, decl{key, sig, fset.Position(m.Pos()).String()})
+							}
+						}
+					}
+				}
+			}
+		}
+		tests, err := tc.checkTests(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range tests {
+			for id, obj := range c.info.Uses {
+				if key, _, _ := funcKey(obj); key != "" {
+					testUsed[key] = true
+				}
+				if benchmarkDir(p) || c.inExample(id.Pos()) {
+					use(obj)
+				}
+			}
+		}
+	}
+	if len(declared) == 0 || len(used) == 0 {
+		t.Fatal("found no exported function or method in a library package: the walk is not looking at this module")
+	}
+	var dead []string
+	allowed := map[string]bool{}
+	for _, d := range declared {
+		public := false
+		if rest, ok := strings.CutPrefix(d.key, "exaloglog/internal/core."); ok {
+			recv, _, isMethod := strings.Cut(rest, ".")
+			public = isMethod && publicCoreTypes[recv]
+		}
+		if used[d.key] || (d.sig != "" && usedIface[d.sig]) || (public && testUsed[d.key]) {
+			continue
+		}
+		if _, ok := deadNameAllowed[d.key]; ok {
+			allowed[d.key] = true
+			continue
+		}
+		dead = append(dead, d.where+": "+d.key)
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s is used by nothing but tests: delete it, or move it into the tests that use it", d)
+	}
+	for key := range deadNameAllowed {
+		if !allowed[key] {
+			t.Errorf("deadNameAllowed lists %s, which is no longer declared or is used outside tests: drop it from the list", key)
+		}
+	}
+}
+
+// srcDir is one directory's Go files for this platform, split the way go
+// test builds them: the package, its in-package tests, its external
+// (package x_test) tests.
+type srcDir struct {
+	files, tests, xtests []*ast.File
+}
+
+// benchmarkDir reports whether import path p is benchmark/ or below it.
+func benchmarkDir(p string) bool {
+	return p == "exaloglog/benchmark" || strings.HasPrefix(p, "exaloglog/benchmark/")
+}
+
+// parseModule parses every Go file of the module and of benchmark/ that
+// builds on this platform, by import path. benchmark/ is a module of its
+// own whose path, exaloglog/benchmark, is also its directory's.
+func parseModule(fset *token.FileSet) (map[string]*srcDir, error) {
+	dirs := map[string]*srcDir{}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -82,139 +204,172 @@ func TestNoDeadExportedNames(t *testing.T) {
 		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
-		fset := token.NewFileSet()
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); err != nil || !ok {
+			return err
+		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		files++
-		dir := path.Join("exaloglog", filepath.ToSlash(filepath.Dir(p)))
-		imports := map[string]string{} // local name -> import path
-		for _, imp := range f.Imports {
-			ip, _ := strconv.Unquote(imp.Path.Value)
-			local := path.Base(ip)
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = ip
+		ip := path.Join("exaloglog", filepath.ToSlash(filepath.Dir(p)))
+		sd := dirs[ip]
+		if sd == nil {
+			sd = &srcDir{}
+			dirs[ip] = sd
 		}
-		test := strings.HasSuffix(p, "_test.go")
-		benchmark := dir == "exaloglog/benchmark" || strings.HasPrefix(dir, "exaloglog/benchmark/")
-		fenced := !test && !benchmark && !unfencedPackages[dir] && f.Name.Name != "main"
-		declared := map[*ast.Ident]bool{}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fd.Name] = true
-			if !fenced || !fd.Name.IsExported() {
-				continue
-			}
-			where := fset.Position(fd.Pos()).String()
-			if fd.Recv == nil {
-				funcs[name{dir, fd.Name.Name}] = where
-			} else if !stdInterfaceMethods[fd.Name.Name] {
-				methods = append(methods, method{dir, receiverName(fd.Recv.List[0].Type), fd.Name.Name, where})
-			}
-		}
-		// record notes what root references. The name after a dot, a
-		// field's or parameter's name and a literal's field key are not
-		// references to a function of this package.
-		record := func(root ast.Node, funcs map[name]bool, methods map[string]bool) {
-			var visit func(ast.Node) bool
-			visit = func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					methods[n.Sel.Name] = true
-					if x, ok := n.X.(*ast.Ident); ok {
-						if ip, ok := imports[x.Name]; ok {
-							funcs[name{ip, n.Sel.Name}] = true
-						}
-					}
-					ast.Inspect(n.X, visit)
-					return false
-				case *ast.Field:
-					ast.Inspect(n.Type, visit)
-					return false
-				case *ast.KeyValueExpr:
-					if _, ok := n.Key.(*ast.Ident); ok {
-						ast.Inspect(n.Value, visit)
-						return false
-					}
-				case *ast.Ident:
-					if !declared[n] {
-						funcs[name{dir, n.Name}] = true
-					}
-				}
-				return true
-			}
-			ast.Inspect(root, visit)
-		}
-		if !test || benchmark {
-			record(f, used, usedMethods)
-			return nil
-		}
-		record(f, map[name]bool{}, testMethods)
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") {
-				record(fd, used, usedMethods)
-			}
+		switch {
+		case !strings.HasSuffix(p, "_test.go"):
+			sd.files = append(sd.files, f)
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			sd.xtests = append(sd.xtests, f)
+		default:
+			sd.tests = append(sd.tests, f)
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files == 0 || len(funcs) == 0 || len(methods) == 0 {
-		t.Fatal("found no exported function or method in a library package: the walk is not looking at this module")
-	}
-	var dead []string
-	allowed := map[string]bool{}
-	report := func(key, where, kind string) {
-		if _, ok := deadNameAllowed[key]; ok {
-			allowed[key] = true
-			return
-		}
-		dead = append(dead, where+": "+kind+" "+key)
-	}
-	for n, where := range funcs {
-		if !used[n] {
-			report(n.pkg+"."+n.ident, where, "func")
-		}
-	}
-	for _, m := range methods {
-		public := m.pkg == "exaloglog/internal/core" && publicCoreTypes[m.recv]
-		if !usedMethods[m.ident] && !(public && testMethods[m.ident]) {
-			report(m.pkg+"."+m.recv+"."+m.ident, m.where, "method")
-		}
-	}
-	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("%s is used by nothing but tests: delete it, or move it into the tests that use it", d)
-	}
-	for key := range deadNameAllowed {
-		if !allowed[key] {
-			t.Errorf("deadNameAllowed lists %s, which is no longer declared or is used outside tests: drop it from the list", key)
-		}
-	}
+	return dirs, err
 }
 
-// receiverName is the type name of a method's receiver, without its
-// pointer star or type parameters.
-func receiverName(x ast.Expr) string {
-	for {
-		switch e := x.(type) {
-		case *ast.StarExpr:
-			x = e.X
-		case *ast.IndexExpr:
-			x = e.X
-		case *ast.IndexListExpr:
-			x = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return ""
+// checked is one type-checked package and what its identifiers refer to.
+// examples are the extents of its test files' Example functions.
+type checked struct {
+	pkg      *types.Package
+	info     *types.Info
+	examples [][2]token.Pos
+}
+
+func (c *checked) inExample(pos token.Pos) bool {
+	for _, e := range c.examples {
+		if e[0] <= pos && pos < e[1] {
+			return true
 		}
 	}
+	return false
+}
+
+// typeChecker checks the module's packages from source in import order,
+// each once, and imports the standard library's from std.
+type typeChecker struct {
+	fset *token.FileSet
+	dirs map[string]*srcDir
+	std  types.Importer
+	pkgs map[string]*checked
+}
+
+func (tc *typeChecker) Import(p string) (*types.Package, error) {
+	if _, ok := tc.dirs[p]; !ok {
+		return tc.std.Import(p)
+	}
+	c, err := tc.load(p)
+	if err != nil {
+		return nil, err
+	}
+	return c.pkg, nil
+}
+
+// load returns package p without its tests.
+func (tc *typeChecker) load(p string) (*checked, error) {
+	if c, ok := tc.pkgs[p]; ok {
+		return c, nil
+	}
+	c, err := tc.check(p, tc.dirs[p].files, tc)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", p, err)
+	}
+	tc.pkgs[p] = c
+	return c, nil
+}
+
+// checkTests returns package p with its in-package tests, and p's
+// external test package, which imports the former as p.
+func (tc *typeChecker) checkTests(p string) ([]*checked, error) {
+	d := tc.dirs[p]
+	var out []*checked
+	imp := types.Importer(tc)
+	if len(d.tests) > 0 {
+		c, err := tc.check(p, slices.Concat(d.files, d.tests), tc)
+		if err != nil {
+			return nil, fmt.Errorf("%s with its tests: %w", p, err)
+		}
+		out = append(out, c)
+		imp = importerFunc(func(path string) (*types.Package, error) {
+			if path == p {
+				return c.pkg, nil
+			}
+			return tc.Import(path)
+		})
+	}
+	if len(d.xtests) > 0 {
+		c, err := tc.check(p+"_test", d.xtests, imp)
+		if err != nil {
+			return nil, fmt.Errorf("%s_test: %w", p, err)
+		}
+		out = append(out, c)
+	}
+	var examples [][2]token.Pos
+	for _, f := range slices.Concat(d.tests, d.xtests) {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") {
+				examples = append(examples, [2]token.Pos{fd.Pos(), fd.End()})
+			}
+		}
+	}
+	for _, c := range out {
+		c.examples = examples
+	}
+	return out, nil
+}
+
+func (tc *typeChecker) check(p string, files []*ast.File, imp types.Importer) (*checked, error) {
+	var errs []error
+	conf := types.Config{Importer: imp, Error: func(err error) { errs = append(errs, err) }}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	pkg, _ := conf.Check(p, tc.fset, files, info)
+	if len(errs) > 0 {
+		return nil, errors.Join(errs...)
+	}
+	return &checked{pkg: pkg, info: info}, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// funcKey names the function or method obj refers to — "pkg.Name" or
+// "pkg.Recv.Name" — with sig, its name and signature, the way an
+// interface method and the concrete methods implementing it share them.
+// iface reports an interface method. key is "" when obj is neither.
+func funcKey(obj types.Object) (key, sig string, iface bool) {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return "", "", false
+	}
+	fn = fn.Origin()
+	s := fn.Type().(*types.Signature)
+	qualify := func(p *types.Package) string { return p.Path() }
+	var b strings.Builder
+	b.WriteString(fn.Name())
+	for _, tuple := range []*types.Tuple{s.Params(), s.Results()} {
+		b.WriteString("(")
+		for i := 0; i < tuple.Len(); i++ {
+			b.WriteString(types.TypeString(tuple.At(i).Type(), qualify) + ",")
+		}
+		b.WriteString(")")
+	}
+	if s.Variadic() {
+		b.WriteString("...")
+	}
+	key = fn.Pkg().Path() + "." + fn.Name()
+	recv := s.Recv()
+	if recv == nil {
+		return key, "", false
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		key = fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
+	}
+	return key, b.String(), types.IsInterface(t)
 }

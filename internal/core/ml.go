@@ -257,30 +257,25 @@ func (s *Sketch) Estimate() float64 {
 	return s.EstimateML()
 }
 
-// biasMemo caches BiasCorrectionConstant per (t, d) as float64 bits, 0
-// meaning not computed yet (the constant is strictly positive). Evaluating
-// the Hurwitz zeta function costs ~100x the rest of an estimate, and a
-// store holds many sketches of one configuration.
+// biasMemo caches biasConstant per (t, d) as float64 bits, 0 meaning not
+// computed yet (the constant is strictly positive). Evaluating the Hurwitz
+// zeta function costs ~100x the rest of an estimate, and a store holds
+// many sketches of one configuration.
 var biasMemo [MaxT + 1][MaxD + 1]atomic.Uint64
 
+// biasConstant returns the constant c of the first-order ML bias
+// correction (4) for parameters (t, d), with b = 2^(2^-t). The corrected
+// estimate is n̂_ML / (1 + c/m).
 func biasConstant(t, d int) float64 {
 	slot := &biasMemo[t][d]
-	if b := slot.Load(); b != 0 {
-		return math.Float64frombits(b)
+	if c := slot.Load(); c != 0 {
+		return math.Float64frombits(c)
 	}
-	c := BiasCorrectionConstant(t, d)
-	slot.Store(math.Float64bits(c))
-	return c
-}
-
-// BiasCorrectionConstant returns the constant c of the first-order ML bias
-// correction (4) for parameters (t, d), with b = 2^(2^-t). The corrected
-// estimate is n̂_ML / (1 + c/m). Exposed for the hardcoded fast-path
-// variants and estimator tooling.
-func BiasCorrectionConstant(t, d int) float64 {
 	b := math.Exp2(math.Exp2(-float64(t)))
 	y := math.Pow(b, -float64(d)) / (b - 1)
 	z2 := zeta.Hurwitz(2, 1+y)
 	z3 := zeta.Hurwitz(3, 1+y)
-	return math.Log(b) * (1 + 2*y) * z3 / (z2 * z2)
+	c := math.Log(b) * (1 + 2*y) * z3 / (z2 * z2)
+	slot.Store(math.Float64bits(c))
+	return c
 }

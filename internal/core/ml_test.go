@@ -255,7 +255,7 @@ func TestMLCoefficientsAlphaEqualsMu(t *testing.T) {
 func TestBiasCorrectionConstantPositive(t *testing.T) {
 	for _, tt := range []int{0, 1, 2} {
 		for _, d := range []int{0, 2, 9, 16, 20, 24} {
-			c := BiasCorrectionConstant(tt, d)
+			c := biasConstant(tt, d)
 			if c <= 0 || c > 10 {
 				t.Errorf("c(t=%d, d=%d) = %.4f out of plausible range", tt, d, c)
 			}

@@ -73,9 +73,6 @@ func RecommendedMartingale(p int) Config { return Config{T: 2, D: 16, P: p} }
 // Config returns the sketch parameters.
 func (s *Sketch) Config() Config { return s.cfg }
 
-// NumRegisters returns m = 2^p.
-func (s *Sketch) NumRegisters() int { return s.cfg.NumRegisters() }
-
 // Register returns the raw value of register i (for tests and tooling).
 func (s *Sketch) Register(i int) uint64 { return s.regs.Get(i) }
 

@@ -70,9 +70,6 @@ func NewTokenSet(v int) (*TokenSet, error) {
 	return &TokenSet{v: v, tokens: make(map[uint64]struct{})}, nil
 }
 
-// V returns the token parameter.
-func (ts *TokenSet) V() int { return ts.v }
-
 // Len returns the number of distinct tokens collected.
 func (ts *TokenSet) Len() int { return len(ts.tokens) }
 

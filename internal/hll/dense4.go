@@ -40,9 +40,6 @@ func NewDense4(p int) (*Dense4, error) {
 	}, nil
 }
 
-// Precision returns p.
-func (s *Dense4) Precision() int { return s.p }
-
 // NumRegisters returns 2^p.
 func (s *Dense4) NumRegisters() int { return 1 << uint(s.p) }
 
@@ -165,14 +162,6 @@ func (s *Dense4) histogram() []int32 {
 
 // Estimate returns the corrected original estimator.
 func (s *Dense4) Estimate() float64 { return estimateRaw(s.histogram(), s.p) }
-
-// EstimateML returns the Ertl-style maximum-likelihood estimate.
-func (s *Dense4) EstimateML() float64 { return estimateML(s.histogram(), s.p) }
-
-// SizeBytes returns the nibble array plus the exception entries.
-func (s *Dense4) SizeBytes() int {
-	return len(s.nibbles) + 5*len(s.exceptions) // 4-byte key + 1-byte value
-}
 
 // MemoryFootprint approximates total allocated bytes, including map
 // overhead (~48 bytes per bucket-eight entries plus header).

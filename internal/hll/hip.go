@@ -28,9 +28,6 @@ func NewHIP(p int) (*HIP, error) {
 	return &HIP{s: s, mu: 1}, nil
 }
 
-// Precision returns p.
-func (h *HIP) Precision() int { return h.s.Precision() }
-
 // AddHash inserts an element by its 64-bit hash, updating the estimate
 // whenever the state changes.
 func (h *HIP) AddHash(hash uint64) {
@@ -48,10 +45,6 @@ func (h *HIP) AddHash(hash uint64) {
 // Estimate returns the running HIP estimate.
 func (h *HIP) Estimate() float64 { return h.estimate }
 
-// EstimateML returns the ML estimate of the underlying registers (valid
-// even after merging the underlying sketch elsewhere).
-func (h *HIP) EstimateML() float64 { return h.s.EstimateML() }
-
 // Sketch exposes the underlying register sketch (for merging into
 // ML-estimated aggregates; doing so invalidates no state here, but the
 // HIP estimate of course only covers this stream).
@@ -59,9 +52,6 @@ func (h *HIP) Sketch() *Dense8 { return h.s }
 
 // MemoryFootprint approximates total allocated bytes.
 func (h *HIP) MemoryFootprint() int { return h.s.MemoryFootprint() + 16 }
-
-// StateChangeProbability returns the current μ.
-func (h *HIP) StateChangeProbability() float64 { return h.mu }
 
 // Merge is rejected: HIP estimation is single-stream by construction.
 func (h *HIP) Merge(*HIP) error {

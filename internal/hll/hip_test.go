@@ -10,15 +10,15 @@ func TestHIPBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Estimate() != 0 || h.StateChangeProbability() != 1 {
+	if h.Estimate() != 0 || h.mu != 1 {
 		t.Fatal("fresh HIP sketch not pristine")
 	}
 	h.AddHash(12345)
 	if got := h.Estimate(); got != 1 {
 		t.Errorf("estimate after first insert = %g, want exactly 1", got)
 	}
-	if h.Precision() != 10 {
-		t.Errorf("precision %d", h.Precision())
+	if h.s.p != 10 {
+		t.Errorf("precision %d", h.s.p)
 	}
 	if _, err := NewHIP(1); err == nil {
 		t.Error("accepted p=1")
@@ -39,8 +39,8 @@ func TestHIPAccuracy(t *testing.T) {
 		t.Errorf("HIP estimate %.0f (rel err %.3f)", h.Estimate(), relErr)
 	}
 	// ML on the same registers must also work.
-	if relErr := math.Abs(h.EstimateML()-n) / n; relErr > 0.15 {
-		t.Errorf("ML estimate %.0f", h.EstimateML())
+	if relErr := math.Abs(estimateML(h.s.histogram(), h.s.p)-n) / n; relErr > 0.15 {
+		t.Errorf("ML estimate %.0f", estimateML(h.s.histogram(), h.s.p))
 	}
 }
 

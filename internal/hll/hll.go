@@ -59,9 +59,6 @@ func NewDense6(p int) (*Dense6, error) {
 	return &Dense6{p: p, regs: bitpack.New(1<<uint(p), 6)}, nil
 }
 
-// Precision returns p.
-func (s *Dense6) Precision() int { return s.p }
-
 // NumRegisters returns 2^p.
 func (s *Dense6) NumRegisters() int { return 1 << uint(s.p) }
 
@@ -72,9 +69,6 @@ func (s *Dense6) AddHash(h uint64) {
 		s.regs.Set(idx, uint64(k))
 	}
 }
-
-// Register returns register i.
-func (s *Dense6) Register(i int) uint8 { return uint8(s.regs.Get(i)) }
 
 // Merge folds other into s (register-wise maximum).
 func (s *Dense6) Merge(other *Dense6) error {
@@ -154,12 +148,6 @@ func NewDense8(p int) (*Dense8, error) {
 	return &Dense8{p: p, regs: make([]uint8, 1<<uint(p))}, nil
 }
 
-// Precision returns p.
-func (s *Dense8) Precision() int { return s.p }
-
-// NumRegisters returns 2^p.
-func (s *Dense8) NumRegisters() int { return len(s.regs) }
-
 // AddHash inserts an element by its 64-bit hash.
 func (s *Dense8) AddHash(h uint64) {
 	idx, k := splitHash(h, s.p)
@@ -167,9 +155,6 @@ func (s *Dense8) AddHash(h uint64) {
 		s.regs[idx] = k
 	}
 }
-
-// Register returns register i.
-func (s *Dense8) Register(i int) uint8 { return s.regs[i] }
 
 // Merge folds other into s.
 func (s *Dense8) Merge(other *Dense8) error {
@@ -189,11 +174,6 @@ func (s *Dense8) Estimate() float64 {
 	return estimateRaw(s.histogram(), s.p)
 }
 
-// EstimateML returns the Ertl-style maximum-likelihood estimate.
-func (s *Dense8) EstimateML() float64 {
-	return estimateML(s.histogram(), s.p)
-}
-
 func (s *Dense8) histogram() []int32 {
 	histo := make([]int32, 66-s.p)
 	for _, r := range s.regs {
@@ -201,9 +181,6 @@ func (s *Dense8) histogram() []int32 {
 	}
 	return histo
 }
-
-// SizeBytes returns m bytes.
-func (s *Dense8) SizeBytes() int { return len(s.regs) }
 
 // MemoryFootprint approximates total allocated bytes.
 func (s *Dense8) MemoryFootprint() int { return len(s.regs) + 48 }

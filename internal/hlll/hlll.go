@@ -76,9 +76,6 @@ func rebaseThreshold(m int) int {
 	return t
 }
 
-// Precision returns p.
-func (s *Sketch) Precision() int { return s.p }
-
 // NumRegisters returns 2^p.
 func (s *Sketch) NumRegisters() int { return 1 << uint(s.p) }
 
@@ -185,11 +182,6 @@ func (s *Sketch) Estimate() float64 {
 		histo[s.Register(i)]++
 	}
 	return hll.EstimateRawHistogram(histo, s.p)
-}
-
-// SizeBytes returns the compressed register array plus exception entries.
-func (s *Sketch) SizeBytes() int {
-	return s.regs.SizeBytes() + 5*len(s.exc)
 }
 
 // MemoryFootprint approximates total allocated bytes including the

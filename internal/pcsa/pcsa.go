@@ -52,12 +52,6 @@ func New(p int) (*Sketch, error) {
 	return &Sketch{p: p, maps: make([]uint64, 1<<uint(p))}, nil
 }
 
-// Precision returns p.
-func (s *Sketch) Precision() int { return s.p }
-
-// NumRegisters returns 2^p.
-func (s *Sketch) NumRegisters() int { return len(s.maps) }
-
 // AddHash inserts an element by its 64-bit hash. Like HLL's Algorithm 1,
 // the top p bits select a register and the update value is the number of
 // leading zeros of the remaining bits plus one.
@@ -68,24 +62,10 @@ func (s *Sketch) AddHash(h uint64) {
 	s.maps[idx] |= uint64(1) << uint(k-1)
 }
 
-// Bitmap returns the raw bitmap of register i.
-func (s *Sketch) Bitmap(i int) uint64 { return s.maps[i] }
-
-// Merge folds other into s (bitwise OR of the bitmaps).
-func (s *Sketch) Merge(other *Sketch) error {
-	if s.p != other.p {
-		return fmt.Errorf("pcsa: cannot merge p=%d with p=%d", s.p, other.p)
-	}
-	for i, b := range other.maps {
-		s.maps[i] |= b
-	}
-	return nil
-}
-
 // EstimateFM returns the classic Flajolet-Martin estimate
 // m/φ · 2^(ΣR_i/m), where R_i is the position of the lowest unset bit of
-// register i. It is retained for historical comparison; EstimateML is
-// uniformly better.
+// register i. It is retained for historical comparison; the ML estimate
+// (Windowed.EstimateML) is uniformly better.
 func (s *Sketch) EstimateFM() float64 {
 	sum := 0.0
 	for _, b := range s.maps {
@@ -95,16 +75,10 @@ func (s *Sketch) EstimateFM() float64 {
 	return m / fmPhi * math.Exp2(sum/m)
 }
 
-// EstimateML returns the maximum-likelihood estimate computed through the
-// unified likelihood shape (15) of the ExaLogLog paper: every bitmap bit k
-// contributes β_φ(k) when set and α mass 2^-φ(k) when unset, with
-// φ(k) = min(k, 64-p).
-func (s *Sketch) EstimateML() float64 {
-	return estimateBitmapsML(s.p, len(s.maps), func(i int) uint64 { return s.maps[i] })
-}
-
-// estimateBitmapsML is the shared ML estimator over per-register first-hit
-// bitmaps, used by both the raw and the windowed representation.
+// estimateBitmapsML is the maximum-likelihood estimate over per-register
+// first-hit bitmaps, computed through the unified likelihood shape (15) of
+// the ExaLogLog paper: every bitmap bit k contributes β_φ(k) when set and
+// α mass 2^-φ(k) when unset, with φ(k) = min(k, 64-p).
 func estimateBitmapsML(p, m int, bitmap func(int) uint64) float64 {
 	cap64 := 64 - p
 	kmax := 65 - p

@@ -15,6 +15,12 @@ func fill(s *Sketch, n int, seed int64) {
 	}
 }
 
+// estimateML is the ML estimate of a plain sketch's bitmaps, the one
+// Windowed.EstimateML gives.
+func estimateML(s *Sketch) float64 {
+	return estimateBitmapsML(s.p, len(s.maps), func(i int) uint64 { return s.maps[i] })
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(1); err == nil {
 		t.Error("accepted p=1")
@@ -26,8 +32,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumRegisters() != 256 || s.SizeBytes() != 2048 {
-		t.Errorf("m=%d size=%d", s.NumRegisters(), s.SizeBytes())
+	if len(s.maps) != 256 || s.SizeBytes() != 2048 {
+		t.Errorf("m=%d size=%d", len(s.maps), s.SizeBytes())
 	}
 }
 
@@ -37,17 +43,20 @@ func TestAddSetsExpectedBit(t *testing.T) {
 	// nlz(masked) = 4 → k = 1 → bit 0.
 	h := uint64(0x5)<<60 | uint64(1)<<59
 	s.AddHash(h)
-	if s.Bitmap(5) != 1 {
-		t.Errorf("bitmap(5) = %b, want 1", s.Bitmap(5))
+	if s.maps[5] != 1 {
+		t.Errorf("bitmap(5) = %b, want 1", s.maps[5])
 	}
 	// Same register, two levels deeper: k = 3 → bit 2.
 	h = uint64(0x5)<<60 | uint64(1)<<57
 	s.AddHash(h)
-	if s.Bitmap(5) != 0b101 {
-		t.Errorf("bitmap(5) = %b, want 101", s.Bitmap(5))
+	if s.maps[5] != 0b101 {
+		t.Errorf("bitmap(5) = %b, want 101", s.maps[5])
 	}
 }
 
+// TestIdempotentCommutativeMerge: repeated and reordered inserts give the
+// same bitmaps. Windowed.Merge, the union the comparison runs, is
+// TestWindowedMergeEqualsUnified.
 func TestIdempotentCommutativeMerge(t *testing.T) {
 	r := rng(3)
 	hashes := make([]uint64, 1000)
@@ -64,34 +73,10 @@ func TestIdempotentCommutativeMerge(t *testing.T) {
 	for _, h := range hashes {
 		b.AddHash(h)
 	}
-	for i := 0; i < a.NumRegisters(); i++ {
-		if a.Bitmap(i) != b.Bitmap(i) {
+	for i := 0; i < len(a.maps); i++ {
+		if a.maps[i] != b.maps[i] {
 			t.Fatalf("register %d differs", i)
 		}
-	}
-	// Merge equals unified stream.
-	c, _ := New(6)
-	u, _ := New(6)
-	for _, h := range hashes[:500] {
-		c.AddHash(h)
-		u.AddHash(h)
-	}
-	d, _ := New(6)
-	for _, h := range hashes[500:] {
-		d.AddHash(h)
-		u.AddHash(h)
-	}
-	if err := c.Merge(d); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < c.NumRegisters(); i++ {
-		if c.Bitmap(i) != u.Bitmap(i) {
-			t.Fatalf("merged register %d differs from unified", i)
-		}
-	}
-	e, _ := New(7)
-	if err := c.Merge(e); err == nil {
-		t.Error("merge accepted different p")
 	}
 }
 
@@ -101,7 +86,7 @@ func TestEstimateAccuracy(t *testing.T) {
 	for _, n := range []int{500, 5000, 100000} {
 		s, _ := New(8)
 		fill(s, n, int64(n))
-		ml := s.EstimateML()
+		ml := estimateML(s)
 		if relErr := math.Abs(ml-float64(n)) / float64(n); relErr > 0.12 {
 			t.Errorf("n=%d: ML estimate %.1f (rel err %.3f)", n, ml, relErr)
 		}
@@ -118,7 +103,7 @@ func TestEstimateAccuracy(t *testing.T) {
 
 func TestEstimateEmpty(t *testing.T) {
 	s, _ := New(6)
-	if got := s.EstimateML(); got != 0 {
+	if got := estimateML(s); got != 0 {
 		t.Errorf("empty ML estimate = %g, want 0", got)
 	}
 }
@@ -142,11 +127,11 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if err := r2.UnmarshalCompressed(comp); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < s.NumRegisters(); i++ {
-		if r1.Bitmap(i) != s.Bitmap(i) {
+	for i := 0; i < len(s.maps); i++ {
+		if r1.maps[i] != s.maps[i] {
 			t.Fatalf("raw round trip lost register %d", i)
 		}
-		if r2.Bitmap(i) != s.Bitmap(i) {
+		if r2.maps[i] != s.maps[i] {
 			t.Fatalf("compressed round trip lost register %d", i)
 		}
 	}
@@ -190,7 +175,7 @@ func TestMLBetterThanFM(t *testing.T) {
 		s, _ := New(6)
 		fill(s, n, int64(run)*911+3)
 		ef := s.EstimateFM()/n - 1
-		em := s.EstimateML()/n - 1
+		em := estimateML(s)/n - 1
 		seFM += ef * ef
 		seML += em * em
 	}

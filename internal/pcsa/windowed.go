@@ -46,12 +46,6 @@ func NewWindowed(p int) (*Windowed, error) {
 	}, nil
 }
 
-// Precision returns p.
-func (s *Windowed) Precision() int { return s.p }
-
-// NumRegisters returns 2^p.
-func (s *Windowed) NumRegisters() int { return len(s.win) }
-
 // Bitmap reconstructs the full 64-bit first-hit bitmap of register i.
 func (s *Windowed) Bitmap(i int) uint64 {
 	if b, ok := s.exc[i]; ok {
@@ -155,8 +149,8 @@ func (s *Windowed) Merge(other *Windowed) error {
 	return nil
 }
 
-// EstimateML returns the unified maximum-likelihood estimate (identical to
-// Sketch.EstimateML on the reconstructed bitmaps).
+// EstimateML returns the unified maximum-likelihood estimate
+// (estimateBitmapsML over the reconstructed bitmaps).
 func (s *Windowed) EstimateML() float64 {
 	return estimateBitmapsML(s.p, len(s.win), s.Bitmap)
 }
@@ -167,9 +161,6 @@ func (s *Windowed) MemoryFootprint() int {
 	return 2*len(s.win) + 48 + 24*len(s.exc) + 64
 }
 
-// SizeBytes returns the windowed representation's payload size.
-func (s *Windowed) SizeBytes() int { return 2*len(s.win) + 9*len(s.exc) + 2 }
-
 // MarshalCompressed serializes the sketch with the entropy coder — the
 // expensive, small CPC-like serialization path.
 func (s *Windowed) MarshalCompressed() ([]byte, error) {
@@ -178,25 +169,6 @@ func (s *Windowed) MarshalCompressed() ([]byte, error) {
 		return nil, err
 	}
 	return raw.MarshalCompressed()
-}
-
-// UnmarshalCompressed restores a sketch serialized by MarshalCompressed.
-func (s *Windowed) UnmarshalCompressed(data []byte) error {
-	var raw Sketch
-	if err := raw.UnmarshalCompressed(data); err != nil {
-		return err
-	}
-	w, err := NewWindowed(raw.Precision())
-	if err != nil {
-		return err
-	}
-	for i := 0; i < raw.NumRegisters(); i++ {
-		if b := raw.Bitmap(i); b != 0 {
-			w.setBitmap(i, b)
-		}
-	}
-	*s = *w
-	return nil
 }
 
 // MarshalBinary serializes the windowed form directly (fast path).

@@ -19,10 +19,10 @@ func TestWindowedMatchesRaw(t *testing.T) {
 		w.AddHash(h)
 		raw.AddHash(h)
 		if i%29989 == 0 {
-			for j := 0; j < raw.NumRegisters(); j++ {
-				if w.Bitmap(j) != raw.Bitmap(j) {
+			for j := 0; j < len(raw.maps); j++ {
+				if w.Bitmap(j) != raw.maps[j] {
 					t.Fatalf("after %d inserts, register %d: windowed %#x raw %#x (offset=%d)",
-						i+1, j, w.Bitmap(j), raw.Bitmap(j), w.offset)
+						i+1, j, w.Bitmap(j), raw.maps[j], w.offset)
 				}
 			}
 		}
@@ -31,7 +31,7 @@ func TestWindowedMatchesRaw(t *testing.T) {
 		t.Error("offset never advanced at n >> m")
 	}
 	// Estimates must agree exactly (same bitmaps, same estimator).
-	if w.EstimateML() != raw.EstimateML() {
+	if w.EstimateML() != estimateML(raw) {
 		t.Error("windowed and raw ML estimates differ")
 	}
 }
@@ -51,8 +51,8 @@ func TestWindowedCompact(t *testing.T) {
 	if w.MemoryFootprint()*2 > raw.MemoryFootprint() {
 		t.Errorf("windowed footprint %d not well below raw %d", w.MemoryFootprint(), raw.MemoryFootprint())
 	}
-	if len(w.exc) > w.NumRegisters()/16 {
-		t.Errorf("too many exceptions: %d of %d registers", len(w.exc), w.NumRegisters())
+	if len(w.exc) > len(w.win)/16 {
+		t.Errorf("too many exceptions: %d of %d registers", len(w.exc), len(w.win))
 	}
 }
 
@@ -74,7 +74,7 @@ func TestWindowedMergeEqualsUnified(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < a.NumRegisters(); i++ {
+	for i := 0; i < len(a.win); i++ {
 		if a.Bitmap(i) != u.Bitmap(i) {
 			t.Fatalf("register %d: merged %#x, unified %#x", i, a.Bitmap(i), u.Bitmap(i))
 		}
@@ -119,23 +119,23 @@ func TestWindowedSerializationRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w3 Windowed
+	var w3 Sketch
 	if err := w3.UnmarshalCompressed(comp); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < w.NumRegisters(); i++ {
+	for i := 0; i < len(w.win); i++ {
 		if w2.Bitmap(i) != w.Bitmap(i) {
 			t.Fatalf("fast round trip lost register %d", i)
 		}
-		if w3.Bitmap(i) != w.Bitmap(i) {
+		if w3.maps[i] != w.Bitmap(i) {
 			t.Fatalf("compressed round trip lost register %d", i)
 		}
 	}
 	// Compressed must be much smaller than the raw bitmaps (the p=6
 	// sketch has little data for the adaptive coder to train on, so the
 	// reduction is smaller than the 4x seen at p=10 in pcsa_test.go).
-	if len(comp)*2 > 8*w.NumRegisters() {
-		t.Errorf("compressed %d bytes vs %d raw", len(comp), 8*w.NumRegisters())
+	if len(comp)*2 > 8*len(w.win) {
+		t.Errorf("compressed %d bytes vs %d raw", len(comp), 8*len(w.win))
 	}
 	if err := new(Windowed).UnmarshalBinary([]byte{6}); err == nil {
 		t.Error("accepted truncated data")

@@ -26,7 +26,7 @@ var ErrWrongType = errors.New("WRONGTYPE key holds a value of another type")
 // healthy and stays usable. Its absence on a non-nil error means the
 // failure was transport-grade (dial, read, write, malformed stream) and
 // the connection state is unknown. Unwrap preserves errors.Is tests for
-// ErrNoSuchKey / ErrWrongType and errors.As for *MovedError.
+// ErrNoSuchKey / ErrWrongType.
 type ReplyError struct {
 	Err error
 }
@@ -41,55 +41,6 @@ func (e *ReplyError) Unwrap() error { return e.Err }
 func IsReplyErr(err error) bool {
 	var re *ReplyError
 	return errors.As(err, &re)
-}
-
-// MovedError is the parsed form of a "-MOVED e=<epoch> <id>=<addr>"
-// redirect reply: the contacted node runs strict routing and does not
-// own the addressed key under its map (tagged with that map's epoch).
-// The primary owner's id and address are carried so a smart client can
-// retry there directly; the epoch lets it ignore redirects older than
-// the map it already holds.
-type MovedError struct {
-	Epoch  uint64
-	NodeID string
-	Addr   string
-}
-
-func (e *MovedError) Error() string {
-	return fmt.Sprintf("MOVED e=%d %s=%s", e.Epoch, e.NodeID, e.Addr)
-}
-
-// AsMoved extracts a MovedError from err (typically nested inside a
-// ReplyError) if one is present.
-func AsMoved(err error) (*MovedError, bool) {
-	var m *MovedError
-	if errors.As(err, &m) {
-		return m, true
-	}
-	return nil, false
-}
-
-// parseMoved parses the payload after "-MOVED " — "e=<epoch>
-// <id>=<addr>". ok is false when the payload doesn't match, in which
-// case the reply falls through to a generic error.
-func parseMoved(rest string) (*MovedError, bool) {
-	epochTok, ownerTok, ok := strings.Cut(rest, " ")
-	if !ok || strings.Contains(ownerTok, " ") {
-		return nil, false
-	}
-	es, ok := strings.CutPrefix(epochTok, "e=")
-	if !ok {
-		return nil, false
-	}
-	epoch, err := strconv.ParseUint(es, 10, 64)
-	if err != nil {
-		return nil, false
-	}
-	id, addr, ok := strings.Cut(ownerTok, "=")
-	if !ok || id == "" || addr == "" {
-		return nil, false
-	}
-	return &MovedError{Epoch: epoch, NodeID: id, Addr: addr}, true
 }
 
 // Client is a minimal client for the sketch server protocol. It is safe
@@ -208,11 +159,6 @@ func parseReply(line string) (string, error) {
 	case '+', ':', '=':
 		return line[1:], nil
 	case '-':
-		if rest, ok := strings.CutPrefix(line[1:], "MOVED "); ok {
-			if mv, ok := parseMoved(rest); ok {
-				return "", &ReplyError{Err: mv}
-			}
-		}
 		msg := strings.TrimPrefix(line[1:], "ERR ")
 		if msg == ErrNoSuchKey.Error() {
 			return "", &ReplyError{Err: fmt.Errorf("server: %w", ErrNoSuchKey)}

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"exaloglog/internal/core"
 )
 
 // TestClientRejectsBadTokens: an element containing whitespace would be
@@ -188,5 +190,93 @@ func TestErrNoSuchKeySentinel(t *testing.T) {
 	_, err := c.Dump("nope")
 	if !errors.Is(err, ErrNoSuchKey) {
 		t.Fatalf("Dump error %v does not wrap ErrNoSuchKey", err)
+	}
+}
+
+func TestReplyErrClassification(t *testing.T) {
+	cases := []struct {
+		line  string
+		reply bool
+	}{
+		{"-ERR no such key\n", true},
+		{"-ERR totally novel failure\n", true},
+		{"-ERR count \"k\": WRONGTYPE key holds a value of another type\n", true},
+		{"-MOVED e=1 n1=127.0.0.1:1\n", true}, // an unknown error reply is still a reply
+		{"bogus\n", false},                    // malformed stream: transport-grade
+		{"\n", false},                         // empty reply: transport-grade
+	}
+	for _, tc := range cases {
+		_, err := parseReply(tc.line)
+		if err == nil {
+			t.Fatalf("%q parsed without error", tc.line)
+		}
+		if got := IsReplyErr(err); got != tc.reply {
+			t.Errorf("IsReplyErr(%q) = %v, want %v", tc.line, got, tc.reply)
+		}
+	}
+	// The sentinel mappings must survive the ReplyError wrapper.
+	_, err := parseReply("-ERR no such key\n")
+	if !errors.Is(err, ErrNoSuchKey) {
+		t.Error("ErrNoSuchKey lost through ReplyError")
+	}
+	_, err = parseReply("-ERR count \"k\": WRONGTYPE key holds a value of another type\n")
+	if !errors.Is(err, ErrWrongType) {
+		t.Error("ErrWrongType lost through ReplyError")
+	}
+}
+
+// TestPipelineErrInterleaved proves the one-reply-one-line rule for error
+// replies: an -ERR interleaved between successful replies occupies
+// exactly one reply slot, so the pipeline stays in sync and neighbors
+// are unaffected.
+func TestPipelineErrInterleaved(t *testing.T) {
+	store, err := NewStore(core.RecommendedML(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store)
+	srv.Handle("REFUSE", 0, -1, "", func(reply []byte, _ [][]byte) []byte {
+		return append(reply, "-ERR refused by the test"...)
+	})
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	pl := c.Pipeline()
+	pl.PFAdd("k1", "a")
+	pl.Do("REFUSE", "k2")
+	pl.PFAdd("k3", "b")
+	pl.Do("REFUSE", "k4")
+	pl.PFCount("k1")
+	results, err := pl.Exec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 5 {
+		t.Fatalf("got %d results, want 5", len(results))
+	}
+	if results[0].Err != nil || results[0].Value != "1" {
+		t.Errorf("reply 0 = %+v, want PFADD success", results[0])
+	}
+	for _, i := range []int{1, 3} {
+		if err := results[i].Err; err == nil || err.Error() != "refused by the test" || !IsReplyErr(err) {
+			t.Errorf("reply %d = %+v, want the reply error \"refused by the test\"", i, results[i])
+		}
+	}
+	if results[2].Err != nil || results[2].Value != "1" {
+		t.Errorf("reply 2 = %+v, want PFADD success", results[2])
+	}
+	if results[4].Err != nil || results[4].Value != "1" {
+		t.Errorf("reply 4 = %+v, want count 1", results[4])
+	}
+	// The connection is still healthy after the interleaved errors.
+	if err := c.Ping(); err != nil {
+		t.Fatalf("connection desynced after interleaved -ERR: %v", err)
 	}
 }

@@ -31,10 +31,6 @@ type Keyspace interface {
 	Deadline(key string) (deadlineMillis int64, ok bool, err error)
 	Persist(key string) (removed bool, err error)
 	AllKeys() ([]string, error)
-	// Moved returns the reply that sends a client elsewhere for a
-	// single-key verb on key — a cluster node's -MOVED under strict
-	// routing — and whether there is one.
-	Moved(key []byte) (reply string, ok bool)
 }
 
 // local is the keyspace of a standalone server: its store, as it is.
@@ -73,8 +69,6 @@ func (l local) Persist(key string) (bool, error) { return l.Store.Persist(key), 
 
 func (l local) AllKeys() ([]string, error) { return l.Keys(), nil }
 
-func (local) Moved([]byte) (string, bool) { return "", false }
-
 // registerKeyspaceVerbs registers the public data verbs, the front end
 // both modes share.
 func (s *Server) registerKeyspaceVerbs() {
@@ -82,9 +76,6 @@ func (s *Server) registerKeyspaceVerbs() {
 		min: 2, max: -1,
 		usage: "-ERR PFADD needs a key and at least one element",
 		run: func(c *connCtx, args [][]byte) {
-			if c.moved(args[0]) {
-				return
-			}
 			c.writeBool(c.s.ks.AddBytes(args[0], args[1:]))
 		},
 	})
@@ -92,11 +83,6 @@ func (s *Server) registerKeyspaceVerbs() {
 		min: 1, max: -1,
 		usage: "-ERR PFCOUNT needs at least one key",
 		run: func(c *connCtx, args [][]byte) {
-			// Only the single-key form is redirectable: a multi-key count
-			// is a scatter-gather with no single owner to point at.
-			if len(args) == 1 && c.moved(args[0]) {
-				return
-			}
 			n, err := c.s.ks.CountBytes(args)
 			if err != nil {
 				c.writeErr(err)
@@ -119,9 +105,6 @@ func (s *Server) registerKeyspaceVerbs() {
 			ts, ok := ParseIntBytes(args[1])
 			if !ok {
 				c.writeRaw("-ERR WADD timestamp must be an integer (unix milliseconds)")
-				return
-			}
-			if c.moved(args[0]) {
 				return
 			}
 			n, err := c.s.ks.WindowAddBytes(args[0], ts, args[2:])
@@ -149,9 +132,6 @@ func (s *Server) registerKeyspaceVerbs() {
 					return
 				}
 			}
-			if c.moved(args[0]) {
-				return
-			}
 			n, err := c.s.ks.WindowCount(string(args[0]), win, ts)
 			if err != nil {
 				c.writeErr(err)
@@ -164,9 +144,6 @@ func (s *Server) registerKeyspaceVerbs() {
 		min: 1, max: 1,
 		usage: "-ERR WINFO needs exactly one key",
 		run: func(c *connCtx, args [][]byte) {
-			if c.moved(args[0]) {
-				return
-			}
 			info, err := c.s.ks.WindowInfo(string(args[0]))
 			if err != nil {
 				c.writeErr(err)
@@ -179,9 +156,6 @@ func (s *Server) registerKeyspaceVerbs() {
 		min: 1, max: 1,
 		usage: "-ERR DEL needs exactly one key",
 		run: func(c *connCtx, args [][]byte) {
-			if c.moved(args[0]) {
-				return
-			}
 			c.writeBool(c.s.ks.Del(string(args[0])))
 		},
 	})
@@ -203,9 +177,6 @@ func (s *Server) registerKeyspaceVerbs() {
 		min: 1, max: 1,
 		usage: "-ERR TTL needs exactly one key",
 		run: func(c *connCtx, args [][]byte) {
-			if c.moved(args[0]) {
-				return
-			}
 			dl, ok, err := c.s.ks.Deadline(string(args[0]))
 			if err != nil {
 				c.writeErr(err)
@@ -218,9 +189,6 @@ func (s *Server) registerKeyspaceVerbs() {
 		min: 1, max: 1,
 		usage: "-ERR PERSIST needs exactly one key",
 		run: func(c *connCtx, args [][]byte) {
-			if c.moved(args[0]) {
-				return
-			}
 			c.writeBool(c.s.ks.Persist(string(args[0])))
 		},
 	})
@@ -246,9 +214,6 @@ func (c *connCtx) expire(args [][]byte, scale int64, bad string) {
 		c.writeRaw(bad)
 		return
 	}
-	if c.moved(args[0]) {
-		return
-	}
 	c.writeBool(c.s.ks.ExpireAt(string(args[0]), c.s.store.NowMillis()+v*scale))
 }
 
@@ -267,16 +232,6 @@ func ttlReply(deadlineMillis int64, ok bool, nowMillis int64) string {
 		return ":-2" // due but not yet collected: already missing
 	}
 	return ":" + strconv.FormatInt((remaining+999)/1000, 10)
-}
-
-// moved writes the keyspace's redirect for key, if it has one, and reports
-// whether it did.
-func (c *connCtx) moved(key []byte) bool {
-	reply, ok := c.s.ks.Moved(key)
-	if ok {
-		c.writeRaw(reply)
-	}
-	return ok
 }
 
 // writeErr writes err's error reply. A missing key and a type mismatch

@@ -114,7 +114,7 @@ func TestFromBinaryAllocatesByBytesPresent(t *testing.T) {
 	if err != nil || len(blob) != 30 {
 		t.Fatalf("decoding the %d-byte header: %v", len(blob), err)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 || len(c.slots) != 1<<16 || c.Config().P != 26 {
-		t.Errorf("decoded %d slices at p=%d allocating %d bytes", len(c.slots), c.Config().P, got)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 || len(c.slots) != 1<<16 || c.cfg.P != 26 {
+		t.Errorf("decoded %d slices at p=%d allocating %d bytes", len(c.slots), c.cfg.P, got)
 	}
 }

@@ -51,7 +51,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if !got.Latest().Equal(c.Latest()) {
 		t.Errorf("Latest %v != %v after round trip", got.Latest(), c.Latest())
 	}
-	if got.slice != c.slice || len(got.slots) != len(c.slots) || got.Config() != c.Config() {
+	if got.slice != c.slice || len(got.slots) != len(c.slots) || got.cfg != c.cfg {
 		t.Error("geometry or configuration lost in round trip")
 	}
 	blob2, err := got.MarshalBinary()
@@ -101,7 +101,7 @@ func TestFromBinaryRejects(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":           {},
 		"bad magic":       append([]byte("ELX1"), good[4:]...),
-		"plain sketch":    func() []byte { b, _ := c.Sketch(t0, time.Second).MarshalBinary(); return b }(),
+		"plain sketch":    func() []byte { b, _ := sketchOf(c, t0, time.Second).MarshalBinary(); return b }(),
 		"truncated":       good[:len(good)-2],
 		"header only":     good[:len(Magic)],
 		"bad config":      append([]byte("ELW1\x63\x63\x63"), good[7:]...),

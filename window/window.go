@@ -76,9 +76,6 @@ func (c *Counter) Span() time.Duration { return c.slice * time.Duration(len(c.sl
 // timestamp was older than the ring span.
 func (c *Counter) Dropped() uint64 { return c.dropped }
 
-// Config returns the sketch configuration the counter's slices use.
-func (c *Counter) Config() core.Config { return c.cfg }
-
 // Latest returns the newest timestamp any insertion carried (the
 // counter's logical "now" — useful as the default query time for
 // deterministic, clockless callers). The zero time means no insertion
@@ -276,12 +273,6 @@ func (c *Counter) Estimate(now time.Time, window time.Duration) float64 {
 	return c.union(&u, now, window).Estimate()
 }
 
-// EstimateWithBounds is Estimate plus a confidence interval (see
-// core.Sketch.EstimateWithBounds).
-func (c *Counter) EstimateWithBounds(now time.Time, window time.Duration, confidence float64) (core.Interval, error) {
-	return c.Sketch(now, window).EstimateWithBounds(confidence)
-}
-
 // union returns u, emptied, with every live slice overlapping
 // (now-window, now] added.
 func (c *Counter) union(u *core.Union, now time.Time, window time.Duration) *core.Union {
@@ -301,14 +292,4 @@ func (c *Counter) union(u *core.Union, now time.Time, window time.Duration) *cor
 		}
 	}
 	return u
-}
-
-// Sketch returns the union sketch over the window — for callers that want
-// to merge windows across counters (e.g. per-shard counters in a
-// distributed collector). Returns an empty sketch if no slice overlaps.
-func (c *Counter) Sketch(now time.Time, window time.Duration) *core.Sketch {
-	var u core.Union
-	defer u.Reset(c.cfg) // gives its token array back
-	h := c.union(&u, now, window).Hybrid()
-	return h.Densify()
 }

@@ -21,6 +21,16 @@ func newCounter(t *testing.T, p int, slice time.Duration, slices int) *Counter {
 	return c
 }
 
+// sketchOf is the union sketch over the window ending at now: what a
+// caller merging windows across counters (per-shard counters of one
+// collector) would take from each.
+func sketchOf(c *Counter, now time.Time, window time.Duration) *core.Sketch {
+	var u core.Union
+	defer u.Reset(c.cfg) // gives its token array back
+	h := c.union(&u, now, window).Hybrid()
+	return h.Densify()
+}
+
 func TestNewValidation(t *testing.T) {
 	good := core.Config{T: 2, D: 20, P: 8}
 	if _, err := New(core.Config{T: 9, D: 20, P: 8}, time.Second, 4); err == nil {
@@ -303,7 +313,7 @@ func TestEstimateEdgeCases(t *testing.T) {
 	if got := c.Estimate(t0, time.Hour); math.Abs(got-1) > 0.5 {
 		t.Errorf("capped window estimate %g, want ≈1", got)
 	}
-	iv, err := c.EstimateWithBounds(t0, time.Second, 0.95)
+	iv, err := sketchOf(c, t0, time.Second).EstimateWithBounds(0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,8 +344,8 @@ func TestSketchMergeAcrossCounters(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		b.AddHash(t0, hashing.SplitMix64(&state))
 	}
-	sa := a.Sketch(t0, time.Second)
-	sb := b.Sketch(t0, time.Second)
+	sa := sketchOf(a, t0, time.Second)
+	sb := sketchOf(b, t0, time.Second)
 	if err := sa.Merge(sb); err != nil {
 		t.Fatal(err)
 	}
