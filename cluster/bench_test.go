@@ -57,6 +57,29 @@ func BenchmarkClusterRoutedPFAdd(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 }
 
+// BenchmarkClusterClientCount measures a ClusterClient PFCOUNT of a
+// sparse key in a 3-node, replica-1 cluster: one hop to the key's only
+// owner, which counts its own copy. Client and nodes share the process, so
+// allocs/op counts both sides of the hop.
+func BenchmarkClusterClientCount(b *testing.B) {
+	nodes := startClusterB(b, 3, 1)
+	cc, err := DialCluster(nodes[0].Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(cc.Close)
+	if _, err := cc.Add("sparse", "a", "b", "c"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, err := cc.Count("sparse"); err != nil || n != 3 {
+			b.Fatalf("Count = %d, %v; want 3", n, err)
+		}
+	}
+}
+
 // BenchmarkClusterBatchedPFAdd measures concurrent Node.Add calls
 // through one coordinator of a 3-node cluster: the per-peer batcher
 // coalesces the forwards to each owner into pipelined CLUSTER MLADD
@@ -190,7 +213,7 @@ func BenchmarkClusterPFMerge(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.PFMerge(dest, sources...); err != nil {
+		if _, err := c.Do(append([]string{"PFMERGE", dest}, sources...)...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -228,7 +251,7 @@ func BenchmarkClusterWindowCount(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.WCountAt("wkey", 30*time.Second, base+29_000); err != nil {
+		if _, err := wcountAt(c, "wkey", 30*time.Second, base+29_000); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -182,7 +182,7 @@ func TestClusterWireProtocol(t *testing.T) {
 	if _, err := a.PFAdd("k2", "z", "w"); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.PFMerge("u", "k", "k2"); err != nil {
+	if _, err := b.Do("PFMERGE", "u", "k", "k2"); err != nil {
 		t.Fatal(err)
 	}
 	got, err = a.PFCount("u")
@@ -533,7 +533,7 @@ func TestMergeKeysFromStaleCoordinator(t *testing.T) {
 	}
 
 	c := dialNode(t, nodes[0])
-	if err := c.PFMerge(dest, sources...); err != nil {
+	if _, err := c.Do(append([]string{"PFMERGE", dest}, sources...)...); err != nil {
 		t.Fatalf("PFMERGE through the stale coordinator: %v", err)
 	}
 	if got := nodes[0].Map().Epoch; got != cur.Epoch {
@@ -551,7 +551,7 @@ func TestMergeKeysFromStaleCoordinator(t *testing.T) {
 			t.Errorf("the union landed on %s, an owner of the old map only", id)
 		}
 	}
-	if err := c.PFMerge(wdest, sources...); !errors.Is(err, server.ErrWrongType) {
+	if _, err := c.Do(append([]string{"PFMERGE", wdest}, sources...)...); !errors.Is(err, server.ErrWrongType) {
 		t.Errorf("PFMERGE onto a window key: %v, want WRONGTYPE", err)
 	}
 }

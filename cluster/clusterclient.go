@@ -178,83 +178,30 @@ func (cc *ClusterClient) refetchMap(seen uint64) {
 	cc.install(m)
 }
 
-// cop is one client op in flight: its wire command, routing key, and
-// failover state. res carries the final outcome.
-type cop struct {
-	parts    []string
-	key      string
-	res      server.Result
-	done     bool
-	failover int // transport failovers taken, also the replica index offset
-}
-
-func (op *cop) fail(err error) {
-	op.res = server.Result{Err: err}
-	op.done = true
-}
-
-// run drives ops to completion in rounds: group the pending ops by
-// target address, send each group as one pipelined batch (groups go
-// out concurrently), then record each reply — any answer, OK or an
-// error reply, finishes the op; a transport error fails it over to the
-// next replica. The loop is bounded: each round every pending op
-// either finishes or spends one failover, and an op out of failovers
-// fails.
-func (cc *ClusterClient) run(ops []*cop) {
-	for {
+// run sends one command for key to an owner and returns its reply. Any
+// answer, OK or an error reply, ends the op; a transport error fails it
+// over to the next replica and refetches the map, at most failoverBudget
+// times before the op fails.
+func (cc *ClusterClient) run(key string, parts ...string) (string, error) {
+	for failover := 0; ; failover++ {
 		m := cc.Map()
-		groups := make(map[string][]*cop)
-		for _, op := range ops {
-			if op.done {
-				continue
-			}
-			owners := m.Owners(op.key)
-			if len(owners) == 0 {
-				op.fail(errors.New("cluster: empty cluster map"))
-				continue
-			}
-			addr := owners[op.failover%len(owners)].Addr
-			groups[addr] = append(groups[addr], op)
+		owners := m.Owners(key)
+		if len(owners) == 0 {
+			return "", errors.New("cluster: empty cluster map")
 		}
-		if len(groups) == 0 {
-			return
+		addr := owners[failover%len(owners)].Addr
+		reply, err := cc.peers.do(addr, parts...)
+		if err == nil || server.IsReplyErr(err) {
+			return reply, err
 		}
-		var wg sync.WaitGroup
-		for addr, group := range groups {
-			wg.Add(1)
-			go func(addr string, group []*cop) {
-				defer wg.Done()
-				cmds := make([][]string, len(group))
-				for i, op := range group {
-					cmds[i] = op.parts
-				}
-				results, err := cc.peers.pipeline(addr, cmds)
-				if err != nil {
-					cc.failovers.Add(1)
-					for _, op := range group {
-						if op.failover++; op.failover > failoverBudget {
-							op.fail(fmt.Errorf("cluster: %s unreachable: %w", addr, err))
-						}
-					}
-					// The owner is likely gone for everyone; a fresh map
-					// stops future ops from aiming at it at all.
-					cc.refetchMap(m.Epoch)
-					return
-				}
-				for i, op := range group {
-					op.res, op.done = results[i], true
-				}
-			}(addr, group)
+		// The owner is likely gone for everyone; a fresh map stops this
+		// op and later ones from aiming at it at all.
+		cc.refetchMap(m.Epoch)
+		if failover == failoverBudget {
+			return "", fmt.Errorf("cluster: %s unreachable: %w", addr, err)
 		}
-		wg.Wait()
+		cc.failovers.Add(1)
 	}
-}
-
-// doOne runs a single-command batch and returns its reply.
-func (cc *ClusterClient) doOne(key string, parts []string) (string, error) {
-	op := &cop{parts: parts, key: key}
-	cc.run([]*cop{op})
-	return op.res.Value, op.res.Err
 }
 
 // Add inserts elements into key, routed directly to an owner; it
@@ -263,7 +210,7 @@ func (cc *ClusterClient) Add(key string, elements ...string) (bool, error) {
 	if err := validAddArgs(key, elements); err != nil {
 		return false, err
 	}
-	reply, err := cc.doOne(key, append(append(make([]string, 0, 2+len(elements)), "PFADD", key), elements...))
+	reply, err := cc.run(key, append(append(make([]string, 0, 2+len(elements)), "PFADD", key), elements...)...)
 	if err != nil {
 		return false, err
 	}
@@ -276,7 +223,7 @@ func (cc *ClusterClient) Count(key string) (int64, error) {
 	if err := validToken("key", key); err != nil {
 		return 0, err
 	}
-	reply, err := cc.doOne(key, []string{"PFCOUNT", key})
+	reply, err := cc.run(key, "PFCOUNT", key)
 	if err != nil {
 		return 0, err
 	}
@@ -292,7 +239,7 @@ func (cc *ClusterClient) WAdd(key string, tsMillis int64, elements ...string) (i
 	}
 	parts := make([]string, 0, 3+len(elements))
 	parts = append(parts, "WADD", key, strconv.FormatInt(tsMillis, 10))
-	reply, err := cc.doOne(key, append(parts, elements...))
+	reply, err := cc.run(key, append(parts, elements...)...)
 	if err != nil {
 		return 0, err
 	}
@@ -305,7 +252,7 @@ func (cc *ClusterClient) WCount(key string, win time.Duration) (int64, error) {
 	if err := validToken("key", key); err != nil {
 		return 0, err
 	}
-	reply, err := cc.doOne(key, []string{"WCOUNT", key, win.String()})
+	reply, err := cc.run(key, "WCOUNT", key, win.String())
 	if err != nil {
 		return 0, err
 	}
@@ -317,68 +264,7 @@ func (cc *ClusterClient) Del(key string) (bool, error) {
 	if err := validToken("key", key); err != nil {
 		return false, err
 	}
-	reply, err := cc.doOne(key, []string{"DEL", key})
-	if err != nil {
-		return false, err
-	}
-	return reply == "1", nil
-}
-
-// Expire sets key's time-to-live (rounded up to whole seconds), routed
-// directly to an owner, which computes the absolute deadline and
-// replicates it; it reports whether the key existed.
-func (cc *ClusterClient) Expire(key string, ttl time.Duration) (bool, error) {
-	if err := validToken("key", key); err != nil {
-		return false, err
-	}
-	secs := int64((ttl + time.Second - 1) / time.Second)
-	if secs <= 0 {
-		return false, fmt.Errorf("cluster: TTL %v must be positive", ttl)
-	}
-	reply, err := cc.doOne(key, []string{"EXPIRE", key, strconv.FormatInt(secs, 10)})
-	if err != nil {
-		return false, err
-	}
-	return reply == "1", nil
-}
-
-// PExpire is Expire at millisecond granularity.
-func (cc *ClusterClient) PExpire(key string, ttl time.Duration) (bool, error) {
-	if err := validToken("key", key); err != nil {
-		return false, err
-	}
-	ms := ttl.Milliseconds()
-	if ms <= 0 {
-		return false, fmt.Errorf("cluster: TTL %v must be positive", ttl)
-	}
-	reply, err := cc.doOne(key, []string{"PEXPIRE", key, strconv.FormatInt(ms, 10)})
-	if err != nil {
-		return false, err
-	}
-	return reply == "1", nil
-}
-
-// TTL returns key's remaining time-to-live in whole seconds, following
-// the Redis reply convention: -2 if the key does not exist, -1 if it
-// exists but carries no deadline.
-func (cc *ClusterClient) TTL(key string) (int64, error) {
-	if err := validToken("key", key); err != nil {
-		return 0, err
-	}
-	reply, err := cc.doOne(key, []string{"TTL", key})
-	if err != nil {
-		return 0, err
-	}
-	return strconv.ParseInt(reply, 10, 64)
-}
-
-// Persist removes key's expiry deadline; it reports whether one was
-// removed.
-func (cc *ClusterClient) Persist(key string) (bool, error) {
-	if err := validToken("key", key); err != nil {
-		return false, err
-	}
-	reply, err := cc.doOne(key, []string{"PERSIST", key})
+	reply, err := cc.run(key, "DEL", key)
 	if err != nil {
 		return false, err
 	}
@@ -398,97 +284,4 @@ func validAddArgs(key string, elements []string) error {
 		}
 	}
 	return nil
-}
-
-// ClientBatch queues many single-key commands and executes them with
-// one pipelined round trip per owner node — the smart-client analogue
-// of server.Pipeline, except the batch fans out across the cluster by
-// key instead of down one connection. Obtain one from Batch, queue
-// with PFAdd/PFCount/WAdd/WCount/Del/Expire/TTL, then Exec. Not safe
-// for concurrent use (the executing client is).
-type ClientBatch struct {
-	cc  *ClusterClient
-	ops []*cop
-	err error // first queueing error; reported by Exec
-}
-
-// Batch returns an empty command batch on this client.
-func (cc *ClusterClient) Batch() *ClientBatch { return &ClientBatch{cc: cc} }
-
-func (b *ClientBatch) add(key string, parts []string) {
-	if b.err != nil {
-		return
-	}
-	for _, p := range parts {
-		if !server.ValidToken(p) {
-			b.err = fmt.Errorf("cluster: token %q must be non-empty and free of whitespace", p)
-			return
-		}
-	}
-	b.ops = append(b.ops, &cop{parts: parts, key: key})
-}
-
-// PFAdd queues a PFADD key element... command.
-func (b *ClientBatch) PFAdd(key string, elements ...string) {
-	b.add(key, append(append(make([]string, 0, 2+len(elements)), "PFADD", key), elements...))
-}
-
-// PFCount queues a single-key PFCOUNT command.
-func (b *ClientBatch) PFCount(key string) {
-	b.add(key, []string{"PFCOUNT", key})
-}
-
-// WAdd queues a WADD key ts element... command (ts in unix
-// milliseconds).
-func (b *ClientBatch) WAdd(key string, tsMillis int64, elements ...string) {
-	parts := make([]string, 0, 3+len(elements))
-	parts = append(parts, "WADD", key, strconv.FormatInt(tsMillis, 10))
-	b.add(key, append(parts, elements...))
-}
-
-// WCount queues a WCOUNT key window command.
-func (b *ClientBatch) WCount(key string, win time.Duration) {
-	b.add(key, []string{"WCOUNT", key, win.String()})
-}
-
-// Del queues a DEL key command.
-func (b *ClientBatch) Del(key string) {
-	b.add(key, []string{"DEL", key})
-}
-
-// Expire queues an EXPIRE key seconds command (ttl rounded up to whole
-// seconds).
-func (b *ClientBatch) Expire(key string, ttl time.Duration) {
-	secs := int64((ttl + time.Second - 1) / time.Second)
-	b.add(key, []string{"EXPIRE", key, strconv.FormatInt(secs, 10)})
-}
-
-// TTL queues a TTL key command.
-func (b *ClientBatch) TTL(key string) {
-	b.add(key, []string{"TTL", key})
-}
-
-// Len returns the number of queued commands.
-func (b *ClientBatch) Len() int { return len(b.ops) }
-
-// Exec routes and executes every queued command and returns one Result
-// per command, in queue order. Per-command failures (including a
-// failover budget exhausted on unreachable owners) land in the individual
-// Results; the returned error is non-nil only for a queueing error, in
-// which case nothing was sent. Exec resets the batch for reuse.
-func (b *ClientBatch) Exec() ([]server.Result, error) {
-	ops, err := b.ops, b.err
-	b.ops, b.err = nil, nil
-	if err != nil {
-		return nil, err
-	}
-	if len(ops) == 0 {
-		return nil, nil
-	}
-	b.cc.run(ops)
-	results := make([]server.Result, len(ops))
-	for i, op := range ops {
-		results[i] = op.res
-	}
-	return results, nil
 }

@@ -241,8 +241,7 @@ func TestForwardRetriesOnFreshMap(t *testing.T) {
 }
 
 // TestClusterClientSingleHop drives the smart client against a fresh
-// map: every op lands on an owner first try — no failover, no refetch —
-// and the batch API keeps results in queue order.
+// map: every op lands on an owner first try — no failover, no refetch.
 func TestClusterClientSingleHop(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
 	cc, err := DialCluster(nodes[0].Addr())
@@ -293,24 +292,18 @@ func TestClusterClientSingleHop(t *testing.T) {
 		t.Fatalf("Count after Del = %d, %v; want 0", got, err)
 	}
 
-	// A mixed batch fans out by key but returns results in queue order.
-	b := cc.Batch()
-	b.PFAdd("sh-1", "c")
-	b.PFCount("sh-2")
-	b.WCount("sh-win", time.Minute)
-	b.Del("sh-3")
-	results, err := b.Exec()
-	if err != nil {
-		t.Fatal(err)
+	// Every other verb with a typed method takes the same single hop.
+	if changed, err := cc.Add("sh-1", "c"); err != nil || !changed {
+		t.Errorf("Add sh-1 = %v, %v; want changed", changed, err)
 	}
-	wantVals := []string{"1", "2", "2", "1"}
-	if len(results) != len(wantVals) {
-		t.Fatalf("batch returned %d results, want %d", len(results), len(wantVals))
+	if got, err := cc.Count("sh-2"); err != nil || got != want {
+		t.Errorf("Count sh-2 = %d, %v; want %d", got, err, want)
 	}
-	for i, r := range results {
-		if r.Err != nil || r.Value != wantVals[i] {
-			t.Errorf("batch result %d = %q/%v, want %q", i, r.Value, r.Err, wantVals[i])
-		}
+	if got, err := cc.WCount("sh-win", time.Minute); err != nil || got != 2 {
+		t.Errorf("WCount sh-win = %d, %v; want 2", got, err)
+	}
+	if existed, err := cc.Del("sh-3"); err != nil || !existed {
+		t.Errorf("Del sh-3 = %v, %v; want existed", existed, err)
 	}
 
 	if s := cc.Stats(); s != (ClientStats{}) {
@@ -461,9 +454,42 @@ func TestClusterClientFailsOverOnDeadOwner(t *testing.T) {
 	}
 }
 
+// TestClusterClientFailoverBudget: with every node down, one op tries
+// the key's owners 1+failoverBudget times, takes failoverBudget
+// failovers, and fails — a dead cluster is an error, not a livelock.
+func TestClusterClientFailoverBudget(t *testing.T) {
+	nodes := startCluster(t, 3, 2)
+	cc, err := DialCluster(nodes[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	cc.minRefetch = time.Millisecond
+	var tries atomic.Int64
+	cc.peers.hook = func(_ string, parts []string) error {
+		if parts[0] == "PFCOUNT" {
+			tries.Add(1)
+		}
+		return nil
+	}
+	for _, n := range nodes {
+		n.Close()
+	}
+
+	if got, err := cc.Count("k"); err == nil || server.IsReplyErr(err) {
+		t.Fatalf("Count on a dead cluster = %d, %v; want a transport error", got, err)
+	}
+	if got := tries.Load(); got != 1+failoverBudget {
+		t.Errorf("the op was sent %d times, want %d", got, 1+failoverBudget)
+	}
+	if s := cc.Stats(); s.Failovers != failoverBudget {
+		t.Errorf("client stats = %+v, want %d failovers", s, failoverBudget)
+	}
+}
+
 // TestClusterClientMidRebalanceChaos: 64 hot keys under concurrent
-// batched load while a join reshuffles the ring. Every op must succeed
-// (any error is a Result error and fails the test), and no write may be
+// load, 16 adds a round per worker, while a join reshuffles the ring.
+// Every op must succeed (any error fails the test), and no write may be
 // lost.
 func TestClusterClientMidRebalanceChaos(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
@@ -496,20 +522,11 @@ func TestClusterClientMidRebalanceChaos(t *testing.T) {
 					return
 				default:
 				}
-				b := cc.Batch()
 				els := make([]string, 16)
 				for j := 0; j < 16; j++ {
 					els[j] = fmt.Sprintf("el-%d-%d-%d", w, i, j)
-					b.PFAdd(key(w*16+i*16+j), els[j])
-				}
-				results, err := b.Exec()
-				if err != nil {
-					errCh <- err
-					return
-				}
-				for j, r := range results {
-					if r.Err != nil {
-						errCh <- fmt.Errorf("op %s: %w", key(w*16+i*16+j), r.Err)
+					if _, err := cc.Add(key(w*16+i*16+j), els[j]); err != nil {
+						errCh <- fmt.Errorf("op %s: %w", key(w*16+i*16+j), err)
 						return
 					}
 				}

@@ -218,7 +218,7 @@ func TestUnstartedNodeRefusesDataVerbs(t *testing.T) {
 	_, errs["WindowInfo"] = n.WindowInfo("w")
 	errs["MergeKeys"] = n.MergeKeys("m", "k")
 	_, errs["Del"] = n.Del("k")
-	_, errs["Expire"] = n.Expire("k", time.Minute)
+	_, errs["ExpireAt"] = n.ExpireAt("k", 1_750_000_000_000)
 	_, _, errs["Deadline"] = n.Deadline("k")
 	_, errs["Persist"] = n.Persist("k")
 	_, errs["AllKeys"] = n.AllKeys()

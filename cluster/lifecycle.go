@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"exaloglog/server"
 )
@@ -34,15 +33,6 @@ func (n *Node) ExpireAt(key string, deadlineMillis int64) (bool, error) {
 	}
 	return n.onOwners(key, func() bool { return n.store.ExpireAt(key, deadlineMillis) },
 		"CLUSTER", "LEXPIREAT", key, strconv.FormatInt(deadlineMillis, 10))
-}
-
-// Expire sets key's deadline ttl from now (this coordinator's store
-// clock) on every owner; it reports whether any owner had the key.
-func (n *Node) Expire(key string, ttl time.Duration) (bool, error) {
-	if ttl <= 0 {
-		return false, fmt.Errorf("cluster: TTL %v must be positive", ttl)
-	}
-	return n.ExpireAt(key, n.store.NowMillis()+ttl.Milliseconds())
 }
 
 // Deadline returns key's absolute expiry deadline in unix milliseconds

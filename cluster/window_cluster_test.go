@@ -13,6 +13,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -67,7 +68,7 @@ func TestClusterWindowedEndToEnd(t *testing.T) {
 	nowMS := streamMS + int64(slices-1)*1000
 	for _, c := range clients {
 		for _, w := range []time.Duration{time.Second, 3 * time.Second, 30 * time.Second} {
-			got, err := c.WCountAt("scan:host9", w, nowMS)
+			got, err := wcountAt(c, "scan:host9", w, nowMS)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +83,7 @@ func TestClusterWindowedEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		expGot, _ := c.WCountAt("scan:host9", 3*time.Second, nowMS)
+		expGot, _ := wcountAt(c, "scan:host9", 3*time.Second, nowMS)
 		if defGot != expGot {
 			t.Errorf("WCOUNT default now = %d, explicit = %d", defGot, expGot)
 		}
@@ -93,7 +94,7 @@ func TestClusterWindowedEndToEnd(t *testing.T) {
 	if _, err := clients[0].WAdd("scan:host9", nowMS+60_000, "late-straggler"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := clients[1].WCountAt("scan:host9", 3*time.Second, nowMS+60_000)
+	got, err := wcountAt(clients[1], "scan:host9", 3*time.Second, nowMS+60_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +109,14 @@ func TestClusterWindowedEndToEnd(t *testing.T) {
 	if _, err := clients[0].WAdd("scan:host9", streamMS-7_200_000, "ancient"); err != nil {
 		t.Fatal(err)
 	}
-	info, err := clients[2].WInfo("scan:host9")
+	info, err := clients[2].Do("WINFO", "scan:host9")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(info, "dropped=1") || !strings.Contains(info, "slices=60") {
 		t.Errorf("cluster WINFO %q lacks the merged drop count or geometry", info)
 	}
-	if _, err := clients[0].WInfo("no-such-window"); !errors.Is(err, server.ErrNoSuchKey) {
+	if _, err := clients[0].Do("WINFO", "no-such-window"); !errors.Is(err, server.ErrNoSuchKey) {
 		t.Errorf("WINFO of a missing key: %v, want ErrNoSuchKey", err)
 	}
 
@@ -332,4 +333,14 @@ func TestGatherSkipsReplicasInStep(t *testing.T) {
 			t.Errorf("WCOUNT via node %d: %v, %v; want the union %v", i, got, err, want)
 		}
 	}
+}
+
+// wcountAt sends WCOUNT key window ts, the form with an explicit window
+// end, and parses the count.
+func wcountAt(c *server.Client, key string, window time.Duration, tsMillis int64) (int64, error) {
+	reply, err := c.Do("WCOUNT", key, window.String(), strconv.FormatInt(tsMillis, 10))
+	if err != nil {
+		return 0, err
+	}
+	return strconv.ParseInt(reply, 10, 64)
 }

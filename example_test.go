@@ -119,6 +119,46 @@ func ExampleNewHybrid() {
 	// whale: dense, 3584 bytes, ≈ 298209 distinct (true 300000)
 }
 
+// The paper's sparse mode as it states it (Section 4.3, Algorithm 7): a
+// 32-bit token (v = 26) keeps all an ELL sketch with p+t ≤ 26 needs of a
+// 64-bit hash. A collector keeps only tokens and estimates from them; a
+// sketch of any such configuration built later from a token's
+// representative hash holds the registers the original hash would have set.
+func ExampleNewTokenSet() {
+	const v = 26
+	ts, err := exaloglog.NewTokenSet(v)
+	if err != nil {
+		panic(err)
+	}
+	cfg := exaloglog.Config{T: 2, D: 20, P: 12}
+	direct, _ := exaloglog.NewWithConfig(cfg)
+	viaToken, _ := exaloglog.NewWithConfig(cfg)
+	state := uint64(0)
+	for i := 0; i < 1000; i++ {
+		state += 0x9e3779b97f4a7c15 // SplitMix64: a well-mixed 64-bit hash per element
+		h := (state ^ state>>30) * 0xbf58476d1ce4e5b9
+		h = (h ^ h>>27) * 0x94d049bb133111eb
+		h ^= h >> 31
+		ts.AddHash(h)
+		direct.AddHash(h)
+		viaToken.AddHash(exaloglog.HashFromToken(exaloglog.TokenFromHash(h, v), v))
+	}
+	dense, err := ts.ToSketch(cfg)
+	if err != nil {
+		panic(err)
+	}
+	a, _ := direct.MarshalBinary()
+	b, _ := viaToken.MarshalBinary()
+	c, _ := dense.MarshalBinary()
+	fmt.Printf("%d tokens in %d bytes (the dense sketch: %d), ≈ %.0f distinct\n", ts.Len(), ts.SizeBytes(), len(a), ts.EstimateML())
+	fmt.Println("a token's hash sets the same registers:", bytes.Equal(a, b))
+	fmt.Println("the token set converts to the same sketch:", bytes.Equal(a, c))
+	// Output:
+	// 1000 tokens in 4000 bytes (the dense sketch: 14344), ≈ 1000 distinct
+	// a token's hash sets the same registers: true
+	// the token set converts to the same sketch: true
+}
+
 // For one stream that is never merged, the martingale (HIP) estimator on
 // ELL(2,16) reaches the accuracy of the mergeable ML configuration with
 // less memory (Section 3.3, Figure 5 of the paper). Re-seeing a flow never

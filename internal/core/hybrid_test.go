@@ -70,7 +70,29 @@ func (c Config) tokensOf(hashes []uint64) []uint64 {
 // staysSparse is the mode the token set of the hashes must be in: sparse
 // while the reference encoding is smaller than the dense register array.
 func (c Config) staysSparse(hashes []uint64) bool {
-	return (len(refBits(c, c.tokensOf(hashes)))+7)/8 < c.SizeBytes()
+	return c.sparseTokens(c.tokensOf(hashes))
+}
+
+// sparseTokens is staysSparse for tokens that are sorted and distinct.
+func (c Config) sparseTokens(tokens []uint64) bool {
+	return (len(refBits(c, tokens))+7)/8 < c.SizeBytes()
+}
+
+// uniteSorted returns the sorted union of two sorted lists of distinct
+// tokens.
+func uniteSorted(a, b []uint64) []uint64 {
+	out := make([]uint64, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // wantBytes is what a hybrid fed the hashes must serialize to, whatever the
@@ -471,6 +493,12 @@ func addAll(h *Hybrid, hashes []uint64) {
 // mode is the one the reference encoding's size implies, and merging in all
 // four mode pairs gives the dense merge. The configurations cover p+t from
 // 9 to 25, among them the default.
+//
+// The routes other than one bulk add grow with the stream, a stretch
+// between two checkpoints at a time, so each checkpoint costs the stretch
+// and not the whole prefix: in order, each stretch reversed, every third
+// element merged with the rest, and chunked bulk adds. The dense sketch
+// fed in order is the reference past break-even.
 func TestHybridParityAcrossBreakEven(t *testing.T) {
 	for _, cfg := range []Config{
 		{T: 2, D: 20, P: 8}, {T: 2, D: 20, P: 12}, {T: 1, D: 9, P: 10}, {T: 0, D: 2, P: 9},
@@ -493,49 +521,55 @@ func TestHybridParityAcrossBreakEven(t *testing.T) {
 				hashes[i] = hashes[i/2] // duplicates
 			}
 		}
-		forward, _ := NewHybrid(cfg)
 		dense := MustNew(cfg)
+		forward, _ := NewHybrid(cfg)
+		backward, _ := NewHybrid(cfg)
+		left, _ := NewHybrid(cfg) // every third element; right has the rest
+		right, _ := NewHybrid(cfg)
+		chunks, _ := NewHybrid(cfg)
+		var tokens []uint64 // the prefix's, sorted and distinct
 		step := n/checkpoints + 1
 		for done := 0; done < n; {
 			from := done
 			done = min(done+step, n)
-			for _, x := range hashes[from:done] {
+			stretch := hashes[from:done]
+			for _, x := range stretch {
 				dense.AddHash(x)
 			}
 			if forward.IsSparse() {
-				addAll(forward, hashes[from:done])
+				addAll(forward, stretch)
 			} else {
-				for _, x := range hashes[from:done] {
+				for _, x := range stretch {
 					before := forward.sketch().StateChanges()
 					if changed := forward.AddHash(x); changed != (forward.sketch().StateChanges() != before) {
 						t.Fatalf("%+v: dense-mode changed bit disagrees", cfg)
 					}
 				}
 			}
+			tokens = uniteSorted(tokens, cfg.tokensOf(stretch))
+			sparse := cfg.sparseTokens(tokens)
 			if got, want := forward.Estimate(), dense.Estimate(); got != want {
 				t.Fatalf("%+v: after %d adds (sparse=%v) estimate %v, dense %v", cfg, done, forward.IsSparse(), got, want)
 			}
-			if forward.IsSparse() != cfg.staysSparse(hashes[:done]) {
+			if forward.IsSparse() != sparse {
 				t.Fatalf("%+v: after %d adds sparse=%v with %d tokens", cfg, done, forward.IsSparse(), forward.Tokens())
 			}
-			// Same elements, reverse order, and split over two halves that merge.
-			reversed := slices.Clone(hashes[:done])
+			// Same elements, another order, and split over two parts that merge.
+			reversed := slices.Clone(stretch)
 			slices.Reverse(reversed)
-			backward, _ := NewHybrid(cfg)
 			addAll(backward, reversed)
 			var thirds, rest []uint64
-			for j, x := range hashes[:done] {
-				if j%3 == 0 {
+			for j, x := range stretch {
+				if (from+j)%3 == 0 {
 					thirds = append(thirds, x)
 				} else {
 					rest = append(rest, x)
 				}
 			}
-			left, _ := NewHybrid(cfg)
-			right, _ := NewHybrid(cfg)
 			addAll(left, thirds)
 			addAll(right, rest)
-			if err := left.Merge(right); err != nil {
+			merged := left.Clone()
+			if err := merged.Merge(right); err != nil {
 				t.Fatal(err)
 			}
 			// One bulk add, and bulk adds on top of single adds.
@@ -546,13 +580,15 @@ func TestHybridParityAcrossBreakEven(t *testing.T) {
 			if bulk.AddHashes(hashes[:done]) && bulk.IsSparse() {
 				t.Fatalf("%+v: repeating a bulk add changed a sparse sketch", cfg)
 			}
-			chunks, _ := NewHybrid(cfg)
-			for j := 0; j < done; j += chunk {
+			for j := from; j < done; j += chunk {
 				chunks.AddHash(hashes[j])
 				chunks.AddHashes(hashes[j+1 : min(j+chunk, done)])
 			}
-			want := cfg.wantBytes(hashes[:done])
-			for name, other := range map[string]*Hybrid{"in order": forward, "reverse order": backward, "merge of two halves": left, "one bulk add": bulk, "chunked bulk adds": chunks} {
+			want, _ := dense.MarshalBinary()
+			if sparse {
+				want = tokenBlob(cfg, tokens...)
+			}
+			for name, other := range map[string]*Hybrid{"in order": forward, "stretches reversed": backward, "merge of two parts": merged, "one bulk add": bulk, "chunked bulk adds": chunks} {
 				if got, _ := other.MarshalBinary(); !bytes.Equal(got, want) {
 					t.Fatalf("%+v: after %d adds, %s does not serialize to the reference encoding (sparse %v vs %v)", cfg, done, name, other.IsSparse(), forward.IsSparse())
 				}
@@ -575,37 +611,45 @@ func TestHybridParityAcrossBreakEven(t *testing.T) {
 			t.Fatalf("%+v: registers differ from direct insertion", cfg)
 		}
 
-		// All four mode pairs against the dense merge.
+		// All four mode pairs against the dense merge: a sparse and a dense
+		// sketch on either side, each pair merging a clone of its left one.
 		small, big := cfg.breakEven()/3, 3*cfg.breakEven()
+		type side struct {
+			h      *Hybrid
+			d      *Sketch
+			tokens []uint64
+		}
+		build := func(size int) side {
+			s := side{d: MustNew(cfg)}
+			s.h, _ = NewHybrid(cfg)
+			hashes := make([]uint64, size)
+			for i := range hashes {
+				hashes[i] = r.Uint64()
+				s.d.AddHash(hashes[i])
+			}
+			addAll(s.h, hashes)
+			if s.h.IsSparse() != (size == small) {
+				t.Fatalf("%+v: %d hashes are sparse=%v", cfg, size, s.h.IsSparse())
+			}
+			s.tokens = cfg.tokensOf(hashes)
+			return s
+		}
+		as := map[int]side{small: build(small), big: build(big)}
+		bs := map[int]side{small: build(small), big: build(big)}
 		for _, sizes := range [][2]int{{small, small}, {small, big}, {big, small}, {big, big}} {
-			a, _ := NewHybrid(cfg)
-			b, _ := NewHybrid(cfg)
-			da, db := MustNew(cfg), MustNew(cfg)
-			as, bs := make([]uint64, sizes[0]), make([]uint64, sizes[1])
-			for i := range as {
-				as[i] = r.Uint64()
-				da.AddHash(as[i])
-			}
-			for i := range bs {
-				bs[i] = r.Uint64()
-				db.AddHash(bs[i])
-			}
-			addAll(a, as)
-			addAll(b, bs)
-			if a.IsSparse() != (sizes[0] == small) || b.IsSparse() != (sizes[1] == small) {
-				t.Fatalf("%+v: sizes %v are sparse=%v, %v", cfg, sizes, a.IsSparse(), b.IsSparse())
-			}
+			a, b := as[sizes[0]].h.Clone(), bs[sizes[1]].h
+			da := as[sizes[0]].d.Clone()
 			bBefore, _ := b.MarshalBinary()
 			if err := a.Merge(b); err != nil {
 				t.Fatal(err)
 			}
-			if err := da.Merge(db); err != nil {
+			if err := da.Merge(bs[sizes[1]].d); err != nil {
 				t.Fatal(err)
 			}
 			if a.Estimate() != da.Estimate() || string(a.ToSketch().RegisterBytes()) != string(da.RegisterBytes()) {
 				t.Fatalf("%+v: merge of sizes %v differs from the dense merge", cfg, sizes)
 			}
-			if a.IsSparse() != cfg.staysSparse(append(as, bs...)) {
+			if a.IsSparse() != cfg.sparseTokens(uniteSorted(as[sizes[0]].tokens, bs[sizes[1]].tokens)) {
 				t.Fatalf("%+v: merge of sizes %v ended sparse=%v", cfg, sizes, a.IsSparse())
 			}
 			if bAfter, _ := b.MarshalBinary(); !bytes.Equal(bBefore, bAfter) {
@@ -616,12 +660,12 @@ func TestHybridParityAcrossBreakEven(t *testing.T) {
 }
 
 // TestHybridCanonicalBytes: one token set, one byte string, however it was
-// put together — single inserts in random order, one bulk add, a bulk add
-// and single inserts on either side of it, a merge of two halves in either
-// direction — and that string is the reference encoding. Checked with every
-// number of tokens at which the remainder width l changes (a power of two
-// and the count after it), from one token to past break-even, for p+t of
-// 10, 14, 18 and 22.
+// put together — single inserts in random order (those of the smaller sizes
+// first), one bulk add, a bulk add and single inserts on either side of it,
+// a merge of two halves in either direction — and that string is the
+// reference encoding. Checked with every number of tokens at which the
+// remainder width l changes (a power of two and the count after it), from
+// one token to past break-even, for p+t of 10, 14, 18 and 22.
 func TestHybridCanonicalBytes(t *testing.T) {
 	for _, cfg := range []Config{{T: 2, D: 20, P: 8}, {T: 2, D: 20, P: 12}, {T: 6, D: 0, P: 12}, {T: 6, D: 0, P: 16}} {
 		if testing.Short() && cfg.tokenV() > 14 {
@@ -640,6 +684,8 @@ func TestHybridCanonicalBytes(t *testing.T) {
 				}
 			}
 		}
+		singles, _ := NewHybrid(cfg)
+		fed := 0 // the hashes singles holds
 		var sizes []int
 		for n := 1; n < cfg.breakEven(); n *= 2 {
 			sizes = append(sizes, n, n+1)
@@ -654,12 +700,17 @@ func TestHybridCanonicalBytes(t *testing.T) {
 			shuffled := slices.Clone(hashes)
 			r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 			cut := r.Intn(len(shuffled) + 1)
-			built := map[string]*Hybrid{}
-			for _, name := range []string{"single inserts", "one bulk add", "bulk then singles", "singles then bulk", "merge a<-b", "merge b<-a"} {
-				built[name], _ = NewHybrid(cfg)
+			// Single inserts carry over from one size to the next: only the
+			// hashes grown since go in, in random order.
+			fresh := slices.Clone(hashes[fed:])
+			r.Shuffle(len(fresh), func(i, j int) { fresh[i], fresh[j] = fresh[j], fresh[i] })
+			for _, x := range fresh {
+				singles.AddHash(x)
 			}
-			for _, x := range shuffled {
-				built["single inserts"].AddHash(x)
+			fed = len(hashes)
+			built := map[string]*Hybrid{"single inserts": singles}
+			for _, name := range []string{"one bulk add", "bulk then singles", "singles then bulk", "merge a<-b", "merge b<-a"} {
+				built[name], _ = NewHybrid(cfg)
 			}
 			built["one bulk add"].AddHashes(shuffled)
 			built["bulk then singles"].AddHashes(shuffled[:cut])

@@ -399,7 +399,7 @@ func BenchmarkShardDigests(b *testing.B) {
 		filter func(string) bool
 	}{
 		{"all", nil},
-		{"filtered", func(key string) bool { return ShardIndex(key+"#")&1 == 0 }},
+		{"filtered", func(key string) bool { return shardIndex(key+"#")&1 == 0 }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"net"
@@ -241,7 +240,7 @@ type Result struct {
 // Pipeline queues commands and sends them all in a single write,
 // reading the replies back in one batch — N commands cost one network
 // round trip instead of N. Obtain one from Client.Pipeline, queue with
-// Do/PFAdd/PFCount/Dump, then call Exec. A Pipeline is not safe for
+// Do/PFAdd/WAdd, then call Exec. A Pipeline is not safe for
 // concurrent use; the Exec itself serializes with other commands on
 // the shared connection. After Exec the pipeline is empty and can be
 // reused. It takes a pooled buffer only inside Exec, for the replies, so
@@ -277,29 +276,11 @@ func (p *Pipeline) PFAdd(key string, elements ...string) {
 	p.Do(append(append(parts[:0], "PFADD", key), elements...)...)
 }
 
-// PFCount queues a PFCOUNT key... command.
-func (p *Pipeline) PFCount(keys ...string) {
-	var parts [8]string
-	p.Do(append(append(parts[:0], "PFCOUNT"), keys...)...)
-}
-
 // WAdd queues a WADD key ts element... command (ts in unix
 // milliseconds).
 func (p *Pipeline) WAdd(key string, tsMillis int64, elements ...string) {
 	var parts [8]string
 	p.Do(append(append(parts[:0], "WADD", key, strconv.FormatInt(tsMillis, 10)), elements...)...)
-}
-
-// WCount queues a WCOUNT key window command.
-func (p *Pipeline) WCount(key string, window time.Duration) {
-	p.Do("WCOUNT", key, window.String())
-}
-
-// Expire queues an EXPIRE key seconds command (ttl rounded up to whole
-// seconds).
-func (p *Pipeline) Expire(key string, ttl time.Duration) {
-	secs := int64((ttl + time.Second - 1) / time.Second)
-	p.Do("EXPIRE", key, strconv.FormatInt(secs, 10))
 }
 
 // Len returns the number of queued commands.
@@ -357,12 +338,6 @@ func (c *Client) PFCount(keys ...string) (int64, error) {
 	return strconv.ParseInt(reply, 10, 64)
 }
 
-// PFMerge stores the union of the sources at dest.
-func (c *Client) PFMerge(dest string, sources ...string) error {
-	_, err := c.Do(append([]string{"PFMERGE", dest}, sources...)...)
-	return err
-}
-
 // WAdd inserts elements observed at the unix-millisecond timestamp ts
 // into the sliding-window counter at key (created on first use); it
 // returns how many elements were accepted — the rest were older than
@@ -385,53 +360,6 @@ func (c *Client) WAdd(key string, tsMillis int64, elements ...string) (int, erro
 // observed over the window ending at its newest timestamp.
 func (c *Client) WCount(key string, window time.Duration) (int64, error) {
 	reply, err := c.Do("WCOUNT", key, window.String())
-	if err != nil {
-		return 0, err
-	}
-	return strconv.ParseInt(reply, 10, 64)
-}
-
-// WCountAt is WCount with an explicit window end (unix milliseconds) —
-// the deterministic form replayed streams and tests use.
-func (c *Client) WCountAt(key string, window time.Duration, tsMillis int64) (int64, error) {
-	reply, err := c.Do("WCOUNT", key, window.String(), strconv.FormatInt(tsMillis, 10))
-	if err != nil {
-		return 0, err
-	}
-	return strconv.ParseInt(reply, 10, 64)
-}
-
-// WInfo describes the windowed key: ring geometry, newest observed
-// timestamp, dropped-insert count and full-span estimate.
-func (c *Client) WInfo(key string) (string, error) {
-	return c.Do("WINFO", key)
-}
-
-// Expire sets key's time-to-live in whole seconds (rounded up from the
-// duration); it reports whether the key existed.
-func (c *Client) Expire(key string, ttl time.Duration) (bool, error) {
-	secs := int64((ttl + time.Second - 1) / time.Second)
-	reply, err := c.Do("EXPIRE", key, strconv.FormatInt(secs, 10))
-	if err != nil {
-		return false, err
-	}
-	return reply == "1", nil
-}
-
-// PExpire sets key's time-to-live in milliseconds; it reports whether
-// the key existed.
-func (c *Client) PExpire(key string, ttl time.Duration) (bool, error) {
-	reply, err := c.Do("PEXPIRE", key, strconv.FormatInt(ttl.Milliseconds(), 10))
-	if err != nil {
-		return false, err
-	}
-	return reply == "1", nil
-}
-
-// TTL returns key's remaining time-to-live in whole seconds, following
-// the Redis convention: -2 missing key, -1 no deadline.
-func (c *Client) TTL(key string) (int64, error) {
-	reply, err := c.Do("TTL", key)
 	if err != nil {
 		return 0, err
 	}
@@ -466,21 +394,6 @@ func (c *Client) Keys() ([]string, error) {
 		return nil, nil
 	}
 	return strings.Fields(reply), nil
-}
-
-// Dump returns the serialized sketch at key.
-func (c *Client) Dump(key string) ([]byte, error) {
-	reply, err := c.Do("DUMP", key)
-	if err != nil {
-		return nil, err
-	}
-	return base64.StdEncoding.DecodeString(reply)
-}
-
-// Restore replaces the sketch at key with serialized sketch data.
-func (c *Client) Restore(key string, data []byte) error {
-	_, err := c.Do("RESTORE", key, base64.StdEncoding.EncodeToString(data))
-	return err
 }
 
 // Ping checks liveness.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"strconv"
@@ -99,7 +100,7 @@ func TestPipelineExec(t *testing.T) {
 	for i := 0; i < n; i++ {
 		p.PFAdd("pipe", fmt.Sprintf("el-%d", i))
 	}
-	p.PFCount("pipe")
+	p.Do("PFCOUNT", "pipe")
 	p.Do("DUMP", "missing")
 	p.Do("PING")
 	if p.Len() != n+3 {
@@ -133,7 +134,7 @@ func TestPipelineExec(t *testing.T) {
 	if p.Len() != 0 {
 		t.Fatalf("Len after Exec = %d, want 0", p.Len())
 	}
-	p.PFCount("pipe")
+	p.Do("PFCOUNT", "pipe")
 	results, err = p.Exec()
 	if err != nil || len(results) != 1 {
 		t.Fatalf("reused pipeline: %v, %d results", err, len(results))
@@ -163,7 +164,7 @@ func TestPipelinePoisoned(t *testing.T) {
 		t.Errorf("poisoned Exec returned results: %+v", results)
 	}
 	// Nothing was sent: the key must not exist.
-	if _, err := c.Dump("ok"); err == nil {
+	if _, err := c.Do("DUMP", "ok"); err == nil {
 		t.Error("poisoned pipeline partially executed")
 	}
 	if err := c.Ping(); err != nil {
@@ -187,9 +188,9 @@ func TestPipelineEmptyExec(t *testing.T) {
 
 func TestErrNoSuchKeySentinel(t *testing.T) {
 	_, c := startServer(t)
-	_, err := c.Dump("nope")
+	_, err := c.Do("DUMP", "nope")
 	if !errors.Is(err, ErrNoSuchKey) {
-		t.Fatalf("Dump error %v does not wrap ErrNoSuchKey", err)
+		t.Fatalf("DUMP error %v does not wrap ErrNoSuchKey", err)
 	}
 }
 
@@ -253,7 +254,7 @@ func TestPipelineErrInterleaved(t *testing.T) {
 	pl.Do("REFUSE", "k2")
 	pl.PFAdd("k3", "b")
 	pl.Do("REFUSE", "k4")
-	pl.PFCount("k1")
+	pl.Do("PFCOUNT", "k1")
 	results, err := pl.Exec()
 	if err != nil {
 		t.Fatal(err)
@@ -279,4 +280,19 @@ func TestPipelineErrInterleaved(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatalf("connection desynced after interleaved -ERR: %v", err)
 	}
+}
+
+// dump fetches key's value blob with DUMP.
+func dump(c *Client, key string) ([]byte, error) {
+	reply, err := c.Do("DUMP", key)
+	if err != nil {
+		return nil, err
+	}
+	return base64.StdEncoding.DecodeString(reply)
+}
+
+// restore replaces key's value with blob through RESTORE.
+func restore(c *Client, key string, blob []byte) error {
+	_, err := c.Do("RESTORE", key, base64.StdEncoding.EncodeToString(blob))
+	return err
 }

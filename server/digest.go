@@ -22,12 +22,8 @@ import (
 
 // NumShards is the store's shard count, exported so cluster peers can
 // exchange per-shard digest vectors. The shard of a key is a pure
-// function of the key bytes (ShardIndex), identical on every node.
+// function of the key bytes, identical on every node.
 const NumShards = numShards
-
-// ShardIndex returns the index in [0, NumShards) of the shard that
-// holds key — the same value on every node for the same key.
-func ShardIndex(key string) int { return shardIndex(key) }
 
 // KeyDigest is one key's content digest, as exchanged during a digest
 // anti-entropy round.

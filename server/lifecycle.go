@@ -202,12 +202,6 @@ func (s *Store) ExpireAt(key string, deadlineMillis int64) bool {
 	return true
 }
 
-// Expire sets key's deadline ttl from now (store clock); it reports
-// whether the key existed.
-func (s *Store) Expire(key string, ttl time.Duration) bool {
-	return s.ExpireAt(key, s.NowMillis()+ttl.Milliseconds())
-}
-
 // DeadlineOf returns key's absolute deadline in unix milliseconds (0 =
 // no deadline); ok is false if the key is missing (or expired — the
 // lookup collects it).

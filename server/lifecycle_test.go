@@ -29,6 +29,12 @@ func newClockedStore(t *testing.T, startMillis int64) (*Store, *fakeClock) {
 	return store, clk
 }
 
+// expire sets key's deadline ttl past the store clock's now; it reports
+// whether the key existed.
+func expire(s *Store, key string, ttl time.Duration) bool {
+	return s.ExpireAt(key, s.NowMillis()+ttl.Milliseconds())
+}
+
 // TestExpireLazyCollection: an expired key behaves exactly like a
 // missing one on every read path, and the lazy collection shows up in
 // the lifecycle gauges.
@@ -37,7 +43,7 @@ func TestExpireLazyCollection(t *testing.T) {
 	if _, err := store.Add("session", "alice", "bob"); err != nil {
 		t.Fatal(err)
 	}
-	if !store.Expire("session", 5*time.Second) {
+	if !expire(store, "session", 5*time.Second) {
 		t.Fatal("Expire on a live key returned false")
 	}
 	if dl, ok := store.DeadlineOf("session"); !ok || dl != 1_005_000 {
@@ -78,7 +84,7 @@ func TestExpiredCountNoGhostEstimate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !store.Expire("hot", time.Second) {
+	if !expire(store, "hot", time.Second) {
 		t.Fatal("Expire failed")
 	}
 	n, err := store.Count("hot")
@@ -115,7 +121,7 @@ func TestDeleteIfUnchangedExpiryRace(t *testing.T) {
 		t.Fatal("DumpTagged missed the key")
 	}
 	// EXPIRE after the dump bumps the version: the tag is stale.
-	if !store.Expire("contested", time.Second) {
+	if !expire(store, "contested", time.Second) {
 		t.Fatal("Expire failed")
 	}
 	if store.DeleteIfUnchanged("contested", tag) {
@@ -146,7 +152,7 @@ func TestPersistCancelsDeadline(t *testing.T) {
 	if store.Persist("k") {
 		t.Error("Persist on a key without a deadline returned true")
 	}
-	store.Expire("k", time.Second)
+	expire(store, "k", time.Second)
 	if !store.Persist("k") {
 		t.Error("Persist on a deadlined key returned false")
 	}
@@ -203,7 +209,7 @@ func TestSweepExpired(t *testing.T) {
 		if _, err := store.Add(key, "x"); err != nil {
 			t.Fatal(err)
 		}
-		if !store.Expire(key, time.Duration(1+i%5)*time.Second) {
+		if !expire(store, key, time.Duration(1+i%5)*time.Second) {
 			t.Fatal("Expire failed")
 		}
 	}
@@ -229,7 +235,7 @@ func TestSweepExpired(t *testing.T) {
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("ttl2-%d", i)
 		store.Add(key, "x")
-		store.Expire(key, time.Second)
+		expire(store, key, time.Second)
 	}
 	clk.advance(2 * time.Second)
 	collected, ticks := 0, 0
@@ -325,7 +331,7 @@ func TestLifecycleVerbs(t *testing.T) {
 	srv, c := startServer(t)
 	clk := &fakeClock{}
 	clk.ms.Store(1_000_000)
-	srv.Store().SetClock(clk.now)
+	srv.store.SetClock(clk.now)
 
 	if _, err := c.PFAdd("k", "a"); err != nil {
 		t.Fatal(err)
@@ -377,31 +383,30 @@ func TestLifecycleVerbs(t *testing.T) {
 	}
 }
 
-// TestClientLifecycleAPI exercises the typed client wrappers.
+// TestClientLifecycleAPI sends the lifecycle verbs through Client.Do and
+// the typed Persist.
 func TestClientLifecycleAPI(t *testing.T) {
 	_, c := startServer(t)
 	if _, err := c.PFAdd("k", "a"); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := c.Expire("k", 90*time.Second)
-	if err != nil || !ok {
-		t.Fatalf("Expire = %v, %v", ok, err)
+	if reply, err := c.Do("EXPIRE", "k", "90"); err != nil || reply != "1" {
+		t.Fatalf("EXPIRE = %q, %v", reply, err)
 	}
-	ttl, err := c.TTL("k")
-	if err != nil || ttl != 90 {
-		t.Fatalf("TTL = %d, %v; want 90", ttl, err)
+	if reply, err := c.Do("TTL", "k"); err != nil || reply != "90" {
+		t.Fatalf("TTL = %q, %v; want 90", reply, err)
 	}
-	if ok, err := c.PExpire("k", 500*time.Millisecond); err != nil || !ok {
-		t.Fatalf("PExpire = %v, %v", ok, err)
+	if reply, err := c.Do("PEXPIRE", "k", "500"); err != nil || reply != "1" {
+		t.Fatalf("PEXPIRE = %q, %v", reply, err)
 	}
 	if ok, err := c.Persist("k"); err != nil || !ok {
 		t.Fatalf("Persist = %v, %v", ok, err)
 	}
-	if ttl, err := c.TTL("k"); err != nil || ttl != -1 {
-		t.Fatalf("TTL after Persist = %d, %v; want -1", ttl, err)
+	if reply, err := c.Do("TTL", "k"); err != nil || reply != "-1" {
+		t.Fatalf("TTL after Persist = %q, %v; want -1", reply, err)
 	}
-	if ttl, err := c.TTL("missing"); err != nil || ttl != -2 {
-		t.Fatalf("TTL of missing key = %d, %v; want -2", ttl, err)
+	if reply, err := c.Do("TTL", "missing"); err != nil || reply != "-2" {
+		t.Fatalf("TTL of missing key = %q, %v; want -2", reply, err)
 	}
 }
 

@@ -172,7 +172,7 @@ func TestRestoreCrossConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Restore("foreign", blob); err != nil {
+	if err := restore(c, "foreign", blob); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.PFAdd("native", "f-0", "f-1", "extra"); err != nil {
@@ -190,7 +190,7 @@ func TestRestoreCrossConfig(t *testing.T) {
 	otherT := core.MustNew(core.Config{T: 0, D: 2, P: 10})
 	otherT.AddString("x")
 	blob2, _ := otherT.MarshalBinary()
-	if err := c.Restore("ull", blob2); err != nil {
+	if err := restore(c, "ull", blob2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.PFCount("ull", "native"); err == nil {
@@ -213,7 +213,7 @@ func TestCorruptRestorePayloads(t *testing.T) {
 		"bad params":  append([]byte{'E', 'L', 1, 99, 99, 99}, blob[6:]...),
 		"truncated":   blob[:len(blob)-1],
 	} {
-		if err := c.Restore("corrupt", corrupt); err == nil {
+		if err := restore(c, "corrupt", corrupt); err == nil {
 			t.Errorf("RESTORE of %s payload succeeded", name)
 		}
 	}

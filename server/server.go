@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/base64"
 	"errors"
 	"io"
@@ -126,9 +125,6 @@ func (s *Server) WriteMetrics(w io.Writer) { s.stats.WriteMetrics(w, s.store) }
 // SetSnapshotPath enables the SAVE command, writing snapshots to path.
 // Call before Listen.
 func (s *Server) SetSnapshotPath(path string) { s.snapshotPath = path }
-
-// Store returns the store this server serves.
-func (s *Server) Store() *Store { return s.store }
 
 // ByteHandler answers one command of a verb registered with Handle: args
 // are the tokens after the verb as they lie in the connection's read
@@ -554,14 +550,4 @@ func (c *connCtx) exec(line []byte) (quit bool) {
 	}
 	st.record(len(line), c.outBytes, c.wroteErr, time.Since(start))
 	return c.quit
-}
-
-// Serve is a convenience for binaries: listen on addr and block until ctx
-// is cancelled, then shut down.
-func (s *Server) Serve(ctx context.Context, addr string) error {
-	if err := s.Listen(addr); err != nil {
-		return err
-	}
-	<-ctx.Done()
-	return s.Close()
 }

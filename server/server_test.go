@@ -46,7 +46,7 @@ func TestPingAndUnknown(t *testing.T) {
 	if _, err := c.Do("DUMPZ", "k"); !IsReplyErr(err) || !strings.Contains(err.Error(), "unknown command DUMPZ") {
 		t.Errorf("DUMPZ k: err = %v, want an unknown-command reply", err)
 	}
-	if _, err := c.Dump("k"); err != nil {
+	if _, err := dump(c, "k"); err != nil {
 		t.Errorf("DUMP after the refused DUMPZ: %v", err)
 	}
 }
@@ -132,7 +132,7 @@ func TestPFMerge(t *testing.T) {
 	if _, err := c.PFAdd("tue", "b", "c"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PFMerge("week", "mon", "tue"); err != nil {
+	if _, err := c.Do("PFMERGE", "week", "mon", "tue"); err != nil {
 		t.Fatal(err)
 	}
 	n, err := c.PFCount("week")
@@ -146,7 +146,7 @@ func TestPFMerge(t *testing.T) {
 	if _, err := c.PFAdd("wed", "d"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PFMerge("week", "wed"); err != nil {
+	if _, err := c.Do("PFMERGE", "week", "wed"); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := c.PFCount("week"); n != 4 {
@@ -200,11 +200,11 @@ func TestDumpRestore(t *testing.T) {
 	if _, err := c.PFAdd("orig", "a", "b", "c", "d"); err != nil {
 		t.Fatal(err)
 	}
-	data, err := c.Dump("orig")
+	data, err := dump(c, "orig")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Restore("copy", data); err != nil {
+	if err := restore(c, "copy", data); err != nil {
 		t.Fatal(err)
 	}
 	nOrig, _ := c.PFCount("orig")
@@ -212,10 +212,10 @@ func TestDumpRestore(t *testing.T) {
 	if nOrig != nCopy {
 		t.Errorf("restored count %d != original %d", nCopy, nOrig)
 	}
-	if _, err := c.Dump("missing"); err == nil {
+	if _, err := dump(c, "missing"); err == nil {
 		t.Error("DUMP of missing key succeeded")
 	}
-	if err := c.Restore("bad", []byte("garbage")); err == nil {
+	if err := restore(c, "bad", []byte("garbage")); err == nil {
 		t.Error("RESTORE of garbage succeeded")
 	}
 }

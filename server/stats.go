@@ -95,19 +95,6 @@ func (h *LatencyHist) Sum() time.Duration { return time.Duration(h.sumNS.Load())
 // Max returns the largest recorded sample.
 func (h *LatencyHist) Max() time.Duration { return time.Duration(h.maxNS.Load()) }
 
-// Merge folds other's samples into h (max is kept, buckets and sums
-// add). Neither histogram may be concurrently observed during a Merge
-// if an exact snapshot is required; counts are never lost either way.
-func (h *LatencyHist) Merge(other *LatencyHist) {
-	for i := range h.buckets {
-		h.buckets[i].Add(other.buckets[i].Load())
-	}
-	h.sumNS.Add(other.sumNS.Load())
-	if m := other.maxNS.Load(); m > h.maxNS.Load() {
-		h.maxNS.Store(m)
-	}
-}
-
 // Quantile returns the q-quantile (0 < q ≤ 1) as the upper bound of the
 // bucket the quantile falls in, clamped to the observed maximum; 0 when
 // the histogram is empty.

@@ -148,7 +148,7 @@ func TestStatsHammer(t *testing.T) {
 				key := fmt.Sprintf("hk-%d", i%13)
 				el := fmt.Sprintf("el-%d-%d", w, i)
 				p.PFAdd(key, el)
-				p.PFCount(key)
+				p.Do("PFCOUNT", key)
 				p.WAdd("w"+key, 1_750_000_000_000+int64(i), el)
 				pending += 3
 				if pending >= 48 {
@@ -232,7 +232,7 @@ func TestStatsHammer(t *testing.T) {
 	for i := 0; i < k; i++ {
 		el := fmt.Sprintf("q-%d", i)
 		p.PFAdd("qk", el)
-		p.PFCount("qk")
+		p.Do("PFCOUNT", "qk")
 		p.WAdd("wqk", 1_750_000_000_000+int64(i), el)
 	}
 	if _, err := p.Exec(); err != nil {

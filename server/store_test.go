@@ -502,7 +502,7 @@ func keyVersion(store *Store, key string) uint64 {
 // keyDigest is the store's anti-entropy digest of key, false if the key
 // is missing.
 func keyDigest(store *Store, key string) (uint64, bool) {
-	d := store.ShardKeyDigests(ShardIndex(key), func(k string) bool { return k == key })
+	d := store.ShardKeyDigests(shardIndex(key), func(k string) bool { return k == key })
 	if len(d) == 0 {
 		return 0, false
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ const baseMS = int64(1_750_000_000_000)
 // lossless, so equality is exact, including the sliding-expiry edge.
 func TestWAddWCountEndToEnd(t *testing.T) {
 	srv, c := startServer(t)
-	ref, err := window.New(srv.Store().Config(), time.Second, 60)
+	ref, err := window.New(srv.store.Config(), time.Second, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestWAddWCountEndToEnd(t *testing.T) {
 	}
 	nowMS := baseMS + 9_000
 	for _, w := range []time.Duration{time.Second, 5 * time.Second, 30 * time.Second} {
-		got, err := c.WCountAt("ddos:victim", w, nowMS)
+		got, err := wcountAt(c, "ddos:victim", w, nowMS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func TestWAddWCountEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expGot, err := c.WCountAt("ddos:victim", 5*time.Second, nowMS)
+	expGot, err := wcountAt(c, "ddos:victim", 5*time.Second, nowMS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestWAddWCountEndToEnd(t *testing.T) {
 	if _, err := c.WAdd("ddos:victim", nowMS+120_000, "much-later"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.WCountAt("ddos:victim", 5*time.Second, nowMS+120_000)
+	got, err := wcountAt(c, "ddos:victim", 5*time.Second, nowMS+120_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestWAddDropsAndWInfo(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("WADD of two span-old elements accepted %d", n)
 	}
-	info, err := c.WInfo("k")
+	info, err := c.Do("WINFO", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestWAddDropsAndWInfo(t *testing.T) {
 			t.Errorf("WINFO %q lacks %q", info, want)
 		}
 	}
-	if _, err := c.WInfo("missing"); !errors.Is(err, ErrNoSuchKey) {
+	if _, err := c.Do("WINFO", "missing"); !errors.Is(err, ErrNoSuchKey) {
 		t.Errorf("WINFO of missing key: %v, want ErrNoSuchKey", err)
 	}
 	// INFO works on windowed keys too, with a type marker.
@@ -136,12 +137,12 @@ func TestTypedVerbsRejectWrongValueType(t *testing.T) {
 	}{
 		{"WADD on plain", func() error { _, err := c.WAdd("plain", baseMS, "x"); return err }()},
 		{"WCOUNT on plain", func() error { _, err := c.WCount("plain", time.Second); return err }()},
-		{"WINFO on plain", func() error { _, err := c.WInfo("plain"); return err }()},
+		{"WINFO on plain", func() error { _, err := c.Do("WINFO", "plain"); return err }()},
 		{"PFADD on windowed", func() error { _, err := c.PFAdd("windowed", "x"); return err }()},
 		{"PFCOUNT on windowed", func() error { _, err := c.PFCount("windowed"); return err }()},
 		{"PFCOUNT union over windowed", func() error { _, err := c.PFCount("plain", "windowed"); return err }()},
-		{"PFMERGE from windowed", c.PFMerge("dest", "windowed")},
-		{"PFMERGE into windowed", c.PFMerge("windowed", "plain")},
+		{"PFMERGE from windowed", func() error { _, err := c.Do("PFMERGE", "dest", "windowed"); return err }()},
+		{"PFMERGE into windowed", func() error { _, err := c.Do("PFMERGE", "windowed", "plain"); return err }()},
 	}
 	for _, tc := range cross {
 		if !errors.Is(tc.err, ErrWrongType) {
@@ -218,7 +219,7 @@ func TestWindowDumpRestoreMergeBlob(t *testing.T) {
 			}
 		}
 	}
-	blob, err := c.Dump("w")
+	blob, err := dump(c, "w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestWindowDumpRestoreMergeBlob(t *testing.T) {
 	if _, err := c.PFAdd("other", "x"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Restore("other", blob); err != nil {
+	if err := restore(c, "other", blob); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := c.WCount("w", time.Minute)
@@ -242,7 +243,7 @@ func TestWindowDumpRestoreMergeBlob(t *testing.T) {
 	}
 	// MergeBlob is idempotent: merging the same ring in twice changes
 	// nothing (slice-level sketch union).
-	store := srv.Store()
+	store := srv.store
 	if err := store.MergeBlob("w", blob); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestWindowDumpRestoreMergeBlob(t *testing.T) {
 		t.Errorf("idempotent re-merge moved the count %d → %d", a, after)
 	}
 	// Disjoint rings union: a second server's ring merges in slot-wise.
-	st2, err := NewStore(srv.Store().Config())
+	st2, err := NewStore(srv.store.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestPipelineWindowVerbs(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p.WAdd("pw", baseMS+int64(i)*100, fmt.Sprintf("el-%d", i))
 	}
-	p.WCount("pw", time.Minute)
+	p.Do("WCOUNT", "pw", time.Minute.String())
 	results, err := p.Exec()
 	if err != nil {
 		t.Fatal(err)
@@ -353,4 +354,14 @@ func FuzzWindowVerbFraming(f *testing.F) {
 			}
 		}
 	})
+}
+
+// wcountAt sends WCOUNT key window ts, the form with an explicit window
+// end, and parses the count.
+func wcountAt(c *Client, key string, window time.Duration, tsMillis int64) (int64, error) {
+	reply, err := c.Do("WCOUNT", key, window.String(), strconv.FormatInt(tsMillis, 10))
+	if err != nil {
+		return 0, err
+	}
+	return strconv.ParseInt(reply, 10, 64)
 }
