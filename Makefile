@@ -23,9 +23,15 @@ test: build vet
 # views of command-line keys the server's store takes. The root package's
 # ExampleNewAtomic inserts from four goroutines by compare-and-swap.
 # aggdb/ queries its partitions on goroutines and graph/ runs its ANF
-# iterations on workers.
+# iterations on workers. The four commands are CI's four race steps, in
+# its order: internal/core/ alone (about three minutes under -race, too
+# close to the timeout beside the others), the pooled connection buffers'
+# test ten times, and cluster/ twice over in shuffled order.
 race:
-	$(GO) test -race -timeout 5m . ./internal/core/ ./server/ ./cluster/ ./window/ ./cmd/... ./aggdb/ ./graph/
+	$(GO) test -race -timeout 5m . ./server/ ./window/ ./cmd/... ./aggdb/ ./graph/
+	$(GO) test -race -timeout 5m ./internal/core/
+	$(GO) test -race -count=10 -run 'TestBurstsAndIdleShareThePool' ./server/
+	$(GO) test -race -count=2 -shuffle=on -timeout 10m ./cluster/
 
 # bench-smoke compiles and runs every benchmark once — a fast
 # does-it-still-run check, not a measurement (measurements come from

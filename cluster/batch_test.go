@@ -23,11 +23,7 @@ import (
 // framing corruption is -ERR.
 func TestMLAddWire(t *testing.T) {
 	nodes := startCluster(t, 1, 1)
-	c, err := server.Dial(nodes[0].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialTest(t, nodes[0].Addr())
 
 	ab, one := batchB64(t, "a", "b"), batchB64(t, "a")
 	reply, err := c.Do("CLUSTER", "MLADD", "3",
@@ -101,7 +97,7 @@ func TestMLAddWire(t *testing.T) {
 // refused, nothing is applied, and the connection stays usable.
 func TestRetiredClusterVerbsAreRefused(t *testing.T) {
 	nodes := startCluster(t, 1, 1)
-	c := dialNode(t, nodes[0])
+	c := dialTest(t, nodes[0].Addr())
 	blob := base64.StdEncoding.EncodeToString(denseBlob(t, "x"))
 	elc1 := base64.StdEncoding.EncodeToString(elc1Blob(t))
 	elc1Frame := base64.StdEncoding.EncodeToString(server.EncodeFrame([]server.KeyBlob{{Key: "framed", Blob: elc1Blob(t)}}))

@@ -17,23 +17,7 @@ import (
 // connected to the first node; nodes[0] is the seed.
 func startBenchCluster(b *testing.B) ([]*Node, *server.Client) {
 	b.Helper()
-	nodes := make([]*Node, 3)
-	for i := range nodes {
-		node, err := NewNode(fmt.Sprintf("n%d", i+1), testConfig(), 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := node.Start("127.0.0.1:0"); err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { node.Close() })
-		if i > 0 {
-			if err := node.Join(nodes[0].Addr()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		nodes[i] = node
-	}
+	nodes := startTCPCluster(b, 3, 2)
 	c, err := server.Dial(nodes[0].Addr())
 	if err != nil {
 		b.Fatal(err)
@@ -62,7 +46,7 @@ func BenchmarkClusterRoutedPFAdd(b *testing.B) {
 // owner, which counts its own copy. Client and nodes share the process, so
 // allocs/op counts both sides of the hop.
 func BenchmarkClusterClientCount(b *testing.B) {
-	nodes := startClusterB(b, 3, 1)
+	nodes := startTCPCluster(b, 3, 1)
 	cc, err := DialCluster(nodes[0].Addr())
 	if err != nil {
 		b.Fatal(err)
@@ -118,7 +102,7 @@ func BenchmarkNodeAdd(b *testing.B) {
 		b.Run(strconv.Itoa(k), func(b *testing.B) {
 			for _, mode := range []string{"existing", "fresh"} {
 				b.Run(mode, func(b *testing.B) {
-					nodes := startClusterB(b, 2, 2)
+					nodes := startTCPCluster(b, 2, 2)
 					for j := 0; j < 64; j++ {
 						if _, err := nodes[0].Add(fmt.Sprintf("key-%d", j), pool[j*1000:(j+1)*1000]...); err != nil {
 							b.Fatal(err)
@@ -141,29 +125,6 @@ func BenchmarkNodeAdd(b *testing.B) {
 			}
 		})
 	}
-}
-
-// startClusterB is startCluster for a benchmark.
-func startClusterB(b *testing.B, n, replicas int) []*Node {
-	b.Helper()
-	nodes := make([]*Node, n)
-	for i := range nodes {
-		node, err := NewNode(fmt.Sprintf("n%d", i+1), testConfig(), replicas)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := node.Start("127.0.0.1:0"); err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { node.Close() })
-		if i > 0 {
-			if err := node.Join(nodes[0].Addr()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		nodes[i] = node
-	}
-	return nodes
 }
 
 // BenchmarkClusterFanoutPFCount measures wire-level PFCOUNT of an
@@ -352,7 +313,7 @@ func BenchmarkRingOwners(b *testing.B) {
 func BenchmarkNodeDispatch(b *testing.B) {
 	for _, tc := range nodeDispatchCases() {
 		b.Run(tc.name, func(b *testing.B) {
-			node := startClusterB(b, tc.nodes, tc.nodes)[0]
+			node := startTCPCluster(b, tc.nodes, tc.nodes)[0]
 			tc.setup(b, node)
 			line := []byte(tc.line)
 			node.Server().ServeStream(&streamOf{line: line, n: 1}, io.Discard)

@@ -17,9 +17,28 @@ const testP = 10
 
 func testConfig() core.Config { return core.RecommendedML(testP) }
 
-// startCluster spins up n in-process nodes with the given replica
-// factor; nodes[0] is the seed. Cleanup closes all of them.
+// startCluster spins up n in-process nodes on the fabric, free of faults,
+// with the given replica factor; nodes[0] is the seed. Cleanup closes all
+// of them.
 func startCluster(t *testing.T, n, replicas int) []*Node {
+	t.Helper()
+	fab.reset(t)
+	return bootCluster(t, n, replicas, func(node *Node) { startOnFabric(t, node, "") })
+}
+
+// startTCPCluster is startCluster on loopback TCP, for the acceptance
+// test and the benchmarks.
+func startTCPCluster(tb testing.TB, n, replicas int) []*Node {
+	tb.Helper()
+	return bootCluster(tb, n, replicas, func(node *Node) {
+		if err := node.Start("127.0.0.1:0"); err != nil {
+			tb.Fatal(err)
+		}
+	})
+}
+
+// bootCluster is startCluster with the nodes started by start.
+func bootCluster(t testing.TB, n, replicas int, start func(*Node)) []*Node {
 	t.Helper()
 	nodes := make([]*Node, n)
 	for i := range nodes {
@@ -27,9 +46,7 @@ func startCluster(t *testing.T, n, replicas int) []*Node {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := node.Start("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
+		start(node)
 		t.Cleanup(func() { node.Close() })
 		if i > 0 {
 			if err := node.Join(nodes[0].Addr()); err != nil {
@@ -46,9 +63,10 @@ func startCluster(t *testing.T, n, replicas int) []*Node {
 // countable on nodes B and C with the same estimate, (2) after a node
 // leaves and rebalance completes every key's estimate is unchanged, and
 // (3) a cluster-wide union PFCOUNT equals the single-node result on the
-// same data.
+// same data. Its nodes talk over loopback TCP, where every other
+// cluster test runs on the in-memory fabric.
 func TestClusterAcceptance(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
+	nodes := startTCPCluster(t, 3, 2)
 
 	// Reference: one plain sketch per key fed the same elements.
 	ref := map[string]*core.Sketch{
@@ -147,16 +165,8 @@ func TestClusterAcceptance(t *testing.T) {
 // the stock server.Client: any node answers any command.
 func TestClusterWireProtocol(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
-	a, err := server.Dial(nodes[0].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := server.Dial(nodes[1].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	a := dialTest(t, nodes[0].Addr())
+	b := dialTest(t, nodes[1].Addr())
 
 	if _, err := a.PFAdd("k", "x", "y", "z"); err != nil {
 		t.Fatal(err)
@@ -214,8 +224,8 @@ func TestClusterWireProtocol(t *testing.T) {
 	}
 
 	// DEL removes the key cluster-wide.
-	if existed, err := b.Del("k"); err != nil || !existed {
-		t.Fatalf("Del(k) = %v, %v, want true, nil", existed, err)
+	if reply, err := b.Do("DEL", "k"); err != nil || reply != "1" {
+		t.Fatalf("DEL k = %q, %v, want 1 (existed)", reply, err)
 	}
 	got, err = a.PFCount("k")
 	if err != nil {
@@ -236,11 +246,7 @@ func TestClusterLeaveViaWire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c, err := server.Dial(nodes[0].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialTest(t, nodes[0].Addr())
 	reply, err := c.Do("CLUSTER", "LEAVE", nodes[2].ID())
 	if err != nil {
 		t.Fatal(err)
@@ -333,9 +339,7 @@ func TestRejoinAfterRestartLearnsMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restarted.Start(addr); err != nil {
-		t.Fatal(err)
-	}
+	startOnFabric(t, restarted, addr)
 	t.Cleanup(func() { restarted.Close() })
 	if err := restarted.Join(nodes[0].Addr()); err != nil {
 		t.Fatal(err)
@@ -363,9 +367,7 @@ func TestJoinWithLocalData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := joiner.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	startOnFabric(t, joiner, "")
 	t.Cleanup(func() { joiner.Close() })
 	joiner.Store().Add("restored", "a", "b", "c")
 
@@ -479,9 +481,7 @@ func TestMergeKeysFromStaleCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n4.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	startOnFabric(t, n4, "")
 	t.Cleanup(func() { n4.Close() })
 	old := nodes[0].Map()
 	cur := old.withNode("n4", n4.Addr(), old.Epoch+1, "n2")
@@ -532,7 +532,7 @@ func TestMergeKeysFromStaleCoordinator(t *testing.T) {
 		}
 	}
 
-	c := dialNode(t, nodes[0])
+	c := dialTest(t, nodes[0].Addr())
 	if _, err := c.Do(append([]string{"PFMERGE", dest}, sources...)...); err != nil {
 		t.Fatalf("PFMERGE through the stale coordinator: %v", err)
 	}

@@ -75,11 +75,16 @@ type ClientStats struct {
 // and fetches the initial map. The seeds are also the fallback for map
 // refetches when every known member is unreachable.
 func DialCluster(seeds ...string) (*ClusterClient, error) {
+	return dialCluster(dialTCP, seeds...)
+}
+
+// dialCluster is DialCluster over the transport connect.
+func dialCluster(connect dialer, seeds ...string) (*ClusterClient, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("cluster: DialCluster needs at least one seed address")
 	}
 	cc := &ClusterClient{
-		peers:      newPool(),
+		peers:      newPool(connect),
 		seeds:      append([]string(nil), seeds...),
 		minRefetch: defaultMinRefetch,
 	}
@@ -257,18 +262,6 @@ func (cc *ClusterClient) WCount(key string, win time.Duration) (int64, error) {
 		return 0, err
 	}
 	return strconv.ParseInt(reply, 10, 64)
-}
-
-// Del removes key from the cluster; it reports whether it existed.
-func (cc *ClusterClient) Del(key string) (bool, error) {
-	if err := validToken("key", key); err != nil {
-		return false, err
-	}
-	reply, err := cc.run(key, "DEL", key)
-	if err != nil {
-		return false, err
-	}
-	return reply == "1", nil
 }
 
 func validAddArgs(key string, elements []string) error {

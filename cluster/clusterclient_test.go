@@ -43,13 +43,10 @@ func TestPoolClassifiesByTransport(t *testing.T) {
 	srv := server.NewServer(store)
 	srv.Handle("WEIRD", 0, -1, "", func(reply []byte, _ [][]byte) []byte { return append(reply, "-ERR totally novel failure"...) })
 	srv.Handle("BOUNCE", 0, -1, "", func(reply []byte, _ [][]byte) []byte { return append(reply, "-MOVED e=9 nX=127.0.0.1:1"...) })
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	serveOnFabric(t, srv)
 	addr := srv.Addr()
 
-	p := newPool()
+	p := newPool(fab.dialer(""))
 	defer p.closeAll()
 	var alive atomic.Int64
 	p.alive = func(string) { alive.Add(1) }
@@ -104,11 +101,7 @@ func TestPoolClassifiesByTransport(t *testing.T) {
 // every node.
 func TestRebalanceLosesNoPublicWrite(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
-	c, err := server.Dial(nodes[0].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialTest(t, nodes[0].Addr())
 
 	const keys = 64
 	ref := make([]*core.Sketch, keys)
@@ -133,9 +126,7 @@ func TestRebalanceLosesNoPublicWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n4.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	startOnFabric(t, n4, "")
 	t.Cleanup(func() { n4.Close() })
 	if err := n4.Join(nodes[0].Addr()); err != nil {
 		t.Fatal(err)
@@ -158,10 +149,10 @@ func TestRebalanceLosesNoPublicWrite(t *testing.T) {
 // TestForwardRetriesOnFreshMap is the satellite-2 test: a coordinator
 // forward held on the wire while its target owner crashes and a new map
 // is installed must re-resolve owners against the fresh map once,
-// instead of surfacing the transport error. The gate-style hook makes
-// the interleaving deterministic: the Add resolves owners under the old
-// map, parks before dialing the doomed owner, and only proceeds after
-// the crash and the map flip.
+// instead of surfacing the transport error. An intercept makes the
+// interleaving deterministic: the Add resolves owners under the old map,
+// its forward parks on the wire to the doomed owner, and it only proceeds
+// after the crash and the map flip.
 func TestForwardRetriesOnFreshMap(t *testing.T) {
 	mk := func(id string) *Node {
 		t.Helper()
@@ -178,8 +169,9 @@ func TestForwardRetriesOnFreshMap(t *testing.T) {
 	victimAddr.Store("")
 	arrived := make(chan struct{}, 1)
 	release := make(chan struct{})
-	n1.setFaultHook(func(addr string, parts []string) error {
-		if arm.Load() && addr == victimAddr.Load().(string) &&
+	fab.reset(t)
+	fab.setIntercept(func(from, to string, parts []string) error {
+		if arm.Load() && from == "n1" && to == victimAddr.Load().(string) &&
 			len(parts) >= 2 && parts[0] == "CLUSTER" && parts[1] == "MLADD" {
 			arrived <- struct{}{}
 			<-release
@@ -188,9 +180,7 @@ func TestForwardRetriesOnFreshMap(t *testing.T) {
 	})
 
 	for _, n := range []*Node{n1, n2, n3} {
-		if err := n.Start("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
+		startOnFabric(t, n, "")
 	}
 	t.Cleanup(func() { n1.Close(); n2.Close(); n3.Close() })
 	for _, n := range []*Node{n2, n3} {
@@ -244,7 +234,7 @@ func TestForwardRetriesOnFreshMap(t *testing.T) {
 // map: every op lands on an owner first try — no failover, no refetch.
 func TestClusterClientSingleHop(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
-	cc, err := DialCluster(nodes[0].Addr())
+	cc, err := dialCluster(fab.dialer("client"), nodes[0].Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,14 +275,14 @@ func TestClusterClientSingleHop(t *testing.T) {
 		t.Fatalf("WCount = %d, %v; want 2", got, err)
 	}
 
-	if existed, err := cc.Del("sh-0"); err != nil || !existed {
-		t.Fatalf("Del = %v, %v; want existed", existed, err)
+	if reply, err := cc.run("sh-0", "DEL", "sh-0"); err != nil || reply != "1" {
+		t.Fatalf("DEL = %q, %v; want 1 (existed)", reply, err)
 	}
 	if got, err := cc.Count("sh-0"); err != nil || got != 0 {
 		t.Fatalf("Count after Del = %d, %v; want 0", got, err)
 	}
 
-	// Every other verb with a typed method takes the same single hop.
+	// Every other verb takes the same single hop.
 	if changed, err := cc.Add("sh-1", "c"); err != nil || !changed {
 		t.Errorf("Add sh-1 = %v, %v; want changed", changed, err)
 	}
@@ -302,8 +292,8 @@ func TestClusterClientSingleHop(t *testing.T) {
 	if got, err := cc.WCount("sh-win", time.Minute); err != nil || got != 2 {
 		t.Errorf("WCount sh-win = %d, %v; want 2", got, err)
 	}
-	if existed, err := cc.Del("sh-3"); err != nil || !existed {
-		t.Errorf("Del sh-3 = %v, %v; want existed", existed, err)
+	if reply, err := cc.run("sh-3", "DEL", "sh-3"); err != nil || reply != "1" {
+		t.Errorf("DEL sh-3 = %q, %v; want 1 (existed)", reply, err)
 	}
 
 	if s := cc.Stats(); s != (ClientStats{}) {
@@ -362,7 +352,7 @@ func staleClientRun(t *testing.T, cc *ClusterClient, old, cur *Map) {
 // owners, so nothing is lost and nothing bounces.
 func TestClusterClientStaleAfterJoin(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
-	cc, err := DialCluster(nodes[0].Addr())
+	cc, err := dialCluster(fab.dialer("client"), nodes[0].Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,9 +363,7 @@ func TestClusterClientStaleAfterJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n4.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	startOnFabric(t, n4, "")
 	t.Cleanup(func() { n4.Close() })
 	if err := n4.Join(nodes[0].Addr()); err != nil {
 		t.Fatal(err)
@@ -388,7 +376,7 @@ func TestClusterClientStaleAfterJoin(t *testing.T) {
 // up, forwards them to their owners under the map without it.
 func TestClusterClientStaleAfterLeave(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
-	cc, err := DialCluster(nodes[0].Addr())
+	cc, err := dialCluster(fab.dialer("client"), nodes[0].Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +399,7 @@ func TestClusterClientStaleAfterLeave(t *testing.T) {
 // refetch, and converge on the surviving replica.
 func TestClusterClientFailsOverOnDeadOwner(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
-	cc, err := DialCluster(nodes[0].Addr(), nodes[1].Addr())
+	cc, err := dialCluster(fab.dialer("client"), nodes[0].Addr(), nodes[1].Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,11 +416,7 @@ func TestClusterClientFailsOverOnDeadOwner(t *testing.T) {
 	// Crash n3, then evict it through a survivor (epoch-fenced LEAVE,
 	// survivors re-replicate). The client still routes by the old map.
 	nodes[2].Close()
-	c, err := server.Dial(nodes[0].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialTest(t, nodes[0].Addr())
 	if _, err := c.Do("CLUSTER", "LEAVE", "n3"); err != nil {
 		t.Fatal(err)
 	}
@@ -454,27 +438,29 @@ func TestClusterClientFailsOverOnDeadOwner(t *testing.T) {
 	}
 }
 
-// TestClusterClientFailoverBudget: with every node down, one op tries
-// the key's owners 1+failoverBudget times, takes failoverBudget
-// failovers, and fails — a dead cluster is an error, not a livelock.
+// TestClusterClientFailoverBudget: with every node unreachable — each
+// request the client sends, map refetches included, fails in transport —
+// one op tries the key's owners 1+failoverBudget times, takes
+// failoverBudget failovers, and fails: a dead cluster is an error, not a
+// livelock.
 func TestClusterClientFailoverBudget(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
-	cc, err := DialCluster(nodes[0].Addr())
+	cc, err := dialCluster(fab.dialer("client"), nodes[0].Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cc.Close()
 	cc.minRefetch = time.Millisecond
 	var tries atomic.Int64
-	cc.peers.hook = func(_ string, parts []string) error {
+	fab.setIntercept(func(from, _ string, parts []string) error {
+		if from != "client" {
+			return nil
+		}
 		if parts[0] == "PFCOUNT" {
 			tries.Add(1)
 		}
-		return nil
-	}
-	for _, n := range nodes {
-		n.Close()
-	}
+		return errors.New("test: the cluster is unreachable")
+	})
 
 	if got, err := cc.Count("k"); err == nil || server.IsReplyErr(err) {
 		t.Fatalf("Count on a dead cluster = %d, %v; want a transport error", got, err)
@@ -493,7 +479,7 @@ func TestClusterClientFailoverBudget(t *testing.T) {
 // lost.
 func TestClusterClientMidRebalanceChaos(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
-	cc, err := DialCluster(nodes[0].Addr(), nodes[1].Addr(), nodes[2].Addr())
+	cc, err := dialCluster(fab.dialer("client"), nodes[0].Addr(), nodes[1].Addr(), nodes[2].Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,9 +532,7 @@ func TestClusterClientMidRebalanceChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n4.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	startOnFabric(t, n4, "")
 	t.Cleanup(func() { n4.Close() })
 	if err := n4.Join(nodes[0].Addr()); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ import (
 func countClusterVerbs(h *harness) (count func(verb string) int) {
 	var mu sync.Mutex
 	counts := map[string]int{}
-	h.setIntercept(func(id, addr string, parts []string) error {
+	fab.setIntercept(func(id, addr string, parts []string) error {
 		if len(parts) >= 2 && strings.EqualFold(parts[0], "CLUSTER") {
 			mu.Lock()
 			counts[strings.ToUpper(parts[1])]++
@@ -36,7 +36,7 @@ func countClusterVerbs(h *harness) (count func(verb string) int) {
 		}
 		return nil
 	})
-	h.t.Cleanup(func() { h.setIntercept(nil) })
+	h.t.Cleanup(func() { fab.setIntercept(nil) })
 	return func(verb string) int {
 		mu.Lock()
 		defer mu.Unlock()
@@ -222,7 +222,7 @@ func TestDigestSyncHealsEqualEpochRivals(t *testing.T) {
 		}
 	}
 	cur := n1.Map()
-	h.start("x1", "127.0.0.1:0")
+	h.start("x1")
 	rivalA := cur.withNode("x1", h.addr("x1"), cur.Epoch+1, "n1")
 	rivalB := cur.withNode("x2", "127.0.0.1:1", cur.Epoch+1, "n2")
 	if !n1.swapMap(rivalA) || !n2.swapMap(rivalB) {
@@ -405,13 +405,13 @@ func TestDigestSyncChaosUnderLoad(t *testing.T) {
 
 	var mu sync.Mutex
 	total := 0
-	h.setIntercept(func(id, addr string, parts []string) error {
+	fab.setIntercept(func(id, addr string, parts []string) error {
 		mu.Lock()
 		total++
 		mu.Unlock()
 		return nil
 	})
-	defer h.setIntercept(nil)
+	defer fab.setIntercept(nil)
 
 	for _, n := range h.running() {
 		if err := n.DigestSync(); err != nil {
@@ -518,13 +518,13 @@ func TestDigestSyncHealsMissedJoin(t *testing.T) {
 		}
 		ref[k] = mustCount(t, h.node("n1"), key)
 	}
-	h.partition("n3", true)
-	h.start("x1", "127.0.0.1:0")
+	fab.partition("n3", true)
+	h.start("x1")
 	h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1")) // the broadcast to n3 fails: that is the point
 	if !h.node("n1").Map().Has("x1") || h.node("n3").Map().Has("x1") {
 		t.Fatal("fixture: the join must land on the majority and miss n3")
 	}
-	h.partition("n3", false)
+	fab.partition("n3", false)
 
 	count := countClusterVerbs(h)
 	round := func() {

@@ -102,7 +102,7 @@ func runScript(t *testing.T, script []string, addrs []string) []string {
 	}
 	conns := make([]conn, len(addrs))
 	for i, addr := range addrs {
-		c, err := net.Dial("tcp", addr)
+		c, err := fab.dial("", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,10 +141,7 @@ func TestEveryVerbAnswersAlikeInBothModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := server.NewServer(store)
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	serveOnFabric(t, srv)
 	standalone := runScript(t, script, []string{srv.Addr()})
 
 	const pin = "ec838ffb04f60f7b1d3eb5ed9356ace912956cf586f6296b0f5f476b1f585825"
@@ -274,7 +271,7 @@ func TestClusterVerbForms(t *testing.T) {
 		t.Errorf("%d subverbs registered, %d with forms here", len(usage), len(forms))
 	}
 
-	conn, err := net.Dial("tcp", n.Addr())
+	conn, err := fab.dial("", n.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 package cluster
 
-// An in-process multi-node cluster harness with injectable fault hooks
-// — partition a node, delay a verb on the wire, crash a node and
-// restart it from its snapshot — so membership races that would
-// otherwise only surface in production are reproducible, deterministic
+// An in-process multi-node cluster harness on the fabric (fabric_test.go),
+// whose faults — partition a node, delay or gate a verb on the wire,
+// intercept single messages, stall a node — plus crashing a node and
+// restarting it from its snapshot make membership races that would
+// otherwise only surface in production reproducible, deterministic
 // enough to assert on, and run under `go test -race`.
 //
 // Failure detection is tested under a FAKE CLOCK: gossip time is a
@@ -15,8 +16,6 @@ package cluster
 
 import (
 	"fmt"
-	"io"
-	"net"
 	"os"
 	"slices"
 	"sort"
@@ -37,18 +36,13 @@ type harness struct {
 	window   int              // non-zero: the transfer window of every started node
 	clock    func() time.Time // non-nil: injected store clock (expiry tests)
 
-	mu          sync.Mutex
-	nodes       map[string]*Node         // running nodes by ID
-	addrs       map[string]string        // id → last listen address (survives a crash)
-	idByAddr    map[string]string        // reverse index for symmetric partitions
-	partitioned map[string]bool          // node IDs currently cut off
-	delays      map[string]time.Duration // CLUSTER subcommand → outbound delay
-	gates       map[string]chan struct{} // "<id> <VERB>" → outbound blocks until closed
-	intercept   func(id, addr string, parts []string) error
+	mu    sync.Mutex
+	nodes map[string]*Node  // running nodes by ID
+	addrs map[string]string // id → last listen address (survives a crash)
 }
 
-// newHarness boots n nodes (n1..nN, n1 the seed) with the given
-// replica factor, each with a snapshot path and a fault hook.
+// newHarness boots n nodes (n1..nN, n1 the seed) on the fabric with the
+// given replica factor, each with a snapshot path.
 func newHarness(t *testing.T, n, replicas int) *harness {
 	t.Helper()
 	return newHarnessCfg(t, n, replicas, 0)
@@ -69,129 +63,38 @@ func newHarnessCfg(t *testing.T, n, replicas, window int) *harness {
 func newHarnessClock(t *testing.T, n, replicas, window int, clock func() time.Time) *harness {
 	t.Helper()
 	h := &harness{
-		t:           t,
-		replicas:    replicas,
-		dir:         t.TempDir(),
-		window:      window,
-		clock:       clock,
-		nodes:       make(map[string]*Node),
-		addrs:       make(map[string]string),
-		idByAddr:    make(map[string]string),
-		partitioned: make(map[string]bool),
-		delays:      make(map[string]time.Duration),
-		gates:       make(map[string]chan struct{}),
+		t:        t,
+		replicas: replicas,
+		dir:      t.TempDir(),
+		window:   window,
+		clock:    clock,
+		nodes:    make(map[string]*Node),
+		addrs:    make(map[string]string),
 	}
+	t.Cleanup(h.closeAll)
+	fab.reset(t) // registered after closeAll, so a gate still shut opens before the nodes close
 	for i := 1; i <= n; i++ {
 		id := fmt.Sprintf("n%d", i)
-		node := h.start(id, "127.0.0.1:0")
+		node := h.start(id)
 		if i > 1 {
 			if err := node.Join(h.addr("n1")); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	t.Cleanup(h.closeAll)
 	return h
 }
 
-// hookFor builds node id's outbound fault hook: traffic is dropped
-// when either endpoint is partitioned, and CLUSTER subcommands with a
-// configured delay sleep before being sent.
-func (h *harness) hookFor(id string) func(addr string, parts []string) error {
-	return func(addr string, parts []string) error {
-		h.mu.Lock()
-		blocked := h.partitioned[id] || h.partitioned[h.idByAddr[addr]]
-		intercept := h.intercept
-		var delay time.Duration
-		var gate chan struct{}
-		if len(parts) >= 2 && strings.EqualFold(parts[0], "CLUSTER") {
-			delay = h.delays[strings.ToUpper(parts[1])]
-			gate = h.gates[id+" "+strings.ToUpper(parts[1])]
-		}
-		h.mu.Unlock()
-		if blocked {
-			return fmt.Errorf("harness: network partition between %s and %s", id, addr)
-		}
-		if gate != nil {
-			<-gate // parked until the test releases the gate
-		}
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		if intercept != nil {
-			return intercept(id, addr, parts)
-		}
-		return nil
-	}
-}
-
-// setIntercept installs a per-message interceptor consulted (after the
-// partition/gate/delay faults) with every outbound command of every
-// node — the surgical fault: a test can fail or park exactly the Nth
-// transfer frame, something the verb-granular faults cannot express.
-// nil clears it.
-func (h *harness) setIntercept(f func(id, addr string, parts []string) error) {
-	h.mu.Lock()
-	h.intercept = f
-	h.mu.Unlock()
-}
-
 // stall replaces node id with a black hole: the node is crashed and its
-// address re-bound to a listener that accepts connections and reads
-// forever without ever replying — the pathological peer that, before
-// I/O deadlines, hung every forward and rebalance touching it. Returns
-// the stalled address.
+// address bound to an endpoint that reads forever without ever replying —
+// the pathological peer that, before I/O deadlines, hung every forward and
+// rebalance touching it. Returns the stalled address.
 func (h *harness) stall(id string) string {
 	h.t.Helper()
 	h.crash(id)
 	addr := h.addr(id)
-	var ln net.Listener
-	var err error
-	// The just-closed listener's port can take a moment to rebind.
-	for attempt := 0; attempt < 50; attempt++ {
-		if ln, err = net.Listen("tcp", addr); err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				io.Copy(io.Discard, c) // consume everything, answer nothing
-			}(c)
-		}
-	}()
-	h.t.Cleanup(func() { ln.Close() })
+	fab.stall(h.t, id, addr)
 	return addr
-}
-
-// gate parks every outbound CLUSTER <verb> from node id until the
-// returned release is called — an ordering primitive: unlike delay it
-// enforces a happens-before edge instead of racing a timer, which is
-// what keeps interleaving tests deterministic.
-func (h *harness) gate(id, verb string) (release func()) {
-	ch := make(chan struct{})
-	key := id + " " + strings.ToUpper(verb)
-	h.mu.Lock()
-	h.gates[key] = ch
-	h.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			h.mu.Lock()
-			delete(h.gates, key)
-			h.mu.Unlock()
-			close(ch)
-		})
-	}
 }
 
 // waitFor polls cond until it holds, failing the test after deadline.
@@ -208,9 +111,12 @@ func (h *harness) waitFor(deadline time.Duration, what string, cond func() bool)
 	}
 }
 
-// start boots node id, loading its snapshot when one exists. listen is
-// "127.0.0.1:0" for a fresh port or a recorded address on restart.
-func (h *harness) start(id, listen string) *Node {
+// start boots node id at a fresh address, loading its snapshot when one
+// exists.
+func (h *harness) start(id string) *Node { return h.startAt(id, "") }
+
+// startAt is start at addr: a recorded address on restart.
+func (h *harness) startAt(id, addr string) *Node {
 	h.t.Helper()
 	n, err := NewNode(id, testConfig(), h.replicas)
 	if err != nil {
@@ -228,24 +134,14 @@ func (h *harness) start(id, listen string) *Node {
 		}
 	}
 	n.SetSnapshotPath(snap)
-	n.setFaultHook(h.hookFor(id))
 	n.gsp.suspectAfter = testSuspectAfter
 	if h.window != 0 {
 		n.xfer.window = h.window
 	}
-	// A just-crashed listener's port can take a moment to rebind.
-	startErr := n.Start(listen)
-	for attempt := 0; startErr != nil && attempt < 50; attempt++ {
-		time.Sleep(20 * time.Millisecond)
-		startErr = n.Start(listen)
-	}
-	if startErr != nil {
-		h.t.Fatal(startErr)
-	}
+	startOnFabric(h.t, n, addr)
 	h.mu.Lock()
 	h.nodes[id] = n
 	h.addrs[id] = n.Addr()
-	h.idByAddr[n.Addr()] = id
 	h.mu.Unlock()
 	return n
 }
@@ -275,30 +171,11 @@ func (h *harness) save(id string) {
 // snapshot and lets it self-heal into the cluster — no seed address.
 func (h *harness) restart(id string) *Node {
 	h.t.Helper()
-	h.mu.Lock()
-	listen := h.addrs[id]
-	h.mu.Unlock()
-	n := h.start(id, listen)
+	n := h.startAt(id, h.addr(id))
 	if err := n.Rejoin(); err != nil {
 		h.t.Fatalf("rejoin %s: %v", id, err)
 	}
 	return n
-}
-
-// partition cuts node id off from all peer traffic (both directions)
-// or reconnects it.
-func (h *harness) partition(id string, cut bool) {
-	h.mu.Lock()
-	h.partitioned[id] = cut
-	h.mu.Unlock()
-}
-
-// delay makes every node's outbound CLUSTER <verb> messages sleep d
-// before sending (0 clears it).
-func (h *harness) delay(verb string, d time.Duration) {
-	h.mu.Lock()
-	h.delays[strings.ToUpper(verb)] = d
-	h.mu.Unlock()
 }
 
 // testSuspectAfter is the harness-wide suspicion window in gossip
@@ -351,12 +228,13 @@ func (h *harness) running() []*Node {
 }
 
 // do runs one admin command against node id on a fresh operator
-// connection (operator traffic bypasses the simulated partitions).
+// connection (operator traffic bypasses the fabric's faults).
 func (h *harness) do(id string, parts ...string) (string, error) {
-	c, err := server.Dial(h.addr(id))
+	conn, err := fab.dial("", h.addr(id))
 	if err != nil {
 		return "", err
 	}
+	c := server.NewClient(conn)
 	defer c.Close()
 	return c.Do(parts...)
 }
@@ -412,12 +290,12 @@ func TestChaosConcurrentMembership(t *testing.T) {
 		t.Skip("chaos harness skipped in -short")
 	}
 	h := newHarness(t, 3, 2)
-	h.delay("SETMAP", 2*time.Millisecond)
-	defer h.delay("SETMAP", 0)
+	fab.delay("SETMAP", 2*time.Millisecond)
+	defer fab.delay("SETMAP", 0)
 
 	churners := []string{"x1", "x2"}
 	for _, id := range churners {
-		h.start(id, "127.0.0.1:0")
+		h.start(id)
 	}
 	coords := []string{"n1", "n2", "n3"}
 
@@ -471,7 +349,7 @@ func TestChaosConcurrentMembership(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	h.delay("SETMAP", 0)
+	fab.delay("SETMAP", 0)
 
 	enc := h.converge(30 * time.Second)
 	t.Logf("converged on %s", enc)
@@ -539,9 +417,9 @@ func TestCrashRestartSelfHeals(t *testing.T) {
 
 	// A join starts; its rebalance traffic is slowed so n3 dies while
 	// the membership change is still propagating.
-	h.start("x1", "127.0.0.1:0")
+	h.start("x1")
 	// Slow the transfer frames so n3 dies while data is still moving.
-	h.delay("XFER", 5*time.Millisecond)
+	fab.delay("XFER", 5*time.Millisecond)
 	joinDone := make(chan struct{})
 	go func() {
 		defer close(joinDone)
@@ -551,7 +429,7 @@ func TestCrashRestartSelfHeals(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	h.crash("n3")
 	<-joinDone
-	h.delay("XFER", 0)
+	fab.delay("XFER", 0)
 
 	// The survivors carry on and converge without n3.
 	h.converge(15 * time.Second)
@@ -590,9 +468,9 @@ func TestCrashRestartSelfHeals(t *testing.T) {
 // membership. Healing the partition makes the same JOIN succeed.
 func TestMinorityCoordinatorCannotMutate(t *testing.T) {
 	h := newHarness(t, 3, 2)
-	h.start("x1", "127.0.0.1:0")
-	h.partition("n2", true)
-	h.partition("n3", true)
+	h.start("x1")
+	fab.partition("n2", true)
+	fab.partition("n3", true)
 
 	before := h.node("n1").Map().Encode()
 	if reply, err := h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1")); err == nil {
@@ -602,8 +480,8 @@ func TestMinorityCoordinatorCannotMutate(t *testing.T) {
 		t.Errorf("failed claim still mutated the map: %s → %s", before, got)
 	}
 
-	h.partition("n2", false)
-	h.partition("n3", false)
+	fab.partition("n2", false)
+	fab.partition("n3", false)
 	if _, err := h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1")); err != nil {
 		t.Fatalf("JOIN after heal: %v", err)
 	}
@@ -631,8 +509,8 @@ func TestPartitionedNodeMissesBroadcastThenHeals(t *testing.T) {
 		ref[k] = mustCount(t, h.node("n1"), keyName(k))
 	}
 
-	h.partition("n3", true)
-	h.start("x1", "127.0.0.1:0")
+	fab.partition("n3", true)
+	h.start("x1")
 	// The claim reaches quorum (n1+n2) so the join lands on the
 	// majority; the broadcast to n3 fails, surfacing as an error.
 	h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1"))
@@ -643,7 +521,7 @@ func TestPartitionedNodeMissesBroadcastThenHeals(t *testing.T) {
 		t.Fatalf("partitioned node saw the broadcast (map has %d members)", got)
 	}
 
-	h.partition("n3", false)
+	fab.partition("n3", false)
 	enc := h.converge(10 * time.Second)
 	if h.node("n3").Map().Encode() != enc {
 		t.Error("healed node still diverges")
@@ -670,9 +548,9 @@ func TestRestartOnNewAddressReannounces(t *testing.T) {
 	h.save("n2")
 	oldAddr := h.addr("n2")
 	h.crash("n2")
-	n2 := h.start("n2", "127.0.0.1:0") // the old port is "taken"
+	n2 := h.start("n2")
 	if n2.Addr() == oldAddr {
-		t.Skip("OS handed back the same ephemeral port")
+		t.Fatal("fixture: the restart reused the old address")
 	}
 	if err := n2.Rejoin(); err != nil {
 		t.Fatalf("rejoin on a new address: %v", err)
@@ -705,7 +583,7 @@ func TestLeaveAfterBeingRemovedStillDrains(t *testing.T) {
 		}
 		ref[k] = mustCount(t, h.node("n1"), keyName(k))
 	}
-	h.partition("n3", true)
+	fab.partition("n3", true)
 	// The LEAVE lands on the majority; the drain notification to n3 is
 	// lost in the partition, so n3 keeps its sketches and a stale map.
 	h.do("n1", "CLUSTER", "LEAVE", "n3")
@@ -715,7 +593,7 @@ func TestLeaveAfterBeingRemovedStillDrains(t *testing.T) {
 	if h.node("n3").Store().Len() == 0 {
 		t.Fatal("partitioned n3 drained — the partition hook is leaky")
 	}
-	h.partition("n3", false)
+	fab.partition("n3", false)
 	// n3's own graceful Leave: its epoch claim pulls the majority's
 	// n3-less map from a voter whose triple is newer, and the retry path
 	// must then DRAIN, not declare victory because the map already
@@ -796,9 +674,7 @@ func TestDeltaRebalanceMessageCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := joiner.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	startOnFabric(t, joiner, "")
 	t.Cleanup(func() { joiner.Close() })
 	if err := joiner.Join(nodes[0].Addr()); err != nil {
 		t.Fatal(err)
@@ -933,7 +809,7 @@ func TestGossipMinorityCannotEvict(t *testing.T) {
 	}
 
 	h.tick(2)
-	h.partition("n3", true)
+	fab.partition("n3", true)
 	beforeEnc := h.node("n3").Map().Encode()
 	evs := h.tick(testSuspectAfter + 5)
 
@@ -966,7 +842,7 @@ func TestGossipMinorityCannotEvict(t *testing.T) {
 	// Heal: n3's next gossip exchange shows it the newer triple, and it
 	// pulls the n3-less map (or is handed it by a targeted SETMAP);
 	// installing it drains n3's sketches to the owners.
-	h.partition("n3", false)
+	fab.partition("n3", false)
 	h.tick(3)
 	if h.node("n3").Map().Has("n3") {
 		t.Error("healed false-positive victim still believes it is a member")
@@ -1014,7 +890,7 @@ func TestGossipEvictedNodeRejoinsCleanly(t *testing.T) {
 
 	// Restart from the snapshot. Join through the evicting coordinator:
 	// the JOIN succeeds AND carries the eviction feedback.
-	n3 := h.start("n3", h.addr("n3"))
+	n3 := h.startAt("n3", h.addr("n3"))
 	reply, err := h.do(evictor, "CLUSTER", "JOIN", "n3", n3.Addr())
 	if err != nil {
 		t.Fatalf("rejoin after eviction: %v", err)
@@ -1098,7 +974,7 @@ func TestEvictionRecordGossipsToAllMembers(t *testing.T) {
 			break
 		}
 	}
-	n3 := h.start("n3", h.addr("n3"))
+	n3 := h.startAt("n3", h.addr("n3"))
 	reply, err := h.do(deliverer, "CLUSTER", "JOIN", "n3", n3.Addr())
 	if err != nil {
 		t.Fatalf("rejoin via non-evictor %s: %v", deliverer, err)
@@ -1142,7 +1018,7 @@ func TestEvictionRecordGossipsToAllMembers(t *testing.T) {
 func TestGossipStaleSuspectorDoesNotCountTowardQuorum(t *testing.T) {
 	h := newHarness(t, 3, 2)
 	h.tick(2) // settle heartbeats so the injected state cannot be refuted by an hb advance
-	h.partition("n3", true)
+	fab.partition("n3", true)
 
 	// White-box injection: n1 suspects n3, and so does "ghost" — a
 	// suspector that is not (any longer) a member. Two bits, but only
@@ -1167,11 +1043,11 @@ func TestGossipStaleSuspectorDoesNotCountTowardQuorum(t *testing.T) {
 func TestGossipTransientPartitionDoesNotEvict(t *testing.T) {
 	h := newHarness(t, 3, 2)
 	h.tick(2)
-	h.partition("n3", true)
+	fab.partition("n3", true)
 	if evs := h.tick(testSuspectAfter - 1); len(evs) != 0 {
 		t.Fatalf("transient partition evicted %v", evs)
 	}
-	h.partition("n3", false)
+	fab.partition("n3", false)
 	if evs := h.tick(testSuspectAfter + 3); len(evs) != 0 {
 		t.Fatalf("healed partition still evicted %v", evs)
 	}
@@ -1212,12 +1088,12 @@ func TestSupersededJoinReportsWinner(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h.start("x1", "127.0.0.1:0")
+	h.start("x1")
 
 	// Park n1's outbound transfer frames: its JOIN will claim, install
 	// and then hang in its own pass, which moves data before it tells
 	// the members — handler still open, outcome not yet reported.
-	release := h.gate("n1", "XFER")
+	release := fab.gate("n1", "XFER")
 	defer release()
 	joinReply := make(chan string, 1)
 	go func() {
@@ -1281,13 +1157,13 @@ func TestClaimPullsNewerVoterMap(t *testing.T) {
 	if !n2.swapMap(cur.withoutNode("n3", cur.Epoch+1, "n2")) {
 		t.Fatal("fixture: n2's map did not install")
 	}
-	h.start("x1", "127.0.0.1:0")
+	h.start("x1")
 	// n1's pulls only: members that install the broadcast run their
 	// rounds in parallel, and one may refuse a peer's DSUM until it has
 	// installed too — a pull of theirs, not of the claim's.
 	var mu sync.Mutex
 	var pulls []string
-	h.setIntercept(func(id, addr string, parts []string) error {
+	fab.setIntercept(func(id, addr string, parts []string) error {
 		if id == "n1" && len(parts) == 2 && parts[1] == "MAP" {
 			mu.Lock()
 			pulls = append(pulls, addr)
@@ -1298,7 +1174,7 @@ func TestClaimPullsNewerVoterMap(t *testing.T) {
 	if reply, err := h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1")); err != nil || !strings.HasPrefix(reply, "OK") {
 		t.Fatalf("join via n1: %q, %v", reply, err)
 	}
-	h.setIntercept(nil)
+	fab.setIntercept(nil)
 	if m := n1.Map(); !m.Has("x1") || m.Has("n3") {
 		t.Errorf("n1 minted %s, want x1 added to n2's map without n3", m.Encode())
 	}
@@ -1402,7 +1278,7 @@ func TestTTLChaosDeterministicExpiry(t *testing.T) {
 	assertOwnersArmed("after EXPIREAT")
 
 	// A join moves keys: deadlines must ride the transfer frames.
-	h.start("x1", "127.0.0.1:0")
+	h.start("x1")
 	if _, err := h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1")); err != nil {
 		t.Fatal(err)
 	}
@@ -1505,8 +1381,8 @@ func TestGossipTripleHealsMissedBroadcast(t *testing.T) {
 	h.tick(2) // healthy baseline
 
 	// n3 misses a join while partitioned.
-	h.partition("n3", true)
-	h.start("x1", "127.0.0.1:0")
+	fab.partition("n3", true)
+	h.start("x1")
 	h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1")) // broadcast to n3 fails: that is the point
 	if !h.node("n1").Map().Has("x1") {
 		t.Fatal("join did not land on the majority")
@@ -1517,11 +1393,11 @@ func TestGossipTripleHealsMissedBroadcast(t *testing.T) {
 
 	// Heal, then count every message while ONLY gossip rounds run — no
 	// converge, no digest round.
-	h.partition("n3", false)
+	fab.partition("n3", false)
 	var msgMu sync.Mutex
 	var mapPulls, setmaps, gossips int
 	var setmapBytes, gossipBytes int
-	h.setIntercept(func(id, addr string, parts []string) error {
+	fab.setIntercept(func(id, addr string, parts []string) error {
 		if len(parts) < 2 || !strings.EqualFold(parts[0], "CLUSTER") {
 			return nil
 		}
@@ -1544,7 +1420,7 @@ func TestGossipTripleHealsMissedBroadcast(t *testing.T) {
 		return nil
 	})
 	h.tick(4)
-	h.setIntercept(nil)
+	fab.setIntercept(nil)
 
 	enc := h.node("n1").Map().Encode()
 	if got := h.node("n3").Map().Encode(); got != enc {

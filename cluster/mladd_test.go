@@ -197,7 +197,7 @@ func buffersHeld(t *testing.T, c *server.Client) int {
 // is idle again all of it is gone, on both ends.
 func TestOversizedCommandThenIdle(t *testing.T) {
 	nodes := startCluster(t, 1, 1)
-	c := dialNode(t, nodes[0])
+	c := dialTest(t, nodes[0].Addr())
 	one := batchB64(t, "the-one-element")
 	if reply, err := c.Do("CLUSTER", "MLADD", "1", "p", "big", one); err != nil || reply != "1" {
 		t.Fatalf("MLADD: %q, %v", reply, err)
@@ -282,7 +282,7 @@ func TestResidentBytesTracksLiveHeapServed(t *testing.T) {
 func TestMLAddRefusedGroups(t *testing.T) {
 	nodes := startCluster(t, 1, 1)
 	store := nodes[0].Store()
-	c := dialNode(t, nodes[0])
+	c := dialTest(t, nodes[0].Addr())
 	if reply, err := c.Do("CLUSTER", "MLADD", "2", "p", "held", batchB64(t, "a"), "w", "ring", "1750000000000", "1", batchB64(t, "a")); err != nil || reply != "1 1" {
 		t.Fatalf("MLADD of the held keys: %q, %v", reply, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"net"
 	"sort"
 	"strconv"
 	"strings"
@@ -124,7 +125,7 @@ func NewNode(id string, cfg core.Config, replicas int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{id: id, store: store, peers: newPool()}
+	n := &Node{id: id, store: store, peers: newPool(dialTCP)}
 	// Every pooled peer command runs under a deadline, so a black-holed
 	// peer surfaces as a transport error (suspicion fuel) instead of
 	// hanging a forward forever. SetPeerTimeout tunes it (elld
@@ -160,7 +161,16 @@ func (n *Node) SetSnapshotPath(path string) { n.srv.SetSnapshotPath(path) }
 // Rejoin next to re-announce), otherwise to a fresh single-node
 // cluster of this node.
 func (n *Node) Start(addr string) error {
-	if err := n.srv.Listen(addr); err != nil {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	return n.serve(ln)
+}
+
+// serve is Start on a listener of the caller's.
+func (n *Node) serve(ln net.Listener) error {
+	if err := n.srv.Serve(ln); err != nil {
 		return err
 	}
 	actual := n.srv.Addr()
@@ -1476,10 +1486,3 @@ func (n *Node) RebalancePushes() uint64 { return n.pushes.Load() }
 // forever. It applies to connections dialed after the call (elld sets
 // it before Start); d ≤ 0 disables deadlines.
 func (n *Node) SetPeerTimeout(d time.Duration) { n.peers.setTimeout(d) }
-
-// setFaultHook installs f as this node's outbound fault hook (nil
-// disables). Every outgoing peer command — pooled, or on a connection of
-// its own (pool.direct) — consults it first; a non-nil error
-// aborts the send, simulating a partition or delaying a message. Test
-// harness support: set before Start, never while serving.
-func (n *Node) setFaultHook(f func(addr string, parts []string) error) { n.peers.hook = f }

@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,22 +33,17 @@ import (
 //     wire, every new request queues, and the next flush carries them
 //     all.
 //
-// hook, when non-nil, is consulted before every outbound command; a
-// non-nil return aborts the command with that error. It exists for the
-// in-process test harness (simulated partitions and delays) and must
-// be set before the owning node starts serving. pipeline and a transfer
-// window consult the hook once per queued command (so per-verb
-// partitions and delays see every logical command); the add batcher
-// consults it once per flushed batch, with the combined MLADD command.
-// alive, when non-nil, is invoked with the peer address after every
-// successful command or pipeline — transport-level proof the peer is
-// up, which the gossip failure detector folds in as heartbeat-grade
-// evidence so ordinary traffic keeps refuting suspicion.
+// connect opens the transport under every connection: a TCP dial, or in
+// the package's tests an in-memory network. alive, when non-nil, is
+// invoked with the peer address after every successful command or
+// pipeline — transport-level proof the peer is up, which the gossip
+// failure detector folds in as heartbeat-grade evidence so ordinary
+// traffic keeps refuting suspicion.
 type pool struct {
-	hook  func(addr string, parts []string) error
-	alive func(addr string)
-	mu    sync.Mutex
-	conns map[string]*server.Client
+	connect dialer
+	alive   func(addr string)
+	mu      sync.Mutex
+	conns   map[string]*server.Client
 
 	bmu     sync.Mutex
 	batches map[string]*peerBatch
@@ -70,8 +66,9 @@ type pool struct {
 	timeoutNS atomic.Int64
 }
 
-func newPool() *pool {
+func newPool(connect dialer) *pool {
 	return &pool{
+		connect: connect,
 		conns:   make(map[string]*server.Client),
 		batches: make(map[string]*peerBatch),
 	}
@@ -117,11 +114,21 @@ func (p *pool) get(addr string) (*server.Client, error) {
 // timeout.
 func (p *pool) dial(addr string) (*server.Client, error) {
 	t := p.timeout()
-	c, err := server.DialTimeout(addr, t)
-	if err == nil {
-		c.SetOpTimeout(t)
+	conn, err := p.connect(addr, t)
+	if err != nil {
+		return nil, err
 	}
-	return c, err
+	c := server.NewClient(conn)
+	c.SetOpTimeout(t)
+	return c, nil
+}
+
+// dialer opens the transport under a pool's connections.
+type dialer func(addr string, timeout time.Duration) (net.Conn, error)
+
+// dialTCP is the dialer of every pool outside the package's tests.
+func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, timeout)
 }
 
 func (p *pool) drop(addr string, c *server.Client) {
@@ -133,8 +140,7 @@ func (p *pool) drop(addr string, c *server.Client) {
 	c.Close()
 }
 
-// exchange is the one way a request reaches a peer. The fault hook is
-// shown each command's first tokens (heads), then run puts the request on
+// exchange is the one way a request reaches a peer: run puts the request on
 // a connection — the pooled one, or with fresh a connection of its own,
 // closed afterwards — and reads the replies. The outcome is classified by
 // TRANSPORT, not by error kind: any parsed reply line — OK, a missing key,
@@ -147,19 +153,12 @@ func (p *pool) drop(addr string, c *server.Client) {
 // novel error reply would needlessly tear down a healthy connection, and —
 // worse — feed the missing alive() into the detector as spurious suspicion
 // of a peer that just answered.
-func (p *pool) exchange(addr string, fresh bool, heads [][]string, run func(*server.Client) error) error {
-	if p.hook != nil {
-		for _, parts := range heads {
-			if err := p.hook(addr, parts); err != nil {
-				return err
-			}
-		}
-	}
-	connect := p.get
+func (p *pool) exchange(addr string, fresh bool, run func(*server.Client) error) error {
+	open := p.get
 	if fresh {
-		connect = p.dial
+		open = p.dial
 	}
-	c, err := connect(addr)
+	c, err := open(addr)
 	if err != nil {
 		return err
 	}
@@ -193,7 +192,7 @@ func asStale(err error) error {
 
 // do runs one command against addr on the pooled connection.
 func (p *pool) do(addr string, parts ...string) (reply string, err error) {
-	err = p.exchange(addr, false, [][]string{parts}, func(c *server.Client) (err error) {
+	err = p.exchange(addr, false, func(c *server.Client) (err error) {
 		reply, err = c.Do(parts...)
 		return err
 	})
@@ -219,7 +218,7 @@ func (p *pool) fetchMap(addr string) (*Map, error) {
 // own traffic to this node travels on the pool; a pooled connection held
 // by a SETMAP waiting on it could hold it up for good.
 func (p *pool) direct(addr string, parts ...string) (reply string, err error) {
-	err = p.exchange(addr, true, [][]string{parts}, func(c *server.Client) (err error) {
+	err = p.exchange(addr, true, func(c *server.Client) (err error) {
 		reply, err = c.Do(parts...)
 		return err
 	})
@@ -231,7 +230,7 @@ func (p *pool) direct(addr string, parts ...string) (reply string, err error) {
 // connection; per-command protocol errors (e.g. a missing key) land in
 // the individual Results.
 func (p *pool) pipeline(addr string, cmds [][]string) (results []server.Result, err error) {
-	err = p.exchange(addr, false, cmds, func(c *server.Client) (err error) {
+	err = p.exchange(addr, false, func(c *server.Client) (err error) {
 		pl := c.Pipeline()
 		for _, parts := range cmds {
 			pl.Do(parts...)
@@ -337,7 +336,7 @@ func (p *pool) flushAdds(addr string, batch []*addReq) {
 	p.mlGroups.Add(uint64(len(batch)))
 	// The line is written once, into the buffer it is sent from.
 	var reply string
-	err := p.exchange(addr, false, mlAddHeads, func(c *server.Client) (err error) {
+	err := p.exchange(addr, false, func(c *server.Client) (err error) {
 		reply, err = c.DoLine(func(line []byte) []byte {
 			line = strconv.AppendInt(append(line, "CLUSTER MLADD "...), int64(len(batch)), 10)
 			for _, r := range batch {
@@ -384,8 +383,6 @@ func (p *pool) flushAdds(addr string, batch []*addReq) {
 		r.done <- addResult{changed: toks[i] == "1"}
 	}
 }
-
-var mlAddHeads = [][]string{{"CLUSTER", "MLADD"}}
 
 // appendBatch appends the base64 of the batch's MarshalBinary bytes to
 // line. A batch of up to some 300 tokens is marshaled on the stack, so the

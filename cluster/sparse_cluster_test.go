@@ -71,7 +71,7 @@ func TestMixedSparseDenseKeyspaceConverges(t *testing.T) {
 	for i, k := range keys {
 		write([]string{"n1", "n2"}[i%2], i, third(k, 0))
 	}
-	joiner := h.start("n3", "127.0.0.1:0")
+	joiner := h.start("n3")
 	if err := joiner.Join(h.addr("n1")); err != nil {
 		t.Fatal(err)
 	}

@@ -114,23 +114,21 @@ func TestMapRefetchesIsTheClientSignal(t *testing.T) {
 func TestMetricsPollingCountsAsLiveness(t *testing.T) {
 	// Gossip digests are blackholed in both directions; every other
 	// cluster command (JOIN, SETMAP, STATS, ...) flows normally.
-	dropGossip := func(addr string, parts []string) error {
+	fab.reset(t)
+	fab.setIntercept(func(_, _ string, parts []string) error {
 		if len(parts) >= 2 && strings.EqualFold(parts[0], "CLUSTER") && strings.EqualFold(parts[1], "GOSSIP") {
 			return fmt.Errorf("test: gossip digest blackholed")
 		}
 		return nil
-	}
+	})
 	boot := func(id string) *Node {
 		t.Helper()
 		n, err := NewNode(id, testConfig(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.setFaultHook(dropGossip)
 		n.gsp.suspectAfter = testSuspectAfter
-		if err := n.Start("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
+		startOnFabric(t, n, "")
 		t.Cleanup(func() { n.Close() })
 		return n
 	}

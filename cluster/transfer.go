@@ -83,7 +83,7 @@ func (n *Node) TransferStats() TransferStats {
 type stream struct {
 	n     *Node
 	addr  string
-	head  []string       // what the fault hook is shown for each frame
+	epoch string         // the frames' "e=<epoch>" token
 	count *atomic.Uint64 // the keys the peer merged are counted here, if not nil
 	acked func(keys []string)
 
@@ -108,7 +108,7 @@ func (n *Node) newStream(addr string, epoch uint64, count *atomic.Uint64, acked 
 	return &stream{
 		n:     n,
 		addr:  addr,
-		head:  []string{"CLUSTER", "XFER", "FRAME", "e=" + strconv.FormatUint(epoch, 10)},
+		epoch: "e=" + strconv.FormatUint(epoch, 10),
 		count: count,
 		acked: acked,
 	}
@@ -140,7 +140,7 @@ func (s *stream) closeFrame() {
 		f.keys[i] = r.Key
 		f.blob += len(r.Blob)
 	}
-	s.lines = append(appendFrameLine(s.lines, s.head[3], raw), '\n')
+	s.lines = append(appendFrameLine(s.lines, s.epoch, raw), '\n')
 	s.window = append(s.window, f)
 	clear(s.recs)
 	s.recs, s.raw = s.recs[:0], 0
@@ -155,13 +155,9 @@ func (s *stream) flush() {
 	if len(s.window) == 0 || s.err != nil {
 		return
 	}
-	heads := make([][]string, len(s.window))
-	for i := range heads {
-		heads[i] = s.head
-	}
 	var results []server.Result
-	err := s.n.peers.exchange(s.addr, false, heads, func(c *server.Client) (err error) {
-		results, err = c.DoLines(s.lines, len(heads))
+	err := s.n.peers.exchange(s.addr, false, func(c *server.Client) (err error) {
+		results, err = c.DoLines(s.lines, len(s.window))
 		return err
 	})
 	if err == nil {

@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"encoding/base64"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -134,7 +133,7 @@ func TestStalledPeerTripsDeadline(t *testing.T) {
 func countFrames(h *harness, fail func(frame int) error) (sent func() int) {
 	var mu sync.Mutex
 	frames := 0
-	h.setIntercept(func(id, addr string, parts []string) error {
+	fab.setIntercept(func(id, addr string, parts []string) error {
 		if len(parts) < 3 || parts[0] != "CLUSTER" || parts[1] != "XFER" || parts[2] != "FRAME" {
 			return nil
 		}
@@ -144,7 +143,7 @@ func countFrames(h *harness, fail func(frame int) error) (sent func() int) {
 		mu.Unlock()
 		return fail(f)
 	})
-	h.t.Cleanup(func() { h.setIntercept(nil) })
+	h.t.Cleanup(func() { fab.setIntercept(nil) })
 	return func() int {
 		mu.Lock()
 		defer mu.Unlock()
@@ -194,7 +193,7 @@ func TestTransferResumesAfterMidStreamDrop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h.start("n2", "127.0.0.1:0")
+	h.start("n2")
 	attempts := countFrames(h, func(frame int) error {
 		if frame == dropAt {
 			return fmt.Errorf("harness: injected connection drop at frame %d", dropAt)
@@ -264,7 +263,7 @@ func TestTransferResumesAfterReceiverCrashRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h.start("n2", "127.0.0.1:0")
+	h.start("n2")
 
 	parked := make(chan struct{})
 	resume := make(chan struct{})
@@ -289,7 +288,7 @@ func TestTransferResumesAfterReceiverCrashRestart(t *testing.T) {
 	// membership).
 	h.save("n2")
 	h.crash("n2")
-	h.start("n2", h.addr("n2"))
+	h.startAt("n2", h.addr("n2"))
 	close(resume)
 	if err := <-joinDone; err == nil {
 		t.Log("the join's stream finished across the crash")
@@ -364,7 +363,8 @@ func TestLeaveDrainHoldsOneWindow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	fab.reset(t)
+	ln, err := fab.listen("f1", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,9 +407,7 @@ func TestLeaveDrainHoldsOneWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	startOnFabric(t, n, "")
 	defer n.Close()
 	n.xfer.window = 1 // a window of one ~307 KB frame line; the default 8 would outgrow the bound below
 	const keys = 2400 // dense keys of 3 592 bytes: 8.6 MB
@@ -499,7 +497,7 @@ func TestJoinLeaveCyclesConverge(t *testing.T) {
 
 	for cycle := 1; cycle <= 3; cycle++ {
 		id := fmt.Sprintf("j%d", cycle)
-		j := h.start(id, "127.0.0.1:0")
+		j := h.start(id)
 		if err := j.Join(h.addr("n1")); err != nil {
 			t.Fatalf("cycle %d: join: %v", cycle, err)
 		}

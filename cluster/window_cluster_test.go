@@ -25,16 +25,6 @@ import (
 // streamMS is the fixed stream epoch for the windowed cluster tests.
 const streamMS = int64(1_750_000_000_000)
 
-func dialNode(t *testing.T, n *Node) *server.Client {
-	t.Helper()
-	c, err := server.Dial(n.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
 // TestClusterWindowedEndToEnd: a port-scan-shaped stream WADDed through
 // different nodes is countable through ANY node, for any window, with
 // exactly the estimate a single local ring would give — forwarded adds
@@ -42,7 +32,7 @@ func dialNode(t *testing.T, n *Node) *server.Client {
 // owners' rings loses nothing.
 func TestClusterWindowedEndToEnd(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
-	clients := []*server.Client{dialNode(t, nodes[0]), dialNode(t, nodes[1]), dialNode(t, nodes[2])}
+	clients := []*server.Client{dialTest(t, nodes[0].Addr()), dialTest(t, nodes[1].Addr()), dialTest(t, nodes[2].Addr())}
 
 	ref, err := window.New(testConfig(), time.Second, 60)
 	if err != nil {
@@ -153,7 +143,7 @@ func TestMLAddWrongTypeGroupDoesNotPoisonBatch(t *testing.T) {
 	if _, err := nodes[0].Store().WindowAdd("wkey", time.UnixMilli(streamMS), "x"); err != nil {
 		t.Fatal(err)
 	}
-	c := dialNode(t, nodes[0])
+	c := dialTest(t, nodes[0].Addr())
 	reply, err := c.Do("CLUSTER", "MLADD", "3", "p", "wkey", batchB64(t, "a"), "p", "pkey", batchB64(t, "b"), "p", "wkey", batchB64(t, "c"))
 	if err != nil {
 		t.Fatalf("whole batch failed on one wrongtype group: %v", err)
@@ -246,9 +236,7 @@ func TestClusterWindowedRebalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := joiner.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	startOnFabric(t, joiner, "")
 	t.Cleanup(func() { joiner.Close() })
 	if err := joiner.Join(nodes[0].Addr()); err != nil {
 		t.Fatal(err)

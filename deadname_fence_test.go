@@ -52,6 +52,7 @@ var publicCoreTypes = map[string]bool{
 var deadNameAllowed = map[string]string{
 	"exaloglog/similarity.Estimates.JaccardError":        "the error bound of cmd/ell-paper's graded overlap-jaccard check (TestBeyondThePaperWithinThreeSigma)",
 	"exaloglog/internal/pcsa.Sketch.EstimateFM":          "the Flajolet–Martin baseline TestMLBetterThanFM holds the ML estimate to",
+	"exaloglog/internal/pcsa.Sketch.AddHash":             "the raw PCSA reference the Windowed tests compare against (TestWindowedMatchesRaw, TestWindowedCompact)",
 	"exaloglog/internal/pcsa.Sketch.UnmarshalCompressed": "the decoder TestSerializationRoundTrip and TestWindowedSerializationRoundTrips check the compressed CPC form of Table 2 and Figure 11 with",
 	"exaloglog/server.Store.SetClock":                    "the fake clock cluster's TestTTLChaosDeterministicExpiry gives every node's store: it expires keys across packages, so no export_test.go seam reaches it",
 }
@@ -67,8 +68,9 @@ var deadNameAllowed = map[string]string{
 // from source (the standard library from its export data), so a reference
 // is to one declaration: a function is its package and name, a method its
 // package, receiver type and name. A method nothing names still serves
-// when it implements a used interface method: one of the same name and
-// signature. benchmark/ is only read.
+// when it implements a used interface method: when a type of the module's
+// non-test code whose method set holds it, its own or one it embeds,
+// implements that interface. benchmark/ is only read.
 func TestNoDeadExportedNames(t *testing.T) {
 	fset := token.NewFileSet()
 	dirs, err := parseModule(fset)
@@ -77,17 +79,17 @@ func TestNoDeadExportedNames(t *testing.T) {
 	}
 	tc := &typeChecker{fset: fset, dirs: dirs, std: importer.ForCompiler(fset, "gc", nil), pkgs: map[string]*checked{}}
 
-	type decl struct{ key, sig, where string }
+	type decl struct{ key, where string }
 	var declared []decl
 	// used holds the functions and methods that non-test code, Examples
-	// and benchmark/ reference, usedIface the signatures of the interface
-	// methods among them, testUsed what any test references.
-	used, usedIface, testUsed := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	// and benchmark/ reference, usedIface the interface methods among
+	// them, testUsed what any test references.
+	used, usedIface, testUsed := map[string]bool{}, map[*types.Func]bool{}, map[string]bool{}
 	use := func(obj types.Object) {
-		if key, sig, iface := funcKey(obj); key != "" {
+		if key, iface := funcKey(obj); key != "" {
 			used[key] = true
 			if iface {
-				usedIface[sig] = true
+				usedIface[obj.(*types.Func).Origin()] = true
 			}
 		}
 	}
@@ -111,7 +113,7 @@ func TestNoDeadExportedNames(t *testing.T) {
 					switch obj := scope.Lookup(n).(type) {
 					case *types.Func:
 						if obj.Exported() {
-							declared = append(declared, decl{p + "." + n, "", fset.Position(obj.Pos()).String()})
+							declared = append(declared, decl{p + "." + n, fset.Position(obj.Pos()).String()})
 						}
 					case *types.TypeName:
 						named, ok := obj.Type().(*types.Named)
@@ -120,8 +122,8 @@ func TestNoDeadExportedNames(t *testing.T) {
 						}
 						for i := 0; i < named.NumMethods(); i++ {
 							if m := named.Method(i); m.Exported() && !stdInterfaceMethods[m.Name()] {
-								key, sig, _ := funcKey(m)
-								declared = append(declared, decl{key, sig, fset.Position(m.Pos()).String()})
+								key, _ := funcKey(m)
+								declared = append(declared, decl{key, fset.Position(m.Pos()).String()})
 							}
 						}
 					}
@@ -134,7 +136,7 @@ func TestNoDeadExportedNames(t *testing.T) {
 		}
 		for _, c := range tests {
 			for id, obj := range c.info.Uses {
-				if key, _, _ := funcKey(obj); key != "" {
+				if key, _ := funcKey(obj); key != "" {
 					testUsed[key] = true
 				}
 				if benchmarkDir(p) || c.inExample(id.Pos()) {
@@ -146,6 +148,31 @@ func TestNoDeadExportedNames(t *testing.T) {
 	if len(declared) == 0 || len(used) == 0 {
 		t.Fatal("found no exported function or method in a library package: the walk is not looking at this module")
 	}
+	for _, c := range tc.pkgs {
+		scope := c.pkg.Scope()
+		for _, n := range scope.Names() {
+			tn, ok := scope.Lookup(n).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
+				continue // a generic type implements an interface only once instantiated
+			}
+			for _, t := range []types.Type{tn.Type(), types.NewPointer(tn.Type())} {
+				mset := types.NewMethodSet(t)
+				for m := range usedIface {
+					iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+					if !types.Implements(t, iface) {
+						continue
+					}
+					if sel := mset.Lookup(m.Pkg(), m.Name()); sel != nil {
+						key, _ := funcKey(sel.Obj())
+						used[key] = true
+					}
+				}
+			}
+		}
+	}
 	var dead []string
 	allowed := map[string]bool{}
 	for _, d := range declared {
@@ -154,7 +181,7 @@ func TestNoDeadExportedNames(t *testing.T) {
 			recv, _, isMethod := strings.Cut(rest, ".")
 			public = isMethod && publicCoreTypes[recv]
 		}
-		if used[d.key] || (d.sig != "" && usedIface[d.sig]) || (public && testUsed[d.key]) {
+		if used[d.key] || (public && testUsed[d.key]) {
 			continue
 		}
 		if _, ok := deadNameAllowed[d.key]; ok {
@@ -336,33 +363,18 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // funcKey names the function or method obj refers to — "pkg.Name" or
-// "pkg.Recv.Name" — with sig, its name and signature, the way an
-// interface method and the concrete methods implementing it share them.
-// iface reports an interface method. key is "" when obj is neither.
-func funcKey(obj types.Object) (key, sig string, iface bool) {
+// "pkg.Recv.Name" — and reports an interface method. key is "" when obj
+// is neither.
+func funcKey(obj types.Object) (key string, iface bool) {
 	fn, ok := obj.(*types.Func)
 	if !ok || fn.Pkg() == nil {
-		return "", "", false
+		return "", false
 	}
 	fn = fn.Origin()
-	s := fn.Type().(*types.Signature)
-	qualify := func(p *types.Package) string { return p.Path() }
-	var b strings.Builder
-	b.WriteString(fn.Name())
-	for _, tuple := range []*types.Tuple{s.Params(), s.Results()} {
-		b.WriteString("(")
-		for i := 0; i < tuple.Len(); i++ {
-			b.WriteString(types.TypeString(tuple.At(i).Type(), qualify) + ",")
-		}
-		b.WriteString(")")
-	}
-	if s.Variadic() {
-		b.WriteString("...")
-	}
 	key = fn.Pkg().Path() + "." + fn.Name()
-	recv := s.Recv()
+	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil {
-		return key, "", false
+		return key, false
 	}
 	t := recv.Type()
 	if ptr, ok := t.(*types.Pointer); ok {
@@ -371,5 +383,5 @@ func funcKey(obj types.Object) (key, sig string, iface bool) {
 	if named, ok := t.(*types.Named); ok {
 		key = fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
 	}
-	return key, b.String(), types.IsInterface(t)
+	return key, types.IsInterface(t)
 }

@@ -104,12 +104,6 @@ func estimateBitmapsML(p, m int, bitmap func(int) uint64) float64 {
 	return core.SolveML(core.Coefficients{Alpha: alpha, Beta: beta, Lo: 1}, float64(m))
 }
 
-// SizeBytes returns the raw in-memory bitmap size: 8 bytes per register.
-func (s *Sketch) SizeBytes() int { return 8 * len(s.maps) }
-
-// MemoryFootprint approximates total allocated bytes.
-func (s *Sketch) MemoryFootprint() int { return s.SizeBytes() + 48 }
-
 // MarshalBinary serializes the raw bitmaps (fast, uncompressed).
 func (s *Sketch) MarshalBinary() ([]byte, error) {
 	out := make([]byte, 1+8*len(s.maps))

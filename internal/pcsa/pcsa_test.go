@@ -32,8 +32,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.maps) != 256 || s.SizeBytes() != 2048 {
-		t.Errorf("m=%d size=%d", len(s.maps), s.SizeBytes())
+	if len(s.maps) != 256 {
+		t.Errorf("m=%d, want 256", len(s.maps))
 	}
 }
 

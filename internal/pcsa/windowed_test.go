@@ -48,8 +48,8 @@ func TestWindowedCompact(t *testing.T) {
 		w.AddHash(h)
 		raw.AddHash(h)
 	}
-	if w.MemoryFootprint()*2 > raw.MemoryFootprint() {
-		t.Errorf("windowed footprint %d not well below raw %d", w.MemoryFootprint(), raw.MemoryFootprint())
+	if rawBytes := 8 * len(raw.maps); w.MemoryFootprint()*2 > rawBytes {
+		t.Errorf("windowed footprint %d not well below the raw bitmaps' %d", w.MemoryFootprint(), rawBytes)
 	}
 	if len(w.exc) > len(w.win)/16 {
 		t.Errorf("too many exceptions: %d of %d registers", len(w.exc), len(w.win))

@@ -67,8 +67,12 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn}, nil
+	return NewClient(conn), nil
 }
+
+// NewClient speaks the protocol over conn, which the client owns from
+// then on: Close closes it.
+func NewClient(conn net.Conn) *Client { return &Client{conn: conn} }
 
 // SetOpTimeout bounds every subsequent operation's network I/O: each Do
 // gets one deadline for its write+read, and each Pipeline.Exec refreshes
@@ -364,24 +368,6 @@ func (c *Client) WCount(key string, window time.Duration) (int64, error) {
 		return 0, err
 	}
 	return strconv.ParseInt(reply, 10, 64)
-}
-
-// Persist removes key's deadline; it reports whether one was removed.
-func (c *Client) Persist(key string) (bool, error) {
-	reply, err := c.Do("PERSIST", key)
-	if err != nil {
-		return false, err
-	}
-	return reply == "1", nil
-}
-
-// Del removes a key; it reports whether the key existed.
-func (c *Client) Del(key string) (bool, error) {
-	reply, err := c.Do("DEL", key)
-	if err != nil {
-		return false, err
-	}
-	return reply == "1", nil
 }
 
 // Keys lists all keys.

@@ -399,8 +399,8 @@ func TestClientLifecycleAPI(t *testing.T) {
 	if reply, err := c.Do("PEXPIRE", "k", "500"); err != nil || reply != "1" {
 		t.Fatalf("PEXPIRE = %q, %v", reply, err)
 	}
-	if ok, err := c.Persist("k"); err != nil || !ok {
-		t.Fatalf("Persist = %v, %v", ok, err)
+	if reply, err := c.Do("PERSIST", "k"); err != nil || reply != "1" {
+		t.Fatalf("PERSIST = %q, %v; want 1", reply, err)
 	}
 	if reply, err := c.Do("TTL", "k"); err != nil || reply != "-1" {
 		t.Fatalf("TTL after Persist = %q, %v; want -1", reply, err)

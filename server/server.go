@@ -244,6 +244,12 @@ func (s *Server) Listen(addr string) error {
 	if err != nil {
 		return err
 	}
+	return s.Serve(ln)
+}
+
+// Serve starts accepting connections on ln, which the server owns from
+// then on: Close closes it. It returns at once; Addr is ln's address.
+func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

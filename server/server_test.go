@@ -176,19 +176,11 @@ func TestDelKeysInfo(t *testing.T) {
 	if info == "" {
 		t.Error("empty INFO")
 	}
-	existed, err := c.Del("k1")
-	if err != nil {
-		t.Fatal(err)
+	if reply, err := c.Do("DEL", "k1"); err != nil || reply != "1" {
+		t.Errorf("DEL of existing key = %q, %v; want 1", reply, err)
 	}
-	if !existed {
-		t.Error("DEL of existing key returned 0")
-	}
-	existed, err = c.Del("k1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if existed {
-		t.Error("DEL of missing key returned 1")
+	if reply, err := c.Do("DEL", "k1"); err != nil || reply != "0" {
+		t.Errorf("DEL of missing key = %q, %v; want 0", reply, err)
 	}
 	if _, err := c.Do("INFO", "k1"); err == nil {
 		t.Error("INFO of deleted key succeeded")
