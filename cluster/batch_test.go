@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -16,73 +18,81 @@ import (
 	"exaloglog/server"
 )
 
-// TestMLAddWire drives the mixed group-commit verb over the wire: plain
-// ("p") and windowed ("w") groups interleave in one batch, each carrying
-// its elements' token batch, the reply carries one token per group in
-// order, a WRONGTYPE group answers 'E' without poisoning its neighbors, and
-// framing corruption is -ERR.
+// TestMLAddWire drives the forwarded-add verb over the wire: a plain ("p")
+// or a windowed ("w") add of one key's token batch, answered with the
+// changed-bit or the accepted count. A batch aimed at a key of the other
+// type answers one -ERR line that parses as server.ErrWrongType and leaves
+// the key's bytes as they were; malformed lines, the retired counted forms
+// among them, are -ERR; and the next command on the connection gets its
+// own reply after each.
 func TestMLAddWire(t *testing.T) {
 	nodes := startCluster(t, 1, 1)
+	store := nodes[0].Store()
 	c := dialTest(t, nodes[0].Addr())
 
 	ab, one := batchB64(t, "a", "b"), batchB64(t, "a")
-	reply, err := c.Do("CLUSTER", "MLADD", "3",
-		"p", "pk", ab,
-		"w", "wk", "1700000000000", "2", batchB64(t, "x", "y"),
-		"p", "pk", batchB64(t, "c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if toks := strings.Fields(reply); len(toks) != 3 || toks[0] != "1" || toks[1] != "2" || toks[2] != "1" {
-		t.Fatalf("MLADD reply %q, want tokens [1 2 1]", reply)
+	for _, tc := range []struct {
+		cmd  []string
+		want string
+	}{
+		{[]string{"CLUSTER", "MLADD", "p", "pk", ab}, "1"},
+		{[]string{"CLUSTER", "MLADD", "w", "wk", "1700000000000", "2", batchB64(t, "x", "y")}, "2"},
+		{[]string{"CLUSTER", "MLADD", "p", "pk", batchB64(t, "c")}, "1"},
+		// Idempotent re-send: plain bit 0, windowed re-accepts (window
+		// semantics count accepted inserts, not changed state).
+		{[]string{"CLUSTER", "MLADD", "p", "pk", ab}, "0"},
+		{[]string{"CLUSTER", "MLADD", "w", "wk", "1700000000000", "2", batchB64(t, "x", "y")}, "2"},
+	} {
+		if reply, err := c.Do(tc.cmd...); err != nil || reply != tc.want {
+			t.Fatalf("%v: reply %q, %v; want %q", tc.cmd, reply, err, tc.want)
+		}
 	}
 	if n, err := nodes[0].Count("pk"); err != nil || math.Abs(n-3) > 0.5 {
 		t.Errorf("pk count = %f, %v; want ≈3", n, err)
 	}
-	// Idempotent re-send: plain bit 0, windowed re-accepts (window
-	// semantics count accepted inserts, not changed state).
-	reply, err = c.Do("CLUSTER", "MLADD", "1", "p", "pk", ab)
-	if err != nil || reply != "0" {
-		t.Fatalf("idempotent plain re-send reply %q, %v; want 0", reply, err)
-	}
 
-	// A windowed group aimed at the plain key (and vice versa) answers
-	// 'E' in place; the unrelated groups in the batch still land.
-	reply, err = c.Do("CLUSTER", "MLADD", "3",
-		"w", "pk", "1700000000000", "1", batchB64(t, "z"),
-		"p", "iso", batchB64(t, "q"),
-		"p", "wk", batchB64(t, "z"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if toks := strings.Fields(reply); len(toks) != 3 || toks[0] != "E" || toks[1] != "1" || toks[2] != "E" {
-		t.Fatalf("wrong-type isolation reply %q, want tokens [E 1 E]", reply)
-	}
-	if n, err := nodes[0].Count("iso"); err != nil || n < 0.5 {
-		t.Errorf("group coalesced next to a WRONGTYPE neighbor was lost (count %f, %v)", n, err)
+	// A windowed add aimed at the plain key, and a plain one at the
+	// windowed key, are refused: one error reply each, nothing changed.
+	for _, cmd := range [][]string{
+		{"CLUSTER", "MLADD", "w", "pk", "1700000000000", "1", batchB64(t, "z")},
+		{"CLUSTER", "MLADD", "p", "wk", batchB64(t, "z")},
+	} {
+		before, _ := store.Dump(cmd[3])
+		if _, err := c.Do(cmd...); !errors.Is(err, server.ErrWrongType) {
+			t.Errorf("%v: %v, want ErrWrongType", cmd, err)
+		}
+		if after, _ := store.Dump(cmd[3]); !bytes.Equal(after, before) {
+			t.Errorf("%v changed %q", cmd, cmd[3])
+		}
+		if reply, err := c.Do("CLUSTER", "MLADD", "p", "iso", batchB64(t, "q")); err != nil || (reply != "1" && reply != "0") {
+			t.Fatalf("the add after %v: %q, %v", cmd, reply, err)
+		}
 	}
 
 	for _, bad := range [][]string{
-		{"CLUSTER", "MLADD"},                                                         // no group count
-		{"CLUSTER", "MLADD", "x"},                                                    // bad group count
-		{"CLUSTER", "MLADD", "0"},                                                    // zero groups
-		{"CLUSTER", "MLADD", "9000000000000000000"},                                  // absurd count: must not allocate by it
-		{"CLUSTER", "MLADD", "2", "p", "k", one},                                     // count beyond what tokens can satisfy
-		{"CLUSTER", "MLADD", "1", "q", "k", one},                                     // unknown group type
-		{"CLUSTER", "MLADD", "1", "p", "k"},                                          // missing batch
-		{"CLUSTER", "MLADD", "1", "w", "k", "nope", "1", one},                        // bad timestamp
-		{"CLUSTER", "MLADD", "1", "w", "k", "1700000000000", "0", one},               // bad element count
-		{"CLUSTER", "MLADD", "1", "w", "k", "1700000000000", one},                    // truncated windowed group
-		{"CLUSTER", "MLADD", "1", "p", "k", one, "extra"},                            // trailing tokens
-		{"CLUSTER", "MLADD", "1", "p", "k", "1", "a"},                                // the retired element framing
-		{"CLUSTER", "MLADD", "2", "p", "k", "2", "a", "b", "w", "wk", "1", "1", "x"}, // ... of two groups
+		{"CLUSTER", "MLADD"},                                                     // no arguments
+		{"CLUSTER", "MLADD", "p", "k"},                                           // missing batch
+		{"CLUSTER", "MLADD", "q", "k", one},                                      // unknown type
+		{"CLUSTER", "MLADD", "w", "k", "nope", "1", one},                         // bad timestamp
+		{"CLUSTER", "MLADD", "w", "k", "1700000000000", "0", one},                // bad element count
+		{"CLUSTER", "MLADD", "w", "k", "1700000000000", one},                     // truncated windowed add
+		{"CLUSTER", "MLADD", "p", "k", one, "extra"},                             // trailing token
+		{"CLUSTER", "MLADD", "p", "k", "1", "a"},                                 // the retired element framing
+		{"CLUSTER", "MLADD", "1", "p", "k", one},                                 // the retired group count
+		{"CLUSTER", "MLADD", "3", "p", "k", one},                                 // ... of a count beyond the groups
+		{"CLUSTER", "MLADD", "2", "p", "k", one, "w", "wk", "1", "1", one},       // ... of two groups
+		{"CLUSTER", "MLADD", "9000000000000000000"},                              // ... absurd
+		{"CLUSTER", "MLADD", "1", "w", "k", "1700000000000", "1", one, "p", "k"}, // ... and too long
 	} {
-		if _, err := c.Do(bad...); err == nil {
-			t.Errorf("malformed %v accepted", bad)
+		if _, err := c.Do(bad...); !server.IsReplyErr(err) {
+			t.Errorf("malformed %v: %v, want an error reply", bad, err)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatalf("server unusable after malformed %v: %v", bad, err)
 		}
 	}
-	if _, err := c.Do("PING"); err != nil {
-		t.Fatalf("server unusable after malformed MLADD: %v", err)
+	if got := store.Len(); got != 3 {
+		t.Errorf("%d keys after the refusals, want pk, wk and iso", got)
 	}
 }
 
@@ -136,8 +146,8 @@ func TestRetiredClusterVerbsAreRefused(t *testing.T) {
 	}
 }
 
-// TestAddNoElements: a zero-element Add is rejected up front — queued
-// into a batch it would fail every unrelated coalesced write.
+// TestAddNoElements: a zero-element Add is rejected up front, before any
+// owner is asked.
 func TestAddNoElements(t *testing.T) {
 	nodes := startCluster(t, 2, 2)
 	if _, err := nodes[0].Add("key"); err == nil {
@@ -149,7 +159,7 @@ func TestAddNoElements(t *testing.T) {
 }
 
 // TestBatchedAddConvergence fires many concurrent Adds through one
-// coordinator — exercising the per-peer MLADD batcher — and checks
+// coordinator — each forwarded as an MLADD of its token batch — and checks
 // that every replica of every key converges to the same sketch state,
 // observable as identical counts through every node.
 func TestBatchedAddConvergence(t *testing.T) {
@@ -213,10 +223,9 @@ func TestBatchedAddConvergence(t *testing.T) {
 }
 
 // TestMixedBatchedAddConvergence fires concurrent plain Adds AND
-// windowed WindowAdds through one coordinator: both kinds coalesce into
-// the same per-peer MLADD batches (no second serialized batch stream),
-// every write lands exactly once, and both plain counts and window
-// estimates agree across all replicas.
+// windowed WindowAdds through one coordinator, forwarded down the same
+// pooled peer connections: every write lands exactly once, and both plain
+// counts and window estimates agree across all replicas.
 func TestMixedBatchedAddConvergence(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
 	const (
@@ -273,20 +282,13 @@ func TestMixedBatchedAddConvergence(t *testing.T) {
 			t.Errorf("node %d window estimate %f, %v != %f", i+1, got, err, refWin)
 		}
 	}
-	// The coalescing actually happened through the shared MLADD batcher:
-	// far fewer flushes than groups.
-	var groups, batches uint64
+	// Every forwarded write was one MLADD line.
+	var lines uint64
 	for _, n := range nodes {
-		s := n.StatsCounters()
-		groups += s.MLPFAddGroups
-		batches += s.MLPFAddBatches
+		lines += n.StatsCounters().MLPFAddGroups
 	}
-	if groups == 0 || batches == 0 {
-		t.Fatal("mixed load never exercised the group-commit batcher")
-	}
-	t.Logf("mixed batcher coalesced %d groups into %d MLADD flushes", groups, batches)
-	if batches >= groups {
-		t.Errorf("no coalescing: %d batches for %d groups", batches, groups)
+	if lines == 0 {
+		t.Fatal("mixed load never forwarded a write")
 	}
 }
 

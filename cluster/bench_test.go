@@ -64,12 +64,11 @@ func BenchmarkClusterClientCount(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterBatchedPFAdd measures concurrent Node.Add calls
-// through one coordinator of a 3-node cluster: the per-peer batcher
-// coalesces the forwards to each owner into pipelined CLUSTER MLADD
-// batches, so k concurrent adds to the same owner share one round trip
-// instead of paying k.
-func BenchmarkClusterBatchedPFAdd(b *testing.B) {
+// BenchmarkClusterConcurrentPFAdd measures concurrent Node.Add calls
+// through one coordinator of a 3-node cluster, one writer a GOMAXPROCS:
+// each add forwards one CLUSTER MLADD to each remote owner on its own
+// goroutine, so the writers share the pooled peer connections.
+func BenchmarkClusterConcurrentPFAdd(b *testing.B) {
 	nodes, _ := startBenchCluster(b)
 	var gid atomic.Int64
 	b.ResetTimer()
@@ -90,7 +89,7 @@ func BenchmarkClusterBatchedPFAdd(b *testing.B) {
 
 // BenchmarkNodeAdd measures Node.Add of k 16-character elements on a
 // 2-node, replica-2 cluster, so every call writes this node's copy and
-// sends one MLADD group to the other: "existing" adds to one of 64 keys
+// sends one MLADD line to the other: "existing" adds to one of 64 keys
 // that hold 1000 elements, "fresh" creates a key per call. ns/element is
 // the time per element added.
 func BenchmarkNodeAdd(b *testing.B) {

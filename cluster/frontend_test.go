@@ -172,9 +172,10 @@ func TestEveryVerbAnswersAlikeInBothModes(t *testing.T) {
 // TestNodeDispatchAllocs: a routed PFADD or WADD allocates no more with 32
 // elements than with 2 but one, on either cluster of BenchmarkNodeDispatch:
 // the argument slots of a line that outgrew the connection's idle array and
-// arrived alone (see TestMLAddAllocsDoNotGrowWithElements). Nothing else
-// grows with the elements: they are hashed where they lie, not made into
-// strings.
+// arrived alone. Nothing else grows with the elements: they are hashed
+// where they lie, not made into strings. And a 2-element write through a
+// 2-node cluster, which forwards one MLADD on the caller's goroutine,
+// allocates at most 17 times on this fabric, both ends of the hop counted.
 func TestNodeDispatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is not meaningful under the race detector")
@@ -194,6 +195,11 @@ func TestNodeDispatchAllocs(t *testing.T) {
 	for _, verb := range []string{"1node/PFAdd", "1node/WAdd", "2node/PFAdd", "2node/WAdd"} {
 		if two, many := allocs[verb+"/2"], allocs[verb+"/32"]; many > two+1.05 {
 			t.Errorf("%s: %.2f allocations per command with 32 elements, %.2f with 2: want one more at most", verb, many, two)
+		}
+	}
+	for _, tc := range []string{"2node/PFAdd/2", "2node/WAdd/2"} {
+		if got := allocs[tc]; got > 17.1 {
+			t.Errorf("%s: %.2f allocations per command, want at most 17", tc, got)
 		}
 	}
 }
@@ -260,7 +266,7 @@ func TestClusterVerbForms(t *testing.T) {
 		{"LDEADLINE", "CLUSTER LDEADLINE", "", "", "CLUSTER LDEADLINE p", ":4102444800000\n"},
 		{"LPERSIST", "CLUSTER LPERSIST", "", "", "CLUSTER LPERSIST p", ":1\n"},
 		{"LKEYS", "CLUSTER LKEYS x", "", "", "CLUSTER LKEYS", "+p\n"},
-		{"MLADD", "CLUSTER MLADD", "CLUSTER MLADD x", `-ERR bad CLUSTER MLADD group count "x"`, "CLUSTER MLADD 1 p mladded " + batchB64(t, "z"), "+1\n"},
+		{"MLADD", "CLUSTER MLADD p k", "CLUSTER MLADD w k soon 1 x", `-ERR bad CLUSTER MLADD timestamp "soon"`, "CLUSTER MLADD p mladded " + batchB64(t, "z"), ":1\n"},
 		{"XFER", "CLUSTER XFER FRAME " + e, "CLUSTER XFER FRAME " + e + " !!!!", "-ERR xfer: bad base64: ", "CLUSTER XFER FRAME " + e + " " + frame, "+OK\n"},
 	}
 	usage := map[string]string{}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/base64"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -33,7 +34,7 @@ func (r *streamOf) Read(p []byte) (int, error) {
 	return k, nil
 }
 
-// batchB64 is an MLADD group's batch: the base64 of the token batch a
+// batchB64 is an MLADD line's batch: the base64 of the token batch a
 // coordinator of the test configuration hashes the elements into.
 func batchB64(t testing.TB, elements ...string) string {
 	t.Helper()
@@ -57,42 +58,43 @@ func batchB64Of(t testing.TB, cfg core.Config, elements ...string) string {
 	return base64.StdEncoding.EncodeToString(blob)
 }
 
-// mlAddLine is one forwarded batch: groups plain groups of the given size
-// and one windowed group, every element already recorded after one pass.
-func mlAddLine(t testing.TB, groups, elements int) []byte {
-	line := []byte("CLUSTER MLADD " + strconv.Itoa(groups+1))
+// mlAddLines is groups forwarded plain adds of the given size and one
+// windowed add, one MLADD line each, every element already recorded after
+// one pass.
+func mlAddLines(t testing.TB, groups, elements int) []byte {
+	var lines []byte
 	for g := 0; g < groups; g++ {
 		els := make([]string, elements)
 		for e := range els {
 			els[e] = fmt.Sprintf("el-%d-%d", g, e)
 		}
-		line = append(line, fmt.Sprintf(" p bench-%d %s", g, batchB64(t, els...))...)
+		lines = append(lines, fmt.Sprintf("CLUSTER MLADD p bench-%d %s\n", g, batchB64(t, els...))...)
 	}
-	return append(line, " w bench-w 1750000000000 2 "+batchB64(t, "a", "b")+"\n"...)
+	return append(lines, "CLUSTER MLADD w bench-w 1750000000000 2 "+batchB64(t, "a", "b")+"\n"...)
 }
 
-// BenchmarkDispatchMLAdd isolates the receiving owner's side of a forwarded
-// add — line in, batches decoded and absorbed, reply bytes out, no network:
-// 4 plain groups of 8 elements and a windowed one.
+// BenchmarkDispatchMLAdd isolates the receiving owner's side of forwarded
+// adds — lines in, batches decoded and absorbed, reply bytes out, no
+// network: 4 plain adds of 8 elements and a windowed one, so an op is five
+// MLADD lines.
 func BenchmarkDispatchMLAdd(b *testing.B) {
 	node, err := NewNode("n1", testConfig(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer node.Close()
-	line := mlAddLine(b, 4, 8)
-	node.Server().ServeStream(&streamOf{line: line, n: 1}, io.Discard)
-	b.SetBytes(int64(len(line)))
+	lines := mlAddLines(b, 4, 8)
+	node.Server().ServeStream(&streamOf{line: lines, n: 1}, io.Discard)
+	b.SetBytes(int64(len(lines)))
 	b.ReportAllocs()
 	b.ResetTimer()
-	node.Server().ServeStream(&streamOf{line: line, n: b.N}, io.Discard)
+	node.Server().ServeStream(&streamOf{line: lines, n: b.N}, io.Discard)
 }
 
-// TestMLAddAllocsDoNotGrowWithElements is the benchmark's guard: what a
-// forwarded batch allocates on the owner is the argument slots of a line
-// that outgrew the idle array — one allocation, however many groups and
-// elements it carries. No string is made of a key, and a group's batch is
-// decoded and absorbed on the stack.
+// TestMLAddAllocsDoNotGrowWithElements is the benchmark's guard: a
+// forwarded add allocates nothing on the owner, however many elements its
+// batch was made of. No string is made of a key, and the batch is decoded
+// and absorbed on the stack.
 func TestMLAddAllocsDoNotGrowWithElements(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is not meaningful under the race detector")
@@ -102,40 +104,43 @@ func TestMLAddAllocsDoNotGrowWithElements(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	perCommand := func(groups, elements int) float64 {
-		line := mlAddLine(t, groups, elements)
-		node.Server().ServeStream(&streamOf{line: line, n: 2}, io.Discard) // record every token, fill the pool
+	const groups = 28
+	perLine := func(elements int) float64 {
+		lines := mlAddLines(t, groups, elements)
+		node.Server().ServeStream(&streamOf{line: lines, n: 2}, io.Discard) // record every token, fill the pool
 		const n = 50
 		return testing.AllocsPerRun(10, func() {
-			node.Server().ServeStream(&streamOf{line: line, n: n}, io.Discard)
-		}) / n
+			node.Server().ServeStream(&streamOf{line: lines, n: n}, io.Discard)
+		}) / (n * (groups + 1))
 	}
-	few, many := perCommand(28, 1), perCommand(28, 16)
-	t.Logf("allocations per MLADD of 29 groups: %.2f with 30 elements, %.2f with 450", few, many)
-	if many > few+0.1 || many > 1.1 {
-		t.Errorf("an MLADD of 450 elements allocates %.2f times, one of 30 elements %.2f: want one allocation each", many, few)
+	few, many := perLine(1), perLine(16)
+	t.Logf("allocations per MLADD line: %.3f of 1 element, %.3f of 16", few, many)
+	if many > few+0.01 || many > 0.05 {
+		t.Errorf("an MLADD of 16 elements allocates %.3f times, one of 1 element %.3f: want none", many, few)
 	}
 }
 
 // FuzzMLAddFraming: whatever follows CLUSTER MLADD on the line, the byte
 // parser answers with exactly one reply line and leaves the connection in
 // step. Seeded with TestMLAddWire's malformed table, the refused blobs of
-// TestMLAddRefusedGroups and the retired element framing.
+// TestMLAddRefusedGroups, the retired counted forms and the retired element
+// framing.
 func FuzzMLAddFraming(f *testing.F) {
 	one, two := batchB64(f, "a"), batchB64(f, "x", "y")
 	for _, seed := range []string{
-		"", "x", "0", "-1", "+1 p k " + one, "9000000000000000000",
-		"2 p k " + one, "1 q k " + one, "1 p k", "1 p", "1 w",
-		"1 w k nope 1 " + one, "1 w k 1700000000000 0 " + one, "1 w k 1700000000000 " + one,
-		"1 w k 1700000000000 9000000000000000000 " + one, "1 p k " + one + " extra",
+		"", "x", "p", "w", "p k", "p k " + one, "w k 1700000000000 2 " + two,
+		"q k " + one, "p wkey " + one, "w k nope 1 " + one, "w k 1700000000000 0 " + one,
+		"w k 1700000000000 " + one, "w k 1700000000000 9000000000000000000 " + one,
+		"p k " + one + " extra", "p k !!!!", "p k " + one[:len(one)-2],
+		"p k " + base64.StdEncoding.EncodeToString([]byte("ELT3\x02\x14\x0a\x05")),
+		"p k RUxUMwIUCgA=", // a batch of no tokens
+		"p k " + batchB64Of(f, core.RecommendedML(12), "a"),
+		// The retired counted forms.
+		"0", "-1", "9000000000000000000", "1 p k " + one, "3 p k " + one,
 		"3 p wkey " + one + " p pkey " + one + " p wkey " + one,
-		"3 p pk " + two + " w wkey 1700000000000 2 " + two + " p pk " + one,
-		"1 p k !!!!", "1 p k " + one[:len(one)-2], "1 p k " + base64.StdEncoding.EncodeToString([]byte("ELT3\x02\x14\x0a\x05")),
-		"1 p k RUxUMwIUCgA=", // a batch of no tokens
-		"1 p k " + batchB64Of(f, core.RecommendedML(12), "a"),
 		// The retired element framing.
-		"1 p k 1 a", "2 p pk 2 a b w wk 1700000000000 2 x y", "1 w k 1700000000000 1 a",
-		"1 p k 1 \x00\xff", "1\tp\tk\t" + one,
+		"p k 1 a", "w k 1700000000000 1 a", "1 p k 1 a",
+		"2 p pk 2 a b w wk 1700000000000 2 x y", "p k 1 \x00\xff", "p\tk\t" + one,
 	} {
 		f.Add(seed)
 	}
@@ -155,7 +160,7 @@ func FuzzMLAddFraming(f *testing.F) {
 		if len(lines) != 3 || lines[2] != "" || lines[1] != "+PONG" {
 			t.Fatalf("MLADD %q: replies %q, want one line and +PONG", rest, out.String())
 		}
-		if r := lines[0]; r == "" || (r[0] != '+' && !strings.HasPrefix(r, "-ERR ")) {
+		if r := lines[0]; r == "" || (r[0] != ':' && !strings.HasPrefix(r, "-ERR ")) {
 			t.Fatalf("MLADD %q: unframed reply %q", rest, r)
 		}
 	})
@@ -192,27 +197,26 @@ func buffersHeld(t *testing.T, c *server.Client) int {
 	return n
 }
 
-// TestOversizedCommandThenIdle: a 700 KB forwarded batch takes a pooled
-// buffer, a spill-over line and 81 000 argument slots; once the connection
-// is idle again all of it is gone, on both ends.
+// TestOversizedCommandThenIdle: a 700 KB PFADD takes a pooled buffer, a
+// spill-over line and 44 000 argument slots; once the connection is idle
+// again all of it is gone, on both ends.
 func TestOversizedCommandThenIdle(t *testing.T) {
 	nodes := startCluster(t, 1, 1)
 	c := dialTest(t, nodes[0].Addr())
-	one := batchB64(t, "the-one-element")
-	if reply, err := c.Do("CLUSTER", "MLADD", "1", "p", "big", one); err != nil || reply != "1" {
-		t.Fatalf("MLADD: %q, %v", reply, err)
+	const one = "the-one-element"
+	if reply, err := c.Do("PFADD", "big", one); err != nil || reply != "1" {
+		t.Fatalf("PFADD: %q, %v", reply, err)
 	}
 	held := buffersHeld(t, c)
 	base := liveHeap()
 
-	const groups = 27000 // of the element the key already holds: the keyspace does not grow
-	parts := append(make([]string, 0, 3+3*groups), "CLUSTER", "MLADD", strconv.Itoa(groups))
-	for i := 0; i < groups; i++ {
-		parts = append(parts, "p", "big", one)
+	const elements = 44000 // the element the key already holds: the keyspace does not grow
+	parts := append(make([]string, 0, 2+elements), "PFADD", "big")
+	for i := 0; i < elements; i++ {
+		parts = append(parts, one)
 	}
-	reply, err := c.Do(parts...)
-	if toks := strings.Fields(reply); err != nil || len(toks) != groups || strings.Trim(reply, "0 ") != "" {
-		t.Fatalf("700 KB MLADD: %d reply tokens, not all 0, %v", len(toks), err)
+	if reply, err := c.Do(parts...); err != nil || reply != "0" {
+		t.Fatalf("700 KB PFADD: %q, %v", reply, err)
 	}
 	parts = nil
 
@@ -273,23 +277,30 @@ func TestResidentBytesTracksLiveHeapServed(t *testing.T) {
 	runtime.KeepAlive(nodes)
 }
 
-// TestMLAddRefusedGroups: a group whose batch is refused — not base64, a
-// blob the core decoder refuses (ELT3, EL 0x01 or the retired ELT2), a
-// batch of no tokens, or one of another sketch configuration than the key
-// holds — answers E, changes nothing, and the groups around it still apply.
-// The retired element framing and a truncated group are framing errors:
-// one -ERR line, and the connection stays in step.
+// TestMLAddRefusedGroups: a forwarded add whose batch is refused — not
+// base64, a blob the core decoder refuses (ELT3, EL 0x01 or the retired
+// ELT2), a batch of no tokens, or one of another sketch configuration than
+// the key holds — answers one -ERR line that parses as
+// server.ErrWrongType, changes nothing, and the next command on the
+// connection gets its own reply. The retired element framing and the
+// retired counted forms are framing errors: one -ERR line, the connection
+// in step.
 func TestMLAddRefusedGroups(t *testing.T) {
 	nodes := startCluster(t, 1, 1)
 	store := nodes[0].Store()
 	c := dialTest(t, nodes[0].Addr())
-	if reply, err := c.Do("CLUSTER", "MLADD", "2", "p", "held", batchB64(t, "a"), "w", "ring", "1750000000000", "1", batchB64(t, "a")); err != nil || reply != "1 1" {
-		t.Fatalf("MLADD of the held keys: %q, %v", reply, err)
+	for _, held := range [][]string{
+		{"CLUSTER", "MLADD", "p", "held", batchB64(t, "a")},
+		{"CLUSTER", "MLADD", "w", "ring", "1750000000000", "1", batchB64(t, "a")},
+	} {
+		if reply, err := c.Do(held...); err != nil || reply != "1" {
+			t.Fatalf("%v: %q, %v", held, reply, err)
+		}
 	}
 	dense, _ := core.MustNew(testConfig()).MarshalBinary()
 	b64 := base64.StdEncoding.EncodeToString
 	for i, bad := range []struct {
-		name, group string // the group refers to the key it goes into as %s
+		name, add string // the add refers to the key it goes into as %s
 	}{
 		{"not base64", "p %s !!!!"},
 		{"truncated base64", "p %s " + batchB64(t, "b")[:8]},
@@ -301,34 +312,32 @@ func TestMLAddRefusedGroups(t *testing.T) {
 		{"another configuration in a window", "w %s 1750000000000 1 " + batchB64Of(t, core.RecommendedML(12), "b")},
 	} {
 		target := "held"
-		if strings.HasPrefix(bad.group, "w ") {
+		if strings.HasPrefix(bad.add, "w ") {
 			target = "ring"
 		}
 		before, _ := store.Dump(target)
-		line := fmt.Sprintf("3 p before-%d %s "+bad.group+" w after-%d 1750000000000 1 %s",
-			i, batchB64(t, "x"), target, i, batchB64(t, "y"))
-		reply, err := c.Do(append([]string{"CLUSTER", "MLADD"}, strings.Fields(line)...)...)
-		if err != nil || reply != "1 E 1" {
-			t.Errorf("%s: reply %q, %v; want 1 E 1", bad.name, reply, err)
+		_, err := c.Do(append([]string{"CLUSTER", "MLADD"}, strings.Fields(fmt.Sprintf(bad.add, target))...)...)
+		if !errors.Is(err, server.ErrWrongType) {
+			t.Errorf("%s: %v, want ErrWrongType", bad.name, err)
 		}
 		if after, _ := store.Dump(target); !bytes.Equal(after, before) {
-			t.Errorf("%s: the refused group changed %q", bad.name, target)
+			t.Errorf("%s: the refused add changed %q", bad.name, target)
 		}
-		for _, key := range []string{fmt.Sprintf("before-%d", i), fmt.Sprintf("after-%d", i)} {
-			if _, ok := store.Dump(key); !ok {
-				t.Errorf("%s: the group for %q beside it was not applied", bad.name, key)
-			}
+		next := fmt.Sprintf("after-%d", i)
+		if reply, err := c.Do("CLUSTER", "MLADD", "p", next, batchB64(t, "y")); err != nil || reply != "1" {
+			t.Errorf("%s: the add after it: %q, %v; want 1", bad.name, reply, err)
 		}
 	}
 	for _, framing := range []string{
-		"1 p k 1 a",
+		"p k 1 a",
 		"2 p k 2 a b w wk 1750000000000 1 x",
-		"1 w k 1750000000000 " + batchB64(t, "a"),
+		"w k 1750000000000 " + batchB64(t, "a"),
+		"1 p k " + batchB64(t, "a"),
 		"2 p k " + batchB64(t, "a") + " p",
 	} {
 		_, err := c.Do(append([]string{"CLUSTER", "MLADD"}, strings.Fields(framing)...)...)
-		if !server.IsReplyErr(err) {
-			t.Errorf("MLADD %s: %v, want an -ERR reply", framing, err)
+		if !server.IsReplyErr(err) || errors.Is(err, server.ErrWrongType) {
+			t.Errorf("MLADD %s: %v, want a framing error reply", framing, err)
 		}
 		if err := c.Ping(); err != nil {
 			t.Fatalf("connection out of step after MLADD %s: %v", framing, err)

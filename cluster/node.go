@@ -34,7 +34,8 @@ import (
 //	CLUSTER EPOCH <epoch> <coord>      → +GRANTED <epoch> e=.. v=.. c=.. / +DENIED <highest> e=.. v=.. c=.. (epoch claim and the voter's map triple; internal)
 //	CLUSTER GOSSIP <g1 digest>         → +<g1 digest> (push-pull failure-detector exchange; internal)
 //	CLUSTER HEALTH                     → +round=.. quorum=.. member=.. <id>=<state>,hb=..,heard=..,sus=.. ...
-//	CLUSTER MLADD <g> <group>... ×g    → +<g tokens> (batched mixed plain/windowed local adds; internal replication verb)
+//	CLUSTER MLADD p <key> <batch>      → :1/:0 (local add of a token batch; the internal replication verb)
+//	CLUSTER MLADD w <key> <ts> <n> <b> → :<accepted> (local window add of the batch b of n elements; internal)
 //	CLUSTER LDEL <key>                 → :1/:0 (local delete; internal)
 //	CLUSTER LEXPIREAT <key> <ms>       → :1/:0 (local absolute-deadline arm; internal, see lifecycle.go)
 //	CLUSTER LDEADLINE <key>            → :<ms> (local deadline read; internal)
@@ -603,7 +604,7 @@ func (n *Node) withStaleMapRetry(op func(m *Map) error) error {
 // Add inserts elements into key on every owner node; it reports whether
 // any owner's sketch changed. The elements are hashed once, here, into one
 // sorted token batch (Store.Batch): this node's copy absorbs it, and every
-// other owner gets its ELT3 bytes in a CLUSTER MLADD group and absorbs
+// other owner gets its ELT3 bytes in one CLUSTER MLADD line and absorbs
 // those, so all owners record the same tokens and replicas stay
 // byte-identical (insertion order does not matter — the paper's
 // reproducibility property). Keys and elements must be non-empty and
@@ -647,9 +648,9 @@ func (n *Node) add(key string, batch *core.Hybrid) (bool, error) {
 			if o.ID == n.id {
 				c, err = n.store.AddBatch(key, batch)
 			} else {
-				// Batched forwarding: concurrent Adds to the same owner
-				// coalesce into one pipelined CLUSTER MLADD round trip.
-				c, err = n.peers.batchAdd(o.Addr, key, batch)
+				var v int
+				v, err = n.peers.mlAdd(o.Addr, key, batch, 0, 0)
+				c = v == 1
 			}
 			if c {
 				changed.Store(true)
@@ -911,10 +912,7 @@ func (n *Node) windowAdd(key string, tsMillis int64, batch *core.Hybrid, cnt int
 			if o.ID == n.id {
 				a, err = n.store.WindowAddBatch(key, tsMillis, batch, cnt)
 			} else {
-				// Batched forwarding: concurrent WindowAdds (and plain Adds)
-				// to the same owner coalesce into one pipelined CLUSTER MLADD
-				// round trip.
-				a, err = n.peers.batchWAdd(o.Addr, key, tsMillis, batch, cnt)
+				a, err = n.peers.mlAdd(o.Addr, key, batch, tsMillis, cnt)
 			}
 			if o.ID == owners[0].ID { // the one write that sets it
 				accepted = a
@@ -1160,7 +1158,7 @@ var clusterVerbs = []struct {
 	{"LDEADLINE", 1, 1, "-ERR CLUSTER LDEADLINE needs exactly one key", (*Node).handleLDeadline},
 	{"LPERSIST", 1, 1, "-ERR CLUSTER LPERSIST needs exactly one key", (*Node).handleLPersist},
 	{"LKEYS", 0, 0, "-ERR CLUSTER LKEYS takes no arguments", (*Node).handleLKeys},
-	{"MLADD", 1, -1, "-ERR CLUSTER MLADD needs a group count", (*Node).handleMLAdd},
+	{"MLADD", 3, 5, mlAddUsage, (*Node).handleMLAdd},
 	{"XFER", 3, 3, xferUsage, (*Node).handleXfer},
 }
 
@@ -1250,114 +1248,67 @@ func appendYes(reply []byte, yes bool) []byte {
 	return append(reply, ":0"...)
 }
 
-// handleMLAdd executes a batched local add — the one forwarded-add
-// verb: what lets many concurrent forwarded PFADDs and WADDs share one
-// round trip yet each learn its own outcome. A batch carries g groups,
-// plain and windowed interleaved, each the token batch the coordinator
-// hashed the elements into (Store.Batch), as the base64 of its ELT3 (or,
-// past break-even, dense) bytes:
+// handleMLAdd executes a forwarded add — the one forwarded-add verb. It
+// carries the token batch the coordinator hashed the elements into
+// (Store.Batch), as the base64 of its ELT3 (or, past break-even, dense)
+// bytes:
 //
-//	p <key> <batch>             (plain add)
-//	w <key> <ts> <n> <batch>    (windowed add of n elements, unix-ms timestamp)
+//	p <key> <batch>            → :1/:0 (plain add: the changed-bit)
+//	w <key> <ts> <n> <batch>   → :<accepted> (windowed add of n elements at a unix-ms timestamp)
 //
-// The reply is '+' followed by one space-separated token per group, in
-// order: a plain group answers its changed-bit ('0'/'1'), a windowed
-// group its accepted count, and either kind answers 'E' when the owner
-// refused it: a key of the other value type or of another sketch
-// configuration, or a batch that is not base64 of a blob the core
-// decoder accepts, or holds no token. One refused group must NOT fail
-// the whole batch: the other groups belong to unrelated callers coalesced
-// by the group-commit batcher, and earlier groups have already been
-// applied. Only framing corruption (which poisons everything after it)
-// aborts with -ERR. This is the receiving end of every forwarded write,
-// so rest is the line's own bytes, and the outcomes are appended to
-// reply.
-func (n *Node) handleMLAdd(reply []byte, rest [][]byte) []byte {
-	// Each group needs at least 3 tokens (type, key, batch), so a count
-	// beyond (len(rest)-1)/3 cannot be satisfied (wire input is
-	// untrusted).
-	g, ok := server.ParseIntBytes(rest[0])
-	if !ok || g < 1 || g > int64(len(rest)-1)/3 {
-		return mlAddBad(reply, "group count", rest[0])
-	}
-	reply = append(reply, '+')
-	i := 1
-	for ; g > 0; g-- {
-		// A group: type, key, a windowed group's timestamp and element
-		// count, the batch.
-		size := 3
-		switch {
-		case i == len(rest):
-		case string(rest[i]) == "w":
-			size = 5
-		case string(rest[i]) != "p":
-			return mlAddBad(reply, "group type", rest[i])
-		}
-		if len(rest)-i < size {
-			return append(reply[:0], mlAddTruncated...)
-		}
-		key, blob := rest[i+1], rest[i+size-1]
-		if size == 3 {
-			reply = n.mlAddPlain(reply, key, blob)
-		} else {
-			ts, ok := server.ParseIntBytes(rest[i+2])
-			if !ok {
-				return mlAddBad(reply, "timestamp", rest[i+2])
-			}
-			cnt, ok := server.ParseIntBytes(rest[i+3])
-			if !ok || cnt < 1 {
-				return mlAddBad(reply, "element count", rest[i+3])
-			}
-			reply = n.mlAddWindow(reply, key, ts, cnt, blob)
-		}
-		reply = append(reply, ' ')
-		i += size
-	}
-	if i != len(rest) {
-		return append(reply[:0], "-ERR trailing tokens after CLUSTER MLADD groups"...)
-	}
-	return reply[:len(reply)-1] // without the last group's separator
-}
-
-// mlAddPlain applies one plain MLADD group and appends its outcome.
-func (n *Node) mlAddPlain(reply, key, b64 []byte) []byte {
+// A batch the owner refuses — a key of the other value type or of another
+// sketch configuration, or a batch that is not base64 of a blob the core
+// decoder accepts, or holds no token — answers mlAddRefused, which clients
+// read as server.ErrWrongType. This is the receiving end of every
+// forwarded write, so args are the line's own bytes, and the outcome is
+// appended to reply.
+func (n *Node) handleMLAdd(reply []byte, args [][]byte) []byte {
 	var raw [mlAddRawBytes]byte
 	var words [mlAddRawBytes / 8]uint64
-	changed := false
-	batch, err := decodeBatch(raw[:], words[:], b64)
-	if err == nil {
-		changed, err = n.store.AddBatchBytes(key, &batch)
-	}
 	switch {
-	case err != nil:
-		return append(reply, 'E')
-	case changed:
-		return append(reply, '1')
-	default:
-		return append(reply, '0')
+	case len(args) == 3 && string(args[0]) == "p":
+		batch, err := decodeBatch(raw[:], words[:], args[2])
+		changed := false
+		if err == nil {
+			changed, err = n.store.AddBatchBytes(args[1], &batch)
+		}
+		if err != nil {
+			return append(reply, mlAddRefused...)
+		}
+		return appendYes(reply, changed)
+	case len(args) == 5 && string(args[0]) == "w":
+		ts, ok := server.ParseIntBytes(args[2])
+		if !ok {
+			return fmt.Appendf(reply, "-ERR bad CLUSTER MLADD timestamp %q", args[2])
+		}
+		cnt, ok := server.ParseIntBytes(args[3])
+		if !ok || cnt < 1 {
+			return fmt.Appendf(reply, "-ERR bad CLUSTER MLADD element count %q", args[3])
+		}
+		batch, err := decodeBatch(raw[:], words[:], args[4])
+		accepted := 0
+		if err == nil {
+			accepted, err = n.store.WindowAddBatchBytes(args[1], ts, &batch, int(cnt))
+		}
+		if err != nil {
+			return append(reply, mlAddRefused...)
+		}
+		return strconv.AppendInt(append(reply, ':'), int64(accepted), 10)
 	}
+	return append(reply, mlAddUsage...)
 }
 
-// mlAddWindow applies one windowed MLADD group and appends its outcome.
-func (n *Node) mlAddWindow(reply, key []byte, ts, cnt int64, b64 []byte) []byte {
-	var raw [mlAddRawBytes]byte
-	var words [mlAddRawBytes / 8]uint64
-	accepted := 0
-	batch, err := decodeBatch(raw[:], words[:], b64)
-	if err == nil {
-		accepted, err = n.store.WindowAddBatchBytes(key, ts, &batch, int(cnt))
-	}
-	if err != nil {
-		return append(reply, 'E')
-	}
-	return strconv.AppendInt(reply, int64(accepted), 10)
-}
+const mlAddUsage = "-ERR CLUSTER MLADD needs p <key> <batch> or w <key> <ts> <n> <batch>"
 
-// mlAddRawBytes is how large a group's blob may be to be decoded on the
+// mlAddRefused is the one reply to a refused forwarded add. It ends in
+// ErrWrongType's text, which server.Client maps back to ErrWrongType.
+var mlAddRefused = "-ERR CLUSTER MLADD refused (a key of another type or sketch configuration, or a bad batch): " + server.ErrWrongType.Error()
+
+// mlAddRawBytes is how large a forwarded blob may be to be decoded on the
 // stack, as appendBatch encodes it there on the sending side.
 const mlAddRawBytes = 512
 
-// decodeBatch decodes a group's base64 batch, through raw and into words
+// decodeBatch decodes a forwarded base64 batch, through raw and into words
 // when it fits, with the core decoder: a blob it would refuse from DUMP or
 // RESTORE it refuses here.
 func decodeBatch(raw []byte, words []uint64, b64 []byte) (core.Hybrid, error) {
@@ -1369,12 +1320,6 @@ func decodeBatch(raw []byte, words []uint64, b64 []byte) (core.Hybrid, error) {
 		return core.Hybrid{}, err
 	}
 	return core.DecodeBatch(raw[:k], words)
-}
-
-const mlAddTruncated = "-ERR truncated CLUSTER MLADD group"
-
-func mlAddBad(reply []byte, what string, tok []byte) []byte {
-	return fmt.Appendf(reply[:0], "-ERR bad CLUSTER MLADD %s %q", what, tok)
 }
 
 // coordinateJoin is JOIN: id listening at addr, through mutate. A node

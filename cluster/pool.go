@@ -20,18 +20,12 @@ import (
 // fan-out across peers runs in parallel while same-peer commands queue.
 // Connections that error are dropped and redialed on next use.
 //
-// Every request goes through exchange. Beyond single commands (do, and
-// direct on a connection of its own) there are two batched paths:
-//
-//   - pipeline sends a slice of commands in one write and reads the
-//     replies in one batch (server.Pipeline) — used by the read
-//     scatter-gather so N keys on one owner cost one round trip; a
-//     transfer window's frames go the same way (stream.flush).
-//   - batchAdd/batchWAdd coalesce concurrent per-key add requests —
-//     plain and windowed mixed freely — to the same peer into a single
-//     CLUSTER MLADD command (group commit): while one flush is on the
-//     wire, every new request queues, and the next flush carries them
-//     all.
+// Every request goes through exchange, on the caller's goroutine: single
+// commands (do, mlAdd for a forwarded write, and direct on a connection of
+// its own) and pipeline, which sends a slice of commands in one write and
+// reads the replies in one batch (server.Pipeline) — used by the read
+// scatter-gather so N keys on one owner cost one round trip; a transfer
+// window's frames go the same way (stream.flush).
 //
 // connect opens the transport under every connection: a TCP dial, or in
 // the package's tests an in-memory network. alive, when non-nil, is
@@ -45,17 +39,10 @@ type pool struct {
 	mu      sync.Mutex
 	conns   map[string]*server.Client
 
-	bmu     sync.Mutex
-	batches map[string]*peerBatch
-
-	// mlGroups/mlBatches count the group-commit coalescing: how many
-	// per-key add groups went out, in how many MLADD flushes — the
-	// CLUSTER STATS mlpfadd_* counters (groups/batches is the average
-	// coalescing factor; the names predate the mixed batcher). mlBytes
-	// counts the bytes of the MLADD lines sent, line breaks included.
-	mlGroups  atomic.Uint64
-	mlBatches atomic.Uint64
-	mlBytes   atomic.Uint64
+	// mlLines counts the MLADD lines sent, one a forwarded write, and
+	// mlBytes their bytes, line breaks included.
+	mlLines atomic.Uint64
+	mlBytes atomic.Uint64
 
 	// timeoutNS is the per-command I/O deadline (nanoseconds; 0 = no
 	// deadline) applied to every dialed connection: each Do/pipeline
@@ -70,7 +57,6 @@ func newPool(connect dialer) *pool {
 	return &pool{
 		connect: connect,
 		conns:   make(map[string]*server.Client),
-		batches: make(map[string]*peerBatch),
 	}
 }
 
@@ -241,147 +227,39 @@ func (p *pool) pipeline(addr string, cmds [][]string) (results []server.Result, 
 	return results, err
 }
 
-// addReq is one queued remote add awaiting a batched flush — plain
-// (PFADD-shaped) or, when windowed is set, a WADD carrying its
-// unix-millisecond observation timestamp. The elements travel as their
-// token batch; the caller keeps it unchanged until done is answered.
-type addReq struct {
-	key      string
-	windowed bool
-	ts       int64 // unix milliseconds; windowed groups only
-	n        int   // the elements the batch was made of; windowed groups only
-	batch    core.Hybrid
-	done     chan addResult
-}
-
-type addResult struct {
-	changed  bool // plain groups: the owner's changed-bit
-	accepted int  // windowed groups: how many elements the owner accepted
-	err      error
-}
-
-// peerBatch is the per-peer group-commit queue for adds.
-type peerBatch struct {
-	mu       sync.Mutex
-	pending  []*addReq
-	flushing bool
-}
-
-func (p *pool) batchFor(addr string) *peerBatch {
-	p.bmu.Lock()
-	defer p.bmu.Unlock()
-	b, ok := p.batches[addr]
-	if !ok {
-		b = &peerBatch{}
-		p.batches[addr] = b
-	}
-	return b
-}
-
-// batchAdd queues a plain add of a token batch into key on the peer at
-// addr and returns its result. Concurrent calls to the same peer coalesce:
-// one caller becomes the flusher and drains the queue in MLADD batches
-// (one write, one reply per batch) while later callers just park on
-// their result channel — the cluster-side equivalent of the server's
-// coalesced flush.
-func (p *pool) batchAdd(addr, key string, batch *core.Hybrid) (bool, error) {
-	res := p.enqueueAdd(addr, &addReq{key: key, batch: *batch, done: make(chan addResult, 1)})
-	return res.changed, res.err
-}
-
-// batchWAdd is batchAdd's windowed sibling for n elements observed at
-// tsMillis: the request rides the same per-peer group-commit queue, so
-// mixed PFADD/WADD load to one owner still coalesces into single MLADD
-// round trips instead of splitting into two serialized batch streams.
-func (p *pool) batchWAdd(addr, key string, tsMillis int64, batch *core.Hybrid, n int) (int, error) {
-	res := p.enqueueAdd(addr, &addReq{key: key, windowed: true, ts: tsMillis, n: n,
-		batch: *batch, done: make(chan addResult, 1)})
-	return res.accepted, res.err
-}
-
-// enqueueAdd parks req on addr's group-commit queue and returns its
-// result, electing the caller as flusher when none is running.
-func (p *pool) enqueueAdd(addr string, req *addReq) addResult {
-	b := p.batchFor(addr)
-	b.mu.Lock()
-	b.pending = append(b.pending, req)
-	if b.flushing {
-		b.mu.Unlock()
-		return <-req.done
-	}
-	b.flushing = true
-	b.mu.Unlock()
-	for {
-		b.mu.Lock()
-		batch := b.pending
-		if len(batch) == 0 {
-			b.flushing = false
-			b.mu.Unlock()
-			break
-		}
-		b.pending = nil
-		b.mu.Unlock()
-		p.flushAdds(addr, batch)
-	}
-	return <-req.done
-}
-
-// flushAdds sends one MLADD carrying every queued group — plain and
-// windowed interleaved — and fans the per-group results back out to the
-// waiting callers. A group's 'E' outcome (the owner refused it: a
-// WRONGTYPE key, or a key of another sketch configuration) fails that
-// caller alone; the neighbors coalesced into the batch are unaffected.
-func (p *pool) flushAdds(addr string, batch []*addReq) {
-	p.mlBatches.Add(1)
-	p.mlGroups.Add(uint64(len(batch)))
-	// The line is written once, into the buffer it is sent from.
+// mlAdd is one forwarded write to the peer at addr: one CLUSTER MLADD
+// line, written once into the buffer it is sent from, carrying a plain add
+// of the token batch or, when n > 0, a windowed add of the batch of n
+// elements observed at tsMillis. It returns the owner's answer — a plain
+// add's changed-bit (0 or 1), a windowed add's accepted count. An owner
+// that refuses the batch (a key of another type or sketch configuration)
+// answers an error reply that parses as server.ErrWrongType.
+func (p *pool) mlAdd(addr, key string, batch *core.Hybrid, tsMillis int64, n int) (int, error) {
+	p.mlLines.Add(1)
 	var reply string
 	err := p.exchange(addr, false, func(c *server.Client) (err error) {
 		reply, err = c.DoLine(func(line []byte) []byte {
-			line = strconv.AppendInt(append(line, "CLUSTER MLADD "...), int64(len(batch)), 10)
-			for _, r := range batch {
-				if r.windowed {
-					line = append(append(line, " w "...), r.key...)
-					line = strconv.AppendInt(append(line, ' '), r.ts, 10)
-					line = strconv.AppendInt(append(line, ' '), int64(r.n), 10)
-				} else {
-					line = append(append(line, " p "...), r.key...)
-				}
-				line = appendBatch(append(line, ' '), &r.batch)
+			if n > 0 {
+				line = append(append(line, "CLUSTER MLADD w "...), key...)
+				line = strconv.AppendInt(append(line, ' '), tsMillis, 10)
+				line = strconv.AppendInt(append(line, ' '), int64(n), 10)
+			} else {
+				line = append(append(line, "CLUSTER MLADD p "...), key...)
 			}
+			line = appendBatch(append(line, ' '), batch)
 			p.mlBytes.Add(uint64(len(line) + 1)) // and the line break
 			return line
 		})
 		return err
 	})
-	var toks []string
-	if err == nil {
-		toks = strings.Fields(reply)
-		if len(toks) != len(batch) {
-			err = fmt.Errorf("cluster: MLADD replied %d tokens for %d groups", len(toks), len(batch))
-		}
+	if err != nil {
+		return 0, fmt.Errorf("cluster: add %q on %s: %w", key, addr, err)
 	}
-	for i, r := range batch {
-		if err != nil {
-			r.done <- addResult{err: err}
-			continue
-		}
-		if toks[i] == "E" {
-			r.done <- addResult{err: fmt.Errorf("cluster: add %q refused on %s (a key of another type or sketch configuration): %w",
-				r.key, addr, server.ErrWrongType)}
-			continue
-		}
-		if r.windowed {
-			accepted, perr := strconv.Atoi(toks[i])
-			if perr != nil {
-				r.done <- addResult{err: fmt.Errorf("cluster: MLADD windowed group replied %q", toks[i])}
-				continue
-			}
-			r.done <- addResult{accepted: accepted}
-			continue
-		}
-		r.done <- addResult{changed: toks[i] == "1"}
+	v, err := strconv.Atoi(reply)
+	if err != nil {
+		return 0, fmt.Errorf("cluster: MLADD to %s replied %q", addr, reply)
 	}
+	return v, nil
 }
 
 // appendBatch appends the base64 of the batch's MarshalBinary bytes to

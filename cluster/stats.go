@@ -3,8 +3,8 @@ package cluster
 // Cluster-level observability: the CLUSTER STATS verb and the
 // Prometheus rendering of the counters the cluster layer keeps on top
 // of the per-verb server stats — gossip rounds, suspicions raised,
-// auto-LEAVE evictions, MLADD group-commit coalescing, transfer frames
-// and digest rounds. CLUSTER STATS ALL fans the same question out to every member
+// auto-LEAVE evictions, forwarded MLADD writes, transfer frames and
+// digest rounds. CLUSTER STATS ALL fans the same question out to every member
 // through the peer pool, which doubles as liveness evidence: a
 // metrics-polling operator keeps the failure detector fed (see
 // pool.alive).
@@ -25,8 +25,8 @@ type ClusterStats struct {
 	GossipRounds   uint64 // detector rounds this node has run
 	SuspectsRaised uint64 // alive→suspect transitions in this node's own judgment
 	AutoLeaves     uint64 // quorum-backed evictions this node coordinated
-	MLPFAddGroups  uint64 // per-key add groups coalesced into MLADD batches (the name predates the verb)
-	MLPFAddBatches uint64 // MLADD batches flushed
+	MLPFAddGroups  uint64 // MLADD lines sent, one a forwarded write (the name predates the verb)
+	MLPFAddBatches uint64 // the same count as MLPFAddGroups: a line carries one write
 	MLAddBytes     uint64 // bytes of the MLADD lines sent, line breaks included
 
 	// Transfer pipeline counters (see transfer.go).
@@ -48,12 +48,13 @@ func (n *Node) StatsCounters() ClusterStats {
 	g.mu.Lock()
 	rounds, raised := g.round, g.suspectsRaised
 	g.mu.Unlock()
+	lines := n.peers.mlLines.Load()
 	return ClusterStats{
 		GossipRounds:   rounds,
 		SuspectsRaised: raised,
 		AutoLeaves:     n.autoLeaves.Load(),
-		MLPFAddGroups:  n.peers.mlGroups.Load(),
-		MLPFAddBatches: n.peers.mlBatches.Load(),
+		MLPFAddGroups:  lines,
+		MLPFAddBatches: lines,
 		MLAddBytes:     n.peers.mlBytes.Load(),
 
 		XferStreams: n.xfer.streams.Load(),

@@ -9,7 +9,7 @@ import (
 // TestClusterStatsReportsCounters: CLUSTER STATS returns the node's own
 // counter row plus the per-verb serving stats, and CLUSTER STATS ALL
 // fans out to every member — with the poll itself visible in the
-// batcher/verb counters it reports.
+// forwarded-write and verb counters it reports.
 func TestClusterStatsReportsCounters(t *testing.T) {
 	h := newHarness(t, 3, 2)
 	for k := 0; k < 20; k++ {
@@ -28,7 +28,7 @@ func TestClusterStatsReportsCounters(t *testing.T) {
 		t.Fatalf("CLUSTER STATS first row %q, want the n2 counter row", rows[0])
 	}
 	if !strings.Contains(rows[0], "mlpfadd_groups=") || !strings.Contains(rows[0], "auto_leaves=0") {
-		t.Errorf("counter row %q lacks batcher/eviction counters", rows[0])
+		t.Errorf("counter row %q lacks the forwarded-write/eviction counters", rows[0])
 	}
 	if !strings.Contains(rows[0], "xfer_streams=") || !strings.Contains(rows[0], "xfer_frames=") {
 		t.Errorf("counter row %q lacks the bulk-transfer counters", rows[0])

@@ -10,6 +10,7 @@ package cluster
 // ring fed the same elements (slice merging is lossless).
 
 import (
+	"bytes"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -133,36 +134,52 @@ func TestClusterWindowedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMLAddWrongTypeGroupDoesNotPoisonBatch: with the typed keyspace
-// a batched-add group CAN fail (WRONGTYPE); its outcome must be the
-// per-group 'E' token, not a batch-level -ERR — the other groups belong
-// to unrelated callers coalesced by the group-commit batcher and their
-// adds have already been applied.
+// TestMLAddWrongTypeGroupDoesNotPoisonBatch: with the typed keyspace a
+// forwarded add CAN be refused (WRONGTYPE). Sent alone it answers one -ERR
+// line, leaves the key's bytes as they were and the connection in step; a
+// Node.Add or Node.WindowAdd whose co-owner holds the other type reports
+// server.ErrWrongType, and the coordinator keeps its pooled connection.
 func TestMLAddWrongTypeGroupDoesNotPoisonBatch(t *testing.T) {
-	nodes := startCluster(t, 1, 1)
-	if _, err := nodes[0].Store().WindowAdd("wkey", time.UnixMilli(streamMS), "x"); err != nil {
+	nodes := startCluster(t, 2, 2)
+	n1, n2 := nodes[0], nodes[1]
+	if _, err := n2.Store().WindowAdd("wkey", time.UnixMilli(streamMS), "x"); err != nil {
 		t.Fatal(err)
 	}
-	c := dialTest(t, nodes[0].Addr())
-	reply, err := c.Do("CLUSTER", "MLADD", "3", "p", "wkey", batchB64(t, "a"), "p", "pkey", batchB64(t, "b"), "p", "wkey", batchB64(t, "c"))
-	if err != nil {
-		t.Fatalf("whole batch failed on one wrongtype group: %v", err)
-	}
-	if reply != "E 1 E" {
-		t.Fatalf("MLADD reply %q, want E 1 E (per-group outcomes)", reply)
-	}
-	// The healthy group landed.
-	if n, err := nodes[0].Store().Count("pkey"); err != nil || int64(n+0.5) != 1 {
-		t.Errorf("healthy group not applied: %v, %v", n, err)
-	}
-	// The batcher maps 'E' back to a per-caller ErrWrongType, so a
-	// forwarded Add through the pool reports the right error too.
-	batch, err := nodes[0].Store().Batch([]string{"z"})
-	if err != nil {
+	if _, err := n2.Store().Add("pkey", "x"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nodes[0].peers.batchAdd(nodes[0].Addr(), "wkey", &batch); !errors.Is(err, server.ErrWrongType) {
-		t.Errorf("batched add to a windowed key: %v, want ErrWrongType", err)
+	wBefore, _ := n2.Store().Dump("wkey")
+	pBefore, _ := n2.Store().Dump("pkey")
+
+	c := dialTest(t, n2.Addr())
+	if _, err := c.Do("CLUSTER", "MLADD", "p", "wkey", batchB64(t, "a")); !errors.Is(err, server.ErrWrongType) {
+		t.Fatalf("a plain add to a windowed key: %v, want ErrWrongType", err)
+	}
+	if reply, err := c.Do("CLUSTER", "MLADD", "p", "other", batchB64(t, "b")); err != nil || reply != "1" {
+		t.Fatalf("the next add on the connection: %q, %v; want 1", reply, err)
+	}
+
+	// Through a coordinator whose co-owner holds the other type.
+	if _, err := n1.Add("wkey", "z"); !errors.Is(err, server.ErrWrongType) {
+		t.Errorf("Add to a key the co-owner holds windowed: %v, want ErrWrongType", err)
+	}
+	n1.peers.mu.Lock()
+	pooled := n1.peers.conns[n2.Addr()]
+	n1.peers.mu.Unlock()
+	if _, err := n1.WindowAdd("pkey", streamMS, "z"); !errors.Is(err, server.ErrWrongType) {
+		t.Errorf("WindowAdd to a key the co-owner holds plain: %v, want ErrWrongType", err)
+	}
+	n1.peers.mu.Lock()
+	kept := n1.peers.conns[n2.Addr()]
+	n1.peers.mu.Unlock()
+	if pooled == nil || kept != pooled {
+		t.Error("the pool dropped its connection on a refused MLADD")
+	}
+	if after, _ := n2.Store().Dump("wkey"); !bytes.Equal(after, wBefore) {
+		t.Error("the refused adds changed the co-owner's windowed key")
+	}
+	if after, _ := n2.Store().Dump("pkey"); !bytes.Equal(after, pBefore) {
+		t.Error("the refused adds changed the co-owner's plain key")
 	}
 }
 

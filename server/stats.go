@@ -10,7 +10,8 @@ package server
 //
 // The numbers surface three ways: the STATS wire verb (one line of k=v
 // tokens, see Server docs), CLUSTER STATS on cluster nodes (which adds
-// the gossip/rebalance/batcher counters from the cluster package), and
+// the gossip, forwarded-write and transfer counters from the cluster
+// package), and
 // the Prometheus-text WriteMetrics used by elld's -metrics-addr
 // listener.
 
