@@ -359,8 +359,8 @@ func TestRejoinAfterRestartLearnsMap(t *testing.T) {
 // TestJoinWithLocalData: a node that already holds sketches (e.g.
 // restored from a snapshot) joins on a fresh address. The seed answers
 // JOIN only after the joiner's SETMAP rebalance — which pushes blobs
-// back to the seed — completes, so this deadlocks unless Join uses a
-// connection separate from the peer pool.
+// back to the seed — completes, so this deadlocks unless that push gets a
+// connection other than the one the JOIN waits on.
 func TestJoinWithLocalData(t *testing.T) {
 	nodes := startCluster(t, 1, 2)
 	joiner, err := NewNode("n2", testConfig(), 2)

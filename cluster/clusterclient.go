@@ -3,7 +3,7 @@ package cluster
 // ClusterClient is the smart, single-hop client for a sketch cluster:
 // it fetches the cluster map once (CLUSTER MAP), hashes keys against
 // the consistent-hash ring locally, and sends each data command
-// straight to an owner over a pooled, pipelined per-node connection —
+// straight to an owner over a connection lent by its pool —
 // no coordinator hop, so a routed op costs one RTT instead of two and
 // no single node carries everyone's forwarding load.
 //

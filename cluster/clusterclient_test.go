@@ -29,9 +29,9 @@ func findKeyWhere(t *testing.T, m *Map, pred func(ids []string) bool) string {
 }
 
 // TestPoolClassifiesByTransport: any parsed reply line — success, a
-// novel -ERR, an error reply of an unknown kind, a missing key — keeps
-// the pooled connection and counts as liveness evidence; only transport
-// failures drop it. Before the fix, an
+// novel -ERR, an error reply of an unknown kind, a missing key — puts the
+// connection back on the idle list and counts as liveness evidence; only
+// transport failures close it. Before the fix, an
 // unrecognized error reply tore down a healthy connection AND withheld
 // the alive() signal, feeding spurious suspicion into the failure
 // detector about a peer that had just answered.
@@ -54,9 +54,10 @@ func TestPoolClassifiesByTransport(t *testing.T) {
 	if _, err := p.do(addr, "PING"); err != nil {
 		t.Fatal(err)
 	}
-	p.mu.Lock()
-	first := p.conns[addr]
-	p.mu.Unlock()
+	first := p.idleConns(addr)
+	if len(first) != 1 {
+		t.Fatalf("%d idle connections after a PING, want 1", len(first))
+	}
 
 	if _, err := p.do(addr, "WEIRD"); err == nil || !server.IsReplyErr(err) {
 		t.Fatalf("WEIRD: err = %v, want a reply-classified error", err)
@@ -68,27 +69,21 @@ func TestPoolClassifiesByTransport(t *testing.T) {
 		t.Fatalf("DUMP missing: err = %v, want reply-classified ErrNoSuchKey", err)
 	}
 
-	p.mu.Lock()
-	cur := p.conns[addr]
-	p.mu.Unlock()
-	if cur != first {
+	if cur := p.idleConns(addr); !slices.Equal(cur, first) {
 		t.Error("an error reply redialed a healthy connection")
 	}
 	if got := alive.Load(); got != 4 {
 		t.Errorf("alive fired %d times, want 4 (every parsed reply is liveness evidence)", got)
 	}
 
-	// Transport failure is the only thing that drops the connection —
+	// Transport failure is the only thing that closes the connection —
 	// and it must NOT claim liveness credit.
 	srv.Close()
 	if _, err := p.do(addr, "PING"); err == nil || server.IsReplyErr(err) {
 		t.Fatalf("dead server: err = %v, want a transport-grade error", err)
 	}
-	p.mu.Lock()
-	_, cached := p.conns[addr]
-	p.mu.Unlock()
-	if cached {
-		t.Error("transport failure left the dead connection cached")
+	if idle := p.idleConns(addr); len(idle) != 0 {
+		t.Error("transport failure left the dead connection idle")
 	}
 	if got := alive.Load(); got != 4 {
 		t.Errorf("alive fired %d times after transport failure, want still 4", got)

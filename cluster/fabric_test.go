@@ -512,7 +512,7 @@ func TestFabricCarriesLongPipeline(t *testing.T) {
 }
 
 // TestFabricCutThenHeal: a partition fails a peer request with a transport
-// error, which drops the pooled connection; after the heal the pool dials
+// error, which closes the lent connection; after the heal the pool dials
 // again and the request goes through.
 func TestFabricCutThenHeal(t *testing.T) {
 	nodes := startCluster(t, 2, 1)
@@ -526,10 +526,7 @@ func TestFabricCutThenHeal(t *testing.T) {
 	if err == nil || server.IsReplyErr(err) {
 		t.Fatalf("PING across a cut = %v, want a transport error", err)
 	}
-	p.mu.Lock()
-	_, pooled := p.conns[to]
-	p.mu.Unlock()
-	if pooled {
+	if idle := p.idleConns(to); len(idle) != 0 {
 		t.Error("the pool kept the connection a cut failed")
 	}
 	fab.partition(nodes[1].ID(), false)

@@ -209,7 +209,7 @@ func (n *Node) Gossip() []string {
 		case cur.triple().after(d.triple()):
 			// The replier is behind our map: push it now, one targeted
 			// SETMAP, instead of leaving the laggard to discover it.
-			n.peers.direct(addr, setmapCommand(cur)...)
+			n.peers.do(addr, setmapCommand(cur)...)
 		case d.triple().after(cur.triple()):
 			// The replier is ahead: pull its map from that one peer.
 			n.reconcileMap(addr)

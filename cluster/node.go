@@ -245,13 +245,7 @@ func (n *Node) Rejoin() error {
 // converged on the new map: every key is on its new owners, and a further
 // digest round repairs nothing.
 func (n *Node) Join(seedAddr string) error {
-	// A connection of its own, NOT the pooled one (pool.direct): the seed
-	// answers JOIN only after its SETMAP to this node is answered, and
-	// this node's round pushes its keys back to the seed over the pool. A
-	// JOIN pending on the pooled connection would hold that push up for
-	// good whenever a node with local data (e.g. restored from snapshot)
-	// joins on a fresh address.
-	reply, err := n.peers.direct(seedAddr, "CLUSTER", "JOIN", n.id, n.Addr())
+	reply, err := n.peers.do(seedAddr, "CLUSTER", "JOIN", n.id, n.Addr())
 	if err != nil {
 		return fmt.Errorf("cluster: join via %s: %w", seedAddr, err)
 	}
@@ -482,7 +476,7 @@ func (n *Node) reconcileMap(addr string) error {
 		return err
 	}
 	if cur := n.currentMap(); cur.Newer(theirs) {
-		_, err = n.peers.direct(addr, setmapCommand(cur)...)
+		_, err = n.peers.do(addr, setmapCommand(cur)...)
 	}
 	return err
 }
@@ -533,7 +527,7 @@ func (n *Node) broadcast(m, prev *Map) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := n.peers.direct(mem.Addr, args...); m.Has(mem.ID) {
+			if _, err := n.peers.do(mem.Addr, args...); m.Has(mem.ID) {
 				errs[i] = err
 			}
 		}()
@@ -820,32 +814,56 @@ func (n *Node) gatherOwnerBlobs(m *Map, keys []string) ([]ownerBlob, error) {
 
 // gather fetches every owner's sketch for every key (one pipelined
 // batch per owner, see gatherOwnerBlobs) and adds every distinct copy to u,
-// emptied first. Token blobs decode into one reused array, which the
-// union copies what it keeps from. A windowed key surfaces the store's
-// WRONGTYPE error rather than merging garbage.
+// emptied first. Every copy is decoded before the first is added, token
+// blobs into one array, so that the union sizes its own token array once,
+// for their total. A windowed key surfaces the store's WRONGTYPE error
+// rather than merging garbage.
 func (n *Node) gather(u *core.Union, m *Map, keys []string) error {
 	u.Reset(n.store.Config())
 	blobs, err := n.gatherOwnerBlobs(m, keys)
 	if err != nil {
 		return err
 	}
-	var buf []uint64
-	return eachDistinctCopy(blobs, func(b ownerBlob) error {
+	words := 0
+	for _, b := range blobs {
+		if core.IsTokenBlob(b.blob) {
+			words += len(b.blob)/8 + 1
+		}
+	}
+	type part struct {
+		ownerBlob
+		sk core.Hybrid
+	}
+	buf, parts, tokens := make([]uint64, words), make([]part, 0, len(blobs)), 0
+	err = eachDistinctCopy(blobs, func(b ownerBlob) error {
 		if window.IsSerialized(b.blob) {
 			return fmt.Errorf("cluster: sketch %q from %s: %w", b.key, b.ownerID, server.ErrWrongType)
 		}
-		if need := len(b.blob)/8 + 1; core.IsTokenBlob(b.blob) && len(buf) < need {
-			buf = make([]uint64, need)
+		need := 0
+		if core.IsTokenBlob(b.blob) {
+			need = len(b.blob)/8 + 1
 		}
-		sk, err := core.DecodeBatch(b.blob, buf)
-		if err == nil {
-			err = u.Add(&sk)
-		}
+		sk, err := core.DecodeBatch(b.blob, buf[:need:need])
 		if err != nil {
 			return fmt.Errorf("cluster: sketch %q from %s: %w", b.key, b.ownerID, err)
 		}
+		buf = buf[need:]
+		if sk.IsSparse() {
+			tokens += sk.Tokens()
+		}
+		parts = append(parts, part{b, sk})
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	u.Grow(tokens)
+	for i := range parts {
+		if err := u.Add(&parts[i].sk); err != nil {
+			return fmt.Errorf("cluster: sketch %q from %s: %w", parts[i].key, parts[i].ownerID, err)
+		}
+	}
+	return nil
 }
 
 // eachDistinctCopy calls merge for every gathered blob but those that are,
@@ -1426,7 +1444,7 @@ func (n *Node) RebalancePushes() uint64 { return n.pushes.Load() }
 // SetPeerTimeout bounds every peer command (forwards, scatter-gather,
 // gossip, map broadcasts, transfer frames) with one I/O deadline per
 // command: dials, writes and reply reads past d fail as TRANSPORT
-// errors, dropping the cached connection and feeding the failure
+// errors, closing the peer's idle connections and feeding the failure
 // detector — a black-holed peer can no longer hang an operation
 // forever. It applies to connections dialed after the call (elld sets
 // it before Start); d ≤ 0 disables deadlines.

@@ -15,17 +15,21 @@ import (
 	"exaloglog/server"
 )
 
-// pool caches one client connection per peer address. server.Client
-// serializes concurrent commands on its connection, so scatter-gather
-// fan-out across peers runs in parallel while same-peer commands queue.
-// Connections that error are dropped and redialed on next use.
+// pool lends connections to peers. Each peer address has a free list of
+// idle connections: a request takes one (or dials one when none is idle),
+// has it to itself for the round trip, and hands it back once a reply is
+// parsed. Requests to one peer therefore run side by side, each on a
+// connection of its own, and a request whose handler calls back into this
+// node (SETMAP, JOIN) holds no connection another request is waiting for.
+// A peer's idle list never holds more connections than the most requests
+// that were ever in flight to it at once.
 //
 // Every request goes through exchange, on the caller's goroutine: single
-// commands (do, mlAdd for a forwarded write, and direct on a connection of
-// its own) and pipeline, which sends a slice of commands in one write and
-// reads the replies in one batch (server.Pipeline) — used by the read
-// scatter-gather so N keys on one owner cost one round trip; a transfer
-// window's frames go the same way (stream.flush).
+// commands (do, and mlAdd for a forwarded write) and pipeline, which sends
+// a slice of commands in one write and reads the replies in one batch
+// (server.Pipeline) — used by the read scatter-gather so N keys on one
+// owner cost one round trip; a transfer window's frames go the same way
+// (stream.flush).
 //
 // connect opens the transport under every connection: a TCP dial, or in
 // the package's tests an in-memory network. alive, when non-nil, is
@@ -37,7 +41,7 @@ type pool struct {
 	connect dialer
 	alive   func(addr string)
 	mu      sync.Mutex
-	conns   map[string]*server.Client
+	idle    map[string][]*server.Client // by peer address; nil once closeAll ran
 
 	// mlLines counts the MLADD lines sent, one a forwarded write, and
 	// mlBytes their bytes, line breaks included.
@@ -56,7 +60,7 @@ type pool struct {
 func newPool(connect dialer) *pool {
 	return &pool{
 		connect: connect,
-		conns:   make(map[string]*server.Client),
+		idle:    make(map[string][]*server.Client),
 	}
 }
 
@@ -75,25 +79,42 @@ func (p *pool) timeout() time.Duration {
 	return d
 }
 
-func (p *pool) get(addr string) (*server.Client, error) {
+// lend takes an idle connection to addr off its free list, or dials one
+// when none is idle.
+func (p *pool) lend(addr string) (*server.Client, error) {
 	p.mu.Lock()
-	if c, ok := p.conns[addr]; ok {
+	if free := p.idle[addr]; len(free) > 0 {
+		c := free[len(free)-1]
+		free[len(free)-1] = nil
+		p.idle[addr] = free[:len(free)-1]
 		p.mu.Unlock()
 		return c, nil
 	}
 	p.mu.Unlock()
-	c, err := p.dial(addr)
-	if err != nil {
-		return nil, err
-	}
+	return p.dial(addr)
+}
+
+// giveBack puts a connection whose last reply was parsed on addr's free
+// list, or closes it when closeAll has run since it was lent.
+func (p *pool) giveBack(addr string, c *server.Client) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if prev, ok := p.conns[addr]; ok { // lost the dial race; keep the first
+	if p.idle == nil {
 		c.Close()
-		return prev, nil
+		return
 	}
-	p.conns[addr] = c
-	return c, nil
+	p.idle[addr] = append(p.idle[addr], c)
+}
+
+// closeIdle closes every idle connection to addr.
+func (p *pool) closeIdle(addr string) {
+	p.mu.Lock()
+	free := p.idle[addr]
+	delete(p.idle, addr)
+	p.mu.Unlock()
+	for _, c := range free {
+		c.Close()
+	}
 }
 
 // dial opens a connection to addr whose commands run under the peer
@@ -117,47 +138,32 @@ func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, timeout)
 }
 
-func (p *pool) drop(addr string, c *server.Client) {
-	p.mu.Lock()
-	if p.conns[addr] == c {
-		delete(p.conns, addr)
-	}
-	p.mu.Unlock()
-	c.Close()
-}
-
 // exchange is the one way a request reaches a peer: run puts the request on
-// a connection — the pooled one, or with fresh a connection of its own,
-// closed afterwards — and reads the replies. The outcome is classified by
+// a lent connection and reads the replies. The outcome is classified by
 // TRANSPORT, not by error kind: any parsed reply line — OK, a missing key,
-// a WRONGTYPE value, an arity error — means the peer
-// read the request and answered, so the connection is healthy (the
-// protocol is strictly one-reply-one-line, no desync possible) and the
-// answer is liveness evidence for the failure detector. Only dial, read
-// and write failures drop the pooled connection for a redial on next use.
+// a WRONGTYPE value, an arity error — means the peer read the request and
+// answered, so the connection is healthy (the protocol is strictly
+// one-reply-one-line, no desync possible) and goes back to the free list,
+// and the answer is liveness evidence for the failure detector. A dial,
+// read or write failure closes the connection and every idle one to the
+// same peer, which are likely as broken, so the next request dials once.
 // Enumerating "benign" error replies here would be wrong twice over: a
 // novel error reply would needlessly tear down a healthy connection, and —
 // worse — feed the missing alive() into the detector as spurious suspicion
 // of a peer that just answered.
-func (p *pool) exchange(addr string, fresh bool, run func(*server.Client) error) error {
-	open := p.get
-	if fresh {
-		open = p.dial
-	}
-	c, err := open(addr)
+func (p *pool) exchange(addr string, run func(*server.Client) error) error {
+	c, err := p.lend(addr)
 	if err != nil {
 		return err
 	}
-	if fresh {
-		defer c.Close()
+	if err = run(c); err != nil && !server.IsReplyErr(err) {
+		c.Close()
+		p.closeIdle(addr)
+		return err
 	}
-	err = run(c)
-	if err == nil || server.IsReplyErr(err) {
-		if p.alive != nil {
-			p.alive(addr)
-		}
-	} else if !fresh {
-		p.drop(addr, c)
+	p.giveBack(addr, c)
+	if p.alive != nil {
+		p.alive(addr)
 	}
 	return err
 }
@@ -176,9 +182,9 @@ func asStale(err error) error {
 	return err
 }
 
-// do runs one command against addr on the pooled connection.
+// do runs one command against addr.
 func (p *pool) do(addr string, parts ...string) (reply string, err error) {
-	err = p.exchange(addr, false, func(c *server.Client) (err error) {
+	err = p.exchange(addr, func(c *server.Client) (err error) {
 		reply, err = c.Do(parts...)
 		return err
 	})
@@ -199,24 +205,11 @@ func (p *pool) fetchMap(addr string) (*Map, error) {
 	return m, nil
 }
 
-// direct is do on a connection of its own, not the pool's — for SETMAP and
-// JOIN, whose handlers run a digest round before they answer. That round's
-// own traffic to this node travels on the pool; a pooled connection held
-// by a SETMAP waiting on it could hold it up for good.
-func (p *pool) direct(addr string, parts ...string) (reply string, err error) {
-	err = p.exchange(addr, true, func(c *server.Client) (err error) {
-		reply, err = c.Do(parts...)
-		return err
-	})
-	return reply, err
-}
-
 // pipeline sends cmds to addr as one pipelined batch and returns one
-// Result per command. A transport-level failure drops the cached
-// connection; per-command protocol errors (e.g. a missing key) land in
-// the individual Results.
+// Result per command. Per-command protocol errors (e.g. a missing key)
+// land in the individual Results.
 func (p *pool) pipeline(addr string, cmds [][]string) (results []server.Result, err error) {
-	err = p.exchange(addr, false, func(c *server.Client) (err error) {
+	err = p.exchange(addr, func(c *server.Client) (err error) {
 		pl := c.Pipeline()
 		for _, parts := range cmds {
 			pl.Do(parts...)
@@ -237,7 +230,7 @@ func (p *pool) pipeline(addr string, cmds [][]string) (results []server.Result, 
 func (p *pool) mlAdd(addr, key string, batch *core.Hybrid, tsMillis int64, n int) (int, error) {
 	p.mlLines.Add(1)
 	var reply string
-	err := p.exchange(addr, false, func(c *server.Client) (err error) {
+	err := p.exchange(addr, func(c *server.Client) (err error) {
 		reply, err = c.DoLine(func(line []byte) []byte {
 			if n > 0 {
 				line = append(append(line, "CLUSTER MLADD w "...), key...)
@@ -271,11 +264,16 @@ func appendBatch(line []byte, batch *core.Hybrid) []byte {
 	return base64.StdEncoding.AppendEncode(line, blob)
 }
 
+// closeAll closes every idle connection, and each lent one as it comes
+// back.
 func (p *pool) closeAll() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	for addr, c := range p.conns {
-		c.Close()
-		delete(p.conns, addr)
+	idle := p.idle
+	p.idle = nil
+	p.mu.Unlock()
+	for _, free := range idle {
+		for _, c := range free {
+			c.Close()
+		}
 	}
 }

@@ -20,8 +20,8 @@ import (
 //
 //	CLUSTER XFER FRAME e=<epoch> <base64 frame>  → +OK | -STALE e=<cur> | -ERR ...
 //
-// requests on the pooled connection: up to xferWindow frames in one write,
-// their replies read back in one batch. The receiver applies the epoch
+// requests on a connection the pool lends: up to xferWindow frames in one
+// write, their replies read back in one batch. The receiver applies the epoch
 // fence — a receiver whose map is newer than the sender's refuses with
 // -STALE; a sender ahead of it is fine, its map follows — decodes the
 // frame and merges every record into its store.
@@ -156,7 +156,7 @@ func (s *stream) flush() {
 		return
 	}
 	var results []server.Result
-	err := s.n.peers.exchange(s.addr, false, func(c *server.Client) (err error) {
+	err := s.n.peers.exchange(s.addr, func(c *server.Client) (err error) {
 		results, err = c.DoLines(s.lines, len(s.window))
 		return err
 	})

@@ -299,8 +299,9 @@ func TestTransferResumesAfterReceiverCrashRestart(t *testing.T) {
 		t.Fatalf("restarted receiver holds %d keys, want at least the %d of its snapshot", got, want)
 	}
 
-	// A round that meets the pooled connection to the dead process drops
-	// it and fails; the next redials. Two rounds at most, then converged.
+	// A round that meets an idle connection to the dead process closes
+	// it, and every idle one to that peer, and fails; the next redials. Two
+	// rounds at most, then converged.
 	for round := 1; ; round++ {
 		err := h.node("n1").DigestSync()
 		if err == nil {

@@ -14,6 +14,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -163,16 +164,11 @@ func TestMLAddWrongTypeGroupDoesNotPoisonBatch(t *testing.T) {
 	if _, err := n1.Add("wkey", "z"); !errors.Is(err, server.ErrWrongType) {
 		t.Errorf("Add to a key the co-owner holds windowed: %v, want ErrWrongType", err)
 	}
-	n1.peers.mu.Lock()
-	pooled := n1.peers.conns[n2.Addr()]
-	n1.peers.mu.Unlock()
+	pooled := n1.peers.idleConns(n2.Addr())
 	if _, err := n1.WindowAdd("pkey", streamMS, "z"); !errors.Is(err, server.ErrWrongType) {
 		t.Errorf("WindowAdd to a key the co-owner holds plain: %v, want ErrWrongType", err)
 	}
-	n1.peers.mu.Lock()
-	kept := n1.peers.conns[n2.Addr()]
-	n1.peers.mu.Unlock()
-	if pooled == nil || kept != pooled {
+	if kept := n1.peers.idleConns(n2.Addr()); len(pooled) == 0 || !slices.Equal(kept, pooled) {
 		t.Error("the pool dropped its connection on a refused MLADD")
 	}
 	if after, _ := n2.Store().Dump("wkey"); !bytes.Equal(after, wBefore) {
@@ -184,8 +180,8 @@ func TestMLAddWrongTypeGroupDoesNotPoisonBatch(t *testing.T) {
 }
 
 // TestPoolKeepsConnectionOnWrongType: WRONGTYPE is a routine reply of
-// the typed keyspace, not a transport failure — the pooled connection
-// must survive it (no redial churn on the hot forward path) and the
+// the typed keyspace, not a transport failure — the connection must go
+// back to the idle list (no redial churn on the hot forward path) and the
 // reply must count as liveness evidence.
 func TestPoolKeepsConnectionOnWrongType(t *testing.T) {
 	nodes := startCluster(t, 2, 1)
@@ -193,25 +189,20 @@ func TestPoolKeepsConnectionOnWrongType(t *testing.T) {
 	if _, err := n2.Store().WindowAdd("wkey", time.UnixMilli(streamMS), "x"); err != nil {
 		t.Fatal(err)
 	}
-	// Prime the pooled connection and remember its identity.
+	// Prime the idle connection and remember its identity.
 	if _, err := n1.peers.do(n2.Addr(), "PING"); err != nil {
 		t.Fatal(err)
 	}
-	n1.peers.mu.Lock()
-	before := n1.peers.conns[n2.Addr()]
-	n1.peers.mu.Unlock()
-	if before == nil {
-		t.Fatal("no pooled connection after PING")
+	before := n1.peers.idleConns(n2.Addr())
+	if len(before) == 0 {
+		t.Fatal("no idle connection after PING")
 	}
 	plain := base64.StdEncoding.EncodeToString(server.EncodeFrame([]server.KeyBlob{{Key: "wkey", Blob: denseBlob(t, "y")}}))
 	epoch := fmt.Sprintf("e=%d", n2.Map().Epoch)
 	if _, err := n1.peers.do(n2.Addr(), "CLUSTER", "XFER", "FRAME", epoch, plain); !errors.Is(err, server.ErrWrongType) {
 		t.Fatalf("a frame merging a plain sketch into a windowed key: %v, want ErrWrongType", err)
 	}
-	n1.peers.mu.Lock()
-	after := n1.peers.conns[n2.Addr()]
-	n1.peers.mu.Unlock()
-	if after != before {
+	if after := n1.peers.idleConns(n2.Addr()); !slices.Equal(after, before) {
 		t.Error("pool dropped the connection on a WRONGTYPE reply")
 	}
 }

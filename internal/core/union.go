@@ -19,8 +19,10 @@ package core
 //
 // Several parts' tokens lie in an array of tokenScratch's until the union
 // turns dense or is Reset, which gives it back and keeps the rest, so a
-// pooled Union allocates nothing once warm. The zero value is a union of no
-// parts and no configuration. A Union is not safe for concurrent use.
+// pooled Union allocates nothing once warm. The array grows by doubling,
+// or, after Grow, is sized once for the tokens still to come. The zero
+// value is a union of no parts and no configuration. A Union is not safe
+// for concurrent use.
 type Union struct {
 	cfg  Config
 	mode uint8 // unionEmpty, unionOne, unionTokens or unionDense
@@ -34,6 +36,7 @@ type Union struct {
 	buf       *[]uint64
 	n, sorted int
 	nlzSum    uint
+	room      int // the tokens the array is first made for (Grow)
 
 	sketch *Sketch // unionDense
 }
@@ -51,6 +54,11 @@ func (u *Union) Reset(cfg Config) {
 	u.cfg, u.mode, u.one = cfg, unionEmpty, emptyHybrid(cfg)
 	u.release()
 }
+
+// Grow makes room for n more tokens: a caller that sees every part before
+// the first Add passes their tokens' total, and the union's token array,
+// if it needs one, is then made once instead of doubling as parts come.
+func (u *Union) Grow(n int) { u.room = max(u.room, u.n+n) }
 
 // Add folds h into the union; h is not modified or retained.
 func (u *Union) Add(h *Hybrid) error {
@@ -133,7 +141,7 @@ func (u *Union) appendTokens(s tokenSeq) {
 	if u.buf == nil {
 		u.buf = tokenScratch.Get().(*[]uint64)
 	}
-	if need := 2 * (u.n + s.n); cap(*u.buf) < need { // room for the tokens twice
+	if need := 2 * max(u.n+s.n, u.room); cap(*u.buf) < need { // room for the tokens twice
 		grown := make([]uint64, max(need, 2*cap(*u.buf)))
 		copy(grown, (*u.buf)[:u.n])
 		*u.buf = grown
@@ -183,5 +191,5 @@ func (u *Union) release() {
 	if u.buf != nil {
 		tokenScratch.Put(u.buf)
 	}
-	u.buf, u.n, u.sorted, u.nlzSum = nil, 0, 0, 0
+	u.buf, u.n, u.sorted, u.nlzSum, u.room = nil, 0, 0, 0, 0
 }

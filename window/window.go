@@ -274,7 +274,7 @@ func (c *Counter) Estimate(now time.Time, window time.Duration) float64 {
 }
 
 // union returns u, emptied, with every live slice overlapping
-// (now-window, now] added.
+// (now-window, now] added, its token array sized once for all their tokens.
 func (c *Counter) union(u *core.Union, now time.Time, window time.Duration) *core.Union {
 	u.Reset(c.cfg)
 	if window <= 0 {
@@ -284,8 +284,16 @@ func (c *Counter) union(u *core.Union, now time.Time, window time.Duration) *cor
 	nowIdx := c.sliceIndex(now)
 	n := int64((window + c.slice - 1) / c.slice) // slices covered, rounded up
 	oldest := nowIdx - n + 1
+	live := func(s *slot) bool { return s.index >= oldest && s.index <= nowIdx }
+	tokens := 0
 	for i := range c.slots {
-		if s := &c.slots[i]; s.index >= oldest && s.index <= nowIdx {
+		if s := &c.slots[i]; live(s) && s.sketch.IsSparse() {
+			tokens += s.sketch.Tokens()
+		}
+	}
+	u.Grow(tokens)
+	for i := range c.slots {
+		if s := &c.slots[i]; live(s) {
 			if err := u.Add(&s.sketch); err != nil {
 				panic(err) // unreachable: all slices share one configuration
 			}
