@@ -32,7 +32,6 @@ package cluster
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,52 +70,6 @@ type gossipState struct {
 	// own judgment (re-asserting an existing suspicion does not count)
 	// — the CLUSTER STATS suspects_raised counter.
 	suspectsRaised uint64
-
-	// evictedAt records auto-evictions (id → epoch of the eviction
-	// map), so a JOIN that brings the node back can tell it what
-	// happened. Records are seeded on the evicting coordinator and
-	// piggybacked on gossip digests ("~id=epoch" tokens), so ANY member
-	// — not just the coordinator — can deliver the rejoin feedback no
-	// matter which node the returning member joins through. A record is
-	// consumed by the member that delivers it and garbage-collected
-	// everywhere else as soon as the evicted id is back on the map.
-	// Nodes that never rejoin cannot grow this without bound: the set
-	// is capped at maxEvictionRecords, evicting the lowest-epoch
-	// (oldest) record first.
-	evictedAt map[string]uint64
-}
-
-// maxEvictionRecords bounds the remembered auto-evictions per node —
-// and with them the "~id=epoch" tokens per digest. Decommissioned
-// nodes never rejoin to consume their record, so without a cap a
-// churny fleet would accrete digest weight forever. When the cap is
-// hit, the record of the OLDEST eviction (lowest epoch, id tie-break)
-// makes way: the feedback is best-effort operator courtesy, and the
-// recent evictions are the ones someone is likely to rejoin.
-const maxEvictionRecords = 64
-
-// recordEvictionLocked inserts or refreshes an eviction record,
-// enforcing the size cap; g.mu held.
-func (g *gossipState) recordEvictionLocked(id string, epoch uint64) {
-	if cur, ok := g.evictedAt[id]; ok {
-		if epoch > cur {
-			g.evictedAt[id] = epoch
-		}
-		return
-	}
-	if len(g.evictedAt) >= maxEvictionRecords {
-		victim, victimEpoch := "", uint64(0)
-		for vid, ve := range g.evictedAt {
-			if victim == "" || ve < victimEpoch || (ve == victimEpoch && vid < victim) {
-				victim, victimEpoch = vid, ve
-			}
-		}
-		if victimEpoch >= epoch {
-			return // the incoming record is the oldest of them all: drop it instead
-		}
-		delete(g.evictedAt, victim)
-	}
-	g.evictedAt[id] = epoch
 }
 
 // markAlive is direct liveness evidence from transport level: any
@@ -167,15 +120,6 @@ func (n *Node) Gossip() []string {
 	for id := range g.peers {
 		if !m.Has(id) {
 			delete(g.peers, id)
-		}
-	}
-	// An eviction record for a node that is back on the map has been
-	// delivered (the JOIN path consumes it on whichever member
-	// coordinated the rejoin): forget it everywhere else, so a later
-	// unrelated JOIN cannot re-deliver stale feedback.
-	for id := range g.evictedAt {
-		if m.Has(id) {
-			delete(g.evictedAt, id)
 		}
 	}
 	// Timeout: a peer whose evidence stalled for suspectAfter rounds is
@@ -247,10 +191,6 @@ func (n *Node) Gossip() []string {
 			continue // a rival detector beat us to it
 		}
 		if reply := n.coordinateLeave(id); strings.HasPrefix(reply, "+OK") {
-			epoch := n.currentMap().Epoch
-			g.mu.Lock()
-			g.recordEvictionLocked(id, epoch)
-			g.mu.Unlock()
 			n.autoLeaves.Add(1)
 			evicted = append(evicted, id)
 		}
@@ -269,11 +209,6 @@ func (n *Node) digestLocked(m *Map) *digest {
 			d.Entries = append(d.Entries, digestEntry{ID: mem.ID, HB: st.hb, Suspect: st.suspectedBy[n.id]})
 		}
 	}
-	// Piggyback the eviction records, sorted for determinism.
-	for id, epoch := range g.evictedAt {
-		d.Evictions = append(d.Evictions, evictionRecord{ID: id, Epoch: epoch})
-	}
-	slices.SortFunc(d.Evictions, func(a, b evictionRecord) int { return strings.Compare(a.ID, b.ID) })
 	return d
 }
 
@@ -342,18 +277,6 @@ func (n *Node) processDigest(d *digest) {
 			st.suspectedBy[d.Sender] = true
 		} else {
 			delete(st.suspectedBy, d.Sender)
-		}
-	}
-	// Eviction records spread like the suspicion bits — member-only, so
-	// a node evicted from the map cannot plant history. A record about a
-	// node currently ON our map is stale (it already rejoined); a later
-	// eviction at a higher epoch supersedes an older record.
-	if senderIsMember {
-		for _, r := range d.Evictions {
-			if r.ID == n.id || m.Has(r.ID) {
-				continue
-			}
-			g.recordEvictionLocked(r.ID, r.Epoch)
 		}
 	}
 }
@@ -449,12 +372,6 @@ const gossipWireTag = "g1"
 // heartbeat, so the entry stays unambiguous.
 const suspectMark = "!"
 
-// evictionMark prefixes an eviction-record token ("~id=epoch"). A
-// valid member id may itself start with '~', but such an id can never
-// appear as an entry in the same digest as a record for it — records
-// are only carried for ids OFF the map.
-const evictionMark = "~"
-
 // digestEntry is one member's row in a gossip digest.
 type digestEntry struct {
 	ID      string
@@ -462,28 +379,19 @@ type digestEntry struct {
 	Suspect bool
 }
 
-// evictionRecord is one piggybacked auto-eviction fact: id was evicted
-// by the map minted at Epoch and has not rejoined yet.
-type evictionRecord struct {
-	ID    string
-	Epoch uint64
-}
-
 // digest is the decoded CLUSTER GOSSIP payload:
 //
-//	g1 <sender> <epoch> <version> <coordinator|-> <id>=<hb>[!] ... ~<id>=<epoch> ...
+//	g1 <sender> <epoch> <version> <coordinator|-> <id>=<hb>[!] ...
 //
 // The (epoch, version, coordinator) triple is the sender's map
 // ordering, enough for the receiver to know whether it is behind; the
-// map itself never rides a digest. The trailing "~id=epoch" tokens are
-// auto-eviction records (see gossipState).
+// map itself never rides a digest.
 type digest struct {
 	Sender      string
 	Epoch       uint64
 	Version     uint64
 	Coordinator string
 	Entries     []digestEntry
-	Evictions   []evictionRecord
 }
 
 func (d *digest) triple() triple { return triple{d.Epoch, d.Version, d.Coordinator} }
@@ -525,24 +433,7 @@ func decodeDigest(tokens []string) (*digest, error) {
 		Entries:     make([]digestEntry, 0, len(entryTokens)),
 	}
 	seen := make(map[string]bool, len(entryTokens))
-	seenEv := map[string]bool{}
 	for _, tok := range entryTokens {
-		if rec, ok := strings.CutPrefix(tok, evictionMark); ok {
-			id, es, ok := strings.Cut(rec, "=")
-			if !ok || !validID(id) {
-				return nil, fmt.Errorf("cluster: bad gossip eviction record %q", tok)
-			}
-			if seenEv[id] {
-				return nil, fmt.Errorf("cluster: duplicate gossip eviction record %q", id)
-			}
-			seenEv[id] = true
-			e, err := strconv.ParseUint(es, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: bad gossip eviction epoch in %q", tok)
-			}
-			d.Evictions = append(d.Evictions, evictionRecord{ID: id, Epoch: e})
-			continue
-		}
 		id, hbs, ok := strings.Cut(tok, "=")
 		if !ok || !validID(id) {
 			return nil, fmt.Errorf("cluster: bad gossip entry %q", tok)
@@ -567,7 +458,7 @@ func decodeDigest(tokens []string) (*digest, error) {
 // encode renders the digest in its wire form, the inverse of
 // decodeDigest: what Gossip pushes and handleGossip replies.
 func (d *digest) encode() string {
-	parts := make([]string, 0, 5+len(d.Entries)+len(d.Evictions))
+	parts := make([]string, 0, 5+len(d.Entries))
 	parts = append(parts, gossipWireTag, d.Sender,
 		strconv.FormatUint(d.Epoch, 10),
 		strconv.FormatUint(d.Version, 10),
@@ -578,9 +469,6 @@ func (d *digest) encode() string {
 			tok += suspectMark
 		}
 		parts = append(parts, tok)
-	}
-	for _, r := range d.Evictions {
-		parts = append(parts, evictionMark+r.ID+"="+strconv.FormatUint(r.Epoch, 10))
 	}
 	return strings.Join(parts, " ")
 }

@@ -36,22 +36,9 @@ func TestDigestRoundTrip(t *testing.T) {
 	if err != nil || got.Coordinator != "" {
 		t.Errorf("empty coordinator round trip: %+v, %v", got, err)
 	}
-
-	// Eviction records ride along as "~id=epoch" tokens and round-trip.
-	d.Evictions = []evictionRecord{{ID: "n7", Epoch: 9}, {ID: "n8", Epoch: 11}}
-	enc = d.encode()
-	if !strings.Contains(enc, "~n7=9") || !strings.Contains(enc, "~n8=11") {
-		t.Fatalf("encoded digest %q lacks the eviction records", enc)
-	}
-	got, err = decodeDigest(strings.Fields(enc))
-	if err != nil {
-		t.Fatalf("decode %q: %v", enc, err)
-	}
-	if len(got.Evictions) != 2 || got.Evictions[0] != d.Evictions[0] || got.Evictions[1] != d.Evictions[1] {
-		t.Errorf("eviction records lost: %+v", got.Evictions)
-	}
-	if got.encode() != enc {
-		t.Errorf("round trip with records not stable: %q → %q", enc, got.encode())
+	// '~' is an ordinary id character, in the sender and in entries.
+	if got, err := decodeDigest(strings.Fields("g1 ~n1 1 1 - ~x=1!")); err != nil || !got.Entries[0].Suspect {
+		t.Errorf("'~'-prefixed ids: %+v, %v", got, err)
 	}
 }
 
@@ -72,13 +59,10 @@ func TestDigestDecodeRejects(t *testing.T) {
 		"g1 n1 1 1 - n2=1! n2=2",              // duplicate entry
 		"g1 n1 1 1 - n2=!",                    // suspicion mark with no heartbeat
 		"g1 n1 1 1 - n2=18446744073709551616", // uint64 overflow
-		"g1 n1 1 1 - ~",                       // bare eviction mark
-		"g1 n1 1 1 - ~x",                      // eviction record without '='
-		"g1 n1 1 1 - ~x=abc",                  // non-numeric eviction epoch
-		"g1 n1 1 1 - ~x=1! ",                  // suspicion mark is not valid in records
-		"g1 n1 1 1 - ~x=1 ~x=2",               // duplicate eviction record
-		"g1 n1 1 1 - ~~x=1",                   // '~' cannot start an id
-		"g1 ~n1 1 1 -",                        // '~' cannot start the sender either
+		"g1 n1 1 1 - ~",                       // '~'-prefixed entries follow the same rules: no '='
+		"g1 n1 1 1 - ~x",                      // no '='
+		"g1 n1 1 1 - ~x=abc",                  // non-numeric heartbeat
+		"g1 n1 1 1 - ~x=1 ~x=2",               // duplicate entry
 	}
 	for _, payload := range cases {
 		if d, err := decodeDigest(strings.Fields(payload)); err == nil {
@@ -153,37 +137,6 @@ func FuzzGossipDecode(f *testing.F) {
 			t.Fatalf("encode not stable: %q → %q", enc, d2.encode())
 		}
 	})
-}
-
-// TestEvictionRecordCap: decommissioned nodes never rejoin to consume
-// their record, so the remembered-eviction set must stay bounded —
-// newest epochs win, the oldest record makes way, and a record older
-// than everything already held is ignored.
-func TestEvictionRecordCap(t *testing.T) {
-	g := &gossipState{evictedAt: make(map[string]uint64)}
-	for i := 0; i < maxEvictionRecords+50; i++ {
-		g.recordEvictionLocked(itoa(i), uint64(i+1))
-	}
-	if len(g.evictedAt) != maxEvictionRecords {
-		t.Fatalf("record set grew to %d (cap %d)", len(g.evictedAt), maxEvictionRecords)
-	}
-	// The survivors are the newest epochs.
-	for i := 50; i < maxEvictionRecords+50; i++ {
-		if g.evictedAt[itoa(i)] != uint64(i+1) {
-			t.Fatalf("recent record %d missing or wrong: %d", i, g.evictedAt[itoa(i)])
-		}
-	}
-	// An incoming record older than everything held is dropped, not
-	// swapped in.
-	g.recordEvictionLocked("ancient", 1)
-	if _, ok := g.evictedAt["ancient"]; ok {
-		t.Error("oldest-of-all record displaced a newer one")
-	}
-	// Refreshing a known id keeps the higher epoch and does not grow.
-	g.recordEvictionLocked(itoa(60), 999)
-	if g.evictedAt[itoa(60)] != 999 || len(g.evictedAt) != maxEvictionRecords {
-		t.Error("refresh of a known record misbehaved")
-	}
 }
 
 // TestGossipWireExchange drives one CLUSTER GOSSIP round trip over the

@@ -374,8 +374,7 @@ func DecodeMap(tokens []string) (*Map, error) {
 }
 
 // validID reports whether id is usable on the wire (non-empty, no
-// whitespace, no '='; not starting with '~', which marks gossip
-// eviction-record tokens).
+// whitespace, no '=').
 func validID(id string) bool {
-	return id != "" && id[0] != '~' && !strings.ContainsAny(id, " \t\r\n=")
+	return id != "" && !strings.ContainsAny(id, " \t\r\n=")
 }

@@ -31,6 +31,7 @@ import (
 //	                                     or +SUPERSEDED e=.. v=.. c=.. (a rival map won; the triple is the winner's)
 //	CLUSTER LEAVE <id>                 → +OK e=.. v=.. c=.. / +SUPERSEDED e=.. v=.. c=.. (as JOIN, removing the node)
 //	CLUSTER SETMAP <v2 payload>        → +OK (install if newer under the epoch order, then run a digest round)
+//	                                     or -ERR sync: .. (the round failed; the newer map stays installed)
 //	CLUSTER EPOCH <epoch> <coord>      → +GRANTED <epoch> e=.. v=.. c=.. / +DENIED <highest> e=.. v=.. c=.. (epoch claim and the voter's map triple; internal)
 //	CLUSTER GOSSIP <g1 digest>         → +<g1 digest> (push-pull failure-detector exchange; internal)
 //	CLUSTER HEALTH                     → +round=.. quorum=.. member=.. <id>=<state>,hb=..,heard=..,sus=.. ...
@@ -135,7 +136,6 @@ func NewNode(id string, cfg core.Config, replicas int) (*Node, error) {
 	n.gsp.suspectAfter = suspectAfter
 	n.xfer.window = xferWindow
 	n.gsp.peers = make(map[string]*peerState)
-	n.gsp.evictedAt = make(map[string]uint64)
 	// Any successful peer command is liveness evidence; feed it to the
 	// failure detector so steady traffic keeps refuting suspicion.
 	n.peers.alive = n.markAlive
@@ -1341,7 +1341,8 @@ func decodeBatch(raw []byte, words []uint64, b64 []byte) (core.Hybrid, error) {
 }
 
 // coordinateJoin is JOIN: id listening at addr, through mutate. A node
-// that re-enters after an auto-eviction is told so.
+// that re-enters after an auto-eviction gets the same +OK and triple as
+// any other joiner.
 func (n *Node) coordinateJoin(id, addr string) string {
 	if !validID(id) {
 		return fmt.Sprintf("-ERR invalid node ID %q", id)
@@ -1349,25 +1350,8 @@ func (n *Node) coordinateJoin(id, addr string) string {
 	if strings.ContainsAny(addr, " \t\r\n=") || addr == "" {
 		return fmt.Sprintf("-ERR invalid node address %q", addr)
 	}
-	reply := n.mutate(func(m *Map) bool { return m.Addr(id) == addr },
+	return n.mutate(func(m *Map) bool { return m.Addr(id) == addr },
 		func(cur *Map, epoch uint64) *Map { return cur.withNode(id, addr, epoch, n.id) })
-	if strings.HasPrefix(reply, "+OK") {
-		reply += n.rejoinNote(id)
-	}
-	return reply
-}
-
-// rejoinNote returns " rejoined-after-eviction=e<epoch>" when this node
-// auto-evicted id earlier and id is now coming back, else "". The
-// record is consumed: the note is delivered once.
-func (n *Node) rejoinNote(id string) string {
-	n.gsp.mu.Lock()
-	defer n.gsp.mu.Unlock()
-	if e, ok := n.gsp.evictedAt[id]; ok {
-		delete(n.gsp.evictedAt, id)
-		return fmt.Sprintf(" rejoined-after-eviction=e%d", e)
-	}
-	return ""
 }
 
 // coordinateLeave is LEAVE: id off the map, through mutate — an operator's,

@@ -12,8 +12,8 @@
 //	health                show the contacted node's failure-detector view (alive/suspect per
 //	                      member) plus every member's cluster-layer counters
 //	stats [all]           per-verb serving stats (calls, errors, bytes, p50/p99 latency) and
-//	                      cluster counters (gossip, write batching, transfer frames, digest
-//	                      rounds) of the contacted node — or of every member with "all"
+//	                      cluster counters (gossip, forwarded MLADD lines, transfer frames,
+//	                      digest rounds) of the contacted node — or of every member with "all"
 //	join <id> <addr>      add node <id> at <addr> to the cluster (epoch-fenced)
 //	leave <id>            remove node <id> (survivors re-replicate its keys)
 //	add <key> <el>...     PFADD routed to the key's owners

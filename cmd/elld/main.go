@@ -16,8 +16,8 @@
 //
 // -metrics-addr serves Prometheus-text metrics at /metrics: per-verb
 // call counts, error counts, bytes and latency histograms (see the
-// STATS verb), plus — in cluster mode — the gossip/eviction/batching/
-// transfer/digest-round counters of CLUSTER STATS.
+// STATS verb), plus — in cluster mode — the gossip, eviction, forwarded
+// MLADD line, transfer and digest-round counters of CLUSTER STATS.
 //
 // -window-slice and -window-slices set the ring geometry of keys
 // created by WADD: windows are answerable up to slice·slices back, at
@@ -289,7 +289,8 @@ func (o options) serveCluster(ctx context.Context) error {
 	}
 	closeMetrics, err := o.startMetrics(func(w io.Writer) {
 		// One scrape covers both layers: per-verb server stats, then
-		// the cluster counters (gossip, evictions, batching, transfer).
+		// the cluster counters (gossip, evictions, forwarded MLADD lines,
+		// transfer).
 		node.Server().WriteMetrics(w)
 		node.WriteMetrics(w)
 	})

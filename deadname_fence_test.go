@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -197,6 +198,47 @@ func TestNoDeadExportedNames(t *testing.T) {
 	for key := range deadNameAllowed {
 		if !allowed[key] {
 			t.Errorf("deadNameAllowed lists %s, which is no longer declared or is used outside tests: drop it from the list", key)
+		}
+	}
+}
+
+// TestEveryLibraryPackageIsImported: every library package — every
+// package but package main — is imported by a non-test file of another
+// package of the module or by a file under benchmark/. A package that
+// only its own tests reach serves nothing: delete it. TestNoDeadExportedNames
+// does not catch one, since its Examples and its own calls between its
+// exported names count as uses.
+func TestEveryLibraryPackageIsImported(t *testing.T) {
+	dirs, err := parseModule(token.NewFileSet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	imported := map[string]bool{}
+	for p, d := range dirs {
+		files := d.files
+		if benchmarkDir(p) {
+			files = slices.Concat(d.files, d.tests, d.xtests)
+		}
+		for _, f := range files {
+			for _, imp := range f.Imports {
+				ip, _ := strconv.Unquote(imp.Path.Value)
+				imported[ip] = true
+			}
+		}
+	}
+	var libraries []string
+	for p, d := range dirs {
+		if !benchmarkDir(p) && len(d.files) > 0 && d.files[0].Name.Name != "main" {
+			libraries = append(libraries, p)
+		}
+	}
+	if len(libraries) == 0 {
+		t.Fatal("found no library package: the walk is not looking at this module")
+	}
+	sort.Strings(libraries)
+	for _, p := range libraries {
+		if !imported[p] {
+			t.Errorf("package %s is imported by no other package and by nothing under benchmark/: delete it", p)
 		}
 	}
 }
