@@ -26,9 +26,10 @@ import (
 // among them, are -ERR; and the next command on the connection gets its
 // own reply after each.
 func TestMLAddWire(t *testing.T) {
-	nodes := startCluster(t, 1, 1)
-	store := nodes[0].Store()
-	c := dialTest(t, nodes[0].Addr())
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 1, replicas: 1})
+	store := h.node("n1").Store()
+	c := h.dial(h.addr("n1"))
 
 	ab, one := batchB64(t, "a", "b"), batchB64(t, "a")
 	for _, tc := range []struct {
@@ -47,7 +48,7 @@ func TestMLAddWire(t *testing.T) {
 			t.Fatalf("%v: reply %q, %v; want %q", tc.cmd, reply, err, tc.want)
 		}
 	}
-	if n, err := nodes[0].Count("pk"); err != nil || math.Abs(n-3) > 0.5 {
+	if n, err := h.node("n1").Count("pk"); err != nil || math.Abs(n-3) > 0.5 {
 		t.Errorf("pk count = %f, %v; want ≈3", n, err)
 	}
 
@@ -106,8 +107,9 @@ func TestMLAddWire(t *testing.T) {
 // where a blob goes among them — get an error reply naming what was
 // refused, nothing is applied, and the connection stays usable.
 func TestRetiredClusterVerbsAreRefused(t *testing.T) {
-	nodes := startCluster(t, 1, 1)
-	c := dialTest(t, nodes[0].Addr())
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 1, replicas: 1})
+	c := h.dial(h.addr("n1"))
 	blob := base64.StdEncoding.EncodeToString(denseBlob(t, "x"))
 	elc1 := base64.StdEncoding.EncodeToString(elc1Blob(t))
 	elc1Frame := base64.StdEncoding.EncodeToString(server.EncodeFrame([]server.KeyBlob{{Key: "framed", Blob: elc1Blob(t)}}))
@@ -136,20 +138,21 @@ func TestRetiredClusterVerbsAreRefused(t *testing.T) {
 			t.Fatalf("connection unusable after %v: %v", tc.cmd, err)
 		}
 	}
-	if got := nodes[0].Store().Len(); got != 0 {
+	if got := h.node("n1").Store().Len(); got != 0 {
 		t.Errorf("refused commands created %d keys", got)
 	}
 	// A frame of the blob is the form that works.
 	frame := base64.StdEncoding.EncodeToString(server.EncodeFrame([]server.KeyBlob{{Key: "k", Blob: denseBlob(t, "x")}}))
-	if _, err := c.Do("CLUSTER", "XFER", "FRAME", "e=1", frame); err != nil || nodes[0].Store().Len() != 1 {
-		t.Fatalf("CLUSTER XFER FRAME e=1 <frame of k>: %v, %d keys", err, nodes[0].Store().Len())
+	if _, err := c.Do("CLUSTER", "XFER", "FRAME", "e=1", frame); err != nil || h.node("n1").Store().Len() != 1 {
+		t.Fatalf("CLUSTER XFER FRAME e=1 <frame of k>: %v, %d keys", err, h.node("n1").Store().Len())
 	}
 }
 
 // TestAddNoElements: a zero-element Add is rejected up front, before any
 // owner is asked.
 func TestAddNoElements(t *testing.T) {
-	nodes := startCluster(t, 2, 2)
+	t.Parallel()
+	nodes := newHarness(t, harnessOpts{nodes: 2, replicas: 2}).running()
 	if _, err := nodes[0].Add("key"); err == nil {
 		t.Fatal("Add with no elements succeeded")
 	}
@@ -163,7 +166,8 @@ func TestAddNoElements(t *testing.T) {
 // that every replica of every key converges to the same sketch state,
 // observable as identical counts through every node.
 func TestBatchedAddConvergence(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
+	t.Parallel()
+	nodes := newHarness(t, harnessOpts{nodes: 3, replicas: 2}).running()
 	const (
 		workers = 8
 		perW    = 300
@@ -227,7 +231,8 @@ func TestBatchedAddConvergence(t *testing.T) {
 // pooled peer connections: every write lands exactly once, and both plain
 // counts and window estimates agree across all replicas.
 func TestMixedBatchedAddConvergence(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
+	t.Parallel()
+	nodes := newHarness(t, harnessOpts{nodes: 3, replicas: 2}).running()
 	const (
 		workers = 8
 		perW    = 200
@@ -301,7 +306,8 @@ func TestMixedBatchedAddConvergence(t *testing.T) {
 // elements themselves: the token batches a coordinator ships change
 // neither a replica's bytes nor a reply.
 func TestForwardedWritesPinned(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
+	t.Parallel()
+	nodes := newHarness(t, harnessOpts{nodes: 3, replicas: 2}).running()
 	sum := sha256.New()
 	for i, w := range forwardedMix() {
 		coord := nodes[i%len(nodes)]
@@ -327,7 +333,9 @@ func TestForwardedWritesPinned(t *testing.T) {
 // when each cluster verb had a string handler of its own, which made every
 // token a string and hashed it through Node.Add.
 func TestForwardedWireWritesPinned(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	nodes := h.running()
 	var script []string
 	for _, w := range forwardedMix() {
 		line := fmt.Sprintf("PFADD %s %s", w.key, strings.Join(w.els, " "))
@@ -336,7 +344,7 @@ func TestForwardedWireWritesPinned(t *testing.T) {
 		}
 		script = append(script, line)
 	}
-	replies := runScript(t, script, []string{nodes[0].Addr(), nodes[1].Addr(), nodes[2].Addr()})
+	replies := h.runScript(script, []string{nodes[0].Addr(), nodes[1].Addr(), nodes[2].Addr()})
 	sum := sha256.New()
 	for i, reply := range replies {
 		fmt.Fprintf(sum, "%d %s", i, reply)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -273,15 +274,14 @@ func BenchmarkMembershipPass(b *testing.B) {
 		m := memberMap(n, 2)
 		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
+			var peers []Member
 			for i := 0; i < b.N; i++ {
-				passPeersSink = m.passPeers("n000", true)
+				peers = m.passPeers("n000", true)
 			}
+			runtime.KeepAlive(peers) // the measured call stays
 		})
 	}
 }
-
-// passPeersSink keeps the compiler from dropping the measured call.
-var passPeersSink []Member
 
 // BenchmarkRingOwners isolates the routing cost: key → N owners on the
 // consistent-hash ring.

@@ -17,40 +17,24 @@ const testP = 10
 
 func testConfig() core.Config { return core.RecommendedML(testP) }
 
-// startCluster spins up n in-process nodes on the fabric, free of faults,
-// with the given replica factor; nodes[0] is the seed. Cleanup closes all
-// of them.
-func startCluster(t *testing.T, n, replicas int) []*Node {
-	t.Helper()
-	fab.reset(t)
-	return bootCluster(t, n, replicas, func(node *Node) { startOnFabric(t, node, "") })
-}
-
-// startTCPCluster is startCluster on loopback TCP, for the acceptance
-// test and the benchmarks.
+// startTCPCluster starts n nodes (n1..nN) on loopback TCP with the given
+// replica factor, each joined through n1, for the acceptance test and the
+// benchmarks; nodes[0] is the seed. Cleanup closes all of them.
 func startTCPCluster(tb testing.TB, n, replicas int) []*Node {
 	tb.Helper()
-	return bootCluster(tb, n, replicas, func(node *Node) {
-		if err := node.Start("127.0.0.1:0"); err != nil {
-			tb.Fatal(err)
-		}
-	})
-}
-
-// bootCluster is startCluster with the nodes started by start.
-func bootCluster(t testing.TB, n, replicas int, start func(*Node)) []*Node {
-	t.Helper()
 	nodes := make([]*Node, n)
 	for i := range nodes {
 		node, err := NewNode(fmt.Sprintf("n%d", i+1), testConfig(), replicas)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		start(node)
-		t.Cleanup(func() { node.Close() })
+		if err := node.Start("127.0.0.1:0"); err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { node.Close() })
 		if i > 0 {
 			if err := node.Join(nodes[0].Addr()); err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		nodes[i] = node
@@ -66,6 +50,7 @@ func bootCluster(t testing.TB, n, replicas int, start func(*Node)) []*Node {
 // same data. Its nodes talk over loopback TCP, where every other
 // cluster test runs on the in-memory fabric.
 func TestClusterAcceptance(t *testing.T) {
+	t.Parallel()
 	nodes := startTCPCluster(t, 3, 2)
 
 	// Reference: one plain sketch per key fed the same elements.
@@ -164,9 +149,11 @@ func TestClusterAcceptance(t *testing.T) {
 // TestClusterWireProtocol drives a 3-node cluster purely over TCP with
 // the stock server.Client: any node answers any command.
 func TestClusterWireProtocol(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
-	a := dialTest(t, nodes[0].Addr())
-	b := dialTest(t, nodes[1].Addr())
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	nodes := h.running()
+	a := h.dial(nodes[0].Addr())
+	b := h.dial(nodes[1].Addr())
 
 	if _, err := a.PFAdd("k", "x", "y", "z"); err != nil {
 		t.Fatal(err)
@@ -240,13 +227,15 @@ func TestClusterWireProtocol(t *testing.T) {
 // had crashed); the surviving replica re-replicates every key so the
 // replica factor is restored.
 func TestClusterLeaveViaWire(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	nodes := h.running()
 	for i := 0; i < 50; i++ {
 		if _, err := nodes[0].Add(fmt.Sprintf("key-%d", i), "a", "b", "c"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c := dialTest(t, nodes[0].Addr())
+	c := h.dial(nodes[0].Addr())
 	reply, err := c.Do("CLUSTER", "LEAVE", nodes[2].ID())
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +266,8 @@ func TestClusterLeaveViaWire(t *testing.T) {
 
 // TestClusterSingleNode: a one-node cluster behaves like a plain server.
 func TestClusterSingleNode(t *testing.T) {
-	nodes := startCluster(t, 1, 2)
+	t.Parallel()
+	nodes := newHarness(t, harnessOpts{nodes: 1, replicas: 2}).running()
 	n := nodes[0]
 	if _, err := n.Add("k", "a", "b"); err != nil {
 		t.Fatal(err)
@@ -297,7 +287,8 @@ func TestClusterSingleNode(t *testing.T) {
 // TestJoinIsIdempotent: re-joining with the same ID and address keeps
 // the map stable.
 func TestJoinIsIdempotent(t *testing.T) {
-	nodes := startCluster(t, 2, 2)
+	t.Parallel()
+	nodes := newHarness(t, harnessOpts{nodes: 2, replicas: 2}).running()
 	v := nodes[0].Map().Version
 	if err := nodes[1].Join(nodes[0].Addr()); err != nil {
 		t.Fatal(err)
@@ -312,9 +303,10 @@ func TestJoinIsIdempotent(t *testing.T) {
 // path, which does not re-broadcast the map — the joiner must pull it
 // itself or it would answer counts from its stale self-only view.
 func TestRejoinAfterRestartLearnsMap(t *testing.T) {
-	nodes := startCluster(t, 2, 1)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 2, replicas: 1})
 	for i := 0; i < 20; i++ {
-		if _, err := nodes[0].Add(fmt.Sprintf("key-%d", i), "a", "b"); err != nil {
+		if _, err := h.node("n1").Add(fmt.Sprintf("key-%d", i), "a", "b"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -322,7 +314,7 @@ func TestRejoinAfterRestartLearnsMap(t *testing.T) {
 	var key string
 	for i := 0; i < 20; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if owners := nodes[0].Map().Owners(k); owners[0].ID == "n1" {
+		if owners := h.node("n1").Map().Owners(k); owners[0].ID == "n1" {
 			key = k
 			break
 		}
@@ -331,17 +323,12 @@ func TestRejoinAfterRestartLearnsMap(t *testing.T) {
 		t.Fatal("no key owned by n1")
 	}
 
-	addr := nodes[1].Addr()
-	if err := nodes[1].Close(); err != nil {
+	addr := h.addr("n2")
+	if err := h.node("n2").Close(); err != nil {
 		t.Fatal(err)
 	}
-	restarted, err := NewNode("n2", testConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startOnFabric(t, restarted, addr)
-	t.Cleanup(func() { restarted.Close() })
-	if err := restarted.Join(nodes[0].Addr()); err != nil {
+	restarted := h.startAt("n2", addr)
+	if err := restarted.Join(h.addr("n1")); err != nil {
 		t.Fatal(err)
 	}
 	if got := restarted.Map().Len(); got != 2 {
@@ -362,17 +349,13 @@ func TestRejoinAfterRestartLearnsMap(t *testing.T) {
 // back to the seed — completes, so this deadlocks unless that push gets a
 // connection other than the one the JOIN waits on.
 func TestJoinWithLocalData(t *testing.T) {
-	nodes := startCluster(t, 1, 2)
-	joiner, err := NewNode("n2", testConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startOnFabric(t, joiner, "")
-	t.Cleanup(func() { joiner.Close() })
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 1, replicas: 2})
+	joiner := h.start("n2")
 	joiner.Store().Add("restored", "a", "b", "c")
 
 	done := make(chan error, 1)
-	go func() { done <- joiner.Join(nodes[0].Addr()) }()
+	go func() { done <- joiner.Join(h.addr("n1")) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -381,7 +364,7 @@ func TestJoinWithLocalData(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("Join deadlocked with local data present")
 	}
-	got, err := nodes[0].Count("restored")
+	got, err := h.node("n1").Count("restored")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +377,8 @@ func TestJoinWithLocalData(t *testing.T) {
 // cannot carry are rejected up front instead of silently diverging
 // between local and remote owners.
 func TestAddRejectsProtocolUnsafeTokens(t *testing.T) {
-	nodes := startCluster(t, 1, 1)
+	t.Parallel()
+	nodes := newHarness(t, harnessOpts{nodes: 1, replicas: 1}).running()
 	n := nodes[0]
 	for _, c := range []struct{ key, el string }{
 		{"k", "a b"}, {"k", ""}, {"bad key", "a"}, {"", "a"}, {"k", "a\nDEL k"},
@@ -434,7 +418,8 @@ func TestAddRejectsProtocolUnsafeTokens(t *testing.T) {
 // impose" — so a destination that already has a lifetime keeps it on
 // every owner, the remote ones included.
 func TestMergeKeysKeepsDestinationTTL(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
+	t.Parallel()
+	nodes := newHarness(t, harnessOpts{nodes: 3, replicas: 2}).running()
 	// A destination n1 does not own: both frames go over the wire.
 	dest := findKeyWhere(t, nodes[0].Map(), func(ids []string) bool { return !slices.Contains(ids, "n1") })
 	if _, err := nodes[0].Add(dest, "a", "b"); err != nil {
@@ -476,14 +461,10 @@ func TestMergeKeysKeepsDestinationTTL(t *testing.T) {
 // byte for byte what one sketch fed every element holds, and not on an
 // owner of the old map only. A PFMERGE onto a window key is still WRONGTYPE.
 func TestMergeKeysFromStaleCoordinator(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
-	n4, err := NewNode("n4", testConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startOnFabric(t, n4, "")
-	t.Cleanup(func() { n4.Close() })
-	old := nodes[0].Map()
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	n4 := h.start("n4")
+	old := h.node("n1").Map()
 	cur := old.withNode("n4", n4.Addr(), old.Epoch+1, "n2")
 
 	// dest: owned by neither the coordinator n1 nor n4 in the old map, by
@@ -511,14 +492,14 @@ func TestMergeKeysFromStaleCoordinator(t *testing.T) {
 	}
 	for i, key := range append([]string{dest}, sources...) {
 		els := []string{fmt.Sprintf("%s-a", key), fmt.Sprintf("%s-b", key), fmt.Sprintf("shared-%d", i%3)}
-		if _, err := nodes[0].Add(key, els...); err != nil {
+		if _, err := h.node("n1").Add(key, els...); err != nil {
 			t.Fatal(err)
 		}
 		for _, el := range els {
 			ref.AddString(el)
 		}
 	}
-	if _, err := nodes[0].WindowAdd(wdest, streamMS, "x"); err != nil {
+	if _, err := h.node("n1").WindowAdd(wdest, streamMS, "x"); err != nil {
 		t.Fatal(err)
 	}
 	want, err := ref.MarshalBinary()
@@ -526,28 +507,27 @@ func TestMergeKeysFromStaleCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every node but the coordinator installs the new map.
-	for _, n := range []*Node{nodes[1], nodes[2], n4} {
+	for _, n := range []*Node{h.node("n2"), h.node("n3"), n4} {
 		if !n.swapMap(cur) {
 			t.Fatalf("fixture: %s did not take the new map", n.ID())
 		}
 	}
 
-	c := dialTest(t, nodes[0].Addr())
+	c := h.dial(h.addr("n1"))
 	if _, err := c.Do(append([]string{"PFMERGE", dest}, sources...)...); err != nil {
 		t.Fatalf("PFMERGE through the stale coordinator: %v", err)
 	}
-	if got := nodes[0].Map().Epoch; got != cur.Epoch {
+	if got := h.node("n1").Map().Epoch; got != cur.Epoch {
 		t.Errorf("coordinator at epoch %d after the refusal, want %d", got, cur.Epoch)
 	}
-	byID := map[string]*Node{"n1": nodes[0], "n2": nodes[1], "n3": nodes[2], "n4": n4}
 	for _, id := range cur.ownerIDs(dest) {
-		got, ok := byID[id].Store().Dump(dest)
+		got, ok := h.node(id).Store().Dump(dest)
 		if !ok || !bytes.Equal(got, want) {
 			t.Errorf("current owner %s holds %d bytes of dest (present %v), want the %d of a sketch fed sources and dest", id, len(got), ok, len(want))
 		}
 	}
 	for _, id := range old.ownerIDs(dest) {
-		if got, _ := byID[id].Store().Dump(dest); !slices.Contains(cur.ownerIDs(dest), id) && bytes.Equal(got, want) {
+		if got, _ := h.node(id).Store().Dump(dest); !slices.Contains(cur.ownerIDs(dest), id) && bytes.Equal(got, want) {
 			t.Errorf("the union landed on %s, an owner of the old map only", id)
 		}
 	}
@@ -559,7 +539,8 @@ func TestMergeKeysFromStaleCoordinator(t *testing.T) {
 // TestAbsorbIsIdempotent: re-sending the same blob never changes the
 // estimate — the property rebalance safety rests on.
 func TestAbsorbIsIdempotent(t *testing.T) {
-	nodes := startCluster(t, 2, 1)
+	t.Parallel()
+	nodes := newHarness(t, harnessOpts{nodes: 2, replicas: 1}).running()
 	if _, err := nodes[0].Add("k", "a", "b", "c"); err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +578,8 @@ func TestAbsorbIsIdempotent(t *testing.T) {
 // it is byte for byte a copy already merged; replicas that each hold an
 // element the other missed both contribute.
 func TestCountUnitesDivergentReplicas(t *testing.T) {
-	h := newHarness(t, 2, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 2, replicas: 2})
 	for _, key := range []string{"same", "split"} {
 		if _, err := h.node("n1").Add(key, "shared-a", "shared-b"); err != nil {
 			t.Fatal(err)

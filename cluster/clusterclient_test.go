@@ -36,6 +36,7 @@ func findKeyWhere(t *testing.T, m *Map, pred func(ids []string) bool) string {
 // the alive() signal, feeding spurious suspicion into the failure
 // detector about a peer that had just answered.
 func TestPoolClassifiesByTransport(t *testing.T) {
+	t.Parallel()
 	store, err := server.NewStore(testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -43,10 +44,11 @@ func TestPoolClassifiesByTransport(t *testing.T) {
 	srv := server.NewServer(store)
 	srv.Handle("WEIRD", 0, -1, "", func(reply []byte, _ [][]byte) []byte { return append(reply, "-ERR totally novel failure"...) })
 	srv.Handle("BOUNCE", 0, -1, "", func(reply []byte, _ [][]byte) []byte { return append(reply, "-MOVED e=9 nX=127.0.0.1:1"...) })
-	serveOnFabric(t, srv)
+	h := newHarness(t, harnessOpts{})
+	h.serve(srv)
 	addr := srv.Addr()
 
-	p := newPool(fab.dialer(""))
+	p := newPool(h.fab.dialer(""))
 	defer p.closeAll()
 	var alive atomic.Int64
 	p.alive = func(string) { alive.Add(1) }
@@ -95,8 +97,10 @@ func TestPoolClassifiesByTransport(t *testing.T) {
 // after a join reshuffles the ring are all counted afterwards, through
 // every node.
 func TestRebalanceLosesNoPublicWrite(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
-	c := dialTest(t, nodes[0].Addr())
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	nodes := h.running()
+	c := h.dial(nodes[0].Addr())
 
 	const keys = 64
 	ref := make([]*core.Sketch, keys)
@@ -117,12 +121,7 @@ func TestRebalanceLosesNoPublicWrite(t *testing.T) {
 		write(i, wire)
 		write(i+keys, func(key, el string) error { _, err := nodes[i%3].Add(key, el); return err })
 	}
-	n4, err := NewNode("n4", testConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startOnFabric(t, n4, "")
-	t.Cleanup(func() { n4.Close() })
+	n4 := h.start("n4")
 	if err := n4.Join(nodes[0].Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -149,49 +148,26 @@ func TestRebalanceLosesNoPublicWrite(t *testing.T) {
 // its forward parks on the wire to the doomed owner, and it only proceeds
 // after the crash and the map flip.
 func TestForwardRetriesOnFreshMap(t *testing.T) {
-	mk := func(id string) *Node {
-		t.Helper()
-		n, err := NewNode(id, testConfig(), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	n1, n2, n3 := mk("n1"), mk("n2"), mk("n3")
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	n1 := h.node("n1")
+	// A key n1 does not own: its Add forwards to both remote owners.
+	m := n1.Map()
+	key := findKeyWhere(t, m, func(ids []string) bool { return !slices.Contains(ids, "n1") })
+	owners := m.Owners(key)
+	victim := h.node(owners[0].ID)
 
-	var arm atomic.Bool
-	var victimAddr atomic.Value // string
-	victimAddr.Store("")
+	var parked atomic.Bool // the first forward to the victim parks, no other
 	arrived := make(chan struct{}, 1)
 	release := make(chan struct{})
-	fab.reset(t)
-	fab.setIntercept(func(from, to string, parts []string) error {
-		if arm.Load() && from == "n1" && to == victimAddr.Load().(string) &&
-			len(parts) >= 2 && parts[0] == "CLUSTER" && parts[1] == "MLADD" {
+	h.fab.setIntercept(func(from, to string, parts []string) error {
+		if from == "n1" && to == owners[0].Addr && len(parts) >= 2 &&
+			parts[0] == "CLUSTER" && parts[1] == "MLADD" && !parked.Swap(true) {
 			arrived <- struct{}{}
 			<-release
 		}
 		return nil
 	})
-
-	for _, n := range []*Node{n1, n2, n3} {
-		startOnFabric(t, n, "")
-	}
-	t.Cleanup(func() { n1.Close(); n2.Close(); n3.Close() })
-	for _, n := range []*Node{n2, n3} {
-		if err := n.Join(n1.Addr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// A key n1 does not own: its Add forwards to both remote owners.
-	m := n1.Map()
-	key := findKeyWhere(t, m, func(ids []string) bool { return !slices.Contains(ids, "n1") })
-	owners := m.Owners(key)
-	byID := map[string]*Node{"n2": n2, "n3": n3}
-	victim := byID[owners[0].ID]
-	victimAddr.Store(owners[0].Addr)
-	arm.Store(true)
 
 	done := make(chan error, 1)
 	go func() {
@@ -199,7 +175,6 @@ func TestForwardRetriesOnFreshMap(t *testing.T) {
 		done <- err
 	}()
 	<-arrived // the forward resolved owners under the OLD map and is parked
-	arm.Store(false)
 
 	if err := victim.Close(); err != nil {
 		t.Fatal(err)
@@ -228,8 +203,9 @@ func TestForwardRetriesOnFreshMap(t *testing.T) {
 // TestClusterClientSingleHop drives the smart client against a fresh
 // map: every op lands on an owner first try — no failover, no refetch.
 func TestClusterClientSingleHop(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
-	cc, err := dialCluster(fab.dialer("client"), nodes[0].Addr())
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	cc, err := dialCluster(h.fab.dialer("client"), h.addr("n1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,21 +322,17 @@ func staleClientRun(t *testing.T, cc *ClusterClient, old, cur *Map) {
 // routing by the old ring; the nodes it reaches forward to the new
 // owners, so nothing is lost and nothing bounces.
 func TestClusterClientStaleAfterJoin(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
-	cc, err := dialCluster(fab.dialer("client"), nodes[0].Addr())
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	cc, err := dialCluster(h.fab.dialer("client"), h.addr("n1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cc.Close()
 	old := cc.Map()
 
-	n4, err := NewNode("n4", testConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startOnFabric(t, n4, "")
-	t.Cleanup(func() { n4.Close() })
-	if err := n4.Join(nodes[0].Addr()); err != nil {
+	n4 := h.start("n4")
+	if err := n4.Join(h.addr("n1")); err != nil {
 		t.Fatal(err)
 	}
 	staleClientRun(t, cc, old, n4.Map())
@@ -370,18 +342,19 @@ func TestClusterClientStaleAfterJoin(t *testing.T) {
 // sending a third of its keys to the node that left; that node, still
 // up, forwards them to their owners under the map without it.
 func TestClusterClientStaleAfterLeave(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
-	cc, err := dialCluster(fab.dialer("client"), nodes[0].Addr())
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	cc, err := dialCluster(h.fab.dialer("client"), h.addr("n1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cc.Close()
 	old := cc.Map()
 
-	if err := nodes[2].Leave(); err != nil {
+	if err := h.node("n3").Leave(); err != nil {
 		t.Fatal(err)
 	}
-	cur := nodes[0].Map()
+	cur := h.node("n1").Map()
 	if cur.Has("n3") {
 		t.Fatalf("n3 still in the map after its LEAVE (e=%d)", cur.Epoch)
 	}
@@ -393,8 +366,9 @@ func TestClusterClientStaleAfterLeave(t *testing.T) {
 // still holding the old map — must fail over on the transport error,
 // refetch, and converge on the surviving replica.
 func TestClusterClientFailsOverOnDeadOwner(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
-	cc, err := dialCluster(fab.dialer("client"), nodes[0].Addr(), nodes[1].Addr())
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	cc, err := dialCluster(h.fab.dialer("client"), h.addr("n1"), h.addr("n2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +376,7 @@ func TestClusterClientFailsOverOnDeadOwner(t *testing.T) {
 	cc.minRefetch = time.Millisecond
 
 	// A key whose primary is n3 — the node we will crash.
-	m := nodes[0].Map()
+	m := h.node("n1").Map()
 	key := findKeyWhere(t, m, func(ids []string) bool { return ids[0] == "n3" })
 	if _, err := cc.Add(key, "x"); err != nil {
 		t.Fatal(err)
@@ -410,8 +384,8 @@ func TestClusterClientFailsOverOnDeadOwner(t *testing.T) {
 
 	// Crash n3, then evict it through a survivor (epoch-fenced LEAVE,
 	// survivors re-replicate). The client still routes by the old map.
-	nodes[2].Close()
-	c := dialTest(t, nodes[0].Addr())
+	h.crash("n3")
+	c := h.dial(h.addr("n1"))
 	if _, err := c.Do("CLUSTER", "LEAVE", "n3"); err != nil {
 		t.Fatal(err)
 	}
@@ -439,15 +413,16 @@ func TestClusterClientFailsOverOnDeadOwner(t *testing.T) {
 // failoverBudget failovers, and fails: a dead cluster is an error, not a
 // livelock.
 func TestClusterClientFailoverBudget(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
-	cc, err := dialCluster(fab.dialer("client"), nodes[0].Addr())
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	cc, err := dialCluster(h.fab.dialer("client"), h.addr("n1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cc.Close()
 	cc.minRefetch = time.Millisecond
 	var tries atomic.Int64
-	fab.setIntercept(func(from, _ string, parts []string) error {
+	h.fab.setIntercept(func(from, _ string, parts []string) error {
 		if from != "client" {
 			return nil
 		}
@@ -473,8 +448,9 @@ func TestClusterClientFailoverBudget(t *testing.T) {
 // Every op must succeed (any error fails the test), and no write may be
 // lost.
 func TestClusterClientMidRebalanceChaos(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
-	cc, err := dialCluster(fab.dialer("client"), nodes[0].Addr(), nodes[1].Addr(), nodes[2].Addr())
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	cc, err := dialCluster(h.fab.dialer("client"), h.addr("n1"), h.addr("n2"), h.addr("n3"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,13 +499,8 @@ func TestClusterClientMidRebalanceChaos(t *testing.T) {
 	// Mid-load: a 4th node joins — epoch bump, ring reshuffle, delta
 	// rebalance — while the client keeps hammering the hot keys.
 	time.Sleep(10 * time.Millisecond)
-	n4, err := NewNode("n4", testConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startOnFabric(t, n4, "")
-	t.Cleanup(func() { n4.Close() })
-	if err := n4.Join(nodes[0].Addr()); err != nil {
+	n4 := h.start("n4")
+	if err := n4.Join(h.addr("n1")); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(25 * time.Millisecond) // load keeps running against the settled map
@@ -543,7 +514,7 @@ func TestClusterClientMidRebalanceChaos(t *testing.T) {
 
 	// No lost writes: every hot key matches its reference sketch.
 	for i := 0; i < hotKeys; i++ {
-		got, err := nodes[0].Count(key(i))
+		got, err := h.node("n1").Count(key(i))
 		if err != nil {
 			t.Fatal(err)
 		}

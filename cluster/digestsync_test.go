@@ -27,7 +27,7 @@ import (
 func countClusterVerbs(h *harness) (count func(verb string) int) {
 	var mu sync.Mutex
 	counts := map[string]int{}
-	fab.setIntercept(func(id, addr string, parts []string) error {
+	h.fab.setIntercept(func(id, addr string, parts []string) error {
 		if len(parts) >= 2 && strings.EqualFold(parts[0], "CLUSTER") {
 			mu.Lock()
 			counts[strings.ToUpper(parts[1])]++
@@ -36,7 +36,6 @@ func countClusterVerbs(h *harness) (count func(verb string) int) {
 		}
 		return nil
 	})
-	h.t.Cleanup(func() { fab.setIntercept(nil) })
 	return func(verb string) int {
 		mu.Lock()
 		defer mu.Unlock()
@@ -45,6 +44,7 @@ func countClusterVerbs(h *harness) (count func(verb string) int) {
 }
 
 func TestDigestVectorRoundTrip(t *testing.T) {
+	t.Parallel()
 	v := make([]uint64, server.NumShards)
 	for i := range v {
 		v[i] = uint64(i) * 0x9e3779b97f4a7c15
@@ -78,6 +78,7 @@ func TestDigestVectorRoundTrip(t *testing.T) {
 }
 
 func TestKeyDigestsRoundTrip(t *testing.T) {
+	t.Parallel()
 	kds := []server.KeyDigest{
 		{Key: "a", Digest: 1},
 		{Key: "visits:2026-08-07", Digest: 0xdeadbeefcafef00d},
@@ -173,7 +174,8 @@ func FuzzDigestDecode(f *testing.F) {
 // populations, so comparing them would manufacture phantom divergence. A
 // rival map of the same epoch differs as much as an older one.
 func TestDigestHandlersEpochFence(t *testing.T) {
-	h := newHarness(t, 2, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 2, replicas: 2})
 	n := h.node("n1")
 	m := n.currentMap()
 	cur := m.Triple()
@@ -214,7 +216,8 @@ func TestDigestHandlersEpochFence(t *testing.T) {
 // gossip runs. The DSUM fence sees the whole triple, so one DigestSync
 // refuses, settles the maps with the peer and leaves both on the newer.
 func TestDigestSyncHealsEqualEpochRivals(t *testing.T) {
-	h := newHarness(t, 2, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 2, replicas: 2})
 	n1, n2 := h.node("n1"), h.node("n2")
 	for k := 0; k < 20; k++ {
 		if _, err := n1.Add(fmt.Sprintf("rival-%d", k), "a", "b"); err != nil {
@@ -238,8 +241,9 @@ func TestDigestSyncHealsEqualEpochRivals(t *testing.T) {
 // digest round from one node is ONE DSUM message per peer — O(members),
 // not O(keys) — with no key-digest fetches and no data movement at all.
 func TestDigestSyncConvergedMessageCount(t *testing.T) {
+	t.Parallel()
 	const keys = 300
-	h := newHarness(t, 3, 2)
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	for k := 0; k < keys; k++ {
 		if _, err := h.node("n1").Add(fmt.Sprintf("dg-%d", k), "x", "y"); err != nil {
 			t.Fatal(err)
@@ -273,9 +277,10 @@ func TestDigestSyncConvergedMessageCount(t *testing.T) {
 // comparison and re-shipped — and ONLY the divergent keys move, over
 // one batched stream, not a full re-push of the keyspace.
 func TestDigestSyncRepairsDivergence(t *testing.T) {
+	t.Parallel()
 	const keys = 60
 	lost := map[string]bool{"dv-3": true, "dv-17": true, "dv-29": true, "dv-41": true, "dv-55": true}
-	h := newHarness(t, 2, 2)
+	h := newHarness(t, harnessOpts{nodes: 2, replicas: 2})
 	ref := make(map[string]float64, keys)
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("dv-%d", k)
@@ -338,7 +343,8 @@ func TestDigestSyncRepairsDivergence(t *testing.T) {
 // runs its own push-only round — merge is idempotent and monotone, so
 // the union wins on both.
 func TestDigestSyncBidirectional(t *testing.T) {
-	h := newHarness(t, 2, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 2, replicas: 2})
 	if _, err := h.node("n1").Add("bi", "shared"); err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +383,12 @@ func TestDigestSyncBidirectional(t *testing.T) {
 // cluster must converge to the union, with a total message budget far
 // below one message per key — the whole point of digest anti-entropy.
 func TestDigestSyncChaosUnderLoad(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("digest chaos skipped in -short")
 	}
 	const keys = 500
-	h := newHarness(t, 3, 2)
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	ref := make(map[string]float64, keys)
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("dc-%d", k)
@@ -405,13 +412,12 @@ func TestDigestSyncChaosUnderLoad(t *testing.T) {
 
 	var mu sync.Mutex
 	total := 0
-	fab.setIntercept(func(id, addr string, parts []string) error {
+	h.fab.setIntercept(func(id, addr string, parts []string) error {
 		mu.Lock()
 		total++
 		mu.Unlock()
 		return nil
 	})
-	defer fab.setIntercept(nil)
 
 	for _, n := range h.running() {
 		if err := n.DigestSync(); err != nil {
@@ -455,7 +461,8 @@ func TestDigestSyncChaosUnderLoad(t *testing.T) {
 // owners and dropped locally by ONE digest round of the node holding
 // it. The drain is a rebalance push, not a digest repair.
 func TestDigestSyncDrainsStray(t *testing.T) {
-	h := newHarness(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	n3 := h.node("n3")
 	m := n3.Map()
 	key := ""
@@ -508,7 +515,8 @@ func TestDigestSyncDrainsStray(t *testing.T) {
 // pull and one targeted SETMAP for the one stale peer, and nothing once
 // the maps agree.
 func TestDigestSyncHealsMissedJoin(t *testing.T) {
-	h := newHarness(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	const keys = 20
 	ref := make([]float64, keys)
 	for k := 0; k < keys; k++ {
@@ -518,13 +526,13 @@ func TestDigestSyncHealsMissedJoin(t *testing.T) {
 		}
 		ref[k] = mustCount(t, h.node("n1"), key)
 	}
-	fab.partition("n3", true)
+	h.fab.partition("n3", true)
 	h.start("x1")
 	h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1")) // the broadcast to n3 fails: that is the point
 	if !h.node("n1").Map().Has("x1") || h.node("n3").Map().Has("x1") {
 		t.Fatal("fixture: the join must land on the majority and miss n3")
 	}
-	fab.partition("n3", false)
+	h.fab.partition("n3", false)
 
 	count := countClusterVerbs(h)
 	round := func() {

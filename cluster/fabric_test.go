@@ -22,8 +22,10 @@ package cluster
 // server that answers a pipeline while the client is still writing it
 // never waits on that client.
 //
-// One fabric serves the test binary, whose tests do not run in parallel;
-// every harness and startCluster begins from a fabric without faults.
+// Each harness owns a fabric, made with it and gone when its test ends:
+// addresses, listeners and faults are the harness's own, so no fault
+// outlives its test or reaches another cluster, and cluster tests run in
+// parallel.
 
 import (
 	"bytes"
@@ -32,18 +34,15 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"exaloglog/server"
 )
-
-var fab = &fabric{
-	listeners: make(map[string]*memListener),
-	ids:       make(map[string]string),
-}
 
 type fabric struct {
 	mu        sync.Mutex
@@ -56,23 +55,25 @@ type fabric struct {
 	intercept func(from, to string, parts []string) error
 }
 
-// reset clears every fault now and again when t ends, releasing whatever
-// a gate still parks.
-func (f *fabric) reset(t testing.TB) {
-	f.clearFaults()
-	t.Cleanup(f.clearFaults)
+// newFabric returns a fabric without listeners or faults.
+func newFabric() *fabric {
+	return &fabric{
+		listeners: make(map[string]*memListener),
+		ids:       make(map[string]string),
+		cut:       make(map[string]bool),
+		delays:    make(map[string]time.Duration),
+		gates:     make(map[string]chan struct{}),
+	}
 }
 
-func (f *fabric) clearFaults() {
+// openGates releases every gate still shut.
+func (f *fabric) openGates() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, g := range f.gates {
+	for key, g := range f.gates {
 		close(g)
+		delete(f.gates, key)
 	}
-	f.cut = make(map[string]bool)
-	f.delays = make(map[string]time.Duration)
-	f.gates = make(map[string]chan struct{})
-	f.intercept = nil
 }
 
 // listen binds a listener for node id at addr, or at a fresh address when
@@ -227,45 +228,6 @@ func (f *fabric) stall(t testing.TB, id, addr string) {
 			}()
 		}
 	}()
-}
-
-// startOnFabric starts n at addr on the fabric, or at a fresh address when
-// addr is "", its peer connections dialed through the fabric too.
-func startOnFabric(t testing.TB, n *Node, addr string) {
-	t.Helper()
-	n.peers.connect = fab.dialer(n.ID())
-	ln, err := fab.listen(n.ID(), addr)
-	if err == nil {
-		err = n.serve(ln)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// serveOnFabric serves srv at a fresh fabric address until t ends.
-func serveOnFabric(t testing.TB, srv *server.Server) {
-	t.Helper()
-	ln, err := fab.listen("", "")
-	if err == nil {
-		err = srv.Serve(ln)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-}
-
-// dialTest opens an operator connection to addr, closed when t ends.
-func dialTest(t testing.TB, addr string) *server.Client {
-	t.Helper()
-	conn, err := fab.dial("", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := server.NewClient(conn)
-	t.Cleanup(func() { c.Close() })
-	return c
 }
 
 // memListener is a listener on the fabric.
@@ -490,8 +452,9 @@ func isClosed(ch chan struct{}) bool {
 // its input runs dry, so over an unbuffered pipe each way it would block
 // on a client still writing.
 func TestFabricCarriesLongPipeline(t *testing.T) {
-	nodes := startCluster(t, 1, 1)
-	c := dialTest(t, nodes[0].Addr())
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 1, replicas: 1})
+	c := h.dial(h.addr("n1"))
 	c.SetOpTimeout(2 * time.Second)
 	var lines []byte
 	for i := 0; i < 1000; i++ {
@@ -515,13 +478,14 @@ func TestFabricCarriesLongPipeline(t *testing.T) {
 // error, which closes the lent connection; after the heal the pool dials
 // again and the request goes through.
 func TestFabricCutThenHeal(t *testing.T) {
-	nodes := startCluster(t, 2, 1)
-	p := nodes[0].peers
-	to := nodes[1].Addr()
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 2, replicas: 1})
+	p := h.node("n1").peers
+	to := h.addr("n2")
 	if _, err := p.do(to, "PING"); err != nil {
 		t.Fatal(err)
 	}
-	fab.partition(nodes[1].ID(), true)
+	h.fab.partition("n2", true)
 	_, err := p.do(to, "PING")
 	if err == nil || server.IsReplyErr(err) {
 		t.Fatalf("PING across a cut = %v, want a transport error", err)
@@ -529,7 +493,7 @@ func TestFabricCutThenHeal(t *testing.T) {
 	if idle := p.idleConns(to); len(idle) != 0 {
 		t.Error("the pool kept the connection a cut failed")
 	}
-	fab.partition(nodes[1].ID(), false)
+	h.fab.partition("n2", false)
 	if reply, err := p.do(to, "PING"); err != nil || reply != "PONG" {
 		t.Fatalf("PING after the heal = %q, %v; want PONG", reply, err)
 	}
@@ -538,9 +502,10 @@ func TestFabricCutThenHeal(t *testing.T) {
 // TestFabricStallTripsOpTimeout: an endpoint that reads and never answers
 // fails a command at the client's op deadline with a timeout, not a reply.
 func TestFabricStallTripsOpTimeout(t *testing.T) {
-	fab.reset(t)
-	fab.stall(t, "", "mem:stalled")
-	c := dialTest(t, "mem:stalled")
+	// Serial: it bounds wall time, which parallel tests would stretch.
+	h := newHarness(t, harnessOpts{})
+	h.fab.stall(t, "", "mem:stalled")
+	c := h.dial("mem:stalled")
 	const d = 50 * time.Millisecond
 	c.SetOpTimeout(d)
 	start := time.Now()
@@ -551,5 +516,67 @@ func TestFabricStallTripsOpTimeout(t *testing.T) {
 	}
 	if took := time.Since(start); took < d || took > 40*d {
 		t.Errorf("the op deadline tripped after %v, want about %v", took, d)
+	}
+}
+
+// TestFabricsShareNothing: two harnesses in one test, their nodes of the
+// same IDs at the same addresses. The first is cut, gated and intercepted,
+// a request of its own parked at the gate, while the second writes, counts,
+// pulls a map and takes a JOIN untouched; then the first's faults still
+// hold its own requests.
+func TestFabricsShareNothing(t *testing.T) {
+	t.Parallel()
+	a := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	b := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	if a.addr("n1") != "mem:1" || b.addr("n1") != "mem:1" {
+		t.Fatalf("n1 listens at %s and at %s, want mem:1 in both harnesses", a.addr("n1"), b.addr("n1"))
+	}
+	a.fab.partition("n2", true)
+	release := a.fab.gate("n1", "MAP")
+	var seen atomic.Int64
+	a.fab.setIntercept(func(string, string, []string) error {
+		seen.Add(1)
+		return errors.New("test: refused by the first fabric")
+	})
+	parked := make(chan error, 1)
+	go func() {
+		_, err := a.node("n1").peers.fetchMap(a.addr("n3"))
+		parked <- err
+	}()
+
+	// A key of n2's and not n1's: the write forwards to n2, the count gathers it.
+	key := findKeyWhere(t, b.node("n1").Map(), func(ids []string) bool {
+		return slices.Contains(ids, "n2") && !slices.Contains(ids, "n1")
+	})
+	if _, err := b.node("n1").Add(key, "x", "y"); err != nil {
+		t.Fatalf("Add in the second harness: %v", err)
+	}
+	if got := mustCount(t, b.node("n1"), key); int64(got+0.5) != 2 {
+		t.Errorf("Count in the second harness = %v, want ≈2", got)
+	}
+	if _, err := b.node("n1").peers.fetchMap(b.addr("n3")); err != nil {
+		t.Errorf("n1's map pull in the second harness: %v", err)
+	}
+	if err := b.start("x1").Join(b.addr("n1")); err != nil {
+		t.Fatalf("JOIN in the second harness: %v", err)
+	}
+	if got := b.node("n2").Map().Len(); got != 4 {
+		t.Errorf("the second harness's n2 lists %d members after the JOIN, want 4", got)
+	}
+	if n := seen.Load(); n != 0 {
+		t.Errorf("the first fabric's intercept saw %d lines", n)
+	}
+
+	select {
+	case err := <-parked:
+		t.Fatalf("the first harness's gated map pull returned before its release: %v", err)
+	default:
+	}
+	release()
+	if err := <-parked; err == nil || !strings.Contains(err.Error(), "refused by the first fabric") {
+		t.Errorf("the gated map pull after its release: %v, want the first intercept's refusal", err)
+	}
+	if _, err := a.node("n1").peers.do(a.addr("n2"), "PING"); err == nil || !strings.Contains(err.Error(), "network partition") {
+		t.Errorf("PING across the first harness's cut: %v, want the partition", err)
 	}
 }

@@ -94,30 +94,26 @@ var verbForms = []struct{ valid, arity, bad, wrongType, missing string }{
 
 // runScript sends line i to addrs[i%len(addrs)] and returns the reply
 // lines as the wire carried them.
-func runScript(t *testing.T, script []string, addrs []string) []string {
-	t.Helper()
+func (h *harness) runScript(script []string, addrs []string) []string {
+	h.t.Helper()
 	type conn struct {
 		c net.Conn
 		r *bufio.Reader
 	}
 	conns := make([]conn, len(addrs))
 	for i, addr := range addrs {
-		c, err := fab.dial("", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
+		c := h.conn(addr)
 		conns[i] = conn{c, bufio.NewReaderSize(c, 1<<16)}
 	}
 	replies := make([]string, len(script))
 	for i, l := range script {
 		c := conns[i%len(conns)]
 		if _, err := io.WriteString(c.c, l+"\n"); err != nil {
-			t.Fatal(err)
+			h.t.Fatal(err)
 		}
 		reply, err := c.r.ReadString('\n')
 		if err != nil {
-			t.Fatalf("%q: %v", l, err)
+			h.t.Fatalf("%q: %v", l, err)
 		}
 		replies[i] = reply
 	}
@@ -135,23 +131,26 @@ func runScript(t *testing.T, script []string, addrs []string) []string {
 // leaves out the errors, some of whose texts (EXPIRE's, PEXPIRE's and the
 // type mismatches') became the standalone ones.
 func TestEveryVerbAnswersAlikeInBothModes(t *testing.T) {
+	t.Parallel()
 	script := frontEndScript()
 	store, err := server.NewStore(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := server.NewServer(store)
-	serveOnFabric(t, srv)
-	standalone := runScript(t, script, []string{srv.Addr()})
+	h := newHarness(t, harnessOpts{})
+	h.serve(srv)
+	standalone := h.runScript(script, []string{srv.Addr()})
 
 	const pin = "ec838ffb04f60f7b1d3eb5ed9356ace912956cf586f6296b0f5f476b1f585825"
 	for _, tc := range []struct{ nodes, replicas int }{{1, 1}, {3, 2}} {
 		t.Run(fmt.Sprintf("%dnodes-r%d", tc.nodes, tc.replicas), func(t *testing.T) {
+			h := newHarness(t, harnessOpts{nodes: tc.nodes, replicas: tc.replicas})
 			var addrs []string
-			for _, n := range startCluster(t, tc.nodes, tc.replicas) {
+			for _, n := range h.running() {
 				addrs = append(addrs, n.Addr())
 			}
-			clustered := runScript(t, script, addrs)
+			clustered := h.runScript(script, addrs)
 			sum := sha256.New()
 			for i, l := range script {
 				s, c := standalone[i], clustered[i]
@@ -177,12 +176,13 @@ func TestEveryVerbAnswersAlikeInBothModes(t *testing.T) {
 // 2-node cluster, which forwards one MLADD on the caller's goroutine,
 // allocates at most 17 times on this fabric, both ends of the hop counted.
 func TestNodeDispatchAllocs(t *testing.T) {
+	// Serial: testing.AllocsPerRun counts the allocations of every goroutine.
 	if raceEnabled {
 		t.Skip("allocation counting is not meaningful under the race detector")
 	}
 	allocs := make(map[string]float64)
 	for _, tc := range nodeDispatchCases() {
-		node := startCluster(t, tc.nodes, tc.nodes)[0]
+		node := newHarness(t, harnessOpts{nodes: tc.nodes, replicas: tc.nodes}).node("n1")
 		tc.setup(t, node)
 		line := []byte(tc.line)
 		node.Server().ServeStream(&streamOf{line: line, n: 2}, io.Discard)
@@ -209,6 +209,7 @@ func TestNodeDispatchAllocs(t *testing.T) {
 // same error, the reads, DEL and KEYS as much as the writes, rather than
 // answering as if the cluster were empty.
 func TestUnstartedNodeRefusesDataVerbs(t *testing.T) {
+	t.Parallel()
 	n, err := NewNode("n1", testConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +241,9 @@ func TestUnstartedNodeRefusesDataVerbs(t *testing.T) {
 // of its own — in STATS and in the Prometheus text — beside the CLUSTER row
 // the bare verb and an unknown subverb record into.
 func TestClusterVerbForms(t *testing.T) {
-	n := startCluster(t, 1, 1)[0]
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 1, replicas: 1})
+	n := h.node("n1")
 	e := fmt.Sprintf("e=%d", n.Map().Epoch)
 	m := n.Map()
 	tri := m.Triple()
@@ -277,11 +280,7 @@ func TestClusterVerbForms(t *testing.T) {
 		t.Errorf("%d subverbs registered, %d with forms here", len(usage), len(forms))
 	}
 
-	conn, err := fab.dial("", n.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
+	conn := h.conn(n.Addr())
 	r := bufio.NewReader(conn)
 	send := func(line string) string {
 		t.Helper()

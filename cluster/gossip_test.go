@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -8,6 +9,7 @@ import (
 // TestDigestRoundTrip pins the gossip wire format: encode → decode →
 // encode is byte-stable, and the suspicion mark survives.
 func TestDigestRoundTrip(t *testing.T) {
+	t.Parallel()
 	d := &digest{
 		Sender:      "n1",
 		Epoch:       7,
@@ -45,6 +47,7 @@ func TestDigestRoundTrip(t *testing.T) {
 // TestDigestDecodeRejects enumerates hostile payload shapes that must
 // come back as errors, never panics or accepted garbage.
 func TestDigestDecodeRejects(t *testing.T) {
+	t.Parallel()
 	cases := []string{
 		"",
 		"g1",
@@ -74,9 +77,10 @@ func TestDigestDecodeRejects(t *testing.T) {
 // TestDigestDecodeCaps: a hostile digest cannot make a node allocate
 // beyond the shared wire caps.
 func TestDigestDecodeCaps(t *testing.T) {
+	t.Parallel()
 	tokens := []string{"g1", "n1", "1", "1", "-"}
 	for i := 0; i <= maxWireMembers; i++ {
-		tokens = append(tokens, "m"+itoa(i)+"=1")
+		tokens = append(tokens, "m"+strconv.Itoa(i)+"=1")
 	}
 	if _, err := decodeDigest(tokens); err == nil {
 		t.Fatalf("digest with %d entries accepted (limit %d)", maxWireMembers+1, maxWireMembers)
@@ -85,20 +89,6 @@ func TestDigestDecodeCaps(t *testing.T) {
 	if _, err := decodeDigest(huge); err == nil {
 		t.Fatal("oversized digest accepted")
 	}
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [20]byte
-	p := len(b)
-	for i > 0 {
-		p--
-		b[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[p:])
 }
 
 // FuzzGossipDecode mirrors FuzzMapDecode for the gossip payload: no
@@ -143,7 +133,8 @@ func FuzzGossipDecode(f *testing.F) {
 // real protocol: the reply must be the receiver's digest, and the
 // receiver must have recorded the pushed heartbeats.
 func TestGossipWireExchange(t *testing.T) {
-	nodes := startCluster(t, 2, 1)
+	t.Parallel()
+	nodes := newHarness(t, harnessOpts{nodes: 2, replicas: 1}).running()
 	// Let each node establish detector state.
 	nodes[0].Gossip()
 	nodes[1].Gossip()
@@ -178,7 +169,8 @@ func TestGossipWireExchange(t *testing.T) {
 // rounds with an unreachable peer, Health and CLUSTER HEALTH both show
 // the suspicion (unit-level companion to the harness chaos tests).
 func TestHealthReportsSuspects(t *testing.T) {
-	nodes := startCluster(t, 2, 1)
+	t.Parallel()
+	nodes := newHarness(t, harnessOpts{nodes: 2, replicas: 1}).running()
 	nodes[0].gsp.mu.Lock()
 	nodes[0].gsp.suspectAfter = 2
 	nodes[0].gsp.mu.Unlock()

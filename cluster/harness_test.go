@@ -1,10 +1,10 @@
 package cluster
 
-// An in-process multi-node cluster harness on the fabric (fabric_test.go),
-// whose faults — partition a node, delay or gate a verb on the wire,
-// intercept single messages, stall a node — plus crashing a node and
-// restarting it from its snapshot make membership races that would
-// otherwise only surface in production reproducible, deterministic
+// An in-process multi-node cluster harness on a fabric of its own
+// (fabric_test.go), whose faults — partition a node, delay or gate a verb
+// on the wire, intercept single messages, stall a node — plus crashing a
+// node and restarting it from its snapshot make membership races that
+// would otherwise only surface in production reproducible, deterministic
 // enough to assert on, and run under `go test -race`.
 //
 // Failure detection is tested under a FAKE CLOCK: gossip time is a
@@ -16,6 +16,7 @@ package cluster
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"slices"
 	"sort"
@@ -29,53 +30,47 @@ import (
 	"exaloglog/server"
 )
 
+// harnessOpts holds what tests vary in their clusters; a zero field keeps
+// the default.
+type harnessOpts struct {
+	nodes    int              // booted at creation: n1..nN, each joined through n1
+	replicas int              // the replica factor of every node
+	window   int              // non-zero: the transfer window (frames a round trip) of every node
+	clock    func() time.Time // non-nil: the store clock every node judges expiry against
+}
+
 type harness struct {
-	t        *testing.T
-	replicas int
-	dir      string
-	window   int              // non-zero: the transfer window of every started node
-	clock    func() time.Time // non-nil: injected store clock (expiry tests)
+	t    *testing.T
+	opts harnessOpts
+	fab  *fabric // the harness's own: no fault set on it reaches another harness
+	dir  string
 
 	mu    sync.Mutex
 	nodes map[string]*Node  // running nodes by ID
 	addrs map[string]string // id → last listen address (survives a crash)
 }
 
-// newHarness boots n nodes (n1..nN, n1 the seed) on the fabric with the
-// given replica factor, each with a snapshot path.
-func newHarness(t *testing.T, n, replicas int) *harness {
-	t.Helper()
-	return newHarnessCfg(t, n, replicas, 0)
-}
-
-// newHarnessCfg is newHarness with a transfer window (frames a round trip)
-// set on every node it starts — how the transfer chaos tests narrow the
-// window without changing the default the other tests exercise.
-func newHarnessCfg(t *testing.T, n, replicas, window int) *harness {
-	t.Helper()
-	return newHarnessClock(t, n, replicas, window, nil)
-}
-
-// newHarnessClock is newHarnessCfg with an injected store clock: every
-// node it starts (including crash-restarts) judges expiry deadlines
-// against the given time source instead of the wall clock, so TTL chaos
-// tests advance time explicitly and deterministically.
-func newHarnessClock(t *testing.T, n, replicas, window int, clock func() time.Time) *harness {
+// newHarness makes a fabric and boots o.nodes nodes on it. Every node the
+// harness starts has a snapshot path and the harness-wide suspicion
+// window; all of them close when t ends.
+func newHarness(t *testing.T, o harnessOpts) *harness {
 	t.Helper()
 	h := &harness{
-		t:        t,
-		replicas: replicas,
-		dir:      t.TempDir(),
-		window:   window,
-		clock:    clock,
-		nodes:    make(map[string]*Node),
-		addrs:    make(map[string]string),
+		t:     t,
+		opts:  o,
+		fab:   newFabric(),
+		dir:   t.TempDir(),
+		nodes: make(map[string]*Node),
+		addrs: make(map[string]string),
 	}
-	t.Cleanup(h.closeAll)
-	fab.reset(t) // registered after closeAll, so a gate still shut opens before the nodes close
-	for i := 1; i <= n; i++ {
-		id := fmt.Sprintf("n%d", i)
-		node := h.start(id)
+	t.Cleanup(func() {
+		h.fab.openGates() // a request parked at a gate would hold its node's Close
+		for _, n := range h.running() {
+			n.Close()
+		}
+	})
+	for i := 1; i <= o.nodes; i++ {
+		node := h.start(fmt.Sprintf("n%d", i))
 		if i > 1 {
 			if err := node.Join(h.addr("n1")); err != nil {
 				t.Fatal(err)
@@ -93,7 +88,7 @@ func (h *harness) stall(id string) string {
 	h.t.Helper()
 	h.crash(id)
 	addr := h.addr(id)
-	fab.stall(h.t, id, addr)
+	h.fab.stall(h.t, id, addr)
 	return addr
 }
 
@@ -118,14 +113,14 @@ func (h *harness) start(id string) *Node { return h.startAt(id, "") }
 // startAt is start at addr: a recorded address on restart.
 func (h *harness) startAt(id, addr string) *Node {
 	h.t.Helper()
-	n, err := NewNode(id, testConfig(), h.replicas)
+	n, err := NewNode(id, testConfig(), h.opts.replicas)
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	if h.clock != nil {
+	if h.opts.clock != nil {
 		// Before LoadFile: a snapshot load judges expired-on-disk records
 		// against the store clock, which must already be the fake one.
-		n.Store().SetClock(h.clock)
+		n.Store().SetClock(h.opts.clock)
 	}
 	snap := h.snapPath(id)
 	if _, err := os.Stat(snap); err == nil {
@@ -135,10 +130,17 @@ func (h *harness) startAt(id, addr string) *Node {
 	}
 	n.SetSnapshotPath(snap)
 	n.gsp.suspectAfter = testSuspectAfter
-	if h.window != 0 {
-		n.xfer.window = h.window
+	if h.opts.window != 0 {
+		n.xfer.window = h.opts.window
 	}
-	startOnFabric(h.t, n, addr)
+	n.peers.connect = h.fab.dialer(id)
+	ln, err := h.fab.listen(id, addr)
+	if err == nil {
+		err = n.serve(ln)
+	}
+	if err != nil {
+		h.t.Fatal(err)
+	}
 	h.mu.Lock()
 	h.nodes[id] = n
 	h.addrs[id] = n.Addr()
@@ -176,6 +178,22 @@ func (h *harness) restart(id string) *Node {
 		h.t.Fatalf("rejoin %s: %v", id, err)
 	}
 	return n
+}
+
+// load adds els elements to each of keys keys through node via, one Add
+// an element, and returns every key's count through n1.
+func (h *harness) load(via string, keyName func(int) string, keys, els int) []float64 {
+	h.t.Helper()
+	ref := make([]float64, keys)
+	for k := range ref {
+		for e := 0; e < els; e++ {
+			if _, err := h.node(via).Add(keyName(k), fmt.Sprintf("el-%d-%d", k, e)); err != nil {
+				h.t.Fatal(err)
+			}
+		}
+		ref[k] = mustCount(h.t, h.node("n1"), keyName(k))
+	}
+	return ref
 }
 
 // testSuspectAfter is the harness-wide suspicion window in gossip
@@ -230,13 +248,45 @@ func (h *harness) running() []*Node {
 // do runs one admin command against node id on a fresh operator
 // connection (operator traffic bypasses the fabric's faults).
 func (h *harness) do(id string, parts ...string) (string, error) {
-	conn, err := fab.dial("", h.addr(id))
+	conn, err := h.fab.dial("", h.addr(id))
 	if err != nil {
 		return "", err
 	}
 	c := server.NewClient(conn)
 	defer c.Close()
 	return c.Do(parts...)
+}
+
+// conn opens an operator connection to addr, closed when the test ends.
+func (h *harness) conn(addr string) net.Conn {
+	h.t.Helper()
+	conn, err := h.fab.dial("", addr)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+// dial is conn as a client.
+func (h *harness) dial(addr string) *server.Client {
+	h.t.Helper()
+	c := server.NewClient(h.conn(addr))
+	h.t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// serve serves srv at a fresh address of the fabric until the test ends.
+func (h *harness) serve(srv *server.Server) {
+	h.t.Helper()
+	ln, err := h.fab.listen("", "")
+	if err == nil {
+		err = srv.Serve(ln)
+	}
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.t.Cleanup(func() { srv.Close() })
 }
 
 // converge drives digest rounds — the one anti-entropy path: a refused
@@ -270,12 +320,6 @@ func (h *harness) converge(deadline time.Duration) string {
 	}
 }
 
-func (h *harness) closeAll() {
-	for _, n := range h.running() {
-		n.Close()
-	}
-}
-
 // --- tests -------------------------------------------------------------
 
 // TestChaosConcurrentMembership: goroutines hammer JOIN/LEAVE through
@@ -286,12 +330,12 @@ func (h *harness) closeAll() {
 // exactly equal a golden reference sketch fed the same elements; in
 // particular it can never underestimate the exact distinct count.
 func TestChaosConcurrentMembership(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("chaos harness skipped in -short")
 	}
-	h := newHarness(t, 3, 2)
-	fab.delay("SETMAP", 2*time.Millisecond)
-	defer fab.delay("SETMAP", 0)
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	h.fab.delay("SETMAP", 2*time.Millisecond)
 
 	churners := []string{"x1", "x2"}
 	for _, id := range churners {
@@ -349,7 +393,7 @@ func TestChaosConcurrentMembership(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	fab.delay("SETMAP", 0)
+	h.fab.delay("SETMAP", 0)
 
 	enc := h.converge(30 * time.Second)
 	t.Logf("converged on %s", enc)
@@ -387,10 +431,11 @@ func TestChaosConcurrentMembership(t *testing.T) {
 // last snapshot with NO seed address, and must self-heal into the
 // current epoch's map with every key still countable.
 func TestCrashRestartSelfHeals(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("crash-restart harness skipped in -short")
 	}
-	h := newHarness(t, 3, 2)
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 
 	const keys = 40
 	ref := make([]float64, keys)
@@ -419,7 +464,7 @@ func TestCrashRestartSelfHeals(t *testing.T) {
 	// the membership change is still propagating.
 	h.start("x1")
 	// Slow the transfer frames so n3 dies while data is still moving.
-	fab.delay("XFER", 5*time.Millisecond)
+	h.fab.delay("XFER", 5*time.Millisecond)
 	joinDone := make(chan struct{})
 	go func() {
 		defer close(joinDone)
@@ -429,7 +474,7 @@ func TestCrashRestartSelfHeals(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	h.crash("n3")
 	<-joinDone
-	fab.delay("XFER", 0)
+	h.fab.delay("XFER", 0)
 
 	// The survivors carry on and converge without n3.
 	h.converge(15 * time.Second)
@@ -467,10 +512,11 @@ func TestCrashRestartSelfHeals(t *testing.T) {
 // and changes nothing — the fencing that prevents split-brain
 // membership. Healing the partition makes the same JOIN succeed.
 func TestMinorityCoordinatorCannotMutate(t *testing.T) {
-	h := newHarness(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	h.start("x1")
-	fab.partition("n2", true)
-	fab.partition("n3", true)
+	h.fab.partition("n2", true)
+	h.fab.partition("n3", true)
 
 	before := h.node("n1").Map().Encode()
 	if reply, err := h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1")); err == nil {
@@ -480,8 +526,8 @@ func TestMinorityCoordinatorCannotMutate(t *testing.T) {
 		t.Errorf("failed claim still mutated the map: %s → %s", before, got)
 	}
 
-	fab.partition("n2", false)
-	fab.partition("n3", false)
+	h.fab.partition("n2", false)
+	h.fab.partition("n3", false)
 	if _, err := h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1")); err != nil {
 		t.Fatalf("JOIN after heal: %v", err)
 	}
@@ -496,20 +542,13 @@ func TestMinorityCoordinatorCannotMutate(t *testing.T) {
 // proceeds); when the partition heals, digest rounds pull it onto the
 // newest map and every count survives.
 func TestPartitionedNodeMissesBroadcastThenHeals(t *testing.T) {
-	h := newHarness(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	const keys = 20
 	keyName := func(k int) string { return fmt.Sprintf("part-%d", k) }
-	ref := make([]float64, keys)
-	for k := 0; k < keys; k++ {
-		for e := 0; e < 3; e++ {
-			if _, err := h.node("n2").Add(keyName(k), fmt.Sprintf("el-%d-%d", k, e)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ref[k] = mustCount(t, h.node("n1"), keyName(k))
-	}
+	ref := h.load("n2", keyName, keys, 3)
 
-	fab.partition("n3", true)
+	h.fab.partition("n3", true)
 	h.start("x1")
 	// The claim reaches quorum (n1+n2) so the join lands on the
 	// majority; the broadcast to n3 fails, surfacing as an error.
@@ -521,7 +560,7 @@ func TestPartitionedNodeMissesBroadcastThenHeals(t *testing.T) {
 		t.Fatalf("partitioned node saw the broadcast (map has %d members)", got)
 	}
 
-	fab.partition("n3", false)
+	h.fab.partition("n3", false)
 	enc := h.converge(10 * time.Second)
 	if h.node("n3").Map().Encode() != enc {
 		t.Error("healed node still diverges")
@@ -541,7 +580,8 @@ func TestPartitionedNodeMissesBroadcastThenHeals(t *testing.T) {
 // claim targets the dead recorded address and can never reach quorum),
 // so Rejoin has to fall back to coordinating locally.
 func TestRestartOnNewAddressReannounces(t *testing.T) {
-	h := newHarness(t, 2, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 2, replicas: 2})
 	if _, err := h.node("n1").Add("k", "a", "b"); err != nil {
 		t.Fatal(err)
 	}
@@ -571,19 +611,12 @@ func TestRestartOnNewAddressReannounces(t *testing.T) {
 // member; its own Leave must drain that data to the owners rather than
 // report instant success because the map no longer lists it.
 func TestLeaveAfterBeingRemovedStillDrains(t *testing.T) {
-	h := newHarness(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	const keys = 15
 	keyName := func(k int) string { return fmt.Sprintf("dr-%d", k) }
-	ref := make([]float64, keys)
-	for k := 0; k < keys; k++ {
-		for e := 0; e < 4; e++ {
-			if _, err := h.node("n3").Add(keyName(k), fmt.Sprintf("el-%d-%d", k, e)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ref[k] = mustCount(t, h.node("n1"), keyName(k))
-	}
-	fab.partition("n3", true)
+	ref := h.load("n3", keyName, keys, 4)
+	h.fab.partition("n3", true)
 	// The LEAVE lands on the majority; the drain notification to n3 is
 	// lost in the partition, so n3 keeps its sketches and a stale map.
 	h.do("n1", "CLUSTER", "LEAVE", "n3")
@@ -593,7 +626,7 @@ func TestLeaveAfterBeingRemovedStillDrains(t *testing.T) {
 	if h.node("n3").Store().Len() == 0 {
 		t.Fatal("partitioned n3 drained — the partition hook is leaky")
 	}
-	fab.partition("n3", false)
+	h.fab.partition("n3", false)
 	// n3's own graceful Leave: its epoch claim pulls the majority's
 	// n3-less map from a voter whose triple is newer, and the retry path
 	// must then DRAIN, not declare victory because the map already
@@ -617,10 +650,11 @@ func TestLeaveAfterBeingRemovedStillDrains(t *testing.T) {
 // installs a newer map before its digest round, so when a round fails it
 // answers "-ERR sync: …" and yet holds the new map.
 func TestSetmapSyncErrorAfterInstall(t *testing.T) {
-	h := newHarness(t, 3, 3)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 3})
 	cur := h.node("n2").Map()
 	newer := cur.withNode("n1", h.addr("n1"), cur.Epoch+1, "n1")
-	fab.setIntercept(func(from, to string, _ []string) error {
+	h.fab.setIntercept(func(from, to string, _ []string) error {
 		if from == "n2" && to == h.addr("n3") {
 			return fmt.Errorf("fabric: n2 cut off from n3")
 		}
@@ -641,7 +675,8 @@ func TestSetmapSyncErrorAfterInstall(t *testing.T) {
 // is a no-op, and equal-epoch rival maps resolve to the same winner on
 // every node, so out-of-order delivery cannot roll membership back.
 func TestStaleSetmapIgnored(t *testing.T) {
-	h := newHarness(t, 2, 1)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 2, replicas: 1})
 	cur := h.node("n2").Map()
 
 	older := cur.withNode("ghost", "127.0.0.1:1", cur.Epoch+1, "n1")
@@ -675,10 +710,12 @@ func TestStaleSetmapIgnored(t *testing.T) {
 // to the keys whose owner set changed, never an O(keys×replicas) full
 // re-push: the digest rounds it runs ship only keys that differ.
 func TestDeltaRebalanceMessageCount(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("1k-key rebalance accounting skipped in -short")
 	}
-	nodes := startCluster(t, 3, 2)
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	nodes := h.running()
 	const total = 1000
 	keyName := func(k int) string { return fmt.Sprintf("delta-%d", k) }
 	for k := 0; k < total; k++ {
@@ -693,12 +730,7 @@ func TestDeltaRebalanceMessageCount(t *testing.T) {
 	}
 	xferBefore := sumTransferStats(nodes)
 
-	joiner, err := NewNode("n4", testConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startOnFabric(t, joiner, "")
-	t.Cleanup(func() { joiner.Close() })
+	joiner := h.start("n4")
 	if err := joiner.Join(nodes[0].Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -764,18 +796,11 @@ func TestDeltaRebalanceMessageCount(t *testing.T) {
 // fake-clock driven: the failure timeline is measured in rounds, not
 // seconds.
 func TestGossipAutoEvictsCrashedNode(t *testing.T) {
-	h := newHarness(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	const keys = 20
 	keyName := func(k int) string { return fmt.Sprintf("ev-%d", k) }
-	ref := make([]float64, keys)
-	for k := 0; k < keys; k++ {
-		for e := 0; e < 4; e++ {
-			if _, err := h.node("n1").Add(keyName(k), fmt.Sprintf("el-%d-%d", k, e)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ref[k] = mustCount(t, h.node("n1"), keyName(k))
-	}
+	ref := h.load("n1", keyName, keys, 4)
 
 	h.tick(2) // healthy baseline: detector states exist, heartbeats flow
 	h.crash("n3")
@@ -818,21 +843,14 @@ func TestGossipAutoEvictsCrashedNode(t *testing.T) {
 // partition heals, the false-positive victim adopts the majority map,
 // drains its keys to the current owners, and no data is lost.
 func TestGossipMinorityCannotEvict(t *testing.T) {
-	h := newHarness(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	const keys = 15
 	keyName := func(k int) string { return fmt.Sprintf("mi-%d", k) }
-	ref := make([]float64, keys)
-	for k := 0; k < keys; k++ {
-		for e := 0; e < 3; e++ {
-			if _, err := h.node("n3").Add(keyName(k), fmt.Sprintf("el-%d-%d", k, e)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ref[k] = mustCount(t, h.node("n1"), keyName(k))
-	}
+	ref := h.load("n3", keyName, keys, 3)
 
 	h.tick(2)
-	fab.partition("n3", true)
+	h.fab.partition("n3", true)
 	beforeEnc := h.node("n3").Map().Encode()
 	evs := h.tick(testSuspectAfter + 5)
 
@@ -865,7 +883,7 @@ func TestGossipMinorityCannotEvict(t *testing.T) {
 	// Heal: n3's next gossip exchange shows it the newer triple, and it
 	// pulls the n3-less map (or is handed it by a targeted SETMAP);
 	// installing it drains n3's sketches to the owners.
-	fab.partition("n3", false)
+	h.fab.partition("n3", false)
 	h.tick(3)
 	if h.node("n3").Map().Has("n3") {
 		t.Error("healed false-positive victim still believes it is a member")
@@ -887,18 +905,11 @@ func TestGossipMinorityCannotEvict(t *testing.T) {
 // does, and gets its keys back via the ordinary delta rebalance,
 // converging byte-identically with the survivors.
 func TestGossipEvictedNodeRejoinsCleanly(t *testing.T) {
-	h := newHarness(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	const keys = 25
 	keyName := func(k int) string { return fmt.Sprintf("rj-%d", k) }
-	ref := make([]float64, keys)
-	for k := 0; k < keys; k++ {
-		for e := 0; e < 4; e++ {
-			if _, err := h.node("n2").Add(keyName(k), fmt.Sprintf("el-%d-%d", k, e)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ref[k] = mustCount(t, h.node("n1"), keyName(k))
-	}
+	ref := h.load("n2", keyName, keys, 4)
 
 	h.tick(2)
 	h.save("n3") // last periodic snapshot before the crash
@@ -947,9 +958,10 @@ func TestGossipEvictedNodeRejoinsCleanly(t *testing.T) {
 // check must count only CURRENT members, or a single live suspecter
 // plus a ghost could evict a node no live majority suspects.
 func TestGossipStaleSuspectorDoesNotCountTowardQuorum(t *testing.T) {
-	h := newHarness(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	h.tick(2) // settle heartbeats so the injected state cannot be refuted by an hb advance
-	fab.partition("n3", true)
+	h.fab.partition("n3", true)
 
 	// White-box injection: n1 suspects n3, and so does "ghost" — a
 	// suspector that is not (any longer) a member. Two bits, but only
@@ -972,13 +984,14 @@ func TestGossipStaleSuspectorDoesNotCountTowardQuorum(t *testing.T) {
 // suspicion once fresh heartbeats flow again. Pins the detector's
 // tolerance as rounds, on the fake clock.
 func TestGossipTransientPartitionDoesNotEvict(t *testing.T) {
-	h := newHarness(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	h.tick(2)
-	fab.partition("n3", true)
+	h.fab.partition("n3", true)
 	if evs := h.tick(testSuspectAfter - 1); len(evs) != 0 {
 		t.Fatalf("transient partition evicted %v", evs)
 	}
-	fab.partition("n3", false)
+	h.fab.partition("n3", false)
 	if evs := h.tick(testSuspectAfter + 3); len(evs) != 0 {
 		t.Fatalf("healed partition still evicted %v", evs)
 	}
@@ -1012,7 +1025,8 @@ func TestGossipTransientPartitionDoesNotEvict(t *testing.T) {
 // the rival LEAVE has landed), not with timers, so the race resolves
 // the same way on every run.
 func TestSupersededJoinReportsWinner(t *testing.T) {
-	h := newHarness(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	const keys = 60 // enough keys that n1's join rebalance must push to x1
 	for k := 0; k < keys; k++ {
 		if _, err := h.node("n1").Add(fmt.Sprintf("sp-%d", k), "x", "y"); err != nil {
@@ -1024,8 +1038,7 @@ func TestSupersededJoinReportsWinner(t *testing.T) {
 	// Park n1's outbound transfer frames: its JOIN will claim, install
 	// and then hang in its own pass, which moves data before it tells
 	// the members — handler still open, outcome not yet reported.
-	release := fab.gate("n1", "XFER")
-	defer release()
+	release := h.fab.gate("n1", "XFER")
 	joinReply := make(chan string, 1)
 	go func() {
 		reply, err := h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1"))
@@ -1082,7 +1095,8 @@ func TestSupersededJoinReportsWinner(t *testing.T) {
 // pulls n2's map — one CLUSTER MAP, nothing else moves a map to n1 — and
 // mints the join from it instead of overwriting n2's change.
 func TestClaimPullsNewerVoterMap(t *testing.T) {
-	h := newHarness(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	n1, n2 := h.node("n1"), h.node("n2")
 	cur := n2.Map()
 	if !n2.swapMap(cur.withoutNode("n3", cur.Epoch+1, "n2")) {
@@ -1094,7 +1108,7 @@ func TestClaimPullsNewerVoterMap(t *testing.T) {
 	// installed too — a pull of theirs, not of the claim's.
 	var mu sync.Mutex
 	var pulls []string
-	fab.setIntercept(func(id, addr string, parts []string) error {
+	h.fab.setIntercept(func(id, addr string, parts []string) error {
 		if id == "n1" && len(parts) == 2 && parts[1] == "MAP" {
 			mu.Lock()
 			pulls = append(pulls, addr)
@@ -1105,7 +1119,7 @@ func TestClaimPullsNewerVoterMap(t *testing.T) {
 	if reply, err := h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1")); err != nil || !strings.HasPrefix(reply, "OK") {
 		t.Fatalf("join via n1: %q, %v", reply, err)
 	}
-	fab.setIntercept(nil)
+	h.fab.setIntercept(nil)
 	if m := n1.Map(); !m.Has("x1") || m.Has("n3") {
 		t.Errorf("n1 minted %s, want x1 added to n2's map without n3", m.Encode())
 	}
@@ -1116,20 +1130,6 @@ func TestClaimPullsNewerVoterMap(t *testing.T) {
 	}
 }
 
-// storeClock is the fake time source TTL chaos tests inject through
-// newHarnessClock: expiry is judged everywhere against this counter, so
-// "the deadline passes" is an explicit, deterministic event.
-type storeClock struct{ ms atomic.Int64 }
-
-func newStoreClock(startMillis int64) *storeClock {
-	c := &storeClock{}
-	c.ms.Store(startMillis)
-	return c
-}
-
-func (c *storeClock) now() time.Time          { return time.UnixMilli(c.ms.Load()) }
-func (c *storeClock) advance(d time.Duration) { c.ms.Add(d.Milliseconds()) }
-
 // TestTTLChaosDeterministicExpiry: keys with a replicated absolute
 // deadline expire at the same instant on every replica — across a join
 // rebalance (deadlines ride transfer frames) and a crash-restart from
@@ -1137,12 +1137,16 @@ func (c *storeClock) advance(d time.Duration) { c.ms.Add(d.Milliseconds()) }
 // before the deadline and no ghost resurrection after it, while
 // deadline-free keys are untouched. Entirely fake-clock driven.
 func TestTTLChaosDeterministicExpiry(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("TTL chaos harness skipped in -short")
 	}
 	const base = int64(1_700_000_000_000)
-	clk := newStoreClock(base)
-	h := newHarnessClock(t, 3, 2, 0, clk.now)
+	// Every store judges expiry against this counter, in Unix milliseconds:
+	// the deadline passing is an explicit, deterministic event.
+	var clock atomic.Int64
+	clock.Store(base)
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2, clock: func() time.Time { return time.UnixMilli(clock.Load()) }})
 
 	const (
 		ttlKeys   = 16
@@ -1243,7 +1247,7 @@ func TestTTLChaosDeterministicExpiry(t *testing.T) {
 	}
 
 	// The deadline passes — everywhere at once, by construction.
-	clk.advance(time.Minute + time.Second)
+	clock.Add((time.Minute + time.Second).Milliseconds())
 	for k := 0; k < ttlKeys; k++ {
 		for _, n := range h.running() {
 			if got := mustCount(t, n, ttlName(k)); got != 0 {
@@ -1308,11 +1312,12 @@ func TestTTLChaosDeterministicExpiry(t *testing.T) {
 // showed the newer triple: TestGossipPusherBehindHugeMapPullsOnce.) The
 // test counts every message on the wire during the heal.
 func TestGossipTripleHealsMissedBroadcast(t *testing.T) {
-	h := newHarness(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	h.tick(2) // healthy baseline
 
 	// n3 misses a join while partitioned.
-	fab.partition("n3", true)
+	h.fab.partition("n3", true)
 	h.start("x1")
 	h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1")) // broadcast to n3 fails: that is the point
 	if !h.node("n1").Map().Has("x1") {
@@ -1324,11 +1329,11 @@ func TestGossipTripleHealsMissedBroadcast(t *testing.T) {
 
 	// Heal, then count every message while ONLY gossip rounds run — no
 	// converge, no digest round.
-	fab.partition("n3", false)
+	h.fab.partition("n3", false)
 	var msgMu sync.Mutex
 	var mapPulls, setmaps, gossips int
 	var setmapBytes, gossipBytes int
-	fab.setIntercept(func(id, addr string, parts []string) error {
+	h.fab.setIntercept(func(id, addr string, parts []string) error {
 		if len(parts) < 2 || !strings.EqualFold(parts[0], "CLUSTER") {
 			return nil
 		}
@@ -1351,7 +1356,7 @@ func TestGossipTripleHealsMissedBroadcast(t *testing.T) {
 		return nil
 	})
 	h.tick(4)
-	fab.setIntercept(nil)
+	h.fab.setIntercept(nil)
 
 	enc := h.node("n1").Map().Encode()
 	if got := h.node("n3").Map().Encode(); got != enc {
@@ -1382,7 +1387,8 @@ func TestGossipTripleHealsMissedBroadcast(t *testing.T) {
 // showed it, once, not from every member — however large the map is: this
 // one would not fit a gossip reply beside the digest, and no map rides one.
 func TestGossipPusherBehindHugeMapPullsOnce(t *testing.T) {
-	h := newHarness(t, 2, 1)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 2, replicas: 1})
 	n1, n2 := h.node("n1"), h.node("n2")
 	// 2000 members with 60-byte ids at a dead address: the map and n1's
 	// digest each fit maxWireBytes, together they do not. The fake ids

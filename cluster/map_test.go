@@ -16,6 +16,7 @@ import (
 // that SETMAP conflict resolution rests on: every pair of distinct
 // maps has exactly one winner, and a map never supersedes itself.
 func TestMapOrdering(t *testing.T) {
+	t.Parallel()
 	mk := func(epoch, version uint64, coord string) *Map {
 		return build(epoch, version, coord, 2, map[string]string{"n1": "a:1"})
 	}
@@ -46,6 +47,7 @@ func TestMapOrdering(t *testing.T) {
 // always supersede their parent, and encode/decode preserves the
 // ordering triple exactly.
 func TestMapMutationsAdvanceOrder(t *testing.T) {
+	t.Parallel()
 	m := NewMap(2, Member{"n1", "a:1"}, Member{"n2", "a:2"})
 	added := m.withNode("n3", "a:3", m.Epoch+1, "n2")
 	if !added.Newer(m) || added.Epoch != m.Epoch+1 || added.Version != m.Version+1 || added.Coordinator != "n2" {
@@ -108,6 +110,7 @@ func FuzzMapDecode(f *testing.F) {
 // byte-identically — the property the harness's convergence check and
 // the snapshot metadata both rely on.
 func TestEncodeCanonical(t *testing.T) {
+	t.Parallel()
 	a := NewMap(2, Member{"b", "a:2"}, Member{"a", "a:1"}, Member{"c", "a:3"})
 	b := NewMap(2, Member{"c", "a:3"}, Member{"a", "a:1"}, Member{"b", "a:2"})
 	if a.Encode() != b.Encode() {
@@ -133,6 +136,7 @@ func TestEncodeCanonical(t *testing.T) {
 // Encode called with no arguments ((*Map).Encode; the base64 encoders take
 // two) and of DecodeMap is attributed to its enclosing function.
 func TestMapsTravelOnlyAsSetmapOrMap(t *testing.T) {
+	t.Parallel()
 	allowed := map[string][]string{
 		"Encode":    {"setmapCommand", "Node.handleMap", "Node.swapMap"},
 		"DecodeMap": {"Node.handleSetMap", "pool.fetchMap", "Node.persistedMap"},
@@ -205,6 +209,7 @@ func memberMap(n, replicas int) *Map {
 // every given ID, on random keys at replicas 1–3, with a node off the map
 // and an empty map among the cases; and testing a key allocates nothing.
 func TestOwnedByMatchesOwnerIDs(t *testing.T) {
+	// Serial: testing.AllocsPerRun counts the allocations of every goroutine.
 	r := rand.New(rand.NewSource(1))
 	keys := make([]string, 2000)
 	for i := range keys {
@@ -245,6 +250,7 @@ func TestOwnedByMatchesOwnerIDs(t *testing.T) {
 // members allocates O(members), far under the O(members·ring) of one
 // walk per member.
 func TestPassPeersOneRingWalk(t *testing.T) {
+	// Serial: testing.AllocsPerRun counts the allocations of every goroutine.
 	for _, replicas := range []int{1, 2, 3} {
 		m := memberMap(12, replicas)
 		for _, me := range append(m.Members(), Member{ID: "gone"}) {

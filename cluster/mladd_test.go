@@ -96,6 +96,7 @@ func BenchmarkDispatchMLAdd(b *testing.B) {
 // batch was made of. No string is made of a key, and the batch is decoded
 // and absorbed on the stack.
 func TestMLAddAllocsDoNotGrowWithElements(t *testing.T) {
+	// Serial: testing.AllocsPerRun counts the allocations of every goroutine.
 	if raceEnabled {
 		t.Skip("allocation counting is not meaningful under the race detector")
 	}
@@ -201,8 +202,9 @@ func buffersHeld(t *testing.T, c *server.Client) int {
 // spill-over line and 44 000 argument slots; once the connection is idle
 // again all of it is gone, on both ends.
 func TestOversizedCommandThenIdle(t *testing.T) {
-	nodes := startCluster(t, 1, 1)
-	c := dialTest(t, nodes[0].Addr())
+	// Serial: it reads the process-wide conn_buffers_held gauge and the live heap.
+	h := newHarness(t, harnessOpts{nodes: 1, replicas: 1})
+	c := h.dial(h.addr("n1"))
 	const one = "the-one-element"
 	if reply, err := c.Do("PFADD", "big", one); err != nil || reply != "1" {
 		t.Fatalf("PFADD: %q, %v", reply, err)
@@ -240,12 +242,13 @@ func TestOversizedCommandThenIdle(t *testing.T) {
 // gauge reads some 4 % under: two idle nodes hold about 69 KB that is no
 // key's, 17 bytes per key and replica at this size.
 func TestResidentBytesTracksLiveHeapServed(t *testing.T) {
+	// Serial: it reads the live heap of the whole process.
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
 	}
 	const keys = 2000
 	before := liveHeap()
-	nodes := startCluster(t, 2, 2)
+	nodes := newHarness(t, harnessOpts{nodes: 2, replicas: 2}).running()
 	for i := 0; i < keys; i++ {
 		lo, hi := 1, 32
 		switch m := i % 20; {
@@ -286,9 +289,10 @@ func TestResidentBytesTracksLiveHeapServed(t *testing.T) {
 // retired counted forms are framing errors: one -ERR line, the connection
 // in step.
 func TestMLAddRefusedGroups(t *testing.T) {
-	nodes := startCluster(t, 1, 1)
-	store := nodes[0].Store()
-	c := dialTest(t, nodes[0].Addr())
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 1, replicas: 1})
+	store := h.node("n1").Store()
+	c := h.dial(h.addr("n1"))
 	for _, held := range [][]string{
 		{"CLUSTER", "MLADD", "p", "held", batchB64(t, "a")},
 		{"CLUSTER", "MLADD", "w", "ring", "1750000000000", "1", batchB64(t, "a")},
@@ -350,7 +354,8 @@ func TestMLAddRefusedGroups(t *testing.T) {
 // Add sends its remote owner at most an eighth of the elements' own bytes:
 // their tokens, not their text.
 func TestMLAddBytesSent(t *testing.T) {
-	nodes := startCluster(t, 2, 2)
+	t.Parallel()
+	nodes := newHarness(t, harnessOpts{nodes: 2, replicas: 2}).running()
 	elements, text := make([]string, 1000), 0
 	for i := range elements {
 		elements[i] = fmt.Sprintf("element-%08d", i)

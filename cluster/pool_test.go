@@ -24,8 +24,9 @@ func (p *pool) idleConns(addr string) []*server.Client {
 // transport failure closes every idle connection to the peer, and the
 // first request after the heal dials once.
 func TestPoolLendsConnections(t *testing.T) {
-	nodes := startCluster(t, 2, 2)
-	n1, n2 := nodes[0], nodes[1]
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 2, replicas: 2})
+	n1, n2 := h.node("n1"), h.node("n2")
 	p, to := n1.peers, n2.Addr()
 	var dials atomic.Int64
 	connect := p.connect
@@ -37,7 +38,7 @@ func TestPoolLendsConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	release := fab.gate(n1.ID(), "MAP")
+	release := h.fab.gate(n1.ID(), "MAP")
 	parked := make(chan error, 1)
 	go func() {
 		_, err := p.fetchMap(to)
@@ -72,14 +73,14 @@ func TestPoolLendsConnections(t *testing.T) {
 		t.Fatalf("%d idle connections after two requests at once, want 2", idle)
 	}
 
-	fab.partition(n2.ID(), true)
+	h.fab.partition(n2.ID(), true)
 	if _, err := p.do(to, "PING"); err == nil || server.IsReplyErr(err) {
 		t.Fatalf("PING across a cut = %v, want a transport error", err)
 	}
 	if idle := len(p.idleConns(to)); idle != 0 {
 		t.Errorf("%d idle connections after a transport failure, want 0", idle)
 	}
-	fab.partition(n2.ID(), false)
+	h.fab.partition(n2.ID(), false)
 	before := dials.Load()
 	if reply, err := p.do(to, "PING"); err != nil || reply != "PONG" {
 		t.Fatalf("PING after the heal = %q, %v; want PONG", reply, err)

@@ -6,6 +6,7 @@ import (
 )
 
 func TestRingOwnersDistinctAndDeterministic(t *testing.T) {
+	t.Parallel()
 	r := newRing([]string{"a", "b", "c", "d"})
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("key-%d", i)
@@ -30,6 +31,7 @@ func TestRingOwnersDistinctAndDeterministic(t *testing.T) {
 }
 
 func TestRingFewerNodesThanReplicas(t *testing.T) {
+	t.Parallel()
 	r := newRing([]string{"solo"})
 	owners := r.ownersOf("k", 3)
 	if len(owners) != 1 || owners[0] != "solo" {
@@ -41,6 +43,7 @@ func TestRingFewerNodesThanReplicas(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
+	t.Parallel()
 	ids := []string{"a", "b", "c", "d", "e"}
 	r := newRing(ids)
 	counts := map[string]int{}
@@ -59,6 +62,7 @@ func TestRingBalance(t *testing.T) {
 // TestRingStability: adding one node moves only the keys it now owns —
 // keys staying put is the point of consistent hashing.
 func TestRingStability(t *testing.T) {
+	t.Parallel()
 	before := newRing([]string{"a", "b", "c"})
 	after := newRing([]string{"a", "b", "c", "d"})
 	const keys = 10000
@@ -81,6 +85,7 @@ func TestRingStability(t *testing.T) {
 }
 
 func TestMapEncodeDecodeRoundTrip(t *testing.T) {
+	t.Parallel()
 	m := NewMap(2, Member{"n1", "127.0.0.1:7700"}, Member{"n2", "127.0.0.1:7701"})
 	m2 := m.withNode("n3", "127.0.0.1:7702", 2, "n1")
 	dec, err := DecodeMap([]string{"v2", "2", "2", "n1", "2",
@@ -110,6 +115,7 @@ func TestMapEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeMapErrors(t *testing.T) {
+	t.Parallel()
 	for _, tokens := range [][]string{
 		nil,
 		{"v2"},

@@ -25,10 +25,11 @@ import (
 // every count equals a reference exaloglog.Sketch, and a digest round on
 // each node finds nothing to repair.
 func TestMixedSparseDenseKeyspaceConverges(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("join + leave + restart fixture skipped in -short")
 	}
-	h := newHarness(t, 2, 2)
+	h := newHarness(t, harnessOpts{nodes: 2, replicas: 2})
 	const be = 11000
 	cards := []int{1, 2, 16, 33, be / 30, be / 3, be - 600, be - 100, be, be + 100, be + 600, 2 * be}
 	type key struct {

@@ -11,7 +11,8 @@ import (
 // fans out to every member — with the poll itself visible in the
 // forwarded-write and verb counters it reports.
 func TestClusterStatsReportsCounters(t *testing.T) {
-	h := newHarness(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	for k := 0; k < 20; k++ {
 		if _, err := h.node("n1").Add(fmt.Sprintf("st-%d", k), "a", "b"); err != nil {
 			t.Fatal(err)
@@ -66,7 +67,8 @@ func TestClusterStatsReportsCounters(t *testing.T) {
 // a periodic map pull between peers once added members−1 to it per tick,
 // drowning the signal.
 func TestMapRefetchesIsTheClientSignal(t *testing.T) {
-	h := newHarness(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	for k := 0; k < 20; k++ {
 		if _, err := h.node("n1").Add(fmt.Sprintf("rf-%d", k), "a", "b"); err != nil {
 			t.Fatal(err)
@@ -112,26 +114,16 @@ func TestMapRefetchesIsTheClientSignal(t *testing.T) {
 // The control half proves the same silence WITHOUT polls does raise
 // suspicion, so the test cannot pass vacuously.
 func TestMetricsPollingCountsAsLiveness(t *testing.T) {
+	t.Parallel()
 	// Gossip digests are blackholed in both directions; every other
 	// cluster command (JOIN, SETMAP, STATS, ...) flows normally.
-	fab.reset(t)
-	fab.setIntercept(func(_, _ string, parts []string) error {
+	h := newHarness(t, harnessOpts{replicas: 2})
+	h.fab.setIntercept(func(_, _ string, parts []string) error {
 		if len(parts) >= 2 && strings.EqualFold(parts[0], "CLUSTER") && strings.EqualFold(parts[1], "GOSSIP") {
 			return fmt.Errorf("test: gossip digest blackholed")
 		}
 		return nil
 	})
-	boot := func(id string) *Node {
-		t.Helper()
-		n, err := NewNode(id, testConfig(), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.gsp.suspectAfter = testSuspectAfter
-		startOnFabric(t, n, "")
-		t.Cleanup(func() { n.Close() })
-		return n
-	}
 	suspected := func(n *Node, peer string) bool {
 		t.Helper()
 		_, members := n.Health()
@@ -145,8 +137,8 @@ func TestMetricsPollingCountsAsLiveness(t *testing.T) {
 	}
 
 	// Control: digests lost, no other traffic → suspicion after the window.
-	a := boot("a1")
-	b := boot("b1")
+	a := h.start("a1")
+	b := h.start("b1")
 	if err := b.Join(a.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +155,8 @@ func TestMetricsPollingCountsAsLiveness(t *testing.T) {
 
 	// Same silence, but now a polls b's CLUSTER STATS through its peer
 	// pool every round — transport-level proof of life.
-	c := boot("c1")
-	d := boot("d1")
+	c := h.start("c1")
+	d := h.start("d1")
 	if err := d.Join(c.Addr()); err != nil {
 		t.Fatal(err)
 	}

@@ -58,10 +58,11 @@ func elc1Blob(t testing.TB) []byte {
 // rebalance onto the healthy replicas must complete with every count
 // intact.
 func TestStalledPeerTripsDeadline(t *testing.T) {
+	// Serial: it bounds wall time, which parallel tests would stretch.
 	if testing.Short() {
 		t.Skip("stall-fault harness skipped in -short")
 	}
-	h := newHarness(t, 3, 2)
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	const peerTimeout = 250 * time.Millisecond
 	for _, n := range h.running() {
 		n.SetPeerTimeout(peerTimeout)
@@ -69,15 +70,7 @@ func TestStalledPeerTripsDeadline(t *testing.T) {
 
 	const keys = 40
 	keyName := func(k int) string { return fmt.Sprintf("st-%d", k) }
-	ref := make([]float64, keys)
-	for k := 0; k < keys; k++ {
-		for e := 0; e < 3; e++ {
-			if _, err := h.node("n1").Add(keyName(k), fmt.Sprintf("el-%d-%d", k, e)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ref[k] = mustCount(t, h.node("n1"), keyName(k))
-	}
+	ref := h.load("n1", keyName, keys, 3)
 	h.tick(2) // healthy baseline: heartbeats flowing
 
 	stalledAddr := h.stall("n3")
@@ -133,7 +126,7 @@ func TestStalledPeerTripsDeadline(t *testing.T) {
 func countFrames(h *harness, fail func(frame int) error) (sent func() int) {
 	var mu sync.Mutex
 	frames := 0
-	fab.setIntercept(func(id, addr string, parts []string) error {
+	h.fab.setIntercept(func(id, addr string, parts []string) error {
 		if len(parts) < 3 || parts[0] != "CLUSTER" || parts[1] != "XFER" || parts[2] != "FRAME" {
 			return nil
 		}
@@ -143,7 +136,6 @@ func countFrames(h *harness, fail func(frame int) error) (sent func() int) {
 		mu.Unlock()
 		return fail(f)
 	})
-	h.t.Cleanup(func() { fab.setIntercept(nil) })
 	return func() int {
 		mu.Lock()
 		defer mu.Unlock()
@@ -177,6 +169,7 @@ func convergedAfterRound(t *testing.T, h *harness) {
 // the rest: the cluster converges within two rounds, with at most one
 // window of frames sent twice and every key on both owners.
 func TestTransferResumesAfterMidStreamDrop(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("2k-key transfer chaos skipped in -short")
 	}
@@ -186,7 +179,7 @@ func TestTransferResumesAfterMidStreamDrop(t *testing.T) {
 		window = 2
 		dropAt = 6
 	)
-	h := newHarnessCfg(t, 1, 2, window)
+	h := newHarness(t, harnessOpts{nodes: 1, replicas: 2, window: window})
 	keyName := func(k int) string { return fmt.Sprintf("drop-%d", k) }
 	for k := 0; k < total; k++ {
 		if _, err := h.node("n1").Add(keyName(k), "x"); err != nil {
@@ -247,6 +240,7 @@ func TestTransferResumesAfterMidStreamDrop(t *testing.T) {
 // within two rounds, at most one window of frames is sent twice, and no
 // key is lost.
 func TestTransferResumesAfterReceiverCrashRestart(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("crash-restart transfer chaos skipped in -short")
 	}
@@ -256,7 +250,7 @@ func TestTransferResumesAfterReceiverCrashRestart(t *testing.T) {
 		window = 1                       // one frame a round trip: the crash point is exactly stopAt-1 merged frames
 		stopAt = 6
 	)
-	h := newHarnessCfg(t, 1, 2, window)
+	h := newHarness(t, harnessOpts{nodes: 1, replicas: 2, window: window})
 	keyName := func(k int) string { return fmt.Sprintf("cr-%d", k) }
 	for k := 0; k < total; k++ {
 		if _, err := h.node("n1").Add(keyName(k), "x"); err != nil {
@@ -333,6 +327,7 @@ func TestTransferResumesAfterReceiverCrashRestart(t *testing.T) {
 // must not allocate — a stream's window buffer is sized by its first
 // window and reused for every later one.
 func TestFrameLineScratchZeroAlloc(t *testing.T) {
+	// Serial: testing.AllocsPerRun counts the allocations of every goroutine.
 	if raceEnabled {
 		t.Skip("allocation counting is not meaningful under the race detector")
 	}
@@ -361,11 +356,12 @@ func TestFrameLineScratchZeroAlloc(t *testing.T) {
 // here is a stand-in that answers every frame +OK and samples the heap as
 // the frames arrive.
 func TestLeaveDrainHoldsOneWindow(t *testing.T) {
+	// Serial: it reads the live heap of the whole process.
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
 	}
-	fab.reset(t)
-	ln, err := fab.listen("f1", "")
+	h := newHarness(t, harnessOpts{replicas: 1})
+	ln, err := h.fab.listen("f1", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,12 +400,7 @@ func TestLeaveDrainHoldsOneWindow(t *testing.T) {
 		}
 	}()
 
-	n, err := NewNode("n1", testConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startOnFabric(t, n, "")
-	defer n.Close()
+	n := h.start("n1")
 	n.xfer.window = 1 // a window of one ~307 KB frame line; the default 8 would outgrow the bound below
 	const keys = 2400 // dense keys of 3 592 bytes: 8.6 MB
 	for i := 0; i < keys; i++ {
@@ -452,10 +443,11 @@ func TestLeaveDrainHoldsOneWindow(t *testing.T) {
 // sketch fed the same elements: what the benchmark's converged and
 // oracle_after_leave checks rely on.
 func TestJoinLeaveCyclesConverge(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("join/leave cycles skipped in -short")
 	}
-	h := newHarness(t, 2, 2)
+	h := newHarness(t, harnessOpts{nodes: 2, replicas: 2})
 	cardinality := func(i int) int {
 		lo, hi := 1, 32
 		switch m := i % 20; {

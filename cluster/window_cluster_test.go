@@ -33,8 +33,9 @@ const streamMS = int64(1_750_000_000_000)
 // reach every owner, and the coordinator's slot-wise merge of the
 // owners' rings loses nothing.
 func TestClusterWindowedEndToEnd(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
-	clients := []*server.Client{dialTest(t, nodes[0].Addr()), dialTest(t, nodes[1].Addr()), dialTest(t, nodes[2].Addr())}
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	clients := []*server.Client{h.dial(h.addr("n1")), h.dial(h.addr("n2")), h.dial(h.addr("n3"))}
 
 	ref, err := window.New(testConfig(), time.Second, 60)
 	if err != nil {
@@ -141,8 +142,9 @@ func TestClusterWindowedEndToEnd(t *testing.T) {
 // Node.Add or Node.WindowAdd whose co-owner holds the other type reports
 // server.ErrWrongType, and the coordinator keeps its pooled connection.
 func TestMLAddWrongTypeGroupDoesNotPoisonBatch(t *testing.T) {
-	nodes := startCluster(t, 2, 2)
-	n1, n2 := nodes[0], nodes[1]
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 2, replicas: 2})
+	n1, n2 := h.node("n1"), h.node("n2")
 	if _, err := n2.Store().WindowAdd("wkey", time.UnixMilli(streamMS), "x"); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +154,7 @@ func TestMLAddWrongTypeGroupDoesNotPoisonBatch(t *testing.T) {
 	wBefore, _ := n2.Store().Dump("wkey")
 	pBefore, _ := n2.Store().Dump("pkey")
 
-	c := dialTest(t, n2.Addr())
+	c := h.dial(n2.Addr())
 	if _, err := c.Do("CLUSTER", "MLADD", "p", "wkey", batchB64(t, "a")); !errors.Is(err, server.ErrWrongType) {
 		t.Fatalf("a plain add to a windowed key: %v, want ErrWrongType", err)
 	}
@@ -184,7 +186,8 @@ func TestMLAddWrongTypeGroupDoesNotPoisonBatch(t *testing.T) {
 // back to the idle list (no redial churn on the hot forward path) and the
 // reply must count as liveness evidence.
 func TestPoolKeepsConnectionOnWrongType(t *testing.T) {
-	nodes := startCluster(t, 2, 1)
+	t.Parallel()
+	nodes := newHarness(t, harnessOpts{nodes: 2, replicas: 1}).running()
 	n1, n2 := nodes[0], nodes[1]
 	if _, err := n2.Store().WindowAdd("wkey", time.UnixMilli(streamMS), "x"); err != nil {
 		t.Fatal(err)
@@ -212,7 +215,9 @@ func TestPoolKeepsConnectionOnWrongType(t *testing.T) {
 // slot-wise frame merges, a leave drains them — and every windowed
 // estimate is unchanged afterwards, from every surviving node.
 func TestClusterWindowedRebalance(t *testing.T) {
-	nodes := startCluster(t, 3, 2)
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	nodes := h.running()
 	const keys = 24
 	keyName := func(k int) string { return fmt.Sprintf("win-%d", k) }
 	for k := 0; k < keys; k++ {
@@ -240,12 +245,7 @@ func TestClusterWindowedRebalance(t *testing.T) {
 
 	// Join: the delta rebalance must ship window rings (slot-wise
 	// blobs) to the owners the keys gained.
-	joiner, err := NewNode("n4", testConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startOnFabric(t, joiner, "")
-	t.Cleanup(func() { joiner.Close() })
+	joiner := h.start("n4")
 	if err := joiner.Join(nodes[0].Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,8 @@ func TestClusterWindowedRebalance(t *testing.T) {
 // gather decodes and merges a key once, not once a replica. A replica that
 // diverged still merges: the count is the union of what the owners hold.
 func TestGatherSkipsReplicasInStep(t *testing.T) {
-	nodes := startCluster(t, 2, 2)
+	t.Parallel()
+	nodes := newHarness(t, harnessOpts{nodes: 2, replicas: 2}).running()
 	ref, _ := window.New(testConfig(), time.Second, 60)
 	for s := 0; s < 5; s++ {
 		for e := 0; e < 40; e++ {

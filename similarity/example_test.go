@@ -27,21 +27,3 @@ func ExampleAnalyze() {
 	// union within 2% of 180000: true
 	// overlap within 10% of 20000: true
 }
-
-// Deduplicated reach across many shards is a single merge chain.
-func ExampleUnionAll() {
-	shards := make([]*exaloglog.Sketch, 4)
-	for i := range shards {
-		shards[i] = exaloglog.New(12)
-		for u := 0; u < 5000; u++ {
-			shards[i].AddUint64(uint64(u)) // every shard saw the same users
-		}
-	}
-	total, err := similarity.UnionAll(shards...)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("within 3%% of 5000: %v\n", total > 4850 && total < 5150)
-	// Output:
-	// within 3% of 5000: true
-}

@@ -86,28 +86,3 @@ func Analyze(a, b *core.Sketch) (Estimates, error) {
 	}
 	return e, nil
 }
-
-// UnionAll merges any number of sketches (sharing t) and returns the
-// union's distinct-count estimate. Nil and empty inputs are skipped; zero
-// usable inputs estimate 0.
-func UnionAll(sketches ...*core.Sketch) (float64, error) {
-	var acc *core.Sketch
-	for _, s := range sketches {
-		if s == nil {
-			continue
-		}
-		if acc == nil {
-			acc = s.Clone()
-			continue
-		}
-		merged, err := core.MergeCompatible(acc, s)
-		if err != nil {
-			return 0, err
-		}
-		acc = merged
-	}
-	if acc == nil {
-		return 0, nil
-	}
-	return acc.Estimate(), nil
-}

@@ -147,29 +147,3 @@ func TestClamping(t *testing.T) {
 		}
 	}
 }
-
-func TestUnionAll(t *testing.T) {
-	sketches := make([]*core.Sketch, 5)
-	for i := range sketches {
-		sketches[i] = core.MustNew(core.RecommendedML(11))
-		// Overlapping ranges: shard i covers [i·5000, i·5000+10000).
-		for v := i * 5000; v < i*5000+10000; v++ {
-			sketches[i].AddUint64(uint64(v))
-		}
-	}
-	got, err := UnionAll(sketches...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 30000.0 // [0, 30000)
-	if rel := math.Abs(got-want) / want; rel > 0.05 {
-		t.Errorf("UnionAll %.0f, want ≈%.0f", got, want)
-	}
-	// Degenerate inputs.
-	if n, err := UnionAll(); err != nil || n != 0 {
-		t.Errorf("UnionAll() = %g, %v", n, err)
-	}
-	if n, err := UnionAll(nil, nil); err != nil || n != 0 {
-		t.Errorf("UnionAll(nil, nil) = %g, %v", n, err)
-	}
-}
