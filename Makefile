@@ -1,4 +1,5 @@
-# Developer entry points. CI runs the same commands.
+# Developer entry points. CI runs the same commands: `make test` is its
+# blocking steps but the -race ones, and `make race` those.
 
 GO ?= go
 
@@ -15,8 +16,13 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-test: build vet
+# test runs build, fmt-check, vet and the tests of both modules: ./... does
+# not reach benchmark/, a module of its own (its TestSmoke runs all four
+# workloads with every oracle check).
+test: build fmt-check vet
 	$(GO) test ./...
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # -race also turns on checkptr, which checks every unsafe.Pointer conversion
 # and unsafe.Slice core.Hybrid's one-pointer handle makes, and the string

@@ -212,7 +212,7 @@ func (cc *ClusterClient) run(key string, parts ...string) (string, error) {
 // Add inserts elements into key, routed directly to an owner; it
 // reports whether the owner's sketch changed.
 func (cc *ClusterClient) Add(key string, elements ...string) (bool, error) {
-	if err := validAddArgs(key, elements); err != nil {
+	if err := validWrite("Add", key, elements); err != nil {
 		return false, err
 	}
 	reply, err := cc.run(key, append(append(make([]string, 0, 2+len(elements)), "PFADD", key), elements...)...)
@@ -239,7 +239,7 @@ func (cc *ClusterClient) Count(key string) (int64, error) {
 // into the windowed key, routed directly to an owner; it returns how
 // many elements were accepted.
 func (cc *ClusterClient) WAdd(key string, tsMillis int64, elements ...string) (int, error) {
-	if err := validAddArgs(key, elements); err != nil {
+	if err := validWrite("WAdd", key, elements); err != nil {
 		return 0, err
 	}
 	parts := make([]string, 0, 3+len(elements))
@@ -262,19 +262,4 @@ func (cc *ClusterClient) WCount(key string, win time.Duration) (int64, error) {
 		return 0, err
 	}
 	return strconv.ParseInt(reply, 10, 64)
-}
-
-func validAddArgs(key string, elements []string) error {
-	if err := validToken("key", key); err != nil {
-		return err
-	}
-	if len(elements) == 0 {
-		return errors.New("cluster: add needs at least one element")
-	}
-	for _, e := range elements {
-		if err := validToken("element", e); err != nil {
-			return err
-		}
-	}
-	return nil
 }

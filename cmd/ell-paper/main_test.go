@@ -65,11 +65,18 @@ func table(t *testing.T, id, out string) (header []string, rows [][]string) {
 	return header, rows
 }
 
-// TestEveryEntryAtSmokeScale runs every figure and table and checks the
-// shape of its table.
+// TestEveryEntryAtSmokeScale runs every figure and table twice and checks
+// the shape of its table, and that both runs print the same bytes: a
+// scale's output is the same on every run, apart from Figure 11's times.
 func TestEveryEntryAtSmokeScale(t *testing.T) {
 	for _, e := range entries {
-		t.Run(e.id, func(t *testing.T) { table(t, e.id, smoke(t, e.id)) })
+		t.Run(e.id, func(t *testing.T) {
+			out := smoke(t, e.id)
+			table(t, e.id, out)
+			if again := smoke(t, e.id); e.id != "figure11" && again != out {
+				t.Errorf("%s: a second run printed other output:\n%s\nthen\n%s", e.id, out, again)
+			}
+		})
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package compare provides a uniform interface over all distinct-counting
-// sketches in this repository and the experiment drivers behind the
-// paper's comparative evaluation: Table 2 (space efficiency at ~2 % error),
-// Figure 10 (memory and empirical MVP over n) and Figure 11 (operation
-// timings).
+// Package compare runs the distinct-counting sketches of this repository
+// side by side for the paper's comparative evaluation: Table 2 (space
+// efficiency at ~2 % error), Figure 10 (memory and empirical MVP over n)
+// and Figure 11 (operation timings). The harness calls each sketch's own
+// methods; an Algorithm names how its sketch serializes and merges.
 package compare
 
 import (
@@ -15,10 +15,10 @@ import (
 	"exaloglog/internal/spike"
 )
 
-// Counter is the common interface of all compared sketches. All
-// implementations consume pre-computed 64-bit hash values so that hashing
-// cost is identical across algorithms (the paper fixes Murmur3 for the
-// same reason).
+// Counter is what the harness calls on every compared sketch: the methods
+// every sketch here has. They consume pre-computed 64-bit hash values so
+// that hashing cost is identical across algorithms (the paper fixes
+// Murmur3 for the same reason).
 type Counter interface {
 	// AddHash inserts an element by its 64-bit hash.
 	AddHash(h uint64)
@@ -26,10 +26,6 @@ type Counter interface {
 	Estimate() float64
 	// MemoryFootprint returns the approximate allocated bytes.
 	MemoryFootprint() int
-	// Serialize returns the sketch's serialized form.
-	Serialize() []byte
-	// Merge folds another instance of the same algorithm into this one.
-	Merge(other Counter) error
 }
 
 // Algorithm describes one competitor.
@@ -40,38 +36,49 @@ type Algorithm struct {
 	New func() Counter
 	// ConstantTimeInsert mirrors the paper's Table 2 column.
 	ConstantTimeInsert bool
-	// SupportsMerge is false only for sketches whose reference
-	// implementation lacks a working merge (none here; kept for table
-	// completeness).
-	SupportsMerge bool
+	// Serialize returns the serialized form of an instance made by New;
+	// its length is the row's serialized size.
+	Serialize func(Counter) []byte
+	// Merge folds src into dst, both made by New; it fails when either
+	// is another algorithm's. It is nil for an algorithm that cannot merge.
+	Merge func(dst, src Counter) error
 }
 
 // Table2Algorithms returns the paper's Table 2 competitor list with the
 // same parameters (each configured for roughly 2 % RMSE at n = 10^6).
 func Table2Algorithms() []Algorithm {
 	return []Algorithm{
-		{Name: "HLL (8-bit, p=11)", New: func() Counter { return newHLL8(11) }, ConstantTimeInsert: true, SupportsMerge: true},
-		{Name: "HLL (6-bit, p=11)", New: func() Counter { return newHLL6(11, false) }, ConstantTimeInsert: true, SupportsMerge: true},
-		{Name: "HLL (ML estimator, p=11)", New: func() Counter { return newHLL6(11, true) }, ConstantTimeInsert: true, SupportsMerge: true},
-		{Name: "HLL (4-bit, p=11)", New: func() Counter { return newHLL4(11) }, ConstantTimeInsert: false, SupportsMerge: true},
-		{Name: "CPC-like (compressed PCSA, p=10)", New: func() Counter { return newCPC(10) }, ConstantTimeInsert: false, SupportsMerge: true},
-		{Name: "ULL (ML estimator, p=10)", New: func() Counter { return newELL(core.Config{T: 0, D: 2, P: 10}, false) }, ConstantTimeInsert: true, SupportsMerge: true},
-		{Name: "HLLL (p=11)", New: func() Counter { return newHLLL(11) }, ConstantTimeInsert: false, SupportsMerge: true},
-		{Name: "SpikeSketch-like (128 buckets)", New: func() Counter { return newSpike(128) }, ConstantTimeInsert: true, SupportsMerge: true},
-		{Name: "ELL (t=2, d=24, p=8)", New: func() Counter { return newELL(core.Config{T: 2, D: 24, P: 8}, false) }, ConstantTimeInsert: true, SupportsMerge: true},
-		{Name: "ELL (t=2, d=20, p=8)", New: func() Counter { return newELL(core.Config{T: 2, D: 20, P: 8}, false) }, ConstantTimeInsert: true, SupportsMerge: true},
+		{Name: "HLL (8-bit, p=11)", New: func() Counter { return must(hll.NewDense8(11)) }, ConstantTimeInsert: true,
+			Serialize: marshaled((*hll.Dense8).MarshalBinary), Merge: merged((*hll.Dense8).Merge)},
+		{Name: "HLL (6-bit, p=11)", New: func() Counter { return must(hll.NewDense6(11)) }, ConstantTimeInsert: true,
+			Serialize: marshaled((*hll.Dense6).MarshalBinary), Merge: merged((*hll.Dense6).Merge)},
+		{Name: "HLL (ML estimator, p=11)", New: func() Counter { return hll6ML{must(hll.NewDense6(11))} }, ConstantTimeInsert: true,
+			Serialize: marshaled(hll6ML.MarshalBinary), Merge: merged(func(dst, src hll6ML) error { return dst.Merge(src.Dense6) })},
+		{Name: "HLL (4-bit, p=11)", New: func() Counter { return must(hll.NewDense4(11)) }, ConstantTimeInsert: false,
+			Serialize: marshaled((*hll.Dense4).MarshalBinary), Merge: merged((*hll.Dense4).Merge)},
+		{Name: "CPC-like (compressed PCSA, p=10)", New: func() Counter { return cpc{must(pcsa.NewWindowed(10))} }, ConstantTimeInsert: false,
+			Serialize: marshaled(cpc.MarshalCompressed), Merge: merged(func(dst, src cpc) error { return dst.Merge(src.Windowed) })},
+		ell("ULL (ML estimator, p=10)", core.Config{T: 0, D: 2, P: 10}, false),
+		{Name: "HLLL (p=11)", New: func() Counter { return must(hlll.New(11)) }, ConstantTimeInsert: false,
+			Serialize: marshaled((*hlll.Sketch).MarshalBinary), Merge: merged((*hlll.Sketch).Merge)},
+		{Name: "SpikeSketch-like (128 buckets)", New: func() Counter { return must(spike.New(128)) }, ConstantTimeInsert: true,
+			Serialize: marshaled((*spike.Sketch).MarshalBinary), Merge: merged((*spike.Sketch).Merge)},
+		ell("ELL (t=2, d=24, p=8)", core.Config{T: 2, D: 24, P: 8}, false),
+		ell("ELL (t=2, d=20, p=8)", core.Config{T: 2, D: 20, P: 8}, false),
 	}
 }
 
 // Figure11Algorithms returns the algorithm set of Figure 11, including the
-// ELL martingale variants and the DataSketches-style HIP-tracking HLL.
+// ELL martingale variants and the DataSketches-style HIP-tracking HLL,
+// which cannot merge: its estimate covers a single stream.
 func Figure11Algorithms() []Algorithm {
 	algos := []Algorithm{
-		{Name: "ELL (t=2, d=20, p=8, ML)", New: func() Counter { return newELL(core.Config{T: 2, D: 20, P: 8}, false) }, ConstantTimeInsert: true, SupportsMerge: true},
-		{Name: "ELL (t=2, d=24, p=8, ML)", New: func() Counter { return newELL(core.Config{T: 2, D: 24, P: 8}, false) }, ConstantTimeInsert: true, SupportsMerge: true},
-		{Name: "ELL (t=2, d=20, p=8, martingale)", New: func() Counter { return newELL(core.Config{T: 2, D: 20, P: 8}, true) }, ConstantTimeInsert: true, SupportsMerge: true},
-		{Name: "ELL (t=2, d=24, p=8, martingale)", New: func() Counter { return newELL(core.Config{T: 2, D: 24, P: 8}, true) }, ConstantTimeInsert: true, SupportsMerge: true},
-		{Name: "HLL (8-bit, p=11, HIP)", New: func() Counter { return newHIP(11) }, ConstantTimeInsert: true, SupportsMerge: false},
+		ell("ELL (t=2, d=20, p=8, ML)", core.Config{T: 2, D: 20, P: 8}, false),
+		ell("ELL (t=2, d=24, p=8, ML)", core.Config{T: 2, D: 24, P: 8}, false),
+		ell("ELL (t=2, d=20, p=8, martingale)", core.Config{T: 2, D: 20, P: 8}, true),
+		ell("ELL (t=2, d=24, p=8, martingale)", core.Config{T: 2, D: 24, P: 8}, true),
+		{Name: "HLL (8-bit, p=11, HIP)", New: func() Counter { return must(hll.NewHIP(11)) }, ConstantTimeInsert: true,
+			Serialize: marshaled(func(h *hll.HIP) ([]byte, error) { return h.Sketch().MarshalBinary() })},
 	}
 	return append(algos, Table2Algorithms()...)
 }
@@ -84,252 +91,75 @@ func Figure11Algorithms() []Algorithm {
 func Figure10Algorithms() []Algorithm {
 	return append(Table2Algorithms(), Algorithm{
 		Name:               "ELL hybrid (sparse, t=2, d=20, p=8)",
-		New:                func() Counter { return newHybrid(core.Config{T: 2, D: 20, P: 8}) },
+		New:                func() Counter { return hybrid{must(core.NewHybrid(core.Config{T: 2, D: 20, P: 8}))} },
 		ConstantTimeInsert: true,
-		SupportsMerge:      true,
+		Serialize:          marshaled(hybrid.MarshalBinary),
+		Merge:              merged(func(dst, src hybrid) error { return dst.Merge(src.Hybrid) }),
 	})
 }
 
-// --- adapters ---
-
-type ellCounter struct {
-	s          *core.Sketch
-	martingale bool
+// ell is an ExaLogLog row. It serializes the register bytes alone,
+// matching the paper's serialized-size accounting for ELL.
+func ell(name string, cfg core.Config, martingale bool) Algorithm {
+	return Algorithm{
+		Name: name,
+		New: func() Counter {
+			s := core.MustNew(cfg)
+			if martingale {
+				if err := s.EnableMartingale(); err != nil {
+					panic(err)
+				}
+			}
+			return s
+		},
+		ConstantTimeInsert: true,
+		Serialize:          func(c Counter) []byte { return c.(*core.Sketch).RegisterBytes() },
+		Merge:              merged((*core.Sketch).Merge),
+	}
 }
 
-func newELL(cfg core.Config, martingale bool) Counter {
-	s := core.MustNew(cfg)
-	if martingale {
-		if err := s.EnableMartingale(); err != nil {
-			panic(err)
+// hll6ML is the 6-bit HLL estimated by maximum likelihood.
+type hll6ML struct{ *hll.Dense6 }
+
+func (s hll6ML) Estimate() float64 { return s.EstimateML() }
+
+// cpc is the CPC-like baseline: a windowed PCSA sketch (compact in
+// memory, amortized-constant inserts) estimated by maximum likelihood,
+// whose serialized form is the expensive entropy-coded one.
+type cpc struct{ *pcsa.Windowed }
+
+func (s cpc) Estimate() float64 { return s.EstimateML() }
+
+// hybrid is the ELL hybrid, whose AddHash also reports whether the
+// sketch changed.
+type hybrid struct{ *core.Hybrid }
+
+func (h hybrid) AddHash(hash uint64) { h.Hybrid.AddHash(hash) }
+
+// must returns s, or panics on a constructor's error.
+func must[S any](s S, err error) S {
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// marshaled makes an Algorithm.Serialize of a sketch's marshal method.
+func marshaled[S Counter](marshal func(S) ([]byte, error)) func(Counter) []byte {
+	return func(c Counter) []byte {
+		b, _ := marshal(c.(S))
+		return b
+	}
+}
+
+// merged makes an Algorithm.Merge of a sketch's merge method.
+func merged[S Counter](merge func(dst, src S) error) func(dst, src Counter) error {
+	return func(dst, src Counter) error {
+		d, ok := dst.(S)
+		s, ok2 := src.(S)
+		if !ok || !ok2 {
+			return fmt.Errorf("compare: cannot merge %T with %T", dst, src)
 		}
+		return merge(d, s)
 	}
-	return &ellCounter{s: s, martingale: martingale}
-}
-
-func (c *ellCounter) AddHash(h uint64)     { c.s.AddHash(h) }
-func (c *ellCounter) Estimate() float64    { return c.s.Estimate() }
-func (c *ellCounter) MemoryFootprint() int { return c.s.MemoryFootprint() }
-func (c *ellCounter) Serialize() []byte {
-	// Register bytes only, matching the paper's serialized-size
-	// accounting for ELL.
-	return c.s.RegisterBytes()
-}
-func (c *ellCounter) Merge(other Counter) error {
-	o, ok := other.(*ellCounter)
-	if !ok {
-		return fmt.Errorf("compare: cannot merge %T with %T", c, other)
-	}
-	return c.s.Merge(o.s)
-}
-
-type hybridCounter struct{ h *core.Hybrid }
-
-func newHybrid(cfg core.Config) Counter {
-	h, err := core.NewHybrid(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return &hybridCounter{h: h}
-}
-
-func (c *hybridCounter) AddHash(h uint64)     { c.h.AddHash(h) }
-func (c *hybridCounter) Estimate() float64    { return c.h.Estimate() }
-func (c *hybridCounter) MemoryFootprint() int { return c.h.MemoryFootprint() }
-func (c *hybridCounter) Serialize() []byte {
-	b, _ := c.h.MarshalBinary()
-	return b
-}
-func (c *hybridCounter) Merge(other Counter) error {
-	o, ok := other.(*hybridCounter)
-	if !ok {
-		return fmt.Errorf("compare: cannot merge %T with %T", c, other)
-	}
-	return c.h.Merge(o.h)
-}
-
-type hipCounter struct{ h *hll.HIP }
-
-func newHIP(p int) Counter {
-	h, err := hll.NewHIP(p)
-	if err != nil {
-		panic(err)
-	}
-	return &hipCounter{h: h}
-}
-
-func (c *hipCounter) AddHash(h uint64)     { c.h.AddHash(h) }
-func (c *hipCounter) Estimate() float64    { return c.h.Estimate() }
-func (c *hipCounter) MemoryFootprint() int { return c.h.MemoryFootprint() }
-func (c *hipCounter) Serialize() []byte {
-	b, _ := c.h.Sketch().MarshalBinary()
-	return b
-}
-func (c *hipCounter) Merge(other Counter) error {
-	o, ok := other.(*hipCounter)
-	if !ok {
-		return fmt.Errorf("compare: cannot merge %T with %T", c, other)
-	}
-	return c.h.Merge(o.h)
-}
-
-type hll6Counter struct {
-	s  *hll.Dense6
-	ml bool
-}
-
-func newHLL6(p int, ml bool) Counter {
-	s, err := hll.NewDense6(p)
-	if err != nil {
-		panic(err)
-	}
-	return &hll6Counter{s: s, ml: ml}
-}
-
-func (c *hll6Counter) AddHash(h uint64) { c.s.AddHash(h) }
-func (c *hll6Counter) Estimate() float64 {
-	if c.ml {
-		return c.s.EstimateML()
-	}
-	return c.s.Estimate()
-}
-func (c *hll6Counter) MemoryFootprint() int { return c.s.MemoryFootprint() }
-func (c *hll6Counter) Serialize() []byte {
-	b, _ := c.s.MarshalBinary()
-	return b
-}
-func (c *hll6Counter) Merge(other Counter) error {
-	o, ok := other.(*hll6Counter)
-	if !ok {
-		return fmt.Errorf("compare: cannot merge %T with %T", c, other)
-	}
-	return c.s.Merge(o.s)
-}
-
-type hll8Counter struct{ s *hll.Dense8 }
-
-func newHLL8(p int) Counter {
-	s, err := hll.NewDense8(p)
-	if err != nil {
-		panic(err)
-	}
-	return &hll8Counter{s: s}
-}
-
-func (c *hll8Counter) AddHash(h uint64)     { c.s.AddHash(h) }
-func (c *hll8Counter) Estimate() float64    { return c.s.Estimate() }
-func (c *hll8Counter) MemoryFootprint() int { return c.s.MemoryFootprint() }
-func (c *hll8Counter) Serialize() []byte {
-	b, _ := c.s.MarshalBinary()
-	return b
-}
-func (c *hll8Counter) Merge(other Counter) error {
-	o, ok := other.(*hll8Counter)
-	if !ok {
-		return fmt.Errorf("compare: cannot merge %T with %T", c, other)
-	}
-	return c.s.Merge(o.s)
-}
-
-type hll4Counter struct{ s *hll.Dense4 }
-
-func newHLL4(p int) Counter {
-	s, err := hll.NewDense4(p)
-	if err != nil {
-		panic(err)
-	}
-	return &hll4Counter{s: s}
-}
-
-func (c *hll4Counter) AddHash(h uint64)     { c.s.AddHash(h) }
-func (c *hll4Counter) Estimate() float64    { return c.s.Estimate() }
-func (c *hll4Counter) MemoryFootprint() int { return c.s.MemoryFootprint() }
-func (c *hll4Counter) Serialize() []byte {
-	b, _ := c.s.MarshalBinary()
-	return b
-}
-func (c *hll4Counter) Merge(other Counter) error {
-	o, ok := other.(*hll4Counter)
-	if !ok {
-		return fmt.Errorf("compare: cannot merge %T with %T", c, other)
-	}
-	return c.s.Merge(o.s)
-}
-
-// cpcCounter is the CPC-like baseline: a windowed PCSA sketch (compact in
-// memory, amortized-constant inserts) whose Serialize path performs the
-// expensive entropy-coding compression.
-type cpcCounter struct{ s *pcsa.Windowed }
-
-func newCPC(p int) Counter {
-	s, err := pcsa.NewWindowed(p)
-	if err != nil {
-		panic(err)
-	}
-	return &cpcCounter{s: s}
-}
-
-func (c *cpcCounter) AddHash(h uint64)     { c.s.AddHash(h) }
-func (c *cpcCounter) Estimate() float64    { return c.s.EstimateML() }
-func (c *cpcCounter) MemoryFootprint() int { return c.s.MemoryFootprint() }
-func (c *cpcCounter) Serialize() []byte {
-	b, _ := c.s.MarshalCompressed()
-	return b
-}
-func (c *cpcCounter) Merge(other Counter) error {
-	o, ok := other.(*cpcCounter)
-	if !ok {
-		return fmt.Errorf("compare: cannot merge %T with %T", c, other)
-	}
-	return c.s.Merge(o.s)
-}
-
-type hlllCounter struct{ s *hlll.Sketch }
-
-func newHLLL(p int) Counter {
-	s, err := hlll.New(p)
-	if err != nil {
-		panic(err)
-	}
-	return &hlllCounter{s: s}
-}
-
-func (c *hlllCounter) AddHash(h uint64)     { c.s.AddHash(h) }
-func (c *hlllCounter) Estimate() float64    { return c.s.Estimate() }
-func (c *hlllCounter) MemoryFootprint() int { return c.s.MemoryFootprint() }
-func (c *hlllCounter) Serialize() []byte {
-	b, _ := c.s.MarshalBinary()
-	return b
-}
-func (c *hlllCounter) Merge(other Counter) error {
-	o, ok := other.(*hlllCounter)
-	if !ok {
-		return fmt.Errorf("compare: cannot merge %T with %T", c, other)
-	}
-	return c.s.Merge(o.s)
-}
-
-type spikeCounter struct{ s *spike.Sketch }
-
-func newSpike(buckets int) Counter {
-	s, err := spike.New(buckets)
-	if err != nil {
-		panic(err)
-	}
-	return &spikeCounter{s: s}
-}
-
-func (c *spikeCounter) AddHash(h uint64)     { c.s.AddHash(h) }
-func (c *spikeCounter) Estimate() float64    { return c.s.Estimate() }
-func (c *spikeCounter) MemoryFootprint() int { return c.s.MemoryFootprint() }
-func (c *spikeCounter) Serialize() []byte {
-	b, _ := c.s.MarshalBinary()
-	return b
-}
-func (c *spikeCounter) Merge(other Counter) error {
-	o, ok := other.(*spikeCounter)
-	if !ok {
-		return fmt.Errorf("compare: cannot merge %T with %T", c, other)
-	}
-	return c.s.Merge(o.s)
 }

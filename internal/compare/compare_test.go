@@ -2,6 +2,7 @@ package compare
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"exaloglog/internal/hashing"
@@ -27,15 +28,28 @@ func TestAllAlgorithmsBasicContract(t *testing.T) {
 			if c.MemoryFootprint() <= 0 {
 				t.Error("nonpositive memory footprint")
 			}
-			if len(c.Serialize()) == 0 {
+			if len(a.Serialize(c)) == 0 {
 				t.Error("empty serialization")
 			}
 		})
 	}
 }
 
+// TestMergeContract merges every distinct algorithm of Figures 10 and 11
+// that can merge, and checks that the HIP-tracking HLL is the only one that
+// cannot.
 func TestMergeContract(t *testing.T) {
-	for _, a := range Table2Algorithms() {
+	seen := map[string]bool{}
+	var cannot []string
+	for _, a := range append(Figure10Algorithms(), Figure11Algorithms()...) {
+		if seen[a.Name] {
+			continue
+		}
+		seen[a.Name] = true
+		if a.Merge == nil {
+			cannot = append(cannot, a.Name)
+			continue
+		}
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
 			x, y := a.New(), a.New()
@@ -46,7 +60,7 @@ func TestMergeContract(t *testing.T) {
 			for i := 0; i < 5000; i++ {
 				y.AddHash(hashing.SplitMix64(&state))
 			}
-			if err := x.Merge(y); err != nil {
+			if err := a.Merge(x, y); err != nil {
 				t.Fatal(err)
 			}
 			est := x.Estimate()
@@ -55,13 +69,16 @@ func TestMergeContract(t *testing.T) {
 			}
 		})
 	}
+	if want := []string{"HLL (8-bit, p=11, HIP)"}; !slices.Equal(cannot, want) {
+		t.Errorf("algorithms without a merge = %q, want %q", cannot, want)
+	}
 }
 
 func TestMergeRejectsForeignType(t *testing.T) {
 	algos := Table2Algorithms()
 	a := algos[0].New()
 	b := algos[5].New()
-	if err := a.Merge(b); err == nil {
+	if err := algos[0].Merge(a, b); err == nil {
 		t.Error("merge across algorithm types must fail")
 	}
 }
@@ -136,21 +153,35 @@ func TestFigure10SpikeArtifact(t *testing.T) {
 }
 
 func TestFigure11SmokeTest(t *testing.T) {
-	// One tiny timing pass over two algorithms to validate plumbing; the
-	// real run is ell-paper figure11.
-	algos := Figure11Algorithms()[:1]
+	// One tiny timing pass over the first algorithm and the HIP row, which
+	// cannot merge, to validate plumbing; the real run is ell-paper
+	// figure11.
+	var algos []Algorithm
+	for i, a := range Figure11Algorithms() {
+		if i == 0 || a.Name == "HLL (8-bit, p=11, HIP)" {
+			algos = append(algos, a)
+		}
+	}
 	res := Figure11(algos, []int{100}, 2, 5)
-	if len(res) != 1 {
+	if len(res) != 2 {
 		t.Fatalf("got %d timing rows", len(res))
 	}
-	r := res[0]
-	for name, v := range map[string]float64{
-		"insert": r.InsertNs, "estimate": r.EstimateNs,
-		"serialize": r.SerializeNs, "merge": r.MergeNs,
-		"merge+estimate": r.MergeAndEstimateNs,
-	} {
-		if v <= 0 {
-			t.Errorf("%s timing %f not positive", name, v)
+	for _, r := range res {
+		noMerge := r.Name == "HLL (8-bit, p=11, HIP)"
+		for name, v := range map[string]float64{
+			"insert": r.InsertNs, "estimate": r.EstimateNs,
+			"serialize": r.SerializeNs, "merge": r.MergeNs,
+			"merge+estimate": r.MergeAndEstimateNs,
+		} {
+			merging := name == "merge" || name == "merge+estimate"
+			switch {
+			case merging && noMerge:
+				if !math.IsNaN(v) {
+					t.Errorf("%s: %s timing %f, want NaN", r.Name, name, v)
+				}
+			case !(v > 0):
+				t.Errorf("%s: %s timing %f not positive", r.Name, name, v)
+			}
 		}
 	}
 }

@@ -34,7 +34,7 @@ func Table2(algos []Algorithm, n int, runs int, seed uint64) []Table2Row {
 			rel := c.Estimate()/float64(n) - 1
 			sumSq += rel * rel
 			memSum += float64(c.MemoryFootprint())
-			serSum += float64(len(c.Serialize()))
+			serSum += float64(len(a.Serialize(c)))
 		}
 		rmse := math.Sqrt(sumSq / float64(runs))
 		mem := memSum / float64(runs)
@@ -129,9 +129,9 @@ type OpTimings struct {
 // per-element times (as in the paper).
 func Figure11(algos []Algorithm, ns []int, repetitions int, seed uint64) []OpTimings {
 	maxN := ns[len(ns)-1]
-	// Pre-generate the 16-byte keys and their hashes (hash cost is still
-	// charged to insert: the adapters take hashes, so we include the
-	// Murmur3 evaluation inside the timed loop).
+	// Pre-generate the 16-byte keys. Hashing is still charged to insert: a
+	// Counter takes hashes, so the Murmur3 evaluation runs inside the
+	// timed loop.
 	keys := make([][16]byte, maxN)
 	state := seed
 	for i := range keys {
@@ -182,12 +182,12 @@ func Figure11(algos []Algorithm, ns []int, repetitions int, seed uint64) []OpTim
 			start = time.Now()
 			var serLen int
 			for r := 0; r < serReps; r++ {
-				serLen += len(built.Serialize())
+				serLen += len(a.Serialize(built))
 			}
 			t.SerializeNs = float64(time.Since(start).Nanoseconds()) / float64(serReps)
 			_ = serLen
 
-			if !a.SupportsMerge {
+			if a.Merge == nil {
 				t.MergeNs = math.NaN()
 				t.MergeAndEstimateNs = math.NaN()
 				out = append(out, t)
@@ -214,7 +214,7 @@ func Figure11(algos []Algorithm, ns []int, repetitions int, seed uint64) []OpTim
 			}
 			start = time.Now()
 			for r := 0; r < mergeReps; r++ {
-				if err := prepared[r].Merge(other); err != nil {
+				if err := a.Merge(prepared[r], other); err != nil {
 					panic(err)
 				}
 			}
@@ -233,7 +233,7 @@ func Figure11(algos []Algorithm, ns []int, repetitions int, seed uint64) []OpTim
 			}
 			start = time.Now()
 			for r := 0; r < mergeReps; r++ {
-				if err := prepared2[r].Merge(other); err != nil {
+				if err := a.Merge(prepared2[r], other); err != nil {
 					panic(err)
 				}
 				sink += prepared2[r].Estimate()

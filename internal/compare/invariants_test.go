@@ -90,7 +90,7 @@ func TestQuickMergeHomomorphismAllAlgorithms(t *testing.T) {
 					}
 					union.AddHash(h)
 				}
-				if err := left.Merge(right); err != nil {
+				if err := a.Merge(left, right); err != nil {
 					return false
 				}
 				return left.Estimate() == union.Estimate()
@@ -113,8 +113,8 @@ func TestSerializeStableUnderReserialization(t *testing.T) {
 			for i := 0; i < 30000; i++ {
 				c.AddHash(hashing.SplitMix64(&state))
 			}
-			s1 := c.Serialize()
-			s2 := c.Serialize()
+			s1 := a.Serialize(c)
+			s2 := a.Serialize(c)
 			if string(s1) != string(s2) {
 				t.Error("serialization not deterministic")
 			}

@@ -1,9 +1,6 @@
 package hll
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // HIP adds martingale (historic inverse probability) estimation to an
 // 8-bit HyperLogLog sketch, mirroring what the Apache DataSketches HLL
@@ -52,8 +49,3 @@ func (h *HIP) Sketch() *Dense8 { return h.s }
 
 // MemoryFootprint approximates total allocated bytes.
 func (h *HIP) MemoryFootprint() int { return h.s.MemoryFootprint() + 16 }
-
-// Merge is rejected: HIP estimation is single-stream by construction.
-func (h *HIP) Merge(*HIP) error {
-	return fmt.Errorf("hll: HIP sketches cannot be merged; use the ML path on the underlying registers")
-}

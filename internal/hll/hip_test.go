@@ -23,9 +23,6 @@ func TestHIPBasics(t *testing.T) {
 	if _, err := NewHIP(1); err == nil {
 		t.Error("accepted p=1")
 	}
-	if err := h.Merge(nil); err == nil {
-		t.Error("HIP merge must be rejected")
-	}
 }
 
 func TestHIPAccuracy(t *testing.T) {
