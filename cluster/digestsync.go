@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"encoding/base64"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -26,8 +24,8 @@ import (
 //
 // Wire protocol (CLUSTER subcommands on the ordinary line protocol):
 //
-//	CLUSTER DSUM <peerID> e=.. v=.. c=..            → =<b64 digest vector> | -STALE e=.. v=.. c=..
-//	CLUSTER DKEYS <peerID> e=.. v=.. c=.. <shards>  → =<b64 key digests>   | -STALE e=.. v=.. c=..
+//	CLUSTER DSUM <peerID> e=.. v=.. c=..            → +<hex> <hex> …       | -STALE e=.. v=.. c=..
+//	CLUSTER DKEYS <peerID> e=.. v=.. c=.. <shards>  → +<key>=<hex> …       | -STALE e=.. v=.. c=..
 //
 // <peerID> is the REQUESTER's node ID: the responder folds only keys
 // co-owned by both nodes under its current map, which is what makes
@@ -41,109 +39,82 @@ import (
 // missed broadcast. <shards> is a comma-separated list of shard indices
 // whose folded digests disagreed.
 //
+// Both replies are text tokens, as CLUSTER MAP's and GOSSIP's are: DSUM
+// one hex digest per shard, in shard order; DKEYS one key=hex token per
+// key, split at the last '=' (a key may hold '=', a hex digest may not).
+// Tokens split at ' ' alone: a key holds none of the bytes the line
+// tokenizer splits at (server.ValidToken), but may hold \v, \f or U+00A0,
+// which strings.Fields would split at.
+//
 // Repair is push-only and merge-based: each node ships the divergent
 // keys IT holds as XFER frames (see transfer.go) and trusts the peer's
 // own round for the reverse direction. Merging is idempotent and
 // monotone, so concurrent repairs from both sides converge, and a round
 // that failed half-way is finished by the next one: what landed no
 // longer differs.
-const (
-	digestVecMagic  = "ELD1"
-	digestKeysMagic = "ELK1"
-)
 
-// encodeDigestVector packs per-shard digests as the ELD1 payload and
-// returns it base64-wrapped.
-func encodeDigestVector(v []uint64) string {
-	buf := make([]byte, 0, len(digestVecMagic)+binary.MaxVarintLen64+8*len(v))
-	buf = append(buf, digestVecMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(v)))
-	for _, d := range v {
-		buf = binary.LittleEndian.AppendUint64(buf, d)
+// appendDigestVector appends per-shard digests as DSUM's reply: one hex
+// token each, in shard order.
+func appendDigestVector(b []byte, v []uint64) []byte {
+	for i, d := range v {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendUint(b, d, 16)
 	}
-	return base64.StdEncoding.EncodeToString(buf)
+	return b
 }
 
 func decodeDigestVector(body string) ([]uint64, error) {
-	buf, err := base64.StdEncoding.DecodeString(body)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: digest vector: %w", err)
+	toks := strings.Split(body, " ")
+	if len(toks) != server.NumShards {
+		return nil, fmt.Errorf("cluster: digest vector: %d shards, want %d", len(toks), server.NumShards)
 	}
-	if len(buf) < len(digestVecMagic) || string(buf[:len(digestVecMagic)]) != digestVecMagic {
-		return nil, errors.New("cluster: digest vector: bad magic")
-	}
-	rest := buf[len(digestVecMagic):]
-	count, w := binary.Uvarint(rest)
-	if w <= 0 || count != uint64(server.NumShards) || uint64(len(rest[w:])) != 8*count {
-		return nil, errors.New("cluster: digest vector: bad shard count")
-	}
-	rest = rest[w:]
-	out := make([]uint64, count)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(rest[8*i:])
+	out := make([]uint64, len(toks))
+	for i, tok := range toks {
+		d, err := strconv.ParseUint(tok, 16, 64)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: digest vector: shard %d: %w", i, err)
+		}
+		out[i] = d
 	}
 	return out, nil
 }
 
-// encodeKeyDigests packs per-key digests as the ELK1 payload,
-// base64-wrapped.
-func encodeKeyDigests(kds []server.KeyDigest) string {
-	size := len(digestKeysMagic) + binary.MaxVarintLen64
-	for _, kd := range kds {
-		size += binary.MaxVarintLen64 + len(kd.Key) + 8
+// appendKeyDigests appends per-key digests as DKEYS's reply: one key=hex
+// token each.
+func appendKeyDigests(b []byte, kds []server.KeyDigest) []byte {
+	for i, kd := range kds {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(append(b, kd.Key...), '=')
+		b = strconv.AppendUint(b, kd.Digest, 16)
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, digestKeysMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(kds)))
-	for _, kd := range kds {
-		buf = binary.AppendUvarint(buf, uint64(len(kd.Key)))
-		buf = append(buf, kd.Key...)
-		buf = binary.LittleEndian.AppendUint64(buf, kd.Digest)
-	}
-	return base64.StdEncoding.EncodeToString(buf)
+	return b
 }
 
 func decodeKeyDigests(body string) (map[string]uint64, error) {
-	buf, err := base64.StdEncoding.DecodeString(body)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: key digests: %w", err)
+	out := make(map[string]uint64)
+	if body == "" {
+		return out, nil // no keys: a shard can be all strays
 	}
-	if len(buf) < len(digestKeysMagic) || string(buf[:len(digestKeysMagic)]) != digestKeysMagic {
-		return nil, errors.New("cluster: key digests: bad magic")
-	}
-	rest := buf[len(digestKeysMagic):]
-	count, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return nil, errors.New("cluster: key digests: truncated count")
-	}
-	rest = rest[w:]
-	// Every record needs at least 9 bytes (1-byte key + digest): cap the
-	// claimed count by the bytes present before trusting it.
-	if count > uint64(len(rest))/9 {
-		return nil, fmt.Errorf("cluster: key digests: implausible count %d for %d payload bytes", count, len(rest))
-	}
-	out := make(map[string]uint64, int(min(count, 4096)))
-	for i := uint64(0); i < count; i++ {
-		klen, w := binary.Uvarint(rest)
-		if w <= 0 || klen == 0 || klen > uint64(len(rest[w:])) {
-			return nil, errors.New("cluster: key digests: bad key length")
+	for _, tok := range strings.Split(body, " ") {
+		i := strings.LastIndexByte(tok, '=')
+		if i <= 0 {
+			return nil, fmt.Errorf("cluster: key digests: token %q is not key=hex", tok)
 		}
-		rest = rest[w:]
-		key := string(rest[:klen])
-		rest = rest[klen:]
-		if len(rest) < 8 {
-			return nil, errors.New("cluster: key digests: truncated digest")
+		key := tok[:i]
+		d, err := strconv.ParseUint(tok[i+1:], 16, 64)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: key digests: key %q: %w", key, err)
 		}
 		if _, seen := out[key]; seen {
 			// Two digests for one key: which one stands for the key is
 			// not the sender's to leave open.
 			return nil, fmt.Errorf("cluster: key digests: key %q repeated", key)
 		}
-		out[key] = binary.LittleEndian.Uint64(rest)
-		rest = rest[8:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("cluster: key digests: %d trailing bytes", len(rest))
+		out[key] = d
 	}
 	return out, nil
 }
@@ -177,7 +148,7 @@ func (n *Node) handleDigestSum(reply []byte, args [][]byte) []byte {
 	if errReply != "" {
 		return append(reply, errReply...)
 	}
-	return append(append(reply, '='), encodeDigestVector(n.store.ShardDigests(filter))...)
+	return appendDigestVector(append(reply, '+'), n.store.ShardDigests(filter))
 }
 
 // handleDigestKeys serves CLUSTER DKEYS (see the file comment).
@@ -194,7 +165,7 @@ func (n *Node) handleDigestKeys(reply []byte, args [][]byte) []byte {
 		}
 		kds = append(kds, n.store.ShardKeyDigests(shard, filter)...)
 	}
-	return append(append(reply, '='), encodeKeyDigests(kds)...)
+	return appendKeyDigests(append(reply, '+'), kds)
 }
 
 // DigestSync runs one anti-entropy pass — the periodic one; a map install

@@ -1,15 +1,13 @@
 package cluster
 
-// Tests for digest anti-entropy (digestsync.go): the ELD1/ELK1 payload
-// codecs, the epoch fence, and the two headline properties — a
+// Tests for digest anti-entropy (digestsync.go): the text forms of the
+// DSUM and DKEYS replies, the epoch fence, and the two headline properties — a
 // CONVERGED cluster pays O(members) messages per round regardless of
 // key count, and a diverged replica is repaired by shipping only the
 // keys that actually differ.
 
 import (
 	"bytes"
-	"encoding/base64"
-	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
@@ -49,31 +47,36 @@ func TestDigestVectorRoundTrip(t *testing.T) {
 	for i := range v {
 		v[i] = uint64(i) * 0x9e3779b97f4a7c15
 	}
-	got, err := decodeDigestVector(encodeDigestVector(v))
+	got, err := decodeDigestVector(string(appendDigestVector(nil, v)))
 	if err != nil {
 		t.Fatalf("decode of a valid vector: %v", err)
 	}
-	for i := range v {
-		if got[i] != v[i] {
-			t.Fatalf("shard %d digest changed: %#x → %#x", i, v[i], got[i])
-		}
+	if !slices.Equal(got, v) {
+		t.Fatalf("digests changed: %#x → %#x", v, got)
+	}
+	// An empty store's vector: one "0" per shard.
+	if body := string(appendDigestVector(nil, make([]uint64, server.NumShards))); len(body) != 2*server.NumShards-1 {
+		t.Errorf("empty store's vector is %d bytes, want %d", len(body), 2*server.NumShards-1)
 	}
 	// A vector with the wrong shard count must be rejected: comparing
 	// digests across different shard geometries is meaningless.
-	if _, err := decodeDigestVector(encodeDigestVector(v[:10])); err == nil {
-		t.Error("10-shard vector accepted")
+	for _, shards := range []int{10, server.NumShards - 1, server.NumShards + 1} {
+		if _, err := decodeDigestVector(string(appendDigestVector(nil, make([]uint64, shards)))); err == nil {
+			t.Errorf("%d-shard vector accepted", shards)
+		}
 	}
-	if _, err := decodeDigestVector("not base64!!"); err == nil {
-		t.Error("non-base64 vector accepted")
-	}
-	if _, err := decodeDigestVector(""); err == nil {
-		t.Error("empty vector accepted")
-	}
-	// The all-zero vector of an empty store as the retired codec shrank it,
-	// "ELC1" around 1030 bytes: a payload is base64 of the ELD1 bytes, and
-	// this is refused as the unknown magic it now is.
-	if _, err := decodeDigestVector("RUxDMWWGCAC6s7POf/7//////////////////////////////////////////////////8sUlYA="); err == nil || !strings.Contains(err.Error(), "digest vector: bad magic") {
-		t.Errorf("ELC1-wrapped vector: err = %v, want a digest vector bad-magic error", err)
+	zeros := strings.Repeat("0 ", server.NumShards-1)
+	for _, bad := range []string{
+		"",
+		zeros + "g",                 // not hex
+		zeros + "10000000000000000", // 17 hex digits: past 64 bits
+		zeros + "-1",
+		zeros + "0x1",
+		strings.Repeat("0 ", server.NumShards-2) + " 0", // an empty field
+	} {
+		if _, err := decodeDigestVector(bad); err == nil {
+			t.Errorf("vector ending %q accepted", bad[max(0, len(bad)-20):])
+		}
 	}
 }
 
@@ -83,8 +86,17 @@ func TestKeyDigestsRoundTrip(t *testing.T) {
 		{Key: "a", Digest: 1},
 		{Key: "visits:2026-08-07", Digest: 0xdeadbeefcafef00d},
 		{Key: strings.Repeat("k", 500), Digest: 0},
+		{Key: "a=b", Digest: 0xffffffffffffffff}, // a key holding '='
+		{Key: "=", Digest: 7},
+		{Key: "v\v", Digest: 3}, // bytes strings.Fields splits at
+		{Key: "f\f", Digest: 4},
+		{Key: "nbsp\u00a0", Digest: 5},
 	}
-	got, err := decodeKeyDigests(encodeKeyDigests(kds))
+	body := string(appendKeyDigests(nil, kds))
+	if strings.Count(body, " ") != len(kds)-1 {
+		t.Fatalf("reply %q is not one token per key", body)
+	}
+	got, err := decodeKeyDigests(body)
 	if err != nil {
 		t.Fatalf("decode of valid key digests: %v", err)
 	}
@@ -92,33 +104,39 @@ func TestKeyDigestsRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d key digests, want %d", len(got), len(kds))
 	}
 	for _, kd := range kds {
-		if got[kd.Key] != kd.Digest {
-			t.Errorf("key %q digest %#x, want %#x", kd.Key, got[kd.Key], kd.Digest)
+		if d, ok := got[kd.Key]; !ok || d != kd.Digest {
+			t.Errorf("key %q digest %#x, want %#x", kd.Key, d, kd.Digest)
 		}
 	}
 	// The empty set is a valid reply (a shard can be all strays).
-	if got, err := decodeKeyDigests(encodeKeyDigests(nil)); err != nil || len(got) != 0 {
+	if got, err := decodeKeyDigests(string(appendKeyDigests(nil, nil))); err != nil || len(got) != 0 {
 		t.Errorf("empty key digests: got %v, %v", got, err)
 	}
-	if _, err := decodeKeyDigests("###"); err == nil {
-		t.Error("non-base64 key digests accepted")
-	}
-	// Three keys' digests in the retired codec's "ELC1" container.
-	if _, err := decodeKeyDigests("RUxDMWW2AQC6s6zO/M2enp1lJcSc6jCR5hwUpaJgHxI4IIltM8dSPm/////4Dx+9eci7EfdK////pAcUTIX/WP/xU2kv"); err == nil || !strings.Contains(err.Error(), "key digests: bad magic") {
-		t.Errorf("ELC1-wrapped key digests: err = %v, want a key digests bad-magic error", err)
+	for _, bad := range []string{
+		"=1",                  // an empty key
+		"a",                   // no '='
+		"a=",                  // no digest
+		"a=g",                 // not hex
+		"a=10000000000000000", // 17 hex digits: past 64 bits
+		"a=1  b=2",            // an empty token
+		"a=1 ",                // a trailing separator
+	} {
+		if _, err := decodeKeyDigests(bad); err == nil {
+			t.Errorf("key digests %q accepted", bad)
+		}
 	}
 	// One key twice, with the same digest or another: refused, not left to
-	// whichever record came last.
+	// whichever token came last.
 	for _, second := range []uint64{1, 2} {
-		twice := encodeKeyDigests([]server.KeyDigest{{Key: "a", Digest: 1}, {Key: "b", Digest: 3}, {Key: "a", Digest: second}})
-		if _, err := decodeKeyDigests(twice); err == nil || !strings.Contains(err.Error(), `key "a" repeated`) {
+		twice := appendKeyDigests(nil, []server.KeyDigest{{Key: "a", Digest: 1}, {Key: "b", Digest: 3}, {Key: "a", Digest: second}})
+		if _, err := decodeKeyDigests(string(twice)); err == nil || !strings.Contains(err.Error(), `key "a" repeated`) {
 			t.Errorf("key a repeated with digest %d: err = %v, want a repeated-key error", second, err)
 		}
 	}
 }
 
-// FuzzDigestDecode: whatever a DSUM or DKEYS reply carries, the ELD1 and
-// ELK1 decoders refuse it or return what encodes back to the same digests —
+// FuzzDigestDecode: whatever a DSUM or DKEYS reply carries, the two
+// decoders refuse it or return what encodes back to the same digests —
 // one per shard for a vector, one per key, each key once, for key digests.
 func FuzzDigestDecode(f *testing.F) {
 	vec := make([]uint64, server.NumShards)
@@ -126,13 +144,18 @@ func FuzzDigestDecode(f *testing.F) {
 		vec[i] = uint64(i) * 0x9e3779b97f4a7c15
 	}
 	kds := []server.KeyDigest{{Key: "a", Digest: 1}, {Key: "visits:2026-08-07", Digest: 0xdeadbeefcafef00d}}
+	vector := func(v []uint64) string { return string(appendDigestVector(nil, v)) }
+	keys := func(kds ...server.KeyDigest) string { return string(appendKeyDigests(nil, kds)) }
+	zeros := strings.Repeat("0 ", server.NumShards-1)
 	for _, seed := range []string{
-		encodeDigestVector(vec), encodeDigestVector(vec[:10]), encodeDigestVector(nil),
-		encodeKeyDigests(kds), encodeKeyDigests(nil),
-		encodeKeyDigests(append(kds, server.KeyDigest{Key: "a", Digest: 2})), // a repeated key
-		encodeKeyDigests([]server.KeyDigest{{Key: "", Digest: 1}}),           // an empty key
-		"", "###", "RUxEMQ==", "RUxLMQ==", "RUxLMf8=",
-		"RUxDMWWGCAC6s7POf/7//////////////////////////////////////////////////8sUlYA=",
+		vector(vec), vector(vec[:10]), vector(nil),
+		vector(make([]uint64, server.NumShards-1)), vector(make([]uint64, server.NumShards+1)),
+		zeros + "g", zeros + "10000000000000000", // a non-hex and a 17-digit field
+		keys(kds...), keys(),
+		keys(append(kds, server.KeyDigest{Key: "a", Digest: 2})...), // a repeated key
+		"=1", "a", "a=b=1", // an empty key, no '=', a key holding '='
+		keys(server.KeyDigest{Key: "v\vf\f", Digest: 1}, server.KeyDigest{Key: "nbsp\u00a0", Digest: 2}),
+		"a=10000000000000000", "a=1  b=2",
 	} {
 		f.Add(seed)
 	}
@@ -141,7 +164,7 @@ func FuzzDigestDecode(f *testing.F) {
 			if len(v) != server.NumShards {
 				t.Fatalf("accepted a vector of %d digests for %d shards", len(v), server.NumShards)
 			}
-			again, err := decodeDigestVector(encodeDigestVector(v))
+			again, err := decodeDigestVector(vector(v))
 			if err != nil || !slices.Equal(again, v) {
 				t.Fatalf("a vector does not survive its own encoding: %v", err)
 			}
@@ -150,9 +173,8 @@ func FuzzDigestDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		payload, _ := base64.StdEncoding.DecodeString(body)
-		if count, _ := binary.Uvarint(payload[len(digestKeysMagic):]); count != uint64(len(got)) {
-			t.Fatalf("%d records decoded into %d keys", count, len(got))
+		if body != "" && strings.Count(body, " ")+1 != len(got) {
+			t.Fatalf("%d tokens decoded into %d keys", strings.Count(body, " ")+1, len(got))
 		}
 		var back []server.KeyDigest
 		for k, d := range got {
@@ -161,7 +183,7 @@ func FuzzDigestDecode(f *testing.F) {
 			}
 			back = append(back, server.KeyDigest{Key: k, Digest: d})
 		}
-		again, err := decodeKeyDigests(encodeKeyDigests(back))
+		again, err := decodeKeyDigests(keys(back...))
 		if err != nil || !maps.Equal(again, got) {
 			t.Fatalf("key digests do not survive their own encoding: %v", err)
 		}
@@ -279,11 +301,14 @@ func TestDigestSyncConvergedMessageCount(t *testing.T) {
 func TestDigestSyncRepairsDivergence(t *testing.T) {
 	t.Parallel()
 	const keys = 60
-	lost := map[string]bool{"dv-3": true, "dv-17": true, "dv-29": true, "dv-41": true, "dv-55": true}
+	// Keys holding '=' and bytes strings.Fields splits at: DKEYS's reply
+	// must carry them whole, or n1 would push keys n2 holds.
+	name := func(k int) string { return fmt.Sprintf("dv=%d\v\f\u00a0", k) }
+	lost := map[string]bool{name(3): true, name(17): true, name(29): true, name(41): true, name(55): true}
 	h := newHarness(t, harnessOpts{nodes: 2, replicas: 2})
 	ref := make(map[string]float64, keys)
 	for k := 0; k < keys; k++ {
-		key := fmt.Sprintf("dv-%d", k)
+		key := name(k)
 		if _, err := h.node("n1").Add(key, "a", "b", "c"); err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +333,7 @@ func TestDigestSyncRepairsDivergence(t *testing.T) {
 		}
 	}
 	for k := 0; k < keys; k++ {
-		key := fmt.Sprintf("dv-%d", k)
+		key := name(k)
 		// n2's LOCAL copy must carry the full count — the cluster-wide
 		// union would mask a hole by borrowing n1's replica.
 		got, err := h.node("n2").Store().Count(key)

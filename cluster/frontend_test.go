@@ -259,8 +259,8 @@ func TestClusterVerbForms(t *testing.T) {
 		{"LEAVE", "CLUSTER LEAVE", "", "", "CLUSTER LEAVE ghost", "+OK " + m.Triple() + "\n"},
 		{"SETMAP", "", "CLUSTER SETMAP v9", "-ERR cluster: ", "CLUSTER SETMAP " + m.Encode(), "+OK\n"},
 		{"EPOCH", "CLUSTER EPOCH 5", "CLUSTER EPOCH soon n1", `-ERR bad epoch "soon"`, "CLUSTER EPOCH 1000 n1", "+GRANTED 1000 " + tri + "\n"},
-		{"DSUM", "CLUSTER DSUM n1", "CLUSTER DSUM n1 e=soon v=1 c=-", "-ERR cluster: bad epoch \"soon\"\n", "CLUSTER DSUM n1 " + tri, "="},
-		{"DKEYS", "CLUSTER DKEYS n1 " + tri, "CLUSTER DKEYS n1 " + tri + " 0,999", `-ERR bad shard index "999"`, "CLUSTER DKEYS n1 " + tri + " 0,1", "="},
+		{"DSUM", "CLUSTER DSUM n1", "CLUSTER DSUM n1 e=soon v=1 c=-", "-ERR cluster: bad epoch \"soon\"\n", "CLUSTER DSUM n1 " + tri, "+"},
+		{"DKEYS", "CLUSTER DKEYS n1 " + tri, "CLUSTER DKEYS n1 " + tri + " 0,999", `-ERR bad shard index "999"`, "CLUSTER DKEYS n1 " + tri + " 0,1", "+"},
 		{"GOSSIP", "", "CLUSTER GOSSIP g1 n9", "-ERR cluster: gossip digest needs", fmt.Sprintf("CLUSTER GOSSIP g1 n9 %d %d %s", m.Epoch, m.Version, coordinator), "+g1 n1 "},
 		{"HEALTH", "CLUSTER HEALTH x", "", "", "CLUSTER HEALTH", "+round="},
 		{"STATS", "CLUSTER STATS ALL x", "CLUSTER STATS BOGUS", clusterStatsUsage + "\n", "CLUSTER STATS", "+node=n1 "},

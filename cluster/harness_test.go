@@ -646,6 +646,22 @@ func TestLeaveAfterBeingRemovedStillDrains(t *testing.T) {
 	}
 }
 
+// TestLastNodeLeavesTwice: the last member leaves the map, and its second
+// Leave finds no member and no leaver left to tell. It succeeds, as the
+// first did, instead of failing on the empty map.
+func TestLastNodeLeavesTwice(t *testing.T) {
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 1, replicas: 1})
+	for i := 1; i <= 2; i++ {
+		if err := h.node("n1").Leave(); err != nil {
+			t.Fatalf("leave %d: %v", i, err)
+		}
+	}
+	if m := h.node("n1").Map(); len(m.Members()) != 0 {
+		t.Errorf("map after the last node left: %s", m.Encode())
+	}
+}
+
 // TestSetmapSyncErrorAfterInstall pins SETMAP's error reply: the target
 // installs a newer map before its digest round, so when a round fails it
 // answers "-ERR sync: …" and yet holds the new map.

@@ -406,7 +406,6 @@ func (n *Node) claimEpoch() (uint64, error) {
 			highest uint64
 			newest  triple // the newest voter's triple, and its address
 			from    string
-			wg      sync.WaitGroup
 		)
 		tally := func(granted bool, h uint64, t triple, addr string) {
 			mu.Lock()
@@ -421,29 +420,25 @@ func (n *Node) claimEpoch() (uint64, error) {
 				newest, from = t, addr
 			}
 		}
-		for _, mem := range members {
+		_ = n.eachOwner(members, func(mem Member) error {
 			if mem.ID == n.id {
 				ok, h := n.grantEpoch(propose, n.id)
 				tally(ok, h, triple{}, "")
-				continue
+				return nil
 			}
-			wg.Add(1)
-			go func(addr string) {
-				defer wg.Done()
-				reply, err := n.peers.do(addr, "CLUSTER", "EPOCH", strconv.FormatUint(propose, 10), n.id)
-				if err != nil {
-					return // unreachable peer: no vote
-				}
-				fields := strings.Fields(reply)
-				if len(fields) < 2 {
-					return
-				}
-				h, _ := strconv.ParseUint(fields[1], 10, 64)
-				t, _ := parseTriple(fields[2:]) // best-effort: the zero triple supersedes no map
-				tally(fields[0] == "GRANTED", h, t, addr)
-			}(mem.Addr)
-		}
-		wg.Wait()
+			reply, err := n.peers.do(mem.Addr, "CLUSTER", "EPOCH", strconv.FormatUint(propose, 10), n.id)
+			if err != nil {
+				return nil // unreachable peer: no vote
+			}
+			fields := strings.Fields(reply)
+			if len(fields) < 2 {
+				return nil
+			}
+			h, _ := strconv.ParseUint(fields[1], 10, 64)
+			t, _ := parseTriple(fields[2:]) // best-effort: the zero triple supersedes no map
+			tally(fields[0] == "GRANTED", h, t, mem.Addr)
+			return nil
+		})
 		if from != "" && newest.after(n.currentMap().triple()) {
 			if err := n.reconcileMap(from); err != nil {
 				lastErr = err
@@ -518,22 +513,18 @@ func (n *Node) broadcast(m, prev *Map) error {
 			to = append(to, mem)
 		}
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(to))
-	for i, mem := range to {
-		if mem.ID == n.id {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := n.peers.do(mem.Addr, args...); m.Has(mem.ID) {
-				errs[i] = err
-			}
-		}()
+	if len(to) == 0 {
+		return nil // a map with no members and no leavers: nobody to tell
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return n.eachOwner(to, func(mem Member) error {
+		if mem.ID == n.id {
+			return nil
+		}
+		if _, err := n.peers.do(mem.Addr, args...); m.Has(mem.ID) {
+			return err
+		}
+		return nil
+	})
 }
 
 // validToken guards the Go API against values the line protocol cannot
@@ -563,8 +554,8 @@ func validWrite(verb, key string, elements []string) error {
 		return err
 	}
 	if len(elements) == 0 {
-		// Reject before queueing: a batch of no tokens is refused by the
-		// owners, and creates nothing anywhere.
+		// Reject before hashing or forwarding: a batch of no tokens is
+		// refused by the owners, and creates nothing anywhere.
 		return fmt.Errorf("cluster: %s needs at least one element", verb)
 	}
 	for _, e := range elements {
@@ -659,12 +650,14 @@ func (n *Node) add(key string, batch *core.Hybrid) (bool, error) {
 }
 
 // eachOwner runs a forwarded command — a write, a read or a gather — on
-// every one of a key's owners (or on any set of members) and returns their
-// errors joined in owner order. The last remote owner's runs on the
-// caller's goroutine, and so does this node's own, between the two; only a
-// second remote owner's gets a goroutine — with a replica factor of 2,
-// none does. No owners at all is the map of a node not started yet, and an
-// error for every verb: a read, DEL and KEYS as much as a write.
+// every one of a key's owners, or a control message (an EPOCH vote, a
+// SETMAP) on a set of members, and returns their errors joined in owner
+// order. It is the package's one fan-out. Every remote owner but the last
+// gets a goroutine; this node's own run and then the last remote owner's
+// run on the caller's. So with a replica factor of 2 one goroutine starts
+// when this node owns neither copy, and none when it owns one. No owners
+// at all is the map of a node not started yet, and an error for every
+// verb: a read, DEL and KEYS as much as a write.
 func (n *Node) eachOwner(owners []Member, run func(o Member) error) error {
 	if len(owners) == 0 {
 		return errors.New("cluster: empty cluster map (node not started?)")

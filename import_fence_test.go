@@ -1,6 +1,8 @@
 package exaloglog_test
 
 import (
+	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -43,6 +45,49 @@ func TestServingPathImportFence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestClusterFansOutThroughEachOwner: the cluster package has one fan-out.
+// Forwarded writes, reads and gathers, EPOCH votes and SETMAP broadcasts
+// all reach their members through Node.eachOwner, so the non-test code of
+// cluster/ holds exactly one go statement, and it is in eachOwner. A
+// second way to run peers in parallel is a second schedule to reason
+// about.
+func TestClusterFansOutThroughEachOwner(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("cluster", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no Go files under cluster/ (%v)", err)
+	}
+	var found []string // "position in function", one per go statement
+	inEachOwner := 0
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			name := "a package-level value"
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				name = fn.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					found = append(found, fmt.Sprintf("%s in %s", fset.Position(g.Pos()), name))
+					if name == "eachOwner" {
+						inEachOwner++
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(found) != 1 || inEachOwner != 1 {
+		t.Errorf("cluster/ holds %d go statements, want exactly one, in eachOwner: %v", len(found), found)
 	}
 }
 

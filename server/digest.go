@@ -110,9 +110,9 @@ func (s *Store) ShardKeyDigests(shard int, filter func(key string) bool) []KeyDi
 	return out
 }
 
-// DumpTagged is Dump for a single key with the full state token — blob,
-// deadline and change-detection identity — what a digest repair ships
-// for a key that diverged.
+// DumpTagged dumps one key with its full state token — blob, deadline
+// and change-detection identity — what a digest repair ships for a key
+// that diverged. Dump is its blob alone.
 func (s *Store) DumpTagged(key string) (TaggedBlob, bool) {
 	e := s.lookup(key)
 	if e == nil {

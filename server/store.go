@@ -705,20 +705,8 @@ func (s *Store) Keys() []string {
 // serialize slot-wise (see the window package), so a scatter-gather
 // reader can merge rings instead of collapsed sketches.
 func (s *Store) Dump(key string) (data []byte, ok bool) {
-	e := s.lookup(key)
-	if e == nil {
-		return nil, false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.dead {
-		return nil, false
-	}
-	data, err := e.MarshalBinary()
-	if err != nil {
-		return nil, false // unreachable: value marshaling cannot fail
-	}
-	return data, true
+	t, ok := s.DumpTagged(key)
+	return t.Blob, ok
 }
 
 // Restore replaces the value at key with the serialized value data
