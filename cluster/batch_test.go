@@ -7,9 +7,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -301,37 +303,37 @@ func TestMixedBatchedAddConvergence(t *testing.T) {
 // seeded mix of Node.Add and Node.WindowAdd calls through every coordinator
 // of a 3-node, replica-2 cluster — plain keys and window slices on both
 // sides of break-even, new elements and repeated writes, timestamps older
-// than the ring span — and the SHA-256 over every reply and every node's
-// blob of every key. The pin was taken when owners still hashed the
-// elements themselves: the token batches a coordinator ships change
-// neither a replica's bytes nor a reply.
+// than the ring span — and two SHA-256 pins. The per-node pin hashes every
+// reply and every node's blob of every key, so it also pins which nodes
+// hold a key. The placement-free pin hashes every reply and each key's
+// distinct replica blobs, so it pins what the cluster answers and holds,
+// whichever nodes hold it.
 func TestForwardedWritesPinned(t *testing.T) {
 	t.Parallel()
 	nodes := newHarness(t, harnessOpts{nodes: 3, replicas: 2}).running()
-	sum := sha256.New()
+	sum, free := sha256.New(), sha256.New()
+	replies := io.MultiWriter(sum, free)
 	for i, w := range forwardedMix() {
 		coord := nodes[i%len(nodes)]
 		if w.key[0] == 'w' {
 			accepted, err := coord.WindowAdd(w.key, w.ts, w.els...)
-			fmt.Fprintf(sum, "W %s %d %d %d %v\n", w.key, w.ts, len(w.els), accepted, err)
+			fmt.Fprintf(replies, "W %s %d %d %d %v\n", w.key, w.ts, len(w.els), accepted, err)
 			continue
 		}
 		changed, err := coord.Add(w.key, w.els...)
-		fmt.Fprintf(sum, "P %s %d %v %v\n", w.key, len(w.els), changed, err)
+		fmt.Fprintf(replies, "P %s %d %v %v\n", w.key, len(w.els), changed, err)
 	}
 	hashReplicaBlobs(sum, nodes)
-	const want = "70a2c20f5a4923651138e8a0785462540b0f5c909c42c91b5c7f8caee1ff1b2a"
-	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
-		t.Errorf("replies and replica blobs hash to %s, want %s", got, want)
-	}
+	hashKeyBlobs(free, nodes)
+	checkPins(t, sum, free,
+		"9babb9a2a58380f5abbf158c00dcccf9e69366149bf7648c1a71c35a5c3fce78",
+		"906da8a705978ed999c417925df774ab1be5247f9ec21734e9db8b7c942b328f")
 }
 
 // TestForwardedWireWritesPinned is TestForwardedWritesPinned through the
 // front end: the same writes as PFADD and WADD lines, each sent to its
 // coordinator's socket, so the elements are hashed from the line's bytes.
-// Every reply line and every replica's blob is hashed; the hash was taken
-// when each cluster verb had a string handler of its own, which made every
-// token a string and hashed it through Node.Add.
+// Its two pins are taken as there.
 func TestForwardedWireWritesPinned(t *testing.T) {
 	t.Parallel()
 	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
@@ -345,15 +347,15 @@ func TestForwardedWireWritesPinned(t *testing.T) {
 		script = append(script, line)
 	}
 	replies := h.runScript(script, []string{nodes[0].Addr(), nodes[1].Addr(), nodes[2].Addr()})
-	sum := sha256.New()
+	sum, free := sha256.New(), sha256.New()
 	for i, reply := range replies {
-		fmt.Fprintf(sum, "%d %s", i, reply)
+		fmt.Fprintf(io.MultiWriter(sum, free), "%d %s", i, reply)
 	}
 	hashReplicaBlobs(sum, nodes)
-	const want = "ac091318972641c1fd02960decd2b31636979b0cfce8f1e12c3b842b4231a0db"
-	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
-		t.Errorf("replies and replica blobs hash to %s, want %s", got, want)
-	}
+	hashKeyBlobs(free, nodes)
+	checkPins(t, sum, free,
+		"26bd08774a8a640247b7712d1168546f4d4a6478b13f5e8ce2ed0b019ccc311c",
+		"54364d2d42af87fbf031eb78811b93f10995c8d2ded0bf051f426de2013ee03a")
 }
 
 // forwardedWrite is one write of forwardedMix: windowed when its key
@@ -395,5 +397,43 @@ func hashReplicaBlobs(sum io.Writer, nodes []*Node) {
 			blob, _ := n.Store().Dump(key)
 			fmt.Fprintf(sum, "%s %s %x\n", n.ID(), key, blob)
 		}
+	}
+}
+
+// hashKeyBlobs writes every key, in key order, with its distinct replica
+// blobs in byte order to sum: what the cluster holds, whichever nodes hold
+// it.
+func hashKeyBlobs(sum io.Writer, nodes []*Node) {
+	blobs := map[string][]string{}
+	var keys []string
+	for _, n := range nodes {
+		for _, key := range n.Store().Keys() {
+			blob, _ := n.Store().Dump(key)
+			if blobs[key] == nil {
+				keys = append(keys, key)
+			}
+			if !slices.Contains(blobs[key], string(blob)) {
+				blobs[key] = append(blobs[key], string(blob))
+			}
+		}
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		slices.Sort(blobs[key])
+		for _, blob := range blobs[key] {
+			fmt.Fprintf(sum, "%s %x\n", key, blob)
+		}
+	}
+}
+
+// checkPins compares the per-node pin sum and the placement-free pin free
+// with their wanted hex digests.
+func checkPins(t *testing.T, sum, free hash.Hash, wantSum, wantFree string) {
+	t.Helper()
+	if got := hex.EncodeToString(sum.Sum(nil)); got != wantSum {
+		t.Errorf("replies and every node's replica blobs hash to %s, want %s", got, wantSum)
+	}
+	if got := hex.EncodeToString(free.Sum(nil)); got != wantFree {
+		t.Errorf("replies and each key's distinct replica blobs hash to %s, want %s", got, wantFree)
 	}
 }

@@ -159,7 +159,7 @@ func BenchmarkClusterPFMerge(b *testing.B) {
 	m := nodes[0].Map()
 	dest := ""
 	for i := 0; dest == ""; i++ {
-		if k := fmt.Sprintf("dest-%d", i); !slices.Contains(m.ownerIDs(k), nodes[0].ID()) {
+		if k := fmt.Sprintf("dest-%d", i); !slices.Contains(ownerIDs(m, k), nodes[0].ID()) {
 			dest = k
 		}
 	}
@@ -266,38 +266,89 @@ func sumPushes(nodes ...*Node) uint64 {
 	return total
 }
 
-// BenchmarkMembershipPass measures the peer selection of a membership
-// pass — the members sharing keys with this node, found in one walk of
-// the ring — at 3, 64 and 512 members, replica 2 (maps only, no sockets).
+// BenchmarkMembershipPass measures the local work of one pass of n000,
+// which holds 1 000 keys it owns, at replica 2 and 3, 64 and 512 members
+// (maps and a store, no sockets): the pass's peers, then for each peer the
+// DSUM side of its round, ShardDigests filtered to the keys the two
+// co-own. A membership pass and the timer's pass both run a round with
+// every other member, so a pass costs members × keys filter tests.
+// peers/op is the number of rounds.
 func BenchmarkMembershipPass(b *testing.B) {
 	for _, n := range []int{3, 64, 512} {
 		m := memberMap(n, 2)
-		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			var peers []Member
-			for i := 0; i < b.N; i++ {
-				peers = m.passPeers("n000", true)
+		store, err := server.NewStore(testConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		mine := m.ownedBy("n000")
+		for k, held := 0, 0; held < 1000; k++ {
+			if key := fmt.Sprintf("key-%d", k); mine(key) {
+				if _, err := store.Add(key, "x"); err != nil {
+					b.Fatal(err)
+				}
+				held++
 			}
-			runtime.KeepAlive(peers) // the measured call stays
-		})
+		}
+		for _, kind := range []string{"membership", "timer"} {
+			membership := kind == "membership"
+			b.Run(fmt.Sprintf("%s/members=%d", kind, n), func(b *testing.B) {
+				b.ReportAllocs()
+				var peers []Member
+				for i := 0; i < b.N; i++ {
+					peers = m.passPeers("n000", membership)
+					for _, p := range peers {
+						store.ShardDigests(m.ownedBy("n000", p.ID))
+					}
+				}
+				b.ReportMetric(float64(len(peers)), "peers/op")
+			})
+		}
 	}
 }
 
-// BenchmarkRingOwners isolates the routing cost: key → N owners on the
-// consistent-hash ring.
-func BenchmarkRingOwners(b *testing.B) {
-	m := NewMap(2,
-		Member{"n1", "a:1"}, Member{"n2", "a:2"}, Member{"n3", "a:3"},
-		Member{"n4", "a:4"}, Member{"n5", "a:5"})
+// BenchmarkMapOwnedBy measures a digest round's per-key filter, whether a
+// key's owners hold both n000 and n001, at replica 2 and 3, 5, 64 and 512
+// members; the filter is built once, outside the timer. A key's test
+// ranks members only until Replicas of them beat the lower-ranked of the
+// two, so it stops early on a key neither owns.
+func BenchmarkMapOwnedBy(b *testing.B) {
 	keys := make([]string, 1024)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if owners := m.Owners(keys[i%len(keys)]); len(owners) != 2 {
-			b.Fatal("bad owners")
-		}
+	for _, n := range []int{3, 5, 64, 512} {
+		owned := memberMap(n, 2).ownedBy("n000", "n001")
+		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				if owned(keys[i%len(keys)]) {
+					hits++
+				}
+			}
+			runtime.KeepAlive(hits)
+		})
+	}
+}
+
+// BenchmarkMapOwners isolates the routing cost: key → its 2 owners by
+// rendezvous placement, at 3, 5, 64 and 512 members. A lookup scores every
+// member, so it costs O(members).
+func BenchmarkMapOwners(b *testing.B) {
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+	}
+	for _, n := range []int{3, 5, 64, 512} {
+		m := memberMap(n, 2)
+		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if owners := m.Owners(keys[i%len(keys)]); len(owners) != 2 {
+					b.Fatal("bad owners")
+				}
+			}
+		})
 	}
 }
 

@@ -474,7 +474,7 @@ func TestMergeKeysFromStaleCoordinator(t *testing.T) {
 	var sources []string
 	for i := 0; dest == "" || wdest == "" || len(sources) < 8; i++ {
 		k := fmt.Sprintf("merge-%d", i)
-		was, is := old.ownerIDs(k), cur.ownerIDs(k)
+		was, is := ownerIDs(old, k), ownerIDs(cur, k)
 		switch {
 		case dest == "" && !slices.Contains(was, "n1") && slices.Contains(is, "n4") && !slices.Contains(is, "n1"):
 			dest = k
@@ -520,14 +520,14 @@ func TestMergeKeysFromStaleCoordinator(t *testing.T) {
 	if got := h.node("n1").Map().Epoch; got != cur.Epoch {
 		t.Errorf("coordinator at epoch %d after the refusal, want %d", got, cur.Epoch)
 	}
-	for _, id := range cur.ownerIDs(dest) {
+	for _, id := range ownerIDs(cur, dest) {
 		got, ok := h.node(id).Store().Dump(dest)
 		if !ok || !bytes.Equal(got, want) {
 			t.Errorf("current owner %s holds %d bytes of dest (present %v), want the %d of a sketch fed sources and dest", id, len(got), ok, len(want))
 		}
 	}
-	for _, id := range old.ownerIDs(dest) {
-		if got, _ := h.node(id).Store().Dump(dest); !slices.Contains(cur.ownerIDs(dest), id) && bytes.Equal(got, want) {
+	for _, id := range ownerIDs(old, dest) {
+		if got, _ := h.node(id).Store().Dump(dest); !slices.Contains(ownerIDs(cur, dest), id) && bytes.Equal(got, want) {
 			t.Errorf("the union landed on %s, an owner of the old map only", id)
 		}
 	}

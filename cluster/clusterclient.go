@@ -1,9 +1,9 @@
 package cluster
 
 // ClusterClient is the smart, single-hop client for a sketch cluster:
-// it fetches the cluster map once (CLUSTER MAP), hashes keys against
-// the consistent-hash ring locally, and sends each data command
-// straight to an owner over a connection lent by its pool —
+// it fetches the cluster map once (CLUSTER MAP), places keys on their
+// owners locally by the map's rendezvous hashing, and sends each data
+// command straight to an owner over a connection lent by its pool —
 // no coordinator hop, so a routed op costs one RTT instead of two and
 // no single node carries everyone's forwarding load.
 //

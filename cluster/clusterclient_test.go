@@ -14,13 +14,13 @@ import (
 )
 
 // findKeyWhere returns a deterministic key whose owner-ID set under m
-// satisfies pred. The consistent-hash ring is a pure function of the
-// member IDs, so the search (and thus the whole test) is reproducible.
+// satisfies pred. Placement is a pure function of the member IDs, so the
+// search (and thus the whole test) is reproducible.
 func findKeyWhere(t *testing.T, m *Map, pred func(ids []string) bool) string {
 	t.Helper()
 	for i := 0; i < 100000; i++ {
 		k := fmt.Sprintf("probe-%d", i)
-		if pred(m.ownerIDs(k)) {
+		if pred(ownerIDs(m, k)) {
 			return k
 		}
 	}
@@ -94,7 +94,7 @@ func TestPoolClassifiesByTransport(t *testing.T) {
 
 // TestRebalanceLosesNoPublicWrite: public writes sent to every node —
 // owners and non-owners alike, forwarded to the owners — before and
-// after a join reshuffles the ring are all counted afterwards, through
+// after a join moves keys to the joiner are all counted afterwards, through
 // every node.
 func TestRebalanceLosesNoPublicWrite(t *testing.T) {
 	t.Parallel()
@@ -303,7 +303,7 @@ func staleClientRun(t *testing.T, cc *ClusterClient, old, cur *Map) {
 		if got, err := cc.WCount(key+"-w", time.Minute); err != nil || got != want {
 			t.Errorf("WCount %s = %d, %v; want %d", key, got, err, want)
 		}
-		if !slices.Equal(cur.ownerIDs(key), old.ownerIDs(key)) {
+		if !slices.Equal(ownerIDs(cur, key), ownerIDs(old, key)) {
 			moved++
 		}
 	}
@@ -319,7 +319,7 @@ func staleClientRun(t *testing.T, cc *ClusterClient, old, cur *Map) {
 }
 
 // TestClusterClientStaleAfterJoin: a client dialed before a JOIN keeps
-// routing by the old ring; the nodes it reaches forward to the new
+// routing by the old map; the nodes it reaches forward to the new
 // owners, so nothing is lost and nothing bounces.
 func TestClusterClientStaleAfterJoin(t *testing.T) {
 	t.Parallel()
@@ -402,7 +402,7 @@ func TestClusterClientFailsOverOnDeadOwner(t *testing.T) {
 	if s := cc.Stats(); s.Failovers == 0 {
 		t.Errorf("client stats = %+v, want at least one transport failover", s)
 	}
-	if cur := cc.Map(); slices.Contains(cur.ownerIDs(key), "n3") {
+	if cur := cc.Map(); slices.Contains(ownerIDs(cur, key), "n3") {
 		t.Error("client map still names the evicted node as an owner")
 	}
 }
@@ -444,7 +444,7 @@ func TestClusterClientFailoverBudget(t *testing.T) {
 }
 
 // TestClusterClientMidRebalanceChaos: 64 hot keys under concurrent
-// load, 16 adds a round per worker, while a join reshuffles the ring.
+// load, 16 adds a round per worker, while a join moves keys.
 // Every op must succeed (any error fails the test), and no write may be
 // lost.
 func TestClusterClientMidRebalanceChaos(t *testing.T) {
@@ -496,7 +496,7 @@ func TestClusterClientMidRebalanceChaos(t *testing.T) {
 		}(w)
 	}
 
-	// Mid-load: a 4th node joins — epoch bump, ring reshuffle, delta
+	// Mid-load: a 4th node joins — epoch bump, placement change, delta
 	// rebalance — while the client keeps hammering the hot keys.
 	time.Sleep(10 * time.Millisecond)
 	n4 := h.start("n4")

@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -492,7 +493,7 @@ func TestDigestSyncDrainsStray(t *testing.T) {
 	m := n3.Map()
 	key := ""
 	for k := 0; key == ""; k++ {
-		if cand := fmt.Sprintf("stray-%d", k); !slices.Contains(m.ownerIDs(cand), "n3") {
+		if cand := fmt.Sprintf("stray-%d", k); !slices.Contains(ownerIDs(m, cand), "n3") {
 			key = cand
 		}
 	}
@@ -523,7 +524,7 @@ func TestDigestSyncDrainsStray(t *testing.T) {
 		t.Errorf("n3 still holds the stray %s after its digest round", key)
 	}
 	wantBlob, _ := want.MarshalBinary()
-	for _, id := range m.ownerIDs(key) {
+	for _, id := range ownerIDs(m, key) {
 		blob, ok := h.node(id).Store().Dump(key)
 		if !ok || !bytes.Equal(blob, wantBlob) {
 			t.Errorf("owner %s holds %d bytes of %s (present %v), the reference %d bytes", id, len(blob), key, ok, len(wantBlob))
@@ -534,13 +535,42 @@ func TestDigestSyncDrainsStray(t *testing.T) {
 	}
 }
 
-// TestDigestSyncHealsMissedJoin: a node partitioned through a JOIN heals
-// with digest rounds alone — no Gossip call, so this is what keeps maps
-// converging under -gossip-interval 0. The refused DSUM costs one MAP
-// pull and one targeted SETMAP for the one stale peer, and nothing once
-// the maps agree.
+// TestDigestSyncHealsMissedJoin: a node that missed a JOIN's map heals
+// with digest rounds alone. No Gossip call is made, so this is what keeps
+// maps converging under -gossip-interval 0. The refused DSUM costs one MAP
+// pull and one targeted SETMAP for the one stale peer, and nothing once the
+// maps agree. The node is either cut off through the JOIN, so that the
+// coordinator's drain to it fails too whenever it is a new owner of a key
+// the coordinator gave up, or only loses the SETMAPs sent to it. Either
+// way the map must reach every other member.
 func TestDigestSyncHealsMissedJoin(t *testing.T) {
 	t.Parallel()
+	for _, tc := range []struct {
+		name string
+		miss func(h *harness) (heal func())
+	}{
+		{"partitioned", func(h *harness) func() {
+			h.fab.partition("n3", true)
+			return func() { h.fab.partition("n3", false) }
+		}},
+		{"setmap-lost", func(h *harness) func() {
+			h.fab.setIntercept(func(_, to string, parts []string) error {
+				if to == h.addr("n3") && len(parts) >= 2 && strings.EqualFold(parts[1], "SETMAP") {
+					return errors.New("lost")
+				}
+				return nil
+			})
+			return func() { h.fab.setIntercept(nil) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			healsMissedJoin(t, tc.miss)
+		})
+	}
+}
+
+func healsMissedJoin(t *testing.T, miss func(h *harness) (heal func())) {
 	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	const keys = 20
 	ref := make([]float64, keys)
@@ -551,13 +581,18 @@ func TestDigestSyncHealsMissedJoin(t *testing.T) {
 		}
 		ref[k] = mustCount(t, h.node("n1"), key)
 	}
-	h.fab.partition("n3", true)
 	h.start("x1")
+	heal := miss(h)
 	h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1")) // the broadcast to n3 fails: that is the point
-	if !h.node("n1").Map().Has("x1") || h.node("n3").Map().Has("x1") {
-		t.Fatal("fixture: the join must land on the majority and miss n3")
+	heal()
+	if h.node("n3").Map().Has("x1") {
+		t.Fatal("fixture: the join must miss n3")
 	}
-	h.fab.partition("n3", false)
+	for _, id := range []string{"n1", "n2", "x1"} {
+		if !h.node(id).Map().Has("x1") {
+			t.Fatalf("the join missed %s too: one unreachable member kept the map from the others", id)
+		}
+	}
 
 	count := countClusterVerbs(h)
 	round := func() {

@@ -52,7 +52,7 @@ func TestDigestDecodeRejects(t *testing.T) {
 		"",
 		"g1",
 		"g1 n1 1 1",                           // missing coordinator
-		"v2 n1 1 1 -",                         // wrong tag (a map payload)
+		"v3 n1 1 1 -",                         // wrong tag (a map payload)
 		"g1 bad=id 1 1 -",                     // '=' in sender
 		"g1 n1 x 1 -",                         // non-numeric epoch
 		"g1 n1 1 x -",                         // non-numeric version
@@ -99,7 +99,7 @@ func FuzzGossipDecode(f *testing.F) {
 	f.Add("g1 n1 3 7 n2 n1=41 n2=39! n3=0")
 	f.Add("g1 n1 18446744073709551615 0 - x=18446744073709551615!")
 	f.Add("g1 n9 1 1 n9")
-	f.Add("v2 1 1 - 2 n1=a")
+	f.Add("v3 1 1 - 2 n1=a")
 	f.Add("")
 	f.Add("g1 n1 1 1 - a=1! a=2")
 	f.Add("g1 n1 1 1 - a=1!!")

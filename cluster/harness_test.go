@@ -754,8 +754,8 @@ func TestDeltaRebalanceMessageCount(t *testing.T) {
 
 	moved := 0
 	for k := 0; k < total; k++ {
-		oldIDs := slices.Clone(oldMap.ownerIDs(keyName(k)))
-		newIDs := slices.Clone(newMap.ownerIDs(keyName(k)))
+		oldIDs := slices.Clone(ownerIDs(oldMap, keyName(k)))
+		newIDs := slices.Clone(ownerIDs(newMap, keyName(k)))
 		slices.Sort(oldIDs)
 		slices.Sort(newIDs)
 		if !slices.Equal(oldIDs, newIDs) {
@@ -1205,7 +1205,7 @@ func TestTTLChaosDeterministicExpiry(t *testing.T) {
 		m := h.node("n1").Map()
 		for k := 0; k < ttlKeys; k++ {
 			var refBlob []byte
-			for _, id := range m.ownerIDs(ttlName(k)) {
+			for _, id := range ownerIDs(m, ttlName(k)) {
 				n := h.node(id)
 				if n == nil {
 					continue
@@ -1236,7 +1236,7 @@ func TestTTLChaosDeterministicExpiry(t *testing.T) {
 	h.converge(10 * time.Second)
 	moved := 0
 	for k := 0; k < ttlKeys; k++ {
-		if slices.Contains(h.node("n1").Map().ownerIDs(ttlName(k)), "x1") {
+		if slices.Contains(ownerIDs(h.node("n1").Map(), ttlName(k)), "x1") {
 			moved++
 		}
 	}

@@ -1,12 +1,26 @@
+// Package cluster turns the single-node server package into a sharded,
+// replicated sketch cluster. A versioned cluster map places every key on
+// N owner nodes by rendezvous hashing; any node accepts any command,
+// forwarding writes to the key's owners and answering distinct-count
+// queries by scatter-gathering serialized sketches and merging them
+// locally. Because ExaLogLog merging is commutative and idempotent (paper
+// Section 1), replicas may be written redundantly and blobs re-sent at
+// will — rebalancing after membership changes is just "push your copy to
+// whoever owns it now".
+//
+// Wire-wise the cluster layers CLUSTER subcommands onto the server line
+// protocol and is the keyspace the server's data verbs (PFADD … KEYS) act
+// on, so any existing client pointed at any node sees one logical store.
 package cluster
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
+
+	"exaloglog/internal/hashing"
 )
 
 // Member is one node of the cluster map.
@@ -71,9 +85,37 @@ type Map struct {
 	// tie-break.
 	Coordinator string
 	Replicas    int
-	nodes       map[string]string // id → addr
+	members     []placed          // sorted by ID
 	byAddr      map[string]string // addr → id (reverse index, built once)
-	ring        *ring
+}
+
+// placementSeed seeds the placement hashes of keys and members. It differs
+// from the store's shard seed, so the keys one node owns spread over all of
+// its shards.
+const placementSeed = 0x2545f4914f6cdd1d
+
+// placed is a member with its placement hash.
+type placed struct {
+	Member
+	hash uint64 // hashing.WyString(ID, placementSeed)
+}
+
+// ranked is a member with its score for one key. A key's owners are the
+// Replicas members that rank highest for it (rendezvous, or
+// highest-random-weight, hashing): a member that joins takes only the keys
+// it outranks an owner on, and one that leaves gives up only its own.
+type ranked struct {
+	*placed
+	score uint64
+}
+
+// rank scores p for the key whose placement hash is key.
+func (p *placed) rank(key uint64) ranked { return ranked{p, hashing.Mix64(key ^ p.hash)} }
+
+// beats reports whether r ranks ahead of q: a higher score, or an equal
+// one and a smaller ID.
+func (r ranked) beats(q ranked) bool {
+	return r.score > q.score || r.score == q.score && r.ID < q.ID
 }
 
 // NewMap builds an epoch-1, version-1 map with the given replica factor
@@ -90,17 +132,17 @@ func NewMap(replicas int, members ...Member) *Map {
 }
 
 func build(epoch, version uint64, coordinator string, replicas int, nodes map[string]string) *Map {
-	ids := make([]string, 0, len(nodes))
-	for id := range nodes {
-		ids = append(ids, id)
+	members := make([]placed, 0, len(nodes))
+	for id, addr := range nodes {
+		members = append(members, placed{Member{id, addr}, hashing.WyString(id, placementSeed)})
 	}
-	sort.Strings(ids)
+	slices.SortFunc(members, func(a, b placed) int { return strings.Compare(a.ID, b.ID) })
 	byAddr := make(map[string]string, len(nodes))
-	for _, id := range ids {
+	for _, p := range members {
 		// Sorted iteration makes the winner deterministic should two
 		// ids ever share an address (first id wins).
-		if _, dup := byAddr[nodes[id]]; !dup {
-			byAddr[nodes[id]] = id
+		if _, dup := byAddr[p.Addr]; !dup {
+			byAddr[p.Addr] = p.ID
 		}
 	}
 	return &Map{
@@ -108,9 +150,8 @@ func build(epoch, version uint64, coordinator string, replicas int, nodes map[st
 		Version:     version,
 		Coordinator: coordinator,
 		Replicas:    replicas,
-		nodes:       nodes,
+		members:     members,
 		byAddr:      byAddr,
-		ring:        newRing(ids),
 	}
 }
 
@@ -186,22 +227,34 @@ func readTriple(epoch, version, coordinator string) (triple, error) {
 
 // Members returns all members sorted by ID.
 func (m *Map) Members() []Member {
-	out := make([]Member, 0, len(m.nodes))
-	for id, addr := range m.nodes {
-		out = append(out, Member{ID: id, Addr: addr})
+	out := make([]Member, len(m.members))
+	for i, p := range m.members {
+		out[i] = p.Member
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // Len returns the number of members.
-func (m *Map) Len() int { return len(m.nodes) }
+func (m *Map) Len() int { return len(m.members) }
+
+// member returns member id and its placement hash (nil if absent).
+func (m *Map) member(id string) *placed {
+	if i, ok := slices.BinarySearchFunc(m.members, id, func(p placed, id string) int { return strings.Compare(p.ID, id) }); ok {
+		return &m.members[i]
+	}
+	return nil
+}
 
 // Addr returns the address of node id ("" if absent).
-func (m *Map) Addr(id string) string { return m.nodes[id] }
+func (m *Map) Addr(id string) string {
+	if p := m.member(id); p != nil {
+		return p.Addr
+	}
+	return ""
+}
 
 // Has reports whether node id is a member.
-func (m *Map) Has(id string) bool { _, ok := m.nodes[id]; return ok }
+func (m *Map) Has(id string) bool { return m.member(id) != nil }
 
 // IDByAddr returns the member id listening on addr ("" if none) — an
 // O(1) reverse lookup for callers on the data path (the failure
@@ -209,66 +262,88 @@ func (m *Map) Has(id string) bool { _, ok := m.nodes[id]; return ok }
 // liveness with it).
 func (m *Map) IDByAddr(addr string) string { return m.byAddr[addr] }
 
-// Owners returns the members owning key: the primary first, then up to
-// Replicas-1 distinct replicas (fewer if the cluster is smaller).
+// Owners returns the members owning key: the Replicas members (all of
+// them, if the cluster is smaller) that rank highest for the key, the
+// primary first. One pass over the members keeps the best so far in order.
 func (m *Map) Owners(key string) []Member {
-	ids := m.ring.ownersOf(key, m.Replicas)
-	out := make([]Member, len(ids))
-	for i, id := range ids {
-		out[i] = Member{ID: id, Addr: m.nodes[id]}
+	h := hashing.WyString(key, placementSeed)
+	var inline [8]ranked // on the stack at up to 8 replicas
+	top := inline[:0]
+	for i := range m.members {
+		r, at := m.members[i].rank(h), len(top)
+		for at > 0 && r.beats(top[at-1]) {
+			at--
+		}
+		if at == m.Replicas {
+			continue
+		}
+		if len(top) < m.Replicas {
+			top = append(top, ranked{})
+		}
+		copy(top[at+1:], top[at:])
+		top[at] = r
+	}
+	out := make([]Member, len(top))
+	for i, r := range top {
+		out[i] = r.Member
 	}
 	return out
 }
 
-// ownerIDs returns just the IDs owning key, for cheap owner-set diffs.
-func (m *Map) ownerIDs(key string) []string { return m.ring.ownersOf(key, m.Replicas) }
-
 // ownedBy returns a key filter that accepts the keys whose owners include
-// every one of ids. The owners are the same over each arc of the ring, so
-// one walk over the arcs marks the accepted ones, and a key's test is a
-// hash, a binary search and a lookup — no per-key owner list.
+// every one of ids; with no ids, or one off the map, it accepts none. A
+// key's test ranks the members against the lowest-ranked of ids and
+// allocates nothing.
 func (m *Map) ownedBy(ids ...string) func(key string) bool {
-	if len(m.ring.hashes) == 0 {
+	given := make([]*placed, 0, len(ids))
+	for _, id := range ids {
+		p := m.member(id)
+		if p == nil {
+			given = nil
+			break
+		}
+		given = append(given, p)
+	}
+	if len(given) == 0 {
 		return func(string) bool { return false }
 	}
-	accept := make([]bool, len(m.ring.hashes))
-	owners := make([]string, 0, m.Replicas)
-	for i := range accept {
-		owners = m.ring.ownersAt(owners, i, m.Replicas)
-		accept[i] = !slices.ContainsFunc(ids, func(id string) bool { return !slices.Contains(owners, id) })
+	return func(key string) bool {
+		h := hashing.WyString(key, placementSeed)
+		last := given[0].rank(h)
+		for _, p := range given[1:] {
+			if r := p.rank(h); last.beats(r) {
+				last = r
+			}
+		}
+		ahead := 0
+		for i := range m.members {
+			if m.members[i].rank(h).beats(last) {
+				if ahead++; ahead >= m.Replicas {
+					return false
+				}
+			}
+		}
+		return true
 	}
-	return func(key string) bool { return accept[m.ring.arcOf(key)] }
 }
 
 // passPeers returns the members a pass of node self runs digest rounds
 // with: for the timer's pass every other member; for a membership pass
 // only those that share some key with self, the peers it has keys to
-// compare with — none with one replica, none for a node off the map. One
-// walk of the ring finds them.
+// compare with. At two replicas or more every pair of members co-owns the
+// keys they outscore everyone else on, so that is every other member too;
+// at one replica no key has two owners, and a node off the map shares none.
 func (m *Map) passPeers(self string, membership bool) []Member {
-	peers := m.Members()
-	if !membership {
-		return slices.DeleteFunc(peers, func(mem Member) bool { return mem.ID == self })
+	if membership && (m.Replicas < 2 || !m.Has(self)) {
+		return nil
 	}
-	co := make(map[string]bool)
-	owners := make([]string, 0, m.Replicas)
-	for i := range m.ring.hashes {
-		if owners = m.ring.ownersAt(owners, i, m.Replicas); slices.Contains(owners, self) {
-			for _, id := range owners {
-				co[id] = true
-			}
-		}
-	}
-	return slices.DeleteFunc(peers, func(mem Member) bool { return mem.ID == self || !co[mem.ID] })
+	return slices.DeleteFunc(m.Members(), func(mem Member) bool { return mem.ID == self })
 }
 
 // withNode returns a new map minted by coordinator at epoch with node
 // id added or re-addressed, at version+1.
 func (m *Map) withNode(id, addr string, epoch uint64, coordinator string) *Map {
-	nodes := make(map[string]string, len(m.nodes)+1)
-	for k, v := range m.nodes {
-		nodes[k] = v
-	}
+	nodes := m.nodeAddrs()
 	nodes[id] = addr
 	return build(epoch, m.Version+1, coordinator, m.Replicas, nodes)
 }
@@ -276,26 +351,32 @@ func (m *Map) withNode(id, addr string, epoch uint64, coordinator string) *Map {
 // withoutNode returns a new map minted by coordinator at epoch with
 // node id removed, at version+1.
 func (m *Map) withoutNode(id string, epoch uint64, coordinator string) *Map {
-	nodes := make(map[string]string, len(m.nodes))
-	for k, v := range m.nodes {
-		if k != id {
-			nodes[k] = v
-		}
-	}
+	nodes := m.nodeAddrs()
+	delete(nodes, id)
 	return build(epoch, m.Version+1, coordinator, m.Replicas, nodes)
 }
 
-// mapWireTag versions the SETMAP payload; bumping the map schema means
-// minting a new tag, so old nodes reject (rather than misparse) new
-// payloads and vice versa.
-const mapWireTag = "v2"
+// nodeAddrs returns m's members as a fresh id → addr map, for build.
+func (m *Map) nodeAddrs() map[string]string {
+	nodes := make(map[string]string, len(m.members)+1)
+	for _, p := range m.members {
+		nodes[p.ID] = p.Addr
+	}
+	return nodes
+}
+
+// mapWireTag versions the SETMAP payload; bumping the map schema or the
+// placement rule means minting a new tag, so old nodes reject (rather than
+// misread) new payloads and vice versa. v3 places keys by rendezvous
+// hashing; v2 maps were placed on a virtual-node ring.
+const mapWireTag = "v3"
 
 // noCoordinator is the wire spelling of an empty Coordinator (tokens
 // cannot be empty).
 const noCoordinator = "-"
 
 // maxWireMembers caps how many members DecodeMap accepts; an
-// adversarial payload cannot make a node build an absurd ring.
+// adversarial payload cannot make a node build an absurd map.
 const maxWireMembers = 4096
 
 // maxWireBytes caps the total encoded size DecodeMap accepts. It is
@@ -306,21 +387,21 @@ const maxWireBytes = 1 << 18
 
 // Encode renders the map as space-separated protocol tokens:
 //
-//	v2 <epoch> <version> <coordinator|-> <replicas> <id>=<addr> [...]
+//	v3 <epoch> <version> <coordinator|-> <replicas> <id>=<addr> [...]
 //
 // the payload of CLUSTER MAP replies and CLUSTER SETMAP commands. Node
 // IDs, addresses and coordinator must not contain whitespace or '=';
 // Node enforces this at join time. Members are emitted sorted by ID,
 // so equal maps encode byte-identically.
 func (m *Map) Encode() string {
-	parts := make([]string, 0, 5+len(m.nodes))
+	parts := make([]string, 0, 5+len(m.members))
 	parts = append(parts, mapWireTag,
 		strconv.FormatUint(m.Epoch, 10),
 		strconv.FormatUint(m.Version, 10),
 		cmp.Or(m.Coordinator, noCoordinator),
 		strconv.Itoa(m.Replicas))
-	for _, mem := range m.Members() {
-		parts = append(parts, mem.ID+"="+mem.Addr)
+	for _, p := range m.members {
+		parts = append(parts, p.ID+"="+p.Addr)
 	}
 	return strings.Join(parts, " ")
 }

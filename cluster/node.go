@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"exaloglog/internal/core"
+	"exaloglog/internal/hashing"
 	"exaloglog/server"
 	"exaloglog/window"
 )
@@ -26,11 +27,11 @@ import (
 // adds the CLUSTER subcommands:
 //
 //	CLUSTER INFO                       → +id=.. addr=.. e=.. v=.. replicas=.. nodes=.. keys=.. pushes=..
-//	CLUSTER MAP                        → +v2 <epoch> <version> <coordinator> <replicas> <id>=<addr> ...
+//	CLUSTER MAP                        → +v3 <epoch> <version> <coordinator> <replicas> <id>=<addr> ...
 //	CLUSTER JOIN <id> <addr>           → +OK e=.. v=.. c=.. (claims an epoch, adds the node, broadcasts)
 //	                                     or +SUPERSEDED e=.. v=.. c=.. (a rival map won; the triple is the winner's)
 //	CLUSTER LEAVE <id>                 → +OK e=.. v=.. c=.. / +SUPERSEDED e=.. v=.. c=.. (as JOIN, removing the node)
-//	CLUSTER SETMAP <v2 payload>        → +OK (install if newer under the epoch order, then run a digest round)
+//	CLUSTER SETMAP <v3 payload>        → +OK (install if newer under the epoch order, then run a digest round)
 //	                                     or -ERR sync: .. (the round failed; the newer map stays installed)
 //	CLUSTER EPOCH <epoch> <coord>      → +GRANTED <epoch> e=.. v=.. c=.. / +DENIED <highest> e=.. v=.. c=.. (epoch claim and the voter's map triple; internal)
 //	CLUSTER GOSSIP <g1 digest>         → +<g1 digest> (push-pull failure-detector exchange; internal)
@@ -54,7 +55,7 @@ import (
 // lifecycle.go).
 //
 // Any node answers any command: writes are forwarded to all of the key's
-// owners (chosen by the consistent-hash ring), and counts scatter DUMP
+// owners (chosen by the map's rendezvous hashing), and counts scatter DUMP
 // requests to the owners and merge the serialized sketches locally.
 // DUMP / RESTORE / INFO / SAVE remain node-local, which is exactly what
 // the scatter-gather path relies on.
@@ -395,7 +396,7 @@ func (n *Node) claimEpoch() (uint64, error) {
 			// outbidding each other back off by different amounts and
 			// separate instead of livelocking.
 			time.Sleep(time.Duration(attempt)*4*time.Millisecond +
-				time.Duration(hash64(n.id)%7)*time.Millisecond)
+				time.Duration(hashing.WyString(n.id, 0)%7)*time.Millisecond)
 		}
 		propose := n.nextEpochProposal()
 		members := n.currentMap().Members()
@@ -486,19 +487,19 @@ func setmapCommand(m *Map) []string {
 // broadcast. Its drain goes first and hands the keys this node gave up to
 // all their new owners (the XFER fence lets a sender ahead of the
 // receiver's map in).
-// Then the broadcast: every member drains and runs its rounds before it
-// replies. Its own rounds go last, when every peer holds m. So a nil return
-// means the cluster has converged on m, and, since every node drains
-// before any round compares, a moved key costs the same pushes whichever
-// node coordinates.
+// Then the broadcast, also when the drain failed: a key whose hand-off
+// failed stays here as a stray for the next pass, while one unreachable
+// new owner must not keep m from every other member. Every member drains
+// and runs its rounds before it replies. Its own rounds go last, when every
+// peer holds m. So a nil return means the cluster has converged on m, and,
+// since every node drains before any round compares, a moved key costs the
+// same pushes whichever node coordinates.
 func (n *Node) moveThenAnnounce(m, prev *Map) error {
-	if err := n.drainStrays(); err != nil {
-		return err
-	}
+	drainErr := n.drainStrays()
 	if err := n.broadcast(m, prev); err != nil {
-		return fmt.Errorf("broadcast: %w", err)
+		return errors.Join(drainErr, fmt.Errorf("broadcast: %w", err))
 	}
-	return n.syncRounds(true)
+	return errors.Join(drainErr, n.syncRounds(true))
 }
 
 // broadcast sends SETMAP to every member of m except this node, and to

@@ -26,7 +26,7 @@
 //
 // With -node-id set, elld runs as a member of a sharded, replicated
 // sketch cluster (see the cluster package): keys are routed to owner
-// nodes by consistent hashing, counts scatter-gather serialized sketches,
+// nodes by rendezvous hashing, counts scatter-gather serialized sketches,
 // and -join adds this node to an existing cluster via any member.
 //
 // Cluster nodes run a gossip failure detector: every -gossip-interval

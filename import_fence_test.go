@@ -48,6 +48,54 @@ func TestServingPathImportFence(t *testing.T) {
 	}
 }
 
+// TestOneStringHash: the module hashes strings one way, through
+// internal/hashing — keys to shards and to their owners, members to their
+// placement, elements to tokens. No non-test file of the module imports
+// hash/fnv or hash/maphash, whose hashes would be a second way to reason
+// about. Nested modules (benchmark/) and testdata are not this module's
+// packages.
+func TestOneStringHash(t *testing.T) {
+	fenced := map[string]bool{"hash/fnv": true, "hash/maphash": true}
+	files := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		files++
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); fenced[p] {
+				t.Errorf("%s imports %s: hash strings through exaloglog/internal/hashing", path, p)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("found no Go file at all: the walk is not looking at this module")
+	}
+}
+
 // TestClusterFansOutThroughEachOwner: the cluster package has one fan-out.
 // Forwarded writes, reads and gathers, EPOCH votes and SETMAP broadcasts
 // all reach their members through Node.eachOwner, so the non-test code of
