@@ -28,16 +28,18 @@ test: build fmt-check vet
 # and unsafe.Slice core.Hybrid's one-pointer handle makes, and the string
 # views of command-line keys the server's store takes. The root package's
 # ExampleNewAtomic inserts from four goroutines by compare-and-swap.
-# graph/ runs its ANF iterations on workers. The five commands are CI's
-# five race steps, in its order: internal/core/ alone (about three minutes
+# graph/ runs its ANF iterations on workers. The six commands are CI's
+# six race steps, in its order: internal/core/ alone (about three minutes
 # under -race, too close to the timeout beside the others), the pooled
 # connection buffers' test ten times, the peer pool's lent connections'
-# test ten times, and cluster/ twice over in shuffled order.
+# test ten times, the two concurrent-membership tests twenty times, and
+# cluster/ twice over in shuffled order.
 race:
 	$(GO) test -race -timeout 5m . ./server/ ./window/ ./cmd/... ./graph/
 	$(GO) test -race -timeout 5m ./internal/core/
 	$(GO) test -race -count=10 -run 'TestBurstsAndIdleShareThePool' ./server/
 	$(GO) test -race -count=10 -run 'TestPoolLendsConnections' ./cluster/
+	$(GO) test -race -count=20 -run 'TestChaosConcurrentMembership|TestMembershipChangesOnBothSidesHoldAfterHeal' ./cluster/
 	$(GO) test -race -count=2 -shuffle=on -timeout 10m ./cluster/
 
 # bench-smoke compiles and runs every benchmark once — a fast

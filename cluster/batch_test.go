@@ -104,7 +104,8 @@ func TestMLAddWire(t *testing.T) {
 // their tickers), XFER is FRAME alone (no sessions: BEGIN, END and
 // sequence numbers are gone) and the one way to merge a blob into a key —
 // PFMERGE's too, ABSORB is gone — and a value blob travels as the store
-// serialized it. The verbs and forms
+// serialized it. Membership needs no vote: EPOCH is gone, and a frame is
+// fenced by the map's height, not an epoch. The verbs and forms
 // that used to sit beside them — an "ELC1" container of the retired codec
 // where a blob goes among them — get an error reply naming what was
 // refused, nothing is applied, and the connection stays usable.
@@ -125,12 +126,14 @@ func TestRetiredClusterVerbsAreRefused(t *testing.T) {
 		{[]string{"CLUSTER", "SYNC"}, "unknown CLUSTER subcommand SYNC"},
 		{[]string{"CLUSTER", "REBALANCE"}, "unknown CLUSTER subcommand REBALANCE"},
 		{[]string{"CLUSTER", "ABSORB", "k", blob}, "unknown CLUSTER subcommand ABSORB"},
-		{[]string{"CLUSTER", "XFER", "BEGIN", "e=1", "sid=s.1", "seq=1"}, "CLUSTER XFER needs FRAME, e=<epoch> and a frame"},
-		{[]string{"CLUSTER", "XFER", "END", "s.1", "1", "10"}, "CLUSTER XFER needs FRAME, e=<epoch> and a frame"},
-		{[]string{"CLUSTER", "XFER", "FRAME", "s.1", "1", elc1Frame}, "CLUSTER XFER needs FRAME, e=<epoch> and a frame"},
+		{[]string{"CLUSTER", "XFER", "BEGIN", "e=1", "sid=s.1", "seq=1"}, "CLUSTER XFER needs FRAME, h=<height> and a frame"},
+		{[]string{"CLUSTER", "XFER", "END", "s.1", "1", "10"}, "CLUSTER XFER needs FRAME, h=<height> and a frame"},
+		{[]string{"CLUSTER", "XFER", "FRAME", "s.1", "1", elc1Frame}, "CLUSTER XFER needs FRAME, h=<height> and a frame"},
 		{[]string{"CLUSTER", "ABSORB", "absorbed", blob, "0"}, "unknown CLUSTER subcommand ABSORB"},
 		{[]string{"RESTORE", "restored", elc1}, "unsupported format version 67"},
-		{[]string{"CLUSTER", "XFER", "FRAME", "e=1", elc1Frame}, `xfer: server: merge blob into "framed"`},
+		{[]string{"CLUSTER", "XFER", "FRAME", "e=1", elc1Frame}, "CLUSTER XFER needs FRAME, h=<height> and a frame"},
+		{[]string{"CLUSTER", "XFER", "FRAME", "h=1", elc1Frame}, `xfer: server: merge blob into "framed"`},
+		{[]string{"CLUSTER", "EPOCH", "1", "n1"}, "unknown CLUSTER subcommand EPOCH"},
 	} {
 		_, err := c.Do(tc.cmd...)
 		if !server.IsReplyErr(err) || !strings.Contains(err.Error(), tc.want) {
@@ -145,8 +148,8 @@ func TestRetiredClusterVerbsAreRefused(t *testing.T) {
 	}
 	// A frame of the blob is the form that works.
 	frame := base64.StdEncoding.EncodeToString(server.EncodeFrame([]server.KeyBlob{{Key: "k", Blob: denseBlob(t, "x")}}))
-	if _, err := c.Do("CLUSTER", "XFER", "FRAME", "e=1", frame); err != nil || h.node("n1").Store().Len() != 1 {
-		t.Fatalf("CLUSTER XFER FRAME e=1 <frame of k>: %v, %d keys", err, h.node("n1").Store().Len())
+	if _, err := c.Do("CLUSTER", "XFER", "FRAME", "h=1", frame); err != nil || h.node("n1").Store().Len() != 1 {
+		t.Fatalf("CLUSTER XFER FRAME h=1 <frame of k>: %v, %d keys", err, h.node("n1").Store().Len())
 	}
 }
 

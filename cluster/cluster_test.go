@@ -289,12 +289,12 @@ func TestClusterSingleNode(t *testing.T) {
 func TestJoinIsIdempotent(t *testing.T) {
 	t.Parallel()
 	nodes := newHarness(t, harnessOpts{nodes: 2, replicas: 2}).running()
-	v := nodes[0].Map().Version
+	before := nodes[0].Map().Encode()
 	if err := nodes[1].Join(nodes[0].Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if got := nodes[0].Map().Version; got != v {
-		t.Errorf("map version changed %d → %d on idempotent re-join", v, got)
+	if got := nodes[0].Map().Encode(); got != before {
+		t.Errorf("map changed %s → %s on idempotent re-join", before, got)
 	}
 }
 
@@ -454,7 +454,7 @@ func TestMergeKeysKeepsDestinationTTL(t *testing.T) {
 	}
 }
 
-// TestMergeKeysFromStaleCoordinator: a coordinator one epoch behind
+// TestMergeKeysFromStaleCoordinator: a coordinator one change behind
 // PFMERGEs into a dest whose owners moved in the newer map. Its frames are
 // refused with -STALE, it takes the owner's map and merges again under it,
 // so by the time PFMERGE returns the union is on dest's current owners,
@@ -465,7 +465,7 @@ func TestMergeKeysFromStaleCoordinator(t *testing.T) {
 	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
 	n4 := h.start("n4")
 	old := h.node("n1").Map()
-	cur := old.withNode("n4", n4.Addr(), old.Epoch+1, "n2")
+	cur := old.withNode("n4", n4.Addr())
 
 	// dest: owned by neither the coordinator n1 nor n4 in the old map, by
 	// n4 and not n1 in the new one. Sources and the window key keep their
@@ -517,8 +517,8 @@ func TestMergeKeysFromStaleCoordinator(t *testing.T) {
 	if _, err := c.Do(append([]string{"PFMERGE", dest}, sources...)...); err != nil {
 		t.Fatalf("PFMERGE through the stale coordinator: %v", err)
 	}
-	if got := h.node("n1").Map().Epoch; got != cur.Epoch {
-		t.Errorf("coordinator at epoch %d after the refusal, want %d", got, cur.Epoch)
+	if got := h.node("n1").Map(); got.Encode() != cur.Encode() {
+		t.Errorf("coordinator holds %s after the refusal, want %s", got.Encode(), cur.Encode())
 	}
 	for _, id := range ownerIDs(cur, dest) {
 		got, ok := h.node(id).Store().Dump(dest)

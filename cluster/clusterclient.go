@@ -15,9 +15,8 @@ package cluster
 // the map (rate-limited and single-flight, so a thundering herd of
 // stale clients issues one fetch). Every op carries a bounded failover
 // budget, so a dead cluster degrades into an error instead of a
-// livelock. Maps only ever move forward in the (Epoch, Version,
-// Coordinator) order — a delayed old map can never regress the
-// client's view.
+// livelock. The client joins every map it fetches into the one it holds
+// (see Map), so a delayed old map can never regress its view.
 //
 // A ClusterClient is safe for concurrent use. Compare server.Client +
 // a coordinator node: that path still works against any node (and is
@@ -117,14 +116,12 @@ func (cc *ClusterClient) Stats() ClientStats {
 	}
 }
 
-// install swaps in m if it supersedes the current map — forward-only,
-// so a delayed fetch result can never regress the view.
+// install joins m into the current map — forward-only, so a delayed
+// fetch result can never regress the view.
 func (cc *ClusterClient) install(m *Map) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if m.Newer(cc.cmap) {
-		cc.cmap = m
-	}
+	cc.cmap = cc.cmap.join(m)
 }
 
 // fetchMapFrom asks each address in turn for CLUSTER MAP and returns
@@ -142,7 +139,7 @@ func (cc *ClusterClient) fetchMapFrom(addrs []string) (*Map, error) {
 }
 
 // refetchMap refreshes the map because an op saw evidence (a dead
-// owner) that the view at epoch seen is stale. Single-flight:
+// owner) that the view of height seen is stale. Single-flight:
 // concurrent callers serialize on fetchMu and all but the first find
 // the work already done. Rate-limited: within minRefetch of the last
 // fetch it is a no-op — a misrouted op is still forwarded by the node
@@ -151,7 +148,7 @@ func (cc *ClusterClient) fetchMapFrom(addrs []string) (*Map, error) {
 func (cc *ClusterClient) refetchMap(seen uint64) {
 	cc.fetchMu.Lock()
 	defer cc.fetchMu.Unlock()
-	if cc.Map().Epoch > seen {
+	if cc.Map().Height() > seen {
 		return // another caller already advanced past the stale view
 	}
 	if time.Since(cc.lastFetch) < cc.minRefetch {
@@ -201,7 +198,7 @@ func (cc *ClusterClient) run(key string, parts ...string) (string, error) {
 		}
 		// The owner is likely gone for everyone; a fresh map stops this
 		// op and later ones from aiming at it at all.
-		cc.refetchMap(m.Epoch)
+		cc.refetchMap(m.Height())
 		if failover == failoverBudget {
 			return "", fmt.Errorf("cluster: %s unreachable: %w", addr, err)
 		}

@@ -179,7 +179,7 @@ func TestForwardRetriesOnFreshMap(t *testing.T) {
 	if err := victim.Close(); err != nil {
 		t.Fatal(err)
 	}
-	next := m.withoutNode(victim.ID(), m.Epoch+1, "n1")
+	next := m.withoutNode(victim.ID())
 	if err := n1.installAndSync(next); err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestClusterClientStaleAfterLeave(t *testing.T) {
 	}
 	cur := h.node("n1").Map()
 	if cur.Has("n3") {
-		t.Fatalf("n3 still in the map after its LEAVE (e=%d)", cur.Epoch)
+		t.Fatalf("n3 still in the map after its LEAVE (%s)", cur.Encode())
 	}
 	staleClientRun(t, cc, old, cur)
 }
@@ -382,7 +382,7 @@ func TestClusterClientFailsOverOnDeadOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash n3, then evict it through a survivor (epoch-fenced LEAVE,
+	// Crash n3, then evict it through a survivor (an operator LEAVE,
 	// survivors re-replicate). The client still routes by the old map.
 	h.crash("n3")
 	c := h.dial(h.addr("n1"))
@@ -496,7 +496,7 @@ func TestClusterClientMidRebalanceChaos(t *testing.T) {
 		}(w)
 	}
 
-	// Mid-load: a 4th node joins — epoch bump, placement change, delta
+	// Mid-load: a 4th node joins — a map change, placement change, delta
 	// rebalance — while the client keeps hammering the hot keys.
 	time.Sleep(10 * time.Millisecond)
 	n4 := h.start("n4")

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -24,20 +25,19 @@ import (
 //
 // Wire protocol (CLUSTER subcommands on the ordinary line protocol):
 //
-//	CLUSTER DSUM <peerID> e=.. v=.. c=..            → +<hex> <hex> …       | -STALE e=.. v=.. c=..
-//	CLUSTER DKEYS <peerID> e=.. v=.. c=.. <shards>  → +<key>=<hex> …       | -STALE e=.. v=.. c=..
+//	CLUSTER DSUM <peerID> d=<map digest>            → +<hex> <hex> …   | -STALE h=.. d=..
+//	CLUSTER DKEYS <peerID> d=<map digest> <shards>  → +<key>=<hex> …   | -STALE h=.. d=..
 //
 // <peerID> is the REQUESTER's node ID: the responder folds only keys
 // co-owned by both nodes under its current map, which is what makes
 // the vectors comparable — each side digests the same key population.
-// Both sides insist on the same map — the same (epoch, version,
-// coordinator) triple, Map.Triple's fields; -STALE with the responder's
-// otherwise — since comparing digests across different ownership views
-// would ship keys to nodes that no longer own them. Rival maps of one
-// epoch hold different members too. The refused requester settles the
-// maps with that one peer (reconcileMap), so digest rounds alone heal a
-// missed broadcast. <shards> is a comma-separated list of shard indices
-// whose folded digests disagreed.
+// Both sides insist on the same map — the same Map.Digest; -STALE with
+// the responder's Map.Stamp otherwise — since comparing digests across
+// different ownership views would ship keys to nodes that no longer own
+// them. The refused requester settles the maps with that one peer
+// (reconcileMap), so digest rounds alone heal a missed broadcast.
+// <shards> is a comma-separated list of shard indices whose folded
+// digests disagreed.
 //
 // Both replies are text tokens, as CLUSTER MAP's and GOSSIP's are: DSUM
 // one hex digest per shard, in shard order; DKEYS one key=hex token per
@@ -119,24 +119,24 @@ func decodeKeyDigests(body string) (map[string]uint64, error) {
 	return out, nil
 }
 
-// digestFilter checks DSUM's and DKEYS's requester ID and map triple,
+// digestFilter checks DSUM's and DKEYS's requester ID and map digest,
 // enforces the map fence and filters the keys the two nodes co-own.
 func (n *Node) digestFilter(args [][]byte) (filter func(string) bool, errReply string) {
 	peerID := string(args[0])
 	if !validID(peerID) {
 		return nil, fmt.Sprintf("-ERR invalid requester ID %q", peerID)
 	}
-	t, err := parseTriple(server.StringArgs(args[1:4]))
-	if err != nil {
-		return nil, "-ERR " + err.Error()
+	hex, ok := bytes.CutPrefix(args[1], []byte("d="))
+	digest, err := strconv.ParseUint(string(hex), 16, 64)
+	if !ok || err != nil {
+		return nil, fmt.Sprintf("-ERR bad map digest %q (want d=<hex>)", args[1])
 	}
 	m := n.currentMap()
-	// Strict both-ways fence on the whole triple (unlike XFER's one-sided
-	// epoch fence): digests computed under different maps cover different
-	// key populations, so comparing them would only manufacture phantom
-	// divergence.
-	if m.triple() != t {
-		return nil, "-STALE " + m.Triple()
+	// Strict equality (unlike XFER's one-sided height fence): digests
+	// computed under different maps cover different key populations, so
+	// comparing them would only manufacture phantom divergence.
+	if m.Digest() != digest {
+		return nil, "-STALE " + m.Stamp()
 	}
 	// The keys both nodes own: the population the exchange summarizes.
 	return m.ownedBy(n.id, peerID), ""
@@ -158,7 +158,7 @@ func (n *Node) handleDigestKeys(reply []byte, args [][]byte) []byte {
 		return append(reply, errReply...)
 	}
 	var kds []server.KeyDigest
-	for _, tok := range strings.Split(string(args[4]), ",") {
+	for _, tok := range strings.Split(string(args[2]), ",") {
 		shard, err := strconv.Atoi(tok)
 		if err != nil || shard < 0 || shard >= server.NumShards {
 			return fmt.Appendf(reply, "-ERR bad shard index %q", tok)
@@ -172,7 +172,7 @@ func (n *Node) handleDigestKeys(reply []byte, args [][]byte) []byte {
 // runs the same pass (installAndSync). See syncPass.
 func (n *Node) DigestSync() error { return n.syncPass(false) }
 
-// installAndSync swaps in m and, if it superseded the current map, runs
+// installAndSync joins m into the current map and, if that changed it, runs
 // the pass that moves the data the new map places elsewhere. This is the
 // only way a membership change moves data.
 func (n *Node) installAndSync(m *Map) error {
@@ -228,9 +228,9 @@ func (n *Node) digestSyncPeer(peer Member, membership bool) error {
 	}
 	filter := m.ownedBy(n.id, peer.ID)
 	local := n.store.ShardDigests(filter)
-	tri := strings.Fields(m.Triple())
+	fence := fmt.Sprintf("d=%016x", m.Digest())
 	n.digestRounds.Add(1)
-	body, err := n.peers.do(peer.Addr, append([]string{"CLUSTER", "DSUM", n.id}, tri...)...)
+	body, err := n.peers.do(peer.Addr, "CLUSTER", "DSUM", n.id, fence)
 	if err != nil {
 		return asStale(err)
 	}
@@ -249,7 +249,7 @@ func (n *Node) digestSyncPeer(peer Member, membership bool) error {
 	if len(diff) == 0 {
 		return nil // converged: the whole round cost one message
 	}
-	body, err = n.peers.do(peer.Addr, append(append([]string{"CLUSTER", "DKEYS", n.id}, tri...), strings.Join(list, ","))...)
+	body, err = n.peers.do(peer.Addr, "CLUSTER", "DKEYS", n.id, fence, strings.Join(list, ","))
 	if err != nil {
 		return asStale(err)
 	}
@@ -264,7 +264,7 @@ func (n *Node) digestSyncPeer(peer Member, membership bool) error {
 	if membership {
 		count = &n.pushes
 	}
-	s := n.newStream(peer.Addr, m.Epoch, count, nil)
+	s := n.newStream(peer.Addr, m.Height(), count, nil)
 	for _, shard := range diff {
 		for _, kd := range n.store.ShardKeyDigests(shard, filter) {
 			if theirs[kd.Key] == kd.Digest {
@@ -288,7 +288,7 @@ func (n *Node) digestSyncPeer(peer Member, membership bool) error {
 // per owner, the frame it fills and one window. A key whose hand-off
 // failed stays, and so does one written to after it was dumped
 // (Store.DeleteIfUnchanged): the next pass drains it again. An owner that
-// refuses a frame for holding a newer map has its map installed, whose
+// refuses a frame for holding a higher map has its map joined in, whose
 // pass drains again at once.
 func (n *Node) drainStrays() error {
 	m := n.currentMap()
@@ -322,7 +322,7 @@ func (n *Node) drainStrays() error {
 		for _, o := range owners {
 			s := streams[o.ID]
 			if s == nil {
-				s = n.newStream(o.Addr, m.Epoch, &n.pushes, acked)
+				s = n.newStream(o.Addr, m.Height(), &n.pushes, acked)
 				streams[o.ID] = s
 				order = append(order, s)
 			}
@@ -333,7 +333,7 @@ func (n *Node) drainStrays() error {
 	for _, s := range order {
 		err := s.close()
 		if errors.Is(err, errStale) {
-			// The owner holds a newer map. Installing it runs a pass, and
+			// The owner holds a higher map. Joining it runs a pass, and
 			// that pass drains whatever is a stray under it.
 			err = n.reconcileMap(s.addr)
 		}

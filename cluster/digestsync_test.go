@@ -1,7 +1,7 @@
 package cluster
 
 // Tests for digest anti-entropy (digestsync.go): the text forms of the
-// DSUM and DKEYS replies, the epoch fence, and the two headline properties — a
+// DSUM and DKEYS replies, the map fence, and the two headline properties — a
 // CONVERGED cluster pays O(members) messages per round regardless of
 // key count, and a diverged replica is repaired by shipping only the
 // keys that actually differ.
@@ -192,52 +192,56 @@ func FuzzDigestDecode(f *testing.F) {
 }
 
 // TestDigestHandlersEpochFence: DSUM and DKEYS refuse a requester whose
-// map triple differs with -STALE and the responder's triple — digests
+// map digest differs with -STALE and the responder's stamp — digests
 // computed under different ownership views cover different key
 // populations, so comparing them would manufacture phantom divergence. A
-// rival map of the same epoch differs as much as an older one.
+// map one change away differs as much as a corrupt digest.
 func TestDigestHandlersEpochFence(t *testing.T) {
 	t.Parallel()
 	h := newHarness(t, harnessOpts{nodes: 2, replicas: 2})
 	n := h.node("n1")
 	m := n.currentMap()
-	cur := m.Triple()
+	stamp := m.Stamp()
 	for _, wrong := range []string{
-		fmt.Sprintf("e=%d v=%d c=n1", m.Epoch+7, m.Version),
-		fmt.Sprintf("e=%d v=%d c=n1", m.Epoch, m.Version+1), // same epoch, other version
+		fmt.Sprintf("d=%016x", m.withNode("x9", "127.0.0.1:1").Digest()), // a map with one more change
+		fmt.Sprintf("d=%016x", m.Digest()+1),
 	} {
-		tri := strings.Fields(wrong)
 		for _, args := range [][]string{
-			append([]string{"CLUSTER", "DSUM", "n2"}, tri...),
-			append(append([]string{"CLUSTER", "DKEYS", "n2"}, tri...), "0,1"),
+			{"CLUSTER", "DSUM", "n2", wrong},
+			{"CLUSTER", "DKEYS", "n2", wrong, "0,1"},
 		} {
 			_, err := h.do("n1", args...)
-			if err == nil || err.Error() != "STALE "+cur {
-				t.Errorf("%s with %s: err = %v, want -STALE %s", args[1], wrong, err, cur)
+			if err == nil || err.Error() != "STALE "+stamp {
+				t.Errorf("%s with %s: err = %v, want -STALE %s", args[1], wrong, err, stamp)
 			}
 		}
 	}
-	// The right triple answers with a payload.
-	tri := strings.Fields(cur)
-	reply, err := h.do("n1", append([]string{"CLUSTER", "DSUM", "n2"}, tri...)...)
+	// The right digest answers with a payload.
+	fence := fmt.Sprintf("d=%016x", m.Digest())
+	reply, err := h.do("n1", "CLUSTER", "DSUM", "n2", fence)
 	if err != nil {
 		t.Fatalf("DSUM at the current map: %v", err)
 	}
 	if _, err := decodeDigestVector(reply); err != nil {
 		t.Fatalf("DSUM reply did not decode: %v", err)
 	}
-	if _, err := h.do("n1", append(append([]string{"CLUSTER", "DKEYS", "bad id"}, tri...), "0")...); err == nil {
-		t.Error("invalid requester ID accepted")
-	}
-	if _, err := h.do("n1", append(append([]string{"CLUSTER", "DKEYS", "n2"}, tri...), "999")...); err == nil {
-		t.Error("out-of-range shard index accepted")
+	for _, args := range [][]string{
+		{"CLUSTER", "DKEYS", "bad id", fence, "0"},
+		{"CLUSTER", "DKEYS", "n2", fence, "999"},
+		{"CLUSTER", "DSUM", "n2", "e=1"},
+		{"CLUSTER", "DSUM", "n2", "d=xyz"},
+	} {
+		if _, err := h.do("n1", args...); err == nil || strings.HasPrefix(err.Error(), "STALE") {
+			t.Errorf("%v: err = %v, want a refusal of the request", args, err)
+		}
 	}
 }
 
-// TestDigestSyncHealsEqualEpochRivals: two nodes hold rival maps of one
-// epoch — as a claim that could not reach quorum leaves them — and no
-// gossip runs. The DSUM fence sees the whole triple, so one DigestSync
-// refuses, settles the maps with the peer and leaves both on the newer.
+// TestDigestSyncHealsEqualEpochRivals: two nodes each made a change the
+// other has not seen — rival maps of equal height — and no gossip runs.
+// Their maps' digests differ, so
+// one DigestSync has DSUM refused, pulls the peer's map, joins it and
+// pushes the join back: both nodes hold both changes.
 func TestDigestSyncHealsEqualEpochRivals(t *testing.T) {
 	t.Parallel()
 	h := newHarness(t, harnessOpts{nodes: 2, replicas: 2})
@@ -249,14 +253,18 @@ func TestDigestSyncHealsEqualEpochRivals(t *testing.T) {
 	}
 	cur := n1.Map()
 	h.start("x1")
-	rivalA := cur.withNode("x1", h.addr("x1"), cur.Epoch+1, "n1")
-	rivalB := cur.withNode("x2", "127.0.0.1:1", cur.Epoch+1, "n2")
+	rivalA := cur.withNode("x1", h.addr("x1"))
+	rivalB := cur.withNode("x2", "127.0.0.1:1")
 	if !n1.swapMap(rivalA) || !n2.swapMap(rivalB) {
 		t.Fatal("fixture: the rival maps did not install")
 	}
-	if n1.DigestSync(); n1.Map().Encode() != rivalB.Encode() || n2.Map().Encode() != rivalB.Encode() {
-		t.Fatalf("one digest round left rival maps: n1 %s, n2 %s, want %s",
-			n1.Map().Encode(), n2.Map().Encode(), rivalB.Encode())
+	want := rivalA.join(rivalB)
+	if !want.Has("x1") || !want.Has("x2") {
+		t.Fatalf("fixture: the join %s lacks a change", want.Encode())
+	}
+	if n1.DigestSync(); n1.Map().Encode() != want.Encode() || n2.Map().Encode() != want.Encode() {
+		t.Fatalf("one digest round left n1 %s, n2 %s, want both %s",
+			n1.Map().Encode(), n2.Map().Encode(), want.Encode())
 	}
 }
 

@@ -247,24 +247,19 @@ func TestClusterVerbForms(t *testing.T) {
 	t.Parallel()
 	h := newHarness(t, harnessOpts{nodes: 1, replicas: 1})
 	n := h.node("n1")
-	e := fmt.Sprintf("e=%d", n.Map().Epoch)
 	m := n.Map()
-	tri := m.Triple()
-	coordinator := m.Coordinator
-	if coordinator == "" {
-		coordinator = noCoordinator
-	}
+	h8t := fmt.Sprintf("h=%d", m.Height())
+	d := fmt.Sprintf("d=%016x", m.Digest())
 	frame := base64.StdEncoding.EncodeToString(server.EncodeFrame([]server.KeyBlob{{Key: "framed", Blob: denseBlob(t, "y")}}))
 	forms := []struct{ sub, arity, bad, badWant, valid, validWant string }{
 		{"INFO", "CLUSTER INFO x", "", "", "CLUSTER INFO", "+id=n1 addr=" + n.Addr() + " "},
 		{"MAP", "CLUSTER MAP x", "", "", "CLUSTER MAP", "+" + m.Encode() + "\n"},
-		{"JOIN", "CLUSTER JOIN n9", "CLUSTER JOIN a=b addr", `-ERR invalid node ID "a=b"`, "CLUSTER JOIN n1 " + n.Addr(), "+OK " + m.Triple() + "\n"},
-		{"LEAVE", "CLUSTER LEAVE", "", "", "CLUSTER LEAVE ghost", "+OK " + m.Triple() + "\n"},
+		{"JOIN", "CLUSTER JOIN n9", "CLUSTER JOIN a=b addr", `-ERR invalid node ID "a=b"`, "CLUSTER JOIN n1 " + n.Addr(), "+OK " + m.Stamp() + "\n"},
+		{"LEAVE", "CLUSTER LEAVE", "", "", "CLUSTER LEAVE ghost", "+OK " + m.Stamp() + "\n"},
 		{"SETMAP", "", "CLUSTER SETMAP v9", "-ERR cluster: ", "CLUSTER SETMAP " + m.Encode(), "+OK\n"},
-		{"EPOCH", "CLUSTER EPOCH 5", "CLUSTER EPOCH soon n1", `-ERR bad epoch "soon"`, "CLUSTER EPOCH 1000 n1", "+GRANTED 1000 " + tri + "\n"},
-		{"DSUM", "CLUSTER DSUM n1", "CLUSTER DSUM n1 e=soon v=1 c=-", "-ERR cluster: bad epoch \"soon\"\n", "CLUSTER DSUM n1 " + tri, "+"},
-		{"DKEYS", "CLUSTER DKEYS n1 " + tri, "CLUSTER DKEYS n1 " + tri + " 0,999", `-ERR bad shard index "999"`, "CLUSTER DKEYS n1 " + tri + " 0,1", "+"},
-		{"GOSSIP", "", "CLUSTER GOSSIP g1 n9", "-ERR cluster: gossip digest needs", fmt.Sprintf("CLUSTER GOSSIP g1 n9 %d %d %s", m.Epoch, m.Version, coordinator), "+g1 n1 "},
+		{"DSUM", "CLUSTER DSUM n1", "CLUSTER DSUM n1 d=soon", "-ERR bad map digest \"d=soon\" (want d=<hex>)\n", "CLUSTER DSUM n1 " + d, "+"},
+		{"DKEYS", "CLUSTER DKEYS n1 " + d, "CLUSTER DKEYS n1 " + d + " 0,999", `-ERR bad shard index "999"`, "CLUSTER DKEYS n1 " + d + " 0,1", "+"},
+		{"GOSSIP", "", "CLUSTER GOSSIP g2 n9", "-ERR cluster: gossip digest needs", "CLUSTER GOSSIP g2 n9 " + d[2:], "+g2 n1 "},
 		{"HEALTH", "CLUSTER HEALTH x", "", "", "CLUSTER HEALTH", "+round="},
 		{"STATS", "CLUSTER STATS ALL x", "CLUSTER STATS BOGUS", clusterStatsUsage + "\n", "CLUSTER STATS", "+node=n1 "},
 		{"LDEL", "CLUSTER LDEL", "", "", "CLUSTER LDEL nowhere", ":0\n"},
@@ -273,7 +268,7 @@ func TestClusterVerbForms(t *testing.T) {
 		{"LPERSIST", "CLUSTER LPERSIST", "", "", "CLUSTER LPERSIST p", ":1\n"},
 		{"LKEYS", "CLUSTER LKEYS x", "", "", "CLUSTER LKEYS", "+p\n"},
 		{"MLADD", "CLUSTER MLADD p k", "CLUSTER MLADD w k soon 1 x", `-ERR bad CLUSTER MLADD timestamp "soon"`, "CLUSTER MLADD p mladded " + batchB64(t, "z"), ":1\n"},
-		{"XFER", "CLUSTER XFER FRAME " + e, "CLUSTER XFER FRAME " + e + " !!!!", "-ERR xfer: bad base64: ", "CLUSTER XFER FRAME " + e + " " + frame, "+OK\n"},
+		{"XFER", "CLUSTER XFER FRAME " + h8t, "CLUSTER XFER FRAME " + h8t + " !!!!", "-ERR xfer: bad base64: ", "CLUSTER XFER FRAME " + h8t + " " + frame, "+OK\n"},
 	}
 	usage := map[string]string{}
 	for _, v := range clusterVerbs {

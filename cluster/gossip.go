@@ -1,28 +1,27 @@
 package cluster
 
-// Gossip-based failure detection with epoch-fenced auto-LEAVE.
+// Gossip-based failure detection with quorum-backed auto-LEAVE.
 //
 // Each node keeps a heartbeat counter it increments once per gossip
 // round and a per-peer record of the highest heartbeat it has seen and
 // when (in rounds of its own logical clock) that evidence last
 // advanced. One round — Node.Gossip — pushes a digest (node id →
-// heartbeat, plus a piggybacked suspicion bit and the sender's map
-// ordering triple) to a few peers chosen round-robin, and processes the
+// heartbeat, plus a piggybacked suspicion bit and the digest of the
+// sender's map) to a few peers chosen round-robin, and processes the
 // digest each peer sends back, so liveness information spreads
-// epidemically in O(log N) rounds. The triples heal maps: a pusher whose
-// reply shows a newer one pulls that peer's map (CLUSTER MAP), one that
-// shows an older one gets a targeted CLUSTER SETMAP. No map rides a digest.
+// epidemically in O(log N) rounds. The map digests heal maps: a pusher
+// whose reply shows another one pulls that peer's map (CLUSTER MAP), joins
+// it, and pushes the join back with a targeted CLUSTER SETMAP if the peer
+// lacks part of it. No map rides a digest.
 //
 // A peer whose evidence has not advanced for suspectAfter rounds
 // becomes SUSPECT locally; the suspicion bit travels with every digest,
 // so suspicions accumulate per node across the cluster. Only when this
 // node itself suspects a peer AND a quorum (majority of the current
 // map, counting this node) is known to agree does it coordinate an
-// auto-LEAVE — which goes through the same epoch claim as an operator
-// LEAVE, so eviction obeys the (Epoch, Version, Coordinator) order and
-// a minority partition can never evict the majority: its suspicion
-// count cannot reach quorum (it cannot hear the other suspecters), and
-// even a bug that tried would fail the epoch claim.
+// auto-LEAVE, the same change as an operator's LEAVE. So a minority
+// partition never evicts the majority: its suspicion count cannot reach
+// quorum, because it cannot hear the other suspecters.
 //
 // Time is logical: nothing in this file reads a wall clock. The driver
 // — elld's -gossip-interval ticker in production, the test harness's
@@ -30,7 +29,6 @@ package cluster
 // what makes every failure-detection test deterministic.
 
 import (
-	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -93,7 +91,7 @@ func (n *Node) markAlive(addr string) {
 
 // Gossip runs one failure-detection round: advance the logical clock
 // and own heartbeat, time out silent peers into SUSPECT, exchange
-// digests with gossipFanout round-robin peers, and coordinate an epoch-fenced
+// digests with gossipFanout round-robin peers, and coordinate an
 // auto-LEAVE for any peer this node suspects once a quorum of members
 // is known to agree. It returns the ids it evicted this round (usually
 // none). Unreachable gossip targets are simply skipped — that silence
@@ -136,7 +134,7 @@ func (n *Node) Gossip() []string {
 
 	// Push-pull exchange. Each reply carries the target's digest, which
 	// may deliver the suspicion bits that complete a quorum below, and the
-	// target's map triple, which says who of the two is behind.
+	// digest of the target's map, which says whether the maps differ.
 	payload := append([]string{"CLUSTER", "GOSSIP"}, strings.Fields(digest)...)
 	for _, addr := range targets {
 		reply, err := n.peers.do(addr, payload...)
@@ -148,21 +146,13 @@ func (n *Node) Gossip() []string {
 			continue
 		}
 		n.processDigest(d)
-		// Both best-effort: a failed heal retries on the next exchange.
-		switch cur := n.currentMap(); {
-		case cur.triple().after(d.triple()):
-			// The replier is behind our map: push it now, one targeted
-			// SETMAP, instead of leaving the laggard to discover it.
-			n.peers.do(addr, setmapCommand(cur)...)
-		case d.triple().after(cur.triple()):
-			// The replier is ahead: pull its map from that one peer.
-			n.reconcileMap(addr)
+		if d.MapDigest != n.currentMap().Digest() {
+			n.reconcileMap(addr) // best-effort: a failed heal retries on the next exchange
 		}
 	}
 
 	// Eviction: only for peers this node independently suspects, and
-	// only once a majority of the current map is known to agree. The
-	// LEAVE itself is epoch-fenced, so this can never outrun a quorum.
+	// only once a majority of the current map is known to agree.
 	quorum := m.Len()/2 + 1
 	var candidates []string
 	g.mu.Lock()
@@ -201,7 +191,7 @@ func (n *Node) Gossip() []string {
 // digestLocked fills this node's current digest; g.mu held.
 func (n *Node) digestLocked(m *Map) *digest {
 	g := &n.gsp
-	d := &digest{Sender: n.id, Epoch: m.Epoch, Version: m.Version, Coordinator: m.Coordinator}
+	d := &digest{Sender: n.id, MapDigest: m.Digest()}
 	for _, mem := range m.Members() {
 		if mem.ID == n.id {
 			d.Entries = append(d.Entries, digestEntry{ID: mem.ID, HB: g.selfHB})
@@ -238,8 +228,8 @@ func (n *Node) pickTargetsLocked(members []Member) []string {
 // processDigest folds one received digest into the detector state:
 // direct contact with the sender, heartbeat advances (which refute all
 // outstanding suspicion of that peer), and the sender's suspicion bits.
-// The map triple the digest carries is the callers' business (Gossip,
-// handleGossip): detector state never moves maps.
+// The map digest it carries is Gossip's business: detector state never
+// moves maps.
 func (n *Node) processDigest(d *digest) {
 	m := n.currentMap()
 	g := &n.gsp
@@ -257,7 +247,7 @@ func (n *Node) processDigest(d *digest) {
 		}
 		st, ok := g.peers[e.ID]
 		if !ok {
-			continue // not in our map (yet); the triple's heal will bring it
+			continue // not in our map (yet); the map digest's heal will bring it
 		}
 		if e.HB > st.hb {
 			st.hb = e.HB
@@ -284,8 +274,8 @@ func (n *Node) processDigest(d *digest) {
 // handleGossip is the CLUSTER GOSSIP wire handler: fold the pushed
 // digest in and reply with ours (push-pull), so one round trip moves
 // information both ways. Maps are the pusher's business: our reply carries
-// our triple, and a pusher behind it pulls our map, one ahead of it pushes
-// its own.
+// our map's digest, and a pusher whose map differs pulls ours, joins it and
+// pushes the join back.
 func (n *Node) handleGossip(reply []byte, args [][]byte) []byte {
 	d, err := decodeDigest(server.StringArgs(args))
 	if err != nil {
@@ -365,7 +355,7 @@ func (n *Node) handleHealth(reply []byte, _ [][]byte) []byte {
 // --- wire format -------------------------------------------------------
 
 // gossipWireTag versions the digest payload, like mapWireTag for maps.
-const gossipWireTag = "g1"
+const gossipWireTag = "g2"
 
 // suspectMark is appended to a digest entry's heartbeat when the sender
 // currently suspects that member. '!' cannot appear inside the decimal
@@ -381,28 +371,23 @@ type digestEntry struct {
 
 // digest is the decoded CLUSTER GOSSIP payload:
 //
-//	g1 <sender> <epoch> <version> <coordinator|-> <id>=<hb>[!] ...
+//	g2 <sender> <map digest in hex> <id>=<hb>[!] ...
 //
-// The (epoch, version, coordinator) triple is the sender's map
-// ordering, enough for the receiver to know whether it is behind; the
-// map itself never rides a digest.
+// The map digest (Map.Digest) is enough for the receiver to know whether
+// the two maps differ; the map itself never rides a digest.
 type digest struct {
-	Sender      string
-	Epoch       uint64
-	Version     uint64
-	Coordinator string
-	Entries     []digestEntry
+	Sender    string
+	MapDigest uint64
+	Entries   []digestEntry
 }
-
-func (d *digest) triple() triple { return triple{d.Epoch, d.Version, d.Coordinator} }
 
 // decodeDigest parses the gossip payload strictly: like DecodeMap it
 // must reject (never panic on, never over-allocate for) a corrupt or
 // hostile payload — see FuzzGossipDecode. Size caps are shared with the
 // map codec: at most maxWireMembers entries and maxWireBytes total.
 func decodeDigest(tokens []string) (*digest, error) {
-	if len(tokens) < 5 {
-		return nil, fmt.Errorf("cluster: gossip digest needs tag, sender, epoch, version and coordinator, got %d tokens", len(tokens))
+	if len(tokens) < 3 {
+		return nil, fmt.Errorf("cluster: gossip digest needs tag, sender and map digest, got %d tokens", len(tokens))
 	}
 	total := len(tokens)
 	for _, tok := range tokens {
@@ -417,20 +402,18 @@ func decodeDigest(tokens []string) (*digest, error) {
 	if !validID(tokens[1]) {
 		return nil, fmt.Errorf("cluster: bad gossip sender %q", tokens[1])
 	}
-	t, err := readTriple(tokens[2], tokens[3], tokens[4])
+	md, err := strconv.ParseUint(tokens[2], 16, 64)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: gossip digest: %w", err)
+		return nil, fmt.Errorf("cluster: gossip digest: bad map digest %q", tokens[2])
 	}
-	entryTokens := tokens[5:]
+	entryTokens := tokens[3:]
 	if len(entryTokens) > maxWireMembers {
 		return nil, fmt.Errorf("cluster: gossip digest claims %d entries (limit %d)", len(entryTokens), maxWireMembers)
 	}
 	d := &digest{
-		Sender:      tokens[1],
-		Epoch:       t.epoch,
-		Version:     t.version,
-		Coordinator: t.coordinator,
-		Entries:     make([]digestEntry, 0, len(entryTokens)),
+		Sender:    tokens[1],
+		MapDigest: md,
+		Entries:   make([]digestEntry, 0, len(entryTokens)),
 	}
 	seen := make(map[string]bool, len(entryTokens))
 	for _, tok := range entryTokens {
@@ -458,11 +441,8 @@ func decodeDigest(tokens []string) (*digest, error) {
 // encode renders the digest in its wire form, the inverse of
 // decodeDigest: what Gossip pushes and handleGossip replies.
 func (d *digest) encode() string {
-	parts := make([]string, 0, 5+len(d.Entries))
-	parts = append(parts, gossipWireTag, d.Sender,
-		strconv.FormatUint(d.Epoch, 10),
-		strconv.FormatUint(d.Version, 10),
-		cmp.Or(d.Coordinator, noCoordinator))
+	parts := make([]string, 0, 3+len(d.Entries))
+	parts = append(parts, gossipWireTag, d.Sender, fmt.Sprintf("%016x", d.MapDigest))
 	for _, e := range d.Entries {
 		tok := e.ID + "=" + strconv.FormatUint(e.HB, 10)
 		if e.Suspect {

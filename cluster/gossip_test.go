@@ -11,10 +11,8 @@ import (
 func TestDigestRoundTrip(t *testing.T) {
 	t.Parallel()
 	d := &digest{
-		Sender:      "n1",
-		Epoch:       7,
-		Version:     12,
-		Coordinator: "n2",
+		Sender:    "n1",
+		MapDigest: 0x0123456789abcdef,
 		Entries: []digestEntry{
 			{ID: "n1", HB: 41},
 			{ID: "n2", HB: 39, Suspect: true},
@@ -32,14 +30,11 @@ func TestDigestRoundTrip(t *testing.T) {
 	if !got.Entries[1].Suspect || got.Entries[0].Suspect {
 		t.Errorf("suspicion bits lost in %q", enc)
 	}
-	// The empty coordinator spells as "-" like the map codec.
-	d.Coordinator = ""
-	got, err = decodeDigest(strings.Fields(d.encode()))
-	if err != nil || got.Coordinator != "" {
-		t.Errorf("empty coordinator round trip: %+v, %v", got, err)
+	if got.MapDigest != d.MapDigest {
+		t.Errorf("map digest %x came back as %x", d.MapDigest, got.MapDigest)
 	}
 	// '~' is an ordinary id character, in the sender and in entries.
-	if got, err := decodeDigest(strings.Fields("g1 ~n1 1 1 - ~x=1!")); err != nil || !got.Entries[0].Suspect {
+	if got, err := decodeDigest(strings.Fields("g2 ~n1 1 ~x=1!")); err != nil || !got.Entries[0].Suspect {
 		t.Errorf("'~'-prefixed ids: %+v, %v", got, err)
 	}
 }
@@ -50,22 +45,22 @@ func TestDigestDecodeRejects(t *testing.T) {
 	t.Parallel()
 	cases := []string{
 		"",
-		"g1",
-		"g1 n1 1 1",                           // missing coordinator
-		"v3 n1 1 1 -",                         // wrong tag (a map payload)
-		"g1 bad=id 1 1 -",                     // '=' in sender
-		"g1 n1 x 1 -",                         // non-numeric epoch
-		"g1 n1 1 x -",                         // non-numeric version
-		"g1 n1 1 1 'c d'",                     // whitespace cannot reach tokens, but '=' can
-		"g1 n1 1 1 - n2",                      // entry without '='
-		"g1 n1 1 1 - n2=abc",                  // non-numeric heartbeat
-		"g1 n1 1 1 - n2=1! n2=2",              // duplicate entry
-		"g1 n1 1 1 - n2=!",                    // suspicion mark with no heartbeat
-		"g1 n1 1 1 - n2=18446744073709551616", // uint64 overflow
-		"g1 n1 1 1 - ~",                       // '~'-prefixed entries follow the same rules: no '='
-		"g1 n1 1 1 - ~x",                      // no '='
-		"g1 n1 1 1 - ~x=abc",                  // non-numeric heartbeat
-		"g1 n1 1 1 - ~x=1 ~x=2",               // duplicate entry
+		"g2",
+		"g2 n1",                           // missing map digest
+		"g1 n1 1 1 -",                     // the retired tag
+		"v4 n1 1",                         // wrong tag (a map payload)
+		"g2 bad=id 1",                     // '=' in sender
+		"g2 n1 xyz",                       // non-hex map digest
+		"g2 n1 10000000000000000",         // map digest past 64 bits
+		"g2 n1 1 n2",                      // entry without '='
+		"g2 n1 1 n2=abc",                  // non-numeric heartbeat
+		"g2 n1 1 n2=1! n2=2",              // duplicate entry
+		"g2 n1 1 n2=!",                    // suspicion mark with no heartbeat
+		"g2 n1 1 n2=18446744073709551616", // uint64 overflow
+		"g2 n1 1 ~",                       // '~'-prefixed entries follow the same rules: no '='
+		"g2 n1 1 ~x",                      // no '='
+		"g2 n1 1 ~x=abc",                  // non-numeric heartbeat
+		"g2 n1 1 ~x=1 ~x=2",               // duplicate entry
 	}
 	for _, payload := range cases {
 		if d, err := decodeDigest(strings.Fields(payload)); err == nil {
@@ -78,14 +73,14 @@ func TestDigestDecodeRejects(t *testing.T) {
 // beyond the shared wire caps.
 func TestDigestDecodeCaps(t *testing.T) {
 	t.Parallel()
-	tokens := []string{"g1", "n1", "1", "1", "-"}
+	tokens := []string{"g2", "n1", "1"}
 	for i := 0; i <= maxWireMembers; i++ {
 		tokens = append(tokens, "m"+strconv.Itoa(i)+"=1")
 	}
 	if _, err := decodeDigest(tokens); err == nil {
 		t.Fatalf("digest with %d entries accepted (limit %d)", maxWireMembers+1, maxWireMembers)
 	}
-	huge := []string{"g1", "n1", "1", "1", "-", "x=" + strings.Repeat("9", maxWireBytes)}
+	huge := []string{"g2", "n1", "1", "x=" + strings.Repeat("9", maxWireBytes)}
 	if _, err := decodeDigest(huge); err == nil {
 		t.Fatal("oversized digest accepted")
 	}
@@ -96,16 +91,17 @@ func TestDigestDecodeCaps(t *testing.T) {
 // to a byte-stable, re-decodable form — two nodes must never disagree
 // about one digest.
 func FuzzGossipDecode(f *testing.F) {
+	f.Add("g2 n1 0123456789abcdef n1=41 n2=39! n3=0")
+	f.Add("g2 n1 ffffffffffffffff x=18446744073709551615!")
+	f.Add("g2 n9 0")
 	f.Add("g1 n1 3 7 n2 n1=41 n2=39! n3=0")
-	f.Add("g1 n1 18446744073709551615 0 - x=18446744073709551615!")
-	f.Add("g1 n9 1 1 n9")
-	f.Add("v3 1 1 - 2 n1=a")
+	f.Add("v4 2 n1=a=1")
 	f.Add("")
-	f.Add("g1 n1 1 1 - a=1! a=2")
-	f.Add("g1 n1 1 1 - a=1!!")
-	f.Add("g1 n1 3 7 n2 n1=41 n3=0 ~n4=3 ~n5=9")
-	f.Add("g1 n1 1 1 - ~a=1 b=2")
-	f.Add("g1 n1 1 1 - ~~a=1")
+	f.Add("g2 n1 1 a=1! a=2")
+	f.Add("g2 n1 1 a=1!!")
+	f.Add("g2 n1 abc n1=41 n3=0 ~n4=3 ~n5=9")
+	f.Add("g2 n1 1 ~a=1 b=2")
+	f.Add("g2 n1 1 ~~a=1")
 	f.Fuzz(func(t *testing.T, payload string) {
 		tokens := strings.Fields(payload)
 		d, err := decodeDigest(tokens)
@@ -140,10 +136,9 @@ func TestGossipWireExchange(t *testing.T) {
 	nodes[1].Gossip()
 
 	d := &digest{
-		Sender: nodes[0].ID(),
-		Epoch:  nodes[0].Map().Epoch, Version: nodes[0].Map().Version,
-		Coordinator: nodes[0].Map().Coordinator,
-		Entries:     []digestEntry{{ID: nodes[0].ID(), HB: 99}},
+		Sender:    nodes[0].ID(),
+		MapDigest: nodes[0].Map().Digest(),
+		Entries:   []digestEntry{{ID: nodes[0].ID(), HB: 99}},
 	}
 	reply, err := nodes[0].peers.do(nodes[1].Addr(),
 		append([]string{"CLUSTER", "GOSSIP"}, strings.Fields(d.encode())...)...)

@@ -1,12 +1,13 @@
 // Package cluster turns the single-node server package into a sharded,
-// replicated sketch cluster. A versioned cluster map places every key on
-// N owner nodes by rendezvous hashing; any node accepts any command,
-// forwarding writes to the key's owners and answering distinct-count
-// queries by scatter-gathering serialized sketches and merging them
-// locally. Because ExaLogLog merging is commutative and idempotent (paper
-// Section 1), replicas may be written redundantly and blobs re-sent at
-// will — rebalancing after membership changes is just "push your copy to
-// whoever owns it now".
+// replicated sketch cluster. A cluster map places every key on N owner
+// nodes by rendezvous hashing; any node accepts any command, forwarding
+// writes to the key's owners and answering distinct-count queries by
+// scatter-gathering serialized sketches and merging them locally. Because
+// ExaLogLog merging is commutative and idempotent (paper Section 1),
+// replicas may be written redundantly and blobs re-sent at will —
+// rebalancing after membership changes is just "push your copy to whoever
+// owns it now". The map itself converges the same way: it is a state that
+// nodes join, not one they agree on.
 //
 // Wire-wise the cluster layers CLUSTER subcommands onto the server line
 // protocol and is the keyspace the server's data verbs (PFADD … KEYS) act
@@ -16,6 +17,7 @@ package cluster
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -29,70 +31,51 @@ type Member struct {
 	Addr string
 }
 
-// Map is an immutable view of cluster membership: which nodes exist,
-// where they listen, and how many replicas each key gets. Nodes
-// exchange maps with the CLUSTER SETMAP verb; newer maps win, so a map
-// change made on any node converges everywhere. Treat a Map as
-// read-only once built — derive changed maps with withNode/withoutNode.
+// Entry is one ID's record in a map: its address and its counter. An odd
+// counter means the ID is in, an even one that it is out.
+type Entry struct {
+	Member
+	Counter uint64
+}
+
+// In reports whether the entry's ID is a member.
+func (e Entry) In() bool { return e.Counter%2 == 1 }
+
+// Map is an immutable cluster membership state: every ID the cluster has
+// known, with a counter and an address each, and how many replicas each
+// key gets. It is a state-based CRDT (a causal-length set): JOIN moves an
+// ID's counter to the next odd value (a re-address adds 2), LEAVE to the
+// next even one, and two states join by taking, per ID, the higher counter
+// — at equal counters the larger address. The join is commutative,
+// associative and idempotent, so nodes that have seen the same changes
+// hold the same map, in whatever order the changes reached them, and a
+// change made on any node, on either side of a partition, converges
+// everywhere. An ID that left stays recorded as out; that is how a join
+// knows the LEAVE is newer than the JOIN it undoes.
 //
-// # Epoch rules
-//
-// Maps are totally ordered by (Epoch, Version, Coordinator), compared
-// in that order — see Newer. Every membership mutation goes through a
-// coordinator that first wins a claim on a fresh epoch from a quorum
-// (majority) of the current members (CLUSTER EPOCH, à la Redis
-// Cluster's config epochs), then mints the new map at that epoch and
-// broadcasts it. A node grants each epoch to at most one coordinator,
-// and majorities intersect, so two concurrent JOIN/LEAVEs routed
-// through different coordinators cannot both win the same epoch: one
-// coordinator retries at a higher epoch. Each vote carries the voter's
-// map triple, and when one supersedes the coordinator's map it pulls
-// that voter's map (CLUSTER MAP) before minting, so the later mutation
-// builds on — rather than overwrites — a rival map that is still
-// mid-broadcast, as long as some reachable member has installed it.
-// Installing a map is a max-join under the order, so a node needs only
-// the other side's triple to know whether to pull (CLUSTER MAP) or push
-// (CLUSTER SETMAP); maps travel as nothing else. Even when a partition
-// lets equal-epoch maps escape (quorum unreachable), the Version and
-// Coordinator tie-breaks still give every node the same winner, so
-// reconciliation never stalls — convergence degrades, correctness does
-// not.
-//
-// # Limits (single partition)
-//
-// Epoch fencing orders maps; it is not consensus. During a partition a
-// majority side can keep mutating while the minority side serves its
-// last map, and a minority-side mutation that cannot reach quorum
-// fails. When the partition heals, the highest-epoch map wins
-// everywhere (gossip/SETMAP) and the losing side's unmerged membership
-// mutations — not its sketch data, which rebalance re-pushes — are
-// discarded and must be re-issued. Likewise, a mutation whose
-// coordinator becomes unreachable before any reachable member learns
-// its map can be superseded by a later, higher-epoch mutation minted
-// from an older parent, even though the coordinator replied OK. This
-// buys convergence without a consensus dependency; it does not buy
-// linearizable membership.
+// Nodes tell maps apart by Digest, a hash of the encoding, and exchange
+// maps with CLUSTER SETMAP and CLUSTER MAP. Height, the sum of the
+// counters, grows with every change, which gives the one-sided fences
+// (XFER frames, the smart client's refetch) a number to compare. Treat a
+// Map as read-only once built — derive changed maps with withNode,
+// withoutNode and join.
 type Map struct {
-	// Epoch is the fencing token: it increases on every membership
-	// mutation and dominates the ordering.
-	Epoch uint64
-	// Version counts mutations within the map's lineage; it breaks
-	// ties between equal-epoch maps (possible only when a claim could
-	// not reach quorum).
-	Version uint64
-	// Coordinator is the ID of the node that minted this map ("" for
-	// a node's initial self-map); it is the final, deterministic
-	// tie-break.
-	Coordinator string
-	Replicas    int
-	members     []placed          // sorted by ID
-	byAddr      map[string]string // addr → id (reverse index, built once)
+	Replicas int
+	entries  []Entry           // every ID, sorted
+	members  []placed          // the in IDs, sorted by ID
+	byAddr   map[string]string // addr → id of the in IDs (reverse index, built once)
+	height   uint64            // the sum of the counters
+	enc      string            // Encode's form
+	digest   uint64            // hashing.WyString(enc, digestSeed)
 }
 
 // placementSeed seeds the placement hashes of keys and members. It differs
 // from the store's shard seed, so the keys one node owns spread over all of
 // its shards.
 const placementSeed = 0x2545f4914f6cdd1d
+
+// digestSeed seeds a map's digest.
+const digestSeed = 0x9e3779b97f4a7c15
 
 // placed is a member with its placement hash.
 type placed struct {
@@ -118,114 +101,92 @@ func (r ranked) beats(q ranked) bool {
 	return r.score > q.score || r.score == q.score && r.ID < q.ID
 }
 
-// NewMap builds an epoch-1, version-1 map with the given replica factor
-// and members. Replicas is clamped to at least 1.
+// NewMap builds a map with the given replica factor whose members are in
+// at counter 1; an ID given twice keeps the larger address, as a join
+// would. Replicas is clamped to at least 1.
 func NewMap(replicas int, members ...Member) *Map {
-	if replicas < 1 {
-		replicas = 1
+	entries := make([]Entry, len(members))
+	for i, m := range members {
+		entries[i] = Entry{m, 1}
 	}
-	nodes := make(map[string]string, len(members))
-	for _, m := range members {
-		nodes[m.ID] = m.Addr
-	}
-	return build(1, 1, "", replicas, nodes)
+	slices.SortFunc(entries, func(a, b Entry) int {
+		return cmp.Or(strings.Compare(a.ID, b.ID), strings.Compare(b.Addr, a.Addr))
+	})
+	entries = slices.CompactFunc(entries, func(a, b Entry) bool { return a.ID == b.ID })
+	return build(max(replicas, 1), entries)
 }
 
-func build(epoch, version uint64, coordinator string, replicas int, nodes map[string]string) *Map {
-	members := make([]placed, 0, len(nodes))
-	for id, addr := range nodes {
-		members = append(members, placed{Member{id, addr}, hashing.WyString(id, placementSeed)})
-	}
-	slices.SortFunc(members, func(a, b placed) int { return strings.Compare(a.ID, b.ID) })
-	byAddr := make(map[string]string, len(nodes))
-	for _, p := range members {
+// build makes the map of entries, sorted by ID without repeats.
+func build(replicas int, entries []Entry) *Map {
+	m := &Map{Replicas: replicas, entries: entries, byAddr: make(map[string]string)}
+	parts := make([]string, 0, 2+len(entries))
+	parts = append(parts, mapWireTag, strconv.Itoa(replicas))
+	for _, e := range entries {
+		m.height += e.Counter
+		parts = append(parts, e.ID+"="+e.Addr+"="+strconv.FormatUint(e.Counter, 10))
+		if !e.In() {
+			continue
+		}
+		m.members = append(m.members, placed{e.Member, hashing.WyString(e.ID, placementSeed)})
 		// Sorted iteration makes the winner deterministic should two
 		// ids ever share an address (first id wins).
-		if _, dup := byAddr[p.Addr]; !dup {
-			byAddr[p.Addr] = p.ID
+		if _, dup := m.byAddr[e.Addr]; !dup {
+			m.byAddr[e.Addr] = e.ID
 		}
 	}
-	return &Map{
-		Epoch:       epoch,
-		Version:     version,
-		Coordinator: coordinator,
-		Replicas:    replicas,
-		members:     members,
-		byAddr:      byAddr,
-	}
+	m.enc = strings.Join(parts, " ")
+	m.digest = hashing.WyString(m.enc, digestSeed)
+	return m
 }
 
-// Newer reports whether m supersedes other under the total order
-// (Epoch, Version, Coordinator). A nil other is always superseded.
-// Equal maps are NOT newer, which makes re-delivered SETMAPs no-ops.
-func (m *Map) Newer(other *Map) bool {
-	return other == nil || m.triple().after(other.triple())
-}
-
-// triple is a map's place in the total order: all of a map that gossip
-// digests, EPOCH votes and DSUM/DKEYS requests and refusals carry.
-type triple struct {
-	epoch, version uint64
-	coordinator    string
-}
-
-func (m *Map) triple() triple { return triple{m.Epoch, m.Version, m.Coordinator} }
-
-// after reports whether t supersedes u: the epoch decides, then the
-// version, then the coordinator.
-func (t triple) after(u triple) bool {
-	if t.epoch != u.epoch {
-		return t.epoch > u.epoch
-	}
-	if t.version != u.version {
-		return t.version > u.version
-	}
-	return t.coordinator > u.coordinator
-}
-
-// Triple renders m's ordering triple as reply fields: "e=<epoch>
-// v=<version> c=<coordinator|->" — the form JOIN/LEAVE replies carry so
-// an operator whose mutation lost can see the map that won, and the
-// form EPOCH votes and DSUM/DKEYS carry in place of the map.
-func (m *Map) Triple() string {
-	return fmt.Sprintf("e=%d v=%d c=%s", m.Epoch, m.Version, cmp.Or(m.Coordinator, noCoordinator))
-}
-
-// parseTriple is Triple's inverse, for the triples that arrive in Triple's
-// form.
-func parseTriple(fields []string) (triple, error) {
-	if len(fields) == 3 {
-		e, okE := strings.CutPrefix(fields[0], "e=")
-		v, okV := strings.CutPrefix(fields[1], "v=")
-		c, okC := strings.CutPrefix(fields[2], "c=")
-		if okE && okV && okC {
-			return readTriple(e, v, c)
+// join returns the least map at or above both m and o: per ID the higher
+// counter, at equal counters the larger address, and the larger replica
+// factor. It returns m itself when o adds nothing to it.
+func (m *Map) join(o *Map) *Map {
+	a, b := m.entries, o.entries
+	out := make([]Entry, 0, max(len(a), len(b)))
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].ID < b[0].ID:
+			out, a = append(out, a[0]), a[1:]
+		case len(a) == 0 || b[0].ID < a[0].ID:
+			out, b = append(out, b[0]), b[1:]
+		case b[0].beats(a[0]):
+			out, a, b = append(out, b[0]), a[1:], b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
 		}
 	}
-	return triple{}, fmt.Errorf("cluster: bad map triple %q (want e=<epoch> v=<version> c=<coordinator>)", strings.Join(fields, " "))
+	if j := build(max(m.Replicas, o.Replicas), out); j.enc != m.enc {
+		return j
+	}
+	return m
 }
 
-// readTriple reads the three fields of a triple as every wire form spells
-// them — a decimal epoch and version, a coordinator ID or "-" — Triple's
-// as much as the map's and the gossip digest's.
-func readTriple(epoch, version, coordinator string) (triple, error) {
-	e, err := strconv.ParseUint(epoch, 10, 64)
-	if err != nil {
-		return triple{}, fmt.Errorf("cluster: bad epoch %q", epoch)
-	}
-	v, err := strconv.ParseUint(version, 10, 64)
-	if err != nil {
-		return triple{}, fmt.Errorf("cluster: bad version %q", version)
-	}
-	if coordinator == noCoordinator {
-		coordinator = ""
-	} else if !validID(coordinator) {
-		return triple{}, fmt.Errorf("cluster: bad coordinator %q", coordinator)
-	}
-	return triple{e, v, coordinator}, nil
+// beats reports whether e wins over f, an entry of the same ID, in a join:
+// a higher counter, or an equal one and a larger address.
+func (e Entry) beats(f Entry) bool {
+	return e.Counter > f.Counter || e.Counter == f.Counter && e.Addr > f.Addr
 }
 
-// Members returns all members sorted by ID.
+// Height is the sum of m's counters. Every change raises it, and a join is
+// at least as high as either side.
+func (m *Map) Height() uint64 { return m.height }
+
+// Digest is a 64-bit hash of m's encoding: equal maps have equal digests.
+// Gossip digests and DSUM/DKEYS compare it to tell whether two nodes hold
+// the same map, and reconcileMap whether to push its join back.
+func (m *Map) Digest() uint64 { return m.digest }
+
+// Stamp renders m's height and digest as reply fields, "h=<height>
+// d=<digest in hex>": the form JOIN/LEAVE replies, CLUSTER INFO and -STALE
+// refusals carry.
+func (m *Map) Stamp() string { return fmt.Sprintf("h=%d d=%016x", m.height, m.digest) }
+
+// Entries returns every ID m records, in and out, sorted by ID.
+func (m *Map) Entries() []Entry { return slices.Clone(m.entries) }
+
+// Members returns the members — the IDs that are in — sorted by ID.
 func (m *Map) Members() []Member {
 	out := make([]Member, len(m.members))
 	for i, p := range m.members {
@@ -237,7 +198,15 @@ func (m *Map) Members() []Member {
 // Len returns the number of members.
 func (m *Map) Len() int { return len(m.members) }
 
-// member returns member id and its placement hash (nil if absent).
+// entry returns id's entry, in or out (nil if m has never recorded id).
+func (m *Map) entry(id string) *Entry {
+	if i, ok := slices.BinarySearchFunc(m.entries, id, func(e Entry, id string) int { return strings.Compare(e.ID, id) }); ok {
+		return &m.entries[i]
+	}
+	return nil
+}
+
+// member returns member id and its placement hash (nil if it is not in).
 func (m *Map) member(id string) *placed {
 	if i, ok := slices.BinarySearchFunc(m.members, id, func(p placed, id string) int { return strings.Compare(p.ID, id) }); ok {
 		return &m.members[i]
@@ -245,7 +214,7 @@ func (m *Map) member(id string) *placed {
 	return nil
 }
 
-// Addr returns the address of node id ("" if absent).
+// Addr returns the address of member id ("" if it is not in).
 func (m *Map) Addr(id string) string {
 	if p := m.member(id); p != nil {
 		return p.Addr
@@ -340,44 +309,40 @@ func (m *Map) passPeers(self string, membership bool) []Member {
 	return slices.DeleteFunc(m.Members(), func(mem Member) bool { return mem.ID == self })
 }
 
-// withNode returns a new map minted by coordinator at epoch with node
-// id added or re-addressed, at version+1.
-func (m *Map) withNode(id, addr string, epoch uint64, coordinator string) *Map {
-	nodes := m.nodeAddrs()
-	nodes[id] = addr
-	return build(epoch, m.Version+1, coordinator, m.Replicas, nodes)
-}
-
-// withoutNode returns a new map minted by coordinator at epoch with
-// node id removed, at version+1.
-func (m *Map) withoutNode(id string, epoch uint64, coordinator string) *Map {
-	nodes := m.nodeAddrs()
-	delete(nodes, id)
-	return build(epoch, m.Version+1, coordinator, m.Replicas, nodes)
-}
-
-// nodeAddrs returns m's members as a fresh id → addr map, for build.
-func (m *Map) nodeAddrs() map[string]string {
-	nodes := make(map[string]string, len(m.members)+1)
-	for _, p := range m.members {
-		nodes[p.ID] = p.Addr
+// withNode returns m with id in at addr: its counter moves to the next odd
+// value, two up if id is in already (a re-address). Callers check first
+// whether id is in at addr.
+func (m *Map) withNode(id, addr string) *Map {
+	c := uint64(1)
+	if e := m.entry(id); e != nil {
+		c = e.Counter + 1 + e.Counter%2
 	}
-	return nodes
+	return m.join(build(m.Replicas, []Entry{{Member{id, addr}, c}}))
+}
+
+// withoutNode returns m with id out: its counter moves to the next even
+// value. m itself if id is not in.
+func (m *Map) withoutNode(id string) *Map {
+	e := m.entry(id)
+	if e == nil || !e.In() {
+		return m
+	}
+	return m.join(build(m.Replicas, []Entry{{e.Member, e.Counter + 1}}))
 }
 
 // mapWireTag versions the SETMAP payload; bumping the map schema or the
 // placement rule means minting a new tag, so old nodes reject (rather than
-// misread) new payloads and vice versa. v3 places keys by rendezvous
-// hashing; v2 maps were placed on a virtual-node ring.
-const mapWireTag = "v3"
+// misread) new payloads and vice versa. v4 is the state of per-ID counters
+// that nodes join.
+const mapWireTag = "v4"
 
-// noCoordinator is the wire spelling of an empty Coordinator (tokens
-// cannot be empty).
-const noCoordinator = "-"
-
-// maxWireMembers caps how many members DecodeMap accepts; an
-// adversarial payload cannot make a node build an absurd map.
+// maxWireMembers caps how many IDs DecodeMap accepts; an adversarial
+// payload cannot make a node build an absurd map.
 const maxWireMembers = 4096
+
+// maxCounter caps the counters DecodeMap accepts, so that the height of a
+// map of maxWireMembers IDs cannot wrap.
+const maxCounter = math.MaxUint64 / maxWireMembers
 
 // maxWireBytes caps the total encoded size DecodeMap accepts. It is
 // far below the server snapshot reader's 1 MiB metadata limit, so any
@@ -387,31 +352,20 @@ const maxWireBytes = 1 << 18
 
 // Encode renders the map as space-separated protocol tokens:
 //
-//	v3 <epoch> <version> <coordinator|-> <replicas> <id>=<addr> [...]
+//	v4 <replicas> <id>=<addr>=<counter> [...]
 //
-// the payload of CLUSTER MAP replies and CLUSTER SETMAP commands. Node
-// IDs, addresses and coordinator must not contain whitespace or '=';
-// Node enforces this at join time. Members are emitted sorted by ID,
-// so equal maps encode byte-identically.
-func (m *Map) Encode() string {
-	parts := make([]string, 0, 5+len(m.members))
-	parts = append(parts, mapWireTag,
-		strconv.FormatUint(m.Epoch, 10),
-		strconv.FormatUint(m.Version, 10),
-		cmp.Or(m.Coordinator, noCoordinator),
-		strconv.Itoa(m.Replicas))
-	for _, p := range m.members {
-		parts = append(parts, p.ID+"="+p.Addr)
-	}
-	return strings.Join(parts, " ")
-}
+// the payload of CLUSTER MAP replies and CLUSTER SETMAP commands, and the
+// snapshot's metadata. Node IDs and addresses must not contain whitespace
+// or '='; Node enforces this at join time. Entries are emitted sorted by
+// ID, so equal maps encode byte-identically.
+func (m *Map) Encode() string { return m.enc }
 
 // DecodeMap parses Encode's token form. It is deliberately strict — a
 // corrupt or adversarial SETMAP payload must yield an error, never a
 // panic or a degenerate map (see FuzzMapDecode).
 func DecodeMap(tokens []string) (*Map, error) {
-	if len(tokens) < 5 {
-		return nil, fmt.Errorf("cluster: map needs tag, epoch, version, coordinator and replicas, got %d tokens", len(tokens))
+	if len(tokens) < 2 {
+		return nil, fmt.Errorf("cluster: map needs a tag and a replica factor, got %d tokens", len(tokens))
 	}
 	total := len(tokens) // separators
 	for _, tok := range tokens {
@@ -423,35 +377,31 @@ func DecodeMap(tokens []string) (*Map, error) {
 	if tokens[0] != mapWireTag {
 		return nil, fmt.Errorf("cluster: unsupported map payload tag %q (want %s)", tokens[0], mapWireTag)
 	}
-	t, err := readTriple(tokens[1], tokens[2], tokens[3])
-	if err != nil {
-		return nil, err
-	}
-	replicas, err := strconv.Atoi(tokens[4])
+	replicas, err := strconv.Atoi(tokens[1])
 	if err != nil || replicas < 1 || replicas > maxWireMembers {
-		return nil, fmt.Errorf("cluster: bad replica factor %q", tokens[4])
+		return nil, fmt.Errorf("cluster: bad replica factor %q", tokens[1])
 	}
-	memberTokens := tokens[5:]
-	if len(memberTokens) > maxWireMembers {
-		return nil, fmt.Errorf("cluster: map claims %d members (limit %d)", len(memberTokens), maxWireMembers)
+	entryTokens := tokens[2:]
+	if len(entryTokens) > maxWireMembers {
+		return nil, fmt.Errorf("cluster: map claims %d IDs (limit %d)", len(entryTokens), maxWireMembers)
 	}
-	nodes := make(map[string]string, len(memberTokens))
-	for _, tok := range memberTokens {
-		id, addr, ok := strings.Cut(tok, "=")
-		if !ok || !validID(id) || addr == "" || strings.Contains(addr, "=") {
-			return nil, fmt.Errorf("cluster: bad member token %q", tok)
+	entries := make([]Entry, 0, len(entryTokens))
+	for _, tok := range entryTokens {
+		id, rest, _ := strings.Cut(tok, "=")
+		addr, count, ok := strings.Cut(rest, "=")
+		c, err := strconv.ParseUint(count, 10, 64)
+		if !ok || !validID(id) || addr == "" || err != nil || c == 0 || c > maxCounter {
+			return nil, fmt.Errorf("cluster: bad map entry %q", tok)
 		}
-		if _, dup := nodes[id]; dup {
-			return nil, fmt.Errorf("cluster: duplicate member %q", id)
+		entries = append(entries, Entry{Member{id, addr}, c})
+	}
+	slices.SortFunc(entries, func(a, b Entry) int { return strings.Compare(a.ID, b.ID) })
+	for i := 1; i < len(entries); i++ {
+		if entries[i].ID == entries[i-1].ID {
+			return nil, fmt.Errorf("cluster: duplicate map entry %q", entries[i].ID)
 		}
-		nodes[id] = addr
 	}
-	// A wire map with no members is always bogus — installing one would
-	// make every key ownerless and rebalance could drop local data.
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("cluster: map has no members")
-	}
-	return build(t.epoch, t.version, t.coordinator, replicas, nodes), nil
+	return build(replicas, entries), nil
 }
 
 // validID reports whether id is usable on the wire (non-empty, no

@@ -6,94 +6,158 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math/bits"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestMapOrdering pins the (Epoch, Version, Coordinator) total order
-// that SETMAP conflict resolution rests on: every pair of distinct
-// maps has exactly one winner, and a map never supersedes itself.
-func TestMapOrdering(t *testing.T) {
-	t.Parallel()
-	mk := func(epoch, version uint64, coord string) *Map {
-		return build(epoch, version, coord, 2, map[string]string{"n1": "a:1"})
-	}
-	cases := []struct {
-		name string
-		a, b *Map
-		want bool // a.Newer(b)
-	}{
-		{"higher epoch wins", mk(3, 1, "n1"), mk(2, 9, "n9"), true},
-		{"lower epoch loses", mk(2, 9, "n9"), mk(3, 1, "n1"), false},
-		{"same epoch, higher version wins", mk(2, 5, "n1"), mk(2, 4, "n9"), true},
-		{"same epoch+version, coordinator breaks tie", mk(2, 4, "n9"), mk(2, 4, "n1"), true},
-		{"identical triple is not newer", mk(2, 4, "n1"), mk(2, 4, "n1"), false},
-		{"anything beats nil", mk(0, 0, ""), nil, true},
-	}
-	for _, c := range cases {
-		if got := c.a.Newer(c.b); got != c.want {
-			t.Errorf("%s: Newer = %v, want %v", c.name, got, c.want)
-		}
-		// Antisymmetry on distinct maps: exactly one direction wins.
-		if c.b != nil && c.a.Newer(c.b) && c.b.Newer(c.a) {
-			t.Errorf("%s: both directions claim to be newer", c.name)
-		}
-	}
-}
-
-// TestMapMutationsAdvanceOrder: withNode/withoutNode at a claimed epoch
-// always supersede their parent, and encode/decode preserves the
-// ordering triple exactly.
-func TestMapMutationsAdvanceOrder(t *testing.T) {
-	t.Parallel()
-	m := NewMap(2, Member{"n1", "a:1"}, Member{"n2", "a:2"})
-	added := m.withNode("n3", "a:3", m.Epoch+1, "n2")
-	if !added.Newer(m) || added.Epoch != m.Epoch+1 || added.Version != m.Version+1 || added.Coordinator != "n2" {
-		t.Fatalf("withNode did not advance the order: %q → %q", m.Encode(), added.Encode())
-	}
-	removed := added.withoutNode("n1", added.Epoch+1, "n3")
-	if !removed.Newer(added) || removed.Has("n1") || removed.Len() != 2 {
-		t.Fatalf("withoutNode did not advance the order: %q → %q", added.Encode(), removed.Encode())
-	}
-	dec, err := DecodeMap(strings.Fields(removed.Encode()))
+// entries builds a map of replica factor 2 from id=addr=counter tokens.
+func entries(t testing.TB, toks ...string) *Map {
+	t.Helper()
+	m, err := DecodeMap(append([]string{mapWireTag, "2"}, toks...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Epoch != removed.Epoch || dec.Version != removed.Version || dec.Coordinator != removed.Coordinator {
-		t.Errorf("round trip lost the ordering triple: %q vs %q", dec.Encode(), removed.Encode())
+	return m
+}
+
+// TestMapOrdering pins the order the join that SETMAP, gossip and digest
+// rounds rest on settles conflicts by: per ID the higher counter wins, at
+// equal counters the larger address — of two distinct entries of one ID
+// exactly one wins, and no entry beats itself —, an ID one side lacks is
+// kept, and the replica factor is the larger. A join that adds nothing
+// returns the map it was called on.
+func TestMapOrdering(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name    string
+		a, b    []string
+		want    string // the join's entries
+		wantIns []string
+	}{
+		{"higher counter wins", []string{"n1=a:1=1"}, []string{"n1=a:1=2"}, "n1=a:1=2", nil},
+		{"a rejoin beats the leave it follows", []string{"n1=a:1=3"}, []string{"n1=a:1=2"}, "n1=a:1=3", []string{"n1"}},
+		{"equal counters: the larger address", []string{"n1=a:1=3"}, []string{"n1=a:2=3"}, "n1=a:2=3", []string{"n1"}},
+		{"IDs of one side are kept", []string{"n1=a:1=1"}, []string{"n2=a:2=2"}, "n1=a:1=1 n2=a:2=2", []string{"n1"}},
 	}
-	if dec.Newer(removed) || removed.Newer(dec) {
-		t.Error("round-tripped map compares unequal to its source")
+	for _, c := range cases {
+		a, b := entries(t, c.a...), entries(t, c.b...)
+		for _, j := range []*Map{a.join(b), b.join(a)} {
+			if got := strings.TrimPrefix(j.Encode(), mapWireTag+" 2 "); got != c.want {
+				t.Errorf("%s: join holds %q, want %q", c.name, got, c.want)
+			}
+			var ins []string
+			for _, mem := range j.Members() {
+				ins = append(ins, mem.ID)
+			}
+			if !slices.Equal(ins, c.wantIns) {
+				t.Errorf("%s: members %v, want %v", c.name, ins, c.wantIns)
+			}
+		}
+	}
+	rivals := []Entry{{Member{"n1", "a:1"}, 1}, {Member{"n1", "a:2"}, 1}, {Member{"n1", "a:1"}, 2}, {Member{"n1", "a:0"}, 3}}
+	for _, e := range rivals {
+		for _, f := range rivals {
+			if e == f && e.beats(f) || e != f && e.beats(f) == f.beats(e) {
+				t.Errorf("%+v beats %+v = %v and the reverse = %v, want exactly one winner of distinct entries",
+					e, f, e.beats(f), f.beats(e))
+			}
+		}
+	}
+	m := NewMap(1, Member{"n1", "a:1"})
+	if j := m.join(NewMap(3, Member{"n1", "a:1"})); j.Replicas != 3 {
+		t.Errorf("joined replica factor %d, want the larger, 3", j.Replicas)
+	}
+	if m.join(NewMap(1)) != m || m.join(m) != m {
+		t.Error("a join that adds nothing built a new map")
+	}
+	if d := NewMap(1, Member{"n1", "a:1"}, Member{"n1", "a:2"}); len(d.Entries()) != 1 || d.Addr("n1") != "a:2" {
+		t.Errorf("NewMap of one ID at two addresses: %s, want it once at the larger", d.Encode())
+	}
+}
+
+// TestMapMutationsAdvanceOrder: withNode and withoutNode move one counter
+// — a join to the next odd value, a re-address two up, a leave to the next
+// even value — so every change lands strictly above its parent in the
+// join's order and raises the height, and encode/decode keeps the state
+// exactly.
+func TestMapMutationsAdvanceOrder(t *testing.T) {
+	t.Parallel()
+	m := NewMap(2, Member{"n1", "a:1"}, Member{"n2", "a:2"})
+	for _, st := range []struct {
+		name    string
+		change  func(*Map) *Map
+		id      string
+		counter uint64
+	}{
+		{"join a new ID", func(m *Map) *Map { return m.withNode("n3", "a:3") }, "n3", 1},
+		{"leave", func(m *Map) *Map { return m.withoutNode("n1") }, "n1", 2},
+		{"rejoin", func(m *Map) *Map { return m.withNode("n1", "a:1") }, "n1", 3},
+		{"re-address", func(m *Map) *Map { return m.withNode("n1", "a:9") }, "n1", 5},
+	} {
+		next := st.change(m)
+		if e := next.entry(st.id); e == nil || e.Counter != st.counter {
+			t.Errorf("%s: %s's entry is %+v, want counter %d", st.name, st.id, e, st.counter)
+		}
+		if next.Height() <= m.Height() || next.join(m) != next {
+			t.Errorf("%s: %s is not above %s", st.name, next.Encode(), m.Encode())
+		}
+		m = next
+	}
+	if m.withoutNode("ghost") != m || m.withoutNode("n1").withoutNode("n1").Encode() != m.withoutNode("n1").Encode() {
+		t.Error("leaving an ID that is not in changed the map")
+	}
+	if !m.Has("n1") || m.Addr("n1") != "a:9" || m.Len() != 3 {
+		t.Fatalf("after the steps: %s", m.Encode())
+	}
+	dec, err := DecodeMap(strings.Fields(m.Encode()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Encode() != m.Encode() || dec.Digest() != m.Digest() || dec.Height() != m.Height() {
+		t.Errorf("round trip changed the state: %q vs %q", dec.Encode(), m.Encode())
 	}
 }
 
 // FuzzMapDecode: a corrupt or adversarial SETMAP payload must never
 // panic a node, and anything DecodeMap accepts must re-encode to a
 // byte-stable, re-decodable form (otherwise two nodes could disagree
-// about one map).
+// about one map) whose height did not wrap.
 func FuzzMapDecode(f *testing.F) {
-	f.Add("v3 1 1 - 2 n1=127.0.0.1:7700 n2=127.0.0.1:7701")
-	f.Add("v3 18446744073709551615 0 n9 1 x=y")
-	f.Add("v3 3 7 n1 4096 a=b")
-	f.Add("1 2 n1=a:1 n2=a:2") // pre-epoch v1 payload
+	f.Add("v4 2 n1=127.0.0.1:7700=1 n2=127.0.0.1:7701=3")
+	f.Add("v4 1 x=y=4503599627370495")
+	f.Add("v4 1 x=y=4503599627370496") // above maxCounter
+	f.Add("v4 4096 a=b=1")
+	f.Add("v4 2 n1=a:1=2 n2=a:2=4")       // only out IDs
+	f.Add("v4 2 n1=a:1=1 n1=a:2=3")       // a duplicate ID
+	f.Add("v4 2 n1=a:1=1 n2=a:1=1")       // two IDs on one address
+	f.Add("v3 1 1 - 2 n1=127.0.0.1:7700") // the retired epoch-ordered payload
 	f.Add("")
-	f.Add("v3 1 1 - 2 id=a=b")
-	f.Add("v3 1 1 - 2 dup=a dup=b")
-	f.Add("v3 -1 1 - 2 n1=a")
+	f.Add("v4 2 id=a=b=1")
+	f.Add("v4 2 n1=a=0")
+	f.Add("v4 2 n1=a=-1")
 	f.Fuzz(func(t *testing.T, payload string) {
 		tokens := strings.Fields(payload)
 		m, err := DecodeMap(tokens)
 		if err != nil {
 			return // rejected cleanly — that's fine
 		}
-		if m.Len() == 0 || m.Replicas < 1 {
+		if m.Replicas < 1 {
 			t.Fatalf("DecodeMap(%q) accepted a degenerate map: %+v", payload, m)
 		}
 		// Whatever was accepted must route without panicking.
-		if owners := m.Owners("some-key"); len(owners) == 0 {
+		if owners := m.Owners("some-key"); len(owners) == 0 && m.Len() > 0 {
 			t.Fatalf("accepted map owns nothing: %q", payload)
+		}
+		var sum, carry uint64
+		for _, e := range m.Entries() {
+			sum, carry = bits.Add64(sum, e.Counter, carry)
+		}
+		if carry != 0 || sum != m.Height() {
+			t.Fatalf("height of %q wrapped or is wrong: %d", payload, m.Height())
 		}
 		enc := m.Encode()
 		m2, err := DecodeMap(strings.Fields(enc))
@@ -103,6 +167,64 @@ func FuzzMapDecode(f *testing.F) {
 		if m2.Encode() != enc {
 			t.Fatalf("encode not stable: %q → %q", enc, m2.Encode())
 		}
+	})
+}
+
+// fuzzState builds a map from fuzz bytes: the first sets the replica
+// factor (1–3), and each later pair one entry — an ID of eight and a
+// counter of 1–8 from the first byte, an address of three from the second
+// — joined in as a single-entry state.
+func fuzzState(data []byte) *Map {
+	replicas := 1
+	if len(data) > 0 {
+		replicas += int(data[0] % 3)
+		data = data[1:]
+	}
+	m := build(replicas, nil)
+	for ; len(data) >= 2; data = data[2:] {
+		e := Entry{Member{fmt.Sprintf("n%d", data[0]%8), fmt.Sprintf("a:%d", data[1]%3)}, uint64(data[0]/8%8) + 1}
+		m = m.join(build(replicas, []Entry{e}))
+	}
+	return m
+}
+
+// FuzzMapJoin checks the lattice laws the cluster's convergence rests on:
+// the join is commutative, associative and idempotent, and is an upper
+// bound of both sides; and equal states, whatever order they were joined
+// in, give equal Owners, digests and Encode bytes, also after a round
+// trip through DecodeMap.
+func FuzzMapJoin(f *testing.F) {
+	f.Add([]byte{1, 8, 0, 16, 1}, []byte{0, 8, 2, 25, 0}, []byte{2, 17, 1})
+	f.Add([]byte{0, 1, 0, 9, 1}, []byte{0, 1, 2}, []byte{})
+	f.Add([]byte{2, 3, 0, 11, 0, 19, 2}, []byte{1, 3, 1, 12, 0}, []byte{0, 4, 0, 20, 1})
+	f.Add([]byte{}, []byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, da, db, dc []byte) {
+		a, b, c := fuzzState(da), fuzzState(db), fuzzState(dc)
+		same := func(law string, x, y *Map) {
+			t.Helper()
+			if x.Encode() != y.Encode() || x.Digest() != y.Digest() || x.Height() != y.Height() {
+				t.Fatalf("%s: %q vs %q", law, x.Encode(), y.Encode())
+			}
+			for i := 0; i < 16; i++ {
+				key := fmt.Sprintf("k%d", i)
+				if ox, oy := x.Owners(key), y.Owners(key); !slices.Equal(ox, oy) {
+					t.Fatalf("%s: owners of %s differ: %v vs %v", law, key, ox, oy)
+				}
+			}
+		}
+		same("commutative", a.join(b), b.join(a))
+		same("associative", a.join(b).join(c), a.join(b.join(c)))
+		same("idempotent", a.join(a), a)
+		abc := a.join(b).join(c)
+		same("order-free", abc, c.join(a).join(b))
+		if abc.join(a) != abc || abc.join(b) != abc || abc.join(c) != abc {
+			t.Fatalf("%q is not above every side", abc.Encode())
+		}
+		dec, err := DecodeMap(strings.Fields(abc.Encode()))
+		if err != nil {
+			t.Fatalf("decode %q: %v", abc.Encode(), err)
+		}
+		same("round trip", dec, abc)
 	})
 }
 
@@ -131,14 +253,15 @@ func TestEncodeCanonical(t *testing.T) {
 // a node only as CLUSTER SETMAP (setmapCommand) or a CLUSTER MAP reply
 // (handleMap), besides the snapshot metadata swapMap keeps, and it is read
 // only from those and the snapshot. Everything else that tells nodes apart
-// — gossip digests, EPOCH votes, DSUM/DKEYS — carries the triple. The
+// — gossip digests, DSUM/DKEYS, XFER frames — carries the map's digest or
+// height. The
 // package's non-test files are parsed, and every use of a method named
 // Encode called with no arguments ((*Map).Encode; the base64 encoders take
 // two) and of DecodeMap is attributed to its enclosing function.
 func TestMapsTravelOnlyAsSetmapOrMap(t *testing.T) {
 	t.Parallel()
 	allowed := map[string][]string{
-		"Encode":    {"setmapCommand", "Node.handleMap", "Node.swapMap"},
+		"Encode":    {"setmapCommand", "Node.handleMap", "Node.update"},
 		"DecodeMap": {"Node.handleSetMap", "pool.fetchMap", "Node.persistedMap"},
 	}
 	fset := token.NewFileSet()
@@ -296,7 +419,7 @@ func TestRingStability(t *testing.T) {
 	const keys = 10000
 	for _, replicas := range []int{1, 2, 3} {
 		before := memberMap(3, replicas)
-		after := before.withNode("n003", "10.0.0.1:7003", 2, "n000")
+		after := before.withNode("n003", "10.0.0.1:7003")
 		moved := 0
 		for i := 0; i < keys; i++ {
 			key := fmt.Sprintf("key-%d", i)
@@ -401,56 +524,64 @@ func TestPassPeersMatchesCoOwners(t *testing.T) {
 func TestMapEncodeDecodeRoundTrip(t *testing.T) {
 	t.Parallel()
 	m := NewMap(2, Member{"n1", "127.0.0.1:7700"}, Member{"n2", "127.0.0.1:7701"})
-	m2 := m.withNode("n3", "127.0.0.1:7702", 2, "n1")
-	dec, err := DecodeMap([]string{"v3", "2", "2", "n1", "2",
-		"n1=127.0.0.1:7700", "n2=127.0.0.1:7701", "n3=127.0.0.1:7702"})
+	m2 := m.withNode("n3", "127.0.0.1:7702").withoutNode("n2")
+	dec, err := DecodeMap([]string{"v4", "2",
+		"n1=127.0.0.1:7700=1", "n2=127.0.0.1:7701=2", "n3=127.0.0.1:7702=1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.Encode() != m2.Encode() {
 		t.Errorf("round trip mismatch:\n got %q\nwant %q", dec.Encode(), m2.Encode())
 	}
-	if dec.Epoch != 2 || dec.Version != 2 || dec.Coordinator != "n1" || dec.Replicas != 2 || dec.Len() != 3 {
-		t.Errorf("decoded map %+v", dec)
+	if dec.Height() != 4 || dec.Replicas != 2 || dec.Len() != 2 || len(dec.Entries()) != 3 || dec.Has("n2") {
+		t.Errorf("decoded map %s", dec.Encode())
 	}
 	// Owners agree between the original and the decoded map.
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("k%d", i)
-		a, b := m2.Owners(key), dec.Owners(key)
-		if len(a) != len(b) {
+		if a, b := m2.Owners(key), dec.Owners(key); !slices.Equal(a, b) {
 			t.Fatalf("owners differ for %q: %v vs %v", key, a, b)
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("owners differ for %q: %v vs %v", key, a, b)
-			}
 		}
 	}
 }
 
+// TestDecodeMapErrors: DecodeMap refuses every malformed payload, and
+// counters above maxCounter, the bound that keeps the height of
+// maxWireMembers IDs from wrapping.
 func TestDecodeMapErrors(t *testing.T) {
 	t.Parallel()
+	over := strconv.FormatUint(maxCounter+1, 10)
 	for _, tokens := range [][]string{
 		nil,
-		{"v3"},
-		{"v3", "1", "1", "-"},
+		{"v4"},
 		{"1", "2", "n1=a:1"},                 // pre-epoch (v1) payload: rejected, not misparsed
-		{"v1", "1", "1", "-", "2", "n1=a:1"}, // unknown tag
-		{"v2", "1", "1", "-", "2", "n1=a:1"}, // ring-placed map: its owners differ from this map's
-		{"v3", "x", "1", "-", "2", "n1=a:1"},
-		{"v3", "1", "x", "-", "2", "n1=a:1"},
-		{"v3", "1", "1", "co=ord", "2", "n1=a:1"},
-		{"v3", "1", "1", "-", "0", "n1=a:1"},
-		{"v3", "1", "1", "-", "-3", "n1=a:1"},
-		{"v3", "99", "2", "-", "2"}, // no members: installing would orphan every key
-		{"v3", "1", "2", "-", "2", "noequals"},
-		{"v3", "1", "2", "-", "2", "=addr"},
-		{"v3", "1", "2", "-", "2", "id="},
-		{"v3", "1", "2", "-", "2", "id=a=b"},
-		{"v3", "1", "2", "-", "2", "id=a:1", "id=a:2"}, // duplicate member
+		{"v3", "1", "1", "-", "2", "n1=a:1"}, // the epoch-ordered map it replaced
+		{"v4", "0", "n1=a:1=1"},
+		{"v4", "-3", "n1=a:1=1"},
+		{"v4", "x", "n1=a:1=1"},
+		{"v4", "2", "noequals"},
+		{"v4", "2", "n1=a:1"}, // no counter
+		{"v4", "2", "=addr=1"},
+		{"v4", "2", "id==1"},
+		{"v4", "2", "id=a=b=1"},
+		{"v4", "2", "id=a=x"},
+		{"v4", "2", "id=a=0"},
+		{"v4", "2", "id=a=" + over},
+		{"v4", "2", "id=a:1=1", "id=a:2=3"}, // duplicate ID
 	} {
 		if _, err := DecodeMap(tokens); err == nil {
 			t.Errorf("DecodeMap(%v) succeeded, want error", tokens)
 		}
+	}
+	toks := []string{"v4", "2"}
+	for i := 0; i < maxWireMembers; i++ {
+		toks = append(toks, fmt.Sprintf("n%d=a=%d", i, uint64(maxCounter)))
+	}
+	m, err := DecodeMap(toks)
+	if err != nil {
+		t.Fatalf("a map of %d IDs at maxCounter: %v", maxWireMembers, err)
+	}
+	if m.Height() != maxWireMembers*maxCounter || m.Height() < maxCounter {
+		t.Errorf("height %d of %d IDs at %d wrapped", m.Height(), maxWireMembers, uint64(maxCounter))
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"exaloglog/internal/core"
-	"exaloglog/internal/hashing"
 	"exaloglog/server"
 	"exaloglog/window"
 )
@@ -26,15 +25,14 @@ import (
 // it does standalone, and the node gives them cluster-wide semantics. It
 // adds the CLUSTER subcommands:
 //
-//	CLUSTER INFO                       → +id=.. addr=.. e=.. v=.. replicas=.. nodes=.. keys=.. pushes=..
-//	CLUSTER MAP                        → +v3 <epoch> <version> <coordinator> <replicas> <id>=<addr> ...
-//	CLUSTER JOIN <id> <addr>           → +OK e=.. v=.. c=.. (claims an epoch, adds the node, broadcasts)
-//	                                     or +SUPERSEDED e=.. v=.. c=.. (a rival map won; the triple is the winner's)
-//	CLUSTER LEAVE <id>                 → +OK e=.. v=.. c=.. / +SUPERSEDED e=.. v=.. c=.. (as JOIN, removing the node)
-//	CLUSTER SETMAP <v3 payload>        → +OK (install if newer under the epoch order, then run a digest round)
-//	                                     or -ERR sync: .. (the round failed; the newer map stays installed)
-//	CLUSTER EPOCH <epoch> <coord>      → +GRANTED <epoch> e=.. v=.. c=.. / +DENIED <highest> e=.. v=.. c=.. (epoch claim and the voter's map triple; internal)
-//	CLUSTER GOSSIP <g1 digest>         → +<g1 digest> (push-pull failure-detector exchange; internal)
+//	CLUSTER INFO                       → +id=.. addr=.. h=.. d=.. replicas=.. nodes=.. keys=.. pushes=..
+//	CLUSTER MAP                        → +v4 <replicas> <id>=<addr>=<counter> ...
+//	CLUSTER JOIN <id> <addr>           → +OK h=.. d=.. (puts the node in, runs the pass, broadcasts)
+//	                                     or -ERR sync: .. (the change stands; its pass failed)
+//	CLUSTER LEAVE <id>                 → +OK h=.. d=.. / -ERR sync: .. (as JOIN, putting the node out)
+//	CLUSTER SETMAP <v4 payload>        → +OK (join it into the node's map, then run a digest round if that changed it)
+//	                                     or -ERR sync: .. (the round failed; the joined map stays installed)
+//	CLUSTER GOSSIP <g2 digest>         → +<g2 digest> (push-pull failure-detector exchange; internal)
 //	CLUSTER HEALTH                     → +round=.. quorum=.. member=.. <id>=<state>,hb=..,heard=..,sus=.. ...
 //	CLUSTER MLADD p <key> <batch>      → :1/:0 (local add of a token batch; the internal replication verb)
 //	CLUSTER MLADD w <key> <ts> <n> <b> → :<accepted> (local window add of the batch b of n elements; internal)
@@ -44,10 +42,10 @@ import (
 //	CLUSTER LPERSIST <key>             → :1/:0 (local deadline clear; internal)
 //	CLUSTER LKEYS                      → +<keys> (local keys; internal)
 //	CLUSTER DSUM|DKEYS ...             → digest round exchanges (internal; see digestsync.go)
-//	CLUSTER XFER FRAME e=<epoch> <b64> → +OK | -STALE e=.. (merge one frame of records: data movement and PFMERGE; internal, see transfer.go)
+//	CLUSTER XFER FRAME h=<height> <b64> → +OK | -STALE h=.. (merge one frame of records: data movement and PFMERGE; internal, see transfer.go)
 //
-// A membership change moves data one way only: every node that installs
-// the newer map drains the keys it no longer owns and runs a digest round
+// A membership change moves data one way only: every node whose map it
+// changes drains the keys it no longer owns and runs a digest round
 // against its peers (installAndSync), before it answers the SETMAP.
 //
 // EXPIRE / PEXPIRE / TTL / PERSIST compute the absolute deadline once, on
@@ -60,10 +58,11 @@ import (
 // DUMP / RESTORE / INFO / SAVE remain node-local, which is exactly what
 // the scatter-gather path relies on.
 //
-// Membership mutations are fenced by epochs (see Map): the coordinator
-// first wins a fresh epoch from a majority of the current members, so
-// concurrent JOIN/LEAVEs through different coordinators converge to
-// one map. The current map is mirrored into the store's metadata blob,
+// Membership changes need no agreement (see Map): a coordinator applies
+// the change to its own map and spreads the result, and every node joins
+// what it is sent into what it holds, so concurrent JOIN/LEAVEs through
+// different coordinators converge to one map holding all of them. The
+// current map is mirrored into the store's metadata blob,
 // which snapshots persist — a restarted node remembers its cluster and
 // Rejoin re-enters it without any seed address.
 type Node struct {
@@ -78,41 +77,21 @@ type Node struct {
 	digestRounds  atomic.Uint64 // digest anti-entropy peer-rounds initiated
 	digestRepairs atomic.Uint64 // divergent keys shipped by digest repair
 
-	// mutateMu serializes membership mutations coordinated BY THIS
-	// node (claim → mint → install → broadcast), so two JOINs arriving
-	// at the same coordinator cannot claim successive epochs and then
-	// mint rival maps from the same parent — losing one silently.
-	// Mutations coordinated elsewhere need no lock; epochs fence them.
-	mutateMu sync.Mutex
-
-	mu           sync.RWMutex
-	cmap         *Map
-	grantedEpoch uint64 // highest epoch granted to a coordinator or seen in a map
-	grantedTo    string // coordinator holding grantedEpoch ("" if from a map/fast-forward)
+	// mu guards cmap. Every change to it — a join of a map another node
+	// sent, a JOIN or LEAVE this node coordinates — is made under mu on
+	// the map it replaces, so no change overwrites another.
+	mu   sync.RWMutex
+	cmap *Map
 
 	// gsp is the gossip failure detector (see gossip.go). Its lock is
-	// ordered strictly after mu and mutateMu: detector code may read
-	// the map, map code never touches detector state.
+	// ordered strictly after mu: detector code may read the map, map code
+	// never touches detector state.
 	gsp gossipState
 
 	// xfer is the transfer pipeline's window and counters (see
 	// transfer.go).
 	xfer transferState
 }
-
-// ErrSuperseded is returned (wrapped) by Join and Leave when the mutation was
-// overtaken by a newer map before it could stick — the operator must
-// inspect the cluster and re-issue if still wanted.
-var ErrSuperseded = errors.New("membership mutation superseded by a newer map")
-
-const (
-	// epochClaimAttempts bounds how often one claim re-proposes after
-	// being outbid before giving up.
-	epochClaimAttempts = 6
-	// mutateAttempts bounds how often JOIN/LEAVE retries when newer
-	// maps keep landing between its claim and its install.
-	mutateAttempts = 6
-)
 
 // NewNode creates a cluster node with the given ID (no whitespace or
 // '='), sketch configuration and replica factor. Call Start to begin
@@ -147,9 +126,8 @@ func NewNode(id string, cfg core.Config, replicas int) (*Node, error) {
 			return v.handle(n, reply, args)
 		})
 	}
-	// Empty until Start learns the bound address; at epoch 0, any map Start
-	// installs supersedes it.
-	n.cmap = build(0, 0, "", replicas, nil)
+	// Empty until Start learns the bound address: the join's bottom.
+	n.cmap = build(replicas, nil)
 	return n, nil
 }
 
@@ -179,7 +157,7 @@ func (n *Node) serve(ln net.Listener) error {
 	// A persisted map may record a stale address for this node (it
 	// came back on a different port). That is harmless — every
 	// internal path routes to self by ID, never by address — and
-	// Rejoin announces the real address under a claimed epoch.
+	// Rejoin announces the real address.
 	m := n.persistedMap()
 	if m == nil {
 		m = NewMap(n.currentMap().Replicas, Member{ID: n.id, Addr: actual})
@@ -224,17 +202,6 @@ func (n *Node) Rejoin() error {
 	if len(errs) == 0 {
 		return nil // single-node cluster: nothing to rejoin
 	}
-	// No peer could coordinate the join. If this node came back on a
-	// NEW address, the peers' epoch quorum may need its own vote (a
-	// 2-node cluster: the peer's claim targets the dead recorded
-	// address and can never win) — coordinate the re-announce locally
-	// instead: the self-grant plus any reachable peer's grant can
-	// still make quorum, and the broadcast carries the address out.
-	if n.currentMap().Addr(n.id) != n.Addr() {
-		if reply := n.coordinateJoin(n.id, n.Addr()); strings.HasPrefix(reply, "+OK") {
-			return nil
-		}
-	}
 	return fmt.Errorf("cluster: rejoin: no recorded peer reachable: %w", errors.Join(errs...))
 }
 
@@ -249,10 +216,6 @@ func (n *Node) Join(seedAddr string) error {
 	reply, err := n.peers.do(seedAddr, "CLUSTER", "JOIN", n.id, n.Addr())
 	if err != nil {
 		return fmt.Errorf("cluster: join via %s: %w", seedAddr, err)
-	}
-	if strings.HasPrefix(reply, "SUPERSEDED") {
-		return fmt.Errorf("cluster: join via %s: %w (winner %s)",
-			seedAddr, ErrSuperseded, strings.TrimSpace(strings.TrimPrefix(reply, "SUPERSEDED")))
 	}
 	if !strings.HasPrefix(reply, "OK") {
 		return fmt.Errorf("cluster: join via %s: unexpected reply %q", seedAddr, reply)
@@ -272,17 +235,13 @@ func (n *Node) Join(seedAddr string) error {
 	return nil
 }
 
-// Leave gracefully exits the cluster: this node claims a fresh epoch and
-// installs the map without itself, drains every local sketch to its new
-// owners (safe to re-send — merging is idempotent), then broadcasts the
-// map to the remaining members, each of which runs its digest round
-// before replying. When Leave returns nil the remaining members have
+// Leave gracefully exits the cluster: this node puts itself out of its
+// map, drains every local sketch to its new owners (safe to re-send —
+// merging is idempotent), then broadcasts the map to the remaining
+// members, each of which runs its digest round before replying. When Leave returns nil the remaining members have
 // converged on the new map and this node holds nothing.
 func (n *Node) Leave() error {
 	reply := n.coordinateLeave(n.id)
-	if winner, ok := strings.CutPrefix(reply, "+SUPERSEDED "); ok {
-		return fmt.Errorf("cluster: leave: %w (winner %s)", ErrSuperseded, winner)
-	}
 	if !strings.HasPrefix(reply, "+OK") {
 		return fmt.Errorf("cluster: leave: %s", strings.TrimPrefix(reply, "-ERR "))
 	}
@@ -314,165 +273,44 @@ func (n *Node) currentMap() *Map {
 	return n.cmap
 }
 
-// swapMap installs m if it supersedes the current map under the
-// (Epoch, Version, Coordinator) order, mirroring it into the store's
-// snapshot metadata and fast-forwarding the node's epoch watermark. It
-// reports whether it did. Moving the data is the caller's: see
-// installAndSync.
+// swapMap joins m into the current map and reports whether that changed
+// it. Moving the data is the caller's: see installAndSync.
 func (n *Node) swapMap(m *Map) (changed bool) {
+	prev, next := n.update(func(cur *Map) *Map { return cur.join(m) })
+	return next != prev
+}
+
+// update installs f of the current map, under mu, and mirrors it into the
+// store's snapshot metadata when it differs. It returns the map f was
+// given and the one installed after.
+func (n *Node) update(f func(cur *Map) *Map) (prev, next *Map) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !m.Newer(n.cmap) {
-		return false
+	prev, next = n.cmap, f(n.cmap)
+	if next.Encode() == prev.Encode() {
+		return prev, prev
 	}
-	n.cmap = m
-	if m.Epoch > n.grantedEpoch {
-		n.grantedEpoch, n.grantedTo = m.Epoch, m.Coordinator
-	}
-	n.store.SetMeta([]byte(m.Encode()))
-	return true
-}
-
-// grantEpoch is this node's vote in an epoch claim: e is granted iff
-// it is above every epoch this node has granted or seen in a map, or
-// is a re-request by the coordinator already holding it (idempotent
-// retry). highest is the node's watermark after the call, which a
-// denied coordinator uses to fast-forward its next proposal.
-func (n *Node) grantEpoch(e uint64, coordinator string) (ok bool, highest uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if e > n.grantedEpoch {
-		n.grantedEpoch, n.grantedTo = e, coordinator
-		return true, e
-	}
-	if e == n.grantedEpoch && coordinator == n.grantedTo {
-		return true, e
-	}
-	return false, n.grantedEpoch
-}
-
-// observeEpoch fast-forwards the epoch watermark to e (learned from a
-// denial) without granting it to anyone.
-func (n *Node) observeEpoch(e uint64) {
-	n.mu.Lock()
-	if e > n.grantedEpoch {
-		n.grantedEpoch, n.grantedTo = e, ""
-	}
-	n.mu.Unlock()
-}
-
-// nextEpochProposal picks the next epoch to claim: one past everything
-// this node has seen.
-func (n *Node) nextEpochProposal() uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	e := n.cmap.Epoch
-	if n.grantedEpoch > e {
-		e = n.grantedEpoch
-	}
-	return e + 1
-}
-
-// claimEpoch wins a fresh epoch from a quorum (majority) of the
-// current members, retrying with higher proposals when outbid. Because
-// any two majorities intersect, at most one coordinator can win a
-// given epoch while a quorum is reachable — the fencing that keeps
-// concurrent JOIN/LEAVEs from minting rival maps at the same epoch.
-//
-// Every vote (grant or denial) also carries the voter's map triple. When
-// the newest one supersedes this node's map, claimEpoch pulls that voter's
-// map (reconcileMap) before it returns, so the coordinator mints its
-// mutation from the freshest map any reachable member holds — a rival's
-// just-installed, not-yet-broadcast map is picked up here instead of being
-// silently overwritten at a higher epoch. A failed pull fails the attempt,
-// which retries. Only a mutation whose minting coordinator is unreachable
-// during the whole claim can still be superseded (see the single-partition
-// limits in Map's doc).
-func (n *Node) claimEpoch() (uint64, error) {
-	var lastErr error
-	for attempt := 0; attempt < epochClaimAttempts; attempt++ {
-		if attempt > 0 {
-			// Deterministic per-node stagger: coordinators that keep
-			// outbidding each other back off by different amounts and
-			// separate instead of livelocking.
-			time.Sleep(time.Duration(attempt)*4*time.Millisecond +
-				time.Duration(hashing.WyString(n.id, 0)%7)*time.Millisecond)
-		}
-		propose := n.nextEpochProposal()
-		members := n.currentMap().Members()
-		quorum := len(members)/2 + 1
-		var (
-			mu      sync.Mutex
-			grants  int
-			highest uint64
-			newest  triple // the newest voter's triple, and its address
-			from    string
-		)
-		tally := func(granted bool, h uint64, t triple, addr string) {
-			mu.Lock()
-			defer mu.Unlock()
-			if granted {
-				grants++
-			}
-			if h > highest {
-				highest = h
-			}
-			if t.after(newest) {
-				newest, from = t, addr
-			}
-		}
-		_ = n.eachOwner(members, func(mem Member) error {
-			if mem.ID == n.id {
-				ok, h := n.grantEpoch(propose, n.id)
-				tally(ok, h, triple{}, "")
-				return nil
-			}
-			reply, err := n.peers.do(mem.Addr, "CLUSTER", "EPOCH", strconv.FormatUint(propose, 10), n.id)
-			if err != nil {
-				return nil // unreachable peer: no vote
-			}
-			fields := strings.Fields(reply)
-			if len(fields) < 2 {
-				return nil
-			}
-			h, _ := strconv.ParseUint(fields[1], 10, 64)
-			t, _ := parseTriple(fields[2:]) // best-effort: the zero triple supersedes no map
-			tally(fields[0] == "GRANTED", h, t, mem.Addr)
-			return nil
-		})
-		if from != "" && newest.after(n.currentMap().triple()) {
-			if err := n.reconcileMap(from); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		if grants >= quorum {
-			return propose, nil
-		}
-		n.observeEpoch(highest)
-		lastErr = fmt.Errorf("cluster: epoch %d claim won %d/%d votes (quorum %d)",
-			propose, grants, len(members), quorum)
-	}
-	return 0, lastErr
+	n.cmap = next
+	n.store.SetMeta([]byte(next.Encode()))
+	return prev, next
 }
 
 // reconcileMap settles a map mismatch with the one peer it was seen on:
-// pull that peer's map, install it if it supersedes ours (running its
-// digest round), and answer with one targeted SETMAP if the peer turns
-// out to be the one behind. Its callers learn of the mismatch for free,
-// from a triple the peer sent anyway — a gossip reply's, an EPOCH vote's
-// (claimEpoch), a -STALE refusal of a DSUM or of an XFER frame — so a
-// converged cluster never pays a MAP pull.
+// pull that peer's map, join it into ours (running the pass if that
+// changed ours), and push the result back with one targeted SETMAP if it
+// differs from the peer's. Its callers learn of the mismatch for free,
+// from a digest the peer sent anyway — a gossip reply's, a -STALE refusal
+// of a DSUM or of an XFER frame — so a converged cluster never pays a MAP
+// pull.
 func (n *Node) reconcileMap(addr string) error {
 	theirs, err := n.peers.fetchMap(addr)
 	if err != nil {
 		return err
 	}
-	if err := n.installAndSync(theirs); err != nil {
-		return err
-	}
-	if cur := n.currentMap(); cur.Newer(theirs) {
-		_, err = n.peers.do(addr, setmapCommand(cur)...)
+	err = n.installAndSync(theirs)
+	if cur := n.currentMap(); cur.Digest() != theirs.Digest() {
+		_, perr := n.peers.do(addr, setmapCommand(cur)...)
+		err = errors.Join(err, perr)
 	}
 	return err
 }
@@ -568,7 +406,7 @@ func validWrite(verb, key string, elements []string) error {
 }
 
 // withStaleMapRetry runs op against the current map and, when it fails
-// while a strictly newer map was installed concurrently, re-resolves
+// while a changed map was installed concurrently, re-resolves
 // once against the fresh map. This is the server-side mirror of the
 // smart client's failover: a forward that lands on a just-evicted
 // owner mid-rebalance gets one second chance against the map
@@ -581,7 +419,7 @@ func (n *Node) withStaleMapRetry(op func(m *Map) error) error {
 	if err == nil {
 		return nil
 	}
-	if cur := n.currentMap(); cur != m && cur.Newer(m) {
+	if cur := n.currentMap(); cur != m {
 		return op(cur)
 	}
 	return err
@@ -651,14 +489,14 @@ func (n *Node) add(key string, batch *core.Hybrid) (bool, error) {
 }
 
 // eachOwner runs a forwarded command — a write, a read or a gather — on
-// every one of a key's owners, or a control message (an EPOCH vote, a
-// SETMAP) on a set of members, and returns their errors joined in owner
-// order. It is the package's one fan-out. Every remote owner but the last
-// gets a goroutine; this node's own run and then the last remote owner's
-// run on the caller's. So with a replica factor of 2 one goroutine starts
-// when this node owns neither copy, and none when it owns one. No owners
-// at all is the map of a node not started yet, and an error for every
-// verb: a read, DEL and KEYS as much as a write.
+// every one of a key's owners, or a control message (a SETMAP) on a set of
+// members, and returns their errors joined in owner order. It is the
+// package's one fan-out. Every remote owner but the last gets a goroutine;
+// this node's own run and then the last remote owner's run on the caller's.
+// So with a replica factor of 2 one goroutine starts when this node owns
+// neither copy, and none when it owns one. No owners at all is the map of
+// a node not started yet, and an error for every verb: a read, DEL and
+// KEYS as much as a write.
 func (n *Node) eachOwner(owners []Member, run func(o Member) error) error {
 	if len(owners) == 0 {
 		return errors.New("cluster: empty cluster map (node not started?)")
@@ -1061,7 +899,7 @@ func (n *Node) absorbAll(m *Map, key string, blob []byte) error {
 		if o.ID == n.id {
 			return n.store.MergeBlob(key, blob)
 		}
-		s := n.newStream(o.Addr, m.Epoch, nil, nil)
+		s := n.newStream(o.Addr, m.Height(), nil, nil)
 		s.add(server.KeyBlob{Key: key, Blob: blob})
 		err := s.close()
 		if errors.Is(err, errStale) {
@@ -1159,9 +997,8 @@ var clusterVerbs = []struct {
 	{"JOIN", 2, 2, "-ERR CLUSTER JOIN needs an ID and an address", (*Node).handleJoin},
 	{"LEAVE", 1, 1, "-ERR CLUSTER LEAVE needs a node ID", (*Node).handleLeave},
 	{"SETMAP", 0, -1, "", (*Node).handleSetMap},
-	{"EPOCH", 2, 2, "-ERR CLUSTER EPOCH needs an epoch and a coordinator ID", (*Node).handleEpoch},
-	{"DSUM", 4, 4, "-ERR CLUSTER DSUM needs a requester ID and e=<epoch> v=<version> c=<coordinator>", (*Node).handleDigestSum},
-	{"DKEYS", 5, 5, "-ERR CLUSTER DKEYS needs a requester ID, e=<epoch> v=<version> c=<coordinator> and a shard list", (*Node).handleDigestKeys},
+	{"DSUM", 2, 2, "-ERR CLUSTER DSUM needs a requester ID and d=<map digest>", (*Node).handleDigestSum},
+	{"DKEYS", 3, 3, "-ERR CLUSTER DKEYS needs a requester ID, d=<map digest> and a shard list", (*Node).handleDigestKeys},
 	{"GOSSIP", 0, -1, "", (*Node).handleGossip},
 	{"HEALTH", 0, 0, "-ERR CLUSTER HEALTH takes no arguments", (*Node).handleHealth},
 	{"STATS", 0, 1, clusterStatsUsage, (*Node).handleStats},
@@ -1176,8 +1013,8 @@ var clusterVerbs = []struct {
 
 func (n *Node) handleInfo(reply []byte, _ [][]byte) []byte {
 	m := n.currentMap()
-	return fmt.Appendf(reply, "+id=%s addr=%s e=%d v=%d replicas=%d nodes=%d keys=%d pushes=%d",
-		n.id, n.Addr(), m.Epoch, m.Version, m.Replicas, m.Len(), n.store.Len(), n.pushes.Load())
+	return fmt.Appendf(reply, "+id=%s addr=%s %s replicas=%d nodes=%d keys=%d pushes=%d",
+		n.id, n.Addr(), m.Stamp(), m.Replicas, m.Len(), n.store.Len(), n.pushes.Load())
 }
 
 // handleMap serves CLUSTER MAP: what a smart client fetches at dial and
@@ -1204,23 +1041,6 @@ func (n *Node) handleSetMap(reply []byte, args [][]byte) []byte {
 		return append(reply, "-ERR sync: "+err.Error()...)
 	}
 	return append(reply, "+OK"...)
-}
-
-func (n *Node) handleEpoch(reply []byte, args [][]byte) []byte {
-	e, err := strconv.ParseUint(string(args[0]), 10, 64)
-	if err != nil {
-		return fmt.Appendf(reply, "-ERR bad epoch %q", args[0])
-	}
-	coordinator := string(args[1])
-	if !validID(coordinator) {
-		return fmt.Appendf(reply, "-ERR invalid coordinator ID %q", coordinator)
-	}
-	// Either way the reply carries this node's map triple: a claiming
-	// coordinator behind it pulls the map before minting its mutation.
-	if ok, highest := n.grantEpoch(e, coordinator); !ok {
-		return fmt.Appendf(reply, "+DENIED %d %s", highest, n.currentMap().Triple())
-	}
-	return fmt.Appendf(reply, "+GRANTED %d %s", e, n.currentMap().Triple())
 }
 
 func (n *Node) handleLDel(reply []byte, args [][]byte) []byte {
@@ -1335,8 +1155,8 @@ func decodeBatch(raw []byte, words []uint64, b64 []byte) (core.Hybrid, error) {
 }
 
 // coordinateJoin is JOIN: id listening at addr, through mutate. A node
-// that re-enters after an auto-eviction gets the same +OK and triple as
-// any other joiner.
+// that re-enters after an auto-eviction gets the same +OK as any other
+// joiner.
 func (n *Node) coordinateJoin(id, addr string) string {
 	if !validID(id) {
 		return fmt.Sprintf("-ERR invalid node ID %q", id)
@@ -1345,70 +1165,38 @@ func (n *Node) coordinateJoin(id, addr string) string {
 		return fmt.Sprintf("-ERR invalid node address %q", addr)
 	}
 	return n.mutate(func(m *Map) bool { return m.Addr(id) == addr },
-		func(cur *Map, epoch uint64) *Map { return cur.withNode(id, addr, epoch, n.id) })
+		func(cur *Map) *Map { return cur.withNode(id, addr) })
 }
 
 // coordinateLeave is LEAVE: id off the map, through mutate — an operator's,
 // gossip's auto-eviction and this node's own Leave.
 func (n *Node) coordinateLeave(id string) string {
 	return n.mutate(func(m *Map) bool { return !m.Has(id) },
-		func(cur *Map, epoch uint64) *Map { return cur.withoutNode(id, epoch, n.id) })
+		func(cur *Map) *Map { return cur.withoutNode(id) })
 }
 
 // mutate is the one way this node changes the cluster map as coordinator.
 // Unless done reports that the current map already holds the change, it
-// claims a fresh epoch, mints next from the map the claim left (the
-// freshest any voter held), installs it — a newer map landing first makes
-// it retry — and finishes with moveThenAnnounce, which tells the members
-// the change removed too, so a live leaver drains its keys. mutateMu
-// serializes it. A node already off its own map — e.g. after a Leave that
-// failed once it had installed the map without itself — finishes the
-// hand-off instead: it drains what is still local and re-tells the
-// members, no-ops when all is done.
-func (n *Node) mutate(done func(*Map) bool, next func(cur *Map, epoch uint64) *Map) string {
-	n.mutateMu.Lock()
-	defer n.mutateMu.Unlock()
-	for attempt := 0; attempt < mutateAttempts; attempt++ {
-		if cur := n.currentMap(); done(cur) {
-			if !cur.Has(n.id) {
-				if err := n.moveThenAnnounce(cur, cur); err != nil {
-					return "-ERR " + err.Error()
-				}
-			}
-			return n.verdict(done)
-		}
-		epoch, err := n.claimEpoch()
-		if err != nil {
-			return "-ERR claim epoch: " + err.Error()
-		}
-		cur := n.currentMap() // re-read: the claim may have installed a newer map
+// applies change to the current map under mu and finishes with
+// moveThenAnnounce, which tells the members the change removed too, so a
+// live leaver drains its keys. A node already off its own map — e.g. after
+// a Leave whose pass failed — finishes the hand-off instead: it drains
+// what is still local and re-tells the members, no-ops when all is done.
+// A change that stands but whose pass failed answers "-ERR sync: …", as
+// SETMAP does; any other -ERR means nothing changed.
+func (n *Node) mutate(done func(*Map) bool, change func(*Map) *Map) string {
+	prev, next := n.update(func(cur *Map) *Map {
 		if done(cur) {
-			continue
+			return cur
 		}
-		m := next(cur, epoch)
-		if !n.swapMap(m) {
-			continue // a newer map landed between claim and install
+		return change(cur)
+	})
+	if next != prev || !next.Has(n.id) {
+		if err := n.moveThenAnnounce(next, prev); err != nil {
+			return "-ERR sync: " + err.Error()
 		}
-		if err := n.moveThenAnnounce(m, cur); err != nil {
-			return "-ERR " + err.Error()
-		}
-		return n.verdict(done)
 	}
-	return n.verdict(done)
-}
-
-// verdict renders a mutation's reply by re-reading the current map: +OK
-// with its triple when the change holds in it (whoever minted it),
-// +SUPERSEDED with the winning map's triple when a rival map erased the
-// change before the handler could return — the feedback channel that turns
-// the epoch order's deterministic-but-silent losses into something an
-// operator (or Join caller) can act on.
-func (n *Node) verdict(done func(*Map) bool) string {
-	m := n.currentMap()
-	if done(m) {
-		return "+OK " + m.Triple()
-	}
-	return "+SUPERSEDED " + m.Triple()
+	return "+OK " + n.currentMap().Stamp()
 }
 
 // RebalancePushes returns the cumulative number of keys this node shipped

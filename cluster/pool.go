@@ -169,7 +169,7 @@ func (p *pool) exchange(addr string, run func(*server.Client) error) error {
 }
 
 // errStale marks a request the peer refused with -STALE: its map differs
-// from the one the request was made under (XFER: its epoch is newer). The
+// from the one the request was made under (XFER: its height is greater). The
 // caller settles the maps with that peer (reconcileMap) and retries at
 // most once.
 var errStale = errors.New("cluster: peer map differs")

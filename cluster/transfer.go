@@ -18,13 +18,13 @@ import (
 // frames (server.EncodeFrame, "ELX3", the format snapshot files are made
 // of), and the frames go to the peer as a windowed pipeline of
 //
-//	CLUSTER XFER FRAME e=<epoch> <base64 frame>  → +OK | -STALE e=<cur> | -ERR ...
+//	CLUSTER XFER FRAME h=<height> <base64 frame>  → +OK | -STALE h=.. d=.. | -ERR ...
 //
 // requests on a connection the pool lends: up to xferWindow frames in one
-// write, their replies read back in one batch. The receiver applies the epoch
-// fence — a receiver whose map is newer than the sender's refuses with
-// -STALE; a sender ahead of it is fine, its map follows — decodes the
-// frame and merges every record into its store.
+// write, their replies read back in one batch. The receiver applies the
+// height fence — a receiver whose map is higher (Map.Height) than the
+// sender's refuses with -STALE; a sender as high or higher is fine, its map
+// follows — decodes the frame and merges every record into its store.
 //
 // There are no sessions, no resume and no retries. The merge is
 // commutative and idempotent, so a frame that landed changes the
@@ -81,11 +81,11 @@ func (n *Node) TransferStats() TransferStats {
 // the frame it fills and the window's lines, never more. After the first
 // failure a stream drops what it is given, and close reports the failure.
 type stream struct {
-	n     *Node
-	addr  string
-	epoch string         // the frames' "e=<epoch>" token
-	count *atomic.Uint64 // the keys the peer merged are counted here, if not nil
-	acked func(keys []string)
+	n      *Node
+	addr   string
+	height string         // the frames' "h=<height>" token
+	count  *atomic.Uint64 // the keys the peer merged are counted here, if not nil
+	acked  func(keys []string)
 
 	recs   []server.KeyBlob // the frame being filled
 	raw    int              // its key and blob bytes
@@ -101,16 +101,16 @@ type windowFrame struct {
 	wire, blob int
 }
 
-// newStream starts a stream to addr under the map epoch. count, when not
+// newStream starts a stream to addr under a map of the given height. count, when not
 // nil, tallies the keys the peer merged; acked, when not nil, is told them
 // frame by frame.
-func (n *Node) newStream(addr string, epoch uint64, count *atomic.Uint64, acked func(keys []string)) *stream {
+func (n *Node) newStream(addr string, height uint64, count *atomic.Uint64, acked func(keys []string)) *stream {
 	return &stream{
-		n:     n,
-		addr:  addr,
-		epoch: "e=" + strconv.FormatUint(epoch, 10),
-		count: count,
-		acked: acked,
+		n:      n,
+		addr:   addr,
+		height: "h=" + strconv.FormatUint(height, 10),
+		count:  count,
+		acked:  acked,
 	}
 }
 
@@ -140,7 +140,7 @@ func (s *stream) closeFrame() {
 		f.keys[i] = r.Key
 		f.blob += len(r.Blob)
 	}
-	s.lines = append(appendFrameLine(s.lines, s.epoch, raw), '\n')
+	s.lines = append(appendFrameLine(s.lines, s.height, raw), '\n')
 	s.window = append(s.window, f)
 	clear(s.recs)
 	s.recs, s.raw = s.recs[:0], 0
@@ -196,12 +196,12 @@ func (s *stream) close() error {
 	return s.err
 }
 
-// appendFrameLine appends one "CLUSTER XFER FRAME e=<epoch> <b64>" line
+// appendFrameLine appends one "CLUSTER XFER FRAME h=<height> <b64>" line
 // (no line break) to dst, growing dst only when the frame outgrows every
 // previous tenant of the buffer.
-func appendFrameLine(dst []byte, epochTok string, raw []byte) []byte {
+func appendFrameLine(dst []byte, heightTok string, raw []byte) []byte {
 	dst = append(dst, "CLUSTER XFER FRAME "...)
-	dst = append(dst, epochTok...)
+	dst = append(dst, heightTok...)
 	dst = append(dst, ' ')
 	return base64.StdEncoding.AppendEncode(dst, raw)
 }
@@ -212,25 +212,26 @@ func appendFrameLine(dst []byte, epochTok string, raw []byte) []byte {
 // frame stream allocates no receive buffer per frame.
 var frameScratch = sync.Pool{New: func() any { return new([]byte) }}
 
-const xferUsage = "-ERR CLUSTER XFER needs FRAME, e=<epoch> and a frame"
+const xferUsage = "-ERR CLUSTER XFER needs FRAME, h=<height> and a frame"
 
-// handleXfer serves CLUSTER XFER FRAME e=<epoch> <base64 frame> on the
-// bytes it arrived in: the epoch fence, then every record merged into the
+// handleXfer serves CLUSTER XFER FRAME h=<height> <base64 frame> on the
+// bytes it arrived in: the height fence, then every record merged into the
 // store.
 func (n *Node) handleXfer(reply []byte, args [][]byte) []byte {
-	if !bytes.EqualFold(args[0], []byte("FRAME")) || !bytes.HasPrefix(args[1], []byte("e=")) {
+	if !bytes.EqualFold(args[0], []byte("FRAME")) || !bytes.HasPrefix(args[1], []byte("h=")) {
 		return append(reply, xferUsage...)
 	}
-	epoch, err := strconv.ParseUint(string(args[1][2:]), 10, 64)
+	height, err := strconv.ParseUint(string(args[1][2:]), 10, 64)
 	if err != nil {
-		return fmt.Appendf(reply, "-ERR bad XFER epoch %q", args[1])
+		return fmt.Appendf(reply, "-ERR bad XFER height %q", args[1])
 	}
-	// A sender streaming under an older map may be pushing keys to an
-	// owner that no longer owns them: refuse. A sender ahead of us is
-	// fine — its map reaches us by SETMAP or gossip, and keys that land
-	// early are strays the next drain moves.
-	if cur := n.currentMap(); cur.Epoch > epoch {
-		return fmt.Appendf(reply, "-STALE e=%d", cur.Epoch)
+	// A sender streaming under a lower map lacks a change we hold and may
+	// be pushing keys to an owner that no longer owns them: refuse, and it
+	// joins our map. A sender as high or higher is fine — its map reaches
+	// us by SETMAP, gossip or a digest round, and keys that land early are
+	// strays the next drain moves.
+	if cur := n.currentMap(); cur.Height() > height {
+		return append(append(reply, "-STALE "...), cur.Stamp()...)
 	}
 	// The decoded records may alias the pooled buffer; AbsorbBatch's
 	// merges copy everything they keep, so it is free again on return.

@@ -201,8 +201,8 @@ func TestPoolKeepsConnectionOnWrongType(t *testing.T) {
 		t.Fatal("no idle connection after PING")
 	}
 	plain := base64.StdEncoding.EncodeToString(server.EncodeFrame([]server.KeyBlob{{Key: "wkey", Blob: denseBlob(t, "y")}}))
-	epoch := fmt.Sprintf("e=%d", n2.Map().Epoch)
-	if _, err := n1.peers.do(n2.Addr(), "CLUSTER", "XFER", "FRAME", epoch, plain); !errors.Is(err, server.ErrWrongType) {
+	height := fmt.Sprintf("h=%d", n2.Map().Height())
+	if _, err := n1.peers.do(n2.Addr(), "CLUSTER", "XFER", "FRAME", height, plain); !errors.Is(err, server.ErrWrongType) {
 		t.Fatalf("a frame merging a plain sketch into a windowed key: %v, want ErrWrongType", err)
 	}
 	if after := n1.peers.idleConns(n2.Addr()); !slices.Equal(after, before) {

@@ -8,13 +8,14 @@
 // Commands:
 //
 //	info                  show the contacted node's view of the cluster
-//	map                   print the cluster map (epoch, version, coordinator, replicas, members)
+//	map                   print the cluster map (height, digest, replicas, and every ID's
+//	                      address, counter and in/out)
 //	health                show the contacted node's failure-detector view (alive/suspect per
 //	                      member) plus every member's cluster-layer counters
 //	stats [all]           per-verb serving stats (calls, errors, bytes, p50/p99 latency) and
 //	                      cluster counters (gossip, forwarded MLADD lines, transfer frames,
 //	                      digest rounds) of the contacted node — or of every member with "all"
-//	join <id> <addr>      add node <id> at <addr> to the cluster (epoch-fenced)
+//	join <id> <addr>      add node <id> at <addr> to the cluster
 //	leave <id>            remove node <id> (survivors re-replicate its keys)
 //	add <key> <el>...     PFADD routed to the key's owners
 //	count <key>...        cluster-wide union distinct count
@@ -105,14 +106,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return x.fail(fmt.Errorf("malformed map reply %q: %w", reply, err))
 		}
-		coord := m.Coordinator
-		if coord == "" {
-			coord = "(none)"
-		}
-		fmt.Fprintf(stdout, "epoch       %d\nversion     %d\ncoordinator %s\nreplicas    %d\n",
-			m.Epoch, m.Version, coord, m.Replicas)
-		for _, mem := range m.Members() {
-			fmt.Fprintf(stdout, "node        %-12s %s\n", mem.ID, mem.Addr)
+		fmt.Fprintf(stdout, "height      %d\ndigest      %016x\nreplicas    %d\n", m.Height(), m.Digest(), m.Replicas)
+		for _, e := range m.Entries() {
+			state := "out"
+			if e.In() {
+				state = "in"
+			}
+			fmt.Fprintf(stdout, "node        %-12s %s %d %s\n", e.ID, e.Addr, e.Counter, state)
 		}
 	case "health":
 		reply, err := x.c.Do("CLUSTER", "HEALTH")
@@ -163,12 +163,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if len(rest) != 2 {
 			return x.usage()
 		}
-		return x.mutation("CLUSTER", "JOIN", rest[0], rest[1])
+		return x.echo("CLUSTER", "JOIN", rest[0], rest[1])
 	case "leave":
 		if len(rest) != 1 {
 			return x.usage()
 		}
-		return x.mutation("CLUSTER", "LEAVE", rest[0])
+		return x.echo("CLUSTER", "LEAVE", rest[0])
 	case "add":
 		if len(rest) < 2 {
 			return x.usage()
@@ -236,24 +236,6 @@ func (x *cli) echo(parts ...string) int {
 	reply, err := x.c.Do(parts...)
 	if err != nil {
 		return x.fail(err)
-	}
-	fmt.Fprintln(x.stdout, reply)
-	return 0
-}
-
-// mutation runs a JOIN/LEAVE and renders its reply. A mutation can lose
-// to a concurrent one under the epoch order; the reply then starts with
-// SUPERSEDED and carries the winning map's (epoch, version,
-// coordinator) so the operator sees WHAT won instead of a silent no-op.
-func (x *cli) mutation(parts ...string) int {
-	reply, err := x.c.Do(parts...)
-	if err != nil {
-		return x.fail(err)
-	}
-	if rest, ok := strings.CutPrefix(reply, "SUPERSEDED"); ok {
-		fmt.Fprintf(x.stdout, "superseded: a concurrent membership change won (%s); inspect 'map' and re-issue if still wanted\n",
-			strings.TrimSpace(rest))
-		return 1
 	}
 	fmt.Fprintln(x.stdout, reply)
 	return 0

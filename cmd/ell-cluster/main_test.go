@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -49,10 +50,19 @@ func TestRunAgainstTwoNodeCluster(t *testing.T) {
 		t.Errorf("info: exit %d, stdout %q, stderr %q", code, out, errOut)
 	}
 
+	m := nodes[1].Map()
 	code, out, errOut = invoke(b, "map")
-	if code != 0 || !strings.Contains(out, "replicas    2\n") ||
-		!strings.Contains(out, "n1           "+a+"\n") || !strings.Contains(out, "n2           "+b+"\n") {
+	if want := fmt.Sprintf("height      2\ndigest      %016x\nreplicas    2\n", m.Digest()); code != 0 || !strings.HasPrefix(out, want) ||
+		!strings.Contains(out, "n1           "+a+" 1 in\n") || !strings.Contains(out, "n2           "+b+" 1 in\n") {
 		t.Errorf("map: exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+	// Leaving an ID that is not in changes nothing and says so: the
+	// reply carries the map's height and digest.
+	if code, out, errOut = invoke(a, "leave", "ghost"); code != 0 || out != "OK "+m.Stamp()+"\n" {
+		t.Errorf("leave: exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+	if code, out, errOut = invoke(a, "join", "a=b", "addr"); code != 1 || out != "" || !strings.Contains(errOut, `invalid node ID "a=b"`) {
+		t.Errorf("join with a bad ID: exit %d, stdout %q, stderr %q", code, out, errOut)
 	}
 
 	// Written through one node, counted through the other.

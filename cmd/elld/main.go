@@ -32,10 +32,9 @@
 // Cluster nodes run a gossip failure detector: every -gossip-interval
 // the node exchanges heartbeat digests with a few peers, suspects any
 // member silent for 5 intervals, and — once a quorum of members agrees
-// — evicts it with an epoch-fenced automatic LEAVE, so a dead node
-// leaves the map without operator action. The same exchange carries
-// each side's map triple, and a peer that missed a broadcast is pushed
-// the map or pulls it.
+// — evicts it with an automatic LEAVE, so a dead node leaves the map
+// without operator action. The same exchange carries the digest of each
+// side's map, and two peers whose maps differ join them.
 // -gossip-interval 0 disables both (membership then changes only by
 // operator command, and maps heal on the digest round).
 //
@@ -53,7 +52,7 @@
 // hands keys it holds but does not own to their owners, exchanges
 // per-shard content digests with its peers and re-ships only the keys
 // that diverge — O(shards) messages on a converged cluster — and
-// settles the map with any peer whose epoch differs. 0 disables the
+// settles the map with any peer whose map differs. 0 disables the
 // round (gossip still moves maps).
 //
 // Keyspace lifecycle: -default-ttl stamps every key created from then
@@ -308,7 +307,7 @@ func (o options) serveCluster(ctx context.Context) error {
 			return err
 		}
 		m := node.Map()
-		fmt.Fprintf(o.stdout, "joined cluster via %s (map e%d v%d, %d nodes)\n", o.join, m.Epoch, m.Version, m.Len())
+		fmt.Fprintf(o.stdout, "joined cluster via %s (map %s, %d nodes)\n", o.join, m.Stamp(), m.Len())
 	case node.Map().Len() > 1:
 		// The snapshot recorded a multi-node cluster: self-heal back
 		// into it without any -join seed. Unreachable peers are not
@@ -317,7 +316,7 @@ func (o options) serveCluster(ctx context.Context) error {
 			o.log.Printf("rejoin (anti-entropy will keep trying): %v", err)
 		} else {
 			m := node.Map()
-			fmt.Fprintf(o.stdout, "rejoined cluster from snapshot (map e%d v%d, %d nodes)\n", m.Epoch, m.Version, m.Len())
+			fmt.Fprintf(o.stdout, "rejoined cluster from snapshot (map %s, %d nodes)\n", m.Stamp(), m.Len())
 		}
 	}
 

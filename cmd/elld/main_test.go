@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"exaloglog/cluster"
+	"exaloglog/internal/core"
 	"exaloglog/server"
 )
 
@@ -129,6 +131,44 @@ func TestRunClusterNodeServesAndSavesOnCancel(t *testing.T) {
 	}
 	if errOut.String() != "" {
 		t.Errorf("a healthy run logged to stderr: %q", errOut.String())
+	}
+}
+
+// TestRunJoinsACluster: -join enters the cluster a node already serves,
+// and the joined line names the map it joined — its height and digest,
+// which the seed then holds too.
+func TestRunJoinsACluster(t *testing.T) {
+	seed, err := cluster.NewNode("n1", core.RecommendedML(12), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out, errOut output
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run(ctx, []string{"-node-id", "n2", "-addr", "127.0.0.1:0", "-join", seed.Addr(),
+			"-gossip-interval", "0", "-sync-digest-interval", "0", "-sweep-interval", "0"}, &out, &errOut)
+	}()
+	joined := regexp.MustCompile(`joined cluster via \S+ \(map (h=\d+ d=[0-9a-f]{16}), 2 nodes\)\n`)
+	var stamp string
+	for deadline := time.Now().Add(10 * time.Second); stamp == ""; time.Sleep(5 * time.Millisecond) {
+		if m := joined.FindStringSubmatch(out.String()); m != nil {
+			stamp = m[1]
+		} else if time.Now().After(deadline) {
+			t.Fatalf("never joined: stdout %q, stderr %q", out.String(), errOut.String())
+		}
+	}
+	if want := seed.Map().Stamp(); stamp != want || !strings.HasPrefix(stamp, "h=2 ") {
+		t.Errorf("joined line names map %s, the seed holds %s", stamp, want)
+	}
+	cancel()
+	if code := <-exit; code != 0 {
+		t.Errorf("exit %d after cancel, want 0; stderr %q", code, errOut.String())
 	}
 }
 

@@ -97,8 +97,8 @@ func TestOneStringHash(t *testing.T) {
 }
 
 // TestClusterFansOutThroughEachOwner: the cluster package has one fan-out.
-// Forwarded writes, reads and gathers, EPOCH votes and SETMAP broadcasts
-// all reach their members through Node.eachOwner, so the non-test code of
+// Forwarded writes, reads and gathers and SETMAP broadcasts all reach
+// their members through Node.eachOwner, so the non-test code of
 // cluster/ holds exactly one go statement, and it is in eachOwner. A
 // second way to run peers in parallel is a second schedule to reason
 // about.
@@ -136,6 +136,35 @@ func TestClusterFansOutThroughEachOwner(t *testing.T) {
 	}
 	if len(found) != 1 || inEachOwner != 1 {
 		t.Errorf("cluster/ holds %d go statements, want exactly one, in eachOwner: %v", len(found), found)
+	}
+}
+
+// TestClusterNeverSleeps: nothing in cluster/'s non-test code waits on a
+// timer to let another node go first. Membership needs no back-off, since
+// concurrent changes join instead of competing, and every other wait is a
+// reply or a deadline.
+func TestClusterNeverSleeps(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("cluster", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no Go files under cluster/ (%v)", err)
+	}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sleep" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" {
+					t.Errorf("%s: time.Sleep in cluster/", fset.Position(sel.Pos()))
+				}
+			}
+			return true
+		})
 	}
 }
 
