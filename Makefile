@@ -31,14 +31,15 @@ test: build fmt-check vet
 # graph/ runs its ANF iterations on workers. The six commands are CI's
 # six race steps, in its order: internal/core/ alone (about three minutes
 # under -race, too close to the timeout beside the others), the pooled
-# connection buffers' test ten times, the peer pool's lent connections'
-# test ten times, the two concurrent-membership tests twenty times, and
-# cluster/ twice over in shuffled order.
+# connection buffers' test ten times, the peer pool's two tests (lent
+# connections, a restarted peer redialed) ten times, the two
+# concurrent-membership tests twenty times, and cluster/ twice over in
+# shuffled order.
 race:
 	$(GO) test -race -timeout 5m . ./server/ ./window/ ./cmd/... ./graph/
 	$(GO) test -race -timeout 5m ./internal/core/
 	$(GO) test -race -count=10 -run 'TestBurstsAndIdleShareThePool' ./server/
-	$(GO) test -race -count=10 -run 'TestPoolLendsConnections' ./cluster/
+	$(GO) test -race -count=10 -run 'TestPoolLendsConnections|TestPoolRedialsARestartedPeer' ./cluster/
 	$(GO) test -race -count=20 -run 'TestChaosConcurrentMembership|TestMembershipChangesOnBothSidesHoldAfterHeal' ./cluster/
 	$(GO) test -race -count=2 -shuffle=on -timeout 10m ./cluster/
 

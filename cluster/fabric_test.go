@@ -313,8 +313,8 @@ type pipe struct {
 
 	mu     sync.Mutex
 	buf    []byte        // written, not yet read
-	eof    bool          // the writing end closed: reads drain buf, then see io.EOF
-	gone   bool          // the reading end closed: writes fail
+	eof    bool          // the writing end closed: reads drain buf, then see io.EOF, and writes fail
+	gone   bool          // the reading end closed: writes are lost, as on a socket
 	change chan struct{} // closed and renewed whenever the fields above change
 }
 
@@ -353,15 +353,21 @@ func (p *pipe) read(b []byte, dl *deadline) (int, error) {
 	}
 }
 
+// write hands b to the reader. Once the reader is gone it succeeds and
+// the bytes are lost, as a socket's write to a peer that closed succeeds:
+// a request on a connection the peer closed — a crashed node's — fails at
+// the reply, with EOF.
 func (p *pipe) write(b []byte, dl *deadline) (int, error) {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.eof || p.gone {
+	switch {
+	case p.eof:
 		return 0, io.ErrClosedPipe
-	}
-	if p.buffered {
+	case p.gone:
+		return len(b), nil
+	case p.buffered:
 		p.buf = append(p.buf, b...)
 		p.signal()
 		return len(b), nil
@@ -369,8 +375,8 @@ func (p *pipe) write(b []byte, dl *deadline) (int, error) {
 	p.buf = b
 	p.signal()
 	var err error
-	for len(p.buf) > 0 && err == nil {
-		if p.eof || p.gone {
+	for len(p.buf) > 0 && err == nil && !p.gone {
+		if p.eof {
 			err = io.ErrClosedPipe
 			break
 		}
@@ -384,6 +390,9 @@ func (p *pipe) write(b []byte, dl *deadline) (int, error) {
 		p.mu.Lock()
 	}
 	n := len(b) - len(p.buf)
+	if p.gone && err == nil {
+		n = len(b) // the rest is lost
+	}
 	p.buf = nil // the caller may reuse b
 	return n, err
 }

@@ -180,10 +180,9 @@ func (n *Node) Gossip() []string {
 		if !n.currentMap().Has(id) {
 			continue // a rival detector beat us to it
 		}
-		if reply := n.coordinateLeave(id); strings.HasPrefix(reply, "+OK") {
-			n.autoLeaves.Add(1)
-			evicted = append(evicted, id)
-		}
+		_ = n.coordinateLeave(id) // its one error is ErrSync: the eviction stands
+		n.autoLeaves.Add(1)
+		evicted = append(evicted, id)
 	}
 	return evicted
 }

@@ -15,6 +15,7 @@ package cluster
 // and eviction sequence on every run — no sleeps, no flakes.
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -170,14 +171,27 @@ func (h *harness) save(id string) {
 }
 
 // restart brings a crashed node back on its old address from its last
-// snapshot and lets it self-heal into the cluster — no seed address.
+// snapshot and joins it through the peers that snapshot recorded, as elld
+// does — no seed address.
 func (h *harness) restart(id string) *Node {
 	h.t.Helper()
 	n := h.startAt(id, h.addr(id))
-	if err := n.Rejoin(); err != nil {
+	if err := n.Join(recordedPeers(n)...); err != nil {
 		h.t.Fatalf("rejoin %s: %v", id, err)
 	}
 	return n
+}
+
+// recordedPeers returns the addresses of the other members n's map holds:
+// after a restart, the peers its snapshot recorded.
+func recordedPeers(n *Node) []string {
+	var addrs []string
+	for _, mem := range n.Map().Members() {
+		if mem.ID != n.ID() {
+			addrs = append(addrs, mem.Addr)
+		}
+	}
+	return addrs
 }
 
 // load adds els elements to each of keys keys through node via, one Add
@@ -626,7 +640,7 @@ func TestRestartOnNewAddressReannounces(t *testing.T) {
 	if n2.Addr() == oldAddr {
 		t.Fatal("fixture: the restart reused the old address")
 	}
-	if err := n2.Rejoin(); err != nil {
+	if err := n2.Join(recordedPeers(n2)...); err != nil {
 		t.Fatalf("rejoin on a new address: %v", err)
 	}
 	enc := h.converge(10 * time.Second)
@@ -759,6 +773,96 @@ func TestMembershipReplyForms(t *testing.T) {
 	reply, err := h.do("n1", "CLUSTER", "LEAVE", "x1")
 	if want := "OK " + h.node("n1").Map().Stamp(); err != nil || reply != want {
 		t.Errorf("repeated LEAVE answered %q, %v; want %q", reply, err, want)
+	}
+}
+
+// TestJoinTriesSeedsInOrder: Join enters through the first seed that
+// answers. A seed nothing listens on is skipped, as after a restart whose
+// snapshot recorded a peer that is down, and when no seed answers Join
+// fails and the node stays alone. A seed that refuses the JOIN ends the
+// call at once: no later seed is asked.
+func TestJoinTriesSeedsInOrder(t *testing.T) {
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 2, replicas: 2})
+	h.start("gone")
+	h.crash("gone")
+	dead := h.addr("gone")
+
+	x1 := h.start("x1")
+	if err := x1.Join(dead, h.addr("n1")); err != nil {
+		t.Fatalf("Join past an unreachable seed: %v", err)
+	}
+	if got := h.node("n2").Map().Addr("x1"); got != x1.Addr() {
+		t.Errorf("n2 holds x1 at %q, want %q", got, x1.Addr())
+	}
+
+	x2 := h.start("x2")
+	if err := x2.Join(dead); err == nil || errors.Is(err, ErrSync) {
+		t.Errorf("Join through no live seed = %v, want a plain error", err)
+	}
+	if got := x2.Map().Len(); got != 1 {
+		t.Errorf("x2 holds a map of %d members after no seed answered, want 1", got)
+	}
+
+	store, err := server.NewStore(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuser := server.NewServer(store)
+	refuser.Handle("CLUSTER JOIN", 2, 2, "", func(reply []byte, _ [][]byte) []byte {
+		return append(reply, "-ERR refused here"...)
+	})
+	h.serve(refuser)
+	if err := x2.Join(refuser.Addr(), h.addr("n1")); err == nil || errors.Is(err, ErrSync) || !strings.Contains(err.Error(), "refused here") {
+		t.Errorf("Join through a refusing seed = %v, want its refusal", err)
+	}
+	if h.node("n1").Map().Has("x2") {
+		t.Error("a refused JOIN went on to the next seed")
+	}
+}
+
+// TestJoinWhosePassFailsStands: x1 joins through n1 while n3 is cut off,
+// so n1's broadcast cannot reach n3 and n1 answers "-ERR sync: …". The join
+// stands: Join's error is ErrSync, x1 holds n1's map and serves the keys
+// n3 does not own, and after the heal every count through every node
+// equals its reference.
+func TestJoinWhosePassFailsStands(t *testing.T) {
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	const keys = 20
+	keyName := func(k int) string { return fmt.Sprintf("js-%d", k) }
+	ref := h.load("n2", keyName, keys, 3)
+
+	h.fab.partition("n3", true)
+	x1 := h.start("x1")
+	if err := x1.Join(h.addr("n1")); !errors.Is(err, ErrSync) {
+		t.Fatalf("Join with n3 cut off = %v, want ErrSync", err)
+	}
+	if got, want := x1.Map().Encode(), h.node("n1").Map().Encode(); got != want || !x1.Map().Has("x1") {
+		t.Fatalf("x1 holds %s, want the seed's map %s with x1 in", got, want)
+	}
+	served := 0
+	for k := 0; k < keys; k++ {
+		if slices.ContainsFunc(x1.Map().Owners(keyName(k)), func(o Member) bool { return o.ID == "n3" }) {
+			continue
+		}
+		if got := mustCount(t, x1, keyName(k)); got != ref[k] {
+			t.Errorf("x1: count %s = %v, want %v with n3 cut off", keyName(k), got, ref[k])
+		}
+		served++
+	}
+	if served == 0 {
+		t.Fatal("fixture: n3 owns every key")
+	}
+
+	h.fab.partition("n3", false)
+	h.converge(10 * time.Second)
+	for k := 0; k < keys; k++ {
+		for _, n := range h.running() {
+			if got := mustCount(t, n, keyName(k)); got != ref[k] {
+				t.Errorf("%s: count %s = %v, want %v after heal", n.ID(), keyName(k), got, ref[k])
+			}
+		}
 	}
 }
 
@@ -931,6 +1035,49 @@ func TestGossipAutoEvictsCrashedNode(t *testing.T) {
 	}
 }
 
+// TestGossipCountsAnEvictionWhosePassFails: n3 crashes, and while it is
+// evicted n2 hears nothing but gossip, so the evictor's pass cannot finish.
+// The LEAVE stands all the same: Gossip returns n3 and the evictor counts
+// it in AutoLeaves, and after the heal the survivors converge without n3
+// and with every count intact.
+func TestGossipCountsAnEvictionWhosePassFails(t *testing.T) {
+	t.Parallel()
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 2})
+	const keys = 20
+	keyName := func(k int) string { return fmt.Sprintf("ef-%d", k) }
+	ref := h.load("n1", keyName, keys, 4)
+
+	h.tick(2)
+	h.crash("n3")
+	n2 := h.addr("n2")
+	h.fab.setIntercept(func(from, to string, parts []string) error {
+		if (from == "n2" || to == n2) && (len(parts) < 2 || !strings.EqualFold(parts[1], "GOSSIP")) {
+			return errors.New("fabric: n2 hears only gossip")
+		}
+		return nil
+	})
+	evictor := h.tick(testSuspectAfter + 3)["n3"]
+	if evictor == "" {
+		t.Fatal("Gossip did not return the eviction whose pass failed")
+	}
+	if got := h.node(evictor).StatsCounters().AutoLeaves; got != 1 {
+		t.Errorf("%s counts %d auto-leaves, want 1", evictor, got)
+	}
+	h.fab.setIntercept(nil)
+
+	enc := h.converge(10 * time.Second)
+	if h.node("n1").Map().Has("n3") {
+		t.Fatalf("converged map %s still lists the crashed node", enc)
+	}
+	for k := 0; k < keys; k++ {
+		for _, n := range h.running() {
+			if got := mustCount(t, n, keyName(k)); got != ref[k] {
+				t.Errorf("%s: count %s = %v, want %v after the eviction", n.ID(), keyName(k), got, ref[k])
+			}
+		}
+	}
+}
+
 // TestGossipMinorityCannotEvict: a node partitioned onto the minority
 // side suspects everyone else but can never reach suspicion quorum
 // (it cannot hear the other suspecters), so it never attempts an
@@ -996,8 +1143,8 @@ func TestGossipMinorityCannotEvict(t *testing.T) {
 }
 
 // TestGossipEvictedNodeRejoinsCleanly: a node crashes, is auto-evicted,
-// then restarts from its snapshot and re-enters through Rejoin, as elld
-// does, and gets its keys back via the ordinary delta rebalance,
+// then restarts from its snapshot and re-enters by Join through the peers
+// its snapshot recorded, as elld does, and gets its keys back via the ordinary delta rebalance,
 // converging byte-identically with the survivors.
 func TestGossipEvictedNodeRejoinsCleanly(t *testing.T) {
 	t.Parallel()
@@ -1017,13 +1164,13 @@ func TestGossipEvictedNodeRejoinsCleanly(t *testing.T) {
 	h.converge(10 * time.Second)
 
 	// Restart from the snapshot: its map still lists the survivors, and
-	// Rejoin joins through the first of them that answers.
+	// Join enters through the first of them that answers.
 	n3 := h.startAt("n3", h.addr("n3"))
-	if err := n3.Rejoin(); err != nil {
+	if err := n3.Join(recordedPeers(n3)...); err != nil {
 		t.Fatalf("rejoin after eviction: %v", err)
 	}
 	if m := n3.Map(); !m.Has("n3") || m.Len() != 3 {
-		t.Fatalf("after Rejoin n3 holds map %s, want all three members", m.Encode())
+		t.Fatalf("after Join n3 holds map %s, want all three members", m.Encode())
 	}
 
 	enc := h.converge(10 * time.Second)

@@ -27,11 +27,9 @@ import (
 //
 //	CLUSTER INFO                       → +id=.. addr=.. h=.. d=.. replicas=.. nodes=.. keys=.. pushes=..
 //	CLUSTER MAP                        → +v4 <replicas> <id>=<addr>=<counter> ...
-//	CLUSTER JOIN <id> <addr>           → +OK h=.. d=.. (puts the node in, runs the pass, broadcasts)
-//	                                     or -ERR sync: .. (the change stands; its pass failed)
+//	CLUSTER JOIN <id> <addr>           → +OK h=.. d=.. / -ERR sync: .. (ErrSync; puts the node in, runs the pass, broadcasts)
 //	CLUSTER LEAVE <id>                 → +OK h=.. d=.. / -ERR sync: .. (as JOIN, putting the node out)
-//	CLUSTER SETMAP <v4 payload>        → +OK (join it into the node's map, then run a digest round if that changed it)
-//	                                     or -ERR sync: .. (the round failed; the joined map stays installed)
+//	CLUSTER SETMAP <v4 payload>        → +OK / -ERR sync: .. (join it into the node's map, then run a digest round if that changed it)
 //	CLUSTER GOSSIP <g2 digest>         → +<g2 digest> (push-pull failure-detector exchange; internal)
 //	CLUSTER HEALTH                     → +round=.. quorum=.. member=.. <id>=<state>,hb=..,heard=..,sus=.. ...
 //	CLUSTER MLADD p <key> <batch>      → :1/:0 (local add of a token batch; the internal replication verb)
@@ -64,7 +62,7 @@ import (
 // different coordinators converge to one map holding all of them. The
 // current map is mirrored into the store's metadata blob,
 // which snapshots persist — a restarted node remembers its cluster and
-// Rejoin re-enters it without any seed address.
+// re-enters it by Join through the peers that map records.
 type Node struct {
 	id    string
 	store *server.Store
@@ -138,8 +136,8 @@ func (n *Node) SetSnapshotPath(path string) { n.srv.SetSnapshotPath(path) }
 // Start listens on addr (port 0 picks a free port) and initializes the
 // cluster map: to the membership persisted in the store's snapshot
 // metadata when one exists and records this node (a restart — call
-// Rejoin next to re-announce), otherwise to a fresh single-node
-// cluster of this node.
+// Join through the peers it records next), otherwise to a fresh
+// single-node cluster of this node.
 func (n *Node) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -157,7 +155,7 @@ func (n *Node) serve(ln net.Listener) error {
 	// A persisted map may record a stale address for this node (it
 	// came back on a different port). That is harmless — every
 	// internal path routes to self by ID, never by address — and
-	// Rejoin announces the real address.
+	// Join announces the real address.
 	m := n.persistedMap()
 	if m == nil {
 		m = NewMap(n.currentMap().Replicas, Member{ID: n.id, Addr: actual})
@@ -181,69 +179,61 @@ func (n *Node) persistedMap() *Map {
 	return m
 }
 
-// Rejoin re-enters the cluster recorded in this node's persisted map
-// (typically loaded from a snapshot before Start) without any seed
-// address: it Joins through the first reachable recorded peer, which
-// re-announces this node's address and pulls the cluster's current
-// map. A single-node recorded map is already "rejoined". Use it in
-// place of Join when restarting a node whose snapshot survived.
-func (n *Node) Rejoin() error {
-	var errs []error
-	for _, mem := range n.currentMap().Members() {
-		if mem.ID == n.id {
+// ErrSync marks a membership change that stands but whose pass failed; the
+// next digest round finishes the pass. On the wire it is "-ERR sync: …".
+var ErrSync = errors.New("sync")
+
+// unsynced marks err, the failed pass of a change that stands, as ErrSync.
+func unsynced(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrSync, err)
+}
+
+// appendOutcome appends the reply of JOIN, LEAVE or SETMAP: ok, or -ERR err.
+func appendOutcome(reply []byte, err error, ok string) []byte {
+	if err != nil {
+		return append(reply, "-ERR "+err.Error()...)
+	}
+	return append(reply, ok...)
+}
+
+// Join enters the cluster through the first of seeds that answers: any
+// member's address, or the peers a restarted node's snapshot recorded. The
+// seed puts this node in its map and runs the pass (moveThenAnnounce);
+// then this node settles maps with the seed, which also pushes sketches
+// restored from a snapshot to their owners. nil: the cluster has converged
+// on the new map. ErrSync: this node is in, but a pass failed. Any other
+// error — a seed refused the JOIN, or none answered — joined nothing.
+func (n *Node) Join(seeds ...string) error {
+	var unreachable error
+	for _, seed := range seeds {
+		_, err := n.peers.do(seed, "CLUSTER", "JOIN", n.id, n.Addr())
+		if err != nil && !server.IsReplyErr(err) {
+			unreachable = errors.Join(unreachable, fmt.Errorf("cluster: join via %s: %w", seed, err))
 			continue
 		}
-		if err := n.Join(mem.Addr); err != nil {
-			errs = append(errs, err)
-			continue
+		if err = asSync(err); err == nil || errors.Is(err, ErrSync) {
+			// On a re-join the seed does not broadcast: pull its map.
+			err = errors.Join(err, unsynced(n.reconcileMap(seed)))
+		}
+		if err != nil {
+			return fmt.Errorf("cluster: join via %s: %w", seed, err)
 		}
 		return nil
 	}
-	if len(errs) == 0 {
-		return nil // single-node cluster: nothing to rejoin
-	}
-	return fmt.Errorf("cluster: rejoin: no recorded peer reachable: %w", errors.Join(errs...))
-}
-
-// Join enters the cluster that seedAddr is a member of: the seed adds
-// this node to its map, drains what it no longer owns, and broadcasts the
-// new map to every member (including this node), each of which drains and
-// runs its digest round before replying; then the seed runs its own
-// rounds (moveThenAnnounce). When Join returns nil the whole cluster has
-// converged on the new map: every key is on its new owners, and a further
-// digest round repairs nothing.
-func (n *Node) Join(seedAddr string) error {
-	reply, err := n.peers.do(seedAddr, "CLUSTER", "JOIN", n.id, n.Addr())
-	if err != nil {
-		return fmt.Errorf("cluster: join via %s: %w", seedAddr, err)
-	}
-	if !strings.HasPrefix(reply, "OK") {
-		return fmt.Errorf("cluster: join via %s: unexpected reply %q", seedAddr, reply)
-	}
-	// Pull the seed's map explicitly: on an idempotent re-join (this node
-	// was already a member, e.g. it restarted) the seed does not
-	// re-broadcast, so without this a restarted node would keep its stale
-	// self-only map. The round that follows its install pushes any
-	// locally restored sketches to their current owners.
-	m, err := n.peers.fetchMap(seedAddr)
-	if err != nil {
-		return err
-	}
-	if err := n.installAndSync(m); err != nil {
-		return fmt.Errorf("cluster: sync after join: %w", err)
-	}
-	return nil
+	return unreachable
 }
 
 // Leave gracefully exits the cluster: this node puts itself out of its
 // map, drains every local sketch to its new owners (safe to re-send —
-// merging is idempotent), then broadcasts the map to the remaining
-// members, each of which runs its digest round before replying. When Leave returns nil the remaining members have
-// converged on the new map and this node holds nothing.
+// merging is idempotent) and broadcasts the map to the remaining members,
+// each of which runs its digest round before replying. nil: they converged
+// on the new map and this node holds nothing. ErrSync: call Leave again.
 func (n *Node) Leave() error {
-	reply := n.coordinateLeave(n.id)
-	if !strings.HasPrefix(reply, "+OK") {
-		return fmt.Errorf("cluster: leave: %s", strings.TrimPrefix(reply, "-ERR "))
+	if err := n.coordinateLeave(n.id); err != nil {
+		return fmt.Errorf("cluster: leave: %w", err)
 	}
 	return nil
 }
@@ -300,8 +290,8 @@ func (n *Node) update(f func(cur *Map) *Map) (prev, next *Map) {
 // changed ours), and push the result back with one targeted SETMAP if it
 // differs from the peer's. Its callers learn of the mismatch for free,
 // from a digest the peer sent anyway — a gossip reply's, a -STALE refusal
-// of a DSUM or of an XFER frame — so a converged cluster never pays a MAP
-// pull.
+// of a DSUM or of an XFER frame — so a converged cluster pays a MAP pull
+// only when a node joins.
 func (n *Node) reconcileMap(addr string) error {
 	theirs, err := n.peers.fetchMap(addr)
 	if err != nil {
@@ -1025,22 +1015,21 @@ func (n *Node) handleMap(reply []byte, _ [][]byte) []byte {
 }
 
 func (n *Node) handleJoin(reply []byte, args [][]byte) []byte {
-	return append(reply, n.coordinateJoin(string(args[0]), string(args[1]))...)
+	err := n.coordinateJoin(string(args[0]), string(args[1]))
+	return appendOutcome(reply, err, "+OK "+n.currentMap().Stamp())
 }
 
 func (n *Node) handleLeave(reply []byte, args [][]byte) []byte {
-	return append(reply, n.coordinateLeave(string(args[0]))...)
+	err := n.coordinateLeave(string(args[0]))
+	return appendOutcome(reply, err, "+OK "+n.currentMap().Stamp())
 }
 
 func (n *Node) handleSetMap(reply []byte, args [][]byte) []byte {
 	m, err := DecodeMap(server.StringArgs(args))
-	if err != nil {
-		return append(reply, "-ERR "+err.Error()...)
+	if err == nil {
+		err = unsynced(n.installAndSync(m))
 	}
-	if err := n.installAndSync(m); err != nil {
-		return append(reply, "-ERR sync: "+err.Error()...)
-	}
-	return append(reply, "+OK"...)
+	return appendOutcome(reply, err, "+OK")
 }
 
 func (n *Node) handleLDel(reply []byte, args [][]byte) []byte {
@@ -1154,15 +1143,13 @@ func decodeBatch(raw []byte, words []uint64, b64 []byte) (core.Hybrid, error) {
 	return core.DecodeBatch(raw[:k], words)
 }
 
-// coordinateJoin is JOIN: id listening at addr, through mutate. A node
-// that re-enters after an auto-eviction gets the same +OK as any other
-// joiner.
-func (n *Node) coordinateJoin(id, addr string) string {
+// coordinateJoin is JOIN: id listening at addr, through mutate.
+func (n *Node) coordinateJoin(id, addr string) error {
 	if !validID(id) {
-		return fmt.Sprintf("-ERR invalid node ID %q", id)
+		return fmt.Errorf("invalid node ID %q", id)
 	}
 	if strings.ContainsAny(addr, " \t\r\n=") || addr == "" {
-		return fmt.Sprintf("-ERR invalid node address %q", addr)
+		return fmt.Errorf("invalid node address %q", addr)
 	}
 	return n.mutate(func(m *Map) bool { return m.Addr(id) == addr },
 		func(cur *Map) *Map { return cur.withNode(id, addr) })
@@ -1170,7 +1157,7 @@ func (n *Node) coordinateJoin(id, addr string) string {
 
 // coordinateLeave is LEAVE: id off the map, through mutate — an operator's,
 // gossip's auto-eviction and this node's own Leave.
-func (n *Node) coordinateLeave(id string) string {
+func (n *Node) coordinateLeave(id string) error {
 	return n.mutate(func(m *Map) bool { return !m.Has(id) },
 		func(cur *Map) *Map { return cur.withoutNode(id) })
 }
@@ -1182,9 +1169,8 @@ func (n *Node) coordinateLeave(id string) string {
 // live leaver drains its keys. A node already off its own map — e.g. after
 // a Leave whose pass failed — finishes the hand-off instead: it drains
 // what is still local and re-tells the members, no-ops when all is done.
-// A change that stands but whose pass failed answers "-ERR sync: …", as
-// SETMAP does; any other -ERR means nothing changed.
-func (n *Node) mutate(done func(*Map) bool, change func(*Map) *Map) string {
+// The change always stands: the one error is ErrSync, its pass failed.
+func (n *Node) mutate(done func(*Map) bool, change func(*Map) *Map) error {
 	prev, next := n.update(func(cur *Map) *Map {
 		if done(cur) {
 			return cur
@@ -1192,11 +1178,9 @@ func (n *Node) mutate(done func(*Map) bool, change func(*Map) *Map) string {
 		return change(cur)
 	})
 	if next != prev || !next.Has(n.id) {
-		if err := n.moveThenAnnounce(next, prev); err != nil {
-			return "-ERR sync: " + err.Error()
-		}
+		return unsynced(n.moveThenAnnounce(next, prev))
 	}
-	return "+OK " + n.currentMap().Stamp()
+	return nil
 }
 
 // RebalancePushes returns the cumulative number of keys this node shipped

@@ -4,11 +4,13 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"exaloglog/internal/core"
@@ -80,18 +82,18 @@ func (p *pool) timeout() time.Duration {
 }
 
 // lend takes an idle connection to addr off its free list, or dials one
-// when none is idle.
-func (p *pool) lend(addr string) (*server.Client, error) {
+// when none is idle; idle says which.
+func (p *pool) lend(addr string) (c *server.Client, idle bool, err error) {
 	p.mu.Lock()
 	if free := p.idle[addr]; len(free) > 0 {
-		c := free[len(free)-1]
-		free[len(free)-1] = nil
+		c, free[len(free)-1] = free[len(free)-1], nil
 		p.idle[addr] = free[:len(free)-1]
 		p.mu.Unlock()
-		return c, nil
+		return c, true, nil
 	}
 	p.mu.Unlock()
-	return p.dial(addr)
+	c, err = p.dial(addr)
+	return c, false, err
 }
 
 // giveBack puts a connection whose last reply was parsed on addr's free
@@ -150,20 +152,26 @@ func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
 // Enumerating "benign" error replies here would be wrong twice over: a
 // novel error reply would needlessly tear down a healthy connection, and —
 // worse — feed the missing alive() into the detector as spurious suspicion
-// of a peer that just answered.
+// of a peer that just answered. EOF or a reset on an idle connection — the
+// peer died, and may be back on its address — sends the request once more
+// on a fresh dial (every peer request is safe to repeat); a timeout does not.
 func (p *pool) exchange(addr string, run func(*server.Client) error) error {
-	c, err := p.lend(addr)
-	if err != nil {
-		return err
-	}
-	if err = run(c); err != nil && !server.IsReplyErr(err) {
+	c, idle, err := p.lend(addr)
+	for err == nil {
+		if err = run(c); err == nil || server.IsReplyErr(err) {
+			p.giveBack(addr, c)
+			if p.alive != nil {
+				p.alive(addr)
+			}
+			return err
+		}
 		c.Close()
 		p.closeIdle(addr)
-		return err
-	}
-	p.giveBack(addr, c)
-	if p.alive != nil {
-		p.alive(addr)
+		if !idle || !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+			return err
+		}
+		idle = false
+		c, err = p.dial(addr)
 	}
 	return err
 }
@@ -182,6 +190,14 @@ func asStale(err error) error {
 	return err
 }
 
+// asSync folds a "-ERR sync: …" reply into ErrSync.
+func asSync(err error) error {
+	if cause, ok := strings.CutPrefix(fmt.Sprint(err), "sync: "); ok && server.IsReplyErr(err) {
+		return fmt.Errorf("%w: %s", ErrSync, cause)
+	}
+	return err
+}
+
 // do runs one command against addr.
 func (p *pool) do(addr string, parts ...string) (reply string, err error) {
 	err = p.exchange(addr, func(c *server.Client) (err error) {
@@ -192,7 +208,7 @@ func (p *pool) do(addr string, parts ...string) (reply string, err error) {
 }
 
 // fetchMap pulls the cluster map addr holds: the package's one CLUSTER MAP
-// request, shared by a node's Join and reconcileMap and by ClusterClient.
+// request, shared by a node's reconcileMap and by ClusterClient.
 func (p *pool) fetchMap(addr string) (*Map, error) {
 	reply, err := p.do(addr, "CLUSTER", "MAP")
 	if err != nil {

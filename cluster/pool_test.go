@@ -89,3 +89,44 @@ func TestPoolLendsConnections(t *testing.T) {
 		t.Errorf("the first request after the heal dialed %d times, want 1", got)
 	}
 }
+
+// TestPoolRedialsARestartedPeer: n1 holds an idle connection to n3 when n3
+// crashes and comes back on its address. The first request on that
+// connection meets the closed stream (EOF), and the pool sends it once
+// more on a fresh dial, so the next forwarded request to n3 succeeds at
+// once: a write, and — after a second crash, an operator's LEAVE of n3
+// and a restart — the drain and broadcast of n3's JOIN through n1.
+func TestPoolRedialsARestartedPeer(t *testing.T) {
+	t.Parallel()
+	// Every member owns every key: n1 forwards each write to n3.
+	h := newHarness(t, harnessOpts{nodes: 3, replicas: 3})
+	n1, to := h.node("n1"), h.addr("n3")
+	crash := func() {
+		if len(n1.peers.idleConns(to)) == 0 {
+			t.Fatal("fixture: n1 holds no idle connection to n3")
+		}
+		h.crash("n3")
+	}
+	if _, err := n1.Add("k", "a"); err != nil {
+		t.Fatal(err)
+	}
+	crash()
+	h.startAt("n3", to)
+	if _, err := n1.Add("k", "b"); err != nil {
+		t.Fatalf("a write to n3 just after its restart: %v", err)
+	}
+
+	crash()
+	if _, err := h.do("n2", "CLUSTER", "LEAVE", "n3"); err != nil {
+		t.Fatal(err)
+	}
+	n3 := h.startAt("n3", to)
+	if err := n3.Join(h.addr("n1")); err != nil {
+		t.Fatalf("n3's JOIN through n1 just after its restart: %v", err)
+	}
+	for _, n := range h.running() {
+		if got := mustCount(t, n, "k"); int64(got+0.5) != 2 {
+			t.Errorf("%s: count k = %v, want ≈2", n.ID(), got)
+		}
+	}
+}

@@ -278,7 +278,7 @@ func TestTransferResumesAfterReceiverCrashRestart(t *testing.T) {
 	// Frames 1..stopAt-1 are merged. Snapshot NOW — sketches plus the
 	// already-installed 2-node map — then kill the receiver, as a
 	// periodic-snapshot-then-power-loss, and restart it from the snapshot
-	// on its old address (no Rejoin: the persisted map records the
+	// on its old address (no Join: the persisted map records the
 	// membership).
 	h.save("n2")
 	h.crash("n2")

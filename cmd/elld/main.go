@@ -27,7 +27,8 @@
 // With -node-id set, elld runs as a member of a sharded, replicated
 // sketch cluster (see the cluster package): keys are routed to owner
 // nodes by rendezvous hashing, counts scatter-gather serialized sketches,
-// and -join adds this node to an existing cluster via any member.
+// and a node joins its cluster one way (cluster.Node.Join): through -join,
+// any member's address, or else the peers its snapshot recorded.
 //
 // Cluster nodes run a gossip failure detector: every -gossip-interval
 // the node exchanges heartbeat digests with a few peers, suspects any
@@ -72,10 +73,7 @@
 // holding a stale map still gets the right answer, one hop later.
 //
 // On SIGINT/SIGTERM elld takes a final snapshot (when -snapshot is set)
-// before closing the listener, so a restarted node loses nothing. The
-// snapshot also records the cluster map, so a cluster node restarted
-// with the same -snapshot rejoins its cluster automatically — no -join
-// needed after the first start.
+// before closing the listener, so a restarted node loses nothing.
 //
 // Try it with netcat:
 //
@@ -96,6 +94,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -300,24 +299,24 @@ func (o options) serveCluster(ctx context.Context) error {
 	defer closeMetrics()
 	fmt.Fprintf(o.stdout, "elld node %s listening on %s (cluster mode, replicas=%d, p=%d)\n",
 		o.nodeID, node.Addr(), o.replicas, o.p)
-	switch {
-	case o.join != "":
-		if err := node.Join(o.join); err != nil {
-			node.Close()
-			return err
+	var seeds []string // -join, or else the peers the snapshot recorded
+	for _, mem := range node.Map().Members() {
+		if mem.ID != o.nodeID {
+			seeds = append(seeds, mem.Addr)
 		}
+	}
+	if o.join != "" {
+		seeds = []string{o.join}
+	}
+	switch err := node.Join(seeds...); {
+	case err != nil && !errors.Is(err, cluster.ErrSync) && node.Map().Len() == 1:
+		node.Close() // refused, or no seed answered: in no cluster but its own
+		return err
+	case err != nil:
+		o.log.Printf("join (gossip and the digest round finish it): %v", err)
+	case len(seeds) > 0:
 		m := node.Map()
-		fmt.Fprintf(o.stdout, "joined cluster via %s (map %s, %d nodes)\n", o.join, m.Stamp(), m.Len())
-	case node.Map().Len() > 1:
-		// The snapshot recorded a multi-node cluster: self-heal back
-		// into it without any -join seed. Unreachable peers are not
-		// fatal — gossip and the digest round keep retrying.
-		if err := node.Rejoin(); err != nil {
-			o.log.Printf("rejoin (anti-entropy will keep trying): %v", err)
-		} else {
-			m := node.Map()
-			fmt.Fprintf(o.stdout, "rejoined cluster from snapshot (map %s, %d nodes)\n", m.Stamp(), m.Len())
-		}
+		fmt.Fprintf(o.stdout, "joined cluster via %s (map %s, %d nodes)\n", strings.Join(seeds, ","), m.Stamp(), m.Len())
 	}
 
 	// Anti-entropy, data: drain strays, exchange per-shard content

@@ -51,6 +51,23 @@ func BenchmarkStoreAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreAddBatch is BenchmarkStoreAdd down the path every cluster
+// owner's own copy takes: the same warm key and one element an iteration,
+// hashed into a token batch (Batch) that AddBatch absorbs.
+func BenchmarkStoreAddBatch(b *testing.B) {
+	store := newBenchStore(b)
+	els := benchElements(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch, err := store.Batch(els[i%len(els) : i%len(els)+1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		store.AddBatch("key", &batch)
+	}
+}
+
 // BenchmarkStoreAddSparse is BenchmarkStoreAdd on keys that stay below
 // break-even: every key is built up to n elements and left, so an
 // iteration is the average insert of such a key's life — token search,
